@@ -1,8 +1,8 @@
 # repligc — common tasks. Everything is stdlib-only and offline.
 
-.PHONY: all build lint test race bench bench-baseline bench-smoke serve-smoke calibrate calibrate-smoke crash-matrix trace microbench experiments quick-experiments examples clean
+.PHONY: all build lint test host-bench-test fuzz-smoke race bench bench-baseline bench-smoke serve-smoke calibrate calibrate-smoke crash-matrix trace microbench experiments quick-experiments examples clean
 
-all: build lint test
+all: build lint test host-bench-test
 
 build:
 	go build ./...
@@ -21,6 +21,18 @@ lint:
 
 test:
 	go test ./...
+
+# The repository benchmark (benchmarks/host) is a nested module, so ./...
+# does not reach its unit tests; they take a tenth of a second.
+host-bench-test:
+	go -C benchmarks/host test ./...
+
+# Ten seconds of native fuzzing per target, from the committed seed corpora
+# (`go test` alone runs only the seeds): the streamed lexer against LexAll,
+# and Compile ending in a program, a positioned error or a typed OOM.
+fuzz-smoke:
+	go test ./internal/lang -run '^$$' -fuzz '^FuzzLexStream$$' -fuzztime 10s
+	go test ./internal/lang -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 10s
 
 race:
 	go test -race ./...

@@ -342,6 +342,15 @@ func (m *Mutator) skipByteWordsLog(p heap.Value, w, n int) bool {
 // GetByte reads byte i of a byte-kind object.
 func (m *Mutator) GetByte(p heap.Value, i int) byte { return m.H.LoadByte(p, i) }
 
+// GetByteRange reads len(dst) bytes of a byte-kind object starting at byte
+// off into dst. Like GetByte it charges nothing: it is the block form of the
+// same read, for callers that decode a whole buffer.
+func (m *Mutator) GetByteRange(p heap.Value, off int, dst []byte) {
+	for i := range dst {
+		dst[i] = m.H.LoadByte(p, off+i)
+	}
+}
+
 // SetByte mutates byte i of a byte-kind object. Byte mutations are only
 // logged under LogAllMutations — the paper's compiler modification whose
 // cost shows up in Comp (§4.5). The coalesced entry covers the containing

@@ -28,6 +28,22 @@ type RootSet struct {
 // Register adds a root source.
 func (r *RootSet) Register(s RootSource) { r.sources = append(r.sources, s) }
 
+// Unregister removes the most recent registration of s, keeping the order
+// of the remaining sources (the order Visit and Slots enumerate in). A
+// source whose owner is done must be removed, or every later root scan
+// walks it forever. Sources are compared by identity, so s must be the
+// pointer that was registered.
+func (r *RootSet) Unregister(s RootSource) {
+	for i := len(r.sources) - 1; i >= 0; i-- {
+		if r.sources[i] == s {
+			copy(r.sources[i:], r.sources[i+1:])
+			r.sources[len(r.sources)-1] = nil
+			r.sources = r.sources[:len(r.sources)-1]
+			return
+		}
+	}
+}
+
 // Visit applies v to every root slot and returns the number of slots
 // visited (the unit in which root-scan and flip costs are charged).
 func (r *RootSet) Visit(v RootVisitor) int {

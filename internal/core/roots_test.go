@@ -81,6 +81,28 @@ func TestRootSetSlotsVisitAgree(t *testing.T) {
 	if got := len(r.Slots()); n != got {
 		t.Fatalf("Visit counted %d, Slots enumerated %d", n, got)
 	}
+
+	// Remove a middle source mid-cycle, after Slots has warmed its buffer
+	// over it: both paths must drop exactly its slots and keep the others
+	// in registration order.
+	_ = r.Slots()
+	r.Unregister(b)
+	sameSlots(t, "mid-cycle removal", collectVisit(r), r.Slots())
+	want := []*heap.Value{&a.slots[0], &a.slots[1], &c.slots[0]}
+	sameSlots(t, "survivors keep their order", want, r.Slots())
+
+	// Removing a source that is not registered changes nothing; removing
+	// one registered twice drops the later registration only.
+	r.Unregister(b)
+	sameSlots(t, "absent source", want, r.Slots())
+	r.Register(a)
+	r.Unregister(a)
+	sameSlots(t, "duplicate registration", want, r.Slots())
+	r.Unregister(c)
+	r.Unregister(a)
+	if got := len(r.Slots()); got != 0 || r.Visit(func(*heap.Value) {}) != 0 {
+		t.Fatalf("emptied set still enumerates %d slots", got)
+	}
 }
 
 // TestRootSetSlotsStableAcrossRepeats pins that repeated Slots calls reuse

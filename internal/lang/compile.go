@@ -30,6 +30,11 @@ var builtins = map[string]struct {
 	"takesv": {bytecode.OpTakeSV, 1},
 }
 
+var unaryOps = map[Tag]bytecode.Op{
+	TagNot: bytecode.OpNot, TagNeg: bytecode.OpNeg,
+	TagRef: bytecode.OpMkRef, TagDeref: bytecode.OpDeref,
+}
+
 // freeVar is one captured variable of a function under compilation. Boxed
 // variables (recursive fun-group bindings) are captured as their mutable
 // environment record rather than by value, so mutually recursive closures
@@ -46,20 +51,18 @@ type funcCtx struct {
 	parent      *funcCtx
 	parentScope core.Handle // the enclosing local scope at the fn expression
 	free        []freeVar
-	freeIdx     map[int32]int
 }
 
+// addFree returns sym's closure slot, appending it on first use. Free lists
+// are a handful long, so a scan beats an index.
 func (f *funcCtx) addFree(sym int32, boxed bool) int {
-	if f.freeIdx == nil {
-		f.freeIdx = make(map[int32]int)
+	for i, fv := range f.free {
+		if fv.sym == sym {
+			return i
+		}
 	}
-	if i, ok := f.freeIdx[sym]; ok {
-		return i
-	}
-	i := len(f.free)
 	f.free = append(f.free, freeVar{sym: sym, boxed: boxed})
-	f.freeIdx[sym] = i
-	return i
+	return len(f.free) - 1
 }
 
 // Compiler lowers the heap AST to bytecode with flat closure conversion:
@@ -68,13 +71,36 @@ func (f *funcCtx) addFree(sym int32, boxed bool) int {
 // free variables — the SML/NJ strategy, and the reason long-lived closures
 // do not retain dead scopes. The compiler's own working state — scope
 // chains, interned symbols and open code buffers — lives on the simulated
-// heap; only bookkeeping integers stay in Go.
+// heap; only bookkeeping integers stay in Go, in scratch that lives and dies
+// with one Compile call: the funcCtx of nesting depth d is reused by every
+// function at that depth (a function's context is dead once its closure is
+// emitted), and the variable-length per-node lists are stacks a routine
+// pushes on, reads back after its nested compiles return, and truncates.
 type Compiler struct {
 	m        *core.Mutator
 	syms     *SymTab
 	literals []string
 	blocks   []*blockBuf
+	bufSlab  []blockBuf
 	bufs     *bufRoots
+
+	ctxs  []*funcCtx // by nesting depth; ctxs[:depth] are open
+	depth int
+	hs    []core.Handle // app arguments
+	defs  []defInfo     // fun-group members
+	fails []failSite    // pattern-test failure sites of the open case arms
+	jumps []int         // case end jumps and trampoline jumps
+}
+
+// pushCtx opens the context of a function defined in scope under parent.
+func (c *Compiler) pushCtx(parent *funcCtx, scope core.Handle) *funcCtx {
+	if c.depth == len(c.ctxs) {
+		c.ctxs = append(c.ctxs, &funcCtx{})
+	}
+	f := c.ctxs[c.depth]
+	c.depth++
+	f.parent, f.parentScope, f.free = parent, scope, f.free[:0]
+	return f
 }
 
 // Compile parses and compiles one MiniML program. Heap exhaustion while
@@ -102,12 +128,11 @@ func Compile(m *core.Mutator, src string) (prog *bytecode.Program, err error) {
 	}
 	c := &Compiler{m: m, syms: syms, literals: lits, bufs: &bufRoots{}}
 	m.Roots.Register(c.bufs)
-	defer func() { c.bufs.slots = nil }()
+	defer m.Roots.Unregister(c.bufs)
 
-	entry := newBlockBuf(m, c.bufs, "entry")
-	c.blocks = append(c.blocks, entry)
+	entry := c.newBlockBuf("entry")
 	emptyScope := m.PushHandle(heap.FromInt(0))
-	entryCtx := &funcCtx{}
+	entryCtx := c.pushCtx(nil, 0)
 	// The entry block's continuation is OpHalt, not OpReturn, so its body
 	// is not in tail position: a tail call here would let the callee's
 	// return end the main thread before the program halts.
@@ -119,9 +144,15 @@ func Compile(m *core.Mutator, src string) (prog *bytecode.Program, err error) {
 	}
 	entry.emit(m, bytecode.Instr{Op: bytecode.OpHalt})
 
-	prog = &bytecode.Program{Strings: c.literals, Entry: 0}
+	total := 0
 	for _, b := range c.blocks {
-		prog.Blocks = append(prog.Blocks, b.assemble(m))
+		total += b.n
+	}
+	code := make([]bytecode.Instr, total) // one slab; each block owns a capped window
+	prog = &bytecode.Program{Strings: c.literals, Entry: 0, Blocks: make([]bytecode.Block, len(c.blocks))}
+	for i, b := range c.blocks {
+		prog.Blocks[i] = b.assemble(m, code[:b.n:b.n])
+		code = code[b.n:]
 	}
 	return prog, nil
 }
@@ -219,38 +250,38 @@ func (c *Compiler) emitCapture(b *blockBuf, scope core.Handle, fctx *funcCtx, fv
 	return nil
 }
 
-// function compiles a fn body into a fresh block; returns the block index
-// and the function's free variables (for the caller to capture).
-func (c *Compiler) function(name string, param int32, defScope core.Handle, defCtx *funcCtx, body core.Handle) (int32, []freeVar, error) {
+// function compiles a fn body into a fresh block, collecting the function's
+// free variables in fctx (for the caller to capture); returns the block index.
+func (c *Compiler) function(name string, param int32, fctx *funcCtx, body core.Handle) (int32, error) {
 	m := c.m
-	blk := newBlockBuf(m, c.bufs, name)
 	idx := int32(len(c.blocks))
-	c.blocks = append(c.blocks, blk)
+	blk := c.newBlockBuf(name)
 
-	fctx := &funcCtx{parent: defCtx, parentScope: defScope}
 	base := m.PushHandle(heap.FromInt(0))
 	inner := c.scopeBind(base, param, false)
 	if err := c.expr(blk, inner, fctx, body, true); err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	blk.emit(m, bytecode.Instr{Op: bytecode.OpReturn})
 	m.PopHandles(base)
-	return idx, fctx.free, nil
+	return idx, nil
 }
 
 // emitClosure compiles a fn node: child block first (collecting its free
 // variables), then the captures and the closure allocation.
 func (c *Compiler) emitClosure(b *blockBuf, scope core.Handle, fctx *funcCtx, name string, param int32, body core.Handle, pos Pos) error {
-	blk, frees, err := c.function(name, param, scope, fctx, body)
+	child := c.pushCtx(fctx, scope)
+	blk, err := c.function(name, param, child, body)
 	if err != nil {
 		return err
 	}
-	for _, fv := range frees {
+	for _, fv := range child.free {
 		if err := c.emitCapture(b, scope, fctx, fv, pos); err != nil {
 			return err
 		}
 	}
-	b.emit(c.m, bytecode.Instr{Op: bytecode.OpClosure, A: blk, B: int32(len(frees))})
+	b.emit(c.m, bytecode.Instr{Op: bytecode.OpClosure, A: blk, B: int32(len(child.free))})
+	c.depth--
 	return nil
 }
 
@@ -311,11 +342,7 @@ func (c *Compiler) expr(b *blockBuf, scope core.Handle, fctx *funcCtx, node core
 		if err := c.expr(b, scope, fctx, e, false); err != nil {
 			return err
 		}
-		op := map[Tag]bytecode.Op{
-			TagNot: bytecode.OpNot, TagNeg: bytecode.OpNeg,
-			TagRef: bytecode.OpMkRef, TagDeref: bytecode.OpDeref,
-		}[tag]
-		b.emit(m, bytecode.Instr{Op: op})
+		b.emit(m, bytecode.Instr{Op: unaryOps[tag]})
 
 	case TagAssign:
 		l, r := kidHandle(m, node, 0), kidHandle(m, node, 1)
@@ -448,15 +475,19 @@ func (c *Compiler) expr(b *blockBuf, scope core.Handle, fctx *funcCtx, node core
 // app compiles an application spine: builtin call or closure call.
 func (c *Compiler) app(b *blockBuf, scope core.Handle, fctx *funcCtx, node core.Handle, tail bool) error {
 	m := c.m
-	var args []core.Handle
+	base := len(c.hs)
 	head := node
 	for nodeTag(m, head) == TagApp {
-		args = append(args, kidHandle(m, head, 1))
+		c.hs = append(c.hs, kidHandle(m, head, 1))
 		head = kidHandle(m, head, 0)
 	}
-	ordered := make([]core.Handle, len(args))
-	for i, a := range args {
-		ordered[len(args)-1-i] = a
+	// The spine yields the arguments last first. Nested compiles push above
+	// them and truncate back, so the window stays intact (even if the stack
+	// is regrown under it) until the deferred pop.
+	ordered := c.hs[base:]
+	defer func() { c.hs = c.hs[:base] }()
+	for i, j := 0, len(ordered)-1; i < j; i, j = i+1, j-1 {
+		ordered[i], ordered[j] = ordered[j], ordered[i]
 	}
 
 	if nodeTag(m, head) == TagVar {
@@ -496,6 +527,12 @@ func (c *Compiler) app(b *blockBuf, scope core.Handle, fctx *funcCtx, node core.
 	return nil
 }
 
+// defInfo is one member of a fun group.
+type defInfo struct {
+	name, param int32
+	body        core.Handle
+}
+
 // funGroup compiles `fun f .. and g .. in body`: the group's bindings are
 // mutable environment records (boxes); each closure captures the boxes of
 // the group members it references, and each box is patched with its closure
@@ -506,21 +543,19 @@ func (c *Compiler) funGroup(b *blockBuf, scope core.Handle, fctx *funcCtx, node 
 	body := kidHandle(m, node, 1)
 	k := listLen(m, defs)
 
-	type defInfo struct {
-		name, param int32
-		body        core.Handle
-	}
-	infos := make([]defInfo, 0, k)
+	base := len(c.defs)
 	v := m.HandleVal(defs)
 	for v.IsPtr() {
 		d := m.Get(v, 0)
-		infos = append(infos, defInfo{
+		c.defs = append(c.defs, defInfo{
 			name:  int32(m.Get(d, 2).Int()),
 			param: int32(m.Get(d, 3).Int()),
 			body:  m.PushHandle(m.Get(d, 4)),
 		})
 		v = m.Get(v, 1)
 	}
+	infos := c.defs[base:] // stays intact under nested groups, as in app
+	defer func() { c.defs = c.defs[:base] }()
 
 	inner := scope
 	for _, info := range infos {
@@ -562,8 +597,11 @@ func (c *Compiler) caseExpr(b *blockBuf, scope core.Handle, fctx *funcCtx, node 
 		return err
 	}
 
-	var endJumps []int
-	var pendingFails []failSite
+	// c.fails[failBase:] holds the failure sites of the previous arm until
+	// the next arm's prologue consumes them, then this arm's own; the arm
+	// bodies' nested cases push above and truncate back. c.jumps[jumpBase:]
+	// accumulates the end jumps the same way.
+	failBase, jumpBase := len(c.fails), len(c.jumps)
 
 	patchFail := func(f failSite, target int32) {
 		ins := b.read(m, f.instr)
@@ -574,41 +612,35 @@ func (c *Compiler) caseExpr(b *blockBuf, scope core.Handle, fctx *funcCtx, node 
 		}
 		b.patch(m, f.instr, ins)
 	}
-	emitTrampolines := func(fails []failSite, dest int32) []int {
-		var jumps []int
-		for _, f := range fails {
-			patchFail(f, int32(b.n))
-			if f.depth > 0 {
-				b.emit(m, bytecode.Instr{Op: bytecode.OpPopN, A: int32(f.depth)})
-			}
-			if f.binds > 0 {
-				b.emit(m, bytecode.Instr{Op: bytecode.OpEnvPop, A: int32(f.binds)})
-			}
-			jumps = append(jumps, b.emit(m, bytecode.Instr{Op: bytecode.OpJump, A: dest}))
-		}
-		return jumps
-	}
 
 	if err := listIter(m, alts, func(alt core.Handle) error {
-		if len(pendingFails) > 0 {
+		if len(c.fails) > failBase {
+			// Per-site unwind trampolines, then on to this arm's Dup.
 			skip := b.emit(m, bytecode.Instr{Op: bytecode.OpJump, A: -1})
-			jumps := emitTrampolines(pendingFails, -1)
+			ends := len(c.jumps)
+			for _, f := range c.fails[failBase:] {
+				patchFail(f, int32(b.n))
+				if f.depth > 0 {
+					b.emit(m, bytecode.Instr{Op: bytecode.OpPopN, A: int32(f.depth)})
+				}
+				if f.binds > 0 {
+					b.emit(m, bytecode.Instr{Op: bytecode.OpEnvPop, A: int32(f.binds)})
+				}
+				c.jumps = append(c.jumps, b.emit(m, bytecode.Instr{Op: bytecode.OpJump, A: -1}))
+			}
 			dup := int32(b.n)
-			for _, j := range jumps {
+			for _, j := range c.jumps[ends:] {
 				b.patch(m, j, bytecode.Instr{Op: bytecode.OpJump, A: dup})
 			}
 			b.patch(m, skip, bytecode.Instr{Op: bytecode.OpJump, A: dup})
-			pendingFails = pendingFails[:0]
+			c.jumps = c.jumps[:ends]
+			c.fails = c.fails[:failBase]
 		}
 
 		b.emit(m, bytecode.Instr{Op: bytecode.OpDup})
 		pat := kidHandle(m, alt, 0)
 		body := kidHandle(m, alt, 1)
-		inner := scope
-		binds := 0
-		var fails []failSite
-		var err error
-		inner, binds, err = c.pattern(b, inner, pat, 0, 0, &fails)
+		inner, binds, err := c.pattern(b, scope, pat, 0, 0)
 		if err != nil {
 			return err
 		}
@@ -619,8 +651,7 @@ func (c *Compiler) caseExpr(b *blockBuf, scope core.Handle, fctx *funcCtx, node 
 		if binds > 0 {
 			b.emit(m, bytecode.Instr{Op: bytecode.OpEnvPop, A: int32(binds)})
 		}
-		endJumps = append(endJumps, b.emit(m, bytecode.Instr{Op: bytecode.OpJump, A: -1}))
-		pendingFails = fails
+		c.jumps = append(c.jumps, b.emit(m, bytecode.Instr{Op: bytecode.OpJump, A: -1}))
 		return nil
 	}); err != nil {
 		return err
@@ -628,24 +659,26 @@ func (c *Compiler) caseExpr(b *blockBuf, scope core.Handle, fctx *funcCtx, node 
 
 	// Failures of the last alternative are runtime match failures: no
 	// unwinding needed, just point every site at a failing halt.
-	if len(pendingFails) > 0 {
+	if len(c.fails) > failBase {
 		halt := int32(b.n)
 		b.emit(m, bytecode.Instr{Op: bytecode.OpHalt, A: 1})
-		for _, f := range pendingFails {
+		for _, f := range c.fails[failBase:] {
 			patchFail(f, halt)
 		}
 	}
 	end := int32(b.n)
-	for _, j := range endJumps {
+	for _, j := range c.jumps[jumpBase:] {
 		b.patch(m, j, bytecode.Instr{Op: bytecode.OpJump, A: end})
 	}
+	c.fails, c.jumps = c.fails[:failBase], c.jumps[:jumpBase]
 	return nil
 }
 
 // pattern compiles one pattern match. The value under test is on top of
 // the stack and is consumed. depth counts pending sibling values beneath
-// it; binds counts bindings made so far in this alternative.
-func (c *Compiler) pattern(b *blockBuf, scope, pat core.Handle, depth, binds int, fails *[]failSite) (core.Handle, int, error) {
+// it; binds counts bindings made so far in this alternative. Failure sites
+// are pushed on c.fails.
+func (c *Compiler) pattern(b *blockBuf, scope, pat core.Handle, depth, binds int) (core.Handle, int, error) {
 	m := c.m
 	switch tag := nodeTag(m, pat); tag {
 	case TagPWild:
@@ -660,37 +693,37 @@ func (c *Compiler) pattern(b *blockBuf, scope, pat core.Handle, depth, binds int
 	case TagPInt, TagPBool:
 		k := int32(kidImm(m, pat, 0))
 		idx := b.emit(m, bytecode.Instr{Op: bytecode.OpTestInt, A: k, B: -1})
-		*fails = append(*fails, failSite{instr: idx, depth: depth, binds: binds})
+		c.fails = append(c.fails, failSite{instr: idx, depth: depth, binds: binds})
 		return scope, binds, nil
 
 	case TagPUnit:
 		idx := b.emit(m, bytecode.Instr{Op: bytecode.OpTestInt, A: 0, B: -1})
-		*fails = append(*fails, failSite{instr: idx, depth: depth, binds: binds})
+		c.fails = append(c.fails, failSite{instr: idx, depth: depth, binds: binds})
 		return scope, binds, nil
 
 	case TagPNil:
 		idx := b.emit(m, bytecode.Instr{Op: bytecode.OpTestNil, A: -1})
-		*fails = append(*fails, failSite{instr: idx, depth: depth, binds: binds})
+		c.fails = append(c.fails, failSite{instr: idx, depth: depth, binds: binds})
 		return scope, binds, nil
 
 	case TagPCons:
 		idx := b.emit(m, bytecode.Instr{Op: bytecode.OpTestCons, A: -1})
-		*fails = append(*fails, failSite{instr: idx, depth: depth, binds: binds})
+		c.fails = append(c.fails, failSite{instr: idx, depth: depth, binds: binds})
 		head := kidHandle(m, pat, 0)
 		tail := kidHandle(m, pat, 1)
 		var err error
 		// Stack now: ... tail head; match head with tail pending.
-		scope, binds, err = c.pattern(b, scope, head, depth+1, binds, fails)
+		scope, binds, err = c.pattern(b, scope, head, depth+1, binds)
 		if err != nil {
 			return scope, binds, err
 		}
-		return c.pattern(b, scope, tail, depth, binds, fails)
+		return c.pattern(b, scope, tail, depth, binds)
 
 	case TagPTuple:
 		list := kidHandle(m, pat, 0)
 		n := listLen(m, list)
 		idx := b.emit(m, bytecode.Instr{Op: bytecode.OpTestTuple, A: int32(n), B: -1})
-		*fails = append(*fails, failSite{instr: idx, depth: depth, binds: binds})
+		c.fails = append(c.fails, failSite{instr: idx, depth: depth, binds: binds})
 		// Walk the sub-patterns with a pinned cursor; the scope handles the
 		// sub-patterns create must outlive each iteration (listIter's
 		// per-element cleanup would release them), so iterate manually.
@@ -700,7 +733,7 @@ func (c *Compiler) pattern(b *blockBuf, scope, pat core.Handle, depth, binds int
 		for m.HandleVal(cur).IsPtr() {
 			elem := m.PushHandle(m.Get(m.HandleVal(cur), 0))
 			m.SetHandleVal(cur, m.Get(m.HandleVal(cur), 1))
-			scope, binds, err = c.pattern(b, scope, elem, depth+(n-1-i), binds, fails)
+			scope, binds, err = c.pattern(b, scope, elem, depth+(n-1-i), binds)
 			if err != nil {
 				return scope, binds, err
 			}

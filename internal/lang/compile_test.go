@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -218,5 +219,65 @@ func TestCompilerHeapFootprint(t *testing.T) {
 	}
 	if m.LogWrites == 0 && m.BarrierFastSkips == 0 {
 		t.Fatal("code emission produced no write-barrier traffic (neither log entries nor fast-path skips)")
+	}
+}
+
+// TestEmitSteadyStateAllocatesNothing: emitting into an open block touches
+// only the block's inline pending bytes and the simulated heap. The buffer's
+// rare doublings reuse the shared scratch once it has grown, so over a long
+// run the Go allocation count per instruction is zero.
+func TestEmitSteadyStateAllocatesNothing(t *testing.T) {
+	m := testMutator()
+	c := &Compiler{m: m, bufs: &bufRoots{}}
+	m.Roots.Register(c.bufs)
+	defer m.Roots.Unregister(c.bufs)
+	b := c.newBlockBuf("hot")
+	for i := 0; i < 1000; i++ {
+		b.emit(m, bytecode.Instr{Op: bytecode.OpConstInt, A: int32(i)})
+	}
+	if got := testing.AllocsPerRun(1000, func() {
+		b.emit(m, bytecode.Instr{Op: bytecode.OpConstInt, A: 7})
+	}); got != 0 {
+		t.Fatalf("emit made %v Go allocations per instruction", got)
+	}
+	code := make([]bytecode.Instr, b.n)
+	if blk := b.assemble(m, code); blk.Code[999].A != 999 || blk.Code[b.n-1].A != 7 {
+		t.Fatalf("buffer lost instructions: %v ... %v", blk.Code[999], blk.Code[b.n-1])
+	}
+}
+
+// TestLiteralPoolIndexedInFirstSeenOrder compiles a module with 2000
+// distinct string literals, each used twice: the pool keeps first-seen
+// order and every occurrence carries its literal's index.
+func TestLiteralPoolIndexedInFirstSeenOrder(t *testing.T) {
+	const n = 2000
+	var src strings.Builder
+	src.WriteString("(")
+	for round := 0; round < 2; round++ {
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&src, "\"lit%d\";\n", i)
+		}
+	}
+	src.WriteString("0)")
+	prog := compileSrc(t, src.String())
+	if len(prog.Strings) != n {
+		t.Fatalf("pool has %d literals, want %d", len(prog.Strings), n)
+	}
+	for i, s := range prog.Strings {
+		if want := fmt.Sprintf("lit%d", i); s != want {
+			t.Fatalf("pool[%d] = %q, want %q", i, s, want)
+		}
+	}
+	seen := 0
+	for _, ins := range prog.Blocks[prog.Entry].Code {
+		if ins.Op == bytecode.OpConstStr {
+			if want := int32(seen % n); ins.A != want {
+				t.Fatalf("occurrence %d carries index %d, want %d", seen, ins.A, want)
+			}
+			seen++
+		}
+	}
+	if seen != 2*n {
+		t.Fatalf("saw %d literal loads, want %d", seen, 2*n)
 	}
 }

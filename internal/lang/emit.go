@@ -9,9 +9,20 @@ import (
 // bufRoots keeps every open code buffer alive for the duration of a
 // compilation, independent of the handle stack's scoped discipline (buffers
 // created while compiling a nested function must survive the enclosing
-// expression's handle cleanup).
+// expression's handle cleanup). It also owns the one byte scratch that grow
+// and assemble read whole buffers into.
 type bufRoots struct {
-	slots []heap.Value
+	slots   []heap.Value
+	scratch []byte
+}
+
+// load reads the first n bytes of heap buffer p into the scratch.
+func (r *bufRoots) load(m *core.Mutator, p heap.Value, n int) []byte {
+	if cap(r.scratch) < n {
+		r.scratch = make([]byte, n+n/2)
+	}
+	m.GetByteRange(p, 0, r.scratch[:n])
+	return r.scratch[:n]
 }
 
 // VisitRoots implements core.RootSource.
@@ -38,7 +49,8 @@ type blockBuf struct {
 	// heap buffer, so sequential emission produces one logged mutation
 	// per flush rather than one per instruction — ordinary emitter
 	// buffering, which also matches a realistic storelist density.
-	pending      []byte
+	pending      [flushThreshold]byte
+	npending     int
 	pendingStart int // byte offset of pending[0] in the heap buffer
 }
 
@@ -47,12 +59,17 @@ const initialBlockCap = 16 * bytecode.EncodedSize
 // flushThreshold bounds the emission buffer (in instructions).
 const flushThreshold = 8 * bytecode.EncodedSize
 
-// newBlockBuf allocates a fresh code buffer rooted in roots.
-func newBlockBuf(m *core.Mutator, roots *bufRoots, name string) *blockBuf {
-	b := &blockBuf{name: name, roots: roots, cap: initialBlockCap}
-	p := m.MustAllocBytes(b.cap)
-	b.idx = len(roots.slots)
-	roots.slots = append(roots.slots, p)
+// newBlockBuf opens the next block's code buffer, rooted in c.bufs. Blocks
+// are carved from slabs; a full slab is left to its blocks and a larger one
+// started, so earlier blocks' pointers stay valid.
+func (c *Compiler) newBlockBuf(name string) *blockBuf {
+	if len(c.bufSlab) == cap(c.bufSlab) {
+		c.bufSlab = make([]blockBuf, 0, 2*cap(c.bufSlab)+4)
+	}
+	c.bufSlab = append(c.bufSlab, blockBuf{name: name, roots: c.bufs, cap: initialBlockCap, idx: len(c.bufs.slots)})
+	b := &c.bufSlab[len(c.bufSlab)-1]
+	c.bufs.slots = append(c.bufs.slots, c.m.MustAllocBytes(b.cap))
+	c.blocks = append(c.blocks, b)
 	return b
 }
 
@@ -61,11 +78,11 @@ func (b *blockBuf) obj() heap.Value { return b.roots.slots[b.idx] }
 
 // flush stores any pending encoded instructions into the heap buffer.
 func (b *blockBuf) flush(m *core.Mutator) {
-	if len(b.pending) == 0 {
+	if b.npending == 0 {
 		return
 	}
-	m.SetByteRange(b.obj(), b.pendingStart, b.pending)
-	b.pending = b.pending[:0]
+	m.SetByteRange(b.obj(), b.pendingStart, b.pending[:b.npending])
+	b.npending = 0
 }
 
 // emit appends one instruction and returns its index.
@@ -75,13 +92,12 @@ func (b *blockBuf) emit(m *core.Mutator, ins bytecode.Instr) int {
 		b.flush(m)
 		b.grow(m)
 	}
-	if len(b.pending) == 0 {
+	if b.npending == 0 {
 		b.pendingStart = off
 	}
-	var enc [bytecode.EncodedSize]byte
-	ins.EncodeInto(enc[:], 0)
-	b.pending = append(b.pending, enc[:]...)
-	if len(b.pending) >= flushThreshold {
+	ins.EncodeInto(b.pending[:], b.npending)
+	b.npending += bytecode.EncodedSize
+	if b.npending == flushThreshold {
 		b.flush(m)
 	}
 	m.Step(3)
@@ -97,11 +113,7 @@ func (b *blockBuf) grow(m *core.Mutator) {
 	// re-reading it after the allocation is safe.
 	op := b.obj()
 	used := b.n * bytecode.EncodedSize
-	chunk := make([]byte, used)
-	for i := range chunk {
-		chunk[i] = m.GetByte(op, i)
-	}
-	m.SetByteRange(np, 0, chunk)
+	m.SetByteRange(np, 0, b.roots.load(m, op, used))
 	m.Step(used / 4)
 	b.roots.slots[b.idx] = np
 	b.cap = newCap
@@ -119,21 +131,18 @@ func (b *blockBuf) patch(m *core.Mutator, idx int, ins bytecode.Instr) {
 // read decodes the instruction at index idx back out of the heap buffer.
 func (b *blockBuf) read(m *core.Mutator, idx int) bytecode.Instr {
 	b.flush(m)
-	off := idx * bytecode.EncodedSize
 	var enc [bytecode.EncodedSize]byte
-	p := b.obj()
-	for i := range enc {
-		enc[i] = m.GetByte(p, off+i)
-	}
+	m.GetByteRange(b.obj(), idx*bytecode.EncodedSize, enc[:])
 	return bytecode.DecodeInstr(enc[:], 0)
 }
 
-// assemble decodes the finished buffer into a bytecode block.
-func (b *blockBuf) assemble(m *core.Mutator) bytecode.Block {
+// assemble decodes the finished buffer, in one range read, into code, which
+// the caller carved to exactly b.n instructions.
+func (b *blockBuf) assemble(m *core.Mutator, code []bytecode.Instr) bytecode.Block {
 	b.flush(m)
-	code := make([]bytecode.Instr, b.n)
+	enc := b.roots.load(m, b.obj(), b.n*bytecode.EncodedSize)
 	for i := range code {
-		code[i] = b.read(m, i)
+		code[i] = bytecode.DecodeInstr(enc, i*bytecode.EncodedSize)
 	}
 	m.Step(b.n)
 	return bytecode.Block{Name: b.name, Code: code}

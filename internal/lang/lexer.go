@@ -1,6 +1,9 @@
 package lang
 
-import "strconv"
+import (
+	"strconv"
+	"strings"
+)
 
 var keywords = map[string]TokKind{
 	"let": TLet, "in": TIn, "fn": TFn, "fun": TFun, "and": TAnd, "if": TIf,
@@ -16,6 +19,8 @@ type Lexer struct {
 	off  int
 	line int
 	col  int
+
+	countOnly bool // leave escaped string literals unexpanded (countTokens)
 }
 
 // NewLexer builds a lexer over src.
@@ -131,7 +136,7 @@ func (l *Lexer) Next() (Token, error) {
 
 	case c == '"':
 		l.advance()
-		var buf []byte
+		start, escaped := l.off, false
 		for {
 			if l.off >= len(l.src) {
 				return Token{}, errf(pos, "unterminated string literal")
@@ -144,22 +149,18 @@ func (l *Lexer) Next() (Token, error) {
 				if l.off >= len(l.src) {
 					return Token{}, errf(pos, "unterminated escape")
 				}
-				esc := l.advance()
-				switch esc {
-				case 'n':
-					buf = append(buf, '\n')
-				case 't':
-					buf = append(buf, '\t')
-				case '\\', '"':
-					buf = append(buf, esc)
-				default:
+				if esc := l.advance(); esc != 'n' && esc != 't' && esc != '\\' && esc != '"' {
 					return Token{}, errf(pos, "unknown escape \\%c", esc)
 				}
-				continue
+				escaped = true
 			}
-			buf = append(buf, ch)
 		}
-		return Token{Kind: TString, Pos: pos, Text: string(buf)}, nil
+		// A literal without escapes is a slice of the source.
+		text := l.src[start : l.off-1]
+		if escaped && !l.countOnly {
+			text = unescape(text)
+		}
+		return Token{Kind: TString, Pos: pos, Text: text}, nil
 
 	case c == '#':
 		l.advance()
@@ -247,7 +248,29 @@ func (l *Lexer) Next() (Token, error) {
 	return Token{}, errf(pos, "unexpected character %q", string(c))
 }
 
-// LexAll tokenises the whole input (including the trailing TEOF).
+// unescape expands the escapes of a string literal body Next has validated.
+func unescape(body string) string {
+	var buf strings.Builder
+	buf.Grow(len(body))
+	for i := 0; i < len(body); i++ {
+		ch := body[i]
+		if ch == '\\' {
+			i++
+			switch ch = body[i]; ch {
+			case 'n':
+				ch = '\n'
+			case 't':
+				ch = '\t'
+			}
+		}
+		buf.WriteByte(ch)
+	}
+	return buf.String()
+}
+
+// LexAll tokenises the whole input (including the trailing TEOF). The
+// parser streams from a Lexer instead; LexAll is the reference the streamed
+// sequence is tested against.
 func LexAll(src string) ([]Token, error) {
 	l := NewLexer(src)
 	var toks []Token
@@ -259,6 +282,22 @@ func LexAll(src string) ([]Token, error) {
 		toks = append(toks, t)
 		if t.Kind == TEOF {
 			return toks, nil
+		}
+	}
+}
+
+// countTokens reports len(LexAll(src)) and LexAll's error without building
+// the tokens.
+func countTokens(src string) (int, error) {
+	l := NewLexer(src)
+	l.countOnly = true
+	for n := 1; ; n++ {
+		t, err := l.Next()
+		if err != nil {
+			return 0, err
+		}
+		if t.Kind == TEOF {
+			return n, nil
 		}
 	}
 }

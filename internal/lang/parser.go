@@ -14,23 +14,36 @@ import (
 type Parser struct {
 	m    *core.Mutator
 	syms *SymTab
-	toks []Token
-	pos  int
+	lex  Lexer
+	tok  Token // the one token of lookahead
 
-	// Literals collects string literal contents; TagStr nodes carry an
-	// index into this pool.
+	// Literals collects string literal contents in first-seen order; TagStr
+	// nodes carry an index into this pool. litIdx finds a repeat.
 	Literals []string
+	litIdx   map[string]int32
+
+	// Scratch stacks for the variable-length forms (list elements, case
+	// arms, fun groups, curried parameters). A parse function notes the
+	// depth on entry, pushes, reads its own entries back after the nested
+	// parses return, and truncates to the noted depth, so the whole parse
+	// shares two backing arrays.
+	hs     []core.Handle
+	params []Token
 }
 
 // Parse parses a whole program (one expression) and returns a handle to
 // its AST root together with the string literal pool.
 func Parse(m *core.Mutator, syms *SymTab, src string) (core.Handle, []string, error) {
-	toks, err := LexAll(src)
+	// Count first, then stream: the lexing charge lands before the first
+	// AST allocation and a lex error anywhere in src precedes any parse
+	// error, exactly as when the tokens were materialised up front.
+	n, err := countTokens(src)
 	if err != nil {
 		return 0, nil, err
 	}
-	p := &Parser{m: m, syms: syms, toks: toks}
-	m.Step(len(toks)) // lexing work
+	p := &Parser{m: m, syms: syms, lex: *NewLexer(src)}
+	p.next()
+	m.Step(n) // lexing work
 	root, err := p.parseExpr()
 	if err != nil {
 		return 0, nil, err
@@ -41,26 +54,60 @@ func Parse(m *core.Mutator, syms *SymTab, src string) (core.Handle, []string, er
 	return root, p.Literals, nil
 }
 
-func (p *Parser) cur() Token  { return p.toks[p.pos] }
-func (p *Parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+func (p *Parser) cur() Token { return p.tok }
+
+// next consumes the lookahead token and lexes its successor. countTokens has
+// already lexed all of src without error, so Next cannot fail here.
+func (p *Parser) next() Token {
+	t := p.tok
+	p.tok, _ = p.lex.Next()
+	return t
+}
 
 func (p *Parser) expect(k TokKind) (Token, error) {
 	t := p.cur()
 	if t.Kind != k {
 		return t, errf(t.Pos, "expected %s, found %s", k, t.Kind)
 	}
-	p.pos++
+	p.next()
 	return t, nil
 }
 
 func (p *Parser) literal(s string) int32 {
-	for i, l := range p.Literals {
-		if l == s {
-			return int32(i)
-		}
+	if i, ok := p.litIdx[s]; ok {
+		return i
 	}
+	if p.litIdx == nil {
+		p.litIdx = make(map[string]int32)
+	}
+	i := int32(len(p.Literals))
+	p.litIdx[s] = i
 	p.Literals = append(p.Literals, s)
-	return int32(len(p.Literals) - 1)
+	return i
+}
+
+// listFrom builds a heap list of the scratch handles above base, in push
+// order, and pops them.
+func (p *Parser) listFrom(base int) core.Handle {
+	list := listFromHandles(p.m, p.hs[base:])
+	p.hs = p.hs[:base]
+	return list
+}
+
+// pushSeq parses `elem (sep elem)* close`, pushing each element on p.hs.
+func (p *Parser) pushSeq(elem func() (core.Handle, error), sep, close TokKind) error {
+	for {
+		e, err := elem()
+		if err != nil {
+			return err
+		}
+		p.hs = append(p.hs, e)
+		if p.cur().Kind != sep {
+			_, err := p.expect(close)
+			return err
+		}
+		p.next()
+	}
 }
 
 // parseExpr handles the binding and control forms, then falls through to
@@ -113,26 +160,15 @@ func (p *Parser) parseLet() (core.Handle, error) {
 func (p *Parser) parseFun() (core.Handle, error) {
 	mark := p.m.HandleMark()
 	t := p.next() // fun
-	var defs []core.Handle
-	for {
-		d, err := p.parseFunDef()
-		if err != nil {
-			return 0, err
-		}
-		defs = append(defs, d)
-		if p.cur().Kind != TAnd {
-			break
-		}
-		p.next()
-	}
-	if _, err := p.expect(TIn); err != nil {
+	base := len(p.hs)
+	if err := p.pushSeq(p.parseFunDef, TAnd, TIn); err != nil {
 		return 0, err
 	}
 	body, err := p.parseExpr()
 	if err != nil {
 		return 0, err
 	}
-	list := listFromHandles(p.m, defs)
+	list := p.listFrom(base)
 	node := newNode(p.m, TagFun, t.Pos, sub(list), sub(body))
 	return p.m.Collapse(mark, node), nil
 }
@@ -144,11 +180,11 @@ func (p *Parser) parseFunDef() (core.Handle, error) {
 	if err != nil {
 		return 0, err
 	}
-	var params []Token
+	base := len(p.params)
 	for p.cur().Kind == TIdent {
-		params = append(params, p.next())
+		p.params = append(p.params, p.next())
 	}
-	if len(params) == 0 {
+	if len(p.params) == base {
 		return 0, errf(name.Pos, "function %s needs at least one parameter", name.Text)
 	}
 	if _, err := p.expect(TEq); err != nil {
@@ -159,6 +195,8 @@ func (p *Parser) parseFunDef() (core.Handle, error) {
 		return 0, err
 	}
 	// Curry the extra parameters into nested fns, innermost first.
+	params := p.params[base:]
+	p.params = p.params[:base]
 	for i := len(params) - 1; i >= 1; i-- {
 		sym := p.syms.Intern(params[i].Text)
 		body = newNode(p.m, TagFn, params[i].Pos, imm(int64(sym)), sub(body))
@@ -226,7 +264,7 @@ func (p *Parser) parseCase() (core.Handle, error) {
 	if _, err := p.expect(TOf); err != nil {
 		return 0, err
 	}
-	var alts []core.Handle
+	base := len(p.hs)
 	for {
 		pat, err := p.parsePattern()
 		if err != nil {
@@ -239,13 +277,13 @@ func (p *Parser) parseCase() (core.Handle, error) {
 		if err != nil {
 			return 0, err
 		}
-		alts = append(alts, newNode(p.m, TagAlt, t.Pos, sub(pat), sub(body)))
+		p.hs = append(p.hs, newNode(p.m, TagAlt, t.Pos, sub(pat), sub(body)))
 		if p.cur().Kind != TBar {
 			break
 		}
 		p.next()
 	}
-	list := listFromHandles(p.m, alts)
+	list := p.listFrom(base)
 	node := newNode(p.m, TagCase, t.Pos, sub(scrut), sub(list))
 	return p.m.Collapse(mark, node), nil
 }
@@ -296,50 +334,31 @@ func (p *Parser) parsePatAtom() (core.Handle, error) {
 			return newNode(p.m, TagPNil, t.Pos), nil
 		}
 		// [p1, p2, ...] desugars to p1 :: p2 :: ... :: [].
-		var elems []core.Handle
-		for {
-			e, err := p.parsePattern()
-			if err != nil {
-				return 0, err
-			}
-			elems = append(elems, e)
-			if p.cur().Kind != TComma {
-				break
-			}
-			p.next()
-		}
-		if _, err := p.expect(TRBrack); err != nil {
+		base := len(p.hs)
+		if err := p.pushSeq(p.parsePattern, TComma, TRBrack); err != nil {
 			return 0, err
 		}
 		acc := newNode(p.m, TagPNil, t.Pos)
-		for i := len(elems) - 1; i >= 0; i-- {
-			acc = newNode(p.m, TagPCons, t.Pos, sub(elems[i]), sub(acc))
+		for i := len(p.hs) - 1; i >= base; i-- {
+			acc = newNode(p.m, TagPCons, t.Pos, sub(p.hs[i]), sub(acc))
 		}
+		p.hs = p.hs[:base]
 		return p.m.Collapse(mark, acc), nil
 	case TLParen:
 		if p.cur().Kind == TRParen {
 			p.next()
 			return newNode(p.m, TagPUnit, t.Pos), nil
 		}
-		var elems []core.Handle
-		for {
-			e, err := p.parsePattern()
-			if err != nil {
-				return 0, err
-			}
-			elems = append(elems, e)
-			if p.cur().Kind != TComma {
-				break
-			}
-			p.next()
-		}
-		if _, err := p.expect(TRParen); err != nil {
+		base := len(p.hs)
+		if err := p.pushSeq(p.parsePattern, TComma, TRParen); err != nil {
 			return 0, err
 		}
-		if len(elems) == 1 {
-			return p.m.Collapse(mark, elems[0]), nil
+		if len(p.hs) == base+1 {
+			only := p.hs[base]
+			p.hs = p.hs[:base]
+			return p.m.Collapse(mark, only), nil
 		}
-		list := listFromHandles(p.m, elems)
+		list := p.listFrom(base)
 		node := newNode(p.m, TagPTuple, t.Pos, sub(list))
 		return p.m.Collapse(mark, node), nil
 	}
@@ -545,24 +564,13 @@ func (p *Parser) parseAtom() (core.Handle, error) {
 		node := newNode(p.m, TagProj, t.Pos, imm(t.Int), sub(e))
 		return p.m.Collapse(mark, node), nil
 	case TLBrack:
-		var elems []core.Handle
-		if p.cur().Kind != TRBrack {
-			for {
-				e, err := p.parseExpr()
-				if err != nil {
-					return 0, err
-				}
-				elems = append(elems, e)
-				if p.cur().Kind != TComma {
-					break
-				}
-				p.next()
-			}
-		}
-		if _, err := p.expect(TRBrack); err != nil {
+		base := len(p.hs)
+		if p.cur().Kind == TRBrack {
+			p.next()
+		} else if err := p.pushSeq(p.parseExpr, TComma, TRBrack); err != nil {
 			return 0, err
 		}
-		list := listFromHandles(p.m, elems)
+		list := p.listFrom(base)
 		node := newNode(p.m, TagList, t.Pos, sub(list))
 		return p.m.Collapse(mark, node), nil
 	case TLParen:
@@ -575,37 +583,19 @@ func (p *Parser) parseAtom() (core.Handle, error) {
 			return 0, err
 		}
 		switch p.cur().Kind {
-		case TComma: // tuple
-			elems := []core.Handle{first}
-			for p.cur().Kind == TComma {
-				p.next()
-				e, err := p.parseExpr()
-				if err != nil {
-					return 0, err
-				}
-				elems = append(elems, e)
+		case TComma, TSemi: // tuple or sequence
+			sep, tag := p.cur().Kind, TagTuple
+			if sep == TSemi {
+				tag = TagSeq
 			}
-			if _, err := p.expect(TRParen); err != nil {
+			base := len(p.hs)
+			p.hs = append(p.hs, first)
+			p.next()
+			if err := p.pushSeq(p.parseExpr, sep, TRParen); err != nil {
 				return 0, err
 			}
-			list := listFromHandles(p.m, elems)
-			node := newNode(p.m, TagTuple, t.Pos, sub(list))
-			return p.m.Collapse(mark, node), nil
-		case TSemi: // sequence
-			elems := []core.Handle{first}
-			for p.cur().Kind == TSemi {
-				p.next()
-				e, err := p.parseExpr()
-				if err != nil {
-					return 0, err
-				}
-				elems = append(elems, e)
-			}
-			if _, err := p.expect(TRParen); err != nil {
-				return 0, err
-			}
-			list := listFromHandles(p.m, elems)
-			node := newNode(p.m, TagSeq, t.Pos, sub(list))
+			list := p.listFrom(base)
+			node := newNode(p.m, tag, t.Pos, sub(list))
 			return p.m.Collapse(mark, node), nil
 		default:
 			if _, err := p.expect(TRParen); err != nil {
