@@ -1,6 +1,6 @@
 # repligc — common tasks. Everything is stdlib-only and offline.
 
-.PHONY: all build lint test host-bench-test fuzz-smoke race bench bench-baseline bench-smoke serve-smoke calibrate calibrate-smoke crash-matrix trace microbench experiments quick-experiments examples clean
+.PHONY: all build lint test host-bench-test host-pairs fuzz-smoke race bench bench-baseline bench-smoke serve-smoke calibrate calibrate-smoke crash-matrix trace microbench experiments quick-experiments examples clean
 
 all: build lint test host-bench-test
 
@@ -26,6 +26,15 @@ test:
 # does not reach its unit tests; they take a tenth of a second.
 host-bench-test:
 	go -C benchmarks/host test ./...
+
+# What a claim about a host metric needs: N alternating pairs of benchmark
+# runs, the parent commit (in a git worktree) against this tree, then per
+# metric both sides' medians and quartiles, the pairs each won and the
+# benchmark's own --compare verdicts.
+#   make host-pairs PARENT=HEAD~1 WORKLOAD=sort N=10
+N ?= 10
+host-pairs:
+	bash scripts/host-pairs.sh $(PARENT) $(WORKLOAD) $(N)
 
 # Ten seconds of native fuzzing per target, from the committed seed corpora
 # (`go test` alone runs only the seeds): the streamed lexer against LexAll,

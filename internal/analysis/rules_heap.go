@@ -27,6 +27,7 @@ var heapWriters = map[string]string{
 	"Store":      "Mutator.Set",
 	"StoreByte":  "Mutator.SetByte",
 	"SetBytes":   "Mutator.SetByteRange",
+	"StoreBytes": "Mutator.SetByteRange",
 	"SetForward": "(collector-only)",
 	"AllocIn":    "Mutator.Alloc",
 	"CopyObject": "(collector-only)",
@@ -39,6 +40,7 @@ var heapReaders = map[string]string{
 	"Load":      "Mutator.Get",
 	"LoadByte":  "Mutator.GetByte",
 	"Bytes":     "Mutator.Bytes",
+	"LoadBytes": "Mutator.GetByteRange",
 	"RawHeader": "Mutator.Header",
 }
 

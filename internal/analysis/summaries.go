@@ -139,9 +139,10 @@ var builtinFacts = map[string]FuncFacts{
 	// wraps). Header/forwarding writes (SetForward, CopyObject) are collector
 	// mechanics, not payload mutations, and are policed by the barrier and
 	// forward rules instead.
-	heapPkgPath + ".Heap.Store":     {UnloggedStore: true, StoreVia: "Heap.Store"},
-	heapPkgPath + ".Heap.StoreByte": {UnloggedStore: true, StoreVia: "Heap.StoreByte"},
-	heapPkgPath + ".Heap.SetBytes":  {UnloggedStore: true, StoreVia: "Heap.SetBytes"},
+	heapPkgPath + ".Heap.Store":      {UnloggedStore: true, StoreVia: "Heap.Store"},
+	heapPkgPath + ".Heap.StoreByte":  {UnloggedStore: true, StoreVia: "Heap.StoreByte"},
+	heapPkgPath + ".Heap.SetBytes":   {UnloggedStore: true, StoreVia: "Heap.SetBytes"},
+	heapPkgPath + ".Heap.StoreBytes": {UnloggedStore: true, StoreVia: "Heap.StoreBytes"},
 
 	// The mutator allocation API: the pacer taxes every allocation and the
 	// collector may run (and flip) inside the call.

@@ -21,9 +21,9 @@ package core
 // private log into the shared log in canonical (Obj, Slot, Byte, Len)
 // order, dropping exact duplicates. Replay re-reads the slot's current
 // contents, so the merged order (and the order members ran in) cannot
-// change what any entry applies. The shared heap's dirty-stamp table is
-// keyed by the heap-wide log epoch, which BeginLogEpoch advances at that
-// same pause entry, so every member's coalescing stamps are invalidated
+// change what any entry applies. The shared heap's dirty map is cleared by
+// BeginLogEpoch at that same pause entry — its undo list names every word
+// any member marked — so every member's coalescing marks are invalidated
 // together.
 //
 // Time: members share one Clock, which therefore accumulates total work —
@@ -158,12 +158,12 @@ func (g *Group) AttachGC(gc Collector) {
 func (g *Group) SetMergeOrder(order []int) { g.mergeOrder = order }
 
 // pauseEntry is the group's half of pause entry, invoked from
-// Heap.BeginLogEpoch before the log epoch advances: every member's nursery
+// Heap.BeginLogEpoch before the dirty map is cleared: every member's nursery
 // chunk is sealed (the nursery must walk as a dense object sequence while
 // the collector owns it) and every member's private log is folded into the
 // shared log, so that no collector cursor can move before all members'
-// mutations are visible. The epoch advance that follows invalidates every
-// member's coalescing stamps at once.
+// mutations are visible. The clear that follows invalidates every member's
+// coalescing marks at once.
 //
 //gclint:pauseentry invoked only from Heap.BeginLogEpoch, which every collector calls immediately after Clock.BeginPause (and goroutine-backed groups call only with all members parked at the stop-the-world rendezvous)
 func (g *Group) pauseEntry() {

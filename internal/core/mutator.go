@@ -47,9 +47,9 @@ type Mutator struct {
 	BarrierFastSkips int64
 
 	// BarrierDirtySkips counts stores whose log append was suppressed by a
-	// current-epoch dirty stamp: the log already retains an unconsumed
-	// entry covering the slot, and entries are value-free, so a second one
-	// would be pure overhead.
+	// set dirty bit: the log already retains an unconsumed entry covering
+	// the slot, and entries are value-free, so a second one would be pure
+	// overhead.
 	BarrierDirtySkips int64
 
 	// Trace, when non-nil, receives allocation-epoch events (one every
@@ -292,13 +292,13 @@ func (m *Mutator) Set(p heap.Value, i int, v heap.Value) {
 // reports true when the store needs no log entry: either the target is an
 // unreplicated nursery object (the next startMinor copies it whole, so its
 // current contents travel with it and it cannot be a remembered-set source),
-// or the slot's dirty stamp matches the current log epoch (the log already
-// retains an unconsumed, value-free entry covering the slot — see
-// heap/stamp.go). On a stamp miss it marks the slot and directs the caller
-// to the slow path, making the common repeated-store case one load and one
-// compare.
+// or the slot's dirty bit is set (the log already retains an unconsumed,
+// value-free entry covering the slot, appended since the last pause began —
+// see heap/stamp.go). On a miss it marks the slot and directs the caller to
+// the slow path, making the common repeated-store case one load and one
+// mask test.
 //
-//gclint:fastpath unreplicated nursery objects owe no log entry (copied whole at the next startMinor); a current-epoch stamp proves the log retains an unconsumed entry for this slot, and entries are value-free so one entry suffices
+//gclint:fastpath unreplicated nursery objects owe no log entry (copied whole at the next startMinor); a set dirty bit proves the log retains an unconsumed entry for this slot, and entries are value-free so one entry suffices
 func (m *Mutator) skipWordLog(p heap.Value, i int) bool {
 	if m.NaiveBarrier {
 		return false
@@ -317,12 +317,12 @@ func (m *Mutator) skipWordLog(p heap.Value, i int) bool {
 
 // skipByteWordsLog is skipWordLog for a byte store covering payload words
 // [w, w+n). Byte stores coalesce at word granularity, so the fast path needs
-// the conjunction of the covered words' stamps; on a miss the caller must
-// log a word-aligned entry covering all n words (the stamps vouch for whole
-// words, and an entry narrower than its stamp would lose later byte stores
-// to the same word).
+// the conjunction of the covered words' dirty bits; on a miss the caller must
+// log a word-aligned entry covering all n words (a bit vouches for a whole
+// word, and an entry narrower than its bit would lose later byte stores to
+// the same word).
 //
-//gclint:fastpath unreplicated nursery objects owe no log entry; current-epoch stamps prove the log retains unconsumed word-aligned entries covering these words
+//gclint:fastpath unreplicated nursery objects owe no log entry; set dirty bits prove the log retains unconsumed word-aligned entries covering these words
 func (m *Mutator) skipByteWordsLog(p heap.Value, w, n int) bool {
 	if m.NaiveBarrier {
 		return false
@@ -346,16 +346,14 @@ func (m *Mutator) GetByte(p heap.Value, i int) byte { return m.H.LoadByte(p, i) 
 // off into dst. Like GetByte it charges nothing: it is the block form of the
 // same read, for callers that decode a whole buffer.
 func (m *Mutator) GetByteRange(p heap.Value, off int, dst []byte) {
-	for i := range dst {
-		dst[i] = m.H.LoadByte(p, off+i)
-	}
+	m.H.LoadBytes(p, off, dst)
 }
 
 // SetByte mutates byte i of a byte-kind object. Byte mutations are only
 // logged under LogAllMutations — the paper's compiler modification whose
 // cost shows up in Comp (§4.5). The coalesced entry covers the containing
 // word: payloads are padded to word boundaries, entries are value-free, and
-// the word is what the dirty stamp vouches for.
+// the word is what the dirty bit vouches for.
 func (m *Mutator) SetByte(p heap.Value, i int, b byte) {
 	m.H.StoreByte(p, i, b)
 	if m.Policy != LogAllMutations {
@@ -376,11 +374,9 @@ func (m *Mutator) SetByte(p heap.Value, i int, b byte) {
 // byte off, producing a single coalesced log entry covering the range (the
 // runtime-system equivalent of logging a block store, used by the compiler
 // when it emits code into heap buffers). The entry is widened to word
-// alignment so it matches what the dirty stamps vouch for.
+// alignment so it matches what the dirty bits vouch for.
 func (m *Mutator) SetByteRange(p heap.Value, off int, data []byte) {
-	for i, b := range data {
-		m.H.StoreByte(p, off+i, b)
-	}
+	m.H.StoreBytes(p, off, data)
 	if m.Policy != LogAllMutations || len(data) == 0 {
 		return
 	}

@@ -11,8 +11,9 @@ package core
 //
 //   - Each member gets its own Clock (clocks are written on every charge;
 //     sharing one would race) and runs with NaiveBarrier set, so the write
-//     barrier never touches the shared dirty-stamp table. Logging still
-//     goes to the member's private log, which is single-writer.
+//     barrier never touches the heap's dirty map or its undo list: shared,
+//     unsynchronised state that only a stopped world (BeginLogEpoch) may
+//     write. Logging goes to the member's private, single-writer log.
 //   - Allocation inside a member's private nursery chunk is lock-free;
 //     chunk refill and direct shared-cursor allocation take the group lock
 //     and park first if a collection has been requested.
@@ -52,7 +53,7 @@ type ParallelGroup struct {
 
 // NewParallelGroup builds an n-member goroutine-backed group over h. The
 // members come back reconfigured for parallel execution: private clocks and
-// naive (stamp-free) write barriers. Attach the collector with AttachGC —
+// naive (dirty-map-free) write barriers. Attach the collector with AttachGC —
 // it is wrapped so that every collection entry point stops the world first.
 func NewParallelGroup(h *heap.Heap, cost simtime.CostModel, policy LogPolicy, n int) *ParallelGroup {
 	g := NewGroup(h, simtime.NewClock(), cost, policy, n)

@@ -400,7 +400,7 @@ func (c *Replicating) AllocTax(m *Mutator, bytes int64) error {
 		c.tr.PauseBegin(at)
 		c.tr.Counters(at, m.LogWrites, m.BarrierFastSkips, m.BarrierDirtySkips)
 		// Log cursors may move below: start a fresh coalescing epoch so
-		// barrier stamps from before this micro-pause cannot vouch for
+		// dirty bits from before this micro-pause cannot vouch for
 		// entries the cursor is about to consume (heap/stamp.go).
 		c.h.BeginLogEpoch()
 		c.pauseCopied, c.pauseLogProcd, c.pauseWork = 0, 0, 0
@@ -490,7 +490,7 @@ func (c *Replicating) pause(m *Mutator, needWords int, force bool) error {
 		c.tr.PhaseMark(at, trace.PhaseEmergency)
 	}
 	// Every pause starts a fresh log-coalescing epoch before any cursor
-	// moves: dirty stamps written by the barrier since the previous pause
+	// moves: dirty bits set by the barrier since the previous pause
 	// vouch for entries this pause may now consume, so they must expire
 	// here (heap/stamp.go spells out the invariant).
 	c.h.BeginLogEpoch()

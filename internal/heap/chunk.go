@@ -50,9 +50,7 @@ func (h *Heap) AllocInChunk(c *Chunk, k Kind, n int) (Value, bool) {
 	c.next += need
 	h.Arena[hi] = Value(hdr)
 	p := ptrFromIndex(hi + 1)
-	for i := uint64(1); i < need; i++ {
-		h.Arena[hi+i] = Nil
-	}
+	clear(h.Arena[hi+1 : hi+need])
 	return p, true
 }
 
@@ -65,9 +63,7 @@ func (h *Heap) SealChunk(c *Chunk) {
 	if c.Active() {
 		if rem := c.end - c.next; rem > 0 {
 			h.Arena[c.next] = Value(MakeHeader(KindBytes, int((rem-1)*BytesPerWord)))
-			for i := c.next + 1; i < c.end; i++ {
-				h.Arena[i] = Nil
-			}
+			clear(h.Arena[c.next+1 : c.end])
 		}
 	}
 	*c = Chunk{}

@@ -1,6 +1,9 @@
 package heap
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Config sizes a Heap. All quantities are bytes. The defaults mirror the
 // paper's experimental ranges: nurseries of 0.2–1 MB (parameter N) that can
@@ -33,10 +36,11 @@ type Heap struct {
 	oldFrom *Space // current old space (minor collections promote here)
 	oldTo   *Space // reserve semispace (major collections copy here)
 
-	// Log-epoch coalescing side table (see stamp.go). stamps parallels
-	// Arena word-for-word; a stamp equal to logEpoch marks a word whose
-	// mutation is already recorded in the log for the current cycle.
-	stamps   []uint32
+	// Log-coalescing side table (see stamp.go): a dirty bit per Arena word,
+	// the indices of the map words to zero at the next BeginLogEpoch (uint32
+	// reaches 2 TB of arena), and the pause count EpochHook reports.
+	dirty    []uint64
+	undo     []uint32
 	logEpoch uint32
 
 	// EpochHook, when non-nil, observes every BeginLogEpoch — the trace
@@ -69,7 +73,7 @@ func New(cfg Config) *Heap {
 	// Word 0 is reserved so that Value(0) is never a valid object pointer.
 	lo := uint64(1)
 	h := &Heap{Arena: make([]Value, lo+nCap+2*oCap)}
-	h.stamps = make([]uint32, len(h.Arena))
+	h.dirty = make([]uint64, (len(h.Arena)+63)/64)
 	h.logEpoch = 1
 	h.Nursery = Space{Name: "nursery", Lo: lo, Cap: lo + nCap}
 	h.oldA = Space{Name: "oldA", Lo: lo + nCap, Cap: lo + nCap + oCap}
@@ -112,9 +116,7 @@ func (h *Heap) AllocIn(s *Space, k Kind, n int) (Value, bool) {
 	s.Next += need
 	h.Arena[hi] = Value(hdr)
 	p := ptrFromIndex(hi + 1)
-	for i := uint64(1); i < need; i++ {
-		h.Arena[hi+i] = Nil
-	}
+	clear(h.Arena[hi+1 : hi+need])
 	return p, true
 }
 
@@ -184,19 +186,42 @@ func (h *Heap) StoreByte(p Value, i int, b byte) {
 
 // Bytes copies the payload of a byte-kind object into a fresh Go slice.
 func (h *Heap) Bytes(p Value) []byte {
-	hdr := h.HeaderOf(p)
-	n := hdr.Len()
-	out := make([]byte, n)
-	for i := 0; i < n; i++ {
-		out[i] = h.LoadByte(p, i)
-	}
+	out := make([]byte, h.HeaderOf(p).Len())
+	h.LoadBytes(p, 0, out)
 	return out
 }
 
 // SetBytes writes b into the payload of a byte-kind object starting at 0.
-func (h *Heap) SetBytes(p Value, b []byte) {
-	for i, c := range b {
-		h.StoreByte(p, i, c)
+func (h *Heap) SetBytes(p Value, b []byte) { h.StoreBytes(p, 0, b) }
+
+// LoadBytes reads len(dst) payload bytes of p starting at byte off.
+func (h *Heap) LoadBytes(p Value, off int, dst []byte) { h.moveBytes(p, off, dst, false) }
+
+// StoreBytes writes src into p's payload from byte off on, raw like StoreByte.
+func (h *Heap) StoreBytes(p Value, off int, src []byte) { h.moveBytes(p, off, src, true) }
+
+// moveBytes moves len(b) bytes between b and p's payload from byte off on,
+// into the heap if store is set, else out of it: like CopyPayloadBytes, the
+// aligned body by whole words and only the unaligned head and tail (at most
+// seven bytes each) by bytes, bit-identical to a LoadByte/StoreByte loop.
+func (h *Heap) moveBytes(p Value, off int, b []byte, store bool) {
+	for len(b) > 0 {
+		if off%BytesPerWord != 0 || len(b) < BytesPerWord {
+			if store {
+				h.StoreByte(p, off, b[0])
+			} else {
+				b[0] = h.LoadByte(p, off)
+			}
+			b, off = b[1:], off+1
+			continue
+		}
+		w := &h.Arena[p.index()+uint64(off/BytesPerWord)]
+		if store {
+			*w = Value(binary.LittleEndian.Uint64(b))
+		} else {
+			binary.LittleEndian.PutUint64(b, uint64(*w))
+		}
+		b, off = b[BytesPerWord:], off+BytesPerWord
 	}
 }
 

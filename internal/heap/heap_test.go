@@ -1,8 +1,12 @@
 package heap
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 	"testing/quick"
+
+	"repligc/internal/rng"
 )
 
 func testHeap() *Heap {
@@ -154,6 +158,51 @@ func TestByteAccessProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestByteRangesMatchByteLoop checks LoadBytes/StoreBytes (and Bytes and
+// SetBytes on top of them) against the LoadByte/StoreByte loops they
+// replaced, over every head alignment and lengths that leave no body, no
+// head or no tail: equal reads, and an equal raw image after equal writes.
+func TestByteRangesMatchByteLoop(t *testing.T) {
+	const size = 64
+	h, ref := testHeap(), testHeap()
+	p, _ := h.AllocIn(&h.Nursery, KindBytes, size)
+	q, _ := ref.AllocIn(&ref.Nursery, KindBytes, size)
+	r := rng.New(1)
+	for off := 0; off < 2*BytesPerWord; off++ {
+		for n := 0; off+n <= size; n++ {
+			data := make([]byte, n)
+			for i := range data {
+				data[i] = byte(r.Next())
+			}
+			h.StoreBytes(p, off, data)
+			for i, b := range data {
+				ref.StoreByte(q, off+i, b)
+			}
+			lo, hi := p.index()-1, p.index()+size/BytesPerWord
+			for w := lo; w < hi; w++ {
+				if h.Arena[w] != ref.Arena[w] {
+					t.Fatalf("StoreBytes(off %d, n %d): arena word %d = %#x, byte loop wrote %#x", off, n, w, h.Arena[w], ref.Arena[w])
+				}
+			}
+			got, want := make([]byte, n), make([]byte, n)
+			h.LoadBytes(p, off, got)
+			for i := range want {
+				want[i] = ref.LoadByte(q, off+i)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("LoadBytes(off %d, n %d) = %x, byte loop read %x", off, n, got, want)
+			}
+		}
+	}
+	whole := make([]byte, size)
+	for i := range whole {
+		whole[i] = ref.LoadByte(q, i)
+	}
+	if !bytes.Equal(h.Bytes(p), whole) {
+		t.Fatalf("Bytes = %x, byte loop read %x", h.Bytes(p), whole)
 	}
 }
 
@@ -348,6 +397,35 @@ func TestDefaultConfigUsable(t *testing.T) {
 	h := New(DefaultConfig())
 	if _, ok := h.AllocIn(&h.Nursery, KindRecord, 4); !ok {
 		t.Fatal("default heap cannot allocate")
+	}
+}
+
+// benchShape is the heap the repository benchmark builds (benchmarks/host:
+// 0.2 MB nursery, 16 MB cap, 96 MB semispaces).
+var benchShape = Config{NurseryBytes: 209715, NurseryCapBytes: 16 << 20, OldSemiBytes: 96 << 20}
+
+// TestNewFootprint bounds what New allocates beside the arena at 1/32 of the
+// arena's bytes. The dirty map takes 1/64; a side table with a byte or more
+// per arena word (the stamp table had four) cannot come back unnoticed.
+func TestNewFootprint(t *testing.T) {
+	for _, cfg := range []Config{DefaultConfig(), benchShape} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h := New(cfg)
+		runtime.ReadMemStats(&after)
+		arena := uint64(len(h.Arena)) * BytesPerWord
+		if got, limit := after.TotalAlloc-before.TotalAlloc, arena+arena/32; got > limit {
+			t.Errorf("New(%+v) allocated %d bytes for a %d-byte arena, limit %d", cfg, got, arena, limit)
+		}
+	}
+}
+
+var heapSink *Heap
+
+func BenchmarkHeapNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		heapSink = New(benchShape)
 	}
 }
 

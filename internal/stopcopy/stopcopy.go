@@ -145,7 +145,7 @@ func (c *Collector) pause(m *core.Mutator, emergency bool) error {
 	c.tr.PauseBegin(at)
 	c.tr.Counters(at, m.LogWrites, m.BarrierFastSkips, m.BarrierDirtySkips)
 	// The pause consumes the mutation log (it is this collector's
-	// remembered set), so barrier coalescing stamps must expire here —
+	// remembered set), so barrier coalescing marks must expire here —
 	// same contract as the replicating collector (heap/stamp.go).
 	c.h.BeginLogEpoch()
 	start := c.stats.TotalBytesCopied()
