@@ -10,8 +10,10 @@ import (
 	"testing"
 
 	"repligc/internal/bytecode"
+	"repligc/internal/core"
 	"repligc/internal/heap"
 	"repligc/internal/lang"
+	"repligc/internal/simtime"
 )
 
 var updateCompileGolden = flag.Bool("update-compile-golden", false,
@@ -54,9 +56,16 @@ func TestCompileSimulatedIdentity(t *testing.T) {
 		}
 	}
 
-	path := filepath.Join("testdata", "compile_golden.txt")
-	if *updateCompileGolden {
-		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+	checkGolden(t, filepath.Join("testdata", "compile_golden.txt"), *updateCompileGolden, got.String())
+}
+
+// checkGolden compares a golden table test's output with the committed file
+// line by line, so a failure names each cell that moved; with update set it
+// rewrites the file instead.
+func checkGolden(t *testing.T, path string, update bool, got string) {
+	t.Helper()
+	if update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -65,7 +74,7 @@ func TestCompileSimulatedIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotLines := strings.Split(got.String(), "\n")
+	gotLines := strings.Split(got, "\n")
 	wantLines := strings.Split(string(want), "\n")
 	if len(gotLines) != len(wantLines) {
 		t.Fatalf("golden has %d lines, run produced %d", len(wantLines), len(gotLines))
@@ -106,16 +115,21 @@ func compileGoldenCell(src string, cfg ConfigName) (string, error) {
 		}
 	}
 
+	return fmt.Sprintf("prog=%016x %s", progHash, goldenState(m.Clock, rt.GC, heapImageHash(rt.Heap))), nil
+}
+
+// goldenState renders what every golden cell pins of a finished run: the
+// clock, the pause count, a hash of the heap and every charge account.
+func goldenState(clk *simtime.Clock, gc core.Collector, heapHash uint64) string {
 	var line strings.Builder
-	fmt.Fprintf(&line, "prog=%016x now=%d pauses=%d heap=%016x accounts=",
-		progHash, m.Clock.Now(), len(rt.GC.Pauses().Pauses), heapImageHash(rt.Heap))
-	for i, d := range m.Clock.Breakdown() {
+	fmt.Fprintf(&line, "now=%d pauses=%d heap=%016x accounts=", clk.Now(), len(gc.Pauses().Pauses), heapHash)
+	for i, d := range clk.Breakdown() {
 		if i > 0 {
 			line.WriteByte(',')
 		}
 		fmt.Fprintf(&line, "%d", d)
 	}
-	return line.String(), nil
+	return line.String()
 }
 
 // programHash is an FNV-1a of every block's name and encoded code, then the
