@@ -1,6 +1,6 @@
 # repligc — common tasks. Everything is stdlib-only and offline.
 
-.PHONY: all build lint test host-bench-test host-pairs fuzz-smoke race bench bench-baseline bench-smoke serve-smoke calibrate calibrate-smoke crash-matrix trace microbench experiments quick-experiments examples clean
+.PHONY: all build lint test host-bench-test host-pairs loc fuzz-smoke race bench bench-baseline bench-smoke serve-smoke calibrate calibrate-smoke crash-matrix trace microbench experiments quick-experiments examples clean
 
 all: build lint test host-bench-test
 
@@ -35,6 +35,14 @@ host-bench-test:
 N ?= 10
 host-pairs:
 	bash scripts/host-pairs.sh $(PARENT) $(WORKLOAD) $(N)
+
+# The ROADMAP's tracked size metric: non-test Go lines per package and in
+# total, over tracked files, without the benchmark's nested module and the
+# analyzer's fixtures.
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmarks/' -e '/testdata/' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; if (!sub("/[^/]*$$", "", d)) d = "."; n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # Ten seconds of native fuzzing per target, from the committed seed corpora
 # (`go test` alone runs only the seeds): the streamed lexer against LexAll,

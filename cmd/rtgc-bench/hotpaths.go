@@ -151,8 +151,9 @@ func byteCopyNs(naiveReplay bool) float64 {
 
 // scanNs times a survivor-heavy allocation loop: large records full of
 // non-pointer slots survive into the old generation, so pause time is
-// dominated by scanFresh walking boring slots — per-slot budget checks on
-// the naive path, batched accounting otherwise. Reported per word scanned.
+// dominated by the minor Cheney scan walking boring slots — per-slot budget
+// checks on the naive path, batched accounting otherwise. Reported per word
+// scanned.
 func scanNs(naiveReplay bool) float64 {
 	m, gc := hotMutator(naiveReplay)
 	const recWords = 62

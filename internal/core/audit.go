@@ -99,97 +99,81 @@ type ScanAuditor interface {
 // mutations logged since the relevant cursor, all of which are re-pointed no
 // later than the flip).
 func (c *Replicating) AuditScanned(m *Mutator) error {
-	h := c.h
-	if c.minorActive {
+	if c.minor.active {
 		// Slots allowed to keep nursery pointers: deferred mutable copies
 		// (§2.5), logged minor roots awaiting the flip, and entries the log
 		// cursor has not reached yet.
-		except := make(map[fixup]bool)
+		except := unreachedLogSlots(m, c.minor.logCursor)
 		for _, f := range c.pendingMut {
 			except[f] = true
 		}
-		addSeq := func(seq int64) {
-			if seq < m.Log.Base() {
-				return
-			}
-			if e := m.Log.At(seq); !e.Byte {
+		for _, seq := range c.minorRootSeqs {
+			if seq >= m.Log.Base() {
+				e := m.Log.At(seq)
 				except[fixup{obj: e.Obj, slot: e.Slot}] = true
 			}
 		}
-		for _, seq := range c.minorRootSeqs {
-			addSeq(seq)
-		}
-		for seq := c.minorLogCursor; seq < m.Log.Len(); seq++ {
-			addSeq(seq)
-		}
-		// Mutator-owned objects inside the region (oversized allocations)
-		// were stepped over, not scanned.
-		skipAt := make(map[uint64]uint64)
-		for _, sp := range c.skips {
-			skipAt[sp.start] = sp.words
-		}
-		for idx := c.minorScanStart; idx < c.scan; {
-			if w, ok := skipAt[idx]; ok {
-				idx += w
-				continue
-			}
-			raw := h.Arena[idx]
-			if !heap.IsHeader(raw) {
-				return fmt.Errorf("audit: scanned minor region holds a forwarded header at word %#x", idx)
-			}
-			hdr := heap.Header(raw)
-			p := heap.Value((idx + 1) << 3)
-			if hdr.Kind().HasPointers() {
-				for i := 0; i < hdr.Len(); i++ {
-					v := h.Load(p, i)
-					if h.Nursery.Contains(v) && !except[fixup{obj: p, slot: int32(i)}] {
-						return fmt.Errorf("audit: scanned replica %v slot %d still holds nursery pointer %v", p, i, v)
-					}
-				}
-			}
-			idx += uint64(hdr.SizeWords())
+		if err := c.auditScannedRegion(&c.minor, "nursery", except); err != nil {
+			return err
 		}
 	}
-	if c.majorActive {
+	if c.major.active {
 		// Slots allowed to keep from-space pointers: queued mutable-reference
 		// fixups (re-pointed at the major flip) and mutations the major log
 		// cursor has not reached yet.
-		except := make(map[fixup]bool)
+		except := unreachedLogSlots(m, c.major.logCursor)
 		for _, f := range c.fixups {
 			except[f] = true
 		}
-		for seq := c.majorLogCursor; seq < m.Log.Len(); seq++ {
-			if seq < m.Log.Base() {
-				continue
-			}
-			if e := m.Log.At(seq); !e.Byte {
-				except[fixup{obj: e.Obj, slot: e.Slot}] = true
-			}
+		return c.auditScannedRegion(&c.major, "from-space", except)
+	}
+	return nil
+}
+
+// unreachedLogSlots collects the slots named by word entries at or above a
+// log cursor: mutations its collection has not processed yet.
+func unreachedLogSlots(m *Mutator, cursor int64) map[fixup]bool {
+	slots := make(map[fixup]bool)
+	for seq := max(cursor, m.Log.Base()); seq < m.Log.Len(); seq++ {
+		if e := m.Log.At(seq); !e.Byte {
+			slots[fixup{obj: e.Obj, slot: e.Slot}] = true
 		}
-		var err error
-		h.WalkObjects(h.OldTo(), func(p heap.Value, hdr heap.Header) bool {
-			// Under the implicit Cheney scan, black is an address test: the
-			// cursor has fully passed every object whose header sits below
-			// it. The object at the cursor may be partially scanned
-			// (majorScanSlot resumes inside it); it owes nothing yet.
-			if uint64(p)>>3-1 >= c.majorScan {
-				return true
-			}
-			if !hdr.Kind().HasPointers() {
-				return true
-			}
+	}
+	return slots
+}
+
+// auditScannedRegion checks the black part of g's scan region. Black is an
+// address test: the cursor has fully passed every object whose header sits
+// in [scanStart, scan). The object at the cursor may be partially scanned
+// (scanSlot resumes inside it); it owes nothing yet.
+func (c *Replicating) auditScannedRegion(g *generation, fromName string, except map[fixup]bool) error {
+	h := c.h
+	// Mutator-owned objects inside the minor's region (oversized
+	// allocations) were stepped over, not scanned.
+	skipAt := make(map[uint64]uint64)
+	for _, sp := range g.skips {
+		skipAt[sp.start] = sp.words
+	}
+	for idx := g.scanStart; idx < g.scan; {
+		if w, ok := skipAt[idx]; ok {
+			idx += w
+			continue
+		}
+		raw := h.Arena[idx]
+		if !heap.IsHeader(raw) {
+			return fmt.Errorf("audit: scanned %s region holds a forwarded header at word %#x", g.name, idx)
+		}
+		hdr := heap.Header(raw)
+		p := heap.Value((idx + 1) << 3)
+		if hdr.Kind().HasPointers() {
 			for i := 0; i < hdr.Len(); i++ {
 				v := h.Load(p, i)
-				if h.OldFrom().Contains(v) && !except[fixup{obj: p, slot: int32(i)}] {
-					err = fmt.Errorf("audit: black to-space object %v slot %d holds from-space pointer %v", p, i, v)
-					return false
+				if g.from.Contains(v) && !except[fixup{obj: p, slot: int32(i)}] {
+					return fmt.Errorf("audit: scanned %s replica %v slot %d still holds %s pointer %v", g.name, p, i, fromName, v)
 				}
 			}
-			return true
-		})
-		if err != nil {
-			return err
 		}
+		idx += uint64(hdr.SizeWords())
 	}
 	return nil
 }

@@ -129,10 +129,10 @@ func TestAuditScannedCatchesCorruptMinorReplica(t *testing.T) {
 		m.Init(p, 2, heap.Nil)
 		m.PushHandle(p)
 	}
-	for i := 0; i < 200 && !(gc.minorActive && gc.scan > gc.minorScanStart); i++ {
+	for i := 0; i < 200 && !(gc.minor.active && gc.minor.scan > gc.minor.scanStart); i++ {
 		gc.CollectForAlloc(m, 0)
 	}
-	if !gc.minorActive || gc.scan == gc.minorScanStart {
+	if !gc.minor.active || gc.minor.scan == gc.minor.scanStart {
 		t.Fatal("could not reach a mid-minor state with a scanned region")
 	}
 	if err := AuditHeap(m); err != nil {
@@ -141,7 +141,7 @@ func TestAuditScannedCatchesCorruptMinorReplica(t *testing.T) {
 
 	// Find a scanned pointer-bearing replica and corrupt its first slot.
 	var target heap.Value
-	for idx := gc.minorScanStart; idx < gc.scan; {
+	for idx := gc.minor.scanStart; idx < gc.minor.scan; {
 		hdr := heap.Header(h.Arena[idx])
 		if hdr.Kind().HasPointers() && hdr.Len() > 0 {
 			target = heap.Value((idx + 1) << 3)
@@ -174,12 +174,12 @@ func TestAuditScannedCatchesCorruptBlackObject(t *testing.T) {
 	// until a major collection is active and has blackened at least one
 	// pointer-bearing object.
 	findBlack := func() heap.Value {
-		if !gc.majorActive {
+		if !gc.major.active {
 			return heap.Nil
 		}
 		var black heap.Value
 		h.WalkObjects(h.OldTo(), func(p heap.Value, hdr heap.Header) bool {
-			if uint64(p)>>3-1 >= gc.majorScan {
+			if uint64(p)>>3-1 >= gc.major.scan {
 				return true // at or above the cursor: not yet black
 			}
 			if !hdr.Kind().HasPointers() || hdr.Len() == 0 {

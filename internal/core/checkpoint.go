@@ -49,10 +49,10 @@ func (c *Replicating) SetCheckpointer(w Checkpointer) { c.ckpt = w }
 // checkpointPoint assembles the pause-boundary state for the writer.
 func (c *Replicating) checkpointPoint() CheckpointPoint {
 	return CheckpointPoint{
-		Quiescent:          !c.minorActive && !c.majorActive,
-		MajorActive:        c.majorActive,
+		Quiescent:          !c.minor.active && !c.major.active,
+		MajorActive:        c.major.active,
 		MajorCollections:   c.stats.MajorCollections,
-		MinorLogCursor:     c.minorLogCursor,
+		MinorLogCursor:     c.minor.logCursor,
 		PromotedSinceMajor: c.promotedSinceMajor,
 		PromoHighWater:     c.promoHighWater,
 	}
@@ -71,9 +71,7 @@ func (c *Replicating) CheckpointNow() CheckpointPoint { return c.checkpointPoint
 //
 //gclint:pauseentry recovery runs before the mutator is released; no barrier can append behind the restored cursor
 func (c *Replicating) RestoreScheduling(minorLogCursor, promotedSinceMajor, promoHighWater int64) {
-	c.minorLogCursor = minorLogCursor
+	c.minor.logCursor = minorLogCursor
 	c.promotedSinceMajor = promotedSinceMajor
 	c.promoHighWater = promoHighWater
-	c.scan = c.h.OldFrom().Next
-	c.scanSlot = 0
 }

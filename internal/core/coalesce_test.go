@@ -8,33 +8,43 @@ import (
 	"repligc/internal/heap"
 )
 
-// coalesceConfigs are the collector configurations the coalescing property
-// is checked under: the real-time collector (both generations incremental,
-// where log entries are consumed by minor and major cursors at different
-// times), the stop-the-world core configuration, and the lazy-reapply
-// ablation, whose deferred queue records sequence numbers of entries that
-// coalescing makes scarcer.
+// coalesceConfigs are the collector configurations the coalescing and
+// batched-replay properties are checked under: the real-time collector (both
+// generations incremental, where log entries are consumed by minor and major
+// cursors at different times), the stop-the-world core configuration, the
+// lazy-reapply ablation, whose deferred queue records sequence numbers of
+// entries that coalescing makes scarcer, and every other shape the single
+// scan kernel runs in — one generation incremental at a time, deferred
+// mutable copies (the forwarder hands a slot's value back unchanged), a
+// bounded log, and interleaved pacing (major increments in mid-cycle).
 func coalesceConfigs() map[string]core.Config {
+	rt := core.Config{
+		NurseryBytes:        96 << 10,
+		MajorThresholdBytes: 384 << 10,
+		CopyLimitBytes:      8 << 10,
+		IncrementalMinor:    true,
+		IncrementalMajor:    true,
+	}
+	with := func(edit func(*core.Config)) core.Config {
+		cfg := rt
+		edit(&cfg)
+		return cfg
+	}
 	return map[string]core.Config{
-		"rt": {
-			NurseryBytes:        96 << 10,
-			MajorThresholdBytes: 384 << 10,
-			CopyLimitBytes:      8 << 10,
-			IncrementalMinor:    true,
-			IncrementalMajor:    true,
-		},
+		"rt": rt,
 		"stop-copy-core": {
 			NurseryBytes:        96 << 10,
 			MajorThresholdBytes: 384 << 10,
 		},
-		"rt-lazy": {
-			NurseryBytes:        96 << 10,
-			MajorThresholdBytes: 384 << 10,
-			CopyLimitBytes:      8 << 10,
-			IncrementalMinor:    true,
-			IncrementalMajor:    true,
-			LazyLogProcessing:   true,
-		},
+		"rt-lazy":    with(func(c *core.Config) { c.LazyLogProcessing = true }),
+		"minor-inc":  with(func(c *core.Config) { c.IncrementalMajor = false }),
+		"major-inc":  with(func(c *core.Config) { c.IncrementalMinor = false }),
+		"rt-defer":   with(func(c *core.Config) { c.DeferMutableCopies = true }),
+		"rt-bounded": with(func(c *core.Config) { c.BoundedLogProcessing = true }),
+		"rt-conc": with(func(c *core.Config) {
+			c.InterleavedTaxPermille = 1500
+			c.BoundedLogProcessing = true
+		}),
 	}
 }
 

@@ -88,7 +88,7 @@ func TestReplayBatchPathZeroAllocs(t *testing.T) {
 	// the forwarding memo accelerates) plus one byte range (the block-copy
 	// path). Mutator.Set may grow the log; the measured loop below only
 	// re-reads it.
-	start := c.minorLogCursor
+	start := c.minor.logCursor
 	for i := 0; i < 32; i++ {
 		m.Set(arr, i, heap.FromInt(int64(i)))
 	}
@@ -102,12 +102,12 @@ func TestReplayBatchPathZeroAllocs(t *testing.T) {
 	}
 
 	// Warm once (memo, charge tables), then assert.
-	c.minorLogCursor = start
+	c.minor.logCursor = start
 	if _, err := c.processMinorLog(m, true); err != nil {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		c.minorLogCursor = start
+		c.minor.logCursor = start
 		if _, err := c.processMinorLog(m, true); err != nil {
 			t.Fatal(err)
 		}

@@ -146,6 +146,57 @@ type fixup struct {
 	slot int32
 }
 
+// generation is one generation under collection as the replication engine
+// sees it: where its originals live, where their replicas go, how far the
+// log cursor and the Cheney scan have got, and what the work is charged to.
+// The paper runs one algorithm on both generations, so the collector holds
+// two — minor (nursery → promotion space) and major (old from-space → old
+// to-space) — and that algorithm's kernels (replicate, scan, scanRoots,
+// redirectRoots, repoint, takeLogEntry) are written once over a *generation.
+// Each generation's log-entry handler, flip worklist and increment stay its own.
+type generation struct {
+	name   string          // "minor" or "major", for diagnostics
+	major  bool            // the scan's slot forwarder: toSpaceValue when set, minorValue otherwise
+	acct   simtime.Account // copy and scan charges
+	oom    OOMResource     // what a failed copy has exhausted
+	copied *int64          // the generation's copy-volume counter in GCStats
+
+	// from holds the originals, to receives the replicas. begin resolves
+	// both and they hold for the cycle: the promotion space only moves
+	// (a major starting) and the old semispaces only swap (a major flip)
+	// right after a minor flip, when no minor cycle is active.
+	from, to *heap.Space
+
+	//gclint:pauseonly cycle activation happens inside the pause that starts the cycle; the barrier fast path reads it un-synchronized
+	active bool
+	//gclint:pauseonly the log cursor moves only while the mutator is stopped, else the barrier could append entries behind it
+	logCursor int64 // next log entry for this generation's collection
+
+	// Cheney state; scan describes the region each generation's cursor
+	// sweeps.
+
+	//gclint:pauseonly the cursor only advances while the mutator is stopped; a mid-scan mutation is routed through the log instead
+	scan uint64 // header word of the next to-space object to scan
+	//gclint:pauseonly resume state of the paused scan; only valid between increments of a stopped mutator
+	scanSlot int // resume slot within the object at the cursor
+	//gclint:pauseonly set once per cycle, inside the pause that starts it
+	scanStart uint64 // where the cycle's scan began (audit: the scanned region)
+	skips     []span // mutator-owned objects inside the scan region (minor only: NoteOldAlloc)
+	//gclint:pauseonly advanced by the scan as it steps over spans, reset at cycle boundaries
+	skipIdx int
+}
+
+// begin activates the generation's cycle: replicas of from's objects go to
+// to, and the Cheney cursor starts at to's frontier.
+func (g *generation) begin(from, to *heap.Space) {
+	g.active = true
+	g.from, g.to = from, to
+	g.scan, g.scanSlot, g.scanStart = to.Next, 0, to.Next
+}
+
+// scanDone reports whether the cursor has reached the to-space frontier.
+func (g *generation) scanDone() bool { return g.scan >= g.to.Next }
+
 // Replicating is the replication-based incremental collector. It maintains
 // the paper's from-space invariant: the mutator only ever addresses
 // original objects (or replicas that have already been handed over by a
@@ -168,39 +219,16 @@ type Replicating struct {
 	rec   simtime.Recorder
 	tr    *trace.Recorder // nil when tracing is disabled (every emit is a nil check)
 
-	// Cheney state. The minor scan covers only the objects promoted in
-	// the current cycle (it rewrites their nursery pointers before the
-	// minor flip). The major collection uses the classic implicit Cheney
-	// scan: a cursor sweeps old-to in address order, and everything copied
-	// or promoted there lands above the cursor, so no gray worklist (and
-	// none of its allocations) is needed. The trade-off is the textbook
-	// one: objects promoted during the major that die before the flip are
-	// still swept by the cursor (floating garbage costs scan work, and
-	// their old-from referents are replicated), matching the behaviour of
-	// the authors' concurrent follow-up collector.
-	scan           uint64 // minor cursor (fresh promotions this cycle)
-	scanSlot       int    // resume slot within the object at the cursor
-	minorScanStart uint64 // cycle's first promoted word (audit: scanned region)
-	skips          []span // mutator-owned objects inside the minor scan region
-	minorSkipIdx   int
-	pendingMut     []fixup // replica slots holding deferred mutable nursery refs (§2.5)
-
-	// The major-scan cursors and all per-cycle collection state below are
-	// pause-only: multi-mutator sharing will make unsynchronized writes to
-	// them data races, so gclint checks that every writer is dominated by
-	// a pause entry (rule "pauseonly").
-
-	//gclint:pauseonly the major cursor only advances while the mutator is stopped; a mid-scan mutation is routed through the log instead
-	majorScan uint64 // major cursor: header word of the next old-to object to scan
-	//gclint:pauseonly resume state of the paused major scan; only valid between increments of a stopped mutator
-	majorScanSlot int // resume slot within the object at the major cursor
+	// The two generations under collection. Their cursors and all per-cycle
+	// collection state below are pause-only: multi-mutator sharing will make
+	// unsynchronized writes to them data races, so gclint checks that every
+	// writer is dominated by a pause entry (rule "pauseonly").
+	minor, major generation
 
 	// Minor collection state.
 
-	//gclint:pauseonly cycle activation happens inside the pause that starts the cycle; the barrier fast path reads it un-synchronized
-	minorActive bool
-	//gclint:pauseonly the log cursor moves only while the mutator is stopped, else the barrier could append entries behind it
-	minorLogCursor int64 // next log entry for the minor collection
+	//gclint:pauseonly deferred-copy worklist; grown by the scan and by log reapplication, drained at completion, all under pause
+	pendingMut []fixup // replica slots holding deferred mutable nursery refs (§2.5)
 	//gclint:pauseonly flip-entry worklist; grown while processing the log under pause, consumed at the flip
 	minorRootSeqs []int64 // old-space pointer entries to re-point at the flip
 	//gclint:pauseonly per-cycle pause counter, bumped once per pause
@@ -212,10 +240,6 @@ type Replicating struct {
 
 	// Major collection state.
 
-	//gclint:pauseonly cycle activation happens inside the pause that starts the cycle; the barrier fast path reads it un-synchronized
-	majorActive bool
-	//gclint:pauseonly the log cursor moves only while the mutator is stopped, else the barrier could append entries behind it
-	majorLogCursor     int64
 	promotedSinceMajor int64
 	//gclint:pauseonly major fixup worklist; grown by log processing and the scan, consumed at the major flip, all under pause
 	fixups []fixup
@@ -273,13 +297,12 @@ type Replicating struct {
 // is incorrect without a complete mutation log.
 func NewReplicating(h *heap.Heap, cfg Config) *Replicating {
 	c := &Replicating{cfg: cfg, h: h}
-	c.scan = h.OldFrom().Next
-	if cfg.Replay != nil {
-		c.replay = policy.NewCursor(cfg.Replay)
-	}
+	c.minor = generation{name: "minor", acct: simtime.AcctMinorCopy, oom: OOMPromotion, copied: &c.stats.BytesCopiedMinor}
+	c.major = generation{name: "major", major: true, acct: simtime.AcctMajorCopy, oom: OOMToSpace, copied: &c.stats.BytesCopiedMajor}
 	h.Nursery.SetLimitBytes(cfg.NurseryBytes)
 	if cfg.Replay != nil {
-		if d, ok := policy.NewCursor(cfg.Replay).NurseryDelta(0); ok {
+		c.replay = policy.NewCursor(cfg.Replay)
+		if d, ok := c.replay.NurseryDelta(0); ok {
 			h.Nursery.SetLimitBytes(d)
 		}
 	}
@@ -316,7 +339,7 @@ func (c *Replicating) AfterAlloc(m *Mutator) {}
 // go: the old from-space normally, the major's to-space while a major
 // collection is in progress.
 func (c *Replicating) PromoteSpace() *heap.Space {
-	if c.majorActive {
+	if c.major.active {
 		return c.h.OldTo()
 	}
 	return c.h.OldFrom()
@@ -330,17 +353,14 @@ func (c *Replicating) PromoteSpace() *heap.Space {
 // reach the collector through Init's logging instead.
 func (c *Replicating) NoteOldAlloc(p heap.Value, hdr heap.Header) {
 	c.promotedSinceMajor += hdr.SizeBytes()
-	if c.minorActive {
+	if c.minor.active {
 		// The object sits inside the current minor scan region but is
 		// owned by the mutator; the scan must step over it. Its contents
-		// reach the collector through Init's logging.
+		// reach the collector through Init's logging. (Between cycles
+		// nothing is needed: startMinor puts the cursor at the frontier.)
 		start := uint64(p)>>3 - 1 // header word index
-		c.skips = append(c.skips, span{start: start, words: uint64(hdr.SizeWords())})
-		return
+		c.minor.skips = append(c.minor.skips, span{start: start, words: uint64(hdr.SizeWords())})
 	}
-	// Between cycles the minor cursor just tracks the frontier.
-	c.scan = c.PromoteSpace().Next
-	c.scanSlot = 0
 }
 
 // workLimit returns the per-pause work allowance in bytes of copy+scan
@@ -376,8 +396,8 @@ func (c *Replicating) AllocTax(m *Mutator, bytes int64) error {
 	if c.taxCredit < taxQuantum {
 		return nil
 	}
-	minorDue := c.minorActive || c.h.Nursery.UsedBytes() >= c.cfg.NurseryBytes/2
-	if !minorDue && !c.majorActive {
+	minorDue := c.minor.active || c.h.Nursery.UsedBytes() >= c.cfg.NurseryBytes/2
+	if !minorDue && !c.major.active {
 		// Nothing worth doing yet; keep a bounded credit so an idle
 		// stretch does not bank an unbounded work debt.
 		if c.taxCredit > 4*taxQuantum {
@@ -394,28 +414,9 @@ func (c *Replicating) AllocTax(m *Mutator, bytes int64) error {
 	} else {
 		// Only the major collection has pending work: run a mid-cycle
 		// major increment without forcing a (trivial) minor collection.
-		m.Clock.BeginPause()
-		at := m.Clock.Now()
-		syncBase := pauseSyncBase(m.Clock)
-		c.tr.PauseBegin(at)
-		c.tr.Counters(at, m.LogWrites, m.BarrierFastSkips, m.BarrierDirtySkips)
-		// Log cursors may move below: start a fresh coalescing epoch so
-		// dirty bits from before this micro-pause cannot vouch for
-		// entries the cursor is about to consume (heap/stamp.go).
-		c.h.BeginLogEpoch()
-		c.pauseCopied, c.pauseLogProcd, c.pauseWork = 0, 0, 0
-		c.stats.PauseCount++
+		at, syncBase := c.beginPause(m)
 		_, err = c.runMajorIncrement(m, false, false)
-		length := m.Clock.EndPause()
-		sync := pauseSyncBase(m.Clock) - syncBase
-		if sync > length {
-			sync = length
-		}
-		c.rec.Record(simtime.Pause{
-			At: at, Length: length, Kind: simtime.PauseMinor, Sync: sync,
-			CopiedB: c.pauseCopied, LogProcN: c.pauseLogProcd,
-		})
-		c.tr.PauseEnd(m.Clock.Now(), c.pauseCopied, c.pauseLogProcd, int64(simtime.PauseMinor))
+		c.endPause(m, at, syncBase, simtime.PauseMinor, false)
 	}
 	c.microLimit = 0
 	return err
@@ -433,16 +434,13 @@ func (c *Replicating) CollectForAlloc(m *Mutator, needWords int) error {
 // FinishCycles implements Collector: drive all pending incremental work to
 // completion so total copy volumes are comparable across configurations.
 func (c *Replicating) FinishCycles(m *Mutator) error {
-	if !c.minorActive && !c.majorActive {
-		return nil
-	}
 	// Run ordinary budgeted pauses so the tail of the run has the same
 	// bounded-pause behaviour as the rest; fall back to forced completion
 	// only if the collection fails to converge. Flips forced here are an
 	// end-of-run artifact and are not recorded into policy scripts.
 	c.finishing = true
 	defer func() { c.finishing = false }()
-	for i := 0; c.minorActive || c.majorActive; i++ {
+	for i := 0; c.minor.active || c.major.active; i++ {
 		if err := c.pause(m, 0, i > 1<<16); err != nil {
 			return err
 		}
@@ -479,24 +477,7 @@ func pauseSyncBase(clk *simtime.Clock) simtime.Duration {
 //
 //gclint:pauseentry Clock.BeginPause stops the (single) mutator before any collector state changes; every collector entry point funnels through here
 func (c *Replicating) pause(m *Mutator, needWords int, force bool) error {
-	m.Clock.BeginPause()
-	at := m.Clock.Now()
-	syncBase := pauseSyncBase(m.Clock)
-	c.tr.PauseBegin(at)
-	c.tr.Counters(at, m.LogWrites, m.BarrierFastSkips, m.BarrierDirtySkips)
-	if c.emergency {
-		// CollectEmergency escalated before entering the pause; mark the
-		// rung as a distinct (instantaneous) phase.
-		c.tr.PhaseMark(at, trace.PhaseEmergency)
-	}
-	// Every pause starts a fresh log-coalescing epoch before any cursor
-	// moves: dirty bits set by the barrier since the previous pause
-	// vouch for entries this pause may now consume, so they must expire
-	// here (heap/stamp.go spells out the invariant).
-	c.h.BeginLogEpoch()
-	c.pauseCopied, c.pauseLogProcd, c.pauseWork = 0, 0, 0
-	c.stats.PauseCount++
-
+	at, syncBase := c.beginPause(m)
 	kind := simtime.PauseMinor
 	err := c.pauseBody(m, needWords, force, &kind)
 	// Stop-the-world pauses (forced completions, emergencies) admit no
@@ -510,11 +491,37 @@ func (c *Replicating) pause(m *Mutator, needWords int, force bool) error {
 		c.ckpt.PauseCheckpoint(m, c.checkpointPoint())
 		end()
 	}
+	c.endPause(m, at, syncBase, kind, stw)
+	return err
+}
 
-	length := m.Clock.EndPause()
-	if DebugPause != nil && length > 100*simtime.Millisecond {
-		DebugPause(c, m, length)
+// beginPause stops the mutator and opens the pause window that pause and
+// AllocTax's major-only micro-pause share; endPause closes it.
+func (c *Replicating) beginPause(m *Mutator) (at, syncBase simtime.Duration) {
+	m.Clock.BeginPause()
+	at = m.Clock.Now()
+	syncBase = pauseSyncBase(m.Clock)
+	c.tr.PauseBegin(at)
+	c.tr.Counters(at, m.LogWrites, m.BarrierFastSkips, m.BarrierDirtySkips)
+	if c.emergency {
+		// CollectEmergency escalated before entering the pause; mark the
+		// rung as a distinct (instantaneous) phase.
+		c.tr.PhaseMark(at, trace.PhaseEmergency)
 	}
+	// Every pause, micro-pauses included, starts a fresh log-coalescing
+	// epoch before any cursor moves: dirty bits set by the barrier since
+	// the previous pause vouch for entries this pause may now consume, so
+	// they must expire here (heap/stamp.go spells out the invariant).
+	c.h.BeginLogEpoch()
+	c.pauseCopied, c.pauseLogProcd, c.pauseWork = 0, 0, 0
+	c.stats.PauseCount++
+	return at, syncBase
+}
+
+// endPause restarts the mutator and records the pause; its stop-the-world
+// portion is what the sync accounts gained in the window, or all of it (stw).
+func (c *Replicating) endPause(m *Mutator, at, syncBase simtime.Duration, kind simtime.PauseKind, stw bool) {
+	length := m.Clock.EndPause()
 	sync := pauseSyncBase(m.Clock) - syncBase
 	if stw || sync > length {
 		sync = length
@@ -524,7 +531,6 @@ func (c *Replicating) pause(m *Mutator, needWords int, force bool) error {
 		CopiedB: c.pauseCopied, LogProcN: c.pauseLogProcd,
 	})
 	c.tr.PauseEnd(m.Clock.Now(), c.pauseCopied, c.pauseLogProcd, int64(kind))
-	return err
 }
 
 // pauseBody is the work of one pause; pause wraps it so the clock and the
@@ -543,7 +549,7 @@ func (c *Replicating) pauseBody(m *Mutator, needWords int, force bool, kind *sim
 		c.tr.PhaseMark(m.Clock.Now(), trace.PhaseEmergency)
 	}
 
-	if !c.minorActive {
+	if !c.minor.active {
 		c.startMinor(m)
 	}
 	c.minorPauses++
@@ -612,22 +618,15 @@ func (c *Replicating) lowHeadroom() bool {
 	return free < c.h.Nursery.UsedBytes()+c.promoHighWater
 }
 
-// DebugPause, when set, is invoked for long pauses (test diagnostics).
-var DebugPause func(c *Replicating, m *Mutator, length simtime.Duration)
-
 // startMinor begins a minor collection cycle.
 func (c *Replicating) startMinor(m *Mutator) {
-	c.minorActive = true
 	c.minorPauses = 0
 	c.minorStartCopy = c.stats.BytesCopiedMinor
 	// The minor log cursor persists across cycles: entries logged since
 	// the previous flip are this cycle's remembered set. The minor scan
 	// cursor tracks the promotion frontier; everything below it belongs
 	// to earlier cycles (and, during a major, to the major scan).
-	c.scan = c.PromoteSpace().Next
-	c.scanSlot = 0
-	c.minorScanStart = c.scan
-	c.minorSkipIdx = len(c.skips)
+	c.minor.begin(&c.h.Nursery, c.PromoteSpace())
 }
 
 // overBudget reports whether the current pause has used its copy+scan work
@@ -662,7 +661,7 @@ func (c *Replicating) budgetSlots(force bool) int {
 // resolved state is identical either way).
 func (c *Replicating) forwardingOf(obj heap.Value) (replica heap.Value, fwd bool) {
 	if !c.cfg.NaiveReplay && obj == c.memoObj && obj != heap.Nil &&
-		(c.memoFwd || c.memoStamp == c.stats.BytesCopiedMinor+c.stats.BytesCopiedMajor) {
+		(c.memoFwd || c.memoStamp == c.stats.TotalBytesCopied()) {
 		return c.memoReplica, c.memoFwd
 	}
 	h := c.h
@@ -674,7 +673,7 @@ func (c *Replicating) forwardingOf(obj heap.Value) (replica heap.Value, fwd bool
 		c.memoObj = obj
 		c.memoReplica = replica
 		c.memoFwd = fwd
-		c.memoStamp = c.stats.BytesCopiedMinor + c.stats.BytesCopiedMajor
+		c.memoStamp = c.stats.TotalBytesCopied()
 	}
 	return replica, fwd
 }
@@ -694,7 +693,7 @@ func (c *Replicating) resetReplayMemo() {
 // exhaustion error leaves the cycle active and resumable: every cursor
 // stops exactly at the failed unit of work.
 func (c *Replicating) runMinorIncrement(m *Mutator, force bool) (bool, error) {
-	h := c.h
+	g := &c.minor
 
 	// 1. Process the mutation log: discover minor roots (old-space slots
 	// holding nursery pointers) and keep replicas up to date. By default
@@ -709,10 +708,7 @@ func (c *Replicating) runMinorIncrement(m *Mutator, force bool) (bool, error) {
 	}
 
 	// 2. Cheney scan of the objects promoted this cycle.
-	endPhase = c.phase(m, trace.PhaseCopy)
-	done, err = c.scanFresh(m, force)
-	endPhase()
-	if !done {
+	if done, err := c.scanPhase(m, g, force); !done {
 		return false, err
 	}
 
@@ -723,39 +719,11 @@ func (c *Replicating) runMinorIncrement(m *Mutator, force bool) (bool, error) {
 	// collection rather than once per increment. Root referents are
 	// replicated within the budget; an aborted pass is retried by a later
 	// increment.
-	aborted := false
-	var visitErr error
-	endPhase = c.phase(m, trace.PhaseRootScan)
-	// Roots.Slots enumerates into a reusable buffer: no per-scan closure
-	// allocations, and the loop can stop the moment the budget runs out.
-	// Every slot is still charged (the root scan visits them all).
-	roots := m.Roots.Slots()
-	for _, slot := range roots {
-		v := *slot
-		if h.Nursery.Contains(v) {
-			if _, err := c.replicateMinor(m, v); err != nil {
-				visitErr = err
-				break
-			}
-			if c.overBudget(force) {
-				aborted = true
-				break
-			}
-		}
-	}
-	c.chargeRoots(m, len(roots))
-	endPhase()
-	if visitErr != nil {
-		return false, visitErr
-	}
-	if aborted {
-		return false, nil
+	if done, err := c.scanRoots(m, g, force); !done {
+		return false, err
 	}
 	// The roots may have enqueued fresh copies; finish scanning them.
-	endPhase = c.phase(m, trace.PhaseCopy)
-	done, err = c.scanFresh(m, force)
-	endPhase()
-	if !done {
+	if done, err := c.scanPhase(m, g, force); !done {
 		return false, err
 	}
 
@@ -768,10 +736,7 @@ func (c *Replicating) runMinorIncrement(m *Mutator, force bool) (bool, error) {
 			return false, err
 		}
 		// Reapplication may have replicated new objects; finish scanning.
-		endPhase = c.phase(m, trace.PhaseCopy)
-		done, err := c.scanFresh(m, true)
-		endPhase()
-		if !done {
+		if done, err := c.scanPhase(m, g, true); !done {
 			if err != nil {
 				return false, err
 			}
@@ -787,7 +752,7 @@ func (c *Replicating) runMinorIncrement(m *Mutator, force bool) (bool, error) {
 		err := c.drainPendingMutables(m)
 		var done bool
 		if err == nil {
-			done, err = c.scanFresh(m, true)
+			done, err = c.scan(m, g, true)
 		}
 		endPhase()
 		if err != nil {
@@ -798,7 +763,7 @@ func (c *Replicating) runMinorIncrement(m *Mutator, force bool) (bool, error) {
 			panic("core: pending-mutable completion scan did not finish")
 		}
 	}
-	if c.minorLogCursor != m.Log.Len() {
+	if g.logCursor != m.Log.Len() {
 		return false, nil
 	}
 
@@ -811,32 +776,77 @@ func (c *Replicating) runMinorIncrement(m *Mutator, force bool) (bool, error) {
 	return true, nil
 }
 
+// scanPhase runs the Cheney scan as one traced copy phase.
+func (c *Replicating) scanPhase(m *Mutator, g *generation, force bool) (bool, error) {
+	endPhase := c.phase(m, trace.PhaseCopy)
+	done, err := c.scan(m, g, force)
+	endPhase()
+	return done, err
+}
+
+// scanRoots is a collection's completion pass over the mutator roots: every
+// root referent still in from-space is replicated, within the budget. The
+// roots themselves are only redirected at the flip. It reports whether the
+// pass reached the last root; an aborted pass is simply run again.
+func (c *Replicating) scanRoots(m *Mutator, g *generation, force bool) (bool, error) {
+	endPhase := c.phase(m, trace.PhaseRootScan)
+	// Roots.Slots enumerates into a reusable buffer: no per-scan closure
+	// allocations, and the loop can stop the moment the budget runs out.
+	// Every slot is still charged (the root scan visits them all).
+	roots := m.Roots.Slots()
+	done := true
+	var err error
+	for _, slot := range roots {
+		if v := *slot; g.from.Contains(v) {
+			if _, err = c.replicate(m, g, v); err != nil || c.overBudget(force) {
+				done = false
+				break
+			}
+		}
+	}
+	c.stats.RootSlotUpdates += int64(len(roots))
+	m.Clock.Charge(simtime.AcctRootScan, simtime.Duration(len(roots))*m.Cost.RootUpdate)
+	endPhase()
+	return done, err
+}
+
+// takeLogEntry consumes and charges the entry at g's log cursor; it reports
+// false, taking nothing, once BoundedLogProcessing has spent the pause's budget.
+func (c *Replicating) takeLogEntry(m *Mutator, g *generation, force bool) (int64, LogEntry, bool) {
+	if c.cfg.BoundedLogProcessing {
+		if c.overBudget(force) {
+			return 0, LogEntry{}, false
+		}
+		c.pauseWork += entryWorkBytes
+	}
+	seq := g.logCursor
+	g.logCursor++
+	c.stats.LogScanned++
+	c.pauseLogProcd++
+	m.Clock.Charge(simtime.AcctLogScan, m.Cost.LogScan)
+	return seq, m.Log.At(seq), true
+}
+
+// rewindLogEntry puts the entry just taken back, so that a later increment
+// resumes exactly at it, and returns the log loop's not-done result.
+func (c *Replicating) rewindLogEntry(g *generation, err error) (bool, error) {
+	g.logCursor--
+	c.stats.LogScanned--
+	c.pauseLogProcd--
+	return false, err
+}
+
 // processMinorLog consumes pending log entries for the minor collection;
 // it reports whether the log was fully drained. On a typed exhaustion
 // error the cursor is rewound to the failed entry so a later (degraded)
 // increment resumes exactly there.
 func (c *Replicating) processMinorLog(m *Mutator, force bool) (bool, error) {
-	h := c.h
-	rewind := func(err error) (bool, error) {
-		c.minorLogCursor--
-		c.stats.LogScanned--
-		c.pauseLogProcd--
-		return false, err
-	}
-	for c.minorLogCursor < m.Log.Len() {
-		if c.cfg.BoundedLogProcessing {
-			if c.overBudget(force) {
-				return false, nil
-			}
-			c.pauseWork += entryWorkBytes
+	h, g := c.h, &c.minor
+	for g.logCursor < m.Log.Len() {
+		seq, e, ok := c.takeLogEntry(m, g, force)
+		if !ok {
+			return false, nil
 		}
-		seq := c.minorLogCursor
-		e := m.Log.At(seq)
-		c.minorLogCursor++
-		c.stats.LogScanned++
-		c.pauseLogProcd++
-		m.Clock.Charge(simtime.AcctLogScan, m.Cost.LogScan)
-
 		switch {
 		case h.Nursery.Contains(e.Obj):
 			if c.cfg.LazyLogProcessing {
@@ -844,7 +854,7 @@ func (c *Replicating) processMinorLog(m *Mutator, force bool) (bool, error) {
 				continue
 			}
 			if err := c.reapplyMinor(m, e); err != nil {
-				return rewind(err)
+				return c.rewindLogEntry(g, err)
 			}
 		case h.OldFrom().Contains(e.Obj), h.OldTo().Contains(e.Obj):
 			// A mutation to an old object: a minor root when it stores a
@@ -856,14 +866,27 @@ func (c *Replicating) processMinorLog(m *Mutator, force bool) (bool, error) {
 			}
 			v := h.Load(e.Obj, int(e.Slot))
 			if h.Nursery.Contains(v) {
-				if _, err := c.replicateMinor(m, v); err != nil {
-					return rewind(err)
+				if _, err := c.replicate(m, g, v); err != nil {
+					return c.rewindLogEntry(g, err)
 				}
 				c.minorRootSeqs = append(c.minorRootSeqs, seq)
 			}
 		}
 	}
 	return true, nil
+}
+
+// reapplyBytes brings a replica's bytes up to date with one logged byte-range
+// mutation of its original.
+func (c *Replicating) reapplyBytes(replica heap.Value, e LogEntry) {
+	h := c.h
+	if c.cfg.NaiveReplay {
+		for i := int32(0); i < e.Len; i++ {
+			h.StoreByte(replica, int(e.Slot+i), h.LoadByte(e.Obj, int(e.Slot+i)))
+		}
+	} else {
+		h.CopyPayloadBytes(replica, e.Obj, int(e.Slot), int(e.Len))
+	}
 }
 
 // reapplyMinor brings the replica of a mutated, already-replicated nursery
@@ -877,13 +900,7 @@ func (c *Replicating) reapplyMinor(m *Mutator, e LogEntry) error {
 	c.stats.LogReapplied++
 	m.Clock.Charge(simtime.AcctLogReapply, m.Cost.LogReapply)
 	if e.Byte {
-		if c.cfg.NaiveReplay {
-			for i := int32(0); i < e.Len; i++ {
-				h.StoreByte(replica, int(e.Slot+i), h.LoadByte(e.Obj, int(e.Slot+i)))
-			}
-		} else {
-			h.CopyPayloadBytes(replica, e.Obj, int(e.Slot), int(e.Len))
-		}
+		c.reapplyBytes(replica, e)
 		return nil
 	}
 	var err error
@@ -934,7 +951,7 @@ func (c *Replicating) minorValue(m *Mutator, v heap.Value, slotObj heap.Value, s
 		c.pendingMut = append(c.pendingMut, fixup{obj: slotObj, slot: int32(slot)})
 		return v, nil
 	}
-	return c.replicateMinor(m, v)
+	return c.replicate(m, &c.minor, v)
 }
 
 // drainPendingMutables copies the deferred mutable objects and re-points
@@ -948,7 +965,7 @@ func (c *Replicating) drainPendingMutables(m *Mutator) error {
 		if !h.Nursery.Contains(v) {
 			continue // overwritten since; a later entry handled it
 		}
-		nv, err := c.replicateMinor(m, v)
+		nv, err := c.replicate(m, &c.minor, v)
 		if err != nil {
 			return err
 		}
@@ -958,67 +975,38 @@ func (c *Replicating) drainPendingMutables(m *Mutator) error {
 	return nil
 }
 
-// replicateMinor ensures v (a nursery object) has a replica in the
-// promotion space and returns the replica pointer. The original stays
-// intact — its header word now carries the forwarding pointer (paper §3.2).
-// Overflow of the promotion space surfaces as a typed *OOMError; v is left
-// unforwarded and the heap is still auditable (the headroom reservation in
-// pauseBody exists to make this path unreachable in practice).
-func (c *Replicating) replicateMinor(m *Mutator, v heap.Value) (heap.Value, error) {
+// replicate ensures v (an object in g's from-space) has a replica in g's
+// to-space and returns the replica pointer. The original stays intact — its
+// header word now carries the forwarding pointer (paper §3.2). The replica
+// lands at the to-space frontier, above g's cursor, so the Cheney scan
+// reaches it without any queueing. Overflow of the to-space surfaces as a
+// typed *OOMError; v is left unforwarded and the heap is still auditable
+// (the headroom reservation in pauseBody exists to make this path
+// unreachable in practice).
+func (c *Replicating) replicate(m *Mutator, g *generation, v heap.Value) (heap.Value, error) {
 	h := c.h
 	if h.IsForwarded(v) {
 		return h.ForwardAddr(v), nil
 	}
 	hdr := heap.Header(h.RawHeader(v))
-	space := c.PromoteSpace()
-	replica, ok := h.CopyObject(v, space)
+	replica, ok := h.CopyObject(v, g.to)
 	if !ok {
-		return heap.Nil, c.oomCopy(OOMPromotion, space, hdr)
+		return heap.Nil, &OOMError{
+			Resource:  g.oom,
+			Collector: c.Name(),
+			Space:     g.to.Name,
+			Request:   hdr.SizeBytes(),
+			Free:      int64(g.to.FreeWords()) * heap.BytesPerWord,
+			Limit:     g.to.LimitBytes(),
+			Degraded:  c.emergency,
+		}
 	}
 	h.SetForward(v, replica)
 	b := hdr.SizeBytes()
-	c.stats.BytesCopiedMinor += b
+	*g.copied += b
 	c.pauseCopied += b
 	c.pauseWork += b
-	m.Clock.Charge(simtime.AcctMinorCopy, simtime.Duration(hdr.SizeWords())*m.Cost.CopyWord)
-	return replica, nil
-}
-
-// oomCopy builds the typed error for a failed replication copy.
-func (c *Replicating) oomCopy(res OOMResource, space *heap.Space, hdr heap.Header) *OOMError {
-	return &OOMError{
-		Resource:  res,
-		Collector: c.Name(),
-		Space:     space.Name,
-		Request:   hdr.SizeBytes(),
-		Free:      int64(space.FreeWords()) * heap.BytesPerWord,
-		Limit:     space.LimitBytes(),
-		Degraded:  c.emergency,
-	}
-}
-
-// replicateMajor ensures v (an old from-space object) has a replica in
-// old-to and returns it. Only meaningful while a major is active. Overflow
-// of the reserve semispace surfaces as a typed *OOMError with v left
-// unforwarded.
-func (c *Replicating) replicateMajor(m *Mutator, v heap.Value) (heap.Value, error) {
-	h := c.h
-	if h.IsForwarded(v) {
-		return h.ForwardAddr(v), nil
-	}
-	hdr := heap.Header(h.RawHeader(v))
-	replica, ok := h.CopyObject(v, h.OldTo())
-	if !ok {
-		return heap.Nil, c.oomCopy(OOMToSpace, h.OldTo(), hdr)
-	}
-	h.SetForward(v, replica)
-	b := hdr.SizeBytes()
-	c.stats.BytesCopiedMajor += b
-	c.pauseCopied += b
-	c.pauseWork += b
-	m.Clock.Charge(simtime.AcctMajorCopy, simtime.Duration(hdr.SizeWords())*m.Cost.CopyWord)
-	// The replica lands at the old-to frontier, above the major cursor, so
-	// the implicit Cheney scan reaches it without any queueing.
+	m.Clock.Charge(g.acct, simtime.Duration(hdr.SizeWords())*m.Cost.CopyWord)
 	return replica, nil
 }
 
@@ -1030,7 +1018,7 @@ func (c *Replicating) replicateMajor(m *Mutator, v heap.Value) (heap.Value, erro
 // mutable replica before the flip would break the from-space invariant —
 // and the slot is queued for re-pointing during the major flip.
 func (c *Replicating) toSpaceValue(m *Mutator, v heap.Value, slotObj heap.Value, slot int) (heap.Value, error) {
-	if !c.majorActive || !c.h.OldFrom().Contains(v) {
+	if !c.major.active || !c.h.OldFrom().Contains(v) {
 		return v, nil
 	}
 	if c.h.HeaderOf(v).Kind().Mutable() {
@@ -1044,13 +1032,13 @@ func (c *Replicating) toSpaceValue(m *Mutator, v heap.Value, slotObj heap.Value,
 		// made to it in the meantime never need reapplying; otherwise
 		// copy eagerly (the slot still waits for the flip either way).
 		if !c.cfg.DeferMutableCopies {
-			if _, err := c.replicateMajor(m, v); err != nil {
+			if _, err := c.replicate(m, &c.major, v); err != nil {
 				return heap.Nil, err
 			}
 		}
 		return v, nil
 	}
-	return c.replicateMajor(m, v)
+	return c.replicate(m, &c.major, v)
 }
 
 // drainDeferredMajorMutables replicates the mutable old-from objects whose
@@ -1067,241 +1055,142 @@ func (c *Replicating) drainDeferredMajorMutables(m *Mutator, force bool) (bool, 
 		if c.overBudget(force) {
 			return false, nil
 		}
-		if _, err := c.replicateMajor(m, v); err != nil {
+		if _, err := c.replicate(m, &c.major, v); err != nil {
 			return false, err
 		}
 	}
 	return true, nil
 }
 
-// scanFresh advances the minor Cheney scan over the objects promoted in
-// the current cycle, rewriting their nursery pointers to promoted replicas.
-// From-space references in fresh promotions are left untouched here — the
-// mutator is entitled to use from-space originals, and the major scan deals
-// with them at its own pace. It reports whether the scan caught up with the
-// promotion frontier.
-func (c *Replicating) scanFresh(m *Mutator, force bool) (bool, error) {
-	h := c.h
-	space := c.PromoteSpace()
-	for c.scan < space.Next {
-		if c.scanSlot == 0 && c.minorSkipIdx < len(c.skips) && c.skips[c.minorSkipIdx].start == c.scan {
-			c.scan += c.skips[c.minorSkipIdx].words
-			c.minorSkipIdx++
+// scan advances g's Cheney scan within the work budget and reports whether
+// the cursor reached the to-space frontier.
+//
+// The minor scan covers only the objects promoted in the current cycle,
+// rewriting their nursery pointers to promoted replicas before the minor
+// flip. Old from-space references in fresh promotions are left untouched —
+// the mutator is entitled to use from-space originals, and the major scan
+// deals with them at its own pace — and mutator-owned objects allocated
+// inside the region are stepped over (skips).
+//
+// The major scan is the classic implicit Cheney scan: the cursor sweeps
+// old-to in address order, and because every major replica and every
+// promotion is allocated at the old-to frontier — above the cursor —
+// reaching the frontier means everything is traced, with no gray worklist
+// and no per-object queue allocations. Each object's from-space referents
+// are replicated (immutable references rewritten, mutable ones recorded as
+// flip fixups); to-space referents need no action (they are scanned by
+// address), and nursery referents are the minor machinery's business — the
+// minor flip re-points every logged old→nursery slot before a major can
+// complete. The trade-off is the textbook one: the sweep also visits
+// mutator-owned direct allocations and objects promoted during the major
+// that die before the flip (floating garbage costs scan work, and their
+// old-from referents are replicated), matching the behaviour of the
+// authors' concurrent follow-up collector.
+func (c *Replicating) scan(m *Mutator, g *generation, force bool) (bool, error) {
+	h, from := c.h, g.from
+	for g.scan < g.to.Next {
+		if g.scanSlot == 0 && g.skipIdx < len(g.skips) && g.skips[g.skipIdx].start == g.scan {
+			g.scan += g.skips[g.skipIdx].words
+			g.skipIdx++
 			continue
 		}
 		if c.overBudget(force) {
 			return false, nil
 		}
-		w := h.Arena[c.scan]
+		w := h.Arena[g.scan]
 		if !heap.IsHeader(w) {
-			//gclint:allow panicpath -- invariant: replicas are never themselves forwarded during their cycle
-			panic(fmt.Sprintf("core: minor scan hit forwarded object at %#x", c.scan))
+			//gclint:allow panicpath -- invariant: the scan region holds replicas and mutator-owned to-space objects, neither of which is ever forwarded during its cycle
+			panic(fmt.Sprintf("core: %s scan hit forwarded object at %#x", g.name, g.scan))
 		}
 		hdr := heap.Header(w)
-		p := heap.Value((c.scan + 1) << 3)
+		p := heap.Value((g.scan + 1) << 3)
 		if !hdr.Kind().HasPointers() {
 			c.pauseWork += hdr.SizeBytes()
-			m.Clock.Charge(simtime.AcctMinorCopy, simtime.Duration(hdr.SizeWords())*m.Cost.ScanWord)
-			c.scan += uint64(hdr.SizeWords())
+			m.Clock.Charge(g.acct, simtime.Duration(hdr.SizeWords())*m.Cost.ScanWord)
+			g.scan += uint64(hdr.SizeWords())
 			continue
 		}
 		// Pointer-bearing objects are scanned slot by slot so that even a
 		// single large object cannot blow the pause budget (the paper's
 		// §3.4 incremental-large-object extension); the slot cursor
 		// resumes at the next increment.
-		if c.scanSlot == 0 {
+		if g.scanSlot == 0 {
 			c.pauseWork += heap.BytesPerWord // header word
-			m.Clock.Charge(simtime.AcctMinorCopy, m.Cost.ScanWord)
+			m.Clock.Charge(g.acct, m.Cost.ScanWord)
 		}
-		i := c.scanSlot
-		if c.cfg.NaiveReplay {
-			for ; i < hdr.Len(); i++ {
+		for i := g.scanSlot; i < hdr.Len(); {
+			// Sweep to j, the next slot holding a from-space pointer.
+			var v heap.Value
+			j, hit := i, false
+			if c.cfg.NaiveReplay {
+				// The reference accounting: one budget check and one
+				// charge per slot.
 				if c.overBudget(force) {
-					c.scanSlot = i
+					g.scanSlot = i
 					return false, nil
 				}
 				c.pauseWork += heap.BytesPerWord
-				m.Clock.Charge(simtime.AcctMinorCopy, m.Cost.ScanWord)
-				v := h.Load(p, i)
-				if h.Nursery.Contains(v) {
-					nv, err := c.minorValue(m, v, p, i)
-					if err != nil {
-						c.scanSlot = i // resume exactly at the failed slot
-						return false, err
-					}
-					h.Store(p, i, nv)
+				m.Clock.Charge(g.acct, m.Cost.ScanWord)
+				v = h.Load(p, i)
+				if hit = from.Contains(v); !hit {
+					j++
 				}
-			}
-		} else {
-			// Batched accounting: runs of uninteresting slots are swept in
-			// a tight loop and charged in one go. The batch size is exactly
-			// the slot allowance the per-slot budget check would have
-			// granted, and any slot that triggers a copy ends its batch (a
-			// copy consumes budget too), so the cursor stops on the
-			// identical slot — simulated charges and heap contents are
-			// bit-equal to the NaiveReplay loop above.
-			for i < hdr.Len() {
+			} else {
+				// Batched accounting: runs of uninteresting slots are swept in
+				// a tight loop and charged in one go. The batch size is exactly
+				// the slot allowance the per-slot budget check would have
+				// granted, and any slot that triggers a copy ends its batch (a
+				// copy consumes budget too), so the cursor stops on the
+				// identical slot — simulated charges and heap contents are
+				// bit-equal to the NaiveReplay accounting above.
 				n := c.budgetSlots(force)
 				if n == 0 {
-					c.scanSlot = i
+					g.scanSlot = i
 					return false, nil
 				}
 				if rem := hdr.Len() - i; n > rem {
 					n = rem
 				}
-				var v heap.Value
-				j := i
 				for ; j < i+n; j++ {
 					v = h.Load(p, j)
-					if h.Nursery.Contains(v) {
+					if from.Contains(v) {
+						hit = true
 						break
 					}
 				}
 				scanned := j - i
-				hit := j < i+n
 				if hit {
 					scanned++ // the interesting slot is charged too
 				}
 				c.pauseWork += int64(scanned) * heap.BytesPerWord
-				m.Clock.Charge(simtime.AcctMinorCopy, simtime.Duration(scanned)*m.Cost.ScanWord)
-				if !hit {
-					i = j
-					continue
-				}
-				nv, err := c.minorValue(m, v, p, j)
-				if err != nil {
-					c.scanSlot = j // resume exactly at the failed slot
-					return false, err
-				}
+				m.Clock.Charge(g.acct, simtime.Duration(scanned)*m.Cost.ScanWord)
+			}
+			if !hit {
+				i = j
+				continue
+			}
+			// Forward the pointer. A forwarder that hands v itself back has
+			// queued the slot, which keeps its from-space pointer for now.
+			var nv heap.Value
+			var err error
+			if g.major {
+				nv, err = c.toSpaceValue(m, v, p, j)
+			} else {
+				nv, err = c.minorValue(m, v, p, j)
+			}
+			if err != nil {
+				g.scanSlot = j // resume exactly at the failed slot
+				return false, err
+			}
+			if nv != v {
 				h.Store(p, j, nv)
-				i = j + 1
 			}
+			i = j + 1
 		}
-		c.scanSlot = 0
-		c.scan += uint64(hdr.SizeWords())
+		g.scanSlot = 0
+		g.scan += uint64(hdr.SizeWords())
 	}
 	return true, nil
-}
-
-// scanMajor advances the major's implicit Cheney scan within the work
-// budget: a cursor sweeps old-to in address order, and because every major
-// replica and every promotion is allocated at the old-to frontier — above
-// the cursor — reaching the frontier means everything is traced, with no
-// gray worklist and no per-object queue allocations. Each object's
-// from-space referents are replicated (immutable references rewritten,
-// mutable ones recorded as flip fixups); to-space referents need no action
-// (they are scanned by address), and nursery referents are the minor
-// machinery's business — the minor flip re-points every logged old→nursery
-// slot before a major can complete. The sweep also visits mutator-owned
-// direct allocations and objects that died since promotion: floating
-// garbage costs scan work, the price of dropping the worklist. Scanning is
-// resumable *within* an object, so even a single large array cannot blow
-// the pause budget — the incremental-large-object extension the paper
-// suggests in §3.4. It reports whether the cursor reached the frontier.
-func (c *Replicating) scanMajor(m *Mutator, force bool) (bool, error) {
-	h := c.h
-	to := h.OldTo()
-	for c.majorScan < to.Next {
-		w := h.Arena[c.majorScan]
-		if !heap.IsHeader(w) {
-			//gclint:allow panicpath -- invariant: to-space objects are replicas and never forwarded
-			panic("core: major scan hit forwarded object")
-		}
-		hdr := heap.Header(w)
-		p := heap.Value((c.majorScan + 1) << 3)
-		if !hdr.Kind().HasPointers() {
-			if c.overBudget(force) {
-				return false, nil
-			}
-			c.pauseWork += hdr.SizeBytes()
-			m.Clock.Charge(simtime.AcctMajorCopy, simtime.Duration(hdr.SizeWords())*m.Cost.ScanWord)
-			c.majorScan += uint64(hdr.SizeWords())
-			continue
-		}
-		if c.majorScanSlot == 0 {
-			if c.overBudget(force) {
-				return false, nil
-			}
-			c.pauseWork += heap.BytesPerWord // header word
-			m.Clock.Charge(simtime.AcctMajorCopy, m.Cost.ScanWord)
-		}
-		i := c.majorScanSlot
-		if c.cfg.NaiveReplay {
-			for ; i < hdr.Len(); i++ {
-				if c.overBudget(force) {
-					c.majorScanSlot = i
-					return false, nil
-				}
-				c.pauseWork += heap.BytesPerWord
-				m.Clock.Charge(simtime.AcctMajorCopy, m.Cost.ScanWord)
-				v := h.Load(p, i)
-				if h.OldFrom().Contains(v) {
-					nv, err := c.toSpaceValue(m, v, p, i)
-					if err != nil {
-						c.majorScanSlot = i // resume at the failed slot
-						return false, err
-					}
-					if nv != v {
-						h.Store(p, i, nv)
-					}
-				}
-			}
-		} else {
-			// Batched accounting, exactly as in scanFresh: uninteresting
-			// runs sweep in a tight loop with one charge, interesting slots
-			// end their batch so the budget reflects the copy they caused.
-			for i < hdr.Len() {
-				n := c.budgetSlots(force)
-				if n == 0 {
-					c.majorScanSlot = i
-					return false, nil
-				}
-				if rem := hdr.Len() - i; n > rem {
-					n = rem
-				}
-				var v heap.Value
-				j := i
-				for ; j < i+n; j++ {
-					v = h.Load(p, j)
-					if h.OldFrom().Contains(v) {
-						break
-					}
-				}
-				scanned := j - i
-				hit := j < i+n
-				if hit {
-					scanned++
-				}
-				c.pauseWork += int64(scanned) * heap.BytesPerWord
-				m.Clock.Charge(simtime.AcctMajorCopy, simtime.Duration(scanned)*m.Cost.ScanWord)
-				if !hit {
-					i = j
-					continue
-				}
-				nv, err := c.toSpaceValue(m, v, p, j)
-				if err != nil {
-					c.majorScanSlot = j // resume at the failed slot
-					return false, err
-				}
-				if nv != v {
-					h.Store(p, j, nv)
-				}
-				i = j + 1
-			}
-		}
-		c.majorScanSlot = 0
-		c.majorScan += uint64(hdr.SizeWords())
-	}
-	return true, nil
-}
-
-// majorScanDone reports whether the major cursor has reached the old-to
-// frontier (everything currently in to-space has been scanned).
-func (c *Replicating) majorScanDone() bool { return c.majorScan >= c.h.OldTo().Next }
-
-func (c *Replicating) chargeRoots(m *Mutator, n int) {
-	c.stats.RootSlotUpdates += int64(n)
-	m.Clock.Charge(simtime.AcctRootScan, simtime.Duration(n)*m.Cost.RootUpdate)
 }
 
 // minorFlip atomically redirects the mutator onto the replicas: logged
@@ -1313,24 +1202,16 @@ func (c *Replicating) chargeRoots(m *Mutator, n int) {
 // re-pointed slots no longer hold nursery values, so a retried flip skips
 // them.
 func (c *Replicating) minorFlip(m *Mutator) error {
-	h := c.h
+	h, g := c.h, &c.minor
 
 	// Re-point logged old-space locations at promoted replicas.
 	for _, seq := range c.minorRootSeqs {
 		e := m.Log.At(seq)
-		v := h.Load(e.Obj, int(e.Slot))
-		if !h.Nursery.Contains(v) {
-			continue // overwritten since; a later entry handled it
+		moved, err := c.repoint(m, g, e.Obj, int(e.Slot))
+		if err != nil {
+			return err
 		}
-		if !h.IsForwarded(v) {
-			if _, err := c.replicateMinor(m, v); err != nil {
-				return err
-			}
-		}
-		h.Store(e.Obj, int(e.Slot), h.ForwardAddr(v))
-		c.stats.FlipEntryUpdates++
-		m.Clock.Charge(simtime.AcctFlip, m.Cost.FlipEntry)
-		if c.majorActive && h.OldFrom().Contains(e.Obj) {
+		if moved && c.major.active && h.OldFrom().Contains(e.Obj) {
 			// If the holder is an old-from object, the major must also
 			// observe the store (reapply to its replica). The promoted
 			// referent itself needs no queueing: it lives in old-to, which
@@ -1342,23 +1223,11 @@ func (c *Replicating) minorFlip(m *Mutator) error {
 
 	// Update every mutator root; promoted replicas the roots now reference
 	// live in old-to, where an active major's cursor scans them by address.
-	roots := m.Roots.Slots()
-	for _, slot := range roots {
-		v := *slot
-		if h.Nursery.Contains(v) {
-			if !h.IsForwarded(v) {
-				//gclint:allow panicpath -- invariant: the completion pass replicated every nursery root before the flip
-				panic("core: unreplicated root at minor flip")
-			}
-			*slot = h.ForwardAddr(v)
-		}
-	}
-	c.stats.RootSlotUpdates += int64(len(roots))
-	m.Clock.Charge(simtime.AcctFlip, simtime.Duration(len(roots))*m.Cost.RootUpdate)
+	c.redirectRoots(m, g)
 
 	// Advance the minor cursor over anything the flip appended for the
 	// major collection: those entries are not nursery business.
-	c.minorLogCursor = m.Log.Len()
+	g.logCursor = m.Log.Len()
 
 	// Discard the nursery and grant the next cycle's allocation room. The
 	// replay memo dies with it: nursery addresses are about to be reused.
@@ -1370,11 +1239,10 @@ func (c *Replicating) minorFlip(m *Mutator) error {
 		c.promoHighWater = promoted // feeds the headroom reservation
 	}
 	c.stats.MinorCollections++
-	c.minorActive = false
+	g.active = false
 	// Skip spans expire with the cycle: the minor scan has passed them,
 	// and the major traces by reachability rather than by region.
-	c.skips = c.skips[:0]
-	c.minorSkipIdx = 0
+	g.skips, g.skipIdx = g.skips[:0], 0
 
 	c.stats.FlipCopied = append(c.stats.FlipCopied, c.stats.TotalBytesCopied())
 	if c.cfg.Record != nil && !c.finishing {
@@ -1385,6 +1253,43 @@ func (c *Replicating) minorFlip(m *Mutator) error {
 	c.setNextNurseryLimit(m)
 	c.trimLog(m)
 	return nil
+}
+
+// repoint re-points one slot from a flip worklist at its referent's replica
+// and charges the flip for it; a straggler that has no replica yet gets one.
+// It reports false, charging nothing, for a slot that no longer holds a
+// from-space pointer: overwritten since, so a later entry handled it.
+func (c *Replicating) repoint(m *Mutator, g *generation, obj heap.Value, slot int) (bool, error) {
+	v := c.h.Load(obj, slot)
+	if !g.from.Contains(v) {
+		return false, nil
+	}
+	replica, err := c.replicate(m, g, v)
+	if err != nil {
+		return false, err
+	}
+	c.h.Store(obj, slot, replica)
+	c.stats.FlipEntryUpdates++
+	m.Clock.Charge(simtime.AcctFlip, m.Cost.FlipEntry)
+	return true, nil
+}
+
+// redirectRoots is the atomic step of a flip: every mutator root still
+// pointing into from-space is switched to the replica.
+func (c *Replicating) redirectRoots(m *Mutator, g *generation) {
+	h := c.h
+	roots := m.Roots.Slots()
+	for _, slot := range roots {
+		if v := *slot; g.from.Contains(v) {
+			if !h.IsForwarded(v) {
+				//gclint:allow panicpath -- invariant: the completion pass (scanRoots) replicated every from-space root before the flip
+				panic(fmt.Sprintf("core: unreplicated root at %s flip", g.name))
+			}
+			*slot = h.ForwardAddr(v)
+		}
+	}
+	c.stats.RootSlotUpdates += int64(len(roots))
+	m.Clock.Charge(simtime.AcctFlip, simtime.Duration(len(roots))*m.Cost.RootUpdate)
 }
 
 // setNextNurseryLimit restores the nursery limit for the next cycle: the
@@ -1410,9 +1315,9 @@ func (c *Replicating) setNextNurseryLimit(m *Mutator) {
 
 // trimLog drops log entries no collection still needs.
 func (c *Replicating) trimLog(m *Mutator) {
-	low := c.minorLogCursor
-	if c.majorActive && c.majorLogCursor < low {
-		low = c.majorLogCursor
+	low := c.minor.logCursor
+	if c.major.active && c.major.logCursor < low {
+		low = c.major.logCursor
 	}
 	m.Log.TrimTo(low)
 }
@@ -1427,7 +1332,7 @@ func (c *Replicating) trimLog(m *Mutator) {
 // only place a degraded collection can reclaim space, so the major runs
 // (and completes) regardless of O.
 func (c *Replicating) afterMinorFlip(m *Mutator, force bool) (bool, error) {
-	if !c.majorActive {
+	if !c.major.active {
 		trigger := c.cfg.MajorThresholdBytes > 0 && c.promotedSinceMajor >= c.cfg.MajorThresholdBytes
 		if c.replay != nil {
 			trigger = c.forcedMajorFlip
@@ -1474,12 +1379,8 @@ func (c *Replicating) afterMinorFlip(m *Mutator, force bool) (bool, error) {
 // old-to is empty here (the previous major flip reset it), so the cursor
 // starts at the bottom of the space.
 func (c *Replicating) startMajor(m *Mutator) {
-	c.majorActive = true
-	c.majorLogCursor = m.Log.Len()
-	c.scan = c.h.OldTo().Next
-	c.scanSlot = 0
-	c.majorScan = c.h.OldTo().Next
-	c.majorScanSlot = 0
+	c.major.logCursor = m.Log.Len()
+	c.major.begin(c.h.OldFrom(), c.h.OldTo())
 	c.fixupSeen = make(map[fixup]struct{})
 }
 
@@ -1492,7 +1393,7 @@ func (c *Replicating) startMajor(m *Mutator) {
 // value still points into the nursery blocks the log queue until the next
 // minor flip re-points it. Completion is only possible post-flip.
 func (c *Replicating) runMajorIncrement(m *Mutator, force, postFlip bool) (bool, error) {
-	h := c.h
+	g := &c.major
 
 	// 1. Drain the major log: reapply mutations to existing replicas of
 	// old-from objects, and track from-space references stored into
@@ -1509,10 +1410,7 @@ func (c *Replicating) runMajorIncrement(m *Mutator, force, postFlip bool) (bool,
 	}
 
 	// 2. Advance the implicit Cheney scan toward the old-to frontier.
-	endPhase = c.phase(m, trace.PhaseCopy)
-	done, err = c.scanMajor(m, force)
-	endPhase()
-	if !done {
+	if done, err := c.scanPhase(m, g, force); !done {
 		return false, err
 	}
 
@@ -1527,37 +1425,12 @@ func (c *Replicating) runMajorIncrement(m *Mutator, force, postFlip bool) (bool,
 	if !postFlip {
 		return false, nil
 	}
-	aborted := false
-	var visitErr error
-	endPhase = c.phase(m, trace.PhaseRootScan)
-	roots := m.Roots.Slots()
-	for _, slot := range roots {
-		v := *slot
-		if h.OldFrom().Contains(v) {
-			if _, err := c.replicateMajor(m, v); err != nil {
-				visitErr = err
-				break
-			}
-			if c.overBudget(force) {
-				aborted = true
-				break
-			}
-		}
-	}
-	c.chargeRoots(m, len(roots))
-	endPhase()
-	if visitErr != nil {
-		return false, visitErr
-	}
-	if aborted {
-		return false, nil
+	if done, err := c.scanRoots(m, g, force); !done {
+		return false, err
 	}
 	// Root replication pushed fresh copies above the cursor; finish the
 	// sweep.
-	endPhase = c.phase(m, trace.PhaseCopy)
-	done, err = c.scanMajor(m, force)
-	endPhase()
-	if !done {
+	if done, err := c.scanPhase(m, g, force); !done {
 		return false, err
 	}
 
@@ -1571,10 +1444,10 @@ func (c *Replicating) runMajorIncrement(m *Mutator, force, postFlip bool) (bool,
 				endPhase()
 				return false, err
 			}
-			if c.majorScanDone() {
+			if g.scanDone() {
 				break
 			}
-			if done, err := c.scanMajor(m, force); !done {
+			if done, err := c.scan(m, g, force); !done {
 				endPhase()
 				return false, err
 			}
@@ -1582,7 +1455,7 @@ func (c *Replicating) runMajorIncrement(m *Mutator, force, postFlip bool) (bool,
 		endPhase()
 	}
 
-	if c.majorLogCursor != m.Log.Len() || !c.majorScanDone() {
+	if g.logCursor != m.Log.Len() || !g.scanDone() {
 		return false, nil
 	}
 	endPhase = c.phase(m, trace.PhaseFlip)
@@ -1601,27 +1474,13 @@ func (c *Replicating) runMajorIncrement(m *Mutator, force, postFlip bool) (bool,
 // typed exhaustion error rewinds the cursor to the failed entry, like the
 // mid-cycle retry.
 func (c *Replicating) processMajorLog(m *Mutator, force, postFlip bool) (bool, error) {
-	h := c.h
-	rewind := func(err error) (bool, error) {
-		c.majorLogCursor--
-		c.stats.LogScanned--
-		c.pauseLogProcd--
-		return false, err
-	}
+	h, g := c.h, &c.major
 logLoop:
-	for c.majorLogCursor < m.Log.Len() {
-		if c.cfg.BoundedLogProcessing {
-			if c.overBudget(force) {
-				return false, nil
-			}
-			c.pauseWork += entryWorkBytes
+	for g.logCursor < m.Log.Len() {
+		_, e, ok := c.takeLogEntry(m, g, force)
+		if !ok {
+			return false, nil
 		}
-		e := m.Log.At(c.majorLogCursor)
-		c.majorLogCursor++
-		c.stats.LogScanned++
-		c.pauseLogProcd++
-		m.Clock.Charge(simtime.AcctLogScan, m.Cost.LogScan)
-
 		switch {
 		case h.OldFrom().Contains(e.Obj):
 			replica, fwd := c.forwardingOf(e.Obj)
@@ -1637,28 +1496,20 @@ logLoop:
 					}
 					// Mid-cycle: the slot will be re-pointed by the next
 					// minor flip; retry this entry then.
-					c.majorLogCursor--
-					c.stats.LogScanned--
-					c.pauseLogProcd--
+					c.rewindLogEntry(g, nil)
 					break logLoop
 				}
 			}
 			c.stats.LogReapplied++
 			m.Clock.Charge(simtime.AcctLogReapply, m.Cost.LogReapply)
 			if e.Byte {
-				if c.cfg.NaiveReplay {
-					for i := int32(0); i < e.Len; i++ {
-						h.StoreByte(replica, int(e.Slot+i), h.LoadByte(e.Obj, int(e.Slot+i)))
-					}
-				} else {
-					h.CopyPayloadBytes(replica, e.Obj, int(e.Slot), int(e.Len))
-				}
+				c.reapplyBytes(replica, e)
 				continue
 			}
 			v := h.Load(e.Obj, int(e.Slot))
 			nv, err := c.toSpaceValue(m, v, replica, int(e.Slot))
 			if err != nil {
-				return rewind(err)
+				return c.rewindLogEntry(g, err)
 			}
 			h.Store(replica, int(e.Slot), nv)
 
@@ -1676,7 +1527,7 @@ logLoop:
 			if h.OldFrom().Contains(v) {
 				nv, err := c.toSpaceValue(m, v, e.Obj, int(e.Slot))
 				if err != nil {
-					return rewind(err)
+					return c.rewindLogEntry(g, err)
 				}
 				if nv != v {
 					h.Store(e.Obj, int(e.Slot), nv)
@@ -1694,7 +1545,7 @@ logLoop:
 // error before anything is truncated, and the already-re-pointed fixups no
 // longer hold from-space values, so a retried flip skips them.
 func (c *Replicating) majorFlip(m *Mutator) error {
-	h := c.h
+	h, g := c.h, &c.major
 	if h.Nursery.UsedWords() != 0 {
 		//gclint:allow panicpath -- invariant: majors only flip right after a minor flip emptied the nursery
 		panic("core: major flip with non-empty nursery")
@@ -1703,51 +1554,24 @@ func (c *Replicating) majorFlip(m *Mutator) error {
 	// Re-point recorded to-space slots that still hold mutable from-space
 	// references.
 	for _, f := range c.fixups {
-		v := h.Load(f.obj, int(f.slot))
-		if !h.OldFrom().Contains(v) {
-			continue // overwritten since; later entries handled it
+		if _, err := c.repoint(m, g, f.obj, int(f.slot)); err != nil {
+			return err
 		}
-		if !h.IsForwarded(v) {
-			if _, err := c.replicateMajor(m, v); err != nil {
-				return err
-			}
-		}
-		h.Store(f.obj, int(f.slot), h.ForwardAddr(v))
-		c.stats.FlipEntryUpdates++
-		m.Clock.Charge(simtime.AcctFlip, m.Cost.FlipEntry)
 	}
 	c.fixups = c.fixups[:0]
 	c.fixupSeen = nil
 
-	roots := m.Roots.Slots()
-	for _, slot := range roots {
-		v := *slot
-		if h.OldFrom().Contains(v) {
-			if !h.IsForwarded(v) {
-				//gclint:allow panicpath -- invariant: the completion pass replicated every old-from root before the flip
-				panic("core: unreplicated root at major flip")
-			}
-			*slot = h.ForwardAddr(v)
-		}
-	}
-	c.stats.RootSlotUpdates += int64(len(roots))
-	m.Clock.Charge(simtime.AcctFlip, simtime.Duration(len(roots))*m.Cost.RootUpdate)
+	c.redirectRoots(m, g)
 
 	h.SwapOld()
 	c.resetReplayMemo() // old-from forwarding words just vanished
-	c.scan = h.OldFrom().Next
-	c.scanSlot = 0
-	c.skips = c.skips[:0]
-	c.minorSkipIdx = 0
-	c.majorScan = 0
-	c.majorScanSlot = 0
-	c.majorActive = false
+	g.active = false
 	c.promotedSinceMajor = 0
 	c.stats.MajorCollections++
 
 	// Both cursors are at the log's end; everything can go.
-	c.majorLogCursor = m.Log.Len()
-	c.minorLogCursor = m.Log.Len()
+	g.logCursor = m.Log.Len()
+	c.minor.logCursor = m.Log.Len()
 	m.Log.TrimTo(m.Log.Len())
 	return nil
 }

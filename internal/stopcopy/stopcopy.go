@@ -68,7 +68,7 @@ func New(h *heap.Heap, cfg Config) *Collector {
 	h.Nursery.SetLimitBytes(cfg.NurseryBytes)
 	if cfg.Replay != nil {
 		c.replay = policy.NewCursor(cfg.Replay)
-		if d, ok := policy.NewCursor(cfg.Replay).NurseryDelta(0); ok {
+		if d, ok := c.replay.NurseryDelta(0); ok {
 			h.Nursery.SetLimitBytes(d)
 		}
 	}
