@@ -46,10 +46,18 @@ loc:
 
 # Ten seconds of native fuzzing per target, from the committed seed corpora
 # (`go test` alone runs only the seeds): the streamed lexer against LexAll,
-# and Compile ending in a program, a positioned error or a typed OOM.
+# Compile ending in a program, a positioned error or a typed OOM, and the
+# three decoders of external bytes — the shared frame reader, the serving
+# trace and checkpoint recovery — each ending in an exact decode or a typed
+# *artifact.CorruptError, never a panic. The artifact targets switch input
+# minimisation off: by default the fuzzer spends up to a minute shrinking
+# every coverage-expanding input, which at kilobyte inputs is the whole smoke.
 fuzz-smoke:
 	go test ./internal/lang -run '^$$' -fuzz '^FuzzLexStream$$' -fuzztime 10s
 	go test ./internal/lang -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 10s
+	go test ./internal/artifact -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 10s -fuzzminimizetime 0
+	go test ./internal/workload -run '^$$' -fuzz '^FuzzDecodeTrace$$' -fuzztime 10s -fuzzminimizetime 0
+	go test ./internal/checkpoint -run '^$$' -fuzz '^FuzzRecover$$' -fuzztime 10s -fuzzminimizetime 0
 
 race:
 	go test -race ./...
@@ -71,8 +79,8 @@ bench-baseline:
 	go run ./cmd/rtgc-bench validate BENCH_SMOKE.json
 
 # CI's bench smoke: a quick-scale report validated for schema shape and
-# gated against the committed baseline (simulated p95 pause and elapsed time
-# only — wall-clock sections are never gated), plus the checkpoint-recovery
+# gated against the committed baseline (every deterministic field equal —
+# the two wall-clock sections are never gated), plus the checkpoint-recovery
 # smoke.
 bench-smoke:
 	go run ./cmd/rtgc-bench -quick -out /tmp/bench_smoke.json -baseline BENCH_SMOKE.json perf
@@ -85,7 +93,7 @@ bench-smoke:
 # fails.
 serve-smoke:
 	go run ./cmd/rtgc-bench -out /tmp/serve_smoke.json -record /tmp/serve_smoke.trace serve examples/serve/mixed.json
-	go run ./cmd/rtgc-bench servecheck /tmp/serve_smoke.json
+	go run ./cmd/rtgc-bench validate /tmp/serve_smoke.json
 	go run ./cmd/rtgc-bench -out /tmp/serve_replay.json servereplay /tmp/serve_smoke.trace
 	cmp /tmp/serve_smoke.json /tmp/serve_replay.json
 
@@ -95,12 +103,12 @@ serve-smoke:
 # and write the repligc-calib/1 artifact.
 calibrate:
 	go run ./cmd/rtgc-bench -out CALIB.json calibrate
-	go run ./cmd/rtgc-bench calibcheck CALIB.json
+	go run ./cmd/rtgc-bench validate CALIB.json
 
 # CI's calibration smoke: reduced iterations, artifact validated end to end.
 calibrate-smoke:
 	go run ./cmd/rtgc-bench -quick -out /tmp/calib_smoke.json calibrate
-	go run ./cmd/rtgc-bench calibcheck /tmp/calib_smoke.json
+	go run ./cmd/rtgc-bench validate /tmp/calib_smoke.json
 
 # The deterministic crash-point matrix: seeded workloads × crash plans
 # (snapshot/WAL × truncate/torn-word/duplicate-record, newest-epoch and
@@ -108,14 +116,15 @@ calibrate-smoke:
 # or a typed corruption rejection; the report is the CI artifact.
 crash-matrix:
 	go run ./cmd/rtgc-bench -out crash_matrix.json crashmatrix
+	go run ./cmd/rtgc-bench validate crash_matrix.json
 
 # Emit a Perfetto-loadable Chrome trace per paper workload (full scale) and
 # shape-check each artifact with the same validator CI uses.
 trace:
 	go run ./cmd/rtgc-bench -out /tmp/repligc_trace.json trace
-	go run ./cmd/rtgc-bench tracecheck /tmp/repligc_trace-primes.json
-	go run ./cmd/rtgc-bench tracecheck /tmp/repligc_trace-sort.json
-	go run ./cmd/rtgc-bench tracecheck /tmp/repligc_trace-comp.json
+	go run ./cmd/rtgc-bench validate /tmp/repligc_trace-primes.json
+	go run ./cmd/rtgc-bench validate /tmp/repligc_trace-sort.json
+	go run ./cmd/rtgc-bench validate /tmp/repligc_trace-comp.json
 
 # One testing.B benchmark per paper table/figure, at the quick scale.
 microbench:

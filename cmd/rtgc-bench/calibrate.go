@@ -6,9 +6,7 @@ package main
 // this file is export glue.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"repligc/internal/bench"
 	"repligc/internal/calib"
@@ -16,8 +14,6 @@ import (
 
 // runCalibrate executes the calibration suite and writes the artifact to
 // outPath ("" = stdout).
-//
-//gclint:io writes the calibration artifact JSON to the requested path
 func runCalibrate(quick bool, outPath string) error {
 	cfg := calib.Config{Scale: bench.DefaultScale(), ScaleName: "default"}
 	if quick {
@@ -39,39 +35,15 @@ func runCalibrate(quick bool, outPath string) error {
 	if err := calib.Validate(rep); err != nil {
 		return fmt.Errorf("generated calibration artifact failed validation: %w", err)
 	}
-	data, err := json.MarshalIndent(rep, "", "  ")
+	data, err := marshalReport(rep)
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	if outPath == "" {
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
+	if err := writeReport(data, outPath); err != nil || outPath == "" {
 		return err
 	}
 	fmt.Printf("wrote %s (%d rows, fit MAPE %.1f%%, r=%.3f, fitted copy %.0f MB/s, replay %.0f MB/s)\n",
 		outPath, len(rep.Rows), rep.Fit.MAPEPct, rep.Fit.Pearson,
 		rep.FittedCopyRateBytesPerSec/(1<<20), rep.FittedReplayRateBytesPerSec/(1<<20))
-	return nil
-}
-
-// runCalibCheck validates an existing calibration artifact.
-//
-//gclint:io reads the calibration artifact JSON under validation
-func runCalibCheck(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var rep calib.Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return fmt.Errorf("calibration artifact: %w", err)
-	}
-	if err := calib.Validate(&rep); err != nil {
-		return err
-	}
-	fmt.Printf("%s: valid %s artifact (%d rows)\n", path, calib.Schema, len(rep.Rows))
 	return nil
 }

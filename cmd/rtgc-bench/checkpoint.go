@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 
@@ -33,8 +32,6 @@ func runRecoverSmoke() error {
 // runCrashMatrix executes the full deterministic crash-point matrix and
 // writes the report (schema repligc-crash-matrix/1) to outPath, or stdout
 // when empty. A contract violation in any cell is exit-status-failing.
-//
-//gclint:io writes the crash-matrix report JSON to the requested path
 func runCrashMatrix(outPath string) error {
 	rep, err := checkpoint.RunCrashMatrix(checkpoint.MatrixConfig{
 		Seeds:     []uint64{1, 2, 3},
@@ -44,14 +41,14 @@ func runCrashMatrix(outPath string) error {
 	if err != nil {
 		return fmt.Errorf("crash matrix: %w", err)
 	}
-	data, err := json.MarshalIndent(rep, "", "  ")
+	if err := rep.Check(); err != nil {
+		return fmt.Errorf("generated report failed validation: %w", err)
+	}
+	data, err := marshalReport(rep)
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	if outPath == "" {
-		os.Stdout.Write(data)
-	} else if err := os.WriteFile(outPath, data, 0o644); err != nil {
+	if err := writeReport(data, outPath); err != nil {
 		return err
 	}
 	recovered, corrupt := 0, 0

@@ -10,37 +10,37 @@
 //	rtgc-bench [-quick] [-out FILE] [-baseline FILE] perf
 //	rtgc-bench validate FILE
 //	rtgc-bench [-quick] [-out FILE] calibrate
-//	rtgc-bench calibcheck FILE
 //	rtgc-bench [-quick] [-out FILE] trace [workload]
-//	rtgc-bench tracecheck FILE
 //	rtgc-bench recover
 //	rtgc-bench [-out FILE] crashmatrix
 //	rtgc-bench [-out FILE] [-record FILE] serve SPECFILE
 //	rtgc-bench [-out FILE] servereplay TRACEFILE
-//	rtgc-bench servecheck FILE
 //
 // "perf" emits the performance trajectory (BENCH_PR8.json): per-workload
 // baseline-vs-coalesced-vs-checkpointed log and pause metrics in simulated
-// time, plus wall-clock barrier and hot-path ns/op. "validate" checks a
-// previously emitted report's schema and internal consistency (the CI smoke
-// check — shape only, never thresholds on the numbers). With -baseline, a
-// fresh perf report is additionally gated against a committed one: simulated
-// p95 pause or elapsed time regressing beyond tolerance fails the run.
+// time, plus wall-clock barrier and hot-path ns/op. With -baseline, a fresh
+// perf report is additionally gated against a committed one: every
+// deterministic field — everything but the two wall-clock sections — must be
+// equal, or the run fails naming the first field that is not.
+//
+// "validate" checks any document this command or rtgc emitted — perf report,
+// serving report, calibration artifact, crash-matrix report, Chrome trace —
+// against its own schema and internal consistency (the CI artifact check:
+// shape only, never thresholds on the numbers). It tells them apart by what
+// the document contains; anything else exits 1 naming what was found.
 //
 // "calibrate" runs the wall-clock calibration harness (internal/calib): the
 // benchmark workloads and single-primitive probes run uninstrumented under
 // the host clock, per-primitive work counts are extracted from the
 // collector's counters, and a least-squares fit produces this machine's
-// simtime cost constants (repligc-calib/1 artifact). "calibcheck" validates
-// a previously emitted artifact.
+// simtime cost constants (repligc-calib/1 artifact).
 //
 // "trace" runs the paper workloads (Primes, Sort, Comp — or just the one
 // named) under the full real-time configuration with the event recorder
 // attached, prints each run's trace digest (pause quantiles, MMU curve,
 // per-phase attribution) and, with -out, writes a Chrome trace-event JSON
 // per workload (Perfetto-loadable; "-out x.json" yields x-primes.json
-// etc.). "tracecheck" validates a previously emitted Chrome trace's shape
-// (balanced B/E events, ordered timestamps) — the CI artifact check.
+// etc.).
 //
 // "serve" runs the GC-under-live-traffic experiment (internal/workload): a
 // spec-driven open-loop request trace is materialised and served under the
@@ -48,8 +48,7 @@
 // (per-cohort latency tails, SLO breakdowns, queue stats, pause-intrusion
 // attribution, request-granularity MMU). With -record, the materialised
 // trace is also written as a fingerprinted artifact; "servereplay" serves
-// such an artifact bit-identically; "servecheck" validates a serving
-// report's shape — the CI artifact check.
+// such an artifact bit-identically.
 //
 // "recover" is the checkpoint-recovery smoke: a seeded run with the
 // incremental checkpoint writer attached, recovered from its own artifacts
@@ -71,29 +70,25 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "use the small test-scale workloads")
 	out := flag.String("out", "", "write the perf report to this file instead of stdout")
-	baseline := flag.String("baseline", "", "gate a fresh perf report against this committed report (simulated elapsed and p95 pause)")
+	baseline := flag.String("baseline", "", "gate a fresh perf report against this committed report (every deterministic field equal)")
 	record := flag.String("record", "", "serve: also write the materialised trace artifact to this file")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: rtgc-bench [-quick] <experiment>\n")
 		fmt.Fprintf(os.Stderr, "       rtgc-bench [-quick] [-out FILE] [-baseline FILE] perf\n")
 		fmt.Fprintf(os.Stderr, "       rtgc-bench validate FILE\n")
 		fmt.Fprintf(os.Stderr, "       rtgc-bench [-quick] [-out FILE] calibrate\n")
-		fmt.Fprintf(os.Stderr, "       rtgc-bench calibcheck FILE\n")
 		fmt.Fprintf(os.Stderr, "       rtgc-bench [-quick] [-out FILE] trace [Primes|Sort|Comp]\n")
-		fmt.Fprintf(os.Stderr, "       rtgc-bench tracecheck FILE\n")
 		fmt.Fprintf(os.Stderr, "       rtgc-bench recover\n")
 		fmt.Fprintf(os.Stderr, "       rtgc-bench [-out FILE] crashmatrix\n")
 		fmt.Fprintf(os.Stderr, "       rtgc-bench [-out FILE] [-record FILE] serve SPECFILE\n")
 		fmt.Fprintf(os.Stderr, "       rtgc-bench [-out FILE] servereplay TRACEFILE\n")
-		fmt.Fprintf(os.Stderr, "       rtgc-bench servecheck FILE\n")
 		fmt.Fprintf(os.Stderr, "experiments: table1 table2 table3 fig5 fig6 fig7 fig8 fig9 fig10 ablations all\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 	wantArgs := 1
 	switch {
-	case flag.NArg() > 0 && (flag.Arg(0) == "validate" || flag.Arg(0) == "tracecheck" || flag.Arg(0) == "calibcheck" ||
-		flag.Arg(0) == "serve" || flag.Arg(0) == "servereplay" || flag.Arg(0) == "servecheck"):
+	case flag.NArg() > 0 && (flag.Arg(0) == "validate" || flag.Arg(0) == "serve" || flag.Arg(0) == "servereplay"):
 		wantArgs = 2
 	case flag.NArg() == 2 && flag.Arg(0) == "trace":
 		wantArgs = 2 // optional workload selector
@@ -194,16 +189,10 @@ func main() {
 			return runServe(flag.Arg(1), *out, *record)
 		case "servereplay":
 			return runServeReplay(flag.Arg(1), *out)
-		case "servecheck":
-			return runServeCheck(flag.Arg(1))
 		case "calibrate":
 			return runCalibrate(*quick, *out)
-		case "calibcheck":
-			return runCalibCheck(flag.Arg(1))
 		case "trace":
 			return runTrace(scale, flag.Arg(1), *out)
-		case "tracecheck":
-			return runTraceCheck(flag.Arg(1))
 		case "all":
 			for _, e := range []string{"table1", "fig5", "fig7", "fig8", "fig9", "fig10", "table2", "table3", "ablations"} {
 				if err := run(e); err != nil {

@@ -7,7 +7,6 @@ package main
 // simulated-clock-only lint boundary).
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"testing"
@@ -102,16 +101,10 @@ func measureBarrier() bench.BarrierNsOp {
 	return b
 }
 
-// regressionTolerancePct is how far a fresh report's simulated elapsed time
-// or p95 pause may drift above the committed baseline before the gate
-// fails. Simulated numbers are deterministic, so on unchanged code the
-// comparison is exact; the headroom only admits deliberate small changes.
-const regressionTolerancePct = 10
-
 // runPerf builds the full report and writes it to outPath ("" = stdout),
 // gating it against baselinePath when one is given.
 //
-//gclint:io writes the benchmark report JSON to the requested path
+//gclint:io reads the baseline report the fresh one is gated against
 func runPerf(s bench.Scale, scaleName, outPath, baselinePath string) error {
 	rep, err := bench.RunPerf(s, scaleName)
 	if err != nil {
@@ -122,11 +115,10 @@ func runPerf(s bench.Scale, scaleName, outPath, baselinePath string) error {
 	if err != nil {
 		return err
 	}
-	data, err := json.MarshalIndent(rep, "", "  ")
+	data, err := marshalReport(rep)
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
 	if err := bench.ValidatePerf(data); err != nil {
 		return fmt.Errorf("generated report failed validation: %w", err)
 	}
@@ -135,37 +127,17 @@ func runPerf(s bench.Scale, scaleName, outPath, baselinePath string) error {
 		if err != nil {
 			return fmt.Errorf("perf baseline: %w", err)
 		}
-		if err := bench.ComparePerf(data, base, regressionTolerancePct); err != nil {
+		if err := bench.ComparePerf(data, base); err != nil {
 			return err
 		}
-		fmt.Printf("baseline gate passed against %s (+%d%% tolerance)\n",
-			baselinePath, regressionTolerancePct)
+		fmt.Printf("baseline gate passed against %s (every deterministic field equal)\n", baselinePath)
 	}
-	if outPath == "" {
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
+	if err := writeReport(data, outPath); err != nil || outPath == "" {
 		return err
 	}
 	fmt.Printf("wrote %s (%d workloads, barrier %0.1f -> %0.1f ns/op, replay %0.1f -> %0.1f, copy %0.2f -> %0.2f ns/B)\n",
 		outPath, len(rep.Workloads), rep.Barrier.Naive, rep.Barrier.DirtyHit,
 		rep.HotPaths.ReplayNaive, rep.HotPaths.ReplayBatched,
 		rep.HotPaths.ByteCopyNaive, rep.HotPaths.ByteCopyBlock)
-	return nil
-}
-
-// runValidate checks an existing report file.
-//
-//gclint:io reads the benchmark report JSON under validation
-func runValidate(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if err := bench.ValidatePerf(data); err != nil {
-		return err
-	}
-	fmt.Printf("%s: valid %s report\n", path, bench.PerfSchema)
 	return nil
 }

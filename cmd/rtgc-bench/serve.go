@@ -4,17 +4,14 @@ package main
 //
 //	rtgc-bench [-out FILE] [-record FILE] serve SPECFILE
 //	rtgc-bench [-out FILE] servereplay TRACEFILE
-//	rtgc-bench servecheck FILE
 //
 // "serve" parses a workload spec, materialises its trace, serves it under
 // the naive-barrier and coalesced legs, and emits the schema-5 serving
 // report; -record additionally writes the materialised trace artifact.
 // "servereplay" decodes a recorded trace artifact (fingerprint-verified)
-// and serves it — the same traffic, bit for bit. "servecheck" validates a
-// previously emitted serving report's schema and internal consistency.
+// and serves it — the same traffic, bit for bit.
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 
@@ -70,34 +67,15 @@ func runServeReplay(tracePath, outPath string) error {
 	return emitServing(sec, outPath)
 }
 
-//gclint:io writes the serving report JSON to the requested path
 func emitServing(sec *workload.Section, outPath string) error {
-	data, err := json.MarshalIndent(workload.BuildReport(sec), "", "  ")
+	data, err := marshalReport(workload.BuildReport(sec))
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	if outPath == "" {
-		os.Stdout.Write(data)
-		return nil
-	}
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
+	if err := writeReport(data, outPath); err != nil || outPath == "" {
 		return err
 	}
 	fmt.Print(workload.FormatSection(sec))
 	fmt.Printf("serving report written to %s\n", outPath)
-	return nil
-}
-
-//gclint:io reads the serving report JSON under validation
-func runServeCheck(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if err := workload.ValidateReport(data); err != nil {
-		return err
-	}
-	fmt.Printf("%s: valid %s serving report\n", path, workload.ReportSchema)
 	return nil
 }

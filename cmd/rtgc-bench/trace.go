@@ -2,8 +2,8 @@ package main
 
 // The "trace" subcommand: run the paper workloads under the full real-time
 // configuration with the event recorder attached, print each run's digest,
-// and optionally export Chrome trace-event JSON for Perfetto. The
-// "tracecheck" subcommand is the matching artifact validator CI runs.
+// and optionally export Chrome trace-event JSON for Perfetto ("validate" is
+// the matching artifact check CI runs).
 
 import (
 	"fmt"
@@ -66,7 +66,7 @@ func runTrace(s bench.Scale, workload, out string) error {
 			return fmt.Errorf("trace %s: %w", w.Name(), err)
 		}
 		// Self-check before writing: an artifact that would fail
-		// tracecheck must never be produced in the first place.
+		// validate must never be produced in the first place.
 		if err := trace.ValidateChrome(data); err != nil {
 			return fmt.Errorf("trace %s: emitted trace failed validation: %w", w.Name(), err)
 		}
@@ -76,20 +76,5 @@ func runTrace(s bench.Scale, workload, out string) error {
 		}
 		fmt.Printf("wrote %s (%d events)\n", path, tr.Len())
 	}
-	return nil
-}
-
-// runTraceCheck validates a previously emitted Chrome trace file's shape.
-//
-//gclint:io reads the Chrome trace file under validation
-func runTraceCheck(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.ValidateChrome(data); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	fmt.Printf("%s: valid Chrome trace\n", path)
 	return nil
 }

@@ -206,8 +206,8 @@ func main() {
 		if an != nil {
 			fmt.Fprintf(os.Stderr, "utilization        %.1f%%\n", 100*an.Utilization())
 			mmu := "MMU               "
-			for _, pt := range an.MMUCurve(an.StandardWindows()) {
-				mmu += fmt.Sprintf(" %v=%.1f%%", pt.Window, 100*pt.Utilization)
+			for _, w := range an.StandardWindows() {
+				mmu += fmt.Sprintf(" %v=%.1f%%", w, 100*an.MMU(w))
 			}
 			fmt.Fprintln(os.Stderr, mmu)
 			for p := trace.Phase(0); p < trace.NumPhases; p++ {

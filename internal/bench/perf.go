@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sort"
 
 	"repligc/internal/checkpoint"
 	"repligc/internal/core"
@@ -109,20 +110,20 @@ type MultiLeg struct {
 // bit-identical simulated measurements both ways (the optimisations must
 // change wall time only).
 type HotPathsNsOp struct {
-	ReplayNaive   float64 `json:"replay_naive"`   // per logged store replayed, entry-at-a-time checks
-	ReplayBatched float64 `json:"replay_batched"` // same, through the per-object forwarding memo
+	ReplayNaive    float64 `json:"replay_naive"`   // per logged store replayed, entry-at-a-time checks
+	ReplayBatched  float64 `json:"replay_batched"` // same, through the per-object forwarding memo
 	ReplaySpeedupX float64 `json:"replay_speedup_x"`
 
-	ByteCopyNaive float64 `json:"byte_copy_naive"` // per byte re-applied byte-at-a-time
-	ByteCopyBlock float64 `json:"byte_copy_block"` // per byte through CopyPayloadBytes
+	ByteCopyNaive    float64 `json:"byte_copy_naive"` // per byte re-applied byte-at-a-time
+	ByteCopyBlock    float64 `json:"byte_copy_block"` // per byte through CopyPayloadBytes
 	ByteCopySpeedupX float64 `json:"byte_copy_speedup_x"`
 
-	ScanNaive   float64 `json:"scan_naive"`   // per slot scanned with per-slot budget checks
-	ScanBatched float64 `json:"scan_batched"` // per slot with batched budget accounting
+	ScanNaive    float64 `json:"scan_naive"`   // per slot scanned with per-slot budget checks
+	ScanBatched  float64 `json:"scan_batched"` // per slot with batched budget accounting
 	ScanSpeedupX float64 `json:"scan_speedup_x"`
 
-	RootsVisit float64 `json:"roots_visit"` // per root slot via the closure-based Visit
-	RootsSlots float64 `json:"roots_slots"` // per root slot via the reusable Slots buffer
+	RootsVisit    float64 `json:"roots_visit"` // per root slot via the closure-based Visit
+	RootsSlots    float64 `json:"roots_slots"` // per root slot via the reusable Slots buffer
 	RootsSpeedupX float64 `json:"roots_speedup_x"`
 
 	// ZeroAllocs is true when root enumeration and the replay batch path
@@ -135,11 +136,11 @@ type HotPathsNsOp struct {
 
 // BarrierNsOp is the wall-clock barrier micro-benchmark section.
 type BarrierNsOp struct {
-	Naive        float64 `json:"naive"`         // append-every-store, old-space target
-	DirtyHit     float64 `json:"dirty_hit"`     // same store, suppressed by the stamp
-	NurserySkip  float64 `json:"nursery_skip"`  // store to an unreplicated nursery object
-	SpeedupX     float64 `json:"speedup_x"`     // naive / dirty_hit
-	ZeroAllocs   bool    `json:"zero_allocs"`   // fast paths allocate nothing
+	Naive       float64 `json:"naive"`        // append-every-store, old-space target
+	DirtyHit    float64 `json:"dirty_hit"`    // same store, suppressed by the stamp
+	NurserySkip float64 `json:"nursery_skip"` // store to an unreplicated nursery object
+	SpeedupX    float64 `json:"speedup_x"`    // naive / dirty_hit
+	ZeroAllocs  bool    `json:"zero_allocs"`  // fast paths allocate nothing
 }
 
 // PerfWorkload compares the barrier legs on one workload.
@@ -176,14 +177,14 @@ type PerfCheckpoint struct {
 
 // PerfLeg is one run's measurements.
 type PerfLeg struct {
-	ElapsedMs       float64 `json:"elapsed_ms"`        // simulated
-	ReplicationMBps float64 `json:"replication_mb_s"`  // bytes replicated / simulated second
-	BytesReplicated int64   `json:"bytes_replicated"`  // minor + major copying volume
-	LogAppended     int64   `json:"log_appended"`      // barrier-side appends
-	LogScanned      int64   `json:"log_scanned"`       // collector-side entries examined
-	LogReapplied    int64   `json:"log_reapplied"`     // mutations re-applied to replicas
-	NurserySkips    int64   `json:"nursery_skips"`     // fast-path suppressions (coalesced leg only)
-	DirtySkips      int64   `json:"dirty_skips"`       // stamp-hit suppressions (coalesced leg only)
+	ElapsedMs       float64 `json:"elapsed_ms"`       // simulated
+	ReplicationMBps float64 `json:"replication_mb_s"` // bytes replicated / simulated second
+	BytesReplicated int64   `json:"bytes_replicated"` // minor + major copying volume
+	LogAppended     int64   `json:"log_appended"`     // barrier-side appends
+	LogScanned      int64   `json:"log_scanned"`      // collector-side entries examined
+	LogReapplied    int64   `json:"log_reapplied"`    // mutations re-applied to replicas
+	NurserySkips    int64   `json:"nursery_skips"`    // fast-path suppressions (coalesced leg only)
+	DirtySkips      int64   `json:"dirty_skips"`      // stamp-hit suppressions (coalesced leg only)
 	Pauses          int     `json:"pauses"`
 	PauseMinMs      float64 `json:"pause_min_ms"`
 	PauseMedianMs   float64 `json:"pause_median_ms"`
@@ -194,14 +195,8 @@ type PerfLeg struct {
 	// window ladder; Phases attributes pause time to collection phases.
 	// Both come from the internal/trace recorder attached to the leg
 	// (schema repligc-bench/2).
-	MMU    []MMUPoint  `json:"mmu"`
-	Phases []PhaseTime `json:"phase_ms"`
-}
-
-// MMUPoint is one point of a leg's MMU curve.
-type MMUPoint struct {
-	WindowMs    float64 `json:"window_ms"`
-	Utilization float64 `json:"utilization"`
+	MMU    []trace.MMUPoint `json:"mmu"`
+	Phases []PhaseTime      `json:"phase_ms"`
 }
 
 // PhaseTime attributes pause time to one collection phase.
@@ -232,12 +227,7 @@ func perfLeg(r *Result, a *trace.Analysis) PerfLeg {
 	if secs := r.Elapsed.Seconds(); secs > 0 {
 		leg.ReplicationMBps = float64(copied) / (1 << 20) / secs
 	}
-	for _, pt := range a.MMUCurve(a.StandardWindows()) {
-		leg.MMU = append(leg.MMU, MMUPoint{
-			WindowMs:    pt.Window.Milliseconds(),
-			Utilization: pt.Utilization,
-		})
-	}
+	leg.MMU = a.MMUCurve(a.StandardWindows())
 	for p := trace.Phase(0); p < trace.NumPhases; p++ {
 		if a.PhaseCount[p] == 0 {
 			continue
@@ -448,45 +438,66 @@ func ReplaySimIdentical(s Scale) (bool, error) {
 	return true, nil
 }
 
-// ComparePerf gates a fresh report against a committed baseline: simulated
-// elapsed time and p95 pause of the coalesced leg may not regress beyond
-// tolPct percent on any workload. Simulated numbers are deterministic, so on
-// unchanged code the comparison is exact and the tolerance only admits
-// deliberate cost-model or collector changes small enough to accept.
-func ComparePerf(fresh, baseline []byte, tolPct float64) error {
-	var fr, br PerfReport
+// ComparePerf gates a fresh report against a committed baseline: every
+// deterministic field must be equal. That is the whole report — simulated
+// times, pause quantiles, every MMU point, log counts, fingerprints, the
+// serving and multi-mutator sections — except the two wall-clock sections,
+// which are dropped from both sides. Simulated numbers do not vary across
+// machines or runs, so there is no tolerance: a deliberate collector or
+// cost-model change regenerates the baseline (make bench-baseline).
+func ComparePerf(fresh, baseline []byte) error {
+	var fr, br map[string]any
 	if err := json.Unmarshal(fresh, &fr); err != nil {
 		return fmt.Errorf("fresh perf report: %w", err)
 	}
 	if err := json.Unmarshal(baseline, &br); err != nil {
 		return fmt.Errorf("baseline perf report: %w", err)
 	}
-	if fr.Schema != br.Schema {
-		return fmt.Errorf("perf baseline: schema %q vs fresh %q; regenerate the baseline", br.Schema, fr.Schema)
+	for _, wallClock := range []string{"barrier_ns_per_op", "hot_paths_ns_per_op"} {
+		delete(fr, wallClock)
+		delete(br, wallClock)
 	}
-	if fr.Scale != br.Scale {
-		return fmt.Errorf("perf baseline: scale %q vs fresh %q; compare like with like", br.Scale, fr.Scale)
-	}
-	base := make(map[string]PerfWorkload, len(br.Workloads))
-	for _, w := range br.Workloads {
-		base[w.Name] = w
-	}
-	limit := 1 + tolPct/100
-	for _, w := range fr.Workloads {
-		b, ok := base[w.Name]
-		if !ok {
-			return fmt.Errorf("perf baseline: no workload %q to compare against", w.Name)
-		}
-		if bound := b.Coalesced.ElapsedMs * limit; w.Coalesced.ElapsedMs > bound {
-			return fmt.Errorf("perf regression: %s simulated elapsed %.3f ms exceeds baseline %.3f ms (+%.1f%% allowed)",
-				w.Name, w.Coalesced.ElapsedMs, b.Coalesced.ElapsedMs, tolPct)
-		}
-		if bound := b.Coalesced.PauseP95Ms * limit; w.Coalesced.PauseP95Ms > bound {
-			return fmt.Errorf("perf regression: %s simulated p95 pause %.3f ms exceeds baseline %.3f ms (+%.1f%% allowed)",
-				w.Name, w.Coalesced.PauseP95Ms, b.Coalesced.PauseP95Ms, tolPct)
-		}
+	if at, f, b := firstDiff("", fr, br); at != "" {
+		return fmt.Errorf("perf baseline: %s is %v, baseline has %v; simulated numbers are deterministic, so either the change moved them (explain it and run make bench-baseline) or the reports differ in scale or schema", at, f, b)
 	}
 	return nil
+}
+
+// firstDiff walks two decoded JSON documents in step and returns the path
+// and the two values at the first place they differ ("" when equal). Object
+// keys are visited in sorted order so the report is stable.
+func firstDiff(path string, a, b any) (string, any, any) {
+	am, aok := a.(map[string]any)
+	bm, bok := b.(map[string]any)
+	as, asok := a.([]any)
+	bs, bsok := b.([]any)
+	switch {
+	case aok && bok:
+		keys := make([]string, 0, len(am))
+		for k := range am { //gclint:allow maprange -- the keys are sorted below
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			if at, x, y := firstDiff(path+"."+k, am[k], bm[k]); at != "" {
+				return at, x, y
+			}
+		}
+		if len(am) != len(bm) { // every member of a is in b: b has more
+			return path + " (members)", len(am), len(bm)
+		}
+	case asok && bsok && len(as) == len(bs):
+		for i := range as {
+			if at, x, y := firstDiff(fmt.Sprintf("%s[%d]", path, i), as[i], bs[i]); at != "" {
+				return at, x, y
+			}
+		}
+	case asok && bsok:
+		return path + " (length)", len(as), len(bs)
+	case !reflect.DeepEqual(a, b):
+		return path, a, b
+	}
+	return "", nil, nil
 }
 
 // ValidatePerf checks that data parses as a PerfReport with the current
@@ -677,19 +688,8 @@ func (l PerfLeg) check() error {
 	if l.LogReapplied > l.LogScanned {
 		return fmt.Errorf("re-applied %d entries but scanned only %d", l.LogReapplied, l.LogScanned)
 	}
-	if len(l.MMU) == 0 {
-		return fmt.Errorf("mmu curve is empty (schema %s requires it)", PerfSchema)
-	}
-	lastW := 0.0
-	for _, pt := range l.MMU {
-		if math.IsNaN(pt.WindowMs) || pt.WindowMs <= lastW {
-			return fmt.Errorf("mmu windows are not positive and strictly increasing (%v after %v)",
-				pt.WindowMs, lastW)
-		}
-		lastW = pt.WindowMs
-		if math.IsNaN(pt.Utilization) || pt.Utilization < 0 || pt.Utilization > 1 {
-			return fmt.Errorf("mmu(%v ms) = %v outside [0, 1]", pt.WindowMs, pt.Utilization)
-		}
+	if err := trace.CheckMMUCurve(l.MMU); err != nil {
+		return err
 	}
 	if len(l.Phases) == 0 {
 		return fmt.Errorf("phase attribution is empty (schema %s requires it)", PerfSchema)

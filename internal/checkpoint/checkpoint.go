@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"repligc/internal/artifact"
 	"repligc/internal/core"
 	"repligc/internal/heap"
 	"repligc/internal/simtime"
@@ -45,9 +46,9 @@ type EpochInfo struct {
 	Fingerprint uint64 // authoritative state hash, computed from the live heap at commit
 	SnapBytes   int64
 	WALBytes    int64
-	PatchWords  int    // WAL patch pairs written (slots mutated mid-snapshot)
-	LogEntries  int    // retained mutation-log entries persisted
-	Pauses      int    // pauses the epoch's copying was spread across
+	PatchWords  int // WAL patch pairs written (slots mutated mid-snapshot)
+	LogEntries  int // retained mutation-log entries persisted
+	Pauses      int // pauses the epoch's copying was spread across
 }
 
 // Stats aggregates a Writer's lifetime activity.
@@ -114,7 +115,7 @@ type Writer struct {
 	retained       []uint64
 	snapTmp        *os.File
 	snapBuf        *bufio.Writer
-	snapRec        *recordWriter
+	snapRec        *artifact.Writer
 
 	// lastPoint caches the newest pause-boundary state so ForceCommit can
 	// run without a collector callback.
@@ -266,7 +267,7 @@ func (w *Writer) begin(m *core.Mutator, p core.CheckpointPoint) bool {
 	}
 	w.snapTmp = f
 	w.snapBuf = bufio.NewWriterSize(f, 1<<16)
-	w.snapRec = newRecordWriter(w.snapBuf)
+	w.snapRec = artifact.NewWriter(w.snapBuf, snapMagic)
 
 	w.open = true
 	w.walBase = p.MinorLogCursor
@@ -279,22 +280,17 @@ func (w *Writer) begin(m *core.Mutator, p core.CheckpointPoint) bool {
 	w.segCount = 0
 
 	cfg := heapConfigOf(m.H)
-	var e enc
-	e.u64(version)
-	e.u64(w.epoch)
-	e.i64(w.walBase)
-	e.i64(cfg.NurseryBytes)
-	e.i64(cfg.NurseryCapBytes)
-	e.i64(cfg.OldSemiBytes)
-	if m.H.OldFrom().Name == "oldB" {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-	w.snapRec.writeMagic(snapMagic)
-	w.snapRec.record(recSnapHeader, e.b)
-	if w.snapRec.err != nil {
-		w.fail(m, w.snapRec.err)
+	var e artifact.Enc
+	e.U64(version)
+	e.U64(w.epoch)
+	e.I64(w.walBase)
+	e.I64(cfg.NurseryBytes)
+	e.I64(cfg.NurseryCapBytes)
+	e.I64(cfg.OldSemiBytes)
+	e.Bool(m.H.OldFrom().Name == "oldB")
+	w.snapRec.Record(recSnapHeader, e.B)
+	if err := w.snapRec.Err(); err != nil {
+		w.fail(m, err)
 		return false
 	}
 	return true
@@ -306,14 +302,14 @@ func (w *Writer) writeSegment(m *core.Mutator, space uint8, start, count uint64)
 	if count == 0 || w.snapRec == nil {
 		return
 	}
-	var e enc
-	e.u8(space)
-	e.u64(start)
-	e.u64(count)
+	var e artifact.Enc
+	e.U8(space)
+	e.U64(start)
+	e.U64(count)
 	for _, word := range m.H.Arena[start : start+count] {
-		e.u64(uint64(word))
+		e.U64(uint64(word))
 	}
-	w.snapRec.record(recSegment, e.b)
+	w.snapRec.Record(recSegment, e.B)
 	w.segCount++
 	w.stats.WordsCopied += int64(count)
 	m.Clock.Charge(simtime.AcctCheckpoint, simtime.Duration(count)*m.Cost.CopyWord)
@@ -330,8 +326,8 @@ func (w *Writer) copyIncrement(m *core.Mutator, budgetWords uint64) {
 	}
 	w.writeSegment(m, spaceOldFrom, w.cursor, n)
 	w.cursor += n
-	if w.snapRec != nil && w.snapRec.err != nil {
-		w.fail(m, w.snapRec.err)
+	if w.snapRec != nil && w.snapRec.Err() != nil {
+		w.fail(m, w.snapRec.Err())
 	}
 }
 
@@ -348,18 +344,14 @@ func (w *Writer) commit(m *core.Mutator, p core.CheckpointPoint) {
 	}
 	w.writeSegment(m, spaceNursery, m.H.Nursery.Lo, m.H.Nursery.Next-m.H.Nursery.Lo)
 
-	var e enc
-	e.u64(uint64(w.segCount))
-	w.snapRec.record(recSnapFooter, e.b)
-	if w.snapRec.err != nil {
-		w.fail(m, w.snapRec.err)
-		return
-	}
-	if err := w.snapBuf.Flush(); err != nil {
+	var e artifact.Enc
+	e.U64(uint64(w.segCount))
+	w.snapRec.Record(recSnapFooter, e.B)
+	if err := w.snapBuf.Flush(); err != nil { // bufio latches the first write error, so this reports any record's
 		w.fail(m, err)
 		return
 	}
-	snapBytes := w.snapRec.n
+	snapBytes := w.snapRec.Len()
 	if err := w.snapTmp.Close(); err != nil {
 		w.fail(m, err)
 		return
@@ -368,7 +360,7 @@ func (w *Writer) commit(m *core.Mutator, p core.CheckpointPoint) {
 	w.snapTmp, w.snapBuf, w.snapRec = nil, nil, nil
 
 	st := captureState(m, p)
-	fp := st.fingerprint()
+	fp := st.stateFingerprint()
 	walBytes, err := w.writeWAL(m, st, fp)
 	if err != nil {
 		os.Remove(tmpName)
@@ -392,7 +384,7 @@ func (w *Writer) commit(m *core.Mutator, p core.CheckpointPoint) {
 		SnapBytes:   snapBytes,
 		WALBytes:    walBytes,
 		PatchWords:  w.lastPatchWords,
-		LogEntries:  len(st.logEntries),
+		LogEntries:  len(st.LogEntries),
 		Pauses:      w.epochPauses,
 	}
 	w.stats.Committed++
@@ -455,91 +447,80 @@ type patch struct {
 // returns the byte count.
 //
 //gclint:io creates and fills the epoch's temporary WAL file
-func (w *Writer) writeWAL(m *core.Mutator, st *state, fp uint64) (int64, error) {
+func (w *Writer) writeWAL(m *core.Mutator, st *Restored, fp uint64) (int64, error) {
 	f, err := os.Create(w.walPath(w.epoch) + ".tmp")
 	if err != nil {
 		return 0, err
 	}
 	buf := bufio.NewWriterSize(f, 1<<16)
-	rw := newRecordWriter(buf)
-	rw.writeMagic(walMagic)
+	rw := artifact.NewWriter(buf, walMagic)
 
-	var e enc
-	e.u64(w.epoch)
-	rw.record(recWALHeader, e.b)
+	var e artifact.Enc
+	e.U64(w.epoch)
+	rw.Record(recWALHeader, e.B)
 
-	e = enc{}
-	e.u64(st.nurseryHi)
-	e.u64(st.nurseryNext)
-	e.u64(st.fromHi)
-	e.u64(st.fromNext)
-	e.u64(st.toHi)
-	e.u64(st.toNext)
-	rw.record(recSpaces, e.b)
+	e = artifact.Enc{}
+	e.U64(st.nurseryHi)
+	e.U64(st.nurseryNext)
+	e.U64(st.fromHi)
+	e.U64(st.fromNext)
+	e.U64(st.toHi)
+	e.U64(st.toNext)
+	rw.Record(recSpaces, e.B)
 
 	patches := w.patchSet(m)
 	w.lastPatchWords = len(patches)
 	w.stats.PatchWords += int64(len(patches))
-	e = enc{}
-	e.u64(uint64(len(patches)))
+	e = artifact.Enc{}
+	e.U64(uint64(len(patches)))
 	for _, p := range patches {
-		e.u64(p.idx)
-		e.u64(uint64(p.val))
+		e.U64(p.idx)
+		e.U64(uint64(p.val))
 	}
-	rw.record(recPatch, e.b)
+	rw.Record(recPatch, e.B)
 	m.Clock.Charge(simtime.AcctCheckpoint, simtime.Duration(len(patches))*m.Cost.LogWrite)
 
-	e = enc{}
-	e.i64(st.logBase)
-	e.u64(uint64(len(st.logEntries)))
-	for _, le := range st.logEntries {
-		e.u64(uint64(le.Obj))
-		e.u64(uint64(uint32(le.Slot)))
-		e.u64(uint64(uint32(le.Len)))
-		if le.Byte {
-			e.u8(1)
-		} else {
-			e.u8(0)
-		}
+	e = artifact.Enc{}
+	e.I64(st.LogBase)
+	e.U64(uint64(len(st.LogEntries)))
+	for _, le := range st.LogEntries {
+		e.U64(uint64(le.Obj))
+		e.U64(uint64(uint32(le.Slot)))
+		e.U64(uint64(uint32(le.Len)))
+		e.Bool(le.Byte)
 	}
-	rw.record(recLog, e.b)
-	m.Clock.Charge(simtime.AcctCheckpoint, simtime.Duration(len(st.logEntries))*m.Cost.LogWrite)
+	rw.Record(recLog, e.B)
+	m.Clock.Charge(simtime.AcctCheckpoint, simtime.Duration(len(st.LogEntries))*m.Cost.LogWrite)
 
-	e = enc{}
-	e.u64(uint64(len(st.roots)))
-	for _, r := range st.roots {
-		e.u64(uint64(r))
+	e = artifact.Enc{}
+	e.U64(uint64(len(st.Roots)))
+	for _, r := range st.Roots {
+		e.U64(uint64(r))
 	}
-	rw.record(recRoots, e.b)
-	m.Clock.Charge(simtime.AcctCheckpoint, simtime.Duration(len(st.roots))*m.Cost.RootUpdate)
+	rw.Record(recRoots, e.B)
+	m.Clock.Charge(simtime.AcctCheckpoint, simtime.Duration(len(st.Roots))*m.Cost.RootUpdate)
 
-	e = enc{}
-	e.i64(st.bytesAllocated)
-	e.i64(st.logWrites)
-	e.i64(st.minorLogCursor)
-	e.i64(st.promotedSinceMajor)
-	e.i64(st.promoHighWater)
-	rw.record(recSched, e.b)
+	e = artifact.Enc{}
+	e.I64(st.BytesAllocated)
+	e.I64(st.LogWrites)
+	e.I64(st.MinorLogCursor)
+	e.I64(st.PromotedSinceMajor)
+	e.I64(st.PromoHighWater)
+	rw.Record(recSched, e.B)
 
-	e = enc{}
-	e.u64(fp)
-	rw.record(recCommit, e.b)
+	e = artifact.Enc{}
+	e.U64(fp)
+	rw.Record(recCommit, e.B)
 
-	if rw.err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return 0, rw.err
+	err = buf.Flush() // bufio latches the first write error, so this reports any record's
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := buf.Flush(); err != nil {
-		f.Close()
+	if err != nil {
 		os.Remove(f.Name())
 		return 0, err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return 0, err
-	}
-	return rw.n, nil
+	return rw.Len(), nil
 }
 
 // prune deletes committed epochs beyond the retention window.

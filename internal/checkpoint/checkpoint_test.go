@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repligc/internal/artifact"
 	"repligc/internal/core"
 	"repligc/internal/faultinject"
 	"repligc/internal/gctest"
@@ -255,8 +256,8 @@ func TestPostRestoreOOMRecovery(t *testing.T) {
 // TestRecoverEmptyDir pins the no-artifact behaviour: a typed error.
 func TestRecoverEmptyDir(t *testing.T) {
 	_, err := Recover(t.TempDir())
-	var ce *CorruptError
+	var ce *artifact.CorruptError
 	if !errors.As(err, &ce) {
-		t.Fatalf("Recover on empty dir: %v (want *CorruptError)", err)
+		t.Fatalf("Recover on empty dir: %v (want *artifact.CorruptError)", err)
 	}
 }

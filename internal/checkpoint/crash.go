@@ -6,29 +6,18 @@ import (
 	"os"
 	"path/filepath"
 
+	"repligc/internal/artifact"
 	"repligc/internal/faultinject"
 )
 
-// ApplyCrash damages the newest epoch's artifact in dir according to plan.
-// It is the bridge between faultinject's pure-data crash plans and the
-// filesystem: truncation simulates a kill at byte k of a write, a torn word
-// simulates a damaged sector, a duplicated record simulates a replayed
-// buffer flush. It reports the damaged path.
-func ApplyCrash(dir string, plan faultinject.CrashPlan) (string, error) {
-	epochs, err := Epochs(dir)
-	if err != nil {
-		return "", err
-	}
-	if len(epochs) == 0 {
-		return "", fmt.Errorf("checkpoint: no epochs in %s to crash", dir)
-	}
-	return applyCrashEpoch(dir, epochs[len(epochs)-1], plan)
-}
-
-// ApplyCrashAll damages the targeted artifact of every retained epoch —
-// the no-fallback scenario, where recovery has nothing intact left and must
-// fail with a typed *CorruptError rather than hand back a damaged heap.
-func ApplyCrashAll(dir string, plan faultinject.CrashPlan) error {
+// ApplyCrash damages the plan's target artifact of the newest epoch in dir
+// or, with all set, of every retained epoch — the no-fallback scenario, where
+// recovery has nothing intact left and must fail with a typed
+// *artifact.CorruptError rather than hand back a damaged heap. It is the
+// bridge between faultinject's pure-data crash plans and the filesystem:
+// truncation simulates a kill at byte k of a write, a torn word simulates a
+// damaged sector, a duplicated record simulates a replayed buffer flush.
+func ApplyCrash(dir string, plan faultinject.CrashPlan, all bool) error {
 	epochs, err := Epochs(dir)
 	if err != nil {
 		return err
@@ -36,8 +25,11 @@ func ApplyCrashAll(dir string, plan faultinject.CrashPlan) error {
 	if len(epochs) == 0 {
 		return fmt.Errorf("checkpoint: no epochs in %s to crash", dir)
 	}
+	if !all {
+		epochs = epochs[len(epochs)-1:]
+	}
 	for _, epoch := range epochs {
-		if _, err := applyCrashEpoch(dir, epoch, plan); err != nil {
+		if err := applyCrashEpoch(dir, epoch, plan); err != nil {
 			return err
 		}
 	}
@@ -47,7 +39,7 @@ func ApplyCrashAll(dir string, plan faultinject.CrashPlan) error {
 // applyCrashEpoch damages one epoch's targeted artifact.
 //
 //gclint:io rewrites one checkpoint artifact in place to simulate crash damage
-func applyCrashEpoch(dir string, epoch uint64, plan faultinject.CrashPlan) (string, error) {
+func applyCrashEpoch(dir string, epoch uint64, plan faultinject.CrashPlan) error {
 	name := fmt.Sprintf("snap-%08d.ckpt", epoch)
 	if plan.Target == faultinject.CrashWAL {
 		name = fmt.Sprintf("wal-%08d.ckpt", epoch)
@@ -56,10 +48,10 @@ func applyCrashEpoch(dir string, epoch uint64, plan faultinject.CrashPlan) (stri
 
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return path, err
+		return err
 	}
 	if len(data) == 0 {
-		return path, fmt.Errorf("checkpoint: empty artifact %s", path)
+		return fmt.Errorf("checkpoint: empty artifact %s", path)
 	}
 	at := int(plan.Fraction * float64(len(data)))
 	if at >= len(data) {
@@ -88,44 +80,18 @@ func applyCrashEpoch(dir string, epoch uint64, plan faultinject.CrashPlan) (stri
 		copy(data[word:end], buf[:end-word])
 	case faultinject.CrashDuplicateRecord:
 		// Re-append the framed record that spans the damage site (falling
-		// back to a raw byte range when no frame parses there), yielding a
-		// file whose checksums are all intact but whose record ordinals
-		// repeat.
-		lo, hi := recordSpanAt(data, at)
-		dup := append([]byte(nil), data[lo:hi]...)
-		data = append(data, dup...)
+		// back to a fixed-width byte window when no frame parses there),
+		// yielding a file whose checksums are all intact but whose record
+		// ordinals repeat.
+		lo, hi, ok := artifact.SpanAt(data, len(snapMagic), at)
+		if !ok {
+			lo, hi = max(at-32, 0), min(at+32, len(data))
+		}
+		data = append(data, data[lo:hi]...)
 	default:
-		return path, fmt.Errorf("checkpoint: unknown crash kind %v", plan.Kind)
+		return fmt.Errorf("checkpoint: unknown crash kind %v", plan.Kind)
 	}
-	return path, os.WriteFile(path, data, 0o666)
-}
-
-// recordSpanAt walks the record framing from the top of the file and
-// returns the [lo, hi) byte range of the record covering offset at. When
-// framing does not parse (already-damaged input), it returns a fixed-width
-// window around at.
-func recordSpanAt(data []byte, at int) (int, int) {
-	off := 8 // past the magic
-	for off+13 <= len(data) {
-		n := int(binary.LittleEndian.Uint32(data[off+5 : off+9]))
-		end := off + 9 + n + 4
-		if n < 0 || n > 1<<30 || end > len(data) {
-			break
-		}
-		if at < end {
-			return off, end
-		}
-		off = end
-	}
-	lo := at - 32
-	if lo < 0 {
-		lo = 0
-	}
-	hi := at + 32
-	if hi > len(data) {
-		hi = len(data)
-	}
-	return lo, hi
+	return os.WriteFile(path, data, 0o666)
 }
 
 // CloneDir copies every checkpoint artifact from src into dst (created if

@@ -1,67 +1,47 @@
 package checkpoint
 
 import (
+	"repligc/internal/artifact"
 	"repligc/internal/core"
 	"repligc/internal/heap"
 )
 
-// state is the canonical tuple a checkpoint preserves. The writer fills one
-// from the live run at commit time and fingerprints it; recovery rebuilds
-// one from the artifacts and fingerprints it again. Equality of the two
-// fingerprints is the "bit-identical to the uncrashed run" guarantee: both
-// sides hash the same logical fields in the same order, so any divergence —
-// a missed patch, a stale segment, a mis-restored cursor — changes the hash.
-type state struct {
-	cfg      heap.Config
-	fromOldB bool // old from-space is oldB (a major has flipped an odd number of times)
+// The canonical tuple a checkpoint preserves is a Restored: the heap image,
+// the space geometry, the roots, the retained log and the scheduling
+// cursors. The writer fills one over the live heap at commit time
+// (captureState) and fingerprints it; recovery rebuilds one from the
+// artifacts and fingerprints it again. Equality of the two fingerprints is
+// the "bit-identical to the uncrashed run" guarantee: both sides hash the
+// same fields of the same type in the same order, so any divergence — a
+// missed patch, a stale segment, a mis-restored cursor — changes the hash.
 
-	// Space geometry: soft limit and allocation cursor for the nursery and
-	// both old semispaces, in canonical (from, to) order.
-	nurseryHi, nurseryNext uint64
-	fromHi, fromNext       uint64
-	toHi, toNext           uint64
-
-	fromWords    []heap.Value // old from-space payload [Lo, Next)
-	nurseryWords []heap.Value // nursery payload [Lo, Next)
-	roots        []heap.Value // root slot values in visit order
-
-	logBase    int64
-	logEntries []core.LogEntry
-
-	bytesAllocated     int64
-	logWrites          int64
-	minorLogCursor     int64
-	promotedSinceMajor int64
-	promoHighWater     int64
-}
-
-// captureState snapshots the canonical tuple from a live, quiescent run.
-func captureState(m *core.Mutator, p core.CheckpointPoint) *state {
+// captureState views a live, quiescent run as the tuple recovery would
+// rebuild from its checkpoint. It aliases the live heap, so it is good only
+// inside the pause that took it.
+func captureState(m *core.Mutator, p core.CheckpointPoint) *Restored {
 	h := m.H
 	from, to := h.OldFrom(), h.OldTo()
-	s := &state{
-		cfg:                heapConfigOf(h),
-		fromOldB:           from.Name == "oldB",
+	r := &Restored{
+		Cfg:                heapConfigOf(h),
+		Heap:               h,
 		nurseryHi:          h.Nursery.Hi,
 		nurseryNext:        h.Nursery.Next,
 		fromHi:             from.Hi,
 		fromNext:           from.Next,
 		toHi:               to.Hi,
 		toNext:             to.Next,
-		fromWords:          append([]heap.Value(nil), h.Arena[from.Lo:from.Next]...),
-		nurseryWords:       append([]heap.Value(nil), h.Arena[h.Nursery.Lo:h.Nursery.Next]...),
-		logBase:            p.MinorLogCursor,
-		bytesAllocated:     m.BytesAllocated,
-		logWrites:          m.LogWrites,
-		minorLogCursor:     p.MinorLogCursor,
-		promotedSinceMajor: p.PromotedSinceMajor,
-		promoHighWater:     p.PromoHighWater,
+		LogBase:            p.MinorLogCursor,
+		BytesAllocated:     m.BytesAllocated,
+		LogWrites:          m.LogWrites,
+		MinorLogCursor:     p.MinorLogCursor,
+		PromotedSinceMajor: p.PromotedSinceMajor,
+		PromoHighWater:     p.PromoHighWater,
 	}
-	m.Roots.Visit(func(slot *heap.Value) { s.roots = append(s.roots, *slot) })
+	m.Roots.Visit(func(slot *heap.Value) { r.Roots = append(r.Roots, *slot) })
 	for seq := p.MinorLogCursor; seq < m.Log.Len(); seq++ {
-		s.logEntries = append(s.logEntries, m.Log.At(seq))
+		r.LogEntries = append(r.LogEntries, m.Log.At(seq))
 	}
-	return s
+	return r
 }
 
 // heapConfigOf reconstructs the heap.Config a heap was built with, from its
@@ -83,61 +63,37 @@ func heapConfigOf(h *heap.Heap) heap.Config {
 	}
 }
 
-// fingerprint hashes the canonical tuple with FNV-1a 64.
-func (s *state) fingerprint() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	fp := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			fp ^= v & 0xff
-			fp *= prime64
-			v >>= 8
+// stateFingerprint hashes the canonical tuple: FNV-1a 64 over its fields as
+// a stream of little-endian 64-bit integers.
+func (r *Restored) stateFingerprint() uint64 {
+	h := r.Heap
+	fp := artifact.NewHash64()
+	words := func(ws []heap.Value) {
+		fp.U64(uint64(len(ws)))
+		for _, w := range ws {
+			fp.U64(uint64(w))
 		}
 	}
-	mixBool := func(b bool) {
-		if b {
-			mix(1)
-		} else {
-			mix(0)
-		}
+	fp.U64(uint64(r.Cfg.NurseryBytes))
+	fp.U64(uint64(r.Cfg.NurseryCapBytes))
+	fp.U64(uint64(r.Cfg.OldSemiBytes))
+	fp.Bool(h.OldFrom().Name == "oldB") // a major has flipped an odd number of times
+	for _, v := range []uint64{r.nurseryHi, r.nurseryNext, r.fromHi, r.fromNext, r.toHi, r.toNext} {
+		fp.U64(v)
 	}
-	mix(uint64(s.cfg.NurseryBytes))
-	mix(uint64(s.cfg.NurseryCapBytes))
-	mix(uint64(s.cfg.OldSemiBytes))
-	mixBool(s.fromOldB)
-	mix(s.nurseryHi)
-	mix(s.nurseryNext)
-	mix(s.fromHi)
-	mix(s.fromNext)
-	mix(s.toHi)
-	mix(s.toNext)
-	mix(uint64(len(s.fromWords)))
-	for _, w := range s.fromWords {
-		mix(uint64(w))
+	words(h.Arena[h.OldFrom().Lo:r.fromNext])
+	words(h.Arena[h.Nursery.Lo:r.nurseryNext])
+	words(r.Roots)
+	fp.U64(uint64(r.LogBase))
+	fp.U64(uint64(len(r.LogEntries)))
+	for _, e := range r.LogEntries {
+		fp.U64(uint64(e.Obj))
+		fp.U64(uint64(uint32(e.Slot)))
+		fp.U64(uint64(uint32(e.Len)))
+		fp.Bool(e.Byte)
 	}
-	mix(uint64(len(s.nurseryWords)))
-	for _, w := range s.nurseryWords {
-		mix(uint64(w))
+	for _, v := range []int64{r.BytesAllocated, r.LogWrites, r.MinorLogCursor, r.PromotedSinceMajor, r.PromoHighWater} {
+		fp.U64(uint64(v))
 	}
-	mix(uint64(len(s.roots)))
-	for _, r := range s.roots {
-		mix(uint64(r))
-	}
-	mix(uint64(s.logBase))
-	mix(uint64(len(s.logEntries)))
-	for _, e := range s.logEntries {
-		mix(uint64(e.Obj))
-		mix(uint64(uint32(e.Slot)))
-		mix(uint64(uint32(e.Len)))
-		mixBool(e.Byte)
-	}
-	mix(uint64(s.bytesAllocated))
-	mix(uint64(s.logWrites))
-	mix(uint64(s.minorLogCursor))
-	mix(uint64(s.promotedSinceMajor))
-	mix(uint64(s.promoHighWater))
-	return fp
+	return uint64(fp)
 }

@@ -8,27 +8,14 @@
 // segment was written. Recovery loads the newest complete snapshot, replays
 // the WAL tail, and yields a heap whose fingerprint is bit-identical to the
 // state the writer fingerprinted at commit time; any damage surfaces as a
-// typed *CorruptError, never as a silently wrong heap.
+// typed *artifact.CorruptError, never as a silently wrong heap.
 package checkpoint
 
-import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-	"io"
-)
-
-// File format. Both artifact files are sequences of framed records:
-//
-//	frame := seq u32 | type u8 | payloadLen u32 | payload | crc u32
-//
-// where crc is the IEEE CRC-32 of everything before it in the frame. The
-// sequence number is the record's ordinal within its file; readers require
-// consecutive ordinals, so a duplicated or reordered record is detected even
-// when its checksum is intact. All integers are little-endian.
+// Both artifact files are internal/artifact frame sequences (DESIGN.md,
+// "Artifact kit"); this file owns only their magics and record types.
 const (
-	snapMagic = "RGCSNAP1" // snapshot file magic
-	walMagic  = "RGCWAL\x001"  // WAL file magic
+	snapMagic = "RGCSNAP1"    // snapshot file magic
+	walMagic  = "RGCWAL\x001" // WAL file magic
 	version   = 1
 )
 
@@ -51,179 +38,3 @@ const (
 	spaceOldFrom uint8 = iota
 	spaceNursery
 )
-
-// CorruptError is the typed error for any damaged, truncated, or
-// inconsistent checkpoint artifact. Recovery either succeeds with a
-// fingerprint-verified heap or fails with one of these; there is no third
-// outcome.
-type CorruptError struct {
-	Path   string // offending file (may be a directory for "no usable epoch")
-	Detail string // what was wrong
-	Err    error  // underlying cause, if any
-}
-
-// Error implements error.
-func (e *CorruptError) Error() string {
-	if e.Err != nil {
-		return fmt.Sprintf("checkpoint: %s: %s: %v", e.Path, e.Detail, e.Err)
-	}
-	return fmt.Sprintf("checkpoint: %s: %s", e.Path, e.Detail)
-}
-
-// Unwrap exposes the underlying cause to errors.Is/As.
-func (e *CorruptError) Unwrap() error { return e.Err }
-
-func corrupt(path, format string, args ...any) *CorruptError {
-	return &CorruptError{Path: path, Detail: fmt.Sprintf(format, args...)}
-}
-
-// recordWriter frames records onto an io.Writer, numbering them.
-type recordWriter struct {
-	w   io.Writer
-	seq uint32
-	n   int64 // bytes written, including magic
-	err error
-}
-
-func newRecordWriter(w io.Writer) *recordWriter { return &recordWriter{w: w} }
-
-func (rw *recordWriter) writeMagic(magic string) {
-	if rw.err != nil {
-		return
-	}
-	var n int
-	n, rw.err = rw.w.Write([]byte(magic))
-	rw.n += int64(n)
-}
-
-// record frames one payload. The payload slice is not retained.
-func (rw *recordWriter) record(typ uint8, payload []byte) {
-	if rw.err != nil {
-		return
-	}
-	hdr := make([]byte, 9)
-	binary.LittleEndian.PutUint32(hdr[0:], rw.seq)
-	hdr[4] = typ
-	binary.LittleEndian.PutUint32(hdr[5:], uint32(len(payload)))
-	crc := crc32.NewIEEE()
-	crc.Write(hdr)
-	crc.Write(payload)
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	for _, part := range [][]byte{hdr, payload, sum[:]} {
-		var n int
-		n, rw.err = rw.w.Write(part)
-		rw.n += int64(n)
-		if rw.err != nil {
-			return
-		}
-	}
-	rw.seq++
-}
-
-// recordReader parses framed records, enforcing consecutive ordinals and
-// checksums. Every malformation maps to *CorruptError.
-type recordReader struct {
-	r    io.Reader
-	path string
-	seq  uint32
-}
-
-func newRecordReader(r io.Reader, path string) *recordReader {
-	return &recordReader{r: r, path: path}
-}
-
-func (rr *recordReader) readMagic(magic string) error {
-	got := make([]byte, len(magic))
-	if _, err := io.ReadFull(rr.r, got); err != nil {
-		return &CorruptError{Path: rr.path, Detail: "short magic", Err: err}
-	}
-	if string(got) != magic {
-		return corrupt(rr.path, "bad magic %q", got)
-	}
-	return nil
-}
-
-// next returns the next record. io.EOF (untyped) signals a clean end of
-// file; any other problem is a *CorruptError.
-func (rr *recordReader) next() (typ uint8, payload []byte, err error) {
-	hdr := make([]byte, 9)
-	if _, err := io.ReadFull(rr.r, hdr); err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF
-		}
-		return 0, nil, &CorruptError{Path: rr.path, Detail: "truncated record header", Err: err}
-	}
-	seq := binary.LittleEndian.Uint32(hdr[0:])
-	typ = hdr[4]
-	n := binary.LittleEndian.Uint32(hdr[5:])
-	if n > 1<<30 {
-		return 0, nil, corrupt(rr.path, "record %d: implausible length %d", seq, n)
-	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(rr.r, payload); err != nil {
-		return 0, nil, &CorruptError{Path: rr.path, Detail: "truncated record payload", Err: err}
-	}
-	var sum [4]byte
-	if _, err := io.ReadFull(rr.r, sum[:]); err != nil {
-		return 0, nil, &CorruptError{Path: rr.path, Detail: "truncated record checksum", Err: err}
-	}
-	crc := crc32.NewIEEE()
-	crc.Write(hdr)
-	crc.Write(payload)
-	if crc.Sum32() != binary.LittleEndian.Uint32(sum[:]) {
-		return 0, nil, corrupt(rr.path, "record %d (type %d): checksum mismatch", seq, typ)
-	}
-	if seq != rr.seq {
-		return 0, nil, corrupt(rr.path, "record ordinal %d, want %d (duplicated or reordered record)", seq, rr.seq)
-	}
-	rr.seq++
-	return typ, payload, nil
-}
-
-// enc is a little append-based encoder for record payloads.
-type enc struct{ b []byte }
-
-func (e *enc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *enc) i64(v int64)  { e.u64(uint64(v)) }
-
-// dec decodes a record payload; it remembers the first failure.
-type dec struct {
-	b    []byte
-	path string
-	err  error
-}
-
-func (d *dec) u8() uint8 {
-	if d.err == nil && len(d.b) < 1 {
-		d.err = corrupt(d.path, "payload underflow")
-	}
-	if d.err != nil {
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *dec) u64() uint64 {
-	if d.err == nil && len(d.b) < 8 {
-		d.err = corrupt(d.path, "payload underflow")
-	}
-	if d.err != nil {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b)
-	d.b = d.b[8:]
-	return v
-}
-
-func (d *dec) i64() int64 { return int64(d.u64()) }
-
-func (d *dec) done() error {
-	if d.err == nil && len(d.b) != 0 {
-		d.err = corrupt(d.path, "%d trailing payload bytes", len(d.b))
-	}
-	return d.err
-}

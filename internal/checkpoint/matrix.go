@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repligc/internal/artifact"
 	"repligc/internal/core"
 	"repligc/internal/faultinject"
 	"repligc/internal/gctest"
@@ -182,7 +183,7 @@ func epochFingerprint(w *Writer, epoch uint64) (uint64, bool) {
 // RunCrashMatrix executes the full matrix. Every cell must end in one of
 // two outcomes — a recovery whose fingerprint matches the writer's
 // commit-time hash for that epoch (then audit + ladder must pass), or a
-// typed *CorruptError — and the report marks any other ending as a failure.
+// typed *artifact.CorruptError — and the report marks any other ending as a failure.
 //
 //gclint:io owns the per-case artifact directories under the matrix work dir
 func RunCrashMatrix(cfg MatrixConfig) (*MatrixReport, error) {
@@ -216,32 +217,24 @@ func RunCrashMatrix(cfg MatrixConfig) (*MatrixReport, error) {
 		rep.add(runCase(w, refDir, seed, "baseline", false))
 
 		for pi, plan := range cfg.Plans {
-			// Newest-epoch damage: recovery may fall back to an older
-			// retained epoch, or reject with a typed error.
-			caseDir := filepath.Join(work, fmt.Sprintf("case-%d-%d", si, pi))
-			if err := CloneDir(refDir, caseDir); err != nil {
-				return nil, err
+			// Newest-epoch damage first: recovery may fall back to an older
+			// retained epoch, or reject with a typed error. Then all-epochs
+			// damage: nothing intact remains, so the only contractual ending
+			// is the typed rejection — never a silently wrong heap.
+			for _, all := range []bool{false, true} {
+				name, caseDir := plan.String(), filepath.Join(work, fmt.Sprintf("case-%d-%d", si, pi))
+				if all {
+					name, caseDir = name+"/all-epochs", caseDir+"-all"
+				}
+				if err := CloneDir(refDir, caseDir); err != nil {
+					return nil, err
+				}
+				if err := ApplyCrash(caseDir, plan, all); err != nil {
+					rep.add(CaseResult{Seed: seed, Plan: name, Outcome: "crash-apply-error", Err: err.Error(), Failed: true})
+					break
+				}
+				rep.add(runCase(w, caseDir, seed, name, true))
 			}
-			if _, err := ApplyCrash(caseDir, plan); err != nil {
-				rep.add(CaseResult{Seed: seed, Plan: plan.String(),
-					Outcome: "crash-apply-error", Err: err.Error(), Failed: true})
-				continue
-			}
-			rep.add(runCase(w, caseDir, seed, plan.String(), true))
-
-			// All-epochs damage: nothing intact remains, so the only
-			// contractual ending is the typed rejection — never a silently
-			// wrong heap.
-			allDir := filepath.Join(work, fmt.Sprintf("case-%d-%d-all", si, pi))
-			if err := CloneDir(refDir, allDir); err != nil {
-				return nil, err
-			}
-			if err := ApplyCrashAll(allDir, plan); err != nil {
-				rep.add(CaseResult{Seed: seed, Plan: plan.String() + "/all-epochs",
-					Outcome: "crash-apply-error", Err: err.Error(), Failed: true})
-				continue
-			}
-			rep.add(runCase(w, allDir, seed, plan.String()+"/all-epochs", true))
 		}
 	}
 	for _, c := range rep.Cases {
@@ -254,13 +247,42 @@ func RunCrashMatrix(cfg MatrixConfig) (*MatrixReport, error) {
 
 func (rep *MatrixReport) add(c CaseResult) { rep.Cases = append(rep.Cases, c) }
 
+// Check rejects a document that is not a self-consistent crash-matrix
+// report: every cell is either marked failed or one of the two contractual
+// endings, and the failure count is the number of failed cells. Whether a
+// report with failures is acceptable is the caller's business.
+func (rep *MatrixReport) Check() error {
+	if rep.Schema != MatrixSchema {
+		return fmt.Errorf("crash matrix: schema %q, want %q", rep.Schema, MatrixSchema)
+	}
+	if len(rep.Cases) == 0 {
+		return fmt.Errorf("crash matrix: no cases")
+	}
+	failed := 0
+	for _, c := range rep.Cases {
+		switch {
+		case c.Failed:
+			failed++
+		case c.Outcome == "recovered" && c.Epoch > 0 && c.Err == "":
+		case c.Outcome == "corrupt-detected" && c.Err != "" && c.Plan != "baseline":
+		default:
+			return fmt.Errorf("crash matrix: seed %d plan %s: outcome %q (epoch %d, err %q) is neither contractual ending, yet not marked failed",
+				c.Seed, c.Plan, c.Outcome, c.Epoch, c.Err)
+		}
+	}
+	if failed != rep.Failures {
+		return fmt.Errorf("crash matrix: %d failures claimed, %d cells marked failed", rep.Failures, failed)
+	}
+	return nil
+}
+
 // runCase recovers one (possibly damaged) artifact directory, classifying
 // the outcome against the contract.
 func runCase(w *Writer, dir string, seed uint64, planName string, damaged bool) CaseResult {
 	c := CaseResult{Seed: seed, Plan: planName}
 	r, err := Recover(dir)
 	if err != nil {
-		var ce *CorruptError
+		var ce *artifact.CorruptError
 		if errors.As(err, &ce) {
 			// Typed rejection is a contractual outcome — but only under
 			// damage; the baseline must recover.

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"repligc/internal/artifact"
 	"repligc/internal/core"
 	"repligc/internal/heap"
 )
@@ -116,15 +117,15 @@ func Epochs(dir string) ([]uint64, error) {
 
 // Recover loads the newest recoverable epoch in dir. Damaged epochs are
 // skipped (newest first); if none survives, the returned error is a
-// *CorruptError wrapping every per-epoch failure. Recovery never returns a
-// heap whose fingerprint does not match its commit footer.
+// *artifact.CorruptError wrapping every per-epoch failure. Recovery never
+// returns a heap whose fingerprint does not match its commit footer.
 func Recover(dir string) (*Restored, error) {
 	epochs, err := Epochs(dir)
 	if err != nil {
-		return nil, &CorruptError{Path: dir, Detail: "unreadable artifact directory", Err: err}
+		return nil, &artifact.CorruptError{Path: dir, Detail: "unreadable artifact directory", Err: err}
 	}
 	if len(epochs) == 0 {
-		return nil, corrupt(dir, "no checkpoint epochs")
+		return nil, artifact.Corrupt(dir, "no checkpoint epochs")
 	}
 	var fails []error
 	for i := len(epochs) - 1; i >= 0; i-- {
@@ -134,7 +135,7 @@ func Recover(dir string) (*Restored, error) {
 		}
 		fails = append(fails, err)
 	}
-	return nil, &CorruptError{Path: dir, Detail: "no recoverable epoch", Err: errors.Join(fails...)}
+	return nil, &artifact.CorruptError{Path: dir, Detail: "no recoverable epoch", Err: errors.Join(fails...)}
 }
 
 // RecoverEpoch loads one specific epoch, verifying every record checksum,
@@ -154,85 +155,54 @@ func RecoverEpoch(dir string, epoch uint64) (*Restored, error) {
 	}
 	r.applyGeometry()
 
-	// Re-derive the canonical state tuple from the restored image and
-	// check it against the fingerprint the writer computed from the live
-	// heap. Any inconsistency the checksums could not see — a patch
-	// missed, a segment applied to the wrong offset — surfaces here.
-	st := r.restoredState()
-	if got := st.fingerprint(); got != r.Fingerprint {
-		return nil, corrupt(walPath, "state fingerprint %#x does not match commit record %#x", got, r.Fingerprint)
+	// Re-derive the state fingerprint from the restored image and check it
+	// against the one the writer computed from the live heap. Any
+	// inconsistency the checksums could not see — a patch missed, a segment
+	// applied to the wrong offset — surfaces here.
+	if got := r.stateFingerprint(); got != r.Fingerprint {
+		return nil, artifact.Corrupt(walPath, "state fingerprint %#x does not match commit record %#x", got, r.Fingerprint)
 	}
 	return r, nil
-}
-
-// restoredState rebuilds the canonical tuple from a restored image, in
-// exactly the shape captureState builds it from a live run.
-func (r *Restored) restoredState() *state {
-	h := r.Heap
-	return &state{
-		cfg:                r.Cfg,
-		fromOldB:           h.OldFrom().Name == "oldB",
-		nurseryHi:          r.nurseryHi,
-		nurseryNext:        r.nurseryNext,
-		fromHi:             r.fromHi,
-		fromNext:           r.fromNext,
-		toHi:               r.toHi,
-		toNext:             r.toNext,
-		fromWords:          h.Arena[h.OldFrom().Lo:r.fromNext],
-		nurseryWords:       h.Arena[h.Nursery.Lo:r.nurseryNext],
-		roots:              r.Roots,
-		logBase:            r.LogBase,
-		logEntries:         r.LogEntries,
-		bytesAllocated:     r.BytesAllocated,
-		logWrites:          r.LogWrites,
-		minorLogCursor:     r.MinorLogCursor,
-		promotedSinceMajor: r.PromotedSinceMajor,
-		promoHighWater:     r.PromoHighWater,
-	}
 }
 
 // readSnapshot parses the snapshot file into a fresh heap.
 //
 //gclint:io reads the epoch's snapshot file
 func readSnapshot(path string, r *Restored, walBase *int64) error {
-	f, err := os.Open(path)
+	f, rr, err := openRecords(path, snapMagic)
 	if err != nil {
-		return &CorruptError{Path: path, Detail: "unreadable snapshot", Err: err}
-	}
-	defer f.Close()
-	rr := newRecordReader(bufio.NewReaderSize(f, 1<<16), path)
-	if err := rr.readMagic(snapMagic); err != nil {
 		return err
 	}
+	defer f.Close()
 
-	typ, payload, err := rr.next()
+	typ, payload, err := mustNext(rr, path)
 	if err != nil {
-		return asCorrupt(path, err)
+		return err
 	}
 	if typ != recSnapHeader {
-		return corrupt(path, "first record type %d, want snapshot header", typ)
+		return artifact.Corrupt(path, "first record type %d, want snapshot header", typ)
 	}
-	d := dec{b: payload, path: path}
-	ver := d.u64()
-	epoch := d.u64()
-	*walBase = d.i64()
+	d := artifact.Dec{B: payload, Path: path}
+	ver := d.U64()
+	epoch := d.U64()
+	*walBase = d.I64()
 	cfg := heap.Config{
-		NurseryBytes:    d.i64(),
-		NurseryCapBytes: d.i64(),
-		OldSemiBytes:    d.i64(),
+		NurseryBytes:    d.I64(),
+		NurseryCapBytes: d.I64(),
+		OldSemiBytes:    d.I64(),
 	}
-	fromOldB := d.u8() == 1
-	if err := d.done(); err != nil {
+	fromOldB := d.Bool()
+	if err := d.Done(); err != nil {
 		return err
 	}
 	if ver != version {
-		return corrupt(path, "format version %d, want %d", ver, version)
+		return artifact.Corrupt(path, "format version %d, want %d", ver, version)
 	}
 	if epoch != r.Epoch {
-		return corrupt(path, "snapshot claims epoch %d, file is named for %d", epoch, r.Epoch)
+		return artifact.Corrupt(path, "snapshot claims epoch %d, file is named for %d", epoch, r.Epoch)
 	}
-	if cfg.NurseryBytes <= 0 || cfg.OldSemiBytes <= 0 || cfg.NurseryBytes > 1<<40 || cfg.OldSemiBytes > 1<<40 {
-		return corrupt(path, "implausible heap config %+v", cfg)
+	if cfg.NurseryBytes <= 0 || cfg.OldSemiBytes <= 0 || cfg.NurseryBytes > 1<<40 || cfg.NurseryCapBytes > 1<<40 || cfg.OldSemiBytes > 1<<40 {
+		return artifact.Corrupt(path, "implausible heap config %+v", cfg)
 	}
 	r.Cfg = cfg
 	r.Heap = heap.New(cfg)
@@ -242,16 +212,16 @@ func readSnapshot(path string, r *Restored, walBase *int64) error {
 
 	segs := 0
 	for {
-		typ, payload, err := rr.next()
+		typ, payload, err := mustNext(rr, path)
 		if err != nil {
-			return asCorrupt(path, err)
+			return err
 		}
 		switch typ {
 		case recSegment:
-			d := dec{b: payload, path: path}
-			space := d.u8()
-			start := d.u64()
-			count := d.u64()
+			d := artifact.Dec{B: payload, Path: path}
+			space := d.U8()
+			start := d.U64()
+			count := d.U64()
 			var sp *heap.Space
 			switch space {
 			case spaceOldFrom:
@@ -259,36 +229,36 @@ func readSnapshot(path string, r *Restored, walBase *int64) error {
 			case spaceNursery:
 				sp = &r.Heap.Nursery
 			default:
-				return corrupt(path, "segment %d: unknown space id %d", segs, space)
+				return artifact.Corrupt(path, "segment %d: unknown space id %d", segs, space)
 			}
-			if start < sp.Lo || count > sp.Cap-start {
-				return corrupt(path, "segment %d: range [%d,%d) outside space %s", segs, start, start+count, sp.Name)
+			if start < sp.Lo || start > sp.Cap || count > sp.Cap-start {
+				return artifact.Corrupt(path, "segment %d: range [%d,%d) outside space %s", segs, start, start+count, sp.Name)
 			}
-			if uint64(len(d.b)) != count*heap.BytesPerWord {
-				return corrupt(path, "segment %d: payload %d bytes, want %d words", segs, len(d.b), count)
+			if uint64(len(d.B)) != count*heap.BytesPerWord {
+				return artifact.Corrupt(path, "segment %d: payload %d bytes, want %d words", segs, len(d.B), count)
 			}
 			for i := uint64(0); i < count; i++ {
-				r.Heap.Arena[start+i] = heap.Value(d.u64())
+				r.Heap.Arena[start+i] = heap.Value(d.U64())
 			}
-			if err := d.done(); err != nil {
+			if err := d.Done(); err != nil {
 				return err
 			}
 			segs++
 		case recSnapFooter:
-			d := dec{b: payload, path: path}
-			want := d.u64()
-			if err := d.done(); err != nil {
+			d := artifact.Dec{B: payload, Path: path}
+			want := d.U64()
+			if err := d.Done(); err != nil {
 				return err
 			}
 			if uint64(segs) != want {
-				return corrupt(path, "footer claims %d segments, read %d", want, segs)
+				return artifact.Corrupt(path, "footer claims %d segments, read %d", want, segs)
 			}
-			if _, _, err := rr.next(); err != io.EOF {
-				return corrupt(path, "trailing data after snapshot footer")
+			if _, _, err := rr.Next(); err != io.EOF {
+				return artifact.Corrupt(path, "trailing data after snapshot footer")
 			}
 			return nil
 		default:
-			return corrupt(path, "unexpected record type %d in snapshot body", typ)
+			return artifact.Corrupt(path, "unexpected record type %d in snapshot body", typ)
 		}
 	}
 }
@@ -297,36 +267,32 @@ func readSnapshot(path string, r *Restored, walBase *int64) error {
 //
 //gclint:io reads the epoch's WAL file
 func readWAL(path string, r *Restored) error {
-	f, err := os.Open(path)
+	f, rr, err := openRecords(path, walMagic)
 	if err != nil {
-		return &CorruptError{Path: path, Detail: "unreadable WAL", Err: err}
-	}
-	defer f.Close()
-	rr := newRecordReader(bufio.NewReaderSize(f, 1<<16), path)
-	if err := rr.readMagic(walMagic); err != nil {
 		return err
 	}
+	defer f.Close()
 
 	// The records must appear in the fixed order commit writes them.
 	want := []uint8{recWALHeader, recSpaces, recPatch, recLog, recRoots, recSched, recCommit}
 	for _, wantTyp := range want {
-		typ, payload, err := rr.next()
+		typ, payload, err := mustNext(rr, path)
 		if err != nil {
-			return asCorrupt(path, err)
+			return err
 		}
 		if typ != wantTyp {
-			return corrupt(path, "record type %d, want %d", typ, wantTyp)
+			return artifact.Corrupt(path, "record type %d, want %d", typ, wantTyp)
 		}
-		d := dec{b: payload, path: path}
+		d := artifact.Dec{B: payload, Path: path}
 		switch typ {
 		case recWALHeader:
-			if epoch := d.u64(); epoch != r.Epoch {
-				return corrupt(path, "WAL claims epoch %d, file is named for %d", epoch, r.Epoch)
+			if epoch := d.U64(); epoch != r.Epoch {
+				return artifact.Corrupt(path, "WAL claims epoch %d, file is named for %d", epoch, r.Epoch)
 			}
 		case recSpaces:
-			r.nurseryHi, r.nurseryNext = d.u64(), d.u64()
-			r.fromHi, r.fromNext = d.u64(), d.u64()
-			r.toHi, r.toNext = d.u64(), d.u64()
+			r.nurseryHi, r.nurseryNext = d.U64(), d.U64()
+			r.fromHi, r.fromNext = d.U64(), d.U64()
+			r.toHi, r.toNext = d.U64(), d.U64()
 			if err := checkSpace(path, "nursery", &r.Heap.Nursery, r.nurseryHi, r.nurseryNext); err != nil {
 				return err
 			}
@@ -337,58 +303,58 @@ func readWAL(path string, r *Restored) error {
 				return err
 			}
 		case recPatch:
-			n := d.u64()
+			n := d.U64()
 			if n > uint64(len(r.Heap.Arena)) {
-				return corrupt(path, "implausible patch count %d", n)
+				return artifact.Corrupt(path, "implausible patch count %d", n)
 			}
-			for i := uint64(0); i < n && d.err == nil; i++ {
-				idx := d.u64()
-				val := heap.Value(d.u64())
+			for i := uint64(0); i < n && d.Err() == nil; i++ {
+				idx := d.U64()
+				val := heap.Value(d.U64())
 				if idx >= uint64(len(r.Heap.Arena)) {
-					return corrupt(path, "patch %d: arena index %d out of range", i, idx)
+					return artifact.Corrupt(path, "patch %d: arena index %d out of range", i, idx)
 				}
 				r.Heap.Arena[idx] = val
 			}
 		case recLog:
-			r.LogBase = d.i64()
-			n := d.u64()
-			if n > 1<<28 {
-				return corrupt(path, "implausible log entry count %d", n)
+			r.LogBase = d.I64()
+			n := d.U64()
+			if n > uint64(len(d.B))/25 { // 25 payload bytes an entry: allocate no more than the record can hold
+				return artifact.Corrupt(path, "implausible log entry count %d", n)
 			}
 			r.LogEntries = make([]core.LogEntry, 0, n)
-			for i := uint64(0); i < n && d.err == nil; i++ {
+			for i := uint64(0); i < n && d.Err() == nil; i++ {
 				e := core.LogEntry{
-					Obj:  heap.Value(d.u64()),
-					Slot: int32(uint32(d.u64())),
-					Len:  int32(uint32(d.u64())),
+					Obj:  heap.Value(d.U64()),
+					Slot: int32(uint32(d.U64())),
+					Len:  int32(uint32(d.U64())),
 				}
-				e.Byte = d.u8() == 1
+				e.Byte = d.Bool()
 				r.LogEntries = append(r.LogEntries, e)
 			}
 		case recRoots:
-			n := d.u64()
-			if n > 1<<28 {
-				return corrupt(path, "implausible root count %d", n)
+			n := d.U64()
+			if n > uint64(len(d.B))/8 {
+				return artifact.Corrupt(path, "implausible root count %d", n)
 			}
 			r.Roots = make([]heap.Value, 0, n)
-			for i := uint64(0); i < n && d.err == nil; i++ {
-				r.Roots = append(r.Roots, heap.Value(d.u64()))
+			for i := uint64(0); i < n && d.Err() == nil; i++ {
+				r.Roots = append(r.Roots, heap.Value(d.U64()))
 			}
 		case recSched:
-			r.BytesAllocated = d.i64()
-			r.LogWrites = d.i64()
-			r.MinorLogCursor = d.i64()
-			r.PromotedSinceMajor = d.i64()
-			r.PromoHighWater = d.i64()
+			r.BytesAllocated = d.I64()
+			r.LogWrites = d.I64()
+			r.MinorLogCursor = d.I64()
+			r.PromotedSinceMajor = d.I64()
+			r.PromoHighWater = d.I64()
 		case recCommit:
-			r.Fingerprint = d.u64()
+			r.Fingerprint = d.U64()
 		}
-		if err := d.done(); err != nil {
+		if err := d.Done(); err != nil {
 			return err
 		}
 	}
-	if _, _, err := rr.next(); err != io.EOF {
-		return corrupt(path, "trailing data after commit record")
+	if _, _, err := rr.Next(); err != io.EOF {
+		return artifact.Corrupt(path, "trailing data after commit record")
 	}
 	return nil
 }
@@ -396,16 +362,39 @@ func readWAL(path string, r *Restored) error {
 // checkSpace validates recorded geometry against the reconstructed space.
 func checkSpace(path, name string, sp *heap.Space, hi, next uint64) error {
 	if hi < sp.Lo || hi > sp.Cap || next < sp.Lo || next > hi {
-		return corrupt(path, "%s geometry hi=%d next=%d outside [%d,%d]", name, hi, next, sp.Lo, sp.Cap)
+		return artifact.Corrupt(path, "%s geometry hi=%d next=%d outside [%d,%d]", name, hi, next, sp.Lo, sp.Cap)
 	}
 	return nil
 }
 
-// asCorrupt maps a record-reader error (including bare EOF on a file that
-// needed more records) to a *CorruptError.
-func asCorrupt(path string, err error) error {
-	if err == io.EOF {
-		return corrupt(path, "file ends before its completeness footer")
+// openRecords opens one artifact file as a record stream. The reader is
+// bounded by the file's size, so no record can claim more than the file holds.
+//
+//gclint:io opens and sizes an epoch's artifact file
+func openRecords(path, magic string) (*os.File, *artifact.Reader, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, &artifact.CorruptError{Path: path, Detail: "unreadable artifact", Err: err}
 	}
-	return err
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, nil, &artifact.CorruptError{Path: path, Detail: "unreadable artifact", Err: err}
+	}
+	rr, err := artifact.NewReader(bufio.NewReaderSize(f, 1<<16), st.Size(), path, magic)
+	if err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	return f, rr, nil
+}
+
+// mustNext reads a record the file's grammar still requires: a clean end of
+// file here means the completeness footer is missing.
+func mustNext(rr *artifact.Reader, path string) (uint8, []byte, error) {
+	typ, payload, err := rr.Next()
+	if err == io.EOF {
+		err = artifact.Corrupt(path, "file ends before its completeness footer")
+	}
+	return typ, payload, err
 }

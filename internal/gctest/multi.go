@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repligc/internal/artifact"
 	"repligc/internal/core"
 	"repligc/internal/heap"
 )
@@ -85,23 +86,19 @@ func (md *MultiDriver) Verify() error {
 // Fingerprint combines the members' reachable-graph fingerprints with the
 // shared array's contents into one address-independent signature.
 func (md *MultiDriver) Fingerprint() uint64 {
-	var hash uint64 = 14695981039346656037
-	mix := func(x uint64) {
-		hash ^= x
-		hash *= 1099511628211
-	}
+	hash := artifact.NewHash64()
 	for _, d := range md.Drivers {
-		mix(d.Fingerprint())
+		hash.Word(d.Fingerprint())
 	}
 	m := md.G.Members[0]
 	p := m.HandleVal(md.shared)
 	for i := 0; i < sharedSlots; i++ {
 		v := m.Get(p, i)
 		if v.IsInt() {
-			mix(uint64(v.Int()))
+			hash.Word(uint64(v.Int()))
 		} else {
-			mix(uint64(v))
+			hash.Word(uint64(v))
 		}
 	}
-	return hash
+	return uint64(hash)
 }

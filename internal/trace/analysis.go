@@ -3,44 +3,32 @@ package trace
 // The analysis layer: everything computed over a recorded trace. Pause
 // quantiles reuse simtime.Percentile — the one tested quantile
 // implementation in the repository — and the MMU computation is exact, not
-// sampled: minimum mutator utilization over a sliding window is a piecewise
-// function whose minima occur only when a window edge aligns with a pause
-// edge, so evaluating those alignments suffices.
+// sampled: it asks simtime.PauseIndex, the one pause-interval index, for the
+// worst window.
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"repligc/internal/simtime"
 )
 
-// PauseSpan is one closed pause interval extracted from a trace.
-type PauseSpan struct {
-	Start, End simtime.Duration
-	Copied     int64 // bytes copied during the pause
-	LogEntries int64 // log entries processed during the pause
-	PauseKind  int64 // the simtime.PauseKind recorded at pause-end
-}
-
-// Length is the span's duration.
-func (s PauseSpan) Length() simtime.Duration { return s.End - s.Start }
-
-// MMUPoint is one point of an MMU curve.
+// MMUPoint is one point of an MMU curve, in the form every report embeds.
 type MMUPoint struct {
-	Window      simtime.Duration
-	Utilization float64 // minimum mutator utilization over any such window
+	WindowMs    float64 `json:"window_ms"`
+	Utilization float64 `json:"utilization"` // minimum mutator utilization over any such window
 }
 
 // Analysis is the digest of one trace.
 type Analysis struct {
 	Start, End simtime.Duration // first and last event timestamps
-	Pauses     []PauseSpan
+	Pauses     []simtime.Pause  // every closed pause, in order
 	PhaseTime  [NumPhases]simtime.Duration
 	PhaseCount [NumPhases]int
 	Copied     int64 // total bytes copied across pauses
 	LogEntries int64 // total log entries processed across pauses
 
-	cum []simtime.Duration // cum[i]: total pause time in Pauses[:i]
+	idx *simtime.PauseIndex // over Pauses
 }
 
 // Analyze validates events and digests them. The trace must be well-formed
@@ -49,21 +37,19 @@ func Analyze(events []Event) (*Analysis, error) {
 	if err := Validate(events); err != nil {
 		return nil, err
 	}
-	a := &Analysis{cum: []simtime.Duration{0}}
-	if len(events) == 0 {
-		return a, nil
+	a := &Analysis{}
+	if len(events) > 0 {
+		a.Start, a.End = events[0].At, events[len(events)-1].At
 	}
-	a.Start = events[0].At
-	a.End = events[len(events)-1].At
 	var pauseStart, phaseStart simtime.Duration
 	for _, e := range events {
 		switch e.Kind {
 		case KindPauseBegin:
 			pauseStart = e.At
 		case KindPauseEnd:
-			a.Pauses = append(a.Pauses, PauseSpan{
-				Start: pauseStart, End: e.At,
-				Copied: e.A, LogEntries: e.B, PauseKind: e.C,
+			a.Pauses = append(a.Pauses, simtime.Pause{
+				At: pauseStart, Length: e.At - pauseStart,
+				Kind: simtime.PauseKind(e.C), CopiedB: e.A, LogProcN: e.B,
 			})
 			a.Copied += e.A
 			a.LogEntries += e.B
@@ -74,10 +60,7 @@ func Analyze(events []Event) (*Analysis, error) {
 			a.PhaseCount[e.Phase]++
 		}
 	}
-	a.cum = make([]simtime.Duration, len(a.Pauses)+1)
-	for i, p := range a.Pauses {
-		a.cum[i+1] = a.cum[i] + p.Length()
-	}
+	a.idx = simtime.NewPauseIndex(a.Pauses)
 	return a, nil
 }
 
@@ -85,7 +68,7 @@ func Analyze(events []Event) (*Analysis, error) {
 func (a *Analysis) Total() simtime.Duration { return a.End - a.Start }
 
 // TotalPause is the summed length of all pauses.
-func (a *Analysis) TotalPause() simtime.Duration { return a.cum[len(a.Pauses)] }
+func (a *Analysis) TotalPause() simtime.Duration { return a.idx.Total() }
 
 // Utilization is the whole-run mutator utilization: the fraction of
 // simulated time not spent in pauses.
@@ -100,7 +83,7 @@ func (a *Analysis) Utilization() float64 {
 func (a *Analysis) PauseDurations() []simtime.Duration {
 	out := make([]simtime.Duration, len(a.Pauses))
 	for i, p := range a.Pauses {
-		out[i] = p.Length()
+		out[i] = p.Length
 	}
 	return out
 }
@@ -118,67 +101,48 @@ func (a *Analysis) PauseQuantiles(ps ...float64) []simtime.Duration {
 	return simtime.Percentiles(a.PauseDurations(), ps...)
 }
 
-// busyBefore returns the total pause time in [a.Start, t).
-func (a *Analysis) busyBefore(t simtime.Duration) simtime.Duration {
-	i := sort.Search(len(a.Pauses), func(i int) bool { return a.Pauses[i].End > t })
-	b := a.cum[i]
-	if i < len(a.Pauses) && a.Pauses[i].Start < t {
-		b += t - a.Pauses[i].Start
-	}
-	return b
-}
-
-// windowUtil is the mutator utilization of the window [t, t+w].
-func (a *Analysis) windowUtil(t, w simtime.Duration) float64 {
-	busy := a.busyBefore(t+w) - a.busyBefore(t)
-	return 1 - float64(busy)/float64(w)
-}
-
 // MMU returns the minimum mutator utilization over every window of length w
 // inside the trace. Windows at least as long as the whole trace degenerate
-// to the overall utilization. The minimum of the sliding-window utilization
-// is attained where a window edge coincides with a pause edge, so the
-// computation is exact: it evaluates a window starting at every pause start
-// and ending at every pause end (clamped to the trace), plus the two
-// extremes.
+// to the overall utilization; windows shorter than one pause are fully
+// consumed.
 func (a *Analysis) MMU(w simtime.Duration) float64 {
-	total := a.Total()
 	if w <= 0 {
 		return 0
 	}
-	if w >= total {
+	if w >= a.Total() {
 		return a.Utilization()
 	}
-	mmu := a.windowUtil(a.Start, w)
-	consider := func(t simtime.Duration) {
-		if t < a.Start {
-			t = a.Start
-		}
-		if t > a.End-w {
-			t = a.End - w
-		}
-		if u := a.windowUtil(t, w); u < mmu {
-			mmu = u
-		}
-	}
-	consider(a.End - w)
-	for _, p := range a.Pauses {
-		consider(p.Start)
-		consider(p.End - w)
-	}
-	if mmu < 0 {
-		mmu = 0 // windows shorter than one pause are fully consumed
-	}
-	return mmu
+	return max(1-float64(a.idx.MaxBusy(a.Start, a.End, w))/float64(w), 0)
 }
 
 // MMUCurve evaluates MMU at each window, in order.
 func (a *Analysis) MMUCurve(windows []simtime.Duration) []MMUPoint {
-	out := make([]MMUPoint, len(windows))
-	for i, w := range windows {
-		out[i] = MMUPoint{Window: w, Utilization: a.MMU(w)}
+	var out []MMUPoint // nil, not empty, for no windows: reports marshal it
+	for _, w := range windows {
+		out = append(out, MMUPoint{WindowMs: w.Milliseconds(), Utilization: a.MMU(w)})
 	}
 	return out
+}
+
+// CheckMMUCurve rejects a curve MMUCurve cannot have produced: empty,
+// windows not positive and strictly increasing, or a utilization outside
+// [0, 1]. Every report validator applies it to its "mmu" member.
+func CheckMMUCurve(curve []MMUPoint) error {
+	if len(curve) == 0 {
+		return fmt.Errorf("mmu curve is empty")
+	}
+	lastW := 0.0
+	for _, pt := range curve {
+		if math.IsNaN(pt.WindowMs) || pt.WindowMs <= lastW {
+			return fmt.Errorf("mmu windows are not positive and strictly increasing (%v after %v)",
+				pt.WindowMs, lastW)
+		}
+		lastW = pt.WindowMs
+		if math.IsNaN(pt.Utilization) || pt.Utilization < 0 || pt.Utilization > 1 {
+			return fmt.Errorf("mmu(%v ms) = %v outside [0, 1]", pt.WindowMs, pt.Utilization)
+		}
+	}
+	return nil
 }
 
 // StandardWindows is the default MMU window ladder: 1 ms to 10 s in a
@@ -233,8 +197,8 @@ func Summary(label string, a *Analysis, dropped int64) string {
 			q[0], q[1], q[2], q[3], q[4])
 	}
 	s += "MMU:"
-	for _, pt := range a.MMUCurve(a.StandardWindows()) {
-		s += fmt.Sprintf("  %v %.1f%%", pt.Window, 100*pt.Utilization)
+	for _, w := range a.StandardWindows() {
+		s += fmt.Sprintf("  %v %.1f%%", w, 100*a.MMU(w))
 	}
 	s += "\nphases:\n"
 	for p := Phase(0); p < NumPhases; p++ {

@@ -200,7 +200,7 @@ func TestAnalyzeAttributesPhasesAndPayloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Pauses) != 1 || a.Pauses[0].Length() != 8*ms {
+	if len(a.Pauses) != 1 || a.Pauses[0].Length != 8*ms {
 		t.Fatalf("pauses = %+v, want one 8ms span", a.Pauses)
 	}
 	if a.Copied != 4096 || a.LogEntries != 17 {

@@ -16,6 +16,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repligc/internal/core"
@@ -239,7 +240,7 @@ func buildLeg(rt *Runtime, t *Trace, legName string,
 	spec := t.Spec
 	clock := rt.Mutator.Clock
 	pauses := rt.GC.Pauses()
-	idx := newPauseIndex(pauses)
+	idx := simtime.NewPauseIndex(pauses.Pauses)
 
 	leg := &Leg{
 		Name:                 legName,
@@ -289,7 +290,7 @@ func buildLeg(rt *Runtime, t *Trace, legName string,
 		a := &accs[r.Cohort]
 		a.lats = append(a.lats, ends[i]-r.At)
 		a.waits = append(a.waits, starts[i]-r.At)
-		a.intrs = append(a.intrs, idx.between(r.At, ends[i]))
+		a.intrs = append(a.intrs, idx.Between(r.At, ends[i]))
 	}
 	for ci := range spec.Cohorts {
 		c := &spec.Cohorts[ci]
@@ -354,60 +355,29 @@ func buildLeg(rt *Runtime, t *Trace, legName string,
 			windows = append(windows, w)
 		}
 	}
-	sort.Slice(windows, func(i, j int) bool { return windows[i] < windows[j] })
-	uniq := windows[:0]
-	for _, w := range windows {
-		if len(uniq) == 0 || w != uniq[len(uniq)-1] {
-			uniq = append(uniq, w)
-		}
-	}
-	for _, pt := range an.MMUCurve(uniq) {
-		leg.MMU = append(leg.MMU, MMUPoint{
-			WindowMs:    pt.Window.Milliseconds(),
-			Utilization: pt.Utilization,
-		})
-	}
+	slices.Sort(windows)
+	leg.MMU = an.MMUCurve(slices.Compact(windows))
 
-	leg.HeapFingerprint = fmt.Sprintf("%016x", heapFingerprint(rt.Mutator, spec, t))
+	leg.HeapFingerprint = fmt.Sprintf("%016x", heapFingerprint(rt.Mutator, t))
 	return leg, nil
 }
 
-// pauseIndex answers "how much pause time overlaps [a, b]" in O(log n) via
-// prefix sums, the same pause-edge technique as trace.Analysis.
-type pauseIndex struct {
-	starts, ends []simtime.Duration
-	cum          []simtime.Duration
-}
-
-func newPauseIndex(r *simtime.Recorder) *pauseIndex {
-	n := len(r.Pauses)
-	idx := &pauseIndex{
-		starts: make([]simtime.Duration, n),
-		ends:   make([]simtime.Duration, n),
-		cum:    make([]simtime.Duration, n+1),
-	}
-	for i, p := range r.Pauses {
-		idx.starts[i] = p.At
-		idx.ends[i] = p.At + p.Length
-		idx.cum[i+1] = idx.cum[i] + p.Length
-	}
-	return idx
-}
-
-// busyBefore is the total pause time in (-inf, t).
-func (idx *pauseIndex) busyBefore(t simtime.Duration) simtime.Duration {
-	i := sort.Search(len(idx.ends), func(i int) bool { return idx.ends[i] > t })
-	b := idx.cum[i]
-	if i < len(idx.starts) && idx.starts[i] < t {
-		b += t - idx.starts[i]
-	}
-	return b
-}
-
-// between is the pause time overlapping [a, b].
-func (idx *pauseIndex) between(a, b simtime.Duration) simtime.Duration {
-	if b <= a {
-		return 0
-	}
-	return idx.busyBefore(b) - idx.busyBefore(a)
+// heapFingerprint is the end-of-run heap fingerprint: core's reachable-graph
+// digest over every session root in (cohort, slot) order, identical across
+// collectors that served the same trace correctly — the cross-collector
+// oracle of the determinism matrix. The engine's root tables are a prefix of
+// the handle stack, pushed in that order before any request ran; cohort
+// boundaries are mixed in so an empty cohort still shapes the digest.
+func heapFingerprint(m *core.Mutator, t *Trace) uint64 {
+	return m.GraphDigest(func(mix func(uint64), walk func(heap.Value)) {
+		h := core.Handle(0)
+		for ci, slots := range t.slotCount() {
+			mix(5)
+			mix(uint64(ci))
+			for s := int32(0); s < slots; s++ {
+				walk(m.HandleVal(h))
+				h++
+			}
+		}
+	})
 }

@@ -5,5 +5,5 @@ import "repligc/internal/simtime"
 // pauseOverlap is the test seam onto the engine's intrusion kernel: the pause
 // time overlapping [a, b], exactly as buildLeg attributes it to a request.
 func pauseOverlap(pauses []simtime.Pause, a, b simtime.Duration) simtime.Duration {
-	return newPauseIndex(&simtime.Recorder{Pauses: pauses}).between(a, b)
+	return simtime.NewPauseIndex(pauses).Between(a, b)
 }

@@ -10,10 +10,10 @@ package workload
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 
+	"repligc/internal/artifact"
 	"repligc/internal/rng"
 	"repligc/internal/simtime"
 )
@@ -211,40 +211,29 @@ func (t *Trace) slotCount() []int32 {
 // materialised request field, in order. Replay verifies against it, and the
 // serving report embeds it so two reports can be tied to the same traffic.
 func (t *Trace) Fingerprint() uint64 {
-	h := fnv.New64a()
 	specJSON, err := json.Marshal(t.Spec)
 	if err != nil {
 		panic("workload: spec marshal failed: " + err.Error())
 	}
-	h.Write(specJSON)
-	var buf [8]byte
-	w64 := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	w64(uint64(len(t.Reqs)))
+	h := artifact.NewHash64()
+	h.Bytes(specJSON)
+	h.U64(uint64(len(t.Reqs)))
 	for i := range t.Reqs {
 		r := &t.Reqs[i]
-		w64(uint64(r.At))
-		w64(uint64(uint32(r.Cohort)))
-		w64(uint64(uint32(r.Session)))
-		w64(uint64(uint32(r.NewWords)))
-		if r.End {
-			w64(1)
-		} else {
-			w64(0)
-		}
-		w64(uint64(uint32(r.Muts)))
-		w64(uint64(uint32(r.Steps)))
-		w64(uint64(len(r.Objs)))
+		h.U64(uint64(r.At))
+		h.U64(uint64(uint32(r.Cohort)))
+		h.U64(uint64(uint32(r.Session)))
+		h.U64(uint64(uint32(r.NewWords)))
+		h.Bool(r.End)
+		h.U64(uint64(uint32(r.Muts)))
+		h.U64(uint64(uint32(r.Steps)))
+		h.U64(uint64(len(r.Objs)))
 		for _, o := range r.Objs {
-			w64(uint64(uint32(o.Words)))
-			w64(uint64(uint32(o.Retain)))
+			h.U64(uint64(uint32(o.Words)))
+			h.U64(uint64(uint32(o.Retain)))
 		}
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 // checkFloat guards math results that must stay finite (belt and braces for

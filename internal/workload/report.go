@@ -10,6 +10,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+
+	"repligc/internal/trace"
 )
 
 // ReportSchema identifies the serving report layout. It shares the
@@ -58,15 +60,9 @@ type Leg struct {
 	// MMU is the request-granularity minimum-mutator-utilization curve: the
 	// standard window ladder merged with every cohort's SLO target, so each
 	// SLO can be read off directly against the worst window it could land in.
-	MMU []MMUPoint `json:"mmu"`
+	MMU []trace.MMUPoint `json:"mmu"`
 
 	Cohorts []CohortMetrics `json:"cohorts"`
-}
-
-// MMUPoint is one point of a leg's MMU curve.
-type MMUPoint struct {
-	WindowMs    float64 `json:"window_ms"`
-	Utilization float64 `json:"utilization"`
 }
 
 // QueueStats summarises the open-loop queue, sampled at each request's
@@ -116,9 +112,9 @@ type Intrusion struct {
 type SLOBreakdown struct {
 	TargetMs   float64 `json:"target_ms"`
 	DeadlineMs float64 `json:"deadline_ms"`
-	Met        int     `json:"met"`     // latency <= target
-	Late       int     `json:"late"`    // target < latency <= deadline
-	Missed     int     `json:"missed"`  // latency > deadline
+	Met        int     `json:"met"`    // latency <= target
+	Late       int     `json:"late"`   // target < latency <= deadline
+	Missed     int     `json:"missed"` // latency > deadline
 }
 
 // ValidateReport checks that data parses as a serving report with the
@@ -188,19 +184,8 @@ func (l *Leg) check(requests int) error {
 	if l.Queue.MaxDepth < l.Queue.P99Depth || l.Queue.P99Depth < 0 {
 		return fmt.Errorf("queue depths are not monotone (p99 %d, max %d)", l.Queue.P99Depth, l.Queue.MaxDepth)
 	}
-	if len(l.MMU) == 0 {
-		return fmt.Errorf("mmu curve is empty (schema %s requires it)", ReportSchema)
-	}
-	lastW := 0.0
-	for _, pt := range l.MMU {
-		if math.IsNaN(pt.WindowMs) || pt.WindowMs <= lastW {
-			return fmt.Errorf("mmu windows are not positive and strictly increasing (%v after %v)",
-				pt.WindowMs, lastW)
-		}
-		lastW = pt.WindowMs
-		if math.IsNaN(pt.Utilization) || pt.Utilization < 0 || pt.Utilization > 1 {
-			return fmt.Errorf("mmu(%v ms) = %v outside [0, 1]", pt.WindowMs, pt.Utilization)
-		}
+	if err := trace.CheckMMUCurve(l.MMU); err != nil {
+		return err
 	}
 	if len(l.Cohorts) == 0 {
 		return fmt.Errorf("no cohort metrics")

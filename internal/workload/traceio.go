@@ -1,34 +1,32 @@
 package workload
 
 // Trace record/replay. EncodeTrace serialises a materialised trace to a
-// versioned artifact; DecodeTrace reads one back bit-identically. The
-// format follows the checkpoint subsystem's framing discipline:
-//
-//	magic | frame* ,  frame := seq u32 | type u8 | payloadLen u32 | payload | crc u32
-//
-// where crc is the IEEE CRC-32 of everything before it in the frame and
-// sequence numbers must be consecutive, so duplicated, reordered or torn
-// records are detected even when their checksums survive. The footer
-// carries the request count and the trace fingerprint; a decode either
-// yields exactly the encoded trace or fails with a typed *TraceCorruptError
-// — never a silently different workload. All integers are little-endian.
+// versioned artifact — internal/artifact frames (DESIGN.md, "Artifact kit")
+// under the magic below; DecodeTrace reads one back bit-identically. The
+// footer carries the request count and the trace fingerprint, and every
+// request is checked against the header's spec, so a decode either yields
+// exactly the encoded trace — one the generator could have produced and the
+// engine can serve — or fails with a typed *artifact.CorruptError; never a
+// silently different workload. The artifact is canonical: re-encoding a
+// decoded trace reproduces its bytes.
 //
 // This package only transforms bytes; reading and writing artifact *files*
 // belongs to cmd/ (gclint rule "io").
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
+	"io"
 
+	"repligc/internal/artifact"
 	"repligc/internal/simtime"
 )
 
 const (
 	traceMagic   = "RGCSRVT1" // serving-trace artifact magic
 	traceVersion = 1
+	tracePath    = "serving trace" // names the in-memory artifact in errors
 
 	// reqsPerRecord batches requests per frame: artifacts stay streamable
 	// and a torn tail corrupts one frame, not the whole request list.
@@ -42,305 +40,179 @@ const (
 	recTraceFooter                  // request count, fingerprint (completeness marker)
 )
 
-// TraceCorruptError is the typed error for any damaged, truncated or
-// inconsistent trace artifact.
-type TraceCorruptError struct {
-	Detail string
-	Err    error
-}
-
-// Error implements error.
-func (e *TraceCorruptError) Error() string {
-	if e.Err != nil {
-		return fmt.Sprintf("workload trace: %s: %v", e.Detail, e.Err)
-	}
-	return fmt.Sprintf("workload trace: %s", e.Detail)
-}
-
-// Unwrap exposes the underlying cause to errors.Is/As.
-func (e *TraceCorruptError) Unwrap() error { return e.Err }
-
-func traceCorrupt(format string, args ...any) *TraceCorruptError {
-	return &TraceCorruptError{Detail: fmt.Sprintf(format, args...)}
-}
-
 // EncodeTrace serialises t.
 func EncodeTrace(t *Trace) ([]byte, error) {
-	specJSON, err := canonicalSpec(t.Spec)
+	specJSON, err := json.Marshal(t.Spec) // canonical: struct order, the bytes Fingerprint digests
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("workload trace: marshal spec: %w", err)
 	}
 	var out bytes.Buffer
-	out.WriteString(traceMagic)
-	seq := uint32(0)
-	frame := func(typ uint8, payload []byte) {
-		hdr := make([]byte, 9)
-		binary.LittleEndian.PutUint32(hdr[0:], seq)
-		hdr[4] = typ
-		binary.LittleEndian.PutUint32(hdr[5:], uint32(len(payload)))
-		crc := crc32.NewIEEE()
-		crc.Write(hdr)
-		crc.Write(payload)
-		out.Write(hdr)
-		out.Write(payload)
-		var sum [4]byte
-		binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-		out.Write(sum[:])
-		seq++
+	w := artifact.NewWriter(&out, traceMagic)
+	var p artifact.Enc
+	frame := func(typ uint8) {
+		w.Record(typ, p.B)
+		p.B = p.B[:0]
 	}
 
-	var p payload
-	p.u32(traceVersion)
-	p.u64(t.Spec.Seed)
-	p.bytes(specJSON)
-	frame(recTraceHeader, p.take())
+	p.U32(traceVersion)
+	p.U64(t.Spec.Seed)
+	p.Bytes(specJSON)
+	frame(recTraceHeader)
 
 	for lo := 0; lo < len(t.Reqs); lo += reqsPerRecord {
-		hi := lo + reqsPerRecord
-		if hi > len(t.Reqs) {
-			hi = len(t.Reqs)
-		}
-		p.u32(uint32(hi - lo))
+		hi := min(lo+reqsPerRecord, len(t.Reqs))
+		p.U32(uint32(hi - lo))
 		for i := lo; i < hi; i++ {
 			r := &t.Reqs[i]
-			p.u64(uint64(r.At))
-			p.u32(uint32(r.Cohort))
-			p.u32(uint32(r.Session))
-			p.u32(uint32(r.NewWords))
-			if r.End {
-				p.u8(1)
-			} else {
-				p.u8(0)
-			}
-			p.u32(uint32(r.Muts))
-			p.u32(uint32(r.Steps))
-			p.u32(uint32(len(r.Objs)))
+			p.U64(uint64(r.At))
+			p.U32(uint32(r.Cohort))
+			p.U32(uint32(r.Session))
+			p.U32(uint32(r.NewWords))
+			p.Bool(r.End)
+			p.U32(uint32(r.Muts))
+			p.U32(uint32(r.Steps))
+			p.U32(uint32(len(r.Objs)))
 			for _, o := range r.Objs {
-				p.u32(uint32(o.Words))
-				p.u32(uint32(o.Retain))
+				p.U32(uint32(o.Words))
+				p.U32(uint32(o.Retain))
 			}
 		}
-		frame(recTraceReqs, p.take())
+		frame(recTraceReqs)
 	}
 
-	p.u64(uint64(len(t.Reqs)))
-	p.u64(t.Fingerprint())
-	frame(recTraceFooter, p.take())
+	p.U64(uint64(len(t.Reqs)))
+	p.U64(t.Fingerprint())
+	frame(recTraceFooter)
 	return out.Bytes(), nil
 }
 
 // DecodeTrace reads an artifact back. The returned trace is verified
 // against the footer's request count and fingerprint.
 func DecodeTrace(data []byte) (*Trace, error) {
-	if len(data) < len(traceMagic) || string(data[:len(traceMagic)]) != traceMagic {
-		return nil, traceCorrupt("bad magic (not a serving-trace artifact)")
+	rr, err := artifact.NewReader(bytes.NewReader(data), int64(len(data)), tracePath, traceMagic)
+	if err != nil {
+		return nil, err
 	}
-	rest := data[len(traceMagic):]
 	var (
-		t          *Trace
-		wantSeq    uint32
-		sawFooter  bool
-		footCount  uint64
-		footPrint  uint64
+		t         *Trace
+		sessions  []int32 // per cohort: sessions created so far
+		lastBatch uint32  = reqsPerRecord
+		sawFooter bool
 	)
-	for len(rest) > 0 {
+	for {
+		typ, body, err := rr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
 		if sawFooter {
-			return nil, traceCorrupt("data after footer record")
+			return nil, artifact.Corrupt(tracePath, "data after footer record")
 		}
-		if len(rest) < 13 {
-			return nil, traceCorrupt("truncated frame header")
+		if (typ == recTraceHeader) != (t == nil) {
+			return nil, artifact.Corrupt(tracePath, "record type %d: the header must come first, once", typ)
 		}
-		seq := binary.LittleEndian.Uint32(rest[0:])
-		typ := rest[4]
-		plen := binary.LittleEndian.Uint32(rest[5:])
-		if uint64(len(rest)) < 13+uint64(plen) {
-			return nil, traceCorrupt("record %d: truncated payload (%d of %d bytes)", seq, len(rest)-13, plen)
-		}
-		body := rest[9 : 9+plen]
-		crc := crc32.NewIEEE()
-		crc.Write(rest[:9+plen])
-		if got := binary.LittleEndian.Uint32(rest[9+plen:]); got != crc.Sum32() {
-			return nil, traceCorrupt("record %d: checksum mismatch", seq)
-		}
-		if seq != wantSeq {
-			return nil, traceCorrupt("record sequence %d, want %d (reordered or duplicated)", seq, wantSeq)
-		}
-		wantSeq++
-		rest = rest[13+plen:]
-
-		rd := reader{b: body}
+		d := artifact.Dec{B: body, Path: tracePath}
 		switch typ {
 		case recTraceHeader:
-			if t != nil {
-				return nil, traceCorrupt("duplicate header record")
+			ver := d.U32()
+			seed := d.U64()
+			specJSON := d.Bytes()
+			if err := d.Done(); err != nil {
+				return nil, err
 			}
-			ver := rd.u32()
 			if ver != traceVersion {
-				return nil, traceCorrupt("version %d, want %d", ver, traceVersion)
-			}
-			seed := rd.u64()
-			specJSON := rd.bytes()
-			if rd.err != nil {
-				return nil, traceCorrupt("header record: %v", rd.err)
+				return nil, artifact.Corrupt(tracePath, "version %d, want %d", ver, traceVersion)
 			}
 			spec, err := ParseSpec(specJSON)
 			if err != nil {
-				return nil, &TraceCorruptError{Detail: "header spec", Err: err}
+				return nil, &artifact.CorruptError{Path: tracePath, Detail: "header spec", Err: err}
 			}
-			if spec.Seed != seed {
-				return nil, traceCorrupt("header seed %d disagrees with spec seed %d", seed, spec.Seed)
+			if canon, err := json.Marshal(spec); err != nil || !bytes.Equal(canon, specJSON) || spec.Seed != seed {
+				return nil, artifact.Corrupt(tracePath, "header spec is not in canonical form or disagrees with header seed %d", seed)
 			}
 			t = &Trace{Spec: spec}
+			sessions = make([]int32, len(spec.Cohorts))
 		case recTraceReqs:
-			if t == nil {
-				return nil, traceCorrupt("request record before header")
+			n := d.U32()
+			if lastBatch != reqsPerRecord || n == 0 || n > reqsPerRecord {
+				return nil, artifact.Corrupt(tracePath, "request record of %d after one of %d: batches are %d, the last one shorter", n, lastBatch, reqsPerRecord)
 			}
-			n := rd.u32()
+			lastBatch = n
 			for i := uint32(0); i < n; i++ {
 				var r Req
-				r.At = simtime.Duration(rd.u64())
-				r.Cohort = int32(rd.u32())
-				r.Session = int32(rd.u32())
-				r.NewWords = int32(rd.u32())
-				r.End = rd.u8() != 0
-				r.Muts = int32(rd.u32())
-				r.Steps = int32(rd.u32())
-				no := rd.u32()
-				if rd.err == nil && uint64(no)*8 > uint64(len(rd.b)) {
-					return nil, traceCorrupt("request record: object count %d exceeds payload", no)
+				r.At = simtime.Duration(d.U64())
+				r.Cohort = int32(d.U32())
+				r.Session = int32(d.U32())
+				r.NewWords = int32(d.U32())
+				r.End = d.Bool()
+				r.Muts = int32(d.U32())
+				r.Steps = int32(d.U32())
+				no := d.U32()
+				if d.Err() == nil && uint64(no)*8 > uint64(len(d.B)) {
+					return nil, artifact.Corrupt(tracePath, "request record: object count %d exceeds payload", no)
 				}
 				r.Objs = make([]ObjAlloc, no)
 				for j := range r.Objs {
-					r.Objs[j].Words = int32(rd.u32())
-					r.Objs[j].Retain = int32(rd.u32())
+					r.Objs[j].Words = int32(d.U32())
+					r.Objs[j].Retain = int32(d.U32())
 				}
-				if rd.err != nil {
-					return nil, traceCorrupt("request record: %v", rd.err)
+				if err := d.Err(); err != nil {
+					return nil, err
 				}
-				if int(r.Cohort) < 0 || int(r.Cohort) >= len(t.Spec.Cohorts) {
-					return nil, traceCorrupt("request cohort %d out of range", r.Cohort)
+				if err := t.admit(&r, sessions); err != nil {
+					return nil, err
 				}
-				t.Reqs = append(t.Reqs, r)
 			}
-			if rd.err != nil {
-				return nil, traceCorrupt("request record: %v", rd.err)
+			if err := d.Done(); err != nil {
+				return nil, err
 			}
 		case recTraceFooter:
-			if t == nil {
-				return nil, traceCorrupt("footer before header")
+			count, print := d.U64(), d.U64()
+			if err := d.Done(); err != nil {
+				return nil, err
 			}
-			footCount = rd.u64()
-			footPrint = rd.u64()
-			if rd.err != nil {
-				return nil, traceCorrupt("footer record: %v", rd.err)
+			if uint64(len(t.Reqs)) != count {
+				return nil, artifact.Corrupt(tracePath, "footer promises %d requests, found %d", count, len(t.Reqs))
+			}
+			if got := t.Fingerprint(); got != print {
+				return nil, artifact.Corrupt(tracePath, "fingerprint mismatch: footer %016x, decoded %016x", print, got)
 			}
 			sawFooter = true
 		default:
-			return nil, traceCorrupt("record %d: unknown type %d", seq, typ)
+			return nil, artifact.Corrupt(tracePath, "unknown record type %d", typ)
 		}
 	}
-	if t == nil || !sawFooter {
-		return nil, traceCorrupt("incomplete artifact (no footer); the recording did not finish")
-	}
-	if uint64(len(t.Reqs)) != footCount {
-		return nil, traceCorrupt("footer promises %d requests, found %d", footCount, len(t.Reqs))
-	}
-	if got := t.Fingerprint(); got != footPrint {
-		return nil, traceCorrupt("fingerprint mismatch: footer %016x, decoded %016x", footPrint, got)
+	if !sawFooter {
+		return nil, artifact.Corrupt(tracePath, "incomplete artifact (no footer); the recording did not finish")
 	}
 	return t, nil
 }
 
-// canonicalSpec marshals the spec in its canonical (struct-ordered) JSON
-// form, the same bytes Fingerprint digests.
-func canonicalSpec(s *Spec) ([]byte, error) {
-	b, err := json.Marshal(s)
-	if err != nil {
-		return nil, fmt.Errorf("workload trace: marshal spec: %w", err)
+// admit appends a decoded request after holding it to what Generate can
+// produce under the header's spec and what Serve indexes without checking:
+// the fingerprint proves the requests are the ones that were encoded, not
+// that they were ever sane. sessions counts, per cohort, the sessions
+// created so far; a session slot is never numbered past that.
+func (t *Trace) admit(r *Req, sessions []int32) error {
+	if r.Cohort < 0 || int(r.Cohort) >= len(t.Spec.Cohorts) {
+		return artifact.Corrupt(tracePath, "request %d: cohort %d out of range", len(t.Reqs), r.Cohort)
 	}
-	return b, nil
-}
-
-// payload accumulates little-endian fields for one record.
-type payload struct{ b []byte }
-
-func (p *payload) u8(v uint8) { p.b = append(p.b, v) }
-func (p *payload) u32(v uint32) {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], v)
-	p.b = append(p.b, tmp[:]...)
-}
-func (p *payload) u64(v uint64) {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], v)
-	p.b = append(p.b, tmp[:]...)
-}
-func (p *payload) bytes(b []byte) {
-	p.u32(uint32(len(b)))
-	p.b = append(p.b, b...)
-}
-func (p *payload) take() []byte {
-	out := p.b
-	p.b = nil
-	return out
-}
-
-// reader consumes little-endian fields from one record, latching the first
-// error.
-type reader struct {
-	b   []byte
-	err error
-}
-
-func (r *reader) u8() uint8 {
-	if r.err != nil {
-		return 0
+	words := int32(t.Spec.Cohorts[r.Cohort].Profile.SessionWords)
+	if r.NewWords == words {
+		sessions[r.Cohort]++
 	}
-	if len(r.b) < 1 {
-		r.err = fmt.Errorf("short read")
-		return 0
+	ok := (r.NewWords == 0 || r.NewWords == words) &&
+		r.Session >= 0 && r.Session < sessions[r.Cohort] &&
+		r.Muts >= 0 && r.Steps >= 0 && r.At >= 0 &&
+		(len(t.Reqs) == 0 || r.At >= t.Reqs[len(t.Reqs)-1].At)
+	for _, o := range r.Objs {
+		ok = ok && o.Words >= 1 && o.Retain >= -1 && o.Retain < words
 	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil {
-		return 0
+	if !ok {
+		return artifact.Corrupt(tracePath, "request %d (%+v) is not one cohort %d's generator can produce", len(t.Reqs), *r, r.Cohort)
 	}
-	if len(r.b) < 4 {
-		r.err = fmt.Errorf("short read")
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 8 {
-		r.err = fmt.Errorf("short read")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *reader) bytes() []byte {
-	n := r.u32()
-	if r.err != nil {
-		return nil
-	}
-	if uint64(len(r.b)) < uint64(n) {
-		r.err = fmt.Errorf("short read")
-		return nil
-	}
-	v := r.b[:n]
-	r.b = r.b[n:]
-	return v
+	t.Reqs = append(t.Reqs, *r)
+	return nil
 }

@@ -2,10 +2,12 @@ package workload
 
 import (
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repligc/internal/artifact"
 	"repligc/internal/faultinject"
 )
 
@@ -141,30 +143,54 @@ func TestTraceCorruptionDetected(t *testing.T) {
 	}
 	for name, mutate := range cases {
 		cp := append([]byte(nil), enc...)
-		if _, err := DecodeTrace(mutate(cp)); err == nil {
-			t.Errorf("%s: decode accepted a damaged artifact", name)
-		} else {
-			var ce *TraceCorruptError
-			if !asTraceCorrupt(err, &ce) {
-				t.Errorf("%s: error %v is not a *TraceCorruptError", name, err)
-			}
+		var ce *artifact.CorruptError
+		if _, err := DecodeTrace(mutate(cp)); !errors.As(err, &ce) {
+			t.Errorf("%s: decode returned %v, want a *artifact.CorruptError", name, err)
 		}
 	}
 }
 
-func asTraceCorrupt(err error, target **TraceCorruptError) bool {
-	for err != nil {
-		if ce, ok := err.(*TraceCorruptError); ok {
-			*target = ce
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
+// TestDecodeRejectsUnservableRequests forges artifacts that are correctly
+// framed and fingerprint-consistent — EncodeTrace does not judge what it is
+// given, and FNV is not a MAC — but carry a request no generator produces.
+// Each must be refused with the typed error; the first used to decode cleanly
+// and panic the engine with an index out of range.
+func TestDecodeRejectsUnservableRequests(t *testing.T) {
+	forgeries := map[string]func(tr *Trace){
+		"negative session":        func(tr *Trace) { tr.Reqs[0].Session = -1 },
+		"session never created":   func(tr *Trace) { tr.Reqs[0].Session = 1 << 30 },
+		"negative mutations":      func(tr *Trace) { tr.Reqs[0].Muts = -1 },
+		"negative steps":          func(tr *Trace) { tr.Reqs[0].Steps = -5 },
+		"session of wrong length": func(tr *Trace) { tr.Reqs[0].NewWords = 1 },
+		"negative session length": func(tr *Trace) { tr.Reqs[0].NewWords = -64 },
+		"empty object":            func(tr *Trace) { tr.Reqs[0].Objs[0].Words = 0 },
+		"retain slot past state":  func(tr *Trace) { tr.Reqs[0].Objs[0].Retain = 64 },
+		"retain slot below -1":    func(tr *Trace) { tr.Reqs[0].Objs[0].Retain = -2 },
+		"cohort out of range":     func(tr *Trace) { tr.Reqs[0].Cohort = 2 },
+		"arrivals out of order":   func(tr *Trace) { tr.Reqs[1].At = tr.Reqs[0].At - 1 },
+		"negative arrival":        func(tr *Trace) { tr.Reqs[0].At = -1 },
 	}
-	return false
+	for name, forge := range forgeries {
+		tr := mustGenerate(t, testSpec())
+		if tr.Reqs[0].Cohort != 0 || tr.Reqs[0].NewWords != 64 {
+			t.Fatalf("first request %+v is not the interactive cohort's session start the forgeries assume", tr.Reqs[0])
+		}
+		forge(tr)
+		enc, err := EncodeTrace(tr)
+		if err != nil {
+			t.Fatalf("%s: EncodeTrace: %v", name, err)
+		}
+		dec, err := DecodeTrace(enc)
+		var ce *artifact.CorruptError
+		if !errors.As(err, &ce) {
+			t.Errorf("%s: DecodeTrace returned %v, want a *artifact.CorruptError", name, err)
+		}
+		if err == nil { // servereplay's path: whatever decodes gets served
+			if _, err := RunLegs(dec, StandardLegs()[1:]); err != nil {
+				t.Logf("%s: served with error %v", name, err)
+			}
+		}
+	}
 }
 
 // TestDeterminismMatrix is the satellite matrix: for each collector, serving
