@@ -9,31 +9,25 @@
 //	rtgc-bench [-quick] table1|table2|table3|fig5|fig6|fig7|fig8|fig9|fig10|ablations|all
 //	rtgc-bench [-quick] [-out FILE] [-baseline FILE] perf
 //	rtgc-bench validate FILE
-//	rtgc-bench [-quick] [-out FILE] calibrate
 //	rtgc-bench [-quick] [-out FILE] trace [workload]
 //	rtgc-bench recover
 //	rtgc-bench [-out FILE] crashmatrix
 //	rtgc-bench [-out FILE] [-record FILE] serve SPECFILE
 //	rtgc-bench [-out FILE] servereplay TRACEFILE
 //
-// "perf" emits the performance trajectory (BENCH_PR8.json): per-workload
-// baseline-vs-coalesced-vs-checkpointed log and pause metrics in simulated
-// time, plus wall-clock barrier and hot-path ns/op. With -baseline, a fresh
-// perf report is additionally gated against a committed one: every
-// deterministic field — everything but the two wall-clock sections — must be
-// equal, or the run fails naming the first field that is not.
+// "perf" emits the performance trajectory: per-workload
+// baseline-vs-coalesced-vs-checkpointed log and pause metrics, the serving
+// section and the multi-mutator section, all in simulated time. With
+// -baseline, a fresh perf report is additionally gated against a committed
+// one (BENCH_SMOKE.json): every field must be equal, or the run fails naming
+// the first field that is not. Host time is not this command's business; it
+// is measured by benchmarks/host.
 //
 // "validate" checks any document this command or rtgc emitted — perf report,
-// serving report, calibration artifact, crash-matrix report, Chrome trace —
+// serving report, crash-matrix report, Chrome trace —
 // against its own schema and internal consistency (the CI artifact check:
 // shape only, never thresholds on the numbers). It tells them apart by what
 // the document contains; anything else exits 1 naming what was found.
-//
-// "calibrate" runs the wall-clock calibration harness (internal/calib): the
-// benchmark workloads and single-primitive probes run uninstrumented under
-// the host clock, per-primitive work counts are extracted from the
-// collector's counters, and a least-squares fit produces this machine's
-// simtime cost constants (repligc-calib/1 artifact).
 //
 // "trace" runs the paper workloads (Primes, Sort, Comp — or just the one
 // named) under the full real-time configuration with the event recorder
@@ -70,13 +64,12 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "use the small test-scale workloads")
 	out := flag.String("out", "", "write the perf report to this file instead of stdout")
-	baseline := flag.String("baseline", "", "gate a fresh perf report against this committed report (every deterministic field equal)")
+	baseline := flag.String("baseline", "", "gate a fresh perf report against this committed report (every field equal)")
 	record := flag.String("record", "", "serve: also write the materialised trace artifact to this file")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: rtgc-bench [-quick] <experiment>\n")
 		fmt.Fprintf(os.Stderr, "       rtgc-bench [-quick] [-out FILE] [-baseline FILE] perf\n")
 		fmt.Fprintf(os.Stderr, "       rtgc-bench validate FILE\n")
-		fmt.Fprintf(os.Stderr, "       rtgc-bench [-quick] [-out FILE] calibrate\n")
 		fmt.Fprintf(os.Stderr, "       rtgc-bench [-quick] [-out FILE] trace [Primes|Sort|Comp]\n")
 		fmt.Fprintf(os.Stderr, "       rtgc-bench recover\n")
 		fmt.Fprintf(os.Stderr, "       rtgc-bench [-out FILE] crashmatrix\n")
@@ -189,8 +182,6 @@ func main() {
 			return runServe(flag.Arg(1), *out, *record)
 		case "servereplay":
 			return runServeReplay(flag.Arg(1), *out)
-		case "calibrate":
-			return runCalibrate(*quick, *out)
 		case "trace":
 			return runTrace(scale, flag.Arg(1), *out)
 		case "all":

@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"repligc/internal/bench"
-	"repligc/internal/calib"
 	"repligc/internal/checkpoint"
 	"repligc/internal/trace"
 	"repligc/internal/workload"
@@ -38,12 +37,6 @@ func runValidate(path string) error {
 	switch {
 	case doc.TraceEvents != nil:
 		kind, err = "Chrome trace", trace.ValidateChrome(data)
-	case strings.HasPrefix(doc.Schema, "repligc-calib/"):
-		var rep calib.Report
-		if err = json.Unmarshal(data, &rep); err == nil {
-			err = calib.Validate(&rep)
-		}
-		kind = fmt.Sprintf("%s artifact (%d rows)", calib.Schema, len(rep.Rows))
 	case strings.HasPrefix(doc.Schema, "repligc-crash-matrix/"):
 		var rep checkpoint.MatrixReport
 		if err = json.Unmarshal(data, &rep); err == nil {

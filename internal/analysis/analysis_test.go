@@ -24,9 +24,6 @@ var goldenCases = []struct {
 	// Masquerades as a cmd/ package: exporter glue is in scope for the
 	// wallclock rule, with the annotated stamp as the allowed exception.
 	{"wallclockcmd", "repligc/cmd/fixwallclockcmd"},
-	// Masquerades as the calibration package, the one place wall-clock
-	// reads are legal — behind //gclint:wallclock function annotations.
-	{"wallclockcalib", "repligc/internal/calib"},
 	{"maprange", "repligc/internal/fixmaprange"},
 	{"exhaustive", "repligc/internal/fixexhaustive"},
 	{"forward", "repligc/internal/fixforward"},

@@ -12,15 +12,10 @@ import (
 // bit-for-bit reproducible across machines and across collector
 // configurations (the paper's §4.2 replay methodology depends on it). A
 // single time.Now or time.Sleep smuggled into the simulation would couple
-// results to the host scheduler.
-//
-// One package is different in kind: internal/calib exists to measure real
-// elapsed time (it fits the simulated cost model to the host's wall clock).
-// There the rule enforces a boundary instead of a ban — each function
-// reading the wall clock must carry a //gclint:wallclock <reason>
-// annotation, the annotation is rejected anywhere else, and an annotation
-// on a function that reads no clock is itself a finding (it would silently
-// license a future nondeterminism).
+// results to the host scheduler. testing.Benchmark is the same read by
+// another door: it times its argument on the host clock. Host cost is
+// measured in one place, the nested module benchmarks/host, and by testing.B
+// benchmarks in _test.go files, neither of which this rule loads.
 type WallClockRule struct{}
 
 // Name implements Rule.
@@ -28,26 +23,24 @@ func (*WallClockRule) Name() string { return "wallclock" }
 
 // Doc implements Rule.
 func (*WallClockRule) Doc() string {
-	return "simulation-governed packages must charge simtime.Clock, never read the wall clock (internal/calib may, inside //gclint:wallclock-annotated functions)"
+	return "simulation-governed packages must charge simtime.Clock, never read the wall clock (package time's clock functions, testing.Benchmark)"
 }
 
-// calibPkgPath is the one package whose purpose is wall-clock measurement.
-const calibPkgPath = "repligc/internal/calib"
-
-const wallClockPrefix = "//gclint:wallclock"
-
-// wallClockFuncs are the package-time functions that observe or depend on
+// wallClockFuncs are the functions, by package, that observe or depend on
 // real time.
-var wallClockFuncs = map[string]bool{
-	"Now":       true,
-	"Since":     true,
-	"Until":     true,
-	"Sleep":     true,
-	"After":     true,
-	"AfterFunc": true,
-	"Tick":      true,
-	"NewTimer":  true,
-	"NewTicker": true,
+var wallClockFuncs = map[string]map[string]bool{
+	"time": {
+		"Now":       true,
+		"Since":     true,
+		"Until":     true,
+		"Sleep":     true,
+		"After":     true,
+		"AfterFunc": true,
+		"Tick":      true,
+		"NewTimer":  true,
+		"NewTicker": true,
+	},
+	"testing": {"Benchmark": true},
 }
 
 // Appraise implements Rule.
@@ -59,83 +52,32 @@ func (r *WallClockRule) Appraise(pass *Pass) {
 	if !strings.HasPrefix(p, "repligc/internal/") && !strings.HasPrefix(p, "repligc/cmd/") {
 		return
 	}
-	calib := p == calibPkgPath
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				// File-scope initialisers have no doc comment to hang a
-				// reason on, so wall-clock reads there are always flagged.
-				r.checkSites(pass, decl, false, "")
-				continue
+			where := "at file scope"
+			if fd, ok := decl.(*ast.FuncDecl); ok {
+				where = "in " + fd.Name.Name
 			}
-			reason, annotated := wallClockAnnotation(fd)
-			if annotated && reason == "" {
-				pass.Reportf(fd.Pos(),
-					"//gclint:wallclock needs a reason: state why this function must read real time")
-				annotated = false
-			}
-			if annotated && !calib {
-				pass.Reportf(fd.Pos(),
-					"//gclint:wallclock on %s: package %s is simulation-governed; wall-clock measurement belongs to internal/calib only",
-					fd.Name.Name, p)
-				annotated = false
-			}
-			sites := r.checkSites(pass, fd, annotated && calib, fd.Name.Name)
-			if annotated && calib && sites == 0 {
-				pass.Reportf(fd.Pos(),
-					"unused //gclint:wallclock on %s: the function reads no clock; drop the annotation (it would silently license a future nondeterminism)",
-					fd.Name.Name)
-			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				id, ok := sel.X.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				pn, ok := pass.Pkg.Info.Uses[id].(*types.PkgName)
+				if !ok || !wallClockFuncs[pn.Imported().Path()][sel.Sel.Name] {
+					return true
+				}
+				pass.Reportf(sel.Sel.Pos(),
+					"%s.%s %s: all timing must advance the simulated clock (simtime.Clock.Charge) so runs stay bit-for-bit reproducible; host time is read only by benchmarks/host and by testing.B benchmarks in _test.go files",
+					pn.Imported().Path(), sel.Sel.Name, where)
+				return true
+			})
 		}
 	}
-}
-
-// checkSites walks n for wall-clock reads, reporting each unless licensed,
-// and returns the number of sites found.
-func (r *WallClockRule) checkSites(pass *Pass, n ast.Node, licensed bool, fn string) int {
-	sites := 0
-	ast.Inspect(n, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		id, ok := sel.X.(*ast.Ident)
-		if !ok || !wallClockFuncs[sel.Sel.Name] {
-			return true
-		}
-		pn, ok := pass.Pkg.Info.Uses[id].(*types.PkgName)
-		if !ok || pn.Imported().Path() != "time" {
-			return true
-		}
-		sites++
-		if licensed {
-			return true
-		}
-		where := "at file scope"
-		if fn != "" {
-			where = "in " + fn
-		}
-		pass.Reportf(sel.Sel.Pos(),
-			"time.%s %s: all timing must advance the simulated clock (simtime.Clock.Charge) so runs stay bit-for-bit reproducible; only internal/calib may read real time, inside //gclint:wallclock-annotated functions",
-			sel.Sel.Name, where)
-		return true
-	})
-	return sites
-}
-
-// wallClockAnnotation reports the //gclint:wallclock reason on fd's doc
-// comment and whether the annotation is present at all.
-func wallClockAnnotation(fd *ast.FuncDecl) (string, bool) {
-	if fd.Doc == nil {
-		return "", false
-	}
-	for _, c := range fd.Doc.List {
-		if reason, ok := annotationText(c, wallClockPrefix); ok {
-			return reason, true
-		}
-	}
-	return "", false
 }
 
 // MapRangeRule flags range loops over maps in non-test code. Go randomises

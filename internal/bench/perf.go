@@ -1,16 +1,16 @@
 package bench
 
-// The perf trajectory (BENCH_PR8.json): a machine-readable before/after
-// comparison of the naive append-every-store write barrier against the
+// The perf trajectory (the `rtgc-bench perf` report): a machine-readable
+// before/after comparison of the naive append-every-store write barrier against the
 // coalescing barrier (dirty stamps + nursery fast path), per workload, under
 // the full real-time configuration. "Before" is the same collector with
 // coalescing disabled (RunConfig.NaiveBarrier), so both legs run identical
 // workload code over the identical cost model and differ only in how the
 // mutation log represents the exception set.
 //
-// Workload metrics use simulated time (deterministic, cost-model units); the
-// barrier ns/op section is wall-clock and is therefore filled in by
-// cmd/rtgc-bench, which is outside the simulated-clock-only lint scope.
+// Every number is simulated time or a count (deterministic, cost-model
+// units), so the report is a pure function of the tree. Host cost is measured
+// in one place only: the ledger of benchmarks/host.
 
 import (
 	"encoding/json"
@@ -32,8 +32,7 @@ import (
 // (from the internal/trace subsystem). repligc-bench/3 added the
 // checkpointed leg: the coalesced collector with the incremental checkpoint
 // writer attached, measuring crash-consistency overhead. repligc-bench/4
-// added the hot-path wall-clock section (replay memo, block byte copies,
-// batched scan, allocation-free roots) with its simulated-identity proof.
+// added a hot-path host ns/op section, which /7 removed again.
 // repligc-bench/5 added the serving section (internal/workload): per-cohort
 // latency tails, SLO breakdowns and pause-intrusion attribution for the
 // naive and coalesced barriers serving identical open-loop traffic.
@@ -41,28 +40,18 @@ import (
 // sharing one heap and one simulated clock, with the wall-clock makespan
 // projected so that only a pause's synchronous portion stops every mutator —
 // the overlap ratio (serial work over wall makespan) is the headline number.
+// repligc-bench/7 removed the two host ns/op sections (barrier_ns_per_op,
+// hot_paths_ns_per_op): every remaining member is deterministic and gated.
 // The constant aliases workload.ReportSchema so the two producers of the
 // schema cannot drift apart.
 const PerfSchema = workload.ReportSchema
 
-// PerfReport is the document serialised to BENCH_PR8.json.
+// PerfReport is the document `rtgc-bench perf` emits.
 type PerfReport struct {
 	Schema    string `json:"schema"`
 	Collector string `json:"collector"` // configuration of both legs ("rt")
 	Params    string `json:"params"`    // O/N/L of both legs
 	Scale     string `json:"scale"`     // "default" or "quick"
-
-	// Barrier holds wall-clock nanoseconds per store for each barrier
-	// outcome, measured by testing.Benchmark in cmd/rtgc-bench. Zero when
-	// the report was produced without the wall-clock section.
-	Barrier BarrierNsOp `json:"barrier_ns_per_op"`
-
-	// HotPaths holds the wall-clock before/after of the collector's
-	// raw-speed optimisations (added in repligc-bench/4), also measured in
-	// cmd/rtgc-bench. "Before" is RunConfig.NaiveReplay — the same
-	// collector with the memo, block copies and batched scan disabled — so
-	// the pair differs only in implementation, never in simulated outcome.
-	HotPaths HotPathsNsOp `json:"hot_paths_ns_per_op"`
 
 	Workloads []PerfWorkload `json:"workloads"`
 
@@ -102,45 +91,6 @@ type MultiLeg struct {
 	// every member plus the shared contended array, stable across reruns and
 	// merge orders for a given (N, seed).
 	Fingerprint string `json:"fingerprint"`
-}
-
-// HotPathsNsOp is the wall-clock hot-path micro-benchmark section. Each
-// pair reports nanoseconds per operation through the naive path and the
-// optimised one; SimIdentical certifies that a full workload run produced
-// bit-identical simulated measurements both ways (the optimisations must
-// change wall time only).
-type HotPathsNsOp struct {
-	ReplayNaive    float64 `json:"replay_naive"`   // per logged store replayed, entry-at-a-time checks
-	ReplayBatched  float64 `json:"replay_batched"` // same, through the per-object forwarding memo
-	ReplaySpeedupX float64 `json:"replay_speedup_x"`
-
-	ByteCopyNaive    float64 `json:"byte_copy_naive"` // per byte re-applied byte-at-a-time
-	ByteCopyBlock    float64 `json:"byte_copy_block"` // per byte through CopyPayloadBytes
-	ByteCopySpeedupX float64 `json:"byte_copy_speedup_x"`
-
-	ScanNaive    float64 `json:"scan_naive"`   // per slot scanned with per-slot budget checks
-	ScanBatched  float64 `json:"scan_batched"` // per slot with batched budget accounting
-	ScanSpeedupX float64 `json:"scan_speedup_x"`
-
-	RootsVisit    float64 `json:"roots_visit"` // per root slot via the closure-based Visit
-	RootsSlots    float64 `json:"roots_slots"` // per root slot via the reusable Slots buffer
-	RootsSpeedupX float64 `json:"roots_speedup_x"`
-
-	// ZeroAllocs is true when root enumeration and the replay batch path
-	// allocate nothing per operation (asserted, not just measured).
-	ZeroAllocs bool `json:"zero_allocs"`
-	// SimIdentical is true when the naive and optimised runs of every
-	// workload agreed on all simulated measurements, bit for bit.
-	SimIdentical bool `json:"sim_identical"`
-}
-
-// BarrierNsOp is the wall-clock barrier micro-benchmark section.
-type BarrierNsOp struct {
-	Naive       float64 `json:"naive"`        // append-every-store, old-space target
-	DirtyHit    float64 `json:"dirty_hit"`    // same store, suppressed by the stamp
-	NurserySkip float64 `json:"nursery_skip"` // store to an unreplicated nursery object
-	SpeedupX    float64 `json:"speedup_x"`    // naive / dirty_hit
-	ZeroAllocs  bool    `json:"zero_allocs"`  // fast paths allocate nothing
 }
 
 // PerfWorkload compares the barrier legs on one workload.
@@ -256,7 +206,7 @@ func reductionPct(base, coal int64) float64 {
 func perfParams() Params { return PaperParams()[0] }
 
 // RunPerf runs the three workloads under both barrier legs and assembles the
-// report (without the wall-clock barrier section).
+// report.
 func RunPerf(s Scale, scaleName string) (*PerfReport, error) {
 	rep := &PerfReport{
 		Schema:    PerfSchema,
@@ -416,35 +366,12 @@ func RunMulti(s Scale) ([]MultiLeg, error) {
 	return legs, nil
 }
 
-// ReplaySimIdentical runs every workload under the real-time configuration
-// twice — hot paths enabled and NaiveReplay — and reports whether all
-// simulated measurements agreed exactly. This is the schema-4 proof
-// obligation: the replay memo, block byte copies and batched scan accounting
-// may change wall-clock time only, never a simulated number.
-func ReplaySimIdentical(s Scale) (bool, error) {
-	for _, w := range []Workload{Primes(s), Sort(s), Comp(s)} {
-		opt, err := Run(w, RunConfig{Config: CfgRT, Params: perfParams()})
-		if err != nil {
-			return false, fmt.Errorf("sim-identity %s optimised: %w", w.Name(), err)
-		}
-		naive, err := Run(w, RunConfig{Config: CfgRT, Params: perfParams(), NaiveReplay: true})
-		if err != nil {
-			return false, fmt.Errorf("sim-identity %s naive: %w", w.Name(), err)
-		}
-		if !reflect.DeepEqual(opt, naive) {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
 // ComparePerf gates a fresh report against a committed baseline: every
-// deterministic field must be equal. That is the whole report — simulated
-// times, pause quantiles, every MMU point, log counts, fingerprints, the
-// serving and multi-mutator sections — except the two wall-clock sections,
-// which are dropped from both sides. Simulated numbers do not vary across
-// machines or runs, so there is no tolerance: a deliberate collector or
-// cost-model change regenerates the baseline (make bench-baseline).
+// member must be equal — simulated times, pause quantiles, every MMU point,
+// log counts, fingerprints, the serving and multi-mutator sections. Nothing
+// is exempt. Simulated numbers do not vary across machines or runs, so there
+// is no tolerance: a deliberate collector or cost-model change regenerates
+// the baseline (make bench-baseline).
 func ComparePerf(fresh, baseline []byte) error {
 	var fr, br map[string]any
 	if err := json.Unmarshal(fresh, &fr); err != nil {
@@ -453,19 +380,20 @@ func ComparePerf(fresh, baseline []byte) error {
 	if err := json.Unmarshal(baseline, &br); err != nil {
 		return fmt.Errorf("baseline perf report: %w", err)
 	}
-	for _, wallClock := range []string{"barrier_ns_per_op", "hot_paths_ns_per_op"} {
-		delete(fr, wallClock)
-		delete(br, wallClock)
-	}
 	if at, f, b := firstDiff("", fr, br); at != "" {
 		return fmt.Errorf("perf baseline: %s is %v, baseline has %v; simulated numbers are deterministic, so either the change moved them (explain it and run make bench-baseline) or the reports differ in scale or schema", at, f, b)
 	}
 	return nil
 }
 
+// missing stands in firstDiff's result for a member one side does not have;
+// a JSON null that is present is reported as <nil>, so the two stay apart.
+const missing = "(missing)"
+
 // firstDiff walks two decoded JSON documents in step and returns the path
 // and the two values at the first place they differ ("" when equal). Object
-// keys are visited in sorted order so the report is stable.
+// keys — the union of both sides' — are visited in sorted order so the report
+// is stable.
 func firstDiff(path string, a, b any) (string, any, any) {
 	am, aok := a.(map[string]any)
 	bm, bok := b.(map[string]any)
@@ -477,14 +405,24 @@ func firstDiff(path string, a, b any) (string, any, any) {
 		for k := range am { //gclint:allow maprange -- the keys are sorted below
 			keys = append(keys, k)
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if at, x, y := firstDiff(path+"."+k, am[k], bm[k]); at != "" {
-				return at, x, y
+		for k := range bm { //gclint:allow maprange -- the keys are sorted below
+			if _, ok := am[k]; !ok {
+				keys = append(keys, k)
 			}
 		}
-		if len(am) != len(bm) { // every member of a is in b: b has more
-			return path + " (members)", len(am), len(bm)
+		sort.Strings(keys)
+		for _, k := range keys {
+			av, ain := am[k]
+			bv, bin := bm[k]
+			switch {
+			case !ain:
+				return path + "." + k, missing, bv
+			case !bin:
+				return path + "." + k, av, missing
+			}
+			if at, x, y := firstDiff(path+"."+k, av, bv); at != "" {
+				return at, x, y
+			}
 		}
 	case asok && bsok && len(as) == len(bs):
 		for i := range as {
@@ -511,34 +449,6 @@ func ValidatePerf(data []byte) error {
 	}
 	if rep.Schema != PerfSchema {
 		return fmt.Errorf("perf report: schema %q, want %q", rep.Schema, PerfSchema)
-	}
-	hp := rep.HotPaths
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"replay_naive", hp.ReplayNaive}, {"replay_batched", hp.ReplayBatched},
-		{"byte_copy_naive", hp.ByteCopyNaive}, {"byte_copy_block", hp.ByteCopyBlock},
-		{"scan_naive", hp.ScanNaive}, {"scan_batched", hp.ScanBatched},
-		{"roots_visit", hp.RootsVisit}, {"roots_slots", hp.RootsSlots},
-		{"replay_speedup_x", hp.ReplaySpeedupX}, {"byte_copy_speedup_x", hp.ByteCopySpeedupX},
-		{"scan_speedup_x", hp.ScanSpeedupX}, {"roots_speedup_x", hp.RootsSpeedupX},
-	} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
-			return fmt.Errorf("perf report: hot_paths %s = %v is not a finite non-negative number", f.name, f.v)
-		}
-	}
-	if hp != (HotPathsNsOp{}) {
-		// A filled hot-path section must carry its proof obligations: the
-		// optimised paths produced bit-identical simulated results and the
-		// asserted-allocation-free paths allocated nothing. The ns/op
-		// magnitudes themselves are machine-dependent and never gated here.
-		if !hp.SimIdentical {
-			return fmt.Errorf("perf report: hot_paths present but sim_identical is false; the optimisations changed simulated results")
-		}
-		if !hp.ZeroAllocs {
-			return fmt.Errorf("perf report: hot_paths present but zero_allocs is false; root enumeration or batched replay allocated")
-		}
 	}
 	names := []string{"Primes", "Sort", "Comp"}
 	want := make(map[string]bool, len(names))

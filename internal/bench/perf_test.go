@@ -1,0 +1,58 @@
+package bench
+
+import (
+	"os"
+	"strings"
+	"testing"
+)
+
+// TestPerfGateAndValidator covers the two checks every committed perf report
+// passes through: ComparePerf (the exact baseline gate, which must name the
+// first differing path) and ValidatePerf (shape and schema).
+func TestPerfGateAndValidator(t *testing.T) {
+	gate := []struct {
+		name, fresh, baseline string
+		want                  string // substring of the error; "" = must pass
+	}{
+		{"equal", `{"a":{"b":[1,2.5]},"s":"x","n":null}`, `{"n":null,"s":"x","a":{"b":[1,2.5]}}`, ""},
+		{"nested number", `{"w":[{"leg":{"ms":1.5}}]}`, `{"w":[{"leg":{"ms":2.5}}]}`,
+			".w[0].leg.ms is 1.5, baseline has 2.5"},
+		{"array length", `{"w":{"mmu":[1,2]}}`, `{"w":{"mmu":[1]}}`,
+			".w.mmu (length) is 2, baseline has 1"},
+		{"extra member in fresh", `{"a":1,"x":{"y":2}}`, `{"a":1}`,
+			".x is map[y:2], baseline has (missing)"},
+		{"extra member in baseline", `{"a":{"b":1}}`, `{"a":{"b":1,"x":2}}`,
+			".a.x is (missing), baseline has 2"},
+		// Null is not absent, even when "other" keeps the member counts level.
+		{"null versus absent", `{"a":1,"n":null}`, `{"a":1,"other":3}`,
+			".n is <nil>, baseline has (missing)"},
+		{"nothing is exempt", `{"barrier_ns_per_op":{"naive":13}}`, `{"barrier_ns_per_op":{"naive":14}}`,
+			".barrier_ns_per_op.naive is 13, baseline has 14"},
+	}
+	for _, tc := range gate {
+		err := ComparePerf([]byte(tc.fresh), []byte(tc.baseline))
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: gate failed: %v", tc.name, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%s: gate passed, want %q", tc.name, tc.want)
+		case tc.want != "" && !strings.Contains(err.Error(), "perf baseline: "+tc.want):
+			t.Errorf("%s: gate said %q, want %q", tc.name, err, tc.want)
+		}
+	}
+
+	committed, err := os.ReadFile("../../BENCH_SMOKE.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidatePerf(committed); err != nil {
+		t.Errorf("committed baseline: %v", err)
+	}
+	if err := ComparePerf(committed, committed); err != nil {
+		t.Errorf("committed baseline against itself: %v", err)
+	}
+	stale := strings.Replace(string(committed), PerfSchema, "repligc-bench/6", 1)
+	if err := ValidatePerf([]byte(stale)); err == nil || !strings.Contains(err.Error(), `schema "repligc-bench/6"`) {
+		t.Errorf("a /6 document: got %v, want a schema rejection", err)
+	}
+}

@@ -83,11 +83,12 @@ type RunConfig struct {
 	// nursery fast paths), restoring the append-every-store barrier. Used
 	// as the baseline leg of the perf trajectory.
 	NaiveBarrier bool
-	// NaiveReplay disables the collector's wall-clock hot-path
+	// NaiveReplay disables the collector's host-speed hot-path
 	// optimisations (per-object replay memo, block byte copies, batched
 	// scan accounting). Simulated results are bit-identical either way;
-	// the flag exists for the differential tests and the before/after
-	// wall-clock sections of the perf report.
+	// the flag exists as the oracle of the differential tests
+	// (TestBatchedReplayBitIdentical, the naive-replay cells of
+	// engine_golden.txt).
 	NaiveReplay bool
 	// Trace, when non-nil, attaches an event recorder to the run: the
 	// mutator's allocation epochs, the heap's log epochs and the

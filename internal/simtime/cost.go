@@ -51,83 +51,11 @@ const BytesPerWord = 8
 
 // CopyRateBytesPerSec reports the model's effective copying throughput in
 // bytes per second (copy+scan combined), the quantity the paper measures at
-// about 2 MB/s. It deliberately excludes log-reapply and root costs; see
-// ReplayRateBytesPerSec for the mutation-log side.
+// about 2 MB/s. It deliberately excludes log-reapply and root costs.
 func (m CostModel) CopyRateBytesPerSec() float64 {
 	perWord := m.CopyWord + m.ScanWord
 	if perWord <= 0 {
 		return 0
 	}
 	return float64(BytesPerWord) * float64(Second) / float64(perWord)
-}
-
-// ReplayRateBytesPerSec reports the model's mutation-log replay throughput
-// in bytes per second: every reapplied entry re-copies one word of mutated
-// payload into the replica after being examined by the log scan, so the
-// per-word cost is LogScan + LogReapply. This is the rate that governs how
-// fast a collection can catch up with a mutation-heavy phase — a quantity
-// CopyRateBytesPerSec ignores entirely.
-func (m CostModel) ReplayRateBytesPerSec() float64 {
-	perEntry := m.LogScan + m.LogReapply
-	if perEntry <= 0 {
-		return 0
-	}
-	return float64(BytesPerWord) * float64(Second) / float64(perEntry)
-}
-
-// FittedNs carries per-primitive costs in (possibly fractional, possibly
-// noisy) nanoseconds, the shape a least-squares calibration produces.
-type FittedNs struct {
-	InstructionNs float64 `json:"instruction_ns"`
-	AllocWordNs   float64 `json:"alloc_word_ns"`
-	LogWriteNs    float64 `json:"log_write_ns"`
-	HeaderCheckNs float64 `json:"header_check_ns"`
-	CopyWordNs    float64 `json:"copy_word_ns"`
-	ScanWordNs    float64 `json:"scan_word_ns"`
-	LogScanNs     float64 `json:"log_scan_ns"`
-	LogReapplyNs  float64 `json:"log_reapply_ns"`
-	RootUpdateNs  float64 `json:"root_update_ns"`
-	FlipEntryNs   float64 `json:"flip_entry_ns"`
-}
-
-// Ns expresses m in FittedNs form, the inverse of Fitted; Fitted(m.Ns())
-// round-trips any model whose costs are whole nanoseconds.
-func (m CostModel) Ns() FittedNs {
-	return FittedNs{
-		InstructionNs: float64(m.Instruction),
-		AllocWordNs:   float64(m.AllocWord),
-		LogWriteNs:    float64(m.LogWrite),
-		HeaderCheckNs: float64(m.HeaderCheck),
-		CopyWordNs:    float64(m.CopyWord),
-		ScanWordNs:    float64(m.ScanWord),
-		LogScanNs:     float64(m.LogScan),
-		LogReapplyNs:  float64(m.LogReapply),
-		RootUpdateNs:  float64(m.RootUpdate),
-		FlipEntryNs:   float64(m.FlipEntry),
-	}
-}
-
-// Fitted builds a runnable CostModel from calibrated per-primitive costs.
-// Each cost is rounded to the nearest whole nanosecond and clamped at zero:
-// a least-squares fit over collinear counters can produce small negative
-// coefficients, and a negative cost would run the simulated clock backwards.
-func Fitted(f FittedNs) CostModel {
-	d := func(ns float64) Duration {
-		if ns <= 0 {
-			return 0
-		}
-		return Duration(ns + 0.5)
-	}
-	return CostModel{
-		Instruction: d(f.InstructionNs),
-		AllocWord:   d(f.AllocWordNs),
-		LogWrite:    d(f.LogWriteNs),
-		HeaderCheck: d(f.HeaderCheckNs),
-		CopyWord:    d(f.CopyWordNs),
-		ScanWord:    d(f.ScanWordNs),
-		LogScan:     d(f.LogScanNs),
-		LogReapply:  d(f.LogReapplyNs),
-		RootUpdate:  d(f.RootUpdateNs),
-		FlipEntry:   d(f.FlipEntryNs),
-	}
 }

@@ -13,53 +13,3 @@ func TestCopyRateMatchesPaper(t *testing.T) {
 		t.Fatalf("CopyRateBytesPerSec = %v, want %v", got, want)
 	}
 }
-
-func TestReplayRate(t *testing.T) {
-	// One reapplied entry costs LogScan + LogReapply = 5 us and moves one
-	// 8-byte word, so the default replay rate is 1.6 MB/s.
-	got := Default1993().ReplayRateBytesPerSec()
-	if want := 1.6e6; math.Abs(got-want) > 1 {
-		t.Fatalf("ReplayRateBytesPerSec = %v, want %v", got, want)
-	}
-	if r := (CostModel{}).ReplayRateBytesPerSec(); r != 0 {
-		t.Fatalf("zero model replay rate = %v, want 0", r)
-	}
-}
-
-func TestFittedRoundTrip(t *testing.T) {
-	def := Default1993()
-	if got := Fitted(def.Ns()); got != def {
-		t.Fatalf("Fitted(Default1993.Ns()) = %+v, want %+v", got, def)
-	}
-}
-
-func TestFittedRoundsAndClamps(t *testing.T) {
-	m := Fitted(FittedNs{
-		InstructionNs: 79.6,  // rounds up
-		AllocWordNs:   120.4, // rounds down
-		CopyWordNs:    -3.2,  // least-squares artifact: clamps to zero
-	})
-	if m.Instruction != 80*Nanosecond {
-		t.Fatalf("Instruction = %v, want 80ns", m.Instruction)
-	}
-	if m.AllocWord != 120*Nanosecond {
-		t.Fatalf("AllocWord = %v, want 120ns", m.AllocWord)
-	}
-	if m.CopyWord != 0 {
-		t.Fatalf("CopyWord = %v, want 0 (clamped)", m.CopyWord)
-	}
-}
-
-func TestFittedModelIsRunnable(t *testing.T) {
-	// A fitted model must be usable exactly like Default1993: charging it
-	// advances the clock by count x cost with no surprises.
-	m := Fitted(FittedNs{CopyWordNs: 250, ScanWordNs: 250})
-	c := NewClock()
-	c.Charge(AcctMinorCopy, 10*m.CopyWord)
-	if c.Now() != 2500*Nanosecond {
-		t.Fatalf("clock = %v after 10 fitted copy words, want 2.5us", c.Now())
-	}
-	if got := m.CopyRateBytesPerSec(); math.Abs(got-16e6) > 1 {
-		t.Fatalf("fitted copy rate = %v, want 16e6", got)
-	}
-}

@@ -16,8 +16,9 @@ import (
 
 // ReportSchema identifies the serving report layout. It shares the
 // repligc-bench lineage (/5 was /4 plus the serving section; /6 adds the
-// multi-mutator section), so bench.PerfSchema aliases this constant.
-const ReportSchema = "repligc-bench/6"
+// multi-mutator section; /7 removes the perf report's two host ns/op
+// sections), so bench.PerfSchema aliases this constant.
+const ReportSchema = "repligc-bench/7"
 
 // Report is the standalone document `rtgc-bench serve` emits.
 type Report struct {
