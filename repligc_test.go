@@ -1,12 +1,117 @@
 package repligc_test
 
 import (
+	"flag"
+	"fmt"
+	"hash/fnv"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repligc"
 )
+
+var updateFacadeGolden = flag.Bool("update-facade-golden", false,
+	"rewrite testdata/facade_golden.txt from the current facade constructors")
+
+// TestFacadeSimulatedIdentity pins the absolute simulated outcome of the
+// facade's three constructors, the one door into the system that neither
+// engine_golden.txt nor compile_golden.txt passes through: each cell runs
+// queens.ml with the prelude and renders the clock, the pauses, the
+// collector's counters and the output. A change to how a runtime is
+// assembled must leave every line untouched.
+func TestFacadeSimulatedIdentity(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("examples", "miniml", "queens.ml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := repligc.Prelude + string(src)
+	script := &repligc.Script{}
+	cells := []struct {
+		name  string
+		build func() (*repligc.Runtime, error)
+	}{
+		{"realtime", func() (*repligc.Runtime, error) { return repligc.NewRealTime(repligc.RealTimeOptions{}) }},
+		{"realtime-tax1500", func() (*repligc.Runtime, error) {
+			return repligc.NewRealTime(repligc.RealTimeOptions{InterleavedTaxPermille: 1500})
+		}},
+		{"realtime-no-incremental-minor", func() (*repligc.Runtime, error) {
+			return repligc.NewRealTime(repligc.RealTimeOptions{DisableIncrementalMinor: true})
+		}},
+		// A tight cell reaches what the paper's 50 ms cell never does on
+		// queens: major collections, nursery expansion up to the cap and
+		// the caller's heap sizing.
+		{"realtime-tight", func() (*repligc.Runtime, error) {
+			return repligc.NewRealTime(repligc.RealTimeOptions{
+				NurseryBytes: 32 << 10, MajorThresholdBytes: 64 << 10, CopyLimitBytes: 1 << 10,
+				HeapConfig: repligc.HeapConfig{NurseryCapBytes: 40 << 10, OldSemiBytes: 4 << 20},
+			})
+		}},
+		{"realtime-tight-default-heap", func() (*repligc.Runtime, error) {
+			return repligc.NewRealTime(repligc.RealTimeOptions{
+				NurseryBytes: 32 << 10, MajorThresholdBytes: 64 << 10, CopyLimitBytes: 1 << 10,
+			})
+		}},
+		{"stopcopy", func() (*repligc.Runtime, error) { return repligc.NewStopCopy(0, 0) }},
+		{"stopcopy-tight", func() (*repligc.Runtime, error) { return repligc.NewStopCopy(32<<10, 64<<10) }},
+		// The pair runs in this order: the replay consumes what the
+		// recording cell left in script.
+		{"realtime-recorded", func() (*repligc.Runtime, error) {
+			return repligc.NewRealTime(repligc.RealTimeOptions{Record: script})
+		}},
+		{"stopcopy-replayed", func() (*repligc.Runtime, error) { return repligc.NewStopCopyReplay(0, script) }},
+	}
+	var got strings.Builder
+	for _, c := range cells {
+		rt, err := c.build()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		out, err := rt.CompileAndRun(text)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if err := rt.Finish(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		pauses := fnv.New64a()
+		for _, p := range rt.GC.Pauses().Pauses {
+			fmt.Fprintf(pauses, "%d,%d,%d,%d,%d,%d;", p.At, p.Length, p.Kind, p.Sync, p.CopiedB, p.LogProcN)
+		}
+		st := rt.GC.Stats()
+		fmt.Fprintf(&got, "%s gc=%s now=%d alloc=%d logwrites=%d pauses=%d pausefnv=%016x stats=%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d out=%q\n",
+			c.name, rt.GC.Name(), rt.Clock.Now(), rt.Mutator.BytesAllocated, rt.Mutator.LogWrites,
+			len(rt.GC.Pauses().Pauses), pauses.Sum64(),
+			st.MinorCollections, st.MajorCollections, st.PauseCount, st.BytesCopiedMinor, st.BytesCopiedMajor,
+			st.LogScanned, st.LogReapplied, st.FlipEntryUpdates, st.RootSlotUpdates, st.ForcedCompletion,
+			st.NurseryExpansion, st.EmergencyCollections, out)
+	}
+	if script.Len() == 0 {
+		t.Fatal("the recorded cell left an empty script; the replayed cell pins nothing")
+	}
+
+	path := filepath.Join("testdata", "facade_golden.txt")
+	if *updateFacadeGolden {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("golden has %d lines, run produced %d", len(wantLines), len(gotLines))
+	}
+	for i := range gotLines {
+		if gotLines[i] != wantLines[i] {
+			t.Errorf("cell moved:\n got  %s\n want %s", gotLines[i], wantLines[i])
+		}
+	}
+}
 
 func TestQuickstartFacade(t *testing.T) {
 	rt, err := repligc.NewRealTime(repligc.RealTimeOptions{})
