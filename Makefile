@@ -14,10 +14,16 @@ build:
 # exhaustiveness, and the annotation hygiene of //gclint:allow itself.
 # See DESIGN.md, "Machine-checked invariants". gclint runs over ./..., which
 # includes internal/analysis, internal/trace and internal/faultinject — the
-# linter lints itself.
+# linter lints itself. The last check keeps runtime construction in one
+# place: outside internal/rig (and recovery, which sizes a heap from a
+# snapshot header, and the frozen benchmark), non-test Go may not call the
+# constructors of a heap, a mutator, a group or a collector.
 lint:
 	go vet ./...
 	go run ./cmd/gclint ./...
+	@if git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmarks/' -e '/testdata/' -e '^internal/rig/' -e '^internal/checkpoint/recover\.go$$' | \
+		xargs grep -nE 'heap\.New\(|core\.NewMutator\(|core\.NewGroup\(|core\.NewReplicating\(|stopcopy\.New\('; \
+		then echo 'lint: a runtime is assembled outside internal/rig (lines above); call rig.New'; exit 1; fi
 
 test:
 	go test ./...
@@ -80,12 +86,11 @@ bench-baseline:
 	go run ./cmd/rtgc-bench validate BENCH_SMOKE.json
 
 # CI's bench smoke: a quick-scale report validated for schema shape and
-# gated against the committed baseline (every field equal), plus the
-# checkpoint-recovery smoke.
+# gated against the committed baseline (every field equal). Checkpoint
+# recovery is crash-matrix's business: its baseline rows are the smoke.
 bench-smoke:
 	go run ./cmd/rtgc-bench -quick -out /tmp/bench_smoke.json -baseline BENCH_SMOKE.json perf
 	go run ./cmd/rtgc-bench validate /tmp/bench_smoke.json
-	go run ./cmd/rtgc-bench recover
 
 # CI's serving smoke: serve the committed spec (recording the materialised
 # trace), validate the report, replay the recorded trace, and require the

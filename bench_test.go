@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repligc/internal/bench"
+	"repligc/internal/rig"
 	"repligc/internal/simtime"
 )
 
@@ -87,7 +88,7 @@ func benchOverheads(b *testing.B, workload string) {
 		n := 0
 		for _, row := range rows {
 			for _, c := range row.Cells {
-				if c.Config == bench.CfgRT {
+				if c.Config == rig.RT.Name {
 					rt += c.Overhead
 					n++
 				}

@@ -13,11 +13,8 @@ import (
 	"fmt"
 	"os"
 
-	"repligc/internal/core"
-	"repligc/internal/heap"
 	"repligc/internal/lang"
-	"repligc/internal/simtime"
-	"repligc/internal/stopcopy"
+	"repligc/internal/rig"
 )
 
 //gclint:io reads the MiniML source file named on the command line
@@ -34,10 +31,12 @@ func main() {
 		os.Exit(1)
 	}
 
-	h := heap.New(heap.DefaultConfig())
-	m := core.NewMutator(h, simtime.NewClock(), simtime.Default1993(), core.LogAllMutations)
-	gc := stopcopy.New(h, stopcopy.Config{NurseryBytes: 1 << 20, MajorThresholdBytes: 8 << 20})
-	m.AttachGC(gc)
+	rt, err := rig.New(rig.Config{Collector: rig.SCMods, Params: rig.Params{NBytes: 1 << 20, OBytes: 8 << 20}})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mlc: %v\n", err)
+		os.Exit(1)
+	}
+	m := rt.Mutator
 
 	prog, err := lang.Compile(m, string(src))
 	if err != nil {
@@ -49,6 +48,6 @@ func main() {
 	if *stats {
 		fmt.Fprintf(os.Stderr, "\ncompilation allocated %.2f KB on the simulated heap, "+
 			"%d log entries, %d minor collections\n",
-			float64(m.BytesAllocated)/1024, m.LogWrites, gc.Stats().MinorCollections)
+			float64(m.BytesAllocated)/1024, m.LogWrites, rt.GC.Stats().MinorCollections)
 	}
 }

@@ -8,27 +8,6 @@ import (
 	"repligc/internal/faultinject"
 )
 
-// runRecoverSmoke is the CI smoke for the recovery path: one seeded
-// reference run with the checkpoint writer attached, recovered from its own
-// artifacts and probed (audit + continuation + degradation ladder). It is
-// the baseline-only row of the crash matrix.
-func runRecoverSmoke() error {
-	rep, err := checkpoint.RunCrashMatrix(checkpoint.MatrixConfig{
-		Seeds:     []uint64{1},
-		OpsPerRun: 3000,
-	})
-	if err != nil {
-		return fmt.Errorf("recover smoke: %w", err)
-	}
-	for _, c := range rep.Cases {
-		if c.Failed {
-			return fmt.Errorf("recover smoke: seed %d %s: %s (%s)", c.Seed, c.Plan, c.Outcome, c.Err)
-		}
-	}
-	fmt.Printf("recover smoke: %d epochs committed, %d cases, all recovered\n", rep.Epochs, len(rep.Cases))
-	return nil
-}
-
 // runCrashMatrix executes the full deterministic crash-point matrix and
 // writes the report (schema repligc-crash-matrix/1) to outPath, or stdout
 // when empty. A contract violation in any cell is exit-status-failing.

@@ -10,7 +10,6 @@
 //	rtgc-bench [-quick] [-out FILE] [-baseline FILE] perf
 //	rtgc-bench validate FILE
 //	rtgc-bench [-quick] [-out FILE] trace [workload]
-//	rtgc-bench recover
 //	rtgc-bench [-out FILE] crashmatrix
 //	rtgc-bench [-out FILE] [-record FILE] serve SPECFILE
 //	rtgc-bench [-out FILE] servereplay TRACEFILE
@@ -44,13 +43,12 @@
 // trace is also written as a fingerprinted artifact; "servereplay" serves
 // such an artifact bit-identically.
 //
-// "recover" is the checkpoint-recovery smoke: a seeded run with the
-// incremental checkpoint writer attached, recovered from its own artifacts
-// with the fingerprint, audit and degradation ladder verified.
 // "crashmatrix" runs the full deterministic crash-point matrix (workloads ×
-// crash plans, newest-epoch and all-epoch damage) and writes the
-// repligc-crash-matrix/1 report — the CI artifact proving every cell ends
-// in verified recovery or a typed corruption rejection.
+// crash plans, newest-epoch and all-epoch damage, plus each workload's
+// undamaged baseline row: recover, verify the fingerprint, audit, continue,
+// walk the degradation ladder) and writes the repligc-crash-matrix/1 report
+// — the CI artifact proving every cell ends in verified recovery or a typed
+// corruption rejection.
 package main
 
 import (
@@ -71,7 +69,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "       rtgc-bench [-quick] [-out FILE] [-baseline FILE] perf\n")
 		fmt.Fprintf(os.Stderr, "       rtgc-bench validate FILE\n")
 		fmt.Fprintf(os.Stderr, "       rtgc-bench [-quick] [-out FILE] trace [Primes|Sort|Comp]\n")
-		fmt.Fprintf(os.Stderr, "       rtgc-bench recover\n")
 		fmt.Fprintf(os.Stderr, "       rtgc-bench [-out FILE] crashmatrix\n")
 		fmt.Fprintf(os.Stderr, "       rtgc-bench [-out FILE] [-record FILE] serve SPECFILE\n")
 		fmt.Fprintf(os.Stderr, "       rtgc-bench [-out FILE] servereplay TRACEFILE\n")
@@ -172,8 +169,6 @@ func main() {
 			fmt.Print(bench.FormatLogPolicy(logpol))
 		case "perf":
 			return runPerf(scale, scaleName, *out, *baseline)
-		case "recover":
-			return runRecoverSmoke()
 		case "crashmatrix":
 			return runCrashMatrix(*out)
 		case "validate":

@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"repligc/internal/bench"
+	"repligc/internal/rig"
 	"repligc/internal/trace"
 )
 
@@ -23,7 +24,7 @@ func tracePath(out, workload string) string {
 }
 
 // runTrace traces one workload (or, with workload == "", all three) under
-// CfgRT in the paper's 50 ms parameter cell, printing the digest and — when
+// rt in the paper's 50 ms parameter cell, printing the digest and — when
 // out is non-empty — writing a Chrome trace per workload.
 //
 //gclint:io writes the Chrome trace artifact per workload
@@ -44,7 +45,7 @@ func runTrace(s bench.Scale, workload, out string) error {
 	params := bench.PaperParams()[0]
 	for _, w := range workloads {
 		tr := trace.NewRecorder(1 << 20)
-		_, err := bench.Run(w, bench.RunConfig{Config: bench.CfgRT, Params: params, Trace: tr})
+		_, err := bench.Run(w, rig.Config{Collector: rig.RT, Params: params, Trace: tr})
 		if err != nil {
 			return fmt.Errorf("trace %s: %w", w.Name(), err)
 		}
@@ -52,13 +53,13 @@ func runTrace(s bench.Scale, workload, out string) error {
 		if err != nil {
 			return fmt.Errorf("trace %s: %w", w.Name(), err)
 		}
-		fmt.Print(trace.Summary(fmt.Sprintf("%s (%s, %v)", w.Name(), bench.CfgRT, params), an, tr.Dropped()))
+		fmt.Print(trace.Summary(fmt.Sprintf("%s (%s, %v)", w.Name(), rig.RT.Name, params), an, tr.Dropped()))
 		if out == "" {
 			continue
 		}
 		labels := map[string]string{
 			"workload":  w.Name(),
-			"collector": string(bench.CfgRT),
+			"collector": rig.RT.Name,
 			"params":    params.String(),
 		}
 		data, err := trace.ChromeTrace(tr.Events(), labels)

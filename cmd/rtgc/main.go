@@ -25,15 +25,15 @@ import (
 	"repligc/internal/core"
 	"repligc/internal/heap"
 	"repligc/internal/lang"
+	"repligc/internal/rig"
 	"repligc/internal/simtime"
-	"repligc/internal/stopcopy"
 	"repligc/internal/trace"
 	"repligc/internal/vm"
 )
 
 //gclint:io reads the MiniML source program and writes the optional trace/checkpoint artifacts
 func main() {
-	gcName := flag.String("gc", "rt", "collector: rt, rt-conc, minor-inc, major-inc, sc, sc-mods")
+	gcName := flag.String("gc", "rt", "collector: "+rig.Names())
 	nKB := flag.Int64("n", 200, "nursery size N in KB")
 	oKB := flag.Int64("o", 1024, "major threshold O in KB")
 	lKB := flag.Int64("l", 100, "copy limit L in KB (incremental configurations)")
@@ -51,8 +51,14 @@ func main() {
 	if *restoreDir != "" && flag.NArg() == 0 {
 		os.Exit(runRestore(*restoreDir))
 	}
+	// One table names the collectors for both modes.
+	coll, err := rig.Named(*gcName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rtgc: %v\n", err)
+		os.Exit(2)
+	}
 	if *serveSpec != "" && flag.NArg() == 0 {
-		os.Exit(runServeSpec(*serveSpec, *gcName))
+		os.Exit(runServeSpec(*serveSpec, coll))
 	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: rtgc [flags] program.ml")
@@ -72,58 +78,31 @@ func main() {
 		os.Exit(1)
 	}
 
-	h := heap.New(heap.Config{
-		NurseryBytes:    *nKB << 10,
-		NurseryCapBytes: 32 << 20,
-		OldSemiBytes:    *oldMB << 20,
-	})
-	policy := core.LogAllMutations
-	if *gcName == "sc" {
-		policy = core.LogPointersOnly
-	}
-	m := core.NewMutator(h, simtime.NewClock(), simtime.Default1993(), policy)
-
-	var gc core.Collector
-	switch *gcName {
-	case "sc", "sc-mods":
-		gc = stopcopy.New(h, stopcopy.Config{NurseryBytes: *nKB << 10, MajorThresholdBytes: *oKB << 10})
-	case "rt", "rt-conc", "minor-inc", "major-inc":
-		gc = core.NewReplicating(h, core.Config{
-			NurseryBytes:           *nKB << 10,
-			MajorThresholdBytes:    *oKB << 10,
-			CopyLimitBytes:         *lKB << 10,
-			IncrementalMinor:       *gcName != "major-inc",
-			IncrementalMajor:       *gcName != "minor-inc",
-			InterleavedTaxPermille: map[bool]int{true: 1500, false: 0}[*gcName == "rt-conc"],
-			BoundedLogProcessing:   *gcName == "rt-conc",
-		})
-	default:
-		fmt.Fprintf(os.Stderr, "rtgc: unknown collector %q\n", *gcName)
-		os.Exit(2)
-	}
-	m.AttachGC(gc)
-
-	var ckptW *checkpoint.Writer
-	if *ckptDir != "" {
-		rep, ok := gc.(*core.Replicating)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "rtgc: -checkpoint needs a replicating collector, not %q\n", *gcName)
-			os.Exit(2)
-		}
-		ckptW = checkpoint.NewWriter(checkpoint.Config{Dir: *ckptDir})
-		rep.SetCheckpointer(ckptW)
-	}
-
 	// The recorder is always attached: it charges nothing to the simulated
 	// clock, so the run is identical with or without it, and a late decision
 	// to look at -stats still has data.
 	tr := trace.NewRecorder(1 << 18)
-	m.Trace = tr
-	clock := m.Clock
-	h.EpochHook = func(epoch uint32) { tr.LogEpoch(clock.Now(), int64(epoch)) }
-	if ts, ok := gc.(interface{ SetTrace(*trace.Recorder) }); ok {
-		ts.SetTrace(tr)
+	rc := rig.Config{
+		Collector:    coll,
+		Params:       rig.Params{NBytes: *nKB << 10, OBytes: *oKB << 10, LBytes: *lKB << 10},
+		OldSemiBytes: *oldMB << 20,
+		// rtgc's own value, not the shared rule: -checkpoint artifacts record
+		// the heap's geometry and a fingerprint over address-bearing words,
+		// so the line -restore prints would move with the cap.
+		NurseryCapBytes: 32 << 20,
+		Trace:           tr,
 	}
+	var ckptW *checkpoint.Writer
+	if *ckptDir != "" {
+		ckptW = checkpoint.NewWriter(checkpoint.Config{Dir: *ckptDir})
+		rc.Checkpoint = ckptW
+	}
+	rt, err := rig.New(rc)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rtgc: %v\n", err)
+		os.Exit(2)
+	}
+	h, m, gc := rt.Heap, rt.Mutator, rt.GC
 
 	text := string(src)
 	if *prelude {
@@ -142,13 +121,8 @@ func main() {
 	machine := vm.New(m, prog)
 	runErr := machine.Run()
 	os.Stdout.Write(machine.Output.Bytes())
-	if err := gc.FinishCycles(m); err != nil && runErr == nil {
+	if err := rt.Finish(); err != nil && runErr == nil {
 		runErr = err
-	}
-	if ckptW != nil && runErr == nil {
-		if err := ckptW.ForceCommit(m, gc.(*core.Replicating)); err != nil {
-			runErr = fmt.Errorf("final checkpoint: %w", err)
-		}
 	}
 
 	an, anErr := trace.Analyze(tr.Events())
@@ -239,16 +213,13 @@ func runRestore(dir string) int {
 		fmt.Fprintf(os.Stderr, "rtgc: restore: %v\n", err)
 		return 1
 	}
-	m := core.NewMutator(r.Heap, simtime.NewClock(), simtime.Default1993(), core.LogAllMutations)
-	gc := core.NewReplicating(r.Heap, core.Config{
-		NurseryBytes:        200 << 10,
-		MajorThresholdBytes: 1 << 20,
-		CopyLimitBytes:      100 << 10,
-		IncrementalMinor:    true,
-		IncrementalMajor:    true,
-	})
-	m.AttachGC(gc)
-	r.Attach(m, gc)
+	rt, err := rig.New(rig.Config{Collector: rig.RT, Heap: r.Heap})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rtgc: restore: %v\n", err)
+		return 1
+	}
+	m := rt.Mutator
+	r.Attach(m, rt.GC.(*core.Replicating))
 	if err := core.AuditHeap(m); err != nil {
 		fmt.Fprintf(os.Stderr, "rtgc: restore: recovered heap failed its audit: %v\n", err)
 		return 1

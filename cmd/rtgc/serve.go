@@ -9,31 +9,15 @@ import (
 	"fmt"
 	"os"
 
+	"repligc/internal/rig"
 	"repligc/internal/workload"
 )
-
-// serveCollector maps the rtgc -gc names onto the workload engine's
-// collector configurations. The engine runs whole-request service, so only
-// the configurations it models are accepted.
-func serveCollector(gcName string) (string, bool) {
-	switch gcName {
-	case "rt", "rt-lazy", "stop-copy-core", "sc":
-		return gcName, true
-	}
-	return "", false
-}
 
 // runServeSpec parses the spec, materialises its trace, and serves it under
 // the selected collector. Exit status 0 on success, 1 on any failure.
 //
 //gclint:io reads the workload spec file
-func runServeSpec(specPath, gcName string) int {
-	coll, ok := serveCollector(gcName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "rtgc: -serve supports collectors %v, not %q\n",
-			workload.Collectors(), gcName)
-		return 2
-	}
+func runServeSpec(specPath string, coll rig.Collector) int {
 	raw, err := os.ReadFile(specPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rtgc: %v\n", err)
@@ -49,7 +33,7 @@ func runServeSpec(specPath, gcName string) int {
 		fmt.Fprintf(os.Stderr, "rtgc: %v\n", err)
 		return 1
 	}
-	sec, err := workload.RunLegs(tr, []workload.LegSpec{{Name: coll, Collector: coll}})
+	sec, err := workload.RunLegs(tr, []workload.LegSpec{{Name: coll.Name, Collector: coll}})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rtgc: %v\n", err)
 		return 1

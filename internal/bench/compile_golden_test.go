@@ -13,6 +13,7 @@ import (
 	"repligc/internal/core"
 	"repligc/internal/heap"
 	"repligc/internal/lang"
+	"repligc/internal/rig"
 	"repligc/internal/simtime"
 )
 
@@ -47,12 +48,12 @@ func TestCompileSimulatedIdentity(t *testing.T) {
 
 	var got strings.Builder
 	for _, src := range sources {
-		for _, cfg := range []ConfigName{CfgRT, CfgSC} {
+		for _, cfg := range []rig.Collector{rig.RT, rig.SC} {
 			line, err := compileGoldenCell(src.text, cfg)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", src.name, cfg, err)
+				t.Fatalf("%s/%s: %v", src.name, cfg.Name, err)
 			}
-			fmt.Fprintf(&got, "%s %s %s\n", src.name, cfg, line)
+			fmt.Fprintf(&got, "%s %s %s\n", src.name, cfg.Name, line)
 		}
 	}
 
@@ -86,8 +87,8 @@ func checkGolden(t *testing.T, path string, update bool, got string) {
 	}
 }
 
-func compileGoldenCell(src string, cfg ConfigName) (string, error) {
-	rt, err := NewRuntime(RunConfig{Config: cfg, Params: PaperParams()[0], OldSemiBytes: 8 << 20})
+func compileGoldenCell(src string, cfg rig.Collector) (string, error) {
+	rt, err := rig.New(rig.Config{Collector: cfg, Params: PaperParams()[0], OldSemiBytes: 8 << 20})
 	if err != nil {
 		return "", err
 	}

@@ -14,6 +14,7 @@ import (
 	"repligc/internal/gctest"
 	"repligc/internal/heap"
 	"repligc/internal/policy"
+	"repligc/internal/rig"
 )
 
 var updateEngineGolden = flag.Bool("update-engine-golden", false,
@@ -39,8 +40,8 @@ var engineShapes = []struct {
 	{"roomy", 11, Params{NBytes: 32 << 10, OBytes: 64 << 10, LBytes: 96 << 10}},
 }
 
-func engineGoldenConfig(cfg ConfigName, p Params) RunConfig {
-	return RunConfig{Config: cfg, Params: p, OldSemiBytes: 4 << 20, NurseryCapBytes: 48 << 10}
+func engineGoldenConfig(cfg rig.Collector, p Params) rig.Config {
+	return rig.Config{Collector: cfg, Params: p, OldSemiBytes: 4 << 20, NurseryCapBytes: 48 << 10}
 }
 
 // enginePlan is one fault schedule every configuration runs under.
@@ -93,14 +94,14 @@ func enginePlans() []enginePlan {
 // leave every cell untouched; a cell that moves means a copy, a charge, a
 // cursor or their order changed.
 func TestEngineSimulatedIdentity(t *testing.T) {
-	configs := []ConfigName{CfgRT, CfgMinorInc, CfgMajorInc, CfgRTLazy, CfgRTBounded, CfgRTConc, CfgRTDefer}
+	configs := []rig.Collector{rig.RT, rig.MinorInc, rig.MajorInc, rig.RTLazy, rig.RTBounded, rig.RTConc, rig.RTDefer}
 	var got strings.Builder
-	cell := func(label string, rc RunConfig, seed int64, plan faultinject.Plan) string {
+	cell := func(label string, rc rig.Config, seed int64, plan faultinject.Plan) string {
 		line, err := engineGoldenCell(rc, seed, plan)
 		if err != nil {
-			t.Fatalf("%s %s: %v", rc.Config, label, err)
+			t.Fatalf("%s %s: %v", rc.Collector.Name, label, err)
 		}
-		fmt.Fprintf(&got, "%s %s %s", rc.Config, label, line)
+		fmt.Fprintf(&got, "%s %s %s", rc.Collector.Name, label, line)
 		return line
 	}
 	plans := enginePlans()
@@ -119,7 +120,7 @@ func TestEngineSimulatedIdentity(t *testing.T) {
 	// The entry-at-a-time reference paths, under the plan with the most
 	// failed copies: each line must equal rt's batched one above.
 	for _, sh := range engineShapes {
-		rc := engineGoldenConfig(CfgRT, sh.params)
+		rc := engineGoldenConfig(rig.RT, sh.params)
 		rc.NaiveReplay = true
 		label := fmt.Sprintf("%s seed=%d shrink-old", sh.name, sh.seed)
 		naive := cell(label+" naive-replay", rc, sh.seed, plans[2].plan)
@@ -130,7 +131,7 @@ func TestEngineSimulatedIdentity(t *testing.T) {
 	}
 
 	w := checkpoint.NewWriter(checkpoint.Config{Dir: t.TempDir(), BudgetBytes: 8 << 10, EveryBytes: 256 << 10})
-	rc := engineGoldenConfig(CfgRT, tight.params)
+	rc := engineGoldenConfig(rig.RT, tight.params)
 	rc.Checkpoint = w
 	cell("tight seed=3 checkpointed", rc, tight.seed, faultinject.Plan{})
 	st := w.Stats()
@@ -139,7 +140,7 @@ func TestEngineSimulatedIdentity(t *testing.T) {
 	// A flip script recorded under rt and replayed under major-inc, the one
 	// replicating configuration that honours it.
 	script := &policy.Script{}
-	rc = engineGoldenConfig(CfgRT, roomy.params)
+	rc = engineGoldenConfig(rig.RT, roomy.params)
 	rc.Record = script
 	cell("roomy seed=11 recorded", rc, roomy.seed, faultinject.Plan{})
 	marks := fnv.New64a()
@@ -147,12 +148,17 @@ func TestEngineSimulatedIdentity(t *testing.T) {
 		fmt.Fprintf(marks, "%d,%v;", e.AllocMark, e.MajorFlip)
 	}
 	fmt.Fprintf(&got, " script=%d:%016x\n", script.Len(), marks.Sum64())
-	rc = engineGoldenConfig(CfgMajorInc, roomy.params)
+	rc = engineGoldenConfig(rig.MajorInc, roomy.params)
 	rc.Replay = script
 	cell("roomy seed=11 replayed", rc, roomy.seed, faultinject.Plan{})
 	got.WriteByte('\n')
 
-	line, err := engineGoldenGroupCell(engineGoldenConfig(CfgRT, tight.params), 4, tight.seed)
+	rc = engineGoldenConfig(rig.RT, tight.params)
+	rc.Members = 4
+	_, md, line, err := engineGoldenGroupCell(rc, tight.seed, 40)
+	if err == nil {
+		err = md.Verify()
+	}
 	if err != nil {
 		t.Fatalf("group: %v", err)
 	}
@@ -177,8 +183,8 @@ func (b *bigObjects) VisitRoots(v core.RootVisitor) {
 // spans and the log carries old-object stores of both kinds. An exhaustion
 // error ends the operation it struck, is folded into the line, and the run
 // goes on: the collector must resume from the failed unit of work.
-func engineGoldenCell(rc RunConfig, seed int64, plan faultinject.Plan) (string, error) {
-	rt, err := NewRuntime(rc)
+func engineGoldenCell(rc rig.Config, seed int64, plan faultinject.Plan) (string, error) {
+	rt, err := rig.New(rc)
 	if err != nil {
 		return "", err
 	}
@@ -248,13 +254,8 @@ func engineGoldenCell(rc RunConfig, seed int64, plan faultinject.Plan) (string, 
 			}
 		}
 	}
-	if err := rt.GC.FinishCycles(m); err != nil {
+	if err := rt.Finish(); err != nil {
 		return "", err
-	}
-	if rc.Checkpoint != nil {
-		if err := rc.Checkpoint.ForceCommit(m, rt.GC.(*core.Replicating)); err != nil {
-			return "", err
-		}
 	}
 	line := fmt.Sprintf("%s %s errs=%d:%016x", goldenState(m.Clock, rt.GC, d.Fingerprint()), engineCounters(rt.GC), nerrs, errs.Sum64())
 	if err := d.Verify(); err != nil {
@@ -266,27 +267,29 @@ func engineGoldenCell(rc RunConfig, seed int64, plan faultinject.Plan) (string, 
 	return line, nil
 }
 
-// engineGoldenGroupCell runs n mutators on one heap and renders the line.
-func engineGoldenGroupCell(rc RunConfig, n int, seed int64) (string, error) {
-	gr, err := NewGroupRuntime(rc, n)
+// engineGoldenGroupCell runs rc's members on one heap for the given number
+// of rounds, finishes the run and renders the line. The shadow check is the
+// caller's: it re-reads the heap through the mutators and charges the clock.
+func engineGoldenGroupCell(rc rig.Config, seed int64, rounds int) (*rig.Runtime, *gctest.MultiDriver, string, error) {
+	rt, err := rig.New(rc)
 	if err != nil {
-		return "", err
+		return nil, nil, "", err
 	}
-	md, err := gctest.NewMultiDriver(gr.Group, seed)
+	md, err := gctest.NewMultiDriver(rt.Group, seed)
 	if err != nil {
-		return "", err
+		return nil, nil, "", err
 	}
-	for round := 0; round < 40; round++ {
+	for round := 0; round < rounds; round++ {
 		if err := md.Step(60); err != nil {
-			return "", err
+			return nil, nil, "", err
 		}
 	}
-	if err := gr.Group.Run(0, func(m *core.Mutator) error { return gr.GC.FinishCycles(m) }); err != nil {
-		return "", err
+	if err := rt.Finish(); err != nil {
+		return nil, nil, "", err
 	}
-	line := fmt.Sprintf("%s %s wall=%d merged=%d", goldenState(gr.Group.Clock, gr.GC, md.Fingerprint()),
-		engineCounters(gr.GC), gr.Group.Elapsed(), gr.Group.MergedEntries)
-	return line, md.Verify()
+	line := fmt.Sprintf("%s %s wall=%d merged=%d", goldenState(rt.Group.Clock, rt.GC, md.Fingerprint()),
+		engineCounters(rt.GC), rt.Group.Elapsed(), rt.Group.MergedEntries)
+	return rt, md, line, nil
 }
 
 // engineCounters renders the collector's counters and one hash over every

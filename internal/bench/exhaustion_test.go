@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repligc/internal/core"
+	"repligc/internal/rig"
 )
 
 // exhaustionScale is small enough that the matrix below stays fast but
@@ -27,15 +28,15 @@ func TestExhaustionMatrix(t *testing.T) {
 
 	for _, name := range AllWorkloads {
 		for _, cfg := range AllPaperConfigs {
-			t.Run(name+"/"+string(cfg), func(t *testing.T) {
+			t.Run(name+"/"+cfg.Name, func(t *testing.T) {
 				w, err := s.WorkloadByName(name)
 				if err != nil {
 					t.Fatal(err)
 				}
 				sawOOM := false
 				for _, oldSemi := range ladder {
-					rt, err := NewRuntime(RunConfig{
-						Config:          cfg,
+					rt, err := rig.New(rig.Config{
+						Collector:       cfg,
 						Params:          params,
 						OldSemiBytes:    oldSemi,
 						NurseryCapBytes: 8 * params.NBytes,
@@ -82,7 +83,7 @@ func TestExhaustionMatrix(t *testing.T) {
 					sawOOM = true
 				}
 				if !sawOOM {
-					t.Fatalf("no rung of the ladder exhausted %s under %s", name, cfg)
+					t.Fatalf("no rung of the ladder exhausted %s under %s", name, cfg.Name)
 				}
 			})
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repligc/internal/policy"
+	"repligc/internal/rig"
 	"repligc/internal/simtime"
 )
 
@@ -62,25 +63,25 @@ func (s *Suite) rt(name string, p Params) (*recordedRun, error) {
 
 // run executes one non-recording configuration, replaying the rt script for
 // the configurations whose minor collections are not incremental.
-func (s *Suite) run(name string, cfg ConfigName, p Params) (*Result, error) {
+func (s *Suite) run(name string, cfg rig.Collector, p Params) (*Result, error) {
 	w, err := s.WorkloadByName(name)
 	if err != nil {
 		return nil, err
 	}
-	rc := RunConfig{Config: cfg, Params: p}
-	switch cfg {
-	case CfgSC, CfgSCMods, CfgMajorInc:
-		rt, err := s.rt(name, p)
-		if err != nil {
-			return nil, err
-		}
-		rc.Replay = rt.script
-	case CfgRT:
+	rc := rig.Config{Collector: cfg, Params: p}
+	switch {
+	case cfg == rig.RT:
 		rt, err := s.rt(name, p)
 		if err != nil {
 			return nil, err
 		}
 		return rt.res, nil
+	case cfg.StopCopy || !cfg.Engine.IncrementalMinor:
+		rt, err := s.rt(name, p)
+		if err != nil {
+			return nil, err
+		}
+		rc.Replay = rt.script
 	}
 	return Run(w, rc)
 }
@@ -100,11 +101,11 @@ func (s *Suite) Table1() ([]Table1Row, error) {
 	var rows []Table1Row
 	for _, name := range AllWorkloads {
 		for _, p := range PaperParams() {
-			sc, err := s.run(name, CfgSC, p)
+			sc, err := s.run(name, rig.SC, p)
 			if err != nil {
 				return nil, err
 			}
-			rt, err := s.run(name, CfgRT, p)
+			rt, err := s.run(name, rig.RT, p)
 			if err != nil {
 				return nil, err
 			}
@@ -130,11 +131,11 @@ func percentiles(r *simtime.Recorder) [3]simtime.Duration {
 // O=1 MB under stop-and-copy and real-time collection.
 func (s *Suite) PauseHistograms() (scShort, rtShort, scLong, rtLong *simtime.Histogram, err error) {
 	p := PaperParams()[0] // O=1MB, N=0.2MB
-	sc, err := s.run("Comp", CfgSC, p)
+	sc, err := s.run("Comp", rig.SC, p)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	rt, err := s.run("Comp", CfgRT, p)
+	rt, err := s.run("Comp", rig.RT, p)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -184,9 +185,9 @@ func (s *Suite) Fig7(name string, p Params) ([]Fig7Component, error) {
 // configuration and its overhead relative to the plain stop-and-copy
 // baseline.
 type OverheadCell struct {
-	Config   ConfigName
+	Config   string // the collector's name in rig.Table
 	Elapsed  simtime.Duration
-	Overhead float64 // percent vs CfgSC
+	Overhead float64 // percent vs sc
 }
 
 // OverheadRow groups the five configurations for one parameter setting.
@@ -202,14 +203,14 @@ type OverheadRow struct {
 func (s *Suite) Overheads(name string) ([]OverheadRow, error) {
 	var rows []OverheadRow
 	for _, p := range PaperParams() {
-		base, err := s.run(name, CfgSC, p)
+		base, err := s.run(name, rig.SC, p)
 		if err != nil {
 			return nil, err
 		}
 		row := OverheadRow{Workload: name, P: p}
 		for _, cfg := range AllPaperConfigs {
 			var res *Result
-			if cfg == CfgSC {
+			if cfg == rig.SC {
 				res = base
 			} else {
 				res, err = s.run(name, cfg, p)
@@ -218,7 +219,7 @@ func (s *Suite) Overheads(name string) ([]OverheadRow, error) {
 				}
 			}
 			row.Cells = append(row.Cells, OverheadCell{
-				Config:   cfg,
+				Config:   cfg.Name,
 				Elapsed:  res.Elapsed,
 				Overhead: 100 * (float64(res.Elapsed) - float64(base.Elapsed)) / float64(base.Elapsed),
 			})
@@ -294,7 +295,7 @@ func (s *Suite) Table3() ([]Table3Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			sc, err := s.run(name, CfgSC, p)
+			sc, err := s.run(name, rig.SC, p)
 			if err != nil {
 				return nil, err
 			}
@@ -331,20 +332,20 @@ type AblationRow struct {
 // AblationLazy compares eager log processing against the paper §2.5
 // opportunity of delaying reapplication to the last possible moment.
 func (s *Suite) AblationLazy() ([]AblationRow, error) {
-	return s.ablation(CfgRTLazy)
+	return s.ablation(rig.RTLazy)
 }
 
 // AblationBoundedLog compares the paper's unbounded log processing against
 // the incremental log processing extension suggested in §3.4.
 func (s *Suite) AblationBoundedLog() ([]AblationRow, error) {
-	return s.ablation(CfgRTBounded)
+	return s.ablation(rig.RTBounded)
 }
 
 // AblationDeferMutables compares eager copying against the §2.5 copy-order
 // opportunity of replicating mutable objects only at completion, when their
 // contents are final and their log entries need no reapplication.
 func (s *Suite) AblationDeferMutables() ([]AblationRow, error) {
-	return s.ablation(CfgRTDefer)
+	return s.ablation(rig.RTDefer)
 }
 
 // AblationConcurrent compares pause-based real-time collection against the
@@ -352,10 +353,10 @@ func (s *Suite) AblationDeferMutables() ([]AblationRow, error) {
 // collector's work rides on allocation as a copying tax and only flips
 // stop the mutator for more than a work quantum.
 func (s *Suite) AblationConcurrent() ([]AblationRow, error) {
-	return s.ablation(CfgRTConc)
+	return s.ablation(rig.RTConc)
 }
 
-func (s *Suite) ablation(variant ConfigName) ([]AblationRow, error) {
+func (s *Suite) ablation(variant rig.Collector) ([]AblationRow, error) {
 	p := PaperParams()[0]
 	var rows []AblationRow
 	for _, name := range AllWorkloads {
@@ -367,7 +368,7 @@ func (s *Suite) ablation(variant ConfigName) ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := Run(w, RunConfig{Config: variant, Params: p})
+		res, err := Run(w, rig.Config{Collector: variant, Params: p})
 		if err != nil {
 			return nil, err
 		}
@@ -390,11 +391,11 @@ func (s *Suite) AblationLogPolicy() ([]LogPolicyRow, error) {
 	p := PaperParams()[0]
 	var rows []LogPolicyRow
 	for _, name := range AllWorkloads {
-		sc, err := s.run(name, CfgSC, p)
+		sc, err := s.run(name, rig.SC, p)
 		if err != nil {
 			return nil, err
 		}
-		mods, err := s.run(name, CfgSCMods, p)
+		mods, err := s.run(name, rig.SCMods, p)
 		if err != nil {
 			return nil, err
 		}

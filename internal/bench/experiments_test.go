@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repligc/internal/rig"
 	"repligc/internal/simtime"
 )
 
@@ -21,14 +22,14 @@ func TestWorkloadOutputsIdenticalAcrossConfigs(t *testing.T) {
 		for _, cfg := range AllPaperConfigs {
 			res, err := s.run(name, cfg, p)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", name, cfg, err)
+				t.Fatalf("%s/%s: %v", name, cfg.Name, err)
 			}
 			outputs = append(outputs, res.Output)
 		}
 		for i := 1; i < len(outputs); i++ {
 			if outputs[i] != outputs[0] {
 				t.Errorf("%s: output differs between %s and %s:\n%q\n%q",
-					name, AllPaperConfigs[0], AllPaperConfigs[i], outputs[0], outputs[i])
+					name, AllPaperConfigs[0].Name, AllPaperConfigs[i].Name, outputs[0], outputs[i])
 			}
 		}
 	}
@@ -103,11 +104,11 @@ func TestOverheadsShape(t *testing.T) {
 		var sc, rt, scMods OverheadCell
 		for _, cell := range row.Cells {
 			switch cell.Config {
-			case CfgSC:
+			case rig.SC.Name:
 				sc = cell
-			case CfgRT:
+			case rig.RT.Name:
 				rt = cell
-			case CfgSCMods:
+			case rig.SCMods.Name:
 				scMods = cell
 			}
 		}
@@ -234,7 +235,7 @@ func TestGenerateModuleCompiles(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		src := GenerateModule(i, 40)
 		w := &vmWorkload{name: "gen", src: src}
-		if _, err := Run(w, RunConfig{Config: CfgSC, Params: PaperParams()[0]}); err != nil {
+		if _, err := Run(w, rig.Config{Collector: rig.SC, Params: PaperParams()[0]}); err != nil {
 			t.Fatalf("module %d: %v\n%s", i, err, src)
 		}
 	}
@@ -261,11 +262,11 @@ func TestDeferMutablesReducesReapplies(t *testing.T) {
 	}
 	s := NewSuite(DefaultScale())
 	p := PaperParams()[0]
-	rt, err := s.run("Sort", CfgRT, p)
+	rt, err := s.run("Sort", rig.RT, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deferred, err := s.run("Sort", CfgRTDefer, p)
+	deferred, err := s.run("Sort", rig.RTDefer, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,19 +7,23 @@ import (
 	"repligc/internal/core"
 	"repligc/internal/gctest"
 	"repligc/internal/heap"
+	"repligc/internal/rig"
 	"repligc/internal/simtime"
+	"repligc/internal/stopcopy"
 )
 
 func multiParams() Params {
 	return Params{OBytes: 1 << 20, NBytes: 200 << 10, LBytes: 100 << 10}
 }
 
-// TestSoloGroupBitIdentical is the refactor-safety differential: a
-// one-member group must be bit-identical to the pre-split solo mutator —
-// same reachable-graph fingerprint, same final simulated clock, same
-// per-account time breakdown — across collector configurations and seeds.
-// The group path shares the log instance and skips chunking at n=1, so any
-// divergence here means the context split changed single-mutator behaviour.
+// TestSoloGroupBitIdentical is the oracle behind the constructor's one
+// decision about members: rig.New always builds a core.Group, and a
+// one-member group must be bit-identical to a solo core.NewMutator — same
+// reachable-graph fingerprint, same final simulated clock, same per-account
+// time breakdown — across collector configurations and seeds. The reference
+// side is wired by hand, from the parts, so the comparison cannot become the
+// constructor against itself: any divergence means the group path (or the
+// constructor's sizing and defaults) changed single-mutator behaviour.
 func TestSoloGroupBitIdentical(t *testing.T) {
 	type result struct {
 		fp        uint64
@@ -27,55 +31,57 @@ func TestSoloGroupBitIdentical(t *testing.T) {
 		breakdown [simtime.NumAccounts]simtime.Duration
 	}
 	const ops = 12000
-	for _, cfg := range []ConfigName{CfgRT, CfgRTLazy, CfgSC} {
+	// The constructor's cap rule on both sides, and semispaces no larger than
+	// the run needs: thirty-six 208 MB arenas were most of this test's time.
+	const oldSemi = 8 << 20
+	p := multiParams()
+	for _, cfg := range []rig.Collector{rig.RT, rig.RTLazy, rig.SC} {
 		for _, seed := range []int64{1, 7, 42, 99, 1234, 987654} {
-			rc := RunConfig{Config: cfg, Params: multiParams()}
-
 			solo := func() result {
-				rt, err := NewRuntime(rc)
-				if err != nil {
-					t.Fatal(err)
+				h := heap.New(heap.Config{NurseryBytes: p.NBytes, NurseryCapBytes: 16 << 20, OldSemiBytes: oldSemi})
+				m := core.NewMutator(h, simtime.NewClock(), simtime.Default1993(), cfg.Log)
+				var gc core.Collector
+				if cfg.StopCopy {
+					gc = stopcopy.New(h, stopcopy.Config{NurseryBytes: p.NBytes, MajorThresholdBytes: p.OBytes})
+				} else {
+					cc := cfg.Engine
+					cc.NurseryBytes, cc.MajorThresholdBytes, cc.CopyLimitBytes = p.NBytes, p.OBytes, p.LBytes
+					gc = core.NewReplicating(h, cc)
 				}
-				d := gctest.NewDriver(rt.Mutator, seed)
+				m.AttachGC(gc)
+				d := gctest.NewDriver(m, seed)
 				if err := d.Step(ops); err != nil {
 					t.Fatal(err)
 				}
-				if err := rt.GC.FinishCycles(rt.Mutator); err != nil {
+				if err := gc.FinishCycles(m); err != nil {
 					t.Fatal(err)
 				}
-				return result{d.Fingerprint(), rt.Mutator.Clock.Now(), rt.Mutator.Clock.Breakdown()}
+				return result{d.Fingerprint(), m.Clock.Now(), m.Clock.Breakdown()}
 			}()
 
 			grouped := func() result {
-				gr, err := NewGroupRuntime(rc, 1)
+				rt, err := rig.New(rig.Config{Collector: cfg, Params: p, OldSemiBytes: oldSemi})
 				if err != nil {
 					t.Fatal(err)
 				}
-				m := gr.Group.Members[0]
+				m := rt.Mutator
 				d := gctest.NewDriver(m, seed)
-				var fp uint64
-				if err := gr.Group.Run(0, func(m *core.Mutator) error {
-					if err := d.Step(ops); err != nil {
-						return err
-					}
-					if err := gr.GC.FinishCycles(m); err != nil {
-						return err
-					}
-					fp = d.Fingerprint()
-					return nil
-				}); err != nil {
+				if err := rt.Group.Run(0, func(*core.Mutator) error { return d.Step(ops) }); err != nil {
 					t.Fatal(err)
 				}
-				if gr.Group.Elapsed() != m.Clock.Now() {
-					t.Fatalf("%s seed %d: one-member wall %v != clock %v",
-						cfg, seed, gr.Group.Elapsed(), m.Clock.Now())
+				if err := rt.Finish(); err != nil {
+					t.Fatal(err)
 				}
-				return result{fp, m.Clock.Now(), m.Clock.Breakdown()}
+				if rt.Group.Elapsed() != m.Clock.Now() {
+					t.Fatalf("%s seed %d: one-member wall %v != clock %v",
+						cfg.Name, seed, rt.Group.Elapsed(), m.Clock.Now())
+				}
+				return result{d.Fingerprint(), m.Clock.Now(), m.Clock.Breakdown()}
 			}()
 
 			if solo != grouped {
 				t.Fatalf("%s seed %d: solo and one-member group diverged:\nsolo    %+v\ngrouped %+v",
-					cfg, seed, solo, grouped)
+					cfg.Name, seed, solo, grouped)
 			}
 		}
 	}
@@ -88,7 +94,7 @@ func TestSoloGroupBitIdentical(t *testing.T) {
 // buys the latter).
 func TestMultiMutatorDeterminismMatrix(t *testing.T) {
 	run := func(n int, seed int64, mergeOrder []int) (uint64, simtime.Duration) {
-		gr, err := NewGroupRuntime(RunConfig{Config: CfgRT, Params: multiParams()}, n)
+		gr, err := rig.New(rig.Config{Collector: rig.RT, Params: multiParams(), Members: n})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,9 +108,7 @@ func TestMultiMutatorDeterminismMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := gr.Group.Run(0, func(m *core.Mutator) error {
-			return gr.GC.FinishCycles(m)
-		}); err != nil {
+		if err := gr.Finish(); err != nil {
 			t.Fatal(err)
 		}
 		if err := md.Verify(); err != nil {
@@ -151,7 +155,7 @@ func TestMultiMutatorDeterminismMatrix(t *testing.T) {
 // makespan is shorter than the serial clock and the group records non-empty
 // all-stopped intervals for MMU.
 func TestMultiMutatorOverlap(t *testing.T) {
-	gr, err := NewGroupRuntime(RunConfig{Config: CfgRT, Params: multiParams()}, 4)
+	gr, err := rig.New(rig.Config{Collector: rig.RT, Params: multiParams(), Members: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

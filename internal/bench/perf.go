@@ -4,7 +4,7 @@ package bench
 // before/after comparison of the naive append-every-store write barrier against the
 // coalescing barrier (dirty stamps + nursery fast path), per workload, under
 // the full real-time configuration. "Before" is the same collector with
-// coalescing disabled (RunConfig.NaiveBarrier), so both legs run identical
+// coalescing disabled (rig.Config.NaiveBarrier), so both legs run identical
 // workload code over the identical cost model and differ only in how the
 // mutation log represents the exception set.
 //
@@ -20,8 +20,8 @@ import (
 	"sort"
 
 	"repligc/internal/checkpoint"
-	"repligc/internal/core"
 	"repligc/internal/gctest"
+	"repligc/internal/rig"
 	"repligc/internal/simtime"
 	"repligc/internal/trace"
 	"repligc/internal/workload"
@@ -210,7 +210,7 @@ func perfParams() Params { return PaperParams()[0] }
 func RunPerf(s Scale, scaleName string) (*PerfReport, error) {
 	rep := &PerfReport{
 		Schema:    PerfSchema,
-		Collector: string(CfgRT),
+		Collector: rig.RT.Name,
 		Params:    perfParams().String(),
 		Scale:     scaleName,
 	}
@@ -220,12 +220,12 @@ func RunPerf(s Scale, scaleName string) (*PerfReport, error) {
 	// a consistent suffix.
 	for _, w := range []Workload{Primes(s), Sort(s), Comp(s)} {
 		baseTr := trace.NewRecorder(1 << 20)
-		base, err := Run(w, RunConfig{Config: CfgRT, Params: perfParams(), NaiveBarrier: true, Trace: baseTr})
+		base, err := Run(w, rig.Config{Collector: rig.RT, Params: perfParams(), NaiveBarrier: true, Trace: baseTr})
 		if err != nil {
 			return nil, fmt.Errorf("perf %s baseline: %w", w.Name(), err)
 		}
 		coalTr := trace.NewRecorder(1 << 20)
-		coal, err := Run(w, RunConfig{Config: CfgRT, Params: perfParams(), Trace: coalTr})
+		coal, err := Run(w, rig.Config{Collector: rig.RT, Params: perfParams(), Trace: coalTr})
 		if err != nil {
 			return nil, fmt.Errorf("perf %s coalesced: %w", w.Name(), err)
 		}
@@ -252,7 +252,7 @@ func RunPerf(s Scale, scaleName string) (*PerfReport, error) {
 		// steady-state cadence, not back-to-back snapshots.
 		ckptW := checkpoint.NewWriter(checkpoint.Config{Dir: ckptDir, BudgetBytes: 64 << 10, EveryBytes: 4 << 20})
 		ckptTr := trace.NewRecorder(1 << 20)
-		ckpt, err := Run(w, RunConfig{Config: CfgRT, Params: perfParams(), Trace: ckptTr, Checkpoint: ckptW})
+		ckpt, err := Run(w, rig.Config{Collector: rig.RT, Params: perfParams(), Trace: ckptTr, Checkpoint: ckptW})
 		cleanup()
 		if err != nil {
 			return nil, fmt.Errorf("perf %s checkpointed: %w", w.Name(), err)
@@ -312,11 +312,12 @@ const multiSeed = 42
 func RunMulti(s Scale) ([]MultiLeg, error) {
 	var legs []MultiLeg
 	for _, n := range []int{1, 2, 4, 8} {
-		gr, err := NewGroupRuntime(RunConfig{Config: CfgRT, Params: perfParams()}, n)
+		rt, err := rig.New(rig.Config{Collector: rig.RT, Params: perfParams(), Members: n})
 		if err != nil {
 			return nil, fmt.Errorf("multi N=%d: %w", n, err)
 		}
-		md, err := gctest.NewMultiDriver(gr.Group, multiSeed)
+		g := rt.Group
+		md, err := gctest.NewMultiDriver(g, multiSeed)
 		if err != nil {
 			return nil, fmt.Errorf("multi N=%d: %w", n, err)
 		}
@@ -325,13 +326,10 @@ func RunMulti(s Scale) ([]MultiLeg, error) {
 				return nil, fmt.Errorf("multi N=%d round %d: %w", n, round, err)
 			}
 		}
-		if err := gr.Group.Run(0, func(m *core.Mutator) error {
-			return gr.GC.FinishCycles(m)
-		}); err != nil {
+		if err := rt.Finish(); err != nil {
 			return nil, fmt.Errorf("multi N=%d finish: %w", n, err)
 		}
-		g := gr.Group
-		st := gr.GC.Stats()
+		st := rt.GC.Stats()
 		leg := MultiLeg{
 			Mutators:      n,
 			WorkMs:        g.Clock.Now().Milliseconds(),

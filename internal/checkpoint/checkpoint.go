@@ -23,22 +23,23 @@ type Config struct {
 	// the checkpoint analogue of the paper's copy limit L. Zero defaults
 	// to 128 KB.
 	BudgetBytes int64
-	// CommitSlackBytes bounds the completing increment: an epoch commits
-	// at a quiescent pause once its remaining copy (stable-prefix tail
-	// plus nursery) fits this allowance. It mirrors the collector's own
-	// completion pauses, which also run past the steady budget to reach a
-	// flip. Zero defaults to 4× BudgetBytes.
-	CommitSlackBytes int64
 	// EveryBytes throttles epoch starts: a new epoch begins only after the
 	// mutator has allocated this much since the previous epoch began. Zero
 	// means continuous checkpointing (a new epoch at the first quiescent
 	// pause after each commit).
 	EveryBytes int64
-	// Keep is how many committed epochs to retain (older pairs are
-	// deleted). Zero defaults to 2, so a crash while damaging the newest
-	// epoch still leaves a complete predecessor.
-	Keep int
 }
+
+// commitSlack bounds the completing increment, in budgets: an epoch commits
+// at a quiescent pause once its remaining copy (stable-prefix tail plus
+// nursery) fits this many BudgetBytes. It mirrors the collector's own
+// completion pauses, which also run past the steady budget to reach a flip.
+const commitSlack = 4
+
+// keepEpochs is how many committed epochs are retained (older pairs are
+// deleted): two, so a crash while damaging the newest epoch still leaves a
+// complete predecessor.
+const keepEpochs = 2
 
 // EpochInfo describes one committed epoch.
 type EpochInfo struct {
@@ -128,12 +129,6 @@ func NewWriter(cfg Config) *Writer {
 	if cfg.BudgetBytes <= 0 {
 		cfg.BudgetBytes = 128 << 10
 	}
-	if cfg.CommitSlackBytes <= 0 {
-		cfg.CommitSlackBytes = 4 * cfg.BudgetBytes
-	}
-	if cfg.Keep <= 0 {
-		cfg.Keep = 2
-	}
 	return &Writer{cfg: cfg, epoch: 1}
 }
 
@@ -175,7 +170,7 @@ func (w *Writer) PauseCheckpoint(m *core.Mutator, p core.CheckpointPoint) {
 		w.copyTarget = m.H.OldFrom().Next
 	}
 	budgetWords := uint64(w.cfg.BudgetBytes) / heap.BytesPerWord
-	slackWords := uint64(w.cfg.CommitSlackBytes) / heap.BytesPerWord
+	slackWords := uint64(commitSlack*w.cfg.BudgetBytes) / heap.BytesPerWord
 	if p.Quiescent && w.remainingWords(m) <= slackWords {
 		w.commit(m, p)
 		return
@@ -527,12 +522,12 @@ func (w *Writer) writeWAL(m *core.Mutator, st *Restored, fp uint64) (int64, erro
 //
 //gclint:io deletes artifact files of epochs beyond the retention window
 func (w *Writer) prune() {
-	if n := len(w.retained); n > w.cfg.Keep {
-		for _, old := range w.retained[:n-w.cfg.Keep] {
+	if n := len(w.retained); n > keepEpochs {
+		for _, old := range w.retained[:n-keepEpochs] {
 			os.Remove(w.snapPath(old))
 			os.Remove(w.walPath(old))
 		}
-		w.retained = append(w.retained[:0], w.retained[n-w.cfg.Keep:]...)
+		w.retained = append(w.retained[:0], w.retained[n-keepEpochs:]...)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"repligc/internal/faultinject"
 	"repligc/internal/gctest"
 	"repligc/internal/heap"
+	"repligc/internal/rig"
 	"repligc/internal/simtime"
 	"repligc/internal/trace"
 )
@@ -17,18 +18,15 @@ import (
 // buildRun constructs a traced runtime with a checkpoint writer attached.
 func buildRun(t *testing.T, dir string, budget int64) (*core.Mutator, *core.Replicating, *Writer, *trace.Recorder) {
 	t.Helper()
-	hcfg, ccfg := matrixHeapConfig()
-	h := heap.New(hcfg)
-	clock := simtime.NewClock()
-	m := core.NewMutator(h, clock, simtime.Default1993(), core.LogAllMutations)
-	gc := core.NewReplicating(h, ccfg)
-	m.AttachGC(gc)
 	tr := trace.NewRecorder(1 << 20)
-	m.Trace = tr
-	gc.SetTrace(tr)
 	w := NewWriter(Config{Dir: dir, BudgetBytes: budget})
-	gc.SetCheckpointer(w)
-	return m, gc, w, tr
+	rc := matrixConfig(nil)
+	rc.Trace, rc.Checkpoint = tr, w
+	rt, err := rig.New(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt.Mutator, rt.GC.(*core.Replicating), w, tr
 }
 
 // TestRoundTrip is the core tentpole property: drive a workload through
@@ -93,7 +91,10 @@ func TestRoundTrip(t *testing.T) {
 		}
 	}
 
-	m2, gc2 := rebuild(r)
+	m2, gc2, err := rebuild(r)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := core.AuditHeap(m2); err != nil {
 		t.Fatalf("post-recovery audit: %v", err)
 	}
@@ -202,8 +203,11 @@ func TestPostRestoreOOMRecovery(t *testing.T) {
 			t.Logf("recover: %v", err)
 			return false
 		}
-		m2, gc2 := rebuild(r)
-		_ = gc2
+		m2, _, err := rebuild(r)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
 		slack := int64(slackSeed%2048) + 64
 		words := int(sizeSeed%32) + 1
 		h := r.Heap

@@ -128,7 +128,10 @@ func FuzzRecover(f *testing.F) {
 			}
 			return
 		}
-		m, _ := rebuild(r)
+		m, _, err := rebuild(r)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := core.AuditHeap(m); err != nil {
 			t.Fatalf("recovered a heap that does not audit: %v", err)
 		}

@@ -11,7 +11,7 @@ import (
 	"repligc/internal/faultinject"
 	"repligc/internal/gctest"
 	"repligc/internal/heap"
-	"repligc/internal/simtime"
+	"repligc/internal/rig"
 )
 
 // MatrixConfig parameterises the crash-point matrix: workload seeds × crash
@@ -55,66 +55,60 @@ type MatrixReport struct {
 // MatrixSchema identifies the report format.
 const MatrixSchema = "repligc-crash-matrix/1"
 
-// matrixHeapConfig is the small heap the matrix runs on: tight enough that
-// the gctest driver provokes minors, promotions and majors within a few
-// thousand operations.
-func matrixHeapConfig() (heap.Config, core.Config) {
-	hcfg := heap.Config{
-		NurseryBytes:    16 << 10,
-		NurseryCapBytes: 64 << 10,
-		OldSemiBytes:    512 << 10,
+// matrixConfig is the runtime every matrix run builds, fresh (restored nil)
+// or over a recovered heap: a heap tight enough that the gctest driver
+// provokes minors, promotions and majors within a few thousand operations,
+// under rt with unbounded log processing and interleaved pacing, which
+// multiplies pause-boundary hook points so that epochs spread over many
+// small increments.
+func matrixConfig(restored *heap.Heap) rig.Config {
+	coll := rig.RT
+	coll.Name = "rt-tax200"
+	coll.Engine.InterleavedTaxPermille = 200
+	rc := rig.Config{
+		Collector: coll,
+		Params:    rig.Params{NBytes: 16 << 10, OBytes: 192 << 10, LBytes: 8 << 10},
+		Heap:      restored,
 	}
-	ccfg := core.Config{
-		NurseryBytes:        16 << 10,
-		MajorThresholdBytes: 192 << 10,
-		CopyLimitBytes:      8 << 10,
-		IncrementalMinor:    true,
-		IncrementalMajor:    true,
-		// Interleaved pacing multiplies pause-boundary hook points, so
-		// epochs spread over many small increments.
-		InterleavedTaxPermille: 200,
+	if restored == nil {
+		rc.NurseryCapBytes, rc.OldSemiBytes = 64<<10, 512<<10
 	}
-	return hcfg, ccfg
+	return rc
 }
 
 // referenceRun drives one seeded workload with a checkpoint writer attached
 // and returns the writer (for its per-epoch fingerprints) and the final
 // mutator/collector (for the uncrashed continuation).
 func referenceRun(dir string, seed uint64, ops int, budget int64) (*Writer, *core.Mutator, *core.Replicating, error) {
-	hcfg, ccfg := matrixHeapConfig()
-	h := heap.New(hcfg)
-	clock := simtime.NewClock()
-	m := core.NewMutator(h, clock, simtime.Default1993(), core.LogAllMutations)
-	gc := core.NewReplicating(h, ccfg)
-	m.AttachGC(gc)
 	w := NewWriter(Config{Dir: dir, BudgetBytes: budget})
-	gc.SetCheckpointer(w)
-
-	d := gctest.NewDriver(m, int64(seed))
+	rc := matrixConfig(nil)
+	rc.Checkpoint = w
+	rt, err := rig.New(rc)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	d := gctest.NewDriver(rt.Mutator, int64(seed))
 	if err := d.Step(ops); err != nil {
 		return nil, nil, nil, fmt.Errorf("reference run seed %d: %w", seed, err)
 	}
 	if err := d.Verify(); err != nil {
 		return nil, nil, nil, fmt.Errorf("reference run seed %d: shadow verify: %w", seed, err)
 	}
-	if err := gc.FinishCycles(m); err != nil {
+	if err := rt.Finish(); err != nil {
 		return nil, nil, nil, err
 	}
-	if err := w.ForceCommit(m, gc); err != nil {
-		return nil, nil, nil, err
-	}
-	return w, m, gc, nil
+	return w, rt.Mutator, rt.GC.(*core.Replicating), nil
 }
 
 // rebuild constructs a fresh runtime over restored state.
-func rebuild(r *Restored) (*core.Mutator, *core.Replicating) {
-	_, ccfg := matrixHeapConfig()
-	clock := simtime.NewClock()
-	m := core.NewMutator(r.Heap, clock, simtime.Default1993(), core.LogAllMutations)
-	gc := core.NewReplicating(r.Heap, ccfg)
-	m.AttachGC(gc)
-	r.Attach(m, gc)
-	return m, gc
+func rebuild(r *Restored) (*core.Mutator, *core.Replicating, error) {
+	rt, err := rig.New(matrixConfig(r.Heap))
+	if err != nil {
+		return nil, nil, err
+	}
+	gc := rt.GC.(*core.Replicating)
+	r.Attach(rt.Mutator, gc)
+	return rt.Mutator, gc, nil
 }
 
 // probeRecovered exercises a recovered runtime: the heap must audit clean,
@@ -304,8 +298,11 @@ func runCase(w *Writer, dir string, seed uint64, planName string, damaged bool) 
 		c.Err = fmt.Sprintf("recovered fingerprint %#x, reference %#x", r.Fingerprint, want)
 		return c
 	}
-	m, gc := rebuild(r)
-	if err := probeRecovered(m, gc); err != nil {
+	m, gc, err := rebuild(r)
+	if err == nil {
+		err = probeRecovered(m, gc)
+	}
+	if err != nil {
 		c.Outcome, c.Err, c.Failed = "probe-failed", err.Error(), true
 		return c
 	}

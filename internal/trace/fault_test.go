@@ -19,7 +19,7 @@ import (
 )
 
 // attach wires a fresh recorder into every hook point of a hand-built run
-// (the cmd/ and bench layers do the same wiring through bench.AttachTrace).
+// (every other run gets the same wiring from rig.New).
 func attach(t *testing.T, m *core.Mutator, gc core.Collector) *trace.Recorder {
 	t.Helper()
 	tr := trace.NewRecorder(1 << 18)

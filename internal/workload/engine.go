@@ -21,107 +21,27 @@ import (
 
 	"repligc/internal/core"
 	"repligc/internal/heap"
+	"repligc/internal/rig"
 	"repligc/internal/simtime"
-	"repligc/internal/stopcopy"
 	"repligc/internal/trace"
 )
 
-// Collector names the engine can build.
-const (
-	CollectorRT           = "rt"             // full incremental replicating collector
-	CollectorRTLazy       = "rt-lazy"        // rt + lazy log processing
-	CollectorStopCopyCore = "stop-copy-core" // replicating machinery, non-incremental pauses
-	CollectorSC           = "sc"             // plain stop-and-copy baseline
-)
+// Runtime is one constructed server: the shared runtime, of which the engine
+// drives Mutator and reads GC, Recorder and Collector.
+type Runtime = rig.Runtime
 
-// Collectors lists the supported collector names.
-func Collectors() []string {
-	return []string{CollectorRT, CollectorRTLazy, CollectorStopCopyCore, CollectorSC}
-}
-
-// Runtime is one constructed server: heap, mutator, collector, trace
-// recorder.
-type Runtime struct {
-	Heap      *heap.Heap
-	Mutator   *core.Mutator
-	GC        core.Collector
-	Recorder  *trace.Recorder
-	Collector string
-}
-
-// RuntimeOptions configures NewRuntime.
-type RuntimeOptions struct {
-	Collector    string // one of Collectors(); default CollectorRT
-	NaiveBarrier bool   // disable write-barrier coalescing (baseline leg)
-	TraceCap     int    // trace recorder capacity; default 1 << 20 events
-}
-
-// NewRuntime builds a server for spec's heap parameters.
-func NewRuntime(spec *Spec, opt RuntimeOptions) (*Runtime, error) {
-	name := opt.Collector
-	if name == "" {
-		name = CollectorRT
-	}
+// NewRuntime builds a server sized by spec's heap parameters. c supplies the
+// collector and anything else the caller wants attached; a nil c.Trace gets
+// a recorder that holds a full serving run, because the report's MMU section
+// is computed from the run's events.
+func NewRuntime(spec *Spec, c rig.Config) (*Runtime, error) {
 	hs := spec.Heap.WithDefaults()
-	nurseryBytes := hs.NurseryKB << 10
-	majorBytes := hs.MajorKB << 10
-	copyLimit := hs.CopyLimitKB << 10
-	oldSemi := hs.OldMB << 20
-	nurseryCap := 16 * nurseryBytes
-	if nurseryCap < 16<<20 {
-		nurseryCap = 16 << 20
+	c.Params = rig.Params{NBytes: hs.NurseryKB << 10, OBytes: hs.MajorKB << 10, LBytes: hs.CopyLimitKB << 10}
+	c.OldSemiBytes = hs.OldMB << 20
+	if c.Trace == nil {
+		c.Trace = trace.NewRecorder(1 << 20)
 	}
-	h := heap.New(heap.Config{
-		NurseryBytes:    nurseryBytes,
-		NurseryCapBytes: nurseryCap,
-		OldSemiBytes:    oldSemi,
-	})
-
-	policy := core.LogAllMutations
-	if name == CollectorSC {
-		policy = core.LogPointersOnly
-	}
-	m := core.NewMutator(h, simtime.NewClock(), simtime.Default1993(), policy)
-	m.NaiveBarrier = opt.NaiveBarrier
-
-	var gc core.Collector
-	switch name {
-	case CollectorSC:
-		gc = stopcopy.New(h, stopcopy.Config{
-			NurseryBytes:        nurseryBytes,
-			MajorThresholdBytes: majorBytes,
-		})
-	case CollectorStopCopyCore:
-		gc = core.NewReplicating(h, core.Config{
-			NurseryBytes:        nurseryBytes,
-			MajorThresholdBytes: majorBytes,
-		})
-	case CollectorRT, CollectorRTLazy:
-		gc = core.NewReplicating(h, core.Config{
-			NurseryBytes:        nurseryBytes,
-			MajorThresholdBytes: majorBytes,
-			CopyLimitBytes:      copyLimit,
-			IncrementalMinor:    true,
-			IncrementalMajor:    true,
-			LazyLogProcessing:   name == CollectorRTLazy,
-		})
-	default:
-		return nil, fmt.Errorf("workload: unknown collector %q (want one of %v)", name, Collectors())
-	}
-	m.AttachGC(gc)
-
-	cap := opt.TraceCap
-	if cap == 0 {
-		cap = 1 << 20
-	}
-	r := trace.NewRecorder(cap)
-	m.Trace = r
-	clock := m.Clock
-	h.EpochHook = func(epoch uint32) { r.LogEpoch(clock.Now(), int64(epoch)) }
-	if ts, ok := gc.(interface{ SetTrace(*trace.Recorder) }); ok {
-		ts.SetTrace(r)
-	}
-	return &Runtime{Heap: h, Mutator: m, GC: gc, Recorder: r, Collector: name}, nil
+	return rig.New(c)
 }
 
 // ServeOptions tunes one Serve call.

@@ -5,13 +5,17 @@ package workload
 // entry point the bench harness and the CLI share, so a section always
 // means the same thing no matter which tool produced it.
 
-import "fmt"
+import (
+	"fmt"
+
+	"repligc/internal/rig"
+)
 
 // LegSpec names one serving leg: a collector configuration plus the barrier
 // mode it runs under.
 type LegSpec struct {
 	Name         string
-	Collector    string
+	Collector    rig.Collector
 	NaiveBarrier bool
 }
 
@@ -20,8 +24,8 @@ type LegSpec struct {
 // full real-time collector, serving identical traffic.
 func StandardLegs() []LegSpec {
 	return []LegSpec{
-		{Name: "naive-barrier", Collector: CollectorRT, NaiveBarrier: true},
-		{Name: "coalesced", Collector: CollectorRT},
+		{Name: "naive-barrier", Collector: rig.RT, NaiveBarrier: true},
+		{Name: "coalesced", Collector: rig.RT},
 	}
 }
 
@@ -38,7 +42,7 @@ func RunLegs(t *Trace, legs []LegSpec) (*Section, error) {
 		TraceFingerprint: fmt.Sprintf("%016x", t.Fingerprint()),
 	}
 	for _, ls := range legs {
-		rt, err := NewRuntime(t.Spec, RuntimeOptions{Collector: ls.Collector, NaiveBarrier: ls.NaiveBarrier})
+		rt, err := NewRuntime(t.Spec, rig.Config{Collector: ls.Collector, NaiveBarrier: ls.NaiveBarrier})
 		if err != nil {
 			return nil, fmt.Errorf("workload: leg %s: %w", ls.Name, err)
 		}

@@ -9,6 +9,7 @@ import (
 
 	"repligc/internal/artifact"
 	"repligc/internal/faultinject"
+	"repligc/internal/rig"
 )
 
 // testSpec is a two-cohort serving mix small enough for unit tests but busy
@@ -193,39 +194,46 @@ func TestDecodeRejectsUnservableRequests(t *testing.T) {
 	}
 }
 
-// TestDeterminismMatrix is the satellite matrix: for each collector, serving
-// the same trace twice is bit-identical (reports and heap fingerprints), and
-// the semantic heap fingerprint agrees across collectors — the incremental
-// real-time collector, its lazy variant, and the non-incremental core all
-// computed the same session graph.
+// TestDeterminismMatrix is the satellite matrix, over every collector the
+// shared table names: serving the same trace twice is bit-identical (reports
+// and heap fingerprints), and the semantic heap fingerprint agrees across all
+// of them — incremental or not, replicating or stop-and-copy, every mutation
+// logged or pointers only, they all computed the same session graph. A name
+// that could not serve would have to say so with the typed error; none does.
 func TestDeterminismMatrix(t *testing.T) {
 	tr := mustGenerate(t, testSpec())
 	fps := map[string]string{}
-	for _, coll := range []string{CollectorRT, CollectorRTLazy, CollectorStopCopyCore} {
+	for _, coll := range rig.Table {
 		var legs [2]*Leg
 		for round := 0; round < 2; round++ {
-			rt, err := NewRuntime(tr.Spec, RuntimeOptions{Collector: coll})
+			rt, err := NewRuntime(tr.Spec, rig.Config{Collector: coll})
 			if err != nil {
-				t.Fatalf("%s: NewRuntime: %v", coll, err)
+				t.Fatalf("%s: NewRuntime: %v", coll.Name, err)
+			}
+			if rt.Collector != coll.Name {
+				t.Fatalf("%s: runtime is labelled %q", coll.Name, rt.Collector)
 			}
 			leg, err := Serve(rt, tr, "det", ServeOptions{})
 			if err != nil {
-				t.Fatalf("%s: Serve: %v", coll, err)
+				t.Fatalf("%s: Serve: %v", coll.Name, err)
 			}
 			legs[round] = leg
 		}
 		a, _ := json.Marshal(legs[0])
 		b, _ := json.Marshal(legs[1])
 		if string(a) != string(b) {
-			t.Errorf("%s: two runs of the same trace produced different reports", coll)
+			t.Errorf("%s: two runs of the same trace produced different reports", coll.Name)
 		}
-		fps[coll] = legs[0].HeapFingerprint
+		fps[coll.Name] = legs[0].HeapFingerprint
 		if legs[0].Requests != len(tr.Reqs) {
-			t.Errorf("%s: served %d of %d requests", coll, legs[0].Requests, len(tr.Reqs))
+			t.Errorf("%s: served %d of %d requests", coll.Name, legs[0].Requests, len(tr.Reqs))
 		}
 	}
-	if fps[CollectorRT] != fps[CollectorRTLazy] || fps[CollectorRT] != fps[CollectorStopCopyCore] {
-		t.Errorf("heap fingerprints disagree across collectors: %v", fps)
+	for _, coll := range rig.Table {
+		if fps[coll.Name] != fps[rig.RT.Name] {
+			t.Errorf("heap fingerprints disagree across collectors: %v", fps)
+			break
+		}
 	}
 }
 
@@ -298,7 +306,7 @@ func TestNaiveBarrierWorseTails(t *testing.T) {
 func TestFaultInjectionUnderLoad(t *testing.T) {
 	spec := testSpec()
 	tr := mustGenerate(t, spec)
-	rt, err := NewRuntime(spec, RuntimeOptions{Collector: CollectorRT})
+	rt, err := NewRuntime(spec, rig.Config{Collector: rig.RT})
 	if err != nil {
 		t.Fatalf("NewRuntime: %v", err)
 	}

@@ -34,6 +34,7 @@ import (
 	"repligc/internal/heap"
 	"repligc/internal/lang"
 	"repligc/internal/policy"
+	"repligc/internal/rig"
 	"repligc/internal/simtime"
 	"repligc/internal/stopcopy"
 	"repligc/internal/vm"
@@ -157,7 +158,9 @@ type RealTimeOptions struct {
 	// Replay drives collections from one (see NewStopCopyReplay).
 	Record *Script
 	// HeapConfig overrides the heap sizing; any zero field keeps its
-	// default (nursery sized from NurseryBytes, 96 MB old semispaces).
+	// default (expansion up to max(16 N, 16 MB), 96 MB old semispaces). The
+	// nursery itself is sized from NurseryBytes above: HeapConfig's own
+	// NurseryBytes must be zero or equal to it.
 	HeapConfig HeapConfig
 }
 
@@ -170,84 +173,47 @@ type Runtime struct {
 	Clock   *Clock
 }
 
+// newRuntime maps every facade constructor onto the one runtime constructor.
+func newRuntime(c rig.Config) (*Runtime, error) {
+	rt, err := rig.New(c)
+	if err != nil {
+		return nil, err
+	}
+	return &Runtime{Heap: rt.Heap, Mutator: rt.Mutator, GC: rt.GC, Clock: rt.Mutator.Clock}, nil
+}
+
 // NewRealTime builds a runtime with the replication collector.
 func NewRealTime(o RealTimeOptions) (*Runtime, error) {
-	if o.NurseryBytes == 0 {
-		o.NurseryBytes = 200 << 10
-	}
-	if o.MajorThresholdBytes == 0 {
-		o.MajorThresholdBytes = 1 << 20
-	}
-	if o.CopyLimitBytes == 0 {
-		o.CopyLimitBytes = 100 << 10
-	}
-	hc := o.HeapConfig
-	if hc.NurseryBytes == 0 {
-		hc.NurseryBytes = o.NurseryBytes
-	}
-	if hc.NurseryCapBytes == 0 {
-		hc.NurseryCapBytes = 64 * hc.NurseryBytes
-	}
-	if hc.OldSemiBytes == 0 {
-		hc.OldSemiBytes = 96 << 20
-	}
-	h := heap.New(hc)
-	clock := simtime.NewClock()
-	m := core.NewMutator(h, clock, simtime.Default1993(), core.LogAllMutations)
-	gc := core.NewReplicating(h, core.Config{
-		NurseryBytes:           o.NurseryBytes,
-		MajorThresholdBytes:    o.MajorThresholdBytes,
-		CopyLimitBytes:         o.CopyLimitBytes,
+	coll := rig.Collector{Log: core.LogAllMutations, Engine: core.Config{
 		IncrementalMinor:       !o.DisableIncrementalMinor,
 		IncrementalMajor:       !o.DisableIncrementalMajor,
 		InterleavedTaxPermille: o.InterleavedTaxPermille,
 		BoundedLogProcessing:   o.InterleavedTaxPermille > 0,
-		Record:                 o.Record,
+	}}
+	coll.Name = coll.Engine.Name()
+	if n := o.HeapConfig.NurseryBytes; n != 0 && n != o.NurseryBytes {
+		return nil, &rig.UnsupportedError{Collector: coll.Name, Field: "HeapConfig.NurseryBytes",
+			Reason: "the nursery is sized from NurseryBytes; leave it zero or equal"}
+	}
+	return newRuntime(rig.Config{
+		Collector:       coll,
+		Params:          rig.Params{NBytes: o.NurseryBytes, OBytes: o.MajorThresholdBytes, LBytes: o.CopyLimitBytes},
+		NurseryCapBytes: o.HeapConfig.NurseryCapBytes,
+		OldSemiBytes:    o.HeapConfig.OldSemiBytes,
+		Record:          o.Record,
 	})
-	m.AttachGC(gc)
-	return &Runtime{Heap: h, Mutator: m, GC: gc, Clock: clock}, nil
 }
 
 // NewStopCopyReplay builds a stop-and-copy runtime whose collections are
 // driven by a policy script recorded from a real-time run — the paper's
 // §4.2 methodology for measuring mechanism costs with identical policy.
 func NewStopCopyReplay(nurseryBytes int64, script *Script) (*Runtime, error) {
-	if nurseryBytes == 0 {
-		nurseryBytes = 200 << 10
-	}
-	h := heap.New(HeapConfig{
-		NurseryBytes:    nurseryBytes,
-		NurseryCapBytes: 64 * nurseryBytes,
-		OldSemiBytes:    96 << 20,
-	})
-	clock := simtime.NewClock()
-	m := core.NewMutator(h, clock, simtime.Default1993(), core.LogAllMutations)
-	gc := stopcopy.New(h, stopcopy.Config{NurseryBytes: nurseryBytes, Replay: script})
-	m.AttachGC(gc)
-	return &Runtime{Heap: h, Mutator: m, GC: gc, Clock: clock}, nil
+	return newRuntime(rig.Config{Collector: rig.SCMods, Params: rig.Params{NBytes: nurseryBytes}, Replay: script})
 }
 
 // NewStopCopy builds a runtime with the stop-and-copy baseline.
 func NewStopCopy(nurseryBytes, majorThresholdBytes int64) (*Runtime, error) {
-	if nurseryBytes == 0 {
-		nurseryBytes = 200 << 10
-	}
-	if majorThresholdBytes == 0 {
-		majorThresholdBytes = 1 << 20
-	}
-	h := heap.New(HeapConfig{
-		NurseryBytes:    nurseryBytes,
-		NurseryCapBytes: 64 * nurseryBytes,
-		OldSemiBytes:    96 << 20,
-	})
-	clock := simtime.NewClock()
-	m := core.NewMutator(h, clock, simtime.Default1993(), core.LogPointersOnly)
-	gc := stopcopy.New(h, stopcopy.Config{
-		NurseryBytes:        nurseryBytes,
-		MajorThresholdBytes: majorThresholdBytes,
-	})
-	m.AttachGC(gc)
-	return &Runtime{Heap: h, Mutator: m, GC: gc, Clock: clock}, nil
+	return newRuntime(rig.Config{Collector: rig.SC, Params: rig.Params{NBytes: nurseryBytes, OBytes: majorThresholdBytes}})
 }
 
 // Compile compiles MiniML source on this runtime's heap (the compiler's

@@ -217,3 +217,18 @@ func TestSampleProgramsRun(t *testing.T) {
 		}
 	}
 }
+
+// TestFacadeRefusesSplitNurserySize: the nursery has one size. A HeapConfig
+// that names a different one used to size the arena for it while the
+// collector ran with the other; now it is refused.
+func TestFacadeRefusesSplitNurserySize(t *testing.T) {
+	_, err := repligc.NewRealTime(repligc.RealTimeOptions{HeapConfig: repligc.HeapConfig{NurseryBytes: 1 << 20}})
+	if err == nil || !strings.Contains(err.Error(), "HeapConfig.NurseryBytes") {
+		t.Fatalf("err = %v, want a refusal naming HeapConfig.NurseryBytes", err)
+	}
+	if _, err := repligc.NewRealTime(repligc.RealTimeOptions{
+		NurseryBytes: 64 << 10, HeapConfig: repligc.HeapConfig{NurseryBytes: 64 << 10, OldSemiBytes: 1 << 20},
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
