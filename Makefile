@@ -1,6 +1,6 @@
 # repligc — common tasks. Everything is stdlib-only and offline.
 
-.PHONY: all build lint test host-bench-test host-pairs loc fuzz-smoke race bench bench-baseline bench-smoke serve-smoke crash-matrix trace microbench experiments quick-experiments examples clean
+.PHONY: all build lint test host-bench-test host-pairs loc fuzz-smoke race bench bench-baseline bench-smoke serve-smoke crash-matrix trace microbench experiments experiments-check quick-experiments examples outputs
 
 all: build lint test host-bench-test
 
@@ -128,6 +128,14 @@ experiments:
 
 quick-experiments:
 	go run ./cmd/rtgc-bench -quick all
+
+# The paper section's gate: the committed full-scale run is what this tree
+# prints. Everything in it is simulated, so the comparison is exact on any
+# machine; a deliberate collector or cost-model change regenerates the file
+# (go run ./cmd/rtgc-bench all > docs/full-run.txt) and re-reads EXPERIMENTS.md
+# from it.
+experiments-check:
+	go run ./cmd/rtgc-bench all | cmp - docs/full-run.txt
 
 examples:
 	go run ./examples/quickstart

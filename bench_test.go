@@ -145,7 +145,7 @@ func BenchmarkTable3LatentGarbage(b *testing.B) {
 func BenchmarkAblationLazyLog(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := suite()
-		rows, err := s.AblationLazy()
+		rows, err := s.Ablation(rig.RTLazy)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func BenchmarkAblationLazyLog(b *testing.B) {
 func BenchmarkAblationBoundedLog(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := suite()
-		rows, err := s.AblationBoundedLog()
+		rows, err := s.Ablation(rig.RTBounded)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func BenchmarkAblationLogPolicy(b *testing.B) {
 func BenchmarkAblationConcurrent(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := suite()
-		rows, err := s.AblationConcurrent()
+		rows, err := s.Ablation(rig.RTConc)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -30,17 +30,12 @@ func runCrashMatrix(outPath string) error {
 	if err := writeReport(data, outPath); err != nil {
 		return err
 	}
-	recovered, corrupt := 0, 0
+	outcomes := map[string]int{}
 	for _, c := range rep.Cases {
-		switch c.Outcome {
-		case "recovered":
-			recovered++
-		case "corrupt-detected":
-			corrupt++
-		}
+		outcomes[c.Outcome]++
 	}
 	fmt.Fprintf(os.Stderr, "crash matrix: %d cases (%d recovered, %d corruption-rejected), %d failures\n",
-		len(rep.Cases), recovered, corrupt, rep.Failures)
+		len(rep.Cases), outcomes["recovered"], outcomes["corrupt-detected"], rep.Failures)
 	if rep.Failures > 0 {
 		return fmt.Errorf("crash matrix: %d cells violated the recovery contract", rep.Failures)
 	}

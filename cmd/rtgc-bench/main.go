@@ -4,15 +4,8 @@
 // deterministic cost model calibrated to the paper's hardware (2 MB/s
 // copying, so L = 100 KB yields 50 ms pauses).
 //
-// Usage:
-//
-//	rtgc-bench [-quick] table1|table2|table3|fig5|fig6|fig7|fig8|fig9|fig10|ablations|all
-//	rtgc-bench [-quick] [-out FILE] [-baseline FILE] perf
-//	rtgc-bench validate FILE
-//	rtgc-bench [-quick] [-out FILE] trace [workload]
-//	rtgc-bench [-out FILE] crashmatrix
-//	rtgc-bench [-out FILE] [-record FILE] serve SPECFILE
-//	rtgc-bench [-out FILE] servereplay TRACEFILE
+// Run without arguments, it prints its usage, which is derived from the two
+// tables that define it: bench.Experiments and the commands in main.
 //
 // "perf" emits the performance trajectory: per-workload
 // baseline-vs-coalesced-vs-checkpointed log and pause metrics, the serving
@@ -55,6 +48,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repligc/internal/bench"
 )
@@ -64,136 +58,86 @@ func main() {
 	out := flag.String("out", "", "write the perf report to this file instead of stdout")
 	baseline := flag.String("baseline", "", "gate a fresh perf report against this committed report (every field equal)")
 	record := flag.String("record", "", "serve: also write the materialised trace artifact to this file")
+	scale, scaleName := bench.DefaultScale(), "default"
+	// Every subcommand that is not an experiment (those are bench.Experiments):
+	// the flags it reads and its operand as the usage line shows them — an
+	// operand in brackets is optional — and what it runs.
+	type command struct {
+		name, flags, operand string
+		run                  func(operand string) error
+	}
+	commands := []command{
+		{"perf", "[-quick] [-out FILE] [-baseline FILE]", "", func(string) error { return runPerf(scale, scaleName, *out, *baseline) }},
+		{"validate", "", "FILE", runValidate},
+		{"trace", "[-quick] [-out FILE]", "[" + strings.Join(bench.PerfWorkloads, "|") + "]", func(w string) error { return runTrace(scale, w, *out) }},
+		{"crashmatrix", "[-out FILE]", "", func(string) error { return runCrashMatrix(*out) }},
+		{"serve", "[-out FILE] [-record FILE]", "SPECFILE", func(spec string) error { return runServe(spec, *out, *record) }},
+		{"servereplay", "[-out FILE]", "TRACEFILE", func(tr string) error { return runServeReplay(tr, *out) }},
+	}
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: rtgc-bench [-quick] <experiment>\n")
-		fmt.Fprintf(os.Stderr, "       rtgc-bench [-quick] [-out FILE] [-baseline FILE] perf\n")
-		fmt.Fprintf(os.Stderr, "       rtgc-bench validate FILE\n")
-		fmt.Fprintf(os.Stderr, "       rtgc-bench [-quick] [-out FILE] trace [Primes|Sort|Comp]\n")
-		fmt.Fprintf(os.Stderr, "       rtgc-bench [-out FILE] crashmatrix\n")
-		fmt.Fprintf(os.Stderr, "       rtgc-bench [-out FILE] [-record FILE] serve SPECFILE\n")
-		fmt.Fprintf(os.Stderr, "       rtgc-bench [-out FILE] servereplay TRACEFILE\n")
-		fmt.Fprintf(os.Stderr, "experiments: table1 table2 table3 fig5 fig6 fig7 fig8 fig9 fig10 ablations all\n")
+		for _, c := range commands {
+			fmt.Fprintf(os.Stderr, "       %s\n", strings.Join(strings.Fields("rtgc-bench "+c.flags+" "+c.name+" "+c.operand), " "))
+		}
+		fmt.Fprintf(os.Stderr, "experiments:")
+		for _, e := range bench.Experiments {
+			fmt.Fprintf(os.Stderr, " %s", strings.TrimSpace(e.Name+" "+e.Also))
+		}
+		fmt.Fprintf(os.Stderr, " all\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	wantArgs := 1
-	switch {
-	case flag.NArg() > 0 && (flag.Arg(0) == "validate" || flag.Arg(0) == "serve" || flag.Arg(0) == "servereplay"):
-		wantArgs = 2
-	case flag.NArg() == 2 && flag.Arg(0) == "trace":
-		wantArgs = 2 // optional workload selector
-	}
-	if flag.NArg() != wantArgs {
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	scale, scaleName := bench.DefaultScale(), "default"
 	if *quick {
 		scale, scaleName = bench.QuickScale(), "quick"
 	}
-	s := bench.NewSuite(scale)
 
-	var run func(name string) error
-	run = func(name string) error {
-		switch name {
-		case "table1":
-			rows, err := s.Table1()
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.FormatTable1(rows))
-		case "fig5", "fig6":
-			a, b, c, d, err := s.PauseHistograms()
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.FormatHistograms(a, b, c, d))
-		case "fig7":
-			comps, err := s.Fig7("Comp", bench.PaperParams()[0])
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.FormatFig7("Comp", comps))
-		case "fig8", "fig9", "fig10":
-			figOf := map[string]struct {
-				n int
-				w string
-			}{"fig8": {8, "Primes"}, "fig9": {9, "Comp"}, "fig10": {10, "Sort"}}[name]
-			rows, err := s.Overheads(figOf.w)
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.FormatOverheads(figOf.n, rows))
-		case "table2":
-			rows, err := s.Table2()
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.FormatTable2(rows))
-		case "table3":
-			rows, err := s.Table3()
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.FormatTable3(rows))
-		case "ablations":
-			lazy, err := s.AblationLazy()
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.FormatAblation("Ablation: lazy log processing (paper §2.5)", lazy))
-			fmt.Println()
-			bounded, err := s.AblationBoundedLog()
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.FormatAblation("Ablation: bounded (incremental) log processing (paper §3.4 extension)", bounded))
-			fmt.Println()
-			deferred, err := s.AblationDeferMutables()
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.FormatAblation("Ablation: deferred mutable copying (paper §2.5 copy order)", deferred))
-			fmt.Println()
-			conc, err := s.AblationConcurrent()
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.FormatAblation("Ablation: interleaved concurrent-style pacing (paper §6)", conc))
-			fmt.Println()
-			logpol, err := s.AblationLogPolicy()
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.FormatLogPolicy(logpol))
-		case "perf":
-			return runPerf(scale, scaleName, *out, *baseline)
-		case "crashmatrix":
-			return runCrashMatrix(*out)
-		case "validate":
-			return runValidate(flag.Arg(1))
-		case "serve":
-			return runServe(flag.Arg(1), *out, *record)
-		case "servereplay":
-			return runServeReplay(flag.Arg(1), *out)
-		case "trace":
-			return runTrace(scale, flag.Arg(1), *out)
-		case "all":
-			for _, e := range []string{"table1", "fig5", "fig7", "fig8", "fig9", "fig10", "table2", "table3", "ablations"} {
-				if err := run(e); err != nil {
-					return err
-				}
-				fmt.Println()
-			}
-		default:
-			return fmt.Errorf("unknown experiment %q", name)
-		}
-		return nil
+	args := flag.Args()
+	if len(args) == 0 {
+		flag.Usage()
+		os.Exit(2)
 	}
-
-	if err := run(flag.Arg(0)); err != nil {
+	// Whatever is not in commands is an experiment, which takes no operand;
+	// an unknown name fails there.
+	c := command{run: func(string) error { return runExperiments(scale, args[0]) }}
+	for _, known := range commands {
+		if known.name == args[0] {
+			c = known
+		}
+	}
+	operand := ""
+	switch given := args[1:]; {
+	case len(given) == 1 && c.operand != "":
+		operand = given[0]
+	case len(given) != 0 || (c.operand != "" && c.operand[0] != '['):
+		flag.Usage()
+		os.Exit(2)
+	}
+	if err := c.run(operand); err != nil {
 		fmt.Fprintf(os.Stderr, "rtgc-bench: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// runExperiments prints the experiment called name (by either of its names),
+// or under "all" every experiment followed by a blank line.
+func runExperiments(scale bench.Scale, name string) error {
+	s, found := bench.NewSuite(scale), false
+	for _, e := range bench.Experiments {
+		if name != "all" && name != e.Name && !(e.Also != "" && name == e.Also) {
+			continue
+		}
+		found = true
+		text, err := e.Text(s)
+		if err != nil {
+			return err
+		}
+		fmt.Print(text)
+		if name == "all" {
+			fmt.Println()
+		}
+	}
+	if !found {
+		return fmt.Errorf("unknown experiment %q", name)
+	}
+	return nil
 }

@@ -1,8 +1,7 @@
 package main
 
-// The perf subcommand: emits the performance trajectory as JSON. Every
-// number comes from internal/bench in simulated time, so the report is a
-// pure function of the tree.
+// The "perf" subcommand: the report is internal/bench's, a pure function of
+// the tree; this file validates, gates and writes it.
 
 import (
 	"fmt"

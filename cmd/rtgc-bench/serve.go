@@ -1,15 +1,8 @@
 package main
 
-// The serving subcommands: GC under live traffic.
-//
-//	rtgc-bench [-out FILE] [-record FILE] serve SPECFILE
-//	rtgc-bench [-out FILE] servereplay TRACEFILE
-//
-// "serve" parses a workload spec, materialises its trace, serves it under
-// the naive-barrier and coalesced legs, and emits the schema-5 serving
-// report; -record additionally writes the materialised trace artifact.
-// "servereplay" decodes a recorded trace artifact (fingerprint-verified)
-// and serves it — the same traffic, bit for bit.
+// The serving subcommands: GC under live traffic. "serve" materialises a
+// spec's trace, "servereplay" decodes a recorded one (fingerprint-verified);
+// both serve it under the standard legs — the same traffic, bit for bit.
 
 import (
 	"fmt"
@@ -43,11 +36,7 @@ func runServe(specPath, outPath, recordPath string) error {
 		fmt.Fprintf(os.Stderr, "rtgc-bench: recorded %d requests (%d bytes) to %s\n",
 			len(tr.Reqs), len(enc), recordPath)
 	}
-	sec, err := workload.RunLegs(tr, workload.StandardLegs())
-	if err != nil {
-		return err
-	}
-	return emitServing(sec, outPath)
+	return serveTrace(tr, outPath)
 }
 
 //gclint:io reads the trace artifact, writes the report
@@ -60,14 +49,16 @@ func runServeReplay(tracePath, outPath string) error {
 	if err != nil {
 		return err
 	}
+	return serveTrace(tr, outPath)
+}
+
+// serveTrace serves tr under the naive-barrier and coalesced legs and emits
+// the serving report.
+func serveTrace(tr *workload.Trace, outPath string) error {
 	sec, err := workload.RunLegs(tr, workload.StandardLegs())
 	if err != nil {
 		return err
 	}
-	return emitServing(sec, outPath)
-}
-
-func emitServing(sec *workload.Section, outPath string) error {
 	data, err := marshalReport(workload.BuildReport(sec))
 	if err != nil {
 		return err

@@ -1,9 +1,6 @@
 package main
 
-// The "trace" subcommand: run the paper workloads under the full real-time
-// configuration with the event recorder attached, print each run's digest,
-// and optionally export Chrome trace-event JSON for Perfetto ("validate" is
-// the matching artifact check CI runs).
+// The "trace" subcommand; "validate" is the matching artifact check CI runs.
 
 import (
 	"fmt"
@@ -29,23 +26,18 @@ func tracePath(out, workload string) string {
 //
 //gclint:io writes the Chrome trace artifact per workload
 func runTrace(s bench.Scale, workload, out string) error {
-	workloads := []bench.Workload{bench.Primes(s), bench.Sort(s), bench.Comp(s)}
+	names := bench.PerfWorkloads
 	if workload != "" {
-		found := false
-		for _, w := range workloads {
-			if w.Name() == workload {
-				workloads, found = []bench.Workload{w}, true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("unknown workload %q (want Primes, Sort or Comp)", workload)
-		}
+		names = []string{workload}
 	}
 	params := bench.PaperParams()[0]
-	for _, w := range workloads {
+	for _, name := range names {
+		w, err := bench.WorkloadByName(name, s)
+		if err != nil {
+			return fmt.Errorf("%w (want %s)", err, strings.Join(bench.PerfWorkloads, ", "))
+		}
 		tr := trace.NewRecorder(1 << 20)
-		_, err := bench.Run(w, rig.Config{Collector: rig.RT, Params: params, Trace: tr})
+		_, err = bench.Run(w, rig.Config{Collector: rig.RT, Params: params, Trace: tr})
 		if err != nil {
 			return fmt.Errorf("trace %s: %w", w.Name(), err)
 		}

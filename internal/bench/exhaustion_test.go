@@ -19,17 +19,17 @@ func exhaustionScale() Scale {
 // (never a Go panic), the post-OOM heap still passes a full audit, and the
 // collector's statistics remain coherent.
 func TestExhaustionMatrix(t *testing.T) {
-	s := NewSuite(exhaustionScale())
 	// Old-semispace ladder, descending. The smallest rungs cannot hold the
 	// workloads' live data, so every (workload, config) pair is guaranteed
 	// to reach OOM before the ladder ends.
 	ladder := []int64{2 << 20, 512 << 10, 128 << 10, 48 << 10, 16 << 10, 6 << 10}
 	params := Params{NBytes: 32 << 10, OBytes: 64 << 10, LBytes: 8 << 10}
 
-	for _, name := range AllWorkloads {
+	for _, wl := range Workloads {
+		name := wl.Name
 		for _, cfg := range AllPaperConfigs {
 			t.Run(name+"/"+cfg.Name, func(t *testing.T) {
-				w, err := s.WorkloadByName(name)
+				w, err := WorkloadByName(name, exhaustionScale())
 				if err != nil {
 					t.Fatal(err)
 				}

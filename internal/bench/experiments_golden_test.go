@@ -2,7 +2,13 @@ package bench
 
 import (
 	"flag"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -25,64 +31,65 @@ func TestExperimentsGolden(t *testing.T) {
 	checkGolden(t, filepath.Join("testdata", "experiments_golden.txt"), *updateExperimentsGolden, got)
 }
 
-// allExperimentsText is what `rtgc-bench all` writes to stdout: each
-// experiment's text followed by a blank line.
+// allExperimentsText is what `rtgc-bench all` writes to stdout: each row of
+// Experiments followed by a blank line.
 func allExperimentsText(s *Suite) (string, error) {
 	var b strings.Builder
-	emit := func(text string, err error) error {
-		b.WriteString(text)
-		b.WriteString("\n")
-		return err
-	}
-
-	t1, err := s.Table1()
-	if err := emit(FormatTable1(t1), err); err != nil {
-		return "", err
-	}
-	scShort, rtShort, scLong, rtLong, err := s.PauseHistograms()
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(FormatHistograms(scShort, rtShort, scLong, rtLong))
-	b.WriteString("\n")
-	comps, err := s.Fig7("Comp", PaperParams()[0])
-	if err := emit(FormatFig7("Comp", comps), err); err != nil {
-		return "", err
-	}
-	for _, fig := range []struct {
-		n        int
-		workload string
-	}{{8, "Primes"}, {9, "Comp"}, {10, "Sort"}} {
-		rows, err := s.Overheads(fig.workload)
-		if err := emit(FormatOverheads(fig.n, rows), err); err != nil {
-			return "", err
+	for _, e := range Experiments {
+		text, err := e.Text(s)
+		if err != nil {
+			return "", fmt.Errorf("%s: %w", e.Name, err)
 		}
-	}
-	t2, err := s.Table2()
-	if err := emit(FormatTable2(t2), err); err != nil {
-		return "", err
-	}
-	t3, err := s.Table3()
-	if err := emit(FormatTable3(t3), err); err != nil {
-		return "", err
-	}
-	for _, a := range []struct {
-		title string
-		run   func() ([]AblationRow, error)
-	}{
-		{"Ablation: lazy log processing (paper §2.5)", s.AblationLazy},
-		{"Ablation: bounded (incremental) log processing (paper §3.4 extension)", s.AblationBoundedLog},
-		{"Ablation: deferred mutable copying (paper §2.5 copy order)", s.AblationDeferMutables},
-		{"Ablation: interleaved concurrent-style pacing (paper §6)", s.AblationConcurrent},
-	} {
-		rows, err := a.run()
-		if err := emit(FormatAblation(a.title, rows), err); err != nil {
-			return "", err
-		}
-	}
-	logpol, err := s.AblationLogPolicy()
-	if err := emit(FormatLogPolicy(logpol), err); err != nil {
-		return "", err
+		b.WriteString(text + "\n")
 	}
 	return b.String(), nil
+}
+
+// TestEachCellRunsOnce holds the grid to its purpose: however many tables,
+// figures, ablations and tests read a cell, it is executed once. The paper's
+// grid is 72 cells — three workloads × four (O, N) settings × the five paper
+// configurations, plus three workloads × four rt variants in the 50 ms cell —
+// and the experiment tests, which share this suite, stay inside it; printing
+// every experiment used to take 103 runs.
+func TestEachCellRunsOnce(t *testing.T) {
+	s := quickSuite()
+	for pass := 0; pass < 2; pass++ {
+		if _, err := allExperimentsText(s); err != nil {
+			t.Fatal(err)
+		}
+		if s.Executed != 72 || len(s.grid) != 72 {
+			t.Fatalf("pass %d: %d workload runs for %d cells, want 72 for 72", pass, s.Executed, len(s.grid))
+		}
+	}
+
+	// The count above is only the number of runs if nothing goes around the
+	// grid: outside Cell, the one caller of Run in the package is the perf
+	// report's leg runner, whose runs carry a recorder and are not cells.
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var callers []string
+	for _, f := range pkgs["bench"].Files {
+		for _, d := range f.Decls {
+			in := "(package level)"
+			if fn, ok := d.(*ast.FuncDecl); ok {
+				in = fn.Name.Name
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "Run" {
+						callers = append(callers, in)
+					}
+				}
+				return true
+			})
+		}
+	}
+	sort.Strings(callers)
+	if got := strings.Join(callers, " "); got != "Cell runLeg" {
+		t.Errorf("Run is called from %q, want only from Cell and runLeg", got)
+	}
 }

@@ -8,19 +8,20 @@ import (
 	"repligc/internal/simtime"
 )
 
-// quickParams shrinks the parameter matrix proportionally for tests: the
-// quick workloads allocate a few MB, so N, O and L come down with them.
-func quickSuite() *Suite {
-	return NewSuite(QuickScale())
-}
+// sharedQuick is the one quick-scale grid every experiment test queries, so a
+// cell two tests read is run once per test binary.
+var sharedQuick = NewSuite(QuickScale())
+
+func quickSuite() *Suite { return sharedQuick }
 
 func TestWorkloadOutputsIdenticalAcrossConfigs(t *testing.T) {
 	s := quickSuite()
 	p := PaperParams()[0]
-	for _, name := range AllWorkloads {
+	for _, w := range Workloads {
+		name := w.Name
 		var outputs []string
 		for _, cfg := range AllPaperConfigs {
-			res, err := s.run(name, cfg, p)
+			res, err := s.Cell(name, cfg, p)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, cfg.Name, err)
 			}
@@ -41,7 +42,7 @@ func TestTable1Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(AllWorkloads)*len(PaperParams()) {
+	if len(rows) != len(Workloads)*len(PaperParams()) {
 		t.Fatalf("row count = %d", len(rows))
 	}
 	// The headline result: the real-time collector eliminates the long
@@ -182,14 +183,14 @@ func TestTable3Shape(t *testing.T) {
 
 func TestAblations(t *testing.T) {
 	s := quickSuite()
-	lazy, err := s.AblationLazy()
+	lazy, err := s.Ablation(rig.RTLazy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lazy) != len(AllWorkloads) {
+	if len(lazy) != len(Workloads) {
 		t.Fatalf("lazy rows = %d", len(lazy))
 	}
-	bounded, err := s.AblationBoundedLog()
+	bounded, err := s.Ablation(rig.RTBounded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestAblations(t *testing.T) {
 			t.Errorf("%s: bounded variant did no collections", r.Workload)
 		}
 	}
-	conc, err := s.AblationConcurrent()
+	conc, err := s.Ablation(rig.RTConc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,6 @@ func TestAblations(t *testing.T) {
 
 func TestGenerateModuleCompiles(t *testing.T) {
 	// Every generated module must be valid MiniML.
-	s := quickSuite()
 	for i := 0; i < 16; i++ {
 		src := GenerateModule(i, 40)
 		w := &vmWorkload{name: "gen", src: src}
@@ -239,7 +239,6 @@ func TestGenerateModuleCompiles(t *testing.T) {
 			t.Fatalf("module %d: %v\n%s", i, err, src)
 		}
 	}
-	_ = s
 }
 
 func TestGenerateModuleDeterministic(t *testing.T) {
@@ -262,11 +261,11 @@ func TestDeferMutablesReducesReapplies(t *testing.T) {
 	}
 	s := NewSuite(DefaultScale())
 	p := PaperParams()[0]
-	rt, err := s.run("Sort", rig.RT, p)
+	rt, err := s.Cell("Sort", rig.RT, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deferred, err := s.run("Sort", rig.RTDefer, p)
+	deferred, err := s.Cell("Sort", rig.RTDefer, p)
 	if err != nil {
 		t.Fatal(err)
 	}

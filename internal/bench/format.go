@@ -9,6 +9,17 @@ import (
 
 func ms(d simtime.Duration) string { return fmt.Sprintf("%.0f", d.Milliseconds()) }
 
+// rowPrefix is the left edge every row of tables 1-3 shares: the benchmark's
+// name on the first of its rows only (*last tracks it), then O and N in MB.
+func rowPrefix(last *string, name string, p Params) string {
+	shown := name
+	if name == *last {
+		shown = ""
+	}
+	*last = name
+	return fmt.Sprintf("%-7s %-5.1f %-5.1f |", shown, float64(p.OBytes)/(1<<20), float64(p.NBytes)/(1<<20))
+}
+
 // FormatTable1 renders table 1 in the paper's layout.
 func FormatTable1(rows []Table1Row) string {
 	var b strings.Builder
@@ -19,14 +30,7 @@ func FormatTable1(rows []Table1Row) string {
 		"bench", "(MB)", "(MB)", "50%", "99%", "Max", "50%", "99%", "Max")
 	last := ""
 	for _, r := range rows {
-		name := r.Workload
-		if name == last {
-			name = ""
-		}
-		last = r.Workload
-		fmt.Fprintf(&b, "%-7s %-5.1f %-5.1f | %6s %6s %6s | %6s %6s %6s\n",
-			name,
-			float64(r.P.OBytes)/(1<<20), float64(r.P.NBytes)/(1<<20),
+		fmt.Fprintf(&b, "%s %6s %6s %6s | %6s %6s %6s\n", rowPrefix(&last, r.Workload, r.P),
 			ms(r.SC[0]), ms(r.SC[1]), ms(r.SC[2]),
 			ms(r.RT[0]), ms(r.RT[1]), ms(r.RT[2]))
 	}
@@ -92,13 +96,7 @@ func FormatTable2(rows []Table2Row) string {
 		"bench", "O(MB)", "N(MB)", "CR", "%CR", "CF", "%CF")
 	last := ""
 	for _, r := range rows {
-		name := r.Workload
-		if name == last {
-			name = ""
-		}
-		last = r.Workload
-		fmt.Fprintf(&b, "%-7s %-5.1f %-5.1f | %9s %5.2f%% | %9s %5.2f%%\n",
-			name, float64(r.P.OBytes)/(1<<20), float64(r.P.NBytes)/(1<<20),
+		fmt.Fprintf(&b, "%s %9s %5.2f%% | %9s %5.2f%%\n", rowPrefix(&last, r.Workload, r.P),
 			r.CR, r.CRPct, r.CF, r.CFPct)
 	}
 	return b.String()
@@ -112,13 +110,7 @@ func FormatTable3(rows []Table3Row) string {
 		"bench", "O(MB)", "N(MB)", "G (KB)", "%G", "CG", "flips")
 	last := ""
 	for _, r := range rows {
-		name := r.Workload
-		if name == last {
-			name = ""
-		}
-		last = r.Workload
-		fmt.Fprintf(&b, "%-7s %-5.1f %-5.1f | %9.0f %5.1f%% %9s %6d\n",
-			name, float64(r.P.OBytes)/(1<<20), float64(r.P.NBytes)/(1<<20),
+		fmt.Fprintf(&b, "%s %9.0f %5.1f%% %9s %6d\n", rowPrefix(&last, r.Workload, r.P),
 			float64(r.GBytes)/1024, r.GPct, r.CG, r.Flips)
 	}
 	return b.String()

@@ -27,23 +27,10 @@ import (
 	"repligc/internal/workload"
 )
 
-// PerfSchema identifies the report layout; bump on incompatible change.
-// repligc-bench/2 added per-leg MMU curves and per-phase pause attribution
-// (from the internal/trace subsystem). repligc-bench/3 added the
-// checkpointed leg: the coalesced collector with the incremental checkpoint
-// writer attached, measuring crash-consistency overhead. repligc-bench/4
-// added a hot-path host ns/op section, which /7 removed again.
-// repligc-bench/5 added the serving section (internal/workload): per-cohort
-// latency tails, SLO breakdowns and pause-intrusion attribution for the
-// naive and coalesced barriers serving identical open-loop traffic.
-// repligc-bench/6 added the multi-mutator section: N mutator contexts
-// sharing one heap and one simulated clock, with the wall-clock makespan
-// projected so that only a pause's synchronous portion stops every mutator —
-// the overlap ratio (serial work over wall makespan) is the headline number.
-// repligc-bench/7 removed the two host ns/op sections (barrier_ns_per_op,
-// hot_paths_ns_per_op): every remaining member is deterministic and gated.
-// The constant aliases workload.ReportSchema so the two producers of the
-// schema cannot drift apart.
+// PerfSchema identifies the report layout; bump on incompatible change. Every
+// member is simulated, so deterministic and gated. The constant aliases
+// workload.ReportSchema so the two producers of the schema cannot drift
+// apart.
 const PerfSchema = workload.ReportSchema
 
 // PerfReport is the document `rtgc-bench perf` emits.
@@ -200,13 +187,60 @@ func reductionPct(base, coal int64) float64 {
 	return 100 * (1 - float64(coal)/float64(base))
 }
 
-// perfParams is the parameter cell both legs run under: the paper's 50 ms
+// perfParams is the parameter cell every leg runs under: the paper's 50 ms
 // pause target (O = 1 MB, N = 0.2 MB, L = 100 KB), the cell every workload
 // collects frequently in.
 func perfParams() Params { return PaperParams()[0] }
 
-// RunPerf runs the three workloads under both barrier legs and assembles the
-// report.
+// PerfWorkloads is the order the report (and `rtgc-bench trace`) takes the
+// workloads in; BENCH_SMOKE.json commits it.
+var PerfWorkloads = []string{"Primes", "Sort", "Comp"}
+
+// perfLegs are the runs every workload gets, in report order: rt in the perf
+// cell with its own trace recorder, plus the leg's delta.
+var perfLegs = [...]struct {
+	tag          string
+	naiveBarrier bool // the append-every-store barrier coalescing replaced
+	checkpointed bool // the incremental checkpoint writer attached
+}{{"baseline", true, false}, {"coalesced", false, false}, {"checkpointed", false, true}}
+
+// legs lists w's runs in perfLegs order.
+func (w *PerfWorkload) legs() [len(perfLegs)]*PerfLeg {
+	return [...]*PerfLeg{&w.Baseline, &w.Coalesced, &w.Checkpointed}
+}
+
+// runLeg runs w under one leg and digests its trace. The recorder's 2^20
+// events hold the full default-scale runs; a leg that overflowed would only
+// lose its oldest events, and Analyze still gets a consistent suffix. A
+// checkpointed leg keeps its artifacts in a throwaway directory the
+// checkpoint package owns and also returns its writer, for what it persisted.
+func runLeg(w Workload, naiveBarrier, checkpointed bool) (*Result, *trace.Analysis, *checkpoint.Writer, error) {
+	tr := trace.NewRecorder(1 << 20)
+	rc := rig.Config{Collector: rig.RT, Params: perfParams(), NaiveBarrier: naiveBarrier, Trace: tr}
+	var cw *checkpoint.Writer
+	if checkpointed {
+		dir, cleanup, err := checkpoint.TempDir("rtgc-bench-ckpt-")
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		defer cleanup()
+		// One epoch per 4 MB allocated, 64 KB of copying per pause: the
+		// steady-state cadence, not back-to-back snapshots.
+		cw = checkpoint.NewWriter(checkpoint.Config{Dir: dir, BudgetBytes: 64 << 10, EveryBytes: 4 << 20})
+		rc.Checkpoint = cw
+	}
+	res, err := Run(w, rc)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	a, err := trace.Analyze(tr.Events())
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("trace: %w", err)
+	}
+	return res, a, cw, nil
+}
+
+// RunPerf runs the three workloads under every leg and assembles the report.
 func RunPerf(s Scale, scaleName string) (*PerfReport, error) {
 	rep := &PerfReport{
 		Schema:    PerfSchema,
@@ -214,79 +248,42 @@ func RunPerf(s Scale, scaleName string) (*PerfReport, error) {
 		Params:    perfParams().String(),
 		Scale:     scaleName,
 	}
-	// Each leg carries its own trace recorder for the MMU and phase
-	// sections. 2^20 events hold the full default-scale runs; a leg that
-	// overflows would only lose its oldest events, and Analyze still gets
-	// a consistent suffix.
-	for _, w := range []Workload{Primes(s), Sort(s), Comp(s)} {
-		baseTr := trace.NewRecorder(1 << 20)
-		base, err := Run(w, rig.Config{Collector: rig.RT, Params: perfParams(), NaiveBarrier: true, Trace: baseTr})
+	for _, name := range PerfWorkloads {
+		w, err := WorkloadByName(name, s)
 		if err != nil {
-			return nil, fmt.Errorf("perf %s baseline: %w", w.Name(), err)
+			return nil, err
 		}
-		coalTr := trace.NewRecorder(1 << 20)
-		coal, err := Run(w, rig.Config{Collector: rig.RT, Params: perfParams(), Trace: coalTr})
-		if err != nil {
-			return nil, fmt.Errorf("perf %s coalesced: %w", w.Name(), err)
+		pw := PerfWorkload{Name: name}
+		var res [len(perfLegs)]*Result
+		for i, l := range perfLegs {
+			r, a, cw, err := runLeg(w, l.naiveBarrier, l.checkpointed)
+			if err != nil {
+				return nil, fmt.Errorf("perf %s %s: %w", name, l.tag, err)
+			}
+			if i > 0 && r.Output != res[0].Output {
+				return nil, fmt.Errorf("perf %s: the %s leg computed a different result than the %s leg", name, l.tag, perfLegs[0].tag)
+			}
+			res[i], *pw.legs()[i] = r, perfLeg(r, a)
+			if l.checkpointed {
+				persisted := cw.Stats()
+				pw.Checkpoint = PerfCheckpoint{
+					Epochs:        persisted.Committed,
+					Aborted:       persisted.Aborted,
+					SnapshotBytes: persisted.SnapshotBytes,
+					WALBytes:      persisted.WALBytes,
+					WordsCopied:   persisted.WordsCopied,
+					PatchWords:    persisted.PatchWords,
+					CheckpointMs:  r.Breakdown[simtime.AcctCheckpoint].Milliseconds(),
+				}
+			}
 		}
-		if base.Output != coal.Output {
-			return nil, fmt.Errorf("perf %s: barrier legs computed different results", w.Name())
-		}
-		baseA, err := trace.Analyze(baseTr.Events())
-		if err != nil {
-			return nil, fmt.Errorf("perf %s baseline trace: %w", w.Name(), err)
-		}
-		coalA, err := trace.Analyze(coalTr.Events())
-		if err != nil {
-			return nil, fmt.Errorf("perf %s coalesced trace: %w", w.Name(), err)
-		}
-
-		// Checkpointed leg: the coalesced collector with the incremental
-		// checkpoint writer attached, its artifacts in a throwaway dir the
-		// checkpoint package owns.
-		ckptDir, cleanup, err := checkpoint.TempDir("rtgc-bench-ckpt-")
-		if err != nil {
-			return nil, fmt.Errorf("perf %s checkpointed: %w", w.Name(), err)
-		}
-		// One epoch per 4 MB allocated, 64 KB of copying per pause: the
-		// steady-state cadence, not back-to-back snapshots.
-		ckptW := checkpoint.NewWriter(checkpoint.Config{Dir: ckptDir, BudgetBytes: 64 << 10, EveryBytes: 4 << 20})
-		ckptTr := trace.NewRecorder(1 << 20)
-		ckpt, err := Run(w, rig.Config{Collector: rig.RT, Params: perfParams(), Trace: ckptTr, Checkpoint: ckptW})
-		cleanup()
-		if err != nil {
-			return nil, fmt.Errorf("perf %s checkpointed: %w", w.Name(), err)
-		}
-		if ckpt.Output != coal.Output {
-			return nil, fmt.Errorf("perf %s: checkpointed leg computed a different result", w.Name())
-		}
-		ckptA, err := trace.Analyze(ckptTr.Events())
-		if err != nil {
-			return nil, fmt.Errorf("perf %s checkpointed trace: %w", w.Name(), err)
-		}
-		st := ckptW.Stats()
-		section := PerfCheckpoint{
-			Epochs:        st.Committed,
-			Aborted:       st.Aborted,
-			SnapshotBytes: st.SnapshotBytes,
-			WALBytes:      st.WALBytes,
-			WordsCopied:   st.WordsCopied,
-			PatchWords:    st.PatchWords,
-			CheckpointMs:  ckpt.Breakdown[simtime.AcctCheckpoint].Milliseconds(),
-		}
+		base, coal, ckpt := res[0], res[1], res[2]
+		pw.ReapplyReductionPct = reductionPct(base.Stats.LogReapplied, coal.Stats.LogReapplied)
+		pw.AppendReductionPct = reductionPct(base.LogWrites, coal.LogWrites)
 		if coalMs := coal.Elapsed.Milliseconds(); coalMs > 0 {
-			section.OverheadPct = 100 * (ckpt.Elapsed.Milliseconds() - coalMs) / coalMs
+			pw.Checkpoint.OverheadPct = 100 * (ckpt.Elapsed.Milliseconds() - coalMs) / coalMs
 		}
-
-		rep.Workloads = append(rep.Workloads, PerfWorkload{
-			Name:                w.Name(),
-			Baseline:            perfLeg(base, baseA),
-			Coalesced:           perfLeg(coal, coalA),
-			Checkpointed:        perfLeg(ckpt, ckptA),
-			ReapplyReductionPct: reductionPct(base.Stats.LogReapplied, coal.Stats.LogReapplied),
-			AppendReductionPct:  reductionPct(base.LogWrites, coal.LogWrites),
-			Checkpoint:          section,
-		})
+		rep.Workloads = append(rep.Workloads, pw)
 	}
 	serving, err := RunServing(s)
 	if err != nil {
@@ -305,13 +302,16 @@ func RunPerf(s Scale, scaleName string) (*PerfReport, error) {
 // fingerprints comparable across regenerations.
 const multiSeed = 42
 
+// multiLadder is the mutator counts of the scaling legs, in report order.
+var multiLadder = []int{1, 2, 4, 8}
+
 // RunMulti runs the multi-mutator scaling legs: the seeded group workload
 // (per-member graph drivers plus a shared contended array) under the full
 // real-time configuration with N ∈ {1, 2, 4, 8} mutator contexts on one
 // heap and one simulated clock.
 func RunMulti(s Scale) ([]MultiLeg, error) {
 	var legs []MultiLeg
-	for _, n := range []int{1, 2, 4, 8} {
+	for _, n := range multiLadder {
 		rt, err := rig.New(rig.Config{Collector: rig.RT, Params: perfParams(), Members: n})
 		if err != nil {
 			return nil, fmt.Errorf("multi N=%d: %w", n, err)
@@ -345,13 +345,7 @@ func RunMulti(s Scale) ([]MultiLeg, error) {
 		for i := range g.Members {
 			leg.Utilization = append(leg.Utilization, g.Utilization(i))
 		}
-		var maxSync simtime.Duration
-		for _, p := range g.GroupPauses().Pauses {
-			if p.Length > maxSync {
-				maxSync = p.Length
-			}
-		}
-		leg.SyncPauseMaxMs = maxSync.Milliseconds()
+		leg.SyncPauseMaxMs = g.GroupPauses().Max().Milliseconds()
 		leg.MMU20Ms = simtime.MMUFromPauses(g.GroupPauses().Pauses, g.Elapsed(), 20*simtime.Millisecond)
 		// Verification re-reads the whole heap through the mutators and
 		// charges the serial clock; it is a correctness gate, not part of the
@@ -448,10 +442,9 @@ func ValidatePerf(data []byte) error {
 	if rep.Schema != PerfSchema {
 		return fmt.Errorf("perf report: schema %q, want %q", rep.Schema, PerfSchema)
 	}
-	names := []string{"Primes", "Sort", "Comp"}
-	want := make(map[string]bool, len(names))
-	for _, n := range names {
-		want[n] = false
+	want := make(map[string]bool, len(Workloads))
+	for _, w := range Workloads {
+		want[w.Name] = false
 	}
 	for _, w := range rep.Workloads {
 		seen, ok := want[w.Name]
@@ -462,12 +455,9 @@ func ValidatePerf(data []byte) error {
 			return fmt.Errorf("perf report: duplicate workload %q", w.Name)
 		}
 		want[w.Name] = true
-		for _, leg := range []struct {
-			tag string
-			l   PerfLeg
-		}{{"baseline", w.Baseline}, {"coalesced", w.Coalesced}, {"checkpointed", w.Checkpointed}} {
-			if err := leg.l.check(); err != nil {
-				return fmt.Errorf("perf report: %s %s: %w", w.Name, leg.tag, err)
+		for i, leg := range w.legs() {
+			if err := leg.check(); err != nil {
+				return fmt.Errorf("perf report: %s %s: %w", w.Name, perfLegs[i].tag, err)
 			}
 		}
 		if w.Baseline.NurserySkips != 0 || w.Baseline.DirtySkips != 0 {
@@ -488,9 +478,9 @@ func ValidatePerf(data []byte) error {
 			return fmt.Errorf("perf report: %s checkpoint overhead_pct = %v is not finite", w.Name, c.OverheadPct)
 		}
 	}
-	for _, name := range names {
-		if !want[name] {
-			return fmt.Errorf("perf report: workload %q missing", name)
+	for _, w := range Workloads {
+		if !want[w.Name] {
+			return fmt.Errorf("perf report: workload %q missing", w.Name)
 		}
 	}
 	if rep.Serving == nil {
@@ -509,13 +499,12 @@ func ValidatePerf(data []byte) error {
 // scaling ladder, an exact-identity N = 1 anchor, and genuine overlap
 // (ratio > 1) on every N ≥ 2 leg.
 func checkMulti(legs []MultiLeg) error {
-	wantN := []int{1, 2, 4, 8}
-	if len(legs) != len(wantN) {
-		return fmt.Errorf("multi section has %d legs, want %d (schema %s requires it)", len(legs), len(wantN), PerfSchema)
+	if len(legs) != len(multiLadder) {
+		return fmt.Errorf("multi section has %d legs, want %d (schema %s requires it)", len(legs), len(multiLadder), PerfSchema)
 	}
 	for i, leg := range legs {
-		if leg.Mutators != wantN[i] {
-			return fmt.Errorf("multi leg %d: mutators = %d, want %d", i, leg.Mutators, wantN[i])
+		if leg.Mutators != multiLadder[i] {
+			return fmt.Errorf("multi leg %d: mutators = %d, want %d", i, leg.Mutators, multiLadder[i])
 		}
 		for _, f := range []struct {
 			name string

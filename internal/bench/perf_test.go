@@ -2,8 +2,11 @@ package bench
 
 import (
 	"os"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repligc/internal/workload"
 )
 
 // TestPerfGateAndValidator covers the two checks every committed perf report
@@ -54,5 +57,22 @@ func TestPerfGateAndValidator(t *testing.T) {
 	stale := strings.Replace(string(committed), PerfSchema, "repligc-bench/6", 1)
 	if err := ValidatePerf([]byte(stale)); err == nil || !strings.Contains(err.Error(), `schema "repligc-bench/6"`) {
 		t.Errorf("a /6 document: got %v, want a schema rejection", err)
+	}
+}
+
+// TestDefaultServeSpecIsTheCommittedFile ties the perf report's serving
+// section to CI's serve smoke: the Go literal and examples/serve/mixed.json
+// are two spellings of one spec.
+func TestDefaultServeSpecIsTheCommittedFile(t *testing.T) {
+	raw, err := os.ReadFile("../../examples/serve/mixed.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed, err := workload.ParseSpec(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if literal := DefaultServeSpec(DefaultScale()); !reflect.DeepEqual(committed, literal) {
+		t.Errorf("examples/serve/mixed.json parses to\n%+v\nDefaultServeSpec(DefaultScale()) is\n%+v", committed, literal)
 	}
 }

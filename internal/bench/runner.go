@@ -2,7 +2,6 @@ package bench
 
 import (
 	"repligc/internal/core"
-	"repligc/internal/policy"
 	"repligc/internal/rig"
 	"repligc/internal/simtime"
 )
@@ -79,12 +78,4 @@ func Run(w Workload, rc rig.Config) (*Result, error) {
 		Output:            out,
 	}
 	return res, nil
-}
-
-// RecordedRT runs the real-time configuration while recording its policy
-// script, returning both.
-func RecordedRT(w Workload, p Params) (*Result, *policy.Script, error) {
-	script := &policy.Script{}
-	res, err := Run(w, rig.Config{Collector: rig.RT, Params: p, Record: script})
-	return res, script, err
 }

@@ -3,10 +3,11 @@ package bench
 // The serving leg of the perf trajectory (introduced in schema repligc-bench/5): the
 // paper's batch workloads measure collector cost per unit of work; this leg
 // measures what the collector does to a *service* — request latency tails
-// and SLO misses under open-loop traffic. The spec mirrors the committed
-// examples/serve/mixed.json mix: an interactive cohort with tight SLOs and
-// a mutation-heavy, bursty batch-ingest cohort, served by the naive and
-// coalesced barrier legs over the identical materialised trace.
+// and SLO misses under open-loop traffic. The spec is the committed
+// examples/serve/mixed.json (a test holds the two equal): an interactive
+// cohort with tight SLOs and a mutation-heavy, bursty batch-ingest cohort,
+// served by the naive and coalesced barrier legs over the identical
+// materialised trace.
 
 import (
 	"fmt"
@@ -51,8 +52,7 @@ func DefaultServeSpec(s Scale) *workload.Spec {
 // RunServing materialises the standard serving spec and serves it under the
 // naive-barrier and coalesced legs.
 func RunServing(s Scale) (*workload.Section, error) {
-	spec := DefaultServeSpec(s)
-	tr, err := workload.Generate(spec)
+	tr, err := workload.Generate(DefaultServeSpec(s))
 	if err != nil {
 		return nil, fmt.Errorf("serving: %w", err)
 	}

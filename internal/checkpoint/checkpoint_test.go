@@ -1,7 +1,10 @@
 package checkpoint
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -176,6 +179,43 @@ func TestRecoverFromCrashes(t *testing.T) {
 	// from surviving epochs and typed rejection when nothing intact remains.
 	if outcomes["recovered"] == 0 || outcomes["corrupt-detected"] == 0 {
 		t.Fatalf("matrix did not cover both contract outcomes: %v", outcomes)
+	}
+}
+
+// TestCrashMatrixReportIgnoresWorkDir runs the same matrix in two work
+// directories: the reports must marshal byte-identically, so the error
+// strings (which quote artifact paths) name them relative to the work
+// directory.
+func TestCrashMatrixReportIgnoresWorkDir(t *testing.T) {
+	var docs [2][]byte
+	for i := range docs {
+		work := t.TempDir()
+		rep, err := RunCrashMatrix(MatrixConfig{
+			Seeds:   []uint64{1},
+			Plans:   faultinject.CrashPlans(0xc0ffee, 4),
+			WorkDir: work,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		quoted := 0
+		for _, c := range rep.Cases {
+			if strings.Contains(c.Err, work) {
+				t.Errorf("plan %s: err names the work directory: %s", c.Plan, c.Err)
+			}
+			if strings.Contains(c.Err, ".ckpt") {
+				quoted++
+			}
+		}
+		if quoted == 0 {
+			t.Fatal("no case quoted an artifact path; the comparison below would prove nothing")
+		}
+		if docs[i], err = json.Marshal(rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(docs[0], docs[1]) {
+		t.Errorf("the same matrix in two work directories gave different reports:\n%s\n%s", docs[0], docs[1])
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repligc/internal/artifact"
 	"repligc/internal/core"
@@ -231,7 +232,11 @@ func RunCrashMatrix(cfg MatrixConfig) (*MatrixReport, error) {
 			}
 		}
 	}
-	for _, c := range rep.Cases {
+	for i := range rep.Cases {
+		c := &rep.Cases[i]
+		// Errors name artifacts relative to the work directory: the report
+		// is a function of the tree, not of where the matrix happened to run.
+		c.Err = strings.ReplaceAll(c.Err, filepath.Clean(work)+string(filepath.Separator), "")
 		if c.Failed {
 			rep.Failures++
 		}

@@ -71,9 +71,6 @@ func NewDriver(m *core.Mutator, seed int64) *Driver {
 	return d
 }
 
-// RootCount reports the number of live driver roots.
-func (d *Driver) RootCount() int { return len(d.roots.slots) }
-
 // pickRoot returns a random root index, or -1 when none exist.
 func (d *Driver) pickRoot() int {
 	if len(d.roots.slots) == 0 {

@@ -27,9 +27,6 @@ func (s *Space) Contains(p Value) bool {
 	return idx > s.Lo && idx <= s.Cap
 }
 
-// ContainsIndex reports whether the arena word index lies in [Lo, Cap).
-func (s *Space) ContainsIndex(idx uint64) bool { return idx >= s.Lo && idx < s.Cap }
-
 // UsedWords reports the number of allocated words (headers included).
 func (s *Space) UsedWords() uint64 { return s.Next - s.Lo }
 

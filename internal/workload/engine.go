@@ -151,6 +151,11 @@ func serveOne(m *core.Mutator, spec *Spec, tables [][]core.Handle, r *Req, gi in
 	return nil
 }
 
+// p99Rank is the index of the nearest-rank 99th percentile among n ≥ 1
+// sorted samples: ⌈99n/100⌉ − 1, in integers, the rule simtime's percentiles
+// use.
+func p99Rank(n int) int { return (99*n+99)/100 - 1 }
+
 // buildLeg digests one served run. The heap fingerprint is computed last:
 // walking the graph charges header-check time to the clock, which must not
 // perturb any latency measurement.
@@ -188,13 +193,9 @@ func buildLeg(rt *Runtime, t *Trace, legName string,
 				max = d
 			}
 		}
-		rank := int(99.0/100*float64(n)+0.999999) - 1
-		if rank < 0 {
-			rank = 0
-		}
 		leg.Queue = QueueStats{
 			MeanDepth: float64(sum) / float64(n),
-			P99Depth:  sorted[rank],
+			P99Depth:  sorted[p99Rank(n)],
 			MaxDepth:  max,
 		}
 	}

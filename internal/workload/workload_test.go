@@ -406,3 +406,19 @@ func TestSpecValidation(t *testing.T) {
 		t.Error("ParseSpec accepted an unknown field")
 	}
 }
+
+// TestP99RankMatchesRetiredRule sweeps the sample counts a serving run can
+// produce: the integer ceiling picks the rank the epsilon ceiling it replaced
+// picked (the rule PR 10 retired from simtime), so no committed queue-depth
+// p99 moved.
+func TestP99RankMatchesRetiredRule(t *testing.T) {
+	for n := 1; n <= 1_000_000; n++ {
+		old := int(99.0/100*float64(n)+0.999999) - 1
+		if old < 0 {
+			old = 0
+		}
+		if got := p99Rank(n); got != old || got < 0 || got >= n {
+			t.Fatalf("n=%d: rank %d, the retired rule gave %d", n, got, old)
+		}
+	}
+}
