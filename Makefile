@@ -1,6 +1,6 @@
 # repligc — common tasks. Everything is stdlib-only and offline.
 
-.PHONY: all build lint test host-bench-test host-pairs loc fuzz-smoke race bench bench-baseline bench-smoke serve-smoke crash-matrix trace microbench experiments experiments-check quick-experiments examples outputs
+.PHONY: all build lint test host-bench-test host-pairs loc fuzz-smoke bench bench-baseline bench-smoke serve-smoke crash-matrix trace microbench experiments experiments-check quick-experiments examples outputs
 
 all: build lint test host-bench-test
 
@@ -64,9 +64,6 @@ fuzz-smoke:
 	go test ./internal/artifact -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 10s -fuzzminimizetime 0
 	go test ./internal/workload -run '^$$' -fuzz '^FuzzDecodeTrace$$' -fuzztime 10s -fuzzminimizetime 0
 	go test ./internal/checkpoint -run '^$$' -fuzz '^FuzzRecover$$' -fuzztime 10s -fuzzminimizetime 0
-
-race:
-	go test -race ./...
 
 # The perf trajectory at full scale: per-workload
 # baseline-vs-coalesced-vs-checkpointed log and pause metrics, the serving

@@ -133,7 +133,7 @@ func main() {
 	if *traceFile != "" {
 		labels := map[string]string{
 			"program":   flag.Arg(0),
-			"collector": gc.Name(),
+			"collector": rt.Collector,
 			//gclint:allow wallclock -- exporter glue: the wall-clock stamp only labels the artifact; nothing simulated reads it
 			"exported_at": time.Now().UTC().Format(time.RFC3339),
 		}
@@ -159,7 +159,7 @@ func main() {
 	if *stats {
 		st := gc.Stats()
 		rec := gc.Pauses()
-		fmt.Fprintf(os.Stderr, "\n--- %s collector (simulated time) ---\n", gc.Name())
+		fmt.Fprintf(os.Stderr, "\n--- %s collector (simulated time) ---\n", rt.Collector)
 		fmt.Fprintf(os.Stderr, "elapsed            %v\n", m.Clock.Now())
 		fmt.Fprintf(os.Stderr, "allocated          %.2f MB\n", float64(m.BytesAllocated)/(1<<20))
 		fmt.Fprintf(os.Stderr, "minor collections  %d\n", st.MinorCollections)

@@ -313,10 +313,3 @@ func enclosingFuncName(files []*ast.File, pos token.Pos) string {
 	}
 	return ""
 }
-
-// isTestFile reports whether the position is inside a _test.go file. The
-// loader skips test files already; this guards rules that are handed
-// positions from other sources.
-func isTestFile(pos token.Position) bool {
-	return strings.HasSuffix(pos.Filename, "_test.go")
-}

@@ -4,87 +4,13 @@ import (
 	"reflect"
 	"testing"
 
-	"repligc/internal/core"
 	"repligc/internal/gctest"
-	"repligc/internal/heap"
 	"repligc/internal/rig"
 	"repligc/internal/simtime"
-	"repligc/internal/stopcopy"
 )
 
 func multiParams() Params {
 	return Params{OBytes: 1 << 20, NBytes: 200 << 10, LBytes: 100 << 10}
-}
-
-// TestSoloGroupBitIdentical is the oracle behind the constructor's one
-// decision about members: rig.New always builds a core.Group, and a
-// one-member group must be bit-identical to a solo core.NewMutator — same
-// reachable-graph fingerprint, same final simulated clock, same per-account
-// time breakdown — across collector configurations and seeds. The reference
-// side is wired by hand, from the parts, so the comparison cannot become the
-// constructor against itself: any divergence means the group path (or the
-// constructor's sizing and defaults) changed single-mutator behaviour.
-func TestSoloGroupBitIdentical(t *testing.T) {
-	type result struct {
-		fp        uint64
-		now       simtime.Duration
-		breakdown [simtime.NumAccounts]simtime.Duration
-	}
-	const ops = 12000
-	// The constructor's cap rule on both sides, and semispaces no larger than
-	// the run needs: thirty-six 208 MB arenas were most of this test's time.
-	const oldSemi = 8 << 20
-	p := multiParams()
-	for _, cfg := range []rig.Collector{rig.RT, rig.RTLazy, rig.SC} {
-		for _, seed := range []int64{1, 7, 42, 99, 1234, 987654} {
-			solo := func() result {
-				h := heap.New(heap.Config{NurseryBytes: p.NBytes, NurseryCapBytes: 16 << 20, OldSemiBytes: oldSemi})
-				m := core.NewMutator(h, simtime.NewClock(), simtime.Default1993(), cfg.Log)
-				var gc core.Collector
-				if cfg.StopCopy {
-					gc = stopcopy.New(h, stopcopy.Config{NurseryBytes: p.NBytes, MajorThresholdBytes: p.OBytes})
-				} else {
-					cc := cfg.Engine
-					cc.NurseryBytes, cc.MajorThresholdBytes, cc.CopyLimitBytes = p.NBytes, p.OBytes, p.LBytes
-					gc = core.NewReplicating(h, cc)
-				}
-				m.AttachGC(gc)
-				d := gctest.NewDriver(m, seed)
-				if err := d.Step(ops); err != nil {
-					t.Fatal(err)
-				}
-				if err := gc.FinishCycles(m); err != nil {
-					t.Fatal(err)
-				}
-				return result{d.Fingerprint(), m.Clock.Now(), m.Clock.Breakdown()}
-			}()
-
-			grouped := func() result {
-				rt, err := rig.New(rig.Config{Collector: cfg, Params: p, OldSemiBytes: oldSemi})
-				if err != nil {
-					t.Fatal(err)
-				}
-				m := rt.Mutator
-				d := gctest.NewDriver(m, seed)
-				if err := rt.Group.Run(0, func(*core.Mutator) error { return d.Step(ops) }); err != nil {
-					t.Fatal(err)
-				}
-				if err := rt.Finish(); err != nil {
-					t.Fatal(err)
-				}
-				if rt.Group.Elapsed() != m.Clock.Now() {
-					t.Fatalf("%s seed %d: one-member wall %v != clock %v",
-						cfg.Name, seed, rt.Group.Elapsed(), m.Clock.Now())
-				}
-				return result{d.Fingerprint(), m.Clock.Now(), m.Clock.Breakdown()}
-			}()
-
-			if solo != grouped {
-				t.Fatalf("%s seed %d: solo and one-member group diverged:\nsolo    %+v\ngrouped %+v",
-					cfg.Name, seed, solo, grouped)
-			}
-		}
-	}
 }
 
 // TestMultiMutatorDeterminismMatrix pins that N-mutator runs are exact
@@ -222,56 +148,5 @@ func TestRunMultiSection(t *testing.T) {
 		if !reflect.DeepEqual(legs[i], again[i]) {
 			t.Fatalf("N=%d: rerun changed the leg:\n%+v\n%+v", legs[i].Mutators, legs[i], again[i])
 		}
-	}
-}
-
-// TestParallelGroupTorture drives a goroutine-backed group — real
-// parallelism with a stop-the-world rendezvous around collections — and
-// verifies every member's shadow graph afterwards. Interleavings are
-// runtime-scheduled, so this is a correctness (and, under `make race`, a
-// data-race) exercise, not a determinism one.
-func TestParallelGroupTorture(t *testing.T) {
-	h := heap.New(heap.Config{NurseryBytes: 200 << 10, NurseryCapBytes: 2 << 20, OldSemiBytes: 8 << 20})
-	pg := core.NewParallelGroup(h, simtime.Default1993(), core.LogAllMutations, 4)
-	gc := core.NewReplicating(pg.G.H, core.Config{
-		NurseryBytes:        200 << 10,
-		MajorThresholdBytes: 1 << 20,
-		CopyLimitBytes:      100 << 10,
-		IncrementalMinor:    true,
-		IncrementalMajor:    true,
-	})
-	pg.AttachGC(gc)
-
-	drivers := make([]*gctest.Driver, len(pg.G.Members))
-	fns := make([]func(*core.Mutator) error, len(pg.G.Members))
-	for i, m := range pg.G.Members {
-		d := gctest.NewDriver(m, int64(100+i))
-		drivers[i] = d
-		fns[i] = func(*core.Mutator) error {
-			for k := 0; k < 400; k++ {
-				pg.Safepoint()
-				if err := d.Step(10); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-	for i, err := range pg.Run(fns) {
-		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
-		}
-	}
-	// All workers exited; the world is quiescent.
-	if err := gc.FinishCycles(pg.G.Members[0]); err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range drivers {
-		if err := d.Verify(); err != nil {
-			t.Fatalf("member %d shadow mismatch: %v", i, err)
-		}
-	}
-	if err := core.AuditHeap(pg.G.Members[0]); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -48,18 +48,12 @@ import (
 // collector-facing mutation log and one root set.
 type Group struct {
 	H     *heap.Heap
-	Clock *simtime.Clock // shared total-work timeline (per-member in goroutine-backed groups)
+	Clock *simtime.Clock // shared total-work timeline
 	Log   *MutationLog   // the collector-facing log every member merges into
 	Roots *RootSet       // every member's handle stack plus externally registered sources
 	GC    Collector
 
 	Members []*Mutator
-
-	// Overlap selects the multi-actor time model. When set, only a pause's
-	// Sync portion stops every mutator; the remainder overlaps with the
-	// other mutators. When clear, every pause stops everyone for its full
-	// length — the serial model, useful as a baseline.
-	Overlap bool
 
 	// MergedEntries counts log entries folded into the shared log at pause
 	// entries; MergeDropped counts the exact duplicates the canonical-order
@@ -71,8 +65,6 @@ type Group struct {
 	mergeOrder []int      // member order for draining locals; nil = index order
 	scratch    []LogEntry // reused merge buffer
 
-	par *parRendezvous // non-nil when goroutine-backed (see parallel.go)
-
 	// Wall-timeline projection state (see reconcileTo).
 	wall       []simtime.Duration // per-member wall clocks
 	work       []simtime.Duration // per-member useful (non-waiting) time
@@ -83,23 +75,21 @@ type Group struct {
 }
 
 // NewGroup builds a group of n mutator contexts over h. With n == 1 the
-// single member is configured exactly like a solo NewMutator mutator — the
-// shared log is its barrier target and allocation bumps the space cursor
-// directly — so one-member group runs are bit-identical to pre-group runs.
-// With n > 1 each member gets a private log and a private nursery chunk.
+// shared log is the single member's barrier target and allocation bumps the
+// space cursor directly, so no merge or chunk seal ever has work to do. With
+// n > 1 each member gets a private log and a private nursery chunk.
 func NewGroup(h *heap.Heap, clock *simtime.Clock, cost simtime.CostModel, policy LogPolicy, n int) *Group {
 	if n < 1 {
 		//gclint:allow panicpath -- invariant: construction-time misuse, not resource exhaustion
 		panic("core: group needs at least one mutator")
 	}
 	g := &Group{
-		H:       h,
-		Clock:   clock,
-		Log:     &MutationLog{},
-		Roots:   &RootSet{},
-		Overlap: true,
-		wall:    make([]simtime.Duration, n),
-		work:    make([]simtime.Duration, n),
+		H:     h,
+		Clock: clock,
+		Log:   &MutationLog{},
+		Roots: &RootSet{},
+		wall:  make([]simtime.Duration, n),
+		work:  make([]simtime.Duration, n),
 	}
 	for i := 0; i < n; i++ {
 		m := &Mutator{
@@ -165,7 +155,7 @@ func (g *Group) SetMergeOrder(order []int) { g.mergeOrder = order }
 // mutations are visible. The clear that follows invalidates every member's
 // coalescing marks at once.
 //
-//gclint:pauseentry invoked only from Heap.BeginLogEpoch, which every collector calls immediately after Clock.BeginPause (and goroutine-backed groups call only with all members parked at the stop-the-world rendezvous)
+//gclint:pauseentry invoked only from Heap.BeginLogEpoch, which every collector calls immediately after Clock.BeginPause
 func (g *Group) pauseEntry() {
 	for _, m := range g.Members {
 		if m.chunked {
@@ -231,16 +221,8 @@ func entryLess(a, b LogEntry) bool {
 // refillAlloc is the slow path of a chunked member's nursery allocation:
 // the current chunk is out of room, so seal it and carve a fresh one off
 // the shared cursor. Objects larger than a chunk, and the nursery's final
-// sub-chunk tail, fall back to direct shared-cursor allocation. In a
-// goroutine-backed group this entire path runs under the group lock (and
-// parks first if a collection is in progress), which is what keeps the
-// common chunk-interior path lock-free.
+// sub-chunk tail, fall back to direct shared-cursor allocation.
 func (g *Group) refillAlloc(m *Mutator, k heap.Kind, n int) (heap.Value, bool) {
-	if g.par != nil {
-		g.par.mu.Lock()
-		defer g.par.mu.Unlock()
-		g.par.parkIfStoppedLocked()
-	}
 	need := uint64(heap.MakeHeader(k, n).SizeWords())
 	if need > g.chunkWords {
 		return m.H.AllocIn(&m.H.Nursery, k, n)
@@ -279,10 +261,10 @@ func (g *Group) Run(i int, f func(m *Mutator) error) error {
 // advanced by Sync. The remaining pause work belongs to the collector
 // actor: its wall clock, and that of the triggering member (whose
 // allocation cannot complete until the pause ends), advance by the full
-// pause length, overlapping the other members' subsequent quanta. With
-// Overlap off (or for pauses whose Sync equals their length — emergencies,
-// forced completions, stop-and-copy), the rendezvous spans the whole pause
-// and the model degenerates to the serial timeline.
+// pause length, overlapping the other members' subsequent quanta. For a
+// pause whose Sync is zero or exceeds its length — emergencies, forced
+// completions, stop-and-copy — the rendezvous spans the whole pause and the
+// model degenerates to the serial timeline.
 func (g *Group) reconcileTo(actor int, upTo simtime.Duration) {
 	var ps []simtime.Pause
 	if g.GC != nil {
@@ -293,7 +275,7 @@ func (g *Group) reconcileTo(actor int, upTo simtime.Duration) {
 		p := ps[g.pauseSeen]
 		g.advance(actor, p.At-cl)
 		sync := p.Sync
-		if !g.Overlap || actor < 0 || sync <= 0 || sync > p.Length {
+		if actor < 0 || sync <= 0 || sync > p.Length {
 			sync = p.Length
 		}
 		t := g.wallGC
@@ -365,8 +347,8 @@ func (g *Group) Utilization(i int) float64 {
 }
 
 // OverlapRatio reports serial-clock time over wall-clock makespan: 1.0 when
-// nothing overlapped (one member, or Overlap off), and greater than 1 when
-// mutators genuinely ran during collector-side pause work.
+// nothing overlapped (one member), and greater than 1 when mutators
+// genuinely ran during collector-side pause work.
 func (g *Group) OverlapRatio() float64 {
 	e := g.Elapsed()
 	if e <= 0 {

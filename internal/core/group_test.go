@@ -358,22 +358,24 @@ func TestGroupSoloWallMatchesClock(t *testing.T) {
 	if r := g.OverlapRatio(); r != 1 {
 		t.Fatalf("solo group overlap ratio = %v, want 1", r)
 	}
-	// With Overlap off a two-member group records full-length stops.
-	g2 := newTestGroup(t, 2)
-	g2.Overlap = false
-	stub2 := &stubCollector{}
-	g2.AttachGC(stub2)
-	if err := g2.Run(0, func(m *Mutator) error {
-		m.Clock.Charge(simtime.AcctMutator, 50*simtime.Microsecond)
-		at := m.Clock.Now()
-		m.Clock.Charge(simtime.AcctMinorCopy, 30*simtime.Microsecond)
-		stub2.rec.Record(simtime.Pause{At: at, Length: 30 * simtime.Microsecond, Sync: 5 * simtime.Microsecond})
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ps := g2.GroupPauses().Pauses
-	if len(ps) != 1 || ps[0].Length != 30*simtime.Microsecond {
-		t.Fatalf("Overlap=false pause = %+v, want full 30us stop", ps)
+	// A pause whose Sync is zero or exceeds its length stops a two-member
+	// group for its whole length.
+	for _, sync := range []simtime.Duration{0, 31 * simtime.Microsecond} {
+		g2 := newTestGroup(t, 2)
+		stub2 := &stubCollector{}
+		g2.AttachGC(stub2)
+		if err := g2.Run(0, func(m *Mutator) error {
+			m.Clock.Charge(simtime.AcctMutator, 50*simtime.Microsecond)
+			at := m.Clock.Now()
+			m.Clock.Charge(simtime.AcctMinorCopy, 30*simtime.Microsecond)
+			stub2.rec.Record(simtime.Pause{At: at, Length: 30 * simtime.Microsecond, Sync: sync})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		ps := g2.GroupPauses().Pauses
+		if len(ps) != 1 || ps[0].Length != 30*simtime.Microsecond {
+			t.Fatalf("Sync=%v pause = %+v, want full 30us stop", sync, ps)
+		}
 	}
 }

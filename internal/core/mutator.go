@@ -58,22 +58,21 @@ type Mutator struct {
 	// paths stay allocation-free with tracing on or off.
 	Trace *trace.Recorder
 
-	// Actor identifies this mutator context within its Group (0 when
-	// solo). The trace subsystem stamps allocation epochs with it so
-	// per-mutator allocation timelines stay distinguishable in exports.
+	// Actor identifies this mutator context within its Group. The trace
+	// subsystem stamps allocation epochs with it so per-mutator allocation
+	// timelines stay distinguishable in exports.
 	Actor int
 
 	traceAllocMark int64 // BytesAllocated threshold for the next epoch event
 
 	handles handleStack
 
-	// Multi-mutator context split (see group.go). group is nil for a solo
-	// mutator. local is the log the write barrier appends to: the shared
-	// collector-facing Log when solo (or in a one-member group, which keeps
-	// those runs bit-identical to solo runs by construction), or a private
-	// per-mutator log that the group merges into Log at every pause entry.
-	// chunk is the private nursery bump span of a chunked group member;
-	// allocation inside it touches no shared cursor.
+	// Multi-mutator context split (see group.go): every mutator is a member
+	// of a group. local is the log the write barrier appends to: the shared
+	// collector-facing Log in a one-member group, or a private per-mutator
+	// log that the group merges into Log at every pause entry. chunk is the
+	// private nursery bump span of a chunked group member; allocation inside
+	// it touches no shared cursor.
 	group   *Group
 	local   *MutationLog
 	chunk   heap.Chunk
@@ -84,20 +83,11 @@ type Mutator struct {
 // alloc-epoch trace events.
 const AllocEpochBytes = 256 << 10
 
-// NewMutator wires a mutator to a heap and clock; the collector is attached
-// separately (collectors need the mutator during construction of a run).
+// NewMutator wires a mutator to a heap and clock as the single member of
+// its own group; the collector is attached separately (collectors need the
+// mutator during construction of a run).
 func NewMutator(h *heap.Heap, clock *simtime.Clock, cost simtime.CostModel, policy LogPolicy) *Mutator {
-	m := &Mutator{
-		H:      h,
-		Clock:  clock,
-		Cost:   cost,
-		Log:    &MutationLog{},
-		Roots:  &RootSet{},
-		Policy: policy,
-	}
-	m.local = m.Log
-	m.Roots.Register(&m.handles)
-	return m
+	return NewGroup(h, clock, cost, policy, 1).Members[0]
 }
 
 // AttachGC installs the collector.
@@ -152,12 +142,10 @@ func (m *Mutator) Alloc(k heap.Kind, n int) (heap.Value, error) {
 	}
 }
 
-// nurseryAlloc is Alloc's nursery bump step. A solo mutator allocates at
-// the shared space cursor, exactly as before the context split. A chunked
-// group member allocates inside its private chunk and refills it from the
-// shared cursor only when the chunk runs dry, so the common path is free of
-// shared state (goroutine-backed groups take the group lock only for the
-// refill).
+// nurseryAlloc is Alloc's nursery bump step. The member of a one-member
+// group allocates at the shared space cursor. A chunked group member
+// allocates inside its private chunk and refills it from the shared cursor
+// only when the chunk runs dry, so the common path is free of shared state.
 func (m *Mutator) nurseryAlloc(k heap.Kind, n int) (heap.Value, bool) {
 	if !m.chunked {
 		return m.H.AllocIn(&m.H.Nursery, k, n)

@@ -23,16 +23,14 @@ type Node struct {
 	Bytes []byte   // for byte kinds
 }
 
-// Shadow mirrors a heap.Value: nil pointer, immediate integer, or node.
+// Shadow mirrors a heap.Value: immediate integer or node.
 type Shadow struct {
-	Node  *Node
-	Int   int64
-	IsNil bool
+	Node *Node
+	Int  int64
 }
 
 func intShadow(i int64) Shadow  { return Shadow{Int: i} }
 func nodeShadow(n *Node) Shadow { return Shadow{Node: n} }
-func nilShadow() Shadow         { return Shadow{IsNil: true} }
 
 // rootSource exposes the driver's roots to the collector.
 type rootSource struct {
@@ -274,13 +272,7 @@ func (d *Driver) Verify() error {
 }
 
 func (d *Driver) verifyValue(v heap.Value, s Shadow, seen map[heap.Value]*Node, depth int) error {
-	switch {
-	case s.IsNil:
-		if v != heap.Nil {
-			return fmt.Errorf("want nil, got %v", v)
-		}
-		return nil
-	case s.Node == nil:
+	if s.Node == nil {
 		if !v.IsInt() || v.Int() != s.Int {
 			return fmt.Errorf("want int %d, got %v", s.Int, v)
 		}

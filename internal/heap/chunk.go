@@ -21,9 +21,6 @@ type Chunk struct {
 // Active reports whether the chunk still has an open span.
 func (c *Chunk) Active() bool { return c.end != 0 }
 
-// FreeWords reports the words remaining in the chunk.
-func (c *Chunk) FreeWords() uint64 { return c.end - c.next }
-
 // ReserveChunk carves a words-sized span out of s for private bump
 // allocation. It fails when s lacks room below its soft limit, exactly like
 // AllocIn.

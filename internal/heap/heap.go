@@ -5,24 +5,14 @@ import (
 	"fmt"
 )
 
-// Config sizes a Heap. All quantities are bytes. The defaults mirror the
-// paper's experimental ranges: nurseries of 0.2–1 MB (parameter N) that can
-// be expanded while an incremental collection is pending, and old-generation
-// semispaces large enough to hold all live data plus promotion headroom.
+// Config sizes a Heap. All quantities are bytes. The paper's experimental
+// ranges are nurseries of 0.2–1 MB (parameter N) that can be expanded while
+// an incremental collection is pending, and old-generation semispaces large
+// enough to hold all live data plus promotion headroom.
 type Config struct {
 	NurseryBytes    int64 // initial nursery size (the paper's N)
 	NurseryCapBytes int64 // hard bound on nursery expansion
 	OldSemiBytes    int64 // size of each old-generation semispace
-}
-
-// DefaultConfig returns a configuration with a 1 MB nursery expandable to
-// 8 MB and 64 MB old semispaces.
-func DefaultConfig() Config {
-	return Config{
-		NurseryBytes:    1 << 20,
-		NurseryCapBytes: 8 << 20,
-		OldSemiBytes:    64 << 20,
-	}
 }
 
 // Heap is the simulated two-generation heap: a nursery plus two old

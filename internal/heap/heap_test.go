@@ -393,8 +393,12 @@ func TestNewHeapValidation(t *testing.T) {
 	New(Config{NurseryBytes: 0, OldSemiBytes: 1 << 20})
 }
 
+// defaultShape is a mid-range paper heap: 1 MB nursery, 8 MB cap, 64 MB
+// semispaces.
+var defaultShape = Config{NurseryBytes: 1 << 20, NurseryCapBytes: 8 << 20, OldSemiBytes: 64 << 20}
+
 func TestDefaultConfigUsable(t *testing.T) {
-	h := New(DefaultConfig())
+	h := New(defaultShape)
 	if _, ok := h.AllocIn(&h.Nursery, KindRecord, 4); !ok {
 		t.Fatal("default heap cannot allocate")
 	}
@@ -408,7 +412,7 @@ var benchShape = Config{NurseryBytes: 209715, NurseryCapBytes: 16 << 20, OldSemi
 // arena's bytes. The dirty map takes 1/64; a side table with a byte or more
 // per arena word (the stamp table had four) cannot come back unnoticed.
 func TestNewFootprint(t *testing.T) {
-	for _, cfg := range []Config{DefaultConfig(), benchShape} {
+	for _, cfg := range []Config{defaultShape, benchShape} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		h := New(cfg)

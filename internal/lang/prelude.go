@@ -1,13 +1,8 @@
 package lang
 
-import (
-	"repligc/internal/bytecode"
-	"repligc/internal/core"
-)
-
 // Prelude is MiniML's standard library: list, pair, string, arithmetic and
-// concurrency helpers written in MiniML itself. CompileWithPrelude wraps a
-// program in these definitions; the compiler's flat closure conversion
+// concurrency helpers written in MiniML itself. Callers prepend it to a
+// program (Compile(m, Prelude+src)); the compiler's flat closure conversion
 // ensures unused bindings cost nothing at run time beyond their one-time
 // definition (each is a single closure allocation).
 //
@@ -118,8 +113,3 @@ fun future f = let sv = newsv () in (spawn (fn u => putsv sv (f ())); sv) in
 fun force sv = takesv sv in
 fun parmap f l = map (fn sv => force sv) (map (fn x => future (fn u => f x)) l) in
 `
-
-// CompileWithPrelude compiles src with the standard prelude in scope.
-func CompileWithPrelude(m *core.Mutator, src string) (*bytecode.Program, error) {
-	return Compile(m, Prelude+src)
-}

@@ -10,7 +10,7 @@ import (
 func runPrelude(t *testing.T, src string) string {
 	t.Helper()
 	m := testMutator()
-	prog, err := CompileWithPrelude(m, src)
+	prog, err := Compile(m, Prelude+src)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -95,7 +95,7 @@ func TestPreludeFutures(t *testing.T) {
 
 func TestPreludeCompilesStandalone(t *testing.T) {
 	m := testMutator()
-	prog, err := CompileWithPrelude(m, `0`)
+	prog, err := Compile(m, Prelude+`0`)
 	if err != nil {
 		t.Fatal(err)
 	}

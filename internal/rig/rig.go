@@ -164,8 +164,7 @@ func (e *UnsupportedError) Error() string {
 }
 
 // Runtime is one constructed run. Mutator is Group.Members[0]: a run with
-// one mutator is a one-member group, which core.NewGroup configures exactly
-// like a solo core.NewMutator (TestSoloGroupBitIdentical holds it to that),
+// one mutator is a one-member group — the only way core builds a mutator —
 // so nothing forks on the member count.
 type Runtime struct {
 	Heap      *heap.Heap

@@ -155,6 +155,11 @@ func TestTable(t *testing.T) {
 		if err != nil || got != row {
 			t.Errorf("Named(%q) = %+v, %v", row.Name, got, err)
 		}
+		if rt, err := rig.New(rig.Config{Collector: got, OldSemiBytes: 1 << 20}); err != nil {
+			t.Errorf("New(%q): %v", row.Name, err)
+		} else if rt.Collector != row.Name {
+			t.Errorf("New(%q) reports collector %q", row.Name, rt.Collector)
+		}
 		if seen[row.Name] || !strings.Contains(rig.Names(), row.Name) {
 			t.Errorf("name %q is duplicated or missing from Names()", row.Name)
 		}

@@ -83,8 +83,7 @@ const NumAccounts = int(numAccounts)
 // simulation is single-threaded by design (the paper's collector interleaves
 // with the mutator rather than running in parallel). Multi-mutator groups
 // share one clock as a serial total-work timeline and project overlap
-// separately (core.Group); the goroutine-backed parallel mode gives each
-// member its own clock so this constraint holds per goroutine.
+// separately (core.Group).
 type Clock struct {
 	now      Duration
 	byAcct   [numAccounts]Duration
@@ -137,18 +136,5 @@ func (c *Clock) EndPause() Duration {
 		panic("simtime: EndPause without BeginPause")
 	}
 	c.inPause = false
-	return c.pauseAcc
-}
-
-// InPause reports whether the clock is currently inside a pause.
-func (c *Clock) InPause() bool { return c.inPause }
-
-// PauseElapsed reports the time accrued so far in the current pause.
-// Incremental collectors compare it against their per-pause budget (the
-// paper's copy limit L expressed in time).
-func (c *Clock) PauseElapsed() Duration {
-	if !c.inPause {
-		return 0
-	}
 	return c.pauseAcc
 }

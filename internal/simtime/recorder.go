@@ -40,8 +40,8 @@ type Pause struct {
 	// the pause is replication work (copying, log replay) that the paper's
 	// collector may overlap with mutators that did not trigger it. Single-
 	// mutator collectors may leave it zero; multi-mutator accounting
-	// (core.Group) treats a zero-Sync pause conservatively when overlap is
-	// disabled by stopping everyone for the whole pause.
+	// (core.Group) treats a zero-Sync pause conservatively, stopping
+	// everyone for the whole pause.
 	Sync Duration
 }
 
@@ -62,18 +62,6 @@ func (r *Recorder) Durations() []Duration {
 	return out
 }
 
-// CSV renders the recorded pauses as comma-separated rows (start time and
-// length in simulated nanoseconds, kind, bytes copied, log entries
-// processed) for offline analysis and plotting.
-func (r *Recorder) CSV() string {
-	var b strings.Builder
-	b.WriteString("at_ns,length_ns,kind,copied_bytes,log_entries\n")
-	for _, p := range r.Pauses {
-		fmt.Fprintf(&b, "%d,%d,%s,%d,%d\n", int64(p.At), int64(p.Length), p.Kind, p.CopiedB, p.LogProcN)
-	}
-	return b.String()
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of pause lengths
 // using nearest-rank on a sorted copy. It returns 0 when no pauses were
 // recorded.
@@ -90,15 +78,6 @@ func (r *Recorder) Max() Duration {
 		}
 	}
 	return m
-}
-
-// Total returns the summed length of all pauses.
-func (r *Recorder) Total() Duration {
-	var t Duration
-	for _, p := range r.Pauses {
-		t += p.Length
-	}
-	return t
 }
 
 // Percentile returns the p-th percentile of ds by nearest rank. The input

@@ -88,12 +88,6 @@ func (a *Analysis) PauseDurations() []simtime.Duration {
 	return out
 }
 
-// PauseQuantile is the p-th percentile pause (nearest rank, via
-// simtime.Percentile — the shared quantile implementation).
-func (a *Analysis) PauseQuantile(p float64) simtime.Duration {
-	return simtime.Percentile(a.PauseDurations(), p)
-}
-
 // PauseQuantiles returns the percentile pause for each p in ps, sorting the
 // pause durations once (simtime.Percentiles — the batch form of the shared
 // quantile implementation).

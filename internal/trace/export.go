@@ -1,15 +1,14 @@
 package trace
 
 // Exporters: Chrome trace-event JSON (the format Perfetto and about:tracing
-// load), CSV for offline analysis, and a shape checker for the Chrome output
-// that CI runs against emitted artifacts. Chrome timestamps are microseconds;
-// ours are simulated nanoseconds, so the conversion divides by 1e3. The
-// simulated timeline is presented as pid 1 / tid 1 ("collector").
+// load) and a shape checker for the Chrome output that CI runs against
+// emitted artifacts. Chrome timestamps are microseconds; ours are simulated
+// nanoseconds, so the conversion divides by 1e3. The simulated timeline is
+// presented as pid 1 / tid 1 ("collector").
 
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
 
 	"repligc/internal/simtime"
 )
@@ -84,20 +83,6 @@ func ChromeTrace(events []Event, labels map[string]string) ([]byte, error) {
 		return nil, err
 	}
 	return append(data, '\n'), nil
-}
-
-// CSV renders events as comma-separated rows for offline analysis.
-func CSV(events []Event) string {
-	var b strings.Builder
-	b.WriteString("at_ns,kind,phase,a,b,c\n")
-	for _, e := range events {
-		phase := ""
-		if e.Kind == KindPhaseBegin || e.Kind == KindPhaseEnd {
-			phase = e.Phase.String()
-		}
-		fmt.Fprintf(&b, "%d,%s,%s,%d,%d,%d\n", int64(e.At), e.Kind, phase, e.A, e.B, e.C)
-	}
-	return b.String()
 }
 
 // ValidateChrome checks that data parses as Chrome trace-event JSON with

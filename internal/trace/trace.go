@@ -183,7 +183,7 @@ func (r *Recorder) PhaseMark(at simtime.Duration, p Phase) {
 }
 
 // AllocEpoch records an allocation milestone: cumulative bytes allocated by
-// the given mutator actor (actor 0 for solo mutators). Per-actor stamping
+// the given mutator actor (its index in the group). Per-actor stamping
 // keeps the allocation timelines of a multi-mutator group separable in
 // exports.
 func (r *Recorder) AllocEpoch(at simtime.Duration, actor, bytesAllocated int64) {

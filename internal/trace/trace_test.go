@@ -212,8 +212,8 @@ func TestAnalyzeAttributesPhasesAndPayloads(t *testing.T) {
 	if a.PhaseCount[trace.PhaseRootScan] != 1 || a.PhaseCount[trace.PhaseCopy] != 1 {
 		t.Fatalf("phase counts = %v", a.PhaseCount)
 	}
-	if got := a.PauseQuantile(100); got != 8*ms {
-		t.Fatalf("PauseQuantile(100) = %v, want 8ms", got)
+	if got := a.PauseQuantiles(100)[0]; got != 8*ms {
+		t.Fatalf("PauseQuantiles(100) = %v, want 8ms", got)
 	}
 	s := trace.Summary("unit", a, 3)
 	for _, want := range []string{"unit", "root-scan", "copy", "WARNING", "MMU"} {
@@ -272,26 +272,6 @@ func TestValidateChromeRejectsUnbalanced(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
-	}
-}
-
-func TestCSVExport(t *testing.T) {
-	evs := []trace.Event{
-		{At: 0, Kind: trace.KindPauseBegin},
-		{At: 5, Kind: trace.KindPhaseBegin, Phase: trace.PhaseFlip},
-		{At: 9, Kind: trace.KindPhaseEnd, Phase: trace.PhaseFlip},
-		{At: 10, Kind: trace.KindPauseEnd, A: 1, B: 2, C: 3},
-	}
-	out := trace.CSV(evs)
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("CSV has %d lines, want header + 4 rows:\n%s", len(lines), out)
-	}
-	if lines[0] != "at_ns,kind,phase,a,b,c" {
-		t.Fatalf("bad header %q", lines[0])
-	}
-	if lines[2] != "5,phase-begin,flip,0,0,0" {
-		t.Fatalf("bad row %q", lines[2])
 	}
 }
 
