@@ -1,6 +1,6 @@
 # repligc — common tasks. Everything is stdlib-only and offline.
 
-.PHONY: all build lint test host-bench-test host-pairs loc fuzz-smoke bench bench-baseline bench-smoke serve-smoke crash-matrix trace microbench experiments experiments-check quick-experiments examples outputs
+.PHONY: all build lint test host-bench-test host-pairs loc fuzz-smoke bench bench-baseline bench-smoke serve-smoke crash-matrix crash-matrix-baseline trace microbench experiments experiments-check quick-experiments examples
 
 all: build lint test host-bench-test
 
@@ -102,8 +102,17 @@ serve-smoke:
 # The deterministic crash-point matrix: seeded workloads × crash plans
 # (snapshot/WAL × truncate/torn-word/duplicate-record, newest-epoch and
 # all-epoch damage). Every cell must end in a fingerprint-verified recovery
-# or a typed corruption rejection; the report is the CI artifact.
+# or a typed corruption rejection. The report is a pure function of the tree,
+# so the fresh one (the CI artifact) must equal the committed
+# crash_matrix.json byte for byte.
 crash-matrix:
+	go run ./cmd/rtgc-bench -out /tmp/crash_matrix.json crashmatrix
+	go run ./cmd/rtgc-bench validate /tmp/crash_matrix.json
+	cmp /tmp/crash_matrix.json crash_matrix.json
+
+# Regenerate the committed report; only a deliberate change to the checkpoint
+# format, the crash plans or the collector moves it.
+crash-matrix-baseline:
 	go run ./cmd/rtgc-bench -out crash_matrix.json crashmatrix
 	go run ./cmd/rtgc-bench validate crash_matrix.json
 
@@ -141,8 +150,3 @@ examples:
 	go run ./examples/futures
 	go run ./examples/replay
 	go run ./examples/lowlatency
-
-# The two output files the reproduction ships with.
-outputs:
-	go test ./... 2>&1 | tee test_output.txt
-	go test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt

@@ -63,6 +63,9 @@ func serveTrace(tr *workload.Trace, outPath string) error {
 	if err != nil {
 		return err
 	}
+	if err := workload.ValidateReport(data); err != nil {
+		return fmt.Errorf("generated report failed validation: %w", err)
+	}
 	if err := writeReport(data, outPath); err != nil || outPath == "" {
 		return err
 	}

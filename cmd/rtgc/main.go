@@ -48,7 +48,24 @@ func main() {
 	restoreDir := flag.String("restore", "", "recover the newest checkpoint from this directory, audit it, and print its summary (no program runs)")
 	serveSpec := flag.String("serve", "", "serve the open-loop request spec in this file under -gc and print the serving digest (no program runs)")
 	flag.Parse()
-	if *restoreDir != "" && flag.NArg() == 0 {
+	// -restore and -serve are modes that run no program: each takes the
+	// place of the program operand, so a program beside one (or the two
+	// together) would be silently ignored and is a usage error instead.
+	modes := 0
+	if *restoreDir != "" {
+		modes++
+	}
+	if *serveSpec != "" {
+		modes++
+	}
+	if flag.NArg() != 1-modes {
+		fmt.Fprintln(os.Stderr, "usage: rtgc [flags] program.ml")
+		fmt.Fprintln(os.Stderr, "       rtgc -restore DIR")
+		fmt.Fprintln(os.Stderr, "       rtgc [-gc C] -serve SPECFILE")
+		flag.PrintDefaults()
+		os.Exit(2)
+	}
+	if *restoreDir != "" {
 		os.Exit(runRestore(*restoreDir))
 	}
 	// One table names the collectors for both modes.
@@ -57,15 +74,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rtgc: %v\n", err)
 		os.Exit(2)
 	}
-	if *serveSpec != "" && flag.NArg() == 0 {
+	if *serveSpec != "" {
 		os.Exit(runServeSpec(*serveSpec, coll))
-	}
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: rtgc [flags] program.ml")
-		fmt.Fprintln(os.Stderr, "       rtgc -restore DIR")
-		fmt.Fprintln(os.Stderr, "       rtgc [-gc C] -serve SPECFILE")
-		flag.PrintDefaults()
-		os.Exit(2)
 	}
 	if *nKB <= 0 || *oKB <= 0 || *lKB <= 0 || *oldMB <= 0 {
 		fmt.Fprintln(os.Stderr, "rtgc: -n, -o, -l and -old must be positive")

@@ -2,15 +2,16 @@ package analysis
 
 // The pauseonly rule: collector state annotated //gclint:pauseonly may only
 // be written by functions whose call sites are all dominated by a pause
-// entry (//gclint:pauseentry). Today's runtime is single-mutator, so "the
-// world is stopped" is implicit in being inside a collector increment; the
-// annotation makes the discipline explicit and machine-checked, which is
-// exactly what sharing the heap between mutators will require (ROADMAP open
-// item 1): any write reachable without first stopping the mutator is a data
-// race in waiting. The in-pause summary comes from the call-graph greatest
-// fixpoint in summaries.go — a function is in-pause when it is a pause
-// entry, or when every known caller is in-pause and its identifier never
-// escapes into a func value (which would allow calls the graph cannot see).
+// entry (//gclint:pauseentry). Today's runtime schedules every mutator of a
+// group cooperatively on one goroutine, so "the world is stopped" is implicit
+// in being inside a collector increment; the annotation makes the discipline
+// explicit and machine-checked, which is exactly what running mutators in
+// parallel would require (ROADMAP open item 1): any write reachable without
+// first stopping the mutators is a data race in waiting. The in-pause summary
+// comes from the call-graph greatest fixpoint in summaries.go — a function is
+// in-pause when it is a pause entry, or when every known caller is in-pause
+// and its identifier never escapes into a func value (which would allow calls
+// the graph cannot see).
 
 import (
 	"go/ast"

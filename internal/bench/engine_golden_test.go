@@ -287,8 +287,8 @@ func engineGoldenGroupCell(rc rig.Config, seed int64, rounds int) (*rig.Runtime,
 	if err := rt.Finish(); err != nil {
 		return nil, nil, "", err
 	}
-	line := fmt.Sprintf("%s %s wall=%d merged=%d", goldenState(rt.Group.Clock, rt.GC, md.Fingerprint()),
-		engineCounters(rt.GC), rt.Group.Elapsed(), rt.Group.MergedEntries)
+	line := fmt.Sprintf("%s %s wall=%d", goldenState(rt.Group.Clock, rt.GC, md.Fingerprint()),
+		engineCounters(rt.GC), rt.Group.Elapsed())
 	return rt, md, line, nil
 }
 

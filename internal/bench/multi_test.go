@@ -15,16 +15,13 @@ func multiParams() Params {
 
 // TestMultiMutatorDeterminismMatrix pins that N-mutator runs are exact
 // functions of the seed: same seed → identical combined fingerprint and
-// identical final clock, for N in {2, 4, 8}, and independently of the order
-// member logs are drained in at merge time (the canonical merge is what
-// buys the latter).
+// identical final clock, for N in {2, 4, 8}.
 func TestMultiMutatorDeterminismMatrix(t *testing.T) {
-	run := func(n int, seed int64, mergeOrder []int) (uint64, simtime.Duration) {
+	run := func(n int, seed int64) (uint64, simtime.Duration) {
 		gr, err := rig.New(rig.Config{Collector: rig.RT, Params: multiParams(), Members: n})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gr.Group.SetMergeOrder(mergeOrder)
 		md, err := gctest.NewMultiDriver(gr.Group, seed)
 		if err != nil {
 			t.Fatal(err)
@@ -43,33 +40,20 @@ func TestMultiMutatorDeterminismMatrix(t *testing.T) {
 		return md.Fingerprint(), gr.Group.Clock.Now()
 	}
 
-	reversed := func(n int) []int {
-		o := make([]int, n)
-		for i := range o {
-			o[i] = n - 1 - i
-		}
-		return o
-	}
-
 	for _, n := range []int{2, 4, 8} {
+		fps := map[int64]uint64{}
 		for _, seed := range []int64{3, 11} {
-			fp1, clk1 := run(n, seed, nil)
-			fp2, clk2 := run(n, seed, nil)
+			fp1, clk1 := run(n, seed)
+			fp2, clk2 := run(n, seed)
 			if fp1 != fp2 || clk1 != clk2 {
 				t.Fatalf("N=%d seed %d: rerun diverged (fp %#x/%#x, clock %v/%v)",
 					n, seed, fp1, fp2, clk1, clk2)
 			}
-			fp3, clk3 := run(n, seed, reversed(n))
-			if fp1 != fp3 || clk1 != clk3 {
-				t.Fatalf("N=%d seed %d: merge order changed the result (fp %#x/%#x, clock %v/%v)",
-					n, seed, fp1, fp3, clk1, clk3)
-			}
+			fps[seed] = fp1
 		}
 		// Different seeds must not collide (sanity that the fingerprint has
 		// teeth at this scale).
-		fpA, _ := run(n, 3, nil)
-		fpB, _ := run(n, 11, nil)
-		if fpA == fpB {
+		if fps[3] == fps[11] {
 			t.Fatalf("N=%d: different seeds produced identical fingerprints", n)
 		}
 	}
@@ -125,7 +109,7 @@ func TestMultiMutatorOverlap(t *testing.T) {
 	}
 }
 
-// TestRunMultiSection produces the schema-6 multi-mutator scaling section at
+// TestRunMultiSection produces the multi-mutator scaling section at
 // quick scale and holds it to the same shape checks `rtgc-bench validate`
 // applies to the committed artifact — including the N = 1 identity anchor
 // and overlap ratios above 1 for every N ≥ 2 leg.

@@ -72,11 +72,9 @@ type MultiLeg struct {
 	GroupPauses    int       `json:"group_pauses"` // all-mutators-stopped intervals
 	SyncPauseMaxMs float64   `json:"sync_pause_max_ms"`
 	MMU20Ms        float64   `json:"mmu_20ms"` // over the all-stopped intervals, wall timeline
-	MergedEntries  int64     `json:"merged_entries"`
-	MergeDropped   int64     `json:"merge_dropped"`
 	// Fingerprint anchors determinism: the combined reachable-graph hash of
-	// every member plus the shared contended array, stable across reruns and
-	// merge orders for a given (N, seed).
+	// every member plus the shared contended array, stable across reruns
+	// for a given (N, seed).
 	Fingerprint string `json:"fingerprint"`
 }
 
@@ -331,16 +329,14 @@ func RunMulti(s Scale) ([]MultiLeg, error) {
 		}
 		st := rt.GC.Stats()
 		leg := MultiLeg{
-			Mutators:      n,
-			WorkMs:        g.Clock.Now().Milliseconds(),
-			WallMs:        g.Elapsed().Milliseconds(),
-			OverlapRatio:  g.OverlapRatio(),
-			Minor:         st.MinorCollections,
-			Major:         st.MajorCollections,
-			GroupPauses:   len(g.GroupPauses().Pauses),
-			MergedEntries: g.MergedEntries,
-			MergeDropped:  g.MergeDropped,
-			Fingerprint:   fmt.Sprintf("%016x", md.Fingerprint()),
+			Mutators:     n,
+			WorkMs:       g.Clock.Now().Milliseconds(),
+			WallMs:       g.Elapsed().Milliseconds(),
+			OverlapRatio: g.OverlapRatio(),
+			Minor:        st.MinorCollections,
+			Major:        st.MajorCollections,
+			GroupPauses:  len(g.GroupPauses().Pauses),
+			Fingerprint:  fmt.Sprintf("%016x", md.Fingerprint()),
 		}
 		for i := range g.Members {
 			leg.Utilization = append(leg.Utilization, g.Utilization(i))
@@ -495,7 +491,7 @@ func ValidatePerf(data []byte) error {
 	return nil
 }
 
-// checkMulti validates the schema-6 multi-mutator section: the standard
+// checkMulti validates the multi-mutator section: the standard
 // scaling ladder, an exact-identity N = 1 anchor, and genuine overlap
 // (ratio > 1) on every N ≥ 2 leg.
 func checkMulti(legs []MultiLeg) error {
@@ -531,18 +527,9 @@ func checkMulti(legs []MultiLeg) error {
 			if leg.OverlapRatio != 1 {
 				return fmt.Errorf("multi N=1: overlap ratio %v, want exactly 1", leg.OverlapRatio)
 			}
-			if leg.MergedEntries != 0 || leg.MergeDropped != 0 {
-				return fmt.Errorf("multi N=1: merge touched %d entries (one member shares the log; nothing to merge)",
-					leg.MergedEntries+leg.MergeDropped)
-			}
-		} else {
-			if leg.OverlapRatio <= 1 {
-				return fmt.Errorf("multi N=%d: overlap ratio %v, want > 1 (collection overlapped no mutator time)",
-					leg.Mutators, leg.OverlapRatio)
-			}
-			if leg.MergedEntries <= 0 {
-				return fmt.Errorf("multi N=%d: no private log entries merged", leg.Mutators)
-			}
+		} else if leg.OverlapRatio <= 1 {
+			return fmt.Errorf("multi N=%d: overlap ratio %v, want > 1 (collection overlapped no mutator time)",
+				leg.Mutators, leg.OverlapRatio)
 		}
 		if len(leg.Utilization) != leg.Mutators {
 			return fmt.Errorf("multi N=%d: %d utilization entries", leg.Mutators, len(leg.Utilization))

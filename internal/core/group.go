@@ -4,27 +4,16 @@ package core
 // collector.
 //
 // The paper's replication collector was built for ML threads — many mutators
-// over a single heap, with the collector interleaved between them. The
-// context split here reproduces that shape. A Group owns the state that is
-// logically per-heap (the collector-facing mutation log, the root set, the
-// simulated clock, the collector), while each member Mutator keeps what is
-// logically per-thread: its own nursery bump chunk (allocation between
-// safepoints touches no shared cursor), its own private mutation log (the
-// write barrier appends with no sharing), and its own shadow handle stack
-// (registered as one more source in the shared root set, so root
-// enumeration at flips spans every mutator).
-//
-// The merge rule is the same one internal/checkpoint relies on for WAL
-// commit: entries are value-free, so the log is a set of dirty locations,
-// not a sequence of values. At every pause entry — before any log cursor
-// moves — the group seals each member's chunk and folds each member's
-// private log into the shared log in canonical (Obj, Slot, Byte, Len)
-// order, dropping exact duplicates. Replay re-reads the slot's current
-// contents, so the merged order (and the order members ran in) cannot
-// change what any entry applies. The shared heap's dirty map is cleared by
-// BeginLogEpoch at that same pause entry — its undo list names every word
-// any member marked — so every member's coalescing marks are invalidated
-// together.
+// over a single heap, with the collector interleaved between them, on one
+// processor: SML/NJ threads share one allocation pointer and one storelist.
+// A Group reproduces that shape. It owns everything that is per-heap — the
+// mutation log, the root set, the simulated clock, the collector — and every
+// member Mutator allocates at the one nursery cursor and appends to the one
+// log, in execution order. What a member keeps to itself is its shadow
+// handle stack (registered as one more source in the shared root set, so
+// root enumeration at flips spans every mutator), its counters and its Actor
+// index. A member of a four-member group is the same object, on the same
+// code paths, as the member of a one-member group.
 //
 // Time: members share one Clock, which therefore accumulates total work —
 // the serial timeline. Run/reconcile project that serial timeline onto
@@ -38,32 +27,25 @@ package core
 // accounting observes the serial execution, it never steers it.
 
 import (
-	"sort"
-
 	"repligc/internal/heap"
 	"repligc/internal/simtime"
 )
 
 // Group is a set of mutator contexts sharing one heap, one collector, one
-// collector-facing mutation log and one root set.
+// mutation log and one root set.
 type Group struct {
-	H     *heap.Heap
 	Clock *simtime.Clock // shared total-work timeline
-	Log   *MutationLog   // the collector-facing log every member merges into
+	Log   *MutationLog   // the one log every member's write barrier appends to
 	Roots *RootSet       // every member's handle stack plus externally registered sources
 	GC    Collector
 
 	Members []*Mutator
 
-	// MergedEntries counts log entries folded into the shared log at pause
-	// entries; MergeDropped counts the exact duplicates the canonical-order
-	// dedup removed on top of that.
+	// MergedEntries and MergeDropped are never written and always read 0:
+	// members append to Log directly, so there is no merge to count. They
+	// stay declared only because the frozen benchmarks/host reads them.
 	MergedEntries int64
 	MergeDropped  int64
-
-	chunkWords uint64
-	mergeOrder []int      // member order for draining locals; nil = index order
-	scratch    []LogEntry // reused merge buffer
 
 	// Wall-timeline projection state (see reconcileTo).
 	wall       []simtime.Duration // per-member wall clocks
@@ -74,17 +56,15 @@ type Group struct {
 	rec        simtime.Recorder   // all-stopped intervals, in wall coordinates
 }
 
-// NewGroup builds a group of n mutator contexts over h. With n == 1 the
-// shared log is the single member's barrier target and allocation bumps the
-// space cursor directly, so no merge or chunk seal ever has work to do. With
-// n > 1 each member gets a private log and a private nursery chunk.
+// NewGroup builds a group of n mutator contexts over h. Every member's
+// barrier appends to the group's one log and every member's allocation bumps
+// the nursery cursor, whatever n is.
 func NewGroup(h *heap.Heap, clock *simtime.Clock, cost simtime.CostModel, policy LogPolicy, n int) *Group {
 	if n < 1 {
 		//gclint:allow panicpath -- invariant: construction-time misuse, not resource exhaustion
 		panic("core: group needs at least one mutator")
 	}
 	g := &Group{
-		H:     h,
 		Clock: clock,
 		Log:   &MutationLog{},
 		Roots: &RootSet{},
@@ -100,35 +80,9 @@ func NewGroup(h *heap.Heap, clock *simtime.Clock, cost simtime.CostModel, policy
 			Roots:  g.Roots,
 			Policy: policy,
 			Actor:  i,
-			group:  g,
-		}
-		m.local = g.Log
-		if n > 1 {
-			m.local = &MutationLog{}
-			m.chunked = true
 		}
 		g.Roots.Register(&m.handles)
 		g.Members = append(g.Members, m)
-	}
-
-	// Chunks sized so each member refills a handful of times per nursery
-	// fill: a quarter of an even split, clamped to keep both the refill
-	// rate and the sealed-filler waste bounded.
-	cw := uint64(h.Nursery.LimitBytes()) / heap.BytesPerWord / uint64(4*n)
-	if cw < 64 {
-		cw = 64
-	}
-	if cw > 8192 {
-		cw = 8192
-	}
-	g.chunkWords = cw
-
-	prev := h.PreEpochHook
-	h.PreEpochHook = func() {
-		if prev != nil {
-			prev()
-		}
-		g.pauseEntry()
 	}
 	return g
 }
@@ -139,101 +93,6 @@ func (g *Group) AttachGC(gc Collector) {
 	for _, m := range g.Members {
 		m.AttachGC(gc)
 	}
-}
-
-// SetMergeOrder overrides the order member logs are drained in at merge
-// time (a permutation of member indices). It exists so tests can prove the
-// canonical merge makes results independent of drain order; nil restores
-// index order.
-func (g *Group) SetMergeOrder(order []int) { g.mergeOrder = order }
-
-// pauseEntry is the group's half of pause entry, invoked from
-// Heap.BeginLogEpoch before the dirty map is cleared: every member's nursery
-// chunk is sealed (the nursery must walk as a dense object sequence while
-// the collector owns it) and every member's private log is folded into the
-// shared log, so that no collector cursor can move before all members'
-// mutations are visible. The clear that follows invalidates every member's
-// coalescing marks at once.
-//
-//gclint:pauseentry invoked only from Heap.BeginLogEpoch, which every collector calls immediately after Clock.BeginPause
-func (g *Group) pauseEntry() {
-	for _, m := range g.Members {
-		if m.chunked {
-			g.H.SealChunk(&m.chunk)
-		}
-	}
-	g.mergeLogs()
-}
-
-// mergeLogs drains each member's private log and appends the union to the
-// shared log in canonical (Obj, Slot, Byte, Len) order with exact
-// duplicates removed. Entries are value-free, so dropping a duplicate and
-// ordering canonically are both sound — replay re-reads current slot
-// contents — and they make the merged log independent of the order members
-// are drained in.
-func (g *Group) mergeLogs() {
-	batch := g.scratch[:0]
-	if g.mergeOrder != nil {
-		for _, i := range g.mergeOrder {
-			batch = g.drainMember(batch, i)
-		}
-	} else {
-		for i := range g.Members {
-			batch = g.drainMember(batch, i)
-		}
-	}
-	g.scratch = batch[:0]
-	if len(batch) == 0 {
-		return
-	}
-	sort.Slice(batch, func(i, j int) bool { return entryLess(batch[i], batch[j]) })
-	for i, e := range batch {
-		if i > 0 && e == batch[i-1] {
-			g.MergeDropped++
-			continue
-		}
-		g.Log.Append(e)
-		g.MergedEntries++
-	}
-}
-
-func (g *Group) drainMember(batch []LogEntry, i int) []LogEntry {
-	if m := g.Members[i]; m.local != g.Log {
-		batch = append(batch, m.local.TakeAll()...)
-	}
-	return batch
-}
-
-// entryLess is the canonical merge order.
-func entryLess(a, b LogEntry) bool {
-	if a.Obj != b.Obj {
-		return a.Obj < b.Obj
-	}
-	if a.Slot != b.Slot {
-		return a.Slot < b.Slot
-	}
-	if a.Byte != b.Byte {
-		return !a.Byte // word entries before byte entries on the same slot
-	}
-	return a.Len < b.Len
-}
-
-// refillAlloc is the slow path of a chunked member's nursery allocation:
-// the current chunk is out of room, so seal it and carve a fresh one off
-// the shared cursor. Objects larger than a chunk, and the nursery's final
-// sub-chunk tail, fall back to direct shared-cursor allocation.
-func (g *Group) refillAlloc(m *Mutator, k heap.Kind, n int) (heap.Value, bool) {
-	need := uint64(heap.MakeHeader(k, n).SizeWords())
-	if need > g.chunkWords {
-		return m.H.AllocIn(&m.H.Nursery, k, n)
-	}
-	m.H.SealChunk(&m.chunk)
-	c, ok := m.H.ReserveChunk(&m.H.Nursery, g.chunkWords)
-	if !ok {
-		return m.H.AllocIn(&m.H.Nursery, k, n)
-	}
-	m.chunk = c
-	return m.H.AllocInChunk(&m.chunk, k, n)
 }
 
 // Run executes one quantum of member i — f runs against that member — and

@@ -14,24 +14,20 @@ func newTestGroup(t *testing.T, n int) *Group {
 	// The log-centric tests below store into fresh nursery objects, which
 	// the coalescing barrier's fast path would never log (copied whole at
 	// the next startMinor); the naive barrier logs every mutation, so the
-	// merge paths actually see entries.
+	// log actually sees entries.
 	for _, m := range g.Members {
 		m.NaiveBarrier = true
 	}
 	return g
 }
 
-// TestGroupSoloSharesLog pins the bit-identity precondition: a one-member
-// group's barrier appends straight to the shared log and allocation bumps
-// the space cursor (no chunking), exactly like a solo NewMutator mutator.
+// TestGroupSoloSharesLog pins the solo shape every member has: the barrier
+// appends straight to the group's log, exactly like a NewMutator mutator.
 func TestGroupSoloSharesLog(t *testing.T) {
 	g := newTestGroup(t, 1)
 	m := g.Members[0]
-	if m.local != g.Log {
-		t.Fatal("one-member group does not share the collector-facing log")
-	}
-	if m.chunked {
-		t.Fatal("one-member group should not chunk its nursery")
+	if m.Log != g.Log {
+		t.Fatal("one-member group does not share the group's log")
 	}
 	p, err := m.Alloc(heap.KindRef, 1)
 	if err != nil {
@@ -43,215 +39,88 @@ func TestGroupSoloSharesLog(t *testing.T) {
 	}
 }
 
-// TestGroupMergeAtPauseEntry checks the tentpole invariant: members' private
-// logs drain into the shared log when the heap begins a new coalescing
-// epoch, in canonical order with exact duplicates removed, and member
-// chunks are sealed so the nursery still walks densely.
-func TestGroupMergeAtPauseEntry(t *testing.T) {
-	g := newTestGroup(t, 2)
-	m0, m1 := g.Members[0], g.Members[1]
-
-	p0, err := m0.Alloc(heap.KindArray, 4)
+// TestGroupSharesLogAndFrontier holds a four-member group to the one-member
+// shape: every member's stores are in g.Log, in execution order, before any
+// pause; a checkpoint-style Pin taken mid-run keeps its range readable
+// through the other members' appends and a trim to the head; and members
+// allocating in turn leave the nursery one dense run of their own objects in
+// allocation order, with no filler between them.
+func TestGroupSharesLogAndFrontier(t *testing.T) {
+	g := newTestGroup(t, 4)
+	p, err := g.Members[0].Alloc(heap.KindArray, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h0 := m0.PushHandle(p0)
+	g.Members[0].PushHandle(p)
 
-	// Both members mutate the same object; member 1 also hits the same
-	// slot, producing an exact duplicate entry across the two private logs.
-	m0.Set(p0, 0, heap.FromInt(1))
-	m0.Set(p0, 1, heap.FromInt(2))
-	m1.Set(p0, 0, heap.FromInt(3))
-	m1.Set(p0, 2, heap.FromInt(4))
-
-	if g.Log.Retained() != 0 {
-		t.Fatalf("entries reached the shared log before any pause: %d", g.Log.Retained())
+	// Slot 0 is stored twice, by different members: both entries are logged
+	// (naive barrier), where they were stored.
+	order := []struct{ member, slot int }{{2, 5}, {0, 0}, {3, 7}, {1, 0}, {2, 1}, {0, 3}}
+	var walBase int64
+	for i, st := range order {
+		if i == 2 {
+			walBase = g.Log.Len()
+			g.Log.Pin(walBase) // what checkpoint.Writer does on opening an epoch
+		}
+		g.Members[st.member].Set(p, st.slot, heap.FromInt(int64(i)))
 	}
-	if m0.local.Retained() != 2 || m1.local.Retained() != 2 {
-		t.Fatalf("private log counts: %d and %d, want 2 and 2", m0.local.Retained(), m1.local.Retained())
+	if got := g.Log.Retained(); got != len(order) {
+		t.Fatalf("shared log holds %d entries before any pause, want %d", got, len(order))
 	}
-
-	g.H.BeginLogEpoch() // pause entry
-
-	if m0.local.Retained() != 0 || m1.local.Retained() != 0 {
-		t.Fatal("private logs not drained at pause entry")
-	}
-	// Slots 0 (deduped), 1, 2 → three merged entries.
-	if got := g.Log.Retained(); got != 3 {
-		t.Fatalf("shared log holds %d entries after merge, want 3", got)
-	}
-	if g.MergeDropped != 1 {
-		t.Fatalf("MergeDropped = %d, want 1 (the duplicate slot-0 entry)", g.MergeDropped)
-	}
-	// Canonical order: ascending slot on the same object.
-	for i := int64(0); i < 3; i++ {
-		e := g.Log.At(g.Log.Base() + i)
-		if e.Obj != p0 || e.Slot != int32(i) {
-			t.Fatalf("merged entry %d = %+v, want slot %d of %v", i, e, i, p0)
+	for i, st := range order {
+		if e := g.Log.At(g.Log.Base() + int64(i)); e.Obj != p || e.Slot != int32(st.slot) {
+			t.Fatalf("entry %d = %+v, want slot %d of %v (execution order)", i, e, st.slot, p)
 		}
 	}
-	// Chunks sealed: the nursery must walk as a dense object sequence.
-	seen := 0
-	g.H.WalkObjects(&g.H.Nursery, func(p heap.Value, hdr heap.Header) bool {
-		seen++
-		return true
-	})
-	if seen == 0 {
-		t.Fatal("nursery walk saw no objects")
-	}
-	_ = h0
-}
-
-// TestGroupMergeOrderIndependent runs the same cross-member mutation set
-// under opposite drain orders and requires identical shared-log contents —
-// the canonical sort plus value-free dedup is what buys this.
-func TestGroupMergeOrderIndependent(t *testing.T) {
-	run := func(order []int) []LogEntry {
-		g := newTestGroup(t, 2)
-		g.SetMergeOrder(order)
-		m0, m1 := g.Members[0], g.Members[1]
-		p, err := m0.Alloc(heap.KindArray, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m0.PushHandle(p)
-		m0.Set(p, 3, heap.FromInt(1))
-		m1.Set(p, 1, heap.FromInt(2))
-		m0.Set(p, 5, heap.FromInt(3))
-		m1.Set(p, 3, heap.FromInt(4)) // duplicate slot across members
-		g.H.BeginLogEpoch()
-		var out []LogEntry
-		for s := g.Log.Base(); s < g.Log.Len(); s++ {
-			out = append(out, g.Log.At(s))
-		}
-		return out
-	}
-	a, b := run(nil), run([]int{1, 0})
-	if len(a) != len(b) {
-		t.Fatalf("merged lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("entry %d differs across drain orders: %+v vs %+v", i, a[i], b[i])
+	for i, m := range g.Members {
+		if m.Log != g.Log || m.LogWrites == 0 {
+			t.Fatalf("member %d: shares log %v, wrote %d entries", i, m.Log == g.Log, m.LogWrites)
 		}
 	}
-}
 
-// TestGroupMergePreservesPin is the checkpoint-interaction bugfix check: a
-// WAL pin taken on the shared log before members logged anything must keep
-// every merged entry reachable through the pinned range — merging happens
-// at pause entry, before any cursor moves or trim runs, so a trim to the
-// log head right after the merge must still retain the pinned suffix
-// (including entries that originated in a different mutator's private log).
-func TestGroupMergePreservesPin(t *testing.T) {
-	g := newTestGroup(t, 2)
-	m0, m1 := g.Members[0], g.Members[1]
-	p, err := m0.Alloc(heap.KindArray, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m0.PushHandle(p)
-
-	// Open a checkpoint epoch: pin the shared log at its current head,
-	// exactly what checkpoint.Writer does with MinorLogCursor.
-	walBase := g.Log.Len()
-	g.Log.Pin(walBase)
-
-	m0.Set(p, 0, heap.FromInt(10))
-	m1.Set(p, 1, heap.FromInt(11))
-
-	g.H.BeginLogEpoch() // merge lands the entries above the pin
-
-	merged := g.Log.Len() - walBase
-	if merged < 2 {
-		t.Fatalf("merged %d entries above the pin, want >= 2", merged)
-	}
-
-	// A flip-style trim to the head must be clamped to the pin.
+	// A flip-style trim to the head is clamped to the pin, and the pinned
+	// range still reads back the other members' entries.
 	g.Log.TrimTo(g.Log.Len())
 	if g.Log.Base() != walBase {
 		t.Fatalf("trim passed the pin: base %d, pin %d", g.Log.Base(), walBase)
 	}
-	// The WAL replay range must still be fully readable, member-1-origin
-	// entries included.
-	sawM1 := false
-	for s := walBase; s < g.Log.Len(); s++ {
-		e := g.Log.At(s)
-		if e.Obj == p && e.Slot == 1 && !e.Byte {
-			sawM1 = true
+	for i, st := range order[2:] {
+		if e := g.Log.At(walBase + int64(i)); e.Slot != int32(st.slot) {
+			t.Fatalf("pinned entry %d = %+v, want slot %d", i, e, st.slot)
 		}
 	}
-	if !sawM1 {
-		t.Fatal("member 1's pinned entry did not survive the merge+trim")
-	}
-
-	// After commit the pin lifts and the trim completes.
 	g.Log.Unpin()
 	g.Log.TrimTo(g.Log.Len())
 	if g.Log.Retained() != 0 {
 		t.Fatalf("log retains %d entries after unpin+trim, want 0", g.Log.Retained())
 	}
-}
 
-// TestGroupChunkedAllocation drives a member through several chunk refills
-// and checks the nursery stays densely walkable after sealing.
-func TestGroupChunkedAllocation(t *testing.T) {
-	g := newTestGroup(t, 4)
-	var ps []heap.Value
-	for i, m := range g.Members {
-		for k := 0; k < 200; k++ {
-			p, err := m.Alloc(heap.KindRecord, 1+(i+k)%7)
+	// Round-robin allocation, tagged by member: the nursery walks as exactly
+	// those objects in allocation order, ending at the cursor.
+	var want []int64
+	for k := 0; k < 200; k++ {
+		for i, m := range g.Members {
+			q, err := m.Alloc(heap.KindRecord, 1+(i+k)%7)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.Init(p, 0, heap.FromInt(int64(i*1000+k)))
-			if k%10 == 0 {
-				m.PushHandle(p)
-				ps = append(ps, p)
+			m.Init(q, 0, heap.FromInt(int64(i*1000+k)))
+			want = append(want, int64(i*1000+k))
+		}
+	}
+	h := g.Members[0].H
+	seen := -1 // the shared array comes first
+	h.WalkObjects(&h.Nursery, func(q heap.Value, hdr heap.Header) bool {
+		if seen >= 0 {
+			if hdr.Kind() != heap.KindRecord || seen >= len(want) || h.Load(q, 0).Int() != want[seen] {
+				t.Fatalf("nursery object %d: %v %v, not the record allocated there", seen, hdr.Kind(), h.Load(q, 0))
 			}
 		}
-	}
-	g.H.BeginLogEpoch() // seal all chunks
-	// The walk must traverse every allocated object and filler without
-	// tripping over a malformed header.
-	var live, fillers int
-	g.H.WalkObjects(&g.H.Nursery, func(p heap.Value, hdr heap.Header) bool {
-		if hdr.Kind() == heap.KindBytes {
-			fillers++
-		} else {
-			live++
-		}
+		seen++
 		return true
 	})
-	if live < 800 {
-		t.Fatalf("walk saw %d records, want >= 800", live)
-	}
-	if fillers == 0 {
-		t.Fatal("sealing produced no fillers despite multiple open chunks")
-	}
-	// Spot-check object contents survived chunked allocation.
-	for i, p := range ps {
-		if v := g.Members[0].Get(p, 0); !v.IsInt() {
-			t.Fatalf("object %d slot 0 not an int: %v", i, v)
-		}
-	}
-}
-
-// TestGroupOversizedFallsBack pins the big-object path: an object larger
-// than a chunk must come off the shared cursor, not wedge the chunk loop.
-func TestGroupOversizedFallsBack(t *testing.T) {
-	g := newTestGroup(t, 2)
-	m := g.Members[0]
-	// Larger than chunkWords (max 8192 words) is impossible within the
-	// nursery here; use a size bigger than the computed chunk but small
-	// enough to fit: chunk words for a 256 KiB nursery and n=2 is
-	// 256Ki/8/8 = 4096 words. 5000 payload words exceeds it.
-	p, err := m.Alloc(heap.KindArray, 5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.IsPtr() {
-		t.Fatal("oversized alloc returned non-pointer")
+	if seen != len(want) {
+		t.Fatalf("nursery walk met %d records, want %d", seen, len(want))
 	}
 }
 

@@ -147,22 +147,6 @@ func (l *MutationLog) TrimTo(seq int64) {
 	}
 }
 
-// TakeAll removes and returns every retained entry, advancing the base past
-// them, as if every cursor had consumed the log. It is the draining half of
-// the multi-mutator merge: a group empties each member's private log into
-// the shared collector-facing log at pause entry. Private logs have no
-// cursors and are never pinned — checkpoint pins target the shared log the
-// entries are merged into, so a pinned write-ahead range survives the merge
-// by construction (the entries land above the shared log's pin before any
-// trim can run). The returned slice aliases the log's old backing array and
-// is valid until the caller discards it.
-func (l *MutationLog) TakeAll() []LogEntry {
-	es := l.entries
-	l.base += int64(len(es))
-	l.entries = nil
-	return es
-}
-
 // Retained reports how many entries are currently held.
 func (l *MutationLog) Retained() int { return len(l.entries) }
 

@@ -66,17 +66,6 @@ type Mutator struct {
 	traceAllocMark int64 // BytesAllocated threshold for the next epoch event
 
 	handles handleStack
-
-	// Multi-mutator context split (see group.go): every mutator is a member
-	// of a group. local is the log the write barrier appends to: the shared
-	// collector-facing Log in a one-member group, or a private per-mutator
-	// log that the group merges into Log at every pause entry. chunk is the
-	// private nursery bump span of a chunked group member; allocation inside
-	// it touches no shared cursor.
-	group   *Group
-	local   *MutationLog
-	chunk   heap.Chunk
-	chunked bool
 }
 
 // AllocEpochBytes is the allocation volume between consecutive
@@ -125,7 +114,7 @@ func (m *Mutator) Alloc(k heap.Kind, n int) (heap.Value, error) {
 		return m.allocOld(k, n)
 	}
 	for attempt := 0; ; attempt++ {
-		if p, ok := m.nurseryAlloc(k, n); ok {
+		if p, ok := m.H.AllocIn(&m.H.Nursery, k, n); ok {
 			m.chargeAlloc(hdr)
 			if m.GC != nil {
 				m.GC.AfterAlloc(m)
@@ -140,20 +129,6 @@ func (m *Mutator) Alloc(k heap.Kind, n int) (heap.Value, error) {
 			return heap.Nil, err
 		}
 	}
-}
-
-// nurseryAlloc is Alloc's nursery bump step. The member of a one-member
-// group allocates at the shared space cursor. A chunked group member
-// allocates inside its private chunk and refills it from the shared cursor
-// only when the chunk runs dry, so the common path is free of shared state.
-func (m *Mutator) nurseryAlloc(k heap.Kind, n int) (heap.Value, bool) {
-	if !m.chunked {
-		return m.H.AllocIn(&m.H.Nursery, k, n)
-	}
-	if p, ok := m.H.AllocInChunk(&m.chunk, k, n); ok {
-		return p, true
-	}
-	return m.group.refillAlloc(m, k, n)
 }
 
 // MustAlloc is Alloc for callers that treat exhaustion as fatal (tests,
@@ -386,7 +361,7 @@ func (m *Mutator) SetByteRange(p heap.Value, off int, data []byte) {
 }
 
 func (m *Mutator) logMutation(e LogEntry) {
-	m.local.Append(e)
+	m.Log.Append(e)
 	m.LogWrites++
 	m.Clock.Charge(simtime.AcctLogWrite, m.Cost.LogWrite)
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -100,6 +101,55 @@ func TestDifferentialFingerprints(t *testing.T) {
 		if got := fingerprint(cfg.minorInc, cfg.majorInc, cfg.lazy); got != want {
 			t.Errorf("%s fingerprint %#x differs from stop-copy-core %#x", cfg.name, got, want)
 		}
+	}
+}
+
+// TestIdleMembersCostNothing runs the shadow-model driver on member 0 of a
+// four-member group whose other members never run, against the same seed on
+// a NewMutator: a member of a group is the solo mutator, so the clock, every
+// recorded pause, the collector's statistics and the reachable graph are
+// equal.
+func TestIdleMembersCostNothing(t *testing.T) {
+	cfg := tortureConfig(true, true)
+	run := func(members int) (simtime.Duration, []simtime.Pause, core.GCStats, uint64) {
+		h := heap.New(heap.Config{
+			NurseryBytes:    cfg.NurseryBytes,
+			NurseryCapBytes: 32 * cfg.NurseryBytes,
+			OldSemiBytes:    16 << 20,
+		})
+		m := core.NewMutator(h, simtime.NewClock(), simtime.Default1993(), core.LogAllMutations)
+		if members > 1 {
+			m = core.NewGroup(h, simtime.NewClock(), simtime.Default1993(), core.LogAllMutations, members).Members[0]
+		}
+		gc := core.NewReplicating(h, cfg)
+		m.AttachGC(gc)
+		d := gctest.NewDriver(m, 42)
+		for round := 0; round < 10; round++ {
+			if err := d.Step(2000); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Verify(); err != nil {
+				t.Fatalf("members=%d round %d: %v", members, round, err)
+			}
+		}
+		if err := gc.FinishCycles(m); err != nil {
+			t.Fatal(err)
+		}
+		return m.Clock.Now(), gc.Pauses().Pauses, *gc.Stats(), d.Fingerprint()
+	}
+	clk1, ps1, st1, fp1 := run(1)
+	clk4, ps4, st4, fp4 := run(4)
+	if clk1 != clk4 || fp1 != fp4 {
+		t.Fatalf("clock %v / %v, graph %#x / %#x: three idle members moved the run", clk1, clk4, fp1, fp4)
+	}
+	if st1.MinorCollections == 0 || st1.MajorCollections == 0 {
+		t.Fatalf("workload too small to compare: %+v", st1)
+	}
+	if !reflect.DeepEqual(st1, st4) {
+		t.Fatalf("collector statistics differ:\n%+v\n%+v", st1, st4)
+	}
+	if !reflect.DeepEqual(ps1, ps4) {
+		t.Fatalf("pause streams differ (%d and %d pauses)", len(ps1), len(ps4))
 	}
 }
 

@@ -3,10 +3,9 @@ package gctest
 // MultiDriver tortures a multi-mutator group: one shadow-model Driver per
 // member, interleaved in round-robin quanta through core.Group.Run, plus a
 // shared mutable array that every member hammers. The shared array is what
-// exercises the cross-log paths — members logging mutations of the same
-// object (often the same slot) from different private logs within one
-// coalescing epoch, which the pause-entry merge must fold into the shared
-// log without losing or double-applying anything.
+// exercises the cross-member paths — members mutating the same object (often
+// the same slot) within one coalescing epoch, so one member's dirty mark
+// vouches for the log entry another member appended.
 
 import (
 	"fmt"
@@ -18,7 +17,7 @@ import (
 )
 
 // sharedSlots is the size of the contended array. Small on purpose: fewer
-// slots means more same-slot collisions across members' logs.
+// slots means more same-slot collisions across members.
 const sharedSlots = 8
 
 // MultiDriver drives every member of a group.
@@ -59,8 +58,8 @@ func (md *MultiDriver) Step(n int) error {
 				return err
 			}
 			// Contended store: the slot ranges of the members overlap, so
-			// distinct private logs carry entries for the same (Obj, Slot)
-			// within one epoch and the merge's canonical dedup fires.
+			// distinct members store to the same (Obj, Slot) within one
+			// epoch and the later store coalesces into the earlier entry.
 			rng := md.rngs[i]
 			p := md.G.Members[0].HandleVal(md.shared)
 			m.Set(p, rng.Intn(sharedSlots), heap.FromInt(rng.Int63n(1<<20)))

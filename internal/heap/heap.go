@@ -37,15 +37,6 @@ type Heap struct {
 	// subsystem uses it to mark coalescing epochs. The heap stays free of
 	// trace (and simtime) dependencies; the hook owns its own timestamps.
 	EpochHook func(epoch uint32)
-
-	// PreEpochHook, when non-nil, runs at the very start of BeginLogEpoch,
-	// before the epoch advances. Every collector begins every pause with
-	// BeginLogEpoch, so this is the one heap-level point that is reliably
-	// "pause entry": the multi-mutator group hangs its merge there —
-	// sealing per-mutator nursery chunks and folding per-mutator mutation
-	// logs into the shared log — so that no log cursor can move before the
-	// merged entries are visible.
-	PreEpochHook func()
 }
 
 // New builds a heap from cfg.

@@ -11,7 +11,7 @@ import (
 // TestNaiveBarrierLeavesDirtyMapAlone pins that the dirty map is written by
 // the coalescing barrier alone: members of a four-member group running with
 // NaiveBarrier never mark, so after a run that logged and collected — with
-// the stores since the last pause still unconsumed in the private logs — the
+// the stores since the last pause still unconsumed in the group's log — the
 // map and its undo list are empty. One coalescing store then shows the probe
 // can see a mark at all. (It lives outside package heap because core imports
 // heap.)

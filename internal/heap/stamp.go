@@ -23,12 +23,11 @@ package heap
 
 // BeginLogEpoch starts a new coalescing epoch, clearing every dirty bit set
 // since the previous call (the undo list keeps its capacity). Collectors
-// call it on entry to each pause, before any log cursor moves. logEpoch only
-// numbers the pauses for EpochHook, skipping 0 when it wraps.
+// call it on entry to each pause, before any log cursor moves. The mutators
+// of a group share the one map and the one log, so the one clear invalidates
+// every mutator's marks together. logEpoch only numbers the pauses for
+// EpochHook, skipping 0 when it wraps.
 func (h *Heap) BeginLogEpoch() {
-	if h.PreEpochHook != nil {
-		h.PreEpochHook()
-	}
 	for _, w := range h.undo {
 		h.dirty[w] = 0
 	}

@@ -17,8 +17,9 @@ import (
 // ReportSchema identifies the serving report layout. It shares the
 // repligc-bench lineage (/5 was /4 plus the serving section; /6 adds the
 // multi-mutator section; /7 removes the perf report's two host ns/op
-// sections), so bench.PerfSchema aliases this constant.
-const ReportSchema = "repligc-bench/7"
+// sections; /8 removes the multi-mutator legs' merged_entries and
+// merge_dropped), so bench.PerfSchema aliases this constant.
+const ReportSchema = "repligc-bench/8"
 
 // Report is the standalone document `rtgc-bench serve` emits.
 type Report struct {
