@@ -23,10 +23,12 @@ type Node struct {
 	Bytes []byte   // for byte kinds
 }
 
-// Shadow mirrors a heap.Value: immediate integer or node.
+// Shadow mirrors a heap.Value: immediate integer, node, or (Nil set) the
+// zero word of a slot nothing has stored into yet.
 type Shadow struct {
 	Node *Node
 	Int  int64
+	Nil  bool
 }
 
 func intShadow(i int64) Shadow  { return Shadow{Int: i} }
@@ -59,6 +61,20 @@ type Driver struct {
 	// collections or spike the mutation log at deterministic points; any
 	// error it returns aborts Step with that error.
 	Inject func() error
+
+	// LargeEvery, when positive, makes every LargeEvery-th operation allocate
+	// one large object — alternately a pointer array of LargeWords to
+	// 2·LargeWords slots and a byte buffer of as many words — and every
+	// LargeEvery/16-th operation store into the large objects still held,
+	// near both ends of each, so that a collector copying one of them over
+	// several pauses sees stores on both sides of its copy cursor. Zero leaves
+	// the operation stream exactly as it is without the option. LargeWords
+	// zero means 4096.
+	LargeEvery int
+	LargeWords int
+	large      *rootSource // the last few large objects; registered at the first one
+	largeSh    []Shadow    // parallel to large.slots
+	nlarge     int
 }
 
 // NewDriver attaches a torture driver to m, seeding its PRNG with seed so
@@ -145,6 +161,100 @@ func (d *Driver) allocObject() error {
 		d.addRoot(p, nodeShadow(node))
 	}
 	return nil
+}
+
+// largeHeld is how many large objects the driver keeps alive at a time.
+const largeHeld = 3
+
+// allocLarge allocates the next large object into the ring of held ones and
+// into the ordinary root table (from where other objects come to reference
+// it, and from where it is dropped like any root). A pointer array gets
+// every 64th slot initialised, to a root or an integer; the rest stay Nil.
+func (d *Driver) allocLarge() error {
+	if d.large == nil {
+		d.large = &rootSource{slots: make([]heap.Value, largeHeld)}
+		d.largeSh = make([]Shadow, largeHeld)
+		d.M.Roots.Register(d.large)
+	}
+	base := d.LargeWords
+	if base <= 0 {
+		base = 4096
+	}
+	n := base + d.rng.Intn(base)
+	k := d.nlarge % largeHeld
+	d.nlarge++
+	var node *Node
+	if d.nlarge%2 == 0 {
+		p, err := d.M.AllocBytes(n * heap.BytesPerWord)
+		if err != nil {
+			return err
+		}
+		node = &Node{Kind: heap.KindBytes, Bytes: make([]byte, n*heap.BytesPerWord)}
+		d.large.slots[k] = p
+	} else {
+		p, err := d.M.Alloc(heap.KindArray, n)
+		if err != nil {
+			return err
+		}
+		node = &Node{Kind: heap.KindArray, Words: make([]Shadow, n)}
+		for i := range node.Words {
+			node.Words[i] = Shadow{Nil: true}
+		}
+		d.large.slots[k] = p
+		for i := 0; i < n; i += 64 {
+			if j := d.pickRoot(); j >= 0 && d.rng.Intn(2) == 0 {
+				d.M.Init(p, i, d.roots.slots[j])
+				node.Words[i] = d.shadow[j]
+			} else {
+				v := d.rng.Int63n(1 << 20)
+				d.M.Init(p, i, heap.FromInt(v))
+				node.Words[i] = intShadow(v)
+			}
+		}
+	}
+	d.largeSh[k] = nodeShadow(node)
+	d.addRoot(d.large.slots[k], d.largeSh[k])
+	return nil
+}
+
+// hammerLarge stores into every held large object near its start and near
+// its end: word stores of the newest root (most often a nursery pointer) and
+// of integers into arrays, range and single-byte stores into buffers. Nothing
+// here allocates, so no pointer read from a root slot can go stale.
+func (d *Driver) hammerLarge() {
+	if d.large == nil {
+		return
+	}
+	for k, p := range d.large.slots {
+		if p == heap.Nil {
+			continue
+		}
+		node := d.largeSh[k].Node
+		if node.Kind == heap.KindArray {
+			n := len(node.Words)
+			lo, hi := d.rng.Intn(n/4), n-1-d.rng.Intn(n/4)
+			if last := len(d.roots.slots) - 1; last >= 0 {
+				d.M.Set(p, lo, d.roots.slots[last])
+				node.Words[lo] = d.shadow[last]
+			}
+			v := d.rng.Int63n(1 << 20)
+			d.M.Set(p, hi, heap.FromInt(v))
+			node.Words[hi] = intShadow(v)
+			continue
+		}
+		n := len(node.Bytes)
+		var data [21]byte // crosses at least two word boundaries at any offset
+		for _, off := range []int{d.rng.Intn(n / 4), n - len(data) - d.rng.Intn(n/4)} {
+			for i := range data {
+				data[i] = byte(d.rng.Intn(256))
+			}
+			d.M.SetByteRange(p, off, data[:])
+			copy(node.Bytes[off:], data[:])
+		}
+		i, b := d.rng.Intn(n), byte(d.rng.Intn(256))
+		d.M.SetByte(p, i, b)
+		node.Bytes[i] = b
+	}
 }
 
 func (d *Driver) addRoot(p heap.Value, s Shadow) {
@@ -237,6 +347,16 @@ func (d *Driver) Step(n int) error {
 				return err
 			}
 		}
+		if d.LargeEvery > 0 {
+			if d.Ops%d.LargeEvery == 0 {
+				if err := d.allocLarge(); err != nil {
+					return err
+				}
+			}
+			if d.Ops%max(d.LargeEvery/16, 1) == 0 {
+				d.hammerLarge()
+			}
+		}
 		switch r := d.rng.Intn(10); {
 		case r < 5:
 			if err := d.allocObject(); err != nil {
@@ -268,10 +388,26 @@ func (d *Driver) Verify() error {
 			return fmt.Errorf("root %d: %w", i, err)
 		}
 	}
+	if d.large != nil {
+		for k, p := range d.large.slots {
+			if d.largeSh[k].Node == nil {
+				continue // ring slot not filled yet
+			}
+			if err := d.verifyValue(p, d.largeSh[k], seen, 0); err != nil {
+				return fmt.Errorf("large object %d: %w", k, err)
+			}
+		}
+	}
 	return nil
 }
 
 func (d *Driver) verifyValue(v heap.Value, s Shadow, seen map[heap.Value]*Node, depth int) error {
+	if s.Nil {
+		if v != heap.Nil {
+			return fmt.Errorf("want nil, got %v", v)
+		}
+		return nil
+	}
 	if s.Node == nil {
 		if !v.IsInt() || v.Int() != s.Int {
 			return fmt.Errorf("want int %d, got %v", s.Int, v)
@@ -321,6 +457,11 @@ func (d *Driver) Fingerprint() uint64 {
 	return d.M.GraphDigest(func(_ func(uint64), walk func(heap.Value)) {
 		for _, p := range d.roots.slots {
 			walk(p)
+		}
+		if d.large != nil {
+			for _, p := range d.large.slots {
+				walk(p)
+			}
 		}
 	})
 }
