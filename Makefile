@@ -1,6 +1,6 @@
 # repligc — common tasks. Everything is stdlib-only and offline.
 
-.PHONY: all build lint test host-bench-test host-pairs loc fuzz-smoke bench bench-baseline bench-smoke serve-smoke crash-matrix crash-matrix-baseline trace microbench experiments experiments-check quick-experiments examples
+.PHONY: all build lint test host-bench-test host-pairs loc fuzz-smoke bench bench-baseline bench-smoke serve-smoke crash-matrix crash-matrix-baseline trace pause-bound microbench experiments experiments-check quick-experiments examples
 
 all: build lint test host-bench-test
 
@@ -123,6 +123,14 @@ trace:
 	go run ./cmd/rtgc-bench validate /tmp/repligc_trace-primes.json
 	go run ./cmd/rtgc-bench validate /tmp/repligc_trace-sort.json
 	go run ./cmd/rtgc-bench validate /tmp/repligc_trace-comp.json
+
+# The copy term of the pause bound (DESIGN.md, "Pause bound") on the two
+# workloads with large objects, at full scale under rt: the trace command
+# fails if any budgeted pause copied more than 2L + L/4, and prints the three
+# longest pauses by phase.
+pause-bound:
+	go run ./cmd/rtgc-bench -worst 3 trace Sort
+	go run ./cmd/rtgc-bench -worst 3 trace Comp
 
 # One testing.B benchmark per paper table/figure, at the quick scale.
 microbench:

@@ -58,6 +58,7 @@ func main() {
 	out := flag.String("out", "", "write the perf report to this file instead of stdout")
 	baseline := flag.String("baseline", "", "gate a fresh perf report against this committed report (every field equal)")
 	record := flag.String("record", "", "serve: also write the materialised trace artifact to this file")
+	worst := flag.Int("worst", 0, "trace: also print the K longest pauses, each with its phase times, bytes copied and log entries")
 	scale, scaleName := bench.DefaultScale(), "default"
 	// Every subcommand that is not an experiment (those are bench.Experiments):
 	// the flags it reads and its operand as the usage line shows them — an
@@ -69,7 +70,7 @@ func main() {
 	commands := []command{
 		{"perf", "[-quick] [-out FILE] [-baseline FILE]", "", func(string) error { return runPerf(scale, scaleName, *out, *baseline) }},
 		{"validate", "", "FILE", runValidate},
-		{"trace", "[-quick] [-out FILE]", "[" + strings.Join(bench.PerfWorkloads, "|") + "]", func(w string) error { return runTrace(scale, w, *out) }},
+		{"trace", "[-quick] [-out FILE] [-worst K]", "[" + strings.Join(bench.PerfWorkloads, "|") + "]", func(w string) error { return runTrace(scale, w, *out, *worst) }},
 		{"crashmatrix", "[-out FILE]", "", func(string) error { return runCrashMatrix(*out) }},
 		{"serve", "[-out FILE] [-record FILE]", "SPECFILE", func(spec string) error { return runServe(spec, *out, *record) }},
 		{"servereplay", "[-out FILE]", "TRACEFILE", func(tr string) error { return runServeReplay(tr, *out) }},

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"repligc/internal/bench"
+	"repligc/internal/core"
 	"repligc/internal/rig"
 	"repligc/internal/trace"
 )
@@ -21,11 +22,12 @@ func tracePath(out, workload string) string {
 }
 
 // runTrace traces one workload (or, with workload == "", all three) under
-// rt in the paper's 50 ms parameter cell, printing the digest and — when
-// out is non-empty — writing a Chrome trace per workload.
+// rt in the paper's 50 ms parameter cell, printing the digest, the worst
+// pauses when asked for and the copy-bound check, which fails the command,
+// and — when out is non-empty — writing a Chrome trace per workload.
 //
 //gclint:io writes the Chrome trace artifact per workload
-func runTrace(s bench.Scale, workload, out string) error {
+func runTrace(s bench.Scale, workload, out string, worst int) error {
 	names := bench.PerfWorkloads
 	if workload != "" {
 		names = []string{workload}
@@ -37,7 +39,7 @@ func runTrace(s bench.Scale, workload, out string) error {
 			return fmt.Errorf("%w (want %s)", err, strings.Join(bench.PerfWorkloads, ", "))
 		}
 		tr := trace.NewRecorder(1 << 20)
-		_, err = bench.Run(w, rig.Config{Collector: rig.RT, Params: params, Trace: tr})
+		res, err := bench.Run(w, rig.Config{Collector: rig.RT, Params: params, Trace: tr})
 		if err != nil {
 			return fmt.Errorf("trace %s: %w", w.Name(), err)
 		}
@@ -46,6 +48,24 @@ func runTrace(s bench.Scale, workload, out string) error {
 			return fmt.Errorf("trace %s: %w", w.Name(), err)
 		}
 		fmt.Print(trace.Summary(fmt.Sprintf("%s (%s, %v)", w.Name(), rig.RT.Name, params), an, tr.Dropped()))
+		if worst > 0 {
+			fmt.Print(trace.WorstPausesTable(an, worst))
+		}
+		// The copy term of the pause bound (DESIGN.md, "Pause bound") over
+		// the collector's own pause record, which — unlike the trace — says
+		// which pauses were stop-the-world (forced, emergency: Sync ==
+		// Length) and so had no budget.
+		bound, most := core.Config{CopyLimitBytes: params.LBytes}.PauseCopyBound(), int64(0)
+		for i, p := range res.Pauses.Pauses {
+			if p.Sync == p.Length {
+				continue
+			}
+			if most = max(most, p.CopiedB); p.CopiedB > bound {
+				return fmt.Errorf("trace %s: pause %d copied %d B, over the bound 2L + L/4 = %d B", w.Name(), i, p.CopiedB, bound)
+			}
+		}
+		fmt.Printf("copy bound: the most one budgeted pause copied is %d B of 2L + L/4 = %d B; largest uninterrupted copy %d B, %d copies split\n",
+			most, bound, res.Stats.LargestCopyBytes, res.Stats.SplitCopies)
 		if out == "" {
 			continue
 		}

@@ -44,6 +44,7 @@ func main() {
 	prelude := flag.Bool("prelude", false, "prepend the MiniML standard prelude")
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) of the run to this file")
 	traceSummary := flag.Bool("trace-summary", false, "print the trace digest (pause quantiles, MMU, phases) to stderr")
+	worst := flag.Int("worst", 0, "print the K longest pauses to stderr, each with its phase times, bytes copied and log entries")
 	ckptDir := flag.String("checkpoint", "", "write crash-consistent incremental checkpoints to this directory (replicating collectors only)")
 	restoreDir := flag.String("restore", "", "recover the newest checkpoint from this directory, audit it, and print its summary (no program runs)")
 	serveSpec := flag.String("serve", "", "serve the open-loop request spec in this file under -gc and print the serving digest (no program runs)")
@@ -159,6 +160,9 @@ func main() {
 	if *traceSummary && an != nil {
 		fmt.Fprintf(os.Stderr, "\n%s", trace.Summary(flag.Arg(0), an, tr.Dropped()))
 	}
+	if *worst > 0 && an != nil {
+		fmt.Fprintf(os.Stderr, "\n%s", trace.WorstPausesTable(an, *worst))
+	}
 	if runErr != nil {
 		// Every program-level failure — MiniML runtime errors and heap
 		// exhaustion (the typed core.OOMError) alike — is one diagnostic
@@ -180,6 +184,10 @@ func main() {
 			st.PauseCount, rec.Percentile(50), rec.Percentile(99), rec.Max())
 		fmt.Fprintf(os.Stderr, "log entries        %d written, %d reapplied\n",
 			m.LogWrites, st.LogReapplied)
+		if st.LargestCopyBytes > 0 { // the replicating engine counts them
+			fmt.Fprintf(os.Stderr, "largest copy       %d B uninterrupted, %d copies split across pauses\n",
+				st.LargestCopyBytes, st.SplitCopies)
+		}
 		if ckptW != nil {
 			cs := ckptW.Stats()
 			fmt.Fprintf(os.Stderr, "checkpoints        %d committed, %d aborted, %.2f MB snapshots + %.2f MB WAL, %v charged\n",

@@ -32,6 +32,9 @@ var heapWriters = map[string]string{
 	"AllocIn":    "Mutator.Alloc",
 	"CopyObject": "(collector-only)",
 	"SwapOld":    "(collector-only)",
+	// The chunked copy kernel: the reserve installs the forwarding word.
+	"ReserveReplica": "(collector-only)",
+	"CopyWords":      "(collector-only)",
 }
 
 // heapReaders are Heap methods that read arena words without going through

@@ -135,6 +135,14 @@ var builtinFacts = map[string]FuncFacts{
 	// Raw allocation.
 	heapPkgPath + ".Heap.AllocIn": {MayAlloc: true, AllocVia: "Heap.AllocIn"},
 
+	// The replicating collector's copy kernel: the reserve takes room at a
+	// to-space frontier (and installs the forwarding word, which the barrier
+	// and forward rules police), the fill writes replica payload, which is
+	// collector mechanics and no mutation. Neither flips: a heap.Value held
+	// across them stays good.
+	heapPkgPath + ".Heap.ReserveReplica": {MayAlloc: true, AllocVia: "Heap.ReserveReplica"},
+	heapPkgPath + ".Heap.CopyWords":      {},
+
 	// Raw payload stores (the mutation-store primitives the write barrier
 	// wraps). Header/forwarding writes (SetForward, CopyObject) are collector
 	// mechanics, not payload mutations, and are policed by the barrier and

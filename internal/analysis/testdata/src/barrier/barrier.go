@@ -19,6 +19,15 @@ func writes(h *heap.Heap, p heap.Value) {
 	}
 }
 
+// The chunked copy kernel's primitives are collector-only like CopyObject, and
+// neither flips: p is read after both and only the barrier rule speaks.
+func copies(h *heap.Heap, p heap.Value) {
+	if q, ok := h.ReserveReplica(p, h.OldTo()); ok {
+		h.CopyWords(q, p, 0, 1)
+	}
+	_ = p
+}
+
 func reads(h *heap.Heap, p heap.Value) heap.Value {
 	_ = h.LoadByte(p, 0)
 	_ = h.Bytes(p)

@@ -7,6 +7,7 @@ import (
 
 	"repligc/internal/checkpoint"
 	"repligc/internal/core"
+	"repligc/internal/gctest"
 	"repligc/internal/rig"
 	"repligc/internal/trace"
 )
@@ -99,4 +100,78 @@ func TestCompositionMatrix(t *testing.T) {
 	if cells != 120 {
 		t.Fatalf("ran %d cells, want 120", cells)
 	}
+	compositionLargeObjects(t)
+}
+
+// compositionLargeObjects is the matrix's large-object plane: every collector
+// the table names × group size, each member's driver allocating pointer
+// arrays and byte buffers of 12-24 KB — above the tight shape's split
+// threshold (L/4 = 1 KB) and on both sides of N/2, so some start in the
+// nursery and some are born old — and storing into them near both ends while
+// they are being copied. The heap audit (AuditHeap, which ends in
+// AuditScanned) runs after every round and the shadow check after every
+// sixth, mid-collection, and the reachable graph at the end must be the one
+// sc computed.
+func compositionLargeObjects(t *testing.T) {
+	tight := engineShapes[0]
+	splits := int64(0)
+	for _, members := range []int{1, 2, 4} {
+		var graph uint64
+		for _, coll := range rig.Table {
+			label := fmt.Sprintf("%s members=%d large objects", coll.Name, members)
+			rc := engineGoldenConfig(coll, tight.params)
+			rc.Members = members
+			rt, err := rig.New(rc)
+			if err != nil {
+				t.Errorf("%s: %v", label, err)
+				continue
+			}
+			md, err := gctest.NewMultiDriver(rt.Group, tight.seed)
+			if err != nil {
+				t.Errorf("%s: %v", label, err)
+				continue
+			}
+			for _, d := range md.Drivers {
+				d.LargeEvery, d.LargeWords = 320, 1536
+			}
+			for round := 0; round < 48 && err == nil; round++ {
+				if err = md.Step(60); err != nil {
+					break
+				}
+				for i, m := range rt.Group.Members {
+					if err = core.AuditHeap(m); err != nil {
+						err = fmt.Errorf("round %d: member %d: %w", round, i, err)
+						break
+					}
+				}
+				if err == nil && round%6 == 5 {
+					err = md.Verify()
+				}
+			}
+			if err == nil {
+				err = rt.Finish()
+			}
+			if err == nil {
+				err = md.Verify()
+			}
+			if err != nil {
+				t.Errorf("%s: %v", label, err)
+				continue
+			}
+			if fp := md.Fingerprint(); graph == 0 {
+				graph = fp
+			} else if fp != graph {
+				t.Errorf("%s: reachable graph %016x, the other collectors computed %016x", label, fp, graph)
+			}
+			st := rt.GC.Stats()
+			if st.MajorCollections == 0 {
+				t.Errorf("%s: the run crossed no major collection", label)
+			}
+			if !coll.StopCopy && coll.Engine.IncrementalMajor && st.SplitCopies == 0 {
+				t.Errorf("%s: no copy was split: the cell does not reach the in-flight state", label)
+			}
+			splits += st.SplitCopies
+		}
+	}
+	t.Logf("large-object plane: 30 cells, %d copies split", splits)
 }

@@ -148,6 +148,17 @@ func unreachedLogSlots(m *Mutator, cursor int64) map[fixup]bool {
 // (scanSlot resumes inside it); it owes nothing yet.
 func (c *Replicating) auditScannedRegion(g *generation, fromName string, except map[fixup]bool) error {
 	h := c.h
+	// The in-flight replica needs no exemption here because none of it is
+	// black: its uncopied tail is not the object yet, so the cursor must
+	// still be in front of it, and its original must lead to it.
+	if job := g.inflight; job.replica != heap.Nil {
+		if hdrIdx := uint64(job.replica)>>3 - 1; hdrIdx < g.scan {
+			return fmt.Errorf("audit: %s scan at word %#x has passed the in-flight replica %v (%d of %d words copied)", g.name, g.scan, job.replica, job.next, job.words)
+		}
+		if !h.IsForwarded(job.orig) || h.ForwardAddr(job.orig) != job.replica {
+			return fmt.Errorf("audit: in-flight %s original %v does not forward to its replica %v", g.name, job.orig, job.replica)
+		}
+	}
 	// Mutator-owned objects inside the minor's region (oversized
 	// allocations) were stepped over, not scanned.
 	skipAt := make(map[uint64]uint64)

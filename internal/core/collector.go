@@ -49,6 +49,12 @@ type GCStats struct {
 	ForcedCompletion int   // incremental collections forced non-incremental
 	NurseryExpansion int64 // bytes of nursery expansion granted (param A)
 
+	// SplitCopies counts the replicas filled over more than one pause, and
+	// LargestCopyBytes is the largest single uninterrupted copy: what the copy
+	// term of the pause bound (Config.PauseCopyBound) is a formula over.
+	SplitCopies      int64
+	LargestCopyBytes int64
+
 	// EmergencyCollections counts degradation-ladder activations: pauses
 	// promoted to full stop-the-world completion because the promotion
 	// target's headroom fell below the reservation (nursery contents plus

@@ -2,3 +2,21 @@ package core
 
 // SourceCount reports how many root sources are registered.
 func (r *RootSet) SourceCount() int { return len(r.sources) }
+
+// SetCopySplit replaces the split threshold (bytes; L/4 when zero) and caps
+// the payload words one fill moves (uncapped when zero): math.MaxInt64, 0
+// never splits a copy, and 1, 1 splits every copy that does not fit in what is
+// left of its pause and moves one word per increment.
+func (c *Replicating) SetCopySplit(thresholdBytes int64, chunkWords int) {
+	c.splitMin, c.chunkWords = thresholdBytes, chunkWords
+}
+
+// CopyInFlight reports the progress of the major generation's in-flight copy:
+// payload words copied, payload words in all, and whether there is one.
+func (c *Replicating) CopyInFlight(major bool) (next, words int, ok bool) {
+	g := &c.minor
+	if major {
+		g = &c.major
+	}
+	return g.inflight.next, g.inflight.words, g.inflight.replica != 0
+}

@@ -184,6 +184,20 @@ type generation struct {
 	skips     []span // mutator-owned objects inside the scan region (minor only: NoteOldAlloc)
 	//gclint:pauseonly advanced by the scan as it steps over spans, reset at cycle boundaries
 	skipIdx int
+
+	// The one replica this generation is filling across pauses (replicate);
+	// its replica field is Nil when no copy is in flight.
+	//
+	//gclint:pauseonly the copy cursor only advances while the mutator is stopped; between pauses the log keeps the copied prefix current
+	inflight copyJob
+	//gclint:pauseonly set at the top of every increment and by its completing steps, all under pause
+	whole bool // copies are not split: the increment is forced, or has reached the steps that end in the flip
+}
+
+// copyJob is a replica being filled: the payload words below next are copied.
+type copyJob struct {
+	orig, replica heap.Value
+	next, words   int
 }
 
 // begin activates the generation's cycle: replicas of from's objects go to
@@ -281,6 +295,11 @@ type Replicating struct {
 	taxCredit  int64 // accumulated work credit in bytes
 	microLimit int64 // per-micro-pause work budget (0: normal pauses)
 
+	// Test seams (export_test.go); zero outside tests. splitMin replaces the
+	// split threshold L/4, chunkWords caps the words one fill moves.
+	splitMin   int64
+	chunkWords int
+
 	// Per-pause scratch.
 	pauseCopied   int64 // bytes copied this pause (for the recorder)
 	pauseLogProcd int64 // log entries processed this pause
@@ -377,6 +396,21 @@ func (c *Replicating) workLimit() int64 {
 	}
 	return 2 * c.cfg.CopyLimitBytes
 }
+
+// splitBytes is the size above which a copy that does not fit in what is left
+// of the pause's budget is filled over several pauses: L/4, so that a budgeted
+// pass overshoots 2L by less than a quarter of L (PauseCopyBound).
+func (c *Replicating) splitBytes() int64 {
+	if c.splitMin != 0 {
+		return c.splitMin
+	}
+	return c.cfg.CopyLimitBytes / 4
+}
+
+// PauseCopyBound is the copy term of the pause bound (DESIGN.md, "Pause
+// bound"): the most a budgeted pause copies, whatever the size of the largest
+// object — the work limit 2L plus one object no larger than the threshold.
+func (c Config) PauseCopyBound() int64 { return 2*c.CopyLimitBytes + c.CopyLimitBytes/4 }
 
 // taxQuantum is the work size of one interleaved micro-pause (bytes of
 // copy+scan); 4 KB is about one millisecond at the paper's copying rate.
@@ -694,6 +728,10 @@ func (c *Replicating) resetReplayMemo() {
 // stops exactly at the failed unit of work.
 func (c *Replicating) runMinorIncrement(m *Mutator, force bool) (bool, error) {
 	g := &c.minor
+	g.whole = force
+	if !c.resumeCopy(m, g) {
+		return false, nil
+	}
 
 	// 1. Process the mutation log: discover minor roots (old-space slots
 	// holding nursery pointers) and keep replicas up to date. By default
@@ -726,6 +764,10 @@ func (c *Replicating) runMinorIncrement(m *Mutator, force bool) (bool, error) {
 	if done, err := c.scanPhase(m, g, force); !done {
 		return false, err
 	}
+
+	// From here to the flip nothing is budgeted and no copy is in flight (the
+	// scan is at the frontier): what the completing steps copy, they copy whole.
+	g.whole = true
 
 	// 4. Lazy mode deferred its reapplies to this moment.
 	if c.cfg.LazyLogProcessing {
@@ -983,13 +1025,18 @@ func (c *Replicating) drainPendingMutables(m *Mutator) error {
 // typed *OOMError; v is left unforwarded and the heap is still auditable
 // (the headroom reservation in pauseBody exists to make this path
 // unreachable in practice).
+//
+// All of the replica is reserved, and v forwarded to it, at once; how much of
+// the payload is copied now is fill's decision. A replica left unfinished is
+// g's in-flight copy, which the next increment resumes before anything else;
+// DESIGN.md, "Pause bound", says why a half-filled replica is harmless.
 func (c *Replicating) replicate(m *Mutator, g *generation, v heap.Value) (heap.Value, error) {
 	h := c.h
 	if h.IsForwarded(v) {
 		return h.ForwardAddr(v), nil
 	}
 	hdr := heap.Header(h.RawHeader(v))
-	replica, ok := h.CopyObject(v, g.to)
+	replica, ok := h.ReserveReplica(v, g.to)
 	if !ok {
 		return heap.Nil, &OOMError{
 			Resource:  g.oom,
@@ -1001,13 +1048,68 @@ func (c *Replicating) replicate(m *Mutator, g *generation, v heap.Value) (heap.V
 			Degraded:  c.emergency,
 		}
 	}
-	h.SetForward(v, replica)
-	b := hdr.SizeBytes()
+	job := copyJob{orig: v, replica: replica, words: hdr.PayloadWords()}
+	c.fill(m, g, &job, 1) // the header word travelled with the reservation
+	if job.next < job.words {
+		g.inflight = job
+		c.stats.SplitCopies++
+	}
+	return replica, nil
+}
+
+// fill copies the next payload words of job's replica and charges them, with
+// the extra words the caller has already moved, as one uninterrupted copy. It
+// copies all that is left unless that is both more than the split threshold
+// and more than the pause's remaining budget: then it stops where the budget
+// does. Forced increments and the steps that end in a flip do not split
+// (g.whole), nor does a second large object met while the one in-flight record
+// is taken, which only the unmetered log and root passes can do.
+func (c *Replicating) fill(m *Mutator, g *generation, job *copyJob, extra int) {
+	n := job.words - job.next
+	// The size test comes first: it fails for all but a handful of objects.
+	if size := int64(n+extra) * heap.BytesPerWord; size > c.splitBytes() && !g.whole &&
+		(job == &g.inflight || g.inflight.replica == heap.Nil) {
+		if limit := c.workLimit(); limit > 0 && size > limit-c.pauseWork {
+			n = max(c.budgetSlots(false)-extra, 0)
+			if c.chunkWords > 0 {
+				n = min(n, c.chunkWords)
+			}
+		}
+	}
+	c.h.CopyWords(job.replica, job.orig, job.next, n)
+	job.next += n
+	b := int64(n+extra) * heap.BytesPerWord
 	*g.copied += b
 	c.pauseCopied += b
 	c.pauseWork += b
-	m.Clock.Charge(g.acct, simtime.Duration(hdr.SizeWords())*m.Cost.CopyWord)
-	return replica, nil
+	c.stats.LargestCopyBytes = max(c.stats.LargestCopyBytes, b)
+	m.Clock.Charge(g.acct, simtime.Duration(n+extra)*m.Cost.CopyWord)
+}
+
+// resumeCopy continues g's in-flight copy, the first work of every increment,
+// and reports whether none is left: an increment that could not finish it has
+// spent its budget and does nothing else.
+func (c *Replicating) resumeCopy(m *Mutator, g *generation) bool {
+	if g.inflight.replica == heap.Nil {
+		return true
+	}
+	endPhase := c.phase(m, trace.PhaseCopy)
+	c.fill(m, g, &g.inflight, 0)
+	endPhase()
+	if g.inflight.next < g.inflight.words {
+		return false
+	}
+	g.inflight = copyJob{}
+	return true
+}
+
+// mustNotBeCopying guards the flips: a flip hands the mutator the replicas,
+// and a half-filled one is not the object yet.
+func (g *generation) mustNotBeCopying() {
+	if g.inflight.replica != heap.Nil {
+		//gclint:allow panicpath -- invariant: the scan cannot pass an in-flight replica, and a flip needs the scan at the frontier
+		panic(fmt.Sprintf("core: %s flip with a copy in flight", g.name))
+	}
 }
 
 // toSpaceValue prepares a value for storage into a to-space slot while a
@@ -1021,24 +1123,30 @@ func (c *Replicating) toSpaceValue(m *Mutator, v heap.Value, slotObj heap.Value,
 	if !c.major.active || !c.h.OldFrom().Contains(v) {
 		return v, nil
 	}
-	if c.h.HeaderOf(v).Kind().Mutable() {
-		f := fixup{obj: slotObj, slot: int32(slot)}
-		if _, dup := c.fixupSeen[f]; !dup {
-			c.fixupSeen[f] = struct{}{}
-			c.fixups = append(c.fixups, f)
+	mutable := c.h.HeaderOf(v).Kind().Mutable()
+	if !mutable {
+		replica, err := c.replicate(m, &c.major, v)
+		if err != nil || replica != c.major.inflight.replica {
+			return replica, err
 		}
-		// Under §2.5 deferred copying the mutable object itself is not
-		// replicated until the major's completion attempts, so mutations
-		// made to it in the meantime never need reapplying; otherwise
-		// copy eagerly (the slot still waits for the flip either way).
-		if !c.cfg.DeferMutableCopies {
-			if _, err := c.replicate(m, &c.major, v); err != nil {
-				return heap.Nil, err
-			}
-		}
-		return v, nil
+		// Still being filled, and a to-space slot may be mutator-visible:
+		// like a mutable reference, this one waits for the flip.
 	}
-	return c.replicate(m, &c.major, v)
+	f := fixup{obj: slotObj, slot: int32(slot)}
+	if _, dup := c.fixupSeen[f]; !dup {
+		c.fixupSeen[f] = struct{}{}
+		c.fixups = append(c.fixups, f)
+	}
+	// Under §2.5 deferred copying the mutable object itself is not
+	// replicated until the major's completion attempts, so mutations
+	// made to it in the meantime never need reapplying; otherwise
+	// copy eagerly (the slot still waits for the flip either way).
+	if mutable && !c.cfg.DeferMutableCopies {
+		if _, err := c.replicate(m, &c.major, v); err != nil {
+			return heap.Nil, err
+		}
+	}
+	return v, nil
 }
 
 // drainDeferredMajorMutables replicates the mutable old-from objects whose
@@ -1095,6 +1203,11 @@ func (c *Replicating) scan(m *Mutator, g *generation, force bool) (bool, error) 
 			continue
 		}
 		if c.overBudget(force) {
+			return false, nil
+		}
+		if g.inflight.replica == heap.Value((g.scan+1)<<3) {
+			// The replica at the cursor is still being filled: its tail is
+			// not the object yet, so the scan waits in front of it.
 			return false, nil
 		}
 		w := h.Arena[g.scan]
@@ -1203,6 +1316,7 @@ func (c *Replicating) scan(m *Mutator, g *generation, force bool) (bool, error) 
 // them.
 func (c *Replicating) minorFlip(m *Mutator) error {
 	h, g := c.h, &c.minor
+	g.mustNotBeCopying()
 
 	// Re-point logged old-space locations at promoted replicas.
 	for _, seq := range c.minorRootSeqs {
@@ -1394,6 +1508,10 @@ func (c *Replicating) startMajor(m *Mutator) {
 // minor flip re-points it. Completion is only possible post-flip.
 func (c *Replicating) runMajorIncrement(m *Mutator, force, postFlip bool) (bool, error) {
 	g := &c.major
+	g.whole = force
+	if !c.resumeCopy(m, g) {
+		return false, nil
+	}
 
 	// 1. Drain the major log: reapply mutations to existing replicas of
 	// old-from objects, and track from-space references stored into
@@ -1458,6 +1576,7 @@ func (c *Replicating) runMajorIncrement(m *Mutator, force, postFlip bool) (bool,
 	if g.logCursor != m.Log.Len() || !g.scanDone() {
 		return false, nil
 	}
+	g.whole = true // a straggler the flip copies, it copies whole
 	endPhase = c.phase(m, trace.PhaseFlip)
 	err = c.majorFlip(m)
 	endPhase()
@@ -1546,6 +1665,7 @@ logLoop:
 // longer hold from-space values, so a retried flip skips them.
 func (c *Replicating) majorFlip(m *Mutator) error {
 	h, g := c.h, &c.major
+	g.mustNotBeCopying()
 	if h.Nursery.UsedWords() != 0 {
 		//gclint:allow panicpath -- invariant: majors only flip right after a minor flip emptied the nursery
 		panic("core: major flip with non-empty nursery")

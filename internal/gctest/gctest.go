@@ -23,16 +23,20 @@ type Node struct {
 	Bytes []byte   // for byte kinds
 }
 
-// Shadow mirrors a heap.Value: immediate integer, node, or (Nil set) the
-// zero word of a slot nothing has stored into yet.
+// Shadow mirrors a heap.Value: immediate integer or node.
 type Shadow struct {
 	Node *Node
 	Int  int64
-	Nil  bool
 }
 
 func intShadow(i int64) Shadow  { return Shadow{Int: i} }
 func nodeShadow(n *Node) Shadow { return Shadow{Node: n} }
+
+// nilShadow mirrors the zero word of a slot nothing has stored into yet. It
+// is a sentinel node and not a field of Shadow: the shadow graph is most of
+// the driver's memory, and a third word in every Shadow is 8 % of the
+// resident set of a four-member run.
+var nilShadow = nodeShadow(&Node{})
 
 // rootSource exposes the driver's roots to the collector.
 type rootSource struct {
@@ -166,10 +170,10 @@ func (d *Driver) allocObject() error {
 // largeHeld is how many large objects the driver keeps alive at a time.
 const largeHeld = 3
 
-// allocLarge allocates the next large object into the ring of held ones and
-// into the ordinary root table (from where other objects come to reference
-// it, and from where it is dropped like any root). A pointer array gets
-// every 64th slot initialised, to a root or an integer; the rest stay Nil.
+// allocLarge allocates the next large object — a pointer array with every
+// 64th slot initialised to a root or an integer, or a zeroed byte buffer —
+// into the ring of held ones and into the ordinary root table (from where
+// other objects come to reference it, and where it is dropped like any root).
 func (d *Driver) allocLarge() error {
 	if d.large == nil {
 		d.large = &rootSource{slots: make([]heap.Value, largeHeld)}
@@ -189,18 +193,18 @@ func (d *Driver) allocLarge() error {
 		if err != nil {
 			return err
 		}
-		node = &Node{Kind: heap.KindBytes, Bytes: make([]byte, n*heap.BytesPerWord)}
 		d.large.slots[k] = p
+		node = &Node{Kind: heap.KindBytes, Bytes: make([]byte, n*heap.BytesPerWord)}
 	} else {
 		p, err := d.M.Alloc(heap.KindArray, n)
 		if err != nil {
 			return err
 		}
+		d.large.slots[k] = p
 		node = &Node{Kind: heap.KindArray, Words: make([]Shadow, n)}
 		for i := range node.Words {
-			node.Words[i] = Shadow{Nil: true}
+			node.Words[i] = nilShadow
 		}
-		d.large.slots[k] = p
 		for i := 0; i < n; i += 64 {
 			if j := d.pickRoot(); j >= 0 && d.rng.Intn(2) == 0 {
 				d.M.Init(p, i, d.roots.slots[j])
@@ -402,7 +406,7 @@ func (d *Driver) Verify() error {
 }
 
 func (d *Driver) verifyValue(v heap.Value, s Shadow, seen map[heap.Value]*Node, depth int) error {
-	if s.Nil {
+	if s == nilShadow {
 		if v != heap.Nil {
 			return fmt.Errorf("want nil, got %v", v)
 		}

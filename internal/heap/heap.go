@@ -252,6 +252,39 @@ func (h *Heap) CopyObject(src Value, dst *Space) (Value, bool) {
 	return ptrFromIndex(di + 1), true
 }
 
+// ReserveReplica is the first half of CopyObject for a collector that may
+// fill the replica over several pauses: it reserves room for all of src at
+// dst's frontier, gives the replica src's descriptor and installs the
+// forwarding pointer in src, leaving the payload for CopyWords. Reserving
+// everything at once is what lets a continuation never run out of space, and
+// forwarding at once is what keeps every "is it replicated" test — the write
+// barrier's included — true from the first word on. The replica's payload
+// holds whatever the space held before: nothing may read it ahead of the copy.
+func (h *Heap) ReserveReplica(src Value, dst *Space) (Value, bool) {
+	hdr := h.RawHeader(src)
+	if !IsHeader(hdr) {
+		//gclint:allow panicpath -- invariant: callers check IsForwarded before copying
+		panic("heap: ReserveReplica on forwarded object")
+	}
+	need := uint64(Header(hdr).SizeWords())
+	if dst.Next+need > dst.Hi {
+		return Nil, false
+	}
+	di := dst.Next
+	dst.Next += need
+	h.Arena[di] = hdr
+	replica := ptrFromIndex(di + 1)
+	h.SetForward(src, replica)
+	return replica, true
+}
+
+// CopyWords copies payload words [from, from+n) of src into the same slots
+// of dst, a replica ReserveReplica made of it.
+func (h *Heap) CopyWords(dst, src Value, from, n int) {
+	si, di := src.index()+uint64(from), dst.index()+uint64(from)
+	copy(h.Arena[di:di+uint64(n)], h.Arena[si:si+uint64(n)])
+}
+
 // WalkObjects visits the objects of s in address order, calling f with each
 // object pointer and descriptor. Walking a space containing forwarded
 // objects is not possible (their sizes are gone with their headers), so this

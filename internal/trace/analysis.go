@@ -9,6 +9,7 @@ package trace
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repligc/internal/simtime"
 )
@@ -28,7 +29,8 @@ type Analysis struct {
 	Copied     int64 // total bytes copied across pauses
 	LogEntries int64 // total log entries processed across pauses
 
-	idx *simtime.PauseIndex // over Pauses
+	idx    *simtime.PauseIndex           // over Pauses
+	phases [][NumPhases]simtime.Duration // per-pause phase time, parallel to Pauses
 }
 
 // Analyze validates events and digests them. The trace must be well-formed
@@ -42,15 +44,18 @@ func Analyze(events []Event) (*Analysis, error) {
 		a.Start, a.End = events[0].At, events[len(events)-1].At
 	}
 	var pauseStart, phaseStart simtime.Duration
+	var inPause [NumPhases]simtime.Duration
 	for _, e := range events {
 		switch e.Kind {
 		case KindPauseBegin:
 			pauseStart = e.At
+			inPause = [NumPhases]simtime.Duration{}
 		case KindPauseEnd:
 			a.Pauses = append(a.Pauses, simtime.Pause{
 				At: pauseStart, Length: e.At - pauseStart,
 				Kind: simtime.PauseKind(e.C), CopiedB: e.A, LogProcN: e.B,
 			})
+			a.phases = append(a.phases, inPause)
 			a.Copied += e.A
 			a.LogEntries += e.B
 		case KindPhaseBegin:
@@ -58,10 +63,53 @@ func Analyze(events []Event) (*Analysis, error) {
 		case KindPhaseEnd:
 			a.PhaseTime[e.Phase] += e.At - phaseStart
 			a.PhaseCount[e.Phase]++
+			inPause[e.Phase] += e.At - phaseStart
 		}
 	}
 	a.idx = simtime.NewPauseIndex(a.Pauses)
 	return a, nil
+}
+
+// PauseDetail is one pause with what the recorder knows about it: where it
+// sits in the run, what it copied and consumed (Pause.CopiedB, LogProcN) and
+// how its length divides among the phases.
+type PauseDetail struct {
+	Index int // position among the trace's pauses, from 0
+	simtime.Pause
+	Phases [NumPhases]simtime.Duration
+}
+
+// WorstPauses returns the k longest pauses, longest first (earlier first
+// among equals): the answer to "which phase was it".
+func (a *Analysis) WorstPauses(k int) []PauseDetail {
+	order := make([]int, len(a.Pauses))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool { return a.Pauses[order[i]].Length > a.Pauses[order[j]].Length })
+	out := make([]PauseDetail, min(max(k, 0), len(order)))
+	for i := range out {
+		out[i] = PauseDetail{Index: order[i], Pause: a.Pauses[order[i]], Phases: a.phases[order[i]]}
+	}
+	return out
+}
+
+// WorstPausesTable renders WorstPauses(k), one pause a line, phase times in
+// milliseconds.
+func WorstPausesTable(a *Analysis, k int) string {
+	s := fmt.Sprintf("worst %d of %d pauses:\n%6s %12s %9s", min(max(k, 0), len(a.Pauses)), len(a.Pauses), "pause", "at", "ms")
+	for p := Phase(0); p < NumPhases; p++ {
+		s += fmt.Sprintf(" %10s", p)
+	}
+	s += fmt.Sprintf(" %10s %8s\n", "copied B", "log n")
+	for _, d := range a.WorstPauses(k) {
+		s += fmt.Sprintf("%6d %12v %9.3f", d.Index, d.At, d.Length.Milliseconds())
+		for _, t := range d.Phases {
+			s += fmt.Sprintf(" %10.3f", t.Milliseconds())
+		}
+		s += fmt.Sprintf(" %10d %8d\n", d.CopiedB, d.LogProcN)
+	}
+	return s
 }
 
 // Total is the simulated span the trace covers.
