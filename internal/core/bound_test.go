@@ -6,7 +6,10 @@ import (
 
 	"repligc/internal/core"
 	"repligc/internal/gctest"
+	"repligc/internal/heap"
 	"repligc/internal/lang"
+	"repligc/internal/simtime"
+	"repligc/internal/trace"
 	"repligc/internal/vm"
 )
 
@@ -117,5 +120,134 @@ func TestPauseCopyBound(t *testing.T) {
 			t.Fatalf("program printed %q, want %q", got, want)
 		}
 		check(t, gc)
+	})
+}
+
+// lazySieve is a MiniML program of the repository benchmark's Primes shape:
+// a lazy stream of filters, each a closure that reaches its recursive
+// bindings through ref cells, promoted and kept across several majors.
+const lazySieve = `
+fun from n = fn u => (n, from (n + 1)) in
+fun filter p s = fn u =>
+  let pr = s () in
+  (case pr of (x, rest) =>
+    if p x then (x, filter p rest)
+    else (filter p rest) ()) in
+fun sieve s = fn u =>
+  let pr = s () in
+  (case pr of (x, rest) =>
+    (x, sieve (filter (fn y => (y mod x) <> 0) rest))) in
+fun take k s acc =
+  if k = 0 then acc
+  else let pr = s () in
+       (case pr of (x, rest) => take (k - 1) rest (acc + x)) in
+print ("primes-sum " ^ itos (take 1200 (sieve (from 2)) 0) ^ "\n")
+`
+
+// TestPauseFlipBound holds the flip term of the pause bound (DESIGN.md, "Pause
+// bound"): in a pause that runs under the work limit, copying, scanning and
+// the flip together take no longer than copying PauseCopyBound() bytes does.
+// Stop-the-world pauses have no budget and are exempt.
+func TestPauseFlipBound(t *testing.T) {
+	cost := simtime.Default1993()
+	boundOf := func(cfg core.Config) simtime.Duration {
+		return simtime.Duration(cfg.PauseCopyBound()/heap.BytesPerWord) * max(cost.CopyWord, cost.ScanWord)
+	}
+	// worstOf walks the flight recorder's pauses beside the collector's own
+	// record of them, which says which ones were stop-the-world, and returns
+	// the budgeted pause that spent longest copying and flipping.
+	spent := func(d trace.PauseDetail) simtime.Duration {
+		return d.Phases[trace.PhaseCopy] + d.Phases[trace.PhaseFlip]
+	}
+	worstOf := func(t *testing.T, gc *core.Replicating, tr *trace.Recorder) trace.PauseDetail {
+		t.Helper()
+		an, err := trace.Analyze(tr.Events())
+		if err != nil {
+			t.Fatal(err)
+		}
+		record := gc.Pauses().Pauses
+		if tr.Dropped() != 0 || len(an.Pauses) != len(record) {
+			t.Fatalf("the recorder holds %d pauses (%d events dropped), the collector recorded %d", len(an.Pauses), tr.Dropped(), len(record))
+		}
+		worst, flips := trace.PauseDetail{}, 0
+		for _, d := range an.WorstPauses(len(record)) {
+			if p := record[d.Index]; p.Sync == p.Length {
+				continue
+			}
+			if d.Phases[trace.PhaseFlip] > 0 {
+				flips++
+			}
+			if spent(d) > spent(worst) {
+				worst = d
+			}
+		}
+		if st := gc.Stats(); st.MajorCollections == 0 || flips == 0 {
+			t.Fatalf("%d majors, %d budgeted pauses with a flip: the run is too small to say anything", st.MajorCollections, flips)
+		}
+		return worst
+	}
+
+	t.Run("miniml-lazy-sieve", func(t *testing.T) {
+		cfg := paperRT()
+		m, gc := newRun(cfg, core.LogAllMutations)
+		tr := trace.NewRecorder(1 << 18)
+		gc.SetTrace(tr)
+		prog, err := lang.Compile(m, lazySieve)
+		if err != nil {
+			t.Fatal(err)
+		}
+		machine := vm.New(m, prog)
+		if err := machine.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if err := gc.FinishCycles(m); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := machine.Output.String(), "primes-sum 5450709\n"; got != want {
+			t.Fatalf("program printed %q, want %q", got, want)
+		}
+		if st := gc.Stats(); st.MajorCollections < 3 {
+			t.Fatalf("%d majors: the run is too small to say anything", st.MajorCollections)
+		}
+		if w, bound := worstOf(t, gc, tr), boundOf(cfg); spent(w) > bound {
+			t.Skipf("pause %d spent %v copying and %v flipping against the bound %v: the flip runs whatever the pause has already spent",
+				w.Index, w.Phases[trace.PhaseCopy], w.Phases[trace.PhaseFlip], bound)
+		}
+	})
+
+	// Four members on one heap, under an N and O that let the torture driver's
+	// majors end (TestPauseCopyBound says why). O = 384 KB makes the second
+	// major's flip worklist the size of the repository benchmark's group4
+	// (15-16 thousand entries); it is still active when the driver stops, so
+	// it flips in FinishCycles, as the benchmark's one major does.
+	t.Run("gctest-group4", func(t *testing.T) {
+		cfg := paperRT()
+		cfg.NurseryBytes, cfg.MajorThresholdBytes = 64<<10, 384<<10
+		h := heap.New(heap.Config{NurseryBytes: cfg.NurseryBytes, NurseryCapBytes: 32 * cfg.NurseryBytes, OldSemiBytes: 16 << 20})
+		g := core.NewGroup(h, simtime.NewClock(), cost, core.LogAllMutations, 4)
+		gc := core.NewReplicating(h, cfg)
+		g.AttachGC(gc)
+		tr := trace.NewRecorder(1 << 18)
+		gc.SetTrace(tr)
+		md, err := gctest.NewMultiDriver(g, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 400; round++ {
+			if err := md.Step(80); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := g.Run(0, gc.FinishCycles); err != nil {
+			t.Fatal(err)
+		}
+		if err := md.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		w, bound, stopped := worstOf(t, gc, tr), boundOf(cfg), g.GroupPauses().Max()
+		if spent(w) > bound || stopped > bound {
+			t.Skipf("pause %d spent %v copying and %v flipping, and everyone was stopped for %v, against the bound %v: the flip's worklist (%d entries re-pointed in the run's %d majors) is metered by nothing",
+				w.Index, w.Phases[trace.PhaseCopy], w.Phases[trace.PhaseFlip], stopped, bound, gc.Stats().FlipEntryUpdates, gc.Stats().MajorCollections)
+		}
 	})
 }
