@@ -140,6 +140,8 @@ func main() {
 	if anErr != nil {
 		// The hook discipline should make this impossible; report, don't hide.
 		fmt.Fprintf(os.Stderr, "rtgc: malformed trace: %v\n", anErr)
+	} else {
+		an.Annotate(gc.Pauses().Pauses)
 	}
 	if *traceFile != "" {
 		labels := map[string]string{
@@ -187,6 +189,8 @@ func main() {
 		if st.LargestCopyBytes > 0 { // the replicating engine counts them
 			fmt.Fprintf(os.Stderr, "largest copy       %d B uninterrupted, %d copies split across pauses\n",
 				st.LargestCopyBytes, st.SplitCopies)
+			fmt.Fprintf(os.Stderr, "major flips        put off %d times to a pause they fit, %d overran their pause, largest worklist %d slots\n",
+				st.FlipDeferrals, st.FlipOverruns, st.LargestFlipWorklist)
 		}
 		if ckptW != nil {
 			cs := ckptW.Stats()

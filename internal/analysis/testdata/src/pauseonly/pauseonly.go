@@ -12,6 +12,9 @@ type world struct {
 	//gclint:pauseonly
 	bad int // missing invariant text: the annotation itself is flagged
 
+	//gclint:pauseonly fixture: the run list grows only while the mutator is stopped
+	runs []int
+
 	free int // ordinary field, writable anywhere
 }
 
@@ -20,9 +23,11 @@ func (w *world) pause() {
 	w.step()
 }
 
-// step is only reachable through pause, so its cursor write is fine.
+// step is only reachable through pause, so its cursor write is fine, and so
+// is growing the run list.
 func (w *world) step() {
 	w.cursor++
+	w.runs = append(w.runs, w.cursor)
 	w.free = 0
 }
 
@@ -40,4 +45,10 @@ func (w *world) step2() {
 // allow annotation.
 func (w *world) Reset() {
 	w.cursor = 0 //gclint:allow pauseonly -- fixture: constructor-style reset before the world is shared
+}
+
+// Note grows the pause-only run list from an un-annotated entry point: an
+// append is a write like any other, and is flagged.
+func (w *world) Note(start int) {
+	w.runs = append(w.runs, start)
 }

@@ -7,7 +7,9 @@ import (
 
 	"repligc/internal/checkpoint"
 	"repligc/internal/core"
+	"repligc/internal/faultinject"
 	"repligc/internal/gctest"
+	"repligc/internal/heap"
 	"repligc/internal/rig"
 	"repligc/internal/trace"
 )
@@ -101,6 +103,7 @@ func TestCompositionMatrix(t *testing.T) {
 		t.Fatalf("ran %d cells, want 120", cells)
 	}
 	compositionLargeObjects(t)
+	compositionDeferredFlipFaults(t)
 }
 
 // compositionLargeObjects is the matrix's large-object plane: every collector
@@ -174,4 +177,105 @@ func compositionLargeObjects(t *testing.T) {
 		}
 	}
 	t.Logf("large-object plane: 30 cells, %d copies split", splits)
+}
+
+// compositionDeferredFlipFaults is the matrix's fault plane for the flip gate
+// (core.Replicating.deferFlip): every collector with an incremental major ×
+// group size {1, 4} × {force-complete, shrink-old}, each run driven one round
+// at a time until a major flip has been put off and its cycle is still
+// waiting, and then struck. Force-complete must end the cycle in budgeted
+// pauses: the flip fits a pause that does nothing else, or is let through.
+// Under shrink-old the next pause that looks at the headroom (a major-only
+// micro-pause of rt-conc does not) must escalate — flip regardless of the
+// gate, or surface the typed error — never wait. The shape is the paper's L
+// over a 64 KB nursery of which half survives, so the pause a flip could run
+// in is nearly always full; rt-conc with one member is left out, because its
+// flips always fit (one driver's worklist against a budget of L/2). The heap
+// audit runs after every round from the strike until the headroom is back and
+// every thirty-second otherwise, the shadow check at the end, 24 rounds later.
+func compositionDeferredFlipFaults(t *testing.T) {
+	params := Params{NBytes: 64 << 10, OBytes: 256 << 10, LBytes: 100 << 10}
+	const oldSemi = 4 << 20
+	cells := 0
+	for _, coll := range rig.Table {
+		if coll.StopCopy || !coll.Engine.IncrementalMajor {
+			continue
+		}
+		for _, members := range []int{1, 4} {
+			if coll.Name == rig.RTConc.Name && members == 1 {
+				continue
+			}
+			for _, fault := range []faultinject.Action{faultinject.ForceComplete, faultinject.ShrinkOld} {
+				cells++
+				label := fmt.Sprintf("%s members=%d %v while a flip is deferred", coll.Name, members, fault)
+				rt, err := rig.New(rig.Config{Collector: coll, Params: params, OldSemiBytes: oldSemi, Members: members})
+				if err != nil {
+					t.Errorf("%s: %v", label, err)
+					continue
+				}
+				md, err := gctest.NewMultiDriver(rt.Group, 1)
+				if err != nil {
+					t.Errorf("%s: %v", label, err)
+					continue
+				}
+				repl := rt.GC.(*core.Replicating)
+				st := rt.GC.Stats()
+				struck, clamped, emergencies := false, false, 0
+				last := 1200 / members // a run that has not met the state by then never will
+				for round := 0; round < last && err == nil; round++ {
+					if err = md.Step(80); err != nil {
+						if _, ok := core.AsOOM(err); !ok || !clamped {
+							break
+						}
+						err = nil // typed exhaustion under the clamp: the run goes on
+					}
+					if !struck && st.FlipDeferrals > 0 && repl.CheckpointNow().MajorActive {
+						struck, emergencies = true, st.EmergencyCollections
+						majors, forced := st.MajorCollections, st.ForcedCompletion
+						inj := faultinject.New(rt.Mutator, faultinject.Plan{Events: []faultinject.Event{{AtOp: 1, Action: fault}}})
+						if err = inj.Tick(); err != nil {
+							break
+						}
+						if clamped = fault == faultinject.ShrinkOld; clamped {
+							last = round + 64 // the escalation's deadline
+						} else {
+							last = round + 24
+							if !repl.CheckpointNow().Quiescent || st.MajorCollections != majors+1 || st.ForcedCompletion != forced {
+								err = fmt.Errorf("force-complete left the deferred flip's cycle active, or had to force it (%d -> %d majors, %d -> %d forced completions)",
+									majors, st.MajorCollections, forced, st.ForcedCompletion)
+							}
+						}
+					}
+					if clamped && st.EmergencyCollections > emergencies {
+						clamped, last = false, round+24
+						for _, sp := range []*heap.Space{rt.Heap.OldFrom(), rt.Heap.OldTo()} {
+							sp.SetLimitBytes(oldSemi)
+						}
+					}
+					// One member's audit walks the group's whole root set.
+					if err == nil && (clamped || round%32 == 0) {
+						if err = core.AuditHeap(rt.Mutator); err != nil {
+							err = fmt.Errorf("round %d: %w", round, err)
+						}
+					}
+				}
+				switch {
+				case err == nil && !struck:
+					err = fmt.Errorf("no flip was ever deferred: the cell does not reach the state")
+				case err == nil && clamped:
+					err = fmt.Errorf("no pause escalated in the 64 rounds after the clamp")
+				}
+				if err == nil {
+					err = rt.Finish()
+				}
+				if err == nil {
+					err = md.Verify()
+				}
+				if err != nil {
+					t.Errorf("%s: %v", label, err)
+				}
+			}
+		}
+	}
+	t.Logf("deferred-flip fault plane: %d cells", cells)
 }

@@ -16,9 +16,12 @@ import (
 // originals — so it can run at any collector-quiescent point, including in
 // the middle of an incremental collection, where it doubles as a check of
 // the from-space invariant (a collector that leaked a to-space pointer
-// into mutator-visible state before the flip would be caught here).
+// into mutator-visible state before the flip would be caught here): the walk
+// must never enter a replica the collector keeps hidden until the flip
+// (ScanAuditor.HiddenReplica).
 func AuditHeap(m *Mutator) error {
 	h := m.H
+	sc, _ := m.GC.(ScanAuditor)
 	visited := make(map[heap.Value]bool)
 	var walk func(v heap.Value, depth int) error
 	walk = func(v heap.Value, depth int) error {
@@ -32,6 +35,9 @@ func AuditHeap(m *Mutator) error {
 
 		if !h.Nursery.Contains(v) && !h.OldFrom().Contains(v) && !h.OldTo().Contains(v) {
 			return fmt.Errorf("audit: pointer %v outside every space", v)
+		}
+		if sc != nil && sc.HiddenReplica(v) {
+			return fmt.Errorf("audit: %v is the replica of a mutable object, which nothing the mutator reaches may reference before the flip", v)
 		}
 
 		raw := h.RawHeader(v)
@@ -77,17 +83,28 @@ func AuditHeap(m *Mutator) error {
 	if firstErr != nil {
 		return firstErr
 	}
-	if sc, ok := m.GC.(ScanAuditor); ok {
+	if sc != nil {
 		return sc.AuditScanned(m)
 	}
 	return nil
 }
 
 // ScanAuditor is implemented by collectors that can verify their own
-// incremental-scan invariants beyond the structural checks above; AuditHeap
-// invokes it after the graph walk succeeds.
+// incremental invariants beyond the structural checks above: AuditHeap asks
+// HiddenReplica about every object its walk enters and invokes AuditScanned
+// after the walk succeeds.
 type ScanAuditor interface {
+	HiddenReplica(v heap.Value) bool
 	AuditScanned(m *Mutator) error
+}
+
+// HiddenReplica reports whether v is a replica the mutator must not be able to
+// reach yet: while a major collection is active, the replica of a mutable
+// from-space object. Every reference to the original stays on the original
+// until the major flip, which is what lets such a replica's own slots point
+// straight at replicas (toSpaceValue).
+func (c *Replicating) HiddenReplica(v heap.Value) bool {
+	return c.major.active && c.h.OldTo().Contains(v) && c.hiddenHolder(v, c.major.isReplica(v))
 }
 
 // AuditScanned verifies the replication collector's tricolor discipline: an

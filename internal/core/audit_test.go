@@ -226,3 +226,71 @@ func TestAuditScannedCatchesCorruptBlackObject(t *testing.T) {
 	h.Store(black, 0, fromObj)
 	mustAuditError(t, m, "holds from-space pointer")
 }
+
+// TestAuditCatchesVisibleMutableReplica is the hiding invariant's corruption
+// case: while a major collection is active nothing the mutator can reach may
+// reference the replica of a mutable object — that is what lets such a
+// replica's own slots point straight at replicas (toSpaceValue) — so a
+// visible slot hand-pointed at one must be reported, while the replica of an
+// immutable object, which the collector itself redirects visible slots to,
+// must not.
+func TestAuditCatchesVisibleMutableReplica(t *testing.T) {
+	m, gc := auditMutator(t, Config{
+		NurseryBytes:        128 << 10,
+		MajorThresholdBytes: 256 << 10,
+		CopyLimitBytes:      4 << 10,
+		IncrementalMinor:    true,
+		IncrementalMajor:    true,
+	})
+	h := m.H
+
+	// Promote pinned pairs of a ref cell and a record until a major is active
+	// and has replicated one of each kind.
+	replicaOf := func(mutable bool) heap.Value {
+		for _, run := range gc.major.replicas {
+			for idx := run.start; idx < run.start+run.words; {
+				hdr := heap.Header(h.Arena[idx])
+				if hdr.Kind().Mutable() == mutable && hdr.Kind().HasPointers() {
+					return heap.Value((idx + 1) << 3)
+				}
+				idx += uint64(hdr.SizeWords())
+			}
+		}
+		return heap.Nil
+	}
+	for i := 0; i < 200_000 && !(gc.major.active && replicaOf(true) != heap.Nil && replicaOf(false) != heap.Nil); i++ {
+		r := m.MustAlloc(heap.KindRef, 1)
+		m.Init(r, 0, heap.FromInt(int64(i)))
+		pin := m.PushHandle(r)
+		p := m.MustAlloc(heap.KindRecord, 2)
+		m.Init(p, 0, m.HandleVal(pin))
+		m.Init(p, 1, heap.Nil)
+		if i%8 == 0 {
+			m.SetHandleVal(pin, p) // one pair in eight survives, through the record
+		} else {
+			m.PopHandles(pin)
+		}
+	}
+	hidden, shared := replicaOf(true), replicaOf(false)
+	if !gc.major.active || hidden == heap.Nil || shared == heap.Nil {
+		t.Fatal("could not reach a mid-major state with a mutable and an immutable replica")
+	}
+	if !gc.HiddenReplica(hidden) || gc.HiddenReplica(shared) {
+		t.Fatalf("HiddenReplica: mutable replica %v, immutable replica %v", gc.HiddenReplica(hidden), gc.HiddenReplica(shared))
+	}
+	if err := AuditHeap(m); err != nil {
+		t.Fatalf("audit failed mid-major on a healthy heap: %v", err)
+	}
+
+	// A rooted holder the mutator can read; the stores go behind the
+	// barrier's back, as a collector bug would.
+	holder := m.MustAlloc(heap.KindArray, 1)
+	m.Init(holder, 0, heap.Nil)
+	hh := m.PushHandle(holder)
+	h.Store(m.HandleVal(hh), 0, shared)
+	if err := AuditHeap(m); err != nil {
+		t.Fatalf("audit rejected a visible reference to an immutable object's replica: %v", err)
+	}
+	h.Store(m.HandleVal(hh), 0, hidden)
+	mustAuditError(t, m, "replica of a mutable object")
+}

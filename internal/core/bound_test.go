@@ -45,8 +45,8 @@ print (itos total ^ " " ^ itos (aget out 3) ^ " " ^ itos (aget out 59996) ^ "\n"
 // TestPauseCopyBound holds the copy term of the pause bound (DESIGN.md,
 // "Pause bound"): no pause that runs under the work limit copies more than
 // 2L plus the split threshold L/4, whatever the size of the largest object.
-// Stop-the-world pauses (forced completions, emergencies: Sync == Length)
-// have no budget and are exempt.
+// Stop-the-world pauses (forced completions, emergencies: Pause.Forced) have
+// no budget and are exempt.
 func TestPauseCopyBound(t *testing.T) {
 	cfg := paperRT()
 	bound := cfg.PauseCopyBound()
@@ -54,7 +54,7 @@ func TestPauseCopyBound(t *testing.T) {
 		t.Helper()
 		worst, at, checked := int64(0), 0, 0
 		for i, p := range gc.Pauses().Pauses {
-			if p.Sync == p.Length {
+			if p.Forced {
 				continue
 			}
 			checked++
@@ -123,10 +123,15 @@ func TestPauseCopyBound(t *testing.T) {
 	})
 }
 
-// lazySieve is a MiniML program of the repository benchmark's Primes shape:
-// a lazy stream of filters, each a closure that reaches its recursive
-// bindings through ref cells, promoted and kept across several majors.
-const lazySieve = `
+// lazySieve is a MiniML program of the repository benchmark's Primes shape,
+// summing the first count primes: a lazy stream of filters, each a closure
+// that reaches its recursive bindings through ref cells, promoted and kept
+// across several majors.
+func lazySieve(count int) string {
+	return fmt.Sprintf(lazySieveSource, count)
+}
+
+const lazySieveSource = `
 fun from n = fn u => (n, from (n + 1)) in
 fun filter p s = fn u =>
   let pr = s () in
@@ -141,21 +146,44 @@ fun take k s acc =
   if k = 0 then acc
   else let pr = s () in
        (case pr of (x, rest) => take (k - 1) rest (acc + x)) in
-print ("primes-sum " ^ itos (take 1200 (sieve (from 2)) 0) ^ "\n")
+print ("primes-sum " ^ itos (take %d (sieve (from 2)) 0) ^ "\n")
 `
+
+// tortureGroup4 runs four torture drivers on one heap for so many rounds of
+// 80-operation quanta, the shape of the repository benchmark's group4, with
+// the flight recorder on; finishing the run is the caller's.
+func tortureGroup4(t *testing.T, cfg core.Config, rounds int) (*core.Group, *core.Replicating, *gctest.MultiDriver, *trace.Recorder) {
+	t.Helper()
+	h := heap.New(heap.Config{NurseryBytes: cfg.NurseryBytes, NurseryCapBytes: 32 * cfg.NurseryBytes, OldSemiBytes: 16 << 20})
+	g := core.NewGroup(h, simtime.NewClock(), simtime.Default1993(), core.LogAllMutations, 4)
+	gc := core.NewReplicating(h, cfg)
+	g.AttachGC(gc)
+	tr := trace.NewRecorder(1 << 18)
+	gc.SetTrace(tr)
+	md, err := gctest.NewMultiDriver(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < rounds; round++ {
+		if err := md.Step(80); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g, gc, md, tr
+}
 
 // TestPauseFlipBound holds the flip term of the pause bound (DESIGN.md, "Pause
 // bound"): in a pause that runs under the work limit, copying, scanning and
-// the flip together take no longer than copying PauseCopyBound() bytes does.
-// Stop-the-world pauses have no budget and are exempt.
+// the flips together take no longer than copying PauseCopyBound() bytes does.
+// Forced pauses have no budget and are exempt, and so is a pause whose flip
+// the gate let through although it did not fit (Pause.FlipOverrun, counted by
+// GCStats.FlipOverruns).
 func TestPauseFlipBound(t *testing.T) {
 	cost := simtime.Default1993()
-	boundOf := func(cfg core.Config) simtime.Duration {
-		return simtime.Duration(cfg.PauseCopyBound()/heap.BytesPerWord) * max(cost.CopyWord, cost.ScanWord)
-	}
 	// worstOf walks the flight recorder's pauses beside the collector's own
-	// record of them, which says which ones were stop-the-world, and returns
-	// the budgeted pause that spent longest copying and flipping.
+	// record of them, which says which ones were exempt and which held a major
+	// flip, and returns the budgeted pause that spent longest copying and
+	// flipping.
 	spent := func(d trace.PauseDetail) simtime.Duration {
 		return d.Phases[trace.PhaseCopy] + d.Phases[trace.PhaseFlip]
 	}
@@ -169,20 +197,22 @@ func TestPauseFlipBound(t *testing.T) {
 		if tr.Dropped() != 0 || len(an.Pauses) != len(record) {
 			t.Fatalf("the recorder holds %d pauses (%d events dropped), the collector recorded %d", len(an.Pauses), tr.Dropped(), len(record))
 		}
-		worst, flips := trace.PauseDetail{}, 0
+		worst, overruns := trace.PauseDetail{}, 0
 		for _, d := range an.WorstPauses(len(record)) {
-			if p := record[d.Index]; p.Sync == p.Length {
-				continue
+			p := record[d.Index]
+			if p.FlipOverrun {
+				overruns++
 			}
-			if d.Phases[trace.PhaseFlip] > 0 {
-				flips++
-			}
-			if spent(d) > spent(worst) {
+			if !p.Forced && !p.FlipOverrun && spent(d) > spent(worst) {
 				worst = d
 			}
 		}
-		if st := gc.Stats(); st.MajorCollections == 0 || flips == 0 {
-			t.Fatalf("%d majors, %d budgeted pauses with a flip: the run is too small to say anything", st.MajorCollections, flips)
+		st := gc.Stats()
+		if st.MajorCollections == 0 || st.FlipDeferrals == 0 {
+			t.Fatalf("%d majors, %d flips deferred: the run never meets the gate", st.MajorCollections, st.FlipDeferrals)
+		}
+		if overruns != st.FlipOverruns {
+			t.Errorf("%d pauses are marked as flip overruns, the collector counted %d", overruns, st.FlipOverruns)
 		}
 		return worst
 	}
@@ -192,7 +222,7 @@ func TestPauseFlipBound(t *testing.T) {
 		m, gc := newRun(cfg, core.LogAllMutations)
 		tr := trace.NewRecorder(1 << 18)
 		gc.SetTrace(tr)
-		prog, err := lang.Compile(m, lazySieve)
+		prog, err := lang.Compile(m, lazySieve(1200))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,8 +239,13 @@ func TestPauseFlipBound(t *testing.T) {
 		if st := gc.Stats(); st.MajorCollections < 3 {
 			t.Fatalf("%d majors: the run is too small to say anything", st.MajorCollections)
 		}
-		if w, bound := worstOf(t, gc, tr), boundOf(cfg); spent(w) > bound {
-			t.Skipf("pause %d spent %v copying and %v flipping against the bound %v: the flip runs whatever the pause has already spent",
+		// Every flip that does not fit the pause it could have run in fits the
+		// next one: the program's minor collections are small.
+		if st := gc.Stats(); st.FlipOverruns != 0 || st.FlipDeferrals >= st.MajorCollections {
+			t.Errorf("%d of %d major flips deferred, %d overruns: want some flips to fit at once and none to be let through", st.FlipDeferrals, st.MajorCollections, st.FlipOverruns)
+		}
+		if w, bound := worstOf(t, gc, tr), cfg.PauseBoundTime(cost); spent(w) > bound {
+			t.Errorf("pause %d spent %v copying and %v flipping against the bound %v",
 				w.Index, w.Phases[trace.PhaseCopy], w.Phases[trace.PhaseFlip], bound)
 		}
 	})
@@ -218,35 +253,24 @@ func TestPauseFlipBound(t *testing.T) {
 	// Four members on one heap, under an N and O that let the torture driver's
 	// majors end (TestPauseCopyBound says why). O = 384 KB makes the second
 	// major's flip worklist the size of the repository benchmark's group4
-	// (15-16 thousand entries); it is still active when the driver stops, so
-	// it flips in FinishCycles, as the benchmark's one major does.
+	// (15-16 thousand entries before hidden holders, half of that after); it
+	// is still active when the driver stops, so it flips in FinishCycles, as
+	// the benchmark's one major does. The first major's flip finds every
+	// pause full — half of each 64 KB nursery survives — and is let through
+	// at the deferral cap: the one overrun, and inside the bound anyway.
 	t.Run("gctest-group4", func(t *testing.T) {
 		cfg := paperRT()
 		cfg.NurseryBytes, cfg.MajorThresholdBytes = 64<<10, 384<<10
-		h := heap.New(heap.Config{NurseryBytes: cfg.NurseryBytes, NurseryCapBytes: 32 * cfg.NurseryBytes, OldSemiBytes: 16 << 20})
-		g := core.NewGroup(h, simtime.NewClock(), cost, core.LogAllMutations, 4)
-		gc := core.NewReplicating(h, cfg)
-		g.AttachGC(gc)
-		tr := trace.NewRecorder(1 << 18)
-		gc.SetTrace(tr)
-		md, err := gctest.NewMultiDriver(g, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for round := 0; round < 400; round++ {
-			if err := md.Step(80); err != nil {
-				t.Fatal(err)
-			}
-		}
+		g, gc, md, tr := tortureGroup4(t, cfg, 400)
 		if err := g.Run(0, gc.FinishCycles); err != nil {
 			t.Fatal(err)
 		}
 		if err := md.Verify(); err != nil {
 			t.Fatal(err)
 		}
-		w, bound, stopped := worstOf(t, gc, tr), boundOf(cfg), g.GroupPauses().Max()
+		w, bound, stopped := worstOf(t, gc, tr), cfg.PauseBoundTime(cost), g.GroupPauses().Max()
 		if spent(w) > bound || stopped > bound {
-			t.Skipf("pause %d spent %v copying and %v flipping, and everyone was stopped for %v, against the bound %v: the flip's worklist (%d entries re-pointed in the run's %d majors) is metered by nothing",
+			t.Errorf("pause %d spent %v copying and %v flipping, and everyone was stopped for %v, against the bound %v (%d entries re-pointed in the run's %d majors)",
 				w.Index, w.Phases[trace.PhaseCopy], w.Phases[trace.PhaseFlip], stopped, bound, gc.Stats().FlipEntryUpdates, gc.Stats().MajorCollections)
 		}
 	})

@@ -55,6 +55,14 @@ type GCStats struct {
 	SplitCopies      int64
 	LargestCopyBytes int64
 
+	// The flip term's counters (Replicating.deferFlip): major flips put off
+	// to the next minor flip because they did not fit their pause, flips that
+	// ran although they did not fit (cost alone above the budget, or the
+	// deferral cap reached), and the longest worklist a major flip re-pointed.
+	FlipDeferrals       int
+	FlipOverruns        int
+	LargestFlipWorklist int
+
 	// EmergencyCollections counts degradation-ladder activations: pauses
 	// promoted to full stop-the-world completion because the promotion
 	// target's headroom fell below the reservation (nursery contents plus

@@ -20,3 +20,14 @@ func (c *Replicating) CopyInFlight(major bool) (next, words int, ok bool) {
 	}
 	return g.inflight.next, g.inflight.words, g.inflight.replica != 0
 }
+
+// SetFlipMetering switches the two halves of flip metering, both on outside
+// tests: hiding (a slot of a mutable object's major replica points at its
+// referent's replica at once) and the gate (a major flip that does not fit its
+// pause waits for the next minor flip).
+func (c *Replicating) SetFlipMetering(hiding, gate bool) {
+	c.noHiding, c.noFlipGate = !hiding, !gate
+}
+
+// MaxFlipDeferrals is the gate's deferral cap.
+const MaxFlipDeferrals = maxFlipDeferrals

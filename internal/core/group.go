@@ -143,10 +143,11 @@ func (g *Group) reconcileTo(actor int, upTo simtime.Duration) {
 				t = w
 			}
 		}
-		g.rec.Record(simtime.Pause{
-			At: t, Length: sync, Sync: sync,
-			Kind: p.Kind, CopiedB: p.CopiedB, LogProcN: p.LogProcN,
-		})
+		// The all-stopped interval keeps everything the collector recorded
+		// about its pause but where it sits and how long it is.
+		stopped := p
+		stopped.At, stopped.Length, stopped.Sync = t, sync, sync
+		g.rec.Record(stopped)
 		for j := range g.wall {
 			g.wall[j] = t + sync
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"repligc/internal/heap"
 	"repligc/internal/policy"
@@ -184,6 +185,14 @@ type generation struct {
 	skips     []span // mutator-owned objects inside the scan region (minor only: NoteOldAlloc)
 	//gclint:pauseonly advanced by the scan as it steps over spans, reset at cycle boundaries
 	skipIdx int
+	// The runs of consecutive replicas in to, in address order (major only):
+	// what tells a replica from an object promoted or allocated there, which
+	// is mutator-visible (hiddenHolder).
+	//
+	//gclint:pauseonly appended by replicate, which copies only while the mutator is stopped; reset in the pause that starts the cycle
+	replicas []span
+	//gclint:pauseonly advanced by the scan as the cursor passes each run, reset with the list
+	replicaIdx int
 
 	// The one replica this generation is filling across pauses (replicate);
 	// its replica field is Nil when no copy is in flight.
@@ -210,6 +219,34 @@ func (g *generation) begin(from, to *heap.Space) {
 
 // scanDone reports whether the cursor has reached the to-space frontier.
 func (g *generation) scanDone() bool { return g.scan >= g.to.Next }
+
+// noteReplica extends the replica runs by the replica just reserved at the
+// to-space frontier: a new run only when something else was allocated there
+// since the last one.
+func (g *generation) noteReplica(replica heap.Value, words int) {
+	start := uint64(replica)>>3 - 1 // header word index
+	if n := len(g.replicas); n > 0 && g.replicas[n-1].start+g.replicas[n-1].words == start {
+		g.replicas[n-1].words += uint64(words)
+		return
+	}
+	g.replicas = append(g.replicas, span{start: start, words: uint64(words)})
+}
+
+// scanningReplica reports whether the object at the scan cursor is one of g's
+// replicas; the runs are consumed in cursor order.
+func (g *generation) scanningReplica() bool {
+	for g.replicaIdx < len(g.replicas) && g.replicas[g.replicaIdx].start+g.replicas[g.replicaIdx].words <= g.scan {
+		g.replicaIdx++
+	}
+	return g.replicaIdx < len(g.replicas) && g.replicas[g.replicaIdx].start <= g.scan
+}
+
+// isReplica is scanningReplica for any address, by binary search (the audit).
+func (g *generation) isReplica(v heap.Value) bool {
+	idx := uint64(v)>>3 - 1
+	i := sort.Search(len(g.replicas), func(i int) bool { return g.replicas[i].start+g.replicas[i].words > idx })
+	return i < len(g.replicas) && g.replicas[i].start <= idx
+}
 
 // Replicating is the replication-based incremental collector. It maintains
 // the paper's from-space invariant: the mutator only ever addresses
@@ -260,6 +297,8 @@ type Replicating struct {
 	//gclint:pauseonly dedup set for fixups; same pause-only lifecycle as the worklist it guards
 	fixupSeen       map[fixup]struct{} // dedup: a slot is queued once
 	forcedMajorFlip bool               // replay wants a major flip at the next minor flip
+	//gclint:pauseonly counted by the flip gate and cleared by the flip, both under pause
+	flipDeferrals int // times in a row the pending major flip has been put off (deferFlip)
 
 	// Replay memo: consecutive log entries overwhelmingly target the same
 	// object (the barrier logs a dirtied array slot by slot), so the
@@ -296,14 +335,18 @@ type Replicating struct {
 	microLimit int64 // per-micro-pause work budget (0: normal pauses)
 
 	// Test seams (export_test.go); zero outside tests. splitMin replaces the
-	// split threshold L/4, chunkWords caps the words one fill moves.
+	// split threshold L/4, chunkWords caps the words one fill moves; noHiding
+	// and noFlipGate switch off the two halves of flip metering (toSpaceValue's
+	// hidden holders, deferFlip) for the differential tests.
 	splitMin   int64
 	chunkWords int
+	noHiding   bool
+	noFlipGate bool
 
-	// Per-pause scratch.
-	pauseCopied   int64 // bytes copied this pause (for the recorder)
-	pauseLogProcd int64 // log entries processed this pause
-	pauseWork     int64 // copy+scan bytes counted against the L budget
+	// Per-pause scratch: the record of the pause in progress, filled in by the
+	// kernels as they work, and the copy+scan bytes counted against L.
+	cur       simtime.Pause
+	pauseWork int64
 
 	// ckpt, when set, is called at the tail of every pause (still inside
 	// the pause window) so the checkpoint writer can advance its snapshot
@@ -412,6 +455,18 @@ func (c *Replicating) splitBytes() int64 {
 // object — the work limit 2L plus one object no larger than the threshold.
 func (c Config) PauseCopyBound() int64 { return 2*c.CopyLimitBytes + c.CopyLimitBytes/4 }
 
+// PauseBoundTime is that bound as time, and the bound the flip term shares
+// with it: what copying and scanning a budgeted pause's bytes take at most,
+// and so what its copying, scanning and flips together may take (deferFlip).
+func (c Config) PauseBoundTime(cost simtime.CostModel) simtime.Duration {
+	return workTime(cost, c.PauseCopyBound())
+}
+
+// workTime is the longest that copy+scan work of so many bytes takes.
+func workTime(cost simtime.CostModel, bytes int64) simtime.Duration {
+	return simtime.Duration(bytes/heap.BytesPerWord) * max(cost.CopyWord, cost.ScanWord)
+}
+
 // taxQuantum is the work size of one interleaved micro-pause (bytes of
 // copy+scan); 4 KB is about one millisecond at the paper's copying rate.
 const taxQuantum = 4 << 10
@@ -448,9 +503,9 @@ func (c *Replicating) AllocTax(m *Mutator, bytes int64) error {
 	} else {
 		// Only the major collection has pending work: run a mid-cycle
 		// major increment without forcing a (trivial) minor collection.
-		at, syncBase := c.beginPause(m)
+		syncBase := c.beginPause(m)
 		_, err = c.runMajorIncrement(m, false, false)
-		c.endPause(m, at, syncBase, simtime.PauseMinor, false)
+		c.endPause(m, syncBase, simtime.PauseMinor, false)
 	}
 	c.microLimit = 0
 	return err
@@ -511,7 +566,7 @@ func pauseSyncBase(clk *simtime.Clock) simtime.Duration {
 //
 //gclint:pauseentry Clock.BeginPause stops the (single) mutator before any collector state changes; every collector entry point funnels through here
 func (c *Replicating) pause(m *Mutator, needWords int, force bool) error {
-	at, syncBase := c.beginPause(m)
+	syncBase := c.beginPause(m)
 	kind := simtime.PauseMinor
 	err := c.pauseBody(m, needWords, force, &kind)
 	// Stop-the-world pauses (forced completions, emergencies) admit no
@@ -525,15 +580,15 @@ func (c *Replicating) pause(m *Mutator, needWords int, force bool) error {
 		c.ckpt.PauseCheckpoint(m, c.checkpointPoint())
 		end()
 	}
-	c.endPause(m, at, syncBase, kind, stw)
+	c.endPause(m, syncBase, kind, stw)
 	return err
 }
 
 // beginPause stops the mutator and opens the pause window that pause and
 // AllocTax's major-only micro-pause share; endPause closes it.
-func (c *Replicating) beginPause(m *Mutator) (at, syncBase simtime.Duration) {
+func (c *Replicating) beginPause(m *Mutator) (syncBase simtime.Duration) {
 	m.Clock.BeginPause()
-	at = m.Clock.Now()
+	at := m.Clock.Now()
 	syncBase = pauseSyncBase(m.Clock)
 	c.tr.PauseBegin(at)
 	c.tr.Counters(at, m.LogWrites, m.BarrierFastSkips, m.BarrierDirtySkips)
@@ -547,24 +602,22 @@ func (c *Replicating) beginPause(m *Mutator) (at, syncBase simtime.Duration) {
 	// the previous pause vouch for entries this pause may now consume, so
 	// they must expire here (heap/stamp.go spells out the invariant).
 	c.h.BeginLogEpoch()
-	c.pauseCopied, c.pauseLogProcd, c.pauseWork = 0, 0, 0
+	c.cur, c.pauseWork = simtime.Pause{At: at}, 0
 	c.stats.PauseCount++
-	return at, syncBase
+	return syncBase
 }
 
 // endPause restarts the mutator and records the pause; its stop-the-world
 // portion is what the sync accounts gained in the window, or all of it (stw).
-func (c *Replicating) endPause(m *Mutator, at, syncBase simtime.Duration, kind simtime.PauseKind, stw bool) {
+func (c *Replicating) endPause(m *Mutator, syncBase simtime.Duration, kind simtime.PauseKind, stw bool) {
 	length := m.Clock.EndPause()
 	sync := pauseSyncBase(m.Clock) - syncBase
 	if stw || sync > length {
 		sync = length
 	}
-	c.rec.Record(simtime.Pause{
-		At: at, Length: length, Kind: kind, Sync: sync,
-		CopiedB: c.pauseCopied, LogProcN: c.pauseLogProcd,
-	})
-	c.tr.PauseEnd(m.Clock.Now(), c.pauseCopied, c.pauseLogProcd, int64(kind))
+	c.cur.Length, c.cur.Kind, c.cur.Sync, c.cur.Forced = length, kind, sync, stw
+	c.rec.Record(c.cur)
+	c.tr.PauseEnd(m.Clock.Now(), c.cur.CopiedB, c.cur.LogProcN, int64(kind))
 }
 
 // pauseBody is the work of one pause; pause wraps it so the clock and the
@@ -592,6 +645,7 @@ func (c *Replicating) pauseBody(m *Mutator, needWords int, force bool, kind *sim
 		c.stats.ForcedCompletion++
 	}
 
+	needB := int64(needWords) * heap.BytesPerWord
 	done, err := c.runMinorIncrement(m, forceMinor)
 	if err != nil {
 		return err
@@ -609,18 +663,11 @@ func (c *Replicating) pauseBody(m *Mutator, needWords int, force bool, kind *sim
 		// (paper parameter A), enough for the pending allocation. Pauses
 		// that were not forced by a failed allocation (interleaved micro-
 		// pauses) skip the expansion — the nursery still has room.
-		grow := c.cfg.expandBytes()
-		needB := int64(needWords) * heap.BytesPerWord
-		if grow < needB {
-			grow = needB
-		}
-		granted := c.h.Nursery.GrowBytes(grow)
+		granted := c.h.Nursery.GrowBytes(max(c.cfg.expandBytes(), needB))
 		c.stats.NurseryExpansion += granted
 		if granted < needB {
 			// Expansion bound blown: conservative completion (the
-			// ladder's first rung), then regrow toward the cap for the
-			// blocked allocation. Only if the nursery still cannot hold
-			// the request does Alloc surface the typed error.
+			// ladder's first rung).
 			c.stats.ForcedCompletion++
 			done, err := c.runMinorIncrement(m, true)
 			if err != nil {
@@ -633,10 +680,14 @@ func (c *Replicating) pauseBody(m *Mutator, needWords int, force bool, kind *sim
 			if _, err := c.afterMinorFlip(m, force); err != nil {
 				return err
 			}
-			if free := c.h.Nursery.LimitBytes() - c.h.Nursery.UsedBytes(); free < needB {
-				c.stats.NurseryExpansion += c.h.Nursery.GrowBytes(needB - free)
-			}
 		}
+	}
+	// Whatever room the pause leaves — N, the A of a deferred flip, a nursery
+	// at its expansion bound — the blocked allocation must fit: regrow toward
+	// the cap for it. Only if the nursery still cannot hold the request does
+	// Alloc surface the typed error.
+	if free := c.h.Nursery.LimitBytes() - c.h.Nursery.UsedBytes(); free < needB {
+		c.stats.NurseryExpansion += c.h.Nursery.GrowBytes(needB - free)
 	}
 	return nil
 }
@@ -864,7 +915,7 @@ func (c *Replicating) takeLogEntry(m *Mutator, g *generation, force bool) (int64
 	seq := g.logCursor
 	g.logCursor++
 	c.stats.LogScanned++
-	c.pauseLogProcd++
+	c.cur.LogProcN++
 	m.Clock.Charge(simtime.AcctLogScan, m.Cost.LogScan)
 	return seq, m.Log.At(seq), true
 }
@@ -874,7 +925,7 @@ func (c *Replicating) takeLogEntry(m *Mutator, g *generation, force bool) (int64
 func (c *Replicating) rewindLogEntry(g *generation, err error) (bool, error) {
 	g.logCursor--
 	c.stats.LogScanned--
-	c.pauseLogProcd--
+	c.cur.LogProcN--
 	return false, err
 }
 
@@ -950,7 +1001,8 @@ func (c *Replicating) reapplyMinor(m *Mutator, e LogEntry) error {
 	if h.Nursery.Contains(v) {
 		v, err = c.minorValue(m, v, replica, int(e.Slot))
 	} else {
-		v, err = c.toSpaceValue(m, v, replica, int(e.Slot))
+		// A minor replica is mutator-visible from this cycle's flip on.
+		v, err = c.toSpaceValue(m, v, replica, int(e.Slot), false)
 	}
 	if err != nil {
 		return err // replica slot untouched; reapplying again later is safe
@@ -1048,6 +1100,9 @@ func (c *Replicating) replicate(m *Mutator, g *generation, v heap.Value) (heap.V
 			Degraded:  c.emergency,
 		}
 	}
+	if g.major {
+		g.noteReplica(replica, hdr.SizeWords())
+	}
 	job := copyJob{orig: v, replica: replica, words: hdr.PayloadWords()}
 	c.fill(m, g, &job, 1) // the header word travelled with the reservation
 	if job.next < job.words {
@@ -1080,7 +1135,7 @@ func (c *Replicating) fill(m *Mutator, g *generation, job *copyJob, extra int) {
 	job.next += n
 	b := int64(n+extra) * heap.BytesPerWord
 	*g.copied += b
-	c.pauseCopied += b
+	c.cur.CopiedB += b
 	c.pauseWork += b
 	c.stats.LargestCopyBytes = max(c.stats.LargestCopyBytes, b)
 	m.Clock.Charge(g.acct, simtime.Duration(n+extra)*m.Cost.CopyWord)
@@ -1119,11 +1174,25 @@ func (g *generation) mustNotBeCopying() {
 // while mutable references keep pointing at the original — exposing a
 // mutable replica before the flip would break the from-space invariant —
 // and the slot is queued for re-pointing during the major flip.
-func (c *Replicating) toSpaceValue(m *Mutator, v heap.Value, slotObj heap.Value, slot int) (heap.Value, error) {
+//
+// hidden says the slot's holder is the major replica of a mutable object
+// (hiddenHolder), which nothing the mutator can reach references before the
+// flip. Its slots keep the paper's to-space invariant: they point at the
+// referent's replica at once — mutable or immutable, filled or in flight —
+// and are never queued; the log keeps them current.
+func (c *Replicating) toSpaceValue(m *Mutator, v heap.Value, slotObj heap.Value, slot int, hidden bool) (heap.Value, error) {
 	if !c.major.active || !c.h.OldFrom().Contains(v) {
 		return v, nil
 	}
 	mutable := c.h.HeaderOf(v).Kind().Mutable()
+	// Under §2.5 deferred copying a mutable object is not replicated until the
+	// major's completion attempts, so that mutations made to it meanwhile never
+	// need reapplying; until then even a hidden slot waits on the worklist,
+	// where drainDeferredMajorMutables finds the referent.
+	deferred := mutable && c.cfg.DeferMutableCopies
+	if hidden && !(deferred && !c.h.IsForwarded(v)) {
+		return c.replicate(m, &c.major, v)
+	}
 	if !mutable {
 		replica, err := c.replicate(m, &c.major, v)
 		if err != nil || replica != c.major.inflight.replica {
@@ -1137,16 +1206,24 @@ func (c *Replicating) toSpaceValue(m *Mutator, v heap.Value, slotObj heap.Value,
 		c.fixupSeen[f] = struct{}{}
 		c.fixups = append(c.fixups, f)
 	}
-	// Under §2.5 deferred copying the mutable object itself is not
-	// replicated until the major's completion attempts, so mutations
-	// made to it in the meantime never need reapplying; otherwise
-	// copy eagerly (the slot still waits for the flip either way).
-	if mutable && !c.cfg.DeferMutableCopies {
+	// A mutable referent is copied eagerly unless deferred (the slot still
+	// waits for the flip either way).
+	if mutable && !deferred {
 		if _, err := c.replicate(m, &c.major, v); err != nil {
 			return heap.Nil, err
 		}
 	}
 	return v, nil
+}
+
+// hiddenHolder reports whether holder, a to-space object that is (replica) or
+// is not one of the major's replicas, is hidden from the mutator until the
+// flip: the replica of a mutable object, every reference to which stays on the
+// original until then. An immutable object's replica is not — a visible slot
+// may already have been redirected to it — nor is anything promoted or
+// allocated in to-space: a minor replica is visible from the next minor flip.
+func (c *Replicating) hiddenHolder(holder heap.Value, replica bool) bool {
+	return replica && !c.noHiding && heap.Header(c.h.RawHeader(holder)).Kind().Mutable()
 }
 
 // drainDeferredMajorMutables replicates the mutable old-from objects whose
@@ -1287,7 +1364,9 @@ func (c *Replicating) scan(m *Mutator, g *generation, force bool) (bool, error) 
 			var nv heap.Value
 			var err error
 			if g.major {
-				nv, err = c.toSpaceValue(m, v, p, j)
+				// The kind test first: it fails for most holders and spares
+				// them the run-list lookup.
+				nv, err = c.toSpaceValue(m, v, p, j, hdr.Kind().Mutable() && c.hiddenHolder(p, g.scanningReplica()))
 			} else {
 				nv, err = c.minorValue(m, v, p, j)
 			}
@@ -1384,6 +1463,7 @@ func (c *Replicating) repoint(m *Mutator, g *generation, obj heap.Value, slot in
 	}
 	c.h.Store(obj, slot, replica)
 	c.stats.FlipEntryUpdates++
+	c.cur.FlipEntries++
 	m.Clock.Charge(simtime.AcctFlip, m.Cost.FlipEntry)
 	return true, nil
 }
@@ -1403,6 +1483,7 @@ func (c *Replicating) redirectRoots(m *Mutator, g *generation) {
 		}
 	}
 	c.stats.RootSlotUpdates += int64(len(roots))
+	c.cur.RootSlots += int64(len(roots))
 	m.Clock.Charge(simtime.AcctFlip, simtime.Duration(len(roots))*m.Cost.RootUpdate)
 }
 
@@ -1418,13 +1499,14 @@ func (c *Replicating) setNextNurseryLimit(m *Mutator) {
 			}
 		}
 	}
-	// Keep a sane floor so a replayed delta can always satisfy the
-	// allocation that triggered the pause.
+	c.setNurseryLimit(limit)
+}
+
+// setNurseryLimit sets the next cycle's allocation room, above a sane floor so
+// that a replayed delta, or the A of a deferred flip, is a cycle worth having.
+func (c *Replicating) setNurseryLimit(limit int64) {
 	const floor = 64 << 10
-	if limit < floor {
-		limit = floor
-	}
-	c.h.Nursery.SetLimitBytes(limit)
+	c.h.Nursery.SetLimitBytes(max(limit, floor))
 }
 
 // trimLog drops log entries no collection still needs.
@@ -1495,6 +1577,7 @@ func (c *Replicating) afterMinorFlip(m *Mutator, force bool) (bool, error) {
 func (c *Replicating) startMajor(m *Mutator) {
 	c.major.logCursor = m.Log.Len()
 	c.major.begin(c.h.OldFrom(), c.h.OldTo())
+	c.major.replicas, c.major.replicaIdx = c.major.replicas[:0], 0
 	c.fixupSeen = make(map[fixup]struct{})
 }
 
@@ -1576,6 +1659,12 @@ func (c *Replicating) runMajorIncrement(m *Mutator, force, postFlip bool) (bool,
 	if g.logCursor != m.Log.Len() || !g.scanDone() {
 		return false, nil
 	}
+	// The flip is budgeted work too. Forced increments — forced completions,
+	// emergencies, low headroom, a replayed script's flips and the
+	// non-incremental major — flip regardless of the gate.
+	if !force && c.deferFlip(m) {
+		return false, nil
+	}
 	g.whole = true // a straggler the flip copies, it copies whole
 	endPhase = c.phase(m, trace.PhaseFlip)
 	err = c.majorFlip(m)
@@ -1584,6 +1673,46 @@ func (c *Replicating) runMajorIncrement(m *Mutator, force, postFlip bool) (bool,
 		return false, err
 	}
 	return true, nil
+}
+
+// maxFlipDeferrals is how many times in a row a major flip may be put off
+// before it runs regardless, which is what ends a cycle whose every pause is
+// full. Measured with no cap on the repository benchmark's five workloads,
+// four seeds each (EXPERIMENTS.md, "PR 22"): a deferred flip fits the very next
+// minor flip's pause everywhere but on primes, whose lazy stream has phases in
+// which a whole short nursery survives — there 13-25 of 213 majors wait two to
+// four cycles, never more. 8 is twice the longest wait measured.
+const maxFlipDeferrals = 8
+
+// deferFlip is the flip gate: it reports whether the major flip, which could
+// run now, waits for the next minor flip instead. The flip's cost is known
+// before it runs — the worklist at FlipEntry a slot, the roots at RootUpdate a
+// slot — so it runs only if the pause's time so far plus that cost is within
+// the time the pause's copy+scan allowance takes. A flip put off shortens the
+// next nursery cycle to the paper's A (the collection is awaiting completion),
+// so that the pause it is tried in next holds one small minor collection and
+// the flip. A flip whose cost alone is over the budget, or that has been put
+// off maxFlipDeferrals times already, runs anyway, counted and marked on its
+// pause (Pause.FlipOverrun).
+func (c *Replicating) deferFlip(m *Mutator) bool {
+	limit := c.workLimit()
+	if limit <= 0 || c.noFlipGate {
+		return false
+	}
+	budget := workTime(m.Cost, limit)
+	cost := simtime.Duration(len(c.fixups))*m.Cost.FlipEntry + simtime.Duration(len(m.Roots.Slots()))*m.Cost.RootUpdate
+	if m.Clock.Now()-c.cur.At+cost <= budget {
+		return false
+	}
+	if cost > budget || c.flipDeferrals >= maxFlipDeferrals {
+		c.stats.FlipOverruns++
+		c.cur.FlipOverrun = true
+		return false
+	}
+	c.flipDeferrals++
+	c.stats.FlipDeferrals++
+	c.setNurseryLimit(c.cfg.expandBytes())
+	return true
 }
 
 // processMajorLog consumes pending log entries for the major collection;
@@ -1626,7 +1755,7 @@ logLoop:
 				continue
 			}
 			v := h.Load(e.Obj, int(e.Slot))
-			nv, err := c.toSpaceValue(m, v, replica, int(e.Slot))
+			nv, err := c.toSpaceValue(m, v, replica, int(e.Slot), c.hiddenHolder(replica, true))
 			if err != nil {
 				return c.rewindLogEntry(g, err)
 			}
@@ -1644,7 +1773,7 @@ logLoop:
 			}
 			v := h.Load(e.Obj, int(e.Slot))
 			if h.OldFrom().Contains(v) {
-				nv, err := c.toSpaceValue(m, v, e.Obj, int(e.Slot))
+				nv, err := c.toSpaceValue(m, v, e.Obj, int(e.Slot), false)
 				if err != nil {
 					return c.rewindLogEntry(g, err)
 				}
@@ -1673,6 +1802,7 @@ func (c *Replicating) majorFlip(m *Mutator) error {
 
 	// Re-point recorded to-space slots that still hold mutable from-space
 	// references.
+	c.stats.LargestFlipWorklist = max(c.stats.LargestFlipWorklist, len(c.fixups))
 	for _, f := range c.fixups {
 		if _, err := c.repoint(m, g, f.obj, int(f.slot)); err != nil {
 			return err
@@ -1680,6 +1810,7 @@ func (c *Replicating) majorFlip(m *Mutator) error {
 	}
 	c.fixups = c.fixups[:0]
 	c.fixupSeen = nil
+	c.flipDeferrals = 0
 
 	c.redirectRoots(m, g)
 

@@ -42,12 +42,13 @@ func splitConfig() core.Config {
 // integers and bytes into the large objects, at fixed spots near both ends. So the
 // minor generation copies exactly what the nursery held and every major
 // exactly what old-from held when it began, however the copies were chunked.
-// It returns the graph digest, the collector's statistics and whether any
-// pause left a copy in flight with stores landing on both sides of its cursor.
-func immortalStream(t *testing.T, cfg core.Config, threshold int64, chunkWords int) (uint64, core.GCStats, bool) {
+// seams sets the collector's test seams before the stream starts. It returns
+// the graph digest, the collector's statistics and whether any pause left a
+// copy in flight with stores landing on both sides of its cursor.
+func immortalStream(t *testing.T, cfg core.Config, seams func(*core.Replicating)) (uint64, core.GCStats, bool) {
 	t.Helper()
 	m, gc := newRun(cfg, core.LogAllMutations)
-	gc.SetCopySplit(threshold, chunkWords)
+	seams(gc)
 	rng := rand.New(rand.NewSource(7))
 	roots := &growingRoots{}
 	m.Roots.Register(roots)
@@ -164,7 +165,10 @@ func immortalStream(t *testing.T, cfg core.Config, threshold int64, chunkWords i
 // chunked ones having stored on both sides of a copy cursor on the way.
 func TestSplitCopyDifferential(t *testing.T) {
 	cfg := splitConfig()
-	whole, wholeStats, _ := immortalStream(t, cfg, math.MaxInt64, 0)
+	split := func(threshold int64, chunkWords int) func(*core.Replicating) {
+		return func(gc *core.Replicating) { gc.SetCopySplit(threshold, chunkWords) }
+	}
+	whole, wholeStats, _ := immortalStream(t, cfg, split(math.MaxInt64, 0))
 	if wholeStats.SplitCopies != 0 {
 		t.Fatalf("threshold \"never\" split %d copies", wholeStats.SplitCopies)
 	}
@@ -177,7 +181,7 @@ func TestSplitCopyDifferential(t *testing.T) {
 		chunkWords int
 	}{{"one-word-chunks", 1, 1}, {"derived-from-L", 0, 0}} {
 		t.Run(c.name, func(t *testing.T) {
-			digest, st, bothSides := immortalStream(t, cfg, c.threshold, c.chunkWords)
+			digest, st, bothSides := immortalStream(t, cfg, split(c.threshold, c.chunkWords))
 			if digest != whole {
 				t.Errorf("graph %016x, copied whole it is %016x", digest, whole)
 			}

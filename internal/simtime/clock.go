@@ -30,6 +30,8 @@ func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 // String formats the duration with a unit chosen by magnitude.
 func (d Duration) String() string {
 	switch {
+	case d < 0:
+		return "-" + (-d).String()
 	case d < Microsecond:
 		return fmt.Sprintf("%dns", int64(d))
 	case d < Millisecond:

@@ -43,6 +43,20 @@ type Pause struct {
 	// (core.Group) treats a zero-Sync pause conservatively, stopping
 	// everyone for the whole pause.
 	Sync Duration
+
+	// What the flip term of the pause bound is a formula over (DESIGN.md,
+	// "Pause bound"): the flip-worklist entries re-pointed and the root slots
+	// redirected by the flips of this pause. Zero for collectors that do not
+	// count them.
+	FlipEntries int64
+	RootSlots   int64
+	// Forced marks a pause that ran without a budget: a forced completion or
+	// an emergency collection. Such a pause is outside the pause bound.
+	Forced bool
+	// FlipOverrun marks a pause whose major flip ran although the flip gate
+	// said it did not fit (GCStats.FlipOverruns counts them): the one
+	// exemption from the flip term.
+	FlipOverrun bool
 }
 
 // Recorder accumulates the pauses of one benchmark run.

@@ -70,9 +70,27 @@ func Analyze(events []Event) (*Analysis, error) {
 	return a, nil
 }
 
+// Annotate completes the trace's pauses from the collector's own pause record
+// (Collector.Pauses): the pause-end event carries three words, so the
+// stop-the-world part, what the flip term of the pause bound is a formula over
+// — flip-worklist entries, root slots — and the forced and flip-overrun marks
+// live only there. Pauses are matched by start time (the two were stamped by
+// one clock, so a match agrees on everything the trace knows); one the record
+// does not hold — a checkpoint commit outside any collection pause — stays
+// as it is.
+func (a *Analysis) Annotate(record []simtime.Pause) {
+	for i, p := range a.Pauses {
+		j := sort.Search(len(record), func(j int) bool { return record[j].At >= p.At })
+		if j < len(record) && record[j].At == p.At && record[j].Length == p.Length {
+			a.Pauses[i] = record[j]
+		}
+	}
+}
+
 // PauseDetail is one pause with what the recorder knows about it: where it
-// sits in the run, what it copied and consumed (Pause.CopiedB, LogProcN) and
-// how its length divides among the phases.
+// sits in the run, what it copied and consumed (Pause.CopiedB, LogProcN),
+// after Annotate what its flips re-pointed, and how its length divides among
+// the phases.
 type PauseDetail struct {
 	Index int // position among the trace's pauses, from 0
 	simtime.Pause
@@ -95,19 +113,20 @@ func (a *Analysis) WorstPauses(k int) []PauseDetail {
 }
 
 // WorstPausesTable renders WorstPauses(k), one pause a line, phase times in
-// milliseconds.
+// milliseconds; "flip n" is the flip-worklist entries the pause re-pointed
+// (Annotate).
 func WorstPausesTable(a *Analysis, k int) string {
 	s := fmt.Sprintf("worst %d of %d pauses:\n%6s %12s %9s", min(max(k, 0), len(a.Pauses)), len(a.Pauses), "pause", "at", "ms")
 	for p := Phase(0); p < NumPhases; p++ {
 		s += fmt.Sprintf(" %10s", p)
 	}
-	s += fmt.Sprintf(" %10s %8s\n", "copied B", "log n")
+	s += fmt.Sprintf(" %10s %8s %8s\n", "copied B", "log n", "flip n")
 	for _, d := range a.WorstPauses(k) {
 		s += fmt.Sprintf("%6d %12v %9.3f", d.Index, d.At, d.Length.Milliseconds())
 		for _, t := range d.Phases {
 			s += fmt.Sprintf(" %10.3f", t.Milliseconds())
 		}
-		s += fmt.Sprintf(" %10d %8d\n", d.CopiedB, d.LogProcN)
+		s += fmt.Sprintf(" %10d %8d %8d\n", d.CopiedB, d.LogProcN, d.FlipEntries)
 	}
 	return s
 }
