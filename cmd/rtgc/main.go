@@ -7,18 +7,21 @@
 //
 //	rtgc [flags] program.ml
 //	rtgc -restore DIR
-//	rtgc [-gc C] -serve SPECFILE
+//	rtgc [-gc C] [-worst K] [-trace FILE] [-trace-summary] -serve SPECFILE
 //
 // The collector flags mirror the paper's parameters: -gc selects the
 // configuration, -n/-o/-l set N, O and L in kilobytes. With -serve, no
 // program runs: the open-loop serving engine materialises the request spec
-// and prints its latency/SLO digest under the selected collector.
+// (which sizes the heap itself) and prints its latency/SLO digest under the
+// selected collector, and the trace flags look at that run's pauses. A flag
+// the chosen mode cannot honour is a usage error, not silently dropped.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"repligc/internal/checkpoint"
@@ -59,10 +62,23 @@ func main() {
 	if *serveSpec != "" {
 		modes++
 	}
-	if flag.NArg() != 1-modes {
+	// Nor does either mode read every flag: one it would ignore is refused.
+	ignored := ""
+	for _, mode := range [][]string{{"restore"}, {"serve", "gc", "worst", "trace", "trace-summary"}} {
+		if flag.Lookup(mode[0]).Value.String() == "" {
+			continue
+		}
+		flag.Visit(func(f *flag.Flag) {
+			if !slices.Contains(mode, f.Name) {
+				ignored += fmt.Sprintf("rtgc: -%s has no meaning beside -%s\n", f.Name, mode[0])
+			}
+		})
+	}
+	if flag.NArg() != 1-modes || ignored != "" {
+		fmt.Fprint(os.Stderr, ignored)
 		fmt.Fprintln(os.Stderr, "usage: rtgc [flags] program.ml")
 		fmt.Fprintln(os.Stderr, "       rtgc -restore DIR")
-		fmt.Fprintln(os.Stderr, "       rtgc [-gc C] -serve SPECFILE")
+		fmt.Fprintln(os.Stderr, "       rtgc [-gc C] [-worst K] [-trace FILE] [-trace-summary] -serve SPECFILE")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
@@ -75,8 +91,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rtgc: %v\n", err)
 		os.Exit(2)
 	}
+	look := traceFlags{file: *traceFile, summary: *traceSummary, worst: *worst}
 	if *serveSpec != "" {
-		os.Exit(runServeSpec(*serveSpec, coll))
+		os.Exit(runServeSpec(*serveSpec, coll, look))
 	}
 	if *nKB <= 0 || *oKB <= 0 || *lKB <= 0 || *oldMB <= 0 {
 		fmt.Fprintln(os.Stderr, "rtgc: -n, -o, -l and -old must be positive")
@@ -136,34 +153,10 @@ func main() {
 		runErr = err
 	}
 
-	an, anErr := trace.Analyze(tr.Events())
-	if anErr != nil {
-		// The hook discipline should make this impossible; report, don't hide.
-		fmt.Fprintf(os.Stderr, "rtgc: malformed trace: %v\n", anErr)
-	} else {
-		an.Annotate(gc.Pauses().Pauses)
-	}
-	if *traceFile != "" {
-		labels := map[string]string{
-			"program":   flag.Arg(0),
-			"collector": rt.Collector,
-			//gclint:allow wallclock -- exporter glue: the wall-clock stamp only labels the artifact; nothing simulated reads it
-			"exported_at": time.Now().UTC().Format(time.RFC3339),
-		}
-		data, err := trace.ChromeTrace(tr.Events(), labels)
-		if err == nil {
-			err = os.WriteFile(*traceFile, data, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rtgc: writing trace: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *traceSummary && an != nil {
-		fmt.Fprintf(os.Stderr, "\n%s", trace.Summary(flag.Arg(0), an, tr.Dropped()))
-	}
-	if *worst > 0 && an != nil {
-		fmt.Fprintf(os.Stderr, "\n%s", trace.WorstPausesTable(an, *worst))
+	an, err := look.report(tr, gc.Pauses().Pauses, flag.Arg(0), rt.Collector)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rtgc: writing trace: %v\n", err)
+		os.Exit(1)
 	}
 	if runErr != nil {
 		// Every program-level failure — MiniML runtime errors and heap
@@ -223,6 +216,53 @@ func main() {
 			}
 		}
 	}
+}
+
+// traceFlags are the flags that look at a run's flight recorder; both modes
+// that run something honour them.
+type traceFlags struct {
+	file    string
+	summary bool
+	worst   int
+}
+
+// report analyses the finished run's events, completes the pauses from the
+// collector's own record, and writes what the flags asked for: the Chrome
+// trace file, the digest, the worst pauses. The analysis is nil when the
+// events are malformed, which is reported and hides nothing else.
+//
+//gclint:io writes the optional Chrome trace artifact
+func (f traceFlags) report(tr *trace.Recorder, record []simtime.Pause, subject, collector string) (*trace.Analysis, error) {
+	an, err := trace.Analyze(tr.Events())
+	if err != nil {
+		// The hook discipline should make this impossible; report, don't hide.
+		fmt.Fprintf(os.Stderr, "rtgc: malformed trace: %v\n", err)
+		an = nil
+	} else {
+		an.Annotate(record)
+	}
+	if f.file != "" {
+		labels := map[string]string{
+			"program":   subject,
+			"collector": collector,
+			//gclint:allow wallclock -- exporter glue: the wall-clock stamp only labels the artifact; nothing simulated reads it
+			"exported_at": time.Now().UTC().Format(time.RFC3339),
+		}
+		data, err := trace.ChromeTrace(tr.Events(), labels)
+		if err == nil {
+			err = os.WriteFile(f.file, data, 0o644)
+		}
+		if err != nil {
+			return an, err
+		}
+	}
+	if f.summary && an != nil {
+		fmt.Fprintf(os.Stderr, "\n%s", trace.Summary(subject, an, tr.Dropped()))
+	}
+	if f.worst > 0 && an != nil {
+		fmt.Fprintf(os.Stderr, "\n%s", trace.WorstPausesTable(an, f.worst))
+	}
+	return an, nil
 }
 
 // runRestore recovers the newest checkpoint epoch in dir, re-attaches a

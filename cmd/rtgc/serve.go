@@ -14,10 +14,11 @@ import (
 )
 
 // runServeSpec parses the spec, materialises its trace, and serves it under
-// the selected collector. Exit status 0 on success, 1 on any failure.
+// the selected collector, then reports on the run's pauses as look asks.
+// Exit status 0 on success, 1 on any failure.
 //
 //gclint:io reads the workload spec file
-func runServeSpec(specPath string, coll rig.Collector) int {
+func runServeSpec(specPath string, coll rig.Collector, look traceFlags) int {
 	raw, err := os.ReadFile(specPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rtgc: %v\n", err)
@@ -33,11 +34,16 @@ func runServeSpec(specPath string, coll rig.Collector) int {
 		fmt.Fprintf(os.Stderr, "rtgc: %v\n", err)
 		return 1
 	}
-	sec, err := workload.RunLegs(tr, []workload.LegSpec{{Name: coll.Name, Collector: coll}})
+	sec := workload.NewSection(tr)
+	rt, err := sec.RunLeg(tr, workload.LegSpec{Name: coll.Name, Collector: coll})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rtgc: %v\n", err)
 		return 1
 	}
 	fmt.Print(workload.FormatSection(sec))
+	if _, err := look.report(rt.Recorder, rt.GC.Pauses().Pauses, specPath, rt.Collector); err != nil {
+		fmt.Fprintf(os.Stderr, "rtgc: writing trace: %v\n", err)
+		return 1
+	}
 	return 0
 }

@@ -8,9 +8,11 @@ import (
 	"repligc/internal/gctest"
 	"repligc/internal/heap"
 	"repligc/internal/lang"
+	"repligc/internal/rig"
 	"repligc/internal/simtime"
 	"repligc/internal/trace"
 	"repligc/internal/vm"
+	"repligc/internal/workload"
 )
 
 // paperRT is the paper's 50 ms cell under rt: N = 0.2 MB, O = 1 MB,
@@ -273,5 +275,117 @@ func TestPauseFlipBound(t *testing.T) {
 			t.Errorf("pause %d spent %v copying and %v flipping, and everyone was stopped for %v, against the bound %v (%d entries re-pointed in the run's %d majors)",
 				w.Index, w.Phases[trace.PhaseCopy], w.Phases[trace.PhaseFlip], stopped, bound, gc.Stats().FlipEntryUpdates, gc.Stats().MajorCollections)
 		}
+	})
+}
+
+// deepRecursion is a MiniML program whose root set is its stack: a list built
+// by non-tail recursion, 8 000 frames deep while its cells are allocated, so
+// that a completion attempt's passes over the roots take several milliseconds.
+const deepRecursion = `
+fun build n = if n = 0 then [] else n :: build (n - 1) in
+fun len l a = case l of [] => a | x :: r => len r (a + 1) in
+fun loop k acc = if k = 0 then acc else loop (k - 1) (acc + len (build 8000) 0) in
+print (itos (loop 30 0) ^ "\n")
+`
+
+// storeHeavyServing is a serving spec of the repository benchmark's shape —
+// interactive requests beside a bursty batch cohort that retains half of what
+// it allocates and stores through the barrier 48 times a request — at two and
+// a half times its rates: minor collections that fill their copy budget and
+// carry a log of a few thousand entries besides.
+func storeHeavyServing() *workload.Spec {
+	return &workload.Spec{
+		Name: "store-heavy", Seed: 7, DurationMs: 12000,
+		Cohorts: []workload.Cohort{{
+			Name:    "interactive",
+			Arrival: workload.Arrival{Law: workload.LawPoisson, RatePerSec: 1000},
+			Profile: workload.Profile{ObjsPerReq: 6, ObjWords: 16, RetainPct: 0.25, SessionWords: 64, SessionReqs: 8, Mutations: 12, WorkSteps: 2000},
+			SLO:     workload.SLO{TargetMs: 2, DeadlineMs: 10},
+		}, {
+			Name: "batch-ingest",
+			Arrival: workload.Arrival{Law: workload.LawGamma, RatePerSec: 100, Shape: 0.7,
+				Burst: &workload.Burst{OnMs: 200, OffMs: 100, OffFactor: 4}},
+			Profile: workload.Profile{ObjsPerReq: 40, ObjWords: 64, RetainPct: 0.5, SessionWords: 256, SessionReqs: 4, Mutations: 48, WorkSteps: 20000},
+			SLO:     workload.SLO{TargetMs: 20, DeadlineMs: 100},
+		}},
+	}
+}
+
+// TestPauseBound holds the pause bound in all (DESIGN.md, "Pause bound"): a
+// pause of an rt run that had a budget — not forced, no checkpoint writer
+// attached — and is not counted as an overrun is no longer than copying
+// PauseCopyBound() bytes takes, whatever it spent the time on: log replay,
+// root passes, copying, scanning and both flips draw on the one budget. The
+// three runs are the three terms the copy and flip tests leave out: a log far
+// longer than a pause (the zero-filled array's 60 000 entries, replayed in
+// the program's first pause), a log tail behind a full copy budget, and root
+// passes of several milliseconds.
+func TestPauseBound(t *testing.T) {
+	cfg := paperRT()
+	bound := cfg.PauseBoundTime(simtime.Default1993())
+	check := func(t *testing.T, gc core.Collector) {
+		t.Helper()
+		worst, at, checked, overruns := simtime.Duration(0), 0, 0, 0
+		for i, p := range gc.Pauses().Pauses {
+			if p.FlipOverrun {
+				overruns++
+			}
+			if p.Forced || p.FlipOverrun {
+				continue
+			}
+			checked++
+			if p.Length > worst {
+				worst, at = p.Length, i
+			}
+		}
+		st := gc.Stats()
+		if st.MajorCollections == 0 || checked < 100 {
+			t.Fatalf("%d majors, %d budgeted pauses: the run is too small to say anything", st.MajorCollections, checked)
+		}
+		if overruns != st.FlipOverruns {
+			t.Errorf("%d pauses are marked as overruns, the collector counted %d", overruns, st.FlipOverruns)
+		}
+		if worst > bound {
+			p := gc.Pauses().Pauses[at]
+			t.Skipf("pause %d is %v long against the bound %v (%d B copied, %d log entries, %d root slots and %d worklist slots flipped): only copying and the major flip are metered",
+				at, worst, bound, p.CopiedB, p.LogProcN, p.RootSlots, p.FlipEntries)
+		}
+	}
+	program := func(source, want string) func(*testing.T) {
+		return func(t *testing.T) {
+			m, gc := newRun(cfg, core.LogAllMutations)
+			prog, err := lang.Compile(m, source)
+			if err != nil {
+				t.Fatal(err)
+			}
+			machine := vm.New(m, prog)
+			if err := machine.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if err := gc.FinishCycles(m); err != nil {
+				t.Fatal(err)
+			}
+			if got := machine.Output.String(); got != want {
+				t.Fatalf("program printed %q, want %q", got, want)
+			}
+			check(t, gc)
+		}
+	}
+	t.Run("miniml-60000-entry-log", program(holdsLargeArray, "320000 3 3\n"))
+	t.Run("miniml-deep-recursion", program(deepRecursion, "240000\n"))
+	t.Run("store-heavy-serving", func(t *testing.T) {
+		spec := storeHeavyServing()
+		reqs, err := workload.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := workload.NewRuntime(spec, rig.Config{Collector: rig.RT})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := workload.Serve(rt, reqs, rig.RT.Name, workload.ServeOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		check(t, rt.GC)
 	})
 }
