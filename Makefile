@@ -124,16 +124,18 @@ trace:
 	go run ./cmd/rtgc-bench validate /tmp/repligc_trace-sort.json
 	go run ./cmd/rtgc-bench validate /tmp/repligc_trace-comp.json
 
-# The copy and flip terms of the pause bound (DESIGN.md, "Pause bound") at
-# full scale under rt, on the two workloads with large objects and on Primes,
-# the one whose flips are long and many: the trace command fails if any
-# budgeted pause copied more than 2L + L/4 or spent longer copying and
-# flipping than copying that much takes, lists the flips the gate let through
-# (none here), and prints the three longest pauses by phase.
+# The pause bound (DESIGN.md, "Pause bound") at full scale under rt, on the
+# two workloads with large objects, on Primes, the one whose flips are long
+# and many, and on the serving spec: the trace command fails if any budgeted
+# pause is longer than copying 2L + L/4 takes or copied more than that, lists
+# the completion attempts the gate let through over budget (none here), and
+# prints the three longest pauses by phase; each of the four must print its
+# "pause bound:" line.
 pause-bound:
-	go run ./cmd/rtgc-bench -worst 3 trace Primes
-	go run ./cmd/rtgc-bench -worst 3 trace Sort
-	go run ./cmd/rtgc-bench -worst 3 trace Comp
+	go run ./cmd/rtgc-bench -worst 3 trace Primes | tee /dev/stderr | grep -q '^pause bound: the longest'
+	go run ./cmd/rtgc-bench -worst 3 trace Sort | tee /dev/stderr | grep -q '^pause bound: the longest'
+	go run ./cmd/rtgc-bench -worst 3 trace Comp | tee /dev/stderr | grep -q '^pause bound: the longest'
+	go run ./cmd/rtgc -gc rt -worst 3 -serve examples/serve/mixed.json 2>&1 | tee /dev/stderr | grep -q '^pause bound: the longest'
 
 # One testing.B benchmark per paper table/figure, at the quick scale.
 microbench:

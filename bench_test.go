@@ -159,28 +159,6 @@ func BenchmarkAblationLazyLog(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBoundedLog measures the §3.4 incremental-log extension.
-func BenchmarkAblationBoundedLog(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := suite()
-		rows, err := s.Ablation(rig.RTBounded)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var baseMax, varMax simtime.Duration
-		for _, r := range rows {
-			if m := r.Base.Pauses.Max(); m > baseMax {
-				baseMax = m
-			}
-			if m := r.Var.Pauses.Max(); m > varMax {
-				varMax = m
-			}
-		}
-		b.ReportMetric(baseMax.Milliseconds(), "unbounded-max-ms")
-		b.ReportMetric(varMax.Milliseconds(), "bounded-max-ms")
-	}
-}
-
 // BenchmarkAblationLogPolicy measures the §4.5 compiler-modification cost.
 func BenchmarkAblationLogPolicy(b *testing.B) {
 	for i := 0; i < b.N; i++ {

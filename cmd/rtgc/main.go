@@ -54,20 +54,14 @@ func main() {
 	flag.Parse()
 	// -restore and -serve are modes that run no program: each takes the
 	// place of the program operand, so a program beside one (or the two
-	// together) would be silently ignored and is a usage error instead.
-	modes := 0
-	if *restoreDir != "" {
-		modes++
-	}
-	if *serveSpec != "" {
-		modes++
-	}
-	// Nor does either mode read every flag: one it would ignore is refused.
-	ignored := ""
+	// together) would be silently ignored and is a usage error instead. Nor
+	// does either mode read every flag: one it would ignore is refused.
+	modes, ignored := 0, ""
 	for _, mode := range [][]string{{"restore"}, {"serve", "gc", "worst", "trace", "trace-summary"}} {
 		if flag.Lookup(mode[0]).Value.String() == "" {
 			continue
 		}
+		modes++
 		flag.Visit(func(f *flag.Flag) {
 			if !slices.Contains(mode, f.Name) {
 				ignored += fmt.Sprintf("rtgc: -%s has no meaning beside -%s\n", f.Name, mode[0])
@@ -153,7 +147,13 @@ func main() {
 		runErr = err
 	}
 
-	an, err := look.report(tr, gc.Pauses().Pauses, flag.Arg(0), rt.Collector)
+	// The pause bound is the replicating collector's, and a checkpoint
+	// writer's increments are outside it.
+	var bound core.Config
+	if !coll.StopCopy && ckptW == nil {
+		bound.CopyLimitBytes = *lKB << 10
+	}
+	an, err := look.report(tr, gc, bound, flag.Arg(0), rt.Collector)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rtgc: writing trace: %v\n", err)
 		os.Exit(1)
@@ -182,8 +182,9 @@ func main() {
 		if st.LargestCopyBytes > 0 { // the replicating engine counts them
 			fmt.Fprintf(os.Stderr, "largest copy       %d B uninterrupted, %d copies split across pauses\n",
 				st.LargestCopyBytes, st.SplitCopies)
-			fmt.Fprintf(os.Stderr, "major flips        put off %d times to a pause they fit, %d overran their pause, largest worklist %d slots\n",
-				st.FlipDeferrals, st.FlipOverruns, st.LargestFlipWorklist)
+			fmt.Fprintf(os.Stderr, "completions        put off %d times to a pause they fit, %d overran their pause, largest flip worklist %d slots\n",
+				st.Deferrals, st.Overruns, st.LargestFlipWorklist)
+			fmt.Fprintf(os.Stderr, "log backlog        at most %d entries left unprocessed by a pause\n", st.LargestLogBacklog)
 		}
 		if ckptW != nil {
 			cs := ckptW.Stats()
@@ -228,11 +229,13 @@ type traceFlags struct {
 
 // report analyses the finished run's events, completes the pauses from the
 // collector's own record, and writes what the flags asked for: the Chrome
-// trace file, the digest, the worst pauses. The analysis is nil when the
-// events are malformed, which is reported and hides nothing else.
+// trace file, the digest, the worst pauses and — when bound carries an L —
+// the record held to the pause bound. The analysis is nil when the events are
+// malformed, which is reported and hides nothing else.
 //
 //gclint:io writes the optional Chrome trace artifact
-func (f traceFlags) report(tr *trace.Recorder, record []simtime.Pause, subject, collector string) (*trace.Analysis, error) {
+func (f traceFlags) report(tr *trace.Recorder, gc core.Collector, bound core.Config, subject, collector string) (*trace.Analysis, error) {
+	record := gc.Pauses().Pauses
 	an, err := trace.Analyze(tr.Events())
 	if err != nil {
 		// The hook discipline should make this impossible; report, don't hide.
@@ -261,6 +264,13 @@ func (f traceFlags) report(tr *trace.Recorder, record []simtime.Pause, subject, 
 	}
 	if f.worst > 0 && an != nil {
 		fmt.Fprintf(os.Stderr, "\n%s", trace.WorstPausesTable(an, f.worst))
+	}
+	if f.worst > 0 && bound.CopyLimitBytes > 0 {
+		text, err := bound.CheckPauseBound(simtime.Default1993(), record, gc.Stats())
+		fmt.Fprint(os.Stderr, text)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "pause bound: %v\n", err)
+		}
 	}
 	return an, nil
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 
+	"repligc/internal/core"
 	"repligc/internal/rig"
 	"repligc/internal/workload"
 )
@@ -41,7 +42,11 @@ func runServeSpec(specPath string, coll rig.Collector, look traceFlags) int {
 		return 1
 	}
 	fmt.Print(workload.FormatSection(sec))
-	if _, err := look.report(rt.Recorder, rt.GC.Pauses().Pauses, specPath, rt.Collector); err != nil {
+	var bound core.Config
+	if !coll.StopCopy {
+		bound.CopyLimitBytes = spec.Heap.WithDefaults().CopyLimitKB << 10
+	}
+	if _, err := look.report(rt.Recorder, rt.GC, bound, specPath, rt.Collector); err != nil {
 		fmt.Fprintf(os.Stderr, "rtgc: writing trace: %v\n", err)
 		return 1
 	}

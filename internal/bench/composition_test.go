@@ -22,7 +22,7 @@ import (
 // given: the run finishes, every member's shadow graph and the heap audit
 // hold, the recorder holds a valid trace that did not move the run by a
 // nanosecond, the writer committed, and the reachable graph is the same one
-// under all ten collectors. Properties only; the absolute numbers are
+// under all nine collectors. Properties only; the absolute numbers are
 // engine_golden.txt's business.
 func TestCompositionMatrix(t *testing.T) {
 	tight := engineShapes[0]
@@ -30,7 +30,7 @@ func TestCompositionMatrix(t *testing.T) {
 	unsupported := func(c rig.Collector, members int, ckpt bool) bool {
 		return ckpt && (c.StopCopy || members > 1)
 	}
-	cells := 0
+	cells, refusals := 0, 0
 	for _, members := range []int{1, 2, 4} {
 		var graph uint64 // the first cell's fingerprint; every other must match
 		for _, coll := range rig.Table {
@@ -56,6 +56,7 @@ func TestCompositionMatrix(t *testing.T) {
 						if !unsupported(coll, members, ckpt) || refused.Field != "Checkpoint" || refused.Collector != coll.Name {
 							t.Errorf("%s: refused, but not as listed: %v", label, err)
 						}
+						refusals++
 						continue
 					case err != nil:
 						t.Errorf("%s: %v", label, err)
@@ -99,9 +100,10 @@ func TestCompositionMatrix(t *testing.T) {
 			}
 		}
 	}
-	if cells != 120 {
-		t.Fatalf("ran %d cells, want 120", cells)
+	if cells != 108 || refusals != 40 {
+		t.Fatalf("ran %d cells of which %d were typed refusals, want 108 and 40", cells, refusals)
 	}
+	t.Logf("construction plane: %d cells, %d run and hold their properties, %d typed refusals", cells, cells-refusals, refusals)
 	compositionLargeObjects(t)
 	compositionDeferredFlipFaults(t)
 }
@@ -176,11 +178,11 @@ func compositionLargeObjects(t *testing.T) {
 			splits += st.SplitCopies
 		}
 	}
-	t.Logf("large-object plane: 30 cells, %d copies split", splits)
+	t.Logf("large-object plane: 27 cells, %d copies split", splits)
 }
 
-// compositionDeferredFlipFaults is the matrix's fault plane for the flip gate
-// (core.Replicating.deferFlip): every collector with an incremental major ×
+// compositionDeferredFlipFaults is the matrix's fault plane for the admission
+// gate (core.Replicating.deferAttempt): every collector with an incremental major ×
 // group size {1, 4} × {force-complete, shrink-old}, each run driven one round
 // at a time until a major flip has been put off and its cycle is still
 // waiting, and then struck. Force-complete must end the cycle in budgeted
@@ -223,13 +225,21 @@ func compositionDeferredFlipFaults(t *testing.T) {
 				struck, clamped, emergencies := false, false, 0
 				last := 1200 / members // a run that has not met the state by then never will
 				for round := 0; round < last && err == nil; round++ {
+					pauses := st.PauseCount
 					if err = md.Step(80); err != nil {
 						if _, ok := core.AsOOM(err); !ok || !clamped {
 							break
 						}
 						err = nil // typed exhaustion under the clamp: the run goes on
 					}
-					if !struck && st.FlipDeferrals > 0 && repl.CheckpointNow().MajorActive {
+					// A pause that redirected the roots — the minor flip — and put
+					// an attempt off has put off the major's, the only one after a
+					// minor flip; the cycle is waiting while it is still active.
+					deferred := false
+					for _, p := range rt.GC.Pauses().Pauses[pauses:] {
+						deferred = deferred || p.Deferred && p.RootSlots > 0
+					}
+					if !struck && deferred && repl.CheckpointNow().MajorActive {
 						struck, emergencies = true, st.EmergencyCollections
 						majors, forced := st.MajorCollections, st.ForcedCompletion
 						inj := faultinject.New(rt.Mutator, faultinject.Plan{Events: []faultinject.Event{{AtOp: 1, Action: fault}}})

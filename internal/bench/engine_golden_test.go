@@ -94,7 +94,7 @@ func enginePlans() []enginePlan {
 // leave every cell untouched; a cell that moves means a copy, a charge, a
 // cursor or their order changed.
 func TestEngineSimulatedIdentity(t *testing.T) {
-	configs := []rig.Collector{rig.RT, rig.MinorInc, rig.MajorInc, rig.RTLazy, rig.RTBounded, rig.RTConc, rig.RTDefer}
+	configs := []rig.Collector{rig.RT, rig.MinorInc, rig.MajorInc, rig.RTLazy, rig.RTConc, rig.RTDefer}
 	var got strings.Builder
 	cell := func(label string, rc rig.Config, seed int64, plan faultinject.Plan) string {
 		line, err := engineGoldenCell(rc, seed, plan)

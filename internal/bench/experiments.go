@@ -286,9 +286,6 @@ var Ablations = []struct {
 	// Eager log processing against the §2.5 opportunity of delaying
 	// reapplication to the last possible moment.
 	{"Ablation: lazy log processing (paper §2.5)", rig.RTLazy},
-	// The paper's unbounded log processing against the incremental log
-	// processing extension suggested in §3.4.
-	{"Ablation: bounded (incremental) log processing (paper §3.4 extension)", rig.RTBounded},
 	// Eager copying against the §2.5 copy-order opportunity of replicating
 	// mutable objects only at completion, when their contents are final and
 	// their log entries need no reapplication.

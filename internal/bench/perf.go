@@ -20,6 +20,7 @@ import (
 	"sort"
 
 	"repligc/internal/checkpoint"
+	"repligc/internal/core"
 	"repligc/internal/gctest"
 	"repligc/internal/rig"
 	"repligc/internal/simtime"
@@ -72,6 +73,10 @@ type MultiLeg struct {
 	GroupPauses    int       `json:"group_pauses"` // all-mutators-stopped intervals
 	SyncPauseMaxMs float64   `json:"sync_pause_max_ms"`
 	MMU20Ms        float64   `json:"mmu_20ms"` // over the all-stopped intervals, wall timeline
+	// Unbudgeted counts the pauses outside the pause bound: forced, or a
+	// completion attempt let through over budget. With none, no all-stopped
+	// interval may exceed the bound (checkMulti).
+	Unbudgeted int `json:"unbudgeted_pauses"`
 	// Fingerprint anchors determinism: the combined reachable-graph hash of
 	// every member plus the shared contended array, stable across reruns
 	// for a given (N, seed).
@@ -125,6 +130,9 @@ type PerfLeg struct {
 	PauseMedianMs   float64 `json:"pause_median_ms"`
 	PauseP95Ms      float64 `json:"pause_p95_ms"`
 	PauseMaxMs      float64 `json:"pause_max_ms"`
+	// Unbudgeted counts the pauses outside the pause bound (unbudgeted); with
+	// none, pause_max_ms may not exceed it on a leg with no checkpoint writer.
+	Unbudgeted int `json:"unbudgeted_pauses"`
 
 	// MMU is the minimum-mutator-utilization curve over the standard
 	// window ladder; Phases attributes pause time to collection phases.
@@ -158,6 +166,7 @@ func perfLeg(r *Result, a *trace.Analysis) PerfLeg {
 		PauseMedianMs:   q[1].Milliseconds(),
 		PauseP95Ms:      q[2].Milliseconds(),
 		PauseMaxMs:      q[3].Milliseconds(),
+		Unbudgeted:      unbudgeted(r.Pauses.Pauses),
 	}
 	if secs := r.Elapsed.Seconds(); secs > 0 {
 		leg.ReplicationMBps = float64(copied) / (1 << 20) / secs
@@ -174,6 +183,23 @@ func perfLeg(r *Result, a *trace.Analysis) PerfLeg {
 		})
 	}
 	return leg
+}
+
+// unbudgeted counts the pauses the pause bound exempts: forced ones, and
+// those with a completion attempt let through over budget.
+func unbudgeted(pauses []simtime.Pause) (n int) {
+	for _, p := range pauses {
+		if p.Forced || p.Overrun > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// perfPauseBoundMs is the pause bound of the perf cell (DESIGN.md, "Pause
+// bound"): what a budgeted pause of its rt legs lasts at most.
+func perfPauseBoundMs() float64 {
+	return core.Config{CopyLimitBytes: perfParams().LBytes}.PauseBoundTime(simtime.Default1993()).Milliseconds()
 }
 
 // reductionPct returns how much of base the coalesced leg eliminated, as a
@@ -336,6 +362,7 @@ func RunMulti(s Scale) ([]MultiLeg, error) {
 			Minor:        st.MinorCollections,
 			Major:        st.MajorCollections,
 			GroupPauses:  len(g.GroupPauses().Pauses),
+			Unbudgeted:   unbudgeted(rt.GC.Pauses().Pauses),
 			Fingerprint:  fmt.Sprintf("%016x", md.Fingerprint()),
 		}
 		for i := range g.Members {
@@ -455,6 +482,11 @@ func ValidatePerf(data []byte) error {
 			if err := leg.check(); err != nil {
 				return fmt.Errorf("perf report: %s %s: %w", w.Name, perfLegs[i].tag, err)
 			}
+			// The floor under the pause bound: a leg whose every pause had a
+			// budget, and no checkpoint increment on top, is held to it.
+			if bound := perfPauseBoundMs(); !perfLegs[i].checkpointed && leg.Unbudgeted == 0 && leg.PauseMaxMs > bound {
+				return fmt.Errorf("perf report: %s %s: pause_max_ms = %.3f exceeds the pause bound %.1f ms and no unbudgeted pause is listed", w.Name, perfLegs[i].tag, leg.PauseMaxMs, bound)
+			}
 		}
 		if w.Baseline.NurserySkips != 0 || w.Baseline.DirtySkips != 0 {
 			return fmt.Errorf("perf report: %s baseline leg reports fast-path skips", w.Name)
@@ -538,6 +570,9 @@ func checkMulti(legs []MultiLeg) error {
 			if math.IsNaN(u) || u <= 0 || u > 1 {
 				return fmt.Errorf("multi N=%d: mutator %d utilization %v outside (0, 1]", leg.Mutators, j, u)
 			}
+		}
+		if bound := perfPauseBoundMs(); leg.Unbudgeted == 0 && leg.SyncPauseMaxMs > bound {
+			return fmt.Errorf("multi N=%d: sync_pause_max_ms = %.3f exceeds the pause bound %.1f ms and no unbudgeted pause is listed", leg.Mutators, leg.SyncPauseMaxMs, bound)
 		}
 		if leg.MMU20Ms >= 1 {
 			return fmt.Errorf("multi N=%d: MMU@20ms = %v with %d group pauses", leg.Mutators, leg.MMU20Ms, leg.GroupPauses)

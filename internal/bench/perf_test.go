@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"os"
 	"reflect"
 	"strings"
@@ -54,6 +55,31 @@ func TestPerfGateAndValidator(t *testing.T) {
 	if err := ComparePerf(committed, committed); err != nil {
 		t.Errorf("committed baseline against itself: %v", err)
 	}
+	// The floors under the pause bound: an rt leg, or a multi-mutator leg's
+	// all-stopped interval, over 57.6 ms is rejected unless the leg lists a
+	// pause that had no budget; the checkpointed leg, whose pauses carry
+	// snapshot increments, is not held to it.
+	floor := func(name string, edit func(*PerfReport), want string) {
+		var rep PerfReport
+		if err := json.Unmarshal(committed, &rep); err != nil {
+			t.Fatal(err)
+		}
+		edit(&rep)
+		data, _ := json.Marshal(rep)
+		if err := ValidatePerf(data); (err == nil) != (want == "") || err != nil && !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: got %v, want %q", name, err, want)
+		}
+	}
+	floor("rt leg over the bound", func(r *PerfReport) { r.Workloads[1].Coalesced.PauseMaxMs = 68.944 },
+		"Sort coalesced: pause_max_ms = 68.944 exceeds the pause bound 57.6 ms")
+	floor("rt leg over the bound, overrun listed", func(r *PerfReport) {
+		r.Workloads[1].Coalesced.PauseMaxMs, r.Workloads[1].Coalesced.Unbudgeted = 68.944, 1
+	}, "")
+	floor("checkpointed leg over the bound", func(r *PerfReport) { r.Workloads[1].Checkpointed.PauseMaxMs = 68.944 }, "")
+	floor("all-stopped interval over the bound", func(r *PerfReport) { r.Multi[2].SyncPauseMaxMs = 72.324 },
+		"multi N=4: sync_pause_max_ms = 72.324 exceeds the pause bound 57.6 ms")
+	floor("all-stopped interval over the bound, overrun listed", func(r *PerfReport) { r.Multi[3].SyncPauseMaxMs = 72.324 }, "")
+
 	stale := strings.Replace(string(committed), PerfSchema, "repligc-bench/6", 1)
 	if err := ValidatePerf([]byte(stale)); err == nil || !strings.Contains(err.Error(), `schema "repligc-bench/6"`) {
 		t.Errorf("a /6 document: got %v, want a schema rejection", err)

@@ -3,7 +3,9 @@ package checkpoint
 // Pins taken before the artifact kit replaced this package's private record
 // codec and fingerprint mixer: the bytes of every snapshot and WAL file one
 // seeded checkpointed run leaves behind, and the state fingerprint its last
-// epoch committed. They must pass untouched across the refactor.
+// epoch committed. They must pass untouched across a refactor; a change to the
+// collector's schedule (PR 23: the log and the root passes draw on the pause's
+// budget, so pause boundaries fall elsewhere) re-takes them.
 
 import (
 	"crypto/sha256"
@@ -14,11 +16,11 @@ import (
 )
 
 const (
-	pinArtifactSHA256   = "8c0713dae84c21490e5d4cb31c69f87582084394fc77c5612bb6d85310ec8248"
-	pinStateFingerprint = "d8368bfa3ae837bd"
+	pinArtifactSHA256   = "35b7279f133ae86a1cade1d8247cf4931626d61ce196e238f3f1b0cab04a94cd"
+	pinStateFingerprint = "187c0838bd7d9b3b"
 	pinCommitted        = 3
-	pinSnapshotBytes    = 106267
-	pinWALBytes         = 12665
+	pinSnapshotBytes    = 103537
+	pinWALBytes         = 15851
 )
 
 func TestCheckpointArtifactPins(t *testing.T) {

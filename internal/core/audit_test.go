@@ -120,14 +120,17 @@ func TestAuditScannedCatchesCorruptMinorReplica(t *testing.T) {
 	junk := m.MustAlloc(heap.KindRecord, 1)
 	m.Init(junk, 0, heap.Nil)
 
-	// High survival: every record is pinned, so the minor collection has far
-	// more than one pause budget's worth of copying and scanning to do.
+	// High survival: every record is kept, so the minor collection has far
+	// more than one pause budget's worth of copying and scanning to do — on
+	// one chain under one root, because a root set whose passes alone outlast
+	// the budget completes in the pause that meets it (deferAttempt).
+	chain := m.PushHandle(heap.Nil)
 	for i := 0; i < 3000; i++ {
 		p := m.MustAlloc(heap.KindRecord, 3)
 		m.Init(p, 0, heap.FromInt(int64(i)))
-		m.Init(p, 1, heap.Nil)
+		m.Init(p, 1, m.HandleVal(chain))
 		m.Init(p, 2, heap.Nil)
-		m.PushHandle(p)
+		m.SetHandleVal(chain, p)
 	}
 	for i := 0; i < 200 && !(gc.minor.active && gc.minor.scan > gc.minor.scanStart); i++ {
 		gc.CollectForAlloc(m, 0)
@@ -169,10 +172,10 @@ func TestAuditScannedCatchesCorruptBlackObject(t *testing.T) {
 	})
 	h := m.H
 
-	// Promote a steady stream of records — pinning one in eight, so minor
-	// cycles complete with leftover pause budget for the major to spend —
-	// until a major collection is active and has blackened at least one
-	// pointer-bearing object.
+	// Promote a steady stream of records — keeping one in eight on a chain
+	// under one root, so minor cycles complete with leftover pause budget
+	// for the major to spend — until a major collection is active and has
+	// blackened at least one pointer-bearing object.
 	findBlack := func() heap.Value {
 		if !gc.major.active {
 			return heap.Nil
@@ -191,13 +194,14 @@ func TestAuditScannedCatchesCorruptBlackObject(t *testing.T) {
 		return black
 	}
 	var black heap.Value
+	chain := m.PushHandle(heap.Nil)
 	for i := 0; i < 200_000 && black == heap.Nil; i++ {
 		p := m.MustAlloc(heap.KindRecord, 3)
 		m.Init(p, 0, heap.FromInt(int64(i)))
-		m.Init(p, 1, heap.Nil)
+		m.Init(p, 1, m.HandleVal(chain))
 		m.Init(p, 2, heap.Nil)
 		if i%8 == 0 {
-			m.PushHandle(p)
+			m.SetHandleVal(chain, p)
 		}
 		if i%512 == 0 {
 			black = findBlack()
@@ -210,16 +214,14 @@ func TestAuditScannedCatchesCorruptBlackObject(t *testing.T) {
 		t.Fatalf("audit failed mid-major on a healthy heap: %v", err)
 	}
 
-	// An old from-space pointer to plant: until the major flip the roots
-	// still address from-space originals, so any old-from root will do.
-	// (The from-space itself cannot be walked mid-major: forwarded objects
-	// have no headers left.)
-	var fromObj heap.Value
-	m.Roots.Visit(func(slot *heap.Value) {
-		if fromObj == heap.Nil && h.OldFrom().Contains(*slot) {
-			fromObj = *slot
-		}
-	})
+	// An old from-space pointer to plant: until the major flip the mutator
+	// still addresses from-space originals, so the chain leads to one. (The
+	// from-space itself cannot be walked mid-major: forwarded objects have
+	// no headers left.)
+	fromObj := m.HandleVal(chain)
+	for fromObj != heap.Nil && !h.OldFrom().Contains(fromObj) {
+		fromObj = h.Load(fromObj, 1)
+	}
 	if fromObj == heap.Nil {
 		t.Fatal("old from-space is empty")
 	}
@@ -244,8 +246,8 @@ func TestAuditCatchesVisibleMutableReplica(t *testing.T) {
 	})
 	h := m.H
 
-	// Promote pinned pairs of a ref cell and a record until a major is active
-	// and has replicated one of each kind.
+	// Promote pairs of a ref cell and a record, kept on a chain under one
+	// root, until a major is active and has replicated one of each kind.
 	replicaOf := func(mutable bool) heap.Value {
 		for _, run := range gc.major.replicas {
 			for idx := run.start; idx < run.start+run.words; {
@@ -258,17 +260,17 @@ func TestAuditCatchesVisibleMutableReplica(t *testing.T) {
 		}
 		return heap.Nil
 	}
+	chain := m.PushHandle(heap.Nil)
 	for i := 0; i < 200_000 && !(gc.major.active && replicaOf(true) != heap.Nil && replicaOf(false) != heap.Nil); i++ {
 		r := m.MustAlloc(heap.KindRef, 1)
 		m.Init(r, 0, heap.FromInt(int64(i)))
 		pin := m.PushHandle(r)
 		p := m.MustAlloc(heap.KindRecord, 2)
 		m.Init(p, 0, m.HandleVal(pin))
-		m.Init(p, 1, heap.Nil)
+		m.Init(p, 1, m.HandleVal(chain))
+		m.PopHandles(pin)
 		if i%8 == 0 {
-			m.SetHandleVal(pin, p) // one pair in eight survives, through the record
-		} else {
-			m.PopHandles(pin)
+			m.SetHandleVal(chain, p) // one pair in eight survives, through the record
 		}
 	}
 	hidden, shared := replicaOf(true), replicaOf(false)

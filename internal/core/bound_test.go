@@ -178,8 +178,8 @@ func tortureGroup4(t *testing.T, cfg core.Config, rounds int) (*core.Group, *cor
 // bound"): in a pause that runs under the work limit, copying, scanning and
 // the flips together take no longer than copying PauseCopyBound() bytes does.
 // Forced pauses have no budget and are exempt, and so is a pause whose flip
-// the gate let through although it did not fit (Pause.FlipOverrun, counted by
-// GCStats.FlipOverruns).
+// the gate let through although it did not fit (Pause.Overrun, counted by
+// GCStats.Overruns).
 func TestPauseFlipBound(t *testing.T) {
 	cost := simtime.Default1993()
 	// worstOf walks the flight recorder's pauses beside the collector's own
@@ -202,19 +202,19 @@ func TestPauseFlipBound(t *testing.T) {
 		worst, overruns := trace.PauseDetail{}, 0
 		for _, d := range an.WorstPauses(len(record)) {
 			p := record[d.Index]
-			if p.FlipOverrun {
+			if p.Overrun > 0 {
 				overruns++
 			}
-			if !p.Forced && !p.FlipOverrun && spent(d) > spent(worst) {
+			if !p.Forced && p.Overrun == 0 && spent(d) > spent(worst) {
 				worst = d
 			}
 		}
 		st := gc.Stats()
-		if st.MajorCollections == 0 || st.FlipDeferrals == 0 {
-			t.Fatalf("%d majors, %d flips deferred: the run never meets the gate", st.MajorCollections, st.FlipDeferrals)
+		if st.MajorCollections == 0 || st.Deferrals == 0 {
+			t.Fatalf("%d majors, %d flips deferred: the run never meets the gate", st.MajorCollections, st.Deferrals)
 		}
-		if overruns != st.FlipOverruns {
-			t.Errorf("%d pauses are marked as flip overruns, the collector counted %d", overruns, st.FlipOverruns)
+		if overruns != st.Overruns {
+			t.Errorf("%d pauses are marked as flip overruns, the collector counted %d", overruns, st.Overruns)
 		}
 		return worst
 	}
@@ -243,8 +243,8 @@ func TestPauseFlipBound(t *testing.T) {
 		}
 		// Every flip that does not fit the pause it could have run in fits the
 		// next one: the program's minor collections are small.
-		if st := gc.Stats(); st.FlipOverruns != 0 || st.FlipDeferrals >= st.MajorCollections {
-			t.Errorf("%d of %d major flips deferred, %d overruns: want some flips to fit at once and none to be let through", st.FlipDeferrals, st.MajorCollections, st.FlipOverruns)
+		if st := gc.Stats(); st.Overruns != 0 || st.Deferrals >= st.MajorCollections {
+			t.Errorf("%d of %d major flips deferred, %d overruns: want some flips to fit at once and none to be let through", st.Deferrals, st.MajorCollections, st.Overruns)
 		}
 		if w, bound := worstOf(t, gc, tr), cfg.PauseBoundTime(cost); spent(w) > bound {
 			t.Errorf("pause %d spent %v copying and %v flipping against the bound %v",
@@ -327,10 +327,10 @@ func TestPauseBound(t *testing.T) {
 		t.Helper()
 		worst, at, checked, overruns := simtime.Duration(0), 0, 0, 0
 		for i, p := range gc.Pauses().Pauses {
-			if p.FlipOverrun {
+			if p.Overrun > 0 {
 				overruns++
 			}
-			if p.Forced || p.FlipOverrun {
+			if p.Forced || p.Overrun > 0 {
 				continue
 			}
 			checked++
@@ -342,12 +342,13 @@ func TestPauseBound(t *testing.T) {
 		if st.MajorCollections == 0 || checked < 100 {
 			t.Fatalf("%d majors, %d budgeted pauses: the run is too small to say anything", st.MajorCollections, checked)
 		}
-		if overruns != st.FlipOverruns {
-			t.Errorf("%d pauses are marked as overruns, the collector counted %d", overruns, st.FlipOverruns)
+		if overruns != st.Overruns {
+			t.Errorf("%d pauses are marked as overruns, the collector counted %d", overruns, st.Overruns)
 		}
+		t.Logf("longest of %d budgeted pauses %v, %d completions deferred, %d overran, largest backlog %d entries", checked, worst, st.Deferrals, st.Overruns, st.LargestLogBacklog)
 		if worst > bound {
 			p := gc.Pauses().Pauses[at]
-			t.Skipf("pause %d is %v long against the bound %v (%d B copied, %d log entries, %d root slots and %d worklist slots flipped): only copying and the major flip are metered",
+			t.Errorf("pause %d is %v long against the bound %v (%d B copied, %d log entries, %d root slots and %d worklist slots flipped)",
 				at, worst, bound, p.CopiedB, p.LogProcN, p.RootSlots, p.FlipEntries)
 		}
 	}

@@ -15,8 +15,8 @@ import (
 // lazy-reapply ablation, whose deferred queue records sequence numbers of
 // entries that coalescing makes scarcer, and every other shape the single
 // scan kernel runs in — one generation incremental at a time, deferred
-// mutable copies (the forwarder hands a slot's value back unchanged), a
-// bounded log, and interleaved pacing (major increments in mid-cycle).
+// mutable copies (the forwarder hands a slot's value back unchanged) and
+// interleaved pacing (major increments in mid-cycle).
 func coalesceConfigs() map[string]core.Config {
 	rt := core.Config{
 		NurseryBytes:        96 << 10,
@@ -36,15 +36,11 @@ func coalesceConfigs() map[string]core.Config {
 			NurseryBytes:        96 << 10,
 			MajorThresholdBytes: 384 << 10,
 		},
-		"rt-lazy":    with(func(c *core.Config) { c.LazyLogProcessing = true }),
-		"minor-inc":  with(func(c *core.Config) { c.IncrementalMajor = false }),
-		"major-inc":  with(func(c *core.Config) { c.IncrementalMinor = false }),
-		"rt-defer":   with(func(c *core.Config) { c.DeferMutableCopies = true }),
-		"rt-bounded": with(func(c *core.Config) { c.BoundedLogProcessing = true }),
-		"rt-conc": with(func(c *core.Config) {
-			c.InterleavedTaxPermille = 1500
-			c.BoundedLogProcessing = true
-		}),
+		"rt-lazy":   with(func(c *core.Config) { c.LazyLogProcessing = true }),
+		"minor-inc": with(func(c *core.Config) { c.IncrementalMajor = false }),
+		"major-inc": with(func(c *core.Config) { c.IncrementalMinor = false }),
+		"rt-defer":  with(func(c *core.Config) { c.DeferMutableCopies = true }),
+		"rt-conc":   with(func(c *core.Config) { c.InterleavedTaxPermille = 1500 }),
 	}
 }
 

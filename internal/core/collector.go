@@ -55,13 +55,18 @@ type GCStats struct {
 	SplitCopies      int64
 	LargestCopyBytes int64
 
-	// The flip term's counters (Replicating.deferFlip): major flips put off
-	// to the next minor flip because they did not fit their pause, flips that
-	// ran although they did not fit (cost alone above the budget, or the
-	// deferral cap reached), and the longest worklist a major flip re-pointed.
-	FlipDeferrals       int
-	FlipOverruns        int
+	// The admission gate's counters (Replicating.deferAttempt): completion
+	// attempts — a minor collection's, or a major flip — put off to a later
+	// pause because they did not fit theirs, attempts that ran although they
+	// did not fit (cost alone above the budget, or the deferral cap reached),
+	// and the longest worklist a major flip re-pointed.
+	Deferrals           int
+	Overruns            int
 	LargestFlipWorklist int
+	// LargestLogBacklog is the most log entries a pause left unprocessed,
+	// both generations' cursors counted: the log is replayed within the
+	// pause's budget, and what does not fit waits for the next pause.
+	LargestLogBacklog int64
 
 	// EmergencyCollections counts degradation-ladder activations: pauses
 	// promoted to full stop-the-world completion because the promotion

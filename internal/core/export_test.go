@@ -21,12 +21,13 @@ func (c *Replicating) CopyInFlight(major bool) (next, words int, ok bool) {
 	return g.inflight.next, g.inflight.words, g.inflight.replica != 0
 }
 
-// SetFlipMetering switches the two halves of flip metering, both on outside
+// SetMetering switches three mechanisms of the pause bound, all on outside
 // tests: hiding (a slot of a mutable object's major replica points at its
-// referent's replica at once) and the gate (a major flip that does not fit its
-// pause waits for the next minor flip).
-func (c *Replicating) SetFlipMetering(hiding, gate bool) {
-	c.noHiding, c.noFlipGate = !hiding, !gate
+// referent's replica at once), the gate (a completion attempt that does not
+// fit its pause waits for a later one) and the log meter (log replay stops
+// when the pause's budget is spent).
+func (c *Replicating) SetMetering(hiding, gate, log bool) {
+	c.noHiding, c.noGate, c.noLogMeter = !hiding, !gate, !log
 }
 
 // MaxFlipDeferrals is the gate's deferral cap.

@@ -6,24 +6,26 @@ import (
 
 	"repligc/internal/core"
 	"repligc/internal/gctest"
+	"repligc/internal/heap"
 	"repligc/internal/lang"
 	"repligc/internal/policy"
 	"repligc/internal/simtime"
 	"repligc/internal/vm"
 )
 
-// flipConfig is splitConfig with an L under which the immortal stream's major
-// flips sometimes fit what is left of their pause and sometimes do not: the
-// budget is 2L = 8 KB of copying, 2 ms, against a few hundred root slots and
-// a worklist of up to a few hundred slots.
+// flipConfig is splitConfig with an L under which the immortal stream's
+// completion attempts sometimes fit what is left of their pause and sometimes
+// do not: the budget is 2L = 12 KB of copying, 3 ms, against a few hundred
+// root slots and a worklist of up to a few hundred slots.
 func flipConfig() core.Config {
 	cfg := splitConfig()
 	cfg.CopyLimitBytes = 6 << 10
 	return cfg
 }
 
-// flipVariants are the collector options the two halves of flip metering must
-// compose with; TestFlipMeteringUnderReplay has the replayed script.
+// flipVariants are the collector options the pause bound's mechanisms — hidden
+// holders, the admission gate, the log meter — must compose with;
+// TestFlipMeteringUnderReplay has the replayed script.
 func flipVariants() []struct {
 	name string
 	cfg  core.Config
@@ -39,8 +41,8 @@ func flipVariants() []struct {
 	}{
 		{"rt", flipConfig()},
 		{"defer-mutable-copies", with(func(c *core.Config) { c.DeferMutableCopies = true })},
-		{"bounded-log", with(func(c *core.Config) { c.BoundedLogProcessing = true })},
-		{"micro-pauses", with(func(c *core.Config) { c.BoundedLogProcessing, c.InterleavedTaxPermille = true, 1500 })},
+		{"lazy-log", with(func(c *core.Config) { c.LazyLogProcessing = true })},
+		{"micro-pauses", with(func(c *core.Config) { c.InterleavedTaxPermille = 1500 })},
 		{"naive-replay", with(func(c *core.Config) { c.NaiveReplay = true })},
 		{"recorded", with(func(c *core.Config) { c.Record = &policy.Script{} })},
 	}
@@ -68,8 +70,8 @@ func TestHiddenHolderDifferential(t *testing.T) {
 			// The gate is off on both sides: how many pauses a flip waits
 			// moves nothing the stream can see, but this test is about one
 			// mechanism.
-			queued, queuedStats, _ := immortalStream(t, v.cfg, func(gc *core.Replicating) { gc.SetFlipMetering(false, false) })
-			hidden, st, _ := immortalStream(t, v.cfg, func(gc *core.Replicating) { gc.SetFlipMetering(true, false) })
+			queued, queuedStats, _ := immortalStream(t, v.cfg, func(gc *core.Replicating) { gc.SetMetering(false, false, true) })
+			hidden, st, _ := immortalStream(t, v.cfg, func(gc *core.Replicating) { gc.SetMetering(true, false, true) })
 			if queuedStats.MajorCollections < 3 {
 				t.Fatalf("%d majors: the stream is too small to say anything", queuedStats.MajorCollections)
 			}
@@ -92,28 +94,54 @@ func TestHiddenHolderDifferential(t *testing.T) {
 	}
 }
 
-// TestFlipGateDifferential runs the same stream with the flip gate off and
-// on: a flip that waits for a pause it fits must leave the same graph — and,
-// the stream being immortal, the same bytes copied — however many short
-// cycles it waited. Under rt the gate must have met both cases, flips that
-// fitted and flips that waited; under a replayed script it must never act.
+// TestFlipGateDifferential runs the same stream with the admission gate off
+// and on: a completion attempt — a minor collection's, a major flip — that
+// waits for a pause it fits must leave the same graph — and, the stream being
+// immortal, the same bytes copied — however many pauses it waited. Under rt
+// the gate must have met both cases, attempts that fitted and attempts that
+// waited; under a replayed script it must never act.
 func TestFlipGateDifferential(t *testing.T) {
 	for _, v := range flipVariants() {
 		t.Run(v.name, func(t *testing.T) {
-			ungated, ungatedStats, _ := immortalStream(t, v.cfg, func(gc *core.Replicating) { gc.SetFlipMetering(true, false) })
+			ungated, ungatedStats, _ := immortalStream(t, v.cfg, func(gc *core.Replicating) { gc.SetMetering(true, false, true) })
 			gated, st, _ := immortalStream(t, v.cfg, func(*core.Replicating) {})
 			if gated != ungated {
-				t.Errorf("graph %016x, with flips never deferred it is %016x", gated, ungated)
+				t.Errorf("graph %016x, with no attempt ever deferred it is %016x", gated, ungated)
 			}
-			sameVolume(t, st, ungatedStats, "with flips never deferred")
-			if ungatedStats.FlipDeferrals != 0 || ungatedStats.FlipOverruns != 0 {
-				t.Errorf("the gate is off and still deferred %d flips and let %d through", ungatedStats.FlipDeferrals, ungatedStats.FlipOverruns)
+			sameVolume(t, st, ungatedStats, "with no attempt ever deferred")
+			if ungatedStats.Deferrals != 0 || ungatedStats.Overruns != 0 {
+				t.Errorf("the gate is off and still deferred %d attempts and let %d through", ungatedStats.Deferrals, ungatedStats.Overruns)
 			}
-			if st.FlipDeferrals == 0 || st.FlipDeferrals >= st.MajorCollections {
-				t.Errorf("%d of %d major flips deferred: the stream does not meet the gate both ways", st.FlipDeferrals, st.MajorCollections)
+			if completions := st.MinorCollections + st.MajorCollections; st.Deferrals == 0 || st.Deferrals >= completions {
+				t.Errorf("%d deferrals for %d completions: the stream does not meet the gate both ways", st.Deferrals, completions)
 			}
-			t.Logf("%d majors, %d flips deferred, %d let through, %d -> %d pauses", st.MajorCollections, st.FlipDeferrals, st.FlipOverruns,
-				ungatedStats.PauseCount, st.PauseCount)
+			t.Logf("%d minors, %d majors, %d attempts deferred, %d let through, %d -> %d pauses", st.MinorCollections, st.MajorCollections,
+				st.Deferrals, st.Overruns, ungatedStats.PauseCount, st.PauseCount)
+		})
+	}
+}
+
+// TestLogMeterDifferential runs the same stream with the log meter off — every
+// pause replays the whole log, as the paper's collector does — and on: a log
+// replayed over as many pauses as its entries need must leave the same graph,
+// the same bytes copied and the same majors, with pauses that left entries
+// behind on the way: the 3 ms budget is shorter than the 4 200 entries the
+// stream's array born old is initialised with.
+func TestLogMeterDifferential(t *testing.T) {
+	for _, v := range flipVariants() {
+		t.Run(v.name, func(t *testing.T) {
+			whole, wholeStats, _ := immortalStream(t, v.cfg, func(gc *core.Replicating) { gc.SetMetering(true, true, false) })
+			metered, st, _ := immortalStream(t, v.cfg, func(*core.Replicating) {})
+			if metered != whole {
+				t.Errorf("graph %016x, with the log replayed whole in every pause it is %016x", metered, whole)
+			}
+			sameVolume(t, st, wholeStats, "with the log replayed whole in every pause")
+			// Unmetered, only a pause that ends inside a split copy leaves the
+			// log unread, and then only what one pause's stores appended.
+			if st.LargestLogBacklog <= 2*wholeStats.LargestLogBacklog {
+				t.Errorf("a pause left at most %d entries behind with the meter on, %d with it off: the log never outran the meter", st.LargestLogBacklog, wholeStats.LargestLogBacklog)
+			}
+			t.Logf("largest backlog %d entries, %d -> %d pauses", st.LargestLogBacklog, wholeStats.PauseCount, st.PauseCount)
 		})
 	}
 }
@@ -129,7 +157,7 @@ func TestFlipGateProgramOutput(t *testing.T) {
 		cfg := paperRT()
 		cfg.Record = &policy.Script{}
 		m, gc := newRun(cfg, core.LogAllMutations)
-		gc.SetFlipMetering(true, gate)
+		gc.SetMetering(true, gate, true)
 		prog, err := lang.Compile(m, lazySieve(900))
 		if err != nil {
 			t.Fatal(err)
@@ -155,11 +183,11 @@ func TestFlipGateProgramOutput(t *testing.T) {
 	if gated != ungated || gated != "primes-sum 2935471\n" {
 		t.Errorf("gated: %q; never deferred: %q", gated, ungated)
 	}
-	if st.FlipDeferrals == 0 || ungatedStats.FlipDeferrals != 0 {
-		t.Errorf("%d flips deferred with the gate on, %d with it off", st.FlipDeferrals, ungatedStats.FlipDeferrals)
+	if st.Deferrals == 0 || ungatedStats.Deferrals != 0 {
+		t.Errorf("%d flips deferred with the gate on, %d with it off", st.Deferrals, ungatedStats.Deferrals)
 	}
-	if short != st.FlipDeferrals || ungatedShort != 0 {
-		t.Errorf("%d nursery cycles shorter than N/2 after %d deferrals (%d with the gate off): want one short cycle a deferral", short, st.FlipDeferrals, ungatedShort)
+	if short != st.Deferrals || ungatedShort != 0 {
+		t.Errorf("%d nursery cycles shorter than N/2 after %d deferrals (%d with the gate off): want one short cycle a deferral", short, st.Deferrals, ungatedShort)
 	}
 }
 
@@ -168,14 +196,14 @@ func TestFlipGateProgramOutput(t *testing.T) {
 // run collects at the script's allocation marks and completes every
 // collection in its pause, so even this mortal torture stream copies the same
 // bytes whatever the flip worklist holds: hiding must move nothing but the
-// slots re-pointed, and the gate — the script decides, every replayed major
-// is forced — nothing at all.
+// slots re-pointed, and the gate and the log meter — the script decides, every
+// replayed collection is forced — nothing at all.
 func TestFlipMeteringUnderReplay(t *testing.T) {
-	run := func(cfg core.Config, hiding, gate bool) (uint64, core.GCStats, simtime.Duration) {
+	run := func(cfg core.Config, hiding, gate, log bool) (uint64, core.GCStats, simtime.Duration) {
 		m, gc := newRun(cfg, core.LogAllMutations)
-		gc.SetFlipMetering(hiding, gate)
+		gc.SetMetering(hiding, gate, log)
 		d := gctest.NewDriver(m, 5)
-		for round := 0; round < 100; round++ {
+		for round := 0; round < 160; round++ {
 			if err := d.Step(400); err != nil {
 				t.Fatal(err)
 			}
@@ -194,15 +222,15 @@ func TestFlipMeteringUnderReplay(t *testing.T) {
 	// the budget, so that majors end while the stream runs.
 	rec.MajorThresholdBytes, rec.CopyLimitBytes = 64<<10, 96<<10
 	rec.Record = script
-	want, recStats, _ := run(rec, true, true)
+	want, recStats, _ := run(rec, true, true, true)
 	if recStats.MajorCollections < 3 {
 		t.Fatalf("%d majors recorded: the run is too small to say anything", recStats.MajorCollections)
 	}
 	replay := rec
 	replay.IncrementalMinor, replay.Record, replay.Replay = false, nil, script
-	queued, queuedStats, _ := run(replay, false, false)
-	hidden, hiddenStats, hiddenNow := run(replay, true, false)
-	gated, gatedStats, gatedNow := run(replay, true, true)
+	queued, queuedStats, _ := run(replay, false, false, false)
+	hidden, hiddenStats, hiddenNow := run(replay, true, false, false)
+	gated, gatedStats, gatedNow := run(replay, true, true, true)
 	if queued != want || hidden != want || gated != want {
 		t.Errorf("graphs %016x (every mutable reference queued), %016x (hidden holders), %016x (and the gate); recorded %016x", queued, hidden, gated, want)
 	}
@@ -211,18 +239,20 @@ func TestFlipMeteringUnderReplay(t *testing.T) {
 		t.Errorf("%d flip entries re-pointed, %d with every mutable reference queued: want strictly fewer", hiddenStats.FlipEntryUpdates, queuedStats.FlipEntryUpdates)
 	}
 	gatedStats.FlipCopied, hiddenStats.FlipCopied = nil, nil // the one field == cannot compare; a function of the bytes copied
-	if !reflect.DeepEqual(gatedStats, hiddenStats) || gatedNow != hiddenNow || gatedStats.FlipDeferrals != 0 || gatedStats.FlipOverruns != 0 {
-		t.Errorf("the gate moved a replayed run:\n on  %+v at %v\n off %+v at %v", gatedStats, gatedNow, hiddenStats, hiddenNow)
+	if !reflect.DeepEqual(gatedStats, hiddenStats) || gatedNow != hiddenNow || gatedStats.Deferrals != 0 || gatedStats.Overruns != 0 {
+		t.Errorf("the gate and the log meter moved a replayed run:\n on  %+v at %v\n off %+v at %v", gatedStats, gatedNow, hiddenStats, hiddenNow)
 	}
 }
 
 // TestDeferredFlipAlwaysEnds pins the two ways out of the gate, without which
-// a major cycle could wait for ever: a flip whose cost alone is over the
-// budget runs at once, and one that has been put off the fixed number of times
-// in a row runs regardless. Both are counted, and mark their pause.
+// a cycle could wait for ever: a completion attempt whose cost alone is over
+// the budget runs at once, to the end, and one that has been put off the fixed
+// number of times in a row runs regardless. Both are counted, and mark their
+// pause.
 func TestDeferredFlipAlwaysEnds(t *testing.T) {
-	// L = 1 KB: the roots alone cost more than copying 2 KB takes, so no flip
-	// can ever fit and none waits.
+	// L = 1 KB: one pass over the roots costs more than copying 2 KB takes, so
+	// no attempt of either generation can ever fit and none waits: every pause
+	// that flips is an overrun, and ends the cycle it met.
 	t.Run("worklist-larger-than-the-budget", func(t *testing.T) {
 		cfg := tortureConfig(true, true)
 		cfg.CopyLimitBytes = 1 << 10
@@ -242,14 +272,25 @@ func TestDeferredFlipAlwaysEnds(t *testing.T) {
 		if err := d.Verify(); err != nil {
 			t.Fatal(err)
 		}
-		marked := 0
-		for _, p := range gc.Pauses().Pauses {
-			if p.FlipOverrun {
+		marked, flipped := 0, 0
+		for i, p := range gc.Pauses().Pauses {
+			if p.Overrun > 0 {
 				marked++
 			}
+			if p.RootSlots > 0 && !p.Forced {
+				flipped++
+				if p.Overrun == 0 {
+					t.Errorf("pause %d redirected %d root slots in %v and is not marked as an overrun", i, p.RootSlots, p.Length)
+				}
+			}
 		}
-		if st := gc.Stats(); st.MajorCollections == 0 || st.FlipOverruns != st.MajorCollections || st.FlipDeferrals != 0 || marked != st.FlipOverruns {
-			t.Errorf("%d majors, %d flips let through in %d marked pauses, %d deferred: want every flip let through at once", st.MajorCollections, st.FlipOverruns, marked, st.FlipDeferrals)
+		st := gc.Stats()
+		if st.MajorCollections == 0 || st.Deferrals != 0 || marked != flipped || st.Overruns < marked+st.MajorCollections-1 {
+			t.Errorf("%d minors and %d majors, %d attempts let through in %d marked pauses of %d that flipped, %d deferred: want every attempt let through at once",
+				st.MinorCollections, st.MajorCollections, st.Overruns, marked, flipped, st.Deferrals)
+		}
+		if st.ForcedCompletion != 0 {
+			t.Errorf("%d forced completions: a root set longer than the budget must end its cycle as an overrun, in the pause that meets it", st.ForcedCompletion)
 		}
 	})
 	// Four torture drivers under the paper's L and a 64 KB nursery of which
@@ -260,8 +301,8 @@ func TestDeferredFlipAlwaysEnds(t *testing.T) {
 		cfg := paperRT()
 		cfg.NurseryBytes, cfg.MajorThresholdBytes = 64<<10, 256<<10
 		g, gc, md, _ := tortureGroup4(t, cfg, 400)
-		if st := gc.Stats(); st.MajorCollections != 1 || st.FlipOverruns != 1 || st.FlipDeferrals < core.MaxFlipDeferrals {
-			t.Errorf("%d majors ended while the mutators ran, %d flips let through after %d deferrals: want the cap to have ended one cycle", st.MajorCollections, st.FlipOverruns, st.FlipDeferrals)
+		if st := gc.Stats(); st.MajorCollections != 1 || st.Overruns != 1 || st.Deferrals < core.MaxFlipDeferrals {
+			t.Errorf("%d majors ended while the mutators ran, %d flips let through after %d deferrals: want the cap to have ended one cycle", st.MajorCollections, st.Overruns, st.Deferrals)
 		}
 		if err := g.Run(0, gc.FinishCycles); err != nil {
 			t.Fatal(err)
@@ -270,4 +311,72 @@ func TestDeferredFlipAlwaysEnds(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestLogOutrunsTheMeter is the progress property of the log meter: when every
+// nursery cycle appends more entries than a pause replays, the minor collection
+// can never reach its completion attempt by itself, and MaxMinorPauses ends it —
+// one forced, marked pause — with the backlog bounded by what that many cycles
+// log. The mutator stores a fresh nursery pointer into forty distinct slots of
+// an old array for every small object it allocates; the 1 ms budget of
+// L = 2 KB replays at most a thousand entries, the A = 1 KB the pause grants
+// lets the mutator log some 1 700 more.
+func TestLogOutrunsTheMeter(t *testing.T) {
+	cfg := core.Config{
+		NurseryBytes:     8 << 10,
+		CopyLimitBytes:   2 << 10,
+		IncrementalMinor: true,
+		IncrementalMajor: true,
+		MaxMinorPauses:   24,
+	}
+	m, gc := newRun(cfg, core.LogAllMutations)
+	const slots, perAlloc, allocs = 8192, 40, 20000
+	var want [slots]int64                      // the record each slot was last pointed at
+	old, err := m.Alloc(heap.KindArray, slots) // above N/2: born old
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := m.PushHandle(old)
+	for i := 0; i < allocs; i++ {
+		p, err := m.Alloc(heap.KindRecord, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Init(p, 0, heap.FromInt(int64(i)))
+		cell := m.PushHandle(p)
+		for j := 0; j < perAlloc; j++ {
+			k := (i*perAlloc + j) % slots
+			m.Set(m.HandleVal(table), k, m.HandleVal(cell))
+			want[k] = int64(i)
+		}
+		m.PopHandles(cell)
+	}
+	if err := gc.FinishCycles(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := core.AuditHeap(m); err != nil {
+		t.Fatal(err)
+	}
+	for k, i := range want {
+		if got := m.Get(m.Get(m.HandleVal(table), k), 0); got != heap.FromInt(i) {
+			t.Fatalf("slot %d leads to record %v, want %d", k, got, i)
+		}
+	}
+	st, forced := gc.Stats(), 0
+	for _, p := range gc.Pauses().Pauses {
+		if p.Forced {
+			forced++
+		}
+	}
+	if st.ForcedCompletion == 0 || forced != st.ForcedCompletion || st.EmergencyCollections != 0 {
+		t.Errorf("%d forced completions in %d marked pauses, %d emergencies: want MaxMinorPauses to have ended cycles, and nothing worse", st.ForcedCompletion, forced, st.EmergencyCollections)
+	}
+	// A cycle's first pause finds at most one entry a slot (the barrier
+	// coalesces the rest), and each of its MaxMinorPauses later ones what the
+	// two-word records of A = L/2 of allocation stored.
+	perCycle := int64(slots) + int64(cfg.MaxMinorPauses+1)*(cfg.CopyLimitBytes/2/(2*heap.BytesPerWord))*perAlloc
+	if st.LargestLogBacklog == 0 || st.LargestLogBacklog > perCycle {
+		t.Errorf("a pause left at most %d log entries behind: want some, and no more than one cycle's %d", st.LargestLogBacklog, perCycle)
+	}
+	t.Logf("%d minors over %d pauses, %d forced, largest backlog %d entries", st.MinorCollections, st.PauseCount, st.ForcedCompletion, st.LargestLogBacklog)
 }

@@ -64,13 +64,6 @@ type Config struct {
 	// Off by default.
 	NaiveReplay bool
 
-	// BoundedLogProcessing makes log processing respect the work limit L,
-	// resuming from the same cursor at the next pause. The paper's
-	// implementation processes the log non-incrementally and admits that
-	// this can exceed L (§3.4), noting it "can easily be implemented so
-	// that [it is] performed incrementally" — this flag is that extension.
-	BoundedLogProcessing bool
-
 	// MaxMinorPauses bounds how many pauses one incremental minor
 	// collection may span before it is forced to complete
 	// non-incrementally (the paper's conservative completion / L lower
@@ -201,6 +194,8 @@ type generation struct {
 	inflight copyJob
 	//gclint:pauseonly set at the top of every increment and by its completing steps, all under pause
 	whole bool // copies are not split: the increment is forced, or has reached the steps that end in the flip
+	//gclint:pauseonly counted by the admission gate and cleared by the flip, both under pause
+	deferrals int // times in a row this generation's completion attempt has been put off (deferAttempt)
 }
 
 // copyJob is a replica being filled: the payload words below next are copied.
@@ -297,8 +292,6 @@ type Replicating struct {
 	//gclint:pauseonly dedup set for fixups; same pause-only lifecycle as the worklist it guards
 	fixupSeen       map[fixup]struct{} // dedup: a slot is queued once
 	forcedMajorFlip bool               // replay wants a major flip at the next minor flip
-	//gclint:pauseonly counted by the flip gate and cleared by the flip, both under pause
-	flipDeferrals int // times in a row the pending major flip has been put off (deferFlip)
 
 	// Replay memo: consecutive log entries overwhelmingly target the same
 	// object (the barrier logs a dirtied array slot by slot), so the
@@ -335,18 +328,22 @@ type Replicating struct {
 	microLimit int64 // per-micro-pause work budget (0: normal pauses)
 
 	// Test seams (export_test.go); zero outside tests. splitMin replaces the
-	// split threshold L/4, chunkWords caps the words one fill moves; noHiding
-	// and noFlipGate switch off the two halves of flip metering (toSpaceValue's
-	// hidden holders, deferFlip) for the differential tests.
+	// split threshold L/4, chunkWords caps the words one fill moves; noHiding,
+	// noGate and noLogMeter switch off toSpaceValue's hidden holders, the
+	// admission gate (deferAttempt) and takeLogEntry's budget test for the
+	// differential tests.
 	splitMin   int64
 	chunkWords int
 	noHiding   bool
-	noFlipGate bool
+	noGate     bool
+	noLogMeter bool
 
 	// Per-pause scratch: the record of the pause in progress, filled in by the
-	// kernels as they work, and the copy+scan bytes counted against L.
-	cur       simtime.Pause
-	pauseWork int64
+	// kernels as they work, and the instant on the simulated clock at which the
+	// pause has spent its budget (beginPause, extend); 0 when it has none.
+	cur simtime.Pause
+	//gclint:pauseonly set when the pause begins, pushed out by what the budget does not count, all under pause
+	deadline simtime.Duration
 
 	// ckpt, when set, is called at the tail of every pause (still inside
 	// the pause window) so the checkpoint writer can advance its snapshot
@@ -429,7 +426,9 @@ func (c *Replicating) NoteOldAlloc(p heap.Value, hdr heap.Header) {
 // traffic, or 0 for unlimited. L bounds the memory *copied* per pause
 // (paper §3.3); since every copied byte is also scanned exactly once over a
 // collection's lifetime, bounding copy+scan at 2L yields steady pauses of
-// about L / (2 MB/s) — 50 ms at the paper's L = 100 KB.
+// about L / (2 MB/s) — 50 ms at the paper's L = 100 KB. The allowance is
+// spent as time (budget): whatever a pause does, it does in the time copying
+// and scanning that many bytes would take.
 func (c *Replicating) workLimit() int64 {
 	if c.microLimit > 0 {
 		return c.microLimit
@@ -455,11 +454,40 @@ func (c *Replicating) splitBytes() int64 {
 // object — the work limit 2L plus one object no larger than the threshold.
 func (c Config) PauseCopyBound() int64 { return 2*c.CopyLimitBytes + c.CopyLimitBytes/4 }
 
-// PauseBoundTime is that bound as time, and the bound the flip term shares
-// with it: what copying and scanning a budgeted pause's bytes take at most,
-// and so what its copying, scanning and flips together may take (deferFlip).
+// PauseBoundTime is the pause bound: how long a budgeted pause that is not a
+// counted overrun lasts at most, whatever it spends the time on. Every
+// resumable loop stops once the budget's time — that of copying and scanning
+// 2L bytes — has passed, the atomic steps are admitted only if they fit it
+// (deferAttempt), and the last unit of work begun inside it is one log entry
+// or scanned slot and the one object, no larger than the split threshold, that
+// it reached.
 func (c Config) PauseBoundTime(cost simtime.CostModel) simtime.Duration {
-	return workTime(cost, c.PauseCopyBound())
+	return workTime(cost, c.PauseCopyBound()) + max(cost.LogScan+cost.LogReapply, cost.ScanWord)
+}
+
+// CheckPauseBound holds a finished run's pause record to the bound and renders
+// the check as rtgc -worst and rtgc-bench trace print it: a line for every
+// counted overrun, then the "pause bound:" line. Forced pauses have no budget
+// and overruns are the one exemption; any other pause longer than the bound is
+// the error. (A checkpoint writer's increments are outside the budget: a
+// caller that attached one has nothing to check.)
+func (c Config) CheckPauseBound(cost simtime.CostModel, pauses []simtime.Pause, st *GCStats) (string, error) {
+	bound, longest, text := c.PauseBoundTime(cost), simtime.Duration(0), ""
+	for i, p := range pauses {
+		switch {
+		case p.Forced:
+		case p.Overrun > 0:
+			text += fmt.Sprintf("overrun: pause %d is %v long, %v of it a completion attempt let through over budget (%d root slots and %d worklist slots flipped)\n",
+				i, p.Length, p.Overrun, p.RootSlots, p.FlipEntries)
+		case p.Length > bound:
+			return text, fmt.Errorf("pause %d is %v long (%d B copied, %d log entries, %d root slots and %d worklist slots flipped), over the bound %v",
+				i, p.Length, p.CopiedB, p.LogProcN, p.RootSlots, p.FlipEntries, bound)
+		default:
+			longest = max(longest, p.Length)
+		}
+	}
+	return text + fmt.Sprintf("pause bound: the longest budgeted pause is %v of %v; %d completions deferred, %d overran, at most %d log entries left by a pause\n",
+		longest, bound, st.Deferrals, st.Overruns, st.LargestLogBacklog), nil
 }
 
 // workTime is the longest that copy+scan work of so many bytes takes.
@@ -510,10 +538,6 @@ func (c *Replicating) AllocTax(m *Mutator, bytes int64) error {
 	c.microLimit = 0
 	return err
 }
-
-// entryWorkBytes is the work-budget weight of examining one log entry
-// under BoundedLogProcessing (roughly the footprint of a small object).
-const entryWorkBytes = 16
 
 // CollectForAlloc implements Collector: one garbage-collection pause.
 func (c *Replicating) CollectForAlloc(m *Mutator, needWords int) error {
@@ -602,7 +626,10 @@ func (c *Replicating) beginPause(m *Mutator) (syncBase simtime.Duration) {
 	// the previous pause vouch for entries this pause may now consume, so
 	// they must expire here (heap/stamp.go spells out the invariant).
 	c.h.BeginLogEpoch()
-	c.cur, c.pauseWork = simtime.Pause{At: at}, 0
+	c.cur, c.deadline = simtime.Pause{At: at}, 0
+	if budget := c.budget(m); budget > 0 {
+		c.deadline = at + budget
+	}
 	c.stats.PauseCount++
 	return syncBase
 }
@@ -615,7 +642,12 @@ func (c *Replicating) endPause(m *Mutator, syncBase simtime.Duration, kind simti
 	if stw || sync > length {
 		sync = length
 	}
-	c.cur.Length, c.cur.Kind, c.cur.Sync, c.cur.Forced = length, kind, sync, stw
+	c.cur.Length, c.cur.Kind, c.cur.Sync, c.cur.Forced = length, kind, sync, c.cur.Forced || stw
+	c.cur.LogLeft = m.Log.Len() - c.minor.logCursor
+	if c.major.active {
+		c.cur.LogLeft += m.Log.Len() - c.major.logCursor
+	}
+	c.stats.LargestLogBacklog = max(c.stats.LargestLogBacklog, c.cur.LogLeft)
 	c.rec.Record(c.cur)
 	c.tr.PauseEnd(m.Clock.Now(), c.cur.CopiedB, c.cur.LogProcN, int64(kind))
 }
@@ -632,7 +664,7 @@ func (c *Replicating) pauseBody(m *Mutator, needWords int, force bool, kind *sim
 		force = true
 		c.emergency = true
 		c.stats.EmergencyCollections++
-		c.stats.ForcedCompletion++
+		c.forcedCompletion()
 		c.tr.PhaseMark(m.Clock.Now(), trace.PhaseEmergency)
 	}
 
@@ -642,7 +674,7 @@ func (c *Replicating) pauseBody(m *Mutator, needWords int, force bool, kind *sim
 	c.minorPauses++
 	forceMinor := force || !c.cfg.IncrementalMinor || c.minorPauses > c.cfg.maxMinorPauses()
 	if c.minorPauses > c.cfg.maxMinorPauses() {
-		c.stats.ForcedCompletion++
+		c.forcedCompletion()
 	}
 
 	needB := int64(needWords) * heap.BytesPerWord
@@ -668,7 +700,7 @@ func (c *Replicating) pauseBody(m *Mutator, needWords int, force bool, kind *sim
 		if granted < needB {
 			// Expansion bound blown: conservative completion (the
 			// ladder's first rung).
-			c.stats.ForcedCompletion++
+			c.forcedCompletion()
 			done, err := c.runMinorIncrement(m, true)
 			if err != nil {
 				return err
@@ -690,6 +722,13 @@ func (c *Replicating) pauseBody(m *Mutator, needWords int, force bool, kind *sim
 		c.stats.NurseryExpansion += c.h.Nursery.GrowBytes(needB - free)
 	}
 	return nil
+}
+
+// forcedCompletion counts an incremental collection made to complete in the
+// pause in progress, which from here on has no budget to be held to.
+func (c *Replicating) forcedCompletion() {
+	c.stats.ForcedCompletion++
+	c.cur.Forced = true
 }
 
 // lowHeadroom reports whether the promotion target is at risk of
@@ -714,29 +753,42 @@ func (c *Replicating) startMinor(m *Mutator) {
 	c.minor.begin(&c.h.Nursery, c.PromoteSpace())
 }
 
-// overBudget reports whether the current pause has used its copy+scan work
-// allowance. Log processing, root scanning and flips are not limited by L
-// by default (the paper's §3.4 caveats).
-func (c *Replicating) overBudget(force bool) bool {
-	limit := c.workLimit()
-	return !force && limit > 0 && c.pauseWork >= limit
+// budget is the pause's allowance as time: what copying and scanning
+// workLimit() bytes take, 51.2 ms at the paper's L; 0 for unlimited. A pause
+// has spent it at its deadline, that long after it began.
+func (c *Replicating) budget(m *Mutator) simtime.Duration { return workTime(m.Cost, c.workLimit()) }
+
+// extend pushes the pause's deadline out by time the budget does not count:
+// the cost of a completion attempt let through over budget (deferAttempt), and
+// an increment that ran with no budget at all (runMinorIncrement).
+func (c *Replicating) extend(d simtime.Duration) {
+	if c.deadline > 0 {
+		c.deadline += d
+	}
 }
 
-// budgetSlots reports how many scan slots the current pause may still
-// process before overBudget would stop it: exactly ceil(remaining/word), so
-// a batch of this many per-word charges lands the cursor on the identical
-// slot a check-every-slot loop would stop at. A non-positive return means
-// the budget is already spent; unlimited budgets report maxInt.
-func (c *Replicating) budgetSlots(force bool) int {
-	limit := c.workLimit()
-	if force || limit <= 0 {
+// overBudget reports whether the current pause has used its allowance. It is
+// the one budget test: copying, scanning, log replay and the root passes all
+// stop at it, and what cannot stop part-way is admitted against the same
+// instant before it starts (deferAttempt).
+func (c *Replicating) overBudget(m *Mutator, force bool) bool {
+	return !force && c.deadline > 0 && m.Clock.Now() >= c.deadline
+}
+
+// budgetSlots reports how many units of work at each duration the current
+// pause may still begin before overBudget would stop it: exactly
+// ceil(remaining/each), so a batch of this many charges lands the cursor on the
+// identical slot a check-every-slot loop would stop at. A non-positive return
+// means the budget is already spent; unlimited budgets report maxInt.
+func (c *Replicating) budgetSlots(m *Mutator, force bool, each simtime.Duration) int {
+	if force || c.deadline <= 0 || each <= 0 {
 		return int(^uint(0) >> 1)
 	}
-	rem := limit - c.pauseWork
+	rem := c.deadline - m.Clock.Now()
 	if rem <= 0 {
 		return 0
 	}
-	return int((rem + heap.BytesPerWord - 1) / heap.BytesPerWord)
+	return int((rem + each - 1) / each)
 }
 
 // forwardingOf resolves the forwarding state of a log-entry target through
@@ -777,7 +829,21 @@ func (c *Replicating) resetReplayMemo() {
 // reports whether the collection completed (including its flip). A typed
 // exhaustion error leaves the cycle active and resumable: every cursor
 // stops exactly at the failed unit of work.
+//
+// An increment that runs with no budget — the non-incremental minor of
+// major-inc, a forced completion — is outside the pause's: the major's
+// increment after it has all of it, or a root set too long for the budget
+// would leave the major nothing, pause after pause.
 func (c *Replicating) runMinorIncrement(m *Mutator, force bool) (bool, error) {
+	from := m.Clock.Now()
+	done, err := c.minorIncrement(m, force)
+	if force {
+		c.extend(m.Clock.Now() - from)
+	}
+	return done, err
+}
+
+func (c *Replicating) minorIncrement(m *Mutator, force bool) (bool, error) {
 	g := &c.minor
 	g.whole = force
 	if !c.resumeCopy(m, g) {
@@ -785,10 +851,9 @@ func (c *Replicating) runMinorIncrement(m *Mutator, force bool) (bool, error) {
 	}
 
 	// 1. Process the mutation log: discover minor roots (old-space slots
-	// holding nursery pointers) and keep replicas up to date. By default
-	// log processing is not incremental (paper §3.4) and ignores L; with
-	// BoundedLogProcessing it stops at the work limit and resumes at the
-	// next pause.
+	// holding nursery pointers) and keep replicas up to date. The paper's
+	// log processing ignores L (§3.4); this one stops when the pause's
+	// budget is spent and resumes from the same cursor at the next pause.
 	endPhase := c.phase(m, trace.PhaseLogReplay)
 	done, err := c.processMinorLog(m, force)
 	endPhase()
@@ -805,15 +870,25 @@ func (c *Replicating) runMinorIncrement(m *Mutator, force bool) (bool, error) {
 	// completion. Only now are the mutator roots scanned — intermediate
 	// increments make their progress through the log and the Cheney scan,
 	// so the (per-pause-constant) root-scan cost is paid once per
-	// collection rather than once per increment. Root referents are
+	// collection rather than once per increment — and only by an attempt
+	// the gate admits: the pass over the roots, the flip's second one and
+	// its worklist must fit what is left of the pause. Root referents are
 	// replicated within the budget; an aborted pass is retried by a later
 	// increment.
-	if done, err := c.scanRoots(m, g, force); !done {
+	roots := m.Roots.Slots()
+	if c.deferAttempt(m, g, &force, 2*len(roots), len(c.minorRootSeqs)) {
+		return false, nil
+	}
+	if done, err := c.scanRoots(m, g, roots, force); !done {
 		return false, err
 	}
 	// The roots may have enqueued fresh copies; finish scanning them.
 	if done, err := c.scanPhase(m, g, force); !done {
 		return false, err
+	}
+	// What those copies took the flip may no longer have.
+	if c.deferAttempt(m, g, &force, len(roots), len(c.minorRootSeqs)) {
+		return false, nil
 	}
 
 	// From here to the flip nothing is budgeted and no copy is in flight (the
@@ -881,36 +956,34 @@ func (c *Replicating) scanPhase(m *Mutator, g *generation, force bool) (bool, er
 // root referent still in from-space is replicated, within the budget. The
 // roots themselves are only redirected at the flip. It reports whether the
 // pass reached the last root; an aborted pass is simply run again.
-func (c *Replicating) scanRoots(m *Mutator, g *generation, force bool) (bool, error) {
+func (c *Replicating) scanRoots(m *Mutator, g *generation, roots []*heap.Value, force bool) (bool, error) {
 	endPhase := c.phase(m, trace.PhaseRootScan)
-	// Roots.Slots enumerates into a reusable buffer: no per-scan closure
-	// allocations, and the loop can stop the moment the budget runs out.
-	// Every slot is still charged (the root scan visits them all).
-	roots := m.Roots.Slots()
+	// roots is Roots.Slots' reusable buffer, enumerated by the caller for the
+	// admission gate: no per-scan closure allocations, and the loop can stop
+	// the moment the budget runs out. Every slot is still charged (the root
+	// scan visits them all).
+	c.stats.RootSlotUpdates += int64(len(roots))
+	m.Clock.Charge(simtime.AcctRootScan, simtime.Duration(len(roots))*m.Cost.RootUpdate)
 	done := true
 	var err error
 	for _, slot := range roots {
 		if v := *slot; g.from.Contains(v) {
-			if _, err = c.replicate(m, g, v); err != nil || c.overBudget(force) {
+			if _, err = c.replicate(m, g, v); err != nil || c.overBudget(m, force) {
 				done = false
 				break
 			}
 		}
 	}
-	c.stats.RootSlotUpdates += int64(len(roots))
-	m.Clock.Charge(simtime.AcctRootScan, simtime.Duration(len(roots))*m.Cost.RootUpdate)
 	endPhase()
 	return done, err
 }
 
 // takeLogEntry consumes and charges the entry at g's log cursor; it reports
-// false, taking nothing, once BoundedLogProcessing has spent the pause's budget.
+// false, taking nothing, once the pause's budget is spent: the next increment
+// resumes from the same cursor.
 func (c *Replicating) takeLogEntry(m *Mutator, g *generation, force bool) (int64, LogEntry, bool) {
-	if c.cfg.BoundedLogProcessing {
-		if c.overBudget(force) {
-			return 0, LogEntry{}, false
-		}
-		c.pauseWork += entryWorkBytes
+	if !c.noLogMeter && c.overBudget(m, force) {
+		return 0, LogEntry{}, false
 	}
 	seq := g.logCursor
 	g.logCursor++
@@ -1118,14 +1191,14 @@ func (c *Replicating) replicate(m *Mutator, g *generation, v heap.Value) (heap.V
 // and more than the pause's remaining budget: then it stops where the budget
 // does. Forced increments and the steps that end in a flip do not split
 // (g.whole), nor does a second large object met while the one in-flight record
-// is taken, which only the unmetered log and root passes can do.
+// is taken, which only a fill capped below the budget (chunkWords) leaves room for.
 func (c *Replicating) fill(m *Mutator, g *generation, job *copyJob, extra int) {
 	n := job.words - job.next
 	// The size test comes first: it fails for all but a handful of objects.
 	if size := int64(n+extra) * heap.BytesPerWord; size > c.splitBytes() && !g.whole &&
 		(job == &g.inflight || g.inflight.replica == heap.Nil) {
-		if limit := c.workLimit(); limit > 0 && size > limit-c.pauseWork {
-			n = max(c.budgetSlots(false)-extra, 0)
+		if fits := c.budgetSlots(m, false, m.Cost.CopyWord); n+extra > fits {
+			n = max(fits-extra, 0)
 			if c.chunkWords > 0 {
 				n = min(n, c.chunkWords)
 			}
@@ -1136,7 +1209,6 @@ func (c *Replicating) fill(m *Mutator, g *generation, job *copyJob, extra int) {
 	b := int64(n+extra) * heap.BytesPerWord
 	*g.copied += b
 	c.cur.CopiedB += b
-	c.pauseWork += b
 	c.stats.LargestCopyBytes = max(c.stats.LargestCopyBytes, b)
 	m.Clock.Charge(g.acct, simtime.Duration(n+extra)*m.Cost.CopyWord)
 }
@@ -1237,7 +1309,7 @@ func (c *Replicating) drainDeferredMajorMutables(m *Mutator, force bool) (bool, 
 		if !h.OldFrom().Contains(v) || h.IsForwarded(v) {
 			continue
 		}
-		if c.overBudget(force) {
+		if c.overBudget(m, force) {
 			return false, nil
 		}
 		if _, err := c.replicate(m, &c.major, v); err != nil {
@@ -1279,7 +1351,7 @@ func (c *Replicating) scan(m *Mutator, g *generation, force bool) (bool, error) 
 			g.skipIdx++
 			continue
 		}
-		if c.overBudget(force) {
+		if c.overBudget(m, force) {
 			return false, nil
 		}
 		if g.inflight.replica == heap.Value((g.scan+1)<<3) {
@@ -1295,7 +1367,6 @@ func (c *Replicating) scan(m *Mutator, g *generation, force bool) (bool, error) 
 		hdr := heap.Header(w)
 		p := heap.Value((g.scan + 1) << 3)
 		if !hdr.Kind().HasPointers() {
-			c.pauseWork += hdr.SizeBytes()
 			m.Clock.Charge(g.acct, simtime.Duration(hdr.SizeWords())*m.Cost.ScanWord)
 			g.scan += uint64(hdr.SizeWords())
 			continue
@@ -1305,8 +1376,7 @@ func (c *Replicating) scan(m *Mutator, g *generation, force bool) (bool, error) 
 		// §3.4 incremental-large-object extension); the slot cursor
 		// resumes at the next increment.
 		if g.scanSlot == 0 {
-			c.pauseWork += heap.BytesPerWord // header word
-			m.Clock.Charge(g.acct, m.Cost.ScanWord)
+			m.Clock.Charge(g.acct, m.Cost.ScanWord) // header word
 		}
 		for i := g.scanSlot; i < hdr.Len(); {
 			// Sweep to j, the next slot holding a from-space pointer.
@@ -1315,11 +1385,10 @@ func (c *Replicating) scan(m *Mutator, g *generation, force bool) (bool, error) 
 			if c.cfg.NaiveReplay {
 				// The reference accounting: one budget check and one
 				// charge per slot.
-				if c.overBudget(force) {
+				if c.overBudget(m, force) {
 					g.scanSlot = i
 					return false, nil
 				}
-				c.pauseWork += heap.BytesPerWord
 				m.Clock.Charge(g.acct, m.Cost.ScanWord)
 				v = h.Load(p, i)
 				if hit = from.Contains(v); !hit {
@@ -1333,7 +1402,7 @@ func (c *Replicating) scan(m *Mutator, g *generation, force bool) (bool, error) 
 				// copy consumes budget too), so the cursor stops on the
 				// identical slot — simulated charges and heap contents are
 				// bit-equal to the NaiveReplay accounting above.
-				n := c.budgetSlots(force)
+				n := c.budgetSlots(m, force, m.Cost.ScanWord)
 				if n == 0 {
 					g.scanSlot = i
 					return false, nil
@@ -1352,7 +1421,6 @@ func (c *Replicating) scan(m *Mutator, g *generation, force bool) (bool, error) 
 				if hit {
 					scanned++ // the interesting slot is charged too
 				}
-				c.pauseWork += int64(scanned) * heap.BytesPerWord
 				m.Clock.Charge(g.acct, simtime.Duration(scanned)*m.Cost.ScanWord)
 			}
 			if !hit {
@@ -1432,7 +1500,7 @@ func (c *Replicating) minorFlip(m *Mutator) error {
 		c.promoHighWater = promoted // feeds the headroom reservation
 	}
 	c.stats.MinorCollections++
-	g.active = false
+	g.active, g.deferrals = false, 0
 	// Skip spans expire with the cycle: the minor scan has passed them,
 	// and the major traces by reachability rather than by region.
 	g.skips, g.skipIdx = g.skips[:0], 0
@@ -1543,19 +1611,13 @@ func (c *Replicating) afterMinorFlip(m *Mutator, force bool) (bool, error) {
 	}
 	forceMajor := force || c.emergency || !c.cfg.IncrementalMajor || (c.replay != nil && c.forcedMajorFlip)
 	// Under interleaved pacing, the post-flip increment is the only moment
-	// a major can complete; give it a quarter of the standard per-pause
-	// work budget rather than the micro quantum (flips are the one place
-	// the concurrent design stops the mutator for real work, but they
-	// should still stay well under the pause target).
-	micro := c.microLimit
-	if micro > 0 {
-		bigger := c.cfg.CopyLimitBytes / 2
-		if bigger > micro {
-			c.microLimit = bigger
-		}
+	// a major can complete; from here to the end of the pause the budget is
+	// the completion budget rather than the micro quantum.
+	if raise := c.microRaise(m); raise > 0 {
+		c.microLimit = c.cfg.CopyLimitBytes / 2
+		c.extend(raise)
 	}
 	flipped, err := c.runMajorIncrement(m, forceMajor, true)
-	c.microLimit = micro
 	if err != nil {
 		return false, err
 	}
@@ -1582,13 +1644,12 @@ func (c *Replicating) startMajor(m *Mutator) {
 }
 
 // runMajorIncrement performs one increment of the major collection and
-// reports whether it completed (including its flip). Log processing always
-// runs; replication work is skipped when the pause budget is already spent
-// (paper §3.3). postFlip marks increments running right after a minor flip,
-// when no old→nursery pointers exist; increments interleaved mid-cycle
-// (concurrent-style pacing, §6) pass false, and a logged slot whose current
-// value still points into the nursery blocks the log queue until the next
-// minor flip re-points it. Completion is only possible post-flip.
+// reports whether it completed (including its flip). Nothing runs once the
+// pause budget is spent (paper §3.3). postFlip marks increments running right
+// after a minor flip, when no old→nursery pointers exist; increments
+// interleaved mid-cycle (concurrent-style pacing, §6) pass false, and a logged
+// slot whose current value still points into the nursery blocks the log queue
+// until the next minor flip re-points it. Completion is only possible post-flip.
 func (c *Replicating) runMajorIncrement(m *Mutator, force, postFlip bool) (bool, error) {
 	g := &c.major
 	g.whole = force
@@ -1606,7 +1667,7 @@ func (c *Replicating) runMajorIncrement(m *Mutator, force, postFlip bool) (bool,
 		return false, err
 	}
 
-	if c.overBudget(force) {
+	if c.overBudget(m, force) {
 		return false, nil
 	}
 
@@ -1626,7 +1687,14 @@ func (c *Replicating) runMajorIncrement(m *Mutator, force, postFlip bool) (bool,
 	if !postFlip {
 		return false, nil
 	}
-	if done, err := c.scanRoots(m, g, force); !done {
+	// Forced increments — forced completions, emergencies, low headroom, a
+	// replayed script's flips and the non-incremental major — complete
+	// regardless of the gate; a budgeted attempt must fit its pause.
+	roots := m.Roots.Slots()
+	if c.deferAttempt(m, g, &force, 2*len(roots), len(c.fixups)) {
+		return false, nil
+	}
+	if done, err := c.scanRoots(m, g, roots, force); !done {
 		return false, err
 	}
 	// Root replication pushed fresh copies above the cursor; finish the
@@ -1659,10 +1727,8 @@ func (c *Replicating) runMajorIncrement(m *Mutator, force, postFlip bool) (bool,
 	if g.logCursor != m.Log.Len() || !g.scanDone() {
 		return false, nil
 	}
-	// The flip is budgeted work too. Forced increments — forced completions,
-	// emergencies, low headroom, a replayed script's flips and the
-	// non-incremental major — flip regardless of the gate.
-	if !force && c.deferFlip(m) {
+	// The worklist has grown with what the attempt copied, and the time has gone.
+	if c.deferAttempt(m, g, &force, len(roots), len(c.fixups)) {
 		return false, nil
 	}
 	g.whole = true // a straggler the flip copies, it copies whole
@@ -1675,44 +1741,69 @@ func (c *Replicating) runMajorIncrement(m *Mutator, force, postFlip bool) (bool,
 	return true, nil
 }
 
-// maxFlipDeferrals is how many times in a row a major flip may be put off
-// before it runs regardless, which is what ends a cycle whose every pause is
+// maxFlipDeferrals is how many times in a row a completion attempt may be put
+// off before it runs regardless, which is what ends a cycle whose every pause is
 // full. Measured with no cap on the repository benchmark's five workloads,
-// four seeds each (EXPERIMENTS.md, "PR 22"): a deferred flip fits the very next
-// minor flip's pause everywhere but on primes, whose lazy stream has phases in
-// which a whole short nursery survives — there 13-25 of 213 majors wait two to
-// four cycles, never more. 8 is twice the longest wait measured.
+// four seeds each (EXPERIMENTS.md, "PR 22"): a deferred major flip fits the very
+// next minor flip's pause everywhere but on primes, whose lazy stream has phases
+// in which a whole short nursery survives — there 13-25 of 213 majors wait two
+// to four cycles, never more. 8 is twice the longest wait measured.
 const maxFlipDeferrals = 8
 
-// deferFlip is the flip gate: it reports whether the major flip, which could
-// run now, waits for the next minor flip instead. The flip's cost is known
-// before it runs — the worklist at FlipEntry a slot, the roots at RootUpdate a
-// slot — so it runs only if the pause's time so far plus that cost is within
-// the time the pause's copy+scan allowance takes. A flip put off shortens the
-// next nursery cycle to the paper's A (the collection is awaiting completion),
-// so that the pause it is tried in next holds one small minor collection and
-// the flip. A flip whose cost alone is over the budget, or that has been put
-// off maxFlipDeferrals times already, runs anyway, counted and marked on its
-// pause (Pause.FlipOverrun).
-func (c *Replicating) deferFlip(m *Mutator) bool {
-	limit := c.workLimit()
-	if limit <= 0 || c.noFlipGate {
+// deferAttempt is the admission gate of a budgeted increment's completion
+// attempt — the pass over the roots, whatever copying it sets off, and the
+// flip: it reports whether the attempt, which could go on now, waits for a later
+// pause instead. What is left of the attempt cannot stop part-way, and its cost
+// is known before it runs — rootVisits root slots at RootUpdate each, over all
+// its passes, the flip's worklist at FlipEntry a slot — so it goes on only if the pause's
+// time so far plus that cost is within the pause's budget. Asked before the
+// root pass, a refusal costs the pause nothing; asked again before the flip, it
+// holds the flip to what the attempt's own copying has left.
+//
+// A refused minor attempt leaves the collection awaiting completion, and the
+// pause grants the paper's A; a refused major attempt shortens the next nursery
+// cycle to A, so that the pause it is tried in next holds one small minor
+// collection and little else. An attempt whose cost alone is over the budget,
+// or that has been put off maxFlipDeferrals times in a row, runs to completion
+// unbudgeted (*force is set), counted and marked on its pause (Pause.Overrun):
+// the one exemption from the pause bound. Its cost stays outside the budget
+// of the rest of the pause, or a root set too long for the budget would leave
+// the other generation nothing, pause after pause.
+func (c *Replicating) deferAttempt(m *Mutator, g *generation, force *bool, rootVisits, worklist int) bool {
+	if *force || c.deadline <= 0 || c.noGate {
 		return false
 	}
-	budget := workTime(m.Cost, limit)
-	cost := simtime.Duration(len(c.fixups))*m.Cost.FlipEntry + simtime.Duration(len(m.Roots.Slots()))*m.Cost.RootUpdate
-	if m.Clock.Now()-c.cur.At+cost <= budget {
+	cost := simtime.Duration(worklist)*m.Cost.FlipEntry + simtime.Duration(rootVisits)*m.Cost.RootUpdate
+	raise := c.microRaise(m)
+	if m.Clock.Now()+cost <= c.deadline+raise {
 		return false
 	}
-	if cost > budget || c.flipDeferrals >= maxFlipDeferrals {
-		c.stats.FlipOverruns++
-		c.cur.FlipOverrun = true
+	if cost > c.budget(m)+raise || g.deferrals >= maxFlipDeferrals {
+		c.stats.Overruns++
+		c.cur.Overrun += cost
+		c.extend(cost)
+		*force, g.whole = true, true
 		return false
 	}
-	c.flipDeferrals++
-	c.stats.FlipDeferrals++
-	c.setNurseryLimit(c.cfg.expandBytes())
+	g.deferrals++
+	c.stats.Deferrals++
+	c.cur.Deferred = true
+	if g.major {
+		c.setNurseryLimit(c.cfg.expandBytes())
+	}
 	return true
+}
+
+// microRaise is what the completion budget of interleaved pacing adds to a
+// micro-pause's: completion attempts are the one place that design stops the
+// mutator for real work, so they are admitted against — and the increment
+// after a minor flip runs under — a quarter of the standard per-pause budget
+// rather than the micro quantum, still well under the pause target.
+func (c *Replicating) microRaise(m *Mutator) simtime.Duration {
+	if micro := c.microLimit; micro > 0 && micro < c.cfg.CopyLimitBytes/2 {
+		return workTime(m.Cost, c.cfg.CopyLimitBytes/2) - workTime(m.Cost, micro)
+	}
+	return 0
 }
 
 // processMajorLog consumes pending log entries for the major collection;
@@ -1810,7 +1901,7 @@ func (c *Replicating) majorFlip(m *Mutator) error {
 	}
 	c.fixups = c.fixups[:0]
 	c.fixupSeen = nil
-	c.flipDeferrals = 0
+	g.deferrals = 0
 
 	c.redirectRoots(m, g)
 

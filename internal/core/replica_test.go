@@ -156,22 +156,18 @@ func TestIdleMembersCostNothing(t *testing.T) {
 // TestPauseBounding verifies the headline claim: with the incremental
 // collector, pause times are bounded near the budget implied by L, while
 // the non-incremental configuration produces much longer majors. The
-// torture workload mutates far more than any of the paper's benchmarks, so
-// the default (unbounded, paper-faithful) log processing is allowed some
-// overshoot; with the BoundedLogProcessing extension the bound is tight.
+// torture workload mutates far more than any of the paper's benchmarks; its
+// log is replayed within the same budget as everything else.
 func TestPauseBounding(t *testing.T) {
-	run := func(minorInc, majorInc, boundedLog bool) *simtime.Recorder {
-		cfg := tortureConfig(minorInc, majorInc)
-		cfg.BoundedLogProcessing = boundedLog
-		m, gc := newRun(cfg, core.LogAllMutations)
+	run := func(minorInc, majorInc bool) *simtime.Recorder {
+		m, gc := newRun(tortureConfig(minorInc, majorInc), core.LogAllMutations)
 		d := gctest.NewDriver(m, 7)
 		d.Step(24000)
 		gc.FinishCycles(m)
 		return gc.Pauses()
 	}
-	rt := run(true, true, false)
-	rtBounded := run(true, true, true)
-	sc := run(false, false, false)
+	rt := run(true, true)
+	sc := run(false, false)
 
 	// Work budget for L = 8 KB at the default cost model: 2L of copy+scan
 	// is about 4 ms.
@@ -182,16 +178,14 @@ func TestPauseBounding(t *testing.T) {
 	if sc.Max() <= rt.Max() {
 		t.Errorf("stop-copy max pause %v not longer than rt max %v", sc.Max(), rt.Max())
 	}
-	// Bounded log processing keeps even this mutation-heavy workload's
-	// pauses within a small multiple of the budget. Root scans and flips
-	// remain outside L, as in the paper, whose own worst pause was 84 ms
-	// against a 50 ms target; with this test's tiny L (8 KB ≈ 4 ms) the
-	// fixed per-pause costs weigh proportionally more.
-	if max := rtBounded.Max(); max > 5*budget {
-		t.Errorf("bounded rt max pause %v exceeds 5x budget %v", max, budget)
-	}
-	if p99 := rtBounded.Percentile(99); p99 > 4*budget {
-		t.Errorf("bounded rt p99 %v exceeds 4x budget %v", p99, budget)
+	// Every budgeted pause of rt ends within the budget plus one object no
+	// larger than L/4 (TestPauseBound holds that in the paper's cell); here
+	// the torture driver's 160-word objects are well under it.
+	bound := tortureConfig(true, true).PauseBoundTime(simtime.Default1993())
+	for i, p := range rt.Pauses {
+		if !p.Forced && p.Overrun == 0 && p.Length > bound {
+			t.Errorf("rt pause %d is %v long against the bound %v (budget %v)", i, p.Length, bound, budget)
+		}
 	}
 }
 
@@ -328,7 +322,6 @@ func TestShadowModelPropertySeeds(t *testing.T) {
 func TestInterleavedPacing(t *testing.T) {
 	cfg := tortureConfig(true, true)
 	cfg.InterleavedTaxPermille = 3000 // the torture driver has ~60% survival
-	cfg.BoundedLogProcessing = true
 	m, gc := newRun(cfg, core.LogAllMutations)
 	d := gctest.NewDriver(m, 21)
 	for round := 0; round < 40; round++ {

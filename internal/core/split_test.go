@@ -113,7 +113,7 @@ func immortalStream(t *testing.T, cfg core.Config, seams func(*core.Replicating)
 			}
 		}
 		// Four large objects a phase, all below N/2 and so born in the
-		// nursery; in phase 0 one array above it, born old.
+		// nursery; in phase 0 one array above it, born old and filled.
 		arrays = append(arrays, alloc(heap.KindArray, 300+rng.Intn(200)))
 		buffers = append(buffers, alloc(heap.KindBytes, 8*(300+rng.Intn(200))))
 		rec := alloc(heap.KindRecord, 200+rng.Intn(100))
@@ -128,7 +128,13 @@ func immortalStream(t *testing.T, cfg core.Config, seams func(*core.Replicating)
 		}
 		roots.slots = append(roots.slots, p)
 		if phase == 0 {
-			arrays = append(arrays, alloc(heap.KindArray, 4200))
+			// Born old, so every initialising store is logged: a log longer
+			// than a pause replays, all of it there when the first one begins.
+			big := alloc(heap.KindArray, 4200)
+			arrays = append(arrays, big)
+			for s := 0; s < 4200; s++ {
+				m.Init(roots.slots[big], s, roots.slots[(s*17)%len(roots.slots)])
+			}
 		}
 
 		for pauses := 0; ; pauses++ {
@@ -164,7 +170,12 @@ func immortalStream(t *testing.T, cfg core.Config, seams func(*core.Replicating)
 // with the same graph and the same copy volume in both generations, the
 // chunked ones having stored on both sides of a copy cursor on the way.
 func TestSplitCopyDifferential(t *testing.T) {
+	// L = 4 KB: the stream's few hundred roots are passed over twice within
+	// the 2 ms budget, so the completion attempt that meets a large object is
+	// not one let through over budget, which would copy it whole; the
+	// 4 200-slot array is still four budgets long.
 	cfg := splitConfig()
+	cfg.CopyLimitBytes = 4 << 10
 	split := func(threshold int64, chunkWords int) func(*core.Replicating) {
 		return func(gc *core.Replicating) { gc.SetCopySplit(threshold, chunkWords) }
 	}
@@ -193,6 +204,9 @@ func TestSplitCopyDifferential(t *testing.T) {
 			}
 			if st.SplitCopies == 0 || !bothSides {
 				t.Errorf("%d copies split, stores on both sides of a cursor: %v", st.SplitCopies, bothSides)
+			}
+			if st.LargestCopyBytes > cfg.PauseCopyBound() {
+				t.Errorf("largest uninterrupted copy %d B (%d completion attempts overran their pause): the stream no longer splits what it was built to split", st.LargestCopyBytes, st.Overruns)
 			}
 			t.Logf("%d copies split over %d pauses (%d whole), largest uninterrupted copy %d B (%d whole)",
 				st.SplitCopies, st.PauseCount, wholeStats.PauseCount, st.LargestCopyBytes, wholeStats.LargestCopyBytes)

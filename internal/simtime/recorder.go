@@ -50,13 +50,23 @@ type Pause struct {
 	// count them.
 	FlipEntries int64
 	RootSlots   int64
+	// LogLeft is the mutation-log entries still unprocessed when the pause
+	// ended, every active collection's cursor counted: log replay stops with
+	// the pause's budget and resumes at the next pause.
+	LogLeft int64
+	// Deferred marks a pause in which the admission gate put a completion
+	// attempt off to a later pause (GCStats.Deferrals counts them): the
+	// minor collection's when the pause flipped nothing, else the major flip.
+	Deferred bool
 	// Forced marks a pause that ran without a budget: a forced completion or
 	// an emergency collection. Such a pause is outside the pause bound.
 	Forced bool
-	// FlipOverrun marks a pause whose major flip ran although the flip gate
-	// said it did not fit (GCStats.FlipOverruns counts them): the one
-	// exemption from the flip term.
-	FlipOverrun bool
+	// Overrun is non-zero for a pause in which a completion attempt — a
+	// collection's root passes and flip — ran to the end although the
+	// admission gate said it did not fit (GCStats.Overruns counts them): the
+	// one exemption from the pause bound among budgeted pauses. It holds the
+	// attempts' known cost, which the pause's budget does not count.
+	Overrun Duration
 }
 
 // Recorder accumulates the pauses of one benchmark run.

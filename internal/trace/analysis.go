@@ -72,9 +72,9 @@ func Analyze(events []Event) (*Analysis, error) {
 
 // Annotate completes the trace's pauses from the collector's own pause record
 // (Collector.Pauses): the pause-end event carries three words, so the
-// stop-the-world part, what the flip term of the pause bound is a formula over
-// — flip-worklist entries, root slots — and the forced and flip-overrun marks
-// live only there. Pauses are matched by start time (the two were stamped by
+// stop-the-world part, what the pause bound is a formula over — flip-worklist
+// entries, root slots, the log left unprocessed — and the forced and overrun
+// marks live only there. Pauses are matched by start time (the two were stamped by
 // one clock, so a match agrees on everything the trace knows); one the record
 // does not hold — a checkpoint commit outside any collection pause — stays
 // as it is.
@@ -113,20 +113,20 @@ func (a *Analysis) WorstPauses(k int) []PauseDetail {
 }
 
 // WorstPausesTable renders WorstPauses(k), one pause a line, phase times in
-// milliseconds; "flip n" is the flip-worklist entries the pause re-pointed
-// (Annotate).
+// milliseconds; "log left" is the log entries the pause left unprocessed and
+// "flip n" the flip-worklist entries it re-pointed (Annotate).
 func WorstPausesTable(a *Analysis, k int) string {
 	s := fmt.Sprintf("worst %d of %d pauses:\n%6s %12s %9s", min(max(k, 0), len(a.Pauses)), len(a.Pauses), "pause", "at", "ms")
 	for p := Phase(0); p < NumPhases; p++ {
 		s += fmt.Sprintf(" %10s", p)
 	}
-	s += fmt.Sprintf(" %10s %8s %8s\n", "copied B", "log n", "flip n")
+	s += fmt.Sprintf(" %10s %8s %8s %8s\n", "copied B", "log n", "log left", "flip n")
 	for _, d := range a.WorstPauses(k) {
 		s += fmt.Sprintf("%6d %12v %9.3f", d.Index, d.At, d.Length.Milliseconds())
 		for _, t := range d.Phases {
 			s += fmt.Sprintf(" %10.3f", t.Milliseconds())
 		}
-		s += fmt.Sprintf(" %10d %8d %8d\n", d.CopiedB, d.LogProcN, d.FlipEntries)
+		s += fmt.Sprintf(" %10d %8d %8d %8d\n", d.CopiedB, d.LogProcN, d.LogLeft, d.FlipEntries)
 	}
 	return s
 }

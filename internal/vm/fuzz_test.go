@@ -126,7 +126,7 @@ func runUnder(t *testing.T, src, collector string) (string, error) {
 		gc = core.NewReplicating(h, core.Config{
 			NurseryBytes: 24 << 10, MajorThresholdBytes: 128 << 10,
 			CopyLimitBytes: 4 << 10, IncrementalMinor: true, IncrementalMajor: true,
-			InterleavedTaxPermille: 2500, BoundedLogProcessing: true,
+			InterleavedTaxPermille: 2500,
 		})
 	}
 	m.AttachGC(gc)

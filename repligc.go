@@ -188,7 +188,6 @@ func NewRealTime(o RealTimeOptions) (*Runtime, error) {
 		IncrementalMinor:       !o.DisableIncrementalMinor,
 		IncrementalMajor:       !o.DisableIncrementalMajor,
 		InterleavedTaxPermille: o.InterleavedTaxPermille,
-		BoundedLogProcessing:   o.InterleavedTaxPermille > 0,
 	}}
 	coll.Name = coll.Engine.Name()
 	if n := o.HeapConfig.NurseryBytes; n != 0 && n != o.NurseryBytes {
