@@ -1,0 +1,50 @@
+package main
+
+import (
+	"flag"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"testing"
+)
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/*.txt from what the command prints")
+
+// runMainEnv, when set, makes the test binary behave as rtgc-bench itself:
+// the golden test re-executes the binary with it, so main's flag parsing and
+// exit statuses are the command's own.
+const runMainEnv = "RTGC_BENCH_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestTraceGolden pins what `rtgc-bench -quick -worst 5 trace` prints for the
+// three workloads with no -out file asked for: each digest, its worst pauses
+// by phase and the three bound lines.
+func TestTraceGolden(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-quick", "-worst", "5", "trace")
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	got, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("rtgc-bench -quick -worst 5 trace: %v\n%s", err, got)
+	}
+	path := filepath.Join("testdata", "trace_quick.txt")
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("rtgc-bench -quick -worst 5 trace moved:\n got:\n%s\n want:\n%s", got, want)
+	}
+}

@@ -1,0 +1,66 @@
+package main
+
+import (
+	"flag"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"testing"
+)
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/*.txt from what the command prints")
+
+// runMainEnv, when set, makes the test binary behave as rtgc itself: the
+// golden test re-executes the binary with it, so main's flag parsing and exit
+// statuses are the command's own.
+const runMainEnv = "RTGC_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestPauseDigestGolden pins what -worst and -trace-summary print, stdout and
+// stderr in the order written, with no -trace file asked for: the digest, the
+// worst pauses by phase, the pause-bound line and -stats.
+func TestPauseDigestGolden(t *testing.T) {
+	for _, c := range []struct {
+		golden string
+		args   []string
+	}{
+		{"sieve.txt", []string{"-worst", "5", "-trace-summary", "examples/miniml/sieve.ml"}},
+		{"life.txt", []string{"-prelude", "-worst", "5", "-trace-summary", "examples/miniml/life.ml"}},
+		{"serve.txt", []string{"-gc", "rt", "-worst", "5", "-trace-summary", "-serve", "examples/serve/mixed.json"}},
+	} {
+		t.Run(c.golden, func(t *testing.T) {
+			self, err := filepath.Abs(os.Args[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			cmd := exec.Command(self, c.args...)
+			cmd.Dir = filepath.Join("..", "..") // the examples are named from the repository root
+			cmd.Env = append(os.Environ(), runMainEnv+"=1")
+			got, err := cmd.CombinedOutput()
+			if err != nil {
+				t.Fatalf("rtgc %v: %v\n%s", c.args, err, got)
+			}
+			path := filepath.Join("testdata", c.golden)
+			if *updateGolden {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Errorf("rtgc %v moved:\n got:\n%s\n want:\n%s", c.args, got, want)
+			}
+		})
+	}
+}
