@@ -14,16 +14,21 @@ build:
 # exhaustiveness, and the annotation hygiene of //gclint:allow itself.
 # See DESIGN.md, "Machine-checked invariants". gclint runs over ./..., which
 # includes internal/analysis, internal/trace and internal/faultinject — the
-# linter lints itself. The last check keeps runtime construction in one
+# linter lints itself. The last two checks keep runtime construction in one
 # place: outside internal/rig (and recovery, which sizes a heap from a
 # snapshot header, and the frozen benchmark), non-test Go may not call the
-# constructors of a heap, a mutator, a group or a collector.
+# constructors of a heap, a mutator, a group or a collector; and only a
+# command (which does so when asked for a Chrome trace file) may construct a
+# flight recorder — every digest reads the collector's own pause record.
 lint:
 	go vet ./...
 	go run ./cmd/gclint ./...
 	@if git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmarks/' -e '/testdata/' -e '^internal/rig/' -e '^internal/checkpoint/recover\.go$$' | \
 		xargs grep -nE 'heap\.New\(|core\.NewMutator\(|core\.NewGroup\(|core\.NewReplicating\(|stopcopy\.New\('; \
 		then echo 'lint: a runtime is assembled outside internal/rig (lines above); call rig.New'; exit 1; fi
+	@if git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmarks/' -e '/testdata/' -e '^cmd/' -e '^internal/trace/' | \
+		xargs grep -nE 'trace\.NewRecorder\('; \
+		then echo 'lint: a library layer attaches a flight recorder on its own (lines above); take rig.Config.Trace from the caller'; exit 1; fi
 
 test:
 	go test ./...
@@ -117,20 +122,20 @@ crash-matrix-baseline:
 	go run ./cmd/rtgc-bench validate crash_matrix.json
 
 # Emit a Perfetto-loadable Chrome trace per paper workload (full scale) and
-# shape-check each artifact with the same validator CI uses.
+# shape-check each artifact with the same validator CI uses: -out is what
+# attaches a flight recorder.
 trace:
 	go run ./cmd/rtgc-bench -out /tmp/repligc_trace.json trace
 	go run ./cmd/rtgc-bench validate /tmp/repligc_trace-primes.json
 	go run ./cmd/rtgc-bench validate /tmp/repligc_trace-sort.json
 	go run ./cmd/rtgc-bench validate /tmp/repligc_trace-comp.json
 
-# The pause bound (DESIGN.md, "Pause bound") at full scale under rt, on the
-# two workloads with large objects, on Primes, the one whose flips are long
-# and many, and on the serving spec: the trace command fails if any budgeted
-# pause is longer than copying 2L + L/4 takes or copied more than that, lists
-# the completion attempts the gate let through over budget (none here), and
-# prints the three longest pauses by phase; each of the four must print its
-# "pause bound:" line.
+# The pause bound (DESIGN.md, "Pause bound") at full scale under rt, on
+# Primes, Sort, Comp and the serving spec, read off the collector's pause
+# record (no flight recorder): each command fails if a budgeted pause is
+# longer than copying 2L + L/4 takes or copied more than that, lists the
+# overruns (none here) and the three longest pauses by phase, and must print
+# its "pause bound:" line.
 pause-bound:
 	go run ./cmd/rtgc-bench -worst 3 trace Primes | tee /dev/stderr | grep -q '^pause bound: the longest'
 	go run ./cmd/rtgc-bench -worst 3 trace Sort | tee /dev/stderr | grep -q '^pause bound: the longest'

@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -44,7 +45,19 @@ func TestTraceGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != string(want) {
-		t.Errorf("rtgc-bench -quick -worst 5 trace moved:\n got:\n%s\n want:\n%s", got, want)
+	diffLines(t, string(got), string(want))
+}
+
+// diffLines reports each line of got that is not the golden's.
+func diffLines(t *testing.T, got, want string) {
+	t.Helper()
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	if len(g) != len(w) {
+		t.Fatalf("golden has %d lines, the command printed %d:\n%s", len(w), len(g), got)
+	}
+	for i := range g {
+		if g[i] != w[i] {
+			t.Errorf("line %d moved:\n got  %s\n want %s", i+1, g[i], w[i])
+		}
 	}
 }

@@ -22,11 +22,11 @@ func tracePath(out, workload string) string {
 	return out[:len(out)-len(ext)] + "-" + strings.ToLower(workload) + ext
 }
 
-// runTrace traces one workload (or, with workload == "", all three) under
-// rt in the paper's 50 ms parameter cell, printing the digest, the worst
-// pauses when asked for and the copy-bound and flip-bound checks, which fail
-// the command, and — when out is non-empty — writing a Chrome trace per
-// workload.
+// runTrace runs one workload (or, with workload == "", all three) under rt
+// in the paper's 50 ms parameter cell, printing the digest of its pause
+// record, the worst pauses when asked for and the copy-bound and flip-bound
+// checks, which fail the command, and — when out is non-empty, the only case
+// that attaches a flight recorder — writing a Chrome trace per workload.
 //
 //gclint:io writes the Chrome trace artifact per workload
 func runTrace(s bench.Scale, workload, out string, worst int) error {
@@ -40,26 +40,24 @@ func runTrace(s bench.Scale, workload, out string, worst int) error {
 		if err != nil {
 			return fmt.Errorf("%w (want %s)", err, strings.Join(bench.PerfWorkloads, ", "))
 		}
-		tr := trace.NewRecorder(1 << 20)
+		var tr *trace.Recorder
+		if out != "" {
+			tr = trace.NewRecorder(1 << 20)
+		}
 		res, err := bench.Run(w, rig.Config{Collector: rig.RT, Params: params, Trace: tr})
 		if err != nil {
 			return fmt.Errorf("trace %s: %w", w.Name(), err)
 		}
-		an, err := trace.Analyze(tr.Events())
-		if err != nil {
-			return fmt.Errorf("trace %s: %w", w.Name(), err)
-		}
-		an.Annotate(res.Pauses.Pauses)
-		fmt.Print(trace.Summary(fmt.Sprintf("%s (%s, %v)", w.Name(), rig.RT.Name, params), an, tr.Dropped()))
+		d := res.Pauses.Digest(res.Elapsed)
+		fmt.Print(d.Summary(fmt.Sprintf("%s (%s, %v)", w.Name(), rig.RT.Name, params)))
 		if worst > 0 {
-			fmt.Print(trace.WorstPausesTable(an, worst))
+			fmt.Print(d.WorstPausesTable(worst))
 		}
 		// The pause bound (DESIGN.md, "Pause bound") over every pause that had
-		// a budget — the collector's own record, unlike the trace, says which
-		// were forced or emergencies: no such pause is longer than copying
-		// 2L + L/4 bytes takes, whatever it spent the time on, or copies more
-		// than that. A completion attempt the gate let through although it did
-		// not fit is the one exemption from the length, and is listed.
+		// a budget: no such pause is longer than copying 2L + L/4 bytes takes,
+		// whatever it spent the time on, or copies more than that. A completion
+		// attempt the gate let through although it did not fit is the one
+		// exemption from the length, and is listed.
 		cfg := core.Config{CopyLimitBytes: params.LBytes}
 		text, err := cfg.CheckPauseBound(simtime.Default1993(), res.Pauses.Pauses, &res.Stats)
 		fmt.Print(text)
@@ -67,14 +65,14 @@ func runTrace(s bench.Scale, workload, out string, worst int) error {
 			return fmt.Errorf("trace %s: %w", w.Name(), err)
 		}
 		bound, most, flipping := cfg.PauseCopyBound(), int64(0), simtime.Duration(0)
-		for _, d := range an.WorstPauses(len(an.Pauses)) {
-			if d.Forced {
+		for i, p := range d.Pauses {
+			if p.Forced {
 				continue
 			}
-			if d.CopiedB > bound {
-				return fmt.Errorf("trace %s: pause %d copied %d B, over the bound 2L + L/4 = %d B", w.Name(), d.Index, d.CopiedB, bound)
+			if p.CopiedB > bound {
+				return fmt.Errorf("trace %s: pause %d copied %d B, over the bound 2L + L/4 = %d B", w.Name(), i, p.CopiedB, bound)
 			}
-			most, flipping = max(most, d.CopiedB), max(flipping, d.Phases[trace.PhaseCopy]+d.Phases[trace.PhaseFlip])
+			most, flipping = max(most, p.CopiedB), max(flipping, p.PhaseTime[simtime.PhaseCopy]+p.PhaseTime[simtime.PhaseFlip])
 		}
 		fmt.Printf("copy bound: the most one budgeted pause copied is %d B of 2L + L/4 = %d B; largest uninterrupted copy %d B, %d copies split\n",
 			most, bound, res.Stats.LargestCopyBytes, res.Stats.SplitCopies)
@@ -101,7 +99,7 @@ func runTrace(s bench.Scale, workload, out string, worst int) error {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			return fmt.Errorf("trace %s: %w", w.Name(), err)
 		}
-		fmt.Printf("wrote %s (%d events)\n", path, tr.Len())
+		fmt.Printf("wrote %s (%d events, %d dropped)\n", path, tr.Len(), tr.Dropped())
 	}
 	return nil
 }

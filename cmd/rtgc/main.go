@@ -100,10 +100,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	// The recorder is always attached: it charges nothing to the simulated
-	// clock, so the run is identical with or without it, and a late decision
-	// to look at -stats still has data.
-	tr := trace.NewRecorder(1 << 18)
 	rc := rig.Config{
 		Collector:    coll,
 		Params:       rig.Params{NBytes: *nKB << 10, OBytes: *oKB << 10, LBytes: *lKB << 10},
@@ -112,7 +108,7 @@ func main() {
 		// the heap's geometry and a fingerprint over address-bearing words,
 		// so the line -restore prints would move with the cap.
 		NurseryCapBytes: 32 << 20,
-		Trace:           tr,
+		Trace:           look.recorder(),
 	}
 	var ckptW *checkpoint.Writer
 	if *ckptDir != "" {
@@ -153,7 +149,7 @@ func main() {
 	if !coll.StopCopy && ckptW == nil {
 		bound.CopyLimitBytes = *lKB << 10
 	}
-	an, err := look.report(tr, gc, bound, flag.Arg(0), rt.Collector)
+	d, err := look.report(rt, bound, flag.Arg(0))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rtgc: writing trace: %v\n", err)
 		os.Exit(1)
@@ -179,7 +175,7 @@ func main() {
 			st.PauseCount, rec.Percentile(50), rec.Percentile(99), rec.Max())
 		fmt.Fprintf(os.Stderr, "log entries        %d written, %d reapplied\n",
 			m.LogWrites, st.LogReapplied)
-		if st.LargestCopyBytes > 0 { // the replicating engine counts them
+		if !coll.StopCopy { // the replicating engine counts them
 			fmt.Fprintf(os.Stderr, "largest copy       %d B uninterrupted, %d copies split across pauses\n",
 				st.LargestCopyBytes, st.SplitCopies)
 			fmt.Fprintf(os.Stderr, "completions        put off %d times to a pause they fit, %d overran their pause, largest flip worklist %d slots\n",
@@ -193,19 +189,17 @@ func main() {
 				float64(cs.SnapshotBytes)/(1<<20), float64(cs.WALBytes)/(1<<20),
 				m.Clock.AccountTotal(simtime.AcctCheckpoint))
 		}
-		if an != nil {
-			fmt.Fprintf(os.Stderr, "utilization        %.1f%%\n", 100*an.Utilization())
-			mmu := "MMU               "
-			for _, w := range an.StandardWindows() {
-				mmu += fmt.Sprintf(" %v=%.1f%%", w, 100*an.MMU(w))
+		fmt.Fprintf(os.Stderr, "utilization        %.1f%%\n", 100*d.Utilization())
+		mmu := "MMU               "
+		for _, w := range d.StandardWindows() {
+			mmu += fmt.Sprintf(" %v=%.1f%%", w, 100*d.MMU(w))
+		}
+		fmt.Fprintln(os.Stderr, mmu)
+		for p := simtime.Phase(0); p < simtime.NumPhases; p++ {
+			if d.PhaseSpans[p] == 0 {
+				continue
 			}
-			fmt.Fprintln(os.Stderr, mmu)
-			for p := trace.Phase(0); p < trace.NumPhases; p++ {
-				if an.PhaseCount[p] == 0 {
-					continue
-				}
-				fmt.Fprintf(os.Stderr, "phase %-12s %v over %d spans\n", p, an.PhaseTime[p], an.PhaseCount[p])
-			}
+			fmt.Fprintf(os.Stderr, "phase %-12s %v over %d spans\n", p, d.PhaseTime[p], d.PhaseSpans[p])
 		}
 	}
 	if *census {
@@ -219,35 +213,35 @@ func main() {
 	}
 }
 
-// traceFlags are the flags that look at a run's flight recorder; both modes
-// that run something honour them.
+// traceFlags are the flags that look at a run's pauses; both modes that run
+// something honour them.
 type traceFlags struct {
 	file    string
 	summary bool
 	worst   int
 }
 
-// report analyses the finished run's events, completes the pauses from the
-// collector's own record, and writes what the flags asked for: the Chrome
-// trace file, the digest, the worst pauses and — when bound carries an L —
-// the record held to the pause bound. The analysis is nil when the events are
-// malformed, which is reported and hides nothing else.
+// recorder is the flight recorder the run needs: one only when a Chrome trace
+// file was asked for. Everything else the flags print is the collector's own
+// pause record.
+func (f traceFlags) recorder() *trace.Recorder {
+	if f.file == "" {
+		return nil
+	}
+	return trace.NewRecorder(1 << 20)
+}
+
+// report digests the finished run's pause record and writes what the flags
+// asked for: the Chrome trace file, the digest, the worst pauses and — when
+// bound carries an L — the record held to the pause bound.
 //
 //gclint:io writes the optional Chrome trace artifact
-func (f traceFlags) report(tr *trace.Recorder, gc core.Collector, bound core.Config, subject, collector string) (*trace.Analysis, error) {
-	record := gc.Pauses().Pauses
-	an, err := trace.Analyze(tr.Events())
-	if err != nil {
-		// The hook discipline should make this impossible; report, don't hide.
-		fmt.Fprintf(os.Stderr, "rtgc: malformed trace: %v\n", err)
-		an = nil
-	} else {
-		an.Annotate(record)
-	}
-	if f.file != "" {
+func (f traceFlags) report(rt *rig.Runtime, bound core.Config, subject string) (*simtime.Digest, error) {
+	d := rt.GC.Pauses().Digest(rt.Mutator.Clock.Now())
+	if tr := rt.Recorder; tr != nil {
 		labels := map[string]string{
 			"program":   subject,
-			"collector": collector,
+			"collector": rt.Collector,
 			//gclint:allow wallclock -- exporter glue: the wall-clock stamp only labels the artifact; nothing simulated reads it
 			"exported_at": time.Now().UTC().Format(time.RFC3339),
 		}
@@ -256,23 +250,26 @@ func (f traceFlags) report(tr *trace.Recorder, gc core.Collector, bound core.Con
 			err = os.WriteFile(f.file, data, 0o644)
 		}
 		if err != nil {
-			return an, err
+			return d, err
+		}
+		if n := tr.Dropped(); n > 0 {
+			fmt.Fprintf(os.Stderr, "WARNING: ring dropped %d events; %s holds the retained suffix\n", n, f.file)
 		}
 	}
-	if f.summary && an != nil {
-		fmt.Fprintf(os.Stderr, "\n%s", trace.Summary(subject, an, tr.Dropped()))
+	if f.summary {
+		fmt.Fprintf(os.Stderr, "\n%s", d.Summary(subject))
 	}
-	if f.worst > 0 && an != nil {
-		fmt.Fprintf(os.Stderr, "\n%s", trace.WorstPausesTable(an, f.worst))
+	if f.worst > 0 {
+		fmt.Fprintf(os.Stderr, "\n%s", d.WorstPausesTable(f.worst))
 	}
 	if f.worst > 0 && bound.CopyLimitBytes > 0 {
-		text, err := bound.CheckPauseBound(simtime.Default1993(), record, gc.Stats())
+		text, err := bound.CheckPauseBound(simtime.Default1993(), d.Pauses, rt.GC.Stats())
 		fmt.Fprint(os.Stderr, text)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pause bound: %v\n", err)
 		}
 	}
-	return an, nil
+	return d, nil
 }
 
 // runRestore recovers the newest checkpoint epoch in dir, re-attaches a

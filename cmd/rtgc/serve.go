@@ -35,18 +35,24 @@ func runServeSpec(specPath string, coll rig.Collector, look traceFlags) int {
 		fmt.Fprintf(os.Stderr, "rtgc: %v\n", err)
 		return 1
 	}
-	sec := workload.NewSection(tr)
-	rt, err := sec.RunLeg(tr, workload.LegSpec{Name: coll.Name, Collector: coll})
+	rt, err := workload.NewRuntime(spec, rig.Config{Collector: coll, Trace: look.recorder()})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rtgc: %v\n", err)
 		return 1
 	}
+	leg, err := workload.Serve(rt, tr, coll.Name, workload.ServeOptions{})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rtgc: %v\n", err)
+		return 1
+	}
+	sec := workload.NewSection(tr)
+	sec.Legs = append(sec.Legs, *leg)
 	fmt.Print(workload.FormatSection(sec))
 	var bound core.Config
 	if !coll.StopCopy {
 		bound.CopyLimitBytes = spec.Heap.WithDefaults().CopyLimitKB << 10
 	}
-	if _, err := look.report(rt.Recorder, rt.GC, bound, specPath, rt.Collector); err != nil {
+	if _, err := look.report(rt, bound, specPath); err != nil {
 		fmt.Fprintf(os.Stderr, "rtgc: writing trace: %v\n", err)
 		return 1
 	}

@@ -22,10 +22,10 @@ func skipBare(h *heap.Heap, p heap.Value, i int) bool {
 	return h.SlotDirty(p, i)
 }
 
-// skipAnnotated is the reviewed form: the annotation states why skipping the
+// skipReviewed is the reviewed form: the annotation states why skipping the
 // append is safe.
 //gclint:fastpath a current-epoch stamp proves the log retains an unconsumed entry for this slot
-func skipAnnotated(h *heap.Heap, p heap.Value, i int) bool {
+func skipReviewed(h *heap.Heap, p heap.Value, i int) bool {
 	if h.SlotDirty(p, i) {
 		return true
 	}

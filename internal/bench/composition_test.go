@@ -11,6 +11,7 @@ import (
 	"repligc/internal/gctest"
 	"repligc/internal/heap"
 	"repligc/internal/rig"
+	"repligc/internal/simtime"
 	"repligc/internal/trace"
 )
 
@@ -21,8 +22,9 @@ import (
 // the cells DESIGN.md, "One runtime", lists — or honours everything it was
 // given: the run finishes, every member's shadow graph and the heap audit
 // hold, the recorder holds a valid trace that did not move the run by a
-// nanosecond, the writer committed, and the reachable graph is the same one
-// under all nine collectors. Properties only; the absolute numbers are
+// nanosecond and says of every pause what the collector's own record says,
+// the writer committed, and the reachable graph is the same one under all
+// nine collectors. Properties only; the absolute numbers are
 // engine_golden.txt's business.
 func TestCompositionMatrix(t *testing.T) {
 	tight := engineShapes[0]
@@ -85,7 +87,7 @@ func TestCompositionMatrix(t *testing.T) {
 						if rc.Trace.Len() == 0 {
 							t.Errorf("%s: the recorder was ignored", label)
 						}
-						if err := trace.Validate(rc.Trace.Events()); err != nil {
+						if err := recordIsTrace(rt.GC.Pauses().Pauses, rc.Trace); err != nil {
 							t.Errorf("%s: %v", label, err)
 						}
 					}
@@ -106,6 +108,36 @@ func TestCompositionMatrix(t *testing.T) {
 	t.Logf("construction plane: %d cells, %d run and hold their properties, %d typed refusals", cells, cells-refusals, refusals)
 	compositionLargeObjects(t)
 	compositionDeferredFlipFaults(t)
+}
+
+// recordIsTrace holds the collector's pause record against the flight
+// recorder's events, each the other's oracle: the events are a valid trace
+// with as many pause-begins as there are recorded pauses, and the pause list
+// rebuilt from them alone equals the record in everything an event carries —
+// start, length, kind, bytes copied, log entries, per-phase time and spans.
+func recordIsTrace(record []simtime.Pause, tr *trace.Recorder) error {
+	events := tr.Events()
+	d, err := trace.Analyze(events)
+	if err != nil {
+		return err
+	}
+	begins := 0
+	for _, e := range events {
+		if e.Kind == trace.KindPauseBegin {
+			begins++
+		}
+	}
+	if tr.Dropped() != 0 || begins != len(record) || len(d.Pauses) != len(record) {
+		return fmt.Errorf("%d pauses recorded, %d begun and %d ended in the trace (%d events dropped)", len(record), begins, len(d.Pauses), tr.Dropped())
+	}
+	for i, p := range record {
+		traced := simtime.Pause{At: p.At, Length: p.Length, Kind: p.Kind, CopiedB: p.CopiedB, LogProcN: p.LogProcN,
+			PhaseTime: p.PhaseTime, PhaseSpans: p.PhaseSpans}
+		if d.Pauses[i] != traced {
+			return fmt.Errorf("pause %d: the trace says %+v, the record %+v", i, d.Pauses[i], traced)
+		}
+	}
+	return nil
 }
 
 // compositionLargeObjects is the matrix's large-object plane: every collector

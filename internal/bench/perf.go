@@ -24,7 +24,6 @@ import (
 	"repligc/internal/gctest"
 	"repligc/internal/rig"
 	"repligc/internal/simtime"
-	"repligc/internal/trace"
 	"repligc/internal/workload"
 )
 
@@ -136,10 +135,9 @@ type PerfLeg struct {
 
 	// MMU is the minimum-mutator-utilization curve over the standard
 	// window ladder; Phases attributes pause time to collection phases.
-	// Both come from the internal/trace recorder attached to the leg
-	// (schema repligc-bench/2).
-	MMU    []trace.MMUPoint `json:"mmu"`
-	Phases []PhaseTime      `json:"phase_ms"`
+	// Both are digests of the leg's pause record.
+	MMU    []simtime.MMUPoint `json:"mmu"`
+	Phases []PhaseTime        `json:"phase_ms"`
 }
 
 // PhaseTime attributes pause time to one collection phase.
@@ -149,8 +147,8 @@ type PhaseTime struct {
 	Count int     `json:"count"`
 }
 
-// perfLeg distils a Result plus its trace digest.
-func perfLeg(r *Result, a *trace.Analysis) PerfLeg {
+// perfLeg distils a Result, its pause record included.
+func perfLeg(r *Result) PerfLeg {
 	copied := r.Stats.TotalBytesCopied()
 	q := simtime.Percentiles(r.Pauses.Durations(), 0, 50, 95, 100)
 	leg := PerfLeg{
@@ -171,25 +169,25 @@ func perfLeg(r *Result, a *trace.Analysis) PerfLeg {
 	if secs := r.Elapsed.Seconds(); secs > 0 {
 		leg.ReplicationMBps = float64(copied) / (1 << 20) / secs
 	}
-	leg.MMU = a.MMUCurve(a.StandardWindows())
-	for p := trace.Phase(0); p < trace.NumPhases; p++ {
-		if a.PhaseCount[p] == 0 {
+	d := r.Pauses.Digest(r.Elapsed)
+	leg.MMU = d.MMUCurve(d.StandardWindows())
+	for p := simtime.Phase(0); p < simtime.NumPhases; p++ {
+		if d.PhaseSpans[p] == 0 {
 			continue
 		}
 		leg.Phases = append(leg.Phases, PhaseTime{
 			Phase: p.String(),
-			Ms:    a.PhaseTime[p].Milliseconds(),
-			Count: a.PhaseCount[p],
+			Ms:    d.PhaseTime[p].Milliseconds(),
+			Count: d.PhaseSpans[p],
 		})
 	}
 	return leg
 }
 
-// unbudgeted counts the pauses the pause bound exempts: forced ones, and
-// those with a completion attempt let through over budget.
+// unbudgeted counts the pauses the pause bound exempts.
 func unbudgeted(pauses []simtime.Pause) (n int) {
 	for _, p := range pauses {
-		if p.Forced || p.Overrun > 0 {
+		if p.Unbudgeted() {
 			n++
 		}
 	}
@@ -221,7 +219,7 @@ func perfParams() Params { return PaperParams()[0] }
 var PerfWorkloads = []string{"Primes", "Sort", "Comp"}
 
 // perfLegs are the runs every workload gets, in report order: rt in the perf
-// cell with its own trace recorder, plus the leg's delta.
+// cell, plus the leg's delta.
 var perfLegs = [...]struct {
 	tag          string
 	naiveBarrier bool // the append-every-store barrier coalescing replaced
@@ -233,19 +231,16 @@ func (w *PerfWorkload) legs() [len(perfLegs)]*PerfLeg {
 	return [...]*PerfLeg{&w.Baseline, &w.Coalesced, &w.Checkpointed}
 }
 
-// runLeg runs w under one leg and digests its trace. The recorder's 2^20
-// events hold the full default-scale runs; a leg that overflowed would only
-// lose its oldest events, and Analyze still gets a consistent suffix. A
-// checkpointed leg keeps its artifacts in a throwaway directory the
-// checkpoint package owns and also returns its writer, for what it persisted.
-func runLeg(w Workload, naiveBarrier, checkpointed bool) (*Result, *trace.Analysis, *checkpoint.Writer, error) {
-	tr := trace.NewRecorder(1 << 20)
-	rc := rig.Config{Collector: rig.RT, Params: perfParams(), NaiveBarrier: naiveBarrier, Trace: tr}
+// runLeg runs w under one leg. A checkpointed leg keeps its artifacts in a
+// throwaway directory the checkpoint package owns and also returns its
+// writer, for what it persisted.
+func runLeg(w Workload, naiveBarrier, checkpointed bool) (*Result, *checkpoint.Writer, error) {
+	rc := rig.Config{Collector: rig.RT, Params: perfParams(), NaiveBarrier: naiveBarrier}
 	var cw *checkpoint.Writer
 	if checkpointed {
 		dir, cleanup, err := checkpoint.TempDir("rtgc-bench-ckpt-")
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		defer cleanup()
 		// One epoch per 4 MB allocated, 64 KB of copying per pause: the
@@ -254,14 +249,7 @@ func runLeg(w Workload, naiveBarrier, checkpointed bool) (*Result, *trace.Analys
 		rc.Checkpoint = cw
 	}
 	res, err := Run(w, rc)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	a, err := trace.Analyze(tr.Events())
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("trace: %w", err)
-	}
-	return res, a, cw, nil
+	return res, cw, err
 }
 
 // RunPerf runs the three workloads under every leg and assembles the report.
@@ -280,14 +268,14 @@ func RunPerf(s Scale, scaleName string) (*PerfReport, error) {
 		pw := PerfWorkload{Name: name}
 		var res [len(perfLegs)]*Result
 		for i, l := range perfLegs {
-			r, a, cw, err := runLeg(w, l.naiveBarrier, l.checkpointed)
+			r, cw, err := runLeg(w, l.naiveBarrier, l.checkpointed)
 			if err != nil {
 				return nil, fmt.Errorf("perf %s %s: %w", name, l.tag, err)
 			}
 			if i > 0 && r.Output != res[0].Output {
 				return nil, fmt.Errorf("perf %s: the %s leg computed a different result than the %s leg", name, l.tag, perfLegs[0].tag)
 			}
-			res[i], *pw.legs()[i] = r, perfLeg(r, a)
+			res[i], *pw.legs()[i] = r, perfLeg(r)
 			if l.checkpointed {
 				persisted := cw.Stats()
 				pw.Checkpoint = PerfCheckpoint{
@@ -607,7 +595,7 @@ func (l PerfLeg) check() error {
 	if l.LogReapplied > l.LogScanned {
 		return fmt.Errorf("re-applied %d entries but scanned only %d", l.LogReapplied, l.LogScanned)
 	}
-	if err := trace.CheckMMUCurve(l.MMU); err != nil {
+	if err := simtime.CheckMMUCurve(l.MMU); err != nil {
 		return err
 	}
 	if len(l.Phases) == 0 {

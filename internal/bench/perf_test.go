@@ -7,6 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"repligc/internal/rig"
+	"repligc/internal/simtime"
+	"repligc/internal/trace"
 	"repligc/internal/workload"
 )
 
@@ -83,6 +86,54 @@ func TestPerfGateAndValidator(t *testing.T) {
 	stale := strings.Replace(string(committed), PerfSchema, "repligc-bench/6", 1)
 	if err := ValidatePerf([]byte(stale)); err == nil || !strings.Contains(err.Error(), `schema "repligc-bench/6"`) {
 		t.Errorf("a /6 document: got %v, want a schema rejection", err)
+	}
+}
+
+// TestPerfLegNeedsNoRecorder: a perf leg is a digest of the collector's own
+// pause record. Built from a rig.Config with no Trace, the runtime has no
+// flight recorder and the leg still carries its MMU curve, over the run's
+// whole span, and its phase times; attaching one changes nothing in the leg,
+// and what its events say of the phases is what the leg says.
+func TestPerfLegNeedsNoRecorder(t *testing.T) {
+	w, err := WorkloadByName("Sort", QuickScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := rig.Config{Collector: rig.RT, Params: perfParams()}
+	if rt, err := rig.New(rc); err != nil || rt.Recorder != nil {
+		t.Fatalf("a configuration with no Trace built a runtime with recorder %v (err %v)", rt.Recorder, err)
+	}
+	res, err := Run(w, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leg := perfLeg(res)
+	if err := simtime.CheckMMUCurve(leg.MMU); err != nil {
+		t.Fatal(err)
+	}
+	if last := leg.MMU[len(leg.MMU)-1].WindowMs; last != leg.ElapsedMs {
+		t.Errorf("the last MMU window is %v ms, the run lasted %v ms", last, leg.ElapsedMs)
+	}
+	rc.Trace = trace.NewRecorder(1 << 20)
+	traced, err := Run(w, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(leg, perfLeg(traced)) {
+		t.Errorf("attaching a recorder changed the leg:\n off %+v\n on  %+v", leg, perfLeg(traced))
+	}
+	d, err := trace.Analyze(rc.Trace.Events())
+	if err != nil || rc.Trace.Dropped() != 0 {
+		t.Fatalf("analyzing the traced run: %v (%d events dropped)", err, rc.Trace.Dropped())
+	}
+	var fromTrace []PhaseTime
+	for p := simtime.Phase(0); p < simtime.NumPhases; p++ {
+		if d.PhaseSpans[p] > 0 {
+			fromTrace = append(fromTrace, PhaseTime{Phase: p.String(), Ms: d.PhaseTime[p].Milliseconds(), Count: d.PhaseSpans[p]})
+		}
+	}
+	if len(leg.Phases) == 0 || !reflect.DeepEqual(leg.Phases, fromTrace) {
+		t.Errorf("phase_ms is %+v, the trace says %+v", leg.Phases, fromTrace)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"repligc/internal/core"
 	"repligc/internal/heap"
 	"repligc/internal/simtime"
-	"repligc/internal/trace"
 )
 
 // Config parameterises a Writer.
@@ -179,31 +178,27 @@ func (w *Writer) PauseCheckpoint(m *core.Mutator, p core.CheckpointPoint) {
 }
 
 // ForceCommit drives the open epoch (or a fresh one) to commit inside a
-// pause of its own. The collector must be quiescent — call FinishCycles
-// first. It guarantees at least one committed epoch on success, regardless
-// of budget, so short runs still leave a recoverable artifact.
+// pause of its own, which the collector brackets and records. The collector
+// must be quiescent — call FinishCycles first. It guarantees at least one
+// committed epoch on success, regardless of budget, so short runs still
+// leave a recoverable artifact.
 //
-//gclint:pauseentry runs its own Clock.BeginPause/EndPause window around the commit
+//gclint:pauseentry the commit runs inside the pause window CheckpointPause opens and closes
 func (w *Writer) ForceCommit(m *core.Mutator, gc *core.Replicating) error {
 	p := gc.CheckpointNow()
 	if !p.Quiescent {
 		return fmt.Errorf("checkpoint: ForceCommit with a collection in flight (run FinishCycles first)")
 	}
-	m.Clock.BeginPause()
-	m.Trace.PauseBegin(m.Clock.Now())
-	m.Trace.PhaseBegin(m.Clock.Now(), trace.PhaseCheckpoint)
-	if !w.open {
-		w.begin(m, p)
-	}
-	if w.open {
-		w.epochPauses++
-		w.copyTarget = m.H.OldFrom().Next
-		w.commit(m, p)
-	}
-	m.Trace.PhaseEnd(m.Clock.Now(), trace.PhaseCheckpoint)
-	length := m.Clock.EndPause()
-	_ = length
-	m.Trace.PauseEnd(m.Clock.Now(), 0, 0, int64(simtime.PauseMinor))
+	gc.CheckpointPause(m, func() {
+		if !w.open {
+			w.begin(m, p)
+		}
+		if w.open {
+			w.epochPauses++
+			w.copyTarget = m.H.OldFrom().Next
+			w.commit(m, p)
+		}
+	})
 	if w.stats.LastErr != nil {
 		return w.stats.LastErr
 	}

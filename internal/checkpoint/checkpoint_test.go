@@ -112,7 +112,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 	saw := false
 	for _, e := range events {
-		if e.Kind == trace.KindPhaseBegin && e.Phase == trace.PhaseCheckpoint {
+		if e.Kind == trace.KindPhaseBegin && e.Phase == simtime.PhaseCheckpoint {
 			saw = true
 			break
 		}

@@ -10,7 +10,6 @@ import (
 	"repligc/internal/lang"
 	"repligc/internal/rig"
 	"repligc/internal/simtime"
-	"repligc/internal/trace"
 	"repligc/internal/vm"
 	"repligc/internal/workload"
 )
@@ -152,16 +151,14 @@ print ("primes-sum " ^ itos (take %d (sieve (from 2)) 0) ^ "\n")
 `
 
 // tortureGroup4 runs four torture drivers on one heap for so many rounds of
-// 80-operation quanta, the shape of the repository benchmark's group4, with
-// the flight recorder on; finishing the run is the caller's.
-func tortureGroup4(t *testing.T, cfg core.Config, rounds int) (*core.Group, *core.Replicating, *gctest.MultiDriver, *trace.Recorder) {
+// 80-operation quanta, the shape of the repository benchmark's group4;
+// finishing the run is the caller's.
+func tortureGroup4(t *testing.T, cfg core.Config, rounds int) (*core.Group, *core.Replicating, *gctest.MultiDriver) {
 	t.Helper()
 	h := heap.New(heap.Config{NurseryBytes: cfg.NurseryBytes, NurseryCapBytes: 32 * cfg.NurseryBytes, OldSemiBytes: 16 << 20})
 	g := core.NewGroup(h, simtime.NewClock(), simtime.Default1993(), core.LogAllMutations, 4)
 	gc := core.NewReplicating(h, cfg)
 	g.AttachGC(gc)
-	tr := trace.NewRecorder(1 << 18)
-	gc.SetTrace(tr)
 	md, err := gctest.NewMultiDriver(g, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +168,7 @@ func tortureGroup4(t *testing.T, cfg core.Config, rounds int) (*core.Group, *cor
 			t.Fatal(err)
 		}
 	}
-	return g, gc, md, tr
+	return g, gc, md
 }
 
 // TestPauseFlipBound holds the flip term of the pause bound (DESIGN.md, "Pause
@@ -182,31 +179,20 @@ func tortureGroup4(t *testing.T, cfg core.Config, rounds int) (*core.Group, *cor
 // GCStats.Overruns).
 func TestPauseFlipBound(t *testing.T) {
 	cost := simtime.Default1993()
-	// worstOf walks the flight recorder's pauses beside the collector's own
-	// record of them, which says which ones were exempt and which held a major
-	// flip, and returns the budgeted pause that spent longest copying and
-	// flipping.
-	spent := func(d trace.PauseDetail) simtime.Duration {
-		return d.Phases[trace.PhaseCopy] + d.Phases[trace.PhaseFlip]
+	// worstOf returns the budgeted pause of the collector's record that spent
+	// longest copying and flipping, and its position.
+	spent := func(p simtime.Pause) simtime.Duration {
+		return p.PhaseTime[simtime.PhaseCopy] + p.PhaseTime[simtime.PhaseFlip]
 	}
-	worstOf := func(t *testing.T, gc *core.Replicating, tr *trace.Recorder) trace.PauseDetail {
+	worstOf := func(t *testing.T, gc *core.Replicating) (int, simtime.Pause) {
 		t.Helper()
-		an, err := trace.Analyze(tr.Events())
-		if err != nil {
-			t.Fatal(err)
-		}
-		record := gc.Pauses().Pauses
-		if tr.Dropped() != 0 || len(an.Pauses) != len(record) {
-			t.Fatalf("the recorder holds %d pauses (%d events dropped), the collector recorded %d", len(an.Pauses), tr.Dropped(), len(record))
-		}
-		worst, overruns := trace.PauseDetail{}, 0
-		for _, d := range an.WorstPauses(len(record)) {
-			p := record[d.Index]
+		at, worst, overruns := 0, simtime.Pause{}, 0
+		for i, p := range gc.Pauses().Pauses {
 			if p.Overrun > 0 {
 				overruns++
 			}
-			if !p.Forced && p.Overrun == 0 && spent(d) > spent(worst) {
-				worst = d
+			if !p.Unbudgeted() && spent(p) > spent(worst) {
+				at, worst = i, p
 			}
 		}
 		st := gc.Stats()
@@ -216,14 +202,12 @@ func TestPauseFlipBound(t *testing.T) {
 		if overruns != st.Overruns {
 			t.Errorf("%d pauses are marked as flip overruns, the collector counted %d", overruns, st.Overruns)
 		}
-		return worst
+		return at, worst
 	}
 
 	t.Run("miniml-lazy-sieve", func(t *testing.T) {
 		cfg := paperRT()
 		m, gc := newRun(cfg, core.LogAllMutations)
-		tr := trace.NewRecorder(1 << 18)
-		gc.SetTrace(tr)
 		prog, err := lang.Compile(m, lazySieve(1200))
 		if err != nil {
 			t.Fatal(err)
@@ -246,9 +230,9 @@ func TestPauseFlipBound(t *testing.T) {
 		if st := gc.Stats(); st.Overruns != 0 || st.Deferrals >= st.MajorCollections {
 			t.Errorf("%d of %d major flips deferred, %d overruns: want some flips to fit at once and none to be let through", st.Deferrals, st.MajorCollections, st.Overruns)
 		}
-		if w, bound := worstOf(t, gc, tr), cfg.PauseBoundTime(cost); spent(w) > bound {
+		if at, w := worstOf(t, gc); spent(w) > cfg.PauseBoundTime(cost) {
 			t.Errorf("pause %d spent %v copying and %v flipping against the bound %v",
-				w.Index, w.Phases[trace.PhaseCopy], w.Phases[trace.PhaseFlip], bound)
+				at, w.PhaseTime[simtime.PhaseCopy], w.PhaseTime[simtime.PhaseFlip], cfg.PauseBoundTime(cost))
 		}
 	})
 
@@ -263,17 +247,17 @@ func TestPauseFlipBound(t *testing.T) {
 	t.Run("gctest-group4", func(t *testing.T) {
 		cfg := paperRT()
 		cfg.NurseryBytes, cfg.MajorThresholdBytes = 64<<10, 384<<10
-		g, gc, md, tr := tortureGroup4(t, cfg, 400)
+		g, gc, md := tortureGroup4(t, cfg, 400)
 		if err := g.Run(0, gc.FinishCycles); err != nil {
 			t.Fatal(err)
 		}
 		if err := md.Verify(); err != nil {
 			t.Fatal(err)
 		}
-		w, bound, stopped := worstOf(t, gc, tr), cfg.PauseBoundTime(cost), g.GroupPauses().Max()
-		if spent(w) > bound || stopped > bound {
+		at, w := worstOf(t, gc)
+		if bound, stopped := cfg.PauseBoundTime(cost), g.GroupPauses().Max(); spent(w) > bound || stopped > bound {
 			t.Errorf("pause %d spent %v copying and %v flipping, and everyone was stopped for %v, against the bound %v (%d entries re-pointed in the run's %d majors)",
-				w.Index, w.Phases[trace.PhaseCopy], w.Phases[trace.PhaseFlip], stopped, bound, gc.Stats().FlipEntryUpdates, gc.Stats().MajorCollections)
+				at, w.PhaseTime[simtime.PhaseCopy], w.PhaseTime[simtime.PhaseFlip], stopped, bound, gc.Stats().FlipEntryUpdates, gc.Stats().MajorCollections)
 		}
 	})
 }
@@ -330,7 +314,7 @@ func TestPauseBound(t *testing.T) {
 			if p.Overrun > 0 {
 				overruns++
 			}
-			if p.Forced || p.Overrun > 0 {
+			if p.Unbudgeted() {
 				continue
 			}
 			checked++

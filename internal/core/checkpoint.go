@@ -7,6 +7,8 @@ package core
 // is charged to the stopped mutator and shows up in pause times and MMU
 // curves exactly like collection work does.
 
+import "repligc/internal/simtime"
+
 // CheckpointPoint describes the collector's state at the pause boundary
 // handed to a Checkpointer. The writer uses it to decide whether an epoch
 // may begin or commit (both require quiescence) and whether an open epoch
@@ -59,9 +61,26 @@ func (c *Replicating) checkpointPoint() CheckpointPoint {
 }
 
 // CheckpointNow exposes the current pause-boundary state outside the hook,
-// for checkpoint.Writer.ForceCommit (which runs its own pause window after
+// for checkpoint.Writer.ForceCommit (which commits in a pause of its own after
 // FinishCycles has left the collector quiescent).
 func (c *Replicating) CheckpointNow() CheckpointPoint { return c.checkpointPoint() }
+
+// CheckpointPause runs commit in a pause of its own, outside any collection,
+// and records it like every other pause: PauseOther, all of it stop-the-world,
+// its time under the checkpoint phase.
+func (c *Replicating) CheckpointPause(m *Mutator, commit func()) {
+	m.Clock.BeginPause()
+	c.cur = simtime.Pause{At: m.Clock.Now(), Kind: simtime.PauseOther}
+	c.tr.PauseBegin(c.cur.At)
+	c.stats.PauseCount++
+	end := c.phase(m, simtime.PhaseCheckpoint)
+	commit()
+	end()
+	c.cur.Length = m.Clock.EndPause()
+	c.cur.Sync = c.cur.Length
+	c.rec.Record(c.cur)
+	c.tr.PauseEnd(m.Clock.Now(), 0, 0, int64(c.cur.Kind))
+}
 
 // RestoreScheduling reinstates the collector scheduling state a checkpoint
 // recorded at commit time: the pending log cursor (the remembered set starts

@@ -300,7 +300,7 @@ func TestDeferredFlipAlwaysEnds(t *testing.T) {
 	t.Run("every-pause-full", func(t *testing.T) {
 		cfg := paperRT()
 		cfg.NurseryBytes, cfg.MajorThresholdBytes = 64<<10, 256<<10
-		g, gc, md, _ := tortureGroup4(t, cfg, 400)
+		g, gc, md := tortureGroup4(t, cfg, 400)
 		if st := gc.Stats(); st.MajorCollections != 1 || st.Overruns != 1 || st.Deferrals < core.MaxFlipDeferrals {
 			t.Errorf("%d majors ended while the mutators ran, %d flips let through after %d deferrals: want the cap to have ended one cycle", st.MajorCollections, st.Overruns, st.Deferrals)
 		}

@@ -382,12 +382,20 @@ func (c *Replicating) Pauses() *simtime.Recorder { return &c.rec }
 // bit-for-bit identical.
 func (c *Replicating) SetTrace(r *trace.Recorder) { c.tr = r }
 
-// phase opens a trace phase and returns its closer; callers invoke the
-// closer exactly once, on every exit path, so begin/end events stay balanced
-// even when an increment ends in a typed exhaustion error.
-func (c *Replicating) phase(m *Mutator, p trace.Phase) func() {
-	c.tr.PhaseBegin(m.Clock.Now(), p)
-	return func() { c.tr.PhaseEnd(m.Clock.Now(), p) }
+// phase opens a phase of the pause in progress and returns its closer, which
+// adds the span to the pause's record; callers invoke the closer exactly once,
+// on every exit path, so the trace's begin/end events stay balanced even when
+// an increment ends in a typed exhaustion error. Closed at once, it is a span
+// of no length: how the degradation ladder's emergency rung is marked.
+func (c *Replicating) phase(m *Mutator, p simtime.Phase) func() {
+	start := m.Clock.Now()
+	c.tr.PhaseBegin(start, p)
+	return func() {
+		now := m.Clock.Now()
+		c.cur.PhaseTime[p] += now - start
+		c.cur.PhaseSpans[p]++
+		c.tr.PhaseEnd(now, p)
+	}
 }
 
 // AfterAlloc implements Collector; flip points are steered by nursery
@@ -475,8 +483,8 @@ func (c Config) CheckPauseBound(cost simtime.CostModel, pauses []simtime.Pause, 
 	bound, longest, text := c.PauseBoundTime(cost), simtime.Duration(0), ""
 	for i, p := range pauses {
 		switch {
-		case p.Forced:
-		case p.Overrun > 0:
+		case p.Forced: // no budget to hold it to
+		case p.Unbudgeted(): // a counted overrun
 			text += fmt.Sprintf("overrun: pause %d is %v long, %v of it a completion attempt let through over budget (%d root slots and %d worklist slots flipped)\n",
 				i, p.Length, p.Overrun, p.RootSlots, p.FlipEntries)
 		case p.Length > bound:
@@ -600,7 +608,7 @@ func (c *Replicating) pause(m *Mutator, needWords int, force bool) error {
 	c.emergency = false
 
 	if c.ckpt != nil {
-		end := c.phase(m, trace.PhaseCheckpoint)
+		end := c.phase(m, simtime.PhaseCheckpoint)
 		c.ckpt.PauseCheckpoint(m, c.checkpointPoint())
 		end()
 	}
@@ -616,17 +624,17 @@ func (c *Replicating) beginPause(m *Mutator) (syncBase simtime.Duration) {
 	syncBase = pauseSyncBase(m.Clock)
 	c.tr.PauseBegin(at)
 	c.tr.Counters(at, m.LogWrites, m.BarrierFastSkips, m.BarrierDirtySkips)
+	c.cur, c.deadline = simtime.Pause{At: at}, 0
 	if c.emergency {
 		// CollectEmergency escalated before entering the pause; mark the
 		// rung as a distinct (instantaneous) phase.
-		c.tr.PhaseMark(at, trace.PhaseEmergency)
+		c.phase(m, simtime.PhaseEmergency)()
 	}
 	// Every pause, micro-pauses included, starts a fresh log-coalescing
 	// epoch before any cursor moves: dirty bits set by the barrier since
 	// the previous pause vouch for entries this pause may now consume, so
 	// they must expire here (heap/stamp.go spells out the invariant).
 	c.h.BeginLogEpoch()
-	c.cur, c.deadline = simtime.Pause{At: at}, 0
 	if budget := c.budget(m); budget > 0 {
 		c.deadline = at + budget
 	}
@@ -665,7 +673,7 @@ func (c *Replicating) pauseBody(m *Mutator, needWords int, force bool, kind *sim
 		c.emergency = true
 		c.stats.EmergencyCollections++
 		c.forcedCompletion()
-		c.tr.PhaseMark(m.Clock.Now(), trace.PhaseEmergency)
+		c.phase(m, simtime.PhaseEmergency)()
 	}
 
 	if !c.minor.active {
@@ -854,7 +862,7 @@ func (c *Replicating) minorIncrement(m *Mutator, force bool) (bool, error) {
 	// holding nursery pointers) and keep replicas up to date. The paper's
 	// log processing ignores L (§3.4); this one stops when the pause's
 	// budget is spent and resumes from the same cursor at the next pause.
-	endPhase := c.phase(m, trace.PhaseLogReplay)
+	endPhase := c.phase(m, simtime.PhaseLogReplay)
 	done, err := c.processMinorLog(m, force)
 	endPhase()
 	if !done {
@@ -897,7 +905,7 @@ func (c *Replicating) minorIncrement(m *Mutator, force bool) (bool, error) {
 
 	// 4. Lazy mode deferred its reapplies to this moment.
 	if c.cfg.LazyLogProcessing {
-		endPhase = c.phase(m, trace.PhaseLogReplay)
+		endPhase = c.phase(m, simtime.PhaseLogReplay)
 		err := c.drainLazyMinor(m)
 		endPhase()
 		if err != nil {
@@ -916,7 +924,7 @@ func (c *Replicating) minorIncrement(m *Mutator, force bool) (bool, error) {
 	// each round of copies can expose more deferred references, so loop
 	// to a fixpoint.
 	for len(c.pendingMut) > 0 {
-		endPhase = c.phase(m, trace.PhaseCopy)
+		endPhase = c.phase(m, simtime.PhaseCopy)
 		err := c.drainPendingMutables(m)
 		var done bool
 		if err == nil {
@@ -935,7 +943,7 @@ func (c *Replicating) minorIncrement(m *Mutator, force bool) (bool, error) {
 		return false, nil
 	}
 
-	endPhase = c.phase(m, trace.PhaseFlip)
+	endPhase = c.phase(m, simtime.PhaseFlip)
 	err = c.minorFlip(m)
 	endPhase()
 	if err != nil {
@@ -946,7 +954,7 @@ func (c *Replicating) minorIncrement(m *Mutator, force bool) (bool, error) {
 
 // scanPhase runs the Cheney scan as one traced copy phase.
 func (c *Replicating) scanPhase(m *Mutator, g *generation, force bool) (bool, error) {
-	endPhase := c.phase(m, trace.PhaseCopy)
+	endPhase := c.phase(m, simtime.PhaseCopy)
 	done, err := c.scan(m, g, force)
 	endPhase()
 	return done, err
@@ -957,7 +965,7 @@ func (c *Replicating) scanPhase(m *Mutator, g *generation, force bool) (bool, er
 // roots themselves are only redirected at the flip. It reports whether the
 // pass reached the last root; an aborted pass is simply run again.
 func (c *Replicating) scanRoots(m *Mutator, g *generation, roots []*heap.Value, force bool) (bool, error) {
-	endPhase := c.phase(m, trace.PhaseRootScan)
+	endPhase := c.phase(m, simtime.PhaseRootScan)
 	// roots is Roots.Slots' reusable buffer, enumerated by the caller for the
 	// admission gate: no per-scan closure allocations, and the loop can stop
 	// the moment the budget runs out. Every slot is still charged (the root
@@ -1220,7 +1228,7 @@ func (c *Replicating) resumeCopy(m *Mutator, g *generation) bool {
 	if g.inflight.replica == heap.Nil {
 		return true
 	}
-	endPhase := c.phase(m, trace.PhaseCopy)
+	endPhase := c.phase(m, simtime.PhaseCopy)
 	c.fill(m, g, &g.inflight, 0)
 	endPhase()
 	if g.inflight.next < g.inflight.words {
@@ -1660,7 +1668,7 @@ func (c *Replicating) runMajorIncrement(m *Mutator, force, postFlip bool) (bool,
 	// 1. Drain the major log: reapply mutations to existing replicas of
 	// old-from objects, and track from-space references stored into
 	// mutator-visible to-space objects.
-	endPhase := c.phase(m, trace.PhaseLogReplay)
+	endPhase := c.phase(m, simtime.PhaseLogReplay)
 	done, err := c.processMajorLog(m, force, postFlip)
 	endPhase()
 	if !done {
@@ -1707,7 +1715,7 @@ func (c *Replicating) runMajorIncrement(m *Mutator, force, postFlip bool) (bool,
 	// contents, and repeat until no pending copies remain — each round can
 	// expose further deferred references.
 	if c.cfg.DeferMutableCopies {
-		endPhase = c.phase(m, trace.PhaseCopy)
+		endPhase = c.phase(m, simtime.PhaseCopy)
 		for {
 			if done, err := c.drainDeferredMajorMutables(m, force); !done {
 				endPhase()
@@ -1732,7 +1740,7 @@ func (c *Replicating) runMajorIncrement(m *Mutator, force, postFlip bool) (bool,
 		return false, nil
 	}
 	g.whole = true // a straggler the flip copies, it copies whole
-	endPhase = c.phase(m, trace.PhaseFlip)
+	endPhase = c.phase(m, simtime.PhaseFlip)
 	err = c.majorFlip(m)
 	endPhase()
 	if err != nil {

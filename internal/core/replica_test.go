@@ -183,7 +183,7 @@ func TestPauseBounding(t *testing.T) {
 	// the torture driver's 160-word objects are well under it.
 	bound := tortureConfig(true, true).PauseBoundTime(simtime.Default1993())
 	for i, p := range rt.Pauses {
-		if !p.Forced && p.Overrun == 0 && p.Length > bound {
+		if !p.Unbudgeted() && p.Length > bound {
 			t.Errorf("rt pause %d is %v long against the bound %v (budget %v)", i, p.Length, bound, budget)
 		}
 	}

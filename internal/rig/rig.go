@@ -137,8 +137,10 @@ type Config struct {
 	NaiveReplay  bool
 
 	// Trace, when non-nil, receives every member's allocation epochs, the
-	// heap's log epochs and the collector's pauses and phases. Tracing
-	// charges nothing, so a traced run is bit-identical to an untraced one.
+	// heap's log epochs and the collector's pauses and phases: what a Chrome
+	// trace file is exported from. No digest needs it — pauses and their
+	// phases are in the collector's own record (GC.Pauses) — and it charges
+	// nothing, so a traced run is bit-identical to an untraced one.
 	Trace *trace.Recorder
 	// Checkpoint, when non-nil, is attached to the collector and force-
 	// committed by Finish. Its copying is charged to the simulated clock.
@@ -170,8 +172,8 @@ type Runtime struct {
 	Mutator   *core.Mutator
 	Group     *core.Group
 	GC        core.Collector
-	Recorder  *trace.Recorder
-	Collector string // the collector's name, for reports
+	Recorder  *trace.Recorder // Config.Trace: nil unless the caller attached one
+	Collector string          // the collector's name, for reports
 
 	ckpt Checkpointer
 }

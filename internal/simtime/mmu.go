@@ -2,14 +2,14 @@ package simtime
 
 // The pause-interval index: the one place that answers "how much pause time
 // falls in this interval" and "which window of width w is worst". Every
-// consumer of pause intervals goes through it — MMUFromPauses below, the
-// trace subsystem's Analysis.MMU, and the serving engine's per-request
-// intrusion attribution — so the bound the paper's evaluation rests on is
-// defined once. The kernel is integer: it returns pause time in clock ticks,
-// and each caller turns that into its own ratio. (The two public MMUs finish
-// with different float expressions, (w-busy)/w and 1-busy/w, which disagree in
-// the last bit on about four in ten inputs; folding the division in here
-// would move committed numbers.)
+// consumer of pause intervals goes through it — MMUFromPauses below,
+// Digest.MMU, and the serving engine's per-request intrusion attribution — so
+// the bound the paper's evaluation rests on is defined once. The kernel is
+// integer: it returns pause time in clock ticks, and each caller turns that
+// into its own ratio. (MMUFromPauses, which the frozen benchmark calls and the
+// multi-mutator legs report, finishes with (w-busy)/w and Digest.MMU with
+// 1-busy/w; the two disagree in the last bit on about four in ten inputs, so
+// making one call the other would move committed numbers.)
 
 import "sort"
 
@@ -75,10 +75,10 @@ func (x *PauseIndex) MaxBusy(lo, hi, w Duration) Duration {
 
 // MMUFromPauses reports the minimum mutator utilization over every window
 // of width w inside [0, total]: the smallest fraction of any such window
-// that was not covered by a pause. It is the pause-list form, used where
-// only a Recorder exists — in particular for the multi-mutator group
-// timeline, whose all-stopped intervals are synthesized by core.Group rather
-// than traced. Pauses must be non-overlapping; they are sorted internally.
+// that was not covered by a pause. It is the form for a pause list that is
+// not a collector's record in order — in particular the multi-mutator group
+// timeline, whose all-stopped intervals core.Group synthesizes. Pauses must
+// be non-overlapping; they are sorted internally.
 // Degenerate inputs (no pauses, or a non-positive window or total) report
 // full utilization.
 func MMUFromPauses(pauses []Pause, total, w Duration) float64 {

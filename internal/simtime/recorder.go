@@ -27,13 +27,50 @@ func (k PauseKind) String() string {
 	return fmt.Sprintf("pausekind(%d)", int(k))
 }
 
-// Pause is one recorded stop-the-mutator interval.
+// Phase identifies one attributable component of a collection pause. The
+// phases mirror the paper's cost taxonomy: root scanning, mutation-log
+// replay (CR), the copy/scan increment, the atomic flip (CF), and the
+// degradation ladder's emergency rung.
+type Phase uint8
+
+// The pause phases.
+const (
+	PhaseRootScan   Phase = iota // scanning or redirecting mutator roots
+	PhaseLogReplay               // consuming the mutation log (scan + reapply)
+	PhaseCopy                    // replication copying and Cheney scanning
+	PhaseFlip                    // atomically re-pointing roots and logged slots
+	PhaseEmergency               // degradation-ladder escalation marker
+	PhaseCheckpoint              // incremental snapshot copying / WAL commit
+	NumPhases
+)
+
+var phaseNames = [NumPhases]string{
+	"root-scan", "log-replay", "copy", "flip", "emergency", "checkpoint",
+}
+
+// String returns the phase's short name.
+func (p Phase) String() string {
+	if p < NumPhases {
+		return phaseNames[p]
+	}
+	return fmt.Sprintf("phase(%d)", int(p))
+}
+
+// Pause is one recorded stop-the-mutator interval: the one record of what a
+// pause cost and where the time went. The collector fills it in as it works
+// and every digest (Digest) reads it.
 type Pause struct {
 	At       Duration // simulated time at the start of the pause
 	Length   Duration
 	Kind     PauseKind
 	CopiedB  int64 // bytes copied during the pause
 	LogProcN int64 // log entries processed during the pause
+
+	// PhaseTime and PhaseSpans divide the pause among its phases: the time
+	// spent in each and how many times it was entered (an emergency mark is
+	// a span of no length), filled in at the collector's one phase bracket.
+	PhaseTime  [NumPhases]Duration
+	PhaseSpans [NumPhases]int
 
 	// Sync is the portion of the pause that requires every mutator to be
 	// stopped — root scanning, flips and checkpoint commits. The rest of
@@ -68,6 +105,10 @@ type Pause struct {
 	// attempts' known cost, which the pause's budget does not count.
 	Overrun Duration
 }
+
+// Unbudgeted reports whether the pause is outside the pause bound: it ran
+// without a budget, or let a completion attempt through over it.
+func (p Pause) Unbudgeted() bool { return p.Forced || p.Overrun > 0 }
 
 // Recorder accumulates the pauses of one benchmark run.
 type Recorder struct {

@@ -59,7 +59,8 @@ type Collector struct {
 	//gclint:pauseonly wedging is detected mid-collection; once set it is only read (every request fails fast)
 	wedged *core.OOMError
 
-	tr *trace.Recorder // nil when tracing is disabled (every emit is a nil check)
+	cur simtime.Pause   // the record of the pause in progress, filled in as it works
+	tr  *trace.Recorder // nil when tracing is disabled (every emit is a nil check)
 }
 
 // New builds the baseline collector over h.
@@ -87,12 +88,17 @@ func (c *Collector) Pauses() *simtime.Recorder { return &c.rec }
 // SetTrace attaches an event recorder; nil detaches it.
 func (c *Collector) SetTrace(r *trace.Recorder) { c.tr = r }
 
-// phase opens a trace phase and returns its closer, stamped with the
-// simulated clock. Free when tracing is off: a nil recorder records
-// nothing.
-func (c *Collector) phase(m *core.Mutator, p trace.Phase) func() {
-	c.tr.PhaseBegin(m.Clock.Now(), p)
-	return func() { c.tr.PhaseEnd(m.Clock.Now(), p) }
+// phase opens a phase of the pause in progress and returns its closer, which
+// adds the span to the pause's record.
+func (c *Collector) phase(m *core.Mutator, p simtime.Phase) func() {
+	start := m.Clock.Now()
+	c.tr.PhaseBegin(start, p)
+	return func() {
+		now := m.Clock.Now()
+		c.cur.PhaseTime[p] += now - start
+		c.cur.PhaseSpans[p]++
+		c.tr.PhaseEnd(now, p)
+	}
 }
 
 // AfterAlloc implements core.Collector; collection points are steered by
@@ -142,6 +148,7 @@ func (c *Collector) pause(m *core.Mutator, emergency bool) error {
 	}
 	m.Clock.BeginPause()
 	at := m.Clock.Now()
+	c.cur = simtime.Pause{At: at}
 	c.tr.PauseBegin(at)
 	c.tr.Counters(at, m.LogWrites, m.BarrierFastSkips, m.BarrierDirtySkips)
 	// The pause consumes the mutation log (it is this collector's
@@ -163,7 +170,7 @@ func (c *Collector) pause(m *core.Mutator, emergency bool) error {
 		c.stats.ForcedCompletion++
 	}
 	if emergency || lowHeadroom {
-		c.tr.PhaseMark(m.Clock.Now(), trace.PhaseEmergency)
+		c.phase(m, simtime.PhaseEmergency)() // a span of no length marks the rung
 	}
 
 	kind := simtime.PauseMinor
@@ -186,16 +193,13 @@ func (c *Collector) pause(m *core.Mutator, emergency bool) error {
 		c.wedged, _ = core.AsOOM(err)
 	}
 
-	length := m.Clock.EndPause()
 	// Destructive forwarding leaves no from-space originals for other
 	// mutators to run against: the whole pause is stop-the-world.
-	c.rec.Record(simtime.Pause{
-		At: at, Length: length, Kind: kind, Sync: length,
-		CopiedB:  c.stats.TotalBytesCopied() - start,
-		LogProcN: c.stats.LogScanned - logStart,
-	})
-	c.tr.PauseEnd(m.Clock.Now(), c.stats.TotalBytesCopied()-start,
-		c.stats.LogScanned-logStart, int64(kind))
+	c.cur.Length, c.cur.Kind = m.Clock.EndPause(), kind
+	c.cur.Sync = c.cur.Length
+	c.cur.CopiedB, c.cur.LogProcN = c.stats.TotalBytesCopied()-start, c.stats.LogScanned-logStart
+	c.rec.Record(c.cur)
+	c.tr.PauseEnd(m.Clock.Now(), c.cur.CopiedB, c.cur.LogProcN, int64(kind))
 	return err
 }
 
@@ -242,7 +246,7 @@ func (c *Collector) minorCollect(m *core.Mutator) error {
 
 	// Remembered set: logged old-space slots holding nursery pointers are
 	// updated in place as they are processed — no flip traversal.
-	endPhase := c.phase(m, trace.PhaseLogReplay)
+	endPhase := c.phase(m, simtime.PhaseLogReplay)
 	for c.logCursor < m.Log.Len() {
 		e := m.Log.At(c.logCursor)
 		c.logCursor++
@@ -265,7 +269,7 @@ func (c *Collector) minorCollect(m *core.Mutator) error {
 
 	// Roots.
 	var visitErr error
-	endPhase = c.phase(m, trace.PhaseRootScan)
+	endPhase = c.phase(m, simtime.PhaseRootScan)
 	n := m.Roots.Visit(func(slot *heap.Value) {
 		if visitErr != nil {
 			return
@@ -288,7 +292,7 @@ func (c *Collector) minorCollect(m *core.Mutator) error {
 	}
 
 	// Cheney scan of the promotion region.
-	endPhase = c.phase(m, trace.PhaseCopy)
+	endPhase = c.phase(m, simtime.PhaseCopy)
 	err := c.cheney(m, from, to, simtime.AcctMinorCopy, &c.stats.BytesCopiedMinor)
 	endPhase()
 	if err != nil {
@@ -353,7 +357,7 @@ func (c *Collector) majorCollect(m *core.Mutator) error {
 	c.scan = to.Next
 
 	var visitErr error
-	endPhase := c.phase(m, trace.PhaseRootScan)
+	endPhase := c.phase(m, simtime.PhaseRootScan)
 	n := m.Roots.Visit(func(slot *heap.Value) {
 		if visitErr != nil {
 			return
@@ -375,7 +379,7 @@ func (c *Collector) majorCollect(m *core.Mutator) error {
 		return visitErr
 	}
 
-	endPhase = c.phase(m, trace.PhaseCopy)
+	endPhase = c.phase(m, simtime.PhaseCopy)
 	err := c.cheney(m, from, to, simtime.AcctMajorCopy, &c.stats.BytesCopiedMajor)
 	endPhase()
 	if err != nil {

@@ -7,6 +7,7 @@ package trace_test
 // exit path out of an instrumented region closes what it opened.
 
 import (
+	"slices"
 	"testing"
 
 	"repligc/internal/core"
@@ -54,6 +55,22 @@ func newSC(nursery, old int64) (*core.Mutator, core.Collector) {
 	gc := stopcopy.New(h, stopcopy.Config{NurseryBytes: nursery, MajorThresholdBytes: old / 4})
 	m.AttachGC(gc)
 	return m, gc
+}
+
+// sameAsRecord requires the pauses rebuilt from a run's events to be the
+// collector's own record of them, in everything an event carries.
+func sameAsRecord(t *testing.T, traced, record []simtime.Pause) {
+	t.Helper()
+	if len(traced) != len(record) {
+		t.Fatalf("the trace holds %d pauses, the collector recorded %d", len(traced), len(record))
+	}
+	for i, p := range record {
+		want := simtime.Pause{At: p.At, Length: p.Length, Kind: p.Kind, CopiedB: p.CopiedB, LogProcN: p.LogProcN,
+			PhaseTime: p.PhaseTime, PhaseSpans: p.PhaseSpans}
+		if traced[i] != want {
+			t.Fatalf("pause %d: the trace says %+v, the record %+v", i, traced[i], want)
+		}
+	}
 }
 
 // planAt builds a plan firing action at a spread of operation points.
@@ -117,11 +134,12 @@ func TestTraceWellFormedUnderFaultPlans(t *testing.T) {
 				if got, want := len(an.Pauses), int(stats.PauseCount); got != want {
 					t.Errorf("trace has %d pause spans, GCStats counted %d", got, want)
 				}
+				sameAsRecord(t, an.Pauses, gc.Pauses().Pauses)
 				// Emergency rungs must be visible as distinct phases. Only
 				// asserted for clean runs: a collector that wedged can count
 				// an emergency attempt it refused to execute.
 				if runErr == nil && stats.EmergencyCollections > 0 &&
-					an.PhaseCount[trace.PhaseEmergency] == 0 {
+					an.PhaseSpans[simtime.PhaseEmergency] == 0 {
 					t.Errorf("%d emergency collections but no emergency phase in the trace",
 						stats.EmergencyCollections)
 				}
@@ -155,7 +173,7 @@ func TestEmergencyRungVisibleInTrace(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if gc.Stats().EmergencyCollections > 0 && an.PhaseCount[trace.PhaseEmergency] > 0 {
+		if gc.Stats().EmergencyCollections > 0 && an.PhaseSpans[simtime.PhaseEmergency] > 0 {
 			found = true
 		}
 	}
@@ -168,19 +186,30 @@ func TestEmergencyRungVisibleInTrace(t *testing.T) {
 // attaching a recorder must not change a single simulated timestamp or
 // statistic, because trace emission charges nothing to the clock.
 func TestTracedRunIsBitIdenticalToUntraced(t *testing.T) {
-	run := func(traced bool) (simtime.Duration, core.GCStats, uint64) {
+	run := func(traced bool) (simtime.Duration, core.GCStats, uint64, []simtime.Pause) {
 		m, gc := newRT(32<<10, 1<<20, true)
+		var tr *trace.Recorder
 		if traced {
-			attach(t, m, gc)
+			tr = attach(t, m, gc)
 		}
 		d := gctest.NewDriver(m, 23)
 		if err := d.Step(2500); err != nil {
 			t.Fatal(err)
 		}
-		return m.Clock.Now(), *gc.Stats(), d.Fingerprint()
+		if traced {
+			an, err := trace.Analyze(tr.Events())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameAsRecord(t, an.Pauses, gc.Pauses().Pauses)
+		}
+		return m.Clock.Now(), *gc.Stats(), d.Fingerprint(), gc.Pauses().Pauses
 	}
-	elapsed1, stats1, fp1 := run(false)
-	elapsed2, stats2, fp2 := run(true)
+	elapsed1, stats1, fp1, record1 := run(false)
+	elapsed2, stats2, fp2, record2 := run(true)
+	if !slices.Equal(record1, record2) {
+		t.Errorf("tracing changed the collector's pause record")
+	}
 	if elapsed1 != elapsed2 {
 		t.Errorf("tracing changed elapsed simulated time: %v vs %v", elapsed1, elapsed2)
 	}

@@ -3,8 +3,7 @@
 // replication collector's whole claim is about pause *behaviour* — not just
 // how long pauses are, but where each pause went (root scan vs log replay vs
 // copy increment vs flip) and whether the mutator keeps up a utilization
-// target over every window of simulated time. GCStats and simtime.Recorder
-// answer neither question; this package does.
+// target over every window of simulated time.
 //
 // The recorder is a fixed-capacity ring buffer of small typed events stamped
 // with simulated time. Every emit method is safe on a nil *Recorder and
@@ -13,6 +12,13 @@
 // particular the write-barrier fast paths remain allocation-free. Events
 // charge nothing to the simulated clock, so an instrumented run is
 // bit-for-bit identical to an uninstrumented one.
+//
+// The recorder is an optional exporter, attached when a Chrome trace file is
+// asked for. What a pause cost and where the time went is the collector's own
+// record (simtime.Pause, digested by simtime.Digest); the ring adds what that
+// record does not hold — allocation epochs, barrier counters, log epochs — and
+// the Perfetto view of all of it. Analyze rebuilds the pause list from the
+// events alone, as the test oracle of the record.
 //
 // All timestamps are simtime.Duration. The wall clock never appears here
 // (gclint rule "wallclock"); exporter glue in cmd/ may stamp artifacts with
@@ -24,35 +30,6 @@ import (
 
 	"repligc/internal/simtime"
 )
-
-// Phase identifies one attributable component of a collection pause. The
-// phases mirror the paper's cost taxonomy: root scanning, mutation-log
-// replay (CR), the copy/scan increment, the atomic flip (CF), and the
-// degradation ladder's emergency rung.
-type Phase uint8
-
-// The pause phases.
-const (
-	PhaseRootScan  Phase = iota // scanning or redirecting mutator roots
-	PhaseLogReplay              // consuming the mutation log (scan + reapply)
-	PhaseCopy                   // replication copying and Cheney scanning
-	PhaseFlip                   // atomically re-pointing roots and logged slots
-	PhaseEmergency              // degradation-ladder escalation marker
-	PhaseCheckpoint             // incremental snapshot copying / WAL commit
-	NumPhases
-)
-
-var phaseNames = [NumPhases]string{
-	"root-scan", "log-replay", "copy", "flip", "emergency", "checkpoint",
-}
-
-// String returns the phase's short name.
-func (p Phase) String() string {
-	if p < NumPhases {
-		return phaseNames[p]
-	}
-	return fmt.Sprintf("phase(%d)", int(p))
-}
 
 // Kind classifies an event.
 type Kind uint8
@@ -89,7 +66,7 @@ type Event struct {
 	At      simtime.Duration
 	A, B, C int64
 	Kind    Kind
-	Phase   Phase
+	Phase   simtime.Phase
 }
 
 // DefaultCapacity is the ring size NewRecorder uses for capacity <= 0.
@@ -165,21 +142,13 @@ func (r *Recorder) PauseEnd(at simtime.Duration, copied, logN, pauseKind int64) 
 
 // PhaseBegin records phase p opening. Phases are flat: at most one phase is
 // open at a time, always inside a pause (Validate enforces this).
-func (r *Recorder) PhaseBegin(at simtime.Duration, p Phase) {
+func (r *Recorder) PhaseBegin(at simtime.Duration, p simtime.Phase) {
 	r.emit(Event{At: at, Kind: KindPhaseBegin, Phase: p})
 }
 
 // PhaseEnd records phase p closing.
-func (r *Recorder) PhaseEnd(at simtime.Duration, p Phase) {
+func (r *Recorder) PhaseEnd(at simtime.Duration, p simtime.Phase) {
 	r.emit(Event{At: at, Kind: KindPhaseEnd, Phase: p})
-}
-
-// PhaseMark records an instantaneous phase (begin immediately followed by
-// end) — how the degradation ladder's emergency rung shows up as a distinct,
-// overlap-free phase.
-func (r *Recorder) PhaseMark(at simtime.Duration, p Phase) {
-	r.PhaseBegin(at, p)
-	r.PhaseEnd(at, p)
 }
 
 // AllocEpoch records an allocation milestone: cumulative bytes allocated by
@@ -252,7 +221,7 @@ func Validate(events []Event) error {
 	var (
 		last      simtime.Duration
 		inPause   bool
-		openPhase Phase
+		openPhase simtime.Phase
 		phaseOpen bool
 	)
 	for i, e := range events {
@@ -283,7 +252,7 @@ func Validate(events []Event) error {
 				return fmt.Errorf("trace: event %d: phase %s begun while %s is open (phases must not overlap)",
 					i, e.Phase, openPhase)
 			}
-			if e.Phase >= NumPhases {
+			if e.Phase >= simtime.NumPhases {
 				return fmt.Errorf("trace: event %d: unknown phase %d", i, e.Phase)
 			}
 			phaseOpen, openPhase = true, e.Phase

@@ -22,8 +22,8 @@ func TestNilRecorderIsSafeAndFree(t *testing.T) {
 	var r *trace.Recorder
 	allocs := testing.AllocsPerRun(100, func() {
 		r.PauseBegin(0)
-		r.PhaseBegin(0, trace.PhaseCopy)
-		r.PhaseEnd(0, trace.PhaseCopy)
+		r.PhaseBegin(0, simtime.PhaseCopy)
+		r.PhaseEnd(0, simtime.PhaseCopy)
 		r.PauseEnd(1, 2, 3, 4)
 		r.AllocEpoch(5, 0, 6)
 		r.Counters(7, 8, 9, 10)
@@ -42,8 +42,8 @@ func TestLiveRecorderEmitsWithoutAllocating(t *testing.T) {
 	var at simtime.Duration
 	allocs := testing.AllocsPerRun(100, func() {
 		r.PauseBegin(at)
-		r.PhaseBegin(at, trace.PhaseCopy)
-		r.PhaseEnd(at, trace.PhaseCopy)
+		r.PhaseBegin(at, simtime.PhaseCopy)
+		r.PhaseEnd(at, simtime.PhaseCopy)
 		r.PauseEnd(at, 1, 2, 3)
 		at++
 	})
@@ -58,9 +58,9 @@ func TestRingDropsOldestAndStaysConsistent(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.PauseBegin(at)
 		at++
-		r.PhaseBegin(at, trace.PhaseCopy)
+		r.PhaseBegin(at, simtime.PhaseCopy)
 		at++
-		r.PhaseEnd(at, trace.PhaseCopy)
+		r.PhaseEnd(at, simtime.PhaseCopy)
 		at++
 		r.PauseEnd(at, 0, 0, 0)
 		at++
@@ -117,21 +117,21 @@ func TestValidateRejectsMalformedTraces(t *testing.T) {
 			{At: 0, Kind: trace.KindPauseEnd},
 		}, "without an open pause"},
 		{"phase-outside-pause", []trace.Event{
-			{At: 0, Kind: trace.KindPhaseBegin, Phase: trace.PhaseCopy},
+			{At: 0, Kind: trace.KindPhaseBegin, Phase: simtime.PhaseCopy},
 		}, "outside a pause"},
 		{"phase-overlap", []trace.Event{
 			{At: 0, Kind: trace.KindPauseBegin},
-			{At: 1, Kind: trace.KindPhaseBegin, Phase: trace.PhaseCopy},
-			{At: 2, Kind: trace.KindPhaseBegin, Phase: trace.PhaseFlip},
+			{At: 1, Kind: trace.KindPhaseBegin, Phase: simtime.PhaseCopy},
+			{At: 2, Kind: trace.KindPhaseBegin, Phase: simtime.PhaseFlip},
 		}, "must not overlap"},
 		{"phase-mismatch", []trace.Event{
 			{At: 0, Kind: trace.KindPauseBegin},
-			{At: 1, Kind: trace.KindPhaseBegin, Phase: trace.PhaseCopy},
-			{At: 2, Kind: trace.KindPhaseEnd, Phase: trace.PhaseFlip},
+			{At: 1, Kind: trace.KindPhaseBegin, Phase: simtime.PhaseCopy},
+			{At: 2, Kind: trace.KindPhaseEnd, Phase: simtime.PhaseFlip},
 		}, "does not match"},
 		{"phase-open-at-pause-end", []trace.Event{
 			{At: 0, Kind: trace.KindPauseBegin},
-			{At: 1, Kind: trace.KindPhaseBegin, Phase: trace.PhaseCopy},
+			{At: 1, Kind: trace.KindPhaseBegin, Phase: simtime.PhaseCopy},
 			{At: 2, Kind: trace.KindPauseEnd},
 		}, "still open"},
 		{"pause-open-at-end", []trace.Event{
@@ -162,7 +162,7 @@ func TestMMUExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Total(); got != 100*ms {
+	if got := a.Span; got != 100*ms {
 		t.Fatalf("Total = %v, want 100ms", got)
 	}
 	if got := a.Utilization(); got != 0.9 {
@@ -190,10 +190,10 @@ func TestMMUExact(t *testing.T) {
 func TestAnalyzeAttributesPhasesAndPayloads(t *testing.T) {
 	evs := []trace.Event{
 		{At: 0, Kind: trace.KindPauseBegin},
-		{At: 0, Kind: trace.KindPhaseBegin, Phase: trace.PhaseRootScan},
-		{At: 2 * ms, Kind: trace.KindPhaseEnd, Phase: trace.PhaseRootScan},
-		{At: 2 * ms, Kind: trace.KindPhaseBegin, Phase: trace.PhaseCopy},
-		{At: 7 * ms, Kind: trace.KindPhaseEnd, Phase: trace.PhaseCopy},
+		{At: 0, Kind: trace.KindPhaseBegin, Phase: simtime.PhaseRootScan},
+		{At: 2 * ms, Kind: trace.KindPhaseEnd, Phase: simtime.PhaseRootScan},
+		{At: 2 * ms, Kind: trace.KindPhaseBegin, Phase: simtime.PhaseCopy},
+		{At: 7 * ms, Kind: trace.KindPhaseEnd, Phase: simtime.PhaseCopy},
 		{At: 8 * ms, Kind: trace.KindPauseEnd, A: 4096, B: 17, C: int64(simtime.PauseMajor)},
 	}
 	a, err := trace.Analyze(evs)
@@ -206,17 +206,20 @@ func TestAnalyzeAttributesPhasesAndPayloads(t *testing.T) {
 	if a.Copied != 4096 || a.LogEntries != 17 {
 		t.Fatalf("payload totals = %d/%d, want 4096/17", a.Copied, a.LogEntries)
 	}
-	if a.PhaseTime[trace.PhaseRootScan] != 2*ms || a.PhaseTime[trace.PhaseCopy] != 5*ms {
+	if a.PhaseTime[simtime.PhaseRootScan] != 2*ms || a.PhaseTime[simtime.PhaseCopy] != 5*ms {
 		t.Fatalf("phase times = %v", a.PhaseTime)
 	}
-	if a.PhaseCount[trace.PhaseRootScan] != 1 || a.PhaseCount[trace.PhaseCopy] != 1 {
-		t.Fatalf("phase counts = %v", a.PhaseCount)
+	if a.PhaseSpans[simtime.PhaseRootScan] != 1 || a.PhaseSpans[simtime.PhaseCopy] != 1 {
+		t.Fatalf("phase counts = %v", a.PhaseSpans)
 	}
-	if got := a.PauseQuantiles(100)[0]; got != 8*ms {
-		t.Fatalf("PauseQuantiles(100) = %v, want 8ms", got)
+	if p := a.Pauses[0]; p.PhaseTime != a.PhaseTime || p.PhaseSpans != a.PhaseSpans || p.Kind != simtime.PauseMajor {
+		t.Fatalf("the one pause is %+v, the totals %v / %v", p, a.PhaseTime, a.PhaseSpans)
 	}
-	s := trace.Summary("unit", a, 3)
-	for _, want := range []string{"unit", "root-scan", "copy", "WARNING", "MMU"} {
+	if got := a.Percentile(100); got != 8*ms {
+		t.Fatalf("Percentile(100) = %v, want 8ms", got)
+	}
+	s := a.Summary("unit")
+	for _, want := range []string{"unit", "root-scan", "copy", "MMU"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary missing %q:\n%s", want, s)
 		}
@@ -229,8 +232,8 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 		{At: 1 * ms, Kind: trace.KindPauseBegin},
 		{At: 1 * ms, Kind: trace.KindCounters, A: 1, B: 2, C: 3},
 		{At: 1 * ms, Kind: trace.KindLogEpoch, A: 2},
-		{At: 1 * ms, Kind: trace.KindPhaseBegin, Phase: trace.PhaseLogReplay},
-		{At: 2 * ms, Kind: trace.KindPhaseEnd, Phase: trace.PhaseLogReplay},
+		{At: 1 * ms, Kind: trace.KindPhaseBegin, Phase: simtime.PhaseLogReplay},
+		{At: 2 * ms, Kind: trace.KindPhaseEnd, Phase: simtime.PhaseLogReplay},
 		{At: 3 * ms, Kind: trace.KindPauseEnd, A: 64, B: 1, C: 0},
 	}
 	data, err := trace.ChromeTrace(evs, map[string]string{"workload": "unit"})
@@ -280,7 +283,7 @@ func TestAnalyzeEmptyTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Total() != 0 || a.TotalPause() != 0 || len(a.Pauses) != 0 {
+	if a.Span != 0 || a.TotalPause() != 0 || len(a.Pauses) != 0 {
 		t.Fatal("empty trace produced non-zero digest")
 	}
 	if got := a.Utilization(); got != 1 {

@@ -23,24 +23,18 @@ import (
 	"repligc/internal/heap"
 	"repligc/internal/rig"
 	"repligc/internal/simtime"
-	"repligc/internal/trace"
 )
 
 // Runtime is one constructed server: the shared runtime, of which the engine
-// drives Mutator and reads GC, Recorder and Collector.
+// drives Mutator and reads GC and Collector.
 type Runtime = rig.Runtime
 
 // NewRuntime builds a server sized by spec's heap parameters. c supplies the
-// collector and anything else the caller wants attached; a nil c.Trace gets
-// a recorder that holds a full serving run, because the report's MMU section
-// is computed from the run's events.
+// collector and anything else the caller wants attached.
 func NewRuntime(spec *Spec, c rig.Config) (*Runtime, error) {
 	hs := spec.Heap.WithDefaults()
 	c.Params = rig.Params{NBytes: hs.NurseryKB << 10, OBytes: hs.MajorKB << 10, LBytes: hs.CopyLimitKB << 10}
 	c.OldSemiBytes = hs.OldMB << 20
-	if c.Trace == nil {
-		c.Trace = trace.NewRecorder(1 << 20)
-	}
 	return rig.New(c)
 }
 
@@ -264,20 +258,17 @@ func buildLeg(rt *Runtime, t *Trace, legName string,
 	}
 
 	// Request-granularity MMU: the standard ladder merged with every
-	// cohort's SLO target, from the run's event trace.
-	an, err := trace.Analyze(rt.Recorder.Events())
-	if err != nil {
-		return nil, fmt.Errorf("workload: analyzing run trace: %w", err)
-	}
-	windows := an.StandardWindows()
+	// cohort's SLO target, over the whole run, its closing pauses included.
+	d := pauses.Digest(clock.Now())
+	windows := d.StandardWindows()
 	for _, c := range spec.Cohorts {
 		w := simtime.Duration(c.SLO.TargetMs * float64(simtime.Millisecond))
-		if w > 0 && w < an.Total() {
+		if w > 0 && w < d.Span {
 			windows = append(windows, w)
 		}
 	}
 	slices.Sort(windows)
-	leg.MMU = an.MMUCurve(slices.Compact(windows))
+	leg.MMU = d.MMUCurve(slices.Compact(windows))
 
 	leg.HeapFingerprint = fmt.Sprintf("%016x", heapFingerprint(rt.Mutator, t))
 	return leg, nil

@@ -7,7 +7,6 @@ import (
 
 	"repligc/internal/artifact"
 	"repligc/internal/rig"
-	"repligc/internal/trace"
 )
 
 // fuzzSpec is a one-cohort spec on the smallest heap the engine builds, so
@@ -76,7 +75,7 @@ func FuzzDecodeTrace(f *testing.F) {
 		if hs := tr.Spec.Heap.WithDefaults(); hs.OldMB > 4 || hs.NurseryKB > 1024 || work > 1<<22 {
 			t.Skip("bounds the arena and the time per input")
 		}
-		rt, err := NewRuntime(tr.Spec, rig.Config{Collector: rig.RT, Trace: trace.NewRecorder(1 << 12)})
+		rt, err := NewRuntime(tr.Spec, rig.Config{Collector: rig.RT})
 		if err != nil {
 			t.Fatalf("NewRuntime: %v", err)
 		}

@@ -36,9 +36,15 @@ func RunLegs(t *Trace, legs []LegSpec) (*Section, error) {
 	}
 	sec := NewSection(t)
 	for _, ls := range legs {
-		if _, err := sec.RunLeg(t, ls); err != nil {
-			return nil, err
+		rt, err := NewRuntime(t.Spec, rig.Config{Collector: ls.Collector, NaiveBarrier: ls.NaiveBarrier})
+		if err != nil {
+			return nil, fmt.Errorf("workload: leg %s: %w", ls.Name, err)
 		}
+		leg, err := Serve(rt, t, ls.Name, ServeOptions{})
+		if err != nil {
+			return nil, fmt.Errorf("workload: leg %s: %w", ls.Name, err)
+		}
+		sec.Legs = append(sec.Legs, *leg)
 	}
 	return sec, nil
 }
@@ -52,22 +58,6 @@ func NewSection(t *Trace) *Section {
 		Requests:         len(t.Reqs),
 		TraceFingerprint: fmt.Sprintf("%016x", t.Fingerprint()),
 	}
-}
-
-// RunLeg serves t under one leg spec, appends the leg to the section and
-// returns the finished runtime, whose recorder and pause record say what the
-// leg's digest does not: which pause, and which phase of it.
-func (sec *Section) RunLeg(t *Trace, ls LegSpec) (*Runtime, error) {
-	rt, err := NewRuntime(t.Spec, rig.Config{Collector: ls.Collector, NaiveBarrier: ls.NaiveBarrier})
-	if err != nil {
-		return nil, fmt.Errorf("workload: leg %s: %w", ls.Name, err)
-	}
-	leg, err := Serve(rt, t, ls.Name, ServeOptions{})
-	if err != nil {
-		return nil, fmt.Errorf("workload: leg %s: %w", ls.Name, err)
-	}
-	sec.Legs = append(sec.Legs, *leg)
-	return rt, nil
 }
 
 // BuildReport wraps a section in the standalone schema-5 document.

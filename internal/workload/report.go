@@ -11,7 +11,7 @@ import (
 	"fmt"
 	"math"
 
-	"repligc/internal/trace"
+	"repligc/internal/simtime"
 )
 
 // ReportSchema identifies the serving report layout. It shares the
@@ -62,7 +62,7 @@ type Leg struct {
 	// MMU is the request-granularity minimum-mutator-utilization curve: the
 	// standard window ladder merged with every cohort's SLO target, so each
 	// SLO can be read off directly against the worst window it could land in.
-	MMU []trace.MMUPoint `json:"mmu"`
+	MMU []simtime.MMUPoint `json:"mmu"`
 
 	Cohorts []CohortMetrics `json:"cohorts"`
 }
@@ -186,7 +186,7 @@ func (l *Leg) check(requests int) error {
 	if l.Queue.MaxDepth < l.Queue.P99Depth || l.Queue.P99Depth < 0 {
 		return fmt.Errorf("queue depths are not monotone (p99 %d, max %d)", l.Queue.P99Depth, l.Queue.MaxDepth)
 	}
-	if err := trace.CheckMMUCurve(l.MMU); err != nil {
+	if err := simtime.CheckMMUCurve(l.MMU); err != nil {
 		return err
 	}
 	if len(l.Cohorts) == 0 {

@@ -10,6 +10,7 @@ import (
 	"repligc/internal/artifact"
 	"repligc/internal/faultinject"
 	"repligc/internal/rig"
+	"repligc/internal/simtime"
 )
 
 // testSpec is a two-cohort serving mix small enough for unit tests but busy
@@ -213,9 +214,20 @@ func TestDeterminismMatrix(t *testing.T) {
 			if rt.Collector != coll.Name {
 				t.Fatalf("%s: runtime is labelled %q", coll.Name, rt.Collector)
 			}
+			if rt.Recorder != nil {
+				t.Fatalf("%s: a configuration with no Trace got a flight recorder", coll.Name)
+			}
 			leg, err := Serve(rt, tr, "det", ServeOptions{})
 			if err != nil {
 				t.Fatalf("%s: Serve: %v", coll.Name, err)
+			}
+			// The leg's MMU is a digest of the collector's pause record, over
+			// the whole run.
+			if err := simtime.CheckMMUCurve(leg.MMU); err != nil {
+				t.Fatalf("%s: %v", coll.Name, err)
+			}
+			if last := leg.MMU[len(leg.MMU)-1].WindowMs; last < leg.ElapsedMs {
+				t.Errorf("%s: the last MMU window is %v ms, the run lasted %v ms", coll.Name, last, leg.ElapsedMs)
 			}
 			legs[round] = leg
 		}
