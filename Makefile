@@ -19,7 +19,9 @@ build:
 # snapshot header, and the frozen benchmark), non-test Go may not call the
 # constructors of a heap, a mutator, a group or a collector; and only a
 # command (which does so when asked for a Chrome trace file) may construct a
-# flight recorder — every digest reads the collector's own pause record.
+# flight recorder — every digest reads the collector's own pause record. The
+# last keeps reading a finished run in one place: the harness, the commands
+# and the facade read rig.Runtime.Stats, not the collector's counters.
 lint:
 	go vet ./...
 	go run ./cmd/gclint ./...
@@ -29,6 +31,9 @@ lint:
 	@if git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmarks/' -e '/testdata/' -e '^cmd/' -e '^internal/trace/' | \
 		xargs grep -nE 'trace\.NewRecorder\('; \
 		then echo 'lint: a library layer attaches a flight recorder on its own (lines above); take rig.Config.Trace from the caller'; exit 1; fi
+	@if git ls-files '*.go' | grep -v -e '_test\.go$$' | grep -e '^internal/bench/' -e '^cmd/' -e '^repligc\.go$$' | \
+		xargs grep -nE '\.GC\.(Stats|Pauses)\(\)'; \
+		then echo 'lint: a finished run is read past its report (lines above); call rig.Runtime.Stats'; exit 1; fi
 
 test:
 	go test ./...

@@ -151,8 +151,8 @@ func BenchmarkAblationLazyLog(b *testing.B) {
 		}
 		var base, lazy float64
 		for _, r := range rows {
-			base += float64(r.Base.Stats.LogReapplied)
-			lazy += float64(r.Var.Stats.LogReapplied)
+			base += float64(r.Base.GC.LogReapplied)
+			lazy += float64(r.Var.GC.LogReapplied)
 		}
 		b.ReportMetric(base, "eager-reapplies")
 		b.ReportMetric(lazy, "lazy-reapplies")

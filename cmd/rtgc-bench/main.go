@@ -22,11 +22,11 @@
 // the document contains; anything else exits 1 naming what was found.
 //
 // "trace" runs the paper workloads (Primes, Sort, Comp — or just the one
-// named) under the full real-time configuration with the event recorder
-// attached, prints each run's trace digest (pause quantiles, MMU curve,
-// per-phase attribution) and, with -out, writes a Chrome trace-event JSON
-// per workload (Perfetto-loadable; "-out x.json" yields x-primes.json
-// etc.).
+// named) under the full real-time configuration, prints each run's report
+// (the rtgc -stats text: counters, pause quantiles, MMU curve, per-phase
+// attribution), holds its pause record to the pause bound and, with -out,
+// attaches the event recorder and writes a Chrome trace-event JSON per
+// workload (Perfetto-loadable; "-out x.json" yields x-primes.json etc.).
 //
 // "serve" runs the GC-under-live-traffic experiment (internal/workload): a
 // spec-driven open-loop request trace is materialised and served under the

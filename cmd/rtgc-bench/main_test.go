@@ -25,8 +25,8 @@ func TestMain(m *testing.M) {
 }
 
 // TestTraceGolden pins what `rtgc-bench -quick -worst 5 trace` prints for the
-// three workloads with no -out file asked for: each digest, its worst pauses
-// by phase and the three bound lines.
+// three workloads with no -out file asked for: each run's report, its worst
+// pauses by phase and the pause-bound line.
 func TestTraceGolden(t *testing.T) {
 	cmd := exec.Command(os.Args[0], "-quick", "-worst", "5", "trace")
 	cmd.Env = append(os.Environ(), runMainEnv+"=1")

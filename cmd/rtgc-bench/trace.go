@@ -23,10 +23,10 @@ func tracePath(out, workload string) string {
 }
 
 // runTrace runs one workload (or, with workload == "", all three) under rt
-// in the paper's 50 ms parameter cell, printing the digest of its pause
-// record, the worst pauses when asked for and the copy-bound and flip-bound
-// checks, which fail the command, and — when out is non-empty, the only case
-// that attaches a flight recorder — writing a Chrome trace per workload.
+// in the paper's 50 ms parameter cell, printing the run's report, the worst
+// pauses when asked for and the pause-bound check, which fails the command,
+// and — when out is non-empty, the only case that attaches a flight recorder
+// — writing a Chrome trace per workload.
 //
 //gclint:io writes the Chrome trace artifact per workload
 func runTrace(s bench.Scale, workload, out string, worst int) error {
@@ -48,36 +48,20 @@ func runTrace(s bench.Scale, workload, out string, worst int) error {
 		if err != nil {
 			return fmt.Errorf("trace %s: %w", w.Name(), err)
 		}
-		d := res.Pauses.Digest(res.Elapsed)
-		fmt.Print(d.Summary(fmt.Sprintf("%s (%s, %v)", w.Name(), rig.RT.Name, params)))
+		fmt.Print(res.Text(fmt.Sprintf("%s at %v", w.Name(), params)))
 		if worst > 0 {
-			fmt.Print(d.WorstPausesTable(worst))
+			fmt.Print(res.Pauses.WorstPausesTable(worst))
 		}
 		// The pause bound (DESIGN.md, "Pause bound") over every pause that had
 		// a budget: no such pause is longer than copying 2L + L/4 bytes takes,
 		// whatever it spent the time on, or copies more than that. A completion
 		// attempt the gate let through although it did not fit is the one
 		// exemption from the length, and is listed.
-		cfg := core.Config{CopyLimitBytes: params.LBytes}
-		text, err := cfg.CheckPauseBound(simtime.Default1993(), res.Pauses.Pauses, &res.Stats)
+		text, err := core.Config{CopyLimitBytes: params.LBytes}.CheckPauseBound(simtime.Default1993(), res.Pauses.Pauses)
 		fmt.Print(text)
 		if err != nil {
 			return fmt.Errorf("trace %s: %w", w.Name(), err)
 		}
-		bound, most, flipping := cfg.PauseCopyBound(), int64(0), simtime.Duration(0)
-		for i, p := range d.Pauses {
-			if p.Forced {
-				continue
-			}
-			if p.CopiedB > bound {
-				return fmt.Errorf("trace %s: pause %d copied %d B, over the bound 2L + L/4 = %d B", w.Name(), i, p.CopiedB, bound)
-			}
-			most, flipping = max(most, p.CopiedB), max(flipping, p.PhaseTime[simtime.PhaseCopy]+p.PhaseTime[simtime.PhaseFlip])
-		}
-		fmt.Printf("copy bound: the most one budgeted pause copied is %d B of 2L + L/4 = %d B; largest uninterrupted copy %d B, %d copies split\n",
-			most, bound, res.Stats.LargestCopyBytes, res.Stats.SplitCopies)
-		fmt.Printf("flip bound: the most one budgeted pause spent copying and flipping is %v; largest worklist %d slots\n",
-			flipping, res.Stats.LargestFlipWorklist)
 		if out == "" {
 			continue
 		}

@@ -7,14 +7,16 @@
 //
 //	rtgc [flags] program.ml
 //	rtgc -restore DIR
-//	rtgc [-gc C] [-worst K] [-trace FILE] [-trace-summary] -serve SPECFILE
+//	rtgc [-gc C] [-stats] [-worst K] [-trace FILE] -serve SPECFILE
 //
 // The collector flags mirror the paper's parameters: -gc selects the
-// configuration, -n/-o/-l set N, O and L in kilobytes. With -serve, no
-// program runs: the open-loop serving engine materialises the request spec
-// (which sizes the heap itself) and prints its latency/SLO digest under the
-// selected collector, and the trace flags look at that run's pauses. A flag
-// the chosen mode cannot honour is a usage error, not silently dropped.
+// configuration, -n/-o/-l set N, O and L in kilobytes. -S prints the
+// compiled bytecode instead of running it; the compilation is then the run
+// -stats reports on. With -serve, no program runs: the open-loop serving
+// engine materialises the request spec (which sizes the heap itself) and
+// prints its latency/SLO digest under the selected collector, and -stats,
+// -worst and -trace look at that run. A flag the chosen mode cannot honour is
+// a usage error, not silently dropped.
 package main
 
 import (
@@ -41,12 +43,11 @@ func main() {
 	oKB := flag.Int64("o", 1024, "major threshold O in KB")
 	lKB := flag.Int64("l", 100, "copy limit L in KB (incremental configurations)")
 	oldMB := flag.Int64("old", 96, "old-space semispace size in MB")
-	stats := flag.Bool("stats", true, "print collector statistics after the run")
-	disasm := flag.Bool("S", false, "print the compiled bytecode instead of running")
+	stats := flag.Bool("stats", true, "print the run's report to stderr: collector counters, pause quantiles, utilization, MMU, phase times")
+	disasm := flag.Bool("S", false, "print the compiled bytecode instead of running (-stats then reports the compilation)")
 	census := flag.Bool("census", false, "print a live-object census by kind after the run")
 	prelude := flag.Bool("prelude", false, "prepend the MiniML standard prelude")
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) of the run to this file")
-	traceSummary := flag.Bool("trace-summary", false, "print the trace digest (pause quantiles, MMU, phases) to stderr")
 	worst := flag.Int("worst", 0, "print the K longest pauses to stderr, each with its phase times, bytes copied and log entries")
 	ckptDir := flag.String("checkpoint", "", "write crash-consistent incremental checkpoints to this directory (replicating collectors only)")
 	restoreDir := flag.String("restore", "", "recover the newest checkpoint from this directory, audit it, and print its summary (no program runs)")
@@ -57,7 +58,7 @@ func main() {
 	// together) would be silently ignored and is a usage error instead. Nor
 	// does either mode read every flag: one it would ignore is refused.
 	modes, ignored := 0, ""
-	for _, mode := range [][]string{{"restore"}, {"serve", "gc", "worst", "trace", "trace-summary"}} {
+	for _, mode := range [][]string{{"restore"}, {"serve", "gc", "stats", "worst", "trace"}} {
 		if flag.Lookup(mode[0]).Value.String() == "" {
 			continue
 		}
@@ -72,7 +73,7 @@ func main() {
 		fmt.Fprint(os.Stderr, ignored)
 		fmt.Fprintln(os.Stderr, "usage: rtgc [flags] program.ml")
 		fmt.Fprintln(os.Stderr, "       rtgc -restore DIR")
-		fmt.Fprintln(os.Stderr, "       rtgc [-gc C] [-worst K] [-trace FILE] [-trace-summary] -serve SPECFILE")
+		fmt.Fprintln(os.Stderr, "       rtgc [-gc C] [-stats] [-worst K] [-trace FILE] -serve SPECFILE")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
@@ -85,7 +86,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rtgc: %v\n", err)
 		os.Exit(2)
 	}
-	look := traceFlags{file: *traceFile, summary: *traceSummary, worst: *worst}
+	look := traceFlags{file: *traceFile, stats: *stats, worst: *worst}
 	if *serveSpec != "" {
 		os.Exit(runServeSpec(*serveSpec, coll, look))
 	}
@@ -120,7 +121,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rtgc: %v\n", err)
 		os.Exit(2)
 	}
-	h, m, gc := rt.Heap, rt.Mutator, rt.GC
+	h, m := rt.Heap, rt.Mutator
 
 	text := string(src)
 	if *prelude {
@@ -131,26 +132,18 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rtgc: %v\n", err)
 		os.Exit(1)
 	}
+	var runErr error
 	if *disasm {
 		fmt.Print(prog.Disassemble())
-		return
+	} else {
+		machine := vm.New(m, prog)
+		runErr = machine.Run()
+		os.Stdout.Write(machine.Output.Bytes())
 	}
-
-	machine := vm.New(m, prog)
-	runErr := machine.Run()
-	os.Stdout.Write(machine.Output.Bytes())
 	if err := rt.Finish(); err != nil && runErr == nil {
 		runErr = err
 	}
-
-	// The pause bound is the replicating collector's, and a checkpoint
-	// writer's increments are outside it.
-	var bound core.Config
-	if !coll.StopCopy && ckptW == nil {
-		bound.CopyLimitBytes = *lKB << 10
-	}
-	d, err := look.report(rt, bound, flag.Arg(0))
-	if err != nil {
+	if err := look.export(rt, flag.Arg(0)); err != nil {
 		fmt.Fprintf(os.Stderr, "rtgc: writing trace: %v\n", err)
 		os.Exit(1)
 	}
@@ -161,46 +154,20 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rtgc: %v\n", runErr)
 		os.Exit(1)
 	}
-	if *stats {
-		st := gc.Stats()
-		rec := gc.Pauses()
-		fmt.Fprintf(os.Stderr, "\n--- %s collector (simulated time) ---\n", rt.Collector)
-		fmt.Fprintf(os.Stderr, "elapsed            %v\n", m.Clock.Now())
-		fmt.Fprintf(os.Stderr, "allocated          %.2f MB\n", float64(m.BytesAllocated)/(1<<20))
-		fmt.Fprintf(os.Stderr, "minor collections  %d\n", st.MinorCollections)
-		fmt.Fprintf(os.Stderr, "major collections  %d\n", st.MajorCollections)
-		fmt.Fprintf(os.Stderr, "copied minor/major %.2f / %.2f MB\n",
-			float64(st.BytesCopiedMinor)/(1<<20), float64(st.BytesCopiedMajor)/(1<<20))
-		fmt.Fprintf(os.Stderr, "pauses             %d (p50 %v, p99 %v, max %v)\n",
-			st.PauseCount, rec.Percentile(50), rec.Percentile(99), rec.Max())
-		fmt.Fprintf(os.Stderr, "log entries        %d written, %d reapplied\n",
-			m.LogWrites, st.LogReapplied)
-		if !coll.StopCopy { // the replicating engine counts them
-			fmt.Fprintf(os.Stderr, "largest copy       %d B uninterrupted, %d copies split across pauses\n",
-				st.LargestCopyBytes, st.SplitCopies)
-			fmt.Fprintf(os.Stderr, "completions        put off %d times to a pause they fit, %d overran their pause, largest flip worklist %d slots\n",
-				st.Deferrals, st.Overruns, st.LargestFlipWorklist)
-			fmt.Fprintf(os.Stderr, "log backlog        at most %d entries left unprocessed by a pause\n", st.LargestLogBacklog)
-		}
-		if ckptW != nil {
-			cs := ckptW.Stats()
-			fmt.Fprintf(os.Stderr, "checkpoints        %d committed, %d aborted, %.2f MB snapshots + %.2f MB WAL, %v charged\n",
-				cs.Committed, cs.Aborted,
-				float64(cs.SnapshotBytes)/(1<<20), float64(cs.WALBytes)/(1<<20),
-				m.Clock.AccountTotal(simtime.AcctCheckpoint))
-		}
-		fmt.Fprintf(os.Stderr, "utilization        %.1f%%\n", 100*d.Utilization())
-		mmu := "MMU               "
-		for _, w := range d.StandardWindows() {
-			mmu += fmt.Sprintf(" %v=%.1f%%", w, 100*d.MMU(w))
-		}
-		fmt.Fprintln(os.Stderr, mmu)
-		for p := simtime.Phase(0); p < simtime.NumPhases; p++ {
-			if d.PhaseSpans[p] == 0 {
-				continue
-			}
-			fmt.Fprintf(os.Stderr, "phase %-12s %v over %d spans\n", p, d.PhaseTime[p], d.PhaseSpans[p])
-		}
+
+	// The pause bound is the replicating collector's, and a checkpoint
+	// writer's increments are outside it.
+	var bound core.Config
+	if !coll.StopCopy && ckptW == nil {
+		bound.CopyLimitBytes = *lKB << 10
+	}
+	st := rt.Stats()
+	look.report(st, bound, flag.Arg(0))
+	if ckptW != nil && *stats {
+		cs := ckptW.Stats()
+		fmt.Fprintf(os.Stderr, "checkpoints        %d committed, %d aborted, %.2f MB snapshots + %.2f MB WAL, %v charged\n",
+			cs.Committed, cs.Aborted, float64(cs.SnapshotBytes)/(1<<20), float64(cs.WALBytes)/(1<<20),
+			st.Breakdown[simtime.AcctCheckpoint])
 	}
 	if *census {
 		fmt.Fprintf(os.Stderr, "\n--- live-object census ---\n")
@@ -213,17 +180,16 @@ func main() {
 	}
 }
 
-// traceFlags are the flags that look at a run's pauses; both modes that run
+// traceFlags are the flags that look at a finished run; both modes that run
 // something honour them.
 type traceFlags struct {
-	file    string
-	summary bool
-	worst   int
+	file  string
+	stats bool
+	worst int
 }
 
 // recorder is the flight recorder the run needs: one only when a Chrome trace
-// file was asked for. Everything else the flags print is the collector's own
-// pause record.
+// file was asked for. Everything else the flags print is the run's report.
 func (f traceFlags) recorder() *trace.Recorder {
 	if f.file == "" {
 		return nil
@@ -231,45 +197,51 @@ func (f traceFlags) recorder() *trace.Recorder {
 	return trace.NewRecorder(1 << 20)
 }
 
-// report digests the finished run's pause record and writes what the flags
-// asked for: the Chrome trace file, the digest, the worst pauses and — when
-// bound carries an L — the record held to the pause bound.
+// export writes the Chrome trace file, when one was asked for.
 //
 //gclint:io writes the optional Chrome trace artifact
-func (f traceFlags) report(rt *rig.Runtime, bound core.Config, subject string) (*simtime.Digest, error) {
-	d := rt.GC.Pauses().Digest(rt.Mutator.Clock.Now())
-	if tr := rt.Recorder; tr != nil {
-		labels := map[string]string{
-			"program":   subject,
-			"collector": rt.Collector,
-			//gclint:allow wallclock -- exporter glue: the wall-clock stamp only labels the artifact; nothing simulated reads it
-			"exported_at": time.Now().UTC().Format(time.RFC3339),
-		}
-		data, err := trace.ChromeTrace(tr.Events(), labels)
-		if err == nil {
-			err = os.WriteFile(f.file, data, 0o644)
-		}
-		if err != nil {
-			return d, err
-		}
-		if n := tr.Dropped(); n > 0 {
-			fmt.Fprintf(os.Stderr, "WARNING: ring dropped %d events; %s holds the retained suffix\n", n, f.file)
-		}
+func (f traceFlags) export(rt *rig.Runtime, subject string) error {
+	tr := rt.Recorder
+	if tr == nil {
+		return nil
 	}
-	if f.summary {
-		fmt.Fprintf(os.Stderr, "\n%s", d.Summary(subject))
+	labels := map[string]string{
+		"program":   subject,
+		"collector": rt.Collector,
+		//gclint:allow wallclock -- exporter glue: the wall-clock stamp only labels the artifact; nothing simulated reads it
+		"exported_at": time.Now().UTC().Format(time.RFC3339),
 	}
-	if f.worst > 0 {
-		fmt.Fprintf(os.Stderr, "\n%s", d.WorstPausesTable(f.worst))
+	data, err := trace.ChromeTrace(tr.Events(), labels)
+	if err == nil {
+		err = os.WriteFile(f.file, data, 0o644)
 	}
-	if f.worst > 0 && bound.CopyLimitBytes > 0 {
-		text, err := bound.CheckPauseBound(simtime.Default1993(), d.Pauses, rt.GC.Stats())
+	if err != nil {
+		return err
+	}
+	if n := tr.Dropped(); n > 0 {
+		fmt.Fprintf(os.Stderr, "WARNING: ring dropped %d events; %s holds the retained suffix\n", n, f.file)
+	}
+	return nil
+}
+
+// report prints what the flags ask of the finished run st: its report, the
+// worst pauses and — when bound carries an L — its pause record held to the
+// pause bound.
+func (f traceFlags) report(st rig.Stats, bound core.Config, subject string) {
+	if f.stats {
+		fmt.Fprintf(os.Stderr, "\n%s", st.Text(subject))
+	}
+	if f.worst <= 0 {
+		return
+	}
+	fmt.Fprintf(os.Stderr, "\n%s", st.Pauses.WorstPausesTable(f.worst))
+	if bound.CopyLimitBytes > 0 {
+		text, err := bound.CheckPauseBound(simtime.Default1993(), st.Pauses.Pauses)
 		fmt.Fprint(os.Stderr, text)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pause bound: %v\n", err)
 		}
 	}
-	return d, nil
 }
 
 // runRestore recovers the newest checkpoint epoch in dir, re-attaches a

@@ -24,17 +24,17 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestPauseDigestGolden pins what -worst and -trace-summary print, stdout and
-// stderr in the order written, with no -trace file asked for: the digest, the
-// worst pauses by phase, the pause-bound line and -stats.
+// TestPauseDigestGolden pins what -stats and -worst print, stdout and stderr in
+// the order written, with no -trace file asked for: the run report, the worst
+// pauses by phase and the pause-bound line.
 func TestPauseDigestGolden(t *testing.T) {
 	for _, c := range []struct {
 		golden string
 		args   []string
 	}{
-		{"sieve.txt", []string{"-worst", "5", "-trace-summary", "examples/miniml/sieve.ml"}},
-		{"life.txt", []string{"-prelude", "-worst", "5", "-trace-summary", "examples/miniml/life.ml"}},
-		{"serve.txt", []string{"-gc", "rt", "-worst", "5", "-trace-summary", "-serve", "examples/serve/mixed.json"}},
+		{"sieve.txt", []string{"-worst", "5", "examples/miniml/sieve.ml"}},
+		{"life.txt", []string{"-prelude", "-worst", "5", "examples/miniml/life.ml"}},
+		{"serve.txt", []string{"-gc", "rt", "-worst", "5", "-serve", "examples/serve/mixed.json"}},
 	} {
 		t.Run(c.golden, func(t *testing.T) {
 			self, err := filepath.Abs(os.Args[0])

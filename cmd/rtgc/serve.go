@@ -15,7 +15,7 @@ import (
 )
 
 // runServeSpec parses the spec, materialises its trace, and serves it under
-// the selected collector, then reports on the run's pauses as look asks.
+// the selected collector, then reports on the run as look asks.
 // Exit status 0 on success, 1 on any failure.
 //
 //gclint:io reads the workload spec file
@@ -48,13 +48,14 @@ func runServeSpec(specPath string, coll rig.Collector, look traceFlags) int {
 	sec := workload.NewSection(tr)
 	sec.Legs = append(sec.Legs, *leg)
 	fmt.Print(workload.FormatSection(sec))
+	if err := look.export(rt, specPath); err != nil {
+		fmt.Fprintf(os.Stderr, "rtgc: writing trace: %v\n", err)
+		return 1
+	}
 	var bound core.Config
 	if !coll.StopCopy {
 		bound.CopyLimitBytes = spec.Heap.WithDefaults().CopyLimitKB << 10
 	}
-	if _, err := look.report(rt, bound, specPath); err != nil {
-		fmt.Fprintf(os.Stderr, "rtgc: writing trace: %v\n", err)
-		return 1
-	}
+	look.report(rt.Stats(), bound, specPath)
 	return 0
 }

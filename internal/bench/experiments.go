@@ -113,12 +113,12 @@ type Table1Row struct {
 // Table1 reproduces "Table 1: Garbage Collection Pause Times (msec)".
 func (s *Suite) Table1() ([]Table1Row, error) {
 	return gridRows(s, PaperParams(), []rig.Collector{rig.SC, rig.RT}, func(name string, p Params, r []*Result) Table1Row {
-		return Table1Row{Workload: name, P: p, SC: percentiles(&r[0].Pauses), RT: percentiles(&r[1].Pauses)}
+		return Table1Row{Workload: name, P: p, SC: percentiles(r[0].Pauses), RT: percentiles(r[1].Pauses)}
 	})
 }
 
-func percentiles(r *simtime.Recorder) [3]simtime.Duration {
-	return [3]simtime.Duration{r.Percentile(50), r.Percentile(99), r.Max()}
+func percentiles(d *simtime.Digest) [3]simtime.Duration {
+	return [3]simtime.Duration{d.Percentile(50), d.Percentile(99), d.Max()}
 }
 
 // PauseHistograms reproduces figures 5 and 6: the distribution of short
@@ -259,7 +259,7 @@ func (s *Suite) Table3() ([]Table3Row, error) {
 	cost := simtime.Default1993()
 	perByte := float64(cost.CopyWord+cost.ScanWord) / float64(simtime.BytesPerWord)
 	return gridRows(s, PaperParams(), []rig.Collector{rig.RT, rig.SC}, func(name string, p Params, r []*Result) Table3Row {
-		rt, sc := r[0].Stats.FlipCopied, r[1].Stats.FlipCopied
+		rt, sc := r[0].GC.FlipCopied, r[1].GC.FlipCopied
 		n := min(len(rt), len(sc))
 		var g int64
 		var scCopied int64 = 1

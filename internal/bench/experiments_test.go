@@ -278,8 +278,8 @@ func TestDeferMutablesReducesReapplies(t *testing.T) {
 	if deferred.Output != rt.Output {
 		t.Fatal("outputs differ")
 	}
-	if deferred.Stats.LogReapplied > rt.Stats.LogReapplied*3/4 {
+	if deferred.GC.LogReapplied > rt.GC.LogReapplied*3/4 {
 		t.Errorf("deferred reapplies %d not substantially below eager %d",
-			deferred.Stats.LogReapplied, rt.Stats.LogReapplied)
+			deferred.GC.LogReapplied, rt.GC.LogReapplied)
 	}
 }

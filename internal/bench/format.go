@@ -127,8 +127,8 @@ func FormatAblation(title string, rows []AblationRow) string {
 			r.Workload,
 			r.Base.Elapsed, r.Var.Elapsed,
 			r.Base.Pauses.Max(), r.Var.Pauses.Max(),
-			r.Base.Stats.LogReapplied, r.Var.Stats.LogReapplied,
-			r.Base.Stats.PauseCount, r.Var.Stats.PauseCount)
+			r.Base.GC.LogReapplied, r.Var.GC.LogReapplied,
+			r.Base.GC.PauseCount, r.Var.GC.PauseCount)
 	}
 	return b.String()
 }

@@ -149,27 +149,26 @@ type PhaseTime struct {
 
 // perfLeg distils a Result, its pause record included.
 func perfLeg(r *Result) PerfLeg {
-	copied := r.Stats.TotalBytesCopied()
-	q := simtime.Percentiles(r.Pauses.Durations(), 0, 50, 95, 100)
+	copied, d := r.GC.TotalBytesCopied(), r.Pauses
+	q := simtime.Percentiles(d.Durations(), 0, 50, 95, 100)
 	leg := PerfLeg{
 		ElapsedMs:       r.Elapsed.Milliseconds(),
 		BytesReplicated: copied,
 		LogAppended:     r.LogWrites,
-		LogScanned:      r.Stats.LogScanned,
-		LogReapplied:    r.Stats.LogReapplied,
+		LogScanned:      r.GC.LogScanned,
+		LogReapplied:    r.GC.LogReapplied,
 		NurserySkips:    r.BarrierFastSkips,
 		DirtySkips:      r.BarrierDirtySkips,
-		Pauses:          len(r.Pauses.Pauses),
+		Pauses:          len(d.Pauses),
 		PauseMinMs:      q[0].Milliseconds(),
 		PauseMedianMs:   q[1].Milliseconds(),
 		PauseP95Ms:      q[2].Milliseconds(),
 		PauseMaxMs:      q[3].Milliseconds(),
-		Unbudgeted:      unbudgeted(r.Pauses.Pauses),
+		Unbudgeted:      unbudgeted(d.Pauses),
 	}
 	if secs := r.Elapsed.Seconds(); secs > 0 {
 		leg.ReplicationMBps = float64(copied) / (1 << 20) / secs
 	}
-	d := r.Pauses.Digest(r.Elapsed)
 	leg.MMU = d.MMUCurve(d.StandardWindows())
 	for p := simtime.Phase(0); p < simtime.NumPhases; p++ {
 		if d.PhaseSpans[p] == 0 {
@@ -290,7 +289,7 @@ func RunPerf(s Scale, scaleName string) (*PerfReport, error) {
 			}
 		}
 		base, coal, ckpt := res[0], res[1], res[2]
-		pw.ReapplyReductionPct = reductionPct(base.Stats.LogReapplied, coal.Stats.LogReapplied)
+		pw.ReapplyReductionPct = reductionPct(base.GC.LogReapplied, coal.GC.LogReapplied)
 		pw.AppendReductionPct = reductionPct(base.LogWrites, coal.LogWrites)
 		if coalMs := coal.Elapsed.Milliseconds(); coalMs > 0 {
 			pw.Checkpoint.OverheadPct = 100 * (ckpt.Elapsed.Milliseconds() - coalMs) / coalMs
@@ -341,16 +340,16 @@ func RunMulti(s Scale) ([]MultiLeg, error) {
 		if err := rt.Finish(); err != nil {
 			return nil, fmt.Errorf("multi N=%d finish: %w", n, err)
 		}
-		st := rt.GC.Stats()
+		st := rt.Stats()
 		leg := MultiLeg{
 			Mutators:     n,
-			WorkMs:       g.Clock.Now().Milliseconds(),
+			WorkMs:       st.Elapsed.Milliseconds(),
 			WallMs:       g.Elapsed().Milliseconds(),
 			OverlapRatio: g.OverlapRatio(),
-			Minor:        st.MinorCollections,
-			Major:        st.MajorCollections,
+			Minor:        st.GC.MinorCollections,
+			Major:        st.GC.MajorCollections,
 			GroupPauses:  len(g.GroupPauses().Pauses),
-			Unbudgeted:   unbudgeted(rt.GC.Pauses().Pauses),
+			Unbudgeted:   unbudgeted(st.Pauses.Pauses),
 			Fingerprint:  fmt.Sprintf("%016x", md.Fingerprint()),
 		}
 		for i := range g.Members {
@@ -522,17 +521,12 @@ func checkMulti(legs []MultiLeg) error {
 		if leg.Mutators != multiLadder[i] {
 			return fmt.Errorf("multi leg %d: mutators = %d, want %d", i, leg.Mutators, multiLadder[i])
 		}
-		for _, f := range []struct {
-			name string
-			v    float64
-		}{
+		if err := simtime.CheckNonNegative([]simtime.Measure{
 			{"work_ms", leg.WorkMs}, {"wall_ms", leg.WallMs},
 			{"overlap_ratio", leg.OverlapRatio}, {"sync_pause_max_ms", leg.SyncPauseMaxMs},
 			{"mmu_20ms", leg.MMU20Ms},
-		} {
-			if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
-				return fmt.Errorf("multi N=%d: %s = %v is not a finite non-negative number", leg.Mutators, f.name, f.v)
-			}
+		}); err != nil {
+			return fmt.Errorf("multi N=%d: %w", leg.Mutators, err)
 		}
 		if leg.WorkMs == 0 || leg.Minor == 0 || leg.GroupPauses == 0 {
 			return fmt.Errorf("multi N=%d: leg did no collected work (work %.0f ms, %d minors, %d group pauses)",
@@ -574,17 +568,12 @@ func checkMulti(legs []MultiLeg) error {
 
 // check rejects legs with impossible measurements.
 func (l PerfLeg) check() error {
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
+	if err := simtime.CheckNonNegative([]simtime.Measure{
 		{"elapsed_ms", l.ElapsedMs}, {"replication_mb_s", l.ReplicationMBps},
 		{"pause_min_ms", l.PauseMinMs}, {"pause_median_ms", l.PauseMedianMs},
 		{"pause_p95_ms", l.PauseP95Ms}, {"pause_max_ms", l.PauseMaxMs},
-	} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
-			return fmt.Errorf("%s = %v is not a finite non-negative number", f.name, f.v)
-		}
+	}); err != nil {
+		return err
 	}
 	if l.ElapsedMs == 0 || l.Pauses == 0 {
 		return fmt.Errorf("run did no work (elapsed %.0f ms, %d pauses)", l.ElapsedMs, l.Pauses)

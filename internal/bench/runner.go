@@ -1,10 +1,6 @@
 package bench
 
-import (
-	"repligc/internal/core"
-	"repligc/internal/rig"
-	"repligc/internal/simtime"
-)
+import "repligc/internal/rig"
 
 // AllPaperConfigs is the matrix of figures 8–10: the paper's five collector
 // configurations (§4.4).
@@ -28,22 +24,13 @@ func PaperParams() []Params {
 	return []Params{mk(1, 0.2), mk(1, 1.0), mk(5, 0.2), mk(5, 1.0)}
 }
 
-// Result is everything measured in one run.
+// Result is one run: the workload and cell it ran, the run's report and what
+// the workload printed.
 type Result struct {
 	Workload string
-	Config   string // the collector's name in rig.Table
 	Params   Params
-
-	Elapsed   simtime.Duration
-	Pauses    simtime.Recorder
-	Stats     core.GCStats
-	Breakdown [simtime.NumAccounts]simtime.Duration
-
-	BytesAllocated    int64
-	LogWrites         int64
-	BarrierFastSkips  int64
-	BarrierDirtySkips int64
-	Output            string
+	rig.Stats
+	Output string
 }
 
 // Run executes workload w on the runtime rc describes and returns the
@@ -53,29 +40,12 @@ func Run(w Workload, rc rig.Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, gc := rt.Mutator, rt.GC
-
-	out, err := w.Run(m)
+	out, err := w.Run(rt.Mutator)
 	if err != nil {
 		return nil, err
 	}
 	if err := rt.Finish(); err != nil {
 		return nil, err
 	}
-
-	res := &Result{
-		Workload:          w.Name(),
-		Config:            rc.Collector.Name,
-		Params:            rc.Params,
-		Elapsed:           m.Clock.Now(),
-		Pauses:            *gc.Pauses(),
-		Stats:             *gc.Stats(),
-		Breakdown:         m.Clock.Breakdown(),
-		BytesAllocated:    m.BytesAllocated,
-		LogWrites:         m.LogWrites,
-		BarrierFastSkips:  m.BarrierFastSkips,
-		BarrierDirtySkips: m.BarrierDirtySkips,
-		Output:            out,
-	}
-	return res, nil
+	return &Result{Workload: w.Name(), Params: rc.Params, Stats: rt.Stats(), Output: out}, nil
 }

@@ -329,7 +329,7 @@ func TestPauseBound(t *testing.T) {
 		if overruns != st.Overruns {
 			t.Errorf("%d pauses are marked as overruns, the collector counted %d", overruns, st.Overruns)
 		}
-		t.Logf("longest of %d budgeted pauses %v, %d completions deferred, %d overran, largest backlog %d entries", checked, worst, st.Deferrals, st.Overruns, st.LargestLogBacklog)
+		t.Logf("longest of %d budgeted pauses %v, %d completions deferred, %d overran, largest backlog %d entries", checked, worst, st.Deferrals, st.Overruns, logBacklog(gc))
 		if worst > bound {
 			p := gc.Pauses().Pauses[at]
 			t.Errorf("pause %d is %v long against the bound %v (%d B copied, %d log entries, %d root slots and %d worklist slots flipped)",

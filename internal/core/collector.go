@@ -63,10 +63,6 @@ type GCStats struct {
 	Deferrals           int
 	Overruns            int
 	LargestFlipWorklist int
-	// LargestLogBacklog is the most log entries a pause left unprocessed,
-	// both generations' cursors counted: the log is replayed within the
-	// pause's budget, and what does not fit waits for the next pause.
-	LargestLogBacklog int64
 
 	// EmergencyCollections counts degradation-ladder activations: pauses
 	// promoted to full stop-the-world completion because the promotion

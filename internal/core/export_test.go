@@ -11,6 +11,14 @@ func (c *Replicating) SetCopySplit(thresholdBytes int64, chunkWords int) {
 	c.splitMin, c.chunkWords = thresholdBytes, chunkWords
 }
 
+// SetMinorLimits replaces the paper's A, the nursery expansion a pause grants
+// an incremental collection awaiting completion (L/2 when zero), and the
+// number of pauses one incremental minor collection may span before it is
+// forced to complete (maxMinorPauses when zero).
+func (c *Replicating) SetMinorLimits(expandBytes int64, maxPauses int) {
+	c.expandMin, c.pauseCap = expandBytes, maxPauses
+}
+
 // CopyInFlight reports the progress of the major generation's in-flight copy:
 // payload words copied, payload words in all, and whether there is one.
 func (c *Replicating) CopyInFlight(major bool) (next, words int, ok bool) {

@@ -130,21 +130,26 @@ func TestFlipGateDifferential(t *testing.T) {
 func TestLogMeterDifferential(t *testing.T) {
 	for _, v := range flipVariants() {
 		t.Run(v.name, func(t *testing.T) {
-			whole, wholeStats, _ := immortalStream(t, v.cfg, func(gc *core.Replicating) { gc.SetMetering(true, true, false) })
-			metered, st, _ := immortalStream(t, v.cfg, func(*core.Replicating) {})
+			var wholeGC, meteredGC *core.Replicating
+			whole, wholeStats, _ := immortalStream(t, v.cfg, func(gc *core.Replicating) { wholeGC = gc; gc.SetMetering(true, true, false) })
+			metered, st, _ := immortalStream(t, v.cfg, func(gc *core.Replicating) { meteredGC = gc })
 			if metered != whole {
 				t.Errorf("graph %016x, with the log replayed whole in every pause it is %016x", metered, whole)
 			}
 			sameVolume(t, st, wholeStats, "with the log replayed whole in every pause")
 			// Unmetered, only a pause that ends inside a split copy leaves the
 			// log unread, and then only what one pause's stores appended.
-			if st.LargestLogBacklog <= 2*wholeStats.LargestLogBacklog {
-				t.Errorf("a pause left at most %d entries behind with the meter on, %d with it off: the log never outran the meter", st.LargestLogBacklog, wholeStats.LargestLogBacklog)
+			backlog, wholeBacklog := logBacklog(meteredGC), logBacklog(wholeGC)
+			if backlog <= 2*wholeBacklog {
+				t.Errorf("a pause left at most %d entries behind with the meter on, %d with it off: the log never outran the meter", backlog, wholeBacklog)
 			}
-			t.Logf("largest backlog %d entries, %d -> %d pauses", st.LargestLogBacklog, wholeStats.PauseCount, st.PauseCount)
+			t.Logf("largest backlog %d entries, %d -> %d pauses", backlog, wholeStats.PauseCount, st.PauseCount)
 		})
 	}
 }
+
+// logBacklog is the most log entries one of gc's pauses left unprocessed.
+func logBacklog(gc core.Collector) int64 { return gc.Pauses().Digest(0).LogBacklog }
 
 // TestFlipGateProgramOutput runs the lazy sieve, some of whose flips the gate
 // defers, with the gate off and on: same output. (The number of majors
@@ -315,9 +320,10 @@ func TestDeferredFlipAlwaysEnds(t *testing.T) {
 
 // TestLogOutrunsTheMeter is the progress property of the log meter: when every
 // nursery cycle appends more entries than a pause replays, the minor collection
-// can never reach its completion attempt by itself, and MaxMinorPauses ends it —
-// one forced, marked pause — with the backlog bounded by what that many cycles
-// log. The mutator stores a fresh nursery pointer into forty distinct slots of
+// can never reach its completion attempt by itself, and the cap on the pauses
+// one minor collection spans (here 24, SetMinorLimits) ends it — one forced,
+// marked pause — with the backlog bounded by what that many cycles log. The
+// mutator stores a fresh nursery pointer into forty distinct slots of
 // an old array for every small object it allocates; the 1 ms budget of
 // L = 2 KB replays at most a thousand entries, the A = 1 KB the pause grants
 // lets the mutator log some 1 700 more.
@@ -327,9 +333,10 @@ func TestLogOutrunsTheMeter(t *testing.T) {
 		CopyLimitBytes:   2 << 10,
 		IncrementalMinor: true,
 		IncrementalMajor: true,
-		MaxMinorPauses:   24,
 	}
+	const maxMinorPauses = 24
 	m, gc := newRun(cfg, core.LogAllMutations)
+	gc.SetMinorLimits(0, maxMinorPauses)
 	const slots, perAlloc, allocs = 8192, 40, 20000
 	var want [slots]int64                      // the record each slot was last pointed at
 	old, err := m.Alloc(heap.KindArray, slots) // above N/2: born old
@@ -369,14 +376,15 @@ func TestLogOutrunsTheMeter(t *testing.T) {
 		}
 	}
 	if st.ForcedCompletion == 0 || forced != st.ForcedCompletion || st.EmergencyCollections != 0 {
-		t.Errorf("%d forced completions in %d marked pauses, %d emergencies: want MaxMinorPauses to have ended cycles, and nothing worse", st.ForcedCompletion, forced, st.EmergencyCollections)
+		t.Errorf("%d forced completions in %d marked pauses, %d emergencies: want the pause cap to have ended cycles, and nothing worse", st.ForcedCompletion, forced, st.EmergencyCollections)
 	}
 	// A cycle's first pause finds at most one entry a slot (the barrier
-	// coalesces the rest), and each of its MaxMinorPauses later ones what the
+	// coalesces the rest), and each of its maxMinorPauses later ones what the
 	// two-word records of A = L/2 of allocation stored.
-	perCycle := int64(slots) + int64(cfg.MaxMinorPauses+1)*(cfg.CopyLimitBytes/2/(2*heap.BytesPerWord))*perAlloc
-	if st.LargestLogBacklog == 0 || st.LargestLogBacklog > perCycle {
-		t.Errorf("a pause left at most %d log entries behind: want some, and no more than one cycle's %d", st.LargestLogBacklog, perCycle)
+	perCycle := int64(slots) + int64(maxMinorPauses+1)*(cfg.CopyLimitBytes/2/(2*heap.BytesPerWord))*perAlloc
+	backlog := logBacklog(gc)
+	if backlog == 0 || backlog > perCycle {
+		t.Errorf("a pause left at most %d log entries behind: want some, and no more than one cycle's %d", backlog, perCycle)
 	}
-	t.Logf("%d minors over %d pauses, %d forced, largest backlog %d entries", st.MinorCollections, st.PauseCount, st.ForcedCompletion, st.LargestLogBacklog)
+	t.Logf("%d minors over %d pauses, %d forced, largest backlog %d entries", st.MinorCollections, st.PauseCount, st.ForcedCompletion, backlog)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -22,11 +23,9 @@ type Config struct {
 	// CopyLimitBytes is the paper's L: the total memory the collections
 	// may copy during a single pause. Zero means unlimited (stop-the-
 	// world behaviour for whichever generations are marked incremental).
+	// The paper's A, the nursery expansion granted per pause while an
+	// incremental collection awaits completion, is L/2 (expandBytes).
 	CopyLimitBytes int64
-	// ExpandBytes is the paper's A: the nursery expansion granted per
-	// pause while an incremental collection is awaiting completion.
-	// Zero defaults to L/2, the paper's choice.
-	ExpandBytes int64
 
 	// IncrementalMinor and IncrementalMajor select the paper's
 	// configurations: both true is the real-time collector; exactly one
@@ -64,12 +63,6 @@ type Config struct {
 	// Off by default.
 	NaiveReplay bool
 
-	// MaxMinorPauses bounds how many pauses one incremental minor
-	// collection may span before it is forced to complete
-	// non-incrementally (the paper's conservative completion / L lower
-	// bound, §3.3). Zero means 1024.
-	MaxMinorPauses int
-
 	// InterleavedTaxPermille enables the concurrent-style pacing of the
 	// paper's §6 ("The replication primitive can be interleaved freely
 	// with mutator activity"): instead of performing collection work in
@@ -92,19 +85,10 @@ type Config struct {
 	Replay *policy.Script
 }
 
-func (c Config) expandBytes() int64 {
-	if c.ExpandBytes > 0 {
-		return c.ExpandBytes
-	}
-	return c.CopyLimitBytes / 2
-}
-
-func (c Config) maxMinorPauses() int {
-	if c.MaxMinorPauses > 0 {
-		return c.MaxMinorPauses
-	}
-	return 1024
-}
+// maxMinorPauses bounds how many pauses one incremental minor collection may
+// span before it is forced to complete non-incrementally (the paper's
+// conservative completion / L lower bound, §3.3).
+const maxMinorPauses = 1024
 
 // Name describes the configuration in the paper's terms.
 func (c Config) Name() string {
@@ -328,12 +312,14 @@ type Replicating struct {
 	microLimit int64 // per-micro-pause work budget (0: normal pauses)
 
 	// Test seams (export_test.go); zero outside tests. splitMin replaces the
-	// split threshold L/4, chunkWords caps the words one fill moves; noHiding,
-	// noGate and noLogMeter switch off toSpaceValue's hidden holders, the
-	// admission gate (deferAttempt) and takeLogEntry's budget test for the
-	// differential tests.
+	// split threshold L/4, chunkWords caps the words one fill moves, expandMin
+	// and pauseCap replace A = L/2 and maxMinorPauses; noHiding, noGate and
+	// noLogMeter switch off toSpaceValue's hidden holders, the admission gate
+	// (deferAttempt) and takeLogEntry's budget test for the differential tests.
 	splitMin   int64
 	chunkWords int
+	expandMin  int64
+	pauseCap   int
 	noHiding   bool
 	noGate     bool
 	noLogMeter bool
@@ -450,12 +436,11 @@ func (c *Replicating) workLimit() int64 {
 // splitBytes is the size above which a copy that does not fit in what is left
 // of the pause's budget is filled over several pauses: L/4, so that a budgeted
 // pass overshoots 2L by less than a quarter of L (PauseCopyBound).
-func (c *Replicating) splitBytes() int64 {
-	if c.splitMin != 0 {
-		return c.splitMin
-	}
-	return c.cfg.CopyLimitBytes / 4
-}
+func (c *Replicating) splitBytes() int64 { return cmp.Or(c.splitMin, c.cfg.CopyLimitBytes/4) }
+
+// expandBytes is the paper's A: the nursery expansion granted per pause while
+// an incremental collection awaits completion — L/2, the paper's choice.
+func (c *Replicating) expandBytes() int64 { return cmp.Or(c.expandMin, c.cfg.CopyLimitBytes/2) }
 
 // PauseCopyBound is the copy term of the pause bound (DESIGN.md, "Pause
 // bound"): the most a budgeted pause copies, whatever the size of the largest
@@ -475,15 +460,23 @@ func (c Config) PauseBoundTime(cost simtime.CostModel) simtime.Duration {
 
 // CheckPauseBound holds a finished run's pause record to the bound and renders
 // the check as rtgc -worst and rtgc-bench trace print it: a line for every
-// counted overrun, then the "pause bound:" line. Forced pauses have no budget
-// and overruns are the one exemption; any other pause longer than the bound is
-// the error. (A checkpoint writer's increments are outside the budget: a
-// caller that attached one has nothing to check.)
-func (c Config) CheckPauseBound(cost simtime.CostModel, pauses []simtime.Pause, st *GCStats) (string, error) {
-	bound, longest, text := c.PauseBoundTime(cost), simtime.Duration(0), ""
+// counted overrun, then the "pause bound:" line. Forced pauses have no budget;
+// every other pause copies at most PauseCopyBound bytes, and one longer than
+// PauseBoundTime is the error unless it is a counted overrun. (A checkpoint
+// writer's increments are outside the budget: a caller that attached one has
+// nothing to check.)
+func (c Config) CheckPauseBound(cost simtime.CostModel, pauses []simtime.Pause) (string, error) {
+	bound, copyBound := c.PauseBoundTime(cost), c.PauseCopyBound()
+	longest, most, text := simtime.Duration(0), int64(0), ""
 	for i, p := range pauses {
+		if p.Forced { // no budget to hold it to
+			continue
+		}
+		if p.CopiedB > copyBound {
+			return text, fmt.Errorf("pause %d copied %d B, over the bound 2L + L/4 = %d B", i, p.CopiedB, copyBound)
+		}
+		most = max(most, p.CopiedB)
 		switch {
-		case p.Forced: // no budget to hold it to
 		case p.Unbudgeted(): // a counted overrun
 			text += fmt.Sprintf("overrun: pause %d is %v long, %v of it a completion attempt let through over budget (%d root slots and %d worklist slots flipped)\n",
 				i, p.Length, p.Overrun, p.RootSlots, p.FlipEntries)
@@ -494,8 +487,8 @@ func (c Config) CheckPauseBound(cost simtime.CostModel, pauses []simtime.Pause, 
 			longest = max(longest, p.Length)
 		}
 	}
-	return text + fmt.Sprintf("pause bound: the longest budgeted pause is %v of %v; %d completions deferred, %d overran, at most %d log entries left by a pause\n",
-		longest, bound, st.Deferrals, st.Overruns, st.LargestLogBacklog), nil
+	return text + fmt.Sprintf("pause bound: the longest budgeted pause is %v of %v; the most one copied is %d B of 2L + L/4 = %d B\n",
+		longest, bound, most, copyBound), nil
 }
 
 // workTime is the longest that copy+scan work of so many bytes takes.
@@ -655,7 +648,6 @@ func (c *Replicating) endPause(m *Mutator, syncBase simtime.Duration, kind simti
 	if c.major.active {
 		c.cur.LogLeft += m.Log.Len() - c.major.logCursor
 	}
-	c.stats.LargestLogBacklog = max(c.stats.LargestLogBacklog, c.cur.LogLeft)
 	c.rec.Record(c.cur)
 	c.tr.PauseEnd(m.Clock.Now(), c.cur.CopiedB, c.cur.LogProcN, int64(kind))
 }
@@ -680,8 +672,9 @@ func (c *Replicating) pauseBody(m *Mutator, needWords int, force bool, kind *sim
 		c.startMinor(m)
 	}
 	c.minorPauses++
-	forceMinor := force || !c.cfg.IncrementalMinor || c.minorPauses > c.cfg.maxMinorPauses()
-	if c.minorPauses > c.cfg.maxMinorPauses() {
+	capped := c.minorPauses > cmp.Or(c.pauseCap, maxMinorPauses)
+	forceMinor := force || !c.cfg.IncrementalMinor || capped
+	if capped {
 		c.forcedCompletion()
 	}
 
@@ -703,7 +696,7 @@ func (c *Replicating) pauseBody(m *Mutator, needWords int, force bool, kind *sim
 		// (paper parameter A), enough for the pending allocation. Pauses
 		// that were not forced by a failed allocation (interleaved micro-
 		// pauses) skip the expansion — the nursery still has room.
-		granted := c.h.Nursery.GrowBytes(max(c.cfg.expandBytes(), needB))
+		granted := c.h.Nursery.GrowBytes(max(c.expandBytes(), needB))
 		c.stats.NurseryExpansion += granted
 		if granted < needB {
 			// Expansion bound blown: conservative completion (the
@@ -1797,7 +1790,7 @@ func (c *Replicating) deferAttempt(m *Mutator, g *generation, force *bool, rootV
 	c.stats.Deferrals++
 	c.cur.Deferred = true
 	if g.major {
-		c.setNurseryLimit(c.cfg.expandBytes())
+		c.setNurseryLimit(c.expandBytes())
 	}
 	return true
 }

@@ -232,12 +232,11 @@ func TestForcedCompletionUnderTinyBudget(t *testing.T) {
 		NurseryBytes:        32 << 10,
 		MajorThresholdBytes: 128 << 10,
 		CopyLimitBytes:      256, // far below any real pause budget
-		ExpandBytes:         512,
 		IncrementalMinor:    true,
 		IncrementalMajor:    true,
-		MaxMinorPauses:      8,
 	}
 	m, gc := newRun(c, core.LogAllMutations)
+	gc.SetMinorLimits(512, 8)
 	d := gctest.NewDriver(m, 5)
 	d.Step(8000)
 	gc.FinishCycles(m)

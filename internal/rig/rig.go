@@ -3,9 +3,11 @@
 // checkpoint writer); the paper's method (§4.2) is that two runs may differ
 // in the collector's mechanism and in nothing else, so every decision about
 // how those parts meet — which switches a collector name stands for, how the
-// heap is sized, who gets the recorder, what ends a run — is made here and
-// nowhere else. The benchmark harness, the serving engine, the command-line
-// tools, the crash matrix and the public facade all call New.
+// heap is sized, who gets the recorder, what ends a run, what is read of a
+// finished one — is made here and nowhere else. The benchmark harness, the
+// serving engine, the command-line tools, the crash matrix and the public
+// facade all call New; the harness, the commands and the facade read a run
+// through Runtime.Stats.
 package rig
 
 import (
@@ -273,4 +275,64 @@ func (rt *Runtime) Finish() error {
 		}
 	}
 	return nil
+}
+
+// Stats is everything a report says about one finished run, read once: the
+// paper's tables, the perf report, the commands and the facade all read it
+// instead of the runtime's parts.
+type Stats struct {
+	Collector string           // the collector's name, as New was given it
+	Elapsed   simtime.Duration // the clock when the run finished
+	Pauses    *simtime.Digest  // the collector's pause record over [0, Elapsed]
+	GC        core.GCStats
+	Breakdown [simtime.NumAccounts]simtime.Duration
+	// The mutator counters, summed over the group's members.
+	BytesAllocated, LogWrites, BarrierFastSkips, BarrierDirtySkips int64
+	// Replicating is set for the replicating engine, the one that counts
+	// copies split, completions deferred and the log it leaves behind.
+	Replicating bool
+}
+
+// Stats reads the run; call it once the run has finished.
+func (rt *Runtime) Stats() Stats {
+	_, replicating := rt.GC.(*core.Replicating)
+	s := Stats{
+		Collector:   rt.Collector,
+		Elapsed:     rt.Group.Clock.Now(),
+		GC:          *rt.GC.Stats(),
+		Breakdown:   rt.Group.Clock.Breakdown(),
+		Replicating: replicating,
+	}
+	// A copy of the record's header, so that holding the digest does not hold
+	// the collector and its heap.
+	rec := *rt.GC.Pauses()
+	s.Pauses = rec.Digest(s.Elapsed)
+	for _, m := range rt.Group.Members {
+		s.BytesAllocated += m.BytesAllocated
+		s.LogWrites += m.LogWrites
+		s.BarrierFastSkips += m.BarrierFastSkips
+		s.BarrierDirtySkips += m.BarrierDirtySkips
+	}
+	return s
+}
+
+// Text renders the report one fact a line, each fact once: what rtgc -stats
+// and rtgc-bench trace print. subject names what ran.
+func (s Stats) Text(subject string) string {
+	gc := &s.GC
+	t := fmt.Sprintf("--- %s under %s (simulated time) ---\n", subject, s.Collector) +
+		fmt.Sprintf("elapsed            %v\n", s.Elapsed) +
+		fmt.Sprintf("allocated          %.2f MB\n", float64(s.BytesAllocated)/(1<<20)) +
+		fmt.Sprintf("minor collections  %d\n", gc.MinorCollections) +
+		fmt.Sprintf("major collections  %d\n", gc.MajorCollections) +
+		fmt.Sprintf("copied minor/major %.2f / %.2f MB\n", float64(gc.BytesCopiedMinor)/(1<<20), float64(gc.BytesCopiedMajor)/(1<<20)) +
+		s.Pauses.Summary() +
+		fmt.Sprintf("log entries        %d written, %d reapplied\n", s.LogWrites, gc.LogReapplied)
+	if s.Replicating {
+		t += fmt.Sprintf("largest copy       %d B uninterrupted, %d copies split across pauses\n", gc.LargestCopyBytes, gc.SplitCopies) +
+			fmt.Sprintf("completions        put off %d times to a pause they fit, %d overran their pause, largest flip worklist %d slots\n",
+				gc.Deferrals, gc.Overruns, gc.LargestFlipWorklist) +
+			fmt.Sprintf("log backlog        at most %d entries left unprocessed by a pause\n", s.Pauses.LogBacklog)
+	}
+	return t
 }

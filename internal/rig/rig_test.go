@@ -23,6 +23,49 @@ func small(c rig.Collector) rig.Config {
 	}
 }
 
+// TestStatsReadsTheWholeGroup: the report of a four-member run counts every
+// member's allocation and log writes, not the first member's, holds the
+// collector's whole pause record over the run, and prints each fact on one
+// line.
+func TestStatsReadsTheWholeGroup(t *testing.T) {
+	rc := small(rig.RT)
+	rc.Members = 4
+	rt, err := rig.New(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	md, err := gctest.NewMultiDriver(rt.Group, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 20; round++ {
+		if err := md.Step(60); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rt.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	st := rt.Stats()
+	var alloc, writes int64
+	for _, m := range rt.Group.Members {
+		alloc, writes = alloc+m.BytesAllocated, writes+m.LogWrites
+	}
+	if st.BytesAllocated != alloc || st.LogWrites != writes || alloc == rt.Mutator.BytesAllocated {
+		t.Errorf("report: %d B allocated, %d log writes; the members: %d B, %d writes, the first alone %d B",
+			st.BytesAllocated, st.LogWrites, alloc, writes, rt.Mutator.BytesAllocated)
+	}
+	if n := len(st.Pauses.Pauses); n == 0 || n != st.GC.PauseCount || st.Pauses.Span != st.Elapsed || st.Elapsed != rt.Group.Clock.Now() {
+		t.Errorf("report: %d pauses over %v of a %v run, the collector counted %d", n, st.Pauses.Span, st.Elapsed, st.GC.PauseCount)
+	}
+	text := st.Text("four members")
+	for _, label := range []string{"elapsed ", "allocated ", "pauses ", "utilization ", "MMU ", "phase copy ", "log entries ", "largest copy ", "completions ", "log backlog "} {
+		if n := strings.Count("\n"+text, "\n"+label); n != 1 {
+			t.Errorf("%d lines start with %q:\n%s", n, label, text)
+		}
+	}
+}
+
 // TestGroupHonoursRecorder is the regression test for the field the group
 // constructor used to drop: a recorder handed to a four-member runtime must
 // see every member's allocation epochs, the heap's log epochs and every

@@ -1,10 +1,11 @@
 package simtime
 
 // The digest: everything a report says about a run's pauses — quantiles,
-// utilization, the MMU curve, per-phase attribution, the worst pauses — as a
-// function of the collector's own pause record (core.Collector.Pauses) and how
-// long the run lasted. The MMU computation is exact, not sampled: it asks
-// PauseIndex, the one pause-interval index, for the worst window.
+// utilization, the MMU curve, per-phase attribution, the log backlog, the
+// worst pauses — as a function of the collector's own pause record
+// (core.Collector.Pauses) and how long the run lasted. The MMU computation is
+// exact, not sampled: it asks PauseIndex, the one pause-interval index, for
+// the worst window.
 
 import (
 	"fmt"
@@ -26,6 +27,7 @@ type Digest struct {
 	PhaseSpans [NumPhases]int
 	Copied     int64 // total bytes copied across pauses
 	LogEntries int64 // total log entries processed across pauses
+	LogBacklog int64 // the most log entries one pause left unprocessed (Pause.LogLeft)
 
 	idx *PauseIndex
 }
@@ -42,6 +44,7 @@ func (r *Recorder) Digest(span Duration) *Digest {
 		}
 		d.Copied += p.CopiedB
 		d.LogEntries += p.LogProcN
+		d.LogBacklog = max(d.LogBacklog, p.LogLeft)
 	}
 	return d
 }
@@ -102,6 +105,25 @@ func CheckMMUCurve(curve []MMUPoint) error {
 	return nil
 }
 
+// Measure is one named number of a report, for CheckNonNegative. (An alias of
+// an unnamed struct, so callers may list measures as {"name", v}.)
+type Measure = struct {
+	Name  string
+	Value float64
+}
+
+// CheckNonNegative rejects the first measure that is not a finite
+// non-negative number. Every report validator applies it to its plain
+// numbers, as it applies CheckMMUCurve to its "mmu" member.
+func CheckNonNegative(ms []Measure) error {
+	for _, m := range ms {
+		if math.IsNaN(m.Value) || math.IsInf(m.Value, 0) || m.Value < 0 {
+			return fmt.Errorf("%s = %v is not a finite non-negative number", m.Name, m.Value)
+		}
+	}
+	return nil
+}
+
 // StandardWindows is the default MMU window ladder: 1 ms to 10 s in a
 // 1-2-5 progression, truncated to windows shorter than the run, with the
 // run's length itself as the final point.
@@ -153,24 +175,22 @@ func (d *Digest) WorstPausesTable(k int) string {
 	return s
 }
 
-// Summary renders a one-screen plain-text digest: pause quantiles, MMU
-// ladder, per-phase attribution, and throughput (bytes copied and log
-// entries consumed per unit of pause time).
-func (d *Digest) Summary(label string) string {
-	s := fmt.Sprintf("--- trace: %s ---\n", label)
-	s += fmt.Sprintf("span %v, %d pauses (total %v, utilization %.1f%%)\n",
-		d.Span, len(d.Pauses), d.TotalPause(), 100*d.Utilization())
+// Summary renders the digest one fact a line, in the layout of the run report
+// it is part of (rig.Stats.Text): the pauses' count, total and quantiles,
+// utilization, the MMU ladder, per-phase attribution, and throughput (bytes
+// copied and log entries consumed per unit of pause time).
+func (d *Digest) Summary() string {
+	tp := d.TotalPause()
+	s := fmt.Sprintf("pauses             %d, total %v", len(d.Pauses), tp)
 	if len(d.Pauses) > 0 {
 		q := Percentiles(d.Durations(), 50, 90, 95, 99, 100)
-		s += fmt.Sprintf("pause p50 %v  p90 %v  p95 %v  p99 %v  max %v\n",
-			q[0], q[1], q[2], q[3], q[4])
+		s += fmt.Sprintf(": p50 %v  p90 %v  p95 %v  p99 %v  max %v", q[0], q[1], q[2], q[3], q[4])
 	}
-	s += "MMU:"
+	s += fmt.Sprintf("\nutilization        %.1f%%\nMMU               ", 100*d.Utilization())
 	for _, w := range d.StandardWindows() {
-		s += fmt.Sprintf("  %v %.1f%%", w, 100*d.MMU(w))
+		s += fmt.Sprintf(" %v=%.1f%%", w, 100*d.MMU(w))
 	}
-	s += "\nphases:\n"
-	tp := d.TotalPause()
+	s += "\n"
 	for p := Phase(0); p < NumPhases; p++ {
 		if d.PhaseSpans[p] == 0 {
 			continue
@@ -179,13 +199,12 @@ func (d *Digest) Summary(label string) string {
 		if tp > 0 {
 			pct = 100 * float64(d.PhaseTime[p]) / float64(tp)
 		}
-		s += fmt.Sprintf("  %-10s %4d spans %10v (%5.1f%% of pause time)\n",
-			p, d.PhaseSpans[p], d.PhaseTime[p], pct)
+		s += fmt.Sprintf("phase %-12s %v over %d spans, %.1f%% of pause time\n", p, d.PhaseTime[p], d.PhaseSpans[p], pct)
 	}
 	copyMBps, logPerMs := 0.0, 0.0
 	if tp > 0 {
 		copyMBps = float64(d.Copied) / (1 << 20) / tp.Seconds()
 		logPerMs = float64(d.LogEntries) / tp.Milliseconds()
 	}
-	return s + fmt.Sprintf("throughput: copy %.2f MB/s of pause, log %.1f entries/ms of pause\n", copyMBps, logPerMs)
+	return s + fmt.Sprintf("throughput         copy %.2f MB/s of pause, log %.1f entries/ms of pause\n", copyMBps, logPerMs)
 }

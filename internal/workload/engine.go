@@ -95,6 +95,10 @@ func Serve(rt *Runtime, t *Trace, legName string, opt ServeOptions) (*Leg, error
 		ends[i] = clock.Now()
 	}
 	elapsed := clock.Now()
+	// Not rt.Finish(), which runs the closing pauses as a quantum of rt.Group:
+	// the frozen benchmarks/host serves a Runtime it assembled itself, with no
+	// Group (TestServeWithoutGroup), so Serve reads only rt.Mutator, rt.GC and
+	// rt.Collector and ends the run itself.
 	if err := gc.FinishCycles(m); err != nil {
 		return nil, fmt.Errorf("workload: finishing collection cycles: %w", err)
 	}

@@ -9,7 +9,6 @@ package workload
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 
 	"repligc/internal/simtime"
 )
@@ -162,17 +161,12 @@ func (l *Leg) check(requests int) error {
 	if l.Requests != requests {
 		return fmt.Errorf("served %d of %d requests", l.Requests, requests)
 	}
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
+	if err := simtime.CheckNonNegative([]simtime.Measure{
 		{"elapsed_ms", l.ElapsedMs}, {"idle_ms", l.IdleMs},
 		{"pause_p50_ms", l.PauseP50Ms}, {"pause_p99_ms", l.PauseP99Ms},
 		{"pause_max_ms", l.PauseMaxMs}, {"queue mean_depth", l.Queue.MeanDepth},
-	} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
-			return fmt.Errorf("%s = %v is not a finite non-negative number", f.name, f.v)
-		}
+	}); err != nil {
+		return err
 	}
 	if l.ElapsedMs == 0 {
 		return fmt.Errorf("leg did no work")
@@ -203,19 +197,14 @@ func (l *Leg) check(requests int) error {
 		}
 		total += c.Requests
 		lat := c.Latency
-		for _, f := range []struct {
-			name string
-			v    float64
-		}{
+		if err := simtime.CheckNonNegative([]simtime.Measure{
 			{"p50", lat.P50}, {"p95", lat.P95}, {"p99", lat.P99},
 			{"p999", lat.P999}, {"max", lat.Max}, {"mean", lat.Mean},
 			{"queue_wait_p99_ms", c.QueueWaitP99Ms},
 			{"gc_intrusion total_ms", c.Intrusion.TotalMs},
 			{"gc_intrusion p99_ms", c.Intrusion.P99Ms},
-		} {
-			if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
-				return fmt.Errorf("cohort %s: %s = %v is not a finite non-negative number", c.Name, f.name, f.v)
-			}
+		}); err != nil {
+			return fmt.Errorf("cohort %s: %w", c.Name, err)
 		}
 		if lat.P50 > lat.P95 || lat.P95 > lat.P99 || lat.P99 > lat.P999 || lat.P999 > lat.Max {
 			return fmt.Errorf("cohort %s: latency percentiles are not monotone", c.Name)

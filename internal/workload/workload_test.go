@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"repligc/internal/artifact"
+	"repligc/internal/core"
 	"repligc/internal/faultinject"
+	"repligc/internal/heap"
 	"repligc/internal/rig"
 	"repligc/internal/simtime"
 )
@@ -246,6 +248,40 @@ func TestDeterminismMatrix(t *testing.T) {
 			t.Errorf("heap fingerprints disagree across collectors: %v", fps)
 			break
 		}
+	}
+}
+
+// TestServeWithoutGroup serves through a Runtime assembled by hand as the
+// frozen benchmarks/host assembles it — heap, mutator, collector and name, no
+// Group — and gets the leg a runtime from rig.New gets: Serve ends the run
+// itself and reads nothing such a Runtime lacks.
+func TestServeWithoutGroup(t *testing.T) {
+	spec := testSpec()
+	spec.DurationMs = 400
+	tr := mustGenerate(t, spec)
+	hs := spec.Heap.WithDefaults()
+	n := hs.NurseryKB << 10
+	h := heap.New(heap.Config{NurseryBytes: n, NurseryCapBytes: max(16*n, 16<<20), OldSemiBytes: hs.OldMB << 20})
+	m := core.NewMutator(h, simtime.NewClock(), simtime.Default1993(), core.LogAllMutations)
+	gc := core.NewReplicating(h, core.Config{NurseryBytes: n, MajorThresholdBytes: hs.MajorKB << 10,
+		CopyLimitBytes: hs.CopyLimitKB << 10, IncrementalMinor: true, IncrementalMajor: true})
+	m.AttachGC(gc)
+	bare, err := Serve(&Runtime{Heap: h, Mutator: m, GC: gc, Collector: rig.RT.Name}, tr, "leg", ServeOptions{})
+	if err != nil {
+		t.Fatalf("serving without a group: %v", err)
+	}
+	rt, err := NewRuntime(spec, rig.Config{Collector: rig.RT})
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := Serve(rt, tr, "leg", ServeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := json.Marshal(bare)
+	b, _ := json.Marshal(built)
+	if bare.Pauses == 0 || string(a) != string(b) {
+		t.Errorf("served without a group (%d pauses):\n %s\nbuilt by rig.New:\n %s", bare.Pauses, a, b)
 	}
 }
 

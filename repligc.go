@@ -18,7 +18,8 @@
 //
 //	rt, err := repligc.NewRealTime(repligc.RealTimeOptions{})
 //	out, err := rt.CompileAndRun(`print "hello from MiniML\n"`)
-//	fmt.Println(out, rt.GC.Pauses().Max())
+//	err = rt.Finish()
+//	fmt.Println(out, rt.StatsSummary())
 //
 // Lower-level access (allocation, write barrier, handles) is available via
 // rt.Mutator; see the examples/ directory for allocation-level, interactive
@@ -64,7 +65,7 @@ type (
 	// GCStats are the collector's work counters.
 	GCStats = core.GCStats
 	// ReplicatingConfig parameterises the replication collector
-	// (N, O, L, A and the incremental switches).
+	// (N, O, L and the incremental switches; A is L/2).
 	ReplicatingConfig = core.Config
 	// Replicating is the paper's replication collector.
 	Replicating = core.Replicating
@@ -171,6 +172,8 @@ type Runtime struct {
 	Mutator *Mutator
 	GC      Collector
 	Clock   *Clock
+
+	run *rig.Runtime // what ends the run and reads it
 }
 
 // newRuntime maps every facade constructor onto the one runtime constructor.
@@ -179,7 +182,7 @@ func newRuntime(c rig.Config) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Runtime{Heap: rt.Heap, Mutator: rt.Mutator, GC: rt.GC, Clock: rt.Mutator.Clock}, nil
+	return &Runtime{Heap: rt.Heap, Mutator: rt.Mutator, GC: rt.GC, Clock: rt.Mutator.Clock, run: rt}, nil
 }
 
 // NewRealTime builds a runtime with the replication collector.
@@ -237,14 +240,14 @@ func (r *Runtime) CompileAndRun(src string) (string, error) {
 // Finish drives any in-progress incremental collection to completion. A
 // non-nil error is heap exhaustion (IsOOM reports true on it); the heap
 // remains auditable.
-func (r *Runtime) Finish() error { return r.GC.FinishCycles(r.Mutator) }
+func (r *Runtime) Finish() error { return r.run.Finish() }
 
-// StatsSummary renders the collector's statistics in one line.
+// StatsSummary renders the run's report (see cmd/rtgc -stats for all of it)
+// in one line: the collector, elapsed time, allocation, collections and the
+// pause tail.
 func (r *Runtime) StatsSummary() string {
-	st := r.GC.Stats()
-	rec := r.GC.Pauses()
+	s := r.run.Stats()
 	return fmt.Sprintf("%s: elapsed=%v alloc=%.1fMB minors=%d majors=%d pauses=%d p99=%v max=%v",
-		r.GC.Name(), r.Clock.Now(), float64(r.Mutator.BytesAllocated)/(1<<20),
-		st.MinorCollections, st.MajorCollections, st.PauseCount,
-		rec.Percentile(99), rec.Max())
+		s.Collector, s.Elapsed, float64(s.BytesAllocated)/(1<<20), s.GC.MinorCollections, s.GC.MajorCollections,
+		len(s.Pauses.Pauses), s.Pauses.Percentile(99), s.Pauses.Max())
 }
