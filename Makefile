@@ -20,8 +20,9 @@ build:
 # constructors of a heap, a mutator, a group or a collector; and only a
 # command (which does so when asked for a Chrome trace file) may construct a
 # flight recorder — every digest reads the collector's own pause record. The
-# last keeps reading a finished run in one place: the harness, the commands
-# and the facade read rig.Runtime.Stats, not the collector's counters.
+# last keeps reading a finished run in one place: the harness, the serving
+# engine, the commands and the facade read rig.Runtime.Stats, not the
+# collector's counters.
 lint:
 	go vet ./...
 	go run ./cmd/gclint ./...
@@ -31,7 +32,7 @@ lint:
 	@if git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmarks/' -e '/testdata/' -e '^cmd/' -e '^internal/trace/' | \
 		xargs grep -nE 'trace\.NewRecorder\('; \
 		then echo 'lint: a library layer attaches a flight recorder on its own (lines above); take rig.Config.Trace from the caller'; exit 1; fi
-	@if git ls-files '*.go' | grep -v -e '_test\.go$$' | grep -e '^internal/bench/' -e '^cmd/' -e '^repligc\.go$$' | \
+	@if git ls-files '*.go' | grep -v -e '_test\.go$$' | grep -e '^internal/bench/' -e '^internal/workload/' -e '^cmd/' -e '^repligc\.go$$' | \
 		xargs grep -nE '\.GC\.(Stats|Pauses)\(\)'; \
 		then echo 'lint: a finished run is read past its report (lines above); call rig.Runtime.Stats'; exit 1; fi
 
@@ -62,18 +63,22 @@ loc:
 
 # Ten seconds of native fuzzing per target, from the committed seed corpora
 # (`go test` alone runs only the seeds): the streamed lexer against LexAll,
-# Compile ending in a program, a positioned error or a typed OOM, and the
-# three decoders of external bytes — the shared frame reader, the serving
-# trace and checkpoint recovery — each ending in an exact decode or a typed
-# *artifact.CorruptError, never a panic. The artifact targets switch input
-# minimisation off: by default the fuzzer spends up to a minute shrinking
-# every coverage-expanding input, which at kilobyte inputs is the whole smoke.
+# Compile ending in a program, a positioned error or a typed OOM, the three
+# decoders of external bytes — the shared frame reader, the serving trace and
+# checkpoint recovery — each ending in an exact decode or a typed
+# *artifact.CorruptError, and the two JSON readers — the serving spec, and the
+# perf and serving report validators — each ending in a value or an error;
+# never a panic. The targets over kilobyte inputs switch input minimisation
+# off: by default the fuzzer spends up to a minute shrinking every
+# coverage-expanding input, which at that size is the whole smoke.
 fuzz-smoke:
 	go test ./internal/lang -run '^$$' -fuzz '^FuzzLexStream$$' -fuzztime 10s
 	go test ./internal/lang -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 10s
 	go test ./internal/artifact -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 10s -fuzzminimizetime 0
 	go test ./internal/workload -run '^$$' -fuzz '^FuzzDecodeTrace$$' -fuzztime 10s -fuzzminimizetime 0
 	go test ./internal/checkpoint -run '^$$' -fuzz '^FuzzRecover$$' -fuzztime 10s -fuzzminimizetime 0
+	go test ./internal/workload -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s -fuzzminimizetime 0
+	go test ./internal/bench -run '^$$' -fuzz '^FuzzValidateReports$$' -fuzztime 10s -fuzzminimizetime 0
 
 # The perf trajectory at full scale: per-workload
 # baseline-vs-coalesced-vs-checkpointed log and pause metrics, the serving

@@ -21,7 +21,7 @@
 // shape only, never thresholds on the numbers). It tells them apart by what
 // the document contains; anything else exits 1 naming what was found.
 //
-// "trace" runs the paper workloads (Primes, Sort, Comp — or just the one
+// "trace" runs the paper workloads (Primes, Comp, Sort — or just the one
 // named) under the full real-time configuration, prints each run's report
 // (the rtgc -stats text: counters, pause quantiles, MMU curve, per-phase
 // attribution), holds its pause record to the pause bound and, with -out,
@@ -70,7 +70,7 @@ func main() {
 	commands := []command{
 		{"perf", "[-quick] [-out FILE] [-baseline FILE]", "", func(string) error { return runPerf(scale, scaleName, *out, *baseline) }},
 		{"validate", "", "FILE", runValidate},
-		{"trace", "[-quick] [-out FILE] [-worst K]", "[" + strings.Join(bench.PerfWorkloads, "|") + "]", func(w string) error { return runTrace(scale, w, *out, *worst) }},
+		{"trace", "[-quick] [-out FILE] [-worst K]", "[" + strings.Join(workloadNames(), "|") + "]", func(w string) error { return runTrace(scale, w, *out, *worst) }},
 		{"crashmatrix", "[-out FILE]", "", func(string) error { return runCrashMatrix(*out) }},
 		{"serve", "[-out FILE] [-record FILE]", "SPECFILE", func(spec string) error { return runServe(spec, *out, *record) }},
 		{"servereplay", "[-out FILE]", "TRACEFILE", func(tr string) error { return runServeReplay(tr, *out) }},

@@ -53,7 +53,8 @@ func runServeReplay(tracePath, outPath string) error {
 }
 
 // serveTrace serves tr under the naive-barrier and coalesced legs and emits
-// the serving report.
+// the serving report, then prints the serving digest and each leg's run
+// report.
 func serveTrace(tr *workload.Trace, outPath string) error {
 	sec, err := workload.RunLegs(tr, workload.StandardLegs())
 	if err != nil {
@@ -70,6 +71,9 @@ func serveTrace(tr *workload.Trace, outPath string) error {
 		return err
 	}
 	fmt.Print(workload.FormatSection(sec))
+	for _, l := range sec.Legs {
+		fmt.Print(l.Stats.Text(sec.Spec + ", leg " + l.Name))
+	}
 	fmt.Printf("serving report written to %s\n", outPath)
 	return nil
 }

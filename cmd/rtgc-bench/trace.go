@@ -22,6 +22,15 @@ func tracePath(out, workload string) string {
 	return out[:len(out)-len(ext)] + "-" + strings.ToLower(workload) + ext
 }
 
+// workloadNames lists bench.Workloads' names, in its order.
+func workloadNames() []string {
+	var names []string
+	for _, w := range bench.Workloads {
+		names = append(names, w.Name)
+	}
+	return names
+}
+
 // runTrace runs one workload (or, with workload == "", all three) under rt
 // in the paper's 50 ms parameter cell, printing the run's report, the worst
 // pauses when asked for and the pause-bound check, which fails the command,
@@ -30,7 +39,7 @@ func tracePath(out, workload string) string {
 //
 //gclint:io writes the Chrome trace artifact per workload
 func runTrace(s bench.Scale, workload, out string, worst int) error {
-	names := bench.PerfWorkloads
+	names := workloadNames()
 	if workload != "" {
 		names = []string{workload}
 	}
@@ -38,7 +47,7 @@ func runTrace(s bench.Scale, workload, out string, worst int) error {
 	for _, name := range names {
 		w, err := bench.WorkloadByName(name, s)
 		if err != nil {
-			return fmt.Errorf("%w (want %s)", err, strings.Join(bench.PerfWorkloads, ", "))
+			return fmt.Errorf("%w (want %s)", err, strings.Join(workloadNames(), ", "))
 		}
 		var tr *trace.Recorder
 		if out != "" {

@@ -111,10 +111,8 @@ func main() {
 		NurseryCapBytes: 32 << 20,
 		Trace:           look.recorder(),
 	}
-	var ckptW *checkpoint.Writer
 	if *ckptDir != "" {
-		ckptW = checkpoint.NewWriter(checkpoint.Config{Dir: *ckptDir})
-		rc.Checkpoint = ckptW
+		rc.Checkpoint = checkpoint.NewWriter(checkpoint.Config{Dir: *ckptDir})
 	}
 	rt, err := rig.New(rc)
 	if err != nil {
@@ -158,17 +156,10 @@ func main() {
 	// The pause bound is the replicating collector's, and a checkpoint
 	// writer's increments are outside it.
 	var bound core.Config
-	if !coll.StopCopy && ckptW == nil {
+	if !coll.StopCopy && rc.Checkpoint == nil {
 		bound.CopyLimitBytes = *lKB << 10
 	}
-	st := rt.Stats()
-	look.report(st, bound, flag.Arg(0))
-	if ckptW != nil && *stats {
-		cs := ckptW.Stats()
-		fmt.Fprintf(os.Stderr, "checkpoints        %d committed, %d aborted, %.2f MB snapshots + %.2f MB WAL, %v charged\n",
-			cs.Committed, cs.Aborted, float64(cs.SnapshotBytes)/(1<<20), float64(cs.WALBytes)/(1<<20),
-			st.Breakdown[simtime.AcctCheckpoint])
-	}
+	look.report(rt.Stats(), bound, flag.Arg(0))
 	if *census {
 		fmt.Fprintf(os.Stderr, "\n--- live-object census ---\n")
 		c := h.Census(&h.Nursery, h.OldFrom())

@@ -56,6 +56,6 @@ func runServeSpec(specPath string, coll rig.Collector, look traceFlags) int {
 	if !coll.StopCopy {
 		bound.CopyLimitBytes = spec.Heap.WithDefaults().CopyLimitKB << 10
 	}
-	look.report(rt.Stats(), bound, specPath)
+	look.report(leg.Stats, bound, specPath)
 	return 0
 }

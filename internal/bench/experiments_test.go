@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -67,7 +69,7 @@ func TestTable1Shape(t *testing.T) {
 			t.Fatal(err)
 		}
 		bound := core.Config{CopyLimitBytes: r.P.LBytes}.PauseBoundTime(simtime.Default1993())
-		if unbudgeted(res.Pauses.Pauses) == 0 && r.RT[2] > bound {
+		if res.Row().Unbudgeted == 0 && r.RT[2] > bound {
 			t.Errorf("%s %v: rt max %v exceeds the pause bound %v and no pause is forced or a counted overrun", r.Workload, r.P, r.RT[2], bound)
 		}
 	}
@@ -204,6 +206,44 @@ func TestAblations(t *testing.T) {
 	}
 	if len(lazy) != len(Workloads) {
 		t.Fatalf("lazy rows = %d", len(lazy))
+	}
+	// What decides whether lazy log processing stays (ROADMAP item 2): under
+	// the coalescing barrier rt-lazy runs exactly as rt does on every
+	// workload, because the entries it would defer (stores into nursery
+	// objects) are no longer written — its row is rt's but for the span
+	// counts of its deferred-reapply drain, an empty log-replay phase at each
+	// minor completion; under the paper's append-every-store barrier it
+	// reapplies more on the two workloads that mutate.
+	noSpans := func(r rig.Row) rig.Row {
+		r.Collector, r.Phases = "", slices.Clone(r.Phases)
+		for i := range r.Phases {
+			r.Phases[i].Count = 0
+		}
+		return r
+	}
+	for _, r := range lazy {
+		base, variant := noSpans(r.Base.Row()), noSpans(r.Var.Row())
+		if !reflect.DeepEqual(base, variant) {
+			t.Errorf("%s: under the coalescing barrier rt-lazy's row is not rt's:\n %+v\n %+v", r.Workload, variant, base)
+		}
+	}
+	for _, name := range []string{"Comp", "Sort"} {
+		var reapplied [2]int64
+		for i, c := range []rig.Collector{rig.RT, rig.RTLazy} {
+			w, err := WorkloadByName(name, s.Scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(w, rig.Config{Collector: c, Params: PaperParams()[0], NaiveBarrier: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reapplied[i] = res.GC.LogReapplied
+		}
+		if reapplied[1] <= reapplied[0] {
+			t.Errorf("%s under the append-every-store barrier: rt-lazy reapplies %d, rt %d; lazy processing changes nothing under either barrier",
+				name, reapplied[1], reapplied[0])
+		}
 	}
 	conc, err := s.Ablation(rig.RTConc)
 	if err != nil {

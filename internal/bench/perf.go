@@ -35,10 +35,9 @@ const PerfSchema = workload.ReportSchema
 
 // PerfReport is the document `rtgc-bench perf` emits.
 type PerfReport struct {
-	Schema    string `json:"schema"`
-	Collector string `json:"collector"` // configuration of both legs ("rt")
-	Params    string `json:"params"`    // O/N/L of both legs
-	Scale     string `json:"scale"`     // "default" or "quick"
+	Schema string `json:"schema"`
+	Params string `json:"params"` // O/N/L of every leg; each row names its collector
+	Scale  string `json:"scale"`  // "default" or "quick"
 
 	Workloads []PerfWorkload `json:"workloads"`
 
@@ -57,140 +56,41 @@ type PerfReport struct {
 }
 
 // MultiLeg is one N-mutator scaling cell of the multi-mutator section. All
-// times are simulated: WorkMs is the shared serial clock (total work done by
-// every actor), WallMs the projected makespan in which only each pause's
-// synchronous portion stops all mutators, and OverlapRatio their quotient —
-// greater than 1 means collector work genuinely ran while mutators ran.
+// times are simulated: the run's elapsed time is the shared serial clock
+// (total work done by every actor), WallMs the projected makespan in which
+// only each pause's synchronous portion stops all mutators, and OverlapRatio
+// their quotient — greater than 1 means collector work genuinely ran while
+// mutators ran.
 type MultiLeg struct {
 	Mutators       int       `json:"mutators"`
-	WorkMs         float64   `json:"work_ms"`
 	WallMs         float64   `json:"wall_ms"`
 	OverlapRatio   float64   `json:"overlap_ratio"`
-	Utilization    []float64 `json:"utilization"` // per-mutator, on the wall timeline
-	Minor          int       `json:"minor_collections"`
-	Major          int       `json:"major_collections"`
+	Utilization    []float64 `json:"utilization"`  // per-mutator, on the wall timeline
 	GroupPauses    int       `json:"group_pauses"` // all-mutators-stopped intervals
 	SyncPauseMaxMs float64   `json:"sync_pause_max_ms"`
 	MMU20Ms        float64   `json:"mmu_20ms"` // over the all-stopped intervals, wall timeline
-	// Unbudgeted counts the pauses outside the pause bound: forced, or a
-	// completion attempt let through over budget. With none, no all-stopped
-	// interval may exceed the bound (checkMulti).
-	Unbudgeted int `json:"unbudgeted_pauses"`
 	// Fingerprint anchors determinism: the combined reachable-graph hash of
 	// every member plus the shared contended array, stable across reruns
 	// for a given (N, seed).
-	Fingerprint string `json:"fingerprint"`
+	Fingerprint string  `json:"fingerprint"`
+	Run         rig.Row `json:"run"`
 }
 
 // PerfWorkload compares the barrier legs on one workload.
 type PerfWorkload struct {
 	Name         string  `json:"name"`
-	Baseline     PerfLeg `json:"baseline"`     // NaiveBarrier: true
-	Coalesced    PerfLeg `json:"coalesced"`    // the coalescing barrier
-	Checkpointed PerfLeg `json:"checkpointed"` // coalesced + incremental checkpoint writer
+	Baseline     rig.Row `json:"baseline"`     // NaiveBarrier: true
+	Coalesced    rig.Row `json:"coalesced"`    // the coalescing barrier
+	Checkpointed rig.Row `json:"checkpointed"` // coalesced + incremental checkpoint writer
 
 	// ReapplyReductionPct is the headline number: the percentage of the
 	// baseline's re-applied log entries that coalescing eliminated.
 	ReapplyReductionPct float64 `json:"reapply_reduction_pct"`
 	// AppendReductionPct is the same for barrier-side log appends.
 	AppendReductionPct float64 `json:"append_reduction_pct"`
-
-	// Checkpoint describes what the checkpointed leg persisted and what the
-	// crash consistency cost relative to the coalesced leg.
-	Checkpoint PerfCheckpoint `json:"checkpoint"`
-}
-
-// PerfCheckpoint is the checkpointed leg's persistence section.
-type PerfCheckpoint struct {
-	Epochs        int     `json:"epochs"`         // committed epochs (≥ 1: the final forced commit)
-	Aborted       int     `json:"aborted"`        // epochs invalidated by a major flip
-	SnapshotBytes int64   `json:"snapshot_bytes"` // total snapshot artifact bytes
-	WALBytes      int64   `json:"wal_bytes"`      // total WAL artifact bytes
-	WordsCopied   int64   `json:"words_copied"`   // heap words copied into segments
-	PatchWords    int64   `json:"patch_words"`    // WAL patch pairs (slots mutated mid-snapshot)
-	CheckpointMs  float64 `json:"checkpoint_ms"`  // simulated time charged to AcctCheckpoint
-	// OverheadPct is the headline intrusion number: the checkpointed leg's
-	// simulated elapsed time over the coalesced leg's, as a percentage.
-	OverheadPct float64 `json:"overhead_pct"`
-}
-
-// PerfLeg is one run's measurements.
-type PerfLeg struct {
-	ElapsedMs       float64 `json:"elapsed_ms"`       // simulated
-	ReplicationMBps float64 `json:"replication_mb_s"` // bytes replicated / simulated second
-	BytesReplicated int64   `json:"bytes_replicated"` // minor + major copying volume
-	LogAppended     int64   `json:"log_appended"`     // barrier-side appends
-	LogScanned      int64   `json:"log_scanned"`      // collector-side entries examined
-	LogReapplied    int64   `json:"log_reapplied"`    // mutations re-applied to replicas
-	NurserySkips    int64   `json:"nursery_skips"`    // fast-path suppressions (coalesced leg only)
-	DirtySkips      int64   `json:"dirty_skips"`      // stamp-hit suppressions (coalesced leg only)
-	Pauses          int     `json:"pauses"`
-	PauseMinMs      float64 `json:"pause_min_ms"`
-	PauseMedianMs   float64 `json:"pause_median_ms"`
-	PauseP95Ms      float64 `json:"pause_p95_ms"`
-	PauseMaxMs      float64 `json:"pause_max_ms"`
-	// Unbudgeted counts the pauses outside the pause bound (unbudgeted); with
-	// none, pause_max_ms may not exceed it on a leg with no checkpoint writer.
-	Unbudgeted int `json:"unbudgeted_pauses"`
-
-	// MMU is the minimum-mutator-utilization curve over the standard
-	// window ladder; Phases attributes pause time to collection phases.
-	// Both are digests of the leg's pause record.
-	MMU    []simtime.MMUPoint `json:"mmu"`
-	Phases []PhaseTime        `json:"phase_ms"`
-}
-
-// PhaseTime attributes pause time to one collection phase.
-type PhaseTime struct {
-	Phase string  `json:"phase"`
-	Ms    float64 `json:"ms"`
-	Count int     `json:"count"`
-}
-
-// perfLeg distils a Result, its pause record included.
-func perfLeg(r *Result) PerfLeg {
-	copied, d := r.GC.TotalBytesCopied(), r.Pauses
-	q := simtime.Percentiles(d.Durations(), 0, 50, 95, 100)
-	leg := PerfLeg{
-		ElapsedMs:       r.Elapsed.Milliseconds(),
-		BytesReplicated: copied,
-		LogAppended:     r.LogWrites,
-		LogScanned:      r.GC.LogScanned,
-		LogReapplied:    r.GC.LogReapplied,
-		NurserySkips:    r.BarrierFastSkips,
-		DirtySkips:      r.BarrierDirtySkips,
-		Pauses:          len(d.Pauses),
-		PauseMinMs:      q[0].Milliseconds(),
-		PauseMedianMs:   q[1].Milliseconds(),
-		PauseP95Ms:      q[2].Milliseconds(),
-		PauseMaxMs:      q[3].Milliseconds(),
-		Unbudgeted:      unbudgeted(d.Pauses),
-	}
-	if secs := r.Elapsed.Seconds(); secs > 0 {
-		leg.ReplicationMBps = float64(copied) / (1 << 20) / secs
-	}
-	leg.MMU = d.MMUCurve(d.StandardWindows())
-	for p := simtime.Phase(0); p < simtime.NumPhases; p++ {
-		if d.PhaseSpans[p] == 0 {
-			continue
-		}
-		leg.Phases = append(leg.Phases, PhaseTime{
-			Phase: p.String(),
-			Ms:    d.PhaseTime[p].Milliseconds(),
-			Count: d.PhaseSpans[p],
-		})
-	}
-	return leg
-}
-
-// unbudgeted counts the pauses the pause bound exempts.
-func unbudgeted(pauses []simtime.Pause) (n int) {
-	for _, p := range pauses {
-		if p.Unbudgeted() {
-			n++
-		}
-	}
-	return n
+	// CheckpointOverheadPct is what crash consistency cost: the checkpointed
+	// leg's simulated elapsed time over the coalesced leg's, as a percentage.
+	CheckpointOverheadPct float64 `json:"checkpoint_overhead_pct"`
 }
 
 // perfPauseBoundMs is the pause bound of the perf cell (DESIGN.md, "Pause
@@ -213,10 +113,6 @@ func reductionPct(base, coal int64) float64 {
 // collects frequently in.
 func perfParams() Params { return PaperParams()[0] }
 
-// PerfWorkloads is the order the report (and `rtgc-bench trace`) takes the
-// workloads in; BENCH_SMOKE.json commits it.
-var PerfWorkloads = []string{"Primes", "Sort", "Comp"}
-
 // perfLegs are the runs every workload gets, in report order: rt in the perf
 // cell, plus the leg's delta.
 var perfLegs = [...]struct {
@@ -226,73 +122,50 @@ var perfLegs = [...]struct {
 }{{"baseline", true, false}, {"coalesced", false, false}, {"checkpointed", false, true}}
 
 // legs lists w's runs in perfLegs order.
-func (w *PerfWorkload) legs() [len(perfLegs)]*PerfLeg {
-	return [...]*PerfLeg{&w.Baseline, &w.Coalesced, &w.Checkpointed}
+func (w *PerfWorkload) legs() [len(perfLegs)]*rig.Row {
+	return [...]*rig.Row{&w.Baseline, &w.Coalesced, &w.Checkpointed}
 }
 
 // runLeg runs w under one leg. A checkpointed leg keeps its artifacts in a
-// throwaway directory the checkpoint package owns and also returns its
-// writer, for what it persisted.
-func runLeg(w Workload, naiveBarrier, checkpointed bool) (*Result, *checkpoint.Writer, error) {
+// throwaway directory the checkpoint package owns.
+func runLeg(w Workload, naiveBarrier, checkpointed bool) (*Result, error) {
 	rc := rig.Config{Collector: rig.RT, Params: perfParams(), NaiveBarrier: naiveBarrier}
-	var cw *checkpoint.Writer
 	if checkpointed {
 		dir, cleanup, err := checkpoint.TempDir("rtgc-bench-ckpt-")
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		defer cleanup()
 		// One epoch per 4 MB allocated, 64 KB of copying per pause: the
 		// steady-state cadence, not back-to-back snapshots.
-		cw = checkpoint.NewWriter(checkpoint.Config{Dir: dir, BudgetBytes: 64 << 10, EveryBytes: 4 << 20})
-		rc.Checkpoint = cw
+		rc.Checkpoint = checkpoint.NewWriter(checkpoint.Config{Dir: dir, BudgetBytes: 64 << 10, EveryBytes: 4 << 20})
 	}
-	res, err := Run(w, rc)
-	return res, cw, err
+	return Run(w, rc)
 }
 
-// RunPerf runs the three workloads under every leg and assembles the report.
+// RunPerf runs the paper's workloads under every leg and assembles the
+// report.
 func RunPerf(s Scale, scaleName string) (*PerfReport, error) {
-	rep := &PerfReport{
-		Schema:    PerfSchema,
-		Collector: rig.RT.Name,
-		Params:    perfParams().String(),
-		Scale:     scaleName,
-	}
-	for _, name := range PerfWorkloads {
-		w, err := WorkloadByName(name, s)
-		if err != nil {
-			return nil, err
-		}
-		pw := PerfWorkload{Name: name}
-		var res [len(perfLegs)]*Result
+	rep := &PerfReport{Schema: PerfSchema, Params: perfParams().String(), Scale: scaleName}
+	for _, wl := range Workloads {
+		w := wl.New(s)
+		pw := PerfWorkload{Name: wl.Name}
+		var output string
 		for i, l := range perfLegs {
-			r, cw, err := runLeg(w, l.naiveBarrier, l.checkpointed)
+			r, err := runLeg(w, l.naiveBarrier, l.checkpointed)
 			if err != nil {
-				return nil, fmt.Errorf("perf %s %s: %w", name, l.tag, err)
+				return nil, fmt.Errorf("perf %s %s: %w", wl.Name, l.tag, err)
 			}
-			if i > 0 && r.Output != res[0].Output {
-				return nil, fmt.Errorf("perf %s: the %s leg computed a different result than the %s leg", name, l.tag, perfLegs[0].tag)
+			if i > 0 && r.Output != output {
+				return nil, fmt.Errorf("perf %s: the %s leg computed a different result than the %s leg", wl.Name, l.tag, perfLegs[0].tag)
 			}
-			res[i], *pw.legs()[i] = r, perfLeg(r)
-			if l.checkpointed {
-				persisted := cw.Stats()
-				pw.Checkpoint = PerfCheckpoint{
-					Epochs:        persisted.Committed,
-					Aborted:       persisted.Aborted,
-					SnapshotBytes: persisted.SnapshotBytes,
-					WALBytes:      persisted.WALBytes,
-					WordsCopied:   persisted.WordsCopied,
-					PatchWords:    persisted.PatchWords,
-					CheckpointMs:  r.Breakdown[simtime.AcctCheckpoint].Milliseconds(),
-				}
-			}
+			output, *pw.legs()[i] = r.Output, r.Row()
 		}
-		base, coal, ckpt := res[0], res[1], res[2]
-		pw.ReapplyReductionPct = reductionPct(base.GC.LogReapplied, coal.GC.LogReapplied)
-		pw.AppendReductionPct = reductionPct(base.LogWrites, coal.LogWrites)
-		if coalMs := coal.Elapsed.Milliseconds(); coalMs > 0 {
-			pw.Checkpoint.OverheadPct = 100 * (ckpt.Elapsed.Milliseconds() - coalMs) / coalMs
+		base, coal, ckpt := &pw.Baseline, &pw.Coalesced, &pw.Checkpointed
+		pw.ReapplyReductionPct = reductionPct(base.LogReapplied, coal.LogReapplied)
+		pw.AppendReductionPct = reductionPct(base.LogAppended, coal.LogAppended)
+		if coal.ElapsedMs > 0 {
+			pw.CheckpointOverheadPct = 100 * (ckpt.ElapsedMs - coal.ElapsedMs) / coal.ElapsedMs
 		}
 		rep.Workloads = append(rep.Workloads, pw)
 	}
@@ -340,17 +213,14 @@ func RunMulti(s Scale) ([]MultiLeg, error) {
 		if err := rt.Finish(); err != nil {
 			return nil, fmt.Errorf("multi N=%d finish: %w", n, err)
 		}
-		st := rt.Stats()
+		run := rt.Stats().Row() // before the fingerprint, whose graph walk charges the clock
 		leg := MultiLeg{
 			Mutators:     n,
-			WorkMs:       st.Elapsed.Milliseconds(),
 			WallMs:       g.Elapsed().Milliseconds(),
 			OverlapRatio: g.OverlapRatio(),
-			Minor:        st.GC.MinorCollections,
-			Major:        st.GC.MajorCollections,
 			GroupPauses:  len(g.GroupPauses().Pauses),
-			Unbudgeted:   unbudgeted(st.Pauses.Pauses),
 			Fingerprint:  fmt.Sprintf("%016x", md.Fingerprint()),
+			Run:          run,
 		}
 		for i := range g.Members {
 			leg.Utilization = append(leg.Utilization, g.Utilization(i))
@@ -466,31 +336,24 @@ func ValidatePerf(data []byte) error {
 		}
 		want[w.Name] = true
 		for i, leg := range w.legs() {
-			if err := leg.check(); err != nil {
-				return fmt.Errorf("perf report: %s %s: %w", w.Name, perfLegs[i].tag, err)
-			}
+			l := perfLegs[i]
+			err := leg.Check()
+			switch bound := perfPauseBoundMs(); {
+			case err != nil: // the row itself is implausible
+			case leg.Pauses == 0:
+				err = fmt.Errorf("run collected nothing")
+			case (leg.Checkpoint != nil) != l.checkpointed:
+				err = fmt.Errorf("checkpoint writer attached: %v, want %v", leg.Checkpoint != nil, l.checkpointed)
+			case l.naiveBarrier && (leg.NurserySkips != 0 || leg.DirtySkips != 0):
+				err = fmt.Errorf("the append-every-store barrier reports fast-path skips")
 			// The floor under the pause bound: a leg whose every pause had a
 			// budget, and no checkpoint increment on top, is held to it.
-			if bound := perfPauseBoundMs(); !perfLegs[i].checkpointed && leg.Unbudgeted == 0 && leg.PauseMaxMs > bound {
-				return fmt.Errorf("perf report: %s %s: pause_max_ms = %.3f exceeds the pause bound %.1f ms and no unbudgeted pause is listed", w.Name, perfLegs[i].tag, leg.PauseMaxMs, bound)
+			case !l.checkpointed && leg.Unbudgeted == 0 && leg.PauseMaxMs > bound:
+				err = fmt.Errorf("pause_max_ms = %.3f exceeds the pause bound %.1f ms and no unbudgeted pause is listed", leg.PauseMaxMs, bound)
 			}
-		}
-		if w.Baseline.NurserySkips != 0 || w.Baseline.DirtySkips != 0 {
-			return fmt.Errorf("perf report: %s baseline leg reports fast-path skips", w.Name)
-		}
-		c := w.Checkpoint
-		if c.Epochs < 1 {
-			return fmt.Errorf("perf report: %s checkpointed leg committed no epochs", w.Name)
-		}
-		if c.SnapshotBytes <= 0 || c.WALBytes <= 0 || c.WordsCopied <= 0 {
-			return fmt.Errorf("perf report: %s checkpoint section persisted nothing (snap %d, wal %d, words %d)",
-				w.Name, c.SnapshotBytes, c.WALBytes, c.WordsCopied)
-		}
-		if math.IsNaN(c.CheckpointMs) || c.CheckpointMs < 0 {
-			return fmt.Errorf("perf report: %s checkpoint_ms = %v is not plausible", w.Name, c.CheckpointMs)
-		}
-		if math.IsNaN(c.OverheadPct) || math.IsInf(c.OverheadPct, 0) {
-			return fmt.Errorf("perf report: %s checkpoint overhead_pct = %v is not finite", w.Name, c.OverheadPct)
+			if err != nil {
+				return fmt.Errorf("perf report: %s %s: %w", w.Name, l.tag, err)
+			}
 		}
 	}
 	for _, w := range Workloads {
@@ -521,19 +384,22 @@ func checkMulti(legs []MultiLeg) error {
 		if leg.Mutators != multiLadder[i] {
 			return fmt.Errorf("multi leg %d: mutators = %d, want %d", i, leg.Mutators, multiLadder[i])
 		}
+		run := &leg.Run
+		if err := run.Check(); err != nil {
+			return fmt.Errorf("multi N=%d: %w", leg.Mutators, err)
+		}
 		if err := simtime.CheckNonNegative([]simtime.Measure{
-			{"work_ms", leg.WorkMs}, {"wall_ms", leg.WallMs},
-			{"overlap_ratio", leg.OverlapRatio}, {"sync_pause_max_ms", leg.SyncPauseMaxMs},
-			{"mmu_20ms", leg.MMU20Ms},
+			{"wall_ms", leg.WallMs}, {"overlap_ratio", leg.OverlapRatio},
+			{"sync_pause_max_ms", leg.SyncPauseMaxMs}, {"mmu_20ms", leg.MMU20Ms},
 		}); err != nil {
 			return fmt.Errorf("multi N=%d: %w", leg.Mutators, err)
 		}
-		if leg.WorkMs == 0 || leg.Minor == 0 || leg.GroupPauses == 0 {
-			return fmt.Errorf("multi N=%d: leg did no collected work (work %.0f ms, %d minors, %d group pauses)",
-				leg.Mutators, leg.WorkMs, leg.Minor, leg.GroupPauses)
+		if run.MinorCollections == 0 || leg.GroupPauses == 0 {
+			return fmt.Errorf("multi N=%d: leg did no collected work (%d minors, %d group pauses)",
+				leg.Mutators, run.MinorCollections, leg.GroupPauses)
 		}
-		if leg.WallMs > leg.WorkMs {
-			return fmt.Errorf("multi N=%d: wall %.3f ms exceeds serial work %.3f ms", leg.Mutators, leg.WallMs, leg.WorkMs)
+		if leg.WallMs > run.ElapsedMs {
+			return fmt.Errorf("multi N=%d: wall %.3f ms exceeds serial work %.3f ms", leg.Mutators, leg.WallMs, run.ElapsedMs)
 		}
 		if leg.Mutators == 1 {
 			// The identity anchor: one mutator overlaps nothing, so the wall
@@ -553,7 +419,7 @@ func checkMulti(legs []MultiLeg) error {
 				return fmt.Errorf("multi N=%d: mutator %d utilization %v outside (0, 1]", leg.Mutators, j, u)
 			}
 		}
-		if bound := perfPauseBoundMs(); leg.Unbudgeted == 0 && leg.SyncPauseMaxMs > bound {
+		if bound := perfPauseBoundMs(); run.Unbudgeted == 0 && leg.SyncPauseMaxMs > bound {
 			return fmt.Errorf("multi N=%d: sync_pause_max_ms = %.3f exceeds the pause bound %.1f ms and no unbudgeted pause is listed", leg.Mutators, leg.SyncPauseMaxMs, bound)
 		}
 		if leg.MMU20Ms >= 1 {
@@ -561,41 +427,6 @@ func checkMulti(legs []MultiLeg) error {
 		}
 		if len(leg.Fingerprint) != 16 {
 			return fmt.Errorf("multi N=%d: fingerprint %q is not 16 hex digits", leg.Mutators, leg.Fingerprint)
-		}
-	}
-	return nil
-}
-
-// check rejects legs with impossible measurements.
-func (l PerfLeg) check() error {
-	if err := simtime.CheckNonNegative([]simtime.Measure{
-		{"elapsed_ms", l.ElapsedMs}, {"replication_mb_s", l.ReplicationMBps},
-		{"pause_min_ms", l.PauseMinMs}, {"pause_median_ms", l.PauseMedianMs},
-		{"pause_p95_ms", l.PauseP95Ms}, {"pause_max_ms", l.PauseMaxMs},
-	}); err != nil {
-		return err
-	}
-	if l.ElapsedMs == 0 || l.Pauses == 0 {
-		return fmt.Errorf("run did no work (elapsed %.0f ms, %d pauses)", l.ElapsedMs, l.Pauses)
-	}
-	if l.PauseMinMs > l.PauseMedianMs || l.PauseMedianMs > l.PauseP95Ms || l.PauseP95Ms > l.PauseMaxMs {
-		return fmt.Errorf("pause percentiles are not monotone")
-	}
-	if l.LogReapplied > l.LogScanned {
-		return fmt.Errorf("re-applied %d entries but scanned only %d", l.LogReapplied, l.LogScanned)
-	}
-	if err := simtime.CheckMMUCurve(l.MMU); err != nil {
-		return err
-	}
-	if len(l.Phases) == 0 {
-		return fmt.Errorf("phase attribution is empty (schema %s requires it)", PerfSchema)
-	}
-	for _, ph := range l.Phases {
-		if ph.Phase == "" {
-			return fmt.Errorf("phase attribution entry with empty phase name")
-		}
-		if math.IsNaN(ph.Ms) || math.IsInf(ph.Ms, 0) || ph.Ms < 0 || ph.Count <= 0 {
-			return fmt.Errorf("phase %s: %.3f ms over %d spans is not plausible", ph.Phase, ph.Ms, ph.Count)
 		}
 	}
 	return nil

@@ -73,15 +73,20 @@ func TestPerfGateAndValidator(t *testing.T) {
 			t.Errorf("%s: got %v, want %q", name, err, want)
 		}
 	}
-	floor("rt leg over the bound", func(r *PerfReport) { r.Workloads[1].Coalesced.PauseMaxMs = 68.944 },
+	floor("rt leg over the bound", func(r *PerfReport) { r.Workloads[2].Coalesced.PauseMaxMs = 68.944 },
 		"Sort coalesced: pause_max_ms = 68.944 exceeds the pause bound 57.6 ms")
 	floor("rt leg over the bound, overrun listed", func(r *PerfReport) {
-		r.Workloads[1].Coalesced.PauseMaxMs, r.Workloads[1].Coalesced.Unbudgeted = 68.944, 1
+		r.Workloads[2].Coalesced.PauseMaxMs, r.Workloads[2].Coalesced.Unbudgeted = 68.944, 1
 	}, "")
-	floor("checkpointed leg over the bound", func(r *PerfReport) { r.Workloads[1].Checkpointed.PauseMaxMs = 68.944 }, "")
+	floor("checkpointed leg over the bound", func(r *PerfReport) { r.Workloads[2].Checkpointed.PauseMaxMs = 68.944 }, "")
 	floor("all-stopped interval over the bound", func(r *PerfReport) { r.Multi[2].SyncPauseMaxMs = 72.324 },
 		"multi N=4: sync_pause_max_ms = 72.324 exceeds the pause bound 57.6 ms")
 	floor("all-stopped interval over the bound, overrun listed", func(r *PerfReport) { r.Multi[3].SyncPauseMaxMs = 72.324 }, "")
+	// Each run's row is checked, wherever the report holds it.
+	floor("perf leg", func(r *PerfReport) { r.Workloads[0].Baseline.PauseP90Ms = 1e6 }, "Primes baseline: pause percentiles are not monotone")
+	floor("checkpointed leg", func(r *PerfReport) { r.Workloads[1].Checkpointed.Checkpoint = nil }, "Comp checkpointed: checkpoint writer attached: false")
+	floor("multi-mutator leg", func(r *PerfReport) { r.Multi[1].Run.LogReapplied = r.Multi[1].Run.LogScanned + 1 }, "multi N=2: re-applied")
+	floor("serving leg", func(r *PerfReport) { r.Serving.Legs[1].Run.MMU = nil }, "serving leg coalesced: mmu curve is empty")
 
 	stale := strings.Replace(string(committed), PerfSchema, "repligc-bench/6", 1)
 	if err := ValidatePerf([]byte(stale)); err == nil || !strings.Contains(err.Error(), `schema "repligc-bench/6"`) {
@@ -107,8 +112,8 @@ func TestPerfLegNeedsNoRecorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leg := perfLeg(res)
-	if err := simtime.CheckMMUCurve(leg.MMU); err != nil {
+	leg := res.Row()
+	if err := leg.Check(); err != nil {
 		t.Fatal(err)
 	}
 	if last := leg.MMU[len(leg.MMU)-1].WindowMs; last != leg.ElapsedMs {
@@ -119,17 +124,17 @@ func TestPerfLegNeedsNoRecorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(leg, perfLeg(traced)) {
-		t.Errorf("attaching a recorder changed the leg:\n off %+v\n on  %+v", leg, perfLeg(traced))
+	if !reflect.DeepEqual(leg, traced.Row()) {
+		t.Errorf("attaching a recorder changed the leg:\n off %+v\n on  %+v", leg, traced.Row())
 	}
 	d, err := trace.Analyze(rc.Trace.Events())
 	if err != nil || rc.Trace.Dropped() != 0 {
 		t.Fatalf("analyzing the traced run: %v (%d events dropped)", err, rc.Trace.Dropped())
 	}
-	var fromTrace []PhaseTime
+	var fromTrace []rig.PhaseRow
 	for p := simtime.Phase(0); p < simtime.NumPhases; p++ {
 		if d.PhaseSpans[p] > 0 {
-			fromTrace = append(fromTrace, PhaseTime{Phase: p.String(), Ms: d.PhaseTime[p].Milliseconds(), Count: d.PhaseSpans[p]})
+			fromTrace = append(fromTrace, rig.PhaseRow{Phase: p.String(), Ms: d.PhaseTime[p].Milliseconds(), Count: d.PhaseSpans[p]})
 		}
 	}
 	if len(leg.Phases) == 0 || !reflect.DeepEqual(leg.Phases, fromTrace) {

@@ -10,6 +10,7 @@ import (
 	"repligc/internal/artifact"
 	"repligc/internal/core"
 	"repligc/internal/heap"
+	"repligc/internal/rig"
 	"repligc/internal/simtime"
 )
 
@@ -40,28 +41,12 @@ const commitSlack = 4
 // complete predecessor.
 const keepEpochs = 2
 
-// EpochInfo describes one committed epoch.
-type EpochInfo struct {
-	Epoch       uint64
-	Fingerprint uint64 // authoritative state hash, computed from the live heap at commit
-	SnapBytes   int64
-	WALBytes    int64
-	PatchWords  int // WAL patch pairs written (slots mutated mid-snapshot)
-	LogEntries  int // retained mutation-log entries persisted
-	Pauses      int // pauses the epoch's copying was spread across
-}
+// EpochInfo describes one committed epoch. The type is rig's, so that a run's
+// report (rig.Stats) carries what its writer persisted.
+type EpochInfo = rig.EpochInfo
 
-// Stats aggregates a Writer's lifetime activity.
-type Stats struct {
-	Committed     int
-	Aborted       int // epochs invalidated by a major flip mid-snapshot
-	SnapshotBytes int64
-	WALBytes      int64
-	WordsCopied   int64 // heap words written into snapshot segments
-	PatchWords    int64
-	Epochs        []EpochInfo
-	LastErr       error // most recent I/O failure (epoch aborted, writing continues)
-}
+// Stats aggregates a Writer's lifetime activity (rig.CheckpointStats).
+type Stats = rig.CheckpointStats
 
 // Writer incrementally persists checkpoints of a running collector. Attach
 // it with Replicating.SetCheckpointer; every collection pause then advances

@@ -35,47 +35,48 @@ type Collector interface {
 	Pauses() *simtime.Recorder
 }
 
-// GCStats counts collector work in the units the paper reports.
+// GCStats counts collector work in the units the paper reports. Its JSON form
+// is part of a run's report row (rig.Row).
 type GCStats struct {
-	MinorCollections int   // completed minor collections (flips)
-	MajorCollections int   // completed major collections (flips)
-	PauseCount       int   // number of mutator pauses
-	BytesCopiedMinor int64 // bytes replicated nursery -> old
-	BytesCopiedMajor int64 // bytes replicated old-from -> old-to
-	LogScanned       int64 // log entries examined
-	LogReapplied     int64 // logged mutations reapplied to replicas
-	FlipEntryUpdates int64 // logged locations re-pointed during flips
-	RootSlotUpdates  int64 // root slots scanned or updated
-	ForcedCompletion int   // incremental collections forced non-incremental
-	NurseryExpansion int64 // bytes of nursery expansion granted (param A)
+	MinorCollections int   `json:"minor_collections"`       // completed minor collections (flips)
+	MajorCollections int   `json:"major_collections"`       // completed major collections (flips)
+	PauseCount       int   `json:"-"`                       // number of mutator pauses (the row counts its record's)
+	BytesCopiedMinor int64 `json:"copied_minor_bytes"`      // bytes replicated nursery -> old
+	BytesCopiedMajor int64 `json:"copied_major_bytes"`      // bytes replicated old-from -> old-to
+	LogScanned       int64 `json:"log_scanned"`             // log entries examined
+	LogReapplied     int64 `json:"log_reapplied"`           // logged mutations reapplied to replicas
+	FlipEntryUpdates int64 `json:"flip_entry_updates"`      // logged locations re-pointed during flips
+	RootSlotUpdates  int64 `json:"root_slot_updates"`       // root slots scanned or updated
+	ForcedCompletion int   `json:"forced_completions"`      // incremental collections forced non-incremental
+	NurseryExpansion int64 `json:"nursery_expansion_bytes"` // bytes of nursery expansion granted (param A)
 
 	// SplitCopies counts the replicas filled over more than one pause, and
 	// LargestCopyBytes is the largest single uninterrupted copy: what the copy
 	// term of the pause bound (Config.PauseCopyBound) is a formula over.
-	SplitCopies      int64
-	LargestCopyBytes int64
+	SplitCopies      int64 `json:"split_copies"`
+	LargestCopyBytes int64 `json:"largest_copy_bytes"`
 
 	// The admission gate's counters (Replicating.deferAttempt): completion
 	// attempts — a minor collection's, or a major flip — put off to a later
 	// pause because they did not fit theirs, attempts that ran although they
 	// did not fit (cost alone above the budget, or the deferral cap reached),
 	// and the longest worklist a major flip re-pointed.
-	Deferrals           int
-	Overruns            int
-	LargestFlipWorklist int
+	Deferrals           int `json:"deferrals"`
+	Overruns            int `json:"overruns"`
+	LargestFlipWorklist int `json:"largest_flip_worklist"`
 
 	// EmergencyCollections counts degradation-ladder activations: pauses
 	// promoted to full stop-the-world completion because the promotion
 	// target's headroom fell below the reservation (nursery contents plus
 	// the promotion high-water mark), or because a failed old-space
 	// allocation requested an emergency major.
-	EmergencyCollections int
+	EmergencyCollections int `json:"emergency_collections"`
 
 	// FlipCopied records the cumulative TotalBytesCopied at each minor
 	// flip. Comparing two runs with synchronized flips at their last
 	// common flip index yields the paper's latent-garbage measurement
 	// (table 3).
-	FlipCopied []int64
+	FlipCopied []int64 `json:"-"`
 }
 
 // EmergencyCollector is implemented by collectors that can run a

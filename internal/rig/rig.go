@@ -6,8 +6,9 @@
 // heap is sized, who gets the recorder, what ends a run, what is read of a
 // finished one — is made here and nowhere else. The benchmark harness, the
 // serving engine, the command-line tools, the crash matrix and the public
-// facade all call New; the harness, the commands and the facade read a run
-// through Runtime.Stats.
+// facade all call New; the harness, the serving engine, the commands and the
+// facade read a run through Runtime.Stats, and every JSON report carries its
+// Row.
 package rig
 
 import (
@@ -99,12 +100,37 @@ func (p Params) String() string {
 }
 
 // Checkpointer is what New needs of a checkpoint writer: the collector's
-// per-pause hook and the commit that ends a run. internal/checkpoint.Writer
-// implements it; the interface lives here so that package can itself build
-// its runs through New.
+// per-pause hook, the commit that ends a run and what it persisted, which
+// Runtime.Stats reports. internal/checkpoint.Writer implements it; the
+// interface lives here so that package can itself build its runs through New.
 type Checkpointer interface {
 	core.Checkpointer
 	ForceCommit(m *core.Mutator, gc *core.Replicating) error
+	Stats() CheckpointStats
+}
+
+// CheckpointStats aggregates a checkpoint writer's lifetime activity
+// (internal/checkpoint calls it Stats). Its JSON form is the counters.
+type CheckpointStats struct {
+	Committed     int         `json:"committed"`
+	Aborted       int         `json:"aborted"` // epochs invalidated by a major flip mid-snapshot
+	SnapshotBytes int64       `json:"snapshot_bytes"`
+	WALBytes      int64       `json:"wal_bytes"`
+	WordsCopied   int64       `json:"words_copied"` // heap words written into snapshot segments
+	PatchWords    int64       `json:"patch_words"`  // WAL patch pairs (slots mutated mid-snapshot)
+	Epochs        []EpochInfo `json:"-"`
+	LastErr       error       `json:"-"` // most recent I/O failure (epoch aborted, writing continues)
+}
+
+// EpochInfo describes one committed checkpoint epoch.
+type EpochInfo struct {
+	Epoch       uint64
+	Fingerprint uint64 // authoritative state hash, computed from the live heap at commit
+	SnapBytes   int64
+	WALBytes    int64
+	PatchWords  int // WAL patch pairs written (slots mutated mid-snapshot)
+	LogEntries  int // retained mutation-log entries persisted
+	Pauses      int // pauses the epoch's copying was spread across
 }
 
 // Config describes one run.
@@ -278,61 +304,88 @@ func (rt *Runtime) Finish() error {
 }
 
 // Stats is everything a report says about one finished run, read once: the
-// paper's tables, the perf report, the commands and the facade all read it
-// instead of the runtime's parts.
+// paper's tables, the perf report, the serving engine, the commands and the
+// facade all read it instead of the runtime's parts. Text is its one
+// rendering and Row its one JSON form.
 type Stats struct {
 	Collector string           // the collector's name, as New was given it
 	Elapsed   simtime.Duration // the clock when the run finished
 	Pauses    *simtime.Digest  // the collector's pause record over [0, Elapsed]
-	GC        core.GCStats
-	Breakdown [simtime.NumAccounts]simtime.Duration
+	// MMUWindows are the windows of the run's one MMU curve: the standard
+	// ladder, to which a serving run adds its cohorts' SLO targets.
+	MMUWindows []simtime.Duration
+	GC         core.GCStats
+	Breakdown  [simtime.NumAccounts]simtime.Duration
 	// The mutator counters, summed over the group's members.
 	BytesAllocated, LogWrites, BarrierFastSkips, BarrierDirtySkips int64
 	// Replicating is set for the replicating engine, the one that counts
 	// copies split, completions deferred and the log it leaves behind.
 	Replicating bool
+	// Checkpoint is what the attached checkpoint writer persisted; nil
+	// without one.
+	Checkpoint *CheckpointStats
 }
 
-// Stats reads the run; call it once the run has finished.
+// Stats reads the run; call it once the run has finished. It reads the
+// mutator, the collector and the checkpointer, and the group only for its
+// other members, so a Runtime assembled without a Group (the frozen
+// benchmark serves one) is read as a one-member run.
 func (rt *Runtime) Stats() Stats {
 	_, replicating := rt.GC.(*core.Replicating)
+	clock := rt.Mutator.Clock
 	s := Stats{
 		Collector:   rt.Collector,
-		Elapsed:     rt.Group.Clock.Now(),
+		Elapsed:     clock.Now(),
 		GC:          *rt.GC.Stats(),
-		Breakdown:   rt.Group.Clock.Breakdown(),
+		Breakdown:   clock.Breakdown(),
 		Replicating: replicating,
 	}
 	// A copy of the record's header, so that holding the digest does not hold
 	// the collector and its heap.
 	rec := *rt.GC.Pauses()
 	s.Pauses = rec.Digest(s.Elapsed)
-	for _, m := range rt.Group.Members {
+	s.MMUWindows = s.Pauses.StandardWindows()
+	members := []*core.Mutator{rt.Mutator}
+	if rt.Group != nil {
+		members = rt.Group.Members
+	}
+	for _, m := range members {
 		s.BytesAllocated += m.BytesAllocated
 		s.LogWrites += m.LogWrites
 		s.BarrierFastSkips += m.BarrierFastSkips
 		s.BarrierDirtySkips += m.BarrierDirtySkips
 	}
+	if rt.ckpt != nil {
+		cs := rt.ckpt.Stats()
+		s.Checkpoint = &cs
+	}
 	return s
 }
 
-// Text renders the report one fact a line, each fact once: what rtgc -stats
-// and rtgc-bench trace print. subject names what ran.
+// Text renders the report one fact a line, each fact once: what rtgc -stats,
+// rtgc-bench trace and rtgc-bench serve print. subject names what ran.
 func (s Stats) Text(subject string) string {
 	gc := &s.GC
 	t := fmt.Sprintf("--- %s under %s (simulated time) ---\n", subject, s.Collector) +
 		fmt.Sprintf("elapsed            %v\n", s.Elapsed) +
 		fmt.Sprintf("allocated          %.2f MB\n", float64(s.BytesAllocated)/(1<<20)) +
 		fmt.Sprintf("minor collections  %d\n", gc.MinorCollections) +
-		fmt.Sprintf("major collections  %d\n", gc.MajorCollections) +
-		fmt.Sprintf("copied minor/major %.2f / %.2f MB\n", float64(gc.BytesCopiedMinor)/(1<<20), float64(gc.BytesCopiedMajor)/(1<<20)) +
-		s.Pauses.Summary() +
+		fmt.Sprintf("major collections  %d\n", gc.MajorCollections)
+	if gc.EmergencyCollections > 0 {
+		t += fmt.Sprintf("emergencies        %d collections escalated to stop-the-world\n", gc.EmergencyCollections)
+	}
+	t += fmt.Sprintf("copied minor/major %.2f / %.2f MB\n", float64(gc.BytesCopiedMinor)/(1<<20), float64(gc.BytesCopiedMajor)/(1<<20)) +
+		s.Pauses.Summary(s.MMUWindows) +
 		fmt.Sprintf("log entries        %d written, %d reapplied\n", s.LogWrites, gc.LogReapplied)
 	if s.Replicating {
 		t += fmt.Sprintf("largest copy       %d B uninterrupted, %d copies split across pauses\n", gc.LargestCopyBytes, gc.SplitCopies) +
 			fmt.Sprintf("completions        put off %d times to a pause they fit, %d overran their pause, largest flip worklist %d slots\n",
 				gc.Deferrals, gc.Overruns, gc.LargestFlipWorklist) +
 			fmt.Sprintf("log backlog        at most %d entries left unprocessed by a pause\n", s.Pauses.LogBacklog)
+	}
+	if c := s.Checkpoint; c != nil {
+		t += fmt.Sprintf("checkpoints        %d committed, %d aborted, %.2f MB snapshots + %.2f MB WAL, %v charged\n",
+			c.Committed, c.Aborted, float64(c.SnapshotBytes)/(1<<20), float64(c.WALBytes)/(1<<20), s.Breakdown[simtime.AcctCheckpoint])
 	}
 	return t
 }

@@ -86,7 +86,7 @@ func (d *Digest) MMUCurve(windows []Duration) []MMUPoint {
 
 // CheckMMUCurve rejects a curve MMUCurve cannot have produced: empty,
 // windows not positive and strictly increasing, or a utilization outside
-// [0, 1]. Every report validator applies it to its "mmu" member.
+// [0, 1]. rig.Row.Check applies it to every run's "mmu" member.
 func CheckMMUCurve(curve []MMUPoint) error {
 	if len(curve) == 0 {
 		return fmt.Errorf("mmu curve is empty")
@@ -114,7 +114,7 @@ type Measure = struct {
 
 // CheckNonNegative rejects the first measure that is not a finite
 // non-negative number. Every report validator applies it to its plain
-// numbers, as it applies CheckMMUCurve to its "mmu" member.
+// numbers.
 func CheckNonNegative(ms []Measure) error {
 	for _, m := range ms {
 		if math.IsNaN(m.Value) || math.IsInf(m.Value, 0) || m.Value < 0 {
@@ -177,9 +177,9 @@ func (d *Digest) WorstPausesTable(k int) string {
 
 // Summary renders the digest one fact a line, in the layout of the run report
 // it is part of (rig.Stats.Text): the pauses' count, total and quantiles,
-// utilization, the MMU ladder, per-phase attribution, and throughput (bytes
-// copied and log entries consumed per unit of pause time).
-func (d *Digest) Summary() string {
+// utilization, the MMU curve over windows, per-phase attribution, and
+// throughput (bytes copied and log entries consumed per unit of pause time).
+func (d *Digest) Summary(windows []Duration) string {
 	tp := d.TotalPause()
 	s := fmt.Sprintf("pauses             %d, total %v", len(d.Pauses), tp)
 	if len(d.Pauses) > 0 {
@@ -187,7 +187,7 @@ func (d *Digest) Summary() string {
 		s += fmt.Sprintf(": p50 %v  p90 %v  p95 %v  p99 %v  max %v", q[0], q[1], q[2], q[3], q[4])
 	}
 	s += fmt.Sprintf("\nutilization        %.1f%%\nMMU               ", 100*d.Utilization())
-	for _, w := range d.StandardWindows() {
+	for _, w := range windows {
 		s += fmt.Sprintf(" %v=%.1f%%", w, 100*d.MMU(w))
 	}
 	s += "\n"

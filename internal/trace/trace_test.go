@@ -218,7 +218,7 @@ func TestAnalyzeAttributesPhasesAndPayloads(t *testing.T) {
 	if got := a.Percentile(100); got != 8*ms {
 		t.Fatalf("Percentile(100) = %v, want 8ms", got)
 	}
-	s := a.Summary()
+	s := a.Summary(a.StandardWindows())
 	for _, want := range []string{"pauses             1, total 8.0ms", "root-scan", "copy", "MMU"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary missing %q:\n%s", want, s)

@@ -26,7 +26,7 @@ import (
 )
 
 // Runtime is one constructed server: the shared runtime, of which the engine
-// drives Mutator and reads GC and Collector.
+// drives Mutator and reads the rest through Stats.
 type Runtime = rig.Runtime
 
 // NewRuntime builds a server sized by spec's heap parameters. c supplies the
@@ -97,8 +97,8 @@ func Serve(rt *Runtime, t *Trace, legName string, opt ServeOptions) (*Leg, error
 	elapsed := clock.Now()
 	// Not rt.Finish(), which runs the closing pauses as a quantum of rt.Group:
 	// the frozen benchmarks/host serves a Runtime it assembled itself, with no
-	// Group (TestServeWithoutGroup), so Serve reads only rt.Mutator, rt.GC and
-	// rt.Collector and ends the run itself.
+	// Group (TestServeWithoutGroup), so Serve ends the run itself, and reads
+	// it through rt.Stats, which needs no Group either.
 	if err := gc.FinishCycles(m); err != nil {
 		return nil, fmt.Errorf("workload: finishing collection cycles: %w", err)
 	}
@@ -161,22 +161,16 @@ func buildLeg(rt *Runtime, t *Trace, legName string,
 	starts, ends []simtime.Duration, depths []int, elapsed simtime.Duration) (*Leg, error) {
 
 	spec := t.Spec
-	clock := rt.Mutator.Clock
-	pauses := rt.GC.Pauses()
-	idx := simtime.NewPauseIndex(pauses.Pauses)
+	// The run's report, over the whole run, its closing pauses included.
+	st := rt.Stats()
+	idx := simtime.NewPauseIndex(st.Pauses.Pauses)
 
 	leg := &Leg{
-		Name:                 legName,
-		Collector:            rt.Collector,
-		ElapsedMs:            elapsed.Milliseconds(),
-		IdleMs:               clock.AccountTotal(simtime.AcctIdle).Milliseconds(),
-		Requests:             len(t.Reqs),
-		Pauses:               len(pauses.Pauses),
-		EmergencyCollections: int64(rt.GC.Stats().EmergencyCollections),
+		Name:      legName,
+		ElapsedMs: elapsed.Milliseconds(),
+		IdleMs:    st.Breakdown[simtime.AcctIdle].Milliseconds(),
+		Requests:  len(t.Reqs),
 	}
-	pq := simtime.Percentiles(pauses.Durations(), 50, 99, 100)
-	leg.PauseP50Ms, leg.PauseP99Ms, leg.PauseMaxMs =
-		pq[0].Milliseconds(), pq[1].Milliseconds(), pq[2].Milliseconds()
 
 	// Queue stats over the per-request service-start samples.
 	if n := len(depths); n > 0 {
@@ -262,17 +256,16 @@ func buildLeg(rt *Runtime, t *Trace, legName string,
 	}
 
 	// Request-granularity MMU: the standard ladder merged with every
-	// cohort's SLO target, over the whole run, its closing pauses included.
-	d := pauses.Digest(clock.Now())
-	windows := d.StandardWindows()
+	// cohort's SLO target.
 	for _, c := range spec.Cohorts {
 		w := simtime.Duration(c.SLO.TargetMs * float64(simtime.Millisecond))
-		if w > 0 && w < d.Span {
-			windows = append(windows, w)
+		if w > 0 && w < st.Elapsed {
+			st.MMUWindows = append(st.MMUWindows, w)
 		}
 	}
-	slices.Sort(windows)
-	leg.MMU = d.MMUCurve(slices.Compact(windows))
+	slices.Sort(st.MMUWindows)
+	st.MMUWindows = slices.Compact(st.MMUWindows)
+	leg.Stats, leg.Run = st, st.Row()
 
 	leg.HeapFingerprint = fmt.Sprintf("%016x", heapFingerprint(rt.Mutator, t))
 	return leg, nil

@@ -7,19 +7,16 @@ import (
 	"strings"
 )
 
-// FormatSection renders a one-screen digest of a serving section.
+// FormatSection renders a one-screen digest of a serving section: what the
+// requests saw. What the runtime did is each leg's run report (Leg.Stats.Text).
 func FormatSection(sec *Section) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "--- serving: %s (seed %d, %d requests over %.0f ms, trace %s) ---\n",
 		sec.Spec, sec.Seed, sec.Requests, sec.DurationMs, sec.TraceFingerprint)
 	for i := range sec.Legs {
 		l := &sec.Legs[i]
-		fmt.Fprintf(&b, "leg %-14s (%s): elapsed %.1f ms (%.1f ms idle), %d pauses (p50 %.2f p99 %.2f max %.2f ms)",
-			l.Name, l.Collector, l.ElapsedMs, l.IdleMs, l.Pauses, l.PauseP50Ms, l.PauseP99Ms, l.PauseMaxMs)
-		if l.EmergencyCollections > 0 {
-			fmt.Fprintf(&b, ", %d emergencies", l.EmergencyCollections)
-		}
-		fmt.Fprintf(&b, "\n  queue depth: mean %.2f, p99 %d, max %d; heap %s\n",
+		fmt.Fprintf(&b, "leg %-14s (%s): elapsed %.1f ms (%.1f ms idle)\n", l.Name, l.Run.Collector, l.ElapsedMs, l.IdleMs)
+		fmt.Fprintf(&b, "  queue depth: mean %.2f, p99 %d, max %d; heap %s\n",
 			l.Queue.MeanDepth, l.Queue.P99Depth, l.Queue.MaxDepth, l.HeapFingerprint)
 		for j := range l.Cohorts {
 			c := &l.Cohorts[j]
@@ -30,11 +27,6 @@ func FormatSection(sec *Section) string {
 				"", c.SLO.TargetMs, c.SLO.DeadlineMs, c.SLO.Met, c.SLO.Late, c.SLO.Missed,
 				c.Intrusion.PctOfLatency, c.Intrusion.P99Ms, c.QueueWaitP99Ms)
 		}
-		b.WriteString("  mmu:")
-		for _, pt := range l.MMU {
-			fmt.Fprintf(&b, " %gms=%.1f%%", pt.WindowMs, 100*pt.Utilization)
-		}
-		b.WriteString("\n")
 	}
 	return b.String()
 }

@@ -2,7 +2,10 @@ package workload
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"os"
+	"reflect"
 	"testing"
 
 	"repligc/internal/artifact"
@@ -22,6 +25,31 @@ func fuzzSpec() *Spec {
 			SLO:     SLO{TargetMs: 1, DeadlineMs: 5},
 		}},
 	}
+}
+
+// FuzzParseSpec holds the spec decoder — what `rtgc -serve` and `rtgc-bench
+// serve` read from a file — to its contract on arbitrary bytes: a spec or an
+// error, never a panic. An accepted spec is one Validate passes, and it
+// survives re-encoding unchanged.
+func FuzzParseSpec(f *testing.F) {
+	committed, err := os.ReadFile("../../examples/serve/mixed.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(committed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := ParseSpec(data)
+		if err != nil {
+			return
+		}
+		again, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("an accepted spec does not encode: %v", err)
+		}
+		if back, err := ParseSpec(again); err != nil || !reflect.DeepEqual(back, spec) {
+			t.Fatalf("an accepted spec does not survive re-encoding (%v):\n%+v\n%+v", err, spec, back)
+		}
+	})
 }
 
 // FuzzDecodeTrace holds the trace decoder to the crash matrix's contract on

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repligc/internal/rig"
 	"repligc/internal/simtime"
 )
 
@@ -17,8 +18,9 @@ import (
 // repligc-bench lineage (/5 was /4 plus the serving section; /6 adds the
 // multi-mutator section; /7 removes the perf report's two host ns/op
 // sections; /8 removes the multi-mutator legs' merged_entries and
-// merge_dropped), so bench.PerfSchema aliases this constant.
-const ReportSchema = "repligc-bench/8"
+// merge_dropped; /9 reports every run as one rig.Row), so bench.PerfSchema
+// aliases this constant.
+const ReportSchema = "repligc-bench/9"
 
 // Report is the standalone document `rtgc-bench serve` emits.
 type Report struct {
@@ -38,18 +40,11 @@ type Section struct {
 
 // Leg is one collector configuration serving the whole trace.
 type Leg struct {
-	Name      string `json:"name"`      // e.g. "coalesced", "naive-barrier"
-	Collector string `json:"collector"` // engine collector name ("rt", "rt-lazy", ...)
+	Name string `json:"name"` // e.g. "coalesced", "naive-barrier"
 
 	ElapsedMs float64 `json:"elapsed_ms"` // simulated completion time of the last request
 	IdleMs    float64 `json:"idle_ms"`    // server idle time (AcctIdle)
 	Requests  int     `json:"requests"`
-
-	Pauses               int     `json:"pauses"`
-	PauseP50Ms           float64 `json:"pause_p50_ms"`
-	PauseP99Ms           float64 `json:"pause_p99_ms"`
-	PauseMaxMs           float64 `json:"pause_max_ms"`
-	EmergencyCollections int64   `json:"emergency_collections"`
 
 	// HeapFingerprint digests the reachable session graph at end of run
 	// (semantic walk, so it is identical across collectors serving the same
@@ -58,12 +53,16 @@ type Leg struct {
 
 	Queue QueueStats `json:"queue"`
 
-	// MMU is the request-granularity minimum-mutator-utilization curve: the
-	// standard window ladder merged with every cohort's SLO target, so each
-	// SLO can be read off directly against the worst window it could land in.
-	MMU []simtime.MMUPoint `json:"mmu"`
-
 	Cohorts []CohortMetrics `json:"cohorts"`
+
+	// Run is the run's report, closing pauses included. Its MMU curve is at
+	// request granularity: the standard window ladder merged with every
+	// cohort's SLO target, so each SLO can be read off directly against the
+	// worst window it could land in.
+	Run rig.Row `json:"run"`
+	// Stats is what Run is the JSON form of, for the text report; a decoded
+	// leg has none.
+	Stats rig.Stats `json:"-"`
 }
 
 // QueueStats summarises the open-loop queue, sampled at each request's
@@ -155,33 +154,25 @@ func (s *Section) Check() error {
 }
 
 func (l *Leg) check(requests int) error {
-	if l.Name == "" || l.Collector == "" {
-		return fmt.Errorf("leg name and collector are required")
+	if l.Name == "" {
+		return fmt.Errorf("leg name is required")
 	}
 	if l.Requests != requests {
 		return fmt.Errorf("served %d of %d requests", l.Requests, requests)
 	}
-	if err := simtime.CheckNonNegative([]simtime.Measure{
-		{"elapsed_ms", l.ElapsedMs}, {"idle_ms", l.IdleMs},
-		{"pause_p50_ms", l.PauseP50Ms}, {"pause_p99_ms", l.PauseP99Ms},
-		{"pause_max_ms", l.PauseMaxMs}, {"queue mean_depth", l.Queue.MeanDepth},
-	}); err != nil {
+	if err := l.Run.Check(); err != nil {
 		return err
 	}
-	if l.ElapsedMs == 0 {
-		return fmt.Errorf("leg did no work")
-	}
-	if l.PauseP50Ms > l.PauseP99Ms || l.PauseP99Ms > l.PauseMaxMs {
-		return fmt.Errorf("pause percentiles are not monotone")
+	if err := simtime.CheckNonNegative([]simtime.Measure{
+		{"elapsed_ms", l.ElapsedMs}, {"idle_ms", l.IdleMs}, {"queue mean_depth", l.Queue.MeanDepth},
+	}); err != nil {
+		return err
 	}
 	if l.HeapFingerprint == "" {
 		return fmt.Errorf("heap fingerprint is empty")
 	}
 	if l.Queue.MaxDepth < l.Queue.P99Depth || l.Queue.P99Depth < 0 {
 		return fmt.Errorf("queue depths are not monotone (p99 %d, max %d)", l.Queue.P99Depth, l.Queue.MaxDepth)
-	}
-	if err := simtime.CheckMMUCurve(l.MMU); err != nil {
-		return err
 	}
 	if len(l.Cohorts) == 0 {
 		return fmt.Errorf("no cohort metrics")

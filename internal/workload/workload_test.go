@@ -225,10 +225,10 @@ func TestDeterminismMatrix(t *testing.T) {
 			}
 			// The leg's MMU is a digest of the collector's pause record, over
 			// the whole run.
-			if err := simtime.CheckMMUCurve(leg.MMU); err != nil {
+			if err := leg.Run.Check(); err != nil {
 				t.Fatalf("%s: %v", coll.Name, err)
 			}
-			if last := leg.MMU[len(leg.MMU)-1].WindowMs; last < leg.ElapsedMs {
+			if last := leg.Run.MMU[len(leg.Run.MMU)-1].WindowMs; last < leg.ElapsedMs || last != leg.Run.ElapsedMs {
 				t.Errorf("%s: the last MMU window is %v ms, the run lasted %v ms", coll.Name, last, leg.ElapsedMs)
 			}
 			legs[round] = leg
@@ -280,8 +280,18 @@ func TestServeWithoutGroup(t *testing.T) {
 	}
 	a, _ := json.Marshal(bare)
 	b, _ := json.Marshal(built)
-	if bare.Pauses == 0 || string(a) != string(b) {
-		t.Errorf("served without a group (%d pauses):\n %s\nbuilt by rig.New:\n %s", bare.Pauses, a, b)
+	if bare.Run.Pauses == 0 || string(a) != string(b) {
+		t.Errorf("served without a group (%d pauses):\n %s\nbuilt by rig.New:\n %s", bare.Run.Pauses, a, b)
+	}
+	// The row reads the one member a Runtime without a Group has: its
+	// allocation and log writes, and the replicating engine's counters.
+	if err := bare.Run.Check(); err != nil || bare.Run.AllocatedBytes != m.BytesAllocated ||
+		bare.Run.LogAppended != m.LogWrites || bare.Run.Collector != rig.RT.Name || bare.Run.MinorCollections == 0 {
+		t.Errorf("the row of a run without a group: %+v (%v); the mutator allocated %d B and wrote %d log entries",
+			bare.Run, err, m.BytesAllocated, m.LogWrites)
+	}
+	if text := bare.Stats.Text("leg"); !strings.Contains(text, "largest copy ") {
+		t.Errorf("the run report of a run without a group lacks the replicating engine's lines:\n%s", text)
 	}
 }
 
@@ -376,7 +386,7 @@ func TestFaultInjectionUnderLoad(t *testing.T) {
 	if inj.Injected != len(plan.Events) {
 		t.Fatalf("injected %d of %d events", inj.Injected, len(plan.Events))
 	}
-	if leg.EmergencyCollections == 0 {
+	if leg.Run.EmergencyCollections == 0 {
 		t.Error("shrunken old space provoked no degradation-ladder emergencies")
 	}
 	lateOrMissed := 0
@@ -403,7 +413,7 @@ func TestSectionValidates(t *testing.T) {
 	}
 	// Every leg carries the serving section's required shape.
 	for _, leg := range sec.Legs {
-		if len(leg.MMU) == 0 || len(leg.Cohorts) != len(tr.Spec.Cohorts) {
+		if len(leg.Run.MMU) == 0 || len(leg.Cohorts) != len(tr.Spec.Cohorts) {
 			t.Fatalf("leg %s: missing MMU or cohorts", leg.Name)
 		}
 		for _, c := range leg.Cohorts {
