@@ -14,15 +14,19 @@ build:
 # exhaustiveness, and the annotation hygiene of //gclint:allow itself.
 # See DESIGN.md, "Machine-checked invariants". gclint runs over ./..., which
 # includes internal/analysis, internal/trace and internal/faultinject — the
-# linter lints itself. The last two checks keep runtime construction in one
-# place: outside internal/rig (and recovery, which sizes a heap from a
-# snapshot header, and the frozen benchmark), non-test Go may not call the
-# constructors of a heap, a mutator, a group or a collector; and only a
-# command (which does so when asked for a Chrome trace file) may construct a
-# flight recorder — every digest reads the collector's own pause record. The
-# last keeps reading a finished run in one place: the harness, the serving
-# engine, the commands and the facade read rig.Runtime.Stats, not the
-# collector's counters.
+# linter lints itself. Five shell checks follow. The first two keep runtime
+# construction in one place: outside internal/rig (and recovery, which sizes
+# a heap from a snapshot header, and the frozen benchmark), non-test Go may
+# not call the constructors of a heap, a mutator, a group or a collector; and
+# only a command (which does so when asked for a Chrome trace file) may
+# construct a flight recorder — every digest reads the collector's own pause
+# record. The third keeps reading a finished run in one place: the harness,
+# the serving engine, the commands and the facade read rig.Runtime.Stats, not
+# the collector's counters. The fourth keeps the torture driver
+# (internal/gctest) a test driver: besides tests, only the crash matrix's
+# reference runs and the frozen benchmark import it. The last requires gofmt
+# to have nothing to say outside the frozen benchmark and the analyzer's
+# fixtures, whose goldens pin line:column positions.
 lint:
 	go vet ./...
 	go run ./cmd/gclint ./...
@@ -35,6 +39,11 @@ lint:
 	@if git ls-files '*.go' | grep -v -e '_test\.go$$' | grep -e '^internal/bench/' -e '^internal/workload/' -e '^cmd/' -e '^repligc\.go$$' | \
 		xargs grep -nE '\.GC\.(Stats|Pauses)\(\)'; \
 		then echo 'lint: a finished run is read past its report (lines above); call rig.Runtime.Stats'; exit 1; fi
+	@if git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmarks/' -e '/testdata/' -e '^internal/gctest/' -e '^internal/checkpoint/' | \
+		xargs grep -n '"repligc/internal/gctest"'; \
+		then echo 'lint: the torture driver is imported outside tests (lines above); it is a test driver'; exit 1; fi
+	@unformatted=$$(git ls-files '*.go' | grep -v -e '^benchmarks/' -e '/testdata/' | xargs gofmt -l); \
+		if [ -n "$$unformatted" ]; then echo "$$unformatted"; echo 'lint: gofmt -l lists the files above; run gofmt -w on them'; exit 1; fi
 
 test:
 	go test ./...
@@ -81,9 +90,9 @@ fuzz-smoke:
 	go test ./internal/bench -run '^$$' -fuzz '^FuzzValidateReports$$' -fuzztime 10s -fuzzminimizetime 0
 
 # The perf trajectory at full scale: per-workload
-# baseline-vs-coalesced-vs-checkpointed log and pause metrics, the serving
-# section and the multi-mutator section. All of it is simulated, so the report
-# is a pure function of the tree and is rebuilt on demand, not committed.
+# baseline-vs-coalesced-vs-checkpointed log and pause metrics and the serving
+# section (schema repligc-bench/10). All of it is simulated, so the report is a
+# pure function of the tree and is rebuilt on demand, not committed.
 bench:
 	go run ./cmd/rtgc-bench -out /tmp/bench_full.json perf
 	go run ./cmd/rtgc-bench validate /tmp/bench_full.json

@@ -5,11 +5,13 @@
 // copying, so L = 100 KB yields 50 ms pauses).
 //
 // Run without arguments, it prints its usage, which is derived from the two
-// tables that define it: bench.Experiments and the commands in main.
+// tables that define it: bench.Experiments and the commands in main. A flag
+// the subcommand does not read — its usage line lists those it does; an
+// experiment reads -quick only — is a usage error (exit 2).
 //
 // "perf" emits the performance trajectory: per-workload
-// baseline-vs-coalesced-vs-checkpointed log and pause metrics, the serving
-// section and the multi-mutator section, all in simulated time. With
+// baseline-vs-coalesced-vs-checkpointed log and pause metrics and the serving
+// section, all in simulated time (schema repligc-bench/10). With
 // -baseline, a fresh perf report is additionally gated against a committed
 // one (BENCH_SMOKE.json): every field must be equal, or the run fails naming
 // the first field that is not. Host time is not this command's business; it
@@ -48,6 +50,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repligc/internal/bench"
@@ -97,16 +100,28 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	// Whatever is not in commands is an experiment, which takes no operand;
-	// an unknown name fails there.
-	c := command{run: func(string) error { return runExperiments(scale, args[0]) }}
+	// Whatever is not in commands is an experiment, which reads -quick and
+	// takes no operand; an unknown name fails there.
+	c := command{flags: "[-quick]", run: func(string) error { return runExperiments(scale, args[0]) }}
 	for _, known := range commands {
 		if known.name == args[0] {
 			c = known
 		}
 	}
+	// A flag the subcommand does not read would be silently ignored, so it is
+	// a usage error instead.
+	reads, ignored := strings.Fields(strings.NewReplacer("[", "", "]", "").Replace(c.flags)), ""
+	flag.Visit(func(f *flag.Flag) {
+		if !slices.Contains(reads, "-"+f.Name) {
+			ignored += fmt.Sprintf("rtgc-bench: -%s has no meaning for %s\n", f.Name, args[0])
+		}
+	})
 	operand := ""
 	switch given := args[1:]; {
+	case ignored != "":
+		fmt.Fprint(os.Stderr, ignored)
+		flag.Usage()
+		os.Exit(2)
 	case len(given) == 1 && c.operand != "":
 		operand = given[0]
 	case len(given) != 0 || (c.operand != "" && c.operand[0] != '['):

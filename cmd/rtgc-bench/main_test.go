@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"os"
 	"os/exec"
@@ -46,6 +47,34 @@ func TestTraceGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	diffLines(t, string(got), string(want))
+}
+
+// TestUnreadFlagIsUsageError: a flag the subcommand does not read is refused
+// by name with the usage status, before anything runs — here an experiment,
+// which reads -quick only, so no file is written and the missing baseline is
+// never opened.
+func TestUnreadFlagIsUsageError(t *testing.T) {
+	dir := t.TempDir()
+	out, rec := filepath.Join(dir, "x.json"), filepath.Join(dir, "x.trace")
+	cmd := exec.Command(os.Args[0], "-quick", "-out", out, "-record", rec, "-worst", "3", "-baseline", "nowhere.json", "table2")
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	got, err := cmd.CombinedOutput()
+	if ee := (*exec.ExitError)(nil); !errors.As(err, &ee) || ee.ExitCode() != 2 {
+		t.Fatalf("exit %v, want status 2:\n%s", err, got)
+	}
+	for _, name := range []string{"-out", "-record", "-worst", "-baseline"} {
+		if !strings.Contains(string(got), "rtgc-bench: "+name+" has no meaning for table2") {
+			t.Errorf("the refusal does not name %s:\n%s", name, got)
+		}
+	}
+	if strings.Contains(string(got), "Table 2") {
+		t.Errorf("the experiment ran:\n%s", got)
+	}
+	for _, f := range []string{out, rec} {
+		if _, err := os.Stat(f); err == nil {
+			t.Errorf("%s was written", f)
+		}
+	}
 }
 
 // diffLines reports each line of got that is not the golden's.

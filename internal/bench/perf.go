@@ -15,13 +15,11 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"reflect"
 	"sort"
 
 	"repligc/internal/checkpoint"
 	"repligc/internal/core"
-	"repligc/internal/gctest"
 	"repligc/internal/rig"
 	"repligc/internal/simtime"
 	"repligc/internal/workload"
@@ -46,34 +44,6 @@ type PerfReport struct {
 	// per-cohort latency percentiles, SLO breakdowns, queue stats,
 	// pause-intrusion attribution and request-granularity MMU.
 	Serving *workload.Section `json:"serving"`
-
-	// Multi is the schema-6 section: the same seeded group workload run
-	// with N ∈ {1, 2, 4, 8} mutator contexts sharing one heap under the
-	// full real-time configuration. The N = 1 leg doubles as the identity
-	// anchor (overlap ratio exactly 1, wall equals the serial clock); the
-	// N ≥ 2 legs demonstrate collection genuinely overlapping mutators.
-	Multi []MultiLeg `json:"multi_mutator"`
-}
-
-// MultiLeg is one N-mutator scaling cell of the multi-mutator section. All
-// times are simulated: the run's elapsed time is the shared serial clock
-// (total work done by every actor), WallMs the projected makespan in which
-// only each pause's synchronous portion stops all mutators, and OverlapRatio
-// their quotient — greater than 1 means collector work genuinely ran while
-// mutators ran.
-type MultiLeg struct {
-	Mutators       int       `json:"mutators"`
-	WallMs         float64   `json:"wall_ms"`
-	OverlapRatio   float64   `json:"overlap_ratio"`
-	Utilization    []float64 `json:"utilization"`  // per-mutator, on the wall timeline
-	GroupPauses    int       `json:"group_pauses"` // all-mutators-stopped intervals
-	SyncPauseMaxMs float64   `json:"sync_pause_max_ms"`
-	MMU20Ms        float64   `json:"mmu_20ms"` // over the all-stopped intervals, wall timeline
-	// Fingerprint anchors determinism: the combined reachable-graph hash of
-	// every member plus the shared contended array, stable across reruns
-	// for a given (N, seed).
-	Fingerprint string  `json:"fingerprint"`
-	Run         rig.Row `json:"run"`
 }
 
 // PerfWorkload compares the barrier legs on one workload.
@@ -174,76 +144,15 @@ func RunPerf(s Scale, scaleName string) (*PerfReport, error) {
 		return nil, err
 	}
 	rep.Serving = serving
-	multi, err := RunMulti(s)
-	if err != nil {
-		return nil, err
-	}
-	rep.Multi = multi
 	return rep, nil
-}
-
-// multiSeed seeds the multi-mutator legs; one fixed seed keeps the committed
-// fingerprints comparable across regenerations.
-const multiSeed = 42
-
-// multiLadder is the mutator counts of the scaling legs, in report order.
-var multiLadder = []int{1, 2, 4, 8}
-
-// RunMulti runs the multi-mutator scaling legs: the seeded group workload
-// (per-member graph drivers plus a shared contended array) under the full
-// real-time configuration with N ∈ {1, 2, 4, 8} mutator contexts on one
-// heap and one simulated clock.
-func RunMulti(s Scale) ([]MultiLeg, error) {
-	var legs []MultiLeg
-	for _, n := range multiLadder {
-		rt, err := rig.New(rig.Config{Collector: rig.RT, Params: perfParams(), Members: n})
-		if err != nil {
-			return nil, fmt.Errorf("multi N=%d: %w", n, err)
-		}
-		g := rt.Group
-		md, err := gctest.NewMultiDriver(g, multiSeed)
-		if err != nil {
-			return nil, fmt.Errorf("multi N=%d: %w", n, err)
-		}
-		for round := 0; round < s.MultiRounds; round++ {
-			if err := md.Step(80); err != nil {
-				return nil, fmt.Errorf("multi N=%d round %d: %w", n, round, err)
-			}
-		}
-		if err := rt.Finish(); err != nil {
-			return nil, fmt.Errorf("multi N=%d finish: %w", n, err)
-		}
-		run := rt.Stats().Row() // before the fingerprint, whose graph walk charges the clock
-		leg := MultiLeg{
-			Mutators:     n,
-			WallMs:       g.Elapsed().Milliseconds(),
-			OverlapRatio: g.OverlapRatio(),
-			GroupPauses:  len(g.GroupPauses().Pauses),
-			Fingerprint:  fmt.Sprintf("%016x", md.Fingerprint()),
-			Run:          run,
-		}
-		for i := range g.Members {
-			leg.Utilization = append(leg.Utilization, g.Utilization(i))
-		}
-		leg.SyncPauseMaxMs = g.GroupPauses().Max().Milliseconds()
-		leg.MMU20Ms = simtime.MMUFromPauses(g.GroupPauses().Pauses, g.Elapsed(), 20*simtime.Millisecond)
-		// Verification re-reads the whole heap through the mutators and
-		// charges the serial clock; it is a correctness gate, not part of the
-		// measured run, so the leg is distilled first.
-		if err := md.Verify(); err != nil {
-			return nil, fmt.Errorf("multi N=%d verify: %w", n, err)
-		}
-		legs = append(legs, leg)
-	}
-	return legs, nil
 }
 
 // ComparePerf gates a fresh report against a committed baseline: every
 // member must be equal — simulated times, pause quantiles, every MMU point,
-// log counts, fingerprints, the serving and multi-mutator sections. Nothing
-// is exempt. Simulated numbers do not vary across machines or runs, so there
-// is no tolerance: a deliberate collector or cost-model change regenerates
-// the baseline (make bench-baseline).
+// log counts, the serving section. Nothing is exempt. Simulated numbers do
+// not vary across machines or runs, so there is no tolerance: a deliberate
+// collector or cost-model change regenerates the baseline (make
+// bench-baseline).
 func ComparePerf(fresh, baseline []byte) error {
 	var fr, br map[string]any
 	if err := json.Unmarshal(fresh, &fr); err != nil {
@@ -366,68 +275,6 @@ func ValidatePerf(data []byte) error {
 	}
 	if err := rep.Serving.Check(); err != nil {
 		return fmt.Errorf("perf report: %w", err)
-	}
-	if err := checkMulti(rep.Multi); err != nil {
-		return fmt.Errorf("perf report: %w", err)
-	}
-	return nil
-}
-
-// checkMulti validates the multi-mutator section: the standard
-// scaling ladder, an exact-identity N = 1 anchor, and genuine overlap
-// (ratio > 1) on every N ≥ 2 leg.
-func checkMulti(legs []MultiLeg) error {
-	if len(legs) != len(multiLadder) {
-		return fmt.Errorf("multi section has %d legs, want %d (schema %s requires it)", len(legs), len(multiLadder), PerfSchema)
-	}
-	for i, leg := range legs {
-		if leg.Mutators != multiLadder[i] {
-			return fmt.Errorf("multi leg %d: mutators = %d, want %d", i, leg.Mutators, multiLadder[i])
-		}
-		run := &leg.Run
-		if err := run.Check(); err != nil {
-			return fmt.Errorf("multi N=%d: %w", leg.Mutators, err)
-		}
-		if err := simtime.CheckNonNegative([]simtime.Measure{
-			{"wall_ms", leg.WallMs}, {"overlap_ratio", leg.OverlapRatio},
-			{"sync_pause_max_ms", leg.SyncPauseMaxMs}, {"mmu_20ms", leg.MMU20Ms},
-		}); err != nil {
-			return fmt.Errorf("multi N=%d: %w", leg.Mutators, err)
-		}
-		if run.MinorCollections == 0 || leg.GroupPauses == 0 {
-			return fmt.Errorf("multi N=%d: leg did no collected work (%d minors, %d group pauses)",
-				leg.Mutators, run.MinorCollections, leg.GroupPauses)
-		}
-		if leg.WallMs > run.ElapsedMs {
-			return fmt.Errorf("multi N=%d: wall %.3f ms exceeds serial work %.3f ms", leg.Mutators, leg.WallMs, run.ElapsedMs)
-		}
-		if leg.Mutators == 1 {
-			// The identity anchor: one mutator overlaps nothing, so the wall
-			// timeline must be the serial clock exactly.
-			if leg.OverlapRatio != 1 {
-				return fmt.Errorf("multi N=1: overlap ratio %v, want exactly 1", leg.OverlapRatio)
-			}
-		} else if leg.OverlapRatio <= 1 {
-			return fmt.Errorf("multi N=%d: overlap ratio %v, want > 1 (collection overlapped no mutator time)",
-				leg.Mutators, leg.OverlapRatio)
-		}
-		if len(leg.Utilization) != leg.Mutators {
-			return fmt.Errorf("multi N=%d: %d utilization entries", leg.Mutators, len(leg.Utilization))
-		}
-		for j, u := range leg.Utilization {
-			if math.IsNaN(u) || u <= 0 || u > 1 {
-				return fmt.Errorf("multi N=%d: mutator %d utilization %v outside (0, 1]", leg.Mutators, j, u)
-			}
-		}
-		if bound := perfPauseBoundMs(); run.Unbudgeted == 0 && leg.SyncPauseMaxMs > bound {
-			return fmt.Errorf("multi N=%d: sync_pause_max_ms = %.3f exceeds the pause bound %.1f ms and no unbudgeted pause is listed", leg.Mutators, leg.SyncPauseMaxMs, bound)
-		}
-		if leg.MMU20Ms >= 1 {
-			return fmt.Errorf("multi N=%d: MMU@20ms = %v with %d group pauses", leg.Mutators, leg.MMU20Ms, leg.GroupPauses)
-		}
-		if len(leg.Fingerprint) != 16 {
-			return fmt.Errorf("multi N=%d: fingerprint %q is not 16 hex digits", leg.Mutators, leg.Fingerprint)
-		}
 	}
 	return nil
 }

@@ -36,17 +36,16 @@ type Scale struct {
 	CompModules int     // generated modules per repetition
 	CompReps    int     // corpus repetitions
 	ServeMs     float64 // simulated milliseconds of serving traffic (schema /5)
-	MultiRounds int     // mutator-group scheduling rounds per scaling leg (schema /6)
 }
 
 // DefaultScale is used by the full experiment suite.
 func DefaultScale() Scale {
-	return Scale{PrimesCount: 600, SortSize: 30000, SortDepth: 4, CompModules: 12, CompReps: 40, ServeMs: 3000, MultiRounds: 1600}
+	return Scale{PrimesCount: 600, SortSize: 30000, SortDepth: 4, CompModules: 12, CompReps: 40, ServeMs: 3000}
 }
 
 // QuickScale is used by tests.
 func QuickScale() Scale {
-	return Scale{PrimesCount: 60, SortSize: 2500, SortDepth: 2, CompModules: 4, CompReps: 30, ServeMs: 800, MultiRounds: 400}
+	return Scale{PrimesCount: 60, SortSize: 2500, SortDepth: 2, CompModules: 4, CompReps: 30, ServeMs: 800}
 }
 
 // ---------------------------------------------------------------- Primes

@@ -47,7 +47,11 @@ type Group struct {
 	MergedEntries int64
 	MergeDropped  int64
 
-	// Wall-timeline projection state (see reconcileTo).
+	// Wall-timeline projection state (see reconcileTo). No report of this
+	// module reads the projection — Elapsed, Work, Utilization, OverlapRatio,
+	// GroupPauses — any more; the tests and the frozen benchmarks/host do:
+	// its group4 workload's sim_elapsed_ms is Elapsed and its sim_pause_*
+	// read GroupPauses.
 	wall       []simtime.Duration // per-member wall clocks
 	work       []simtime.Duration // per-member useful (non-waiting) time
 	wallGC     simtime.Duration   // the collector actor's wall clock

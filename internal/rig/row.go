@@ -10,8 +10,8 @@ import (
 
 // Row is Stats' one JSON form: every fact Text prints, plus the counters only
 // a machine reads (all of GCStats among them). Each report that describes
-// runs — the perf legs, the multi-mutator legs, the serving legs — holds one
-// Row per run and checks it with Check. Times are simulated milliseconds.
+// runs — the perf legs, the serving legs — holds one Row per run and checks
+// it with Check. Times are simulated milliseconds.
 type Row struct {
 	Collector      string  `json:"collector"`
 	ElapsedMs      float64 `json:"elapsed_ms"`

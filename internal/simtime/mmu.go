@@ -6,10 +6,10 @@ package simtime
 // Digest.MMU, and the serving engine's per-request intrusion attribution — so
 // the bound the paper's evaluation rests on is defined once. The kernel is
 // integer: it returns pause time in clock ticks, and each caller turns that
-// into its own ratio. (MMUFromPauses, which the frozen benchmark calls and the
-// multi-mutator legs report, finishes with (w-busy)/w and Digest.MMU with
-// 1-busy/w; the two disagree in the last bit on about four in ten inputs, so
-// making one call the other would move committed numbers.)
+// into its own ratio. (MMUFromPauses, which the frozen benchmark calls for
+// sim_mmu_1s, finishes with (w-busy)/w and Digest.MMU with 1-busy/w; the two
+// disagree in the last bit on about four in ten inputs, so making one call
+// the other would move committed numbers.)
 
 import "sort"
 

@@ -24,11 +24,11 @@ type sampler struct {
 // from their own substream so enabling bursts does not perturb the base law's
 // draw sequence.
 type burstState struct {
-	b       Burst
-	s       *rng.Stream
-	now     float64 // schedule clock, ms
-	edge    float64 // end of the current window, ms
-	off     bool    // inside an off window?
+	b    Burst
+	s    *rng.Stream
+	now  float64 // schedule clock, ms
+	edge float64 // end of the current window, ms
+	off  bool    // inside an off window?
 }
 
 // newSampler builds a sampler for a; draws comes from the cohort's arrival

@@ -18,9 +18,9 @@ import (
 // repligc-bench lineage (/5 was /4 plus the serving section; /6 adds the
 // multi-mutator section; /7 removes the perf report's two host ns/op
 // sections; /8 removes the multi-mutator legs' merged_entries and
-// merge_dropped; /9 reports every run as one rig.Row), so bench.PerfSchema
-// aliases this constant.
-const ReportSchema = "repligc-bench/9"
+// merge_dropped; /9 reports every run as one rig.Row; /10 removes the
+// multi-mutator section), so bench.PerfSchema aliases this constant.
+const ReportSchema = "repligc-bench/10"
 
 // Report is the standalone document `rtgc-bench serve` emits.
 type Report struct {

@@ -79,9 +79,9 @@ type Cohort struct {
 // modulation.
 type Arrival struct {
 	Law        string  `json:"law"`
-	RatePerSec float64 `json:"rate_per_sec"`     // mean arrival rate while "on"
-	Shape      float64 `json:"shape,omitempty"`  // gamma/weibull shape k (1 = exponential)
-	Burst      *Burst  `json:"burst,omitempty"`  // optional on/off modulation
+	RatePerSec float64 `json:"rate_per_sec"`    // mean arrival rate while "on"
+	Shape      float64 `json:"shape,omitempty"` // gamma/weibull shape k (1 = exponential)
+	Burst      *Burst  `json:"burst,omitempty"` // optional on/off modulation
 }
 
 // Burst modulates an arrival process with alternating on/off windows whose
