@@ -14,7 +14,9 @@ build:
 # exhaustiveness, and the annotation hygiene of //gclint:allow itself.
 # See DESIGN.md, "Machine-checked invariants". gclint runs over ./..., which
 # includes internal/analysis, internal/trace and internal/faultinject — the
-# linter lints itself. Five shell checks follow. The first two keep runtime
+# linter lints itself; like go build, it reads the host platform's files. Two
+# cross-builds keep the other side of the heap arena's unix/!unix pair
+# compiling. Seven shell checks follow. The first two keep runtime
 # construction in one place: outside internal/rig (and recovery, which sizes
 # a heap from a snapshot header, and the frozen benchmark), non-test Go may
 # not call the constructors of a heap, a mutator, a group or a collector; and
@@ -24,12 +26,19 @@ build:
 # the serving engine, the commands and the facade read rig.Runtime.Stats, not
 # the collector's counters. The fourth keeps the torture driver
 # (internal/gctest) a test driver: besides tests, only the crash matrix's
-# reference runs and the frozen benchmark import it. The last requires gofmt
+# reference runs and the frozen benchmark import it. The fifth and sixth keep
+# the heap arena's lifetime rule: the arena may be mapped memory, valid only
+# while its *Heap is reachable, so outside internal/heap no variable or field
+# holds .Arena or a sub-slice of it, no call is handed the whole .Arena, and a
+# file that loops over a sub-slice calls runtime.KeepAlive (that it keeps the
+# right heap past the right loop is left to review). The last requires gofmt
 # to have nothing to say outside the frozen benchmark and the analyzer's
 # fixtures, whose goldens pin line:column positions.
 lint:
 	go vet ./...
 	go run ./cmd/gclint ./...
+	GOOS=windows go build ./...
+	GOOS=darwin go build ./...
 	@if git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmarks/' -e '/testdata/' -e '^internal/rig/' -e '^internal/checkpoint/recover\.go$$' | \
 		xargs grep -nE 'heap\.New\(|core\.NewMutator\(|core\.NewGroup\(|core\.NewReplicating\(|stopcopy\.New\('; \
 		then echo 'lint: a runtime is assembled outside internal/rig (lines above); call rig.New'; exit 1; fi
@@ -42,6 +51,13 @@ lint:
 	@if git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmarks/' -e '/testdata/' -e '^internal/gctest/' -e '^internal/checkpoint/' | \
 		xargs grep -n '"repligc/internal/gctest"'; \
 		then echo 'lint: the torture driver is imported outside tests (lines above); it is a test driver'; exit 1; fi
+	@if git ls-files '*.go' | grep -v -e '^internal/heap/' -e '^benchmarks/' -e '/testdata/' | \
+		xargs grep -nE '(:?=|:)[[:space:]]*[[:alnum:]_.()]*\.Arena([[:space:]]*(,|\}|$$)|\[[^]]*:)|[(,][[:space:]]*[[:alnum:]_.]*\.Arena[[:space:]]*[,)]' | \
+		grep -vE '(len|cap)\([[:alnum:]_.]*\.Arena\)'; \
+		then echo 'lint: a heap arena is kept apart from its heap (lines above); index it through the *Heap, which keeps the mapping alive'; exit 1; fi
+	@unkept=$$(git ls-files '*.go' | grep -v -e '^internal/heap/' -e '^benchmarks/' -e '/testdata/' | \
+		xargs grep -lE '\.Arena\[[^]]*:' | xargs -r grep -L 'runtime\.KeepAlive('); \
+		if [ -n "$$unkept" ]; then echo "$$unkept"; echo 'lint: the files above loop over a sub-slice of a heap arena and never call runtime.KeepAlive on the heap'; exit 1; fi
 	@unformatted=$$(git ls-files '*.go' | grep -v -e '^benchmarks/' -e '/testdata/' | xargs gofmt -l); \
 		if [ -n "$$unformatted" ]; then echo "$$unformatted"; echo 'lint: gofmt -l lists the files above; run gofmt -w on them'; exit 1; fi
 

@@ -94,6 +94,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rtgc: -n, -o, -l and -old must be positive")
 		os.Exit(2)
 	}
+	// rtgc's own nursery cap, not the shared rule: -checkpoint artifacts
+	// record the heap's geometry and a fingerprint over address-bearing
+	// words, so the line -restore prints would move with the cap.
+	hc := heap.Config{NurseryBytes: *nKB << 10, NurseryCapBytes: 32 << 20, OldSemiBytes: *oldMB << 20}
+	// -restore maps no arena above checkpoint.DefaultArenaLimit, so a larger
+	// heap would write checkpoints that nothing restores.
+	if lim := checkpoint.DefaultArenaLimit; *ckptDir != "" && (*nKB > lim>>10 || *oldMB > lim>>20 || hc.ArenaBytes() > lim) {
+		fmt.Fprintf(os.Stderr, "rtgc: -checkpoint: -n %d and -old %d need more than the %d-byte arena -restore maps\n", *nKB, *oldMB, lim)
+		os.Exit(2)
+	}
 
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
@@ -102,13 +112,10 @@ func main() {
 	}
 
 	rc := rig.Config{
-		Collector:    coll,
-		Params:       rig.Params{NBytes: *nKB << 10, OBytes: *oKB << 10, LBytes: *lKB << 10},
-		OldSemiBytes: *oldMB << 20,
-		// rtgc's own value, not the shared rule: -checkpoint artifacts record
-		// the heap's geometry and a fingerprint over address-bearing words,
-		// so the line -restore prints would move with the cap.
-		NurseryCapBytes: 32 << 20,
+		Collector:       coll,
+		Params:          rig.Params{NBytes: *nKB << 10, OBytes: *oKB << 10, LBytes: *lKB << 10},
+		OldSemiBytes:    hc.OldSemiBytes,
+		NurseryCapBytes: hc.NurseryCapBytes,
 		Trace:           look.recorder(),
 	}
 	if *ckptDir != "" {

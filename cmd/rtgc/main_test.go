@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"os"
 	"os/exec"
@@ -37,20 +38,13 @@ func TestPauseDigestGolden(t *testing.T) {
 		{"serve.txt", []string{"-gc", "rt", "-worst", "5", "-serve", "examples/serve/mixed.json"}},
 	} {
 		t.Run(c.golden, func(t *testing.T) {
-			self, err := filepath.Abs(os.Args[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			cmd := exec.Command(self, c.args...)
-			cmd.Dir = filepath.Join("..", "..") // the examples are named from the repository root
-			cmd.Env = append(os.Environ(), runMainEnv+"=1")
-			got, err := cmd.CombinedOutput()
-			if err != nil {
-				t.Fatalf("rtgc %v: %v\n%s", c.args, err, got)
+			got, code := rtgc(t, c.args...)
+			if code != 0 {
+				t.Fatalf("rtgc %v: exit %d\n%s", c.args, code, got)
 			}
 			path := filepath.Join("testdata", c.golden)
 			if *updateGolden {
-				if err := os.WriteFile(path, got, 0o644); err != nil {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 					t.Fatal(err)
 				}
 				return
@@ -59,9 +53,53 @@ func TestPauseDigestGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			diffLines(t, string(got), string(want))
+			diffLines(t, got, string(want))
 		})
 	}
+}
+
+// TestCheckpointFitsRestore holds -checkpoint to the heaps -restore maps: at
+// -old 2031 (with rtgc's 32 MB nursery cap, the largest arena within
+// checkpoint.DefaultArenaLimit) the checkpoints restore, and one megabyte more
+// is a usage error before anything is written.
+func TestCheckpointFitsRestore(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	if out, code := rtgc(t, "-stats=false", "-old", "2031", "-checkpoint", dir, "examples/miniml/sieve.ml"); code != 0 {
+		t.Fatalf("rtgc -old 2031 -checkpoint: exit %d\n%s", code, out)
+	}
+	if out, code := rtgc(t, "-restore", dir); code != 0 || !strings.Contains(out, "(verified)") {
+		t.Fatalf("rtgc -restore of an -old 2031 checkpoint: exit %d\n%s", code, out)
+	}
+	over := filepath.Join(t.TempDir(), "over")
+	out, code := rtgc(t, "-old", "2032", "-checkpoint", over, "examples/miniml/sieve.ml")
+	if code != 2 || !strings.Contains(out, "-old 2032") {
+		t.Fatalf("rtgc -old 2032 -checkpoint: exit %d, want 2 naming -old\n%s", code, out)
+	}
+	if _, err := os.Stat(over); !os.IsNotExist(err) {
+		t.Fatalf("a refused -checkpoint run left %s behind (%v)", over, err)
+	}
+}
+
+// rtgc runs the test binary as the command, from the repository root where
+// the examples are named, and returns what it printed and its exit status.
+func rtgc(t *testing.T, args ...string) (string, int) {
+	t.Helper()
+	self, err := filepath.Abs(os.Args[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(self, args...)
+	cmd.Dir = filepath.Join("..", "..")
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return string(out), exit.ExitCode()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), 0
 }
 
 // diffLines reports each line of got that is not the golden's.

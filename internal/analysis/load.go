@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -191,7 +192,8 @@ func (l *Loader) ImportPathFor(dir string) (string, error) {
 // derived path when non-empty (used by tests to place fixture packages under
 // rule-scoped paths). Test files are excluded: the rules police the shipped
 // system, and tests legitimately reach around the discipline to corrupt
-// heaps and simulate failures.
+// heaps and simulate failures. Build constraints select files as go build
+// does for the host platform: of a unix/!unix pair, the host's file.
 func (l *Loader) Load(dir, importPath string) (*Package, error) {
 	if importPath == "" {
 		p, err := l.ImportPathFor(dir)
@@ -208,6 +210,13 @@ func (l *Loader) Load(dir, importPath string) (*Package, error) {
 	var names []string
 	for _, e := range ents {
 		if e.IsDir() || !isSourceFile(e.Name()) {
+			continue
+		}
+		ok, err := build.Default.MatchFile(dir, e.Name())
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
 			continue
 		}
 		names = append(names, e.Name())

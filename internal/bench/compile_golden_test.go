@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -167,5 +168,6 @@ func heapImageHash(h *heap.Heap) uint64 {
 			f.Write(w[:])
 		}
 	}
+	runtime.KeepAlive(h) // the range holds only arena slices, not the heap
 	return f.Sum64()
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 
 	"repligc/internal/artifact"
@@ -284,6 +285,7 @@ func (w *Writer) writeSegment(m *core.Mutator, space uint8, start, count uint64)
 	for _, word := range m.H.Arena[start : start+count] {
 		e.U64(uint64(word))
 	}
+	runtime.KeepAlive(m.H) // the range holds only the arena slice, not the heap
 	w.snapRec.Record(recSegment, e.B)
 	w.segCount++
 	w.stats.WordsCopied += int64(count)

@@ -1,6 +1,8 @@
 package checkpoint
 
 import (
+	"runtime"
+
 	"repligc/internal/artifact"
 	"repligc/internal/core"
 	"repligc/internal/heap"
@@ -83,6 +85,7 @@ func (r *Restored) stateFingerprint() uint64 {
 	}
 	words(h.Arena[h.OldFrom().Lo:r.fromNext])
 	words(h.Arena[h.Nursery.Lo:r.nurseryNext])
+	runtime.KeepAlive(h) // words holds only arena slices, not the heap
 	words(r.Roots)
 	fp.U64(uint64(r.LogBase))
 	fp.U64(uint64(len(r.LogEntries)))

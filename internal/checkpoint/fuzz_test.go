@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repligc/internal/artifact"
@@ -43,44 +44,94 @@ func TestTornLengthAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestForgedSegmentStartRejected re-frames a genuine snapshot — ordinals and
-// checksums valid — with its first segment claiming to start far past its
-// space. The range check subtracted before comparing, wrapped, and recovery
-// died indexing the arena; a forged file is still external input.
+// reframe re-frames a genuine artifact — ordinals and checksums valid —
+// after edit has had its way with each record's payload.
+func reframe(t testing.TB, data []byte, path, magic string, edit func(typ uint8, payload []byte)) []byte {
+	rr, err := artifact.NewReader(bytes.NewReader(data), int64(len(data)), path, magic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var forged bytes.Buffer
+	fw := artifact.NewWriter(&forged, magic)
+	for {
+		typ, payload, err := rr.Next()
+		if err != nil {
+			break
+		}
+		edit(typ, payload)
+		fw.Record(typ, payload)
+	}
+	return forged.Bytes()
+}
+
+// forgeSnapshot rewrites the newest epoch's snapshot in dir through reframe
+// and returns that epoch.
+func forgeSnapshot(t *testing.T, dir string, edit func(typ uint8, payload []byte)) uint64 {
+	epochs, _ := Epochs(dir)
+	epoch := epochs[len(epochs)-1]
+	path := filepath.Join(dir, fmt.Sprintf("snap-%08d.ckpt", epoch))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, reframe(t, data, path, snapMagic, edit), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	return epoch
+}
+
+// oldSemiAt is where a snapshot header's payload holds OldSemiBytes.
+const oldSemiAt = 40
+
+// TestForgedSegmentStartRejected re-frames a genuine snapshot with its first
+// segment claiming to start far past its space. The range check subtracted
+// before comparing, wrapped, and recovery died indexing the arena; a forged
+// file is still external input.
 func TestForgedSegmentStartRejected(t *testing.T) {
 	dir := t.TempDir()
 	if _, _, _, err := referenceRun(dir, 9, 400, 4<<10); err != nil {
 		t.Fatal(err)
 	}
-	epochs, _ := Epochs(dir)
-	path := filepath.Join(dir, fmt.Sprintf("snap-%08d.ckpt", epochs[len(epochs)-1]))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr, err := artifact.NewReader(bytes.NewReader(data), int64(len(data)), path, snapMagic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var forged bytes.Buffer
-	fw := artifact.NewWriter(&forged, snapMagic)
-	for moved := false; ; {
-		typ, payload, err := rr.Next()
-		if err != nil {
-			break
-		}
+	moved := false
+	epoch := forgeSnapshot(t, dir, func(typ uint8, payload []byte) {
 		if typ == recSegment && !moved {
 			binary.LittleEndian.PutUint64(payload[1:], 1<<29) // the start word
 			moved = true
 		}
-		fw.Record(typ, payload)
-	}
-	if err := os.WriteFile(path, forged.Bytes(), 0o666); err != nil {
-		t.Fatal(err)
-	}
+	})
 	var ce *artifact.CorruptError
-	if _, err := RecoverEpoch(dir, epochs[len(epochs)-1]); !errors.As(err, &ce) {
+	if _, err := RecoverEpoch(dir, epoch, matrixHeap.ArenaBytes()); !errors.As(err, &ce) {
 		t.Fatalf("RecoverEpoch returned %v, want a *artifact.CorruptError", err)
+	}
+}
+
+// TestOversizedHeapConfigRejected re-frames a genuine snapshot whose header
+// asks for a larger heap than the caller's arena limit: a terabyte
+// semispace, which the old per-space bound let through to the allocator, and
+// one only a megabyte past the matrix's own heap. Recovery must refuse it as
+// corrupt from the header — before a heap is built, which the fingerprint
+// check would only have caught after mapping it.
+func TestOversizedHeapConfigRejected(t *testing.T) {
+	for _, c := range []struct {
+		oldSemi, limit int64
+	}{
+		{1 << 40, DefaultArenaLimit},
+		{matrixHeap.OldSemiBytes + 1<<20, matrixHeap.ArenaBytes()},
+	} {
+		dir := t.TempDir()
+		if _, _, _, err := referenceRun(dir, 9, 400, 4<<10); err != nil {
+			t.Fatal(err)
+		}
+		epoch := forgeSnapshot(t, dir, func(typ uint8, payload []byte) {
+			if typ == recSnapHeader {
+				binary.LittleEndian.PutUint64(payload[oldSemiAt:], uint64(c.oldSemi))
+			}
+		})
+		_, err := RecoverEpoch(dir, epoch, c.limit)
+		var ce *artifact.CorruptError
+		if !errors.As(err, &ce) || !strings.Contains(err.Error(), "arena limit") {
+			t.Fatalf("old semispace %d under limit %d: RecoverEpoch returned %v, want the arena limit's *artifact.CorruptError", c.oldSemi, c.limit, err)
+		}
 	}
 }
 
@@ -111,6 +162,11 @@ func FuzzRecover(f *testing.F) {
 	f.Add(append(append([]byte(nil), snap...), snap[len(snapMagic):]...), wal)
 	f.Add(wal, snap)
 	f.Add([]byte(snapMagic), []byte(walMagic))
+	f.Add(reframe(f, snap, snapName, snapMagic, func(typ uint8, payload []byte) {
+		if typ == recSnapHeader {
+			binary.LittleEndian.PutUint64(payload[oldSemiAt:], 1<<40)
+		}
+	}), wal)
 
 	f.Fuzz(func(t *testing.T, snap, wal []byte) {
 		dir := t.TempDir()
@@ -120,7 +176,7 @@ func FuzzRecover(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, walName), wal, 0o666); err != nil {
 			t.Fatal(err)
 		}
-		r, err := Recover(dir)
+		r, err := RecoverWithin(dir, matrixHeap.ArenaBytes())
 		if err != nil {
 			var ce *artifact.CorruptError
 			if !errors.As(err, &ce) {

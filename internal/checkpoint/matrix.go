@@ -56,6 +56,10 @@ type MatrixReport struct {
 // MatrixSchema identifies the report format.
 const MatrixSchema = "repligc-crash-matrix/1"
 
+// matrixHeap sizes the heap of every fresh matrix run; recovery maps no
+// larger arena than it.
+var matrixHeap = heap.Config{NurseryBytes: 16 << 10, NurseryCapBytes: 64 << 10, OldSemiBytes: 512 << 10}
+
 // matrixConfig is the runtime every matrix run builds, fresh (restored nil)
 // or over a recovered heap: a heap tight enough that the gctest driver
 // provokes minors, promotions and majors within a few thousand operations,
@@ -68,11 +72,11 @@ func matrixConfig(restored *heap.Heap) rig.Config {
 	coll.Engine.InterleavedTaxPermille = 200
 	rc := rig.Config{
 		Collector: coll,
-		Params:    rig.Params{NBytes: 16 << 10, OBytes: 192 << 10, LBytes: 8 << 10},
+		Params:    rig.Params{NBytes: matrixHeap.NurseryBytes, OBytes: 192 << 10, LBytes: 8 << 10},
 		Heap:      restored,
 	}
 	if restored == nil {
-		rc.NurseryCapBytes, rc.OldSemiBytes = 64<<10, 512<<10
+		rc.NurseryCapBytes, rc.OldSemiBytes = matrixHeap.NurseryCapBytes, matrixHeap.OldSemiBytes
 	}
 	return rc
 }
@@ -279,7 +283,7 @@ func (rep *MatrixReport) Check() error {
 // the outcome against the contract.
 func runCase(w *Writer, dir string, seed uint64, planName string, damaged bool) CaseResult {
 	c := CaseResult{Seed: seed, Plan: planName}
-	r, err := Recover(dir)
+	r, err := RecoverWithin(dir, matrixHeap.ArenaBytes())
 	if err != nil {
 		var ce *artifact.CorruptError
 		if errors.As(err, &ce) {

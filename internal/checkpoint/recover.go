@@ -115,11 +115,23 @@ func Epochs(dir string) ([]uint64, error) {
 	return out, nil
 }
 
-// Recover loads the newest recoverable epoch in dir. Damaged epochs are
+// DefaultArenaLimit is the largest arena Recover maps for a snapshot: 4 GiB,
+// room for rtgc's 32 MB nursery cap beside two semispaces of up to 2 031 MB.
+// rtgc -checkpoint refuses a heap larger than this, so what it writes,
+// rtgc -restore reads.
+const DefaultArenaLimit int64 = 4 << 30
+
+// Recover is RecoverWithin at DefaultArenaLimit, for a caller such as
+// rtgc -restore that builds whatever heap the snapshot describes.
+func Recover(dir string) (*Restored, error) { return RecoverWithin(dir, DefaultArenaLimit) }
+
+// RecoverWithin loads the newest recoverable epoch in dir. Damaged epochs are
 // skipped (newest first); if none survives, the returned error is a
 // *artifact.CorruptError wrapping every per-epoch failure. Recovery never
-// returns a heap whose fingerprint does not match its commit footer.
-func Recover(dir string) (*Restored, error) {
+// returns a heap whose fingerprint does not match its commit footer. A
+// snapshot header is external input: one whose heap needs an arena of more
+// than maxArena bytes is corrupt, rejected before anything is mapped.
+func RecoverWithin(dir string, maxArena int64) (*Restored, error) {
 	epochs, err := Epochs(dir)
 	if err != nil {
 		return nil, &artifact.CorruptError{Path: dir, Detail: "unreadable artifact directory", Err: err}
@@ -129,7 +141,7 @@ func Recover(dir string) (*Restored, error) {
 	}
 	var fails []error
 	for i := len(epochs) - 1; i >= 0; i-- {
-		r, err := RecoverEpoch(dir, epochs[i])
+		r, err := RecoverEpoch(dir, epochs[i], maxArena)
 		if err == nil {
 			return r, nil
 		}
@@ -139,15 +151,15 @@ func Recover(dir string) (*Restored, error) {
 }
 
 // RecoverEpoch loads one specific epoch, verifying every record checksum,
-// the record ordinals, both completeness footers, and finally the state
-// fingerprint against the commit record.
-func RecoverEpoch(dir string, epoch uint64) (*Restored, error) {
+// the record ordinals, the heap config against maxArena, both completeness
+// footers, and finally the state fingerprint against the commit record.
+func RecoverEpoch(dir string, epoch uint64, maxArena int64) (*Restored, error) {
 	snapPath := filepath.Join(dir, fmt.Sprintf("snap-%08d.ckpt", epoch))
 	walPath := filepath.Join(dir, fmt.Sprintf("wal-%08d.ckpt", epoch))
 
 	r := &Restored{Epoch: epoch}
 	var walBase int64
-	if err := readSnapshot(snapPath, r, &walBase); err != nil {
+	if err := readSnapshot(snapPath, r, &walBase, maxArena); err != nil {
 		return nil, err
 	}
 	if err := readWAL(walPath, r); err != nil {
@@ -165,10 +177,11 @@ func RecoverEpoch(dir string, epoch uint64) (*Restored, error) {
 	return r, nil
 }
 
-// readSnapshot parses the snapshot file into a fresh heap.
+// readSnapshot parses the snapshot file into a fresh heap of at most
+// maxArena bytes of arena.
 //
 //gclint:io reads the epoch's snapshot file
-func readSnapshot(path string, r *Restored, walBase *int64) error {
+func readSnapshot(path string, r *Restored, walBase *int64, maxArena int64) error {
 	f, rr, err := openRecords(path, snapMagic)
 	if err != nil {
 		return err
@@ -201,8 +214,12 @@ func readSnapshot(path string, r *Restored, walBase *int64) error {
 	if epoch != r.Epoch {
 		return artifact.Corrupt(path, "snapshot claims epoch %d, file is named for %d", epoch, r.Epoch)
 	}
-	if cfg.NurseryBytes <= 0 || cfg.OldSemiBytes <= 0 || cfg.NurseryBytes > 1<<40 || cfg.NurseryCapBytes > 1<<40 || cfg.OldSemiBytes > 1<<40 {
+	if cfg.NurseryBytes <= 0 || cfg.OldSemiBytes <= 0 {
 		return artifact.Corrupt(path, "implausible heap config %+v", cfg)
+	}
+	// Each size is bounded before they are summed, so the sum cannot wrap.
+	if cfg.NurseryBytes > maxArena || cfg.NurseryCapBytes > maxArena || cfg.OldSemiBytes > maxArena || cfg.ArenaBytes() > maxArena {
+		return artifact.Corrupt(path, "heap config %+v needs more than the %d-byte arena limit", cfg, maxArena)
 	}
 	r.Cfg = cfg
 	r.Heap = heap.New(cfg)

@@ -3,6 +3,7 @@ package heap
 import (
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 )
 
 // Config sizes a Heap. All quantities are bytes. The paper's experimental
@@ -18,7 +19,15 @@ type Config struct {
 // Heap is the simulated two-generation heap: a nursery plus two old
 // semispaces over a single flat word arena.
 type Heap struct {
+	// Arena is every word of the heap. On unix it lives in a mapping that is
+	// unmapped once the Heap is unreachable (arena_unix.go), so the slice is
+	// valid only while its *Heap is: index it through the heap (h.Arena[i]),
+	// never keep it in a variable or field, and hold the heap with
+	// runtime.KeepAlive past a loop over a sub-slice.
 	Arena []Value
+	// mapping, where the arena is mapped, unmaps it when finalized; only the
+	// Heap points to it, so it dies with the Heap.
+	mapping *mapping
 
 	Nursery Space
 	oldA    Space
@@ -39,23 +48,36 @@ type Heap struct {
 	EpochHook func(epoch uint32)
 }
 
+// spaceWords reports, in words, the nursery's cap (never below the nursery)
+// and the size of one old semispace.
+func (c Config) spaceWords() (nCap, oCap uint64) {
+	return uint64(max(c.NurseryCapBytes, c.NurseryBytes)) / BytesPerWord, uint64(c.OldSemiBytes) / BytesPerWord
+}
+
+// ArenaBytes reports the size of the arena New(c) builds: the reserved word
+// 0, the nursery at its cap and both old semispaces. Each of c's sizes must be
+// below 2^61 bytes.
+func (c Config) ArenaBytes() int64 {
+	nCap, oCap := c.spaceWords()
+	return int64(1+nCap+2*oCap) * BytesPerWord
+}
+
+// mappedBytes counts the bytes of arena mappings not yet unmapped
+// (arena_unix.go); it stays 0 where the arena is allocated.
+var mappedBytes atomic.Int64
+
 // New builds a heap from cfg.
 func New(cfg Config) *Heap {
 	if cfg.NurseryBytes <= 0 || cfg.OldSemiBytes <= 0 {
 		//gclint:allow panicpath -- invariant: construction-time config misuse, not resource exhaustion
 		panic("heap: non-positive space size")
 	}
-	if cfg.NurseryCapBytes < cfg.NurseryBytes {
-		cfg.NurseryCapBytes = cfg.NurseryBytes
-	}
-	nCap := uint64(cfg.NurseryCapBytes) / BytesPerWord
-	oCap := uint64(cfg.OldSemiBytes) / BytesPerWord
+	nCap, oCap := cfg.spaceWords()
 
 	// Word 0 is reserved so that Value(0) is never a valid object pointer.
 	lo := uint64(1)
-	h := &Heap{Arena: make([]Value, lo+nCap+2*oCap)}
-	h.dirty = make([]uint64, (len(h.Arena)+63)/64)
-	h.logEpoch = 1
+	h := &Heap{logEpoch: 1}
+	h.newArena(uint64(cfg.ArenaBytes()) / BytesPerWord)
 	h.Nursery = Space{Name: "nursery", Lo: lo, Cap: lo + nCap}
 	h.oldA = Space{Name: "oldA", Lo: lo + nCap, Cap: lo + nCap + oCap}
 	h.oldB = Space{Name: "oldB", Lo: lo + nCap + oCap, Cap: lo + nCap + 2*oCap}

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repligc/internal/rng"
 )
@@ -408,19 +409,95 @@ func TestDefaultConfigUsable(t *testing.T) {
 // 0.2 MB nursery, 16 MB cap, 96 MB semispaces).
 var benchShape = Config{NurseryBytes: 209715, NurseryCapBytes: 16 << 20, OldSemiBytes: 96 << 20}
 
-// TestNewFootprint bounds what New allocates beside the arena at 1/32 of the
-// arena's bytes. The dirty map takes 1/64; a side table with a byte or more
-// per arena word (the stamp table had four) cannot come back unnoticed.
+// TestNewFootprint bounds what New takes beside the arena — Go allocations
+// plus the mapping the arena lives in — at 1/32 of the arena's bytes, and
+// holds Config.ArenaBytes, which recovery checks a snapshot against, to the
+// arena New builds. The dirty map takes 1/64; a side table with a byte or
+// more per arena word (the stamp table had four) cannot come back unnoticed,
+// allocated or mapped.
 func TestNewFootprint(t *testing.T) {
 	for _, cfg := range []Config{defaultShape, benchShape} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
+		mapped := mappedBytes.Load()
 		h := New(cfg)
+		mapped = mappedBytes.Load() - mapped
 		runtime.ReadMemStats(&after)
-		arena := uint64(len(h.Arena)) * BytesPerWord
-		if got, limit := after.TotalAlloc-before.TotalAlloc, arena+arena/32; got > limit {
-			t.Errorf("New(%+v) allocated %d bytes for a %d-byte arena, limit %d", cfg, got, arena, limit)
+		arena := int64(len(h.Arena)) * BytesPerWord
+		if arena != cfg.ArenaBytes() {
+			t.Errorf("New(%+v) built a %d-byte arena, ArenaBytes says %d", cfg, arena, cfg.ArenaBytes())
 		}
+		got := int64(after.TotalAlloc-before.TotalAlloc) + mapped
+		if limit := arena + arena/32; got > limit {
+			t.Errorf("New(%+v) took %d bytes for a %d-byte arena, limit %d", cfg, got, arena, limit)
+		}
+	}
+}
+
+// awaitUnmapped collects until every arena mapping is unmapped. Cleanups run
+// asynchronously after the collection that finds their heap dead, so it
+// polls.
+func awaitUnmapped(t *testing.T) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		runtime.GC()
+		n := mappedBytes.Load()
+		if n == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d bytes of arena mappings still live after their heaps were dropped", n)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestArenaReleased builds and drops heaps of the benchmark's size: each
+// one's mapping must be unmapped once the heap is unreachable, or a process
+// that builds a heap per run would exhaust its address space. An EpochHook
+// closing over its own heap must not keep the mapping alive.
+func TestArenaReleased(t *testing.T) {
+	const heaps = 16
+	for i := 0; i < heaps; i++ {
+		h := New(benchShape)
+		h.EpochHook = func(uint32) { h.Arena[h.Nursery.Lo] = FromInt(int64(i)) }
+		h.BeginLogEpoch()
+		if arena := int64(len(h.Arena)) * BytesPerWord; arenaMapped && mappedBytes.Load() < arena {
+			t.Fatal("a mapped arena is not counted")
+		}
+	}
+	awaitUnmapped(t)
+}
+
+// TestNewArenaReadsZero dirties a heap's spaces at every boundary and at
+// random words, drops it, and requires a new heap of the same size to read 0
+// at each of them, dirty map included. A fresh mapping always does; this
+// holds any later reuse of arenas to the same.
+func TestNewArenaReadsZero(t *testing.T) {
+	h := New(benchShape)
+	idx := []uint64{0, uint64(len(h.Arena)) - 1}
+	for _, s := range []*Space{&h.Nursery, h.OldFrom(), h.OldTo()} {
+		idx = append(idx, s.Lo, s.Cap-1)
+	}
+	r := rng.New(28)
+	for i := 0; i < 1000; i++ {
+		idx = append(idx, r.Uint64n(uint64(len(h.Arena))))
+	}
+	for _, i := range idx {
+		h.Arena[i] = Value(^uint64(0))
+		h.markDirty(i>>6, 1<<(i&63))
+	}
+	h = nil
+	awaitUnmapped(t)
+
+	h = New(benchShape)
+	for _, i := range idx {
+		if w := h.Arena[i]; w != 0 {
+			t.Fatalf("word %d of a new arena reads %#x", i, w)
+		}
+	}
+	if set, undo := DirtyState(h); set != 0 || undo != 0 {
+		t.Fatalf("a new heap's dirty map has %d bits set, %d undo entries", set, undo)
 	}
 }
 
