@@ -7,58 +7,28 @@ all: build lint test host-bench-test
 build:
 	go build ./...
 
-# go vet plus the repository's invariant linter (cmd/gclint): write-barrier
-# discipline (syntactic and interprocedural), from-space forwarding hygiene,
-# stale heap.Values across may-flip calls, pause-only collector state,
-# simulated-clock-only timing, deterministic iteration, dispatch
-# exhaustiveness, and the annotation hygiene of //gclint:allow itself.
-# See DESIGN.md, "Machine-checked invariants". gclint runs over ./..., which
-# includes internal/analysis, internal/trace and internal/faultinject — the
-# linter lints itself; like go build, it reads the host platform's files. Two
-# cross-builds keep the other side of the heap arena's unix/!unix pair
-# compiling. Seven shell checks follow. The first two keep runtime
-# construction in one place: outside internal/rig (and recovery, which sizes
-# a heap from a snapshot header, and the frozen benchmark), non-test Go may
-# not call the constructors of a heap, a mutator, a group or a collector; and
-# only a command (which does so when asked for a Chrome trace file) may
-# construct a flight recorder — every digest reads the collector's own pause
-# record. The third keeps reading a finished run in one place: the harness,
-# the serving engine, the commands and the facade read rig.Runtime.Stats, not
-# the collector's counters. The fourth keeps the torture driver
-# (internal/gctest) a test driver: besides tests, only the crash matrix's
-# reference runs and the frozen benchmark import it. The fifth and sixth keep
-# the heap arena's lifetime rule: the arena may be mapped memory, valid only
-# while its *Heap is reachable, so outside internal/heap no variable or field
-# holds .Arena or a sub-slice of it, no call is handed the whole .Arena, and a
-# file that loops over a sub-slice calls runtime.KeepAlive (that it keeps the
-# right heap past the right loop is left to review). The last requires gofmt
-# to have nothing to say outside the frozen benchmark and the analyzer's
-# fixtures, whose goldens pin line:column positions.
+# go vet plus the repository's invariant linter (cmd/gclint). Its
+# confinement table says which packages may call what: raw heap words and
+# forwarding pointers stay in the collector packages, the host clock out of
+# internal/ and cmd/, file I/O in cmd/ and internal/checkpoint, panics out of
+# the collector packages, runtime constructors in internal/rig, flight
+# recorders in the commands, a finished run is read through
+# rig.Runtime.Stats, and the torture driver is imported by tests and the
+# crash matrix only. Its other rules check stale heap.Values across may-flip
+# calls, barrier completeness through helpers, pause-only collector state,
+# deterministic iteration, dispatch exhaustiveness and the hygiene of its own
+# annotations. See DESIGN.md, "Machine-checked invariants". gclint runs over
+# ./..., which includes internal/analysis itself; like go build, it reads the
+# host platform's files, so two cross-builds keep the other side of the heap
+# arena's unix/!unix pair compiling. Last, gofmt must have nothing to say
+# outside the frozen benchmark and the analyzer's fixtures, whose goldens pin
+# line:column positions.
 lint:
 	go vet ./...
 	go run ./cmd/gclint ./...
 	GOOS=windows go build ./...
 	GOOS=darwin go build ./...
-	@if git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmarks/' -e '/testdata/' -e '^internal/rig/' -e '^internal/checkpoint/recover\.go$$' | \
-		xargs grep -nE 'heap\.New\(|core\.NewMutator\(|core\.NewGroup\(|core\.NewReplicating\(|stopcopy\.New\('; \
-		then echo 'lint: a runtime is assembled outside internal/rig (lines above); call rig.New'; exit 1; fi
-	@if git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmarks/' -e '/testdata/' -e '^cmd/' -e '^internal/trace/' | \
-		xargs grep -nE 'trace\.NewRecorder\('; \
-		then echo 'lint: a library layer attaches a flight recorder on its own (lines above); take rig.Config.Trace from the caller'; exit 1; fi
-	@if git ls-files '*.go' | grep -v -e '_test\.go$$' | grep -e '^internal/bench/' -e '^internal/workload/' -e '^cmd/' -e '^repligc\.go$$' | \
-		xargs grep -nE '\.GC\.(Stats|Pauses)\(\)'; \
-		then echo 'lint: a finished run is read past its report (lines above); call rig.Runtime.Stats'; exit 1; fi
-	@if git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmarks/' -e '/testdata/' -e '^internal/gctest/' -e '^internal/checkpoint/' | \
-		xargs grep -n '"repligc/internal/gctest"'; \
-		then echo 'lint: the torture driver is imported outside tests (lines above); it is a test driver'; exit 1; fi
-	@if git ls-files '*.go' | grep -v -e '^internal/heap/' -e '^benchmarks/' -e '/testdata/' | \
-		xargs grep -nE '(:?=|:)[[:space:]]*[[:alnum:]_.()]*\.Arena([[:space:]]*(,|\}|$$)|\[[^]]*:)|[(,][[:space:]]*[[:alnum:]_.]*\.Arena[[:space:]]*[,)]' | \
-		grep -vE '(len|cap)\([[:alnum:]_.]*\.Arena\)'; \
-		then echo 'lint: a heap arena is kept apart from its heap (lines above); index it through the *Heap, which keeps the mapping alive'; exit 1; fi
-	@unkept=$$(git ls-files '*.go' | grep -v -e '^internal/heap/' -e '^benchmarks/' -e '/testdata/' | \
-		xargs grep -lE '\.Arena\[[^]]*:' | xargs -r grep -L 'runtime\.KeepAlive('); \
-		if [ -n "$$unkept" ]; then echo "$$unkept"; echo 'lint: the files above loop over a sub-slice of a heap arena and never call runtime.KeepAlive on the heap'; exit 1; fi
-	@unformatted=$$(git ls-files '*.go' | grep -v -e '^benchmarks/' -e '/testdata/' | xargs gofmt -l); \
+	@unformatted=$$(gofmt -l $$(git ls-files -- '*.go' ':!benchmarks/*' ':!*/testdata/*')); \
 		if [ -n "$$unformatted" ]; then echo "$$unformatted"; echo 'lint: gofmt -l lists the files above; run gofmt -w on them'; exit 1; fi
 
 test:

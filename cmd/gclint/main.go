@@ -1,12 +1,16 @@
 // Command gclint is the repository's invariant linter: a stdlib-only static
 // analyzer that enforces the discipline the replication collector's
-// correctness rests on — the logging write barrier, the from-space
-// invariant's forwarding hygiene, simulated-clock-only timing, deterministic
-// iteration, and dispatch exhaustiveness — plus the interprocedural checks
-// built on per-function call-graph summaries: stale heap.Values held across
-// may-flip calls, barrier completeness on all dataflow paths, and
+// correctness rests on. One table of confinements ("calls to these names may
+// appear only in those packages") carries the logging write barrier, the
+// from-space invariant's forwarding hygiene, simulated-clock-only timing,
+// file-I/O confinement, the collector packages' panic discipline, and the
+// single places a runtime is assembled, a flight recorder attached, a
+// finished run read and the torture driver imported. Beside it sit
+// deterministic iteration, dispatch exhaustiveness and the interprocedural
+// checks built on per-function call-graph summaries: stale heap.Values held
+// across may-flip calls, barrier completeness on all dataflow paths, and
 // pause-only collector state. See DESIGN.md, "Machine-checked invariants",
-// for the rule ↔ paper-invariant catalogue.
+// for the rule ↔ paper-invariant catalogue; -rules prints the table.
 //
 // Usage:
 //
@@ -21,16 +25,16 @@
 //	-out file   additionally write the JSON findings document to file
 //	-summaries  dump the interprocedural per-function summaries and exit
 //
-// Violations can be suppressed, one site at a time, with
+// Violations are suppressed with
 //
 //	//gclint:allow rule[,rule] -- reason why this site is correct
 //
-// on the offending line or the line above; the reason is mandatory, and
-// unknown rule names and annotations that suppress nothing are themselves
-// findings. The interprocedural rules have dedicated annotations:
-// //gclint:handle <invariant> vouches for a heap.Value across a flip,
-// //gclint:pauseonly <invariant> marks pause-only fields, and
-// //gclint:pauseentry <reason> marks pause entry points.
+// on the offending line or the line above, or in a function's doc comment,
+// where it covers the whole function. The reason is mandatory, and unknown
+// rule names and annotations that suppress nothing are themselves findings.
+// Three other annotations feed rules: //gclint:dispatch marks a switch that
+// must stay exhaustive, //gclint:pauseonly <invariant> marks pause-only
+// fields, and //gclint:pauseentry <reason> marks pause entry points.
 package main
 
 import (
@@ -41,7 +45,7 @@ import (
 	"repligc/internal/analysis"
 )
 
-//gclint:io writes the rule-documentation file requested with -doc
+//gclint:allow io -- writes the JSON findings document requested with -out
 func main() {
 	listRules := flag.Bool("rules", false, "list the rules and exit")
 	summaries := flag.Bool("summaries", false, "dump interprocedural function summaries and exit")

@@ -133,7 +133,7 @@ func digest(w io.Writer, dir, benchPath string, showRuns bool) error {
 	return writeJSON(filepath.Join(dir, "change.json"), mergedC)
 }
 
-//gclint:io reads BENCHMARK.json
+//gclint:allow io -- reads BENCHMARK.json
 func loadDefs(path string) ([]metricDef, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -151,7 +151,7 @@ func loadDefs(path string) ([]metricDef, error) {
 
 // loadRuns reads side.1.json, side.2.json, ... until one is missing.
 //
-//gclint:io reads the per-run report files host-pairs.sh collected
+//gclint:allow io -- reads the per-run report files host-pairs.sh collected
 func loadRuns(dir, side string) ([]*reportFile, error) {
 	var out []*reportFile
 	for i := 1; ; i++ {
@@ -326,7 +326,7 @@ func merge(rs []*report) *report {
 	return &out
 }
 
-//gclint:io writes each side's folded report file beside its runs
+//gclint:allow io -- writes each side's folded report file beside its runs
 func writeJSON(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", " ")
 	if err != nil {

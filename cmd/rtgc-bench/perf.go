@@ -13,7 +13,7 @@ import (
 // runPerf builds the full report and writes it to outPath ("" = stdout),
 // gating it against baselinePath when one is given.
 //
-//gclint:io reads the baseline report the fresh one is gated against
+//gclint:allow io -- reads the baseline report the fresh one is gated against
 func runPerf(s bench.Scale, scaleName, outPath, baselinePath string) error {
 	rep, err := bench.RunPerf(s, scaleName)
 	if err != nil {

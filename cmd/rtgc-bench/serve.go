@@ -11,7 +11,7 @@ import (
 	"repligc/internal/workload"
 )
 
-//gclint:io reads the spec file, writes the report and optional trace artifact
+//gclint:allow io -- reads the spec file, writes the report and optional trace artifact
 func runServe(specPath, outPath, recordPath string) error {
 	raw, err := os.ReadFile(specPath)
 	if err != nil {
@@ -39,7 +39,7 @@ func runServe(specPath, outPath, recordPath string) error {
 	return serveTrace(tr, outPath)
 }
 
-//gclint:io reads the trace artifact, writes the report
+//gclint:allow io -- reads the trace artifact, writes the report
 func runServeReplay(tracePath, outPath string) error {
 	raw, err := os.ReadFile(tracePath)
 	if err != nil {

@@ -37,7 +37,7 @@ func workloadNames() []string {
 // and — when out is non-empty, the only case that attaches a flight recorder
 // — writing a Chrome trace per workload.
 //
-//gclint:io writes the Chrome trace artifact per workload
+//gclint:allow io -- writes the Chrome trace artifact per workload
 func runTrace(s bench.Scale, workload, out string, worst int) error {
 	names := workloadNames()
 	if workload != "" {

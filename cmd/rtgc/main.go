@@ -36,7 +36,7 @@ import (
 	"repligc/internal/vm"
 )
 
-//gclint:io reads the MiniML source program and writes the optional trace/checkpoint artifacts
+//gclint:allow io -- reads the MiniML source program and writes the optional trace/checkpoint artifacts
 func main() {
 	gcName := flag.String("gc", "rt", "collector: "+rig.Names())
 	nKB := flag.Int64("n", 200, "nursery size N in KB")
@@ -197,7 +197,7 @@ func (f traceFlags) recorder() *trace.Recorder {
 
 // export writes the Chrome trace file, when one was asked for.
 //
-//gclint:io writes the optional Chrome trace artifact
+//gclint:allow io -- writes the optional Chrome trace artifact
 func (f traceFlags) export(rt *rig.Runtime, subject string) error {
 	tr := rt.Recorder
 	if tr == nil {

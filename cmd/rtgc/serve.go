@@ -18,7 +18,7 @@ import (
 // the selected collector, then reports on the run as look asks.
 // Exit status 0 on success, 1 on any failure.
 //
-//gclint:io reads the workload spec file
+//gclint:allow io -- reads the workload spec file
 func runServeSpec(specPath string, coll rig.Collector, look traceFlags) int {
 	raw, err := os.ReadFile(specPath)
 	if err != nil {

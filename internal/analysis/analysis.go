@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 	"strings"
 )
@@ -27,6 +26,8 @@ type Diagnostic struct {
 	Pos  token.Position
 	Rule string
 	Msg  string
+
+	final bool // no //gclint:allow suppresses it (Confinement.Final)
 }
 
 // String renders the diagnostic in the conventional file:line:col form.
@@ -36,8 +37,9 @@ func (d Diagnostic) String() string {
 
 // Rule checks one invariant over a type-checked package.
 type Rule interface {
-	// Name is the short identifier used in diagnostics and in
-	// //gclint:allow annotations.
+	// Name is the identifier used in diagnostics and in //gclint:allow
+	// annotations. Several rules may share one: the rows of one
+	// confinement do.
 	Name() string
 	// Doc is a one-line description of the invariant the rule enforces.
 	Doc() string
@@ -63,21 +65,21 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// DefaultRules returns the standard rule set in a fixed order.
+// DefaultRules returns the standard rule set in a fixed order: the
+// confinement table's rows, then the rules a row cannot state.
 func DefaultRules() []Rule {
-	return []Rule{
-		&BarrierRule{},
-		&BarrierFastRule{},
-		&WallClockRule{},
+	var rules []Rule
+	for _, c := range Confinements {
+		rules = append(rules, c)
+	}
+	return append(rules,
+		&ReadPathRule{},
 		&MapRangeRule{},
 		&ExhaustiveRule{},
-		&ForwardRule{},
-		&PanicPathRule{},
 		&StaleHandleRule{},
 		&BarrierCompleteRule{},
 		&PauseOnlyRule{},
-		&IORule{},
-	}
+	)
 }
 
 // Run builds the shared interprocedural Index over pkgs (one load, one
@@ -100,27 +102,29 @@ func Run(pkgs []*Package, rules []Rule) []Diagnostic {
 		valid[r.Name()] = true
 	}
 	var out []Diagnostic
-	var sites []allowSite
+	var sites []*allowSite
 	for _, pkg := range pkgs {
-		allows, list, bad := collectAllows(pkg, valid)
-		out = append(out, bad...)
-		pkg.allows = allows
+		list, bad := collectAllows(pkg, valid)
 		sites = append(sites, list...)
+		out = append(out, bad...)
 	}
-	used := make(map[allowKey]bool)
 	for _, d := range raw {
-		if key, ok := allowed(pkgs, d); ok {
-			used[key] = true
-			continue
+		allowed := false
+		for _, s := range sites {
+			if !d.final && s.covers(d) {
+				s.used, allowed = true, true
+			}
 		}
-		out = append(out, d)
+		if !allowed {
+			out = append(out, d)
+		}
 	}
 	for _, s := range sites {
-		if !used[s.key] {
+		if !s.used {
 			out = append(out, Diagnostic{
 				Pos:  s.pos,
 				Rule: "annotation",
-				Msg:  fmt.Sprintf("unused //gclint:allow for rule %q: no diagnostic on this line or the one below; drop the annotation (it would silently mask a future violation)", s.key.rule),
+				Msg:  fmt.Sprintf("unused //gclint:allow for rule %q: it suppresses nothing; drop the annotation (it would silently mask a future violation)", s.rule),
 			})
 		}
 	}
@@ -135,181 +139,103 @@ func Run(pkgs []*Package, rules []Rule) []Diagnostic {
 		if a.Column != b.Column {
 			return a.Column < b.Column
 		}
-		return out[i].Rule < out[j].Rule
+		if out[i].Rule != out[j].Rule {
+			return out[i].Rule < out[j].Rule
+		}
+		return out[i].Msg < out[j].Msg
 	})
 	return out
 }
 
-// allowKey identifies one suppression site: a file line and a rule name.
-type allowKey struct {
-	file string
-	line int
-	rule string
-}
-
-// allowSite is one parsed allow annotation entry, kept in source order so
-// unused annotations can be reported deterministically.
+// allowSite is one rule named by one //gclint:allow annotation, with the
+// lines it covers: its own and the next, or, when it sits in a function's
+// doc comment, through the function's last line.
 type allowSite struct {
-	key allowKey
-	pos token.Position
+	rule string
+	pos  token.Position
+	last int
+	used bool
 }
 
-// allowed reports whether d is suppressed by a //gclint:allow annotation on
-// its own line or on the line directly above, returning the matching key so
-// the caller can track which annotations earn their keep.
-func allowed(pkgs []*Package, d Diagnostic) (allowKey, bool) {
-	for _, pkg := range pkgs {
-		if pkg.allows == nil {
-			continue
-		}
-		if k := (allowKey{d.Pos.Filename, d.Pos.Line, d.Rule}); pkg.allows[k] {
-			return k, true
-		}
-		if k := (allowKey{d.Pos.Filename, d.Pos.Line - 1, d.Rule}); pkg.allows[k] {
-			return k, true
-		}
-	}
-	return allowKey{}, false
+// covers reports whether the site suppresses d.
+func (s *allowSite) covers(d Diagnostic) bool {
+	return s.rule == d.Rule && s.pos.Filename == d.Pos.Filename &&
+		s.pos.Line <= d.Pos.Line && d.Pos.Line <= s.last
 }
 
 const allowPrefix = "//gclint:allow"
 
-// collectAllows scans a package's comments for //gclint:allow annotations.
-// The accepted form is
+// collectAllows parses a package's //gclint:allow annotations. The accepted
+// form is
 //
 //	//gclint:allow rule[,rule...] -- reason
 //
 // and the reason is mandatory: an allowlisted violation must say why it is
 // acceptable. Malformed annotations — missing reason, rule names not in the
 // active rule set (valid), the same rule allowed twice on one line — are
-// returned as diagnostics.
-func collectAllows(pkg *Package, valid map[string]bool) (map[allowKey]bool, []allowSite, []Diagnostic) {
-	allows := make(map[allowKey]bool)
-	var sites []allowSite
+// returned as diagnostics and suppress nothing.
+func collectAllows(pkg *Package, valid map[string]bool) ([]*allowSite, []Diagnostic) {
+	var sites []*allowSite
 	var bad []Diagnostic
+	report := func(pos token.Position, format string, args ...any) {
+		bad = append(bad, Diagnostic{Pos: pos, Rule: "annotation", Msg: fmt.Sprintf(format, args...)})
+	}
 	for _, f := range pkg.Files {
+		funcEnd := make(map[*ast.Comment]token.Pos)
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Doc != nil {
+				for _, c := range fd.Doc.List {
+					funcEnd[c] = fd.End()
+				}
+			}
+		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, allowPrefix) {
+				rest, ok := annotationText(c, allowPrefix)
+				if !ok {
 					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())
-				rest := strings.TrimPrefix(c.Text, allowPrefix)
-				if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-					continue // some other gclint:allowX word
+				last := pos.Line + 1
+				if end, ok := funcEnd[c]; ok {
+					last = pkg.Fset.Position(end).Line
 				}
 				ruleList, reason, ok := strings.Cut(rest, "--")
 				if !ok || strings.TrimSpace(reason) == "" {
-					bad = append(bad, Diagnostic{
-						Pos:  pos,
-						Rule: "annotation",
-						Msg:  "malformed //gclint:allow: want \"//gclint:allow rule[,rule] -- reason\" (the reason is required)",
-					})
+					report(pos, "malformed //gclint:allow: want \"//gclint:allow rule[,rule] -- reason\" (the reason is required)")
 					continue
 				}
-				names := strings.Split(strings.TrimSpace(ruleList), ",")
-				any := false
-				for _, n := range names {
+				seen := make(map[string]bool)
+				for _, n := range strings.Split(ruleList, ",") {
 					n = strings.TrimSpace(n)
-					if n == "" {
+					switch {
+					case n == "":
 						continue
+					case !valid[n]:
+						report(pos, "unknown rule %q in //gclint:allow (run gclint -rules for the rule set)", n)
+					case seen[n]:
+						report(pos, "duplicate //gclint:allow for rule %q on this line", n)
+					default:
+						sites = append(sites, &allowSite{rule: n, pos: pos, last: last})
 					}
-					any = true
-					if !valid[n] {
-						bad = append(bad, Diagnostic{
-							Pos:  pos,
-							Rule: "annotation",
-							Msg:  fmt.Sprintf("unknown rule %q in //gclint:allow (run gclint -rules for the rule set)", n),
-						})
-						continue
-					}
-					key := allowKey{pos.Filename, pos.Line, n}
-					if allows[key] {
-						bad = append(bad, Diagnostic{
-							Pos:  pos,
-							Rule: "annotation",
-							Msg:  fmt.Sprintf("duplicate //gclint:allow for rule %q on this line", n),
-						})
-						continue
-					}
-					allows[key] = true
-					sites = append(sites, allowSite{key: key, pos: pos})
+					seen[n] = true
 				}
-				if !any {
-					bad = append(bad, Diagnostic{
-						Pos:  pos,
-						Rule: "annotation",
-						Msg:  "malformed //gclint:allow: no rule names given",
-					})
+				if len(seen) == 0 {
+					report(pos, "malformed //gclint:allow: no rule names given")
 				}
 			}
 		}
 	}
-	return allows, sites, bad
+	return sites, bad
 }
 
-// --- shared type helpers -------------------------------------------------
-
-// heapPkgPath is the import path of the simulated-heap package every typed
-// rule keys off.
-const heapPkgPath = "repligc/internal/heap"
-
-// collectorPkgs are the packages allowed to touch raw heap words and
-// forwarding pointers: the heap itself, the two collector implementations,
-// and the checkpoint writer (which snapshots and restores raw words at
-// pause boundaries, on the collector's side of the barrier). Everything
-// else must go through the Mutator interface.
-var collectorPkgs = map[string]bool{
-	heapPkgPath:                   true,
-	"repligc/internal/core":       true,
-	"repligc/internal/stopcopy":   true,
-	"repligc/internal/checkpoint": true,
-}
-
-// isNamed reports whether t (after pointer indirection) is the named type
-// pkgPath.name.
-func isNamed(t types.Type, pkgPath, name string) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
-}
-
-// selectorOnHeap resolves sel to (method-or-field name, true) when its
-// receiver expression has type repligc/internal/heap.Heap.
-func selectorOnHeap(info *types.Info, sel *ast.SelectorExpr) (string, bool) {
-	tv, ok := info.Types[sel.X]
-	if !ok {
+// annotationText returns (rest-of-line, true) when comment c is the given
+// gclint annotation. A prefix match followed by a non-space rune is some
+// other annotation word and does not count.
+func annotationText(c *ast.Comment, prefix string) (string, bool) {
+	rest, ok := strings.CutPrefix(c.Text, prefix)
+	if !ok || rest != "" && rest[0] != ' ' && rest[0] != '\t' {
 		return "", false
 	}
-	if !isNamed(tv.Type, heapPkgPath, "Heap") {
-		return "", false
-	}
-	return sel.Sel.Name, true
-}
-
-// enclosingFuncName returns the name of the innermost named function or
-// method declaration containing pos, or "" when pos sits in a function
-// literal or at file scope.
-func enclosingFuncName(files []*ast.File, pos token.Pos) string {
-	for _, f := range files {
-		if pos < f.Pos() || pos > f.End() {
-			continue
-		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || pos < fd.Pos() || pos > fd.End() {
-				continue
-			}
-			// A function literal inside fd is still attributed to fd: the
-			// literal runs with the same discipline as its host.
-			return fd.Name.Name
-		}
-	}
-	return ""
+	return strings.TrimSpace(rest), true
 }

@@ -46,31 +46,54 @@ var goldenCases = []struct {
 	// Masquerades as a simulation package: filesystem access is banned
 	// outright, annotation or not.
 	{"iorule", "repligc/internal/fixio"},
-	// Masquerades as a cmd/ package: I/O is legal behind //gclint:io.
+	// Masquerades as a cmd/ package: I/O is legal in a function whose doc
+	// comment allows io.
 	{"iocmd", "repligc/cmd/fixiocmd"},
+	{"construct", "repligc/internal/fixconstruct"},
+	{"recorder", "repligc/internal/fixrecorder"},
+	// Masquerades as a command: commands read a run through its report.
+	{"runstats", "repligc/cmd/fixrunstats"},
+	{"gctest", "repligc/internal/fixgctest"},
 }
 
-func TestGolden(t *testing.T) {
+// loadFixtures loads every fixture of goldenCases, in order.
+func loadFixtures(t *testing.T) []*Package {
+	t.Helper()
 	loader, err := NewLoader(".")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var pkgs []*Package
 	for _, tc := range goldenCases {
+		pkg, err := loader.Load(filepath.Join("testdata", "src", tc.fixture), tc.path)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.fixture, err)
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	return pkgs
+}
+
+// findings renders what rules report on pkg, one diagnostic a line.
+func findings(pkg *Package, rules []Rule) []byte {
+	var b bytes.Buffer
+	for _, d := range Run([]*Package{pkg}, rules) {
+		fmt.Fprintf(&b, "%s\n", d)
+	}
+	return b.Bytes()
+}
+
+func TestGolden(t *testing.T) {
+	pkgs := loadFixtures(t)
+	for i, tc := range goldenCases {
 		t.Run(tc.fixture, func(t *testing.T) {
-			pkg, err := loader.Load(filepath.Join("testdata", "src", tc.fixture), tc.path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got bytes.Buffer
-			for _, d := range Run([]*Package{pkg}, DefaultRules()) {
-				fmt.Fprintf(&got, "%s\n", d)
-			}
+			got := findings(pkgs[i], DefaultRules())
 			golden := filepath.Join("testdata", "golden", tc.fixture+".golden")
 			if *update {
 				if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+				if err := os.WriteFile(golden, got, 0o644); err != nil {
 					t.Fatal(err)
 				}
 				return
@@ -79,10 +102,39 @@ func TestGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("missing golden file (run go test -run TestGolden -update): %v", err)
 			}
-			if !bytes.Equal(got.Bytes(), want) {
-				t.Errorf("diagnostics differ from %s\n--- got ---\n%s--- want ---\n%s", golden, got.Bytes(), want)
+			if !bytes.Equal(got, want) {
+				t.Errorf("diagnostics differ from %s\n--- got ---\n%s--- want ---\n%s", golden, got, want)
 			}
 		})
+	}
+}
+
+// TestEveryRowIsPinned drops each row of the confinement table in turn and
+// requires some fixture's findings to change: a row that matches nothing in
+// the fixtures could be deleted, or broken, without failing TestGolden.
+func TestEveryRowIsPinned(t *testing.T) {
+	pkgs := loadFixtures(t)
+	all := make([][]byte, len(pkgs))
+	for i, pkg := range pkgs {
+		all[i] = findings(pkg, DefaultRules())
+	}
+	for _, row := range Confinements {
+		var rules []Rule
+		for _, r := range DefaultRules() {
+			if r != Rule(row) {
+				rules = append(rules, r)
+			}
+		}
+		pinned := false
+		for i, pkg := range pkgs {
+			if !bytes.Equal(findings(pkg, rules), all[i]) {
+				pinned = true
+				break
+			}
+		}
+		if !pinned {
+			t.Errorf("row %s %s matches nothing in the fixtures", row.Rule, row.Doc())
+		}
 	}
 }
 

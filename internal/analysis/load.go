@@ -24,8 +24,6 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-
-	allows map[allowKey]bool
 }
 
 // Loader parses and type-checks packages of the repligc module from source.

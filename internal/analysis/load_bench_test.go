@@ -9,8 +9,8 @@ import (
 // *Package (and the same interprocedural Index) to every rule. These
 // benchmarks quantify what that sharing buys by comparing the real
 // architecture against the naive one — a fresh load per rule — over a
-// mid-sized package. With ten rules, the naive shape pays the parse,
-// type-check and import-resolution cost ten times.
+// mid-sized package. The naive shape pays the parse, type-check and
+// import-resolution cost once per rule, and each confinement row is one.
 
 func BenchmarkLintSharedLoad(b *testing.B) {
 	dir := filepath.Join("..", "heap")

@@ -13,6 +13,8 @@ package analysis
 // the barrier rule: every site the barrier rule flags as an unlogged store
 // is a call whose callee summary includes unlogged-store.
 
+import "slices"
+
 // BarrierCompleteRule flags calls (outside the collector packages) whose
 // callee may transitively store into heap payload without logging.
 type BarrierCompleteRule struct{}
@@ -27,14 +29,10 @@ func (*BarrierCompleteRule) Doc() string {
 
 // Appraise implements Rule.
 func (r *BarrierCompleteRule) Appraise(pass *Pass) {
-	if collectorPkgs[pass.Pkg.Path] {
+	if slices.Contains(collectorPkgs, pass.Pkg.Path) {
 		return
 	}
 	for _, fi := range pass.Index.PkgFuncs(pass.Pkg) {
-		for _, pos := range fi.arenaWrites {
-			pass.Reportf(pos,
-				"direct Heap.Arena store outside the collector packages: the mutation can never reach the log; use Mutator.Set/SetByte/SetByteRange/Init")
-		}
 		for _, cs := range fi.Calls {
 			facts := pass.Index.CalleeFacts(cs.Callee)
 			if !facts.UnloggedStore {

@@ -9,8 +9,8 @@ package analysis
 // pin the value in a root (handle stack, operand stack, root slot) before
 // the call and re-derive it afterwards — is exactly what this rule checks:
 // every read of a Value local must be separated from a may-flip call by an
-// intervening re-derivation (any fresh assignment), or the read must carry
-// a //gclint:handle <invariant> annotation stating why the value survives.
+// intervening re-derivation (any fresh assignment), or the read must be
+// allowed with the invariant that keeps the value good as the reason.
 //
 // The check is a position-ordered approximation of real dataflow: within
 // one function body (closures included), a read at position R whose last
@@ -37,42 +37,16 @@ func (*StaleHandleRule) Name() string { return "stalehandle" }
 
 // Doc implements Rule.
 func (*StaleHandleRule) Doc() string {
-	return "a heap.Value held across a may-flip call must be re-derived or carry //gclint:handle <invariant>"
+	return "a heap.Value held across a may-flip call must be re-derived, or allowed with the invariant that keeps it good"
 }
 
 // Appraise implements Rule.
 func (r *StaleHandleRule) Appraise(pass *Pass) {
-	handles := collectHandleAnnotations(pass)
 	for _, fi := range pass.Index.PkgFuncs(pass.Pkg) {
-		if fi.Decl.Body == nil {
-			continue
-		}
-		checkStaleValues(pass, fi, handles)
-	}
-}
-
-// collectHandleAnnotations maps file:line to //gclint:handle annotations in
-// the package, reporting annotations with a missing invariant.
-func collectHandleAnnotations(pass *Pass) map[allowKey]bool {
-	out := make(map[allowKey]bool)
-	for _, f := range pass.Pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				invariant, ok := annotationText(c, handlePrefix)
-				if !ok {
-					continue
-				}
-				pos := pass.Pkg.Fset.Position(c.Pos())
-				if invariant == "" {
-					pass.Reportf(c.Pos(),
-						"//gclint:handle needs an invariant: state why the value stays valid across the flip")
-					continue
-				}
-				out[allowKey{pos.Filename, pos.Line, "handle"}] = true
-			}
+		if fi.Decl.Body != nil {
+			checkStaleValues(pass, fi)
 		}
 	}
-	return out
 }
 
 // span is a half-open source range.
@@ -98,7 +72,7 @@ type valueEvent struct {
 
 // checkStaleValues runs the position-ordered staleness check over one
 // function body.
-func checkStaleValues(pass *Pass, fi *FuncInfo, handles map[allowKey]bool) {
+func checkStaleValues(pass *Pass, fi *FuncInfo) {
 	var flips []flipSite
 	for _, cs := range fi.Calls {
 		facts := pass.Index.CalleeFacts(cs.Callee)
@@ -238,7 +212,6 @@ func checkStaleValues(pass *Pass, fi *FuncInfo, handles map[allowKey]bool) {
 		return true
 	})
 
-	fset := pass.Pkg.Fset
 	for _, v := range order {
 		evs := events[v]
 		sort.SliceStable(evs, func(i, j int) bool { return evs[i].pos < evs[j].pos })
@@ -257,18 +230,13 @@ func checkStaleValues(pass *Pass, fi *FuncInfo, handles map[allowKey]bool) {
 				continue
 			}
 			reported[lastWrite.pos] = true
-			rp := fset.Position(ev.pos)
-			if handles[allowKey{rp.Filename, rp.Line, "handle"}] ||
-				handles[allowKey{rp.Filename, rp.Line - 1, "handle"}] {
-				continue
-			}
 			if loopCarried {
 				pass.Reportf(ev.pos,
-					"heap.Value %q is carried across iterations of a loop that calls %s (may flip, reaches %s): after a flip it may point into a condemned space; re-derive it inside the loop or annotate //gclint:handle <invariant>",
+					"heap.Value %q is carried across iterations of a loop that calls %s (may flip, reaches %s): after a flip it may point into a condemned space; re-derive it inside the loop or allow it with the invariant that keeps it good",
 					v.Name(), f.name, f.via)
 			} else {
 				pass.Reportf(ev.pos,
-					"heap.Value %q is read after the call to %s (may flip, reaches %s): after a flip it may point into a condemned space; re-derive it after the call or annotate //gclint:handle <invariant>",
+					"heap.Value %q is read after the call to %s (may flip, reaches %s): after a flip it may point into a condemned space; re-derive it after the call or allow it with the invariant that keeps it good",
 					v.Name(), f.name, f.via)
 			}
 		}

@@ -15,8 +15,8 @@ package analysis
 //     kept separate because the stalehandle rule keys on flips while future
 //     rules (e.g. alloc-free fast paths) key on allocation.
 //   - unlogged-store: the function can transitively reach a raw store into
-//     heap-object payload memory (Heap.Store/StoreByte/SetBytes or a direct
-//     Arena write) without passing a logging boundary. The propagation stops
+//     heap-object payload memory (Heap.Store/StoreByte/SetBytes/SetWord)
+//     without passing a logging boundary. The propagation stops
 //     at functions that append to the mutation log and at the exported API
 //     of the collector packages — inside that boundary, raw stores are the
 //     collector's own replica writes, which are correct by construction.
@@ -38,6 +38,7 @@ import (
 )
 
 const (
+	heapPkgPath       = "repligc/internal/heap"
 	corePkgPath       = "repligc/internal/core"
 	stopcopyPkgPath   = "repligc/internal/stopcopy"
 	checkpointPkgPath = "repligc/internal/checkpoint"
@@ -80,10 +81,6 @@ type FuncInfo struct {
 	Pkg   *Package
 	Facts FuncFacts
 	Calls []CallSite
-
-	// arenaWrites are direct Heap.Arena element assignments in the body
-	// (outside internal/heap, which owns the arena).
-	arenaWrites []token.Pos
 
 	// hasCaller / escapes feed the in-pause fixpoint: a function with no
 	// known callers, or whose value escapes (method value, callback), can be
@@ -151,6 +148,7 @@ var builtinFacts = map[string]FuncFacts{
 	heapPkgPath + ".Heap.StoreByte":  {UnloggedStore: true, StoreVia: "Heap.StoreByte"},
 	heapPkgPath + ".Heap.SetBytes":   {UnloggedStore: true, StoreVia: "Heap.SetBytes"},
 	heapPkgPath + ".Heap.StoreBytes": {UnloggedStore: true, StoreVia: "Heap.StoreBytes"},
+	heapPkgPath + ".Heap.SetWord":    {UnloggedStore: true, StoreVia: "Heap.SetWord"},
 
 	// The mutator allocation API: the pacer taxes every allocation and the
 	// collector may run (and flip) inside the call.
@@ -231,22 +229,7 @@ func (idx *Index) collectFile(pkg *Package, f *ast.File) {
 const (
 	pauseOnlyPrefix  = "//gclint:pauseonly"
 	pauseEntryPrefix = "//gclint:pauseentry"
-	handlePrefix     = "//gclint:handle"
 )
-
-// annotationText returns (rest-of-line, true) when comment c is the given
-// gclint annotation. A prefix match followed by a non-space rune is some
-// other annotation word and does not count.
-func annotationText(c *ast.Comment, prefix string) (string, bool) {
-	if !strings.HasPrefix(c.Text, prefix) {
-		return "", false
-	}
-	rest := strings.TrimPrefix(c.Text, prefix)
-	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-		return "", false
-	}
-	return strings.TrimSpace(rest), true
-}
 
 // pauseEntryAnnotation reports whether fd carries a well-formed
 // //gclint:pauseentry annotation; a missing reason is recorded as a
@@ -315,36 +298,21 @@ func (idx *Index) collectPauseOnlyField(pkg *Package, field *ast.Field) {
 
 // scanFunc walks one function body collecting call sites and base facts.
 func (idx *Index) scanFunc(fi *FuncInfo) {
-	info := fi.Pkg.Info
-	inHeapPkg := fi.Pkg.Path == heapPkgPath
 	ast.Inspect(fi.Decl, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			callee, id := calleeOf(info, n)
-			if id != nil {
-				idx.calleeIdents[id] = true
-			}
-			if callee == nil {
-				return true
-			}
-			fi.Calls = append(fi.Calls, CallSite{Call: n, Callee: callee})
-			if boundaryCallees[funcKey(callee)] {
-				fi.Facts.LogBoundary = true
-			}
-		case *ast.AssignStmt:
-			// Direct Arena element writes count as raw stores everywhere
-			// except internal/heap itself, where they implement the store
-			// primitives the builtin table already describes.
-			if inHeapPkg {
-				return true
-			}
-			for _, lhs := range n.Lhs {
-				if pos, ok := arenaWriteTarget(info, lhs); ok {
-					fi.arenaWrites = append(fi.arenaWrites, pos)
-					fi.Facts.UnloggedStore = true
-					fi.Facts.StoreVia = "direct Heap.Arena write"
-				}
-			}
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		callee, id := calleeOf(fi.Pkg.Info, call)
+		if id != nil {
+			idx.calleeIdents[id] = true
+		}
+		if callee == nil {
+			return true
+		}
+		fi.Calls = append(fi.Calls, CallSite{Call: call, Callee: callee})
+		if boundaryCallees[funcKey(callee)] {
+			fi.Facts.LogBoundary = true
 		}
 		return true
 	})
@@ -367,26 +335,6 @@ func (fi *FuncInfo) storeBoundary() bool {
 	path := fi.Pkg.Path
 	return (path == corePkgPath || path == stopcopyPkgPath || path == checkpointPkgPath) &&
 		ast.IsExported(fi.Obj.Name())
-}
-
-// arenaWriteTarget reports whether lhs assigns an element (or slice) of a
-// Heap.Arena selector, returning the selector position.
-func arenaWriteTarget(info *types.Info, lhs ast.Expr) (token.Pos, bool) {
-	for {
-		switch e := unparen(lhs).(type) {
-		case *ast.IndexExpr:
-			lhs = e.X
-		case *ast.SliceExpr:
-			lhs = e.X
-		case *ast.SelectorExpr:
-			if name, ok := selectorOnHeap(info, e); ok && name == "Arena" {
-				return e.Sel.Pos(), true
-			}
-			return token.NoPos, false
-		default:
-			return token.NoPos, false
-		}
-	}
 }
 
 // markCallersAndEscapes fills hasCaller from the collected call sites and

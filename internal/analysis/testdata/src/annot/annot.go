@@ -38,3 +38,25 @@ func duplicate(h *heap.Heap, p heap.Value) heap.Value {
 	//gclint:allow barrier,barrier -- fixture: rule listed twice
 	return h.Load(p, 0)
 }
+
+// noFlip vouches for a value no flip threatens: the stalehandle allow
+// suppresses nothing and is reported like any other.
+func noFlip(p heap.Value) heap.Value {
+	//gclint:allow stalehandle -- fixture: p is read after an allocation
+	return p
+}
+
+// wholeFunction's allow sits in its doc comment, so it covers every line of
+// the function, however far below.
+//
+//gclint:allow barrier -- fixture: a heap dump reads raw words
+func wholeFunction(h *heap.Heap, p heap.Value) heap.Value {
+	_ = h.Load(p, 0)
+	return h.Load(p, 1)
+}
+
+// idle's doc-comment allow covers a function that touches no heap word: it
+// suppresses nothing and is reported.
+//
+//gclint:allow barrier -- fixture: held over from an earlier revision
+func idle() {}

@@ -10,3 +10,16 @@ func bad(m map[int]int) int {
 	}
 	return n
 }
+
+// bareDoc's allow sits in its doc comment, where it would cover the whole
+// function, but gives no reason: it is malformed, and the range stays a
+// finding.
+//
+//gclint:allow maprange
+func bareDoc(m map[int]int) int {
+	n := 0
+	for range m {
+		n++
+	}
+	return n
+}

@@ -1,6 +1,6 @@
 // Package fixfastpath exercises the barrierfast rule: consulting the heap's
-// dirty-stamp API commits a function to the fast-path invariant, so it must
-// carry a //gclint:fastpath annotation with the invariant spelled out.
+// dirty-stamp API commits a function to the fast-path invariant, so its doc
+// comment must allow barrierfast with the invariant as the reason.
 package fixfastpath
 
 import "repligc/internal/heap"
@@ -15,16 +15,16 @@ func markUnannotated(h *heap.Heap, p heap.Value, i int) {
 	h.MarkSlotDirty(p, i)
 }
 
-// skipBare carries the annotation but no invariant text, which is a claim
-// with no content: still flagged.
-//gclint:fastpath
+// skipBare carries the allow but no invariant text, which is a claim with
+// no content: the allow is malformed and the call is still flagged.
+//gclint:allow barrierfast
 func skipBare(h *heap.Heap, p heap.Value, i int) bool {
 	return h.SlotDirty(p, i)
 }
 
 // skipReviewed is the reviewed form: the annotation states why skipping the
 // append is safe.
-//gclint:fastpath a current-epoch stamp proves the log retains an unconsumed entry for this slot
+//gclint:allow barrierfast -- a current-epoch stamp proves the log retains an unconsumed entry for this slot
 func skipReviewed(h *heap.Heap, p heap.Value, i int) bool {
 	if h.SlotDirty(p, i) {
 		return true
@@ -34,7 +34,7 @@ func skipReviewed(h *heap.Heap, p heap.Value, i int) bool {
 }
 
 // skipWords covers the word-range variants under one annotation.
-//gclint:fastpath current-epoch stamps prove the log retains word-aligned entries covering these words
+//gclint:allow barrierfast -- current-epoch stamps prove the log retains word-aligned entries covering these words
 func skipWords(h *heap.Heap, p heap.Value, w, n int) bool {
 	if h.WordsDirty(p, w, n) {
 		return true
@@ -45,7 +45,7 @@ func skipWords(h *heap.Heap, p heap.Value, w, n int) bool {
 
 // fastpathLiteral holds a function literal consulting the stamps: the
 // literal is attributed to its annotated host.
-//gclint:fastpath the literal runs under its host's invariant; stamps only suppress entries the log still retains
+//gclint:allow barrierfast -- the literal runs under its host's invariant; stamps only suppress entries the log still retains
 func fastpathLiteral(h *heap.Heap, p heap.Value) func(int) bool {
 	return func(i int) bool { return h.SlotDirty(p, i) }
 }

@@ -8,5 +8,5 @@ func peek(h *heap.Heap, p heap.Value) heap.Value {
 	if h.IsForwarded(p) {
 		return h.ForwardAddr(p)
 	}
-	return h.ResolveForward(p)
+	return h.ForwardAddr(p)
 }

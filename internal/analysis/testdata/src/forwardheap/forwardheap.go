@@ -16,7 +16,7 @@ func GetSlot(h *heap.Heap, p heap.Value) heap.Value {
 
 // loadWord likewise (load prefix, case-insensitive).
 func loadWord(h *heap.Heap, p heap.Value) heap.Value {
-	return h.ResolveForward(p)
+	return h.ForwardAddr(p)
 }
 
 // scan is collector machinery: forwarding access is its job.

@@ -9,10 +9,10 @@ func spill() error {
 	return os.WriteFile("state.bin", nil, 0o644)
 }
 
-// persist is annotated, but the annotation itself is the violation here:
-// this package is not on the I/O boundary at all.
+// persist allows io, but no allow licenses file I/O in this package: the
+// write stays a finding, and the allow suppresses nothing.
 //
-//gclint:io wants to persist the routing table between runs
+//gclint:allow io -- wants to persist the routing table between runs
 func persist() error {
 	return os.WriteFile("table.bin", nil, 0o644)
 }

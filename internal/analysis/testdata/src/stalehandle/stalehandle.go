@@ -1,7 +1,7 @@
 // Package fixstale exercises the stalehandle rule: a raw heap.Value held
 // across a may-flip call is stale — a replication flip may retire the space
-// it points into — and must be re-derived from a root or vouched for with a
-// //gclint:handle annotation.
+// it points into — and must be re-derived from a root or allowed with the
+// invariant that keeps it good.
 package fixstale
 
 import (
@@ -27,10 +27,10 @@ func buildPairRooted(m *core.Mutator, p heap.Value) heap.Value {
 }
 
 // buildPairVouched carries p across the flip on purpose, with the invariant
-// that makes it sound stated in a //gclint:handle annotation.
+// that makes it sound as the allow's reason.
 func buildPairVouched(m *core.Mutator, p heap.Value) heap.Value {
 	q := m.MustAlloc(heap.KindRecord, 2)
-	//gclint:handle fixture: p is an immediate-only protocol word in this call chain, never a movable pointer
+	//gclint:allow stalehandle -- fixture: p is an immediate-only protocol word in this call chain, never a movable pointer
 	m.Init(q, 0, p)
 	return q
 }

@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -161,13 +160,12 @@ func heapImageHash(h *heap.Heap) uint64 {
 	var w [8]byte
 	for _, s := range []*heap.Space{&h.Nursery, h.OldFrom()} {
 		fmt.Fprintf(f, "%s:%d;", s.Name, s.Next-s.Lo)
-		for _, v := range h.Arena[s.Lo:s.Next] {
+		for idx := s.Lo; idx < s.Next; idx++ {
 			for i := range w {
-				w[i] = byte(uint64(v) >> (8 * i))
+				w[i] = byte(uint64(h.Word(idx)) >> (8 * i))
 			}
 			f.Write(w[:])
 		}
 	}
-	runtime.KeepAlive(h) // the range holds only arena slices, not the heap
 	return f.Sum64()
 }

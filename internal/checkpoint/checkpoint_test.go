@@ -84,13 +84,13 @@ func TestRoundTrip(t *testing.T) {
 			from.Next, from.Hi, rfrom.Next, rfrom.Hi)
 	}
 	for i := from.Lo; i < from.Next; i++ {
-		if h.Arena[i] != r.Heap.Arena[i] {
-			t.Fatalf("old-from word %d: live %#x, restored %#x", i, h.Arena[i], r.Heap.Arena[i])
+		if h.Word(i) != r.Heap.Word(i) {
+			t.Fatalf("old-from word %d: live %#x, restored %#x", i, h.Word(i), r.Heap.Word(i))
 		}
 	}
 	for i := h.Nursery.Lo; i < h.Nursery.Next; i++ {
-		if h.Arena[i] != r.Heap.Arena[i] {
-			t.Fatalf("nursery word %d: live %#x, restored %#x", i, h.Arena[i], r.Heap.Arena[i])
+		if h.Word(i) != r.Heap.Word(i) {
+			t.Fatalf("nursery word %d: live %#x, restored %#x", i, h.Word(i), r.Heap.Word(i))
 		}
 	}
 

@@ -38,7 +38,7 @@ func ApplyCrash(dir string, plan faultinject.CrashPlan, all bool) error {
 
 // applyCrashEpoch damages one epoch's targeted artifact.
 //
-//gclint:io rewrites one checkpoint artifact in place to simulate crash damage
+//gclint:allow io -- rewrites one checkpoint artifact in place to simulate crash damage
 func applyCrashEpoch(dir string, epoch uint64, plan faultinject.CrashPlan) error {
 	name := fmt.Sprintf("snap-%08d.ckpt", epoch)
 	if plan.Target == faultinject.CrashWAL {
@@ -98,7 +98,7 @@ func applyCrashEpoch(dir string, epoch uint64, plan faultinject.CrashPlan) error
 // needed), so a crash can be applied to a copy while the pristine reference
 // artifacts survive for comparison.
 //
-//gclint:io duplicates the artifact directory for destructive crash testing
+//gclint:allow io -- duplicates the artifact directory for destructive crash testing
 func CloneDir(src, dst string) error {
 	if err := os.MkdirAll(dst, 0o777); err != nil {
 		return err

@@ -1,8 +1,6 @@
 package checkpoint
 
 import (
-	"runtime"
-
 	"repligc/internal/artifact"
 	"repligc/internal/core"
 	"repligc/internal/heap"
@@ -76,6 +74,12 @@ func (r *Restored) stateFingerprint() uint64 {
 			fp.U64(uint64(w))
 		}
 	}
+	arena := func(lo, hi uint64) {
+		fp.U64(hi - lo)
+		for i := lo; i < hi; i++ {
+			fp.U64(uint64(h.Word(i)))
+		}
+	}
 	fp.U64(uint64(r.Cfg.NurseryBytes))
 	fp.U64(uint64(r.Cfg.NurseryCapBytes))
 	fp.U64(uint64(r.Cfg.OldSemiBytes))
@@ -83,9 +87,8 @@ func (r *Restored) stateFingerprint() uint64 {
 	for _, v := range []uint64{r.nurseryHi, r.nurseryNext, r.fromHi, r.fromNext, r.toHi, r.toNext} {
 		fp.U64(v)
 	}
-	words(h.Arena[h.OldFrom().Lo:r.fromNext])
-	words(h.Arena[h.Nursery.Lo:r.nurseryNext])
-	runtime.KeepAlive(h) // words holds only arena slices, not the heap
+	arena(h.OldFrom().Lo, r.fromNext)
+	arena(h.Nursery.Lo, r.nurseryNext)
 	words(r.Roots)
 	fp.U64(uint64(r.LogBase))
 	fp.U64(uint64(len(r.LogEntries)))

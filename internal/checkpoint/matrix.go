@@ -184,7 +184,7 @@ func epochFingerprint(w *Writer, epoch uint64) (uint64, bool) {
 // commit-time hash for that epoch (then audit + ladder must pass), or a
 // typed *artifact.CorruptError — and the report marks any other ending as a failure.
 //
-//gclint:io owns the per-case artifact directories under the matrix work dir
+//gclint:allow io -- owns the per-case artifact directories under the matrix work dir
 func RunCrashMatrix(cfg MatrixConfig) (*MatrixReport, error) {
 	if cfg.OpsPerRun <= 0 {
 		cfg.OpsPerRun = 4000

@@ -187,7 +187,7 @@ func (c *Replicating) auditScannedRegion(g *generation, fromName string, except 
 			idx += w
 			continue
 		}
-		raw := h.Arena[idx]
+		raw := h.Word(idx)
 		if !heap.IsHeader(raw) {
 			return fmt.Errorf("audit: scanned %s region holds a forwarded header at word %#x", g.name, idx)
 		}

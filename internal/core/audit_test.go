@@ -52,7 +52,7 @@ func TestAuditRejectsOutOfRangeKind(t *testing.T) {
 
 	// Rewrite the header word with a kind beyond heap.KindMax. The length is
 	// kept so only the kind field is wrong.
-	m.H.Arena[uint64(p)>>3-1] = heap.Value(heap.MakeHeader(heap.KindMax+1, 2))
+	m.H.SetWord(uint64(p)>>3-1, heap.Value(heap.MakeHeader(heap.KindMax+1, 2)))
 	mustAuditError(t, m, "invalid kind")
 }
 
@@ -68,7 +68,7 @@ func TestAuditRejectsNonPointerForwardingWord(t *testing.T) {
 	// An even header word is read as a forwarding pointer; Nil is even but
 	// not a pointer, so the object claims to be forwarded to nowhere.
 	// SetForward refuses such a target, so the word is clobbered directly.
-	m.H.Arena[uint64(p)>>3-1] = heap.Nil
+	m.H.SetWord(uint64(p)>>3-1, heap.Nil)
 	mustAuditError(t, m, "is not a pointer")
 }
 
@@ -145,7 +145,7 @@ func TestAuditScannedCatchesCorruptMinorReplica(t *testing.T) {
 	// Find a scanned pointer-bearing replica and corrupt its first slot.
 	var target heap.Value
 	for idx := gc.minor.scanStart; idx < gc.minor.scan; {
-		hdr := heap.Header(h.Arena[idx])
+		hdr := heap.Header(h.Word(idx))
 		if hdr.Kind().HasPointers() && hdr.Len() > 0 {
 			target = heap.Value((idx + 1) << 3)
 			break
@@ -251,7 +251,7 @@ func TestAuditCatchesVisibleMutableReplica(t *testing.T) {
 	replicaOf := func(mutable bool) heap.Value {
 		for _, run := range gc.major.replicas {
 			for idx := run.start; idx < run.start+run.words; {
-				hdr := heap.Header(h.Arena[idx])
+				hdr := heap.Header(h.Word(idx))
 				if hdr.Kind().Mutable() == mutable && hdr.Kind().HasPointers() {
 					return heap.Value((idx + 1) << 3)
 				}

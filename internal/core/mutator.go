@@ -119,7 +119,7 @@ func (m *Mutator) Alloc(k heap.Kind, n int) (heap.Value, error) {
 			if m.GC != nil {
 				m.GC.AfterAlloc(m)
 			}
-			//gclint:handle the fresh object is not yet reachable from any root, so AfterAlloc implementations must not copy or flip (they schedule work for the next CollectForAlloc); p cannot move here
+			//gclint:allow stalehandle -- the fresh object is not yet reachable from any root, so AfterAlloc implementations must not copy or flip (they schedule work for the next CollectForAlloc); p cannot move here
 			return p, nil
 		}
 		if m.GC == nil || attempt > 0 {
@@ -261,7 +261,7 @@ func (m *Mutator) Set(p heap.Value, i int, v heap.Value) {
 // the slow path, making the common repeated-store case one load and one
 // mask test.
 //
-//gclint:fastpath unreplicated nursery objects owe no log entry (copied whole at the next startMinor); a set dirty bit proves the log retains an unconsumed entry for this slot, and entries are value-free so one entry suffices
+//gclint:allow barrierfast -- unreplicated nursery objects owe no log entry (copied whole at the next startMinor); a set dirty bit proves the log retains an unconsumed entry for this slot, and entries are value-free so one entry suffices
 func (m *Mutator) skipWordLog(p heap.Value, i int) bool {
 	if m.NaiveBarrier {
 		return false
@@ -285,7 +285,7 @@ func (m *Mutator) skipWordLog(p heap.Value, i int) bool {
 // word, and an entry narrower than its bit would lose later byte stores to
 // the same word).
 //
-//gclint:fastpath unreplicated nursery objects owe no log entry; set dirty bits prove the log retains unconsumed word-aligned entries covering these words
+//gclint:allow barrierfast -- unreplicated nursery objects owe no log entry; set dirty bits prove the log retains unconsumed word-aligned entries covering these words
 func (m *Mutator) skipByteWordsLog(p heap.Value, w, n int) bool {
 	if m.NaiveBarrier {
 		return false

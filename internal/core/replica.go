@@ -1360,7 +1360,7 @@ func (c *Replicating) scan(m *Mutator, g *generation, force bool) (bool, error) 
 			// not the object yet, so the scan waits in front of it.
 			return false, nil
 		}
-		w := h.Arena[g.scan]
+		w := h.Word(g.scan)
 		if !heap.IsHeader(w) {
 			//gclint:allow panicpath -- invariant: the scan region holds replicas and mutator-owned to-space objects, neither of which is ever forwarded during its cycle
 			panic(fmt.Sprintf("core: %s scan hit forwarded object at %#x", g.name, g.scan))

@@ -12,6 +12,6 @@ type mapping struct{}
 // dirty map, from the Go heap: without an anonymous mapping to draw on,
 // make zeroes both up front. This is the only arena on these platforms.
 func (h *Heap) newArena(words uint64) {
-	h.Arena = make([]Value, words)
+	h.arena = make([]Value, words)
 	h.dirty = make([]uint64, (words+63)/64)
 }

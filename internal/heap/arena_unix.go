@@ -35,7 +35,7 @@ func (h *Heap) newArena(words uint64) {
 		panic(fmt.Sprintf("heap: mapping a %d-word arena: %v", words, err))
 	}
 	base := unsafe.Pointer(unsafe.SliceData(mem))
-	h.Arena = unsafe.Slice((*Value)(base), words)
+	h.arena = unsafe.Slice((*Value)(base), words)
 	h.dirty = unsafe.Slice((*uint64)(unsafe.Add(base, words*BytesPerWord)), dirty)
 	mappedBytes.Add(int64(len(mem)))
 	h.mapping = &mapping{mem: mem}

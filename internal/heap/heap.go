@@ -19,12 +19,11 @@ type Config struct {
 // Heap is the simulated two-generation heap: a nursery plus two old
 // semispaces over a single flat word arena.
 type Heap struct {
-	// Arena is every word of the heap. On unix it lives in a mapping that is
+	// arena is every word of the heap. On unix it lives in a mapping that is
 	// unmapped once the Heap is unreachable (arena_unix.go), so the slice is
-	// valid only while its *Heap is: index it through the heap (h.Arena[i]),
-	// never keep it in a variable or field, and hold the heap with
-	// runtime.KeepAlive past a loop over a sub-slice.
-	Arena []Value
+	// valid only while its *Heap is; other packages read and write a word
+	// through the heap (Word, SetWord) and never hold the slice.
+	arena []Value
 	// mapping, where the arena is mapped, unmaps it when finalized; only the
 	// Heap points to it, so it dies with the Heap.
 	mapping *mapping
@@ -35,7 +34,7 @@ type Heap struct {
 	oldFrom *Space // current old space (minor collections promote here)
 	oldTo   *Space // reserve semispace (major collections copy here)
 
-	// Log-coalescing side table (see stamp.go): a dirty bit per Arena word,
+	// Log-coalescing side table (see stamp.go): a dirty bit per arena word,
 	// the indices of the map words to zero at the next BeginLogEpoch (uint32
 	// reaches 2 TB of arena), and the pause count EpochHook reports.
 	dirty    []uint64
@@ -117,15 +116,15 @@ func (h *Heap) AllocIn(s *Space, k Kind, n int) (Value, bool) {
 	}
 	hi := s.Next
 	s.Next += need
-	h.Arena[hi] = Value(hdr)
+	h.arena[hi] = Value(hdr)
 	p := ptrFromIndex(hi + 1)
-	clear(h.Arena[hi+1 : hi+need])
+	clear(h.arena[hi+1 : hi+need])
 	return p, true
 }
 
 // RawHeader returns the raw word in p's header slot, which is either a
 // descriptor or a forwarding pointer.
-func (h *Heap) RawHeader(p Value) Value { return h.Arena[p.index()-1] }
+func (h *Heap) RawHeader(p Value) Value { return h.arena[p.index()-1] }
 
 // IsForwarded reports whether p's header slot holds a forwarding pointer.
 func (h *Heap) IsForwarded(p Value) bool { return !IsHeader(h.RawHeader(p)) }
@@ -142,7 +141,7 @@ func (h *Heap) SetForward(p, dst Value) {
 		//gclint:allow panicpath -- invariant: a non-pointer forwarding word is collector corruption
 		panic("heap: forwarding to non-pointer")
 	}
-	h.Arena[p.index()-1] = dst
+	h.arena[p.index()-1] = dst
 }
 
 // HeaderOf returns p's descriptor, following forwarding chains (at most two
@@ -156,25 +155,24 @@ func (h *Heap) HeaderOf(p Value) Header {
 	return Header(w)
 }
 
-// ResolveForward follows forwarding pointers from p to the newest replica.
-func (h *Heap) ResolveForward(p Value) Value {
-	for p.IsPtr() && h.IsForwarded(p) {
-		p = h.ForwardAddr(p)
-	}
-	return p
-}
+// Word returns arena word i raw: a header, a forwarding pointer or a
+// payload word, whatever the slot holds.
+func (h *Heap) Word(i uint64) Value { return h.arena[i] }
+
+// SetWord overwrites arena word i, raw: no barrier, no dirty bit.
+func (h *Heap) SetWord(i uint64, v Value) { h.arena[i] = v }
 
 // Load reads payload word i of object p. No forwarding check: under the
 // from-space invariant the mutator always reads the original object.
-func (h *Heap) Load(p Value, i int) Value { return h.Arena[p.index()+uint64(i)] }
+func (h *Heap) Load(p Value, i int) Value { return h.arena[p.index()+uint64(i)] }
 
 // Store writes payload word i of object p. The write barrier lives above
 // this in the mutator; Store itself is raw.
-func (h *Heap) Store(p Value, i int, v Value) { h.Arena[p.index()+uint64(i)] = v }
+func (h *Heap) Store(p Value, i int, v Value) { h.arena[p.index()+uint64(i)] = v }
 
 // LoadByte reads byte i of a byte-kind object (little-endian packing).
 func (h *Heap) LoadByte(p Value, i int) byte {
-	w := h.Arena[p.index()+uint64(i/BytesPerWord)]
+	w := h.arena[p.index()+uint64(i/BytesPerWord)]
 	return byte(w >> (uint(i%BytesPerWord) * 8))
 }
 
@@ -182,9 +180,9 @@ func (h *Heap) LoadByte(p Value, i int) byte {
 func (h *Heap) StoreByte(p Value, i int, b byte) {
 	idx := p.index() + uint64(i/BytesPerWord)
 	sh := uint(i%BytesPerWord) * 8
-	w := uint64(h.Arena[idx])
+	w := uint64(h.arena[idx])
 	w = w&^(uint64(0xff)<<sh) | uint64(b)<<sh
-	h.Arena[idx] = Value(w)
+	h.arena[idx] = Value(w)
 }
 
 // Bytes copies the payload of a byte-kind object into a fresh Go slice.
@@ -218,7 +216,7 @@ func (h *Heap) moveBytes(p Value, off int, b []byte, store bool) {
 			b, off = b[1:], off+1
 			continue
 		}
-		w := &h.Arena[p.index()+uint64(off/BytesPerWord)]
+		w := &h.arena[p.index()+uint64(off/BytesPerWord)]
 		if store {
 			*w = Value(binary.LittleEndian.Uint64(b))
 		} else {
@@ -243,7 +241,7 @@ func (h *Heap) CopyPayloadBytes(dst, src Value, off, n int) {
 	if words := uint64(n / BytesPerWord); words > 0 {
 		si := src.index() + uint64(off/BytesPerWord)
 		di := dst.index() + uint64(off/BytesPerWord)
-		copy(h.Arena[di:di+words], h.Arena[si:si+words])
+		copy(h.arena[di:di+words], h.arena[si:si+words])
 		off += int(words) * BytesPerWord
 		n -= int(words) * BytesPerWord
 	}
@@ -270,7 +268,7 @@ func (h *Heap) CopyObject(src Value, dst *Space) (Value, bool) {
 	di := dst.Next
 	dst.Next += need
 	si := src.index() - 1
-	copy(h.Arena[di:di+need], h.Arena[si:si+need])
+	copy(h.arena[di:di+need], h.arena[si:si+need])
 	return ptrFromIndex(di + 1), true
 }
 
@@ -294,7 +292,7 @@ func (h *Heap) ReserveReplica(src Value, dst *Space) (Value, bool) {
 	}
 	di := dst.Next
 	dst.Next += need
-	h.Arena[di] = hdr
+	h.arena[di] = hdr
 	replica := ptrFromIndex(di + 1)
 	h.SetForward(src, replica)
 	return replica, true
@@ -304,7 +302,7 @@ func (h *Heap) ReserveReplica(src Value, dst *Space) (Value, bool) {
 // of dst, a replica ReserveReplica made of it.
 func (h *Heap) CopyWords(dst, src Value, from, n int) {
 	si, di := src.index()+uint64(from), dst.index()+uint64(from)
-	copy(h.Arena[di:di+uint64(n)], h.Arena[si:si+uint64(n)])
+	copy(h.arena[di:di+uint64(n)], h.arena[si:si+uint64(n)])
 }
 
 // WalkObjects visits the objects of s in address order, calling f with each
@@ -315,7 +313,7 @@ func (h *Heap) CopyWords(dst, src Value, from, n int) {
 func (h *Heap) WalkObjects(s *Space, f func(p Value, hdr Header) bool) {
 	idx := s.Lo
 	for idx < s.Next {
-		w := h.Arena[idx]
+		w := h.arena[idx]
 		if !IsHeader(w) {
 			//gclint:allow panicpath -- invariant: walked spaces hold replicas, which are never forwarded
 			panic(fmt.Sprintf("heap: WalkObjects hit forwarding pointer at %#x in %s", idx, s.Name))

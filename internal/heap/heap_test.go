@@ -184,8 +184,8 @@ func TestByteRangesMatchByteLoop(t *testing.T) {
 			}
 			lo, hi := p.index()-1, p.index()+size/BytesPerWord
 			for w := lo; w < hi; w++ {
-				if h.Arena[w] != ref.Arena[w] {
-					t.Fatalf("StoreBytes(off %d, n %d): arena word %d = %#x, byte loop wrote %#x", off, n, w, h.Arena[w], ref.Arena[w])
+				if h.arena[w] != ref.arena[w] {
+					t.Fatalf("StoreBytes(off %d, n %d): arena word %d = %#x, byte loop wrote %#x", off, n, w, h.arena[w], ref.arena[w])
 				}
 			}
 			got, want := make([]byte, n), make([]byte, n)
@@ -240,8 +240,8 @@ func TestForwarding(t *testing.T) {
 	if hdr := h.HeaderOf(p); hdr.Kind() != KindRecord || hdr.Len() != 2 {
 		t.Fatalf("HeaderOf(forwarded) = %v", hdr)
 	}
-	if h.ResolveForward(p) != replica {
-		t.Fatal("ResolveForward failed")
+	if h.IsForwarded(replica) {
+		t.Fatal("the replica is forwarded too: p does not resolve to it")
 	}
 }
 
@@ -252,7 +252,7 @@ func TestForwardingChain(t *testing.T) {
 	h.SetForward(p, r1)
 	r2, _ := h.CopyObject(r1, h.OldTo())
 	h.SetForward(r1, r2)
-	if h.ResolveForward(p) != r2 {
+	if h.ForwardAddr(h.ForwardAddr(p)) != r2 || h.IsForwarded(r2) {
 		t.Fatal("two-hop resolve failed")
 	}
 	if hdr := h.HeaderOf(p); hdr.Kind() != KindRef {
@@ -423,7 +423,7 @@ func TestNewFootprint(t *testing.T) {
 		h := New(cfg)
 		mapped = mappedBytes.Load() - mapped
 		runtime.ReadMemStats(&after)
-		arena := int64(len(h.Arena)) * BytesPerWord
+		arena := int64(len(h.arena)) * BytesPerWord
 		if arena != cfg.ArenaBytes() {
 			t.Errorf("New(%+v) built a %d-byte arena, ArenaBytes says %d", cfg, arena, cfg.ArenaBytes())
 		}
@@ -460,9 +460,9 @@ func TestArenaReleased(t *testing.T) {
 	const heaps = 16
 	for i := 0; i < heaps; i++ {
 		h := New(benchShape)
-		h.EpochHook = func(uint32) { h.Arena[h.Nursery.Lo] = FromInt(int64(i)) }
+		h.EpochHook = func(uint32) { h.arena[h.Nursery.Lo] = FromInt(int64(i)) }
 		h.BeginLogEpoch()
-		if arena := int64(len(h.Arena)) * BytesPerWord; arenaMapped && mappedBytes.Load() < arena {
+		if arena := int64(len(h.arena)) * BytesPerWord; arenaMapped && mappedBytes.Load() < arena {
 			t.Fatal("a mapped arena is not counted")
 		}
 	}
@@ -475,16 +475,16 @@ func TestArenaReleased(t *testing.T) {
 // holds any later reuse of arenas to the same.
 func TestNewArenaReadsZero(t *testing.T) {
 	h := New(benchShape)
-	idx := []uint64{0, uint64(len(h.Arena)) - 1}
+	idx := []uint64{0, uint64(len(h.arena)) - 1}
 	for _, s := range []*Space{&h.Nursery, h.OldFrom(), h.OldTo()} {
 		idx = append(idx, s.Lo, s.Cap-1)
 	}
 	r := rng.New(28)
 	for i := 0; i < 1000; i++ {
-		idx = append(idx, r.Uint64n(uint64(len(h.Arena))))
+		idx = append(idx, r.Uint64n(uint64(len(h.arena))))
 	}
 	for _, i := range idx {
-		h.Arena[i] = Value(^uint64(0))
+		h.arena[i] = Value(^uint64(0))
 		h.markDirty(i>>6, 1<<(i&63))
 	}
 	h = nil
@@ -492,7 +492,7 @@ func TestNewArenaReadsZero(t *testing.T) {
 
 	h = New(benchShape)
 	for _, i := range idx {
-		if w := h.Arena[i]; w != 0 {
+		if w := h.arena[i]; w != 0 {
 			t.Fatalf("word %d of a new arena reads %#x", i, w)
 		}
 	}

@@ -85,7 +85,7 @@ func TestDirtyMapMatchesOracle(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		h := testHeap()
 		r := rng.New(seed)
-		end := uint64(len(h.Arena))
+		end := uint64(len(h.arena))
 		oracle := map[uint64]bool{}
 		// pick returns an arena span [lo, lo+n) with minN ≤ n ≤ maxN.
 		pick := func(minN, maxN int) (lo uint64, n int) {

@@ -318,7 +318,7 @@ func (c *Collector) minorCollect(m *core.Mutator) error {
 func (c *Collector) cheney(m *core.Mutator, from, to *heap.Space, acct simtime.Account, copied *int64) error {
 	h := c.h
 	for c.scan < to.Next {
-		w := h.Arena[c.scan]
+		w := h.Word(c.scan)
 		if !heap.IsHeader(w) {
 			//gclint:allow panicpath -- invariant: to-space holds replicas, which are never forwarded
 			panic("stopcopy: scan hit forwarded object in to-space")
