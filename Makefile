@@ -12,9 +12,9 @@ build:
 # forwarding pointers stay in the collector packages, the host clock out of
 # internal/ and cmd/, file I/O in cmd/ and internal/checkpoint, panics out of
 # the collector packages, runtime constructors in internal/rig, flight
-# recorders in the commands, a finished run is read through
-# rig.Runtime.Stats, and the torture driver is imported by tests and the
-# crash matrix only. Its other rules check stale heap.Values across may-flip
+# recorders in the commands, pause brackets in the collectors, a finished run
+# is read through rig.Runtime.Stats, and the torture driver is imported by
+# tests and the crash matrix only. Its other rules check stale heap.Values across may-flip
 # calls, barrier completeness through helpers, pause-only collector state,
 # deterministic iteration, dispatch exhaustiveness and the hygiene of its own
 # annotations. See DESIGN.md, "Machine-checked invariants". gclint runs over
@@ -136,16 +136,17 @@ trace:
 	go run ./cmd/rtgc-bench validate /tmp/repligc_trace-comp.json
 
 # The pause bound (DESIGN.md, "Pause bound") at full scale under rt, on
-# Primes, Sort, Comp and the serving spec, read off the collector's pause
-# record (no flight recorder): each command fails if a budgeted pause is
-# longer than copying 2L + L/4 takes or copied more than that, lists the
-# overruns (none here) and the three longest pauses by phase, and must print
-# its "pause bound:" line.
+# Primes, Sort, Comp, the serving spec and a checkpointed program, read off
+# the collector's pause record (no flight recorder): each command fails if a
+# budgeted pause is longer than copying 2L + L/4 takes (its checkpoint phase
+# aside) or copied more than that, lists the overruns (none here) and the
+# three longest pauses by phase, and must print its "pause bound:" line.
 pause-bound:
 	go run ./cmd/rtgc-bench -worst 3 trace Primes | tee /dev/stderr | grep -q '^pause bound: the longest'
 	go run ./cmd/rtgc-bench -worst 3 trace Sort | tee /dev/stderr | grep -q '^pause bound: the longest'
 	go run ./cmd/rtgc-bench -worst 3 trace Comp | tee /dev/stderr | grep -q '^pause bound: the longest'
 	go run ./cmd/rtgc -gc rt -worst 3 -serve examples/serve/mixed.json 2>&1 | tee /dev/stderr | grep -q '^pause bound: the longest'
+	d=$$(mktemp -d) && go run ./cmd/rtgc -gc rt -checkpoint $$d -worst 3 examples/miniml/sieve.ml 2>&1 | tee /dev/stderr | grep -q '^pause bound: the longest'; s=$$?; rm -rf $$d; exit $$s
 
 # One testing.B benchmark per paper table/figure, at the quick scale.
 microbench:

@@ -4,8 +4,8 @@
 // appear only in those packages") carries the logging write barrier, the
 // from-space invariant's forwarding hygiene, simulated-clock-only timing,
 // file-I/O confinement, the collector packages' panic discipline, and the
-// single places a runtime is assembled, a flight recorder attached, a
-// finished run read and the torture driver imported. Beside it sit
+// single places a runtime is assembled, a flight recorder attached, a pause
+// opened, a finished run read and the torture driver imported. Beside it sit
 // deterministic iteration, dispatch exhaustiveness and the interprocedural
 // checks built on per-function call-graph summaries: stale heap.Values held
 // across may-flip calls, barrier completeness on all dataflow paths, and

@@ -9,9 +9,7 @@ import (
 	"strings"
 
 	"repligc/internal/bench"
-	"repligc/internal/core"
 	"repligc/internal/rig"
-	"repligc/internal/simtime"
 	"repligc/internal/trace"
 )
 
@@ -66,7 +64,7 @@ func runTrace(s bench.Scale, workload, out string, worst int) error {
 		// whatever it spent the time on, or copies more than that. A completion
 		// attempt the gate let through although it did not fit is the one
 		// exemption from the length, and is listed.
-		text, err := core.Config{CopyLimitBytes: params.LBytes}.CheckPauseBound(simtime.Default1993(), res.Pauses.Pauses)
+		text, err := res.CheckPauseBound()
 		fmt.Print(text)
 		if err != nil {
 			return fmt.Errorf("trace %s: %w", w.Name(), err)

@@ -31,7 +31,6 @@ import (
 	"repligc/internal/heap"
 	"repligc/internal/lang"
 	"repligc/internal/rig"
-	"repligc/internal/simtime"
 	"repligc/internal/trace"
 	"repligc/internal/vm"
 )
@@ -160,13 +159,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	// The pause bound is the replicating collector's, and a checkpoint
-	// writer's increments are outside it.
-	var bound core.Config
-	if !coll.StopCopy && rc.Checkpoint == nil {
-		bound.CopyLimitBytes = *lKB << 10
-	}
-	look.report(rt.Stats(), bound, flag.Arg(0))
+	boundErr := look.report(rt.Stats(), flag.Arg(0))
 	if *census {
 		fmt.Fprintf(os.Stderr, "\n--- live-object census ---\n")
 		c := h.Census(&h.Nursery, h.OldFrom())
@@ -175,6 +168,9 @@ func main() {
 				fmt.Fprintf(os.Stderr, "%-8s %8d objects %10.1f KB\n", k, e.Count, float64(e.Bytes)/1024)
 			}
 		}
+	}
+	if boundErr != nil {
+		os.Exit(1)
 	}
 }
 
@@ -222,24 +218,23 @@ func (f traceFlags) export(rt *rig.Runtime, subject string) error {
 	return nil
 }
 
-// report prints what the flags ask of the finished run st: its report, the
-// worst pauses and — when bound carries an L — its pause record held to the
-// pause bound.
-func (f traceFlags) report(st rig.Stats, bound core.Config, subject string) {
+// report prints what the flags ask of the finished run st: its report, and
+// the worst pauses with its pause record held to the pause bound, whose
+// excess it returns.
+func (f traceFlags) report(st rig.Stats, subject string) error {
 	if f.stats {
 		fmt.Fprintf(os.Stderr, "\n%s", st.Text(subject))
 	}
 	if f.worst <= 0 {
-		return
+		return nil
 	}
 	fmt.Fprintf(os.Stderr, "\n%s", st.Pauses.WorstPausesTable(f.worst))
-	if bound.CopyLimitBytes > 0 {
-		text, err := bound.CheckPauseBound(simtime.Default1993(), st.Pauses.Pauses)
-		fmt.Fprint(os.Stderr, text)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pause bound: %v\n", err)
-		}
+	text, err := st.CheckPauseBound()
+	fmt.Fprint(os.Stderr, text)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pause bound: %v\n", err)
 	}
+	return err
 }
 
 // runRestore recovers the newest checkpoint epoch in dir, re-attaches a

@@ -36,6 +36,9 @@ func TestPauseDigestGolden(t *testing.T) {
 		{"sieve.txt", []string{"-worst", "5", "examples/miniml/sieve.ml"}},
 		{"life.txt", []string{"-prelude", "-worst", "5", "examples/miniml/life.ml"}},
 		{"serve.txt", []string{"-gc", "rt", "-worst", "5", "-serve", "examples/serve/mixed.json"}},
+		// Every pause of major-inc forces its minor collection: none had a
+		// budget, so none is held to the bound.
+		{"major-inc.txt", []string{"-gc", "major-inc", "-n", "64", "-o", "256", "-l", "8", "-worst", "1", "-prelude", "examples/miniml/queens.ml"}},
 	} {
 		t.Run(c.golden, func(t *testing.T) {
 			got, code := rtgc(t, c.args...)

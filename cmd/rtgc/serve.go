@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"os"
 
-	"repligc/internal/core"
 	"repligc/internal/rig"
 	"repligc/internal/workload"
 )
@@ -52,10 +51,8 @@ func runServeSpec(specPath string, coll rig.Collector, look traceFlags) int {
 		fmt.Fprintf(os.Stderr, "rtgc: writing trace: %v\n", err)
 		return 1
 	}
-	var bound core.Config
-	if !coll.StopCopy {
-		bound.CopyLimitBytes = spec.Heap.WithDefaults().CopyLimitKB << 10
+	if err := look.report(leg.Stats, specPath); err != nil {
+		return 1
 	}
-	look.report(leg.Stats, bound, specPath)
 	return 0
 }

@@ -54,6 +54,8 @@ var goldenCases = []struct {
 	// Masquerades as a command: commands read a run through its report.
 	{"runstats", "repligc/cmd/fixrunstats"},
 	{"gctest", "repligc/internal/fixgctest"},
+	// Masquerades as the serving engine: a workload never opens a pause.
+	{"bracket", "repligc/internal/workload"},
 }
 
 // loadFixtures loads every fixture of goldenCases, in order.

@@ -103,6 +103,9 @@ var Confinements = []*Confinement{
 	{Rule: "recorder", Pkg: "repligc/internal/trace", Names: []string{"NewRecorder"},
 		NotIn: []string{"repligc/cmd/", "repligc/benchmarks/"},
 		Why:   "outside a command: a library layer must not attach a flight recorder on its own; take rig.Config.Trace from the caller"},
+	{Rule: "bracket", Pkg: corePkgPath, Recv: "PauseBracket", Names: []string{"Begin", "End"},
+		NotIn: []string{stopcopyPkgPath}, Final: true,
+		Why: "outside the collectors: only a collector opens and closes a pause, in its one bracket, so that its record holds every pause the clock saw and says which had a budget"},
 	{Rule: "runstats", Pkg: corePkgPath, Recv: "Collector", Names: []string{"Stats", "Pauses"},
 		In:  []string{"repligc", "repligc/internal/bench", "repligc/internal/workload", "repligc/cmd/"},
 		Why: "reads a finished run past its report; call rig.Runtime.Stats"},

@@ -49,8 +49,9 @@ func allExperimentsText(s *Suite) (string, error) {
 // figures, ablations and tests read a cell, it is executed once. The paper's
 // grid is 69 cells — three workloads × four (O, N) settings × the five paper
 // configurations, plus three workloads × three rt variants in the 50 ms cell —
-// and the experiment tests, which share this suite, stay inside it; printing
-// every experiment used to take 103 runs.
+// and the tests that share this suite and run before this one stay inside it;
+// printing every experiment used to take 103 runs. (TestTable1Shape, in a
+// later file, adds the rig.Table rows and cells no experiment prints.)
 func TestEachCellRunsOnce(t *testing.T) {
 	s := quickSuite()
 	for pass := 0; pass < 2; pass++ {

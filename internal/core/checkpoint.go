@@ -66,20 +66,15 @@ func (c *Replicating) checkpointPoint() CheckpointPoint {
 func (c *Replicating) CheckpointNow() CheckpointPoint { return c.checkpointPoint() }
 
 // CheckpointPause runs commit in a pause of its own, outside any collection,
-// and records it like every other pause: PauseOther, all of it stop-the-world,
-// its time under the checkpoint phase.
+// and records it like every other pause: PauseOther, its time under the
+// checkpoint phase. All of it is stop-the-world — commit charges only the
+// checkpoint account — and none of it is budgeted collection work.
 func (c *Replicating) CheckpointPause(m *Mutator, commit func()) {
-	m.Clock.BeginPause()
-	c.cur = simtime.Pause{At: m.Clock.Now(), Kind: simtime.PauseOther}
-	c.tr.PauseBegin(c.cur.At)
-	c.stats.PauseCount++
-	end := c.phase(m, simtime.PhaseCheckpoint)
+	c.pauses.Begin(m)
+	end := c.pauses.Phase(m, simtime.PhaseCheckpoint)
 	commit()
 	end()
-	c.cur.Length = m.Clock.EndPause()
-	c.cur.Sync = c.cur.Length
-	c.rec.Record(c.cur)
-	c.tr.PauseEnd(m.Clock.Now(), 0, 0, int64(c.cur.Kind))
+	c.pauses.End(m, simtime.PauseOther, false)
 }
 
 // RestoreScheduling reinstates the collector scheduling state a checkpoint

@@ -151,7 +151,7 @@ func (g *Group) reconcileTo(actor int, upTo simtime.Duration) {
 		// about its pause but where it sits and how long it is.
 		stopped := p
 		stopped.At, stopped.Length, stopped.Sync = t, sync, sync
-		g.rec.Record(stopped)
+		g.rec.Pauses = append(g.rec.Pauses, stopped)
 		for j := range g.wall {
 			g.wall[j] = t + sync
 		}

@@ -243,11 +243,10 @@ func (g *generation) isReplica(v heap.Value) bool {
 // terminate under a small L even though the mutator keeps promoting, and
 // follows the approach of the authors' concurrent follow-up collector.
 type Replicating struct {
-	cfg   Config
-	h     *heap.Heap
-	stats GCStats
-	rec   simtime.Recorder
-	tr    *trace.Recorder // nil when tracing is disabled (every emit is a nil check)
+	cfg    Config
+	h      *heap.Heap
+	stats  GCStats
+	pauses PauseBracket
 
 	// The two generations under collection. Their cursors and all per-cycle
 	// collection state below are pause-only: multi-mutator sharing will make
@@ -324,10 +323,9 @@ type Replicating struct {
 	noGate     bool
 	noLogMeter bool
 
-	// Per-pause scratch: the record of the pause in progress, filled in by the
-	// kernels as they work, and the instant on the simulated clock at which the
-	// pause has spent its budget (beginPause, extend); 0 when it has none.
-	cur simtime.Pause
+	// The instant on the simulated clock at which the pause in progress has
+	// spent its budget (pause, extend); 0 when it has none.
+	//
 	//gclint:pauseonly set when the pause begins, pushed out by what the budget does not count, all under pause
 	deadline simtime.Duration
 
@@ -342,6 +340,7 @@ type Replicating struct {
 // is incorrect without a complete mutation log.
 func NewReplicating(h *heap.Heap, cfg Config) *Replicating {
 	c := &Replicating{cfg: cfg, h: h}
+	c.pauses = NewPauseBracket(&c.stats)
 	c.minor = generation{name: "minor", acct: simtime.AcctMinorCopy, oom: OOMPromotion, copied: &c.stats.BytesCopiedMinor}
 	c.major = generation{name: "major", major: true, acct: simtime.AcctMajorCopy, oom: OOMToSpace, copied: &c.stats.BytesCopiedMajor}
 	h.Nursery.SetLimitBytes(cfg.NurseryBytes)
@@ -361,28 +360,12 @@ func (c *Replicating) Name() string { return c.cfg.Name() }
 func (c *Replicating) Stats() *GCStats { return &c.stats }
 
 // Pauses implements Collector.
-func (c *Replicating) Pauses() *simtime.Recorder { return &c.rec }
+func (c *Replicating) Pauses() *simtime.Recorder { return &c.pauses.Rec }
 
 // SetTrace attaches an event recorder; nil detaches it. Trace emission
 // charges nothing to the simulated clock, so traced and untraced runs are
 // bit-for-bit identical.
-func (c *Replicating) SetTrace(r *trace.Recorder) { c.tr = r }
-
-// phase opens a phase of the pause in progress and returns its closer, which
-// adds the span to the pause's record; callers invoke the closer exactly once,
-// on every exit path, so the trace's begin/end events stay balanced even when
-// an increment ends in a typed exhaustion error. Closed at once, it is a span
-// of no length: how the degradation ladder's emergency rung is marked.
-func (c *Replicating) phase(m *Mutator, p simtime.Phase) func() {
-	start := m.Clock.Now()
-	c.tr.PhaseBegin(start, p)
-	return func() {
-		now := m.Clock.Now()
-		c.cur.PhaseTime[p] += now - start
-		c.cur.PhaseSpans[p]++
-		c.tr.PhaseEnd(now, p)
-	}
-}
+func (c *Replicating) SetTrace(r *trace.Recorder) { c.pauses.Trace = r }
 
 // AfterAlloc implements Collector; flip points are steered by nursery
 // limits, so nothing happens here.
@@ -460,32 +443,36 @@ func (c Config) PauseBoundTime(cost simtime.CostModel) simtime.Duration {
 
 // CheckPauseBound holds a finished run's pause record to the bound and renders
 // the check as rtgc -worst and rtgc-bench trace print it: a line for every
-// counted overrun, then the "pause bound:" line. Forced pauses have no budget;
-// every other pause copies at most PauseCopyBound bytes, and one longer than
-// PauseBoundTime is the error unless it is a counted overrun. (A checkpoint
-// writer's increments are outside the budget: a caller that attached one has
-// nothing to check.)
+// counted overrun, then the "pause bound:" line. The record alone says which
+// pauses had a budget: a Forced one had none; every other one copies at most
+// PauseCopyBound bytes, and one longer than PauseBoundTime is the error unless
+// it is a counted overrun. A pause's checkpoint phase is not part of its length
+// here: the checkpoint writer runs after the budgeted work.
 func (c Config) CheckPauseBound(cost simtime.CostModel, pauses []simtime.Pause) (string, error) {
 	bound, copyBound := c.PauseBoundTime(cost), c.PauseCopyBound()
-	longest, most, text := simtime.Duration(0), int64(0), ""
+	longest, most, budgeted, text := simtime.Duration(0), int64(0), 0, ""
 	for i, p := range pauses {
 		if p.Forced { // no budget to hold it to
 			continue
 		}
+		budgeted++
 		if p.CopiedB > copyBound {
 			return text, fmt.Errorf("pause %d copied %d B, over the bound 2L + L/4 = %d B", i, p.CopiedB, copyBound)
 		}
 		most = max(most, p.CopiedB)
-		switch {
+		switch length := p.Length - p.PhaseTime[simtime.PhaseCheckpoint]; {
 		case p.Unbudgeted(): // a counted overrun
 			text += fmt.Sprintf("overrun: pause %d is %v long, %v of it a completion attempt let through over budget (%d root slots and %d worklist slots flipped)\n",
-				i, p.Length, p.Overrun, p.RootSlots, p.FlipEntries)
-		case p.Length > bound:
+				i, length, p.Overrun, p.RootSlots, p.FlipEntries)
+		case length > bound:
 			return text, fmt.Errorf("pause %d is %v long (%d B copied, %d log entries, %d root slots and %d worklist slots flipped), over the bound %v",
-				i, p.Length, p.CopiedB, p.LogProcN, p.RootSlots, p.FlipEntries, bound)
+				i, length, p.CopiedB, p.LogProcN, p.RootSlots, p.FlipEntries, bound)
 		default:
-			longest = max(longest, p.Length)
+			longest = max(longest, length)
 		}
+	}
+	if budgeted == 0 {
+		return fmt.Sprintf("pause bound: none of the %d pauses had a budget\n", len(pauses)), nil
 	}
 	return text + fmt.Sprintf("pause bound: the longest budgeted pause is %v of %v; the most one copied is %d B of 2L + L/4 = %d B\n",
 		longest, bound, most, copyBound), nil
@@ -505,7 +492,7 @@ const taxQuantum = 4 << 10
 // point — a flip here redirects all roots and the caller holds no
 // unprotected heap values.
 //
-//gclint:pauseentry the allocation top is a safe point; cycle state only changes under the Clock.BeginPause micro-pause (or inside c.pause), never on the tax-accounting prefix
+//gclint:pauseentry the allocation top is a safe point; cycle state only changes inside c.pause, never on the tax-accounting prefix
 func (c *Replicating) AllocTax(m *Mutator, bytes int64) error {
 	if c.cfg.InterleavedTaxPermille <= 0 {
 		return nil
@@ -514,8 +501,7 @@ func (c *Replicating) AllocTax(m *Mutator, bytes int64) error {
 	if c.taxCredit < taxQuantum {
 		return nil
 	}
-	minorDue := c.minor.active || c.h.Nursery.UsedBytes() >= c.cfg.NurseryBytes/2
-	if !minorDue && !c.major.active {
+	if !c.minorDue() && !c.major.active {
 		// Nothing worth doing yet; keep a bounded credit so an idle
 		// stretch does not bank an unbounded work debt.
 		if c.taxCredit > 4*taxQuantum {
@@ -523,21 +509,16 @@ func (c *Replicating) AllocTax(m *Mutator, bytes int64) error {
 		}
 		return nil
 	}
-	budget := c.taxCredit
-	c.taxCredit = 0
-	c.microLimit = budget
-	var err error
-	if minorDue {
-		err = c.pause(m, 0, false)
-	} else {
-		// Only the major collection has pending work: run a mid-cycle
-		// major increment without forcing a (trivial) minor collection.
-		syncBase := c.beginPause(m)
-		_, err = c.runMajorIncrement(m, false, false)
-		c.endPause(m, syncBase, simtime.PauseMinor, false)
-	}
+	c.microLimit, c.taxCredit = c.taxCredit, 0
+	err := c.pause(m, 0, false)
 	c.microLimit = 0
 	return err
+}
+
+// minorDue reports whether a micro-pause has minor work to do: a minor
+// collection is active, or the nursery is half full.
+func (c *Replicating) minorDue() bool {
+	return c.minor.active || c.h.Nursery.UsedBytes() >= c.cfg.NurseryBytes/2
 }
 
 // CollectForAlloc implements Collector: one garbage-collection pause.
@@ -573,17 +554,6 @@ func (c *Replicating) CollectEmergency(m *Mutator) error {
 	return c.pause(m, 0, true)
 }
 
-// pauseSyncBase samples the accounts whose within-pause deltas form the
-// stop-the-world portion of a replicating pause (Pause.Sync): root scans,
-// flips and checkpoint commits need every mutator stopped, while replica
-// copying and log replay only need the from-space invariant and may overlap
-// other mutators' execution in the multi-mutator time model (group.go).
-func pauseSyncBase(clk *simtime.Clock) simtime.Duration {
-	return clk.AccountTotal(simtime.AcctRootScan) +
-		clk.AccountTotal(simtime.AcctFlip) +
-		clk.AccountTotal(simtime.AcctCheckpoint)
-}
-
 // pause stops the mutator and performs one increment of collection work.
 // When force is set the pause ignores budgets and completes everything.
 // The pause is always charged and recorded — including when it ends in a
@@ -591,69 +561,47 @@ func pauseSyncBase(clk *simtime.Clock) simtime.Duration {
 //
 //gclint:pauseentry Clock.BeginPause stops the (single) mutator before any collector state changes; every collector entry point funnels through here
 func (c *Replicating) pause(m *Mutator, needWords int, force bool) error {
-	syncBase := c.beginPause(m)
-	kind := simtime.PauseMinor
-	err := c.pauseBody(m, needWords, force, &kind)
-	// Stop-the-world pauses (forced completions, emergencies) admit no
-	// overlap: capture the flag before it resets — pauseBody may have
-	// escalated on low headroom after entry.
-	stw := force || c.emergency
-	c.emergency = false
-
-	if c.ckpt != nil {
-		end := c.phase(m, simtime.PhaseCheckpoint)
-		c.ckpt.PauseCheckpoint(m, c.checkpointPoint())
-		end()
-	}
-	c.endPause(m, syncBase, kind, stw)
-	return err
-}
-
-// beginPause stops the mutator and opens the pause window that pause and
-// AllocTax's major-only micro-pause share; endPause closes it.
-func (c *Replicating) beginPause(m *Mutator) (syncBase simtime.Duration) {
-	m.Clock.BeginPause()
-	at := m.Clock.Now()
-	syncBase = pauseSyncBase(m.Clock)
-	c.tr.PauseBegin(at)
-	c.tr.Counters(at, m.LogWrites, m.BarrierFastSkips, m.BarrierDirtySkips)
-	c.cur, c.deadline = simtime.Pause{At: at}, 0
-	if c.emergency {
-		// CollectEmergency escalated before entering the pause; mark the
-		// rung as a distinct (instantaneous) phase.
-		c.phase(m, simtime.PhaseEmergency)()
-	}
+	c.pauses.Begin(m)
 	// Every pause, micro-pauses included, starts a fresh log-coalescing
 	// epoch before any cursor moves: dirty bits set by the barrier since
 	// the previous pause vouch for entries this pause may now consume, so
 	// they must expire here (heap/stamp.go spells out the invariant).
 	c.h.BeginLogEpoch()
+	c.deadline = 0
 	if budget := c.budget(m); budget > 0 {
-		c.deadline = at + budget
+		c.deadline = c.pauses.cur.At + budget
 	}
-	c.stats.PauseCount++
-	return syncBase
-}
-
-// endPause restarts the mutator and records the pause; its stop-the-world
-// portion is what the sync accounts gained in the window, or all of it (stw).
-func (c *Replicating) endPause(m *Mutator, syncBase simtime.Duration, kind simtime.PauseKind, stw bool) {
-	length := m.Clock.EndPause()
-	sync := pauseSyncBase(m.Clock) - syncBase
-	if stw || sync > length {
-		sync = length
+	kind := simtime.PauseMinor
+	var err error
+	if c.microLimit > 0 && !c.minorDue() {
+		// An interleaved micro-pause in which only the major collection has
+		// work pending: a mid-cycle major increment, without forcing a
+		// (trivial) minor collection.
+		_, err = c.runMajorIncrement(m, false, false)
+	} else {
+		err = c.pauseBody(m, needWords, force, &kind)
+		if c.ckpt != nil {
+			end := c.pauses.Phase(m, simtime.PhaseCheckpoint)
+			c.ckpt.PauseCheckpoint(m, c.checkpointPoint())
+			end()
+		}
 	}
-	c.cur.Length, c.cur.Kind, c.cur.Sync, c.cur.Forced = length, kind, sync, c.cur.Forced || stw
-	c.cur.LogLeft = m.Log.Len() - c.minor.logCursor
+	c.pauses.cur.LogLeft = m.Log.Len() - c.minor.logCursor
 	if c.major.active {
-		c.cur.LogLeft += m.Log.Len() - c.major.logCursor
+		c.pauses.cur.LogLeft += m.Log.Len() - c.major.logCursor
 	}
-	c.rec.Record(c.cur)
-	c.tr.PauseEnd(m.Clock.Now(), c.cur.CopiedB, c.cur.LogProcN, int64(kind))
+	// A forced or emergency pause admits no overlap (pauseBody may have
+	// escalated on low headroom after entry).
+	c.pauses.End(m, kind, force || c.emergency)
+	c.emergency = false
+	return err
 }
 
 // pauseBody is the work of one pause; pause wraps it so the clock and the
-// recorder see every pause, successful or not.
+// recorder see every pause, successful or not. The record marks a pause with
+// no budget Forced: one that forced its minor collection to completion — the
+// non-incremental minor of major-inc and stop-copy-core among them — or ran a
+// non-incremental major increment.
 func (c *Replicating) pauseBody(m *Mutator, needWords int, force bool, kind *simtime.PauseKind) error {
 	// Degradation ladder, headroom reservation: if the promotion target
 	// cannot absorb a worst-case cycle (everything currently in the
@@ -665,7 +613,11 @@ func (c *Replicating) pauseBody(m *Mutator, needWords int, force bool, kind *sim
 		c.emergency = true
 		c.stats.EmergencyCollections++
 		c.forcedCompletion()
-		c.phase(m, simtime.PhaseEmergency)()
+	}
+	if c.emergency {
+		// Here, or in CollectEmergency before the pause began, the pause
+		// escalated: mark the rung as a distinct (instantaneous) phase.
+		c.pauses.Phase(m, simtime.PhaseEmergency)()
 	}
 
 	if !c.minor.active {
@@ -677,6 +629,7 @@ func (c *Replicating) pauseBody(m *Mutator, needWords int, force bool, kind *sim
 	if capped {
 		c.forcedCompletion()
 	}
+	c.pauses.cur.Forced = c.pauses.cur.Forced || forceMinor
 
 	needB := int64(needWords) * heap.BytesPerWord
 	done, err := c.runMinorIncrement(m, forceMinor)
@@ -729,7 +682,7 @@ func (c *Replicating) pauseBody(m *Mutator, needWords int, force bool, kind *sim
 // pause in progress, which from here on has no budget to be held to.
 func (c *Replicating) forcedCompletion() {
 	c.stats.ForcedCompletion++
-	c.cur.Forced = true
+	c.pauses.cur.Forced = true
 }
 
 // lowHeadroom reports whether the promotion target is at risk of
@@ -855,7 +808,7 @@ func (c *Replicating) minorIncrement(m *Mutator, force bool) (bool, error) {
 	// holding nursery pointers) and keep replicas up to date. The paper's
 	// log processing ignores L (§3.4); this one stops when the pause's
 	// budget is spent and resumes from the same cursor at the next pause.
-	endPhase := c.phase(m, simtime.PhaseLogReplay)
+	endPhase := c.pauses.Phase(m, simtime.PhaseLogReplay)
 	done, err := c.processMinorLog(m, force)
 	endPhase()
 	if !done {
@@ -898,7 +851,7 @@ func (c *Replicating) minorIncrement(m *Mutator, force bool) (bool, error) {
 
 	// 4. Lazy mode deferred its reapplies to this moment.
 	if c.cfg.LazyLogProcessing {
-		endPhase = c.phase(m, simtime.PhaseLogReplay)
+		endPhase = c.pauses.Phase(m, simtime.PhaseLogReplay)
 		err := c.drainLazyMinor(m)
 		endPhase()
 		if err != nil {
@@ -917,7 +870,7 @@ func (c *Replicating) minorIncrement(m *Mutator, force bool) (bool, error) {
 	// each round of copies can expose more deferred references, so loop
 	// to a fixpoint.
 	for len(c.pendingMut) > 0 {
-		endPhase = c.phase(m, simtime.PhaseCopy)
+		endPhase = c.pauses.Phase(m, simtime.PhaseCopy)
 		err := c.drainPendingMutables(m)
 		var done bool
 		if err == nil {
@@ -936,7 +889,7 @@ func (c *Replicating) minorIncrement(m *Mutator, force bool) (bool, error) {
 		return false, nil
 	}
 
-	endPhase = c.phase(m, simtime.PhaseFlip)
+	endPhase = c.pauses.Phase(m, simtime.PhaseFlip)
 	err = c.minorFlip(m)
 	endPhase()
 	if err != nil {
@@ -947,7 +900,7 @@ func (c *Replicating) minorIncrement(m *Mutator, force bool) (bool, error) {
 
 // scanPhase runs the Cheney scan as one traced copy phase.
 func (c *Replicating) scanPhase(m *Mutator, g *generation, force bool) (bool, error) {
-	endPhase := c.phase(m, simtime.PhaseCopy)
+	endPhase := c.pauses.Phase(m, simtime.PhaseCopy)
 	done, err := c.scan(m, g, force)
 	endPhase()
 	return done, err
@@ -958,7 +911,7 @@ func (c *Replicating) scanPhase(m *Mutator, g *generation, force bool) (bool, er
 // roots themselves are only redirected at the flip. It reports whether the
 // pass reached the last root; an aborted pass is simply run again.
 func (c *Replicating) scanRoots(m *Mutator, g *generation, roots []*heap.Value, force bool) (bool, error) {
-	endPhase := c.phase(m, simtime.PhaseRootScan)
+	endPhase := c.pauses.Phase(m, simtime.PhaseRootScan)
 	// roots is Roots.Slots' reusable buffer, enumerated by the caller for the
 	// admission gate: no per-scan closure allocations, and the loop can stop
 	// the moment the budget runs out. Every slot is still charged (the root
@@ -989,7 +942,6 @@ func (c *Replicating) takeLogEntry(m *Mutator, g *generation, force bool) (int64
 	seq := g.logCursor
 	g.logCursor++
 	c.stats.LogScanned++
-	c.cur.LogProcN++
 	m.Clock.Charge(simtime.AcctLogScan, m.Cost.LogScan)
 	return seq, m.Log.At(seq), true
 }
@@ -999,7 +951,6 @@ func (c *Replicating) takeLogEntry(m *Mutator, g *generation, force bool) (int64
 func (c *Replicating) rewindLogEntry(g *generation, err error) (bool, error) {
 	g.logCursor--
 	c.stats.LogScanned--
-	c.cur.LogProcN--
 	return false, err
 }
 
@@ -1209,7 +1160,6 @@ func (c *Replicating) fill(m *Mutator, g *generation, job *copyJob, extra int) {
 	job.next += n
 	b := int64(n+extra) * heap.BytesPerWord
 	*g.copied += b
-	c.cur.CopiedB += b
 	c.stats.LargestCopyBytes = max(c.stats.LargestCopyBytes, b)
 	m.Clock.Charge(g.acct, simtime.Duration(n+extra)*m.Cost.CopyWord)
 }
@@ -1221,7 +1171,7 @@ func (c *Replicating) resumeCopy(m *Mutator, g *generation) bool {
 	if g.inflight.replica == heap.Nil {
 		return true
 	}
-	endPhase := c.phase(m, simtime.PhaseCopy)
+	endPhase := c.pauses.Phase(m, simtime.PhaseCopy)
 	c.fill(m, g, &g.inflight, 0)
 	endPhase()
 	if g.inflight.next < g.inflight.words {
@@ -1532,7 +1482,7 @@ func (c *Replicating) repoint(m *Mutator, g *generation, obj heap.Value, slot in
 	}
 	c.h.Store(obj, slot, replica)
 	c.stats.FlipEntryUpdates++
-	c.cur.FlipEntries++
+	c.pauses.cur.FlipEntries++
 	m.Clock.Charge(simtime.AcctFlip, m.Cost.FlipEntry)
 	return true, nil
 }
@@ -1552,7 +1502,7 @@ func (c *Replicating) redirectRoots(m *Mutator, g *generation) {
 		}
 	}
 	c.stats.RootSlotUpdates += int64(len(roots))
-	c.cur.RootSlots += int64(len(roots))
+	c.pauses.cur.RootSlots += int64(len(roots))
 	m.Clock.Charge(simtime.AcctFlip, simtime.Duration(len(roots))*m.Cost.RootUpdate)
 }
 
@@ -1611,6 +1561,7 @@ func (c *Replicating) afterMinorFlip(m *Mutator, force bool) (bool, error) {
 		c.startMajor(m)
 	}
 	forceMajor := force || c.emergency || !c.cfg.IncrementalMajor || (c.replay != nil && c.forcedMajorFlip)
+	c.pauses.cur.Forced = c.pauses.cur.Forced || forceMajor
 	// Under interleaved pacing, the post-flip increment is the only moment
 	// a major can complete; from here to the end of the pause the budget is
 	// the completion budget rather than the micro quantum.
@@ -1661,7 +1612,7 @@ func (c *Replicating) runMajorIncrement(m *Mutator, force, postFlip bool) (bool,
 	// 1. Drain the major log: reapply mutations to existing replicas of
 	// old-from objects, and track from-space references stored into
 	// mutator-visible to-space objects.
-	endPhase := c.phase(m, simtime.PhaseLogReplay)
+	endPhase := c.pauses.Phase(m, simtime.PhaseLogReplay)
 	done, err := c.processMajorLog(m, force, postFlip)
 	endPhase()
 	if !done {
@@ -1708,7 +1659,7 @@ func (c *Replicating) runMajorIncrement(m *Mutator, force, postFlip bool) (bool,
 	// contents, and repeat until no pending copies remain — each round can
 	// expose further deferred references.
 	if c.cfg.DeferMutableCopies {
-		endPhase = c.phase(m, simtime.PhaseCopy)
+		endPhase = c.pauses.Phase(m, simtime.PhaseCopy)
 		for {
 			if done, err := c.drainDeferredMajorMutables(m, force); !done {
 				endPhase()
@@ -1733,7 +1684,7 @@ func (c *Replicating) runMajorIncrement(m *Mutator, force, postFlip bool) (bool,
 		return false, nil
 	}
 	g.whole = true // a straggler the flip copies, it copies whole
-	endPhase = c.phase(m, simtime.PhaseFlip)
+	endPhase = c.pauses.Phase(m, simtime.PhaseFlip)
 	err = c.majorFlip(m)
 	endPhase()
 	if err != nil {
@@ -1781,14 +1732,14 @@ func (c *Replicating) deferAttempt(m *Mutator, g *generation, force *bool, rootV
 	}
 	if cost > c.budget(m)+raise || g.deferrals >= maxFlipDeferrals {
 		c.stats.Overruns++
-		c.cur.Overrun += cost
+		c.pauses.cur.Overrun += cost
 		c.extend(cost)
 		*force, g.whole = true, true
 		return false
 	}
 	g.deferrals++
 	c.stats.Deferrals++
-	c.cur.Deferred = true
+	c.pauses.cur.Deferred = true
 	if g.major {
 		c.setNurseryLimit(c.expandBytes())
 	}

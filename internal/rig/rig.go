@@ -203,7 +203,8 @@ type Runtime struct {
 	Recorder  *trace.Recorder // Config.Trace: nil unless the caller attached one
 	Collector string          // the collector's name, for reports
 
-	ckpt Checkpointer
+	ckpt      Checkpointer
+	copyLimit int64 // L, what Stats.CheckPauseBound holds the pauses to
 }
 
 // unsupported lists, in order of checking, every combination New refuses.
@@ -261,7 +262,7 @@ func New(c Config) (*Runtime, error) {
 	}
 
 	g := core.NewGroup(h, simtime.NewClock(), simtime.Default1993(), c.Collector.Log, max(c.Members, 1))
-	rt := &Runtime{Heap: h, Mutator: g.Members[0], Group: g, Recorder: c.Trace, Collector: c.Collector.Name, ckpt: c.Checkpoint}
+	rt := &Runtime{Heap: h, Mutator: g.Members[0], Group: g, Recorder: c.Trace, Collector: c.Collector.Name, ckpt: c.Checkpoint, copyLimit: c.LBytes}
 	for _, m := range g.Members {
 		m.NaiveBarrier = c.NaiveBarrier
 		m.Trace = c.Trace
@@ -324,6 +325,8 @@ type Stats struct {
 	// Checkpoint is what the attached checkpoint writer persisted; nil
 	// without one.
 	Checkpoint *CheckpointStats
+	// CopyLimit is the run's L, which the pause bound is a formula over.
+	CopyLimit int64
 }
 
 // Stats reads the run; call it once the run has finished. It reads the
@@ -339,6 +342,7 @@ func (rt *Runtime) Stats() Stats {
 		GC:          *rt.GC.Stats(),
 		Breakdown:   clock.Breakdown(),
 		Replicating: replicating,
+		CopyLimit:   rt.copyLimit,
 	}
 	// A copy of the record's header, so that holding the digest does not hold
 	// the collector and its heap.
@@ -360,6 +364,14 @@ func (rt *Runtime) Stats() Stats {
 		s.Checkpoint = &cs
 	}
 	return s
+}
+
+// CheckPauseBound holds the run's pause record to the pause bound at its L
+// (core.Config.CheckPauseBound; DESIGN.md, "Pause bound"): the record says
+// which pauses had a budget, whatever the collector. The text is the check as
+// rtgc -worst and rtgc-bench trace print it; the error is an excess.
+func (s Stats) CheckPauseBound() (string, error) {
+	return core.Config{CopyLimitBytes: s.CopyLimit}.CheckPauseBound(simtime.Default1993(), s.Pauses.Pauses)
 }
 
 // Text renders the report one fact a line, each fact once: what rtgc -stats,

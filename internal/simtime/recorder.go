@@ -95,8 +95,10 @@ type Pause struct {
 	// attempt off to a later pause (GCStats.Deferrals counts them): the
 	// minor collection's when the pause flipped nothing, else the major flip.
 	Deferred bool
-	// Forced marks a pause that ran without a budget: a forced completion or
-	// an emergency collection. Such a pause is outside the pause bound.
+	// Forced marks a pause that ran without a budget: a forced completion, an
+	// emergency collection, a pause that ran a generation the configuration
+	// does not make incremental, and every stop-and-copy pause. Such a pause
+	// is outside the pause bound.
 	Forced bool
 	// Overrun is non-zero for a pause in which a completion attempt — a
 	// collection's root passes and flip — ran to the end although the

@@ -30,10 +30,10 @@ type Config struct {
 
 // Collector is the stop-and-copy baseline.
 type Collector struct {
-	cfg   Config
-	h     *heap.Heap
-	stats core.GCStats
-	rec   simtime.Recorder
+	cfg    Config
+	h      *heap.Heap
+	stats  core.GCStats
+	pauses core.PauseBracket
 
 	//gclint:pauseonly the log cursor only advances while the mutator is stopped; the barrier appends ahead of it
 	logCursor          int64
@@ -58,14 +58,12 @@ type Collector struct {
 	promoHighWater int64
 	//gclint:pauseonly wedging is detected mid-collection; once set it is only read (every request fails fast)
 	wedged *core.OOMError
-
-	cur simtime.Pause   // the record of the pause in progress, filled in as it works
-	tr  *trace.Recorder // nil when tracing is disabled (every emit is a nil check)
 }
 
 // New builds the baseline collector over h.
 func New(h *heap.Heap, cfg Config) *Collector {
 	c := &Collector{cfg: cfg, h: h}
+	c.pauses = core.NewPauseBracket(&c.stats)
 	h.Nursery.SetLimitBytes(cfg.NurseryBytes)
 	if cfg.Replay != nil {
 		c.replay = policy.NewCursor(cfg.Replay)
@@ -83,23 +81,10 @@ func (c *Collector) Name() string { return "stop-copy" }
 func (c *Collector) Stats() *core.GCStats { return &c.stats }
 
 // Pauses implements core.Collector.
-func (c *Collector) Pauses() *simtime.Recorder { return &c.rec }
+func (c *Collector) Pauses() *simtime.Recorder { return &c.pauses.Rec }
 
 // SetTrace attaches an event recorder; nil detaches it.
-func (c *Collector) SetTrace(r *trace.Recorder) { c.tr = r }
-
-// phase opens a phase of the pause in progress and returns its closer, which
-// adds the span to the pause's record.
-func (c *Collector) phase(m *core.Mutator, p simtime.Phase) func() {
-	start := m.Clock.Now()
-	c.tr.PhaseBegin(start, p)
-	return func() {
-		now := m.Clock.Now()
-		c.cur.PhaseTime[p] += now - start
-		c.cur.PhaseSpans[p]++
-		c.tr.PhaseEnd(now, p)
-	}
-}
+func (c *Collector) SetTrace(r *trace.Recorder) { c.pauses.Trace = r }
 
 // AfterAlloc implements core.Collector; collection points are steered by
 // nursery limits, so nothing happens here.
@@ -146,18 +131,11 @@ func (c *Collector) pause(m *core.Mutator, emergency bool) error {
 	if c.wedged != nil {
 		return c.wedged
 	}
-	m.Clock.BeginPause()
-	at := m.Clock.Now()
-	c.cur = simtime.Pause{At: at}
-	c.tr.PauseBegin(at)
-	c.tr.Counters(at, m.LogWrites, m.BarrierFastSkips, m.BarrierDirtySkips)
+	c.pauses.Begin(m)
 	// The pause consumes the mutation log (it is this collector's
 	// remembered set), so barrier coalescing marks must expire here —
 	// same contract as the replicating collector (heap/stamp.go).
 	c.h.BeginLogEpoch()
-	start := c.stats.TotalBytesCopied()
-	logStart := c.stats.LogScanned
-	c.stats.PauseCount++
 
 	// Degradation ladder, headroom reservation: when the old space cannot
 	// absorb a worst-case minor collection (the whole nursery) plus the
@@ -170,7 +148,7 @@ func (c *Collector) pause(m *core.Mutator, emergency bool) error {
 		c.stats.ForcedCompletion++
 	}
 	if emergency || lowHeadroom {
-		c.phase(m, simtime.PhaseEmergency)() // a span of no length marks the rung
+		c.pauses.Phase(m, simtime.PhaseEmergency)() // a span of no length marks the rung
 	}
 
 	kind := simtime.PauseMinor
@@ -194,12 +172,9 @@ func (c *Collector) pause(m *core.Mutator, emergency bool) error {
 	}
 
 	// Destructive forwarding leaves no from-space originals for other
-	// mutators to run against: the whole pause is stop-the-world.
-	c.cur.Length, c.cur.Kind = m.Clock.EndPause(), kind
-	c.cur.Sync = c.cur.Length
-	c.cur.CopiedB, c.cur.LogProcN = c.stats.TotalBytesCopied()-start, c.stats.LogScanned-logStart
-	c.rec.Record(c.cur)
-	c.tr.PauseEnd(m.Clock.Now(), c.cur.CopiedB, c.cur.LogProcN, int64(kind))
+	// mutators to run against, and nothing bounds a collection: the whole
+	// pause is stop-the-world, with no budget.
+	c.pauses.End(m, kind, true)
 	return err
 }
 
@@ -246,7 +221,7 @@ func (c *Collector) minorCollect(m *core.Mutator) error {
 
 	// Remembered set: logged old-space slots holding nursery pointers are
 	// updated in place as they are processed — no flip traversal.
-	endPhase := c.phase(m, simtime.PhaseLogReplay)
+	endPhase := c.pauses.Phase(m, simtime.PhaseLogReplay)
 	for c.logCursor < m.Log.Len() {
 		e := m.Log.At(c.logCursor)
 		c.logCursor++
@@ -267,32 +242,12 @@ func (c *Collector) minorCollect(m *core.Mutator) error {
 	}
 	endPhase()
 
-	// Roots.
-	var visitErr error
-	endPhase = c.phase(m, simtime.PhaseRootScan)
-	n := m.Roots.Visit(func(slot *heap.Value) {
-		if visitErr != nil {
-			return
-		}
-		v := *slot
-		if from.Contains(v) {
-			nv, err := c.forward(m, v, to, simtime.AcctMinorCopy, &c.stats.BytesCopiedMinor)
-			if err != nil {
-				visitErr = err
-				return
-			}
-			*slot = nv
-		}
-	})
-	c.stats.RootSlotUpdates += int64(n)
-	m.Clock.Charge(simtime.AcctRootScan, simtime.Duration(n)*m.Cost.RootUpdate)
-	endPhase()
-	if visitErr != nil {
-		return visitErr
+	if err := c.scanRoots(m, from, to, simtime.AcctMinorCopy, &c.stats.BytesCopiedMinor); err != nil {
+		return err
 	}
 
 	// Cheney scan of the promotion region.
-	endPhase = c.phase(m, simtime.PhaseCopy)
+	endPhase = c.pauses.Phase(m, simtime.PhaseCopy)
 	err := c.cheney(m, from, to, simtime.AcctMinorCopy, &c.stats.BytesCopiedMinor)
 	endPhase()
 	if err != nil {
@@ -311,6 +266,24 @@ func (c *Collector) minorCollect(m *core.Mutator) error {
 	m.Log.TrimTo(m.Log.Len())
 	c.logCursor = m.Log.Len()
 	c.setNextNurseryLimit(m)
+	return nil
+}
+
+// scanRoots forwards every root referent in from to to and updates the slot.
+func (c *Collector) scanRoots(m *core.Mutator, from, to *heap.Space, acct simtime.Account, copied *int64) error {
+	defer c.pauses.Phase(m, simtime.PhaseRootScan)()
+	roots := m.Roots.Slots()
+	c.stats.RootSlotUpdates += int64(len(roots))
+	m.Clock.Charge(simtime.AcctRootScan, simtime.Duration(len(roots))*m.Cost.RootUpdate)
+	for _, slot := range roots {
+		if v := *slot; from.Contains(v) {
+			nv, err := c.forward(m, v, to, acct, copied)
+			if err != nil {
+				return err
+			}
+			*slot = nv
+		}
+	}
 	return nil
 }
 
@@ -356,30 +329,11 @@ func (c *Collector) majorCollect(m *core.Mutator) error {
 	to := h.OldTo()
 	c.scan = to.Next
 
-	var visitErr error
-	endPhase := c.phase(m, simtime.PhaseRootScan)
-	n := m.Roots.Visit(func(slot *heap.Value) {
-		if visitErr != nil {
-			return
-		}
-		v := *slot
-		if from.Contains(v) {
-			nv, err := c.forward(m, v, to, simtime.AcctMajorCopy, &c.stats.BytesCopiedMajor)
-			if err != nil {
-				visitErr = err
-				return
-			}
-			*slot = nv
-		}
-	})
-	c.stats.RootSlotUpdates += int64(n)
-	m.Clock.Charge(simtime.AcctRootScan, simtime.Duration(n)*m.Cost.RootUpdate)
-	endPhase()
-	if visitErr != nil {
-		return visitErr
+	if err := c.scanRoots(m, from, to, simtime.AcctMajorCopy, &c.stats.BytesCopiedMajor); err != nil {
+		return err
 	}
 
-	endPhase = c.phase(m, simtime.PhaseCopy)
+	endPhase := c.pauses.Phase(m, simtime.PhaseCopy)
 	err := c.cheney(m, from, to, simtime.AcctMajorCopy, &c.stats.BytesCopiedMajor)
 	endPhase()
 	if err != nil {
@@ -405,8 +359,5 @@ func (c *Collector) setNextNurseryLimit(m *core.Mutator) {
 		}
 	}
 	const floor = 64 << 10
-	if limit < floor {
-		limit = floor
-	}
-	c.h.Nursery.SetLimitBytes(limit)
+	c.h.Nursery.SetLimitBytes(max(limit, floor))
 }

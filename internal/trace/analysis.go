@@ -21,7 +21,7 @@ func Analyze(events []Event) (*simtime.Digest, error) {
 			cur = simtime.Pause{At: e.At}
 		case KindPauseEnd:
 			cur.Length, cur.Kind, cur.CopiedB, cur.LogProcN = e.At-cur.At, simtime.PauseKind(e.C), e.A, e.B
-			rec.Record(cur)
+			rec.Pauses = append(rec.Pauses, cur)
 		case KindPhaseBegin:
 			phaseStart = e.At
 		case KindPhaseEnd:

@@ -48,18 +48,12 @@ func (sm *sampler) next() float64 {
 	meanMs := 1000.0 / sm.a.RatePerSec
 	var gap float64
 	switch sm.a.Law {
-	case LawDeterministic:
-		gap = meanMs
 	case LawPoisson:
 		gap = expDraw(sm.s, meanMs)
 	case LawGamma:
 		// Mean of Gamma(k, theta) is k*theta; fix theta so the mean stays
 		// at the configured rate for any shape.
 		gap = gammaDraw(sm.s, sm.a.Shape) * meanMs / sm.a.Shape
-	case LawWeibull:
-		// Scale lambda chosen so E = lambda*Gamma(1+1/k) equals meanMs.
-		lambda := meanMs / gammaFn(1+1/sm.a.Shape)
-		gap = weibullDraw(sm.s, sm.a.Shape, lambda)
 	default:
 		panic("workload: unknown arrival law " + sm.a.Law)
 	}
@@ -139,15 +133,3 @@ func gammaDraw(s *rng.Stream, shape float64) float64 {
 		}
 	}
 }
-
-// weibullDraw samples Weibull(shape k, scale lambda) by inversion.
-func weibullDraw(s *rng.Stream, k, lambda float64) float64 {
-	u := s.Float64()
-	for u == 0 {
-		u = s.Float64()
-	}
-	return lambda * math.Pow(-math.Log(u), 1/k)
-}
-
-// gammaFn is the Gamma function (for the Weibull mean normalisation).
-func gammaFn(x float64) float64 { return math.Gamma(x) }

@@ -20,7 +20,7 @@ func fuzzSpec() *Spec {
 		Heap: HeapSpec{NurseryKB: 16, MajorKB: 64, CopyLimitKB: 8, OldMB: 1},
 		Cohorts: []Cohort{{
 			Name:    "c",
-			Arrival: Arrival{Law: LawDeterministic, RatePerSec: 1000},
+			Arrival: Arrival{Law: LawPoisson, RatePerSec: 1000},
 			Profile: Profile{ObjsPerReq: 2, ObjWords: 4, RetainPct: 0.5, SessionWords: 8, SessionReqs: 3, Mutations: 2, WorkSteps: 10},
 			SLO:     SLO{TargetMs: 1, DeadlineMs: 5},
 		}},

@@ -22,10 +22,8 @@ import (
 
 // Arrival laws.
 const (
-	LawPoisson       = "poisson"       // exponential inter-arrivals
-	LawGamma         = "gamma"         // gamma inter-arrivals (Shape = k; burstier for k < 1)
-	LawWeibull       = "weibull"       // weibull inter-arrivals (Shape = k)
-	LawDeterministic = "deterministic" // fixed inter-arrival (rate's reciprocal)
+	LawPoisson = "poisson" // exponential inter-arrivals
+	LawGamma   = "gamma"   // gamma inter-arrivals (Shape = k; burstier for k < 1)
 )
 
 // Spec describes one serving workload: the traffic, the per-cohort request
@@ -80,7 +78,7 @@ type Cohort struct {
 type Arrival struct {
 	Law        string  `json:"law"`
 	RatePerSec float64 `json:"rate_per_sec"`    // mean arrival rate while "on"
-	Shape      float64 `json:"shape,omitempty"` // gamma/weibull shape k (1 = exponential)
+	Shape      float64 `json:"shape,omitempty"` // gamma shape k (1 = exponential)
 	Burst      *Burst  `json:"burst,omitempty"` // optional on/off modulation
 }
 
@@ -170,14 +168,13 @@ func (s *Spec) Validate() error {
 
 func (a *Arrival) validate() error {
 	switch a.Law {
-	case LawPoisson, LawDeterministic:
-	case LawGamma, LawWeibull:
+	case LawPoisson:
+	case LawGamma:
 		if a.Shape <= 0 {
 			return fmt.Errorf("arrival law %s needs a positive shape", a.Law)
 		}
 	default:
-		return fmt.Errorf("unknown arrival law %q (want %s, %s, %s or %s)",
-			a.Law, LawPoisson, LawGamma, LawWeibull, LawDeterministic)
+		return fmt.Errorf("unknown arrival law %q (want %s or %s)", a.Law, LawPoisson, LawGamma)
 	}
 	if a.RatePerSec <= 0 {
 		return fmt.Errorf("arrival rate_per_sec must be positive")

@@ -92,7 +92,7 @@ func TestGenerateDeterministicAndSeedSensitive(t *testing.T) {
 }
 
 func TestArrivalLaws(t *testing.T) {
-	for _, law := range []string{LawPoisson, LawGamma, LawWeibull, LawDeterministic} {
+	for _, law := range []string{LawPoisson, LawGamma} {
 		spec := testSpec()
 		spec.Cohorts = spec.Cohorts[:1]
 		spec.Cohorts[0].Arrival = Arrival{Law: law, RatePerSec: 200, Shape: 1.5}
@@ -462,6 +462,24 @@ func TestSpecValidation(t *testing.T) {
 	// ParseSpec rejects unknown fields.
 	if _, err := ParseSpec([]byte(`{"name":"x","duration_ms":1,"cohorts":[],"typo_field":1}`)); err == nil {
 		t.Error("ParseSpec accepted an unknown field")
+	}
+}
+
+// TestRetiredArrivalLaws holds ParseSpec to the two laws a spec may name: the
+// Weibull and deterministic laws, which no spec used, are gone, and naming
+// one is the unknown-law error.
+func TestRetiredArrivalLaws(t *testing.T) {
+	for _, law := range []string{"weibull", "deterministic"} {
+		spec := testSpec()
+		spec.Cohorts[0].Arrival = Arrival{Law: law, RatePerSec: 200, Shape: 1.5}
+		data, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ParseSpec(data)
+		if err == nil || !strings.Contains(err.Error(), `unknown arrival law "`+law+`" (want poisson or gamma)`) {
+			t.Errorf("law %s: ParseSpec returned %v, want the unknown-law error", law, err)
+		}
 	}
 }
 
