@@ -11,11 +11,10 @@
 //
 // "perf" emits the performance trajectory: per-workload
 // baseline-vs-coalesced-vs-checkpointed log and pause metrics and the serving
-// section, all in simulated time (schema repligc-bench/10). With
-// -baseline, a fresh perf report is additionally gated against a committed
-// one (BENCH_SMOKE.json): every field must be equal, or the run fails naming
-// the first field that is not. Host time is not this command's business; it
-// is measured by benchmarks/host.
+// section, all in simulated time (schema repligc-bench/10). The report is a
+// pure function of the tree, so the committed quick-scale one
+// (BENCH_SMOKE.json) is gated by bytes (make bench-smoke). Host time is not
+// this command's business; it is measured by benchmarks/host.
 //
 // "validate" checks any document this command or rtgc emitted — perf report,
 // serving report, crash-matrix report, Chrome trace —
@@ -59,7 +58,6 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "use the small test-scale workloads")
 	out := flag.String("out", "", "write the perf report to this file instead of stdout")
-	baseline := flag.String("baseline", "", "gate a fresh perf report against this committed report (every field equal)")
 	record := flag.String("record", "", "serve: also write the materialised trace artifact to this file")
 	worst := flag.Int("worst", 0, "trace: also print the K longest pauses, each with its phase times, bytes copied and log entries")
 	scale, scaleName := bench.DefaultScale(), "default"
@@ -71,7 +69,7 @@ func main() {
 		run                  func(operand string) error
 	}
 	commands := []command{
-		{"perf", "[-quick] [-out FILE] [-baseline FILE]", "", func(string) error { return runPerf(scale, scaleName, *out, *baseline) }},
+		{"perf", "[-quick] [-out FILE]", "", func(string) error { return runPerf(scale, scaleName, *out) }},
 		{"validate", "", "FILE", runValidate},
 		{"trace", "[-quick] [-out FILE] [-worst K]", "[" + strings.Join(workloadNames(), "|") + "]", func(w string) error { return runTrace(scale, w, *out, *worst) }},
 		{"crashmatrix", "[-out FILE]", "", func(string) error { return runCrashMatrix(*out) }},

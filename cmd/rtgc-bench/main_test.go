@@ -51,18 +51,17 @@ func TestTraceGolden(t *testing.T) {
 
 // TestUnreadFlagIsUsageError: a flag the subcommand does not read is refused
 // by name with the usage status, before anything runs — here an experiment,
-// which reads -quick only, so no file is written and the missing baseline is
-// never opened.
+// which reads -quick only, so no file is written.
 func TestUnreadFlagIsUsageError(t *testing.T) {
 	dir := t.TempDir()
 	out, rec := filepath.Join(dir, "x.json"), filepath.Join(dir, "x.trace")
-	cmd := exec.Command(os.Args[0], "-quick", "-out", out, "-record", rec, "-worst", "3", "-baseline", "nowhere.json", "table2")
+	cmd := exec.Command(os.Args[0], "-quick", "-out", out, "-record", rec, "-worst", "3", "table2")
 	cmd.Env = append(os.Environ(), runMainEnv+"=1")
 	got, err := cmd.CombinedOutput()
 	if ee := (*exec.ExitError)(nil); !errors.As(err, &ee) || ee.ExitCode() != 2 {
 		t.Fatalf("exit %v, want status 2:\n%s", err, got)
 	}
-	for _, name := range []string{"-out", "-record", "-worst", "-baseline"} {
+	for _, name := range []string{"-out", "-record", "-worst"} {
 		if !strings.Contains(string(got), "rtgc-bench: "+name+" has no meaning for table2") {
 			t.Errorf("the refusal does not name %s:\n%s", name, got)
 		}

@@ -1,20 +1,16 @@
 package main
 
 // The "perf" subcommand: the report is internal/bench's, a pure function of
-// the tree; this file validates, gates and writes it.
+// the tree; this file validates and writes it.
 
 import (
 	"fmt"
-	"os"
 
 	"repligc/internal/bench"
 )
 
-// runPerf builds the full report and writes it to outPath ("" = stdout),
-// gating it against baselinePath when one is given.
-//
-//gclint:allow io -- reads the baseline report the fresh one is gated against
-func runPerf(s bench.Scale, scaleName, outPath, baselinePath string) error {
+// runPerf builds the full report and writes it to outPath ("" = stdout).
+func runPerf(s bench.Scale, scaleName, outPath string) error {
 	rep, err := bench.RunPerf(s, scaleName)
 	if err != nil {
 		return err
@@ -25,16 +21,6 @@ func runPerf(s bench.Scale, scaleName, outPath, baselinePath string) error {
 	}
 	if err := bench.ValidatePerf(data); err != nil {
 		return fmt.Errorf("generated report failed validation: %w", err)
-	}
-	if baselinePath != "" {
-		base, err := os.ReadFile(baselinePath)
-		if err != nil {
-			return fmt.Errorf("perf baseline: %w", err)
-		}
-		if err := bench.ComparePerf(data, base); err != nil {
-			return err
-		}
-		fmt.Printf("baseline gate passed against %s (every field equal)\n", baselinePath)
 	}
 	if err := writeReport(data, outPath); err != nil || outPath == "" {
 		return err

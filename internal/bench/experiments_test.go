@@ -60,8 +60,9 @@ func TestTable1Shape(t *testing.T) {
 	}
 	// The pause bound (DESIGN.md, "Pause bound"), read off each run's record
 	// alone: every collector of rig.Table in every cell — the ones figures
-	// 8–10 and the ablations read come from the shared grid — and one
-	// checkpointed rt run, whose checkpoint phases are outside the budget.
+	// 8–10 and the ablations read come from the shared grid — and rt in every
+	// cell with the perf report's checkpoint writer, whose increments count
+	// against the pause's budget and whose commits are unbudgeted pauses.
 	for _, w := range Workloads {
 		for _, p := range PaperParams() {
 			for _, c := range rig.Table {
@@ -73,21 +74,21 @@ func TestTable1Shape(t *testing.T) {
 					t.Errorf("%s %v under %s: %v", w.Name, p, c.Name, err)
 				}
 			}
+			res, err := runLeg(w.New(s.Scale), p, false, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := res.CheckPauseBound(); err != nil {
+				t.Errorf("checkpointed %s %v: %v", w.Name, p, err)
+			}
+			row := res.Row()
+			if row.Unbudgeted < res.Checkpoint.Committed {
+				t.Errorf("checkpointed %s %v: %d unbudgeted pauses, %d epochs committed", w.Name, p, row.Unbudgeted, res.Checkpoint.Committed)
+			}
+			if res.Pauses.PhaseTime[simtime.PhaseCheckpoint] == 0 {
+				t.Errorf("checkpointed %s %v spent no time in a checkpoint phase", w.Name, p)
+			}
 		}
-	}
-	w, err := WorkloadByName("Comp", s.Scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := runLeg(w, false, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := res.CheckPauseBound(); err != nil {
-		t.Errorf("checkpointed Comp: %v", err)
-	}
-	if res.Pauses.PhaseTime[simtime.PhaseCheckpoint] == 0 {
-		t.Error("checkpointed Comp spent no time in a checkpoint phase")
 	}
 	out := FormatTable1(rows)
 	if !strings.Contains(out, "Primes") || !strings.Contains(out, "Max") {

@@ -15,8 +15,6 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
-	"reflect"
-	"sort"
 
 	"repligc/internal/checkpoint"
 	"repligc/internal/core"
@@ -96,10 +94,10 @@ func (w *PerfWorkload) legs() [len(perfLegs)]*rig.Row {
 	return [...]*rig.Row{&w.Baseline, &w.Coalesced, &w.Checkpointed}
 }
 
-// runLeg runs w under one leg. A checkpointed leg keeps its artifacts in a
-// throwaway directory the checkpoint package owns.
-func runLeg(w Workload, naiveBarrier, checkpointed bool) (*Result, error) {
-	rc := rig.Config{Collector: rig.RT, Params: perfParams(), NaiveBarrier: naiveBarrier}
+// runLeg runs w under one leg in cell p. A checkpointed leg keeps its
+// artifacts in a throwaway directory the checkpoint package owns.
+func runLeg(w Workload, p Params, naiveBarrier, checkpointed bool) (*Result, error) {
+	rc := rig.Config{Collector: rig.RT, Params: p, NaiveBarrier: naiveBarrier}
 	if checkpointed {
 		dir, cleanup, err := checkpoint.TempDir("rtgc-bench-ckpt-")
 		if err != nil {
@@ -122,7 +120,7 @@ func RunPerf(s Scale, scaleName string) (*PerfReport, error) {
 		pw := PerfWorkload{Name: wl.Name}
 		var output string
 		for i, l := range perfLegs {
-			r, err := runLeg(w, l.naiveBarrier, l.checkpointed)
+			r, err := runLeg(w, perfParams(), l.naiveBarrier, l.checkpointed)
 			if err != nil {
 				return nil, fmt.Errorf("perf %s %s: %w", wl.Name, l.tag, err)
 			}
@@ -145,78 +143,6 @@ func RunPerf(s Scale, scaleName string) (*PerfReport, error) {
 	}
 	rep.Serving = serving
 	return rep, nil
-}
-
-// ComparePerf gates a fresh report against a committed baseline: every
-// member must be equal — simulated times, pause quantiles, every MMU point,
-// log counts, the serving section. Nothing is exempt. Simulated numbers do
-// not vary across machines or runs, so there is no tolerance: a deliberate
-// collector or cost-model change regenerates the baseline (make
-// bench-baseline).
-func ComparePerf(fresh, baseline []byte) error {
-	var fr, br map[string]any
-	if err := json.Unmarshal(fresh, &fr); err != nil {
-		return fmt.Errorf("fresh perf report: %w", err)
-	}
-	if err := json.Unmarshal(baseline, &br); err != nil {
-		return fmt.Errorf("baseline perf report: %w", err)
-	}
-	if at, f, b := firstDiff("", fr, br); at != "" {
-		return fmt.Errorf("perf baseline: %s is %v, baseline has %v; simulated numbers are deterministic, so either the change moved them (explain it and run make bench-baseline) or the reports differ in scale or schema", at, f, b)
-	}
-	return nil
-}
-
-// missing stands in firstDiff's result for a member one side does not have;
-// a JSON null that is present is reported as <nil>, so the two stay apart.
-const missing = "(missing)"
-
-// firstDiff walks two decoded JSON documents in step and returns the path
-// and the two values at the first place they differ ("" when equal). Object
-// keys — the union of both sides' — are visited in sorted order so the report
-// is stable.
-func firstDiff(path string, a, b any) (string, any, any) {
-	am, aok := a.(map[string]any)
-	bm, bok := b.(map[string]any)
-	as, asok := a.([]any)
-	bs, bsok := b.([]any)
-	switch {
-	case aok && bok:
-		keys := make([]string, 0, len(am))
-		for k := range am { //gclint:allow maprange -- the keys are sorted below
-			keys = append(keys, k)
-		}
-		for k := range bm { //gclint:allow maprange -- the keys are sorted below
-			if _, ok := am[k]; !ok {
-				keys = append(keys, k)
-			}
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			av, ain := am[k]
-			bv, bin := bm[k]
-			switch {
-			case !ain:
-				return path + "." + k, missing, bv
-			case !bin:
-				return path + "." + k, av, missing
-			}
-			if at, x, y := firstDiff(path+"."+k, av, bv); at != "" {
-				return at, x, y
-			}
-		}
-	case asok && bsok && len(as) == len(bs):
-		for i := range as {
-			if at, x, y := firstDiff(fmt.Sprintf("%s[%d]", path, i), as[i], bs[i]); at != "" {
-				return at, x, y
-			}
-		}
-	case asok && bsok:
-		return path + " (length)", len(as), len(bs)
-	case !reflect.DeepEqual(a, b):
-		return path, a, b
-	}
-	return "", nil, nil
 }
 
 // ValidatePerf checks that data parses as a PerfReport with the current
@@ -256,8 +182,8 @@ func ValidatePerf(data []byte) error {
 			case l.naiveBarrier && (leg.NurserySkips != 0 || leg.DirtySkips != 0):
 				err = fmt.Errorf("the append-every-store barrier reports fast-path skips")
 			// The floor under the pause bound: a leg whose every pause had a
-			// budget, and no checkpoint increment on top, is held to it.
-			case !l.checkpointed && leg.Unbudgeted == 0 && leg.PauseMaxMs > bound:
+			// budget is held to it.
+			case leg.Unbudgeted == 0 && leg.PauseMaxMs > bound:
 				err = fmt.Errorf("pause_max_ms = %.3f exceeds the pause bound %.1f ms and no unbudgeted pause is listed", leg.PauseMaxMs, bound)
 			}
 			if err != nil {

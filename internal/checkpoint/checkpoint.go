@@ -20,8 +20,8 @@ type Config struct {
 	// epoch leaves a snap-<epoch>.ckpt / wal-<epoch>.ckpt pair in it.
 	Dir string
 	// BudgetBytes bounds the snapshot copying added to any one pause —
-	// the checkpoint analogue of the paper's copy limit L. Zero defaults
-	// to 128 KB.
+	// the checkpoint analogue of the paper's copy limit L — within what is
+	// left of the pause's own budget. Zero defaults to 128 KB.
 	BudgetBytes int64
 	// EveryBytes throttles epoch starts: a new epoch begins only after the
 	// mutator has allocated this much since the previous epoch began. Zero
@@ -50,9 +50,12 @@ type Stats = rig.CheckpointStats
 
 // Writer incrementally persists checkpoints of a running collector. Attach
 // it with Replicating.SetCheckpointer; every collection pause then advances
-// the open epoch by at most BudgetBytes of copying, inside the pause and
-// charged to simtime.AcctCheckpoint, so checkpoint intrusion is visible in
-// pause times, MMU curves and the per-account breakdown.
+// the open epoch by at most BudgetBytes of copying, and by no more words than
+// the pause may still begin before its deadline (its BudgetWords), inside the
+// pause and charged to simtime.AcctCheckpoint, so checkpoint intrusion is
+// visible in pause times, MMU curves and the per-account breakdown. A commit
+// is not metered: the pause that runs one has no budget, and the record says
+// so.
 //
 // The protocol is the paper's replication idea turned on persistence. An
 // epoch begins only at a quiescent pause (no collection in flight): the
@@ -101,10 +104,6 @@ type Writer struct {
 	snapTmp        *os.File
 	snapBuf        *bufio.Writer
 	snapRec        *artifact.Writer
-
-	// lastPoint caches the newest pause-boundary state so ForceCommit can
-	// run without a collector callback.
-	lastPoint core.CheckpointPoint
 }
 
 // NewWriter builds a Writer. The directory is created lazily, when the
@@ -128,11 +127,11 @@ func (w *Writer) walPath(epoch uint64) string {
 }
 
 // PauseCheckpoint implements core.Checkpointer. It runs at the tail of
-// every collection pause, inside the pause window.
+// every collection pause, inside the pause window, and reports whether it
+// committed the epoch.
 //
 //gclint:pauseentry the collector invokes this inside its pause; the snapshot cursor reads the arena un-synchronized
-func (w *Writer) PauseCheckpoint(m *core.Mutator, p core.CheckpointPoint) {
-	w.lastPoint = p
+func (w *Writer) PauseCheckpoint(m *core.Mutator, p core.CheckpointPoint) bool {
 	if w.open && (p.MajorActive || p.MajorCollections != w.startMajors) {
 		// The major will (or did) swap the old semispaces: every segment
 		// copied so far describes a space about to become the reserve.
@@ -140,26 +139,26 @@ func (w *Writer) PauseCheckpoint(m *core.Mutator, p core.CheckpointPoint) {
 	}
 	if !w.open {
 		if !p.Quiescent {
-			return
+			return false
 		}
 		if w.cfg.EveryBytes > 0 && w.stats.Committed > 0 && m.BytesAllocated < w.beginAlloc+w.cfg.EveryBytes {
-			return
+			return false
 		}
 		if !w.begin(m, p) {
-			return
+			return false
 		}
 	}
 	w.epochPauses++
 	if p.Quiescent {
 		w.copyTarget = m.H.OldFrom().Next
 	}
-	budgetWords := uint64(w.cfg.BudgetBytes) / heap.BytesPerWord
 	slackWords := uint64(commitSlack*w.cfg.BudgetBytes) / heap.BytesPerWord
 	if p.Quiescent && w.remainingWords(m) <= slackWords {
 		w.commit(m, p)
-		return
+		return true
 	}
-	w.copyIncrement(m, budgetWords)
+	w.copyIncrement(m, uint64(min(w.cfg.BudgetBytes/heap.BytesPerWord, int64(p.BudgetWords))))
+	return false
 }
 
 // ForceCommit drives the open epoch (or a fresh one) to commit inside a

@@ -34,13 +34,19 @@ type CheckpointPoint struct {
 	// degradation ladder's headroom reservation honest across a crash.
 	PromotedSinceMajor int64
 	PromoHighWater     int64
+	// BudgetWords is how many words the pause may still begin copying before
+	// its deadline; maxInt in a pause with no budget. The snapshot increment
+	// draws on the pause's one budget.
+	BudgetWords int
 }
 
-// Checkpointer receives one callback per collection pause, inside the pause.
+// Checkpointer receives one callback per collection pause, inside the pause,
+// and reports whether it committed an epoch: a commit is not metered, so the
+// pause that runs one has no budget.
 // internal/checkpoint.Writer is the implementation; the interface lives here
 // so core does not import the I/O layer.
 type Checkpointer interface {
-	PauseCheckpoint(m *Mutator, p CheckpointPoint)
+	PauseCheckpoint(m *Mutator, p CheckpointPoint) (committed bool)
 }
 
 // SetCheckpointer attaches w (nil detaches). The mutator must log all
@@ -68,13 +74,14 @@ func (c *Replicating) CheckpointNow() CheckpointPoint { return c.checkpointPoint
 // CheckpointPause runs commit in a pause of its own, outside any collection,
 // and records it like every other pause: PauseOther, its time under the
 // checkpoint phase. All of it is stop-the-world — commit charges only the
-// checkpoint account — and none of it is budgeted collection work.
+// checkpoint account — and none of it is budgeted, so the record marks it
+// Forced.
 func (c *Replicating) CheckpointPause(m *Mutator, commit func()) {
 	c.pauses.Begin(m)
 	end := c.pauses.Phase(m, simtime.PhaseCheckpoint)
 	commit()
 	end()
-	c.pauses.End(m, simtime.PauseOther, false)
+	c.pauses.End(m, simtime.PauseOther, true)
 }
 
 // RestoreScheduling reinstates the collector scheduling state a checkpoint

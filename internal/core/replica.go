@@ -446,8 +446,7 @@ func (c Config) PauseBoundTime(cost simtime.CostModel) simtime.Duration {
 // counted overrun, then the "pause bound:" line. The record alone says which
 // pauses had a budget: a Forced one had none; every other one copies at most
 // PauseCopyBound bytes, and one longer than PauseBoundTime is the error unless
-// it is a counted overrun. A pause's checkpoint phase is not part of its length
-// here: the checkpoint writer runs after the budgeted work.
+// it is a counted overrun.
 func (c Config) CheckPauseBound(cost simtime.CostModel, pauses []simtime.Pause) (string, error) {
 	bound, copyBound := c.PauseBoundTime(cost), c.PauseCopyBound()
 	longest, most, budgeted, text := simtime.Duration(0), int64(0), 0, ""
@@ -460,15 +459,15 @@ func (c Config) CheckPauseBound(cost simtime.CostModel, pauses []simtime.Pause) 
 			return text, fmt.Errorf("pause %d copied %d B, over the bound 2L + L/4 = %d B", i, p.CopiedB, copyBound)
 		}
 		most = max(most, p.CopiedB)
-		switch length := p.Length - p.PhaseTime[simtime.PhaseCheckpoint]; {
+		switch {
 		case p.Unbudgeted(): // a counted overrun
 			text += fmt.Sprintf("overrun: pause %d is %v long, %v of it a completion attempt let through over budget (%d root slots and %d worklist slots flipped)\n",
-				i, length, p.Overrun, p.RootSlots, p.FlipEntries)
-		case length > bound:
+				i, p.Length, p.Overrun, p.RootSlots, p.FlipEntries)
+		case p.Length > bound:
 			return text, fmt.Errorf("pause %d is %v long (%d B copied, %d log entries, %d root slots and %d worklist slots flipped), over the bound %v",
-				i, length, p.CopiedB, p.LogProcN, p.RootSlots, p.FlipEntries, bound)
+				i, p.Length, p.CopiedB, p.LogProcN, p.RootSlots, p.FlipEntries, bound)
 		default:
-			longest = max(longest, length)
+			longest = max(longest, p.Length)
 		}
 	}
 	if budgeted == 0 {
@@ -581,9 +580,12 @@ func (c *Replicating) pause(m *Mutator, needWords int, force bool) error {
 	} else {
 		err = c.pauseBody(m, needWords, force, &kind)
 		if c.ckpt != nil {
+			p := c.checkpointPoint()
+			p.BudgetWords = c.budgetSlots(m, force, m.Cost.CopyWord)
 			end := c.pauses.Phase(m, simtime.PhaseCheckpoint)
-			c.ckpt.PauseCheckpoint(m, c.checkpointPoint())
+			committed := c.ckpt.PauseCheckpoint(m, p)
 			end()
+			c.pauses.cur.Forced = c.pauses.cur.Forced || committed
 		}
 	}
 	c.pauses.cur.LogLeft = m.Log.Len() - c.minor.logCursor

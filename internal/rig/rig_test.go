@@ -182,9 +182,9 @@ func TestUnsupported(t *testing.T) {
 
 type nopCheckpointer struct{}
 
-func (nopCheckpointer) PauseCheckpoint(*core.Mutator, core.CheckpointPoint) {}
-func (nopCheckpointer) ForceCommit(*core.Mutator, *core.Replicating) error  { return nil }
-func (nopCheckpointer) Stats() rig.CheckpointStats                          { return rig.CheckpointStats{} }
+func (nopCheckpointer) PauseCheckpoint(*core.Mutator, core.CheckpointPoint) bool { return false }
+func (nopCheckpointer) ForceCommit(*core.Mutator, *core.Replicating) error       { return nil }
+func (nopCheckpointer) Stats() rig.CheckpointStats                               { return rig.CheckpointStats{} }
 
 // TestTable holds the name table to its contract: nine distinct names, each
 // resolving to its own row, the engine's own name for a row agreeing with
