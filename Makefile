@@ -40,9 +40,9 @@ host-bench-test:
 	go -C benchmarks/host test ./...
 
 # What a claim about a host metric needs: N alternating pairs of benchmark
-# runs, the parent commit (in a git worktree) against this tree, then per
-# metric both sides' medians and quartiles, the pairs each won and the
-# benchmark's own --compare verdicts.
+# runs, the parent commit (exported with git archive) against this tree,
+# then per metric both sides' medians and quartiles, the pairs each won and
+# the benchmark's own --compare verdicts.
 #   make host-pairs PARENT=HEAD~1 WORKLOAD=sort N=10
 N ?= 10
 host-pairs:

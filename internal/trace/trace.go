@@ -5,13 +5,13 @@
 // copy increment vs flip) and whether the mutator keeps up a utilization
 // target over every window of simulated time.
 //
-// The recorder is a fixed-capacity ring buffer of small typed events stamped
-// with simulated time. Every emit method is safe on a nil *Recorder and
-// returns after a single comparison, so hook points stay wired permanently
-// in the collectors and cost nothing when tracing is disabled — in
-// particular the write-barrier fast paths remain allocation-free. Events
-// charge nothing to the simulated clock, so an instrumented run is
-// bit-for-bit identical to an uninstrumented one.
+// The recorder is a bounded ring buffer of small typed events stamped with
+// simulated time, grown to what it records. Every emit method is safe on a
+// nil *Recorder and returns after a single comparison, so hook points stay
+// wired permanently in the collectors and cost nothing when tracing is
+// disabled — in particular the write-barrier fast paths remain
+// allocation-free. Events charge nothing to the simulated clock, so an
+// instrumented run is bit-for-bit identical to an uninstrumented one.
 //
 // The recorder is an optional exporter, attached when a Chrome trace file is
 // asked for. What a pause cost and where the time went is the collector's own
@@ -72,16 +72,18 @@ type Event struct {
 // DefaultCapacity is the ring size NewRecorder uses for capacity <= 0.
 const DefaultCapacity = 1 << 16
 
-// Recorder is a fixed-capacity ring buffer of events. When the ring fills,
-// the oldest events are dropped (flight-recorder semantics) and the drop is
-// counted; Events re-synchronizes to a structurally consistent suffix. All
-// methods are nil-receiver-safe: a nil *Recorder records nothing and
-// allocates nothing, which is how tracing is disabled.
+// Recorder is a ring buffer of events that starts at 1 024 and doubles as it
+// fills, up to its capacity. When that is full, the oldest events are dropped
+// (flight-recorder semantics) and the drop is counted; Events re-synchronizes
+// to a structurally consistent suffix. All methods are nil-receiver-safe: a
+// nil *Recorder records nothing and allocates nothing, which is how tracing is
+// disabled.
 //
 // The recorder is not safe for concurrent use; the simulation is
 // single-threaded by design.
 type Recorder struct {
 	buf     []Event
+	limit   int // the capacity buf grows to
 	start   int // index of the oldest retained event
 	n       int // number of retained events
 	dropped int64
@@ -98,13 +100,18 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{buf: make([]Event, capacity)}
+	return &Recorder{buf: make([]Event, min(capacity, 1<<10)), limit: capacity}
 }
 
-// emit appends e, evicting the oldest event when the ring is full.
+// emit appends e, growing the ring below its capacity, evicting at it.
 func (r *Recorder) emit(e Event) {
 	if r == nil {
 		return
+	}
+	if r.n == len(r.buf) && r.n < r.limit { // nothing evicted yet: the events start at 0
+		buf := make([]Event, min(2*r.n, r.limit))
+		copy(buf, r.buf)
+		r.buf = buf
 	}
 	if r.n == len(r.buf) {
 		old := r.buf[r.start]

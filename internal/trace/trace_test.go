@@ -290,3 +290,32 @@ func TestAnalyzeEmptyTrace(t *testing.T) {
 		t.Fatalf("empty-trace utilization = %v, want 1", got)
 	}
 }
+
+// BenchmarkRecorderEmit times a recorder's life: "leg" is a serving leg's
+// (a 1<<20-event recorder that records 5 000 events), "full" one emit into a
+// ring that has wrapped.
+func BenchmarkRecorderEmit(b *testing.B) {
+	emitPause := func(r *trace.Recorder, at simtime.Duration) {
+		r.PauseBegin(at)
+		r.PhaseBegin(at, simtime.PhaseCopy)
+		r.PhaseEnd(at+1, simtime.PhaseCopy)
+		r.PauseEnd(at+1, 1, 2, 3)
+		r.AllocEpoch(at+2, 0, int64(at))
+	}
+	b.Run("leg", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r := trace.NewRecorder(1 << 20)
+			for at := simtime.Duration(0); at < 3000; at += 3 {
+				emitPause(r, at)
+			}
+		}
+	})
+	b.Run("full", func(b *testing.B) {
+		r := trace.NewRecorder(1 << 10)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r.AllocEpoch(simtime.Duration(i), 0, int64(i))
+		}
+	})
+}

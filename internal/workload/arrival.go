@@ -34,8 +34,8 @@ type burstState struct {
 // newSampler builds a sampler for a; draws comes from the cohort's arrival
 // substream and bursts (used only when a.Burst != nil) from the burst
 // substream.
-func newSampler(a Arrival, draws, bursts *rng.Stream) *sampler {
-	sm := &sampler{a: a, s: draws}
+func newSampler(a Arrival, draws, bursts *rng.Stream) sampler {
+	sm := sampler{a: a, s: draws}
 	if a.Burst != nil {
 		sm.burst = &burstState{b: *a.Burst, s: bursts}
 		sm.burst.edge = expDraw(bursts, a.Burst.OnMs) // start "on"

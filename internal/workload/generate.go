@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 
 	"repligc/internal/artifact"
 	"repligc/internal/rng"
@@ -51,73 +50,112 @@ const maxRequestsPerCohort = 1 << 20
 
 // Generate materialises spec into a trace. The same spec (including seed)
 // always yields a bit-identical trace.
+//
+// Each cohort is a generator holding its next request; Generate appends the
+// earliest (on a tie, the lowest cohort's) and advances that cohort: the order
+// a stable sort by (At, Cohort) gives the cohorts' requests concatenated. A
+// failing spec answers with the lowest failing cohort's error.
 func Generate(spec *Spec) (*Trace, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	root := rng.New(spec.Seed)
-	var all []Req
-	for ci := range spec.Cohorts {
-		c := &spec.Cohorts[ci]
-		base := root.Split(uint64(ci))
-		reqs, err := generateCohort(c, int32(ci), spec.DurationMs, base)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, reqs...)
+	gens := make([]cohortGen, len(spec.Cohorts))
+	expect, failed := 0.0, false
+	for ci := range gens {
+		c, base := &spec.Cohorts[ci], root.Split(uint64(ci))
+		gens[ci] = cohortGen{c: c, ci: int32(ci), horizon: spec.DurationMs,
+			sm:   newSampler(c.Arrival, base.Split(0), base.Split(1)),
+			prof: base.Split(2), sess: base.Split(3),
+			st: sessionState{meanReqs: c.Profile.SessionReqs}}
+		gens[ci].advance()
+		expect += c.Arrival.RatePerSec * spec.DurationMs / 1000
+		failed = failed || gens[ci].err != nil
 	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].At != all[j].At {
-			return all[i].At < all[j].At
-		}
-		return all[i].Cohort < all[j].Cohort
-	})
-	return &Trace{Spec: spec, Reqs: all}, nil
-}
-
-// generateCohort samples one cohort's requests against the duration horizon.
-// Substream layout: 0 = arrival gaps, 1 = burst schedule, 2 = request
-// profile, 3 = session lifecycle.
-func generateCohort(c *Cohort, ci int32, horizon float64, base *rng.Stream) ([]Req, error) {
-	sm := newSampler(c.Arrival, base.Split(0), base.Split(1))
-	prof := base.Split(2)
-	sess := base.Split(3)
-	st := sessionState{meanReqs: c.Profile.SessionReqs}
-
-	var out []Req
-	t := 0.0
+	reqs := make([]Req, 0, int(min(expect, maxRequestsPerCohort)))
 	for {
-		gap := sm.next()
-		if err := checkFloat(gap, "inter-arrival gap"); err != nil {
-			return nil, err
-		}
-		t += gap
-		if t >= horizon {
-			break
-		}
-		if len(out) >= maxRequestsPerCohort {
-			return nil, fmt.Errorf("workload: cohort %s exceeds %d requests; lower rate_per_sec or duration_ms",
-				c.Name, maxRequestsPerCohort)
-		}
-		r := Req{
-			At:     simtime.Duration(int64(t*float64(simtime.Millisecond) + 0.5)),
-			Cohort: ci,
-			Muts:   int32(meanDraw(prof, c.Profile.Mutations)),
-			Steps:  int32(meanDraw(prof, c.Profile.WorkSteps)),
-		}
-		st.assign(&r, sess, c.Profile.SessionWords)
-		n := 1 + prof.Intn(2*c.Profile.ObjsPerReq-1) // mean ObjsPerReq, min 1
-		r.Objs = make([]ObjAlloc, n)
-		for i := range r.Objs {
-			r.Objs[i].Words = int32(wordsDraw(prof, c.Profile.ObjWords))
-			r.Objs[i].Retain = -1
-			if prof.Float64() < c.Profile.RetainPct {
-				r.Objs[i].Retain = int32(prof.Intn(c.Profile.SessionWords))
+		var g *cohortGen
+		for i := range gens {
+			if c := &gens[i]; c.err == nil && c.t < c.horizon && (g == nil || c.next.At < g.next.At) {
+				g = c
 			}
 		}
-		out = append(out, r)
+		if g == nil {
+			break
+		}
+		if !failed { // once a cohort fails, the rest run on only to find their errors
+			reqs = append(reqs, g.next)
+		}
+		g.advance()
+		failed = failed || g.err != nil
 	}
-	return out, nil
+	for i := range gens {
+		if err := gens[i].err; err != nil {
+			return nil, err
+		}
+	}
+	return &Trace{Spec: spec, Reqs: reqs}, nil
+}
+
+// cohortGen materialises one cohort's requests in arrival order, one pending
+// request at a time. Substream layout: 0 = arrival gaps, 1 = burst schedule,
+// 2 = request profile, 3 = session lifecycle.
+type cohortGen struct {
+	c          *Cohort
+	ci         int32
+	horizon    float64
+	sm         sampler
+	prof, sess *rng.Stream
+	st         sessionState
+	t          float64    // arrival clock, ms
+	n          int        // requests drawn
+	slab       []ObjAlloc // the chunk the next request's objects are cut from
+	next       Req        // the pending request, until t passes the horizon or err is set
+	err        error
+}
+
+// advance draws the cohort's next request into g.next.
+func (g *cohortGen) advance() {
+	gap := g.sm.next()
+	g.err = checkFloat(gap, "inter-arrival gap")
+	g.t += gap
+	if g.err == nil && g.t < g.horizon && g.n >= maxRequestsPerCohort {
+		g.err = fmt.Errorf("workload: cohort %s exceeds %d requests; lower rate_per_sec or duration_ms",
+			g.c.Name, maxRequestsPerCohort)
+	}
+	if g.err != nil || g.t >= g.horizon {
+		return
+	}
+	g.n++
+	p, prof := &g.c.Profile, g.prof
+	r := Req{
+		At:     simtime.Duration(int64(g.t*float64(simtime.Millisecond) + 0.5)),
+		Cohort: g.ci,
+		Muts:   int32(meanDraw(prof, p.Mutations)),
+		Steps:  int32(meanDraw(prof, p.WorkSteps)),
+	}
+	g.st.assign(&r, g.sess, p.SessionWords)
+	r.Objs = cutObjs(&g.slab, 1+prof.Intn(2*p.ObjsPerReq-1)) // mean ObjsPerReq, min 1
+	for i := range r.Objs {
+		r.Objs[i].Words = int32(wordsDraw(prof, p.ObjWords))
+		r.Objs[i].Retain = -1
+		if prof.Float64() < p.RetainPct {
+			r.Objs[i].Retain = int32(prof.Intn(p.SessionWords))
+		}
+	}
+	g.next = r
+}
+
+// cutObjs takes the next n objects of slab, starting a chunk of 4 096 when it
+// cannot hold them. The window's capacity ends with it, so no request can
+// append into its neighbour's objects.
+func cutObjs(slab *[]ObjAlloc, n int) []ObjAlloc {
+	if len(*slab)+n > cap(*slab) {
+		*slab = make([]ObjAlloc, 0, max(4096, n))
+	}
+	lo := len(*slab)
+	*slab = (*slab)[:lo+n]
+	return (*slab)[lo : lo+n : lo+n]
 }
 
 // sessionState drives the session lifecycle of one cohort: each session is

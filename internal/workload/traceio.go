@@ -140,6 +140,9 @@ func DecodeTrace(data []byte) (*Trace, error) {
 				return nil, artifact.Corrupt(tracePath, "request record of %d after one of %d: batches are %d, the last one shorter", n, lastBatch, reqsPerRecord)
 			}
 			lastBatch = n
+			// One slab for the frame's objects: at 8 payload bytes each, a
+			// forged count cannot allocate more than the frame holds.
+			slab := make([]ObjAlloc, 0, len(body)/8)
 			for i := uint32(0); i < n; i++ {
 				var r Req
 				r.At = simtime.Duration(d.U64())
@@ -153,7 +156,7 @@ func DecodeTrace(data []byte) (*Trace, error) {
 				if d.Err() == nil && uint64(no)*8 > uint64(len(d.B)) {
 					return nil, artifact.Corrupt(tracePath, "request record: object count %d exceeds payload", no)
 				}
-				r.Objs = make([]ObjAlloc, no)
+				r.Objs = cutObjs(&slab, int(no))
 				for j := range r.Objs {
 					r.Objs[j].Words = int32(d.U32())
 					r.Objs[j].Retain = int32(d.U32())

@@ -5,8 +5,8 @@
 #
 #   bash scripts/host-pairs.sh <parent-ref> <workload> [pairs=10] [seed=1] [seconds=12]
 #
-# The parent is checked out into a git worktree under .bench_build/ (removed
-# on exit). Each tree builds and runs its own benchmarks/host/run.sh, traced
+# The parent is exported with git archive into .bench_build/ (removed on
+# exit). Each tree builds and runs its own benchmarks/host/run.sh, traced
 # so the per-layer metrics are there, one run at a time, and which side goes
 # first flips every pair. cmd/hostpairs then prints, per metric, both sides'
 # medians and quartiles over the runs and the pairs each won, and `run.sh
@@ -26,10 +26,11 @@ rm -rf "$out"
 mkdir -p "$out"
 
 tree="$root/.bench_build/pairs/parent-tree"
-git worktree remove --force "$tree" 2>/dev/null || true
-git worktree add --detach "$tree" "$parent" >/dev/null
-trap 'git -C "$root" worktree remove --force "$tree"' EXIT
-echo "parent $(git -C "$tree" rev-parse --short HEAD) in $tree; change: this tree at $(git rev-parse --short HEAD) plus its uncommitted edits" >&2
+rm -rf "$tree"
+mkdir -p "$tree"
+git archive "$parent" | tar -x -C "$tree"
+trap 'rm -rf "$tree"' EXIT
+echo "parent $(git rev-parse --short "$parent") in $tree; change: this tree at $(git rev-parse --short HEAD) plus its uncommitted edits" >&2
 
 run() { # side, tree, pair
 	(cd "$2" && bash benchmarks/host/run.sh --workload "$workload" --seed "$seed" \
