@@ -152,6 +152,92 @@ func TestEpochsSpanMultiplePauses(t *testing.T) {
 	}
 }
 
+// epochCounter counts, apart from the writer it wraps, the pauses each
+// committed epoch was open in: the pause that began it through the one that
+// committed it.
+type epochCounter struct {
+	*Writer
+	open int   // pauses counted so far for the open epoch
+	want []int // one per committed epoch
+}
+
+func (c *epochCounter) PauseCheckpoint(m *core.Mutator, p core.CheckpointPoint) bool {
+	wasOpen, aborted := c.Writer.open, c.Writer.stats.Aborted
+	committed := c.Writer.PauseCheckpoint(m, p)
+	switch {
+	case !c.Writer.open && !committed:
+		c.open = 0
+	case wasOpen && c.Writer.stats.Aborted == aborted:
+		c.open++
+	default:
+		c.open = 1 // begun in this pause
+	}
+	if committed {
+		c.want, c.open = append(c.want, c.open), 0
+	}
+	return committed
+}
+
+func (c *epochCounter) ForceCommit(m *core.Mutator, gc *core.Replicating) error {
+	n := 1
+	if c.Writer.open {
+		n = c.open + 1
+	}
+	before := c.Writer.stats.Committed
+	err := c.Writer.ForceCommit(m, gc)
+	if c.Writer.stats.Committed > before {
+		c.want = append(c.want, n)
+	}
+	return err
+}
+
+// TestEpochPausesCountsEveryPause holds EpochInfo.Pauses to the number of
+// pauses the epoch spanned, with the writer's Stats read between pauses as a
+// run report may: reading the counters must not touch the open epoch.
+func TestEpochPausesCountsEveryPause(t *testing.T) {
+	c := &epochCounter{Writer: NewWriter(Config{Dir: t.TempDir(), BudgetBytes: 16 << 10})}
+	rc := matrixConfig(nil)
+	rc.Collector, rc.Checkpoint = rig.RT, c
+	rt, err := rig.New(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, gc := rt.Mutator, rt.GC.(*core.Replicating)
+	d := gctest.NewDriver(m, 7)
+	readMidEpoch := 0
+	for i := 0; i < 100; i++ {
+		if err := d.Step(200); err != nil {
+			t.Fatalf("driver: %v", err)
+		}
+		if c.Writer.open {
+			readMidEpoch++
+		}
+		c.Stats()
+	}
+	if err := gc.FinishCycles(m); err != nil {
+		t.Fatalf("FinishCycles: %v", err)
+	}
+	if err := c.ForceCommit(m, gc); err != nil {
+		t.Fatalf("ForceCommit: %v", err)
+	}
+	epochs := c.Stats().Epochs
+	if len(epochs) != len(c.want) {
+		t.Fatalf("%d epochs committed, the counter saw %d", len(epochs), len(c.want))
+	}
+	multi := 0
+	for i, e := range epochs {
+		if e.Pauses != c.want[i] {
+			t.Errorf("epoch %d: Pauses = %d, it spanned %d", e.Epoch, e.Pauses, c.want[i])
+		}
+		if e.Pauses > 1 {
+			multi++
+		}
+	}
+	if readMidEpoch == 0 || multi == 0 {
+		t.Fatalf("Stats read mid-epoch %d times, %d of %d epochs spanned more than one pause: the check proves nothing", readMidEpoch, multi, len(epochs))
+	}
+}
+
 // TestRecoverFromCrashes runs the deterministic crash-point matrix and
 // requires every cell to land on the contract: fingerprint-verified
 // recovery or typed corruption, never anything else.

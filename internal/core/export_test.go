@@ -40,3 +40,9 @@ func (c *Replicating) SetMetering(hiding, gate, log bool) {
 
 // MaxFlipDeferrals is the gate's deferral cap.
 const MaxFlipDeferrals = maxFlipDeferrals
+
+// MinorScan reports whether a minor collection is active and the header word
+// its Cheney scan has reached.
+func (c *Replicating) MinorScan() (active bool, scan uint64) {
+	return c.minor.active, c.minor.scan
+}

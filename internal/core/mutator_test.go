@@ -271,6 +271,110 @@ func TestOversizedDuringActiveCollections(t *testing.T) {
 	}
 }
 
+// TestOversizedAfterScanPassedOne pins the skip cursor across two oversized
+// allocations in one incremental minor cycle: the second arrives after the
+// scan has stepped over the first, and the scan must step over it too. Were it
+// scanned as a promoted replica, its slot would be re-pointed at a nursery
+// object's replica before the flip, and a store through the mutator's root
+// would no longer be read back through it.
+func TestOversizedAfterScanPassedOne(t *testing.T) {
+	m, gc := newRun(core.Config{
+		NurseryBytes:     16 << 10,
+		CopyLimitBytes:   256,
+		IncrementalMinor: true,
+	}, core.LogAllMutations)
+	roots := struct{ anchor, big1, big2, n heap.Value }{}
+	m.Roots.Register(rootFunc(func(v core.RootVisitor) {
+		v(&roots.anchor)
+		v(&roots.big1)
+		v(&roots.big2)
+		v(&roots.n)
+	}))
+	const bigSlots, nodes = 1100, 300 // 8.8 KB: over half the nursery
+	headerWord := func(p heap.Value) uint64 { return uint64(p)>>3 - 1 }
+
+	// An old anchor holding a nursery list: the minor copies it a few nodes
+	// a pause, so the scan region grows past whatever is allocated there.
+	roots.anchor = m.MustAlloc(heap.KindArray, bigSlots)
+	list := heap.Nil
+	for i := nodes - 1; i >= 0; i-- {
+		node := m.MustAlloc(heap.KindRecord, 2)
+		m.Init(node, 0, heap.FromInt(int64(i)))
+		m.Init(node, 1, list)
+		list = node
+	}
+	m.Set(roots.anchor, 0, list)
+	verifyList := func(when string) {
+		t.Helper()
+		p := m.Get(roots.anchor, 0)
+		for i := 0; i < nodes; i++ {
+			if got := m.Get(p, 0).Int(); got != int64(i) {
+				t.Fatalf("%s: list node %d holds %d", when, i, got)
+			}
+			p = m.Get(p, 1)
+		}
+	}
+	pause := func() bool {
+		t.Helper()
+		if err := gc.CollectForAlloc(m, 0); err != nil {
+			t.Fatal(err)
+		}
+		active, _ := gc.MinorScan()
+		return active
+	}
+	// passed reports whether the scan has stepped past p's last word.
+	passed := func(p heap.Value) bool {
+		_, scan := gc.MinorScan()
+		return scan >= headerWord(p)+uint64(heap.MakeHeader(heap.KindArray, bigSlots).SizeWords())
+	}
+
+	if !pause() {
+		t.Fatal("the first pause completed the minor collection")
+	}
+	roots.big1 = m.MustAlloc(heap.KindArray, bigSlots)
+	for !passed(roots.big1) {
+		if !pause() {
+			t.Fatal("the minor collection completed before its scan passed the first oversized object")
+		}
+	}
+
+	roots.n = m.MustAlloc(heap.KindRef, 1)
+	m.Init(roots.n, 0, heap.FromInt(0))
+	roots.big2 = m.MustAlloc(heap.KindArray, bigSlots)
+	m.Set(roots.big2, 0, roots.n)
+	check := func(when string, k int64) {
+		t.Helper()
+		if got := m.Get(roots.big2, 0); got != roots.n {
+			t.Fatalf("%s: the second oversized object holds %v where the mutator's root holds %v", when, got, roots.n)
+		}
+		if got := m.Get(m.Get(roots.big2, 0), 0).Int(); got != k {
+			t.Fatalf("%s: read %d back through the second oversized object, want %d", when, got, k)
+		}
+		if err := core.AuditHeap(m); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+	}
+	k := int64(0)
+	for active := true; active; {
+		k++
+		m.Set(roots.n, 0, heap.FromInt(k))
+		check("mid-cycle", k)
+		active = pause()
+		check("after a pause", k)
+		if passed(roots.big2) {
+			break
+		}
+	}
+	if err := gc.FinishCycles(m); err != nil {
+		t.Fatal(err)
+	}
+	if gc.Stats().MinorCollections != 1 {
+		t.Fatalf("%d minor collections, want 1", gc.Stats().MinorCollections)
+	}
+	check("after the flip", k)
+	verifyList("after the flip")
+}
+
 // rootFunc adapts a function to core.RootSource.
 type rootFunc func(core.RootVisitor)
 

@@ -274,3 +274,111 @@ func TestCopyVolumesMatchCoreStopTheWorld(t *testing.T) {
 		}
 	}
 }
+
+// smallOld builds a stop-and-copy run whose old semispaces are small enough
+// to fill by hand: N = 8 KB, so an array over 4 KB is allocated old, and no
+// major runs but an emergency one.
+func smallOld() (*core.Mutator, *stopcopy.Collector) {
+	h := heap.New(heap.Config{NurseryBytes: 8 << 10, NurseryCapBytes: 64 << 10, OldSemiBytes: 256 << 10})
+	m := core.NewMutator(h, simtime.NewClock(), simtime.Default1993(), core.LogAllMutations)
+	gc := stopcopy.New(h, stopcopy.Config{NurseryBytes: 8 << 10})
+	m.AttachGC(gc)
+	return m, gc
+}
+
+// oversized is the smallest array payload, in words, that m allocates straight
+// into the old generation: one over half the nursery's current limit.
+func oversized(m *core.Mutator) int {
+	return int(m.H.Nursery.LimitBytes()/2/heap.BytesPerWord) + 1
+}
+
+// TestEmergencyKeepsRememberedSet drives an emergency collection, the retry of
+// a failed direct old allocation, while a logged old→nursery store is still
+// unprocessed: the emergency's minor collection must consume it, so the old
+// slot follows its referent out of the nursery like the root does.
+func TestEmergencyKeepsRememberedSet(t *testing.T) {
+	m, gc := smallOld()
+	roots := struct{ old, n heap.Value }{}
+	m.Roots.Register(rootFunc(func(v core.RootVisitor) { v(&roots.old); v(&roots.n) }))
+	roots.old = m.MustAlloc(heap.KindArray, oversized(m))
+	roots.n = m.MustAlloc(heap.KindRef, 1)
+	m.Init(roots.n, 0, heap.FromInt(1))
+	m.Set(roots.old, 0, roots.n)
+	// Unreachable oversized objects fill the old space until one does not
+	// fit and the emergency major clears them.
+	for gc.Stats().EmergencyCollections == 0 {
+		m.MustAlloc(heap.KindArray, 4*oversized(m))
+	}
+	if gc.Stats().MinorCollections != 1 {
+		t.Fatalf("%d minor collections, want the emergency's one", gc.Stats().MinorCollections)
+	}
+	if got := m.Get(roots.old, 0); got != roots.n {
+		t.Fatalf("the old slot holds %v, the root %v", got, roots.n)
+	}
+	m.Set(roots.n, 0, heap.FromInt(2))
+	if got := m.Get(m.Get(roots.old, 0), 0).Int(); got != 2 {
+		t.Fatalf("read %d back through the old slot, want 2", got)
+	}
+	if err := core.AuditHeap(m); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOversizedKeepsHeadroomReserve pins the degradation ladder's reserve:
+// the largest volume one minor collection promoted stays part of the headroom
+// a pause demands, however many objects are allocated straight into the old
+// generation after it. Free old space between the nursery's contents and
+// those plus the reserve makes the next pause an emergency major.
+func TestOversizedKeepsHeadroomReserve(t *testing.T) {
+	m, gc := smallOld()
+	var live heap.Value
+	m.Roots.Register(rootFunc(func(v core.RootVisitor) { v(&live) }))
+	for i := 0; i < 100; i++ { // 2.4 KB of records that survive
+		node := m.MustAlloc(heap.KindRecord, 2)
+		m.Init(node, 1, live)
+		live = node
+	}
+	if err := gc.CollectForAlloc(m, 0); err != nil {
+		t.Fatal(err)
+	}
+	reserve := gc.Stats().BytesCopiedMinor
+	if reserve == 0 || gc.Stats().EmergencyCollections != 0 {
+		t.Fatalf("the first minor promoted %d bytes with %d emergencies", reserve, gc.Stats().EmergencyCollections)
+	}
+	m.MustAlloc(heap.KindRecord, 100) // nursery contents at the next pause
+
+	// Fill the old space with live oversized arrays down to half the reserve
+	// above the nursery's contents; the last array takes up the remainder.
+	var fill []heap.Value
+	m.Roots.Register(rootFunc(func(v core.RootVisitor) {
+		for i := range fill {
+			v(&fill[i])
+		}
+	}))
+	target := m.H.Nursery.UsedBytes() + reserve/2
+	over := oversized(m)
+	step := 2 * over
+	for {
+		rem := int(int64(m.H.OldFrom().FreeWords())*heap.BytesPerWord-target) / heap.BytesPerWord
+		if rem <= over+step {
+			fill = append(fill, m.MustAlloc(heap.KindArray, rem-1))
+			break
+		}
+		fill = append(fill, m.MustAlloc(heap.KindArray, step-1))
+	}
+	if free := int64(m.H.OldFrom().FreeWords()) * heap.BytesPerWord; free != target {
+		t.Fatalf("old space has %d bytes free, want %d", free, target)
+	}
+
+	if err := gc.CollectForAlloc(m, 0); err != nil {
+		t.Fatal(err)
+	}
+	if st := gc.Stats(); st.EmergencyCollections != 1 || st.MajorCollections != 1 {
+		t.Fatalf("%d emergencies and %d majors, want the reserve's one of each", st.EmergencyCollections, st.MajorCollections)
+	}
+}
+
+// rootFunc adapts a function to core.RootSource.
+type rootFunc func(core.RootVisitor)
+
+func (f rootFunc) VisitRoots(v core.RootVisitor) { f(v) }
