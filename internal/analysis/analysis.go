@@ -163,7 +163,14 @@ func (s *allowSite) covers(d Diagnostic) bool {
 		s.pos.Line <= d.Pos.Line && d.Pos.Line <= s.last
 }
 
-const allowPrefix = "//gclint:allow"
+const (
+	annotationPrefix = "//gclint:"
+	allowPrefix      = annotationPrefix + "allow"
+)
+
+// annotations are the gclint annotations there are. Any other //gclint: word
+// is reported: a misspelt one would take its site out of its rule in silence.
+var annotations = map[string]bool{allowPrefix: true, dispatchMarker: true, pauseOnlyPrefix: true, pauseEntryPrefix: true}
 
 // collectAllows parses a package's //gclint:allow annotations. The accepted
 // form is
@@ -173,7 +180,8 @@ const allowPrefix = "//gclint:allow"
 // and the reason is mandatory: an allowlisted violation must say why it is
 // acceptable. Malformed annotations — missing reason, rule names not in the
 // active rule set (valid), the same rule allowed twice on one line — are
-// returned as diagnostics and suppress nothing.
+// returned as diagnostics and suppress nothing, as is every //gclint: word
+// that is not an annotation.
 func collectAllows(pkg *Package, valid map[string]bool) ([]*allowSite, []Diagnostic) {
 	var sites []*allowSite
 	var bad []Diagnostic
@@ -191,6 +199,10 @@ func collectAllows(pkg *Package, valid map[string]bool) ([]*allowSite, []Diagnos
 		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
+				if word := strings.Fields(c.Text)[0]; strings.HasPrefix(word, annotationPrefix) && !annotations[word] {
+					report(pkg.Fset.Position(c.Pos()), "unknown annotation %s: its site takes part in no rule (the annotations are //gclint:allow, dispatch, pauseonly and pauseentry)", word)
+					continue
+				}
 				rest, ok := annotationText(c, allowPrefix)
 				if !ok {
 					continue

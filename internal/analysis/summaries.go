@@ -2,18 +2,13 @@ package analysis
 
 // summaries.go is the interprocedural layer of gclint: a package-level call
 // graph over everything the loader hands Run, plus a fixpoint pass that
-// computes transitive per-function summaries. Three facts matter to the
+// computes transitive per-function summaries. Two facts matter to the
 // replication collector's invariants (DESIGN.md, "Machine-checked
 // invariants"):
 //
 //   - may-flip: the function can transitively reach a collection flip
 //     (Heap.SwapOld, Space.Reset, or any collector entry point), after which
 //     raw heap.Values held in Go locals may point into a condemned space.
-//   - may-alloc: the function can transitively allocate on the simulated
-//     heap. Every alloc site is also a potential flip site (the pacer taxes
-//     allocation), so may-alloc implies may-flip in practice; the facts are
-//     kept separate because the stalehandle rule keys on flips while future
-//     rules (e.g. alloc-free fast paths) key on allocation.
 //   - unlogged-store: the function can transitively reach a raw store into
 //     heap-object payload memory (Heap.Store/StoreByte/SetBytes/SetWord)
 //     without passing a logging boundary. The propagation stops
@@ -46,7 +41,6 @@ const (
 
 // FuncFacts is the computed interprocedural summary of one function.
 type FuncFacts struct {
-	MayAlloc      bool
 	MayFlip       bool
 	UnloggedStore bool
 
@@ -61,9 +55,8 @@ type FuncFacts struct {
 	// dominated by a PauseEntry function.
 	InPause bool
 
-	// AllocVia/FlipVia/StoreVia name the root primitive that introduced the
+	// FlipVia/StoreVia name the root primitive that introduced the
 	// corresponding fact, for diagnostics ("reaches Heap.SwapOld").
-	AllocVia string
 	FlipVia  string
 	StoreVia string
 }
@@ -129,15 +122,12 @@ var builtinFacts = map[string]FuncFacts{
 	heapPkgPath + ".Heap.SwapOld": {MayFlip: true, FlipVia: "Heap.SwapOld"},
 	heapPkgPath + ".Space.Reset":  {MayFlip: true, FlipVia: "Space.Reset"},
 
-	// Raw allocation.
-	heapPkgPath + ".Heap.AllocIn": {MayAlloc: true, AllocVia: "Heap.AllocIn"},
-
 	// The replicating collector's copy kernel: the reserve takes room at a
 	// to-space frontier (and installs the forwarding word, which the barrier
 	// and forward rules police), the fill writes replica payload, which is
 	// collector mechanics and no mutation. Neither flips: a heap.Value held
 	// across them stays good.
-	heapPkgPath + ".Heap.ReserveReplica": {MayAlloc: true, AllocVia: "Heap.ReserveReplica"},
+	heapPkgPath + ".Heap.ReserveReplica": {},
 	heapPkgPath + ".Heap.CopyWords":      {},
 
 	// Raw payload stores (the mutation-store primitives the write barrier
@@ -152,20 +142,20 @@ var builtinFacts = map[string]FuncFacts{
 
 	// The mutator allocation API: the pacer taxes every allocation and the
 	// collector may run (and flip) inside the call.
-	corePkgPath + ".Mutator.Alloc":           {MayAlloc: true, MayFlip: true, AllocVia: "Mutator.Alloc", FlipVia: "Collector.CollectForAlloc"},
-	corePkgPath + ".Mutator.MustAlloc":       {MayAlloc: true, MayFlip: true, AllocVia: "Mutator.MustAlloc", FlipVia: "Collector.CollectForAlloc"},
-	corePkgPath + ".Mutator.AllocString":     {MayAlloc: true, MayFlip: true, AllocVia: "Mutator.AllocString", FlipVia: "Collector.CollectForAlloc"},
-	corePkgPath + ".Mutator.MustAllocString": {MayAlloc: true, MayFlip: true, AllocVia: "Mutator.MustAllocString", FlipVia: "Collector.CollectForAlloc"},
-	corePkgPath + ".Mutator.AllocBytes":      {MayAlloc: true, MayFlip: true, AllocVia: "Mutator.AllocBytes", FlipVia: "Collector.CollectForAlloc"},
-	corePkgPath + ".Mutator.MustAllocBytes":  {MayAlloc: true, MayFlip: true, AllocVia: "Mutator.MustAllocBytes", FlipVia: "Collector.CollectForAlloc"},
+	corePkgPath + ".Mutator.Alloc":           {MayFlip: true, FlipVia: "Collector.CollectForAlloc"},
+	corePkgPath + ".Mutator.MustAlloc":       {MayFlip: true, FlipVia: "Collector.CollectForAlloc"},
+	corePkgPath + ".Mutator.AllocString":     {MayFlip: true, FlipVia: "Collector.CollectForAlloc"},
+	corePkgPath + ".Mutator.MustAllocString": {MayFlip: true, FlipVia: "Collector.CollectForAlloc"},
+	corePkgPath + ".Mutator.AllocBytes":      {MayFlip: true, FlipVia: "Collector.CollectForAlloc"},
+	corePkgPath + ".Mutator.MustAllocBytes":  {MayFlip: true, FlipVia: "Collector.CollectForAlloc"},
 
 	// Collector interface dispatch: any implementation may collect, copy
 	// (allocate in to-space) and flip.
-	corePkgPath + ".Collector.CollectForAlloc":           {MayAlloc: true, MayFlip: true, AllocVia: "Collector.CollectForAlloc", FlipVia: "Collector.CollectForAlloc"},
-	corePkgPath + ".Collector.AfterAlloc":                {MayAlloc: true, MayFlip: true, AllocVia: "Collector.AfterAlloc", FlipVia: "Collector.AfterAlloc"},
-	corePkgPath + ".Collector.FinishCycles":              {MayAlloc: true, MayFlip: true, AllocVia: "Collector.FinishCycles", FlipVia: "Collector.FinishCycles"},
-	corePkgPath + ".EmergencyCollector.CollectEmergency": {MayAlloc: true, MayFlip: true, AllocVia: "EmergencyCollector.CollectEmergency", FlipVia: "EmergencyCollector.CollectEmergency"},
-	corePkgPath + ".Pacer.AllocTax":                      {MayAlloc: true, MayFlip: true, AllocVia: "Pacer.AllocTax", FlipVia: "Pacer.AllocTax"},
+	corePkgPath + ".Collector.CollectForAlloc":           {MayFlip: true, FlipVia: "Collector.CollectForAlloc"},
+	corePkgPath + ".Collector.AfterAlloc":                {MayFlip: true, FlipVia: "Collector.AfterAlloc"},
+	corePkgPath + ".Collector.FinishCycles":              {MayFlip: true, FlipVia: "Collector.FinishCycles"},
+	corePkgPath + ".EmergencyCollector.CollectEmergency": {MayFlip: true, FlipVia: "EmergencyCollector.CollectEmergency"},
+	corePkgPath + ".Pacer.AllocTax":                      {MayFlip: true, FlipVia: "Pacer.AllocTax"},
 }
 
 // boundaryCallees are calls that mark the calling function as a logging
@@ -380,9 +370,6 @@ func (idx *Index) CalleeFacts(callee *types.Func) FuncFacts {
 	}
 	if fi, ok := idx.byObj[callee]; ok {
 		c := fi.Facts
-		if c.MayAlloc && !out.MayAlloc {
-			out.MayAlloc, out.AllocVia = true, c.AllocVia
-		}
 		if c.MayFlip && !out.MayFlip {
 			out.MayFlip, out.FlipVia = true, c.FlipVia
 		}
@@ -393,7 +380,7 @@ func (idx *Index) CalleeFacts(callee *types.Func) FuncFacts {
 	return out
 }
 
-// fixpointFacts propagates may-alloc / may-flip / unlogged-store up the call
+// fixpointFacts propagates may-flip / unlogged-store up the call
 // graph to convergence. Iteration is over the deterministic function slice,
 // so the resulting via-strings are stable run to run.
 func (idx *Index) fixpointFacts() {
@@ -403,10 +390,6 @@ func (idx *Index) fixpointFacts() {
 			boundary := fi.storeBoundary()
 			for _, cs := range fi.Calls {
 				facts := idx.CalleeFacts(cs.Callee)
-				if facts.MayAlloc && !fi.Facts.MayAlloc {
-					fi.Facts.MayAlloc, fi.Facts.AllocVia = true, facts.AllocVia
-					changed = true
-				}
 				if facts.MayFlip && !fi.Facts.MayFlip {
 					fi.Facts.MayFlip, fi.Facts.FlipVia = true, facts.FlipVia
 					changed = true
@@ -461,15 +444,12 @@ func (idx *Index) PauseOnly(v *types.Var) *PauseOnlyField {
 	return idx.pauseOnly[v]
 }
 
-// Summaries renders one line per function ("pkg.Func: alloc flip ...") in
+// Summaries renders one line per function ("pkg.Func: may-flip(...) ...") in
 // declaration order, for gclint -summaries.
 func (idx *Index) Summaries() []string {
 	var out []string
 	for _, fi := range idx.funcs {
 		var tags []string
-		if fi.Facts.MayAlloc {
-			tags = append(tags, "may-alloc("+fi.Facts.AllocVia+")")
-		}
 		if fi.Facts.MayFlip {
 			tags = append(tags, "may-flip("+fi.Facts.FlipVia+")")
 		}

@@ -1,7 +1,7 @@
 // Package fixannot exercises the annotation machinery itself: allows that
-// suppress nothing, unknown rule names, missing reasons, and duplicate rule
-// names are all findings (rule "annotation") — a stale annotation would
-// silently mask the next real violation on its line.
+// suppress nothing, unknown rule names, missing reasons, duplicate rule names
+// and misspelt annotation words are all findings (rule "annotation") — a
+// stale annotation would silently mask the next real violation on its line.
 package fixannot
 
 import "repligc/internal/heap"
@@ -60,3 +60,27 @@ func wholeFunction(h *heap.Heap, p heap.Value) heap.Value {
 //
 //gclint:allow barrier -- fixture: held over from an earlier revision
 func idle() {}
+
+// misspelt's annotation word is misspelt, as are the two below: each would
+// take its site out of the rule it was written for, with nothing said. The
+// dispatch switch has a default, so only its marker would hold it to every
+// Kind.
+type misspelt struct {
+	//gclint:pauseonyl fixture: the field would leave the pauseonly rule
+	cursor int
+}
+
+func misspeltAllow(h *heap.Heap, p heap.Value) heap.Value {
+	//gclint:alow barrier -- fixture: the read stays flagged
+	return h.Load(p, 0)
+}
+
+func misspeltDispatch(k heap.Kind) bool {
+	//gclint:dispach
+	switch k {
+	case heap.KindRef:
+		return true
+	default:
+		return false
+	}
+}

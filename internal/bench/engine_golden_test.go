@@ -117,7 +117,7 @@ func TestEngineSimulatedIdentity(t *testing.T) {
 	}
 	tight, roomy := engineShapes[0], engineShapes[1]
 
-	// The entry-at-a-time reference paths, under the plan with the most
+	// The per-slot scan accounting, under the plan with the most
 	// failed copies: each line must equal rt's batched one above.
 	for _, sh := range engineShapes {
 		rc := engineGoldenConfig(rig.RT, sh.params)

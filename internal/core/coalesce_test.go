@@ -97,13 +97,13 @@ func TestCoalescedReplayBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBatchedReplayBitIdentical is the hot-path property test: the replay
-// memo, block byte copies and batched scan accounting (the default) must
-// leave every observable identical to the naive entry-at-a-time paths
-// (Config.NaiveReplay) — same reachable-graph fingerprints at every
-// checkpoint, same shadow-model contents, and the same simulated clock down
-// to the per-account breakdown. The optimisations may only change how fast
-// the host executes the collector, never what the collector does.
+// TestBatchedReplayBitIdentical is the hot-path property test: the Cheney
+// scans' batched budget accounting (the default) must leave every observable
+// identical to the per-slot check and charge (Config.NaiveReplay) — same
+// reachable-graph fingerprints at every checkpoint, same shadow-model
+// contents, and the same simulated clock down to the per-account breakdown.
+// Batching may only change how fast the host executes the scan, never what
+// the collector does.
 func TestBatchedReplayBitIdentical(t *testing.T) {
 	const (
 		steps       = 400

@@ -3,9 +3,9 @@ package core
 // White-box zero-allocation assertions for the replay hot path: reprocessing
 // a batch of logged mutations against already-replicated nursery objects —
 // the work every incremental pause repeats — must perform no Go allocations.
-// The per-object forwarding memo, the block byte copy and the plain-loop
-// reapply all operate on preallocated state; an allocation here would be a
-// per-entry cost invisible to the simulated clock.
+// Each entry reads its target's forwarding word and reapplies a slot or a
+// byte range in place; an allocation here would be a per-entry cost invisible
+// to the simulated clock.
 
 import (
 	"testing"
@@ -84,9 +84,8 @@ func TestReplayBatchPathZeroAllocs(t *testing.T) {
 
 	arr, buf := primeReplicatedMidCycle(t, m)
 
-	// Append the batch once: runs of word stores to the array (the shape
-	// the forwarding memo accelerates) plus one byte range (the block-copy
-	// path). Mutator.Set may grow the log; the measured loop below only
+	// Append the batch once: a run of word stores to the array plus one
+	// byte range. Mutator.Set may grow the log; the measured loop below only
 	// re-reads it.
 	start := c.minor.logCursor
 	for i := 0; i < 32; i++ {
@@ -101,7 +100,7 @@ func TestReplayBatchPathZeroAllocs(t *testing.T) {
 		t.Fatal("mutations were not logged; the batch is empty")
 	}
 
-	// Warm once (memo, charge tables), then assert.
+	// Warm once, then assert.
 	c.minor.logCursor = start
 	if _, err := c.processMinorLog(m, true); err != nil {
 		t.Fatal(err)

@@ -51,16 +51,12 @@ type Config struct {
 	// entries never need reapplying at all. Off by default.
 	DeferMutableCopies bool
 
-	// NaiveReplay disables the wall-clock hot-path optimisations of the
-	// replay and scan machinery: the per-object forwarding memo that gives
-	// runs of same-target log entries one header check per group, the
-	// block copy() used to reapply logged byte ranges, and the batched
-	// budget accounting of the Cheney scans. All three are simulated-cost
-	// neutral (the clock is charged per entry, per word and per slot
-	// exactly as before), so a NaiveReplay run is bit-identical in
-	// simulated time and heap contents — which is what the differential
-	// property tests and the before/after wall-clock benchmarks rely on.
-	// Off by default.
+	// NaiveReplay disables the batched budget accounting of the Cheney
+	// scans: every slot gets its own budget check and charge. Batching is
+	// simulated-cost neutral (the clock is charged per slot exactly as
+	// before), so a NaiveReplay run is bit-identical in simulated time and
+	// heap contents — which is what the differential property tests and
+	// the before/after wall-clock benchmarks rely on. Off by default.
 	NaiveReplay bool
 
 	// InterleavedTaxPermille enables the concurrent-style pacing of the
@@ -275,24 +271,6 @@ type Replicating struct {
 	//gclint:pauseonly dedup set for fixups; same pause-only lifecycle as the worklist it guards
 	fixupSeen       map[fixup]struct{} // dedup: a slot is queued once
 	forcedMajorFlip bool               // replay wants a major flip at the next minor flip
-
-	// Replay memo: consecutive log entries overwhelmingly target the same
-	// object (the barrier logs a dirtied array slot by slot), so the
-	// forwarding lookup — two arena reads and the space dispatch — is done
-	// once per run of same-object entries and cached here. A memo for an
-	// unforwarded object is only trusted while no copy has happened since
-	// (the stamp below), because any replication may forward it; a
-	// forwarded object's replica address is stable until the next flip,
-	// which resets the memo.
-
-	//gclint:pauseonly the memo is only consulted by log processing, which runs under pause
-	memoObj heap.Value // last log-entry target; Nil when the memo is empty
-	//gclint:pauseonly same pause-only lifecycle as memoObj
-	memoReplica heap.Value
-	//gclint:pauseonly same pause-only lifecycle as memoObj
-	memoFwd bool
-	//gclint:pauseonly total bytes copied when the memo was taken; detects forwarding installed since
-	memoStamp int64
 
 	replay    *policy.Cursor
 	finishing bool // inside FinishCycles: flips are not recorded
@@ -747,40 +725,6 @@ func (c *Replicating) budgetSlots(m *Mutator, force bool, each simtime.Duration)
 	return int((rem + each - 1) / each)
 }
 
-// forwardingOf resolves the forwarding state of a log-entry target through
-// the replay memo: one header check per run of same-object entries instead
-// of one per entry. Under NaiveReplay the memo is bypassed and every call
-// reads the header, restoring the unbatched wall-clock behaviour (the
-// resolved state is identical either way).
-func (c *Replicating) forwardingOf(obj heap.Value) (replica heap.Value, fwd bool) {
-	if !c.cfg.NaiveReplay && obj == c.memoObj && obj != heap.Nil &&
-		(c.memoFwd || c.memoStamp == c.stats.TotalBytesCopied()) {
-		return c.memoReplica, c.memoFwd
-	}
-	h := c.h
-	fwd = h.IsForwarded(obj)
-	if fwd {
-		replica = h.ForwardAddr(obj)
-	}
-	if !c.cfg.NaiveReplay {
-		c.memoObj = obj
-		c.memoReplica = replica
-		c.memoFwd = fwd
-		c.memoStamp = c.stats.TotalBytesCopied()
-	}
-	return replica, fwd
-}
-
-// resetReplayMemo empties the memo. Flips are the moments forwarding words
-// disappear (the nursery resets, the old semispaces swap) and heap
-// addresses get reused, so every flip must drop the cache.
-func (c *Replicating) resetReplayMemo() {
-	c.memoObj = heap.Nil
-	c.memoReplica = heap.Nil
-	c.memoFwd = false
-	c.memoStamp = 0
-}
-
 // runMinorIncrement performs one increment of the minor collection and
 // reports whether the collection completed (including its flip). A typed
 // exhaustion error leaves the cycle active and resumable: every cursor
@@ -973,7 +917,12 @@ func (c *Replicating) processMinorLog(m *Mutator, force bool) (bool, error) {
 				c.lazyMinorSeqs = append(c.lazyMinorSeqs, seq)
 				continue
 			}
-			if err := c.reapplyMinor(m, e); err != nil {
+			if !h.IsForwarded(e.Obj) {
+				continue // not yet replicated; the copy will carry current contents
+			}
+			// Not hidden: a minor replica is mutator-visible from this
+			// cycle's flip on.
+			if err := c.reapply(m, e, h.ForwardAddr(e.Obj), false); err != nil {
 				return c.rewindLogEntry(g, err)
 			}
 		case h.OldFrom().Contains(e.Obj), h.OldTo().Contains(e.Obj):
@@ -996,31 +945,19 @@ func (c *Replicating) processMinorLog(m *Mutator, force bool) (bool, error) {
 	return true, nil
 }
 
-// reapplyBytes brings a replica's bytes up to date with one logged byte-range
-// mutation of its original.
-func (c *Replicating) reapplyBytes(replica heap.Value, e LogEntry) {
+// reapply brings replica, the replica of e.Obj, up to date with one logged
+// mutation, for either generation: a byte range is copied byte by byte; a
+// slot's current value is converted for the replica (minorValue for a nursery
+// referent, toSpaceValue otherwise, hidden when the replica is a mutable major
+// replica the mutator cannot reach before the flip) and stored.
+func (c *Replicating) reapply(m *Mutator, e LogEntry, replica heap.Value, hidden bool) error {
 	h := c.h
-	if c.cfg.NaiveReplay {
-		for i := int32(0); i < e.Len; i++ {
-			h.StoreByte(replica, int(e.Slot+i), h.LoadByte(e.Obj, int(e.Slot+i)))
-		}
-	} else {
-		h.CopyPayloadBytes(replica, e.Obj, int(e.Slot), int(e.Len))
-	}
-}
-
-// reapplyMinor brings the replica of a mutated, already-replicated nursery
-// object up to date with one logged mutation.
-func (c *Replicating) reapplyMinor(m *Mutator, e LogEntry) error {
-	h := c.h
-	replica, fwd := c.forwardingOf(e.Obj)
-	if !fwd {
-		return nil // not yet replicated; the copy will carry current contents
-	}
 	c.stats.LogReapplied++
 	m.Clock.Charge(simtime.AcctLogReapply, m.Cost.LogReapply)
 	if e.Byte {
-		c.reapplyBytes(replica, e)
+		for i := e.Slot; i < e.Slot+e.Len; i++ {
+			h.StoreByte(replica, int(i), h.LoadByte(e.Obj, int(i)))
+		}
 		return nil
 	}
 	var err error
@@ -1028,8 +965,7 @@ func (c *Replicating) reapplyMinor(m *Mutator, e LogEntry) error {
 	if h.Nursery.Contains(v) {
 		v, err = c.minorValue(m, v, replica, int(e.Slot))
 	} else {
-		// A minor replica is mutator-visible from this cycle's flip on.
-		v, err = c.toSpaceValue(m, v, replica, int(e.Slot), false)
+		v, err = c.toSpaceValue(m, v, replica, int(e.Slot), hidden)
 	}
 	if err != nil {
 		return err // replica slot untouched; reapplying again later is safe
@@ -1051,7 +987,11 @@ func (c *Replicating) drainLazyMinor(m *Mutator) error {
 			//gclint:allow panicpath -- invariant: trimLog keeps every queued lazy entry alive
 			panic("core: lazy log entry trimmed prematurely")
 		}
-		if err := c.reapplyMinor(m, m.Log.At(seq)); err != nil {
+		e := m.Log.At(seq)
+		if !c.h.IsForwarded(e.Obj) {
+			continue
+		}
+		if err := c.reapply(m, e, c.h.ForwardAddr(e.Obj), false); err != nil {
 			return err
 		}
 	}
@@ -1443,10 +1383,8 @@ func (c *Replicating) minorFlip(m *Mutator) error {
 	// major collection: those entries are not nursery business.
 	g.logCursor = m.Log.Len()
 
-	// Discard the nursery and grant the next cycle's allocation room. The
-	// replay memo dies with it: nursery addresses are about to be reused.
+	// Discard the nursery and grant the next cycle's allocation room.
 	h.Nursery.Reset()
-	c.resetReplayMemo()
 	promoted := c.stats.BytesCopiedMinor - c.minorStartCopy
 	c.promotedSinceMajor += promoted
 	if promoted > c.promoHighWater {
@@ -1776,35 +1714,23 @@ logLoop:
 		}
 		switch {
 		case h.OldFrom().Contains(e.Obj):
-			replica, fwd := c.forwardingOf(e.Obj)
-			if !fwd {
+			if !h.IsForwarded(e.Obj) {
 				continue // unreplicated: the copy will carry current contents
 			}
-			if !e.Byte {
-				v := h.Load(e.Obj, int(e.Slot))
-				if h.Nursery.Contains(v) {
-					if postFlip {
-						//gclint:allow panicpath -- invariant: the minor flip re-points every logged old→nursery slot
-						panic("core: old object holds nursery pointer after a minor flip")
-					}
-					// Mid-cycle: the slot will be re-pointed by the next
-					// minor flip; retry this entry then.
-					c.rewindLogEntry(g, nil)
-					break logLoop
+			if !e.Byte && h.Nursery.Contains(h.Load(e.Obj, int(e.Slot))) {
+				if postFlip {
+					//gclint:allow panicpath -- invariant: the minor flip re-points every logged old→nursery slot
+					panic("core: old object holds nursery pointer after a minor flip")
 				}
+				// Mid-cycle: the slot will be re-pointed by the next
+				// minor flip; retry this entry then.
+				c.rewindLogEntry(g, nil)
+				break logLoop
 			}
-			c.stats.LogReapplied++
-			m.Clock.Charge(simtime.AcctLogReapply, m.Cost.LogReapply)
-			if e.Byte {
-				c.reapplyBytes(replica, e)
-				continue
-			}
-			v := h.Load(e.Obj, int(e.Slot))
-			nv, err := c.toSpaceValue(m, v, replica, int(e.Slot), c.hiddenHolder(replica, true))
-			if err != nil {
+			replica := h.ForwardAddr(e.Obj)
+			if err := c.reapply(m, e, replica, c.hiddenHolder(replica, true)); err != nil {
 				return c.rewindLogEntry(g, err)
 			}
-			h.Store(replica, int(e.Slot), nv)
 
 		case h.OldTo().Contains(e.Obj):
 			// A mutator-visible to-space object received a store. The
@@ -1860,7 +1786,6 @@ func (c *Replicating) majorFlip(m *Mutator) error {
 	c.redirectRoots(m, g)
 
 	h.SwapOld()
-	c.resetReplayMemo() // old-from forwarding words just vanished
 	g.active = false
 	c.promotedSinceMajor = 0
 	c.stats.MajorCollections++

@@ -202,9 +202,9 @@ func (h *Heap) LoadBytes(p Value, off int, dst []byte) { h.moveBytes(p, off, dst
 func (h *Heap) StoreBytes(p Value, off int, src []byte) { h.moveBytes(p, off, src, true) }
 
 // moveBytes moves len(b) bytes between b and p's payload from byte off on,
-// into the heap if store is set, else out of it: like CopyPayloadBytes, the
-// aligned body by whole words and only the unaligned head and tail (at most
-// seven bytes each) by bytes, bit-identical to a LoadByte/StoreByte loop.
+// into the heap if store is set, else out of it: the aligned body by whole
+// words and only the unaligned head and tail (at most seven bytes each) by
+// bytes, bit-identical to a LoadByte/StoreByte loop.
 func (h *Heap) moveBytes(p Value, off int, b []byte, store bool) {
 	for len(b) > 0 {
 		if off%BytesPerWord != 0 || len(b) < BytesPerWord {
@@ -223,31 +223,6 @@ func (h *Heap) moveBytes(p Value, off int, b []byte, store bool) {
 			binary.LittleEndian.PutUint64(b, uint64(*w))
 		}
 		b, off = b[BytesPerWord:], off+BytesPerWord
-	}
-}
-
-// CopyPayloadBytes copies n payload bytes starting at byte offset off from
-// src into the same offsets of dst — the block-copy path for reapplying a
-// logged byte-range mutation to a replica. The word-aligned body moves as a
-// single copy() over the arena; only the unaligned head and tail (at most
-// seven bytes each) fall back to byte stores, so the result is bit-identical
-// to a byte-at-a-time loop at memmove speed.
-func (h *Heap) CopyPayloadBytes(dst, src Value, off, n int) {
-	for n > 0 && off%BytesPerWord != 0 {
-		h.StoreByte(dst, off, h.LoadByte(src, off))
-		off++
-		n--
-	}
-	if words := uint64(n / BytesPerWord); words > 0 {
-		si := src.index() + uint64(off/BytesPerWord)
-		di := dst.index() + uint64(off/BytesPerWord)
-		copy(h.arena[di:di+words], h.arena[si:si+words])
-		off += int(words) * BytesPerWord
-		n -= int(words) * BytesPerWord
-	}
-	for ; n > 0; n-- {
-		h.StoreByte(dst, off, h.LoadByte(src, off))
-		off++
 	}
 }
 

@@ -159,8 +159,8 @@ type Config struct {
 
 	// NaiveBarrier makes every member's write barrier append every store
 	// (the baseline leg of the perf trajectory). NaiveReplay selects the
-	// replicating engine's entry-at-a-time reference paths, the oracle of
-	// the differential tests: simulated results are bit-identical either way.
+	// replicating engine's per-slot scan accounting, the oracle of the
+	// differential tests: simulated results are bit-identical either way.
 	NaiveBarrier bool
 	NaiveReplay  bool
 
