@@ -61,9 +61,10 @@ loc:
 # Compile ending in a program, a positioned error or a typed OOM, the three
 # decoders of external bytes — the shared frame reader, the serving trace and
 # checkpoint recovery — each ending in an exact decode or a typed
-# *artifact.CorruptError, and the two JSON readers — the serving spec, and the
-# perf and serving report validators — each ending in a value or an error;
-# never a panic. The targets over kilobyte inputs switch input minimisation
+# *artifact.CorruptError, the instruction decoder of the compiler's code
+# buffers, ending in an exact re-encode and a printable instruction, and the
+# two JSON readers — the serving spec, and the perf and serving report
+# validators — each ending in a value or an error; never a panic. The targets over kilobyte inputs switch input minimisation
 # off: by default the fuzzer spends up to a minute shrinking every
 # coverage-expanding input, which at that size is the whole smoke.
 fuzz-smoke:
@@ -74,6 +75,7 @@ fuzz-smoke:
 	go test ./internal/checkpoint -run '^$$' -fuzz '^FuzzRecover$$' -fuzztime 10s -fuzzminimizetime 0
 	go test ./internal/workload -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s -fuzzminimizetime 0
 	go test ./internal/bench -run '^$$' -fuzz '^FuzzValidateReports$$' -fuzztime 10s -fuzzminimizetime 0
+	go test ./internal/bytecode -run '^$$' -fuzz '^FuzzDecodeInstr$$' -fuzztime 10s
 
 # The perf trajectory at full scale: per-workload
 # baseline-vs-coalesced-vs-checkpointed log and pause metrics and the serving

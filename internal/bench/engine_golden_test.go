@@ -117,19 +117,6 @@ func TestEngineSimulatedIdentity(t *testing.T) {
 	}
 	tight, roomy := engineShapes[0], engineShapes[1]
 
-	// The per-slot scan accounting, under the plan with the most
-	// failed copies: each line must equal rt's batched one above.
-	for _, sh := range engineShapes {
-		rc := engineGoldenConfig(rig.RT, sh.params)
-		rc.NaiveReplay = true
-		label := fmt.Sprintf("%s seed=%d shrink-old", sh.name, sh.seed)
-		naive := cell(label+" naive-replay", rc, sh.seed, plans[2].plan)
-		got.WriteByte('\n')
-		if !strings.Contains(got.String(), fmt.Sprintf("rt %s %s\n", label, naive)) {
-			t.Errorf("rt %s: the naive-replay cell differs from the batched one:\n%s", label, naive)
-		}
-	}
-
 	w := checkpoint.NewWriter(checkpoint.Config{Dir: t.TempDir(), BudgetBytes: 8 << 10, EveryBytes: 256 << 10})
 	rc := engineGoldenConfig(rig.RT, tight.params)
 	rc.Checkpoint = w

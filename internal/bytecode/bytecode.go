@@ -116,7 +116,7 @@ var binNames = [numBinOps]string{
 
 // String names the operator.
 func (b BinOp) String() string {
-	if int(b) < len(binNames) {
+	if b >= 0 && int(b) < len(binNames) {
 		return binNames[b]
 	}
 	return fmt.Sprintf("bin(%d)", int(b))

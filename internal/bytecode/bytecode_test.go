@@ -1,6 +1,7 @@
 package bytecode
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -47,6 +48,9 @@ func TestBinOpNamesComplete(t *testing.T) {
 			t.Errorf("binop %d has no name", b)
 		}
 	}
+	if got := BinOp(-1).String(); got != "bin(-1)" {
+		t.Errorf("negative binop names itself %q, want the bin(-1) fallback", got)
+	}
 }
 
 func TestInstrString(t *testing.T) {
@@ -56,6 +60,7 @@ func TestInstrString(t *testing.T) {
 	}{
 		{Instr{Op: OpReturn}, "return"},
 		{Instr{Op: OpBin, A: int32(BinAdd)}, "bin +"},
+		{Instr{Op: OpBin, A: -1}, "bin bin(-1)"},
 		{Instr{Op: OpClosure, A: 3, B: 2}, "closure 3 free 2"},
 		{Instr{Op: OpTestInt, A: 5, B: 9}, "testint 5 -> 9"},
 		{Instr{Op: OpJump, A: 4}, "jump 4"},
@@ -65,6 +70,40 @@ func TestInstrString(t *testing.T) {
 			t.Errorf("%+v => %q, want %q", c.ins, got, c.want)
 		}
 	}
+}
+
+// FuzzDecodeInstr holds the code-buffer decoder to its contract on arbitrary
+// bytes, since code is read back from heap buffers that a restored heap can
+// supply: the first EncodedSize bytes decode to an instruction that encodes
+// back to exactly those bytes, and that prints without a formatting error,
+// so an operand no name covers prints as its fallback, not a recovered panic.
+func FuzzDecodeInstr(f *testing.F) {
+	for _, ins := range []Instr{
+		{Op: OpBin, A: -1},
+		{Op: OpBin, A: int32(BinStrCat)},
+		{Op: OpBin, A: int32(numBinOps)},
+		{Op: OpTestTuple, A: 3, B: -9},
+		{Op: numOps, A: 1 << 30},
+		{Op: 255, A: -1, B: -1},
+	} {
+		var buf [EncodedSize]byte
+		ins.EncodeInto(buf[:], 0)
+		f.Add(buf[:])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < EncodedSize {
+			return
+		}
+		ins := DecodeInstr(data, 0)
+		var again [EncodedSize]byte
+		ins.EncodeInto(again[:], 0)
+		if !bytes.Equal(again[:], data[:EncodedSize]) {
+			t.Fatalf("%x decodes to %+v, which encodes as %x", data[:EncodedSize], ins, again)
+		}
+		if s := ins.String(); strings.Contains(s, "%!") {
+			t.Fatalf("%+v prints as %q", ins, s)
+		}
+	})
 }
 
 func TestDisassemble(t *testing.T) {

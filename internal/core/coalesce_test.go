@@ -8,8 +8,8 @@ import (
 	"repligc/internal/heap"
 )
 
-// coalesceConfigs are the collector configurations the coalescing and
-// batched-replay properties are checked under: the real-time collector (both
+// coalesceConfigs are the collector configurations the coalescing
+// properties are checked under: the real-time collector (both
 // generations incremental, where log entries are consumed by minor and major
 // cursors at different times), the stop-the-world core configuration, the
 // lazy-reapply ablation, whose deferred queue records sequence numbers of
@@ -91,61 +91,6 @@ func TestCoalescedReplayBitIdentical(t *testing.T) {
 				if mCoal.LogWrites > mNaive.LogWrites {
 					t.Fatalf("seed %d: coalesced barrier wrote more entries (%d) than naive (%d)",
 						seed, mCoal.LogWrites, mNaive.LogWrites)
-				}
-			}
-		})
-	}
-}
-
-// TestBatchedReplayBitIdentical is the hot-path property test: the Cheney
-// scans' batched budget accounting (the default) must leave every observable
-// identical to the per-slot check and charge (Config.NaiveReplay) — same
-// reachable-graph fingerprints at every checkpoint, same shadow-model
-// contents, and the same simulated clock down to the per-account breakdown.
-// Batching may only change how fast the host executes the scan, never what
-// the collector does.
-func TestBatchedReplayBitIdentical(t *testing.T) {
-	const (
-		steps       = 400
-		checkpoints = 25
-	)
-	for name, cfg := range coalesceConfigs() {
-		t.Run(name, func(t *testing.T) {
-			naiveCfg := cfg
-			naiveCfg.NaiveReplay = true
-			for seed := int64(1); seed <= 6; seed++ {
-				mNaive, _ := newRun(naiveCfg, core.LogAllMutations)
-				mOpt, _ := newRun(cfg, core.LogAllMutations)
-
-				dNaive := gctest.NewDriver(mNaive, seed)
-				dOpt := gctest.NewDriver(mOpt, seed)
-				for cp := 0; cp < checkpoints; cp++ {
-					if err := dNaive.Step(steps); err != nil {
-						t.Fatalf("seed %d naive replay: %v", seed, err)
-					}
-					if err := dOpt.Step(steps); err != nil {
-						t.Fatalf("seed %d batched replay: %v", seed, err)
-					}
-					fpN, fpO := dNaive.Fingerprint(), dOpt.Fingerprint()
-					if fpN != fpO {
-						t.Fatalf("seed %d checkpoint %d: fingerprints diverge (naive %#x, batched %#x)",
-							seed, cp, fpN, fpO)
-					}
-				}
-				if err := dNaive.Verify(); err != nil {
-					t.Fatalf("seed %d naive shadow check: %v", seed, err)
-				}
-				if err := dOpt.Verify(); err != nil {
-					t.Fatalf("seed %d batched shadow check: %v", seed, err)
-				}
-				if err := core.AuditHeap(mOpt); err != nil {
-					t.Fatalf("seed %d batched audit: %v", seed, err)
-				}
-				if got, want := mOpt.Clock.Now(), mNaive.Clock.Now(); got != want {
-					t.Fatalf("seed %d: simulated clocks diverge (batched %d, naive %d)", seed, got, want)
-				}
-				if got, want := mOpt.Clock.Breakdown(), mNaive.Clock.Breakdown(); got != want {
-					t.Fatalf("seed %d: simulated cost breakdowns diverge\nbatched %v\nnaive   %v", seed, got, want)
 				}
 			}
 		})

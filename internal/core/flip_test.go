@@ -43,7 +43,6 @@ func flipVariants() []struct {
 		{"defer-mutable-copies", with(func(c *core.Config) { c.DeferMutableCopies = true })},
 		{"lazy-log", with(func(c *core.Config) { c.LazyLogProcessing = true })},
 		{"micro-pauses", with(func(c *core.Config) { c.InterleavedTaxPermille = 1500 })},
-		{"naive-replay", with(func(c *core.Config) { c.NaiveReplay = true })},
 		{"recorded", with(func(c *core.Config) { c.Record = &policy.Script{} })},
 	}
 }

@@ -51,14 +51,6 @@ type Config struct {
 	// entries never need reapplying at all. Off by default.
 	DeferMutableCopies bool
 
-	// NaiveReplay disables the batched budget accounting of the Cheney
-	// scans: every slot gets its own budget check and charge. Batching is
-	// simulated-cost neutral (the clock is charged per slot exactly as
-	// before), so a NaiveReplay run is bit-identical in simulated time and
-	// heap contents — which is what the differential property tests and
-	// the before/after wall-clock benchmarks rely on. Off by default.
-	NaiveReplay bool
-
 	// InterleavedTaxPermille enables the concurrent-style pacing of the
 	// paper's §6 ("The replication primitive can be interleaved freely
 	// with mutator activity"): instead of performing collection work in
@@ -711,9 +703,9 @@ func (c *Replicating) overBudget(m *Mutator, force bool) bool {
 
 // budgetSlots reports how many units of work at each duration the current
 // pause may still begin before overBudget would stop it: exactly
-// ceil(remaining/each), so a batch of this many charges lands the cursor on the
-// identical slot a check-every-slot loop would stop at. A non-positive return
-// means the budget is already spent; unlimited budgets report maxInt.
+// ceil(remaining/each), so a run of this many charges stops where a
+// check-every-unit loop would stop. A non-positive return means the budget
+// is already spent; unlimited budgets report maxInt.
 func (c *Replicating) budgetSlots(m *Mutator, force bool, each simtime.Duration) int {
 	if force || c.deadline <= 0 || each <= 0 {
 		return int(^uint(0) >> 1)
@@ -1271,53 +1263,14 @@ func (c *Replicating) scan(m *Mutator, g *generation, force bool) (bool, error) 
 		if g.scanSlot == 0 {
 			m.Clock.Charge(g.acct, m.Cost.ScanWord) // header word
 		}
-		for i := g.scanSlot; i < hdr.Len(); {
-			// Sweep to j, the next slot holding a from-space pointer.
-			var v heap.Value
-			j, hit := i, false
-			if c.cfg.NaiveReplay {
-				// The reference accounting: one budget check and one
-				// charge per slot.
-				if c.overBudget(m, force) {
-					g.scanSlot = i
-					return false, nil
-				}
-				m.Clock.Charge(g.acct, m.Cost.ScanWord)
-				v = h.Load(p, i)
-				if hit = from.Contains(v); !hit {
-					j++
-				}
-			} else {
-				// Batched accounting: runs of uninteresting slots are swept in
-				// a tight loop and charged in one go. The batch size is exactly
-				// the slot allowance the per-slot budget check would have
-				// granted, and any slot that triggers a copy ends its batch (a
-				// copy consumes budget too), so the cursor stops on the
-				// identical slot — simulated charges and heap contents are
-				// bit-equal to the NaiveReplay accounting above.
-				n := c.budgetSlots(m, force, m.Cost.ScanWord)
-				if n == 0 {
-					g.scanSlot = i
-					return false, nil
-				}
-				if rem := hdr.Len() - i; n > rem {
-					n = rem
-				}
-				for ; j < i+n; j++ {
-					v = h.Load(p, j)
-					if from.Contains(v) {
-						hit = true
-						break
-					}
-				}
-				scanned := j - i
-				if hit {
-					scanned++ // the interesting slot is charged too
-				}
-				m.Clock.Charge(g.acct, simtime.Duration(scanned)*m.Cost.ScanWord)
+		for i := g.scanSlot; i < hdr.Len(); i++ {
+			if c.overBudget(m, force) {
+				g.scanSlot = i
+				return false, nil
 			}
-			if !hit {
-				i = j
+			m.Clock.Charge(g.acct, m.Cost.ScanWord)
+			v := h.Load(p, i)
+			if !from.Contains(v) {
 				continue
 			}
 			// Forward the pointer. A forwarder that hands v itself back has
@@ -1327,18 +1280,17 @@ func (c *Replicating) scan(m *Mutator, g *generation, force bool) (bool, error) 
 			if g.major {
 				// The kind test first: it fails for most holders and spares
 				// them the run-list lookup.
-				nv, err = c.toSpaceValue(m, v, p, j, hdr.Kind().Mutable() && c.hiddenHolder(p, g.scanningReplica()))
+				nv, err = c.toSpaceValue(m, v, p, i, hdr.Kind().Mutable() && c.hiddenHolder(p, g.scanningReplica()))
 			} else {
-				nv, err = c.minorValue(m, v, p, j)
+				nv, err = c.minorValue(m, v, p, i)
 			}
 			if err != nil {
-				g.scanSlot = j // resume exactly at the failed slot
+				g.scanSlot = i // resume exactly at the failed slot
 				return false, err
 			}
 			if nv != v {
-				h.Store(p, j, nv)
+				h.Store(p, i, nv)
 			}
-			i = j + 1
 		}
 		g.scanSlot = 0
 		g.scan += uint64(hdr.SizeWords())

@@ -32,8 +32,8 @@ type Collector struct {
 	// StopCopy selects the stop-and-copy baseline (internal/stopcopy)
 	// instead of the replicating engine.
 	StopCopy bool
-	// Engine holds the replicating engine's switches. Sizes, scripts and
-	// NaiveReplay are Config's: New overwrites them here.
+	// Engine holds the replicating engine's switches. Sizes and scripts
+	// are Config's: New overwrites them here.
 	Engine core.Config
 	// Log is what the write barrier records. Replication is incorrect
 	// without every mutation; only the plain baseline may log pointers only.
@@ -158,11 +158,8 @@ type Config struct {
 	Replay *policy.Script
 
 	// NaiveBarrier makes every member's write barrier append every store
-	// (the baseline leg of the perf trajectory). NaiveReplay selects the
-	// replicating engine's per-slot scan accounting, the oracle of the
-	// differential tests: simulated results are bit-identical either way.
+	// (the baseline leg of the perf trajectory).
 	NaiveBarrier bool
-	NaiveReplay  bool
 
 	// Trace, when non-nil, receives every member's allocation epochs, the
 	// heap's log epochs and the collector's pauses and phases: what a Chrome
@@ -221,8 +218,6 @@ func (c *Config) unsupported() *UnsupportedError {
 		return no("Checkpoint", "the checkpoint's write-ahead log is the replicating collector's mutation log, pinned at its pause boundaries; stop-and-copy has neither")
 	case coll.StopCopy && c.Record != nil:
 		return no("Record", "the stop-and-copy baseline replays scripts, it records none")
-	case coll.StopCopy && c.NaiveReplay:
-		return no("NaiveReplay", "the stop-and-copy baseline has one replay path")
 	case !coll.StopCopy && coll.Engine.IncrementalMinor && c.Replay != nil:
 		return no("Replay", "a minor collection spread over several pauses cannot be pinned to recorded allocation marks")
 	case c.Members > 1 && c.Checkpoint != nil:
@@ -278,7 +273,7 @@ func New(c Config) (*Runtime, error) {
 	} else {
 		cc := c.Collector.Engine
 		cc.NurseryBytes, cc.MajorThresholdBytes, cc.CopyLimitBytes = c.NBytes, c.OBytes, c.LBytes
-		cc.NaiveReplay, cc.Record, cc.Replay = c.NaiveReplay, c.Record, c.Replay
+		cc.Record, cc.Replay = c.Record, c.Replay
 		gc := core.NewReplicating(h, cc)
 		gc.SetTrace(c.Trace)
 		gc.SetCheckpointer(c.Checkpoint)

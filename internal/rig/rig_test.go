@@ -137,7 +137,6 @@ func TestUnsupported(t *testing.T) {
 		{"Checkpoint", func(c *rig.Config) { c.Collector, c.Checkpoint = rig.SCMods, nopCheckpointer{} }},
 		{"Checkpoint", func(c *rig.Config) { c.Members, c.Checkpoint = 2, nopCheckpointer{} }},
 		{"Record", func(c *rig.Config) { c.Collector, c.Record = rig.SCMods, script }},
-		{"NaiveReplay", func(c *rig.Config) { c.Collector, c.NaiveReplay = rig.SC, true }},
 		{"Replay", func(c *rig.Config) { c.Replay = script }},
 		{"Replay", func(c *rig.Config) { c.Collector, c.Replay = rig.MinorInc, script }},
 		{"Replay", func(c *rig.Config) { c.Collector, c.Replay = rig.RTConc, script }},
@@ -166,7 +165,7 @@ func TestUnsupported(t *testing.T) {
 		func(c *rig.Config) { c.Collector, c.Replay = rig.MajorInc, script },
 		func(c *rig.Config) { c.Collector, c.Replay = rig.StopCopyCore, script },
 		func(c *rig.Config) { c.Collector, c.Replay = rig.SC, script },
-		func(c *rig.Config) { c.Record, c.NaiveReplay, c.Checkpoint = script, true, nopCheckpointer{} },
+		func(c *rig.Config) { c.Record, c.Checkpoint = script, nopCheckpointer{} },
 		func(c *rig.Config) {
 			c.OldSemiBytes, c.NurseryCapBytes = 0, 0
 			c.Heap = heap.New(heap.Config{NurseryBytes: 32 << 10, OldSemiBytes: 1 << 20})
