@@ -1,7 +1,7 @@
 // Package gctest provides a shadow-model torture driver for validating
 // garbage collectors. The driver performs a pseudo-random sequence of
 // allocations, mutations and root drops through a core.Mutator while
-// mirroring every operation in an ordinary Go object graph. At any
+// mirroring every operation in a shadow graph of its own. At any
 // collector-quiescent point the simulated heap can be verified against the
 // shadow graph: if the collector lost an object, corrupted a replica,
 // missed a logged mutation or left a stale pointer after a flip, the
@@ -16,27 +16,42 @@ import (
 	"repligc/internal/heap"
 )
 
-// Node is the shadow of one heap object.
-type Node struct {
-	Kind  heap.Kind
-	Words []Shadow // for pointer-bearing kinds
-	Bytes []byte   // for byte kinds
+// shadow mirrors a heap.Value in one word: 0 is the zero word of a slot
+// nothing has stored into yet (heap.Nil), v > 0 the integer v−1 and v < 0
+// node −v−1. The driver stores only integers in [0, 2^20).
+type shadow int64
+
+func intShadow(i int64) shadow   { return shadow(i + 1) }
+func nodeShadow(id int32) shadow { return shadow(-int64(id) - 1) }
+
+// node is the shadow of one heap object: its kind and where its payload
+// lies, n words of the driver's word slab for a pointer-bearing kind and n
+// bytes of its byte slab otherwise.
+type node struct {
+	kind       heap.Kind
+	chunk, off int32
+	n          int32
 }
 
-// Shadow mirrors a heap.Value: immediate integer or node.
-type Shadow struct {
-	Node *Node
-	Int  int64
+// chunkLen is the length of a slab chunk.
+const chunkLen = 1 << 16
+
+// slab is append-only storage in chunks of chunkLen elements. Growing it
+// never moves what it holds, a run never spans two chunks, and a run longer
+// than a chunk gets a chunk of its own. A fresh run is zeroed.
+type slab[T any] struct{ chunks [][]T }
+
+// alloc reserves a run of n elements and returns where it starts.
+func (s *slab[T]) alloc(n int) (chunk, off int32) {
+	last := len(s.chunks) - 1
+	if last < 0 || len(s.chunks[last])+n > cap(s.chunks[last]) {
+		s.chunks = append(s.chunks, make([]T, 0, max(n, chunkLen)))
+		last++
+	}
+	c := s.chunks[last]
+	s.chunks[last] = c[:len(c)+n]
+	return int32(last), int32(len(c))
 }
-
-func intShadow(i int64) Shadow  { return Shadow{Int: i} }
-func nodeShadow(n *Node) Shadow { return Shadow{Node: n} }
-
-// nilShadow mirrors the zero word of a slot nothing has stored into yet. It
-// is a sentinel node and not a field of Shadow: the shadow graph is most of
-// the driver's memory, and a third word in every Shadow is 8 % of the
-// resident set of a four-member run.
-var nilShadow = nodeShadow(&Node{})
 
 // rootSource exposes the driver's roots to the collector.
 type rootSource struct {
@@ -55,7 +70,15 @@ type Driver struct {
 	rng *rand.Rand
 
 	roots  *rootSource
-	shadow []Shadow // parallel to roots.slots
+	shadow []shadow // parallel to roots.slots
+
+	// The shadow graph: every node the driver ever allocated, and their
+	// payloads. Nodes come one at a time, so node i is element i%chunkLen of
+	// chunk i/chunkLen. The graph grows with what the driver allocates, not
+	// with what is live: about 20 bytes an operation.
+	nodes slab[node]
+	words slab[shadow]
+	bytes slab[byte]
 
 	// Ops counts operations performed.
 	Ops int
@@ -73,11 +96,12 @@ type Driver struct {
 	// near both ends of each, so that a collector copying one of them over
 	// several pauses sees stores on both sides of its copy cursor. Zero leaves
 	// the operation stream exactly as it is without the option. LargeWords
-	// zero means 4096.
+	// zero means 4096; 1 to 3 are raised to 4, the fewest words whose both
+	// ends the stores can pick from.
 	LargeEvery int
 	LargeWords int
-	large      *rootSource // the last few large objects; registered at the first one
-	largeSh    []Shadow    // parallel to large.slots
+	large      *rootSource       // the last few large objects; registered at the first one
+	largeSh    [largeHeld]shadow // parallel to large.slots; 0 until filled
 	nlarge     int
 }
 
@@ -89,6 +113,35 @@ func NewDriver(m *core.Mutator, seed int64) *Driver {
 	return d
 }
 
+// newNode allocates the shadow of a k object of n words or bytes and returns
+// it with its zeroed payload: words for a pointer-bearing kind, else bytes.
+func (d *Driver) newNode(k heap.Kind, n int) (shadow, []shadow, []byte) {
+	nd := node{kind: k, n: int32(n)}
+	if k.HasPointers() {
+		nd.chunk, nd.off = d.words.alloc(n)
+	} else {
+		nd.chunk, nd.off = d.bytes.alloc(n)
+	}
+	c, off := d.nodes.alloc(1)
+	d.nodes.chunks[c][off] = nd
+	ws, bs := d.payload(&nd)
+	return nodeShadow(c*chunkLen + off), ws, bs
+}
+
+// node returns the node that s, a node shadow, names.
+func (d *Driver) node(s shadow) *node {
+	id := -int64(s) - 1
+	return &d.nodes.chunks[id/chunkLen][id%chunkLen]
+}
+
+// payload returns nd's words or bytes; the other is nil.
+func (d *Driver) payload(nd *node) ([]shadow, []byte) {
+	if nd.kind.HasPointers() {
+		return d.words.chunks[nd.chunk][nd.off:][:nd.n], nil
+	}
+	return nil, d.bytes.chunks[nd.chunk][nd.off:][:nd.n]
+}
+
 // pickRoot returns a random root index, or -1 when none exist.
 func (d *Driver) pickRoot() int {
 	if len(d.roots.slots) == 0 {
@@ -97,16 +150,18 @@ func (d *Driver) pickRoot() int {
 	return d.rng.Intn(len(d.roots.slots))
 }
 
+// objectKinds are the kinds allocObject draws from.
+var objectKinds = [...]heap.Kind{heap.KindRecord, heap.KindRef, heap.KindArray, heap.KindString, heap.KindBytes, heap.KindClosure}
+
 // allocObject allocates a random object and roots it. Heap exhaustion is
 // returned, not panicked: the exhaustion-matrix tests drive the driver into
 // OOM on purpose and assert the error is typed.
 func (d *Driver) allocObject() error {
-	kinds := []heap.Kind{heap.KindRecord, heap.KindRef, heap.KindArray, heap.KindString, heap.KindBytes, heap.KindClosure}
-	k := kinds[d.rng.Intn(len(kinds))]
+	k := objectKinds[d.rng.Intn(len(objectKinds))]
 	switch k {
 	case heap.KindString, heap.KindBytes:
 		n := d.rng.Intn(40)
-		b := make([]byte, n)
+		sh, _, b := d.newNode(k, n)
 		for i := range b {
 			b[i] = byte(d.rng.Intn(256))
 		}
@@ -127,42 +182,40 @@ func (d *Driver) allocObject() error {
 				d.M.SetByte(p, i, c)
 			}
 		}
-		d.addRoot(p, nodeShadow(&Node{Kind: k, Bytes: b}))
+		d.addRoot(p, sh)
 	default:
 		n := 1 + d.rng.Intn(6)
-		node := &Node{Kind: k, Words: make([]Shadow, n)}
 		// Choose initial contents before allocating: each randomValue may
 		// reference existing roots, and allocation itself can trigger a
 		// collection that rewrites root slots, so values are re-read from
 		// the root table after allocation.
 		type pick struct {
-			rootIdx int // -1: use imm
-			imm     heap.Value
-			sh      Shadow
+			rootIdx int // -1: use v
+			v       int64
 		}
-		picks := make([]pick, n)
-		for i := range picks {
+		var picks [6]pick
+		for i := range picks[:n] {
 			if j := d.pickRoot(); j >= 0 && d.rng.Intn(3) != 0 {
 				picks[i] = pick{rootIdx: j}
 			} else {
-				v := d.rng.Int63n(1 << 20)
-				picks[i] = pick{rootIdx: -1, imm: heap.FromInt(v), sh: intShadow(v)}
+				picks[i] = pick{rootIdx: -1, v: d.rng.Int63n(1 << 20)}
 			}
 		}
 		p, err := d.M.Alloc(k, n)
 		if err != nil {
 			return err
 		}
-		for i, pk := range picks {
+		sh, words, _ := d.newNode(k, n)
+		for i, pk := range picks[:n] {
 			if pk.rootIdx >= 0 {
 				d.M.Init(p, i, d.roots.slots[pk.rootIdx])
-				node.Words[i] = d.shadow[pk.rootIdx]
+				words[i] = d.shadow[pk.rootIdx]
 			} else {
-				d.M.Init(p, i, pk.imm)
-				node.Words[i] = pk.sh
+				d.M.Init(p, i, heap.FromInt(pk.v))
+				words[i] = intShadow(pk.v)
 			}
 		}
-		d.addRoot(p, nodeShadow(node))
+		d.addRoot(p, sh)
 	}
 	return nil
 }
@@ -177,46 +230,42 @@ const largeHeld = 3
 func (d *Driver) allocLarge() error {
 	if d.large == nil {
 		d.large = &rootSource{slots: make([]heap.Value, largeHeld)}
-		d.largeSh = make([]Shadow, largeHeld)
 		d.M.Roots.Register(d.large)
 	}
 	base := d.LargeWords
 	if base <= 0 {
 		base = 4096
 	}
+	base = max(base, 4)
 	n := base + d.rng.Intn(base)
 	k := d.nlarge % largeHeld
 	d.nlarge++
-	var node *Node
 	if d.nlarge%2 == 0 {
 		p, err := d.M.AllocBytes(n * heap.BytesPerWord)
 		if err != nil {
 			return err
 		}
 		d.large.slots[k] = p
-		node = &Node{Kind: heap.KindBytes, Bytes: make([]byte, n*heap.BytesPerWord)}
+		d.largeSh[k], _, _ = d.newNode(heap.KindBytes, n*heap.BytesPerWord)
 	} else {
 		p, err := d.M.Alloc(heap.KindArray, n)
 		if err != nil {
 			return err
 		}
 		d.large.slots[k] = p
-		node = &Node{Kind: heap.KindArray, Words: make([]Shadow, n)}
-		for i := range node.Words {
-			node.Words[i] = nilShadow
-		}
+		var words []shadow
+		d.largeSh[k], words, _ = d.newNode(heap.KindArray, n)
 		for i := 0; i < n; i += 64 {
 			if j := d.pickRoot(); j >= 0 && d.rng.Intn(2) == 0 {
 				d.M.Init(p, i, d.roots.slots[j])
-				node.Words[i] = d.shadow[j]
+				words[i] = d.shadow[j]
 			} else {
 				v := d.rng.Int63n(1 << 20)
 				d.M.Init(p, i, heap.FromInt(v))
-				node.Words[i] = intShadow(v)
+				words[i] = intShadow(v)
 			}
 		}
 	}
-	d.largeSh[k] = nodeShadow(node)
 	d.addRoot(d.large.slots[k], d.largeSh[k])
 	return nil
 }
@@ -233,35 +282,36 @@ func (d *Driver) hammerLarge() {
 		if p == heap.Nil {
 			continue
 		}
-		node := d.largeSh[k].Node
-		if node.Kind == heap.KindArray {
-			n := len(node.Words)
+		nd := d.node(d.largeSh[k])
+		words, bytes := d.payload(nd)
+		if nd.kind == heap.KindArray {
+			n := len(words)
 			lo, hi := d.rng.Intn(n/4), n-1-d.rng.Intn(n/4)
 			if last := len(d.roots.slots) - 1; last >= 0 {
 				d.M.Set(p, lo, d.roots.slots[last])
-				node.Words[lo] = d.shadow[last]
+				words[lo] = d.shadow[last]
 			}
 			v := d.rng.Int63n(1 << 20)
 			d.M.Set(p, hi, heap.FromInt(v))
-			node.Words[hi] = intShadow(v)
+			words[hi] = intShadow(v)
 			continue
 		}
-		n := len(node.Bytes)
-		var data [21]byte // crosses at least two word boundaries at any offset
-		for _, off := range []int{d.rng.Intn(n / 4), n - len(data) - d.rng.Intn(n/4)} {
+		n := len(bytes)
+		const span = 21 // crosses at least two word boundaries at any offset
+		for _, off := range [...]int{d.rng.Intn(n / 4), n - span - d.rng.Intn(n/4)} {
+			data := bytes[off : off+span]
 			for i := range data {
 				data[i] = byte(d.rng.Intn(256))
 			}
-			d.M.SetByteRange(p, off, data[:])
-			copy(node.Bytes[off:], data[:])
+			d.M.SetByteRange(p, off, data)
 		}
 		i, b := d.rng.Intn(n), byte(d.rng.Intn(256))
 		d.M.SetByte(p, i, b)
-		node.Bytes[i] = b
+		bytes[i] = b
 	}
 }
 
-func (d *Driver) addRoot(p heap.Value, s Shadow) {
+func (d *Driver) addRoot(p heap.Value, s shadow) {
 	d.roots.slots = append(d.roots.slots, p)
 	d.shadow = append(d.shadow, s)
 }
@@ -269,55 +319,51 @@ func (d *Driver) addRoot(p heap.Value, s Shadow) {
 // mutate rewrites a random slot of a random mutable rooted object.
 func (d *Driver) mutate() {
 	i := d.pickRoot()
-	if i < 0 {
-		return
-	}
-	sh := d.shadow[i]
-	if sh.Node == nil {
+	if i < 0 || d.shadow[i] >= 0 {
 		return
 	}
 	p := d.roots.slots[i]
+	nd := d.node(d.shadow[i])
+	words, bytes := d.payload(nd)
 	//gclint:dispatch
-	switch sh.Node.Kind {
+	switch nd.kind {
 	case heap.KindRecord, heap.KindClosure, heap.KindString:
 		// Immutable kinds cannot be mutated; a new kind added to the heap
 		// must be classified here explicitly (gclint rule "exhaustive").
 		return
 	case heap.KindRef, heap.KindArray:
-		if len(sh.Node.Words) == 0 {
+		if len(words) == 0 {
 			return
 		}
-		slot := d.rng.Intn(len(sh.Node.Words))
+		slot := d.rng.Intn(len(words))
 		// Pick the value; pointer picks are re-read from the root table at
 		// store time (no allocation can intervene here, but stay uniform).
 		if j := d.pickRoot(); j >= 0 && d.rng.Intn(2) == 0 {
 			d.M.Set(p, slot, d.roots.slots[j])
-			sh.Node.Words[slot] = d.shadow[j]
+			words[slot] = d.shadow[j]
 		} else {
 			v := d.rng.Int63n(1 << 20)
 			d.M.Set(p, slot, heap.FromInt(v))
-			sh.Node.Words[slot] = intShadow(v)
+			words[slot] = intShadow(v)
 		}
 	case heap.KindBytes:
-		if len(sh.Node.Bytes) == 0 {
+		if len(bytes) == 0 {
 			return
 		}
 		if d.rng.Intn(3) == 0 {
 			// Coalesced range store (the compiler's code-emission path).
-			off := d.rng.Intn(len(sh.Node.Bytes))
-			n := 1 + d.rng.Intn(len(sh.Node.Bytes)-off)
-			data := make([]byte, n)
+			off := d.rng.Intn(len(bytes))
+			data := bytes[off : off+1+d.rng.Intn(len(bytes)-off)]
 			for i := range data {
 				data[i] = byte(d.rng.Intn(256))
 			}
 			d.M.SetByteRange(p, off, data)
-			copy(sh.Node.Bytes[off:], data)
 			return
 		}
-		slot := d.rng.Intn(len(sh.Node.Bytes))
+		slot := d.rng.Intn(len(bytes))
 		b := byte(d.rng.Intn(256))
 		d.M.SetByte(p, slot, b)
-		sh.Node.Bytes[slot] = b
+		bytes[slot] = b
 	}
 }
 
@@ -386,18 +432,18 @@ func (d *Driver) Step(n int) error {
 // invariant; verification therefore also exercises that invariant
 // mid-collection.
 func (d *Driver) Verify() error {
-	seen := make(map[heap.Value]*Node)
+	seen := make(map[heap.Value]int32)
 	for i, p := range d.roots.slots {
-		if err := d.verifyValue(p, d.shadow[i], seen, 0); err != nil {
+		if err := d.verifyValue(p, d.shadow[i], seen); err != nil {
 			return fmt.Errorf("root %d: %w", i, err)
 		}
 	}
 	if d.large != nil {
 		for k, p := range d.large.slots {
-			if d.largeSh[k].Node == nil {
+			if d.largeSh[k] == 0 {
 				continue // ring slot not filled yet
 			}
-			if err := d.verifyValue(p, d.largeSh[k], seen, 0); err != nil {
+			if err := d.verifyValue(p, d.largeSh[k], seen); err != nil {
 				return fmt.Errorf("large object %d: %w", k, err)
 			}
 		}
@@ -405,50 +451,53 @@ func (d *Driver) Verify() error {
 	return nil
 }
 
-func (d *Driver) verifyValue(v heap.Value, s Shadow, seen map[heap.Value]*Node, depth int) error {
-	if s == nilShadow {
+func (d *Driver) verifyValue(v heap.Value, s shadow, seen map[heap.Value]int32) error {
+	switch {
+	case s == 0:
 		if v != heap.Nil {
 			return fmt.Errorf("want nil, got %v", v)
 		}
 		return nil
-	}
-	if s.Node == nil {
-		if !v.IsInt() || v.Int() != s.Int {
-			return fmt.Errorf("want int %d, got %v", s.Int, v)
+	case s > 0:
+		if !v.IsInt() || v.Int() != int64(s)-1 {
+			return fmt.Errorf("want int %d, got %v", int64(s)-1, v)
 		}
 		return nil
 	}
+	nd := d.node(s)
 	if !v.IsPtr() {
-		return fmt.Errorf("want pointer to %v node, got %v", s.Node.Kind, v)
+		return fmt.Errorf("want pointer to %v node, got %v", nd.kind, v)
 	}
+	id := int32(-s - 1)
 	if prev, ok := seen[v]; ok {
-		if prev != s.Node {
+		if prev != id {
 			return fmt.Errorf("aliasing mismatch at %v", v)
 		}
 		return nil
 	}
-	seen[v] = s.Node
+	seen[v] = id
 
 	hdr := d.M.Header(v)
-	if hdr.Kind() != s.Node.Kind {
-		return fmt.Errorf("kind mismatch: heap %v, shadow %v", hdr.Kind(), s.Node.Kind)
+	if hdr.Kind() != nd.kind {
+		return fmt.Errorf("kind mismatch: heap %v, shadow %v", hdr.Kind(), nd.kind)
 	}
-	if s.Node.Bytes != nil || !hdr.Kind().HasPointers() {
-		if hdr.Len() != len(s.Node.Bytes) {
-			return fmt.Errorf("byte length mismatch: heap %d, shadow %d", hdr.Len(), len(s.Node.Bytes))
+	words, bytes := d.payload(nd)
+	if !nd.kind.HasPointers() {
+		if hdr.Len() != len(bytes) {
+			return fmt.Errorf("byte length mismatch: heap %d, shadow %d", hdr.Len(), len(bytes))
 		}
-		for i, b := range s.Node.Bytes {
+		for i, b := range bytes {
 			if g := d.M.GetByte(v, i); g != b {
 				return fmt.Errorf("byte %d mismatch: heap %d, shadow %d", i, g, b)
 			}
 		}
 		return nil
 	}
-	if hdr.Len() != len(s.Node.Words) {
-		return fmt.Errorf("length mismatch: heap %d, shadow %d", hdr.Len(), len(s.Node.Words))
+	if hdr.Len() != len(words) {
+		return fmt.Errorf("length mismatch: heap %d, shadow %d", hdr.Len(), len(words))
 	}
-	for i, ws := range s.Node.Words {
-		if err := d.verifyValue(d.M.Get(v, i), ws, seen, depth+1); err != nil {
+	for i, ws := range words {
+		if err := d.verifyValue(d.M.Get(v, i), ws, seen); err != nil {
 			return fmt.Errorf("%v slot %d: %w", hdr.Kind(), i, err)
 		}
 	}
