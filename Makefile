@@ -114,15 +114,16 @@ serve-smoke:
 	cmp /tmp/serve_smoke.json /tmp/serve_replay.json
 
 # The deterministic crash-point matrix: seeded workloads × crash plans
-# (snapshot/WAL × truncate/torn-word/duplicate-record, newest-epoch and
-# all-epoch damage). Every cell must end in a fingerprint-verified recovery
-# or a typed corruption rejection. The report is a pure function of the tree,
-# so the fresh one (the CI artifact) must equal the committed
-# crash_matrix.json byte for byte.
+# (an epoch file's image or commit section × truncate/torn-word/
+# duplicate-record, newest-epoch and all-epoch damage). Every cell must end in
+# a fingerprint-verified recovery or a typed corruption rejection. The report
+# is a pure function of the tree, so the fresh one (the CI artifact) must
+# equal the committed crash_matrix.json byte for byte (diff shows the cells
+# that moved).
 crash-matrix:
 	go run ./cmd/rtgc-bench -out /tmp/crash_matrix.json crashmatrix
 	go run ./cmd/rtgc-bench validate /tmp/crash_matrix.json
-	cmp /tmp/crash_matrix.json crash_matrix.json
+	diff -u crash_matrix.json /tmp/crash_matrix.json
 
 # Regenerate the committed report; only a deliberate change to the checkpoint
 # format, the crash plans or the collector moves it.

@@ -1,6 +1,6 @@
 // Package artifact is the one kit every on-disk artifact of the repository is
-// built from: the checkpoint snapshot and WAL files and the serving-trace
-// artifact share its frame codec and payload encoder, and every fingerprint
+// built from: the checkpoint epoch file and the serving-trace artifact share
+// its frame codec and payload encoder, and every fingerprint
 // shares its FNV-1a state. It is a leaf — standard library only, no file
 // access — so any package may import it.
 //

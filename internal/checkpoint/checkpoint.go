@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"repligc/internal/artifact"
@@ -17,7 +16,7 @@ import (
 // Config parameterises a Writer.
 type Config struct {
 	// Dir is the artifact directory (created on first use). Each committed
-	// epoch leaves a snap-<epoch>.ckpt / wal-<epoch>.ckpt pair in it.
+	// epoch leaves one file, epoch-<epoch>.ckpt, in it.
 	Dir string
 	// BudgetBytes bounds the snapshot copying added to any one pause —
 	// the checkpoint analogue of the paper's copy limit L — within what is
@@ -36,7 +35,7 @@ type Config struct {
 // completion pauses, which also run past the steady budget to reach a flip.
 const commitSlack = 4
 
-// keepEpochs is how many committed epochs are retained (older pairs are
+// keepEpochs is how many committed epochs are retained (older files are
 // deleted): two, so a crash while damaging the newest epoch still leaves a
 // complete predecessor.
 const keepEpochs = 2
@@ -67,10 +66,11 @@ type Stats = rig.CheckpointStats
 // log is exactly the write-ahead log the snapshot needs. The copy frontier
 // is raised to the current allocation cursor at each quiescent pause; when
 // the remainder fits in one budget the epoch commits: tail and nursery are
-// copied verbatim, every pinned-entry slot is re-read and written as a WAL
-// patch (entries are value-free, so the patch carries the commit-time
-// value), and the retained log suffix, roots and scheduling state follow,
-// sealed by a fingerprint of the live state. A major flip swaps the old
+// copied verbatim, and the commit section follows them in the same file —
+// every pinned-entry slot re-read and written as a patch (entries are
+// value-free, so the patch carries the commit-time value), the retained log
+// suffix, roots and scheduling state, sealed by a fingerprint of the live
+// state — before one rename publishes the epoch. A major flip swaps the old
 // semispaces underneath the snapshot, so an epoch that sees one aborts and
 // restarts clean.
 type Writer struct {
@@ -87,7 +87,7 @@ type Writer struct {
 	cursor uint64
 	//gclint:pauseonly stable-prefix frontier; raised only at quiescent pauses
 	copyTarget uint64
-	//gclint:pauseonly WAL base, fixed when the epoch begins under pause
+	//gclint:pauseonly log sequence the epoch pins, fixed when the epoch begins under pause
 	walBase int64
 	//gclint:pauseonly completed-major count at epoch begin; a change aborts the epoch
 	startMajors int
@@ -95,15 +95,13 @@ type Writer struct {
 	beginAlloc int64
 	//gclint:pauseonly pause count of the open epoch
 	epochPauses int
-	//gclint:pauseonly segment records written so far this epoch
-	segCount int
 
 	epoch          uint64 // next epoch number to commit
 	lastPatchWords int    // patch pairs in the most recent commit
 	retained       []uint64
-	snapTmp        *os.File
-	snapBuf        *bufio.Writer
-	snapRec        *artifact.Writer
+	tmp            *os.File // the open epoch's file, renamed into place at commit
+	buf            *bufio.Writer
+	rec            *artifact.Writer
 }
 
 // NewWriter builds a Writer. The directory is created lazily, when the
@@ -117,14 +115,6 @@ func NewWriter(cfg Config) *Writer {
 
 // Stats returns a snapshot of the writer's counters.
 func (w *Writer) Stats() Stats { return w.stats }
-
-func (w *Writer) snapPath(epoch uint64) string {
-	return filepath.Join(w.cfg.Dir, fmt.Sprintf("snap-%08d.ckpt", epoch))
-}
-
-func (w *Writer) walPath(epoch uint64) string {
-	return filepath.Join(w.cfg.Dir, fmt.Sprintf("wal-%08d.ckpt", epoch))
-}
 
 // PauseCheckpoint implements core.Checkpointer. It runs at the tail of
 // every collection pause, inside the pause window, and reports whether it
@@ -209,15 +199,15 @@ func (w *Writer) fail(m *core.Mutator, err error) {
 
 // abort invalidates the open epoch and releases its log pin.
 //
-//gclint:allow io -- closes and removes the aborted epoch's temporary snapshot file
+//gclint:allow io -- closes and removes the aborted epoch's temporary file
 func (w *Writer) abort(m *core.Mutator) {
 	if !w.open {
 		return
 	}
-	if w.snapTmp != nil {
-		w.snapTmp.Close()
-		os.Remove(w.snapTmp.Name())
-		w.snapTmp, w.snapBuf, w.snapRec = nil, nil, nil
+	if w.tmp != nil {
+		w.tmp.Close()
+		os.Remove(w.tmp.Name())
+		w.tmp, w.buf, w.rec = nil, nil, nil
 	}
 	m.Log.Unpin()
 	w.open = false
@@ -226,22 +216,22 @@ func (w *Writer) abort(m *core.Mutator) {
 
 // begin opens a new epoch at a quiescent pause: pin the log at the
 // collector's pending cursor (everything a restored run must re-consume or
-// patch is at or above it) and start the snapshot file.
+// patch is at or above it) and start the epoch's file.
 //
-//gclint:allow io -- creates the artifact directory and the epoch's temporary snapshot file
+//gclint:allow io -- creates the artifact directory and the epoch's temporary file
 func (w *Writer) begin(m *core.Mutator, p core.CheckpointPoint) bool {
 	if err := os.MkdirAll(w.cfg.Dir, 0o777); err != nil {
 		w.stats.LastErr = err
 		return false
 	}
-	f, err := os.Create(w.snapPath(w.epoch) + ".tmp")
+	f, err := os.Create(epochPath(w.cfg.Dir, w.epoch) + ".tmp")
 	if err != nil {
 		w.stats.LastErr = err
 		return false
 	}
-	w.snapTmp = f
-	w.snapBuf = bufio.NewWriterSize(f, 1<<16)
-	w.snapRec = artifact.NewWriter(w.snapBuf, snapMagic)
+	w.tmp = f
+	w.buf = bufio.NewWriterSize(f, 1<<16)
+	w.rec = artifact.NewWriter(w.buf, epochMagic)
 
 	w.open = true
 	w.walBase = p.MinorLogCursor
@@ -251,19 +241,17 @@ func (w *Writer) begin(m *core.Mutator, p core.CheckpointPoint) bool {
 	w.copyTarget = m.H.OldFrom().Next
 	w.beginAlloc = m.BytesAllocated
 	w.epochPauses = 0
-	w.segCount = 0
 
 	cfg := heapConfigOf(m.H)
 	var e artifact.Enc
 	e.U64(version)
 	e.U64(w.epoch)
-	e.I64(w.walBase)
 	e.I64(cfg.NurseryBytes)
 	e.I64(cfg.NurseryCapBytes)
 	e.I64(cfg.OldSemiBytes)
 	e.Bool(m.H.OldFrom().Name == "oldB")
-	w.snapRec.Record(recSnapHeader, e.B)
-	if err := w.snapRec.Err(); err != nil {
+	w.rec.Record(recHeader, e.B)
+	if err := w.rec.Err(); err != nil {
 		w.fail(m, err)
 		return false
 	}
@@ -273,7 +261,7 @@ func (w *Writer) begin(m *core.Mutator, p core.CheckpointPoint) bool {
 // writeSegment frames one contiguous run of arena words and charges its
 // copying cost to the checkpoint account.
 func (w *Writer) writeSegment(m *core.Mutator, space uint8, start, count uint64) {
-	if count == 0 || w.snapRec == nil {
+	if count == 0 {
 		return
 	}
 	var e artifact.Enc
@@ -283,8 +271,7 @@ func (w *Writer) writeSegment(m *core.Mutator, space uint8, start, count uint64)
 	for i := start; i < start+count; i++ {
 		e.U64(uint64(m.H.Word(i)))
 	}
-	w.snapRec.Record(recSegment, e.B)
-	w.segCount++
+	w.rec.Record(recSegment, e.B)
 	w.stats.WordsCopied += int64(count)
 	m.Clock.Charge(simtime.AcctCheckpoint, simtime.Duration(count)*m.Cost.CopyWord)
 }
@@ -300,16 +287,17 @@ func (w *Writer) copyIncrement(m *core.Mutator, budgetWords uint64) {
 	}
 	w.writeSegment(m, spaceOldFrom, w.cursor, n)
 	w.cursor += n
-	if w.snapRec != nil && w.snapRec.Err() != nil {
-		w.fail(m, w.snapRec.Err())
+	if err := w.rec.Err(); err != nil {
+		w.fail(m, err)
 	}
 }
 
 // commit seals the epoch: copy the stable-prefix tail and the nursery,
-// finish the snapshot, write the WAL (patches, retained log, roots,
-// scheduling state, fingerprint), and atomically publish both files.
+// append the commit section (spaces, patches, retained log, roots,
+// scheduling state, fingerprint) to the same file, and publish it with one
+// rename.
 //
-//gclint:allow io -- finishes, fsync-renames and prunes the epoch's artifact files
+//gclint:allow io -- finishes and renames the epoch's file into place
 func (w *Writer) commit(m *core.Mutator, p core.CheckpointPoint) {
 	from := m.H.OldFrom()
 	if w.cursor < from.Next {
@@ -317,64 +305,50 @@ func (w *Writer) commit(m *core.Mutator, p core.CheckpointPoint) {
 		w.cursor = from.Next
 	}
 	w.writeSegment(m, spaceNursery, m.H.Nursery.Lo, m.H.Nursery.Next-m.H.Nursery.Lo)
-
-	var e artifact.Enc
-	e.U64(uint64(w.segCount))
-	w.snapRec.Record(recSnapFooter, e.B)
-	if err := w.snapBuf.Flush(); err != nil { // bufio latches the first write error, so this reports any record's
-		w.fail(m, err)
-		return
-	}
-	snapBytes := w.snapRec.Len()
-	if err := w.snapTmp.Close(); err != nil {
-		w.fail(m, err)
-		return
-	}
-	tmpName := w.snapTmp.Name()
-	w.snapTmp, w.snapBuf, w.snapRec = nil, nil, nil
+	imageBytes := w.rec.Len()
 
 	st := captureState(m, p)
 	fp := st.stateFingerprint()
-	walBytes, err := w.writeWAL(m, st, fp)
+	w.writeCommitSection(m, st, fp)
+	commitBytes := w.rec.Len() - imageBytes
+	err := w.buf.Flush() // bufio latches the first write error, so this reports any record's
+	if cerr := w.tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(w.tmp.Name(), epochPath(w.cfg.Dir, w.epoch))
+	}
 	if err != nil {
-		os.Remove(tmpName)
 		w.fail(m, err)
 		return
 	}
-	if err := os.Rename(tmpName, w.snapPath(w.epoch)); err != nil {
-		w.fail(m, err)
-		return
-	}
-	if err := os.Rename(w.walPath(w.epoch)+".tmp", w.walPath(w.epoch)); err != nil {
-		w.fail(m, err)
-		return
-	}
+	w.tmp, w.buf, w.rec = nil, nil, nil
 
 	m.Log.Unpin()
 	w.open = false
 	info := EpochInfo{
 		Epoch:       w.epoch,
 		Fingerprint: fp,
-		SnapBytes:   snapBytes,
-		WALBytes:    walBytes,
+		SnapBytes:   imageBytes,
+		WALBytes:    commitBytes,
 		PatchWords:  w.lastPatchWords,
 		LogEntries:  len(st.LogEntries),
 		Pauses:      w.epochPauses,
 	}
 	w.stats.Committed++
-	w.stats.SnapshotBytes += snapBytes
-	w.stats.WALBytes += walBytes
+	w.stats.SnapshotBytes += imageBytes
+	w.stats.WALBytes += commitBytes
 	w.stats.Epochs = append(w.stats.Epochs, info)
 	w.retained = append(w.retained, w.epoch)
 	w.prune()
 	w.epoch++
 }
 
-// patchSet materialises the WAL patch list: the deduplicated, sorted arena
-// indices covered by every pinned log entry, paired with their commit-time
-// values. Only words inside the snapshot's segments are kept — a logged
-// slot whose object died (its nursery words recycled by a later cycle) is
-// not part of the restored image.
+// patchSet materialises the commit section's patch list: the deduplicated,
+// sorted arena indices covered by every pinned log entry, paired with their
+// commit-time values. Only words inside the snapshot's segments are kept — a
+// logged slot whose object died (its nursery words recycled by a later
+// cycle) is not part of the restored image.
 func (w *Writer) patchSet(m *core.Mutator) []patch {
 	lo := w.walBase
 	if b := m.Log.Base(); b > lo {
@@ -417,30 +391,16 @@ type patch struct {
 	val heap.Value
 }
 
-// writeWAL writes the epoch's write-ahead log to its temporary file and
-// returns the byte count.
-//
-//gclint:allow io -- creates and fills the epoch's temporary WAL file
-func (w *Writer) writeWAL(m *core.Mutator, st *Restored, fp uint64) (int64, error) {
-	f, err := os.Create(w.walPath(w.epoch) + ".tmp")
-	if err != nil {
-		return 0, err
-	}
-	buf := bufio.NewWriterSize(f, 1<<16)
-	rw := artifact.NewWriter(buf, walMagic)
-
+// writeCommitSection appends the epoch's commit section to its file.
+func (w *Writer) writeCommitSection(m *core.Mutator, st *Restored, fp uint64) {
 	var e artifact.Enc
-	e.U64(w.epoch)
-	rw.Record(recWALHeader, e.B)
-
-	e = artifact.Enc{}
 	e.U64(st.nurseryHi)
 	e.U64(st.nurseryNext)
 	e.U64(st.fromHi)
 	e.U64(st.fromNext)
 	e.U64(st.toHi)
 	e.U64(st.toNext)
-	rw.Record(recSpaces, e.B)
+	w.rec.Record(recSpaces, e.B)
 
 	patches := w.patchSet(m)
 	w.lastPatchWords = len(patches)
@@ -451,7 +411,7 @@ func (w *Writer) writeWAL(m *core.Mutator, st *Restored, fp uint64) (int64, erro
 		e.U64(p.idx)
 		e.U64(uint64(p.val))
 	}
-	rw.Record(recPatch, e.B)
+	w.rec.Record(recPatch, e.B)
 	m.Clock.Charge(simtime.AcctCheckpoint, simtime.Duration(len(patches))*m.Cost.LogWrite)
 
 	e = artifact.Enc{}
@@ -463,7 +423,7 @@ func (w *Writer) writeWAL(m *core.Mutator, st *Restored, fp uint64) (int64, erro
 		e.U64(uint64(uint32(le.Len)))
 		e.Bool(le.Byte)
 	}
-	rw.Record(recLog, e.B)
+	w.rec.Record(recLog, e.B)
 	m.Clock.Charge(simtime.AcctCheckpoint, simtime.Duration(len(st.LogEntries))*m.Cost.LogWrite)
 
 	e = artifact.Enc{}
@@ -471,7 +431,7 @@ func (w *Writer) writeWAL(m *core.Mutator, st *Restored, fp uint64) (int64, erro
 	for _, r := range st.Roots {
 		e.U64(uint64(r))
 	}
-	rw.Record(recRoots, e.B)
+	w.rec.Record(recRoots, e.B)
 	m.Clock.Charge(simtime.AcctCheckpoint, simtime.Duration(len(st.Roots))*m.Cost.RootUpdate)
 
 	e = artifact.Enc{}
@@ -480,21 +440,11 @@ func (w *Writer) writeWAL(m *core.Mutator, st *Restored, fp uint64) (int64, erro
 	e.I64(st.MinorLogCursor)
 	e.I64(st.PromotedSinceMajor)
 	e.I64(st.PromoHighWater)
-	rw.Record(recSched, e.B)
+	w.rec.Record(recSched, e.B)
 
 	e = artifact.Enc{}
 	e.U64(fp)
-	rw.Record(recCommit, e.B)
-
-	err = buf.Flush() // bufio latches the first write error, so this reports any record's
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(f.Name())
-		return 0, err
-	}
-	return rw.Len(), nil
+	w.rec.Record(recCommit, e.B)
 }
 
 // prune deletes committed epochs beyond the retention window.
@@ -503,8 +453,7 @@ func (w *Writer) writeWAL(m *core.Mutator, st *Restored, fp uint64) (int64, erro
 func (w *Writer) prune() {
 	if n := len(w.retained); n > keepEpochs {
 		for _, old := range w.retained[:n-keepEpochs] {
-			os.Remove(w.snapPath(old))
-			os.Remove(w.walPath(old))
+			os.Remove(epochPath(w.cfg.Dir, old))
 		}
 		w.retained = append(w.retained[:0], w.retained[n-keepEpochs:]...)
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -389,5 +391,119 @@ func TestRecoverEmptyDir(t *testing.T) {
 	var ce *artifact.CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("Recover on empty dir: %v (want *artifact.CorruptError)", err)
+	}
+}
+
+// TestPublishFailure makes every epoch's publishing rename fail — a
+// directory sits where the first epoch's file would be renamed to — and holds
+// the writer to its best-effort contract: the run finishes, the error
+// surfaces through Stats, ForceCommit and the runtime's Finish, no temporary
+// file is left behind, and nothing recovery would accept is published.
+func TestPublishFailure(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(epochPath(dir, 1), 0o777); err != nil {
+		t.Fatal(err)
+	}
+	w := NewWriter(Config{Dir: dir, BudgetBytes: 16 << 10})
+	rc := matrixConfig(nil)
+	rc.Checkpoint = w
+	rt, err := rig.New(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := gctest.NewDriver(rt.Mutator, 3)
+	if err := d.Step(3000); err != nil {
+		t.Fatalf("driver: %v", err)
+	}
+	if err := d.Verify(); err != nil {
+		t.Fatalf("shadow verify: %v", err)
+	}
+	finishErr := rt.Finish()
+	st := w.Stats()
+	if st.LastErr == nil || st.Committed != 0 || st.Aborted == 0 {
+		t.Fatalf("LastErr %v, %d committed, %d aborted: want an error, no commit and the failed epochs aborted", st.LastErr, st.Committed, st.Aborted)
+	}
+	if !errors.Is(finishErr, st.LastErr) {
+		t.Errorf("Finish returned %v, want the writer's %v", finishErr, st.LastErr)
+	}
+	if err := w.ForceCommit(rt.Mutator, rt.GC.(*core.Replicating)); err == nil || err != w.Stats().LastErr {
+		t.Errorf("ForceCommit returned %v, want the writer's %v", err, w.Stats().LastErr)
+	}
+	if tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp")); err != nil || len(tmps) != 0 {
+		t.Errorf("temporary files left behind: %v (%v)", tmps, err)
+	}
+	var ce *artifact.CorruptError
+	if r, err := Recover(dir); !errors.As(err, &ce) {
+		t.Errorf("Recover returned (%v, %v), want a *artifact.CorruptError", r != nil, err)
+	}
+}
+
+// TestMatrixReportCheck holds the committed crash_matrix.json to Check, and
+// Check to rejecting each way a report can contradict itself.
+func TestMatrixReportCheck(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "crash_matrix.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := func(rep *MatrixReport) *CaseResult {
+		for i := range rep.Cases {
+			if rep.Cases[i].Plan == "baseline" {
+				return &rep.Cases[i]
+			}
+		}
+		t.Fatal("the report has no baseline cell")
+		return nil
+	}
+	for _, c := range []struct {
+		name   string
+		mutate func(*MatrixReport)
+		ok     bool
+	}{
+		{"committed report", func(*MatrixReport) {}, true},
+		{"wrong schema", func(rep *MatrixReport) { rep.Schema = "repligc-crash-matrix/0" }, false},
+		{"empty cases", func(rep *MatrixReport) { rep.Cases = nil }, false},
+		{"uncontractual outcome not marked failed", func(rep *MatrixReport) {
+			rep.Cases[len(rep.Cases)-1].Outcome = "untyped-error"
+		}, false},
+		{"corrupt-detected baseline", func(rep *MatrixReport) {
+			b := baseline(rep)
+			b.Outcome, b.Epoch, b.Err = "corrupt-detected", 0, "no recoverable epoch"
+		}, false},
+		{"failure count does not match", func(rep *MatrixReport) { rep.Failures++ }, false},
+	} {
+		var rep MatrixReport
+		if err := json.Unmarshal(doc, &rep); err != nil {
+			t.Fatal(err)
+		}
+		c.mutate(&rep)
+		if err := rep.Check(); (err == nil) != c.ok {
+			t.Errorf("%s: Check returned %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}
+
+// TestEmptyHeapEpoch commits an epoch before anything is allocated, so its
+// image section is the header alone, with no segment, and recovers it.
+func TestEmptyHeapEpoch(t *testing.T) {
+	dir := t.TempDir()
+	w := NewWriter(Config{Dir: dir})
+	rc := matrixConfig(nil)
+	rc.Checkpoint = w
+	rt, err := rig.New(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if st := w.Stats(); st.Committed != 1 || st.WordsCopied != 0 {
+		t.Fatalf("%d epochs committed, %d words copied: want one epoch with no segment", st.Committed, st.WordsCopied)
+	}
+	r, err := Recover(dir)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if want := w.Stats().Epochs[0].Fingerprint; r.Fingerprint != want {
+		t.Fatalf("fingerprint %#x, want %#x", r.Fingerprint, want)
 	}
 }

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -10,7 +11,7 @@ import (
 	"repligc/internal/faultinject"
 )
 
-// ApplyCrash damages the plan's target artifact of the newest epoch in dir
+// ApplyCrash damages the plan's target section of the newest epoch in dir
 // or, with all set, of every retained epoch — the no-fallback scenario, where
 // recovery has nothing intact left and must fail with a typed
 // *artifact.CorruptError rather than hand back a damaged heap. It is the
@@ -29,33 +30,33 @@ func ApplyCrash(dir string, plan faultinject.CrashPlan, all bool) error {
 		epochs = epochs[len(epochs)-1:]
 	}
 	for _, epoch := range epochs {
-		if err := applyCrashEpoch(dir, epoch, plan); err != nil {
+		if err := applyCrashEpoch(epochPath(dir, epoch), plan); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// applyCrashEpoch damages one epoch's targeted artifact.
+// applyCrashEpoch damages one epoch file at the plan's fraction of its
+// targeted section: CrashSnapshot the image section (the magic, header and
+// segments), CrashWAL the commit section.
 //
 //gclint:allow io -- rewrites one checkpoint artifact in place to simulate crash damage
-func applyCrashEpoch(dir string, epoch uint64, plan faultinject.CrashPlan) error {
-	name := fmt.Sprintf("snap-%08d.ckpt", epoch)
-	if plan.Target == faultinject.CrashWAL {
-		name = fmt.Sprintf("wal-%08d.ckpt", epoch)
-	}
-	path := filepath.Join(dir, name)
-
+func applyCrashEpoch(path string, plan faultinject.CrashPlan) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	if len(data) == 0 {
-		return fmt.Errorf("checkpoint: empty artifact %s", path)
+	lo, hi := 0, commitStart(data)
+	if plan.Target == faultinject.CrashWAL {
+		lo, hi = hi, len(data)
 	}
-	at := int(plan.Fraction * float64(len(data)))
-	if at >= len(data) {
-		at = len(data) - 1
+	if lo >= hi {
+		return fmt.Errorf("checkpoint: %s has an empty %v section", path, plan.Target)
+	}
+	at := lo + int(plan.Fraction*float64(hi-lo))
+	if at >= hi {
+		at = hi - 1
 	}
 
 	switch plan.Kind {
@@ -83,7 +84,7 @@ func applyCrashEpoch(dir string, epoch uint64, plan faultinject.CrashPlan) error
 		// back to a fixed-width byte window when no frame parses there),
 		// yielding a file whose checksums are all intact but whose record
 		// ordinals repeat.
-		lo, hi, ok := artifact.SpanAt(data, len(snapMagic), at)
+		lo, hi, ok := artifact.SpanAt(data, len(epochMagic), at)
 		if !ok {
 			lo, hi = max(at-32, 0), min(at+32, len(data))
 		}
@@ -92,6 +93,21 @@ func applyCrashEpoch(dir string, epoch uint64, plan faultinject.CrashPlan) error
 		return fmt.Errorf("checkpoint: unknown crash kind %v", plan.Kind)
 	}
 	return os.WriteFile(path, data, 0o666)
+}
+
+// commitStart is the offset of an intact epoch file's commit section: its
+// first record of type recSpaces or later, or the end of the file.
+func commitStart(data []byte) int {
+	br := bytes.NewReader(data)
+	rr, err := artifact.NewReader(br, int64(len(data)), "", epochMagic)
+	for err == nil {
+		off := len(data) - br.Len()
+		var typ uint8
+		if typ, _, err = rr.Next(); err == nil && typ >= recSpaces {
+			return off
+		}
+	}
+	return len(data)
 }
 
 // CloneDir copies every checkpoint artifact from src into dst (created if

@@ -1,7 +1,7 @@
 package checkpoint_test
 
-// The cross-codec pin. The checkpoint files and the serving-trace artifact
-// claim one frame grammar,
+// The cross-codec pin. The checkpoint epoch file and the serving-trace
+// artifact claim one frame grammar,
 //
 //	magic[8] | frame* ,  frame := seq u32 | type u8 | len u32 | payload | crc u32
 //
@@ -144,9 +144,9 @@ func isCorrupt(err error) bool {
 	return err != nil && strings.HasSuffix(fmt.Sprintf("%T", err), "CorruptError")
 }
 
-// checkpointPair runs a small seeded workload with a checkpoint writer and
-// returns the newest epoch's two files (name → bytes).
-func checkpointPair(t *testing.T) (snapName, walName string, files map[string][]byte) {
+// checkpointEpoch runs a small seeded workload with a checkpoint writer and
+// returns the newest epoch's file name and bytes.
+func checkpointEpoch(t *testing.T) (name string, data []byte) {
 	t.Helper()
 	dir := t.TempDir()
 	h := heap.New(heap.Config{NurseryBytes: 16 << 10, NurseryCapBytes: 64 << 10, OldSemiBytes: 512 << 10})
@@ -171,29 +171,21 @@ func checkpointPair(t *testing.T) (snapName, walName string, files map[string][]
 	if err != nil || len(epochs) == 0 {
 		t.Fatalf("Epochs: %v (%d)", err, len(epochs))
 	}
-	newest := epochs[len(epochs)-1]
-	snapName = fmt.Sprintf("snap-%08d.ckpt", newest)
-	walName = fmt.Sprintf("wal-%08d.ckpt", newest)
-	files = map[string][]byte{}
-	for _, name := range []string{snapName, walName} {
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		files[name] = data
+	name = fmt.Sprintf("epoch-%08d.ckpt", epochs[len(epochs)-1])
+	data, err = os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return snapName, walName, files
+	return name, data
 }
 
-// recoverFiles writes one epoch's pair into a fresh directory — no older
-// epoch to fall back on — and recovers it.
-func recoverFiles(t *testing.T, files map[string][]byte) (*checkpoint.Restored, error) {
+// recoverFile writes one epoch file into a fresh directory — no older epoch
+// to fall back on — and recovers it.
+func recoverFile(t *testing.T, name string, data []byte) (*checkpoint.Restored, error) {
 	t.Helper()
 	dir := t.TempDir()
-	for name, data := range files {
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o666); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.WriteFile(filepath.Join(dir, name), data, 0o666); err != nil {
+		t.Fatal(err)
 	}
 	return checkpoint.Recover(dir)
 }
@@ -220,17 +212,12 @@ func traceArtifact(t *testing.T) []byte {
 
 func TestCrossCodec(t *testing.T) {
 	trace := traceArtifact(t)
-	snapName, walName, pair := checkpointPair(t)
-	with := func(name string, data []byte) map[string][]byte {
-		out := map[string][]byte{snapName: pair[snapName], walName: pair[walName]}
-		out[name] = data
-		return out
-	}
+	epochName, epoch := checkpointEpoch(t)
 
-	// One grammar: all three writers' output parses under the reference and
-	// the reference writer reproduces it byte for byte.
+	// One grammar: both writers' output parses under the reference and the
+	// reference writer reproduces it byte for byte.
 	magics := map[string]string{}
-	for name, data := range map[string][]byte{"trace": trace, snapName: pair[snapName], walName: pair[walName]} {
+	for name, data := range map[string][]byte{"trace": trace, epochName: epoch} {
 		magic, recs, err := refParse(data)
 		if err != nil {
 			t.Fatalf("%s: does not parse under the reference grammar: %v", name, err)
@@ -248,7 +235,7 @@ func TestCrossCodec(t *testing.T) {
 	if _, err := workload.DecodeTrace(trace); err != nil {
 		t.Fatalf("DecodeTrace(pristine): %v", err)
 	}
-	ref, err := recoverFiles(t, pair)
+	ref, err := recoverFile(t, epochName, epoch)
 	if err != nil {
 		t.Fatalf("Recover(pristine): %v", err)
 	}
@@ -259,15 +246,13 @@ func TestCrossCodec(t *testing.T) {
 			t.Errorf("trace, %s: DecodeTrace returned %T %v, want the typed corruption error", name, err, err)
 		}
 	}
-	for _, file := range []string{snapName, walName} {
-		for name, bad := range damages(t, pair[file]) {
-			r, err := recoverFiles(t, with(file, bad))
-			if err == nil && name == "reordered and renumbered" && r.Fingerprint == ref.Fingerprint {
-				continue // snapshot segments carry their own offsets: exact recovery is the other contractual ending
-			}
-			if !isCorrupt(err) {
-				t.Errorf("%s, %s: Recover returned (%v, %T %v), want the typed corruption error", file, name, r != nil, err, err)
-			}
+	for name, bad := range damages(t, epoch) {
+		r, err := recoverFile(t, epochName, bad)
+		if err == nil && name == "reordered and renumbered" && r.Fingerprint == ref.Fingerprint {
+			continue // snapshot segments carry their own offsets: exact recovery is the other contractual ending
+		}
+		if !isCorrupt(err) {
+			t.Errorf("%s, %s: Recover returned (%v, %T %v), want the typed corruption error", epochName, name, r != nil, err, err)
 		}
 	}
 
@@ -275,25 +260,18 @@ func TestCrossCodec(t *testing.T) {
 	// framed for the receiving reader, which must refuse them on content,
 	// typed, without panicking.
 	_, traceRecs, _ := refParse(trace)
-	for _, file := range []string{snapName, walName} {
-		_, recs, _ := refParse(pair[file])
-		if _, err := workload.DecodeTrace(refBuild(magics["trace"], recs)); !isCorrupt(err) {
-			t.Errorf("%s frames under the trace magic: DecodeTrace returned %T %v", file, err, err)
-		}
-		if _, err := recoverFiles(t, with(file, refBuild(magics[file], traceRecs))); !isCorrupt(err) {
-			t.Errorf("trace frames under the %s magic: Recover returned %T %v", file, err, err)
-		}
+	_, epochRecs, _ := refParse(epoch)
+	if _, err := workload.DecodeTrace(refBuild(magics["trace"], epochRecs)); !isCorrupt(err) {
+		t.Errorf("%s frames under the trace magic: DecodeTrace returned %T %v", epochName, err, err)
+	}
+	if _, err := recoverFile(t, epochName, refBuild(magics[epochName], traceRecs)); !isCorrupt(err) {
+		t.Errorf("trace frames under the %s magic: Recover returned %T %v", epochName, err, err)
 	}
 
-	// And a checkpoint pair rebuilt by the reference writer recovers to the
-	// same fingerprint as the original.
-	rebuilt := map[string][]byte{}
-	for name, data := range pair {
-		magic, recs, _ := refParse(data)
-		rebuilt[name] = refBuild(magic, recs)
-	}
-	r, err := recoverFiles(t, rebuilt)
+	// And an epoch file rebuilt by the reference writer recovers to the same
+	// fingerprint as the original.
+	r, err := recoverFile(t, epochName, refBuild(magics[epochName], epochRecs))
 	if err != nil || r.Fingerprint != ref.Fingerprint {
-		t.Fatalf("reference-built pair: recovered %v, fingerprint match %v", err, err == nil && r.Fingerprint == ref.Fingerprint)
+		t.Fatalf("reference-built epoch: recovered %v, fingerprint match %v", err, err == nil && r.Fingerprint == ref.Fingerprint)
 	}
 }

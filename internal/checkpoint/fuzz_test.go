@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -16,19 +15,16 @@ import (
 )
 
 // TestTornLengthAllocatesNothing is the recovery-level form of the frame
-// reader's bound: a snapshot that ends in a record header claiming a gibibyte
-// is rejected against the file's size. The reader used to allocate the claim
-// before noticing the file was 21 bytes long.
+// reader's bound: an epoch file that ends in a record header claiming a
+// gibibyte is rejected against the file's size. The reader used to allocate
+// the claim before noticing the file was 21 bytes long.
 func TestTornLengthAllocatesNothing(t *testing.T) {
 	dir := t.TempDir()
-	torn := []byte(snapMagic)
+	torn := []byte(epochMagic)
 	torn = binary.LittleEndian.AppendUint32(torn, 0)
-	torn = append(torn, recSnapHeader)
+	torn = append(torn, recHeader)
 	torn = binary.LittleEndian.AppendUint32(torn, 1<<30)
-	if err := os.WriteFile(filepath.Join(dir, "snap-00000001.ckpt"), torn, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "wal-00000001.ckpt"), []byte(walMagic), 0o666); err != nil {
+	if err := os.WriteFile(epochPath(dir, 1), torn, 0o666); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
@@ -64,26 +60,26 @@ func reframe(t testing.TB, data []byte, path, magic string, edit func(typ uint8,
 	return forged.Bytes()
 }
 
-// forgeSnapshot rewrites the newest epoch's snapshot in dir through reframe
-// and returns that epoch.
-func forgeSnapshot(t *testing.T, dir string, edit func(typ uint8, payload []byte)) uint64 {
+// forgeEpoch rewrites the newest epoch's file in dir through reframe and
+// returns that epoch.
+func forgeEpoch(t *testing.T, dir string, edit func(typ uint8, payload []byte)) uint64 {
 	epochs, _ := Epochs(dir)
 	epoch := epochs[len(epochs)-1]
-	path := filepath.Join(dir, fmt.Sprintf("snap-%08d.ckpt", epoch))
+	path := epochPath(dir, epoch)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, reframe(t, data, path, snapMagic, edit), 0o666); err != nil {
+	if err := os.WriteFile(path, reframe(t, data, path, epochMagic, edit), 0o666); err != nil {
 		t.Fatal(err)
 	}
 	return epoch
 }
 
-// oldSemiAt is where a snapshot header's payload holds OldSemiBytes.
-const oldSemiAt = 40
+// oldSemiAt is where an epoch header's payload holds OldSemiBytes.
+const oldSemiAt = 32
 
-// TestForgedSegmentStartRejected re-frames a genuine snapshot with its first
+// TestForgedSegmentStartRejected re-frames a genuine epoch file with its first
 // segment claiming to start far past its space. The range check subtracted
 // before comparing, wrapped, and recovery died indexing the arena; a forged
 // file is still external input.
@@ -93,7 +89,7 @@ func TestForgedSegmentStartRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	moved := false
-	epoch := forgeSnapshot(t, dir, func(typ uint8, payload []byte) {
+	epoch := forgeEpoch(t, dir, func(typ uint8, payload []byte) {
 		if typ == recSegment && !moved {
 			binary.LittleEndian.PutUint64(payload[1:], 1<<29) // the start word
 			moved = true
@@ -105,7 +101,7 @@ func TestForgedSegmentStartRejected(t *testing.T) {
 	}
 }
 
-// TestOversizedHeapConfigRejected re-frames a genuine snapshot whose header
+// TestOversizedHeapConfigRejected re-frames a genuine epoch file whose header
 // asks for a larger heap than the caller's arena limit: a terabyte
 // semispace, which the old per-space bound let through to the allocator, and
 // one only a megabyte past the matrix's own heap. Recovery must refuse it as
@@ -122,8 +118,8 @@ func TestOversizedHeapConfigRejected(t *testing.T) {
 		if _, _, _, err := referenceRun(dir, 9, 400, 4<<10); err != nil {
 			t.Fatal(err)
 		}
-		epoch := forgeSnapshot(t, dir, func(typ uint8, payload []byte) {
-			if typ == recSnapHeader {
+		epoch := forgeEpoch(t, dir, func(typ uint8, payload []byte) {
+			if typ == recHeader {
 				binary.LittleEndian.PutUint64(payload[oldSemiAt:], uint64(c.oldSemi))
 			}
 		})
@@ -135,8 +131,37 @@ func TestOversizedHeapConfigRejected(t *testing.T) {
 	}
 }
 
+// TestVersionOneRejected holds recovery to having no compatibility reader:
+// a version-1 snapshot/WAL pair is not an epoch, and an epoch file whose
+// header claims version 1 is refused, both as typed corruption.
+func TestVersionOneRejected(t *testing.T) {
+	var ce *artifact.CorruptError
+	dir := t.TempDir()
+	for name, magic := range map[string]string{"snap-00000001.ckpt": "RGCSNAP1", "wal-00000001.ckpt": "RGCWAL\x001"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(magic), 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := Recover(dir); !errors.As(err, &ce) {
+		t.Errorf("Recover over a version-1 pair returned %v, want a *artifact.CorruptError", err)
+	}
+
+	dir = t.TempDir()
+	if _, _, _, err := referenceRun(dir, 9, 400, 4<<10); err != nil {
+		t.Fatal(err)
+	}
+	epoch := forgeEpoch(t, dir, func(typ uint8, payload []byte) {
+		if typ == recHeader {
+			binary.LittleEndian.PutUint64(payload, 1) // the version word
+		}
+	})
+	if _, err := RecoverEpoch(dir, epoch, matrixHeap.ArenaBytes()); !errors.As(err, &ce) || !strings.Contains(err.Error(), "format version 1") {
+		t.Errorf("RecoverEpoch over a version-1 header returned %v, want the version's *artifact.CorruptError", err)
+	}
+}
+
 // FuzzRecover holds recovery to the crash matrix's contract on an arbitrary
-// two-file directory: a fingerprint-verified heap that audits clean, or a
+// epoch file: a fingerprint-verified heap that audits clean, or a
 // *artifact.CorruptError — never a panic, never anything else.
 func FuzzRecover(f *testing.F) {
 	ref := f.TempDir()
@@ -145,35 +170,28 @@ func FuzzRecover(f *testing.F) {
 		f.Fatal(err)
 	}
 	epoch := w.Stats().Epochs[w.Stats().Committed-1].Epoch
-	snapName, walName := fmt.Sprintf("snap-%08d.ckpt", epoch), fmt.Sprintf("wal-%08d.ckpt", epoch)
-	snap, err := os.ReadFile(filepath.Join(ref, snapName))
+	data, err := os.ReadFile(epochPath(ref, epoch))
 	if err != nil {
 		f.Fatal(err)
 	}
-	wal, err := os.ReadFile(filepath.Join(ref, walName))
-	if err != nil {
-		f.Fatal(err)
-	}
-	flipped := append([]byte(nil), wal...)
-	flipped[len(flipped)/2] ^= 0x10
-	f.Add(snap, wal)
-	f.Add(snap[:len(snap)*2/3], wal)
-	f.Add(snap, flipped)
-	f.Add(append(append([]byte(nil), snap...), snap[len(snapMagic):]...), wal)
-	f.Add(wal, snap)
-	f.Add([]byte(snapMagic), []byte(walMagic))
-	f.Add(reframe(f, snap, snapName, snapMagic, func(typ uint8, payload []byte) {
-		if typ == recSnapHeader {
+	cs := commitStart(data)
+	flipped := append([]byte(nil), data...)
+	flipped[(cs+len(flipped))/2] ^= 0x10
+	f.Add(data)
+	f.Add(data[:len(data)*2/3])
+	f.Add(flipped)
+	f.Add(append(append([]byte(nil), data...), data[len(epochMagic):]...))
+	f.Add(data[:cs]) // the image section alone: a crash before the commit section
+	f.Add([]byte(epochMagic))
+	f.Add(reframe(f, data, "epoch", epochMagic, func(typ uint8, payload []byte) {
+		if typ == recHeader {
 			binary.LittleEndian.PutUint64(payload[oldSemiAt:], 1<<40)
 		}
-	}), wal)
+	}))
 
-	f.Fuzz(func(t *testing.T, snap, wal []byte) {
+	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, snapName), snap, 0o666); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, walName), wal, 0o666); err != nil {
+		if err := os.WriteFile(epochPath(dir, epoch), data, 0o666); err != nil {
 			t.Fatal(err)
 		}
 		r, err := RecoverWithin(dir, matrixHeap.ArenaBytes())

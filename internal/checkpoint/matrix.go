@@ -27,7 +27,7 @@ type MatrixConfig struct {
 	// plans means baseline-only (recover the undamaged artifacts).
 	Plans []faultinject.CrashPlan
 	// BudgetBytes is the writer's per-pause copy budget; small values
-	// spread each epoch over many pauses, widening the window the WAL
+	// spread each epoch over many pauses, widening the window the commit
 	// patches must cover. Zero defaults to 16 KB.
 	BudgetBytes int64
 	// WorkDir hosts the per-case artifact directories. Empty uses a

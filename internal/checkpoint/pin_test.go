@@ -1,11 +1,12 @@
 package checkpoint
 
-// Pins taken before the artifact kit replaced this package's private record
-// codec and fingerprint mixer: the bytes of every snapshot and WAL file one
-// seeded checkpointed run leaves behind, and the state fingerprint its last
-// epoch committed. They must pass untouched across a refactor; a change to the
-// collector's schedule (PR 23: the log and the root passes draw on the pause's
-// budget, so pause boundaries fall elsewhere) re-takes them.
+// Pins of one seeded checkpointed run: the bytes of every epoch file it
+// leaves behind, the state fingerprint its last epoch committed and how many
+// epochs committed. They must pass untouched across a refactor; a change to
+// the collector's schedule (the log and the root passes drawing on the
+// pause's budget moved the pause boundaries) re-takes them, and so does a
+// change to the file format: format version 2, one file per epoch, re-took
+// the byte and digest pins and kept the epoch count and fingerprint.
 
 import (
 	"crypto/sha256"
@@ -16,11 +17,11 @@ import (
 )
 
 const (
-	pinArtifactSHA256   = "35b7279f133ae86a1cade1d8247cf4931626d61ce196e238f3f1b0cab04a94cd"
+	pinArtifactSHA256   = "401979437fde3afc049b98ce6638ca06b0f0b0dbdbdc3277d9e63366964faa89"
 	pinStateFingerprint = "187c0838bd7d9b3b"
 	pinCommitted        = 3
-	pinSnapshotBytes    = 103537
-	pinWALBytes         = 15851
+	pinSnapshotBytes    = 103450
+	pinWALBytes         = 15764
 )
 
 func TestCheckpointArtifactPins(t *testing.T) {
@@ -31,7 +32,7 @@ func TestCheckpointArtifactPins(t *testing.T) {
 	}
 	st := w.Stats()
 	if st.Committed != pinCommitted || st.SnapshotBytes != pinSnapshotBytes || st.WALBytes != pinWALBytes {
-		t.Errorf("committed %d epochs, %d snapshot bytes, %d WAL bytes; pinned %d, %d, %d",
+		t.Errorf("committed %d epochs, %d image bytes, %d commit-section bytes; pinned %d, %d, %d",
 			st.Committed, st.SnapshotBytes, st.WALBytes, pinCommitted, pinSnapshotBytes, pinWALBytes)
 	}
 	if got := fmt.Sprintf("%016x", st.Epochs[len(st.Epochs)-1].Fingerprint); got != pinStateFingerprint {

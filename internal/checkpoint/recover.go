@@ -85,10 +85,10 @@ func (r *Restored) applyGeometry() {
 	h.OldTo().Hi, h.OldTo().Next = r.toHi, r.toNext
 }
 
-// Epochs lists the epoch numbers in dir that have both artifact files,
-// ascending. Missing directories list as empty.
+// Epochs lists the epoch numbers of the artifact files in dir, ascending.
+// Missing directories list as empty.
 //
-//gclint:allow io -- scans the artifact directory for snapshot/WAL pairs
+//gclint:allow io -- scans the artifact directory for epoch files
 func Epochs(dir string) ([]uint64, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -97,17 +97,10 @@ func Epochs(dir string) ([]uint64, error) {
 		}
 		return nil, err
 	}
-	snaps := map[uint64]bool{}
 	var out []uint64
 	for _, ent := range ents {
 		var epoch uint64
-		if n, _ := fmt.Sscanf(ent.Name(), "snap-%d.ckpt", &epoch); n == 1 && filepath.Ext(ent.Name()) == ".ckpt" {
-			snaps[epoch] = true
-		}
-	}
-	for _, ent := range ents {
-		var epoch uint64
-		if n, _ := fmt.Sscanf(ent.Name(), "wal-%d.ckpt", &epoch); n == 1 && filepath.Ext(ent.Name()) == ".ckpt" && snaps[epoch] {
+		if n, _ := fmt.Sscanf(ent.Name(), "epoch-%d.ckpt", &epoch); n == 1 && filepath.Ext(ent.Name()) == ".ckpt" {
 			out = append(out, epoch)
 		}
 	}
@@ -151,18 +144,12 @@ func RecoverWithin(dir string, maxArena int64) (*Restored, error) {
 }
 
 // RecoverEpoch loads one specific epoch, verifying every record checksum,
-// the record ordinals, the heap config against maxArena, both completeness
-// footers, and finally the state fingerprint against the commit record.
+// the record ordinals and order, the heap config against maxArena, the
+// commit record's presence, and finally the state fingerprint against it.
 func RecoverEpoch(dir string, epoch uint64, maxArena int64) (*Restored, error) {
-	snapPath := filepath.Join(dir, fmt.Sprintf("snap-%08d.ckpt", epoch))
-	walPath := filepath.Join(dir, fmt.Sprintf("wal-%08d.ckpt", epoch))
-
+	path := epochPath(dir, epoch)
 	r := &Restored{Epoch: epoch}
-	var walBase int64
-	if err := readSnapshot(snapPath, r, &walBase, maxArena); err != nil {
-		return nil, err
-	}
-	if err := readWAL(walPath, r); err != nil {
+	if err := readEpoch(path, r, maxArena); err != nil {
 		return nil, err
 	}
 	r.applyGeometry()
@@ -172,70 +159,84 @@ func RecoverEpoch(dir string, epoch uint64, maxArena int64) (*Restored, error) {
 	// inconsistency the checksums could not see — a patch missed, a segment
 	// applied to the wrong offset — surfaces here.
 	if got := r.stateFingerprint(); got != r.Fingerprint {
-		return nil, artifact.Corrupt(walPath, "state fingerprint %#x does not match commit record %#x", got, r.Fingerprint)
+		return nil, artifact.Corrupt(path, "state fingerprint %#x does not match commit record %#x", got, r.Fingerprint)
 	}
 	return r, nil
 }
 
-// readSnapshot parses the snapshot file into a fresh heap of at most
-// maxArena bytes of arena.
+// readEpoch parses one epoch file into r. The records must appear in the
+// order commit writes them: the header, which sizes a fresh heap of at most
+// maxArena bytes of arena, any number of segments filling its image, then
+// the commit section's records, one of each, ending in the commit record.
+// The reader is bounded by the file's size, so no record can claim more than
+// the file holds.
 //
-//gclint:allow construct -- recovery sizes the heap from the snapshot header, before any runtime exists to build it
-func readSnapshot(path string, r *Restored, walBase *int64, maxArena int64) error {
-	f, rr, err := openRecords(path, snapMagic)
+//gclint:allow io -- opens and sizes an epoch's artifact file
+//gclint:allow construct -- recovery sizes the heap from the epoch header, before any runtime exists to build it
+func readEpoch(path string, r *Restored, maxArena int64) error {
+	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return &artifact.CorruptError{Path: path, Detail: "unreadable artifact", Err: err}
 	}
 	defer f.Close()
-
-	typ, payload, err := mustNext(rr, path)
+	st, err := f.Stat()
+	if err != nil {
+		return &artifact.CorruptError{Path: path, Detail: "unreadable artifact", Err: err}
+	}
+	rr, err := artifact.NewReader(bufio.NewReaderSize(f, 1<<16), st.Size(), path, epochMagic)
 	if err != nil {
 		return err
 	}
-	if typ != recSnapHeader {
-		return artifact.Corrupt(path, "first record type %d, want snapshot header", typ)
-	}
-	d := artifact.Dec{B: payload, Path: path}
-	ver := d.U64()
-	epoch := d.U64()
-	*walBase = d.I64()
-	cfg := heap.Config{
-		NurseryBytes:    d.I64(),
-		NurseryCapBytes: d.I64(),
-		OldSemiBytes:    d.I64(),
-	}
-	fromOldB := d.Bool()
-	if err := d.Done(); err != nil {
-		return err
-	}
-	if ver != version {
-		return artifact.Corrupt(path, "format version %d, want %d", ver, version)
-	}
-	if epoch != r.Epoch {
-		return artifact.Corrupt(path, "snapshot claims epoch %d, file is named for %d", epoch, r.Epoch)
-	}
-	if cfg.NurseryBytes <= 0 || cfg.OldSemiBytes <= 0 {
-		return artifact.Corrupt(path, "implausible heap config %+v", cfg)
-	}
-	// Each size is bounded before they are summed, so the sum cannot wrap.
-	if cfg.NurseryBytes > maxArena || cfg.NurseryCapBytes > maxArena || cfg.OldSemiBytes > maxArena || cfg.ArenaBytes() > maxArena {
-		return artifact.Corrupt(path, "heap config %+v needs more than the %d-byte arena limit", cfg, maxArena)
-	}
-	r.Cfg = cfg
-	r.Heap = heap.New(cfg)
-	if fromOldB {
-		r.Heap.SwapOld()
-	}
 
-	segs := 0
+	want, segs := recHeader, 0
 	for {
-		typ, payload, err := mustNext(rr, path)
-		if err != nil {
+		typ, payload, err := rr.Next()
+		switch {
+		case want > recCommit && err == io.EOF:
+			return nil
+		case want > recCommit:
+			return artifact.Corrupt(path, "trailing data after commit record")
+		case err == io.EOF:
+			return artifact.Corrupt(path, "file ends before its commit record")
+		case err != nil:
 			return err
+		case typ != want && !(typ == recSegment && want == recSpaces):
+			return artifact.Corrupt(path, "record type %d, want %d", typ, want)
 		}
+		want = max(typ+1, recSpaces) // the header may be followed by any number of segments, none included
+		d := artifact.Dec{B: payload, Path: path}
 		switch typ {
+		case recHeader:
+			ver := d.U64()
+			epoch := d.U64()
+			cfg := heap.Config{
+				NurseryBytes:    d.I64(),
+				NurseryCapBytes: d.I64(),
+				OldSemiBytes:    d.I64(),
+			}
+			fromOldB := d.Bool()
+			if err := d.Done(); err != nil {
+				return err
+			}
+			if ver != version {
+				return artifact.Corrupt(path, "format version %d, want %d", ver, version)
+			}
+			if epoch != r.Epoch {
+				return artifact.Corrupt(path, "header claims epoch %d, file is named for %d", epoch, r.Epoch)
+			}
+			if cfg.NurseryBytes <= 0 || cfg.OldSemiBytes <= 0 {
+				return artifact.Corrupt(path, "implausible heap config %+v", cfg)
+			}
+			// Each size is bounded before they are summed, so the sum cannot wrap.
+			if cfg.NurseryBytes > maxArena || cfg.NurseryCapBytes > maxArena || cfg.OldSemiBytes > maxArena || cfg.ArenaBytes() > maxArena {
+				return artifact.Corrupt(path, "heap config %+v needs more than the %d-byte arena limit", cfg, maxArena)
+			}
+			r.Cfg = cfg
+			r.Heap = heap.New(cfg)
+			if fromOldB {
+				r.Heap.SwapOld()
+			}
 		case recSegment:
-			d := artifact.Dec{B: payload, Path: path}
 			space := d.U8()
 			start := d.U64()
 			count := d.U64()
@@ -257,53 +258,7 @@ func readSnapshot(path string, r *Restored, walBase *int64, maxArena int64) erro
 			for i := uint64(0); i < count; i++ {
 				r.Heap.SetWord(start+i, heap.Value(d.U64()))
 			}
-			if err := d.Done(); err != nil {
-				return err
-			}
 			segs++
-		case recSnapFooter:
-			d := artifact.Dec{B: payload, Path: path}
-			want := d.U64()
-			if err := d.Done(); err != nil {
-				return err
-			}
-			if uint64(segs) != want {
-				return artifact.Corrupt(path, "footer claims %d segments, read %d", want, segs)
-			}
-			if _, _, err := rr.Next(); err != io.EOF {
-				return artifact.Corrupt(path, "trailing data after snapshot footer")
-			}
-			return nil
-		default:
-			return artifact.Corrupt(path, "unexpected record type %d in snapshot body", typ)
-		}
-	}
-}
-
-// readWAL parses the WAL file and applies it to the restored heap.
-func readWAL(path string, r *Restored) error {
-	f, rr, err := openRecords(path, walMagic)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-
-	// The records must appear in the fixed order commit writes them.
-	want := []uint8{recWALHeader, recSpaces, recPatch, recLog, recRoots, recSched, recCommit}
-	for _, wantTyp := range want {
-		typ, payload, err := mustNext(rr, path)
-		if err != nil {
-			return err
-		}
-		if typ != wantTyp {
-			return artifact.Corrupt(path, "record type %d, want %d", typ, wantTyp)
-		}
-		d := artifact.Dec{B: payload, Path: path}
-		switch typ {
-		case recWALHeader:
-			if epoch := d.U64(); epoch != r.Epoch {
-				return artifact.Corrupt(path, "WAL claims epoch %d, file is named for %d", epoch, r.Epoch)
-			}
 		case recSpaces:
 			r.nurseryHi, r.nurseryNext = d.U64(), d.U64()
 			r.fromHi, r.fromNext = d.U64(), d.U64()
@@ -368,10 +323,6 @@ func readWAL(path string, r *Restored) error {
 			return err
 		}
 	}
-	if _, _, err := rr.Next(); err != io.EOF {
-		return artifact.Corrupt(path, "trailing data after commit record")
-	}
-	return nil
 }
 
 // checkSpace validates recorded geometry against the reconstructed space.
@@ -380,36 +331,4 @@ func checkSpace(path, name string, sp *heap.Space, hi, next uint64) error {
 		return artifact.Corrupt(path, "%s geometry hi=%d next=%d outside [%d,%d]", name, hi, next, sp.Lo, sp.Cap)
 	}
 	return nil
-}
-
-// openRecords opens one artifact file as a record stream. The reader is
-// bounded by the file's size, so no record can claim more than the file holds.
-//
-//gclint:allow io -- opens and sizes an epoch's artifact file
-func openRecords(path, magic string) (*os.File, *artifact.Reader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, &artifact.CorruptError{Path: path, Detail: "unreadable artifact", Err: err}
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, nil, &artifact.CorruptError{Path: path, Detail: "unreadable artifact", Err: err}
-	}
-	rr, err := artifact.NewReader(bufio.NewReaderSize(f, 1<<16), st.Size(), path, magic)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return f, rr, nil
-}
-
-// mustNext reads a record the file's grammar still requires: a clean end of
-// file here means the completeness footer is missing.
-func mustNext(rr *artifact.Reader, path string) (uint8, []byte, error) {
-	typ, payload, err := rr.Next()
-	if err == io.EOF {
-		err = artifact.Corrupt(path, "file ends before its completeness footer")
-	}
-	return typ, payload, err
 }

@@ -17,9 +17,10 @@ type Collector interface {
 	// auditable (AuditHeap) after an error.
 	CollectForAlloc(m *Mutator, needWords int) error
 
-	// AfterAlloc is invoked after every successful nursery allocation so
-	// that replay-driven collectors can trigger collections at recorded
-	// allocation marks rather than at nursery exhaustion.
+	// AfterAlloc is never called: every collector steers its collection
+	// points through nursery limits, so the mutator no longer calls it after
+	// each allocation. It stays declared only because the frozen
+	// benchmarks/host collector wrapper forwards it.
 	AfterAlloc(m *Mutator)
 
 	// FinishCycles drives any in-progress incremental collections to

@@ -116,10 +116,6 @@ func (m *Mutator) Alloc(k heap.Kind, n int) (heap.Value, error) {
 	for attempt := 0; ; attempt++ {
 		if p, ok := m.H.AllocIn(&m.H.Nursery, k, n); ok {
 			m.chargeAlloc(hdr)
-			if m.GC != nil {
-				m.GC.AfterAlloc(m)
-			}
-			//gclint:allow stalehandle -- the fresh object is not yet reachable from any root, so AfterAlloc implementations must not copy or flip (they schedule work for the next CollectForAlloc); p cannot move here
 			return p, nil
 		}
 		if m.GC == nil || attempt > 0 {

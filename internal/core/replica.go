@@ -337,8 +337,8 @@ func (c *Replicating) Pauses() *simtime.Recorder { return &c.pauses.Rec }
 // bit-for-bit identical.
 func (c *Replicating) SetTrace(r *trace.Recorder) { c.pauses.Trace = r }
 
-// AfterAlloc implements Collector; flip points are steered by nursery
-// limits, so nothing happens here.
+// AfterAlloc implements Collector. Nothing calls it: flip points are steered
+// by nursery limits.
 func (c *Replicating) AfterAlloc(m *Mutator) {}
 
 // PromoteSpace reports where promotions (and oversized direct allocations)

@@ -205,13 +205,16 @@ func (in *Injector) apply(ev Event) error {
 	return fmt.Errorf("faultinject: unknown action %v", ev.Action)
 }
 
-// CrashTarget selects which checkpoint artifact a crash plan damages.
+// CrashTarget selects which section of a checkpoint epoch's file a crash
+// plan damages.
 type CrashTarget int
 
 const (
-	// CrashSnapshot damages the newest epoch's snapshot file.
+	// CrashSnapshot damages the image section: the magic, the header and
+	// the snapshot segments.
 	CrashSnapshot CrashTarget = iota
-	// CrashWAL damages the newest epoch's write-ahead log.
+	// CrashWAL damages the commit section: the patches, retained log,
+	// roots, scheduling state and commit record that follow the image.
 	CrashWAL
 
 	numCrashTargets
@@ -259,15 +262,15 @@ func (k CrashKind) String() string {
 	return fmt.Sprintf("CrashKind(%d)", int(k))
 }
 
-// CrashPlan is one deterministic crash site: which artifact, what damage,
-// and where within the file (as a fraction, so one plan scales to any file
-// size). Mask seeds the torn-word bit flip; it is never zero. The plan is
+// CrashPlan is one deterministic crash site: which section, what damage,
+// and where within the section (as a fraction, so one plan scales to any
+// section size). Mask seeds the torn-word bit flip; it is never zero. The plan is
 // pure data — internal/checkpoint applies it to files, keeping this package
 // free of I/O.
 type CrashPlan struct {
 	Target   CrashTarget
 	Kind     CrashKind
-	Fraction float64 // damage site as a fraction of file size, in [0, 1)
+	Fraction float64 // damage site as a fraction of the section's size, in [0, 1)
 	Mask     uint64  // torn-word XOR pattern
 }
 

@@ -55,7 +55,7 @@ func (v Value) index() uint64 { return uint64(v) >> 3 }
 
 // WordIndex returns the arena word index of payload word slot of object p.
 // It exists for the checkpoint subsystem, which addresses snapshot segments
-// and WAL patch records by absolute arena index; everything else goes through
+// and patch records by absolute arena index; everything else goes through
 // Load/Store.
 func WordIndex(p Value, slot int) uint64 { return p.index() + uint64(slot) }
 

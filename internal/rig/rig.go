@@ -112,8 +112,11 @@ type Checkpointer interface {
 // CheckpointStats aggregates a checkpoint writer's lifetime activity
 // (internal/checkpoint calls it Stats). Its JSON form is the counters.
 type CheckpointStats struct {
-	Committed     int         `json:"committed"`
-	Aborted       int         `json:"aborted"` // epochs invalidated by a major flip mid-snapshot
+	Committed int `json:"committed"`
+	Aborted   int `json:"aborted"` // epochs invalidated by a major flip mid-snapshot or an I/O failure
+	// The committed epoch files' bytes, split at the commit section: the
+	// image (magic, header, segments), then the spaces through the commit
+	// record.
 	SnapshotBytes int64       `json:"snapshot_bytes"`
 	WALBytes      int64       `json:"wal_bytes"`
 	WordsCopied   int64       `json:"words_copied"` // heap words written into snapshot segments
@@ -126,11 +129,11 @@ type CheckpointStats struct {
 type EpochInfo struct {
 	Epoch       uint64
 	Fingerprint uint64 // authoritative state hash, computed from the live heap at commit
-	SnapBytes   int64
-	WALBytes    int64
-	PatchWords  int // WAL patch pairs written (slots mutated mid-snapshot)
-	LogEntries  int // retained mutation-log entries persisted
-	Pauses      int // pauses the epoch's copying was spread across
+	SnapBytes   int64  // the epoch file's image section
+	WALBytes    int64  // the epoch file's commit section
+	PatchWords  int    // WAL patch pairs written (slots mutated mid-snapshot)
+	LogEntries  int    // retained mutation-log entries persisted
+	Pauses      int    // pauses the epoch's copying was spread across
 }
 
 // Config describes one run.

@@ -86,8 +86,8 @@ func (c *Collector) Pauses() *simtime.Recorder { return &c.pauses.Rec }
 // SetTrace attaches an event recorder; nil detaches it.
 func (c *Collector) SetTrace(r *trace.Recorder) { c.pauses.Trace = r }
 
-// AfterAlloc implements core.Collector; collection points are steered by
-// nursery limits, so nothing happens here.
+// AfterAlloc implements core.Collector. Nothing calls it: collection points
+// are steered by nursery limits.
 func (c *Collector) AfterAlloc(m *core.Mutator) {}
 
 // NoteOldAlloc implements core.OldAllocNoter for oversized allocations.

@@ -10,9 +10,9 @@
 // configurations (real-time, minor-incremental, major-incremental), a
 // classical stop-and-copy baseline, a MiniML compiler and VM whose data
 // lives entirely on the simulated heap (the benchmark substrate), a
-// deterministic simulated clock calibrated to the paper's hardware, and the
+// deterministic simulated clock calibrated to the paper's hardware. The
 // benchmark/experiment harness that regenerates every table and figure of
-// the paper's evaluation.
+// the paper's evaluation is the cmd/rtgc-bench command.
 //
 // # Quick start
 //
@@ -29,7 +29,6 @@ package repligc
 import (
 	"fmt"
 
-	"repligc/internal/bench"
 	"repligc/internal/bytecode"
 	"repligc/internal/core"
 	"repligc/internal/heap"
@@ -92,11 +91,6 @@ type (
 	// VM executes MiniML bytecode on the simulated heap.
 	VM = vm.VM
 
-	// BenchSuite runs the paper's evaluation experiments.
-	BenchSuite = bench.Suite
-	// BenchScale sizes the benchmark workloads.
-	BenchScale = bench.Scale
-
 	// OOMError is the typed heap-exhaustion failure every collector
 	// surfaces when the degradation ladder (forced completion, emergency
 	// major collection) cannot free enough space. Extract it from a
@@ -132,12 +126,6 @@ func Default1993() CostModel { return simtime.Default1993() }
 // Prelude is MiniML's standard library source (lists, strings, arrays,
 // futures); prepend it to programs that want it.
 const Prelude = lang.Prelude
-
-// NewBenchSuite builds the experiment suite; see cmd/rtgc-bench.
-func NewBenchSuite(s BenchScale) *BenchSuite { return bench.NewSuite(s) }
-
-// DefaultBenchScale is the full-evaluation workload scale.
-func DefaultBenchScale() BenchScale { return bench.DefaultScale() }
 
 // RealTimeOptions configures NewRealTime. Zero values take the paper's
 // defaults: N = 0.2 MB, O = 1 MB, L = 100 KB (the 50 ms pause target).
