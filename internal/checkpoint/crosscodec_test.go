@@ -99,19 +99,19 @@ func frameSpans(t *testing.T, data []byte) [][2]int {
 }
 
 // damages are the frame-level corruptions of the crash matrix, applied at
-// exact frame coordinates. Each returns a fresh slice.
-func damages(t *testing.T, data []byte) map[string][]byte {
+// exact frame coordinates: frame k is the one damaged, and frame k+1 the one
+// it is reordered with. Each returns a fresh slice.
+func damages(t *testing.T, data []byte, k int) map[string][]byte {
 	t.Helper()
 	spans := frameSpans(t, data)
-	if len(spans) < 3 {
-		t.Fatalf("need at least 3 frames, have %d", len(spans))
+	if k < 1 || k+1 >= len(spans) {
+		t.Fatalf("cannot damage frame %d of %d: it needs a frame on each side", k, len(spans))
 	}
-	mid := spans[len(spans)/2]
-	next := spans[len(spans)/2+1]
+	mid := spans[k]
+	next := spans[k+1]
 	clone := func() []byte { return append([]byte(nil), data...) }
 	flip := func(at int) []byte { b := clone(); b[at] ^= 0x40; return b }
 	magic, recs, _ := refParse(data)
-	k := len(recs) / 2
 	swapped := append([]refRecord(nil), recs...)
 	swapped[k], swapped[k+1] = swapped[k+1], swapped[k]
 
@@ -179,6 +179,27 @@ func checkpointEpoch(t *testing.T) (name string, data []byte) {
 	return name, data
 }
 
+// epochSections splits an epoch file's frames into its two sections, read
+// off the record types alone: the image is frame 0 (the header) and the run
+// of segment frames after it, which share frame 1's type; the commit section
+// is every frame after that run. It fails the test unless each section has
+// a frame with a neighbour on both sides to damage.
+func epochSections(t *testing.T, data []byte) (image, commit [2]int) {
+	t.Helper()
+	_, recs, err := refParse(data)
+	if err != nil {
+		t.Fatalf("reference parse: %v", err)
+	}
+	end := 1
+	for end < len(recs) && recs[end].typ == recs[1].typ {
+		end++
+	}
+	if end < 3 || len(recs)-end < 3 {
+		t.Fatalf("epoch has %d image frames and %d commit frames; need at least 3 of each", end, len(recs)-end)
+	}
+	return [2]int{0, end}, [2]int{end, len(recs)}
+}
+
 // recoverFile writes one epoch file into a fresh directory — no older epoch
 // to fall back on — and recovers it.
 func recoverFile(t *testing.T, name string, data []byte) (*checkpoint.Restored, error) {
@@ -240,19 +261,29 @@ func TestCrossCodec(t *testing.T) {
 		t.Fatalf("Recover(pristine): %v", err)
 	}
 
-	// Same rejection, damage by damage, from both readers.
-	for name, bad := range damages(t, trace) {
+	// Same rejection, damage by damage, from both readers. The epoch file
+	// takes the whole set twice, once in the middle of each section.
+	for name, bad := range damages(t, trace, len(frameSpans(t, trace))/2) {
 		if _, err := workload.DecodeTrace(bad); !isCorrupt(err) {
 			t.Errorf("trace, %s: DecodeTrace returned %T %v, want the typed corruption error", name, err, err)
 		}
 	}
-	for name, bad := range damages(t, epoch) {
-		r, err := recoverFile(t, epochName, bad)
-		if err == nil && name == "reordered and renumbered" && r.Fingerprint == ref.Fingerprint {
-			continue // snapshot segments carry their own offsets: exact recovery is the other contractual ending
-		}
-		if !isCorrupt(err) {
-			t.Errorf("%s, %s: Recover returned (%v, %T %v), want the typed corruption error", epochName, name, r != nil, err, err)
+	image, commit := epochSections(t, epoch)
+	for _, sec := range []struct {
+		name string
+		k    int
+	}{
+		{"image", (image[0] + image[1]) / 2},
+		{"commit", (commit[0] + commit[1]) / 2},
+	} {
+		for name, bad := range damages(t, epoch, sec.k) {
+			r, err := recoverFile(t, epochName, bad)
+			if err == nil && sec.name == "image" && name == "reordered and renumbered" && r.Fingerprint == ref.Fingerprint {
+				continue // segments carry their own offsets: exact recovery is the other contractual ending
+			}
+			if !isCorrupt(err) {
+				t.Errorf("%s, %s section, %s: Recover returned (%v, %T %v), want the typed corruption error", epochName, sec.name, name, r != nil, err, err)
+			}
 		}
 	}
 

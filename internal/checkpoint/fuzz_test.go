@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -132,21 +131,11 @@ func TestOversizedHeapConfigRejected(t *testing.T) {
 }
 
 // TestVersionOneRejected holds recovery to having no compatibility reader:
-// a version-1 snapshot/WAL pair is not an epoch, and an epoch file whose
-// header claims version 1 is refused, both as typed corruption.
+// an epoch file whose header claims version 1 is refused as typed
+// corruption.
 func TestVersionOneRejected(t *testing.T) {
 	var ce *artifact.CorruptError
 	dir := t.TempDir()
-	for name, magic := range map[string]string{"snap-00000001.ckpt": "RGCSNAP1", "wal-00000001.ckpt": "RGCWAL\x001"} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(magic), 0o666); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := Recover(dir); !errors.As(err, &ce) {
-		t.Errorf("Recover over a version-1 pair returned %v, want a *artifact.CorruptError", err)
-	}
-
-	dir = t.TempDir()
 	if _, _, _, err := referenceRun(dir, 9, 400, 4<<10); err != nil {
 		t.Fatal(err)
 	}

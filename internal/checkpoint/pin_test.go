@@ -5,8 +5,7 @@ package checkpoint
 // epochs committed. They must pass untouched across a refactor; a change to
 // the collector's schedule (the log and the root passes drawing on the
 // pause's budget moved the pause boundaries) re-takes them, and so does a
-// change to the file format: format version 2, one file per epoch, re-took
-// the byte and digest pins and kept the epoch count and fingerprint.
+// change to the file format, which moves only the byte and digest pins.
 
 import (
 	"crypto/sha256"

@@ -17,10 +17,9 @@ type Collector interface {
 	// auditable (AuditHeap) after an error.
 	CollectForAlloc(m *Mutator, needWords int) error
 
-	// AfterAlloc is never called: every collector steers its collection
-	// points through nursery limits, so the mutator no longer calls it after
-	// each allocation. It stays declared only because the frozen
-	// benchmarks/host collector wrapper forwards it.
+	// AfterAlloc is never called; it is declared only because the frozen
+	// benchmarks/host collector wrapper forwards it. Collectors steer their
+	// collection points through nursery limits instead.
 	AfterAlloc(m *Mutator)
 
 	// FinishCycles drives any in-progress incremental collections to

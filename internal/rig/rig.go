@@ -120,7 +120,7 @@ type CheckpointStats struct {
 	SnapshotBytes int64       `json:"snapshot_bytes"`
 	WALBytes      int64       `json:"wal_bytes"`
 	WordsCopied   int64       `json:"words_copied"` // heap words written into snapshot segments
-	PatchWords    int64       `json:"patch_words"`  // WAL patch pairs (slots mutated mid-snapshot)
+	PatchWords    int64       `json:"patch_words"`  // patch pairs written (slots mutated mid-snapshot)
 	Epochs        []EpochInfo `json:"-"`
 	LastErr       error       `json:"-"` // most recent I/O failure (epoch aborted, writing continues)
 }
@@ -131,7 +131,7 @@ type EpochInfo struct {
 	Fingerprint uint64 // authoritative state hash, computed from the live heap at commit
 	SnapBytes   int64  // the epoch file's image section
 	WALBytes    int64  // the epoch file's commit section
-	PatchWords  int    // WAL patch pairs written (slots mutated mid-snapshot)
+	PatchWords  int    // patch pairs written (slots mutated mid-snapshot)
 	LogEntries  int    // retained mutation-log entries persisted
 	Pauses      int    // pauses the epoch's copying was spread across
 }
