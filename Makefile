@@ -1,6 +1,6 @@
 # repligc — common tasks. Everything is stdlib-only and offline.
 
-.PHONY: all build lint test host-bench-test host-pairs loc fuzz-smoke bench bench-baseline bench-smoke serve-smoke crash-matrix crash-matrix-baseline trace pause-bound microbench experiments experiments-check quick-experiments examples
+.PHONY: all build lint test host-bench-test host-pairs loc fuzz-smoke bench bench-baseline bench-smoke serve-smoke crash-matrix crash-matrix-baseline trace pause-bound microbench experiments experiments-check quick-experiments examples examples-baseline
 
 all: build lint test host-bench-test
 
@@ -173,10 +173,20 @@ quick-experiments:
 experiments-check:
 	go run ./cmd/rtgc-bench all | cmp - docs/full-run.txt
 
+# The six facade programs run on simulated time only, so each one's stdout
+# is a pure function of the tree: it must equal the committed
+# examples/<name>/output.txt byte for byte (diff shows the lines that moved).
+EXAMPLES = quickstart interactive primes futures replay lowlatency
 examples:
-	go run ./examples/quickstart
-	go run ./examples/interactive
-	go run ./examples/primes
-	go run ./examples/futures
-	go run ./examples/replay
-	go run ./examples/lowlatency
+	@d=$$(mktemp -d); trap 'rm -rf $$d' EXIT; for e in $(EXAMPLES); do \
+		echo "go run ./examples/$$e"; \
+		go run ./examples/$$e > $$d/$$e.txt && diff -u examples/$$e/output.txt $$d/$$e.txt || exit 1; \
+	done
+
+# Regenerate the committed outputs; only a deliberate simulated change or a
+# change to what an example prints moves them.
+examples-baseline:
+	@for e in $(EXAMPLES); do \
+		echo "go run ./examples/$$e > examples/$$e/output.txt"; \
+		go run ./examples/$$e > examples/$$e/output.txt || exit 1; \
+	done

@@ -33,7 +33,7 @@ let fs = launch 12 in
 `
 
 func main() {
-	rt, err := repligc.NewRealTime(repligc.RealTimeOptions{})
+	rt, err := repligc.New(repligc.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -92,13 +92,13 @@ func run(name string, rt *repligc.Runtime) {
 func main() {
 	// L = 80 KB keeps the real-time collector's work budget safely inside
 	// the 50 ms frame deadline.
-	rt, err := repligc.NewRealTime(repligc.RealTimeOptions{CopyLimitBytes: 80 << 10})
+	rt, err := repligc.New(repligc.Options{CopyLimitBytes: 80 << 10})
 	if err != nil {
 		log.Fatal(err)
 	}
 	run("real-time", rt)
 
-	sc, err := repligc.NewStopCopy(0, 0)
+	sc, err := repligc.New(repligc.Options{Collector: "sc"})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,8 +26,8 @@ fun collect fs acc = case fs of [] => acc | f :: r => collect r (acc + takesv f)
 print ("total " ^ itos (collect (launch 24) 0) ^ " mutations " ^ itos (!counter) ^ "\n")
 `
 
-func run(label string, opts repligc.RealTimeOptions) {
-	rt, err := repligc.NewRealTime(opts)
+func run(label string, opts repligc.Options) {
+	rt, err := repligc.New(opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,6 +48,6 @@ func run(label string, opts repligc.RealTimeOptions) {
 }
 
 func main() {
-	run("pause-based", repligc.RealTimeOptions{})
-	run("interleaved", repligc.RealTimeOptions{InterleavedTaxPermille: 1500})
+	run("pause-based", repligc.Options{})
+	run("interleaved", repligc.Options{Collector: "rt-conc"})
 }

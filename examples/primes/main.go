@@ -31,7 +31,7 @@ print ("sum of first 300 primes: " ^ itos (take 300 (sieve (from 2)) 0) ^ "\n")
 `
 
 func main() {
-	rt, err := repligc.NewRealTime(repligc.RealTimeOptions{})
+	rt, err := repligc.New(repligc.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,7 +23,7 @@ print ("total " ^ itos (iterate 2000 0) ^ "\n")
 func main() {
 	// The paper's defaults: N = 0.2 MB nursery, O = 1 MB major threshold,
 	// L = 100 KB copy limit per pause (about 50 ms at 2 MB/s copying).
-	rt, err := repligc.NewRealTime(repligc.RealTimeOptions{})
+	rt, err := repligc.New(repligc.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func main() {
 	fmt.Println(rt.StatsSummary())
 
 	// Compare with the stop-and-copy baseline on the identical program.
-	sc, err := repligc.NewStopCopy(0, 0)
+	sc, err := repligc.New(repligc.Options{Collector: "sc"})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -28,7 +28,7 @@ print ("checksum " ^ itos (iterate 4000 0) ^ "\n")
 func main() {
 	// Pass 1: real-time collector, recording its flip script.
 	script := &repligc.Script{}
-	rt, err := repligc.NewRealTime(repligc.RealTimeOptions{Record: script, CopyLimitBytes: 24 << 10})
+	rt, err := repligc.New(repligc.Options{Record: script, CopyLimitBytes: 24 << 10})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func main() {
 	rt.Finish()
 
 	// Pass 2: stop-and-copy, replaying the recorded script.
-	sc, err := repligc.NewStopCopyReplay(0, script)
+	sc, err := repligc.New(repligc.Options{Collector: "sc-mods", Replay: script})
 	if err != nil {
 		log.Fatal(err)
 	}

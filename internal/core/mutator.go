@@ -119,7 +119,11 @@ func (m *Mutator) Alloc(k heap.Kind, n int) (heap.Value, error) {
 			return p, nil
 		}
 		if m.GC == nil || attempt > 0 {
-			return heap.Nil, m.oomFor(&m.H.Nursery, hdr, attempt > 0)
+			res := OOMNursery
+			if m.H.Nursery.Hi == m.H.Nursery.Cap {
+				res = OOMExpansion // grown to the hard cap and still too small
+			}
+			return heap.Nil, SpaceOOM(res, m.gcName(), &m.H.Nursery, hdr, attempt > 0)
 		}
 		if err := m.GC.CollectForAlloc(m, hdr.SizeWords()); err != nil {
 			return heap.Nil, err
@@ -139,25 +143,12 @@ func (m *Mutator) MustAlloc(k heap.Kind, n int) heap.Value {
 	return p
 }
 
-// oomFor builds the typed error for a failed nursery-path allocation.
-func (m *Mutator) oomFor(space *heap.Space, hdr heap.Header, degraded bool) *OOMError {
-	res := OOMNursery
-	if space == &m.H.Nursery && space.Hi == space.Cap {
-		res = OOMExpansion // grown to the hard cap and still too small
+// gcName names the attached collector for an OOMError ("" without one).
+func (m *Mutator) gcName() string {
+	if m.GC == nil {
+		return ""
 	}
-	name := ""
-	if m.GC != nil {
-		name = m.GC.Name()
-	}
-	return &OOMError{
-		Resource:  res,
-		Collector: name,
-		Space:     space.Name,
-		Request:   hdr.SizeBytes(),
-		Free:      int64(space.FreeWords()) * heap.BytesPerWord,
-		Limit:     space.LimitBytes(),
-		Degraded:  degraded,
-	}
+	return m.GC.Name()
 }
 
 // OldAllocNoter is implemented by collectors that must account for objects
@@ -187,19 +178,7 @@ func (m *Mutator) allocOld(k heap.Kind, n int) (heap.Value, error) {
 		}
 		ec, ok := m.GC.(EmergencyCollector)
 		if !ok || attempt > 0 {
-			name := ""
-			if m.GC != nil {
-				name = m.GC.Name()
-			}
-			return heap.Nil, &OOMError{
-				Resource:  OOMOldSpace,
-				Collector: name,
-				Space:     space.Name,
-				Request:   hdr.SizeBytes(),
-				Free:      int64(space.FreeWords()) * heap.BytesPerWord,
-				Limit:     space.LimitBytes(),
-				Degraded:  attempt > 0,
-			}
+			return heap.Nil, SpaceOOM(OOMOldSpace, m.gcName(), space, hdr, attempt > 0)
 		}
 		if err := ec.CollectEmergency(m); err != nil {
 			return heap.Nil, err

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+
+	"repligc/internal/heap"
 )
 
 // OOMResource identifies which memory resource was exhausted when an
@@ -61,6 +63,13 @@ type OOMError struct {
 	Free      int64  // bytes free in the space at failure time
 	Limit     int64  // the space's soft limit in bytes at failure time
 	Degraded  bool   // the degradation ladder ran before this surfaced
+}
+
+// SpaceOOM builds the typed error for a request of hdr's size that space sp
+// could not satisfy; gc names the collector ("" if none is attached).
+func SpaceOOM(res OOMResource, gc string, sp *heap.Space, hdr heap.Header, degraded bool) *OOMError {
+	return &OOMError{Resource: res, Collector: gc, Space: sp.Name, Request: hdr.SizeBytes(),
+		Free: int64(sp.FreeWords()) * heap.BytesPerWord, Limit: sp.LimitBytes(), Degraded: degraded}
 }
 
 // Error renders the one-line diagnostic cmd/rtgc prints.

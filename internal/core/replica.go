@@ -1049,15 +1049,7 @@ func (c *Replicating) replicate(m *Mutator, g *generation, v heap.Value) (heap.V
 	hdr := heap.Header(h.RawHeader(v))
 	replica, ok := h.ReserveReplica(v, g.to)
 	if !ok {
-		return heap.Nil, &OOMError{
-			Resource:  g.oom,
-			Collector: c.Name(),
-			Space:     g.to.Name,
-			Request:   hdr.SizeBytes(),
-			Free:      int64(g.to.FreeWords()) * heap.BytesPerWord,
-			Limit:     g.to.LimitBytes(),
-			Degraded:  c.emergency,
-		}
+		return heap.Nil, SpaceOOM(g.oom, c.Name(), g.to, hdr, c.emergency)
 	}
 	if g.major {
 		g.noteReplica(replica, hdr.SizeWords())

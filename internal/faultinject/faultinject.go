@@ -141,9 +141,6 @@ func New(m *core.Mutator, plan Plan) *Injector {
 // VisitRoots exposes the injector's one heap pointer.
 func (in *Injector) VisitRoots(v core.RootVisitor) { v(&in.spike) }
 
-// Ops reports how many operations have ticked.
-func (in *Injector) Ops() int64 { return in.ops }
-
 // Tick advances the operation counter and applies every due event. It
 // returns the first error an injected fault provoked — always the typed
 // *core.OOMError when the fault exhausted the heap.

@@ -26,7 +26,7 @@ import (
 // Collector is a resolved collector configuration: which engine runs, with
 // which switches, under which logging policy. The named ones are the rows of
 // Table; a caller that needs a configuration no name describes (the crash
-// matrix's 200 ‰ tax, the facade's caller-chosen switches) fills one in.
+// matrix's 200 ‰ tax) fills one in.
 type Collector struct {
 	Name string
 	// StopCopy selects the stop-and-copy baseline (internal/stopcopy)

@@ -149,35 +149,7 @@ func (r *Recorder) Max() Duration {
 
 // Percentile returns the p-th percentile of ds by nearest rank. The input
 // is not modified. It returns 0 for an empty slice.
-func Percentile(ds []Duration, p float64) Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	sorted := make([]Duration, len(ds))
-	copy(sorted, ds)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return percentileSorted(sorted, p)
-}
-
-// Percentiles returns the nearest-rank percentile of ds for each p in ps,
-// sorting once however many quantiles are asked for. Each result is exactly
-// what Percentile(ds, p) returns; batch callers (the trace summary, the perf
-// report, the serving engine's latency tails) use this form so a four-or-
-// five-quantile digest costs one sort instead of one per quantile. An empty
-// input yields all zeros.
-func Percentiles(ds []Duration, ps ...float64) []Duration {
-	out := make([]Duration, len(ps))
-	if len(ds) == 0 {
-		return out
-	}
-	sorted := make([]Duration, len(ds))
-	copy(sorted, ds)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for i, p := range ps {
-		out[i] = percentileSorted(sorted, p)
-	}
-	return out
-}
+func Percentile(ds []Duration, p float64) Duration { return Percentiles(ds, p)[0] }
 
 // microPercent is the resolution at which percentile arguments are
 // interpreted: p is rounded to the nearest millionth of a percent before
@@ -187,30 +159,40 @@ func Percentiles(ds []Duration, ps ...float64) []Duration {
 // raw float would shift exact-boundary ranks by one.
 const microPercent = 1_000_000
 
-// percentileSorted is the shared nearest-rank rule over an already-sorted,
-// non-empty slice: the p-th percentile is element ceil(p·n/100) (1-based),
-// computed with exact integer arithmetic at micro-percent resolution. The
-// previous implementation approximated the ceiling by adding a 0.999999
-// epsilon before truncating, which under-ranked by one whenever the true
-// fractional part of p·n/100 landed in (0, 1e-6) — a misreported tail, not
-// a tie-break.
-func percentileSorted(sorted []Duration, p float64) Duration {
-	if p <= 0 {
-		return sorted[0]
+// Percentiles returns the nearest-rank percentile of ds for each p in ps,
+// sorting once however many quantiles are asked for; batch callers (the
+// trace summary, the perf report, the serving engine's latency tails) use
+// this form so a four-or-five-quantile digest costs one sort instead of one
+// per quantile. An empty input yields all zeros.
+//
+// The p-th percentile is element ceil(p·n/100) (1-based) of the sorted
+// input, computed with exact integer arithmetic at micro-percent
+// resolution: approximating the ceiling by adding an epsilon before
+// truncating under-ranks by one whenever the true fractional part of
+// p·n/100 lands below the epsilon — a misreported tail, not a tie-break.
+func Percentiles(ds []Duration, ps ...float64) []Duration {
+	out := make([]Duration, len(ps))
+	if len(ds) == 0 {
+		return out
 	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
+	sorted := make([]Duration, len(ds))
+	copy(sorted, ds)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	n := int64(len(sorted))
 	const denom = 100 * microPercent // micro-percents in the whole range
-	pm := int64(math.Round(p * microPercent))
-	rank := (pm*int64(len(sorted)) + denom - 1) / denom // exact ceil
-	if rank < 1 {
-		rank = 1 // p rounded to zero micro-percents: nearest rank is the minimum
+	for i, p := range ps {
+		switch {
+		case p <= 0:
+			out[i] = sorted[0]
+		case p >= 100:
+			out[i] = sorted[n-1]
+		default:
+			// p rounded to zero micro-percents ranks the minimum.
+			rank := (int64(math.Round(p*microPercent))*n + denom - 1) / denom // exact ceil
+			out[i] = sorted[max(rank, 1)-1]
+		}
 	}
-	if rank > int64(len(sorted)) {
-		rank = int64(len(sorted))
-	}
-	return sorted[rank-1]
+	return out
 }
 
 // Histogram buckets pause durations into fixed-width bins, mirroring the

@@ -193,15 +193,8 @@ func (c *Collector) forward(m *core.Mutator, v heap.Value, dst *heap.Space, acct
 		if dst == h.OldTo() {
 			res = core.OOMToSpace
 		}
-		return heap.Nil, &core.OOMError{
-			Resource:  res,
-			Collector: c.Name(),
-			Space:     dst.Name,
-			Request:   hdr.SizeBytes(),
-			Free:      int64(dst.FreeWords()) * heap.BytesPerWord,
-			Limit:     dst.LimitBytes(),
-			Degraded:  true, // stop-and-copy has no smaller increment to fall back to
-		}
+		// Degraded: stop-and-copy has no smaller increment to fall back to.
+		return heap.Nil, core.SpaceOOM(res, c.Name(), dst, hdr, true)
 	}
 	h.SetForward(v, replica)
 	*copied += hdr.SizeBytes()

@@ -16,10 +16,14 @@
 //
 // # Quick start
 //
-//	rt, err := repligc.NewRealTime(repligc.RealTimeOptions{})
+//	rt, err := repligc.New(repligc.Options{}) // "rt", the paper's 50 ms cell
 //	out, err := rt.CompileAndRun(`print "hello from MiniML\n"`)
 //	err = rt.Finish()
 //	fmt.Println(out, rt.StatsSummary())
+//
+// Options.Collector picks any row of the collector table cmd/rtgc -gc
+// takes, under the same name: repligc.Options{Collector: "sc"} is the
+// stop-and-copy baseline, and every run's StatsSummary starts with its name.
 //
 // Lower-level access (allocation, write barrier, handles) is available via
 // rt.Mutator; see the examples/ directory for allocation-level, interactive
@@ -29,31 +33,22 @@ package repligc
 import (
 	"fmt"
 
-	"repligc/internal/bytecode"
 	"repligc/internal/core"
 	"repligc/internal/heap"
 	"repligc/internal/lang"
 	"repligc/internal/policy"
 	"repligc/internal/rig"
 	"repligc/internal/simtime"
-	"repligc/internal/stopcopy"
 	"repligc/internal/vm"
 )
 
-// Re-exported core types. The facade exposes the internal packages' types
-// as aliases so downstream code can use the full API surface through this
-// single import.
+// The names a caller outside this module needs to allocate through
+// Runtime.Mutator and to handle the facade's errors.
 type (
-	// Heap is the simulated two-generation heap.
-	Heap = heap.Heap
-	// HeapConfig sizes a heap.
-	HeapConfig = heap.Config
 	// Value is a tagged heap word (immediate integer or pointer).
 	Value = heap.Value
 	// Kind classifies heap objects.
 	Kind = heap.Kind
-	// Header is an object descriptor.
-	Header = heap.Header
 
 	// Mutator is the allocation / write-barrier / getheader interface.
 	Mutator = core.Mutator
@@ -61,35 +56,12 @@ type (
 	Handle = core.Handle
 	// Collector is the mutator-facing collector contract.
 	Collector = core.Collector
-	// GCStats are the collector's work counters.
-	GCStats = core.GCStats
-	// ReplicatingConfig parameterises the replication collector
-	// (N, O, L and the incremental switches; A is L/2).
-	ReplicatingConfig = core.Config
-	// Replicating is the paper's replication collector.
-	Replicating = core.Replicating
-	// LogPolicy selects which mutations the write barrier records.
-	LogPolicy = core.LogPolicy
-
-	// StopCopy is the stop-and-copy baseline collector.
-	StopCopy = stopcopy.Collector
-	// StopCopyConfig parameterises the baseline.
-	StopCopyConfig = stopcopy.Config
 
 	// Clock is the deterministic simulated clock.
 	Clock = simtime.Clock
-	// CostModel fixes the simulated cost of each unit of work.
-	CostModel = simtime.CostModel
-	// Duration is simulated time in nanoseconds.
-	Duration = simtime.Duration
 
 	// Script records/replays collection policy decisions (paper §4.2).
 	Script = policy.Script
-
-	// Program is compiled MiniML bytecode.
-	Program = bytecode.Program
-	// VM executes MiniML bytecode on the simulated heap.
-	VM = vm.VM
 
 	// OOMError is the typed heap-exhaustion failure every collector
 	// surfaces when the degradation ladder (forced completion, emergency
@@ -114,49 +86,31 @@ const (
 	KindBytes   = heap.KindBytes
 )
 
-// Logging policies.
-const (
-	LogPointersOnly = core.LogPointersOnly
-	LogAllMutations = core.LogAllMutations
-)
-
-// Default1993 is the cost model calibrated to the paper's hardware.
-func Default1993() CostModel { return simtime.Default1993() }
-
 // Prelude is MiniML's standard library source (lists, strings, arrays,
 // futures); prepend it to programs that want it.
 const Prelude = lang.Prelude
 
-// RealTimeOptions configures NewRealTime. Zero values take the paper's
-// defaults: N = 0.2 MB, O = 1 MB, L = 100 KB (the 50 ms pause target).
-type RealTimeOptions struct {
+// Options configures New. Zero values take the paper's defaults.
+type Options struct {
+	// Collector is a name from the collector table cmd/rtgc -gc takes (an
+	// unknown name's error lists it); empty means "rt", the real-time
+	// collector.
+	Collector string
+	// N, O and L; zero takes the paper's 50 ms cell (N = 0.2 MB, O = 1 MB,
+	// L = 100 KB).
 	NurseryBytes        int64
 	MajorThresholdBytes int64
 	CopyLimitBytes      int64
-	// Minor/MajorIncremental default to true (the real-time collector);
-	// set DisableIncrementalMinor / DisableIncrementalMajor to obtain the
-	// paper's partial configurations.
-	DisableIncrementalMinor bool
-	DisableIncrementalMajor bool
-	// InterleavedTaxPermille enables the concurrent-style pacing of the
-	// paper's §6: collector work rides on allocation as a copying tax
-	// (bytes of work per 1000 bytes allocated) and pause-sized stops all
-	// but disappear. 1500 is a reasonable value; zero disables.
-	InterleavedTaxPermille int
 	// Record, when non-nil, accumulates the run's policy script (§4.2);
-	// Replay drives collections from one (see NewStopCopyReplay).
-	Record *Script
-	// HeapConfig overrides the heap sizing; any zero field keeps its
-	// default (expansion up to max(16 N, 16 MB), 96 MB old semispaces). The
-	// nursery itself is sized from NurseryBytes above: HeapConfig's own
-	// NurseryBytes must be zero or equal to it.
-	HeapConfig HeapConfig
+	// Replay drives collections from one ("sc-mods" replaying an "rt"
+	// recording is the paper's mechanism-cost measurement). A collector
+	// that cannot honour either refuses it.
+	Record, Replay *Script
 }
 
 // Runtime bundles one heap + mutator + collector, ready to allocate,
 // compile and run MiniML.
 type Runtime struct {
-	Heap    *Heap
 	Mutator *Mutator
 	GC      Collector
 	Clock   *Clock
@@ -164,58 +118,35 @@ type Runtime struct {
 	run *rig.Runtime // what ends the run and reads it
 }
 
-// newRuntime maps every facade constructor onto the one runtime constructor.
-func newRuntime(c rig.Config) (*Runtime, error) {
-	rt, err := rig.New(c)
+// New builds a runtime with the named collector, or reports why the
+// collector cannot run as o asks.
+func New(o Options) (*Runtime, error) {
+	name := o.Collector
+	if name == "" {
+		name = rig.RT.Name
+	}
+	coll, err := rig.Named(name)
 	if err != nil {
 		return nil, err
 	}
-	return &Runtime{Heap: rt.Heap, Mutator: rt.Mutator, GC: rt.GC, Clock: rt.Mutator.Clock, run: rt}, nil
-}
-
-// NewRealTime builds a runtime with the replication collector.
-func NewRealTime(o RealTimeOptions) (*Runtime, error) {
-	coll := rig.Collector{Log: core.LogAllMutations, Engine: core.Config{
-		IncrementalMinor:       !o.DisableIncrementalMinor,
-		IncrementalMajor:       !o.DisableIncrementalMajor,
-		InterleavedTaxPermille: o.InterleavedTaxPermille,
-	}}
-	coll.Name = coll.Engine.Name()
-	if n := o.HeapConfig.NurseryBytes; n != 0 && n != o.NurseryBytes {
-		return nil, &rig.UnsupportedError{Collector: coll.Name, Field: "HeapConfig.NurseryBytes",
-			Reason: "the nursery is sized from NurseryBytes; leave it zero or equal"}
-	}
-	return newRuntime(rig.Config{
-		Collector:       coll,
-		Params:          rig.Params{NBytes: o.NurseryBytes, OBytes: o.MajorThresholdBytes, LBytes: o.CopyLimitBytes},
-		NurseryCapBytes: o.HeapConfig.NurseryCapBytes,
-		OldSemiBytes:    o.HeapConfig.OldSemiBytes,
-		Record:          o.Record,
+	rt, err := rig.New(rig.Config{
+		Collector: coll,
+		Params:    rig.Params{NBytes: o.NurseryBytes, OBytes: o.MajorThresholdBytes, LBytes: o.CopyLimitBytes},
+		Record:    o.Record,
+		Replay:    o.Replay,
 	})
+	if err != nil {
+		return nil, err
+	}
+	return &Runtime{Mutator: rt.Mutator, GC: rt.GC, Clock: rt.Mutator.Clock, run: rt}, nil
 }
 
-// NewStopCopyReplay builds a stop-and-copy runtime whose collections are
-// driven by a policy script recorded from a real-time run — the paper's
-// §4.2 methodology for measuring mechanism costs with identical policy.
-func NewStopCopyReplay(nurseryBytes int64, script *Script) (*Runtime, error) {
-	return newRuntime(rig.Config{Collector: rig.SCMods, Params: rig.Params{NBytes: nurseryBytes}, Replay: script})
-}
-
-// NewStopCopy builds a runtime with the stop-and-copy baseline.
-func NewStopCopy(nurseryBytes, majorThresholdBytes int64) (*Runtime, error) {
-	return newRuntime(rig.Config{Collector: rig.SC, Params: rig.Params{NBytes: nurseryBytes, OBytes: majorThresholdBytes}})
-}
-
-// Compile compiles MiniML source on this runtime's heap (the compiler's
-// working data is itself collected — the paper's Comp workload).
-func (r *Runtime) Compile(src string) (*Program, error) {
-	return lang.Compile(r.Mutator, src)
-}
-
-// CompileAndRun compiles and executes a MiniML program, returning its
-// printed output. Collector pauses and statistics accumulate on r.GC.
+// CompileAndRun compiles a MiniML program on this runtime's heap (the
+// compiler's working data is itself collected — the paper's Comp workload)
+// and executes it, returning its printed output. Collector pauses and
+// statistics accumulate on r.GC.
 func (r *Runtime) CompileAndRun(src string) (string, error) {
-	prog, err := r.Compile(src)
+	prog, err := lang.Compile(r.Mutator, src)
 	if err != nil {
 		return "", err
 	}

@@ -10,13 +10,14 @@ import (
 	"testing"
 
 	"repligc"
+	"repligc/internal/rig"
 )
 
 var updateFacadeGolden = flag.Bool("update-facade-golden", false,
 	"rewrite testdata/facade_golden.txt from the current facade constructors")
 
-// TestFacadeSimulatedIdentity pins the absolute simulated outcome of the
-// facade's three constructors, the one door into the system that neither
+// TestFacadeSimulatedIdentity pins the absolute simulated outcome of runs
+// built through New, the one door into the system that neither
 // engine_golden.txt nor compile_golden.txt passes through: each cell runs
 // queens.ml with the prelude and renders the clock, the pauses, the
 // collector's counters and the output. A change to how a runtime is
@@ -28,43 +29,27 @@ func TestFacadeSimulatedIdentity(t *testing.T) {
 	}
 	text := repligc.Prelude + string(src)
 	script := &repligc.Script{}
+	const n, o, l = 32 << 10, 64 << 10, 1 << 10
 	cells := []struct {
-		name  string
-		build func() (*repligc.Runtime, error)
+		name string
+		o    repligc.Options
 	}{
-		{"realtime", func() (*repligc.Runtime, error) { return repligc.NewRealTime(repligc.RealTimeOptions{}) }},
-		{"realtime-tax1500", func() (*repligc.Runtime, error) {
-			return repligc.NewRealTime(repligc.RealTimeOptions{InterleavedTaxPermille: 1500})
-		}},
-		{"realtime-no-incremental-minor", func() (*repligc.Runtime, error) {
-			return repligc.NewRealTime(repligc.RealTimeOptions{DisableIncrementalMinor: true})
-		}},
+		{"realtime", repligc.Options{}},
+		{"realtime-tax1500", repligc.Options{Collector: "rt-conc"}},
+		{"realtime-no-incremental-minor", repligc.Options{Collector: "major-inc"}},
 		// A tight cell reaches what the paper's 50 ms cell never does on
-		// queens: major collections, nursery expansion up to the cap and
-		// the caller's heap sizing.
-		{"realtime-tight", func() (*repligc.Runtime, error) {
-			return repligc.NewRealTime(repligc.RealTimeOptions{
-				NurseryBytes: 32 << 10, MajorThresholdBytes: 64 << 10, CopyLimitBytes: 1 << 10,
-				HeapConfig: repligc.HeapConfig{NurseryCapBytes: 40 << 10, OldSemiBytes: 4 << 20},
-			})
-		}},
-		{"realtime-tight-default-heap", func() (*repligc.Runtime, error) {
-			return repligc.NewRealTime(repligc.RealTimeOptions{
-				NurseryBytes: 32 << 10, MajorThresholdBytes: 64 << 10, CopyLimitBytes: 1 << 10,
-			})
-		}},
-		{"stopcopy", func() (*repligc.Runtime, error) { return repligc.NewStopCopy(0, 0) }},
-		{"stopcopy-tight", func() (*repligc.Runtime, error) { return repligc.NewStopCopy(32<<10, 64<<10) }},
+		// queens: major collections and nursery expansion.
+		{"realtime-tight-default-heap", repligc.Options{NurseryBytes: n, MajorThresholdBytes: o, CopyLimitBytes: l}},
+		{"stopcopy", repligc.Options{Collector: "sc"}},
+		{"stopcopy-tight", repligc.Options{Collector: "sc", NurseryBytes: n, MajorThresholdBytes: o}},
 		// The pair runs in this order: the replay consumes what the
 		// recording cell left in script.
-		{"realtime-recorded", func() (*repligc.Runtime, error) {
-			return repligc.NewRealTime(repligc.RealTimeOptions{Record: script})
-		}},
-		{"stopcopy-replayed", func() (*repligc.Runtime, error) { return repligc.NewStopCopyReplay(0, script) }},
+		{"realtime-recorded", repligc.Options{Record: script}},
+		{"stopcopy-replayed", repligc.Options{Collector: "sc-mods", Replay: script}},
 	}
 	var got strings.Builder
 	for _, c := range cells {
-		rt, err := c.build()
+		rt, err := repligc.New(c.o)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -114,7 +99,7 @@ func TestFacadeSimulatedIdentity(t *testing.T) {
 }
 
 func TestQuickstartFacade(t *testing.T) {
-	rt, err := repligc.NewRealTime(repligc.RealTimeOptions{})
+	rt, err := repligc.New(repligc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,13 +111,13 @@ func TestQuickstartFacade(t *testing.T) {
 		t.Fatalf("output %q", out)
 	}
 	rt.Finish()
-	if !strings.Contains(rt.StatsSummary(), "rt:") {
+	if !strings.HasPrefix(rt.StatsSummary(), "rt:") {
 		t.Errorf("summary: %s", rt.StatsSummary())
 	}
 }
 
 func TestFacadeCollectsUnderPressure(t *testing.T) {
-	rt, err := repligc.NewRealTime(repligc.RealTimeOptions{
+	rt, err := repligc.New(repligc.Options{
 		NurseryBytes:        64 << 10,
 		MajorThresholdBytes: 256 << 10,
 		CopyLimitBytes:      16 << 10,
@@ -162,8 +147,8 @@ func TestStopCopyFacadeMatchesRealTime(t *testing.T) {
 	prog := `
 fun fib n = if n < 2 then n else fib (n - 1) + fib (n - 2) in
 print (itos (fib 18))`
-	rt, _ := repligc.NewRealTime(repligc.RealTimeOptions{})
-	sc, _ := repligc.NewStopCopy(0, 0)
+	rt, _ := repligc.New(repligc.Options{})
+	sc, _ := repligc.New(repligc.Options{Collector: "sc"})
 	a, err := rt.CompileAndRun(prog)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +163,7 @@ print (itos (fib 18))`
 }
 
 func TestCompileErrorSurfaces(t *testing.T) {
-	rt, _ := repligc.NewRealTime(repligc.RealTimeOptions{})
+	rt, _ := repligc.New(repligc.Options{})
 	if _, err := rt.CompileAndRun(`nonexistent_variable`); err == nil {
 		t.Fatal("expected compile error")
 	}
@@ -204,7 +189,7 @@ func TestSampleProgramsRun(t *testing.T) {
 		if c.prelude {
 			text = repligc.Prelude + text
 		}
-		rt, err := repligc.NewRealTime(repligc.RealTimeOptions{})
+		rt, err := repligc.New(repligc.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,17 +203,47 @@ func TestSampleProgramsRun(t *testing.T) {
 	}
 }
 
-// TestFacadeRefusesSplitNurserySize: the nursery has one size. A HeapConfig
-// that names a different one used to size the arena for it while the
-// collector ran with the other; now it is refused.
-func TestFacadeRefusesSplitNurserySize(t *testing.T) {
-	_, err := repligc.NewRealTime(repligc.RealTimeOptions{HeapConfig: repligc.HeapConfig{NurseryBytes: 1 << 20}})
-	if err == nil || !strings.Contains(err.Error(), "HeapConfig.NurseryBytes") {
-		t.Fatalf("err = %v, want a refusal naming HeapConfig.NurseryBytes", err)
+// TestFacadeNamesEveryTableRow: the facade reaches every row of the
+// collector table, and a run reports itself under the table's name.
+func TestFacadeNamesEveryTableRow(t *testing.T) {
+	const prog = `print (itos (6 * 7))`
+	names := []string{""} // the empty name builds rt
+	for _, c := range rig.Table {
+		names = append(names, c.Name)
 	}
-	if _, err := repligc.NewRealTime(repligc.RealTimeOptions{
-		NurseryBytes: 64 << 10, HeapConfig: repligc.HeapConfig{NurseryBytes: 64 << 10, OldSemiBytes: 1 << 20},
-	}); err != nil {
-		t.Fatal(err)
+	for _, name := range names {
+		want := name
+		if want == "" {
+			want = rig.RT.Name
+		}
+		rt, err := repligc.New(repligc.Options{Collector: name})
+		if err != nil {
+			t.Fatalf("%q: %v", name, err)
+		}
+		if out, err := rt.CompileAndRun(prog); err != nil || out != "42" {
+			t.Fatalf("%q: output %q, err %v", name, out, err)
+		}
+		if err := rt.Finish(); err != nil {
+			t.Fatalf("%q: %v", name, err)
+		}
+		if s := rt.StatsSummary(); !strings.HasPrefix(s, want+":") {
+			t.Errorf("%q: summary %q, want it to start with %q", name, s, want+":")
+		}
+	}
+
+	if _, err := repligc.New(repligc.Options{Collector: "bogus"}); err == nil || !strings.Contains(err.Error(), rig.Names()) {
+		t.Errorf("unknown name: err = %v, want one listing %s", err, rig.Names())
+	}
+	script := &repligc.Script{}
+	for _, c := range []struct {
+		o     repligc.Options
+		field string
+	}{
+		{repligc.Options{Collector: "sc", Record: script}, "Record"},
+		{repligc.Options{Collector: "rt", Replay: script}, "Replay"},
+	} {
+		if _, err := repligc.New(c.o); err == nil || !strings.Contains(err.Error(), "does not support "+c.field) {
+			t.Errorf("%s with %s: err = %v, want a refusal naming %s", c.o.Collector, c.field, err, c.field)
+		}
 	}
 }
