@@ -18,14 +18,15 @@ build:
 # calls, barrier completeness through helpers, pause-only collector state,
 # deterministic iteration, dispatch exhaustiveness and the hygiene of its own
 # annotations. See DESIGN.md, "Machine-checked invariants". gclint runs over
-# ./..., which includes internal/analysis itself; like go build, it reads the
-# host platform's files, so two cross-builds keep the other side of the heap
-# arena's unix/!unix pair compiling. Last, gofmt must have nothing to say
+# ./..., which includes internal/analysis itself, and over the nested
+# benchmark module, which go list's ./... does not enter; like go build, it
+# reads the host platform's files, so two cross-builds keep the other side of
+# the heap arena's unix/!unix pair compiling. Last, gofmt must have nothing to say
 # outside the frozen benchmark and the analyzer's fixtures, whose goldens pin
 # line:column positions.
 lint:
 	go vet ./...
-	go run ./cmd/gclint ./...
+	go run ./cmd/gclint ./... ./benchmarks/host
 	GOOS=windows go build ./...
 	GOOS=darwin go build ./...
 	@unformatted=$$(gofmt -l $$(git ls-files -- '*.go' ':!benchmarks/*' ':!*/testdata/*')); \

@@ -16,9 +16,11 @@
 //
 //	gclint [-rules] [-summaries] [-json | -github] [-out file] [packages]
 //
-// Packages default to ./... relative to the module root. The exit status is
-// 0 when the tree is clean, 1 when violations are found, and 2 on usage or
-// load errors. Output modes:
+// Packages are go list patterns relative to the current directory and
+// default to ./...; go list's ./... does not enter a nested module, so a
+// local pattern naming one (./benchmarks/host) is listed from inside it. The
+// exit status is 0 when the tree is clean, 1 when violations are found, and
+// 2 on usage or load errors. Output modes:
 //
 //	-json       print findings as a JSON array on stdout
 //	-github     print findings as GitHub Actions ::error annotations
@@ -71,12 +73,12 @@ func main() {
 		patterns = []string{"./..."}
 	}
 
-	loader, err := analysis.NewLoader(".")
+	loader, err := analysis.NewLoader(".", patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gclint: %v\n", err)
 		os.Exit(2)
 	}
-	pkgs, err := loader.LoadPatterns(patterns)
+	pkgs, err := loader.Packages()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gclint: %v\n", err)
 		os.Exit(2)

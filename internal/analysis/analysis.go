@@ -9,8 +9,12 @@
 // rules, each mapped to a specific invariant (see DESIGN.md, "Machine-checked
 // invariants").
 //
-// The analyzer is deliberately built on the standard library alone (go/ast,
-// go/types, go/importer) — the repository stays offline and dependency-free.
+// The analyzer is deliberately built on the standard library and the go
+// command alone — the repository stays offline and dependency-free. One
+// `go list -deps -export` run supplies the package list and the standard
+// library's export data (read with go/importer); each module package is
+// type-checked from source once, and every importer shares that one
+// *types.Package, so the call-graph summaries cross package boundaries.
 package analysis
 
 import (

@@ -4,8 +4,14 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"go/types"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"slices"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -58,16 +64,43 @@ var goldenCases = []struct {
 	{"bracket", "repligc/internal/workload"},
 }
 
-// loadFixtures loads every fixture of goldenCases, in order.
-func loadFixtures(t *testing.T) []*Package {
+// loader is the test binary's one Loader, so go list runs once: the module,
+// the nested benchmark module, and testing, which a fixture imports and no
+// module package does.
+var loader = sync.OnceValues(func() (*Loader, error) {
+	return NewLoader(filepath.Join("..", ".."), "./...", "./benchmarks/host", "testing")
+})
+
+// sharedLoader returns loader or fails the test.
+func sharedLoader(t *testing.T) *Loader {
 	t.Helper()
-	loader, err := NewLoader(".")
+	l, err := loader()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return l
+}
+
+// treePackages loads every package gclint lints in the tree.
+func treePackages(t *testing.T) []*Package {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("type-checks the whole module; skipped in -short mode")
+	}
+	pkgs, err := sharedLoader(t).Packages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkgs
+}
+
+// loadFixtures loads every fixture of goldenCases, in order.
+func loadFixtures(t *testing.T) []*Package {
+	t.Helper()
+	l := sharedLoader(t)
 	var pkgs []*Package
 	for _, tc := range goldenCases {
-		pkg, err := loader.Load(filepath.Join("testdata", "src", tc.fixture), tc.path)
+		pkg, err := l.Load(filepath.Join("testdata", "src", tc.fixture), tc.path)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.fixture, err)
 		}
@@ -143,11 +176,7 @@ func TestEveryRowIsPinned(t *testing.T) {
 // TestCleanFixtureIsEmpty pins the semantics the "clean" golden depends on:
 // a well-formed allow annotation fully suppresses its diagnostic.
 func TestCleanFixtureIsEmpty(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loader.Load(filepath.Join("testdata", "src", "clean"), "repligc/internal/fixclean")
+	pkg, err := sharedLoader(t).Load(filepath.Join("testdata", "src", "clean"), "repligc/internal/fixclean")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,23 +190,84 @@ func TestCleanFixtureIsEmpty(t *testing.T) {
 
 // TestTreeIsClean runs the full default rule set over the real module — the
 // same check `make lint` performs — so a rule regression or a new violation
-// fails the test suite, not just the build.
+// fails the test suite, not just the build. It first pins the scope: exactly
+// the root module's `go list ./...` plus the nested benchmark module, so a
+// loader change cannot drop a package from lint in silence.
 func TestTreeIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module; skipped in -short mode")
-	}
-	loader, err := NewLoader(".")
+	pkgs := treePackages(t)
+	cmd := exec.Command("go", "list", "./...")
+	cmd.Dir = filepath.Join("..", "..")
+	out, err := cmd.Output()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := loader.LoadPatterns([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
+	want := append(strings.Fields(string(out)), "repligc/benchmarks/host")
+	sort.Strings(want)
+	var got []string
+	for _, pkg := range pkgs {
+		got = append(got, pkg.Path)
 	}
-	if len(pkgs) < 5 {
-		t.Fatalf("expected to load the whole module, got %d packages", len(pkgs))
+	if !slices.Equal(got, want) {
+		t.Fatalf("loaded %d packages, want the %d that go list names:\n got %v\nwant %v", len(got), len(want), got, want)
 	}
 	for _, d := range Run(pkgs, DefaultRules()) {
 		t.Errorf("%s", d)
+	}
+}
+
+// TestEveryCallEdgeResolves requires every static call in the tree whose
+// callee is declared in a loaded package to reach that callee's summary. A
+// callee object the index is not keyed by (a second type-check of the
+// callee's package, an instantiation of a generic) would drop every fact the
+// callee carries. Interface methods have no declaration to reach; the
+// builtin table covers them.
+func TestEveryCallEdgeResolves(t *testing.T) {
+	pkgs := treePackages(t)
+	idx := BuildIndex(pkgs)
+	loaded := make(map[string]bool)
+	for _, pkg := range pkgs {
+		loaded[pkg.Path] = true
+	}
+	edges, unresolved := 0, 0
+	for _, fi := range idx.funcs {
+		for _, cs := range fi.Calls {
+			recv := cs.Callee.Type().(*types.Signature).Recv()
+			if cs.Callee.Pkg() == nil || !loaded[cs.Callee.Pkg().Path()] || recv != nil && types.IsInterface(recv.Type()) {
+				continue
+			}
+			edges++
+			if idx.byObj[cs.Callee] == nil {
+				if unresolved++; unresolved <= 10 {
+					t.Errorf("%s: the call to %s reaches no summary", fi.Pkg.Fset.Position(cs.Call.Pos()), funcKey(cs.Callee))
+				}
+			}
+		}
+	}
+	if unresolved > 0 {
+		t.Fatalf("%d of %d in-module call edges reach no summary", unresolved, edges)
+	}
+
+	// A cross-package fact no builtin row states: the comp workload's
+	// compiles allocate, so each may flip, and only the index says so.
+	const caller, callee = "repligc/internal/bench.compWorkload.Run", "repligc/internal/lang.Compile"
+	if _, ok := builtinFacts[callee]; ok {
+		t.Fatalf("%s has a builtin row; the pin needs a fact only the index carries", callee)
+	}
+	found := false
+	for _, fi := range idx.funcs {
+		if funcKey(fi.Obj) != caller {
+			continue
+		}
+		for _, cs := range fi.Calls {
+			if funcKey(cs.Callee) == callee {
+				found = true
+				if !idx.CalleeFacts(cs.Callee).MayFlip {
+					t.Errorf("%s: the call to %s is not may-flip", fi.Pkg.Fset.Position(cs.Call.Pos()), callee)
+				}
+			}
+		}
+	}
+	if !found {
+		t.Errorf("no call from %s to %s in the tree", caller, callee)
 	}
 }

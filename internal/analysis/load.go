@@ -1,14 +1,17 @@
 package analysis
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -26,217 +29,176 @@ type Package struct {
 	Info  *types.Info
 }
 
-// Loader parses and type-checks packages of the repligc module from source.
-// One Loader shares a file set and an import cache across all packages it
-// loads, so the (source-based) type-checking of common dependencies happens
-// once.
+// listed is the part of one `go list -json` record the loader reads.
+type listed struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string
+	Standard   bool
+	DepOnly    bool
+}
+
+// Loader type-checks the packages the go tool lists, each once. One
+// `go list -deps -export` run per module supplies every package's
+// directory, its files as chosen by build constraints for the host
+// platform, and the standard library's export data. Module packages are
+// parsed and type-checked from source on first import, and every importer
+// gets that same *types.Package, so a call across a package boundary holds
+// the *types.Func the callee's package declared. The standard library is
+// read from export data. Test files are excluded: the rules police the
+// shipped system, and tests legitimately reach around the discipline to
+// corrupt heaps and simulate failures. A Loader is not safe for concurrent
+// use.
 type Loader struct {
-	ModRoot string // absolute path of the module root
-	ModPath string // module path from go.mod
-
-	fset *token.FileSet
-	imp  types.Importer
+	fset  *token.FileSet
+	list  map[string]*listed
+	roots []string            // import paths of the module packages the patterns matched
+	pkgs  map[string]*Package // module packages type-checked so far
+	std   types.Importer
 }
 
-// NewLoader locates the enclosing module starting at dir (walking upward to
-// the go.mod) and returns a loader for it.
-func NewLoader(dir string) (*Loader, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
+// NewLoader lists patterns (go list patterns, relative to dir) and returns
+// a loader over the result. go list does not enter a nested module, so a
+// local pattern naming one's directory (./benchmarks/host, or with /...) is
+// listed from inside it, in a run of its own.
+func NewLoader(dir string, patterns ...string) (*Loader, error) {
+	l := &Loader{
+		fset: token.NewFileSet(),
+		list: make(map[string]*listed),
+		pkgs: make(map[string]*Package),
 	}
-	root := abs
-	for {
-		if _, err := os.Stat(filepath.Join(root, "go.mod")); err == nil {
-			break
+	l.std = importer.ForCompiler(l.fset, "gc", func(path string) (io.ReadCloser, error) {
+		if p := l.list[path]; p != nil && p.Export != "" {
+			return os.Open(p.Export)
 		}
-		parent := filepath.Dir(root)
-		if parent == root {
-			return nil, fmt.Errorf("gclint: no go.mod found above %s", abs)
-		}
-		root = parent
-	}
-	modPath, err := modulePath(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return nil, err
-	}
-	fset := token.NewFileSet()
-	return &Loader{
-		ModRoot: root,
-		ModPath: modPath,
-		fset:    fset,
-		// The "source" importer type-checks dependencies (standard library
-		// included) from source — no export data, no external tooling.
-		imp: importer.ForCompiler(fset, "source", nil),
-	}, nil
-}
-
-// modulePath extracts the module path from a go.mod file.
-func modulePath(gomod string) (string, error) {
-	data, err := os.ReadFile(gomod)
-	if err != nil {
-		return "", err
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module"); ok {
-			return strings.Trim(strings.TrimSpace(rest), `"`), nil
-		}
-	}
-	return "", fmt.Errorf("gclint: no module directive in %s", gomod)
-}
-
-// Expand resolves package patterns ("./...", "./cmd/gclint", "internal/vm")
-// into package directories, skipping testdata, vendor and hidden trees the
-// way the go tool does.
-func (l *Loader) Expand(patterns []string) ([]string, error) {
-	seen := make(map[string]bool)
+		return nil, fmt.Errorf("no export data for %s in the package list", path)
+	})
 	var dirs []string
-	add := func(dir string) {
-		if !seen[dir] {
-			seen[dir] = true
-			dirs = append(dirs, dir)
-		}
-	}
+	byDir := make(map[string][]string)
 	for _, pat := range patterns {
-		recursive := false
-		if rest, ok := strings.CutSuffix(pat, "/..."); ok {
-			recursive = true
-			pat = rest
-			if pat == "." || pat == "" {
-				pat = "."
+		at := dir
+		if base, _, _ := strings.Cut(pat, "/..."); strings.HasPrefix(pat, ".") && filepath.Clean(base) != "." {
+			if _, err := os.Stat(filepath.Join(dir, base, "go.mod")); err == nil {
+				at, pat = filepath.Join(dir, base), "."+pat[len(base):]
 			}
 		}
-		base := pat
-		if !filepath.IsAbs(base) {
-			base = filepath.Join(l.ModRoot, pat)
+		if byDir[at] == nil {
+			dirs = append(dirs, at)
 		}
-		if !recursive {
-			if hasGoFiles(base) {
-				add(base)
-			} else {
-				return nil, fmt.Errorf("gclint: no Go files in %s", base)
-			}
-			continue
-		}
-		err := filepath.WalkDir(base, func(path string, d os.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if !d.IsDir() {
-				return nil
-			}
-			name := d.Name()
-			if path != base && (name == "testdata" || name == "vendor" ||
-				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			if hasGoFiles(path) {
-				add(path)
-			}
-			return nil
-		})
-		if err != nil {
+		byDir[at] = append(byDir[at], pat)
+	}
+	for _, at := range dirs {
+		if err := l.goList(at, byDir[at]); err != nil {
 			return nil, err
 		}
 	}
-	sort.Strings(dirs)
-	return dirs, nil
+	sort.Strings(l.roots)
+	return l, nil
 }
 
-func hasGoFiles(dir string) bool {
-	ents, err := os.ReadDir(dir)
+// goList runs one `go list` in dir and adds its records to the list; a
+// package two runs list keeps its first record.
+func (l *Loader) goList(dir string, patterns []string) error {
+	cmd := exec.Command("go", append([]string{"list", "-deps", "-export",
+		"-json=ImportPath,Dir,GoFiles,Export,Standard,DepOnly", "--"}, patterns...)...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		return false
+		return fmt.Errorf("go list %s: %v\n%s", strings.Join(patterns, " "), err, stderr.Bytes())
 	}
-	for _, e := range ents {
-		if !e.IsDir() && isSourceFile(e.Name()) {
-			return true
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		p := new(listed)
+		if err := dec.Decode(p); err != nil {
+			return fmt.Errorf("reading go list output: %v", err)
+		}
+		if l.list[p.ImportPath] == nil {
+			l.list[p.ImportPath] = p
+		}
+		if !p.Standard && !p.DepOnly {
+			l.roots = append(l.roots, p.ImportPath)
 		}
 	}
-	return false
+	return nil
 }
 
-// isSourceFile reports whether name is a non-test Go source file the
-// analyzer should consider.
-func isSourceFile(name string) bool {
-	return strings.HasSuffix(name, ".go") &&
-		!strings.HasSuffix(name, "_test.go") &&
-		!strings.HasPrefix(name, ".") &&
-		!strings.HasPrefix(name, "_")
-}
-
-// ImportPathFor derives the import path of a package directory within the
-// module.
-func (l *Loader) ImportPathFor(dir string) (string, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return "", err
-	}
-	rel, err := filepath.Rel(l.ModRoot, abs)
-	if err != nil {
-		return "", err
-	}
-	if rel == "." {
-		return l.ModPath, nil
-	}
-	if strings.HasPrefix(rel, "..") {
-		return "", fmt.Errorf("gclint: %s is outside module %s", dir, l.ModRoot)
-	}
-	return l.ModPath + "/" + filepath.ToSlash(rel), nil
-}
-
-// Load parses and type-checks the package in dir. importPath overrides the
-// derived path when non-empty (used by tests to place fixture packages under
-// rule-scoped paths). Test files are excluded: the rules police the shipped
-// system, and tests legitimately reach around the discipline to corrupt
-// heaps and simulate failures. Build constraints select files as go build
-// does for the host platform: of a unix/!unix pair, the host's file.
-func (l *Loader) Load(dir, importPath string) (*Package, error) {
-	if importPath == "" {
-		p, err := l.ImportPathFor(dir)
+// Packages returns the module packages the patterns matched, by import path.
+func (l *Loader) Packages() ([]*Package, error) {
+	var pkgs []*Package
+	for _, path := range l.roots {
+		pkg, err := l.module(path)
 		if err != nil {
 			return nil, err
 		}
-		importPath = p
+		pkgs = append(pkgs, pkg)
 	}
-	ents, err := os.ReadDir(dir)
+	return pkgs, nil
+}
+
+// Import makes the Loader the types.Importer of every package it checks:
+// the standard library from export data, module packages from source, once.
+func (l *Loader) Import(path string) (*types.Package, error) {
+	p := l.list[path]
+	if p == nil || p.Standard {
+		return l.std.Import(path)
+	}
+	pkg, err := l.module(path)
 	if err != nil {
 		return nil, err
+	}
+	return pkg.Types, nil
+}
+
+// module returns the listed module package at path, type-checking it and,
+// through Import, its module dependencies on first use.
+func (l *Loader) module(path string) (*Package, error) {
+	if pkg := l.pkgs[path]; pkg != nil {
+		return pkg, nil
+	}
+	p := l.list[path]
+	pkg, err := l.check(p.Dir, path, p.GoFiles)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[path] = pkg
+	return pkg, nil
+}
+
+// Load parses and type-checks the package in dir, a directory go list does
+// not reach (a test fixture under testdata), as if its import path were
+// path: fixture packages masquerade as rule-scoped paths. It reads every
+// non-test .go file in dir. The result is never cached, so a fixture never
+// stands in for the real package of its path; its imports resolve as any
+// other package's do and must be in the list.
+func (l *Loader) Load(dir, path string) (*Package, error) {
+	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	var files []string
+	for _, name := range names {
+		if !strings.HasSuffix(name, "_test.go") {
+			files = append(files, filepath.Base(name))
+		}
+	}
+	return l.check(dir, path, files)
+}
+
+// check parses files (names in dir) and type-checks them as package path.
+func (l *Loader) check(dir, path string, names []string) (*Package, error) {
+	if len(names) == 0 {
+		return nil, fmt.Errorf("no Go files in %s", dir)
 	}
 	var files []*ast.File
-	var names []string
-	for _, e := range ents {
-		if e.IsDir() || !isSourceFile(e.Name()) {
-			continue
-		}
-		ok, err := build.Default.MatchFile(dir, e.Name())
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		names = append(names, e.Name())
-	}
-	sort.Strings(names)
-	pkgName := ""
 	for _, name := range names {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
-		if pkgName == "" {
-			pkgName = f.Name.Name
-		} else if f.Name.Name != pkgName {
-			return nil, fmt.Errorf("gclint: %s: multiple packages (%s, %s)", dir, pkgName, f.Name.Name)
-		}
 		files = append(files, f)
 	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("gclint: no Go files in %s", dir)
-	}
-
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Uses:       make(map[*ast.Ident]types.Object),
@@ -245,36 +207,12 @@ func (l *Loader) Load(dir, importPath string) (*Package, error) {
 	}
 	var typeErrs []error
 	cfg := types.Config{
-		Importer: l.imp,
+		Importer: l,
 		Error:    func(err error) { typeErrs = append(typeErrs, err) },
 	}
-	tpkg, _ := cfg.Check(importPath, l.fset, files, info)
+	tpkg, _ := cfg.Check(path, l.fset, files, info)
 	if len(typeErrs) > 0 {
-		return nil, fmt.Errorf("gclint: type-checking %s: %v", importPath, typeErrs[0])
+		return nil, fmt.Errorf("type-checking %s: %v", path, typeErrs[0])
 	}
-	return &Package{
-		Path:  importPath,
-		Dir:   dir,
-		Fset:  l.fset,
-		Files: files,
-		Types: tpkg,
-		Info:  info,
-	}, nil
-}
-
-// LoadPatterns expands patterns and loads every matched package.
-func (l *Loader) LoadPatterns(patterns []string) ([]*Package, error) {
-	dirs, err := l.Expand(patterns)
-	if err != nil {
-		return nil, err
-	}
-	var pkgs []*Package
-	for _, dir := range dirs {
-		pkg, err := l.Load(dir, "")
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
+	return &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Types: tpkg, Info: info}, nil
 }

@@ -18,11 +18,13 @@ package analysis
 //
 // The graph also computes an in-pause summary for the pauseonly rule: a
 // function is in-pause when every static call site is dominated by a
-// //gclint:pauseentry function. Base facts for callees whose declarations
-// are not in the loaded package set (notably when tests load a single
-// fixture package) come from a builtin table keyed by qualified name, so
-// interface dispatch through core.Collector and calls into internal/heap
-// stay conservative without whole-program loading.
+// //gclint:pauseentry function. The loader gives every package one
+// *types.Package, so a call into another loaded package, or of a generic
+// (resolved to its declaration), reaches its callee's summary. A builtin
+// table keyed by qualified name supplies what the graph cannot derive: the
+// primitives the facts bottom out at, interface dispatch through
+// core.Collector, whose methods have no body, and callees outside the loaded
+// set, as when a test loads a single fixture package.
 
 import (
 	"fmt"
@@ -349,7 +351,7 @@ func (idx *Index) markCallersAndEscapes(pkgs []*Package) {
 				if !ok {
 					return true
 				}
-				if target, ok := idx.byObj[obj]; ok {
+				if target, ok := idx.byObj[obj.Origin()]; ok {
 					target.escapes = true
 				}
 				return true
@@ -487,24 +489,26 @@ func unparen(e ast.Expr) ast.Expr {
 
 // calleeOf resolves the static callee of call, returning the function
 // object and the identifier consumed as the callee (for escape analysis).
+// A call of a generic function or method resolves to its declaration
+// (Origin), which is what the index is keyed by, not to the instantiation.
 // Interface method calls resolve to the interface's method object, which the
 // builtin fact table covers; dynamic calls (func values) return nil.
 func calleeOf(info *types.Info, call *ast.CallExpr) (*types.Func, *ast.Ident) {
 	switch fun := unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if f, ok := info.Uses[fun].(*types.Func); ok {
-			return f, fun
+			return f.Origin(), fun
 		}
 	case *ast.SelectorExpr:
 		if sel, ok := info.Selections[fun]; ok {
 			if f, ok := sel.Obj().(*types.Func); ok {
-				return f, fun.Sel
+				return f.Origin(), fun.Sel
 			}
 			return nil, nil
 		}
 		// Package-qualified call (pkg.Func).
 		if f, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return f, fun.Sel
+			return f.Origin(), fun.Sel
 		}
 	}
 	return nil, nil
