@@ -78,9 +78,9 @@ func (c *Replicating) CheckpointNow() CheckpointPoint { return c.checkpointPoint
 // Forced.
 func (c *Replicating) CheckpointPause(m *Mutator, commit func()) {
 	c.pauses.Begin(m)
-	end := c.pauses.Phase(m, simtime.PhaseCheckpoint)
+	phase := c.pauses.Phase(m, simtime.PhaseCheckpoint)
 	commit()
-	end()
+	phase.End()
 	c.pauses.End(m, simtime.PauseOther, true)
 }
 

@@ -53,9 +53,18 @@ type LogEntry struct {
 // MutationLog is the storelist: an append-only sequence of mutation records
 // shared by the minor and major collections, each of which consumes entries
 // through its own cursor. Entries below both cursors are trimmed.
+//
+// The log keeps its backing array: a trim only moves the offset of the
+// oldest retained entry, and an append that finds the array full moves the
+// retained entries to its front when the trimmed prefix is at least as long,
+// so a warm log appends and trims without allocating (makeRoom).
 type MutationLog struct {
-	entries []LogEntry
-	base    int64 // sequence number of entries[0]
+	buf  []LogEntry // buf[off:] are the retained entries; buf[:off] is trimmed
+	off  int
+	base int64 // sequence number of buf[off]
+	// held is the most entries retained at once since the array last
+	// filled: what makeRoom tells a spike's array by.
+	held int
 
 	// pin, while pinned, is a low-water mark TrimTo may not pass: an open
 	// checkpoint epoch replays every entry from its pin at commit time, so
@@ -86,19 +95,45 @@ func (l *MutationLog) Pinned() (int64, bool) { return l.pin, l.pinned }
 // a checkpointed run's log is part of the checkpoint); the log is left
 // unpinned.
 func (l *MutationLog) Restore(base int64, entries []LogEntry) {
-	l.entries = append(l.entries[:0:0], entries...)
+	l.buf, l.off, l.held = append(l.buf[:0:0], entries...), 0, 0
 	l.base = base
 	l.pinned = false
 }
 
-// Append adds an entry and returns its sequence number.
-func (l *MutationLog) Append(e LogEntry) int64 {
-	l.entries = append(l.entries, e)
-	return l.base + int64(len(l.entries)) - 1
+// Append adds an entry, at sequence number Len() - 1.
+func (l *MutationLog) Append(e LogEntry) {
+	if len(l.buf) == cap(l.buf) {
+		l.makeRoom()
+	}
+	l.buf = append(l.buf, e)
+}
+
+// trimCompactFloor is the smallest array the log allocates; no array this
+// small is taken for a spike's.
+const trimCompactFloor = 64
+
+// makeRoom readies a full array for at least one more entry. If the log has
+// not held a quarter of the array since it last filled, the array is a
+// spike's: the retained entries move to an array half its size, releasing
+// it, so a spike is given back once the log has cycled through it.
+// Otherwise they move to the front when the trimmed prefix is at least as
+// long as they are, and failing that to an array twice the size.
+func (l *MutationLog) makeRoom() {
+	live, c := l.buf[l.off:], cap(l.buf)
+	l.held = max(l.held, len(live))
+	switch {
+	case c > trimCompactFloor && l.held < c/4:
+		l.buf = append(make([]LogEntry, 0, c/2), live...)
+	case l.off > 0 && l.off >= len(live):
+		l.buf = l.buf[:copy(l.buf, live)]
+	default:
+		l.buf = append(make([]LogEntry, 0, max(2*c, trimCompactFloor)), live...)
+	}
+	l.off, l.held = 0, len(live)
 }
 
 // Len returns the sequence number just past the newest entry.
-func (l *MutationLog) Len() int64 { return l.base + int64(len(l.entries)) }
+func (l *MutationLog) Len() int64 { return l.base + int64(len(l.buf)-l.off) }
 
 // Base returns the sequence number of the oldest retained entry.
 func (l *MutationLog) Base() int64 { return l.base }
@@ -109,47 +144,33 @@ func (l *MutationLog) At(seq int64) LogEntry {
 		//gclint:allow panicpath -- invariant: cursors never pass TrimTo's low-water mark
 		panic("core: log sequence out of range")
 	}
-	return l.entries[seq-l.base]
+	return l.buf[l.off+int(seq-l.base)]
 }
-
-// trimCompactFloor keeps tiny logs from compacting on every trim: below
-// this capacity the retained/capacity ratio is noise.
-const trimCompactFloor = 64
 
 // TrimTo discards entries below seq (all cursors must have passed seq).
 // While a checkpoint pin is active the trim is clamped to the pin, so an
-// epoch's write-ahead range can never be truncated out from under it.
-//
-// The common trim is an O(1) re-slice; the discarded prefix lingers in the
-// backing array until the next growth reallocation drops it. Only when the
-// retained suffix has shrunk below a quarter of the remaining capacity is
-// it copied into a right-sized array, so a sequence of m small trims costs
-// O(m) amortised instead of the old copy-the-tail behaviour's
-// O(m·retained), and a huge log spike cannot pin its backing array behind a
-// handful of surviving entries.
+// epoch's write-ahead range can never be truncated out from under it. A trim
+// is O(1): it moves the offset of the oldest retained entry, and the array's
+// trimmed prefix is reused when it next fills.
 func (l *MutationLog) TrimTo(seq int64) {
+	l.held = max(l.held, len(l.buf)-l.off)
 	if l.pinned && seq > l.pin {
 		seq = l.pin
 	}
 	if seq <= l.base {
 		return
 	}
-	if seq > l.Len() {
-		seq = l.Len()
-	}
-	n := seq - l.base
-	l.entries = l.entries[n:]
+	seq = min(seq, l.Len())
+	l.off += int(seq - l.base)
 	l.base = seq
-	if c := cap(l.entries); c > trimCompactFloor && len(l.entries) < c/4 {
-		compact := make([]LogEntry, len(l.entries))
-		copy(compact, l.entries)
-		l.entries = compact
+	if l.off == len(l.buf) {
+		l.buf, l.off = l.buf[:0], 0
 	}
 }
 
 // Retained reports how many entries are currently held.
-func (l *MutationLog) Retained() int { return len(l.entries) }
+func (l *MutationLog) Retained() int { return len(l.buf) - l.off }
 
 // Capacity reports the capacity of the backing array from the current base
 // onward. It exists so tests can pin TrimTo's compaction behaviour.
-func (l *MutationLog) Capacity() int { return cap(l.entries) }
+func (l *MutationLog) Capacity() int { return cap(l.buf) - l.off }

@@ -191,3 +191,44 @@ func TestLogRestore(t *testing.T) {
 		t.Fatal("Restore aliased the caller's slice")
 	}
 }
+
+// TestWarmLogAllocatesNothing pins that the log keeps its array: once an
+// append/trim loop has grown it, the loop allocates nothing — trimmed
+// prefixes are reused, the retained entries moved to the front — and the
+// entries keep their sequence numbers. A spike after that steady state is
+// still given back: once the loop has cycled through the spike's array, the
+// log holds one within four times the most entries the loop retains.
+func TestWarmLogAllocatesNothing(t *testing.T) {
+	var l MutationLog
+	const window, keep = 300, 20
+	round := func(appends int) {
+		for range appends {
+			l.Append(LogEntry{Obj: heap.Value(8), Slot: int32(l.Len())})
+		}
+		l.TrimTo(l.Len() - keep)
+		for seq := l.Base(); seq < l.Len(); seq++ {
+			if got := l.At(seq); int64(got.Slot) != seq {
+				t.Fatalf("entry %d holds slot %d", seq, got.Slot)
+			}
+		}
+	}
+	for range 4 {
+		round(window)
+	}
+	steady := cap(l.buf)
+	if n := testing.AllocsPerRun(200, func() { round(window) }); n != 0 {
+		t.Fatalf("a warm append/trim round allocates %.1f times, want 0", n)
+	}
+	if cap(l.buf) != steady {
+		t.Fatalf("the warm array went from %d to %d entries", steady, cap(l.buf))
+	}
+
+	round(64 * window)
+	spike := cap(l.buf)
+	for range 4 * spike / window {
+		round(window)
+	}
+	if cap(l.buf) > 4*(window+keep) {
+		t.Fatalf("after the loop cycled through a %d-entry spike the log holds a %d-entry array for %d entries", spike, cap(l.buf), window+keep)
+	}
+}

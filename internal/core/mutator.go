@@ -237,6 +237,7 @@ func (m *Mutator) Set(p heap.Value, i int, v heap.Value) {
 // mask test.
 //
 //gclint:allow barrierfast -- unreplicated nursery objects owe no log entry (copied whole at the next startMinor); a set dirty bit proves the log retains an unconsumed entry for this slot, and entries are value-free so one entry suffices
+//go:nosplit
 func (m *Mutator) skipWordLog(p heap.Value, i int) bool {
 	if m.NaiveBarrier {
 		return false
@@ -261,6 +262,7 @@ func (m *Mutator) skipWordLog(p heap.Value, i int) bool {
 // the same word).
 //
 //gclint:allow barrierfast -- unreplicated nursery objects owe no log entry; set dirty bits prove the log retains unconsumed word-aligned entries covering these words
+//go:nosplit
 func (m *Mutator) skipByteWordsLog(p heap.Value, w, n int) bool {
 	if m.NaiveBarrier {
 		return false

@@ -33,20 +33,32 @@ func (b *PauseBracket) Begin(m *Mutator) {
 	b.stats.PauseCount++
 }
 
-// Phase opens a phase of the pause in progress and returns its closer, which
-// adds the span to the pause's record; callers invoke the closer exactly once,
+// Phase opens a phase of the pause in progress and returns it as a span; its
+// End adds the span to the pause's record. Callers end the span exactly once,
 // on every exit path, so the trace's begin/end events stay balanced even when
-// an increment ends in a typed exhaustion error. Closed at once, it is a span
-// of no length: how the degradation ladder's emergency rung is marked.
-func (b *PauseBracket) Phase(m *Mutator, p simtime.Phase) func() {
+// an increment ends in a typed exhaustion error. Ended at once, it is a span
+// of no length: how the degradation ladder's emergency rung is marked. The
+// span is a value, so opening and closing one allocates nothing.
+func (b *PauseBracket) Phase(m *Mutator, p simtime.Phase) PhaseSpan {
 	start := m.Clock.Now()
 	b.Trace.PhaseBegin(start, p)
-	return func() {
-		now := m.Clock.Now()
-		b.cur.PhaseTime[p] += now - start
-		b.cur.PhaseSpans[p]++
-		b.Trace.PhaseEnd(now, p)
-	}
+	return PhaseSpan{b: b, m: m, phase: p, start: start}
+}
+
+// PhaseSpan is a phase of the pause in progress, from Phase to End.
+type PhaseSpan struct {
+	b     *PauseBracket
+	m     *Mutator
+	phase simtime.Phase
+	start simtime.Duration
+}
+
+// End closes the span, adding its time to the pause's record.
+func (s PhaseSpan) End() {
+	now := s.m.Clock.Now()
+	s.b.cur.PhaseTime[s.phase] += now - s.start
+	s.b.cur.PhaseSpans[s.phase]++
+	s.b.Trace.PhaseEnd(now, s.phase)
 }
 
 // End restarts the mutator and records the pause as kind, with what the

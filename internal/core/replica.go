@@ -261,8 +261,8 @@ type Replicating struct {
 	//gclint:pauseonly major fixup worklist; grown by log processing and the scan, consumed at the major flip, all under pause
 	fixups []fixup
 	//gclint:pauseonly dedup set for fixups; same pause-only lifecycle as the worklist it guards
-	fixupSeen       map[fixup]struct{} // dedup: a slot is queued once
-	forcedMajorFlip bool               // replay wants a major flip at the next minor flip
+	fixupSeen       wordSet // dedup: the arena words of the slots queued (queueFixup)
+	forcedMajorFlip bool    // replay wants a major flip at the next minor flip
 
 	replay    *policy.Cursor
 	finishing bool // inside FinishCycles: flips are not recorded
@@ -552,9 +552,9 @@ func (c *Replicating) pause(m *Mutator, needWords int, force bool) error {
 		if c.ckpt != nil {
 			p := c.checkpointPoint()
 			p.BudgetWords = c.budgetSlots(m, force, m.Cost.CopyWord)
-			end := c.pauses.Phase(m, simtime.PhaseCheckpoint)
+			phase := c.pauses.Phase(m, simtime.PhaseCheckpoint)
 			committed := c.ckpt.PauseCheckpoint(m, p)
-			end()
+			phase.End()
 			c.pauses.cur.Forced = c.pauses.cur.Forced || committed
 		}
 	}
@@ -589,7 +589,7 @@ func (c *Replicating) pauseBody(m *Mutator, needWords int, force bool, kind *sim
 	if c.emergency {
 		// Here, or in CollectEmergency before the pause began, the pause
 		// escalated: mark the rung as a distinct (instantaneous) phase.
-		c.pauses.Phase(m, simtime.PhaseEmergency)()
+		c.pauses.Phase(m, simtime.PhaseEmergency).End()
 	}
 
 	if !c.minor.active {
@@ -746,9 +746,9 @@ func (c *Replicating) minorIncrement(m *Mutator, force bool) (bool, error) {
 	// holding nursery pointers) and keep replicas up to date. The paper's
 	// log processing ignores L (§3.4); this one stops when the pause's
 	// budget is spent and resumes from the same cursor at the next pause.
-	endPhase := c.pauses.Phase(m, simtime.PhaseLogReplay)
+	phase := c.pauses.Phase(m, simtime.PhaseLogReplay)
 	done, err := c.processMinorLog(m, force)
-	endPhase()
+	phase.End()
 	if !done {
 		return false, err
 	}
@@ -789,9 +789,9 @@ func (c *Replicating) minorIncrement(m *Mutator, force bool) (bool, error) {
 
 	// 4. Lazy mode deferred its reapplies to this moment.
 	if c.cfg.LazyLogProcessing {
-		endPhase = c.pauses.Phase(m, simtime.PhaseLogReplay)
+		phase = c.pauses.Phase(m, simtime.PhaseLogReplay)
 		err := c.drainLazyMinor(m)
-		endPhase()
+		phase.End()
 		if err != nil {
 			return false, err
 		}
@@ -808,13 +808,13 @@ func (c *Replicating) minorIncrement(m *Mutator, force bool) (bool, error) {
 	// each round of copies can expose more deferred references, so loop
 	// to a fixpoint.
 	for len(c.pendingMut) > 0 {
-		endPhase = c.pauses.Phase(m, simtime.PhaseCopy)
+		phase = c.pauses.Phase(m, simtime.PhaseCopy)
 		err := c.drainPendingMutables(m)
 		var done bool
 		if err == nil {
 			done, err = c.scan(m, g, true)
 		}
-		endPhase()
+		phase.End()
 		if err != nil {
 			return false, err
 		}
@@ -827,9 +827,9 @@ func (c *Replicating) minorIncrement(m *Mutator, force bool) (bool, error) {
 		return false, nil
 	}
 
-	endPhase = c.pauses.Phase(m, simtime.PhaseFlip)
+	phase = c.pauses.Phase(m, simtime.PhaseFlip)
 	err = c.minorFlip(m)
-	endPhase()
+	phase.End()
 	if err != nil {
 		return false, err
 	}
@@ -838,9 +838,9 @@ func (c *Replicating) minorIncrement(m *Mutator, force bool) (bool, error) {
 
 // scanPhase runs the Cheney scan as one traced copy phase.
 func (c *Replicating) scanPhase(m *Mutator, g *generation, force bool) (bool, error) {
-	endPhase := c.pauses.Phase(m, simtime.PhaseCopy)
+	phase := c.pauses.Phase(m, simtime.PhaseCopy)
 	done, err := c.scan(m, g, force)
-	endPhase()
+	phase.End()
 	return done, err
 }
 
@@ -849,7 +849,7 @@ func (c *Replicating) scanPhase(m *Mutator, g *generation, force bool) (bool, er
 // roots themselves are only redirected at the flip. It reports whether the
 // pass reached the last root; an aborted pass is simply run again.
 func (c *Replicating) scanRoots(m *Mutator, g *generation, roots []*heap.Value, force bool) (bool, error) {
-	endPhase := c.pauses.Phase(m, simtime.PhaseRootScan)
+	phase := c.pauses.Phase(m, simtime.PhaseRootScan)
 	// roots is Roots.Slots' reusable buffer, enumerated by the caller for the
 	// admission gate: no per-scan closure allocations, and the loop can stop
 	// the moment the budget runs out. Every slot is still charged (the root
@@ -866,7 +866,7 @@ func (c *Replicating) scanRoots(m *Mutator, g *generation, roots []*heap.Value, 
 			}
 		}
 	}
-	endPhase()
+	phase.End()
 	return done, err
 }
 
@@ -1097,9 +1097,9 @@ func (c *Replicating) resumeCopy(m *Mutator, g *generation) bool {
 	if g.inflight.replica == heap.Nil {
 		return true
 	}
-	endPhase := c.pauses.Phase(m, simtime.PhaseCopy)
+	phase := c.pauses.Phase(m, simtime.PhaseCopy)
 	c.fill(m, g, &g.inflight, 0)
-	endPhase()
+	phase.End()
 	if g.inflight.next < g.inflight.words {
 		return false
 	}
@@ -1150,11 +1150,7 @@ func (c *Replicating) toSpaceValue(m *Mutator, v heap.Value, slotObj heap.Value,
 		// Still being filled, and a to-space slot may be mutator-visible:
 		// like a mutable reference, this one waits for the flip.
 	}
-	f := fixup{obj: slotObj, slot: int32(slot)}
-	if _, dup := c.fixupSeen[f]; !dup {
-		c.fixupSeen[f] = struct{}{}
-		c.fixups = append(c.fixups, f)
-	}
+	c.queueFixup(fixup{obj: slotObj, slot: int32(slot)})
 	// A mutable referent is copied eagerly unless deferred (the slot still
 	// waits for the flip either way).
 	if mutable && !deferred {
@@ -1163,6 +1159,58 @@ func (c *Replicating) toSpaceValue(m *Mutator, v heap.Value, slotObj heap.Value,
 		}
 	}
 	return v, nil
+}
+
+// queueFixup puts f on the major flip's worklist unless it is there already,
+// so that the worklist, and the flip's cost the admission gate reads off its
+// length, counts each slot once.
+func (c *Replicating) queueFixup(f fixup) {
+	if c.fixupSeen.add(uint64(f.obj)>>3 + uint64(f.slot)) {
+		c.fixups = append(c.fixups, f)
+	}
+}
+
+// wordSet is a set of arena word indices, the flip worklist's dedup set: an
+// open-addressing table, at most half full, in which 0 marks an empty entry
+// (word 0 is reserved, never a slot). It grows to twice the largest worklist
+// and keeps its table when the flip empties it, so a warm collector queues
+// without allocating. A Go map would not do: clear keeps its tables but
+// reseeds its hash, so that the same number of keys splits them again.
+type wordSet struct {
+	table []uint64
+	n     int
+}
+
+// add puts w in the set and reports whether it was absent.
+func (s *wordSet) add(w uint64) bool {
+	if 2*(s.n+1) > len(s.table) {
+		old := s.table
+		s.table, s.n = make([]uint64, max(2*len(old), 64)), 0
+		for _, v := range old {
+			if v != 0 {
+				s.add(v)
+			}
+		}
+	}
+	mask := uint64(len(s.table) - 1)
+	for i := w * 0x9e3779b97f4a7c15 >> 32 & mask; ; i = (i + 1) & mask {
+		switch s.table[i] {
+		case w:
+			return false
+		case 0:
+			s.table[i] = w
+			s.n++
+			return true
+		}
+	}
+}
+
+// clear empties the set and keeps its table.
+func (s *wordSet) clear() {
+	if s.n > 0 {
+		clear(s.table)
+		s.n = 0
+	}
 }
 
 // hiddenHolder reports whether holder, a to-space object that is (replica) or
@@ -1476,7 +1524,7 @@ func (c *Replicating) startMajor(m *Mutator) {
 	c.major.logCursor = m.Log.Len()
 	c.major.begin(c.h.OldFrom(), c.h.OldTo())
 	c.major.replicas, c.major.replicaIdx = c.major.replicas[:0], 0
-	c.fixupSeen = make(map[fixup]struct{})
+	c.fixupSeen.clear()
 }
 
 // runMajorIncrement performs one increment of the major collection and
@@ -1496,9 +1544,9 @@ func (c *Replicating) runMajorIncrement(m *Mutator, force, postFlip bool) (bool,
 	// 1. Drain the major log: reapply mutations to existing replicas of
 	// old-from objects, and track from-space references stored into
 	// mutator-visible to-space objects.
-	endPhase := c.pauses.Phase(m, simtime.PhaseLogReplay)
+	phase := c.pauses.Phase(m, simtime.PhaseLogReplay)
 	done, err := c.processMajorLog(m, force, postFlip)
-	endPhase()
+	phase.End()
 	if !done {
 		return false, err
 	}
@@ -1543,21 +1591,21 @@ func (c *Replicating) runMajorIncrement(m *Mutator, force, postFlip bool) (bool,
 	// contents, and repeat until no pending copies remain — each round can
 	// expose further deferred references.
 	if c.cfg.DeferMutableCopies {
-		endPhase = c.pauses.Phase(m, simtime.PhaseCopy)
+		phase = c.pauses.Phase(m, simtime.PhaseCopy)
 		for {
 			if done, err := c.drainDeferredMajorMutables(m, force); !done {
-				endPhase()
+				phase.End()
 				return false, err
 			}
 			if g.scanDone() {
 				break
 			}
 			if done, err := c.scan(m, g, force); !done {
-				endPhase()
+				phase.End()
 				return false, err
 			}
 		}
-		endPhase()
+		phase.End()
 	}
 
 	if g.logCursor != m.Log.Len() || !g.scanDone() {
@@ -1568,9 +1616,9 @@ func (c *Replicating) runMajorIncrement(m *Mutator, force, postFlip bool) (bool,
 		return false, nil
 	}
 	g.whole = true // a straggler the flip copies, it copies whole
-	endPhase = c.pauses.Phase(m, simtime.PhaseFlip)
+	phase = c.pauses.Phase(m, simtime.PhaseFlip)
 	err = c.majorFlip(m)
-	endPhase()
+	phase.End()
 	if err != nil {
 		return false, err
 	}
@@ -1724,7 +1772,7 @@ func (c *Replicating) majorFlip(m *Mutator) error {
 		}
 	}
 	c.fixups = c.fixups[:0]
-	c.fixupSeen = nil
+	c.fixupSeen.clear()
 	g.deferrals = 0
 
 	c.redirectRoots(m, g)

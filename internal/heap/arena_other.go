@@ -9,9 +9,12 @@ const arenaMapped = false
 type mapping struct{}
 
 // newArena gives h an arena of the given number of words, and the arena's
-// dirty map, from the Go heap: without an anonymous mapping to draw on,
-// make zeroes both up front. This is the only arena on these platforms.
+// dirty map and undo list, from the Go heap: without an anonymous mapping to
+// draw on, make zeroes them up front. This is the only arena on these
+// platforms.
 func (h *Heap) newArena(words uint64) {
+	dirty := (words + 63) / 64
 	h.arena = make([]Value, words)
-	h.dirty = make([]uint64, (words+63)/64)
+	h.dirty = make([]uint64, dirty)
+	h.undo = make([]uint32, 0, dirty)
 }

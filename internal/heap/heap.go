@@ -36,7 +36,9 @@ type Heap struct {
 
 	// Log-coalescing side table (see stamp.go): a dirty bit per arena word,
 	// the indices of the map words to zero at the next BeginLogEpoch (uint32
-	// reaches 2 TB of arena), and the pause count EpochHook reports.
+	// reaches 2 TB of arena; a word is listed at most once an epoch, so the
+	// list's fixed capacity is one slot per map word), and the pause count
+	// EpochHook reports.
 	dirty    []uint64
 	undo     []uint32
 	logEpoch uint32

@@ -18,15 +18,18 @@ package heap
 // The undo list names every map word that went non-zero since the last
 // BeginLogEpoch; zeroing exactly those restores the all-clean map at a cost
 // proportional to the marks made (which the pause is about to spend on the
-// log anyway), not to the address space. The bits are an optimisation, never
-// a correctness input: a spuriously clean word costs one duplicate entry.
+// log anyway), not to the address space. A map word is listed only when it
+// goes non-zero, so at most once an epoch: the list has a fixed capacity of
+// one slot per map word, made with the map, and marking never allocates (so
+// the barrier's fast path, which marks on a miss, can be nosplit). The bits
+// are an optimisation, never a correctness input: a spuriously clean word
+// costs one duplicate entry.
 
 // BeginLogEpoch starts a new coalescing epoch, clearing every dirty bit set
-// since the previous call (the undo list keeps its capacity). Collectors
-// call it on entry to each pause, before any log cursor moves. The mutators
-// of a group share the one map and the one log, so the one clear invalidates
-// every mutator's marks together. logEpoch only numbers the pauses for
-// EpochHook, skipping 0 when it wraps.
+// since the previous call. Collectors call it on entry to each pause, before
+// any log cursor moves. The mutators of a group share the one map and the one
+// log, so the one clear invalidates every mutator's marks together. logEpoch
+// only numbers the pauses for EpochHook, skipping 0 when it wraps.
 func (h *Heap) BeginLogEpoch() {
 	for _, w := range h.undo {
 		h.dirty[w] = 0
@@ -61,7 +64,9 @@ func (h *Heap) MarkSlotDirty(p Value, i int) {
 // if this is its first mark of the epoch.
 func (h *Heap) markDirty(w, mask uint64) {
 	if h.dirty[w] == 0 {
-		h.undo = append(h.undo, uint32(w))
+		n := len(h.undo)
+		h.undo = h.undo[:n+1]
+		h.undo[n] = uint32(w)
 	}
 	h.dirty[w] |= mask
 }

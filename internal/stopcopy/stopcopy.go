@@ -148,7 +148,7 @@ func (c *Collector) pause(m *core.Mutator, emergency bool) error {
 		c.stats.ForcedCompletion++
 	}
 	if emergency || lowHeadroom {
-		c.pauses.Phase(m, simtime.PhaseEmergency)() // a span of no length marks the rung
+		c.pauses.Phase(m, simtime.PhaseEmergency).End() // a span of no length marks the rung
 	}
 
 	kind := simtime.PauseMinor
@@ -214,7 +214,7 @@ func (c *Collector) minorCollect(m *core.Mutator) error {
 
 	// Remembered set: logged old-space slots holding nursery pointers are
 	// updated in place as they are processed — no flip traversal.
-	endPhase := c.pauses.Phase(m, simtime.PhaseLogReplay)
+	phase := c.pauses.Phase(m, simtime.PhaseLogReplay)
 	for c.logCursor < m.Log.Len() {
 		e := m.Log.At(c.logCursor)
 		c.logCursor++
@@ -227,22 +227,22 @@ func (c *Collector) minorCollect(m *core.Mutator) error {
 		if from.Contains(v) {
 			nv, err := c.forward(m, v, to, simtime.AcctMinorCopy, &c.stats.BytesCopiedMinor)
 			if err != nil {
-				endPhase()
+				phase.End()
 				return err
 			}
 			h.Store(e.Obj, int(e.Slot), nv)
 		}
 	}
-	endPhase()
+	phase.End()
 
 	if err := c.scanRoots(m, from, to, simtime.AcctMinorCopy, &c.stats.BytesCopiedMinor); err != nil {
 		return err
 	}
 
 	// Cheney scan of the promotion region.
-	endPhase = c.pauses.Phase(m, simtime.PhaseCopy)
+	phase = c.pauses.Phase(m, simtime.PhaseCopy)
 	err := c.cheney(m, from, to, simtime.AcctMinorCopy, &c.stats.BytesCopiedMinor)
-	endPhase()
+	phase.End()
 	if err != nil {
 		return err
 	}
@@ -264,7 +264,7 @@ func (c *Collector) minorCollect(m *core.Mutator) error {
 
 // scanRoots forwards every root referent in from to to and updates the slot.
 func (c *Collector) scanRoots(m *core.Mutator, from, to *heap.Space, acct simtime.Account, copied *int64) error {
-	defer c.pauses.Phase(m, simtime.PhaseRootScan)()
+	defer c.pauses.Phase(m, simtime.PhaseRootScan).End()
 	roots := m.Roots.Slots()
 	c.stats.RootSlotUpdates += int64(len(roots))
 	m.Clock.Charge(simtime.AcctRootScan, simtime.Duration(len(roots))*m.Cost.RootUpdate)
@@ -326,9 +326,9 @@ func (c *Collector) majorCollect(m *core.Mutator) error {
 		return err
 	}
 
-	endPhase := c.pauses.Phase(m, simtime.PhaseCopy)
+	phase := c.pauses.Phase(m, simtime.PhaseCopy)
 	err := c.cheney(m, from, to, simtime.AcctMajorCopy, &c.stats.BytesCopiedMajor)
-	endPhase()
+	phase.End()
 	if err != nil {
 		return err
 	}

@@ -35,7 +35,7 @@ echo "parent $(git rev-parse --short "$parent") in $tree; change: this tree at $
 run() { # side, tree, pair
 	(cd "$2" && bash benchmarks/host/run.sh --workload "$workload" --seed "$seed" \
 		--seconds "$seconds" --trace 1 --out "$out/$1.$3.json") |
-		grep -E '^  (setup_s|host_run_s|host_peak_rss_mb) ' | sed "s/^/[$1 $3]/" >&2
+		grep -E '^  (setup_s|host_run_s|host_peak_rss_mb|host_mallocs_k) ' | sed "s/^/[$1 $3]/" >&2
 }
 for i in $(seq 1 "$pairs"); do
 	if [ $((i % 2)) -eq 1 ]; then
