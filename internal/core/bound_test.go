@@ -2,9 +2,11 @@ package core_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repligc/internal/core"
+	"repligc/internal/faultinject"
 	"repligc/internal/gctest"
 	"repligc/internal/heap"
 	"repligc/internal/lang"
@@ -373,4 +375,55 @@ func TestPauseBound(t *testing.T) {
 		}
 		check(t, rt.GC)
 	})
+}
+
+// budgetOffers is a checkpointer that writes nothing: it records the budget
+// each pause offers it, by pause number.
+type budgetOffers map[int]int
+
+func (b budgetOffers) PauseCheckpoint(m *core.Mutator, p core.CheckpointPoint) bool {
+	b[m.GC.Stats().PauseCount] = p.BudgetWords
+	return false
+}
+
+// TestEmergencyOffersCheckpointNoBudget holds the checkpoint to the pause's
+// one budget: an emergency pause has none, whether it was entered as one
+// (CollectEmergency) or escalated into one on low headroom, so it offers the
+// writer no limit. The headroom is squeezed again and again under rt, which
+// escalates pauses of both kinds.
+func TestEmergencyOffersCheckpointNoBudget(t *testing.T) {
+	rt, err := rig.New(rig.Config{Collector: rig.RT, OldSemiBytes: 4 << 20, NurseryCapBytes: 48 << 10,
+		Params: rig.Params{NBytes: 32 << 10, OBytes: 64 << 10, LBytes: 4 << 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gc, offers := rt.GC.(*core.Replicating), budgetOffers{}
+	gc.SetCheckpointer(offers)
+	var plan faultinject.Plan
+	for at := int64(1500); at < 20000; at += 2500 {
+		plan.Events = append(plan.Events, faultinject.Event{AtOp: at, Action: faultinject.ShrinkOld, Arg: at % 3 * 1500},
+			faultinject.Event{AtOp: at + 180, Action: faultinject.RestoreHeadroom})
+	}
+	d := gctest.NewDriver(rt.Mutator, 3)
+	d.Inject = faultinject.New(rt.Mutator, plan).Tick
+	for d.Ops < 20000 {
+		if err := d.Step(20000 - d.Ops); err != nil {
+			if _, ok := core.AsOOM(err); !ok {
+				t.Fatal(err)
+			}
+		}
+	}
+	emergencies := 0
+	for i, p := range gc.Pauses().Pauses {
+		if words, ok := offers[i+1]; ok && p.PhaseSpans[simtime.PhaseEmergency] > 0 {
+			emergencies++
+			if words != math.MaxInt {
+				t.Errorf("emergency pause %d offered the checkpoint %d words; want no limit", i, words)
+			}
+		}
+	}
+	if emergencies == 0 {
+		t.Fatal("no emergency pause: the test does not reach the case")
+	}
+	t.Logf("%d emergency pauses of %d, %d forced completions", emergencies, len(gc.Pauses().Pauses), gc.Stats().ForcedCompletion)
 }

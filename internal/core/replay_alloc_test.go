@@ -100,14 +100,15 @@ func TestReplayBatchPathZeroAllocs(t *testing.T) {
 		t.Fatal("mutations were not logged; the batch is empty")
 	}
 
-	// Warm once, then assert.
+	// Warm once, then assert, with no budget to stop the replay.
+	c.lift()
 	c.minor.logCursor = start
-	if _, err := c.processMinorLog(m, true); err != nil {
+	if _, err := c.processMinorLog(m); err != nil {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		c.minor.logCursor = start
-		if _, err := c.processMinorLog(m, true); err != nil {
+		if _, err := c.processMinorLog(m); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {

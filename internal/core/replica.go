@@ -118,8 +118,10 @@ type fixup struct {
 // The paper runs one algorithm on both generations, so the collector holds
 // two — minor (nursery → promotion space) and major (old from-space → old
 // to-space) — and that algorithm's kernels (replicate, scan, scanRoots,
-// redirectRoots, repoint, takeLogEntry) are written once over a *generation.
-// Each generation's log-entry handler, flip worklist and increment stay its own.
+// redirectRoots, repoint, takeLogEntry, attempt) are written once over a
+// *generation. Each generation's log-entry handler, flip worklist and increment
+// stay its own. A generation carries no budget: the pause's one deadline says
+// whether a kernel goes on and whether a copy splits (Replicating.deadline).
 type generation struct {
 	name   string          // "minor" or "major", for diagnostics
 	major  bool            // the scan's slot forwarder: toSpaceValue when set, minorValue otherwise
@@ -164,8 +166,6 @@ type generation struct {
 	//
 	//gclint:pauseonly the copy cursor only advances while the mutator is stopped; between pauses the log keeps the copied prefix current
 	inflight copyJob
-	//gclint:pauseonly set at the top of every increment and by its completing steps, all under pause
-	whole bool // copies are not split: the increment is forced, or has reached the steps that end in the flip
 	//gclint:pauseonly counted by the admission gate and cleared by the flip, both under pause
 	deferrals int // times in a row this generation's completion attempt has been put off (deferAttempt)
 }
@@ -294,14 +294,16 @@ type Replicating struct {
 	noLogMeter bool
 
 	// The instant on the simulated clock at which the pause in progress has
-	// spent its budget (pause, extend); 0 when it has none.
+	// spent its budget; 0 when it has none. It is the pause's one budget:
+	// every budget test reads it (overBudget, budgetSlots, deferAttempt), and
+	// work with no budget runs with it lifted (lift, restore).
 	//
-	//gclint:pauseonly set when the pause begins, pushed out by what the budget does not count, all under pause
+	//gclint:pauseonly set when the pause begins, lifted and pushed out by what the budget does not count, all under pause
 	deadline simtime.Duration
 
-	// ckpt, when set, is called at the tail of every pause (still inside
-	// the pause window) so the checkpoint writer can advance its snapshot
-	// cursor under the same stopped-mutator guarantee collection work has.
+	// ckpt, when set, is called at the tail of every pause but a major-only
+	// micro-pause (core/checkpoint.go says why that one is harmless), still
+	// inside the pause window, under the guarantee collection work has.
 	ckpt Checkpointer
 }
 
@@ -479,7 +481,7 @@ func (c *Replicating) AllocTax(m *Mutator, bytes int64) error {
 		return nil
 	}
 	c.microLimit, c.taxCredit = c.taxCredit, 0
-	err := c.pause(m, 0, false)
+	err := c.pause(m, 0)
 	c.microLimit = 0
 	return err
 }
@@ -492,20 +494,23 @@ func (c *Replicating) minorDue() bool {
 
 // CollectForAlloc implements Collector: one garbage-collection pause.
 func (c *Replicating) CollectForAlloc(m *Mutator, needWords int) error {
-	return c.pause(m, needWords, false)
+	return c.pause(m, needWords)
 }
 
 // FinishCycles implements Collector: drive all pending incremental work to
 // completion so total copy volumes are comparable across configurations.
 func (c *Replicating) FinishCycles(m *Mutator) error {
 	// Run ordinary budgeted pauses so the tail of the run has the same
-	// bounded-pause behaviour as the rest; fall back to forced completion
-	// only if the collection fails to converge. Flips forced here are an
-	// end-of-run artifact and are not recorded into policy scripts.
+	// bounded-pause behaviour as the rest; fall back to an emergency
+	// collection only if the collection fails to converge. Flips forced here
+	// are an end-of-run artifact and are not recorded into policy scripts.
 	c.finishing = true
 	defer func() { c.finishing = false }()
 	for i := 0; c.minor.active || c.major.active; i++ {
-		if err := c.pause(m, 0, i > 1<<16); err != nil {
+		if i > 1<<16 { // an emergency completes both generations
+			return c.CollectEmergency(m)
+		}
+		if err := c.pause(m, 0); err != nil {
 			return err
 		}
 	}
@@ -520,16 +525,16 @@ func (c *Replicating) FinishCycles(m *Mutator) error {
 func (c *Replicating) CollectEmergency(m *Mutator) error {
 	c.stats.EmergencyCollections++
 	c.emergency = true
-	return c.pause(m, 0, true)
+	return c.pause(m, 0)
 }
 
 // pause stops the mutator and performs one increment of collection work.
-// When force is set the pause ignores budgets and completes everything.
-// The pause is always charged and recorded — including when it ends in a
-// typed exhaustion error, so degraded runs report honest long pauses.
+// An emergency pause has no budget and completes everything. The pause is
+// always charged and recorded — including when it ends in a typed exhaustion
+// error, so degraded runs report honest long pauses.
 //
 //gclint:pauseentry Clock.BeginPause stops the (single) mutator before any collector state changes; every collector entry point funnels through here
-func (c *Replicating) pause(m *Mutator, needWords int, force bool) error {
+func (c *Replicating) pause(m *Mutator, needWords int) error {
 	c.pauses.Begin(m)
 	// Every pause, micro-pauses included, starts a fresh log-coalescing
 	// epoch before any cursor moves: dirty bits set by the barrier since
@@ -546,12 +551,12 @@ func (c *Replicating) pause(m *Mutator, needWords int, force bool) error {
 		// An interleaved micro-pause in which only the major collection has
 		// work pending: a mid-cycle major increment, without forcing a
 		// (trivial) minor collection.
-		_, err = c.runMajorIncrement(m, false, false)
+		_, err = c.majorIncrement(m, false)
 	} else {
-		err = c.pauseBody(m, needWords, force, &kind)
+		err = c.pauseBody(m, needWords, &kind)
 		if c.ckpt != nil {
 			p := c.checkpointPoint()
-			p.BudgetWords = c.budgetSlots(m, force, m.Cost.CopyWord)
+			p.BudgetWords = c.budgetSlots(m, m.Cost.CopyWord)
 			phase := c.pauses.Phase(m, simtime.PhaseCheckpoint)
 			committed := c.ckpt.PauseCheckpoint(m, p)
 			phase.End()
@@ -562,9 +567,9 @@ func (c *Replicating) pause(m *Mutator, needWords int, force bool) error {
 	if c.major.active {
 		c.pauses.cur.LogLeft += m.Log.Len() - c.major.logCursor
 	}
-	// A forced or emergency pause admits no overlap (pauseBody may have
-	// escalated on low headroom after entry).
-	c.pauses.End(m, kind, force || c.emergency)
+	// An emergency pause admits no overlap, whether it was entered as one or
+	// pauseBody escalated it on low headroom.
+	c.pauses.End(m, kind, c.emergency)
 	c.emergency = false
 	return err
 }
@@ -574,21 +579,22 @@ func (c *Replicating) pause(m *Mutator, needWords int, force bool) error {
 // no budget Forced: one that forced its minor collection to completion — the
 // non-incremental minor of major-inc and stop-copy-core among them — or ran a
 // non-incremental major increment.
-func (c *Replicating) pauseBody(m *Mutator, needWords int, force bool, kind *simtime.PauseKind) error {
+func (c *Replicating) pauseBody(m *Mutator, needWords int, kind *simtime.PauseKind) error {
 	// Degradation ladder, headroom reservation: if the promotion target
 	// cannot absorb a worst-case cycle (everything currently in the
 	// nursery plus the recorded high-water mark as reserve), finish all
 	// incremental work now, in one long pause, rather than risk an
 	// unrecoverable overflow in the middle of a later copy.
-	if !force && c.lowHeadroom() {
-		force = true
+	if !c.emergency && c.lowHeadroom() {
 		c.emergency = true
 		c.stats.EmergencyCollections++
 		c.forcedCompletion()
 	}
 	if c.emergency {
 		// Here, or in CollectEmergency before the pause began, the pause
-		// escalated: mark the rung as a distinct (instantaneous) phase.
+		// escalated: it has no budget from here to its end (the lift is never
+		// restored), and the rung is marked as a distinct (instantaneous) phase.
+		c.lift()
 		c.pauses.Phase(m, simtime.PhaseEmergency).End()
 	}
 
@@ -597,19 +603,26 @@ func (c *Replicating) pauseBody(m *Mutator, needWords int, force bool, kind *sim
 	}
 	c.minorPauses++
 	capped := c.minorPauses > cmp.Or(c.pauseCap, maxMinorPauses)
-	forceMinor := force || !c.cfg.IncrementalMinor || capped
+	forceMinor := c.emergency || !c.cfg.IncrementalMinor || capped
 	if capped {
 		c.forcedCompletion()
 	}
 	c.pauses.cur.Forced = c.pauses.cur.Forced || forceMinor
 
-	needB := int64(needWords) * heap.BytesPerWord
-	done, err := c.runMinorIncrement(m, forceMinor)
+	// A forced increment runs with the deadline lifted, and its time goes back
+	// onto it: else a root set too long for the budget would leave the major
+	// after it nothing, pause after pause.
+	needB, from, deadline := int64(needWords)*heap.BytesPerWord, m.Clock.Now(), simtime.Duration(0)
+	if forceMinor {
+		deadline = c.lift()
+	}
+	done, err := c.minorIncrement(m)
+	c.restore(deadline, m.Clock.Now()-from)
 	if err != nil {
 		return err
 	}
 	if done {
-		majorFlipped, err := c.afterMinorFlip(m, force)
+		majorFlipped, err := c.afterMinorFlip(m)
 		if err != nil {
 			return err
 		}
@@ -627,15 +640,17 @@ func (c *Replicating) pauseBody(m *Mutator, needWords int, force bool, kind *sim
 			// Expansion bound blown: conservative completion (the
 			// ladder's first rung).
 			c.forcedCompletion()
-			done, err := c.runMinorIncrement(m, true)
+			from, deadline := m.Clock.Now(), c.lift()
+			done, err := c.minorIncrement(m)
+			c.restore(deadline, m.Clock.Now()-from)
 			if err != nil {
 				return err
 			}
 			if !done {
-				//gclint:allow panicpath -- invariant: a forced increment has no budget to run out of
+				//gclint:allow panicpath -- invariant: an increment with no budget has none to run out of
 				panic("core: forced minor completion did not complete")
 			}
-			if _, err := c.afterMinorFlip(m, force); err != nil {
+			if _, err := c.afterMinorFlip(m); err != nil {
 				return err
 			}
 		}
@@ -684,12 +699,20 @@ func (c *Replicating) startMinor(m *Mutator) {
 // has spent it at its deadline, that long after it began.
 func (c *Replicating) budget(m *Mutator) simtime.Duration { return workTime(m.Cost, c.workLimit()) }
 
-// extend pushes the pause's deadline out by time the budget does not count:
-// the cost of a completion attempt let through over budget (deferAttempt), and
-// an increment that ran with no budget at all (runMinorIncrement).
-func (c *Replicating) extend(d simtime.Duration) {
-	if c.deadline > 0 {
-		c.deadline += d
+// lift begins a stretch of the pause that has no budget: until restore, no
+// budget test stops anything and no copy is split. It returns the deadline it
+// took away, 0 when there was none (no budget, or a stretch inside another).
+func (c *Replicating) lift() simtime.Duration {
+	d := c.deadline
+	c.deadline = 0
+	return d
+}
+
+// restore ends a stretch on every exit path: the deadline lift returned comes
+// back pushed out by by, time the budget does not count.
+func (c *Replicating) restore(deadline, by simtime.Duration) {
+	if deadline > 0 {
+		c.deadline = deadline + by
 	}
 }
 
@@ -697,8 +720,8 @@ func (c *Replicating) extend(d simtime.Duration) {
 // the one budget test: copying, scanning, log replay and the root passes all
 // stop at it, and what cannot stop part-way is admitted against the same
 // instant before it starts (deferAttempt).
-func (c *Replicating) overBudget(m *Mutator, force bool) bool {
-	return !force && c.deadline > 0 && m.Clock.Now() >= c.deadline
+func (c *Replicating) overBudget(m *Mutator) bool {
+	return c.deadline > 0 && m.Clock.Now() >= c.deadline
 }
 
 // budgetSlots reports how many units of work at each duration the current
@@ -706,8 +729,8 @@ func (c *Replicating) overBudget(m *Mutator, force bool) bool {
 // ceil(remaining/each), so a run of this many charges stops where a
 // check-every-unit loop would stop. A non-positive return means the budget
 // is already spent; unlimited budgets report maxInt.
-func (c *Replicating) budgetSlots(m *Mutator, force bool, each simtime.Duration) int {
-	if force || c.deadline <= 0 || each <= 0 {
+func (c *Replicating) budgetSlots(m *Mutator, each simtime.Duration) int {
+	if c.deadline <= 0 || each <= 0 {
 		return int(^uint(0) >> 1)
 	}
 	rem := c.deadline - m.Clock.Now()
@@ -717,27 +740,12 @@ func (c *Replicating) budgetSlots(m *Mutator, force bool, each simtime.Duration)
 	return int((rem + each - 1) / each)
 }
 
-// runMinorIncrement performs one increment of the minor collection and
-// reports whether the collection completed (including its flip). A typed
-// exhaustion error leaves the cycle active and resumable: every cursor
-// stops exactly at the failed unit of work.
-//
-// An increment that runs with no budget — the non-incremental minor of
-// major-inc, a forced completion — is outside the pause's: the major's
-// increment after it has all of it, or a root set too long for the budget
-// would leave the major nothing, pause after pause.
-func (c *Replicating) runMinorIncrement(m *Mutator, force bool) (bool, error) {
-	from := m.Clock.Now()
-	done, err := c.minorIncrement(m, force)
-	if force {
-		c.extend(m.Clock.Now() - from)
-	}
-	return done, err
-}
-
-func (c *Replicating) minorIncrement(m *Mutator, force bool) (bool, error) {
+// minorIncrement performs one increment of the minor collection and reports
+// whether the collection completed (including its flip). A typed exhaustion
+// error leaves the cycle active and resumable: every cursor stops exactly at
+// the failed unit of work.
+func (c *Replicating) minorIncrement(m *Mutator) (bool, error) {
 	g := &c.minor
-	g.whole = force
 	if !c.resumeCopy(m, g) {
 		return false, nil
 	}
@@ -747,60 +755,84 @@ func (c *Replicating) minorIncrement(m *Mutator, force bool) (bool, error) {
 	// log processing ignores L (§3.4); this one stops when the pause's
 	// budget is spent and resumes from the same cursor at the next pause.
 	phase := c.pauses.Phase(m, simtime.PhaseLogReplay)
-	done, err := c.processMinorLog(m, force)
+	done, err := c.processMinorLog(m)
 	phase.End()
 	if !done {
 		return false, err
 	}
 
 	// 2. Cheney scan of the objects promoted this cycle.
-	if done, err := c.scanPhase(m, g, force); !done {
+	if done, err := c.scanPhase(m, g); !done {
 		return false, err
 	}
 
-	// 3. The log is drained and the scan has caught up: attempt
-	// completion. Only now are the mutator roots scanned — intermediate
-	// increments make their progress through the log and the Cheney scan,
-	// so the (per-pause-constant) root-scan cost is paid once per
-	// collection rather than once per increment — and only by an attempt
-	// the gate admits: the pass over the roots, the flip's second one and
-	// its worklist must fit what is left of the pause. Root referents are
-	// replicated within the budget; an aborted pass is retried by a later
-	// increment.
+	return c.attempt(m, g)
+}
+
+// attempt is a collection's completion attempt, made once its log is drained
+// and its scan has caught up. Only now are the mutator roots scanned —
+// intermediate increments make their progress through the log and the Cheney
+// scan, so the (per-pause-constant) root-scan cost is paid once per collection
+// rather than once per increment — and only by an attempt the gate admits: the
+// pass over the roots, the flip's second one and its worklist must fit what is
+// left of the pause. Root referents are replicated within the budget (the
+// roots themselves are only redirected at the flip); an aborted pass is
+// retried by a later increment.
+func (c *Replicating) attempt(m *Mutator, g *generation) (bool, error) {
 	roots := m.Roots.Slots()
-	if c.deferAttempt(m, g, &force, 2*len(roots), len(c.minorRootSeqs)) {
+	over, wait := c.deferAttempt(m, g, 2*len(roots))
+	if wait {
 		return false, nil
 	}
-	if done, err := c.scanRoots(m, g, roots, force); !done {
+	defer c.restore(over, 0)
+	if done, err := c.scanRoots(m, g, roots); !done {
 		return false, err
 	}
 	// The roots may have enqueued fresh copies; finish scanning them.
-	if done, err := c.scanPhase(m, g, force); !done {
+	if done, err := c.scanPhase(m, g); !done {
 		return false, err
 	}
+	if g.major {
+		if done, err := c.drainDeferredMajor(m, g); !done {
+			return false, err
+		}
+	}
 	// What those copies took the flip may no longer have.
-	if c.deferAttempt(m, g, &force, len(roots), len(c.minorRootSeqs)) {
+	if over, wait = c.deferAttempt(m, g, len(roots)); wait {
 		return false, nil
 	}
+	defer c.restore(over, 0)
 
 	// From here to the flip nothing is budgeted and no copy is in flight (the
-	// scan is at the frontier): what the completing steps copy, they copy whole.
-	g.whole = true
+	// scan is at the frontier): the steps that end in the flip run with the
+	// deadline lifted, so what they copy — a straggler the flip itself copies
+	// included — they copy whole.
+	defer c.restore(c.lift(), 0)
+	if g.major {
+		phase := c.pauses.Phase(m, simtime.PhaseFlip)
+		err := c.majorFlip(m)
+		phase.End()
+		return err == nil, err
+	}
+	return c.completeMinor(m, g)
+}
 
-	// 4. Lazy mode deferred its reapplies to this moment.
+// completeMinor is the steps that end in the minor flip, and the flip.
+func (c *Replicating) completeMinor(m *Mutator, g *generation) (bool, error) {
+	// Lazy mode deferred its reapplies to this moment.
 	if c.cfg.LazyLogProcessing {
-		phase = c.pauses.Phase(m, simtime.PhaseLogReplay)
+		phase := c.pauses.Phase(m, simtime.PhaseLogReplay)
 		err := c.drainLazyMinor(m)
 		phase.End()
 		if err != nil {
 			return false, err
 		}
 		// Reapplication may have replicated new objects; finish scanning.
-		if done, err := c.scanPhase(m, g, true); !done {
+		if done, err := c.scanPhase(m, g); !done {
 			if err != nil {
 				return false, err
 			}
-			//gclint:allow panicpath -- invariant: a forced scan has no budget to run out of
+			//gclint:allow panicpath -- invariant: a scan with the deadline lifted has no budget to run out of
 			panic("core: lazy completion scan did not finish")
 		}
 	}
@@ -808,18 +840,18 @@ func (c *Replicating) minorIncrement(m *Mutator, force bool) (bool, error) {
 	// each round of copies can expose more deferred references, so loop
 	// to a fixpoint.
 	for len(c.pendingMut) > 0 {
-		phase = c.pauses.Phase(m, simtime.PhaseCopy)
+		phase := c.pauses.Phase(m, simtime.PhaseCopy)
 		err := c.drainPendingMutables(m)
 		var done bool
 		if err == nil {
-			done, err = c.scan(m, g, true)
+			done, err = c.scan(m, g)
 		}
 		phase.End()
 		if err != nil {
 			return false, err
 		}
 		if !done {
-			//gclint:allow panicpath -- invariant: a forced scan has no budget to run out of
+			//gclint:allow panicpath -- invariant: a scan with the deadline lifted has no budget to run out of
 			panic("core: pending-mutable completion scan did not finish")
 		}
 	}
@@ -827,19 +859,16 @@ func (c *Replicating) minorIncrement(m *Mutator, force bool) (bool, error) {
 		return false, nil
 	}
 
-	phase = c.pauses.Phase(m, simtime.PhaseFlip)
-	err = c.minorFlip(m)
+	phase := c.pauses.Phase(m, simtime.PhaseFlip)
+	err := c.minorFlip(m)
 	phase.End()
-	if err != nil {
-		return false, err
-	}
-	return true, nil
+	return err == nil, err
 }
 
 // scanPhase runs the Cheney scan as one traced copy phase.
-func (c *Replicating) scanPhase(m *Mutator, g *generation, force bool) (bool, error) {
+func (c *Replicating) scanPhase(m *Mutator, g *generation) (bool, error) {
 	phase := c.pauses.Phase(m, simtime.PhaseCopy)
-	done, err := c.scan(m, g, force)
+	done, err := c.scan(m, g)
 	phase.End()
 	return done, err
 }
@@ -848,7 +877,7 @@ func (c *Replicating) scanPhase(m *Mutator, g *generation, force bool) (bool, er
 // root referent still in from-space is replicated, within the budget. The
 // roots themselves are only redirected at the flip. It reports whether the
 // pass reached the last root; an aborted pass is simply run again.
-func (c *Replicating) scanRoots(m *Mutator, g *generation, roots []*heap.Value, force bool) (bool, error) {
+func (c *Replicating) scanRoots(m *Mutator, g *generation, roots []*heap.Value) (bool, error) {
 	phase := c.pauses.Phase(m, simtime.PhaseRootScan)
 	// roots is Roots.Slots' reusable buffer, enumerated by the caller for the
 	// admission gate: no per-scan closure allocations, and the loop can stop
@@ -860,7 +889,7 @@ func (c *Replicating) scanRoots(m *Mutator, g *generation, roots []*heap.Value, 
 	var err error
 	for _, slot := range roots {
 		if v := *slot; g.from.Contains(v) {
-			if _, err = c.replicate(m, g, v); err != nil || c.overBudget(m, force) {
+			if _, err = c.replicate(m, g, v); err != nil || c.overBudget(m) {
 				done = false
 				break
 			}
@@ -873,8 +902,8 @@ func (c *Replicating) scanRoots(m *Mutator, g *generation, roots []*heap.Value, 
 // takeLogEntry consumes and charges the entry at g's log cursor; it reports
 // false, taking nothing, once the pause's budget is spent: the next increment
 // resumes from the same cursor.
-func (c *Replicating) takeLogEntry(m *Mutator, g *generation, force bool) (int64, LogEntry, bool) {
-	if !c.noLogMeter && c.overBudget(m, force) {
+func (c *Replicating) takeLogEntry(m *Mutator, g *generation) (int64, LogEntry, bool) {
+	if !c.noLogMeter && c.overBudget(m) {
 		return 0, LogEntry{}, false
 	}
 	seq := g.logCursor
@@ -896,10 +925,10 @@ func (c *Replicating) rewindLogEntry(g *generation, err error) (bool, error) {
 // it reports whether the log was fully drained. On a typed exhaustion
 // error the cursor is rewound to the failed entry so a later (degraded)
 // increment resumes exactly there.
-func (c *Replicating) processMinorLog(m *Mutator, force bool) (bool, error) {
+func (c *Replicating) processMinorLog(m *Mutator) (bool, error) {
 	h, g := c.h, &c.minor
 	for g.logCursor < m.Log.Len() {
-		seq, e, ok := c.takeLogEntry(m, g, force)
+		seq, e, ok := c.takeLogEntry(m, g)
 		if !ok {
 			return false, nil
 		}
@@ -1067,15 +1096,15 @@ func (c *Replicating) replicate(m *Mutator, g *generation, v heap.Value) (heap.V
 // the extra words the caller has already moved, as one uninterrupted copy. It
 // copies all that is left unless that is both more than the split threshold
 // and more than the pause's remaining budget: then it stops where the budget
-// does. Forced increments and the steps that end in a flip do not split
-// (g.whole), nor does a second large object met while the one in-flight record
-// is taken, which only a fill capped below the budget (chunkWords) leaves room for.
+// does. Nothing splits while the deadline is lifted (lift), nor does a second
+// large object met while the one in-flight record is taken, which only a fill
+// capped below the budget (chunkWords) leaves room for.
 func (c *Replicating) fill(m *Mutator, g *generation, job *copyJob, extra int) {
 	n := job.words - job.next
 	// The size test comes first: it fails for all but a handful of objects.
-	if size := int64(n+extra) * heap.BytesPerWord; size > c.splitBytes() && !g.whole &&
+	if size := int64(n+extra) * heap.BytesPerWord; size > c.splitBytes() &&
 		(job == &g.inflight || g.inflight.replica == heap.Nil) {
-		if fits := c.budgetSlots(m, false, m.Cost.CopyWord); n+extra > fits {
+		if fits := c.budgetSlots(m, m.Cost.CopyWord); n+extra > fits {
 			n = max(fits-extra, 0)
 			if c.chunkWords > 0 {
 				n = min(n, c.chunkWords)
@@ -1223,27 +1252,6 @@ func (c *Replicating) hiddenHolder(holder heap.Value, replica bool) bool {
 	return replica && !c.noHiding && heap.Header(c.h.RawHeader(holder)).Kind().Mutable()
 }
 
-// drainDeferredMajorMutables replicates the mutable old-from objects whose
-// copies were deferred (their slots are the recorded fixups), queueing the
-// replicas for tracing. Budget-gated; reports whether everything pending
-// was copied.
-func (c *Replicating) drainDeferredMajorMutables(m *Mutator, force bool) (bool, error) {
-	h := c.h
-	for _, f := range c.fixups {
-		v := h.Load(f.obj, int(f.slot))
-		if !h.OldFrom().Contains(v) || h.IsForwarded(v) {
-			continue
-		}
-		if c.overBudget(m, force) {
-			return false, nil
-		}
-		if _, err := c.replicate(m, &c.major, v); err != nil {
-			return false, err
-		}
-	}
-	return true, nil
-}
-
 // scan advances g's Cheney scan within the work budget and reports whether
 // the cursor reached the to-space frontier.
 //
@@ -1268,7 +1276,7 @@ func (c *Replicating) drainDeferredMajorMutables(m *Mutator, force bool) (bool, 
 // that die before the flip (floating garbage costs scan work, and their
 // old-from referents are replicated), matching the behaviour of the
 // authors' concurrent follow-up collector.
-func (c *Replicating) scan(m *Mutator, g *generation, force bool) (bool, error) {
+func (c *Replicating) scan(m *Mutator, g *generation) (bool, error) {
 	h, from := c.h, g.from
 	for g.scan < g.to.Next {
 		if g.scanSlot == 0 && g.skipIdx < len(g.skips) && g.skips[g.skipIdx].start == g.scan {
@@ -1276,7 +1284,7 @@ func (c *Replicating) scan(m *Mutator, g *generation, force bool) (bool, error) 
 			g.skipIdx++
 			continue
 		}
-		if c.overBudget(m, force) {
+		if c.overBudget(m) {
 			return false, nil
 		}
 		if g.inflight.replica == heap.Value((g.scan+1)<<3) {
@@ -1304,7 +1312,7 @@ func (c *Replicating) scan(m *Mutator, g *generation, force bool) (bool, error) 
 			m.Clock.Charge(g.acct, m.Cost.ScanWord) // header word
 		}
 		for i := g.scanSlot; i < hdr.Len(); i++ {
-			if c.overBudget(m, force) {
+			if c.overBudget(m) {
 				g.scanSlot = i
 				return false, nil
 			}
@@ -1478,7 +1486,7 @@ func (c *Replicating) trimLog(m *Mutator) {
 // An emergency pause overrides the threshold: the old generation is the
 // only place a degraded collection can reclaim space, so the major runs
 // (and completes) regardless of O.
-func (c *Replicating) afterMinorFlip(m *Mutator, force bool) (bool, error) {
+func (c *Replicating) afterMinorFlip(m *Mutator) (bool, error) {
 	if !c.major.active {
 		trigger := c.cfg.MajorThresholdBytes > 0 && c.promotedSinceMajor >= c.cfg.MajorThresholdBytes
 		if c.replay != nil {
@@ -1492,16 +1500,22 @@ func (c *Replicating) afterMinorFlip(m *Mutator, force bool) (bool, error) {
 		}
 		c.startMajor(m)
 	}
-	forceMajor := force || c.emergency || !c.cfg.IncrementalMajor || (c.replay != nil && c.forcedMajorFlip)
+	forceMajor := c.emergency || !c.cfg.IncrementalMajor || (c.replay != nil && c.forcedMajorFlip)
 	c.pauses.cur.Forced = c.pauses.cur.Forced || forceMajor
 	// Under interleaved pacing, the post-flip increment is the only moment
 	// a major can complete; from here to the end of the pause the budget is
 	// the completion budget rather than the micro quantum.
 	if raise := c.microRaise(m); raise > 0 {
 		c.microLimit = c.cfg.CopyLimitBytes / 2
-		c.extend(raise)
+		c.restore(c.deadline, raise)
 	}
-	flipped, err := c.runMajorIncrement(m, forceMajor, true)
+	// A forced increment — an emergency's, the non-incremental major, a
+	// replayed script's flip — runs with the deadline lifted, and leaves
+	// what is left of the pause's budget as it found it.
+	if forceMajor {
+		defer c.restore(c.lift(), 0)
+	}
+	flipped, err := c.majorIncrement(m, true)
 	if err != nil {
 		return false, err
 	}
@@ -1527,16 +1541,15 @@ func (c *Replicating) startMajor(m *Mutator) {
 	c.fixupSeen.clear()
 }
 
-// runMajorIncrement performs one increment of the major collection and
-// reports whether it completed (including its flip). Nothing runs once the
-// pause budget is spent (paper §3.3). postFlip marks increments running right
-// after a minor flip, when no old→nursery pointers exist; increments
-// interleaved mid-cycle (concurrent-style pacing, §6) pass false, and a logged
-// slot whose current value still points into the nursery blocks the log queue
-// until the next minor flip re-points it. Completion is only possible post-flip.
-func (c *Replicating) runMajorIncrement(m *Mutator, force, postFlip bool) (bool, error) {
+// majorIncrement performs one increment of the major collection and reports
+// whether it completed (including its flip). Nothing runs once the pause
+// budget is spent (paper §3.3). postFlip marks increments running right after
+// a minor flip, when no old→nursery pointers exist; increments interleaved
+// mid-cycle (concurrent-style pacing, §6) pass false, and a logged slot whose
+// current value still points into the nursery blocks the log queue until the
+// next minor flip re-points it. Completion is only possible post-flip.
+func (c *Replicating) majorIncrement(m *Mutator, postFlip bool) (bool, error) {
 	g := &c.major
-	g.whole = force
 	if !c.resumeCopy(m, g) {
 		return false, nil
 	}
@@ -1545,84 +1558,61 @@ func (c *Replicating) runMajorIncrement(m *Mutator, force, postFlip bool) (bool,
 	// old-from objects, and track from-space references stored into
 	// mutator-visible to-space objects.
 	phase := c.pauses.Phase(m, simtime.PhaseLogReplay)
-	done, err := c.processMajorLog(m, force, postFlip)
+	done, err := c.processMajorLog(m, postFlip)
 	phase.End()
 	if !done {
 		return false, err
 	}
 
-	if c.overBudget(m, force) {
+	if c.overBudget(m) {
 		return false, nil
 	}
 
 	// 2. Advance the implicit Cheney scan toward the old-to frontier.
-	if done, err := c.scanPhase(m, g, force); !done {
+	if done, err := c.scanPhase(m, g); !done {
 		return false, err
 	}
 
-	// 3. Scan and log are drained: attempt completion. Scan the mutator
-	// roots (the nursery is empty right after a minor flip, so roots
-	// reference only the old generation or immediates); from-space
-	// referents are replicated — the roots themselves are only redirected
-	// at the flip — and to-space referents need no action, since the
-	// cursor sweeps them by address. As with the minor collection, roots
-	// are scanned once per completion attempt rather than once per
-	// increment.
+	// 3. Scan and log are drained: attempt completion. The nursery is empty
+	// right after a minor flip, so roots reference only the old generation or
+	// immediates; to-space referents need no action, since the cursor sweeps
+	// them by address.
 	if !postFlip {
 		return false, nil
 	}
-	// Forced increments — forced completions, emergencies, low headroom, a
-	// replayed script's flips and the non-incremental major — complete
-	// regardless of the gate; a budgeted attempt must fit its pause.
-	roots := m.Roots.Slots()
-	if c.deferAttempt(m, g, &force, 2*len(roots), len(c.fixups)) {
-		return false, nil
-	}
-	if done, err := c.scanRoots(m, g, roots, force); !done {
-		return false, err
-	}
-	// Root replication pushed fresh copies above the cursor; finish the
-	// sweep.
-	if done, err := c.scanPhase(m, g, force); !done {
-		return false, err
-	}
+	return c.attempt(m, g)
+}
 
-	// Deferred mutable copies (§2.5) happen now: copy, trace their
-	// contents, and repeat until no pending copies remain — each round can
-	// expose further deferred references.
+// drainDeferredMajor is the major attempt's step between its root pass and its
+// flip: the deferred mutable copies (§2.5), whose slots are the recorded
+// fixups, are replicated within the budget and traced until none remain (each
+// round can expose more). It reports whether the flip may follow.
+func (c *Replicating) drainDeferredMajor(m *Mutator, g *generation) (bool, error) {
 	if c.cfg.DeferMutableCopies {
-		phase = c.pauses.Phase(m, simtime.PhaseCopy)
+		phase := c.pauses.Phase(m, simtime.PhaseCopy)
+		defer phase.End()
 		for {
-			if done, err := c.drainDeferredMajorMutables(m, force); !done {
-				phase.End()
-				return false, err
+			for _, f := range c.fixups {
+				v := c.h.Load(f.obj, int(f.slot))
+				if !g.from.Contains(v) || c.h.IsForwarded(v) {
+					continue
+				}
+				if c.overBudget(m) {
+					return false, nil
+				}
+				if _, err := c.replicate(m, g, v); err != nil {
+					return false, err
+				}
 			}
 			if g.scanDone() {
 				break
 			}
-			if done, err := c.scan(m, g, force); !done {
-				phase.End()
+			if done, err := c.scan(m, g); !done {
 				return false, err
 			}
 		}
-		phase.End()
 	}
-
-	if g.logCursor != m.Log.Len() || !g.scanDone() {
-		return false, nil
-	}
-	// The worklist has grown with what the attempt copied, and the time has gone.
-	if c.deferAttempt(m, g, &force, len(roots), len(c.fixups)) {
-		return false, nil
-	}
-	g.whole = true // a straggler the flip copies, it copies whole
-	phase = c.pauses.Phase(m, simtime.PhaseFlip)
-	err = c.majorFlip(m)
-	phase.End()
-	if err != nil {
-		return false, err
-	}
-	return true, nil
+	return g.logCursor == m.Log.Len() && g.scanDone(), nil
 }
 
 // maxFlipDeferrals is how many times in a row a completion attempt may be put
@@ -1649,25 +1639,29 @@ const maxFlipDeferrals = 8
 // cycle to A, so that the pause it is tried in next holds one small minor
 // collection and little else. An attempt whose cost alone is over the budget,
 // or that has been put off maxFlipDeferrals times in a row, runs to completion
-// unbudgeted (*force is set), counted and marked on its pause (Pause.Overrun):
-// the one exemption from the pause bound. Its cost stays outside the budget
-// of the rest of the pause, or a root set too long for the budget would leave
-// the other generation nothing, pause after pause.
-func (c *Replicating) deferAttempt(m *Mutator, g *generation, force *bool, rootVisits, worklist int) bool {
-	if *force || c.deadline <= 0 || c.noGate {
-		return false
+// with the deadline lifted, counted and marked on its pause (Pause.Overrun):
+// the one exemption from the pause bound. The gate returns the deadline it
+// lifted, pushed out by the attempt's cost, for the caller to restore when the
+// attempt ends (0 when it lifted nothing): the cost stays outside the budget of
+// the rest of the pause, or a root set too long for the budget would leave the
+// other generation nothing, pause after pause. wait reports a refusal.
+func (c *Replicating) deferAttempt(m *Mutator, g *generation, rootVisits int) (over simtime.Duration, wait bool) {
+	if c.deadline <= 0 || c.noGate {
+		return 0, false
+	}
+	worklist := len(c.minorRootSeqs)
+	if g.major {
+		worklist = len(c.fixups)
 	}
 	cost := simtime.Duration(worklist)*m.Cost.FlipEntry + simtime.Duration(rootVisits)*m.Cost.RootUpdate
 	raise := c.microRaise(m)
 	if m.Clock.Now()+cost <= c.deadline+raise {
-		return false
+		return 0, false
 	}
 	if cost > c.budget(m)+raise || g.deferrals >= maxFlipDeferrals {
 		c.stats.Overruns++
 		c.pauses.cur.Overrun += cost
-		c.extend(cost)
-		*force, g.whole = true, true
-		return false
+		return c.lift() + cost, false
 	}
 	g.deferrals++
 	c.stats.Deferrals++
@@ -1675,7 +1669,7 @@ func (c *Replicating) deferAttempt(m *Mutator, g *generation, force *bool, rootV
 	if g.major {
 		c.setNurseryLimit(c.expandBytes())
 	}
-	return true
+	return 0, true
 }
 
 // microRaise is what the completion budget of interleaved pacing adds to a
@@ -1696,11 +1690,11 @@ func (c *Replicating) microRaise(m *Mutator) simtime.Duration {
 // parks the queue until the next minor flip, which counts as done). A
 // typed exhaustion error rewinds the cursor to the failed entry, like the
 // mid-cycle retry.
-func (c *Replicating) processMajorLog(m *Mutator, force, postFlip bool) (bool, error) {
+func (c *Replicating) processMajorLog(m *Mutator, postFlip bool) (bool, error) {
 	h, g := c.h, &c.major
 logLoop:
 	for g.logCursor < m.Log.Len() {
-		_, e, ok := c.takeLogEntry(m, g, force)
+		_, e, ok := c.takeLogEntry(m, g)
 		if !ok {
 			return false, nil
 		}

@@ -437,3 +437,87 @@ func TestShrinkOldBetweenChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMajorFlipCopiesStragglerWhole pins the place the major flip copies: a
+// flip-worklist slot whose referent has no replica yet gets one from the flip
+// itself, and that copy must be whole — the flip hands the mutator every
+// replica, so one half filled would be read as the object. The collector's own
+// paths replicate every such referent before its attempt is admitted, so the
+// straggler is planted: a store behind the barrier's back, once the slot is on
+// the worklist, of a large old object nothing else reaches. The flip must then
+// run in a pause whose budget could not hold that copy.
+func TestMajorFlipCopiesStragglerWhole(t *testing.T) {
+	m, gc := newRun(splitConfig(), core.LogAllMutations)
+	roots := &growingRoots{slots: make([]heap.Value, 2)} // the chain, then the holder
+	m.Roots.Register(roots)
+	collect := func() {
+		if err := gc.CollectForAlloc(m, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A chain of records for the major to trace for a good many pauses, whose
+	// far end holds a ref cell, promoted to the old generation below O.
+	roots.slots[1] = m.MustAlloc(heap.KindRef, 1)
+	m.Init(roots.slots[1], 0, heap.FromInt(7))
+	for i := 0; i < 250; i++ {
+		r := m.MustAlloc(heap.KindRecord, 2)
+		m.Init(r, 0, heap.FromInt(int64(i)))
+		if i == 0 {
+			m.Init(r, 0, roots.slots[1])
+		}
+		m.Init(r, 1, roots.slots[0])
+		roots.slots[0] = r
+	}
+	roots.slots[1] = heap.Nil
+	for collect(); !gc.CheckpointNow().Quiescent; collect() {
+	}
+	tail := roots.slots[0]
+	for m.Get(tail, 1) != heap.Nil {
+		tail = m.Get(tail, 1)
+	}
+	ref := m.Get(tail, 0)
+
+	// The straggler-to-be: born old, filled, unreachable; it crosses O.
+	const words = 4200
+	big := m.MustAlloc(heap.KindArray, words)
+	for i := 0; i < words; i += 100 {
+		m.Init(big, i, heap.FromInt(int64(i)))
+	}
+	for pauses := 0; !gc.CheckpointNow().MajorActive; pauses++ {
+		if collect(); pauses > 1<<10 {
+			t.Fatal("no major began")
+		}
+	}
+	// A holder promoted while the major runs, so mutator-visible in to-space,
+	// pointing at the ref cell: when the major's sweep meets the slot, long
+	// before it reaches the chain's far end, it queues the slot on the flip's
+	// worklist and replicates the cell.
+	roots.slots[1] = m.MustAlloc(heap.KindArray, 2)
+	m.Init(roots.slots[1], 0, ref)
+	for !m.H.IsForwarded(ref) {
+		if collect(); !gc.CheckpointNow().MajorActive || m.H.IsForwarded(tail) {
+			t.Fatal("the sweep reached the chain's end before the holder's slot")
+		}
+	}
+	m.H.Store(roots.slots[1], 0, big)
+
+	for gc.CheckpointNow().MajorActive {
+		collect()
+	}
+	last := gc.Pauses().Pauses[len(gc.Pauses().Pauses)-1]
+	if last.Forced || last.Overrun > 0 {
+		t.Fatal("the flip ran without a budget: the test does not reach the case")
+	}
+	if _, _, ok := gc.CopyInFlight(true); ok {
+		t.Fatal("the flip left the straggler's copy in flight")
+	}
+	got := m.Get(roots.slots[1], 0)
+	for _, i := range []int{0, words / 2, words - 100} {
+		if v := m.Get(got, i); v != heap.FromInt(int64(i)) {
+			t.Fatalf("the straggler's replica reads %v in slot %d after the flip", v, i)
+		}
+	}
+	if err := core.AuditHeap(m); err != nil {
+		t.Fatal(err)
+	}
+}
