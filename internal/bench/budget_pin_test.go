@@ -64,7 +64,7 @@ func (b *budgetRecorder) fingerprint(line string) uint64 {
 // recorded-and-replayed pair.
 var budgetPins = map[string]string{
 	"rt":        "36e275648ef43563",
-	"minor-inc": "10ea3db32542da0f",
+	"minor-inc": "204bf72b8d521309",
 	"major-inc": "f0af4c1a205cdccd",
 	"rt-lazy":   "4cf61342169aa52b",
 	"rt-conc":   "734a2e2bccf0f2d8",

@@ -622,12 +622,8 @@ func (c *Replicating) pauseBody(m *Mutator, needWords int, kind *simtime.PauseKi
 		return err
 	}
 	if done {
-		majorFlipped, err := c.afterMinorFlip(m)
-		if err != nil {
+		if err := c.afterMinorCompletion(m, kind); err != nil {
 			return err
-		}
-		if majorFlipped && !c.cfg.IncrementalMajor {
-			*kind = simtime.PauseMajor
 		}
 	} else if needWords > 0 || c.h.Nursery.FreeWords() == 0 {
 		// Await completion: grant the mutator room to keep allocating
@@ -650,7 +646,7 @@ func (c *Replicating) pauseBody(m *Mutator, needWords int, kind *simtime.PauseKi
 				//gclint:allow panicpath -- invariant: an increment with no budget has none to run out of
 				panic("core: forced minor completion did not complete")
 			}
-			if _, err := c.afterMinorFlip(m); err != nil {
+			if err := c.afterMinorCompletion(m, kind); err != nil {
 				return err
 			}
 		}
@@ -661,6 +657,21 @@ func (c *Replicating) pauseBody(m *Mutator, needWords int, kind *simtime.PauseKi
 	// Alloc surface the typed error.
 	if free := c.h.Nursery.LimitBytes() - c.h.Nursery.UsedBytes(); free < needB {
 		c.stats.NurseryExpansion += c.h.Nursery.GrowBytes(needB - free)
+	}
+	return nil
+}
+
+// afterMinorCompletion follows a minor collection that completed in this
+// pause, on the main path or at the expansion bound: the major it may start or
+// advance, and the pause's kind — a major pause when a non-incremental major
+// flipped in it.
+func (c *Replicating) afterMinorCompletion(m *Mutator, kind *simtime.PauseKind) error {
+	majorFlipped, err := c.afterMinorFlip(m)
+	if err != nil {
+		return err
+	}
+	if majorFlipped && !c.cfg.IncrementalMajor {
+		*kind = simtime.PauseMajor
 	}
 	return nil
 }

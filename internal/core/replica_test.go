@@ -248,6 +248,45 @@ func TestForcedCompletionUnderTinyBudget(t *testing.T) {
 	}
 }
 
+// TestExpansionBoundMajorPauseIsMajor: under minor-inc (a non-incremental
+// major) a pause whose major flips in the forced completion at the nursery's
+// expansion bound is recorded PauseMajor, as on the main path, so every
+// completed major has its major pause. A nursery that may grow to twice its
+// size and a budget no minor completes within send every completion there.
+func TestExpansionBoundMajorPauseIsMajor(t *testing.T) {
+	c := core.Config{
+		NurseryBytes:        32 << 10,
+		MajorThresholdBytes: 16 << 10,
+		CopyLimitBytes:      256,
+		IncrementalMinor:    true,
+	}
+	h := heap.New(heap.Config{NurseryBytes: c.NurseryBytes, NurseryCapBytes: 2 * c.NurseryBytes, OldSemiBytes: 16 << 20})
+	m := core.NewMutator(h, simtime.NewClock(), simtime.Default1993(), core.LogAllMutations)
+	gc := core.NewReplicating(h, c)
+	m.AttachGC(gc)
+	gc.SetMinorLimits(512, 1<<20)
+	d := gctest.NewDriver(m, 5)
+	if err := d.Step(40000); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	majors := 0
+	for _, p := range gc.Pauses().Pauses {
+		if p.Kind == simtime.PauseMajor {
+			majors++
+		}
+	}
+	st := gc.Stats()
+	if st.MajorCollections == 0 || st.ForcedCompletion == 0 {
+		t.Fatalf("the run completed %d majors and forced %d completions; it must do both", st.MajorCollections, st.ForcedCompletion)
+	}
+	if majors != st.MajorCollections {
+		t.Fatalf("%d majors completed, %d pauses recorded PauseMajor", st.MajorCollections, majors)
+	}
+}
+
 func TestStatsAccounting(t *testing.T) {
 	m, gc := newRun(tortureConfig(true, true), core.LogAllMutations)
 	d := gctest.NewDriver(m, 11)

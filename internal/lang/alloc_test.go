@@ -11,12 +11,21 @@ import (
 	"repligc/internal/stopcopy"
 )
 
-// compileAllocBudget is the Go allocations one Compile of the module below
-// made when the compiler went on its diet (PR 12), plus a tenth. The count
-// covers what Compile returns (program, blocks, one code slab, literal pool),
-// the symbol table, the scratch stacks warming up and the collector's own
-// pause records: 109 when written, against 2852 before the diet.
-const compileAllocBudget = 119
+// compileAllocBudget is the Go allocations one Compile of a 200-definition
+// generated module makes since the census sizes its buffers, plus a tenth. The count covers
+// what Compile returns (program, blocks, one code slab, literal pool), the
+// compiler object, the symbol table, one array per scratch stack and the
+// collector's own pause records: 22 when written, against 103 when the
+// buffers grew from empty and 2852 before the compiler's first diet.
+const compileAllocBudget = 24
+
+// sizeAllowance is how many more Go allocations a 400-definition module's
+// compile may make than a 20-definition one's. What still grows with a
+// module: a free-variable list per function nesting depth, grow's scratch
+// (one allocation per two doublings of the largest code buffer) and the
+// collector's pause records: 3 when written (19 against 22), and 46 (68
+// against 114) when the buffers grew from empty.
+const sizeAllowance = 4
 
 func allocTestMutator() *core.Mutator {
 	h := heap.New(heap.Config{NurseryBytes: 200 << 10, NurseryCapBytes: 4 << 20, OldSemiBytes: 16 << 20})
@@ -25,29 +34,49 @@ func allocTestMutator() *core.Mutator {
 	return m
 }
 
-func TestCompileAllocBudget(t *testing.T) {
-	src := bench.GenerateModule(7, 200)
+func compileAllocs(t *testing.T, defs int) float64 {
+	src := bench.GenerateModule(7, defs)
 	m := allocTestMutator()
 	got := testing.AllocsPerRun(20, func() {
 		if _, err := lang.Compile(m, src); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("%.0f allocations per compile of a %d-byte module", got, len(src))
-	if got > compileAllocBudget {
+	t.Logf("%.0f allocations per compile of a %d-definition, %d-byte module", got, defs, len(src))
+	return got
+}
+
+func TestCompileAllocBudget(t *testing.T) {
+	if got := compileAllocs(t, 200); got > compileAllocBudget {
 		t.Fatalf("Compile made %.0f Go allocations, budget %d", got, compileAllocBudget)
 	}
 }
 
+// TestCompileAllocsIndependentOfSize: the census sizes every buffer once,
+// so twenty times the definitions cost at most the allowance in allocations.
+func TestCompileAllocsIndependentOfSize(t *testing.T) {
+	small, large := compileAllocs(t, 20), compileAllocs(t, 400)
+	if large-small > sizeAllowance {
+		t.Fatalf("a 400-definition module made %.0f Go allocations, a 20-definition one %.0f: more than %d apart", large, small, sizeAllowance)
+	}
+}
+
 func BenchmarkCompile(b *testing.B) {
-	src := bench.GenerateModule(7, 200)
-	m := allocTestMutator()
-	b.SetBytes(int64(len(src)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := lang.Compile(m, src); err != nil {
-			b.Fatal(err)
-		}
+	for _, size := range []struct {
+		name string
+		defs int
+	}{{"small", 20}, {"large", 400}} {
+		b.Run(size.name, func(b *testing.B) {
+			src := bench.GenerateModule(7, size.defs)
+			m := allocTestMutator()
+			b.SetBytes(int64(len(src)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := lang.Compile(m, src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

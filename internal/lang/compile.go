@@ -72,19 +72,26 @@ func (f *funcCtx) addFree(sym int32, boxed bool) int {
 // do not retain dead scopes. The compiler's own working state — scope
 // chains, interned symbols and open code buffers — lives on the simulated
 // heap; only bookkeeping integers stay in Go, in scratch that lives and dies
-// with one Compile call: the funcCtx of nesting depth d is reused by every
-// function at that depth (a function's context is dead once its closure is
-// emitted), and the variable-length per-node lists are stacks a routine
-// pushes on, reads back after its nested compiles return, and truncates.
+// with one Compile call, in one object with the call's parser and symbol
+// table. Every scratch array is allocated once, at a bound the parse's census
+// guarantees: the funcCtx of nesting depth d is reused by every function at
+// that depth (a function's context is dead once its closure is emitted), and
+// the variable-length per-node lists are stacks a routine pushes on, reads
+// back after its nested compiles return, and truncates.
 type Compiler struct {
-	m        *core.Mutator
-	syms     *SymTab
-	literals []string
-	blocks   []*blockBuf
-	bufSlab  []blockBuf
-	bufs     *bufRoots
+	m    *core.Mutator
+	syms SymTab
+	p    Parser
 
-	ctxs  []*funcCtx // by nesting depth; ctxs[:depth] are open
+	// blocks holds one blockBuf per function and the entry, in one array
+	// that never regrows, so a block's address is stable; slots holds each
+	// one's heap buffer and is the compilation's root source (VisitRoots).
+	blocks  []blockBuf
+	slots   []heap.Value
+	scratch []byte                          // grow reads a whole old buffer into it
+	window  [64 * bytecode.EncodedSize]byte // scratch's first backing, and assemble's read window
+
+	ctxs  []funcCtx // by nesting depth; ctxs[:depth] are open
 	depth int
 	hs    []core.Handle // app arguments
 	defs  []defInfo     // fun-group members
@@ -94,10 +101,7 @@ type Compiler struct {
 
 // pushCtx opens the context of a function defined in scope under parent.
 func (c *Compiler) pushCtx(parent *funcCtx, scope core.Handle) *funcCtx {
-	if c.depth == len(c.ctxs) {
-		c.ctxs = append(c.ctxs, &funcCtx{})
-	}
-	f := c.ctxs[c.depth]
+	f := &c.ctxs[c.depth]
 	c.depth++
 	f.parent, f.parentScope, f.free = parent, scope, f.free[:0]
 	return f
@@ -108,7 +112,11 @@ func (c *Compiler) pushCtx(parent *funcCtx, scope core.Handle) *funcCtx {
 // surfaces as the typed *core.OOMError, not a panic: the deeply recursive
 // compiler allocates through the Must variants and this boundary recovers
 // them — the text/template idiom for error returns across recursion.
-func Compile(m *core.Mutator, src string) (prog *bytecode.Program, err error) {
+func Compile(m *core.Mutator, src string) (*bytecode.Program, error) {
+	return new(Compiler).compile(m, src)
+}
+
+func (c *Compiler) compile(m *core.Mutator, src string) (prog *bytecode.Program, err error) {
 	mark := m.HandleMark()
 	defer m.PopHandles(mark)
 	defer func() {
@@ -121,14 +129,14 @@ func Compile(m *core.Mutator, src string) (prog *bytecode.Program, err error) {
 		}
 	}()
 
-	syms := NewSymTab(m)
-	root, lits, err := Parse(m, syms, src)
+	c.m, c.syms = m, newSymTab(m)
+	root, err := c.p.parse(m, &c.syms, src)
 	if err != nil {
 		return nil, err
 	}
-	c := &Compiler{m: m, syms: syms, literals: lits, bufs: &bufRoots{}}
-	m.Roots.Register(c.bufs)
-	defer m.Roots.Unregister(c.bufs)
+	c.size()
+	m.Roots.Register(c)
+	defer m.Roots.Unregister(c)
 
 	entry := c.newBlockBuf("entry")
 	emptyScope := m.PushHandle(heap.FromInt(0))
@@ -145,16 +153,42 @@ func Compile(m *core.Mutator, src string) (prog *bytecode.Program, err error) {
 	entry.emit(m, bytecode.Instr{Op: bytecode.OpHalt})
 
 	total := 0
-	for _, b := range c.blocks {
-		total += b.n
+	for i := range c.blocks {
+		total += c.blocks[i].n
 	}
 	code := make([]bytecode.Instr, total) // one slab; each block owns a capped window
-	prog = &bytecode.Program{Strings: c.literals, Entry: 0, Blocks: make([]bytecode.Block, len(c.blocks))}
-	for i, b := range c.blocks {
+	prog = &bytecode.Program{Strings: c.p.Literals, Entry: 0, Blocks: make([]bytecode.Block, len(c.blocks))}
+	for i := range c.blocks {
+		b := &c.blocks[i]
 		prog.Blocks[i] = b.assemble(m, code[:b.n:b.n])
 		code = code[b.n:]
 	}
 	return prog, nil
+}
+
+// bounds is the most each of the compiler's scratch arrays receives, read
+// off what the parse built: the entry and every fn and fun-group member is a
+// block, nested at most 1 + the parse's depth contexts deep; every
+// application node is one argument push and every fun-group member one
+// definition; every refutable pattern node is one failure site, and every
+// case arm and failure site at most one pending jump.
+func (p *Parser) bounds() (blocks, ctxs, hs, defs, fails, jumps int) {
+	n := &p.nodes
+	fails = n[TagPInt] + n[TagPBool] + n[TagPUnit] + n[TagPNil] + n[TagPCons] + n[TagPTuple]
+	return 1 + n[TagFn] + n[TagFunDef], 1 + p.maxDepth, n[TagApp], n[TagFunDef], fails, n[TagAlt] + fails
+}
+
+// size allocates the compiler's scratch arrays at their bounds.
+func (c *Compiler) size() {
+	blocks, ctxs, hs, defs, fails, jumps := c.p.bounds()
+	c.blocks = make([]blockBuf, 0, blocks)
+	c.slots = make([]heap.Value, 0, blocks)
+	c.scratch = c.window[:]
+	c.ctxs = make([]funcCtx, ctxs)
+	c.hs = make([]core.Handle, 0, hs)
+	c.defs = make([]defInfo, 0, defs)
+	c.fails = make([]failSite, 0, fails)
+	c.jumps = make([]int, 0, jumps)
 }
 
 // scopeBind allocates a compile-time scope record {sym<<1|boxed, parent};

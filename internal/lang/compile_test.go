@@ -228,9 +228,10 @@ func TestCompilerHeapFootprint(t *testing.T) {
 // run the Go allocation count per instruction is zero.
 func TestEmitSteadyStateAllocatesNothing(t *testing.T) {
 	m := testMutator()
-	c := &Compiler{m: m, bufs: &bufRoots{}}
-	m.Roots.Register(c.bufs)
-	defer m.Roots.Unregister(c.bufs)
+	c := &Compiler{m: m}
+	c.size() // what an empty parse sizes: the one block
+	m.Roots.Register(c)
+	defer m.Roots.Unregister(c)
 	b := c.newBlockBuf("hot")
 	for i := 0; i < 1000; i++ {
 		b.emit(m, bytecode.Instr{Op: bytecode.OpConstInt, A: int32(i)})

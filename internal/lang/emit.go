@@ -6,30 +6,26 @@ import (
 	"repligc/internal/heap"
 )
 
-// bufRoots keeps every open code buffer alive for the duration of a
-// compilation, independent of the handle stack's scoped discipline (buffers
-// created while compiling a nested function must survive the enclosing
-// expression's handle cleanup). It also owns the one byte scratch that grow
-// and assemble read whole buffers into.
-type bufRoots struct {
-	slots   []heap.Value
-	scratch []byte
+// VisitRoots implements core.RootSource: every open code buffer stays alive
+// for the duration of a compilation, independent of the handle stack's scoped
+// discipline (buffers created while compiling a nested function must survive
+// the enclosing expression's handle cleanup).
+func (c *Compiler) VisitRoots(v core.RootVisitor) {
+	for i := range c.slots {
+		v(&c.slots[i])
+	}
 }
 
-// load reads the first n bytes of heap buffer p into the scratch.
-func (r *bufRoots) load(m *core.Mutator, p heap.Value, n int) []byte {
-	if cap(r.scratch) < n {
-		r.scratch = make([]byte, n+n/2)
+// load reads the first n bytes of heap buffer p into the scratch. grow reads
+// a whole buffer before doubling it, so a scratch too small for n is replaced
+// by one of 2n, which holds the next doubling's read as well: a buffer that
+// doubles k times past the window costs about k/2 allocations.
+func (c *Compiler) load(p heap.Value, n int) []byte {
+	if cap(c.scratch) < n {
+		c.scratch = make([]byte, 2*n)
 	}
-	m.GetByteRange(p, 0, r.scratch[:n])
-	return r.scratch[:n]
-}
-
-// VisitRoots implements core.RootSource.
-func (r *bufRoots) VisitRoots(v core.RootVisitor) {
-	for i := range r.slots {
-		v(&r.slots[i])
-	}
+	c.m.GetByteRange(p, 0, c.scratch[:n])
+	return c.scratch[:n]
 }
 
 // blockBuf is an open code buffer for one block being compiled. The buffer
@@ -39,11 +35,11 @@ func (r *bufRoots) VisitRoots(v core.RootVisitor) {
 // workload's signature mutation pattern (paper §4.5: "Comp contains many
 // mutations to byte data").
 type blockBuf struct {
-	name  string
-	roots *bufRoots
-	idx   int // slot in roots holding the KindBytes object
-	cap   int // capacity in bytes
-	n     int // instructions emitted
+	name string
+	c    *Compiler
+	idx  int // slot in c.slots holding the KindBytes object
+	cap  int // capacity in bytes
+	n    int // instructions emitted
 
 	// pending batches encoded instructions before they are stored to the
 	// heap buffer, so sequential emission produces one logged mutation
@@ -59,22 +55,20 @@ const initialBlockCap = 16 * bytecode.EncodedSize
 // flushThreshold bounds the emission buffer (in instructions).
 const flushThreshold = 8 * bytecode.EncodedSize
 
-// newBlockBuf opens the next block's code buffer, rooted in c.bufs. Blocks
-// are carved from slabs; a full slab is left to its blocks and a larger one
-// started, so earlier blocks' pointers stay valid.
+// newBlockBuf opens the next block's code buffer, rooted in c.slots. Blocks
+// are carved from the one array the census sized, so earlier blocks'
+// pointers stay valid.
 func (c *Compiler) newBlockBuf(name string) *blockBuf {
-	if len(c.bufSlab) == cap(c.bufSlab) {
-		c.bufSlab = make([]blockBuf, 0, 2*cap(c.bufSlab)+4)
+	if len(c.blocks) == cap(c.blocks) { // an append would strand the open blocks
+		panic("lang: more blocks than the parse built functions")
 	}
-	c.bufSlab = append(c.bufSlab, blockBuf{name: name, roots: c.bufs, cap: initialBlockCap, idx: len(c.bufs.slots)})
-	b := &c.bufSlab[len(c.bufSlab)-1]
-	c.bufs.slots = append(c.bufs.slots, c.m.MustAllocBytes(b.cap))
-	c.blocks = append(c.blocks, b)
-	return b
+	c.blocks = append(c.blocks, blockBuf{name: name, c: c, cap: initialBlockCap, idx: len(c.slots)})
+	c.slots = append(c.slots, c.m.MustAllocBytes(initialBlockCap))
+	return &c.blocks[len(c.blocks)-1]
 }
 
 // obj returns the buffer's current heap object.
-func (b *blockBuf) obj() heap.Value { return b.roots.slots[b.idx] }
+func (b *blockBuf) obj() heap.Value { return b.c.slots[b.idx] }
 
 // flush stores any pending encoded instructions into the heap buffer.
 func (b *blockBuf) flush(m *core.Mutator) {
@@ -113,9 +107,9 @@ func (b *blockBuf) grow(m *core.Mutator) {
 	// re-reading it after the allocation is safe.
 	op := b.obj()
 	used := b.n * bytecode.EncodedSize
-	m.SetByteRange(np, 0, b.roots.load(m, op, used))
+	m.SetByteRange(np, 0, b.c.load(op, used))
 	m.Step(used / 4)
-	b.roots.slots[b.idx] = np
+	b.c.slots[b.idx] = np
 	b.cap = newCap
 }
 
@@ -136,13 +130,18 @@ func (b *blockBuf) read(m *core.Mutator, idx int) bytecode.Instr {
 	return bytecode.DecodeInstr(enc[:], 0)
 }
 
-// assemble decodes the finished buffer, in one range read, into code, which
-// the caller carved to exactly b.n instructions.
+// assemble decodes the finished buffer into code, which the caller carved
+// to exactly b.n instructions, reading it a window at a time.
 func (b *blockBuf) assemble(m *core.Mutator, code []bytecode.Instr) bytecode.Block {
 	b.flush(m)
-	enc := b.roots.load(m, b.obj(), b.n*bytecode.EncodedSize)
-	for i := range code {
-		code[i] = bytecode.DecodeInstr(enc, i*bytecode.EncodedSize)
+	for i := 0; i < b.n; {
+		k := min(b.n-i, len(b.c.window)/bytecode.EncodedSize)
+		enc := b.c.window[:k*bytecode.EncodedSize]
+		m.GetByteRange(b.obj(), i*bytecode.EncodedSize, enc)
+		for j := 0; j < k; j++ {
+			code[i+j] = bytecode.DecodeInstr(enc, j*bytecode.EncodedSize)
+		}
+		i += k
 	}
 	m.Step(b.n)
 	return bytecode.Block{Name: b.name, Code: code}

@@ -2,8 +2,10 @@ package lang
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repligc/internal/core"
@@ -13,9 +15,16 @@ import (
 )
 
 // fuzzSeeds is the committed seed corpus of both fuzz targets: the inputs of
-// the lexer tests (good and bad), the prelude and the bundled examples.
+// the lexer tests (good and bad), the census's stress shapes, the prelude and
+// the bundled examples.
 func fuzzSeeds(f *testing.F) {
-	for _, s := range []string{
+	for _, s := range seedSources(f) {
+		f.Add(s)
+	}
+}
+
+func seedSources(tb testing.TB) []string {
+	srcs := []string{
 		`let x = 42 in x + y`,
 		"fun func iff in int andalso andalsoo",
 		`=> = <> <= < >= > :: := ! ~ ^`,
@@ -27,20 +36,67 @@ func fuzzSeeds(f *testing.F) {
 		"a\n  b", "$", "`", ": ", "@", "",
 		`case [(1, "a\tb")] of [] => 0 | (n, s) :: _ => n`,
 		Prelude + "0",
-	} {
-		f.Add(s)
 	}
 	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "miniml", "*.ml"))
 	if err != nil || len(files) == 0 {
-		f.Fatalf("no example programs found: %v", err)
+		tb.Fatalf("no example programs found: %v", err)
 	}
 	for _, name := range files {
 		text, err := os.ReadFile(name)
 		if err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
-		f.Add(string(text))
-		f.Add(Prelude + string(text))
+		srcs = append(srcs, string(text), Prelude+string(text))
+	}
+	// The census's stress shapes, each meeting one bound exactly: many
+	// identifiers and many string literals, each one distinct; a list pattern
+	// whose failure sites and elements are all pending at once; a case whose
+	// arms' end jumps are; and functions nested deep, curried and in groups.
+	var ids, strs, pat, arms, fns, funs strings.Builder
+	for i := 0; i < 300; i++ {
+		fmt.Fprintf(&ids, "let v%d = %d in ", i, i)
+		fmt.Fprintf(&strs, "\"s%d\"; ", i)
+	}
+	ids.WriteString("0")
+	pat.WriteString("case [0] of [0")
+	arms.WriteString("case 0 of _ => 0")
+	for i := 1; i < 100; i++ {
+		fmt.Fprintf(&pat, ", %d", i)
+		fmt.Fprintf(&arms, " | _ => %d", i)
+	}
+	pat.WriteString("] => 0")
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&fns, "fn x%d => ", i)
+		fmt.Fprintf(&funs, "fun f%d a b c = case (a, b) of (0, [x]) => x | _ => f%d (a - 1) b c and g%d d = d in ", i, i, i)
+	}
+	fns.WriteString("x0 + x20 + x39")
+	funs.WriteString("f0 1 [2] 3")
+	srcs = append(srcs, ids.String(), "("+strs.String()+"0)", pat.String(), arms.String(), fns.String(), funs.String())
+	return srcs
+}
+
+// checkSized fails t for every buffer that outgrew the size its census bound
+// gave it.
+func checkSized(t *testing.T, sized []Sized) {
+	t.Helper()
+	for _, s := range sized {
+		if s.Reached > s.Bound {
+			t.Errorf("%s reached %d, past the census bound %d", s.Name, s.Reached, s.Bound)
+		}
+	}
+}
+
+// TestCensusBoundsEveryBuffer compiles the prelude, every example and the
+// stress shapes: no census-sized buffer outgrows its size.
+func TestCensusBoundsEveryBuffer(t *testing.T) {
+	for _, src := range seedSources(t) {
+		m := testMutator()
+		_, sized, err := CompileSized(m, src)
+		var perr *Error
+		if err != nil && !errors.As(err, &perr) {
+			t.Fatalf("untyped error %T: %v", err, err)
+		}
+		checkSized(t, sized)
 	}
 }
 
@@ -51,12 +107,21 @@ func FuzzLexStream(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, src string) {
 		want, wantErr := LexAll(src)
-		n, err := countTokens(src)
+		c, err := countTokens(src)
 		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 			t.Fatalf("countTokens error %v, LexAll error %v", err, wantErr)
 		}
-		if n != len(want) {
-			t.Fatalf("countTokens = %d, LexAll produced %d tokens", n, len(want))
+		var idents, strs int
+		for _, w := range want {
+			switch w.Kind {
+			case TIdent:
+				idents++
+			case TString:
+				strs++
+			}
+		}
+		if c.tokens != len(want) || c.idents != idents || c.strs != strs {
+			t.Fatalf("census %+v, LexAll produced %d tokens, %d identifiers, %d strings", c, len(want), idents, strs)
 		}
 		if wantErr != nil {
 			return
@@ -76,7 +141,8 @@ func FuzzLexStream(f *testing.F) {
 
 // FuzzCompile requires Compile to end, for any input, in a program, a
 // positioned *Error or the typed out-of-memory error, with the handle stack
-// balanced. The heap is small, so deep inputs reach the OOM path.
+// balanced and no census-sized buffer grown past its size. The heap is small,
+// so deep inputs reach the OOM path.
 func FuzzCompile(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, src string) {
@@ -86,7 +152,8 @@ func FuzzCompile(f *testing.F) {
 		h := heap.New(heap.Config{NurseryBytes: 32 << 10, NurseryCapBytes: 256 << 10, OldSemiBytes: 2 << 20})
 		m := core.NewMutator(h, simtime.NewClock(), simtime.Default1993(), core.LogAllMutations)
 		m.AttachGC(stopcopy.New(h, stopcopy.Config{NurseryBytes: 32 << 10, MajorThresholdBytes: 256 << 10}))
-		prog, err := Compile(m, src)
+		prog, sized, err := CompileSized(m, src)
+		checkSized(t, sized)
 		var perr *Error
 		switch {
 		case err == nil:

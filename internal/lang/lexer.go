@@ -286,18 +286,47 @@ func LexAll(src string) ([]Token, error) {
 	}
 }
 
-// countTokens reports len(LexAll(src)) and LexAll's error without building
-// the tokens.
-func countTokens(src string) (int, error) {
+// census is what one lexing pass over a source learns before its parse
+// allocates anything: the token count the parse charges, and an upper bound
+// on what each of the parser's Go buffers receives.
+type census struct {
+	tokens int // len(LexAll(src)), TEOF included
+	idents int // identifier tokens: no parse interns more symbols
+	strs   int // string literal tokens: no parse pools more literals
+	params int // identifiers in the run after a fun or and and its name: parseFunDef's parameters
+	elems  int // fun, and, case, |, [, (, comma and ; tokens: each collected element follows one
+}
+
+// countTokens takes the census of src, reporting LexAll's error without
+// building the tokens.
+func countTokens(src string) (census, error) {
 	l := NewLexer(src)
 	l.countOnly = true
-	for n := 1; ; n++ {
+	var c census
+	prev, head := TEOF, false // head: inside a fun or and's name and parameters
+	for {
 		t, err := l.Next()
 		if err != nil {
-			return 0, err
+			return census{}, err
 		}
-		if t.Kind == TEOF {
-			return n, nil
+		c.tokens++
+		switch t.Kind {
+		case TEOF:
+			return c, nil
+		case TIdent:
+			c.idents++
+			if head {
+				c.params++
+			}
+			head = head || prev == TFun || prev == TAnd
+		case TString:
+			c.strs++
+		case TFun, TAnd, TCase, TBar, TLBrack, TLParen, TComma, TSemi:
+			c.elems++
 		}
+		if t.Kind != TIdent {
+			head = false
+		}
+		prev = t.Kind
 	}
 }

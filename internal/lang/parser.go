@@ -20,38 +20,76 @@ type Parser struct {
 	// Literals collects string literal contents in first-seen order; TagStr
 	// nodes carry an index into this pool. litIdx finds a repeat.
 	Literals []string
-	litIdx   map[string]int32
+	litIdx   index
 
 	// Scratch stacks for the variable-length forms (list elements, case
 	// arms, fun groups, curried parameters). A parse function notes the
 	// depth on entry, pushes, reads its own entries back after the nested
 	// parses return, and truncates to the noted depth, so the whole parse
-	// shares two backing arrays.
+	// shares two backing arrays, each allocated once at the census's bound.
 	hs     []core.Handle
 	params []Token
+
+	// What the parse built, which sizes the compiler's buffers: the nodes by
+	// tag, and the most functions nested around one point.
+	nodes           [TagPTuple + 1]int
+	depth, maxDepth int
 }
 
 // Parse parses a whole program (one expression) and returns a handle to
 // its AST root together with the string literal pool.
 func Parse(m *core.Mutator, syms *SymTab, src string) (core.Handle, []string, error) {
+	p := &Parser{}
+	root, err := p.parse(m, syms, src)
+	if err != nil {
+		return 0, nil, err
+	}
+	return root, p.Literals, nil
+}
+
+// parse is Parse on a parser that keeps what it learns for the compiler.
+
+func (p *Parser) parse(m *core.Mutator, syms *SymTab, src string) (core.Handle, error) {
 	// Count first, then stream: the lexing charge lands before the first
 	// AST allocation and a lex error anywhere in src precedes any parse
 	// error, exactly as when the tokens were materialised up front.
-	n, err := countTokens(src)
+	c, err := countTokens(src)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
-	p := &Parser{m: m, syms: syms, lex: *NewLexer(src)}
+	p.m, p.syms, p.lex = m, syms, *NewLexer(src)
+	syms.reserve(c.idents)
+	if c.strs > 0 {
+		p.Literals = make([]string, 0, c.strs)
+		p.litIdx = newIndex(c.strs)
+	}
+	p.hs = make([]core.Handle, 0, c.elems)
+	p.params = make([]Token, 0, c.params)
 	p.next()
-	m.Step(n) // lexing work
+	m.Step(c.tokens) // lexing work
 	root, err := p.parseExpr()
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	if p.cur().Kind != TEOF {
-		return 0, nil, errf(p.cur().Pos, "unexpected %s after expression", p.cur().Kind)
+		return 0, errf(p.cur().Pos, "unexpected %s after expression", p.cur().Kind)
 	}
-	return root, p.Literals, nil
+	return root, nil
+}
+
+// node allocates an AST node and counts it.
+func (p *Parser) node(tag Tag, pos Pos, kids ...kidArg) core.Handle {
+	p.nodes[tag]++
+	return newNode(p.m, tag, pos, kids...)
+}
+
+// nested parses the body of n nested functions.
+func (p *Parser) nested(n int) (core.Handle, error) {
+	p.depth += n
+	p.maxDepth = max(p.maxDepth, p.depth)
+	body, err := p.parseExpr()
+	p.depth -= n
+	return body, err
 }
 
 func (p *Parser) cur() Token { return p.tok }
@@ -74,16 +112,12 @@ func (p *Parser) expect(k TokKind) (Token, error) {
 }
 
 func (p *Parser) literal(s string) int32 {
-	if i, ok := p.litIdx[s]; ok {
-		return i
+	i := p.litIdx.find(s, p.Literals)
+	if p.litIdx.slots[i] == 0 {
+		p.Literals = append(p.Literals, s)
+		p.litIdx.slots[i] = int32(len(p.Literals))
 	}
-	if p.litIdx == nil {
-		p.litIdx = make(map[string]int32)
-	}
-	i := int32(len(p.Literals))
-	p.litIdx[s] = i
-	p.Literals = append(p.Literals, s)
-	return i
+	return p.litIdx.slots[i] - 1
 }
 
 // listFrom builds a heap list of the scratch handles above base, in push
@@ -152,7 +186,7 @@ func (p *Parser) parseLet() (core.Handle, error) {
 		return 0, err
 	}
 	sym := p.syms.Intern(name.Text)
-	node := newNode(p.m, TagLet, t.Pos, imm(int64(sym)), sub(rhs), sub(body))
+	node := p.node(TagLet, t.Pos, imm(int64(sym)), sub(rhs), sub(body))
 	return p.m.Collapse(mark, node), nil
 }
 
@@ -169,7 +203,7 @@ func (p *Parser) parseFun() (core.Handle, error) {
 		return 0, err
 	}
 	list := p.listFrom(base)
-	node := newNode(p.m, TagFun, t.Pos, sub(list), sub(body))
+	node := p.node(TagFun, t.Pos, sub(list), sub(body))
 	return p.m.Collapse(mark, node), nil
 }
 
@@ -190,7 +224,7 @@ func (p *Parser) parseFunDef() (core.Handle, error) {
 	if _, err := p.expect(TEq); err != nil {
 		return 0, err
 	}
-	body, err := p.parseExpr()
+	body, err := p.nested(len(p.params) - base) // the def and its curried fns
 	if err != nil {
 		return 0, err
 	}
@@ -199,11 +233,11 @@ func (p *Parser) parseFunDef() (core.Handle, error) {
 	p.params = p.params[:base]
 	for i := len(params) - 1; i >= 1; i-- {
 		sym := p.syms.Intern(params[i].Text)
-		body = newNode(p.m, TagFn, params[i].Pos, imm(int64(sym)), sub(body))
+		body = p.node(TagFn, params[i].Pos, imm(int64(sym)), sub(body))
 	}
 	fsym := p.syms.Intern(name.Text)
 	psym := p.syms.Intern(params[0].Text)
-	node := newNode(p.m, TagFunDef, name.Pos, imm(int64(fsym)), imm(int64(psym)), sub(body))
+	node := p.node(TagFunDef, name.Pos, imm(int64(fsym)), imm(int64(psym)), sub(body))
 	return p.m.Collapse(mark, node), nil
 }
 
@@ -218,12 +252,12 @@ func (p *Parser) parseFn() (core.Handle, error) {
 	if _, err := p.expect(TArrow); err != nil {
 		return 0, err
 	}
-	body, err := p.parseExpr()
+	body, err := p.nested(1)
 	if err != nil {
 		return 0, err
 	}
 	sym := p.syms.Intern(param.Text)
-	node := newNode(p.m, TagFn, t.Pos, imm(int64(sym)), sub(body))
+	node := p.node(TagFn, t.Pos, imm(int64(sym)), sub(body))
 	return p.m.Collapse(mark, node), nil
 }
 
@@ -249,7 +283,7 @@ func (p *Parser) parseIf() (core.Handle, error) {
 	if err != nil {
 		return 0, err
 	}
-	node := newNode(p.m, TagIf, t.Pos, sub(c), sub(a), sub(b))
+	node := p.node(TagIf, t.Pos, sub(c), sub(a), sub(b))
 	return p.m.Collapse(mark, node), nil
 }
 
@@ -277,14 +311,14 @@ func (p *Parser) parseCase() (core.Handle, error) {
 		if err != nil {
 			return 0, err
 		}
-		p.hs = append(p.hs, newNode(p.m, TagAlt, t.Pos, sub(pat), sub(body)))
+		p.hs = append(p.hs, p.node(TagAlt, t.Pos, sub(pat), sub(body)))
 		if p.cur().Kind != TBar {
 			break
 		}
 		p.next()
 	}
 	list := p.listFrom(base)
-	node := newNode(p.m, TagCase, t.Pos, sub(scrut), sub(list))
+	node := p.node(TagCase, t.Pos, sub(scrut), sub(list))
 	return p.m.Collapse(mark, node), nil
 }
 
@@ -301,7 +335,7 @@ func (p *Parser) parsePattern() (core.Handle, error) {
 		if err != nil {
 			return 0, err
 		}
-		node := newNode(p.m, TagPCons, t.Pos, sub(head), sub(tail))
+		node := p.node(TagPCons, t.Pos, sub(head), sub(tail))
 		return p.m.Collapse(mark, node), nil
 	}
 	return p.m.Collapse(mark, head), nil
@@ -312,42 +346,42 @@ func (p *Parser) parsePatAtom() (core.Handle, error) {
 	t := p.next()
 	switch t.Kind {
 	case TUscore:
-		return newNode(p.m, TagPWild, t.Pos), nil
+		return p.node(TagPWild, t.Pos), nil
 	case TIdent:
 		sym := p.syms.Intern(t.Text)
-		return newNode(p.m, TagPVar, t.Pos, imm(int64(sym))), nil
+		return p.node(TagPVar, t.Pos, imm(int64(sym))), nil
 	case TInt:
-		return newNode(p.m, TagPInt, t.Pos, imm(t.Int)), nil
+		return p.node(TagPInt, t.Pos, imm(t.Int)), nil
 	case TTilde:
 		n, err := p.expect(TInt)
 		if err != nil {
 			return 0, err
 		}
-		return newNode(p.m, TagPInt, t.Pos, imm(-n.Int)), nil
+		return p.node(TagPInt, t.Pos, imm(-n.Int)), nil
 	case TTrue:
-		return newNode(p.m, TagPBool, t.Pos, imm(1)), nil
+		return p.node(TagPBool, t.Pos, imm(1)), nil
 	case TFalse:
-		return newNode(p.m, TagPBool, t.Pos, imm(0)), nil
+		return p.node(TagPBool, t.Pos, imm(0)), nil
 	case TLBrack:
 		if p.cur().Kind == TRBrack {
 			p.next()
-			return newNode(p.m, TagPNil, t.Pos), nil
+			return p.node(TagPNil, t.Pos), nil
 		}
 		// [p1, p2, ...] desugars to p1 :: p2 :: ... :: [].
 		base := len(p.hs)
 		if err := p.pushSeq(p.parsePattern, TComma, TRBrack); err != nil {
 			return 0, err
 		}
-		acc := newNode(p.m, TagPNil, t.Pos)
+		acc := p.node(TagPNil, t.Pos)
 		for i := len(p.hs) - 1; i >= base; i-- {
-			acc = newNode(p.m, TagPCons, t.Pos, sub(p.hs[i]), sub(acc))
+			acc = p.node(TagPCons, t.Pos, sub(p.hs[i]), sub(acc))
 		}
 		p.hs = p.hs[:base]
 		return p.m.Collapse(mark, acc), nil
 	case TLParen:
 		if p.cur().Kind == TRParen {
 			p.next()
-			return newNode(p.m, TagPUnit, t.Pos), nil
+			return p.node(TagPUnit, t.Pos), nil
 		}
 		base := len(p.hs)
 		if err := p.pushSeq(p.parsePattern, TComma, TRParen); err != nil {
@@ -359,7 +393,7 @@ func (p *Parser) parsePatAtom() (core.Handle, error) {
 			return p.m.Collapse(mark, only), nil
 		}
 		list := p.listFrom(base)
-		node := newNode(p.m, TagPTuple, t.Pos, sub(list))
+		node := p.node(TagPTuple, t.Pos, sub(list))
 		return p.m.Collapse(mark, node), nil
 	}
 	return 0, errf(t.Pos, "expected pattern, found %s", t.Kind)
@@ -380,7 +414,7 @@ func (p *Parser) parseAssign() (core.Handle, error) {
 		if err != nil {
 			return 0, err
 		}
-		node := newNode(p.m, TagAssign, t.Pos, sub(lhs), sub(rhs))
+		node := p.node(TagAssign, t.Pos, sub(lhs), sub(rhs))
 		return p.m.Collapse(mark, node), nil
 	}
 	return p.m.Collapse(mark, lhs), nil
@@ -415,7 +449,7 @@ func (p *Parser) parseLeftAssoc(parse func() (core.Handle, error), ops map[TokKi
 		if err != nil {
 			return 0, err
 		}
-		lhs = newNode(p.m, tag, t.Pos, sub(lhs), sub(rhs))
+		lhs = p.node(tag, t.Pos, sub(lhs), sub(rhs))
 	}
 }
 
@@ -436,7 +470,7 @@ func (p *Parser) parseCmp() (core.Handle, error) {
 		if err != nil {
 			return 0, err
 		}
-		node := newNode(p.m, TagBin, t.Pos, imm(int64(op)), sub(lhs), sub(rhs))
+		node := p.node(TagBin, t.Pos, imm(int64(op)), sub(lhs), sub(rhs))
 		return p.m.Collapse(mark, node), nil
 	}
 	return p.m.Collapse(mark, lhs), nil
@@ -454,7 +488,7 @@ func (p *Parser) parseCons() (core.Handle, error) {
 		if err != nil {
 			return 0, err
 		}
-		node := newNode(p.m, TagBin, t.Pos, imm(int64(bytecode.BinCons)), sub(lhs), sub(rhs))
+		node := p.node(TagBin, t.Pos, imm(int64(bytecode.BinCons)), sub(lhs), sub(rhs))
 		return p.m.Collapse(mark, node), nil
 	}
 	return p.m.Collapse(mark, lhs), nil
@@ -487,7 +521,7 @@ func (p *Parser) parseBinLevel(ops map[TokKind]bytecode.BinOp, sublevel func() (
 		if err != nil {
 			return 0, err
 		}
-		lhs = newNode(p.m, TagBin, t.Pos, imm(int64(op)), sub(lhs), sub(rhs))
+		lhs = p.node(TagBin, t.Pos, imm(int64(op)), sub(lhs), sub(rhs))
 	}
 }
 
@@ -512,7 +546,7 @@ func (p *Parser) parseUnary() (core.Handle, error) {
 	if err != nil {
 		return 0, err
 	}
-	node := newNode(p.m, tag, t.Pos, sub(e))
+	node := p.node(tag, t.Pos, sub(e))
 	return p.m.Collapse(mark, node), nil
 }
 
@@ -528,7 +562,7 @@ func (p *Parser) parseApp() (core.Handle, error) {
 		if err != nil {
 			return 0, err
 		}
-		fn = newNode(p.m, TagApp, p.cur().Pos, sub(fn), sub(arg))
+		fn = p.node(TagApp, p.cur().Pos, sub(fn), sub(arg))
 	}
 	return p.m.Collapse(mark, fn), nil
 }
@@ -546,22 +580,22 @@ func (p *Parser) parseAtom() (core.Handle, error) {
 	t := p.next()
 	switch t.Kind {
 	case TInt:
-		return newNode(p.m, TagInt, t.Pos, imm(t.Int)), nil
+		return p.node(TagInt, t.Pos, imm(t.Int)), nil
 	case TString:
-		return newNode(p.m, TagStr, t.Pos, imm(int64(p.literal(t.Text)))), nil
+		return p.node(TagStr, t.Pos, imm(int64(p.literal(t.Text)))), nil
 	case TTrue:
-		return newNode(p.m, TagBool, t.Pos, imm(1)), nil
+		return p.node(TagBool, t.Pos, imm(1)), nil
 	case TFalse:
-		return newNode(p.m, TagBool, t.Pos, imm(0)), nil
+		return p.node(TagBool, t.Pos, imm(0)), nil
 	case TIdent:
 		sym := p.syms.Intern(t.Text)
-		return newNode(p.m, TagVar, t.Pos, imm(int64(sym))), nil
+		return p.node(TagVar, t.Pos, imm(int64(sym))), nil
 	case TProj:
 		e, err := p.parseAtom()
 		if err != nil {
 			return 0, err
 		}
-		node := newNode(p.m, TagProj, t.Pos, imm(t.Int), sub(e))
+		node := p.node(TagProj, t.Pos, imm(t.Int), sub(e))
 		return p.m.Collapse(mark, node), nil
 	case TLBrack:
 		base := len(p.hs)
@@ -571,12 +605,12 @@ func (p *Parser) parseAtom() (core.Handle, error) {
 			return 0, err
 		}
 		list := p.listFrom(base)
-		node := newNode(p.m, TagList, t.Pos, sub(list))
+		node := p.node(TagList, t.Pos, sub(list))
 		return p.m.Collapse(mark, node), nil
 	case TLParen:
 		if p.cur().Kind == TRParen {
 			p.next()
-			return newNode(p.m, TagUnit, t.Pos), nil
+			return p.node(TagUnit, t.Pos), nil
 		}
 		first, err := p.parseExpr()
 		if err != nil {
@@ -595,7 +629,7 @@ func (p *Parser) parseAtom() (core.Handle, error) {
 				return 0, err
 			}
 			list := p.listFrom(base)
-			node := newNode(p.m, tag, t.Pos, sub(list))
+			node := p.node(tag, t.Pos, sub(list))
 			return p.m.Collapse(mark, node), nil
 		default:
 			if _, err := p.expect(TRParen); err != nil {

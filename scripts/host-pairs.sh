@@ -8,13 +8,15 @@
 # The parent is exported with git archive into .bench_build/ (removed on
 # exit). Each tree builds and runs its own benchmarks/host/run.sh, traced
 # so the per-layer metrics are there, one run at a time, and which side goes
-# first flips every pair. cmd/hostpairs then prints, per metric, both sides'
-# medians and quartiles over the runs and the pairs each won, and `run.sh
-# --compare` judges the folded reports against the benchmark's bounds.
+# first flips every pair; each run's progress lines are the end-to-end
+# metrics and the harness's Go allocation volume and GC cycles. cmd/hostpairs
+# then prints, per metric, both sides' medians and quartiles over the runs and
+# the pairs each won, and `run.sh --compare` judges the folded reports against
+# the benchmark's bounds.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-	sed -n '2,13p' "$0" >&2
+	sed -n '2,15p' "$0" >&2
 	exit 2
 fi
 parent=$1 workload=$2 pairs=${3:-10} seed=${4:-1} seconds=${5:-12}
@@ -35,7 +37,8 @@ echo "parent $(git rev-parse --short "$parent") in $tree; change: this tree at $
 run() { # side, tree, pair
 	(cd "$2" && bash benchmarks/host/run.sh --workload "$workload" --seed "$seed" \
 		--seconds "$seconds" --trace 1 --out "$out/$1.$3.json") |
-		grep -E '^  (setup_s|host_run_s|host_peak_rss_mb|host_mallocs_k) ' | sed "s/^/[$1 $3]/" >&2
+		grep -E '^  (setup_s|host_run_s|host_peak_rss_mb|host_mallocs_k|harness\.total_alloc_mb|harness\.go_gc_cycles) ' |
+		sed "s/^/[$1 $3]/" >&2
 }
 for i in $(seq 1 "$pairs"); do
 	if [ $((i % 2)) -eq 1 ]; then
