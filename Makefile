@@ -51,11 +51,12 @@ host-pairs:
 
 # The ROADMAP's tracked size metric: non-test Go lines per package and in
 # total, over tracked files, without the benchmark's nested module and the
-# analyzer's fixtures.
+# analyzer's fixtures (scripts/loc.sh). With PARENT, each package's lines at
+# that commit, here and the difference, which a change that claims to shrink
+# the tree reports:
+#   make loc PARENT=HEAD~1
 loc:
-	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmarks/' -e '/testdata/' | xargs wc -l | \
-		awk '$$2 != "total" { d = $$2; if (!sub("/[^/]*$$", "", d)) d = "."; n[d] += $$1; t += $$1 } \
-		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+	@bash scripts/loc.sh $(PARENT)
 
 # Ten seconds of native fuzzing per target, from the committed seed corpora
 # (`go test` alone runs only the seeds): the streamed lexer against LexAll,

@@ -112,37 +112,28 @@ func (c *Replicating) HiddenReplica(v heap.Value) bool {
 // scan is supposed to have already redirected. Concretely, a fully scanned
 // minor replica holds no nursery pointers, and a fully traced major to-space
 // object holds no old from-space pointers — except through the collector's
-// own deferred-work records (pending mutable copies, queued flip fixups, and
-// mutations logged since the relevant cursor, all of which are re-pointed no
-// later than the flip).
+// own deferred-work records (the flip's worklist, the minor's pending mutable
+// copies (§2.5), and mutations logged since the generation's log cursor, all
+// of which are re-pointed no later than the flip).
 func (c *Replicating) AuditScanned(m *Mutator) error {
-	if c.minor.active {
-		// Slots allowed to keep nursery pointers: deferred mutable copies
-		// (§2.5), logged minor roots awaiting the flip, and entries the log
-		// cursor has not reached yet.
-		except := unreachedLogSlots(m, c.minor.logCursor)
-		for _, f := range c.pendingMut {
+	for _, g := range [...]*generation{&c.minor, &c.major} {
+		if !g.active {
+			continue
+		}
+		except := unreachedLogSlots(m, g.logCursor)
+		for _, f := range g.worklist {
 			except[f] = true
 		}
-		for _, seq := range c.minorRootSeqs {
-			if seq >= m.Log.Base() {
-				e := m.Log.At(seq)
-				except[fixup{obj: e.Obj, slot: e.Slot}] = true
+		fromName := "from-space"
+		if !g.major {
+			fromName = "nursery"
+			for _, f := range c.pendingMut {
+				except[f] = true
 			}
 		}
-		if err := c.auditScannedRegion(&c.minor, "nursery", except); err != nil {
+		if err := c.auditScannedRegion(g, fromName, except); err != nil {
 			return err
 		}
-	}
-	if c.major.active {
-		// Slots allowed to keep from-space pointers: queued mutable-reference
-		// fixups (re-pointed at the major flip) and mutations the major log
-		// cursor has not reached yet.
-		except := unreachedLogSlots(m, c.major.logCursor)
-		for _, f := range c.fixups {
-			except[f] = true
-		}
-		return c.auditScannedRegion(&c.major, "from-space", except)
 	}
 	return nil
 }

@@ -28,10 +28,10 @@ func TestFixupQueuedAgainNextMajor(t *testing.T) {
 		for range 3 {
 			c.queueFixup(fixup{obj: holder, slot: 2})
 		}
-		if len(c.fixups) != 1 {
-			t.Fatalf("major %d: the slot offered three times is queued %d times, want once", major, len(c.fixups))
+		if len(c.major.worklist) != 1 {
+			t.Fatalf("major %d: the slot offered three times is queued %d times, want once", major, len(c.major.worklist))
 		}
-		if err := c.majorFlip(m); err != nil {
+		if err := c.flip(m, &c.major); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -99,16 +99,19 @@ type span struct {
 	words uint64
 }
 
-// fixup records a to-space slot that holds a from-space pointer to a
-// MUTABLE object and must be re-pointed during the major flip. Slots
-// holding immutable from-space pointers are rewritten eagerly (the mutator
-// cannot observe the difference between an immutable original and its
-// replica), but exposing a mutable replica before the flip would let the
-// mutator read or write it while the collector is still reapplying the
-// original's mutation log — so mutable references stay aimed at the
-// from-space original until the atomic flip.
+// fixup names a slot that holds a pointer into a generation's from-space and
+// must be re-pointed at its referent's replica by that generation's flip. The
+// minor's are the logged old→nursery slots, the paper's minor roots. The
+// major's are to-space slots holding a from-space pointer to a MUTABLE object
+// (or to an immutable one still being filled): slots holding immutable
+// from-space pointers are rewritten eagerly (the mutator cannot observe the
+// difference between an immutable original and its replica), but exposing a
+// mutable replica before the flip would let the mutator read or write it while
+// the collector is still reapplying the original's mutation log — so mutable
+// references stay aimed at the from-space original until the atomic flip.
+// pendingMut reuses the type for the minor's deferred mutable copies.
 type fixup struct {
-	obj  heap.Value // a to-space object (stable address)
+	obj  heap.Value // the holder: an old object, whose address holds until the flip
 	slot int32
 }
 
@@ -118,10 +121,11 @@ type fixup struct {
 // The paper runs one algorithm on both generations, so the collector holds
 // two — minor (nursery → promotion space) and major (old from-space → old
 // to-space) — and that algorithm's kernels (replicate, scan, scanRoots,
-// redirectRoots, repoint, takeLogEntry, attempt) are written once over a
-// *generation. Each generation's log-entry handler, flip worklist and increment
-// stay its own. A generation carries no budget: the pause's one deadline says
-// whether a kernel goes on and whether a copy splits (Replicating.deadline).
+// takeLogEntry, attempt, flip) are written once over a *generation. Each
+// generation's log-entry handler, the way it fills its flip worklist, its
+// increment and the step that ends its cycle after the flip stay its own. A
+// generation carries no budget: the pause's one deadline says whether a kernel
+// goes on and whether a copy splits (Replicating.deadline).
 type generation struct {
 	name   string          // "minor" or "major", for diagnostics
 	major  bool            // the scan's slot forwarder: toSpaceValue when set, minorValue otherwise
@@ -168,6 +172,16 @@ type generation struct {
 	inflight copyJob
 	//gclint:pauseonly counted by the admission gate and cleared by the flip, both under pause
 	deferrals int // times in a row this generation's completion attempt has been put off (deferAttempt)
+
+	// The flip's worklist: the slots flip re-points before the roots. The
+	// minor appends every logged old→nursery slot, a slot logged twice
+	// twice; the major queues each slot once (queueFixup), so that its
+	// length, the flip's cost the admission gate reads, counts each slot once.
+	//
+	//gclint:pauseonly grown by log processing and the scan, consumed by the flip, all under pause
+	worklist []fixup
+	//gclint:pauseonly dedup set for the major's worklist; cleared with it by the flip
+	seen wordSet // the arena words of the slots queued
 }
 
 // copyJob is a replica being filled: the payload words below next are copied.
@@ -246,8 +260,6 @@ type Replicating struct {
 
 	//gclint:pauseonly deferred-copy worklist; grown by the scan and by log reapplication, drained at completion, all under pause
 	pendingMut []fixup // replica slots holding deferred mutable nursery refs (§2.5)
-	//gclint:pauseonly flip-entry worklist; grown while processing the log under pause, consumed at the flip
-	minorRootSeqs []int64 // old-space pointer entries to re-point at the flip
 	//gclint:pauseonly per-cycle pause counter, bumped once per pause
 	minorPauses int // pauses spanned by the active minor collection
 	//gclint:pauseonly snapshot of BytesCopiedMinor at cycle start, taken under the starting pause
@@ -258,11 +270,7 @@ type Replicating struct {
 	// Major collection state.
 
 	promotedSinceMajor int64
-	//gclint:pauseonly major fixup worklist; grown by log processing and the scan, consumed at the major flip, all under pause
-	fixups []fixup
-	//gclint:pauseonly dedup set for fixups; same pause-only lifecycle as the worklist it guards
-	fixupSeen       wordSet // dedup: the arena words of the slots queued (queueFixup)
-	forcedMajorFlip bool    // replay wants a major flip at the next minor flip
+	forcedMajorFlip    bool // replay wants a major flip at the next minor flip
 
 	replay    *policy.Cursor
 	finishing bool // inside FinishCycles: flips are not recorded
@@ -545,7 +553,7 @@ func (c *Replicating) pause(m *Mutator, needWords int) error {
 	if budget := c.budget(m); budget > 0 {
 		c.deadline = c.pauses.cur.At + budget
 	}
-	kind := simtime.PauseMinor
+	majors := c.stats.MajorCollections
 	var err error
 	if c.microLimit > 0 && !c.minorDue() {
 		// An interleaved micro-pause in which only the major collection has
@@ -553,7 +561,7 @@ func (c *Replicating) pause(m *Mutator, needWords int) error {
 		// (trivial) minor collection.
 		_, err = c.majorIncrement(m, false)
 	} else {
-		err = c.pauseBody(m, needWords, &kind)
+		err = c.pauseBody(m, needWords)
 		if c.ckpt != nil {
 			p := c.checkpointPoint()
 			p.BudgetWords = c.budgetSlots(m, m.Cost.CopyWord)
@@ -567,8 +575,13 @@ func (c *Replicating) pause(m *Mutator, needWords int) error {
 	if c.major.active {
 		c.pauses.cur.LogLeft += m.Log.Len() - c.major.logCursor
 	}
-	// An emergency pause admits no overlap, whether it was entered as one or
+	// A major pause is one in which a non-incremental major flipped. An
+	// emergency pause admits no overlap, whether it was entered as one or
 	// pauseBody escalated it on low headroom.
+	kind := simtime.PauseMinor
+	if c.stats.MajorCollections > majors && !c.cfg.IncrementalMajor {
+		kind = simtime.PauseMajor
+	}
 	c.pauses.End(m, kind, c.emergency)
 	c.emergency = false
 	return err
@@ -579,7 +592,7 @@ func (c *Replicating) pause(m *Mutator, needWords int) error {
 // no budget Forced: one that forced its minor collection to completion — the
 // non-incremental minor of major-inc and stop-copy-core among them — or ran a
 // non-incremental major increment.
-func (c *Replicating) pauseBody(m *Mutator, needWords int, kind *simtime.PauseKind) error {
+func (c *Replicating) pauseBody(m *Mutator, needWords int) error {
 	// Degradation ladder, headroom reservation: if the promotion target
 	// cannot absorb a worst-case cycle (everything currently in the
 	// nursery plus the recorded high-water mark as reserve), finish all
@@ -622,7 +635,7 @@ func (c *Replicating) pauseBody(m *Mutator, needWords int, kind *simtime.PauseKi
 		return err
 	}
 	if done {
-		if err := c.afterMinorCompletion(m, kind); err != nil {
+		if err := c.afterMinorFlip(m); err != nil {
 			return err
 		}
 	} else if needWords > 0 || c.h.Nursery.FreeWords() == 0 {
@@ -646,7 +659,7 @@ func (c *Replicating) pauseBody(m *Mutator, needWords int, kind *simtime.PauseKi
 				//gclint:allow panicpath -- invariant: an increment with no budget has none to run out of
 				panic("core: forced minor completion did not complete")
 			}
-			if err := c.afterMinorCompletion(m, kind); err != nil {
+			if err := c.afterMinorFlip(m); err != nil {
 				return err
 			}
 		}
@@ -657,21 +670,6 @@ func (c *Replicating) pauseBody(m *Mutator, needWords int, kind *simtime.PauseKi
 	// Alloc surface the typed error.
 	if free := c.h.Nursery.LimitBytes() - c.h.Nursery.UsedBytes(); free < needB {
 		c.stats.NurseryExpansion += c.h.Nursery.GrowBytes(needB - free)
-	}
-	return nil
-}
-
-// afterMinorCompletion follows a minor collection that completed in this
-// pause, on the main path or at the expansion bound: the major it may start or
-// advance, and the pause's kind — a major pause when a non-incremental major
-// flipped in it.
-func (c *Replicating) afterMinorCompletion(m *Mutator, kind *simtime.PauseKind) error {
-	majorFlipped, err := c.afterMinorFlip(m)
-	if err != nil {
-		return err
-	}
-	if majorFlipped && !c.cfg.IncrementalMajor {
-		*kind = simtime.PauseMajor
 	}
 	return nil
 }
@@ -819,16 +817,19 @@ func (c *Replicating) attempt(m *Mutator, g *generation) (bool, error) {
 	// deadline lifted, so what they copy — a straggler the flip itself copies
 	// included — they copy whole.
 	defer c.restore(c.lift(), 0)
-	if g.major {
-		phase := c.pauses.Phase(m, simtime.PhaseFlip)
-		err := c.majorFlip(m)
-		phase.End()
-		return err == nil, err
+	if !g.major {
+		if done, err := c.completeMinor(m, g); !done {
+			return false, err
+		}
 	}
-	return c.completeMinor(m, g)
+	phase := c.pauses.Phase(m, simtime.PhaseFlip)
+	err := c.flip(m, g)
+	phase.End()
+	return err == nil, err
 }
 
-// completeMinor is the steps that end in the minor flip, and the flip.
+// completeMinor is the steps that end in the minor flip; it reports whether
+// the flip may follow.
 func (c *Replicating) completeMinor(m *Mutator, g *generation) (bool, error) {
 	// Lazy mode deferred its reapplies to this moment.
 	if c.cfg.LazyLogProcessing {
@@ -866,14 +867,7 @@ func (c *Replicating) completeMinor(m *Mutator, g *generation) (bool, error) {
 			panic("core: pending-mutable completion scan did not finish")
 		}
 	}
-	if g.logCursor != m.Log.Len() {
-		return false, nil
-	}
-
-	phase := c.pauses.Phase(m, simtime.PhaseFlip)
-	err := c.minorFlip(m)
-	phase.End()
-	return err == nil, err
+	return g.logCursor == m.Log.Len(), nil
 }
 
 // scanPhase runs the Cheney scan as one traced copy phase.
@@ -970,7 +964,7 @@ func (c *Replicating) processMinorLog(m *Mutator) (bool, error) {
 				if _, err := c.replicate(m, g, v); err != nil {
 					return c.rewindLogEntry(g, err)
 				}
-				c.minorRootSeqs = append(c.minorRootSeqs, seq)
+				g.worklist = append(g.worklist, fixup{obj: e.Obj, slot: e.Slot})
 			}
 		}
 	}
@@ -1201,12 +1195,10 @@ func (c *Replicating) toSpaceValue(m *Mutator, v heap.Value, slotObj heap.Value,
 	return v, nil
 }
 
-// queueFixup puts f on the major flip's worklist unless it is there already,
-// so that the worklist, and the flip's cost the admission gate reads off its
-// length, counts each slot once.
+// queueFixup puts f on the major flip's worklist unless it is there already.
 func (c *Replicating) queueFixup(f fixup) {
-	if c.fixupSeen.add(uint64(f.obj)>>3 + uint64(f.slot)) {
-		c.fixups = append(c.fixups, f)
+	if g := &c.major; g.seen.add(uint64(f.obj)>>3 + uint64(f.slot)) {
+		g.worklist = append(g.worklist, f)
 	}
 }
 
@@ -1357,44 +1349,43 @@ func (c *Replicating) scan(m *Mutator, g *generation) (bool, error) {
 	return true, nil
 }
 
-// minorFlip atomically redirects the mutator onto the replicas: logged
-// old-space slots (the minor roots) are re-pointed via an extra traversal
-// of the filtered log (the paper's CF cost), then every mutator root is
-// updated, and the nursery is discarded. A typed exhaustion error from a
-// straggler copy aborts the flip with the cycle still active: nothing is
-// truncated until every fallible step has succeeded, and the already-
-// re-pointed slots no longer hold nursery values, so a retried flip skips
-// them.
-func (c *Replicating) minorFlip(m *Mutator) error {
-	h, g := c.h, &c.minor
+// flip atomically redirects the mutator onto g's replicas, the paper's
+// completion step for either generation: the slots on g's worklist are
+// re-pointed, then every mutator root, and the cycle ends (endMinor, endMajor).
+// A typed exhaustion error from a straggler copy aborts the flip with the cycle
+// still active: nothing is truncated until every fallible step has succeeded,
+// and the already-re-pointed slots no longer hold from-space values, so a
+// retried flip skips them.
+func (c *Replicating) flip(m *Mutator, g *generation) error {
 	g.mustNotBeCopying()
-
-	// Re-point logged old-space locations at promoted replicas.
-	for _, seq := range c.minorRootSeqs {
-		e := m.Log.At(seq)
-		moved, err := c.repoint(m, g, e.Obj, int(e.Slot))
-		if err != nil {
+	if g.major {
+		c.stats.LargestFlipWorklist = max(c.stats.LargestFlipWorklist, len(g.worklist))
+	}
+	for _, f := range g.worklist {
+		if err := c.repoint(m, g, f.obj, int(f.slot)); err != nil {
 			return err
 		}
-		if moved && c.major.active && h.OldFrom().Contains(e.Obj) {
-			// If the holder is an old-from object, the major must also
-			// observe the store (reapply to its replica). The promoted
-			// referent itself needs no queueing: it lives in old-to, which
-			// the major cursor scans by address.
-			m.Log.Append(LogEntry{Obj: e.Obj, Slot: e.Slot})
-		}
 	}
-	c.minorRootSeqs = c.minorRootSeqs[:0]
-
-	// Update every mutator root; promoted replicas the roots now reference
-	// live in old-to, where an active major's cursor scans them by address.
+	g.worklist = g.worklist[:0]
+	g.seen.clear()
+	g.active, g.deferrals = false, 0
 	c.redirectRoots(m, g)
+	if g.major {
+		c.endMajor(m)
+	} else {
+		c.endMinor(m)
+	}
+	return nil
+}
 
+// endMinor ends a minor cycle once its flip has moved the roots: the nursery
+// is discarded and the next cycle's allocation room granted.
+func (c *Replicating) endMinor(m *Mutator) {
+	h, g := c.h, &c.minor
 	// Advance the minor cursor over anything the flip appended for the
 	// major collection: those entries are not nursery business.
 	g.logCursor = m.Log.Len()
 
-	// Discard the nursery and grant the next cycle's allocation room.
 	h.Nursery.Reset()
 	promoted := c.stats.BytesCopiedMinor - c.minorStartCopy
 	c.promotedSinceMajor += promoted
@@ -1402,7 +1393,6 @@ func (c *Replicating) minorFlip(m *Mutator) error {
 		c.promoHighWater = promoted // feeds the headroom reservation
 	}
 	c.stats.MinorCollections++
-	g.active, g.deferrals = false, 0
 	// Skip spans expire with the cycle: the minor scan has passed them,
 	// and the major traces by reachability rather than by region.
 	g.skips, g.skipIdx = g.skips[:0], 0
@@ -1415,27 +1405,54 @@ func (c *Replicating) minorFlip(m *Mutator) error {
 	}
 	c.setNextNurseryLimit(m)
 	c.trimLog(m)
-	return nil
+}
+
+// endMajor ends a major cycle once its flip has moved the roots: the
+// semispaces swap and the from-space is discarded.
+func (c *Replicating) endMajor(m *Mutator) {
+	h := c.h
+	if h.Nursery.UsedWords() != 0 {
+		//gclint:allow panicpath -- invariant: majors only flip right after a minor flip emptied the nursery
+		panic("core: major flip with non-empty nursery")
+	}
+	h.SwapOld()
+	c.promotedSinceMajor = 0
+	c.stats.MajorCollections++
+
+	// Both cursors are at the log's end; everything can go.
+	c.major.logCursor = m.Log.Len()
+	c.minor.logCursor = m.Log.Len()
+	m.Log.TrimTo(m.Log.Len())
 }
 
 // repoint re-points one slot from a flip worklist at its referent's replica
-// and charges the flip for it; a straggler that has no replica yet gets one.
-// It reports false, charging nothing, for a slot that no longer holds a
-// from-space pointer: overwritten since, so a later entry handled it.
-func (c *Replicating) repoint(m *Mutator, g *generation, obj heap.Value, slot int) (bool, error) {
+// and charges the flip for it; a straggler that has no replica yet gets one. A
+// slot that no longer holds a from-space pointer, overwritten since, is left
+// alone and charged nothing: a later entry handled it.
+//
+// A re-pointed slot of an old from-space holder while a major is active is
+// logged again: the major must see the store too, and reapply it to the
+// holder's replica, which may have been copied with the old referent in it.
+// Only a minor flip meets such a holder, a major flip's being in to-space; the
+// referent itself needs no queueing, since the replica lives in old-to, which
+// the major cursor scans by address.
+func (c *Replicating) repoint(m *Mutator, g *generation, obj heap.Value, slot int) error {
 	v := c.h.Load(obj, slot)
 	if !g.from.Contains(v) {
-		return false, nil
+		return nil
 	}
 	replica, err := c.replicate(m, g, v)
 	if err != nil {
-		return false, err
+		return err
 	}
 	c.h.Store(obj, slot, replica)
 	c.stats.FlipEntryUpdates++
 	c.pauses.cur.FlipEntries++
 	m.Clock.Charge(simtime.AcctFlip, m.Cost.FlipEntry)
-	return true, nil
+	if c.major.active && c.h.OldFrom().Contains(obj) {
+		m.Log.Append(LogEntry{Obj: obj, Slot: int32(slot)})
+	}
+	return nil
 }
 
 // redirectRoots is the atomic step of a flip: every mutator root still
@@ -1492,12 +1509,12 @@ func (c *Replicating) trimLog(m *Mutator) {
 // immediately after each minor termination: activate a major collection
 // when the promotion threshold O is crossed, then perform major work within
 // the pause's remaining budget (or, if the minor work already exhausted it,
-// process the log only). It reports whether a major flip completed.
+// process the log only).
 //
 // An emergency pause overrides the threshold: the old generation is the
 // only place a degraded collection can reclaim space, so the major runs
 // (and completes) regardless of O.
-func (c *Replicating) afterMinorFlip(m *Mutator) (bool, error) {
+func (c *Replicating) afterMinorFlip(m *Mutator) error {
 	if !c.major.active {
 		trigger := c.cfg.MajorThresholdBytes > 0 && c.promotedSinceMajor >= c.cfg.MajorThresholdBytes
 		if c.replay != nil {
@@ -1507,7 +1524,7 @@ func (c *Replicating) afterMinorFlip(m *Mutator) (bool, error) {
 			trigger = true
 		}
 		if !trigger {
-			return false, nil
+			return nil
 		}
 		c.startMajor(m)
 	}
@@ -1527,16 +1544,13 @@ func (c *Replicating) afterMinorFlip(m *Mutator) (bool, error) {
 		defer c.restore(c.lift(), 0)
 	}
 	flipped, err := c.majorIncrement(m, true)
-	if err != nil {
-		return false, err
-	}
 	if flipped {
 		c.forcedMajorFlip = false
 		if c.cfg.Record != nil && !c.finishing && c.cfg.Record.Len() > 0 {
 			c.cfg.Record.Events[c.cfg.Record.Len()-1].MajorFlip = true
 		}
 	}
-	return flipped, nil
+	return err
 }
 
 // startMajor begins a major collection cycle. It must be called right after
@@ -1549,7 +1563,6 @@ func (c *Replicating) startMajor(m *Mutator) {
 	c.major.logCursor = m.Log.Len()
 	c.major.begin(c.h.OldFrom(), c.h.OldTo())
 	c.major.replicas, c.major.replicaIdx = c.major.replicas[:0], 0
-	c.fixupSeen.clear()
 }
 
 // majorIncrement performs one increment of the major collection and reports
@@ -1595,15 +1608,15 @@ func (c *Replicating) majorIncrement(m *Mutator, postFlip bool) (bool, error) {
 }
 
 // drainDeferredMajor is the major attempt's step between its root pass and its
-// flip: the deferred mutable copies (§2.5), whose slots are the recorded
-// fixups, are replicated within the budget and traced until none remain (each
-// round can expose more). It reports whether the flip may follow.
+// flip: the deferred mutable copies (§2.5), whose slots are on the flip's
+// worklist, are replicated within the budget and traced until none remain
+// (each round can expose more). It reports whether the flip may follow.
 func (c *Replicating) drainDeferredMajor(m *Mutator, g *generation) (bool, error) {
 	if c.cfg.DeferMutableCopies {
 		phase := c.pauses.Phase(m, simtime.PhaseCopy)
 		defer phase.End()
 		for {
-			for _, f := range c.fixups {
+			for _, f := range g.worklist {
 				v := c.h.Load(f.obj, int(f.slot))
 				if !g.from.Contains(v) || c.h.IsForwarded(v) {
 					continue
@@ -1660,11 +1673,7 @@ func (c *Replicating) deferAttempt(m *Mutator, g *generation, rootVisits int) (o
 	if c.deadline <= 0 || c.noGate {
 		return 0, false
 	}
-	worklist := len(c.minorRootSeqs)
-	if g.major {
-		worklist = len(c.fixups)
-	}
-	cost := simtime.Duration(worklist)*m.Cost.FlipEntry + simtime.Duration(rootVisits)*m.Cost.RootUpdate
+	cost := simtime.Duration(len(g.worklist))*m.Cost.FlipEntry + simtime.Duration(rootVisits)*m.Cost.RootUpdate
 	raise := c.microRaise(m)
 	if m.Clock.Now()+cost <= c.deadline+raise {
 		return 0, false
@@ -1752,44 +1761,4 @@ logLoop:
 		}
 	}
 	return true, nil
-}
-
-// majorFlip atomically redirects everything that still references the old
-// from-space — queued mutable-reference fixups and the mutator roots — then
-// swaps the semispaces and discards the from-space. Like minorFlip it is
-// abortable: a straggler copy that overflows to-space surfaces a typed
-// error before anything is truncated, and the already-re-pointed fixups no
-// longer hold from-space values, so a retried flip skips them.
-func (c *Replicating) majorFlip(m *Mutator) error {
-	h, g := c.h, &c.major
-	g.mustNotBeCopying()
-	if h.Nursery.UsedWords() != 0 {
-		//gclint:allow panicpath -- invariant: majors only flip right after a minor flip emptied the nursery
-		panic("core: major flip with non-empty nursery")
-	}
-
-	// Re-point recorded to-space slots that still hold mutable from-space
-	// references.
-	c.stats.LargestFlipWorklist = max(c.stats.LargestFlipWorklist, len(c.fixups))
-	for _, f := range c.fixups {
-		if _, err := c.repoint(m, g, f.obj, int(f.slot)); err != nil {
-			return err
-		}
-	}
-	c.fixups = c.fixups[:0]
-	c.fixupSeen.clear()
-	g.deferrals = 0
-
-	c.redirectRoots(m, g)
-
-	h.SwapOld()
-	g.active = false
-	c.promotedSinceMajor = 0
-	c.stats.MajorCollections++
-
-	// Both cursors are at the log's end; everything can go.
-	g.logCursor = m.Log.Len()
-	c.minor.logCursor = m.Log.Len()
-	m.Log.TrimTo(m.Log.Len())
-	return nil
 }
