@@ -7,7 +7,9 @@ package bench
 // every pause and every counter. They must pass untouched across a change to
 // how the budget is represented, except for the budget offered in an
 // emergency pause, which is not hashed: it is unlimited by design (DESIGN.md,
-// "Pause bound"), and only whether the pause is one is.
+// "Pause bound"), and only whether the pause is one is. Beside them, a
+// projection of each pause leaves out only how its time divides among phases
+// and how the record spells why it ran: a change to either must hold it.
 
 import (
 	"fmt"
@@ -50,7 +52,7 @@ func (b *budgetRecorder) fingerprint(line string) uint64 {
 		fmt.Fprintf(h, "%#v\n", p)
 	}
 	for i, words := range b.words {
-		if b.record[b.pauses[i]-1].PhaseSpans[simtime.PhaseEmergency] > 0 {
+		if emergency(b.record[b.pauses[i]-1]) {
 			fmt.Fprintf(h, "%d:emergency;", b.pauses[i])
 		} else {
 			fmt.Fprintf(h, "%d:%d;", b.pauses[i], words)
@@ -58,6 +60,22 @@ func (b *budgetRecorder) fingerprint(line string) uint64 {
 	}
 	return h.Sum64()
 }
+
+// projection hashes each pause's record less how its time divides among
+// phases and the cause word itself: every field a report or the frozen
+// benchmark reads, with whether the pause was forced, deferred or an
+// emergency.
+func (b *budgetRecorder) projection() uint64 {
+	h := fnv.New64a()
+	for _, p := range b.record {
+		fmt.Fprintf(h, "%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%v,%v,%v;", p.At, p.Length, p.Kind, p.Sync, p.CopiedB, p.LogProcN,
+			p.FlipEntries, p.RootSlots, p.LogLeft, p.Overrun, p.Forced, p.Deferred, emergency(p))
+	}
+	return h.Sum64()
+}
+
+// emergency reports whether the degradation ladder's emergency rung ran in p.
+func emergency(p simtime.Pause) bool { return p.PhaseSpans[simtime.PhaseEmergency] > 0 }
 
 // budgetPins holds one fingerprint per replicating configuration over both
 // engine shapes and all four fault plans, and one for the engine golden's
@@ -72,29 +90,45 @@ var budgetPins = map[string]string{
 	"replay":    "2671c9a5c4ed014d",
 }
 
+// projectionPins holds the same cells' projections (budgetRecorder.projection).
+var projectionPins = map[string]string{
+	"rt":        "dde4d2e88fe21be8",
+	"minor-inc": "b047d7443413ccef",
+	"major-inc": "c2a5c61cf91b3500",
+	"rt-lazy":   "e32959ba01c92bd5",
+	"rt-conc":   "c9306a7403429171",
+	"rt-defer":  "e4bdae78ade6bb75",
+	"replay":    "8c803106f941a18a",
+}
+
 func TestBudgetPins(t *testing.T) {
-	cell := func(rc rig.Config, seed int64, plan enginePlan) uint64 {
+	cell := func(rc rig.Config, seed int64, plan enginePlan) [2]uint64 {
 		rec := &budgetRecorder{}
 		rc.Checkpoint, rc.NaiveBarrier = rec, plan.naiveBarrier
 		line, err := engineGoldenCell(rc, seed, plan.plan)
 		if err != nil {
 			t.Fatalf("%s %s: %v", rc.Collector.Name, plan.name, err)
 		}
-		return rec.fingerprint(line)
+		return [2]uint64{rec.fingerprint(line), rec.projection()}
 	}
-	check := func(name string, h uint64) {
-		if got := fmt.Sprintf("%016x", h); got != budgetPins[name] {
+	check := func(name string, h [2]uint64) {
+		if got := fmt.Sprintf("%016x", h[0]); got != budgetPins[name] {
 			t.Errorf("%s: fingerprint %s, pinned %s", name, got, budgetPins[name])
+		}
+		if got := fmt.Sprintf("%016x", h[1]); got != projectionPins[name] {
+			t.Errorf("%s: projection %s, pinned %s", name, got, projectionPins[name])
 		}
 	}
 	for _, coll := range []rig.Collector{rig.RT, rig.MinorInc, rig.MajorInc, rig.RTLazy, rig.RTConc, rig.RTDefer} {
-		h := fnv.New64a()
+		full, proj := fnv.New64a(), fnv.New64a()
 		for _, sh := range engineShapes {
 			for _, p := range enginePlans() {
-				fmt.Fprintf(h, "%016x;", cell(engineGoldenConfig(coll, sh.params), sh.seed, p))
+				h := cell(engineGoldenConfig(coll, sh.params), sh.seed, p)
+				fmt.Fprintf(full, "%016x;", h[0])
+				fmt.Fprintf(proj, "%016x;", h[1])
 			}
 		}
-		check(coll.Name, h.Sum64())
+		check(coll.Name, [2]uint64{full.Sum64(), proj.Sum64()})
 	}
 
 	roomy := engineShapes[1]
@@ -104,5 +138,6 @@ func TestBudgetPins(t *testing.T) {
 	recorded := cell(rc, roomy.seed, enginePlan{name: "recorded"})
 	rc = engineGoldenConfig(rig.MajorInc, roomy.params)
 	rc.Replay = script
-	check("replay", recorded^cell(rc, roomy.seed, enginePlan{name: "replayed"}))
+	replayed := cell(rc, roomy.seed, enginePlan{name: "replayed"})
+	check("replay", [2]uint64{recorded[0] ^ replayed[0], recorded[1] ^ replayed[1]})
 }
