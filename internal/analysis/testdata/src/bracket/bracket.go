@@ -2,13 +2,18 @@
 // close a pause; a driver, a workload or a command never does it by hand.
 package fixbracket
 
-import "repligc/internal/core"
+import (
+	"repligc/internal/core"
+	"repligc/internal/simtime"
+)
 
-// stall stops the mutator for a request of its own: two findings.
+// stall stops the mutator for a request of its own and charges the pause:
+// three findings.
 func stall(b *core.PauseBracket, m *core.Mutator) {
-	b.Begin(m)
-	b.End(m, 0, false)
+	b.Begin(m, simtime.EntryAlloc)
+	b.Charge(m, simtime.AcctRootScan, simtime.Microsecond)
+	b.End(m, simtime.PauseOther)
 }
 
 // A spelling a grep for ".Begin(" cannot see: a method value.
-func opener(b *core.PauseBracket) func(*core.Mutator) { return b.Begin }
+func opener(b *core.PauseBracket) func(*core.Mutator, simtime.Cause) { return b.Begin }

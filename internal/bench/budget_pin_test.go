@@ -52,7 +52,7 @@ func (b *budgetRecorder) fingerprint(line string) uint64 {
 		fmt.Fprintf(h, "%#v\n", p)
 	}
 	for i, words := range b.words {
-		if emergency(b.record[b.pauses[i]-1]) {
+		if b.record[b.pauses[i]-1].Cause.Emergency() {
 			fmt.Fprintf(h, "%d:emergency;", b.pauses[i])
 		} else {
 			fmt.Fprintf(h, "%d:%d;", b.pauses[i], words)
@@ -69,25 +69,22 @@ func (b *budgetRecorder) projection() uint64 {
 	h := fnv.New64a()
 	for _, p := range b.record {
 		fmt.Fprintf(h, "%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%v,%v,%v;", p.At, p.Length, p.Kind, p.Sync, p.CopiedB, p.LogProcN,
-			p.FlipEntries, p.RootSlots, p.LogLeft, p.Overrun, p.Forced, p.Deferred, emergency(p))
+			p.FlipEntries, p.RootSlots, p.LogLeft, p.Overrun, p.Cause.Forced(), p.Cause.Deferred(), p.Cause.Emergency())
 	}
 	return h.Sum64()
 }
-
-// emergency reports whether the degradation ladder's emergency rung ran in p.
-func emergency(p simtime.Pause) bool { return p.PhaseSpans[simtime.PhaseEmergency] > 0 }
 
 // budgetPins holds one fingerprint per replicating configuration over both
 // engine shapes and all four fault plans, and one for the engine golden's
 // recorded-and-replayed pair.
 var budgetPins = map[string]string{
-	"rt":        "36e275648ef43563",
-	"minor-inc": "204bf72b8d521309",
-	"major-inc": "f0af4c1a205cdccd",
-	"rt-lazy":   "4cf61342169aa52b",
-	"rt-conc":   "734a2e2bccf0f2d8",
-	"rt-defer":  "de7497f06a8154f8",
-	"replay":    "2671c9a5c4ed014d",
+	"rt":        "2682a462ff482237",
+	"minor-inc": "908cb81d4c769282",
+	"major-inc": "2fb6ebcb85e532f0",
+	"rt-lazy":   "0e438d6871164167",
+	"rt-conc":   "6061ff6782926fd8",
+	"rt-defer":  "6d8033d1de528184",
+	"replay":    "de14258c4c9ec869",
 }
 
 // projectionPins holds the same cells' projections (budgetRecorder.projection).

@@ -114,7 +114,8 @@ func TestCompositionMatrix(t *testing.T) {
 // recorder's events, each the other's oracle: the events are a valid trace
 // with as many pause-begins as there are recorded pauses, and the pause list
 // rebuilt from them alone equals the record in everything an event carries —
-// start, length, kind, bytes copied, log entries, per-phase time and spans.
+// start, length, kind, cause, bytes copied, log entries, per-phase time and
+// spans.
 func recordIsTrace(record []simtime.Pause, tr *trace.Recorder) error {
 	events := tr.Events()
 	d, err := trace.Analyze(events)
@@ -131,7 +132,7 @@ func recordIsTrace(record []simtime.Pause, tr *trace.Recorder) error {
 		return fmt.Errorf("%d pauses recorded, %d begun and %d ended in the trace (%d events dropped)", len(record), begins, len(d.Pauses), tr.Dropped())
 	}
 	for i, p := range record {
-		traced := simtime.Pause{At: p.At, Length: p.Length, Kind: p.Kind, CopiedB: p.CopiedB, LogProcN: p.LogProcN,
+		traced := simtime.Pause{At: p.At, Length: p.Length, Kind: p.Kind, Cause: p.Cause, CopiedB: p.CopiedB, LogProcN: p.LogProcN,
 			PhaseTime: p.PhaseTime, PhaseSpans: p.PhaseSpans}
 		if d.Pauses[i] != traced {
 			return fmt.Errorf("pause %d: the trace says %+v, the record %+v", i, d.Pauses[i], traced)
@@ -269,7 +270,7 @@ func compositionDeferredFlipFaults(t *testing.T) {
 					// minor flip; the cycle is waiting while it is still active.
 					deferred := false
 					for _, p := range rt.GC.Pauses().Pauses[pauses:] {
-						deferred = deferred || p.Deferred && p.RootSlots > 0
+						deferred = deferred || p.Cause.Deferred() && p.RootSlots > 0
 					}
 					if !struck && deferred && repl.CheckpointNow().MajorActive {
 						struck, emergencies = true, st.EmergencyCollections

@@ -245,6 +245,9 @@ func engineGoldenCell(rc rig.Config, seed int64, plan faultinject.Plan) (string,
 		return "", err
 	}
 	line := fmt.Sprintf("%s %s errs=%d:%016x", goldenState(m.Clock, rt.GC, d.Fingerprint()), engineCounters(rt.GC), nerrs, errs.Sum64())
+	if err := phasesAgree(rt.GC.Pauses().Pauses, m.Clock); err != nil {
+		return "", err
+	}
 	if err := d.Verify(); err != nil {
 		return "", fmt.Errorf("shadow check: %w", err)
 	}
@@ -276,7 +279,7 @@ func engineGoldenGroupCell(rc rig.Config, seed int64, rounds int) (*rig.Runtime,
 	}
 	line := fmt.Sprintf("%s %s wall=%d", goldenState(rt.Group.Clock, rt.GC, md.Fingerprint()),
 		engineCounters(rt.GC), rt.Group.Elapsed())
-	return rt, md, line, nil
+	return rt, md, line, phasesAgree(rt.GC.Pauses().Pauses, rt.Group.Clock)
 }
 
 // engineCounters renders the collector's counters and one hash over every

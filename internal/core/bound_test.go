@@ -48,7 +48,7 @@ print (itos total ^ " " ^ itos (aget out 3) ^ " " ^ itos (aget out 59996) ^ "\n"
 // TestPauseCopyBound holds the copy term of the pause bound (DESIGN.md,
 // "Pause bound"): no pause that runs under the work limit copies more than
 // 2L plus the split threshold L/4, whatever the size of the largest object.
-// Stop-the-world pauses (forced completions, emergencies: Pause.Forced) have
+// Stop-the-world pauses (forced completions, emergencies: Cause.Forced) have
 // no budget and are exempt.
 func TestPauseCopyBound(t *testing.T) {
 	cfg := paperRT()
@@ -57,7 +57,7 @@ func TestPauseCopyBound(t *testing.T) {
 		t.Helper()
 		worst, at, checked := int64(0), 0, 0
 		for i, p := range gc.Pauses().Pauses {
-			if p.Forced {
+			if p.Cause.Forced() {
 				continue
 			}
 			checked++
@@ -415,7 +415,7 @@ func TestEmergencyOffersCheckpointNoBudget(t *testing.T) {
 	}
 	emergencies := 0
 	for i, p := range gc.Pauses().Pauses {
-		if words, ok := offers[i+1]; ok && p.PhaseSpans[simtime.PhaseEmergency] > 0 {
+		if words, ok := offers[i+1]; ok && p.Cause.Emergency() {
 			emergencies++
 			if words != math.MaxInt {
 				t.Errorf("emergency pause %d offered the checkpoint %d words; want no limit", i, words)

@@ -57,8 +57,10 @@ type Checkpointer interface {
 // pointers-only log would lose non-pointer stores across recovery.
 func (c *Replicating) SetCheckpointer(w Checkpointer) { c.ckpt = w }
 
-// checkpointPoint assembles the pause-boundary state for the writer.
-func (c *Replicating) checkpointPoint() CheckpointPoint {
+// CheckpointNow assembles the pause-boundary state for the writer: the hook's,
+// and checkpoint.Writer.ForceCommit's, which commits in a pause of its own
+// after FinishCycles has left the collector quiescent.
+func (c *Replicating) CheckpointNow() CheckpointPoint {
 	return CheckpointPoint{
 		Quiescent:          !c.minor.active && !c.major.active,
 		MajorActive:        c.major.active,
@@ -69,22 +71,14 @@ func (c *Replicating) checkpointPoint() CheckpointPoint {
 	}
 }
 
-// CheckpointNow exposes the current pause-boundary state outside the hook,
-// for checkpoint.Writer.ForceCommit (which commits in a pause of its own after
-// FinishCycles has left the collector quiescent).
-func (c *Replicating) CheckpointNow() CheckpointPoint { return c.checkpointPoint() }
-
 // CheckpointPause runs commit in a pause of its own, outside any collection,
-// and records it like every other pause: PauseOther, its time under the
-// checkpoint phase. All of it is stop-the-world — commit charges only the
-// checkpoint account — and none of it is budgeted, so the record marks it
-// Forced.
+// and records it like every other pause: PauseOther, EntryCheckpoint, all of
+// it checkpoint phase (commit charges the clock itself).
 func (c *Replicating) CheckpointPause(m *Mutator, commit func()) {
-	c.pauses.Begin(m)
-	phase := c.pauses.Phase(m, simtime.PhaseCheckpoint)
+	c.pauses.Begin(m, simtime.EntryCheckpoint)
+	c.pauses.Switch(m, simtime.PhaseCheckpoint)
 	commit()
-	phase.End()
-	c.pauses.End(m, simtime.PauseOther, true)
+	c.pauses.End(m, simtime.PauseOther)
 }
 
 // RestoreScheduling reinstates the collector scheduling state a checkpoint

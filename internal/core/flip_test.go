@@ -281,7 +281,7 @@ func TestDeferredFlipAlwaysEnds(t *testing.T) {
 			if p.Overrun > 0 {
 				marked++
 			}
-			if p.RootSlots > 0 && !p.Forced {
+			if p.RootSlots > 0 && !p.Cause.Forced() {
 				flipped++
 				if p.Overrun == 0 {
 					t.Errorf("pause %d redirected %d root slots in %v and is not marked as an overrun", i, p.RootSlots, p.Length)
@@ -370,7 +370,7 @@ func TestLogOutrunsTheMeter(t *testing.T) {
 	}
 	st, forced := gc.Stats(), 0
 	for _, p := range gc.Pauses().Pauses {
-		if p.Forced {
+		if p.Cause.Forced() {
 			forced++
 		}
 	}

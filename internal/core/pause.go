@@ -6,82 +6,77 @@ import (
 )
 
 // PauseBracket is the one bracket every pause of every collector runs in. A
-// collector holds one by value and fills in the pause in progress as it works;
-// the bracket counts, times and records each pause, and owns the record and
-// the flight recorder.
+// collector holds one by value, charges every unit of its pause work through
+// it and fills in the pause in progress as it works; the bracket counts, times
+// and records each pause, and owns the record and the flight recorder.
 type PauseBracket struct {
 	Rec   simtime.Recorder // every pause so far, in order
 	Trace *trace.Recorder  // nil when tracing is disabled (every emit is a nil check)
 	stats *GCStats         // the collector's counters
 	cur   simtime.Pause    // the pause in progress
-	// The sync accounts, the bytes copied and the log entries scanned at Begin.
-	syncBase        simtime.Duration
+	phase simtime.Phase    // the phase it is in, NumPhases before its first charge
+	since simtime.Duration // when it entered that phase
+	// The bytes copied and the log entries scanned at Begin.
 	copied, scanned int64
 }
 
 // NewPauseBracket returns the bracket of the collector whose counters are stats.
 func NewPauseBracket(stats *GCStats) PauseBracket { return PauseBracket{stats: stats} }
 
-// Begin stops the mutator and opens a pause; End closes it.
-func (b *PauseBracket) Begin(m *Mutator) {
+// Begin stops the mutator and opens a pause for cause, the entry that opened
+// it with any bits known before it starts; End closes it.
+func (b *PauseBracket) Begin(m *Mutator, cause simtime.Cause) {
 	m.Clock.BeginPause()
 	at := m.Clock.Now()
 	b.Trace.PauseBegin(at)
 	b.Trace.Counters(at, m.LogWrites, m.BarrierFastSkips, m.BarrierDirtySkips)
-	b.cur = simtime.Pause{At: at}
-	b.syncBase, b.copied, b.scanned = syncTime(m.Clock), b.stats.TotalBytesCopied(), b.stats.LogScanned
+	b.cur = simtime.Pause{At: at, Cause: cause}
+	b.phase, b.copied, b.scanned = simtime.NumPhases, b.stats.TotalBytesCopied(), b.stats.LogScanned
 	b.stats.PauseCount++
 }
 
-// Phase opens a phase of the pause in progress and returns it as a span; its
-// End adds the span to the pause's record. Callers end the span exactly once,
-// on every exit path, so the trace's begin/end events stay balanced even when
-// an increment ends in a typed exhaustion error. Ended at once, it is a span
-// of no length: how the degradation ladder's emergency rung is marked. The
-// span is a value, so opening and closing one allocates nothing.
-func (b *PauseBracket) Phase(m *Mutator, p simtime.Phase) PhaseSpan {
-	start := m.Clock.Now()
-	b.Trace.PhaseBegin(start, p)
-	return PhaseSpan{b: b, m: m, phase: p, start: start}
+// Charge charges d to account a: how a collector spends pause time. The
+// account names the phase the work belongs to (Account.Phase), and a charge to
+// another phase than the one the pause is in switches to it.
+func (b *PauseBracket) Charge(m *Mutator, a simtime.Account, d simtime.Duration) {
+	if p := a.Phase(); p != b.phase && d > 0 {
+		b.Switch(m, p)
+	}
+	m.Clock.Charge(a, d)
 }
 
-// PhaseSpan is a phase of the pause in progress, from Phase to End.
-type PhaseSpan struct {
-	b     *PauseBracket
-	m     *Mutator
-	phase simtime.Phase
-	start simtime.Duration
+// Switch ends the pause's current phase span and begins one of phase p. Charge
+// calls it; a collector calls it itself only before work that charges the
+// clock without the bracket, which a checkpoint writer does.
+func (b *PauseBracket) Switch(m *Mutator, p simtime.Phase) {
+	now := m.Clock.Now()
+	b.endPhase(now)
+	b.phase, b.since = p, now
+	b.cur.PhaseSpans[p]++
+	b.Trace.PhaseBegin(now, p)
 }
 
-// End closes the span, adding its time to the pause's record.
-func (s PhaseSpan) End() {
-	now := s.m.Clock.Now()
-	s.b.cur.PhaseTime[s.phase] += now - s.start
-	s.b.cur.PhaseSpans[s.phase]++
-	s.b.Trace.PhaseEnd(now, s.phase)
+// endPhase adds the current phase span, if any, to the pause's record.
+func (b *PauseBracket) endPhase(now simtime.Duration) {
+	if b.phase < simtime.NumPhases {
+		b.cur.PhaseTime[b.phase] += now - b.since
+		b.Trace.PhaseEnd(now, b.phase)
+	}
 }
 
 // End restarts the mutator and records the pause as kind, with what the
 // collector's counters say it copied and replayed. Its stop-the-world portion
-// is what the sync accounts gained, or all of it when stw says the pause ran
-// without a budget and stopped every mutator throughout, which marks it Forced.
-func (b *PauseBracket) End(m *Mutator, kind simtime.PauseKind, stw bool) {
+// is its root-scan, flip and checkpoint time, or all of it when its cause is
+// Exclusive.
+func (b *PauseBracket) End(m *Mutator, kind simtime.PauseKind) {
 	p := &b.cur
-	p.Length, p.Kind, p.Forced = m.Clock.EndPause(), kind, p.Forced || stw
-	p.Sync = min(syncTime(m.Clock)-b.syncBase, p.Length)
-	if stw {
+	b.endPhase(m.Clock.Now())
+	p.Length, p.Kind = m.Clock.EndPause(), kind
+	p.Sync = p.PhaseTime[simtime.PhaseRootScan] + p.PhaseTime[simtime.PhaseFlip] + p.PhaseTime[simtime.PhaseCheckpoint]
+	if p.Cause.Exclusive() {
 		p.Sync = p.Length
 	}
 	p.CopiedB, p.LogProcN = b.stats.TotalBytesCopied()-b.copied, b.stats.LogScanned-b.scanned
 	b.Rec.Record(*p)
-	b.Trace.PauseEnd(m.Clock.Now(), p.CopiedB, p.LogProcN, int64(kind))
-}
-
-// syncTime sums the accounts whose within-pause deltas form the stop-the-world
-// portion of a pause (Pause.Sync): root scans, flips and checkpoint commits
-// need every mutator stopped, while replica copying and log replay only need
-// the from-space invariant and may overlap other mutators' execution in the
-// multi-mutator time model (group.go).
-func syncTime(clk *simtime.Clock) simtime.Duration {
-	return clk.AccountTotal(simtime.AcctRootScan) + clk.AccountTotal(simtime.AcctFlip) + clk.AccountTotal(simtime.AcctCheckpoint)
+	b.Trace.PauseEnd(m.Clock.Now(), p.CopiedB, p.LogProcN, int64(kind), p.Cause)
 }

@@ -101,7 +101,7 @@ func TestReplayBatchPathZeroAllocs(t *testing.T) {
 	}
 
 	// Warm once, then assert, with no budget to stop the replay.
-	c.lift()
+	c.lift(0)
 	c.minor.logCursor = start
 	if _, err := c.processMinorLog(m); err != nil {
 		t.Fatal(err)

@@ -279,10 +279,8 @@ type Replicating struct {
 	// minor cycle has ever promoted; the headroom reservation (DESIGN.md,
 	// "Failure model") keeps that many bytes plus the current nursery
 	// contents free in the promotion target, forcing completion (and an
-	// early major) before a mid-copy overflow can happen. emergency marks
-	// a pause promoted to full stop-the-world completion.
+	// early major) before a mid-copy overflow can happen.
 	promoHighWater int64
-	emergency      bool
 
 	// Interleaved pacing state.
 	taxCredit  int64 // accumulated work credit in bytes
@@ -431,7 +429,7 @@ func (c Config) CheckPauseBound(cost simtime.CostModel, pauses []simtime.Pause) 
 	bound, copyBound := c.PauseBoundTime(cost), c.PauseCopyBound()
 	longest, most, budgeted, text := simtime.Duration(0), int64(0), 0, ""
 	for i, p := range pauses {
-		if p.Forced { // no budget to hold it to
+		if p.Cause.Forced() { // no budget to hold it to
 			continue
 		}
 		budgeted++
@@ -489,7 +487,7 @@ func (c *Replicating) AllocTax(m *Mutator, bytes int64) error {
 		return nil
 	}
 	c.microLimit, c.taxCredit = c.taxCredit, 0
-	err := c.pause(m, 0)
+	err := c.pause(m, 0, simtime.EntryTax)
 	c.microLimit = 0
 	return err
 }
@@ -502,7 +500,7 @@ func (c *Replicating) minorDue() bool {
 
 // CollectForAlloc implements Collector: one garbage-collection pause.
 func (c *Replicating) CollectForAlloc(m *Mutator, needWords int) error {
-	return c.pause(m, needWords)
+	return c.pause(m, needWords, simtime.EntryAlloc)
 }
 
 // FinishCycles implements Collector: drive all pending incremental work to
@@ -518,7 +516,7 @@ func (c *Replicating) FinishCycles(m *Mutator) error {
 		if i > 1<<16 { // an emergency completes both generations
 			return c.CollectEmergency(m)
 		}
-		if err := c.pause(m, 0); err != nil {
+		if err := c.pause(m, 0, simtime.EntryFinish); err != nil {
 			return err
 		}
 	}
@@ -532,18 +530,17 @@ func (c *Replicating) FinishCycles(m *Mutator) error {
 // any other.
 func (c *Replicating) CollectEmergency(m *Mutator) error {
 	c.stats.EmergencyCollections++
-	c.emergency = true
-	return c.pause(m, 0)
+	return c.pause(m, 0, simtime.EntryEmergency)
 }
 
-// pause stops the mutator and performs one increment of collection work.
-// An emergency pause has no budget and completes everything. The pause is
-// always charged and recorded — including when it ends in a typed exhaustion
-// error, so degraded runs report honest long pauses.
+// pause stops the mutator and performs one increment of collection work for
+// entry, the way into it. An emergency pause has no budget and completes
+// everything. The pause is always charged and recorded — including when it
+// ends in a typed exhaustion error, so degraded runs report honest long pauses.
 //
 //gclint:pauseentry Clock.BeginPause stops the (single) mutator before any collector state changes; every collector entry point funnels through here
-func (c *Replicating) pause(m *Mutator, needWords int) error {
-	c.pauses.Begin(m)
+func (c *Replicating) pause(m *Mutator, needWords int, entry simtime.Cause) error {
+	c.pauses.Begin(m, entry)
 	// Every pause, micro-pauses included, starts a fresh log-coalescing
 	// epoch before any cursor moves: dirty bits set by the barrier since
 	// the previous pause vouch for entries this pause may now consume, so
@@ -563,52 +560,44 @@ func (c *Replicating) pause(m *Mutator, needWords int) error {
 	} else {
 		err = c.pauseBody(m, needWords)
 		if c.ckpt != nil {
-			p := c.checkpointPoint()
+			p := c.CheckpointNow()
 			p.BudgetWords = c.budgetSlots(m, m.Cost.CopyWord)
-			phase := c.pauses.Phase(m, simtime.PhaseCheckpoint)
-			committed := c.ckpt.PauseCheckpoint(m, p)
-			phase.End()
-			c.pauses.cur.Forced = c.pauses.cur.Forced || committed
+			c.pauses.Switch(m, simtime.PhaseCheckpoint) // the writer charges the clock itself
+			if c.ckpt.PauseCheckpoint(m, p) {
+				c.pauses.cur.Cause |= simtime.Commit
+			}
 		}
 	}
 	c.pauses.cur.LogLeft = m.Log.Len() - c.minor.logCursor
 	if c.major.active {
 		c.pauses.cur.LogLeft += m.Log.Len() - c.major.logCursor
 	}
-	// A major pause is one in which a non-incremental major flipped. An
-	// emergency pause admits no overlap, whether it was entered as one or
-	// pauseBody escalated it on low headroom.
+	// A major pause is one in which a non-incremental major flipped.
 	kind := simtime.PauseMinor
 	if c.stats.MajorCollections > majors && !c.cfg.IncrementalMajor {
 		kind = simtime.PauseMajor
 	}
-	c.pauses.End(m, kind, c.emergency)
-	c.emergency = false
+	c.pauses.End(m, kind)
 	return err
 }
 
 // pauseBody is the work of one pause; pause wraps it so the clock and the
-// recorder see every pause, successful or not. The record marks a pause with
-// no budget Forced: one that forced its minor collection to completion — the
-// non-incremental minor of major-inc and stop-copy-core among them — or ran a
-// non-incremental major increment.
+// recorder see every pause, successful or not. Each stretch of it without a
+// budget leaves its bit in the pause's cause (lift).
 func (c *Replicating) pauseBody(m *Mutator, needWords int) error {
 	// Degradation ladder, headroom reservation: if the promotion target
 	// cannot absorb a worst-case cycle (everything currently in the
 	// nursery plus the recorded high-water mark as reserve), finish all
 	// incremental work now, in one long pause, rather than risk an
 	// unrecoverable overflow in the middle of a later copy.
-	if !c.emergency && c.lowHeadroom() {
-		c.emergency = true
+	// Here, or in CollectEmergency before the pause began, the pause escalates:
+	// it has no budget from here to its end (the lift is never restored).
+	if c.pauses.cur.Cause == simtime.EntryEmergency {
+		c.lift(simtime.LiftEmergency)
+	} else if c.lowHeadroom() {
 		c.stats.EmergencyCollections++
-		c.forcedCompletion()
-	}
-	if c.emergency {
-		// Here, or in CollectEmergency before the pause began, the pause
-		// escalated: it has no budget from here to its end (the lift is never
-		// restored), and the rung is marked as a distinct (instantaneous) phase.
-		c.lift()
-		c.pauses.Phase(m, simtime.PhaseEmergency).End()
+		c.stats.ForcedCompletion++
+		c.lift(simtime.LiftEmergency)
 	}
 
 	if !c.minor.active {
@@ -616,18 +605,17 @@ func (c *Replicating) pauseBody(m *Mutator, needWords int) error {
 	}
 	c.minorPauses++
 	capped := c.minorPauses > cmp.Or(c.pauseCap, maxMinorPauses)
-	forceMinor := c.emergency || !c.cfg.IncrementalMinor || capped
+	forceMinor := c.pauses.cur.Cause.Emergency() || !c.cfg.IncrementalMinor || capped
 	if capped {
-		c.forcedCompletion()
+		c.stats.ForcedCompletion++
 	}
-	c.pauses.cur.Forced = c.pauses.cur.Forced || forceMinor
 
 	// A forced increment runs with the deadline lifted, and its time goes back
 	// onto it: else a root set too long for the budget would leave the major
 	// after it nothing, pause after pause.
 	needB, from, deadline := int64(needWords)*heap.BytesPerWord, m.Clock.Now(), simtime.Duration(0)
 	if forceMinor {
-		deadline = c.lift()
+		deadline = c.lift(simtime.LiftMinor)
 	}
 	done, err := c.minorIncrement(m)
 	c.restore(deadline, m.Clock.Now()-from)
@@ -648,8 +636,8 @@ func (c *Replicating) pauseBody(m *Mutator, needWords int) error {
 		if granted < needB {
 			// Expansion bound blown: conservative completion (the
 			// ladder's first rung).
-			c.forcedCompletion()
-			from, deadline := m.Clock.Now(), c.lift()
+			c.stats.ForcedCompletion++
+			from, deadline := m.Clock.Now(), c.lift(simtime.LiftMinor)
 			done, err := c.minorIncrement(m)
 			c.restore(deadline, m.Clock.Now()-from)
 			if err != nil {
@@ -672,13 +660,6 @@ func (c *Replicating) pauseBody(m *Mutator, needWords int) error {
 		c.stats.NurseryExpansion += c.h.Nursery.GrowBytes(needB - free)
 	}
 	return nil
-}
-
-// forcedCompletion counts an incremental collection made to complete in the
-// pause in progress, which from here on has no budget to be held to.
-func (c *Replicating) forcedCompletion() {
-	c.stats.ForcedCompletion++
-	c.pauses.cur.Forced = true
 }
 
 // lowHeadroom reports whether the promotion target is at risk of
@@ -708,10 +689,12 @@ func (c *Replicating) startMinor(m *Mutator) {
 // has spent it at its deadline, that long after it began.
 func (c *Replicating) budget(m *Mutator) simtime.Duration { return workTime(m.Cost, c.workLimit()) }
 
-// lift begins a stretch of the pause that has no budget: until restore, no
-// budget test stops anything and no copy is split. It returns the deadline it
-// took away, 0 when there was none (no budget, or a stretch inside another).
-func (c *Replicating) lift() simtime.Duration {
+// lift begins a stretch of the pause that has no budget, at the site whose bit
+// it records in the pause's cause: until restore, no budget test stops anything
+// and no copy is split. It returns the deadline it took away, 0 when there was
+// none (no budget, or a stretch inside another).
+func (c *Replicating) lift(site simtime.Cause) simtime.Duration {
+	c.pauses.cur.Cause |= site
 	d := c.deadline
 	c.deadline = 0
 	return d
@@ -763,15 +746,13 @@ func (c *Replicating) minorIncrement(m *Mutator) (bool, error) {
 	// holding nursery pointers) and keep replicas up to date. The paper's
 	// log processing ignores L (§3.4); this one stops when the pause's
 	// budget is spent and resumes from the same cursor at the next pause.
-	phase := c.pauses.Phase(m, simtime.PhaseLogReplay)
 	done, err := c.processMinorLog(m)
-	phase.End()
 	if !done {
 		return false, err
 	}
 
 	// 2. Cheney scan of the objects promoted this cycle.
-	if done, err := c.scanPhase(m, g); !done {
+	if done, err := c.scan(m, g); !done {
 		return false, err
 	}
 
@@ -798,7 +779,7 @@ func (c *Replicating) attempt(m *Mutator, g *generation) (bool, error) {
 		return false, err
 	}
 	// The roots may have enqueued fresh copies; finish scanning them.
-	if done, err := c.scanPhase(m, g); !done {
+	if done, err := c.scan(m, g); !done {
 		return false, err
 	}
 	if g.major {
@@ -816,15 +797,13 @@ func (c *Replicating) attempt(m *Mutator, g *generation) (bool, error) {
 	// scan is at the frontier): the steps that end in the flip run with the
 	// deadline lifted, so what they copy — a straggler the flip itself copies
 	// included — they copy whole.
-	defer c.restore(c.lift(), 0)
+	defer c.restore(c.lift(simtime.LiftFlip), 0)
 	if !g.major {
 		if done, err := c.completeMinor(m, g); !done {
 			return false, err
 		}
 	}
-	phase := c.pauses.Phase(m, simtime.PhaseFlip)
 	err := c.flip(m, g)
-	phase.End()
 	return err == nil, err
 }
 
@@ -833,14 +812,11 @@ func (c *Replicating) attempt(m *Mutator, g *generation) (bool, error) {
 func (c *Replicating) completeMinor(m *Mutator, g *generation) (bool, error) {
 	// Lazy mode deferred its reapplies to this moment.
 	if c.cfg.LazyLogProcessing {
-		phase := c.pauses.Phase(m, simtime.PhaseLogReplay)
-		err := c.drainLazyMinor(m)
-		phase.End()
-		if err != nil {
+		if err := c.drainLazyMinor(m); err != nil {
 			return false, err
 		}
 		// Reapplication may have replicated new objects; finish scanning.
-		if done, err := c.scanPhase(m, g); !done {
+		if done, err := c.scan(m, g); !done {
 			if err != nil {
 				return false, err
 			}
@@ -852,13 +828,11 @@ func (c *Replicating) completeMinor(m *Mutator, g *generation) (bool, error) {
 	// each round of copies can expose more deferred references, so loop
 	// to a fixpoint.
 	for len(c.pendingMut) > 0 {
-		phase := c.pauses.Phase(m, simtime.PhaseCopy)
 		err := c.drainPendingMutables(m)
 		var done bool
 		if err == nil {
 			done, err = c.scan(m, g)
 		}
-		phase.End()
 		if err != nil {
 			return false, err
 		}
@@ -870,38 +844,25 @@ func (c *Replicating) completeMinor(m *Mutator, g *generation) (bool, error) {
 	return g.logCursor == m.Log.Len(), nil
 }
 
-// scanPhase runs the Cheney scan as one traced copy phase.
-func (c *Replicating) scanPhase(m *Mutator, g *generation) (bool, error) {
-	phase := c.pauses.Phase(m, simtime.PhaseCopy)
-	done, err := c.scan(m, g)
-	phase.End()
-	return done, err
-}
-
 // scanRoots is a collection's completion pass over the mutator roots: every
 // root referent still in from-space is replicated, within the budget. The
 // roots themselves are only redirected at the flip. It reports whether the
 // pass reached the last root; an aborted pass is simply run again.
 func (c *Replicating) scanRoots(m *Mutator, g *generation, roots []*heap.Value) (bool, error) {
-	phase := c.pauses.Phase(m, simtime.PhaseRootScan)
 	// roots is Roots.Slots' reusable buffer, enumerated by the caller for the
 	// admission gate: no per-scan closure allocations, and the loop can stop
 	// the moment the budget runs out. Every slot is still charged (the root
 	// scan visits them all).
 	c.stats.RootSlotUpdates += int64(len(roots))
-	m.Clock.Charge(simtime.AcctRootScan, simtime.Duration(len(roots))*m.Cost.RootUpdate)
-	done := true
-	var err error
+	c.pauses.Charge(m, simtime.AcctRootScan, simtime.Duration(len(roots))*m.Cost.RootUpdate)
 	for _, slot := range roots {
 		if v := *slot; g.from.Contains(v) {
-			if _, err = c.replicate(m, g, v); err != nil || c.overBudget(m) {
-				done = false
-				break
+			if _, err := c.replicate(m, g, v); err != nil || c.overBudget(m) {
+				return false, err
 			}
 		}
 	}
-	phase.End()
-	return done, err
+	return true, nil
 }
 
 // takeLogEntry consumes and charges the entry at g's log cursor; it reports
@@ -914,7 +875,7 @@ func (c *Replicating) takeLogEntry(m *Mutator, g *generation) (int64, LogEntry, 
 	seq := g.logCursor
 	g.logCursor++
 	c.stats.LogScanned++
-	m.Clock.Charge(simtime.AcctLogScan, m.Cost.LogScan)
+	c.pauses.Charge(m, simtime.AcctLogScan, m.Cost.LogScan)
 	return seq, m.Log.At(seq), true
 }
 
@@ -979,7 +940,7 @@ func (c *Replicating) processMinorLog(m *Mutator) (bool, error) {
 func (c *Replicating) reapply(m *Mutator, e LogEntry, replica heap.Value, hidden bool) error {
 	h := c.h
 	c.stats.LogReapplied++
-	m.Clock.Charge(simtime.AcctLogReapply, m.Cost.LogReapply)
+	c.pauses.Charge(m, simtime.AcctLogReapply, m.Cost.LogReapply)
 	if e.Byte {
 		for i := e.Slot; i < e.Slot+e.Len; i++ {
 			h.StoreByte(replica, int(i), h.LoadByte(e.Obj, int(i)))
@@ -1083,7 +1044,7 @@ func (c *Replicating) replicate(m *Mutator, g *generation, v heap.Value) (heap.V
 	hdr := heap.Header(h.RawHeader(v))
 	replica, ok := h.ReserveReplica(v, g.to)
 	if !ok {
-		return heap.Nil, SpaceOOM(g.oom, c.Name(), g.to, hdr, c.emergency)
+		return heap.Nil, SpaceOOM(g.oom, c.Name(), g.to, hdr, c.pauses.cur.Cause.Emergency())
 	}
 	if g.major {
 		g.noteReplica(replica, hdr.SizeWords())
@@ -1121,7 +1082,7 @@ func (c *Replicating) fill(m *Mutator, g *generation, job *copyJob, extra int) {
 	b := int64(n+extra) * heap.BytesPerWord
 	*g.copied += b
 	c.stats.LargestCopyBytes = max(c.stats.LargestCopyBytes, b)
-	m.Clock.Charge(g.acct, simtime.Duration(n+extra)*m.Cost.CopyWord)
+	c.pauses.Charge(m, g.acct, simtime.Duration(n+extra)*m.Cost.CopyWord)
 }
 
 // resumeCopy continues g's in-flight copy, the first work of every increment,
@@ -1131,9 +1092,7 @@ func (c *Replicating) resumeCopy(m *Mutator, g *generation) bool {
 	if g.inflight.replica == heap.Nil {
 		return true
 	}
-	phase := c.pauses.Phase(m, simtime.PhaseCopy)
 	c.fill(m, g, &g.inflight, 0)
-	phase.End()
 	if g.inflight.next < g.inflight.words {
 		return false
 	}
@@ -1303,7 +1262,7 @@ func (c *Replicating) scan(m *Mutator, g *generation) (bool, error) {
 		hdr := heap.Header(w)
 		p := heap.Value((g.scan + 1) << 3)
 		if !hdr.Kind().HasPointers() {
-			m.Clock.Charge(g.acct, simtime.Duration(hdr.SizeWords())*m.Cost.ScanWord)
+			c.pauses.Charge(m, g.acct, simtime.Duration(hdr.SizeWords())*m.Cost.ScanWord)
 			g.scan += uint64(hdr.SizeWords())
 			continue
 		}
@@ -1312,14 +1271,14 @@ func (c *Replicating) scan(m *Mutator, g *generation) (bool, error) {
 		// §3.4 incremental-large-object extension); the slot cursor
 		// resumes at the next increment.
 		if g.scanSlot == 0 {
-			m.Clock.Charge(g.acct, m.Cost.ScanWord) // header word
+			c.pauses.Charge(m, g.acct, m.Cost.ScanWord) // header word
 		}
 		for i := g.scanSlot; i < hdr.Len(); i++ {
 			if c.overBudget(m) {
 				g.scanSlot = i
 				return false, nil
 			}
-			m.Clock.Charge(g.acct, m.Cost.ScanWord)
+			c.pauses.Charge(m, g.acct, m.Cost.ScanWord)
 			v := h.Load(p, i)
 			if !from.Contains(v) {
 				continue
@@ -1448,7 +1407,7 @@ func (c *Replicating) repoint(m *Mutator, g *generation, obj heap.Value, slot in
 	c.h.Store(obj, slot, replica)
 	c.stats.FlipEntryUpdates++
 	c.pauses.cur.FlipEntries++
-	m.Clock.Charge(simtime.AcctFlip, m.Cost.FlipEntry)
+	c.pauses.Charge(m, simtime.AcctFlip, m.Cost.FlipEntry)
 	if c.major.active && c.h.OldFrom().Contains(obj) {
 		m.Log.Append(LogEntry{Obj: obj, Slot: int32(slot)})
 	}
@@ -1471,7 +1430,7 @@ func (c *Replicating) redirectRoots(m *Mutator, g *generation) {
 	}
 	c.stats.RootSlotUpdates += int64(len(roots))
 	c.pauses.cur.RootSlots += int64(len(roots))
-	m.Clock.Charge(simtime.AcctFlip, simtime.Duration(len(roots))*m.Cost.RootUpdate)
+	c.pauses.Charge(m, simtime.AcctFlip, simtime.Duration(len(roots))*m.Cost.RootUpdate)
 }
 
 // setNextNurseryLimit restores the nursery limit for the next cycle: the
@@ -1520,7 +1479,7 @@ func (c *Replicating) afterMinorFlip(m *Mutator) error {
 		if c.replay != nil {
 			trigger = c.forcedMajorFlip
 		}
-		if c.emergency {
+		if c.pauses.cur.Cause.Emergency() {
 			trigger = true
 		}
 		if !trigger {
@@ -1528,8 +1487,7 @@ func (c *Replicating) afterMinorFlip(m *Mutator) error {
 		}
 		c.startMajor(m)
 	}
-	forceMajor := c.emergency || !c.cfg.IncrementalMajor || (c.replay != nil && c.forcedMajorFlip)
-	c.pauses.cur.Forced = c.pauses.cur.Forced || forceMajor
+	forceMajor := c.pauses.cur.Cause.Emergency() || !c.cfg.IncrementalMajor || (c.replay != nil && c.forcedMajorFlip)
 	// Under interleaved pacing, the post-flip increment is the only moment
 	// a major can complete; from here to the end of the pause the budget is
 	// the completion budget rather than the micro quantum.
@@ -1541,7 +1499,7 @@ func (c *Replicating) afterMinorFlip(m *Mutator) error {
 	// replayed script's flip — runs with the deadline lifted, and leaves
 	// what is left of the pause's budget as it found it.
 	if forceMajor {
-		defer c.restore(c.lift(), 0)
+		defer c.restore(c.lift(simtime.LiftMajor), 0)
 	}
 	flipped, err := c.majorIncrement(m, true)
 	if flipped {
@@ -1581,9 +1539,7 @@ func (c *Replicating) majorIncrement(m *Mutator, postFlip bool) (bool, error) {
 	// 1. Drain the major log: reapply mutations to existing replicas of
 	// old-from objects, and track from-space references stored into
 	// mutator-visible to-space objects.
-	phase := c.pauses.Phase(m, simtime.PhaseLogReplay)
 	done, err := c.processMajorLog(m, postFlip)
-	phase.End()
 	if !done {
 		return false, err
 	}
@@ -1593,7 +1549,7 @@ func (c *Replicating) majorIncrement(m *Mutator, postFlip bool) (bool, error) {
 	}
 
 	// 2. Advance the implicit Cheney scan toward the old-to frontier.
-	if done, err := c.scanPhase(m, g); !done {
+	if done, err := c.scan(m, g); !done {
 		return false, err
 	}
 
@@ -1613,8 +1569,6 @@ func (c *Replicating) majorIncrement(m *Mutator, postFlip bool) (bool, error) {
 // (each round can expose more). It reports whether the flip may follow.
 func (c *Replicating) drainDeferredMajor(m *Mutator, g *generation) (bool, error) {
 	if c.cfg.DeferMutableCopies {
-		phase := c.pauses.Phase(m, simtime.PhaseCopy)
-		defer phase.End()
 		for {
 			for _, f := range g.worklist {
 				v := c.h.Load(f.obj, int(f.slot))
@@ -1681,11 +1635,11 @@ func (c *Replicating) deferAttempt(m *Mutator, g *generation, rootVisits int) (o
 	if cost > c.budget(m)+raise || g.deferrals >= maxFlipDeferrals {
 		c.stats.Overruns++
 		c.pauses.cur.Overrun += cost
-		return c.lift() + cost, false
+		return c.lift(simtime.LiftOverrun) + cost, false
 	}
 	g.deferrals++
 	c.stats.Deferrals++
-	c.pauses.cur.Deferred = true
+	c.pauses.cur.Cause |= simtime.Deferral
 	if g.major {
 		c.setNurseryLimit(c.expandBytes())
 	}

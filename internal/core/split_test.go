@@ -505,7 +505,7 @@ func TestMajorFlipCopiesStragglerWhole(t *testing.T) {
 		collect()
 	}
 	last := gc.Pauses().Pauses[len(gc.Pauses().Pauses)-1]
-	if last.Forced || last.Overrun > 0 {
+	if last.Cause.Forced() || last.Overrun > 0 {
 		t.Fatal("the flip ran without a budget: the test does not reach the case")
 	}
 	if _, _, ok := gc.CopyInFlight(true); ok {

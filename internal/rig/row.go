@@ -2,6 +2,7 @@ package rig
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repligc/internal/core"
@@ -134,10 +135,19 @@ func (r *Row) Check() error {
 	if err := simtime.CheckMMUCurve(r.MMU); err != nil {
 		return err
 	}
+	sum, ckpt := 0.0, 0.0 // a phase is the accounts its work was charged to (simtime.Account.Phase)
 	for _, ph := range r.Phases {
 		if ph.Phase == "" || ph.Ms < 0 || ph.Count <= 0 {
 			return fmt.Errorf("phase %q: %v ms over %d spans is not plausible", ph.Phase, ph.Ms, ph.Count)
 		}
+		sum += ph.Ms
+		if ph.Phase == simtime.PhaseCheckpoint.String() {
+			ckpt = ph.Ms
+		}
+	}
+	if math.Abs(sum-r.PauseTotalMs) > 1e-9*r.PauseTotalMs || ckpt != r.CheckpointMs {
+		return fmt.Errorf("the phases sum to %v ms and the checkpoint phase is %v ms; the pauses took %v ms and the checkpoint account %v ms",
+			sum, ckpt, r.PauseTotalMs, r.CheckpointMs)
 	}
 	if c := r.Checkpoint; c != nil && (c.Committed < 1 || c.SnapshotBytes <= 0 || c.WALBytes <= 0 || c.WordsCopied <= 0) {
 		return fmt.Errorf("checkpoint writer persisted nothing plausible (%d epochs, snap %d, wal %d, words %d)",

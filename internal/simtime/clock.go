@@ -78,6 +78,14 @@ func (a Account) String() string {
 	return acctNames[a]
 }
 
+// accountPhases is the one account-to-phase table: the pause phase a charge to
+// the account is work of, none (NumPhases) for the mutator's accounts.
+var accountPhases = [numAccounts]Phase{NumPhases, NumPhases, NumPhases, NumPhases,
+	PhaseCopy, PhaseCopy, PhaseLogReplay, PhaseLogReplay, PhaseFlip, PhaseRootScan, PhaseCheckpoint, NumPhases}
+
+// Phase is the pause phase work charged to a belongs to, NumPhases for none.
+func (a Account) Phase() Phase { return accountPhases[a] }
+
 // NumAccounts is the number of distinct charge accounts.
 const NumAccounts = int(numAccounts)
 
@@ -87,10 +95,10 @@ const NumAccounts = int(numAccounts)
 // share one clock as a serial total-work timeline and project overlap
 // separately (core.Group).
 type Clock struct {
-	now      Duration
-	byAcct   [numAccounts]Duration
-	inPause  bool
-	pauseAcc Duration // time accrued during the current pause
+	now     Duration
+	byAcct  [numAccounts]Duration
+	inPause bool
+	pauseAt Duration // when the current pause began
 }
 
 // NewClock returns a clock at time zero.
@@ -107,9 +115,6 @@ func (c *Clock) Charge(a Account, d Duration) {
 	}
 	c.now += d
 	c.byAcct[a] += d
-	if c.inPause {
-		c.pauseAcc += d
-	}
 }
 
 // AccountTotal reports the total time charged to account a.
@@ -129,7 +134,7 @@ func (c *Clock) BeginPause() {
 		panic("simtime: BeginPause while already paused")
 	}
 	c.inPause = true
-	c.pauseAcc = 0
+	c.pauseAt = c.now
 }
 
 // EndPause marks the end of the current pause and returns its duration.
@@ -138,5 +143,5 @@ func (c *Clock) EndPause() Duration {
 		panic("simtime: EndPause without BeginPause")
 	}
 	c.inPause = false
-	return c.pauseAcc
+	return c.now - c.pauseAt
 }

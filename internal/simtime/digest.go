@@ -155,22 +155,22 @@ func (d *Digest) WorstPauses(k int) []int {
 }
 
 // WorstPausesTable renders WorstPauses(k), one pause a line, phase times in
-// milliseconds; "log left" is the log entries the pause left unprocessed and
-// "flip n" the flip-worklist entries it re-pointed.
+// milliseconds; "log left" is the log entries the pause left unprocessed,
+// "flip n" the flip-worklist entries it re-pointed and "cause" why it ran.
 func (d *Digest) WorstPausesTable(k int) string {
 	worst := d.WorstPauses(k)
 	s := fmt.Sprintf("worst %d of %d pauses:\n%6s %12s %9s", len(worst), len(d.Pauses), "pause", "at", "ms")
 	for p := Phase(0); p < NumPhases; p++ {
 		s += fmt.Sprintf(" %10s", p)
 	}
-	s += fmt.Sprintf(" %10s %8s %8s %8s\n", "copied B", "log n", "log left", "flip n")
+	s += fmt.Sprintf(" %10s %8s %8s %8s  %s\n", "copied B", "log n", "log left", "flip n", "cause")
 	for _, i := range worst {
 		p := &d.Pauses[i]
 		s += fmt.Sprintf("%6d %12v %9.3f", i, p.At, p.Length.Milliseconds())
 		for _, t := range p.PhaseTime {
 			s += fmt.Sprintf(" %10.3f", t.Milliseconds())
 		}
-		s += fmt.Sprintf(" %10d %8d %8d %8d\n", p.CopiedB, p.LogProcN, p.LogLeft, p.FlipEntries)
+		s += fmt.Sprintf(" %10d %8d %8d %8d  %v\n", p.CopiedB, p.LogProcN, p.LogLeft, p.FlipEntries, p.Cause)
 	}
 	return s
 }

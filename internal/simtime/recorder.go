@@ -29,23 +29,23 @@ func (k PauseKind) String() string {
 
 // Phase identifies one attributable component of a collection pause. The
 // phases mirror the paper's cost taxonomy: root scanning, mutation-log
-// replay (CR), the copy/scan increment, the atomic flip (CF), and the
-// degradation ladder's emergency rung.
+// replay (CR), the copy/scan increment, the atomic flip (CF), and checkpoint
+// persistence. A pause's time is divided among them by the account each unit
+// of its work is charged to (Account.Phase).
 type Phase uint8
 
 // The pause phases.
 const (
-	PhaseRootScan   Phase = iota // scanning or redirecting mutator roots
+	PhaseRootScan   Phase = iota // scanning mutator roots
 	PhaseLogReplay               // consuming the mutation log (scan + reapply)
 	PhaseCopy                    // replication copying and Cheney scanning
 	PhaseFlip                    // atomically re-pointing roots and logged slots
-	PhaseEmergency               // degradation-ladder escalation marker
 	PhaseCheckpoint              // incremental snapshot copying / WAL commit
 	NumPhases
 )
 
 var phaseNames = [NumPhases]string{
-	"root-scan", "log-replay", "copy", "flip", "emergency", "checkpoint",
+	"root-scan", "log-replay", "copy", "flip", "checkpoint",
 }
 
 // String returns the phase's short name.
@@ -54,6 +54,66 @@ func (p Phase) String() string {
 		return phaseNames[p]
 	}
 	return fmt.Sprintf("phase(%d)", int(p))
+}
+
+// Cause says why a pause ran: the entry that opened it, in the low three bits,
+// and a bit for each site in it that lifted the budget, put a completion
+// attempt off or committed a checkpoint epoch.
+type Cause uint16
+
+// The entries, one per way into a pause.
+const (
+	EntryAlloc       Cause = iota // CollectForAlloc: an allocation found no room
+	EntryTax                      // AllocTax: an interleaved micro-pause
+	EntryFinish                   // FinishCycles: the run drives its cycles home
+	EntryEmergency                // CollectEmergency: a failed direct allocation
+	EntryCheckpoint               // CheckpointPause: a checkpoint writer's final commit
+	EntrySCAlloc                  // stop-and-copy's CollectForAlloc
+	EntrySCEmergency              // stop-and-copy's CollectEmergency
+)
+
+// The bits (DESIGN.md, "Pause bound", names the lift sites).
+const (
+	LiftEmergency Cause = 8 << iota // the emergency rung ran: entered, or escalated on low headroom
+	LiftMinor                       // a forced minor increment
+	LiftMajor                       // a forced major increment
+	LiftOverrun                     // the gate let a completion attempt through over budget
+	LiftFlip                        // the steps that end in a flip
+	Deferral                        // the gate put a completion attempt off
+	Commit                          // a checkpoint epoch committed
+	entryMask     Cause = 7         // the entry's bits
+)
+
+var entryNames = [entryMask + 1]string{"alloc", "alloc-tax", "finish", "collect-emergency", "checkpoint", "sc-alloc", "sc-emergency"}
+
+var bitNames = [...]string{"emergency", "forced-minor", "forced-major", "overrun", "flip", "deferred", "committed"}
+
+// Emergency reports whether the degradation ladder's emergency rung ran.
+func (c Cause) Emergency() bool { return c&LiftEmergency != 0 }
+
+// Exclusive reports whether the pause stopped every mutator throughout: an
+// emergency, a checkpoint writer's final commit, every stop-and-copy pause.
+func (c Cause) Exclusive() bool {
+	return c.Emergency() || c&entryMask == EntryCheckpoint || c&entryMask >= EntrySCAlloc
+}
+
+// Forced reports whether the pause ran without a budget, which puts it outside
+// the pause bound: it was Exclusive, forced a generation's increment or
+// committed a checkpoint epoch.
+func (c Cause) Forced() bool { return c.Exclusive() || c&(LiftMinor|LiftMajor|Commit) != 0 }
+
+// Deferred reports whether the admission gate put a completion attempt off.
+func (c Cause) Deferred() bool { return c&Deferral != 0 }
+
+// String spells the cause as its entry and its bits, joined by "+".
+func (c Cause) String() string {
+	s := entryNames[c&entryMask]
+	for i, name := range bitNames {
+		if c&(LiftEmergency<<i) != 0 {
+			s += "+" + name
+		}
+	}
+	return s
 }
 
 // Pause is one recorded stop-the-mutator interval: the one record of what a
@@ -67,18 +127,16 @@ type Pause struct {
 	LogProcN int64 // log entries processed during the pause
 
 	// PhaseTime and PhaseSpans divide the pause among its phases: the time
-	// spent in each and how many times it was entered (an emergency mark is
-	// a span of no length), filled in at the collector's one phase bracket.
+	// charged to each phase's accounts and how many spans of it the pause
+	// ran. They sum to Length.
 	PhaseTime  [NumPhases]Duration
 	PhaseSpans [NumPhases]int
 
 	// Sync is the portion of the pause that requires every mutator to be
-	// stopped — root scanning, flips and checkpoint commits. The rest of
-	// the pause is replication work (copying, log replay) that the paper's
-	// collector may overlap with mutators that did not trigger it. Single-
-	// mutator collectors may leave it zero; multi-mutator accounting
-	// (core.Group) treats a zero-Sync pause conservatively, stopping
-	// everyone for the whole pause.
+	// stopped: its root-scan, flip and checkpoint time, or all of it when
+	// the cause is Exclusive. The rest of the pause is replication work
+	// (copying, log replay) that the paper's collector may overlap with
+	// mutators that did not trigger it (core.Group).
 	Sync Duration
 
 	// What the flip term of the pause bound is a formula over (DESIGN.md,
@@ -91,15 +149,8 @@ type Pause struct {
 	// ended, every active collection's cursor counted: log replay stops with
 	// the pause's budget and resumes at the next pause.
 	LogLeft int64
-	// Deferred marks a pause in which the admission gate put a completion
-	// attempt off to a later pause (GCStats.Deferrals counts them): the
-	// minor collection's when the pause flipped nothing, else the major flip.
-	Deferred bool
-	// Forced marks a pause that ran without a budget: a forced completion, an
-	// emergency collection, a pause that ran a generation the configuration
-	// does not make incremental, and every stop-and-copy pause. Such a pause
-	// is outside the pause bound.
-	Forced bool
+	// Cause says why the pause ran and what in it ran without a budget.
+	Cause Cause
 	// Overrun is non-zero for a pause in which a completion attempt — a
 	// collection's root passes and flip — ran to the end although the
 	// admission gate said it did not fit (GCStats.Overruns counts them): the
@@ -110,7 +161,7 @@ type Pause struct {
 
 // Unbudgeted reports whether the pause is outside the pause bound: it ran
 // without a budget, or let a completion attempt through over it.
-func (p Pause) Unbudgeted() bool { return p.Forced || p.Overrun > 0 }
+func (p Pause) Unbudgeted() bool { return p.Cause.Forced() || p.Overrun > 0 }
 
 // Recorder accumulates the pauses of one benchmark run.
 type Recorder struct {

@@ -111,7 +111,7 @@ func (c *Collector) FinishCycles(m *core.Mutator) error {
 // single pause, which is exactly what produces the long baseline pauses of
 // the paper's figure 6.
 func (c *Collector) CollectForAlloc(m *core.Mutator, needWords int) error {
-	return c.pause(m, false)
+	return c.pause(m, simtime.EntrySCAlloc)
 }
 
 // CollectEmergency implements core.EmergencyCollector: a stop-the-world
@@ -119,37 +119,37 @@ func (c *Collector) CollectForAlloc(m *core.Mutator, needWords int) error {
 // failed direct allocation can retry.
 func (c *Collector) CollectEmergency(m *core.Mutator) error {
 	c.stats.EmergencyCollections++
-	return c.pause(m, true)
+	return c.pause(m, simtime.EntrySCEmergency)
 }
 
-// pause runs one stop-the-world collection. The pause is charged and
-// recorded even when it ends in a typed exhaustion error, so degraded runs
-// report honest long pauses.
+// pause runs one stop-the-world collection for entry, the way into it. The
+// pause is charged and recorded even when it ends in a typed exhaustion error,
+// so degraded runs report honest long pauses.
 //
 //gclint:pauseentry Clock.BeginPause stops the (single) mutator before any collection work; CollectForAlloc/CollectEmergency both funnel through here
-func (c *Collector) pause(m *core.Mutator, emergency bool) error {
+func (c *Collector) pause(m *core.Mutator, cause simtime.Cause) error {
 	if c.wedged != nil {
 		return c.wedged
 	}
-	c.pauses.Begin(m)
+	// Degradation ladder, headroom reservation: when the old space cannot
+	// absorb a worst-case minor collection (the whole nursery) plus the
+	// recorded high-water mark as reserve, run a major this pause even if
+	// the threshold O has not been crossed. Destructive forwarding leaves no
+	// from-space originals for other mutators to run against, and nothing
+	// bounds a collection: every pause is stop-the-world, with no budget,
+	// which its entry says.
+	if cause == simtime.EntrySCEmergency {
+		cause |= simtime.LiftEmergency
+	} else if free := int64(c.h.OldFrom().FreeWords()) * heap.BytesPerWord; free < c.h.Nursery.UsedBytes()+c.promoHighWater {
+		c.stats.EmergencyCollections++
+		c.stats.ForcedCompletion++
+		cause |= simtime.LiftEmergency
+	}
+	c.pauses.Begin(m, cause)
 	// The pause consumes the mutation log (it is this collector's
 	// remembered set), so barrier coalescing marks must expire here —
 	// same contract as the replicating collector (heap/stamp.go).
 	c.h.BeginLogEpoch()
-
-	// Degradation ladder, headroom reservation: when the old space cannot
-	// absorb a worst-case minor collection (the whole nursery) plus the
-	// recorded high-water mark as reserve, run a major this pause even if
-	// the threshold O has not been crossed.
-	free := int64(c.h.OldFrom().FreeWords()) * heap.BytesPerWord
-	lowHeadroom := free < c.h.Nursery.UsedBytes()+c.promoHighWater
-	if lowHeadroom && !emergency {
-		c.stats.EmergencyCollections++
-		c.stats.ForcedCompletion++
-	}
-	if emergency || lowHeadroom {
-		c.pauses.Phase(m, simtime.PhaseEmergency).End() // a span of no length marks the rung
-	}
 
 	kind := simtime.PauseMinor
 	err := c.minorCollect(m)
@@ -159,7 +159,7 @@ func (c *Collector) pause(m *core.Mutator, emergency bool) error {
 		if c.replay != nil {
 			major = c.forcedMajor
 		}
-		if emergency || lowHeadroom {
+		if cause.Emergency() {
 			major = true
 		}
 		if major {
@@ -170,11 +170,7 @@ func (c *Collector) pause(m *core.Mutator, emergency bool) error {
 	if err != nil {
 		c.wedged, _ = core.AsOOM(err)
 	}
-
-	// Destructive forwarding leaves no from-space originals for other
-	// mutators to run against, and nothing bounds a collection: the whole
-	// pause is stop-the-world, with no budget.
-	c.pauses.End(m, kind, true)
+	c.pauses.End(m, kind)
 	return err
 }
 
@@ -198,7 +194,7 @@ func (c *Collector) forward(m *core.Mutator, v heap.Value, dst *heap.Space, acct
 	}
 	h.SetForward(v, replica)
 	*copied += hdr.SizeBytes()
-	m.Clock.Charge(acct, simtime.Duration(hdr.SizeWords())*m.Cost.CopyWord)
+	c.pauses.Charge(m, acct, simtime.Duration(hdr.SizeWords())*m.Cost.CopyWord)
 	return replica, nil
 }
 
@@ -214,12 +210,11 @@ func (c *Collector) minorCollect(m *core.Mutator) error {
 
 	// Remembered set: logged old-space slots holding nursery pointers are
 	// updated in place as they are processed — no flip traversal.
-	phase := c.pauses.Phase(m, simtime.PhaseLogReplay)
 	for c.logCursor < m.Log.Len() {
 		e := m.Log.At(c.logCursor)
 		c.logCursor++
 		c.stats.LogScanned++
-		m.Clock.Charge(simtime.AcctLogScan, m.Cost.LogScan)
+		c.pauses.Charge(m, simtime.AcctLogScan, m.Cost.LogScan)
 		if e.Byte || !to.Contains(e.Obj) {
 			continue
 		}
@@ -227,23 +222,18 @@ func (c *Collector) minorCollect(m *core.Mutator) error {
 		if from.Contains(v) {
 			nv, err := c.forward(m, v, to, simtime.AcctMinorCopy, &c.stats.BytesCopiedMinor)
 			if err != nil {
-				phase.End()
 				return err
 			}
 			h.Store(e.Obj, int(e.Slot), nv)
 		}
 	}
-	phase.End()
 
 	if err := c.scanRoots(m, from, to, simtime.AcctMinorCopy, &c.stats.BytesCopiedMinor); err != nil {
 		return err
 	}
 
 	// Cheney scan of the promotion region.
-	phase = c.pauses.Phase(m, simtime.PhaseCopy)
-	err := c.cheney(m, from, to, simtime.AcctMinorCopy, &c.stats.BytesCopiedMinor)
-	phase.End()
-	if err != nil {
+	if err := c.cheney(m, from, to, simtime.AcctMinorCopy, &c.stats.BytesCopiedMinor); err != nil {
 		return err
 	}
 
@@ -264,10 +254,9 @@ func (c *Collector) minorCollect(m *core.Mutator) error {
 
 // scanRoots forwards every root referent in from to to and updates the slot.
 func (c *Collector) scanRoots(m *core.Mutator, from, to *heap.Space, acct simtime.Account, copied *int64) error {
-	defer c.pauses.Phase(m, simtime.PhaseRootScan).End()
 	roots := m.Roots.Slots()
 	c.stats.RootSlotUpdates += int64(len(roots))
-	m.Clock.Charge(simtime.AcctRootScan, simtime.Duration(len(roots))*m.Cost.RootUpdate)
+	c.pauses.Charge(m, simtime.AcctRootScan, simtime.Duration(len(roots))*m.Cost.RootUpdate)
 	for _, slot := range roots {
 		if v := *slot; from.Contains(v) {
 			nv, err := c.forward(m, v, to, acct, copied)
@@ -291,7 +280,7 @@ func (c *Collector) cheney(m *core.Mutator, from, to *heap.Space, acct simtime.A
 		}
 		hdr := heap.Header(w)
 		p := heap.Value((c.scan + 1) << 3)
-		m.Clock.Charge(acct, simtime.Duration(hdr.SizeWords())*m.Cost.ScanWord)
+		c.pauses.Charge(m, acct, simtime.Duration(hdr.SizeWords())*m.Cost.ScanWord)
 		if hdr.Kind().HasPointers() {
 			for i := 0; i < hdr.Len(); i++ {
 				v := h.Load(p, i)
@@ -326,10 +315,7 @@ func (c *Collector) majorCollect(m *core.Mutator) error {
 		return err
 	}
 
-	phase := c.pauses.Phase(m, simtime.PhaseCopy)
-	err := c.cheney(m, from, to, simtime.AcctMajorCopy, &c.stats.BytesCopiedMajor)
-	phase.End()
-	if err != nil {
+	if err := c.cheney(m, from, to, simtime.AcctMajorCopy, &c.stats.BytesCopiedMajor); err != nil {
 		return err
 	}
 

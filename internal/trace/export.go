@@ -54,7 +54,7 @@ func ChromeTrace(events []Event, labels map[string]string) ([]byte, error) {
 			ce.Name, ce.Ph = "pause", "B"
 		case KindPauseEnd:
 			ce.Name, ce.Ph = "pause", "E"
-			ce.Args = map[string]int64{"copied_bytes": e.A, "log_entries": e.B, "kind": e.C}
+			ce.Args = map[string]int64{"copied_bytes": e.A, "log_entries": e.B, "kind": e.C, "cause": int64(e.Cause)}
 		case KindPhaseBegin:
 			ce.Name, ce.Ph = e.Phase.String(), "B"
 		case KindPhaseEnd:

@@ -65,7 +65,7 @@ func sameAsRecord(t *testing.T, traced, record []simtime.Pause) {
 		t.Fatalf("the trace holds %d pauses, the collector recorded %d", len(traced), len(record))
 	}
 	for i, p := range record {
-		want := simtime.Pause{At: p.At, Length: p.Length, Kind: p.Kind, CopiedB: p.CopiedB, LogProcN: p.LogProcN,
+		want := simtime.Pause{At: p.At, Length: p.Length, Kind: p.Kind, Cause: p.Cause, CopiedB: p.CopiedB, LogProcN: p.LogProcN,
 			PhaseTime: p.PhaseTime, PhaseSpans: p.PhaseSpans}
 		if traced[i] != want {
 			t.Fatalf("pause %d: the trace says %+v, the record %+v", i, traced[i], want)
@@ -135,12 +135,11 @@ func TestTraceWellFormedUnderFaultPlans(t *testing.T) {
 					t.Errorf("trace has %d pause spans, GCStats counted %d", got, want)
 				}
 				sameAsRecord(t, an.Pauses, gc.Pauses().Pauses)
-				// Emergency rungs must be visible as distinct phases. Only
+				// Emergency rungs must be visible in the pauses' causes. Only
 				// asserted for clean runs: a collector that wedged can count
 				// an emergency attempt it refused to execute.
-				if runErr == nil && stats.EmergencyCollections > 0 &&
-					an.PhaseSpans[simtime.PhaseEmergency] == 0 {
-					t.Errorf("%d emergency collections but no emergency phase in the trace",
+				if runErr == nil && stats.EmergencyCollections > 0 && emergencies(an.Pauses) == 0 {
+					t.Errorf("%d emergency collections but no emergency cause in the trace",
 						stats.EmergencyCollections)
 				}
 			})
@@ -148,10 +147,21 @@ func TestTraceWellFormedUnderFaultPlans(t *testing.T) {
 	}
 }
 
+// emergencies counts the pauses whose cause says the emergency rung ran.
+func emergencies(pauses []simtime.Pause) int {
+	n := 0
+	for _, p := range pauses {
+		if p.Cause.Emergency() {
+			n++
+		}
+	}
+	return n
+}
+
 // TestEmergencyRungVisibleInTrace drives a run into the degradation ladder
-// deterministically (tiny old space, adversarial shrinks) and requires the
-// emergency phase to appear — the positive counterpart of the conditional
-// check above.
+// deterministically (tiny old space, adversarial shrinks) and requires a
+// pause whose traced cause is an emergency — the positive counterpart of the
+// conditional check above.
 func TestEmergencyRungVisibleInTrace(t *testing.T) {
 	found := false
 	for seed := uint64(1); seed <= 6 && !found; seed++ {
@@ -173,7 +183,7 @@ func TestEmergencyRungVisibleInTrace(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if gc.Stats().EmergencyCollections > 0 && an.PhaseSpans[simtime.PhaseEmergency] > 0 {
+		if gc.Stats().EmergencyCollections > 0 && emergencies(an.Pauses) > 0 {
 			found = true
 		}
 	}

@@ -37,7 +37,7 @@ type Kind uint8
 // The event kinds.
 const (
 	KindPauseBegin Kind = iota // mutator stopped
-	KindPauseEnd               // mutator resumed; A=bytes copied, B=log entries, C=pause kind
+	KindPauseEnd               // mutator resumed; A=bytes copied, B=log entries, C=pause kind, Cause=its cause
 	KindPhaseBegin             // phase opened inside a pause
 	KindPhaseEnd               // phase closed
 	KindAllocEpoch             // allocation milestone; A=cumulative bytes allocated, B=mutator actor
@@ -61,12 +61,14 @@ func (k Kind) String() string {
 
 // Event is one recorded occurrence. The payload words A, B, C are
 // kind-specific (see the Kind constants); Phase is meaningful only for the
-// phase kinds.
+// phase kinds and Cause only for a pause-end. Both sit in what would be the
+// struct's padding: an event is 40 bytes.
 type Event struct {
 	At      simtime.Duration
 	A, B, C int64
 	Kind    Kind
 	Phase   simtime.Phase
+	Cause   simtime.Cause
 }
 
 // DefaultCapacity is the ring size NewRecorder uses for capacity <= 0.
@@ -142,9 +144,9 @@ func (r *Recorder) PauseBegin(at simtime.Duration) {
 }
 
 // PauseEnd records the mutator resuming: copied bytes, log entries
-// processed, and the simtime.PauseKind of the finished pause.
-func (r *Recorder) PauseEnd(at simtime.Duration, copied, logN, pauseKind int64) {
-	r.emit(Event{At: at, Kind: KindPauseEnd, A: copied, B: logN, C: pauseKind})
+// processed, and the simtime.PauseKind and cause of the finished pause.
+func (r *Recorder) PauseEnd(at simtime.Duration, copied, logN, pauseKind int64, cause simtime.Cause) {
+	r.emit(Event{At: at, Kind: KindPauseEnd, A: copied, B: logN, C: pauseKind, Cause: cause})
 }
 
 // PhaseBegin records phase p opening. Phases are flat: at most one phase is

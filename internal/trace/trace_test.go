@@ -3,6 +3,7 @@ package trace_test
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repligc/internal/simtime"
 	"repligc/internal/trace"
@@ -24,7 +25,7 @@ func TestNilRecorderIsSafeAndFree(t *testing.T) {
 		r.PauseBegin(0)
 		r.PhaseBegin(0, simtime.PhaseCopy)
 		r.PhaseEnd(0, simtime.PhaseCopy)
-		r.PauseEnd(1, 2, 3, 4)
+		r.PauseEnd(1, 2, 3, 4, 0)
 		r.AllocEpoch(5, 0, 6)
 		r.Counters(7, 8, 9, 10)
 		r.LogEpoch(11, 12)
@@ -44,7 +45,7 @@ func TestLiveRecorderEmitsWithoutAllocating(t *testing.T) {
 		r.PauseBegin(at)
 		r.PhaseBegin(at, simtime.PhaseCopy)
 		r.PhaseEnd(at, simtime.PhaseCopy)
-		r.PauseEnd(at, 1, 2, 3)
+		r.PauseEnd(at, 1, 2, 3, 0)
 		at++
 	})
 	if allocs != 0 {
@@ -62,7 +63,7 @@ func TestRingDropsOldestAndStaysConsistent(t *testing.T) {
 		at++
 		r.PhaseEnd(at, simtime.PhaseCopy)
 		at++
-		r.PauseEnd(at, 0, 0, 0)
+		r.PauseEnd(at, 0, 0, 0, 0)
 		at++
 	}
 	if r.Dropped() == 0 {
@@ -89,7 +90,7 @@ func TestRingTrimsEvictedPause(t *testing.T) {
 	for i := 1; i <= 6; i++ {
 		r.AllocEpoch(simtime.Duration(i), 0, int64(i)) // evicts the pause-begin
 	}
-	r.PauseEnd(7, 0, 0, 0)
+	r.PauseEnd(7, 0, 0, 0, 0)
 	evs := r.Events()
 	if err := trace.Validate(evs); err != nil {
 		t.Fatalf("trimmed suffix is not well-formed: %v\nevents: %v", err, evs)
@@ -194,7 +195,7 @@ func TestAnalyzeAttributesPhasesAndPayloads(t *testing.T) {
 		{At: 2 * ms, Kind: trace.KindPhaseEnd, Phase: simtime.PhaseRootScan},
 		{At: 2 * ms, Kind: trace.KindPhaseBegin, Phase: simtime.PhaseCopy},
 		{At: 7 * ms, Kind: trace.KindPhaseEnd, Phase: simtime.PhaseCopy},
-		{At: 8 * ms, Kind: trace.KindPauseEnd, A: 4096, B: 17, C: int64(simtime.PauseMajor)},
+		{At: 8 * ms, Kind: trace.KindPauseEnd, A: 4096, B: 17, C: int64(simtime.PauseMajor), Cause: simtime.EntryFinish | simtime.LiftFlip},
 	}
 	a, err := trace.Analyze(evs)
 	if err != nil {
@@ -212,7 +213,8 @@ func TestAnalyzeAttributesPhasesAndPayloads(t *testing.T) {
 	if a.PhaseSpans[simtime.PhaseRootScan] != 1 || a.PhaseSpans[simtime.PhaseCopy] != 1 {
 		t.Fatalf("phase counts = %v", a.PhaseSpans)
 	}
-	if p := a.Pauses[0]; p.PhaseTime != a.PhaseTime || p.PhaseSpans != a.PhaseSpans || p.Kind != simtime.PauseMajor {
+	if p := a.Pauses[0]; p.PhaseTime != a.PhaseTime || p.PhaseSpans != a.PhaseSpans || p.Kind != simtime.PauseMajor ||
+		p.Cause != simtime.EntryFinish|simtime.LiftFlip {
 		t.Fatalf("the one pause is %+v, the totals %v / %v", p, a.PhaseTime, a.PhaseSpans)
 	}
 	if got := a.Percentile(100); got != 8*ms {
@@ -234,7 +236,7 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 		{At: 1 * ms, Kind: trace.KindLogEpoch, A: 2},
 		{At: 1 * ms, Kind: trace.KindPhaseBegin, Phase: simtime.PhaseLogReplay},
 		{At: 2 * ms, Kind: trace.KindPhaseEnd, Phase: simtime.PhaseLogReplay},
-		{At: 3 * ms, Kind: trace.KindPauseEnd, A: 64, B: 1, C: 0},
+		{At: 3 * ms, Kind: trace.KindPauseEnd, A: 64, B: 1, C: 0, Cause: simtime.EntryTax},
 	}
 	data, err := trace.ChromeTrace(evs, map[string]string{"workload": "unit"})
 	if err != nil {
@@ -243,7 +245,7 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	if err := trace.ValidateChrome(data); err != nil {
 		t.Fatalf("emitted trace fails its own validator: %v\n%s", err, data)
 	}
-	for _, want := range []string{`"pause"`, `"log-replay"`, `"allocated_bytes"`, `"workload": "unit"`} {
+	for _, want := range []string{`"pause"`, `"log-replay"`, `"allocated_bytes"`, `"workload": "unit"`, `"cause": 1`} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("chrome JSON missing %s", want)
 		}
@@ -278,6 +280,14 @@ func TestValidateChromeRejectsUnbalanced(t *testing.T) {
 	}
 }
 
+// TestEventIsFortyBytes holds the pause-end's cause to the padding it was put
+// in: a larger event would grow every recorder's ring.
+func TestEventIsFortyBytes(t *testing.T) {
+	if n := unsafe.Sizeof(trace.Event{}); n != 40 {
+		t.Fatalf("trace.Event is %d bytes, want 40", n)
+	}
+}
+
 func TestAnalyzeEmptyTrace(t *testing.T) {
 	a, err := trace.Analyze(nil)
 	if err != nil {
@@ -299,7 +309,7 @@ func BenchmarkRecorderEmit(b *testing.B) {
 		r.PauseBegin(at)
 		r.PhaseBegin(at, simtime.PhaseCopy)
 		r.PhaseEnd(at+1, simtime.PhaseCopy)
-		r.PauseEnd(at+1, 1, 2, 3)
+		r.PauseEnd(at+1, 1, 2, 3, 0)
 		r.AllocEpoch(at+2, 0, int64(at))
 	}
 	b.Run("leg", func(b *testing.B) {
