@@ -53,14 +53,12 @@ func (b *PauseBracket) Switch(m *Mutator, p simtime.Phase) {
 	b.endPhase(now)
 	b.phase, b.since = p, now
 	b.cur.PhaseSpans[p]++
-	b.Trace.PhaseBegin(now, p)
 }
 
 // endPhase adds the current phase span, if any, to the pause's record.
 func (b *PauseBracket) endPhase(now simtime.Duration) {
 	if b.phase < simtime.NumPhases {
 		b.cur.PhaseTime[b.phase] += now - b.since
-		b.Trace.PhaseEnd(now, b.phase)
 	}
 }
 
@@ -78,5 +76,5 @@ func (b *PauseBracket) End(m *Mutator, kind simtime.PauseKind) {
 	}
 	p.CopiedB, p.LogProcN = b.stats.TotalBytesCopied()-b.copied, b.stats.LogScanned-b.scanned
 	b.Rec.Record(*p)
-	b.Trace.PauseEnd(m.Clock.Now(), p.CopiedB, p.LogProcN, int64(kind), p.Cause)
+	b.Trace.PauseEnd(p)
 }

@@ -26,7 +26,7 @@ func Analyze(events []Event) (*simtime.Digest, error) {
 			phaseStart = e.At
 		case KindPhaseEnd:
 			cur.PhaseTime[e.Phase] += e.At - phaseStart
-			cur.PhaseSpans[e.Phase]++
+			cur.PhaseSpans[e.Phase] += int(e.A)
 		}
 	}
 	return rec.Digest(end), nil

@@ -40,11 +40,12 @@ const (
 // chromeTs converts a simulated timestamp to Chrome's microsecond scale.
 func chromeTs(at simtime.Duration) float64 { return float64(at) / 1e3 }
 
-// ChromeTrace renders events as Chrome trace-event JSON: pauses and phases
-// as nested B/E duration slices, counters and allocation epochs as C counter
-// series, log epochs as instant events. labels lands in otherData verbatim
-// (exporter glue may put wall-clock metadata there; the event stream itself
-// never carries host time).
+// ChromeTrace renders events as Chrome trace-event JSON: pauses and their
+// phases (in phase order, Recorder.PauseEnd) as nested B/E duration slices,
+// the pause's end carrying its kind and cause and a phase's end its spans,
+// counters and allocation epochs as C counter series, log epochs as instant
+// events. labels lands in otherData verbatim (exporter glue may put
+// wall-clock metadata there; the event stream itself never carries host time).
 func ChromeTrace(events []Event, labels map[string]string) ([]byte, error) {
 	ces := make([]chromeEvent, 0, len(events))
 	for _, e := range events {
@@ -59,6 +60,7 @@ func ChromeTrace(events []Event, labels map[string]string) ([]byte, error) {
 			ce.Name, ce.Ph = e.Phase.String(), "B"
 		case KindPhaseEnd:
 			ce.Name, ce.Ph = e.Phase.String(), "E"
+			ce.Args = map[string]int64{"spans": e.A}
 		case KindAllocEpoch:
 			// One counter series per mutator actor: the thread id carries
 			// the actor so a multi-mutator group's allocation timelines

@@ -38,8 +38,8 @@ type Kind uint8
 const (
 	KindPauseBegin Kind = iota // mutator stopped
 	KindPauseEnd               // mutator resumed; A=bytes copied, B=log entries, C=pause kind, Cause=its cause
-	KindPhaseBegin             // phase opened inside a pause
-	KindPhaseEnd               // phase closed
+	KindPhaseBegin             // a phase's slice of a pause begins
+	KindPhaseEnd               // it ends; A=the spans of the phase the pause ran
 	KindAllocEpoch             // allocation milestone; A=cumulative bytes allocated, B=mutator actor
 	KindCounters               // barrier snapshot; A=log writes, B=nursery skips, C=dirty skips
 	KindLogEpoch               // heap coalescing epoch advanced; A=epoch
@@ -143,21 +143,23 @@ func (r *Recorder) PauseBegin(at simtime.Duration) {
 	r.emit(Event{At: at, Kind: KindPauseBegin})
 }
 
-// PauseEnd records the mutator resuming: copied bytes, log entries
-// processed, and the simtime.PauseKind and cause of the finished pause.
-func (r *Recorder) PauseEnd(at simtime.Duration, copied, logN, pauseKind int64, cause simtime.Cause) {
-	r.emit(Event{At: at, Kind: KindPauseEnd, A: copied, B: logN, C: pauseKind, Cause: cause})
-}
-
-// PhaseBegin records phase p opening. Phases are flat: at most one phase is
-// open at a time, always inside a pause (Validate enforces this).
-func (r *Recorder) PhaseBegin(at simtime.Duration, p simtime.Phase) {
-	r.emit(Event{At: at, Kind: KindPhaseBegin, Phase: p})
-}
-
-// PhaseEnd records phase p closing.
-func (r *Recorder) PhaseEnd(at simtime.Duration, p simtime.Phase) {
-	r.emit(Event{At: at, Kind: KindPhaseEnd, Phase: p})
+// PauseEnd records the mutator resuming after p, the collector's record of the
+// pause: a slice per phase it ran, laid end to end from its start in phase
+// order, then its end. A pause switches phase as often as its work interleaves,
+// so the trace holds one slice a phase, not one a switch.
+func (r *Recorder) PauseEnd(p *simtime.Pause) {
+	if r == nil {
+		return
+	}
+	at := p.At
+	for ph, spans := range p.PhaseSpans {
+		if spans > 0 {
+			r.emit(Event{At: at, Kind: KindPhaseBegin, Phase: simtime.Phase(ph)})
+			at += p.PhaseTime[ph]
+			r.emit(Event{At: at, Kind: KindPhaseEnd, Phase: simtime.Phase(ph), A: int64(spans)})
+		}
+	}
+	r.emit(Event{At: p.At + p.Length, Kind: KindPauseEnd, A: p.CopiedB, B: p.LogProcN, C: int64(p.Kind), Cause: p.Cause})
 }
 
 // AllocEpoch records an allocation milestone: cumulative bytes allocated by

@@ -19,13 +19,19 @@ func mkPause(events []trace.Event, start, end simtime.Duration) []trace.Event {
 	)
 }
 
+// copyPause is a pause of length n that ran one copy span, ending at At+n.
+func copyPause(at, n simtime.Duration) *simtime.Pause {
+	p := &simtime.Pause{At: at, Length: n, CopiedB: 1, LogProcN: 2}
+	p.PhaseTime[simtime.PhaseCopy], p.PhaseSpans[simtime.PhaseCopy] = n, 1
+	return p
+}
+
 func TestNilRecorderIsSafeAndFree(t *testing.T) {
 	var r *trace.Recorder
+	p := copyPause(0, 1)
 	allocs := testing.AllocsPerRun(100, func() {
 		r.PauseBegin(0)
-		r.PhaseBegin(0, simtime.PhaseCopy)
-		r.PhaseEnd(0, simtime.PhaseCopy)
-		r.PauseEnd(1, 2, 3, 4, 0)
+		r.PauseEnd(p)
 		r.AllocEpoch(5, 0, 6)
 		r.Counters(7, 8, 9, 10)
 		r.LogEpoch(11, 12)
@@ -40,13 +46,11 @@ func TestNilRecorderIsSafeAndFree(t *testing.T) {
 
 func TestLiveRecorderEmitsWithoutAllocating(t *testing.T) {
 	r := trace.NewRecorder(16) // small: rounds will wrap and evict
-	var at simtime.Duration
+	p := copyPause(0, 1)
 	allocs := testing.AllocsPerRun(100, func() {
-		r.PauseBegin(at)
-		r.PhaseBegin(at, simtime.PhaseCopy)
-		r.PhaseEnd(at, simtime.PhaseCopy)
-		r.PauseEnd(at, 1, 2, 3, 0)
-		at++
+		r.PauseBegin(p.At)
+		r.PauseEnd(p)
+		p.At += 2
 	})
 	if allocs != 0 {
 		t.Fatalf("recorder allocated %.0f times per emit round after construction, want 0", allocs)
@@ -58,13 +62,8 @@ func TestRingDropsOldestAndStaysConsistent(t *testing.T) {
 	var at simtime.Duration
 	for i := 0; i < 10; i++ {
 		r.PauseBegin(at)
-		at++
-		r.PhaseBegin(at, simtime.PhaseCopy)
-		at++
-		r.PhaseEnd(at, simtime.PhaseCopy)
-		at++
-		r.PauseEnd(at, 0, 0, 0, 0)
-		at++
+		r.PauseEnd(copyPause(at, 2))
+		at += 4
 	}
 	if r.Dropped() == 0 {
 		t.Fatal("40 events into an 8-slot ring dropped nothing")
@@ -90,7 +89,7 @@ func TestRingTrimsEvictedPause(t *testing.T) {
 	for i := 1; i <= 6; i++ {
 		r.AllocEpoch(simtime.Duration(i), 0, int64(i)) // evicts the pause-begin
 	}
-	r.PauseEnd(7, 0, 0, 0, 0)
+	r.PauseEnd(&simtime.Pause{At: 0, Length: 7})
 	evs := r.Events()
 	if err := trace.Validate(evs); err != nil {
 		t.Fatalf("trimmed suffix is not well-formed: %v\nevents: %v", err, evs)
@@ -192,9 +191,9 @@ func TestAnalyzeAttributesPhasesAndPayloads(t *testing.T) {
 	evs := []trace.Event{
 		{At: 0, Kind: trace.KindPauseBegin},
 		{At: 0, Kind: trace.KindPhaseBegin, Phase: simtime.PhaseRootScan},
-		{At: 2 * ms, Kind: trace.KindPhaseEnd, Phase: simtime.PhaseRootScan},
+		{At: 2 * ms, Kind: trace.KindPhaseEnd, Phase: simtime.PhaseRootScan, A: 1},
 		{At: 2 * ms, Kind: trace.KindPhaseBegin, Phase: simtime.PhaseCopy},
-		{At: 7 * ms, Kind: trace.KindPhaseEnd, Phase: simtime.PhaseCopy},
+		{At: 7 * ms, Kind: trace.KindPhaseEnd, Phase: simtime.PhaseCopy, A: 3},
 		{At: 8 * ms, Kind: trace.KindPauseEnd, A: 4096, B: 17, C: int64(simtime.PauseMajor), Cause: simtime.EntryFinish | simtime.LiftFlip},
 	}
 	a, err := trace.Analyze(evs)
@@ -210,7 +209,7 @@ func TestAnalyzeAttributesPhasesAndPayloads(t *testing.T) {
 	if a.PhaseTime[simtime.PhaseRootScan] != 2*ms || a.PhaseTime[simtime.PhaseCopy] != 5*ms {
 		t.Fatalf("phase times = %v", a.PhaseTime)
 	}
-	if a.PhaseSpans[simtime.PhaseRootScan] != 1 || a.PhaseSpans[simtime.PhaseCopy] != 1 {
+	if a.PhaseSpans[simtime.PhaseRootScan] != 1 || a.PhaseSpans[simtime.PhaseCopy] != 3 {
 		t.Fatalf("phase counts = %v", a.PhaseSpans)
 	}
 	if p := a.Pauses[0]; p.PhaseTime != a.PhaseTime || p.PhaseSpans != a.PhaseSpans || p.Kind != simtime.PauseMajor ||
@@ -305,11 +304,11 @@ func TestAnalyzeEmptyTrace(t *testing.T) {
 // (a 1<<20-event recorder that records 5 000 events), "full" one emit into a
 // ring that has wrapped.
 func BenchmarkRecorderEmit(b *testing.B) {
+	p := copyPause(0, 1)
 	emitPause := func(r *trace.Recorder, at simtime.Duration) {
 		r.PauseBegin(at)
-		r.PhaseBegin(at, simtime.PhaseCopy)
-		r.PhaseEnd(at+1, simtime.PhaseCopy)
-		r.PauseEnd(at+1, 1, 2, 3, 0)
+		p.At = at
+		r.PauseEnd(p)
 		r.AllocEpoch(at+2, 0, int64(at))
 	}
 	b.Run("leg", func(b *testing.B) {
