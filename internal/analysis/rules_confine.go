@@ -103,7 +103,7 @@ var Confinements = []*Confinement{
 	{Rule: "recorder", Pkg: "repligc/internal/trace", Names: []string{"NewRecorder"},
 		NotIn: []string{"repligc/cmd/", "repligc/benchmarks/"},
 		Why:   "outside a command: a library layer must not attach a flight recorder on its own; take rig.Config.Trace from the caller"},
-	{Rule: "bracket", Pkg: corePkgPath, Recv: "PauseBracket", Names: []string{"Begin", "Charge", "Switch", "End"},
+	{Rule: "bracket", Pkg: corePkgPath, Recv: "PauseBracket", Names: []string{"Begin", "Charge", "End"},
 		NotIn: []string{stopcopyPkgPath}, Final: true,
 		Why: "outside the collectors: only a collector opens, charges and closes a pause, in its one bracket, so that its record holds every pause the clock saw, what each phase of it took and why it ran"},
 	{Rule: "runstats", Pkg: corePkgPath, Recv: "Collector", Names: []string{"Stats", "Pauses"},

@@ -40,15 +40,15 @@ func (b *PauseBracket) Begin(m *Mutator, cause simtime.Cause) {
 // another phase than the one the pause is in switches to it.
 func (b *PauseBracket) Charge(m *Mutator, a simtime.Account, d simtime.Duration) {
 	if p := a.Phase(); p != b.phase && d > 0 {
-		b.Switch(m, p)
+		b.switchTo(m, p)
 	}
 	m.Clock.Charge(a, d)
 }
 
-// Switch ends the pause's current phase span and begins one of phase p. Charge
-// calls it; a collector calls it itself only before work that charges the
-// clock without the bracket, which a checkpoint writer does.
-func (b *PauseBracket) Switch(m *Mutator, p simtime.Phase) {
+// switchTo ends the pause's current phase span and begins one of phase p.
+// Charge calls it; the collector calls it itself only before work that charges
+// the clock without the bracket, which a checkpoint writer does.
+func (b *PauseBracket) switchTo(m *Mutator, p simtime.Phase) {
 	now := m.Clock.Now()
 	b.endPhase(now)
 	b.phase, b.since = p, now

@@ -562,7 +562,7 @@ func (c *Replicating) pause(m *Mutator, needWords int, entry simtime.Cause) erro
 		if c.ckpt != nil {
 			p := c.CheckpointNow()
 			p.BudgetWords = c.budgetSlots(m, m.Cost.CopyWord)
-			c.pauses.Switch(m, simtime.PhaseCheckpoint) // the writer charges the clock itself
+			c.pauses.switchTo(m, simtime.PhaseCheckpoint) // the writer charges the clock itself
 			if c.ckpt.PauseCheckpoint(m, p) {
 				c.pauses.cur.Cause |= simtime.Commit
 			}
