@@ -10,14 +10,13 @@ import (
 // it and fills in the pause in progress as it works; the bracket counts, times
 // and records each pause, and owns the record and the flight recorder.
 type PauseBracket struct {
-	Rec   simtime.Recorder // every pause so far, in order
-	Trace *trace.Recorder  // nil when tracing is disabled (every emit is a nil check)
-	stats *GCStats         // the collector's counters
-	cur   simtime.Pause    // the pause in progress
-	phase simtime.Phase    // the phase it is in, NumPhases before its first charge
-	since simtime.Duration // when it entered that phase
-	// The bytes copied and the log entries scanned at Begin.
-	copied, scanned int64
+	Rec             simtime.Recorder // every pause so far, in order
+	Trace           *trace.Recorder  // nil when tracing is disabled (every emit is a nil check)
+	stats           *GCStats         // the collector's counters
+	cur             simtime.Pause    // the pause in progress
+	phase           simtime.Phase    // the phase it is in, NumPhases before its first charge
+	since           simtime.Duration // when it entered that phase
+	copied, scanned int64            // the bytes copied and the log entries scanned at Begin
 }
 
 // NewPauseBracket returns the bracket of the collector whose counters are stats.

@@ -136,7 +136,9 @@ type Pause struct {
 	// stopped: its root-scan, flip and checkpoint time, or all of it when
 	// the cause is Exclusive. The rest of the pause is replication work
 	// (copying, log replay) that the paper's collector may overlap with
-	// mutators that did not trigger it (core.Group).
+	// mutators that did not trigger it; multi-mutator accounting
+	// (core.Group) treats a zero-Sync pause conservatively, stopping
+	// everyone for the whole pause.
 	Sync Duration
 
 	// What the flip term of the pause bound is a formula over (DESIGN.md,

@@ -60,9 +60,8 @@ func (k Kind) String() string {
 }
 
 // Event is one recorded occurrence. The payload words A, B, C are
-// kind-specific (see the Kind constants); Phase is meaningful only for the
-// phase kinds and Cause only for a pause-end. Both sit in what would be the
-// struct's padding: an event is 40 bytes.
+// kind-specific (see the Kind constants), as are Phase and Cause, which sit in
+// what would be the struct's padding: an event is 40 bytes.
 type Event struct {
 	At      simtime.Duration
 	A, B, C int64
