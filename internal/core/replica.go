@@ -589,9 +589,9 @@ func (c *Replicating) pauseBody(m *Mutator, needWords int) error {
 	// cannot absorb a worst-case cycle (everything currently in the
 	// nursery plus the recorded high-water mark as reserve), finish all
 	// incremental work now, in one long pause, rather than risk an
-	// unrecoverable overflow in the middle of a later copy.
-	// Here, or in CollectEmergency before the pause began, the pause escalates:
-	// it has no budget from here to its end (the lift is never restored).
+	// unrecoverable overflow in the middle of a later copy. Escalated here, or
+	// entered as one (CollectEmergency), the pause has no budget from here to
+	// its end (the lift is never restored).
 	if c.pauses.cur.Cause == simtime.EntryEmergency {
 		c.lift(simtime.LiftEmergency)
 	} else if c.lowHeadroom() {
