@@ -1,6 +1,6 @@
 # repligc — common tasks. Everything is stdlib-only and offline.
 
-.PHONY: all build lint test host-bench-test host-pairs loc fuzz-smoke bench bench-baseline bench-smoke serve-smoke crash-matrix crash-matrix-baseline trace pause-bound microbench experiments experiments-check quick-experiments examples examples-baseline
+.PHONY: all build lint test race host-bench-test host-pairs loc fuzz-smoke bench bench-baseline bench-smoke serve-smoke crash-matrix crash-matrix-baseline trace pause-bound microbench experiments experiments-check quick-experiments examples examples-baseline
 
 all: build lint test host-bench-test
 
@@ -34,6 +34,13 @@ lint:
 
 test:
 	go test ./...
+
+# The race detector over the two packages with process-wide state: the
+# compiler parked between compiles (internal/lang, whose concurrent-compile
+# test hands it between two goroutines) and the count of mapped arenas that
+# finalizers decrement (internal/heap).
+race:
+	go test -race ./internal/lang ./internal/heap
 
 # The repository benchmark (benchmarks/host) is a nested module, so ./...
 # does not reach its unit tests; they take a tenth of a second.

@@ -11,21 +11,23 @@ import (
 	"repligc/internal/stopcopy"
 )
 
-// compileAllocBudget is the Go allocations one Compile of a 200-definition
-// generated module makes since the census sizes its buffers, plus a tenth. The count covers
-// what Compile returns (program, blocks, one code slab, literal pool), the
-// compiler object, the symbol table, one array per scratch stack and the
-// collector's own pause records: 22 when written, against 103 when the
-// buffers grew from empty and 2852 before the compiler's first diet.
-const compileAllocBudget = 24
+// compileAllocBudget is the Go allocations one warm Compile of a
+// 200-definition generated module may make: the four outputs (program,
+// blocks, one code slab, literal pool) and an allowance of three for what the
+// mutator and the collector grow, amortised over the runs (the handle stack,
+// the root set, the pause records). The compiler and its scratch come from
+// the spare. 6 when written, against 22 when every compile allocated its own
+// scratch, 103 when the buffers grew from empty and 2852 before the
+// compiler's first diet.
+const compileAllocBudget = 4 + 3
 
 // sizeAllowance is how many more Go allocations a 400-definition module's
-// compile may make than a 20-definition one's. What still grows with a
-// module: a free-variable list per function nesting depth, grow's scratch
-// (one allocation per two doublings of the largest code buffer) and the
-// collector's pause records: 3 when written (19 against 22), and 46 (68
-// against 114) when the buffers grew from empty.
-const sizeAllowance = 4
+// compile may make than a 20-definition one's: a warm compile allocates only
+// its output, whatever the module's size, and the mutator's and collector's
+// amortised growth differs by about one. 1 when written (5 against 6), 3
+// when every compile sized its own scratch, and 46 (68 against 114) when the
+// buffers grew from empty.
+const sizeAllowance = 2
 
 func allocTestMutator() *core.Mutator {
 	h := heap.New(heap.Config{NurseryBytes: 200 << 10, NurseryCapBytes: 4 << 20, OldSemiBytes: 16 << 20})

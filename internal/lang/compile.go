@@ -2,6 +2,7 @@ package lang
 
 import (
 	"math"
+	"sync/atomic"
 
 	"repligc/internal/bytecode"
 	"repligc/internal/core"
@@ -71,13 +72,14 @@ func (f *funcCtx) addFree(sym int32, boxed bool) int {
 // free variables — the SML/NJ strategy, and the reason long-lived closures
 // do not retain dead scopes. The compiler's own working state — scope
 // chains, interned symbols and open code buffers — lives on the simulated
-// heap; only bookkeeping integers stay in Go, in scratch that lives and dies
-// with one Compile call, in one object with the call's parser and symbol
-// table. Every scratch array is allocated once, at a bound the parse's census
-// guarantees: the funcCtx of nesting depth d is reused by every function at
-// that depth (a function's context is dead once its closure is emitted), and
-// the variable-length per-node lists are stacks a routine pushes on, reads
-// back after its nested compiles return, and truncates.
+// heap; only bookkeeping integers stay in Go, in scratch kept from compile
+// to compile in one object with its parser and symbol table. Every scratch
+// array holds at least the bound the parse's census guarantees, and is
+// allocated at that bound only when it does not: the funcCtx of nesting
+// depth d is reused by every function at that depth (a function's context
+// is dead once its closure is emitted), and the variable-length per-node
+// lists are stacks a routine pushes on, reads back after its nested
+// compiles return, and truncates.
 type Compiler struct {
 	m    *core.Mutator
 	syms SymTab
@@ -107,13 +109,44 @@ func (c *Compiler) pushCtx(parent *funcCtx, scope core.Handle) *funcCtx {
 	return f
 }
 
+// spare is the compiler parked between compiles. A caller takes it or, when
+// another caller holds it, makes a fresh one, so no two compiles share a
+// compiler. It is one slot, not a sync.Pool: a pool empties at every Go GC,
+// which would make a compile's allocations depend on the collector's timing.
+var spare atomic.Pointer[Compiler]
+
 // Compile parses and compiles one MiniML program. Heap exhaustion while
 // compiling (the compiler's working data lives on the simulated heap)
 // surfaces as the typed *core.OOMError, not a panic: the deeply recursive
 // compiler allocates through the Must variants and this boundary recovers
 // them — the text/template idiom for error returns across recursion.
 func Compile(m *core.Mutator, src string) (*bytecode.Program, error) {
-	return new(Compiler).compile(m, src)
+	c := spare.Swap(nil)
+	if c == nil {
+		c = new(Compiler)
+	}
+	prog, err := c.compile(m, src)
+	c.park()
+	spare.Store(c)
+	return prog, err
+}
+
+// park drops every reference to the compile that ended — the mutator, the
+// source and the names cut from it, the literal pool the program now owns,
+// the contexts' links — and keeps the scratch arrays, so the spare pins
+// neither a heap nor a source.
+func (c *Compiler) park() {
+	c.m, c.syms.m = nil, nil
+	clear(c.syms.names) // past its length the array was cleared before
+	c.syms.names = c.syms.names[:0]
+	clear(c.blocks)
+	c.blocks = c.blocks[:0]
+	for i := range c.ctxs {
+		c.ctxs[i].parent = nil
+	}
+	p := &c.p
+	p.m, p.syms, p.lex, p.tok, p.Literals = nil, nil, Lexer{}, Token{}, nil
+	clear(p.params[:cap(p.params)])
 }
 
 func (c *Compiler) compile(m *core.Mutator, src string) (prog *bytecode.Program, err error) {
@@ -129,7 +162,8 @@ func (c *Compiler) compile(m *core.Mutator, src string) (prog *bytecode.Program,
 		}
 	}()
 
-	c.m, c.syms = m, newSymTab(m)
+	c.m, c.depth = m, 0
+	c.syms.m, c.syms.strs = m, listNil(m)
 	root, err := c.p.parse(m, &c.syms, src)
 	if err != nil {
 		return nil, err
@@ -178,17 +212,25 @@ func (p *Parser) bounds() (blocks, ctxs, hs, defs, fails, jumps int) {
 	return 1 + n[TagFn] + n[TagFunDef], 1 + p.maxDepth, n[TagApp], n[TagFunDef], fails, n[TagAlt] + fails
 }
 
-// size allocates the compiler's scratch arrays at their bounds.
+// size fits the compiler's scratch arrays to their bounds.
 func (c *Compiler) size() {
 	blocks, ctxs, hs, defs, fails, jumps := c.p.bounds()
-	c.blocks = make([]blockBuf, 0, blocks)
-	c.slots = make([]heap.Value, 0, blocks)
-	c.scratch = c.window[:]
-	c.ctxs = make([]funcCtx, ctxs)
-	c.hs = make([]core.Handle, 0, hs)
-	c.defs = make([]defInfo, 0, defs)
-	c.fails = make([]failSite, 0, fails)
-	c.jumps = make([]int, 0, jumps)
+	c.blocks, c.slots = fit(c.blocks, blocks), fit(c.slots, blocks)
+	c.ctxs = fit(c.ctxs, ctxs)[:ctxs]
+	c.hs, c.defs, c.fails, c.jumps = fit(c.hs, hs), fit(c.defs, defs), fit(c.fails, fails), fit(c.jumps, jumps)
+	if c.scratch == nil {
+		c.scratch = c.window[:]
+	}
+}
+
+// fit returns s emptied when its array holds n, and otherwise a new empty
+// slice of capacity n: a warm compiler keeps its scratch, a cold one sizes
+// each array once.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
 }
 
 // scopeBind allocates a compile-time scope record {sym<<1|boxed, parent};

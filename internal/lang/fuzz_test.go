@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -139,19 +140,30 @@ func FuzzLexStream(f *testing.F) {
 	})
 }
 
+// sizedMutator is a small heap under stop-and-copy with an old semispace of
+// old bytes; at a few megabytes deep inputs run out, at a few dozen
+// kilobytes an ordinary function does.
+func sizedMutator(old int64) *core.Mutator {
+	h := heap.New(heap.Config{NurseryBytes: 32 << 10, NurseryCapBytes: 256 << 10, OldSemiBytes: old})
+	m := core.NewMutator(h, simtime.NewClock(), simtime.Default1993(), core.LogAllMutations)
+	m.AttachGC(stopcopy.New(h, stopcopy.Config{NurseryBytes: 32 << 10, MajorThresholdBytes: 256 << 10}))
+	return m
+}
+
 // FuzzCompile requires Compile to end, for any input, in a program, a
 // positioned *Error or the typed out-of-memory error, with the handle stack
 // balanced and no census-sized buffer grown past its size. The heap is small,
-// so deep inputs reach the OOM path.
+// so deep inputs reach the OOM path. Each input is compiled twice, on a cold
+// compiler and then through Compile's spare, which the inputs before it
+// warmed, each on a fresh heap: the program, the error and the simulated
+// clock must be equal.
 func FuzzCompile(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<14 {
 			t.Skip("bounds the recursion depth and the time per input")
 		}
-		h := heap.New(heap.Config{NurseryBytes: 32 << 10, NurseryCapBytes: 256 << 10, OldSemiBytes: 2 << 20})
-		m := core.NewMutator(h, simtime.NewClock(), simtime.Default1993(), core.LogAllMutations)
-		m.AttachGC(stopcopy.New(h, stopcopy.Config{NurseryBytes: 32 << 10, MajorThresholdBytes: 256 << 10}))
+		m, warm := sizedMutator(2<<20), sizedMutator(2<<20)
 		prog, sized, err := CompileSized(m, src)
 		checkSized(t, sized)
 		var perr *Error
@@ -166,6 +178,10 @@ func FuzzCompile(f *testing.F) {
 		}
 		if depth := m.HandleMark(); depth != 0 {
 			t.Fatalf("handle stack left at depth %d", depth)
+		}
+		wprog, werr := Compile(warm, src)
+		if !reflect.DeepEqual(wprog, prog) || fmt.Sprint(werr) != fmt.Sprint(err) || warm.Clock.Now() != m.Clock.Now() {
+			t.Fatalf("warm compile gave %v at %v, cold %v at %v", werr, warm.Clock.Now(), err, m.Clock.Now())
 		}
 	})
 }

@@ -26,7 +26,7 @@ type Parser struct {
 	// arms, fun groups, curried parameters). A parse function notes the
 	// depth on entry, pushes, reads its own entries back after the nested
 	// parses return, and truncates to the noted depth, so the whole parse
-	// shares two backing arrays, each allocated once at the census's bound.
+	// shares two backing arrays, each holding at least the census's bound.
 	hs     []core.Handle
 	params []Token
 
@@ -50,6 +50,7 @@ func Parse(m *core.Mutator, syms *SymTab, src string) (core.Handle, []string, er
 // parse is Parse on a parser that keeps what it learns for the compiler.
 
 func (p *Parser) parse(m *core.Mutator, syms *SymTab, src string) (core.Handle, error) {
+	p.nodes, p.depth, p.maxDepth = [len(p.nodes)]int{}, 0, 0
 	// Count first, then stream: the lexing charge lands before the first
 	// AST allocation and a lex error anywhere in src precedes any parse
 	// error, exactly as when the tokens were materialised up front.
@@ -59,12 +60,11 @@ func (p *Parser) parse(m *core.Mutator, syms *SymTab, src string) (core.Handle, 
 	}
 	p.m, p.syms, p.lex = m, syms, *NewLexer(src)
 	syms.reserve(c.idents)
-	if c.strs > 0 {
+	if c.strs > 0 { // the pool is the program's own, never reused
 		p.Literals = make([]string, 0, c.strs)
-		p.litIdx = newIndex(c.strs)
 	}
-	p.hs = make([]core.Handle, 0, c.elems)
-	p.params = make([]Token, 0, c.params)
+	p.litIdx.reset(c.strs)
+	p.hs, p.params = fit(p.hs, c.elems), fit(p.params, c.params)
 	p.next()
 	m.Step(c.tokens) // lexing work
 	root, err := p.parseExpr()

@@ -18,22 +18,22 @@ type SymTab struct {
 // NewSymTab builds an empty table over m. The table owns one handle slot
 // for the lifetime of the compilation.
 func NewSymTab(m *core.Mutator) *SymTab {
-	s := newSymTab(m)
-	return &s
+	return &SymTab{m: m, strs: listNil(m)}
 }
 
-func newSymTab(m *core.Mutator) SymTab { return SymTab{m: m, strs: listNil(m)} }
-
-// reserve makes room for n more symbols, moving what the table holds.
+// reserve makes room for n more symbols, rebuilding the index over what the
+// table holds and moving the names only when their array is too short.
 // Parse reserves the census's identifier count, which no parse outgrows;
 // only a table used without Parse grows, doubling, in Intern.
 func (s *SymTab) reserve(n int) {
 	n += len(s.names)
-	s.ids = newIndex(n)
+	s.ids.reset(n)
 	for id, name := range s.names {
 		s.ids.slots[s.ids.find(name, s.names)] = int32(id) + 1
 	}
-	s.names = append(make([]string, 0, n), s.names...)
+	if cap(s.names) < n {
+		s.names = append(make([]string, 0, n), s.names...)
+	}
 }
 
 // Intern returns the symbol id for name, creating it if needed.
@@ -75,7 +75,12 @@ func (s *SymTab) Len() int { return len(s.names) }
 // it was made for, so a probe always ends at the string or an empty slot.
 type index struct{ slots []int32 }
 
-func newIndex(n int) index { return index{make([]int32, indexSize(n))} }
+// reset empties the index and sizes it for n strings, in its own array when
+// that is long enough.
+func (x *index) reset(n int) {
+	x.slots = fit(x.slots, indexSize(n))[:indexSize(n)]
+	clear(x.slots)
+}
 
 func indexSize(n int) int {
 	size := 8
