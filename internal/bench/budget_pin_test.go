@@ -78,13 +78,13 @@ func (b *budgetRecorder) projection() uint64 {
 // engine shapes and all four fault plans, and one for the engine golden's
 // recorded-and-replayed pair.
 var budgetPins = map[string]string{
-	"rt":        "2682a462ff482237",
-	"minor-inc": "908cb81d4c769282",
-	"major-inc": "2fb6ebcb85e532f0",
-	"rt-lazy":   "0e438d6871164167",
-	"rt-conc":   "6061ff6782926fd8",
-	"rt-defer":  "6d8033d1de528184",
-	"replay":    "de14258c4c9ec869",
+	"rt":        "07cf0cfd32e300e4",
+	"minor-inc": "a81328c4989d9516",
+	"major-inc": "37591297d9ead71d",
+	"rt-lazy":   "8ad52308736151bc",
+	"rt-conc":   "00b53da060f38ba7",
+	"rt-defer":  "3c1907b3f0d138c7",
+	"replay":    "a16c9a931359a2c5",
 }
 
 // projectionPins holds the same cells' projections (budgetRecorder.projection).

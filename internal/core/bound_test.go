@@ -427,3 +427,53 @@ func TestEmergencyOffersCheckpointNoBudget(t *testing.T) {
 	}
 	t.Logf("%d emergency pauses of %d, %d forced completions", emergencies, len(gc.Pauses().Pauses), gc.Stats().ForcedCompletion)
 }
+
+// chargeEvery is a checkpointer that writes nothing and charges the clock
+// in every nth pause it is offered, the way a writer copying its turn's
+// words does; it notes those pauses by number.
+type chargeEvery struct {
+	n       int
+	charged map[int]simtime.Duration
+}
+
+func (c chargeEvery) PauseCheckpoint(m *core.Mutator, p core.CheckpointPoint) bool {
+	if pause := m.GC.Stats().PauseCount; pause%c.n == 0 {
+		c.charged[pause] = m.Cost.CopyWord * 100
+		m.Clock.Charge(simtime.AcctCheckpoint, c.charged[pause])
+	}
+	return false
+}
+
+// TestCheckpointSpanOnlyWhenCharged: a pause counts a checkpoint span only
+// when the writer's turn took time, and that span holds exactly its time; a
+// turn that charged nothing leaves the pause's phases as they were. The
+// checkpoint's own commit pause is held to the same.
+func TestCheckpointSpanOnlyWhenCharged(t *testing.T) {
+	rt, err := rig.New(rig.Config{Collector: rig.RT, OldSemiBytes: 4 << 20, NurseryCapBytes: 48 << 10,
+		Params: rig.Params{NBytes: 32 << 10, OBytes: 64 << 10, LBytes: 4 << 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gc, writer := rt.GC.(*core.Replicating), chargeEvery{n: 3, charged: map[int]simtime.Duration{}}
+	gc.SetCheckpointer(writer)
+	d := gctest.NewDriver(rt.Mutator, 3)
+	if err := d.Step(20000); err != nil {
+		t.Fatal(err)
+	}
+	gc.CheckpointPause(rt.Mutator, func() {})
+	gc.CheckpointPause(rt.Mutator, func() { rt.Mutator.Clock.Charge(simtime.AcctCheckpoint, 7) })
+	pauses := gc.Pauses().Pauses
+	writer.charged[len(pauses)] = 7
+	for i, p := range pauses {
+		want, spans := writer.charged[i+1], 0
+		if want > 0 {
+			spans = 1
+		}
+		if got := p.PhaseSpans[simtime.PhaseCheckpoint]; got != spans || p.PhaseTime[simtime.PhaseCheckpoint] != want {
+			t.Errorf("pause %d: %d checkpoint spans of %v, want %d of %v", i+1, got, p.PhaseTime[simtime.PhaseCheckpoint], spans, want)
+		}
+	}
+	if len(writer.charged) < 2 {
+		t.Fatalf("the writer charged %d pauses of %d: the test does not reach the case", len(writer.charged), len(pauses))
+	}
+}

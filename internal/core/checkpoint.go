@@ -76,8 +76,7 @@ func (c *Replicating) CheckpointNow() CheckpointPoint {
 // it checkpoint phase (commit charges the clock itself).
 func (c *Replicating) CheckpointPause(m *Mutator, commit func()) {
 	c.pauses.Begin(m, simtime.EntryCheckpoint)
-	c.pauses.switchTo(m, simtime.PhaseCheckpoint)
-	commit()
+	c.pauses.checkpoint(m, commit)
 	c.pauses.End(m, simtime.PauseOther)
 }
 

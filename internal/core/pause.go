@@ -39,16 +39,24 @@ func (b *PauseBracket) Begin(m *Mutator, cause simtime.Cause) {
 // another phase than the one the pause is in switches to it.
 func (b *PauseBracket) Charge(m *Mutator, a simtime.Account, d simtime.Duration) {
 	if p := a.Phase(); p != b.phase && d > 0 {
-		b.switchTo(m, p)
+		b.switchTo(p, m.Clock.Now())
 	}
 	m.Clock.Charge(a, d)
 }
 
-// switchTo ends the pause's current phase span and begins one of phase p.
-// Charge calls it; the collector calls it itself only before work that charges
-// the clock without the bracket, which a checkpoint writer does.
-func (b *PauseBracket) switchTo(m *Mutator, p simtime.Phase) {
-	now := m.Clock.Now()
+// checkpoint runs a checkpoint writer's turn, which charges the clock
+// without the bracket: the time it took, if any, is one checkpoint span.
+func (b *PauseBracket) checkpoint(m *Mutator, turn func()) {
+	start := m.Clock.Now()
+	turn()
+	if m.Clock.Now() > start {
+		b.switchTo(simtime.PhaseCheckpoint, start)
+	}
+}
+
+// switchTo ends the pause's current phase span at now and begins one of
+// phase p.
+func (b *PauseBracket) switchTo(p simtime.Phase, now simtime.Duration) {
 	b.endPhase(now)
 	b.phase, b.since = p, now
 	b.cur.PhaseSpans[p]++
