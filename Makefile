@@ -35,12 +35,15 @@ lint:
 test:
 	go test ./...
 
-# The race detector over the two packages with process-wide state: the
-# compiler parked between compiles (internal/lang, whose concurrent-compile
-# test hands it between two goroutines) and the count of mapped arenas that
-# finalizers decrement (internal/heap).
+# The race detector over the packages with process-wide state: the compiler
+# parked between compiles (internal/lang, whose concurrent-compile test hands
+# it between two goroutines), the count of mapped arenas that finalizers
+# decrement (internal/heap) and the visit tables parked between reachability
+# walks (internal/gctest, whose concurrent-walk test hands Verify's and
+# internal/core's GraphDigest's between two goroutines; the race detector
+# instruments core's code there, and core's own tests take minutes under it).
 race:
-	go test -race ./internal/lang ./internal/heap
+	go test -race ./internal/lang ./internal/heap ./internal/gctest
 
 # The repository benchmark (benchmarks/host) is a nested module, so ./...
 # does not reach its unit tests; they take a tenth of a second.

@@ -1,16 +1,34 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"repligc/internal/artifact"
 	"repligc/internal/heap"
 )
 
 // graphDigest is one walk's state: the FNV-1a hash and the visit-order ids
-// that stand in for addresses.
+// that stand in for addresses. mix and walk are its two methods as function
+// values, made once with the table, so handing them to enumerate allocates
+// nothing.
 type graphDigest struct {
 	m    *Mutator
 	hash artifact.Hash64
 	ids  map[heap.Value]uint64
+	mix  func(uint64)
+	walk func(heap.Value)
+}
+
+// spareDigest is the visit table parked between walks. A walk takes it or,
+// when another walk holds it, makes a fresh one; it is cleared and parked
+// again on the way out, and dropped if the walk panics. One slot, not a
+// sync.Pool, as with the spare compiler: a pool empties at every Go GC.
+var spareDigest atomic.Pointer[graphDigest]
+
+func newGraphDigest() *graphDigest {
+	g := &graphDigest{ids: make(map[heap.Value]uint64)}
+	g.mix, g.walk = g.hash.Word, g.visit
+	return g
 }
 
 // GraphDigest is the repository's one reachable-graph fingerprint: an
@@ -28,12 +46,26 @@ type graphDigest struct {
 // incremental collection steps; it charges header checks to the clock like
 // any mutator read.
 func (m *Mutator) GraphDigest(enumerate func(mix func(uint64), walk func(heap.Value))) uint64 {
-	g := graphDigest{m: m, hash: artifact.NewHash64(), ids: make(map[heap.Value]uint64)}
-	enumerate(g.hash.Word, g.walk)
+	g := spareDigest.Swap(nil)
+	if g == nil {
+		g = newGraphDigest()
+	}
+	sum := g.run(m, enumerate)
+	spareDigest.Store(g)
+	return sum
+}
+
+// run digests one enumeration, then empties the table and drops the mutator
+// so a parked table pins no heap.
+func (g *graphDigest) run(m *Mutator, enumerate func(mix func(uint64), walk func(heap.Value))) uint64 {
+	g.m, g.hash = m, artifact.NewHash64()
+	enumerate(g.mix, g.walk)
+	g.m = nil
+	clear(g.ids)
 	return uint64(g.hash)
 }
 
-func (g *graphDigest) walk(v heap.Value) {
+func (g *graphDigest) visit(v heap.Value) {
 	switch {
 	case v == heap.Nil:
 		g.hash.Word(1)
@@ -58,7 +90,7 @@ func (g *graphDigest) walk(v heap.Value) {
 			return
 		}
 		for i := 0; i < hdr.Len(); i++ {
-			g.walk(g.m.Get(v, i))
+			g.visit(g.m.Get(v, i))
 		}
 	}
 }

@@ -1,5 +1,7 @@
 package core
 
+import "repligc/internal/heap"
+
 // SourceCount reports how many root sources are registered.
 func (r *RootSet) SourceCount() int { return len(r.sources) }
 
@@ -45,4 +47,10 @@ const MaxFlipDeferrals = maxFlipDeferrals
 // its Cheney scan has reached.
 func (c *Replicating) MinorScan() (active bool, scan uint64) {
 	return c.minor.active, c.minor.scan
+}
+
+// ColdGraphDigest is GraphDigest on a fresh visit table, leaving the spare
+// where it is.
+func (m *Mutator) ColdGraphDigest(enumerate func(mix func(uint64), walk func(heap.Value))) uint64 {
+	return newGraphDigest().run(m, enumerate)
 }

@@ -11,6 +11,7 @@ package gctest
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 
 	"repligc/internal/core"
 	"repligc/internal/heap"
@@ -432,7 +433,24 @@ func (d *Driver) Step(n int) error {
 // invariant; verification therefore also exercises that invariant
 // mid-collection.
 func (d *Driver) Verify() error {
-	seen := make(map[heap.Value]int32)
+	seen := spareSeen.Swap(nil)
+	if seen == nil {
+		seen = &map[heap.Value]int32{}
+	}
+	err := d.verify(*seen)
+	clear(*seen)
+	spareSeen.Store(seen)
+	return err
+}
+
+// spareSeen is Verify's visit table, parked between walks as
+// core.Mutator.GraphDigest parks its own: a walk takes it or, when another
+// walk holds it, makes a fresh one, and clears and parks it on every return,
+// the first discrepancy's included. A panic drops it.
+var spareSeen atomic.Pointer[map[heap.Value]int32]
+
+// verify is Verify's walk over a table that starts empty.
+func (d *Driver) verify(seen map[heap.Value]int32) error {
 	for i, p := range d.roots.slots {
 		if err := d.verifyValue(p, d.shadow[i], seen); err != nil {
 			return fmt.Errorf("root %d: %w", i, err)
