@@ -197,7 +197,20 @@ func buildLeg(rt *Runtime, t *Trace, legName string,
 	type acc struct {
 		lats, waits, intrs []simtime.Duration
 	}
+	// Count each cohort's requests, then cut its three series from one
+	// buffer, so none grows by appending.
 	accs := make([]acc, len(spec.Cohorts))
+	counts := make([]int, len(spec.Cohorts))
+	for i := range t.Reqs {
+		counts[t.Reqs[i].Cohort]++
+	}
+	buf := make([]simtime.Duration, 3*len(t.Reqs))
+	for ci, n := range counts {
+		a := &accs[ci]
+		a.lats, buf = buf[:0:n], buf[n:]
+		a.waits, buf = buf[:0:n], buf[n:]
+		a.intrs, buf = buf[:0:n], buf[n:]
+	}
 	for i := range t.Reqs {
 		r := &t.Reqs[i]
 		a := &accs[r.Cohort]

@@ -48,6 +48,10 @@ type Trace struct {
 // allocate unbounded memory.
 const maxRequestsPerCohort = 1 << 20
 
+// maxSlabObjs caps the object slab a cohort starts with (8 MB), so a spec
+// too large to generate cannot allocate past it before it is refused.
+const maxSlabObjs = 1 << 20
+
 // Generate materialises spec into a trace. The same spec (including seed)
 // always yields a bit-identical trace.
 //
@@ -68,8 +72,12 @@ func Generate(spec *Spec) (*Trace, error) {
 			sm:   newSampler(c.Arrival, base.Split(0), base.Split(1)),
 			prof: base.Split(2), sess: base.Split(3),
 			st: sessionState{meanReqs: c.Profile.SessionReqs}}
+		n := c.Arrival.RatePerSec * spec.DurationMs / 1000
+		// The objects the cohort's requests are expected to make, in one
+		// slab; cutObjs starts chunks only when the draws outrun it.
+		gens[ci].slab = make([]ObjAlloc, 0, int(min(n*float64(c.Profile.ObjsPerReq), maxSlabObjs)))
 		gens[ci].advance()
-		expect += c.Arrival.RatePerSec * spec.DurationMs / 1000
+		expect += n
 		failed = failed || gens[ci].err != nil
 	}
 	reqs := make([]Req, 0, int(min(expect, maxRequestsPerCohort)))
