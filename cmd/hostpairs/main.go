@@ -9,6 +9,9 @@
 // are its per-run values), so `run.sh --compare parent.json change.json`
 // can judge the bounds and the simulated side.
 //
+// It exits 1 when an end-to-end metric resolves worse, or when the two
+// sides did different simulated work; an unresolved metric is no failure.
+//
 //	go run ./cmd/hostpairs -dir .bench_build/pairs/sort [-runs]
 package main
 
@@ -27,9 +30,10 @@ import (
 
 // metricDef is one metric as BENCHMARK.json declares it.
 type metricDef struct {
-	Name   string `json:"name"`
-	Unit   string `json:"unit"`
-	Better string `json:"better"`
+	Name     string `json:"name"`
+	Unit     string `json:"unit"`
+	Better   string `json:"better"`
+	endToEnd bool
 }
 
 // The subset of benchmarks/host's report schema (report.go) that the digest
@@ -75,6 +79,8 @@ func main() {
 	}
 }
 
+// digest prints the tables and writes the folded reports; its error names
+// the end-to-end metrics that resolve worse, if any.
 func digest(w io.Writer, dir, benchPath string, showRuns bool) error {
 	defs, err := loadDefs(benchPath)
 	if err != nil {
@@ -98,6 +104,7 @@ func digest(w io.Writer, dir, benchPath string, showRuns bool) error {
 	sort.Strings(names)
 
 	mergedP, mergedC := &reportFile{Workloads: map[string]*report{}}, &reportFile{Workloads: map[string]*report{}}
+	var worse []string
 	for _, name := range names {
 		ps, cs, err := workloadRuns(parent, change, name)
 		if err != nil {
@@ -113,8 +120,12 @@ func digest(w io.Writer, dir, benchPath string, showRuns bool) error {
 				continue
 			}
 			r := compare(d, pv, cv)
+			verdict := r.verdict()
 			fmt.Fprintf(w, "| `%s` | %s | %s | %s | %s | %d/%d | %d/%d | %s |\n",
-				d.Name, d.Unit, cell(r.p), cell(r.c), r.delta(), r.changeWon, len(pv), r.parentWon, len(pv), r.verdict())
+				d.Name, d.Unit, cell(r.p), cell(r.c), r.delta(), r.changeWon, len(pv), r.parentWon, len(pv), verdict)
+			if d.endToEnd && verdict == verdictWorse {
+				worse = append(worse, name+" "+d.Name)
+			}
 			if !r.constant() {
 				runRows = append(runRows,
 					fmt.Sprintf("| `%s` | parent | %s |", d.Name, join(pv)),
@@ -130,7 +141,13 @@ func digest(w io.Writer, dir, benchPath string, showRuns bool) error {
 	if err := writeJSON(filepath.Join(dir, "parent.json"), mergedP); err != nil {
 		return err
 	}
-	return writeJSON(filepath.Join(dir, "change.json"), mergedC)
+	if err := writeJSON(filepath.Join(dir, "change.json"), mergedC); err != nil {
+		return err
+	}
+	if len(worse) > 0 {
+		return fmt.Errorf("end-to-end metrics resolve worse: %s", strings.Join(worse, ", "))
+	}
+	return nil
 }
 
 //gclint:allow io -- reads BENCHMARK.json
@@ -145,6 +162,9 @@ func loadDefs(path string) ([]metricDef, error) {
 	}
 	if err := json.Unmarshal(data, &b); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	for i := range b.EndToEnd {
+		b.EndToEnd[i].endToEnd = true
 	}
 	return append(b.EndToEnd, b.PerLayer...), nil
 }
@@ -249,6 +269,8 @@ func (r result) delta() string {
 	return fmt.Sprintf("%+.1f %%", 100*(r.c.med-r.p.med)/r.p.med)
 }
 
+const verdictWorse = "resolves: WORSE"
+
 // verdict applies the claim rule in both directions: a side resolves as
 // better when, over at least ten pairs, it won nine tenths of them and the
 // medians lie further apart than the parent's interquartile distance.
@@ -266,7 +288,7 @@ func (r result) verdict() string {
 	case 10*r.changeWon >= 9*r.pairs && apart:
 		return "resolves: better"
 	case 10*r.parentWon >= 9*r.pairs && apart:
-		return "resolves: WORSE"
+		return verdictWorse
 	default:
 		return "not resolved"
 	}

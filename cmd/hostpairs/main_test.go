@@ -102,6 +102,56 @@ func TestDigestRefusesDifferentWork(t *testing.T) {
 	}
 }
 
+// TestDigestFailsOnlyOnWorseEndToEnd: digest's error, hostpairs' exit
+// status, says an end-to-end metric resolved worse; a per-layer metric that
+// resolves worse, or an end-to-end one left unresolved, is no failure. The
+// folded reports are written either way, for `run.sh --compare` to print.
+func TestDigestFailsOnlyOnWorseEndToEnd(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		rss, run func(i int) (parent, change float64)
+		verdict  string // of the metric that varies
+		fail     bool
+	}{
+		{"per-layer worse",
+			func(i int) (float64, float64) { return 237, 237 },
+			func(i int) (float64, float64) { return 2 + 0.01*float64(i), 2.5 + 0.01*float64(i) }, "resolves: WORSE", false},
+		{"end-to-end unresolved",
+			func(i int) (float64, float64) { return 237, 237 + float64(i%2) },
+			func(i int) (float64, float64) { return 2, 2 }, "not resolved", false},
+		{"end-to-end worse",
+			func(i int) (float64, float64) { return 237 + 0.1*float64(i%3), 338 },
+			func(i int) (float64, float64) { return 2, 2 }, "resolves: WORSE", true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			bench := writeBench(t, dir)
+			for i := 1; i <= 10; i++ {
+				rssP, rssC := c.rss(i)
+				runP, runC := c.run(i)
+				writeRun(t, dir, "parent", i, "d7f6", rssP, runP)
+				writeRun(t, dir, "change", i, "d7f6", rssC, runC)
+			}
+			var out strings.Builder
+			err := digest(&out, dir, bench, false)
+			if c.fail != (err != nil) {
+				t.Fatalf("digest error %v, want one: %v\n%s", err, c.fail, out.String())
+			}
+			if c.fail && !strings.Contains(err.Error(), "sort host_peak_rss_mb") {
+				t.Errorf("digest error %q does not name the metric", err)
+			}
+			if !strings.Contains(out.String(), "| "+c.verdict+" |") {
+				t.Errorf("no metric reads %q:\n%s", c.verdict, out.String())
+			}
+			for _, side := range []string{"parent.json", "change.json"} {
+				if _, err := os.Stat(filepath.Join(dir, side)); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+	}
+}
+
 // TestDigestTooFewPairs: one pair won by a mile still resolves nothing.
 func TestDigestTooFewPairs(t *testing.T) {
 	dir := t.TempDir()

@@ -12,11 +12,13 @@
 # metrics and the harness's Go allocation volume and GC cycles. cmd/hostpairs
 # then prints, per metric, both sides' medians and quartiles over the runs and
 # the pairs each won, and `run.sh --compare` judges the folded reports against
-# the benchmark's bounds.
+# the benchmark's bounds. The exit status is cmd/hostpairs': 1 when an
+# end-to-end metric resolves worse or the sides' simulated fingerprints
+# differ, whatever `--compare` says of metrics it cannot resolve.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-	sed -n '2,15p' "$0" >&2
+	sed -n '2,18p' "$0" >&2
 	exit 2
 fi
 parent=$1 workload=$2 pairs=${3:-10} seed=${4:-1} seconds=${5:-12}
@@ -50,5 +52,9 @@ for i in $(seq 1 "$pairs"); do
 	fi
 done
 
-go run ./cmd/hostpairs -dir "$out" -runs
-bash benchmarks/host/run.sh --compare "$out/parent.json" "$out/change.json"
+status=0
+go run ./cmd/hostpairs -dir "$out" -runs || status=$?
+if [ -f "$out/parent.json" ] && [ -f "$out/change.json" ]; then
+	bash benchmarks/host/run.sh --compare "$out/parent.json" "$out/change.json" || true
+fi
+exit "$status"
