@@ -146,7 +146,7 @@ func (c *Compiler) park() {
 	}
 	p := &c.p
 	p.m, p.syms, p.lex, p.tok, p.Literals = nil, nil, Lexer{}, Token{}, nil
-	clear(p.params[:cap(p.params)])
+	clear(p.params[:p.paramsMax]) // past it the array was cleared before
 }
 
 func (c *Compiler) compile(m *core.Mutator, src string) (prog *bytecode.Program, err error) {

@@ -29,6 +29,9 @@ type Parser struct {
 	// shares two backing arrays, each holding at least the census's bound.
 	hs     []core.Handle
 	params []Token
+	// paramsMax is the last census's bound on params: the extent its parse
+	// may have filled, and all that park clears.
+	paramsMax int
 
 	// What the parse built, which sizes the compiler's buffers: the nodes by
 	// tag, and the most functions nested around one point.
@@ -64,7 +67,7 @@ func (p *Parser) parse(m *core.Mutator, syms *SymTab, src string) (core.Handle, 
 		p.Literals = make([]string, 0, c.strs)
 	}
 	p.litIdx.reset(c.strs)
-	p.hs, p.params = fit(p.hs, c.elems), fit(p.params, c.params)
+	p.hs, p.params, p.paramsMax = fit(p.hs, c.elems), fit(p.params, c.params), c.params
 	p.next()
 	m.Step(c.tokens) // lexing work
 	root, err := p.parseExpr()

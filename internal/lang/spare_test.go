@@ -168,3 +168,23 @@ func TestConcurrentCompiles(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestParkedParamsEmpty: park clears the parameter stack as far as the
+// parse's census let it reach, so the spare keeps no token — and through
+// its text no source — after a module with many parameters, after a parse
+// error that left parameters pushed, and after a module with few.
+func TestParkedParamsEmpty(t *testing.T) {
+	for _, src := range []string{
+		`fun f a b c d e g h = a + h in f 1 2 3 4 5 6 7`,
+		`fun f a b c d = fn x => (a`,
+		`fun f a = a in f 1`,
+	} {
+		Compile(testMutator(), src)
+		p := &spare.Load().p
+		for i, tok := range p.params[:cap(p.params)] {
+			if tok != (Token{}) {
+				t.Fatalf("%.40q: the parked parameter stack holds %v at %d", src, tok, i)
+			}
+		}
+	}
+}
