@@ -52,8 +52,8 @@ host-bench-test:
 
 # What a claim about a host metric needs: N alternating pairs of benchmark
 # runs, the parent commit (exported with git archive) against this tree,
-# then per metric both sides' medians and quartiles, the pairs each won and
-# the benchmark's own --compare verdicts.
+# then per metric both sides' medians and quartiles, the pairs each won, the
+# claim rule's verdict and the verdict against the benchmark's bound.
 #   make host-pairs PARENT=HEAD~1 WORKLOAD=sort N=10
 N ?= 10
 host-pairs:

@@ -14,7 +14,7 @@
 //
 // Usage:
 //
-//	gclint [-rules] [-summaries] [-json | -github] [-out file] [packages]
+//	gclint [-rules] [-summaries] [-github] [-out file] [packages]
 //
 // Packages are go list patterns relative to the current directory and
 // default to ./...; go list's ./... does not enter a nested module, so a
@@ -22,9 +22,8 @@
 // exit status is 0 when the tree is clean, 1 when violations are found, and
 // 2 on usage or load errors. Output modes:
 //
-//	-json       print findings as a JSON array on stdout
 //	-github     print findings as GitHub Actions ::error annotations
-//	-out file   additionally write the JSON findings document to file
+//	-out file   additionally write the findings as a JSON array to file
 //	-summaries  dump the interprocedural per-function summaries and exit
 //
 // Violations are suppressed with
@@ -51,7 +50,6 @@ import (
 func main() {
 	listRules := flag.Bool("rules", false, "list the rules and exit")
 	summaries := flag.Bool("summaries", false, "dump interprocedural function summaries and exit")
-	jsonMode := flag.Bool("json", false, "print findings as a JSON array on stdout")
 	githubMode := flag.Bool("github", false, "print findings as GitHub Actions ::error annotations")
 	outFile := flag.String("out", "", "also write the JSON findings document to this file")
 	flag.Parse()
@@ -62,10 +60,6 @@ func main() {
 			fmt.Printf("%-16s %s\n", r.Name(), r.Doc())
 		}
 		return
-	}
-	if *jsonMode && *githubMode {
-		fmt.Fprintln(os.Stderr, "gclint: -json and -github are mutually exclusive")
-		os.Exit(2)
 	}
 
 	patterns := flag.Args()
@@ -106,20 +100,10 @@ func main() {
 		}
 	}
 
-	switch {
-	case *jsonMode:
-		doc, err := analysis.DiagnosticsJSON(diags)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gclint: %v\n", err)
-			os.Exit(2)
-		}
-		os.Stdout.Write(doc)
-	case *githubMode:
-		for _, d := range diags {
+	for _, d := range diags {
+		if *githubMode {
 			fmt.Println(analysis.GitHubAnnotation(d))
-		}
-	default:
-		for _, d := range diags {
+		} else {
 			fmt.Println(d)
 		}
 	}

@@ -1,16 +1,21 @@
 // Command hostpairs digests the report files that scripts/host-pairs.sh
 // collects: N alternating runs of the repository benchmark on a parent tree
 // and on this one. For every metric it prints each side's median and
-// quartiles over the runs, the pairs each side won, and whether the
-// difference resolves by the rule every host claim must meet (benchmark
-// README, "Repeatability"): nine tenths of the pairs won, ties counting for
-// neither side, and medians further apart than the parent's own quartiles.
-// It then folds each side's runs into one report file (a metric's samples
-// are its per-run values), so `run.sh --compare parent.json change.json`
-// can judge the bounds and the simulated side.
+// quartiles over the runs, the pairs each side won, and two verdicts.
 //
-// It exits 1 when an end-to-end metric resolves worse, or when the two
-// sides did different simulated work; an unresolved metric is no failure.
+// The claim rule says whether the difference resolves as every host claim
+// must (benchmark README, "Repeatability"): nine tenths of the pairs won,
+// ties counting for neither side, and medians further apart than the
+// parent's own quartiles. The bound rule, for the end-to-end metrics, says
+// whether the change kept within the metric's bound in BENCHMARK.json: a
+// median worse by more than the bound is over it; otherwise a parent spread
+// (its interquartile distance over its median) wider than the bound leaves
+// it unresolved, unless every change run beats every parent run.
+//
+// It exits 1 when an end-to-end metric is over its bound, or when the runs
+// cannot be compared: a run failed, or the two sides did different
+// simulated work. A metric that resolves worse within its bound, or that is
+// unresolved, is no failure.
 //
 //	go run ./cmd/hostpairs -dir .bench_build/pairs/sort [-runs]
 package main
@@ -22,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -30,24 +36,21 @@ import (
 
 // metricDef is one metric as BENCHMARK.json declares it.
 type metricDef struct {
-	Name     string `json:"name"`
-	Unit     string `json:"unit"`
-	Better   string `json:"better"`
+	Name     string  `json:"name"`
+	Unit     string  `json:"unit"`
+	Better   string  `json:"better"`
+	Bound    float64 `json:"bound"` // end-to-end only: the largest worsening allowed, a share of the parent's median
 	endToEnd bool
 }
 
 // The subset of benchmarks/host's report schema (report.go) that the digest
-// reads and `--compare` needs back.
+// reads.
 type reportFile struct {
 	Workloads map[string]*report `json:"workloads"`
 }
 
 type report struct {
-	Workload       string            `json:"workload"`
 	Seed           uint64            `json:"seed"`
-	Input          string            `json:"input"`
-	Traced         bool              `json:"traced"`
-	Iterations     int               `json:"iterations"`
 	Correct        bool              `json:"correct"`
 	Attempted      int               `json:"attempted"`
 	Failed         int               `json:"failed"`
@@ -57,16 +60,12 @@ type report struct {
 }
 
 type metric struct {
-	Value   float64   `json:"value"`
-	Unit    string    `json:"unit"`
-	Q1      *float64  `json:"q1,omitempty"`
-	Q3      *float64  `json:"q3,omitempty"`
-	Samples []float64 `json:"samples,omitempty"`
+	Value float64 `json:"value"`
 }
 
 func main() {
 	dir := flag.String("dir", "", "directory holding parent.<i>.json and change.<i>.json, i = 1..N")
-	bench := flag.String("benchmark", "BENCHMARK.json", "the benchmark declaration: metric order, units and directions")
+	bench := flag.String("benchmark", "BENCHMARK.json", "the benchmark declaration: metric order, units, directions and bounds")
 	runs := flag.Bool("runs", false, "also print every run's value of every host metric, in run order")
 	flag.Parse()
 	if *dir == "" || flag.NArg() != 0 {
@@ -79,8 +78,8 @@ func main() {
 	}
 }
 
-// digest prints the tables and writes the folded reports; its error names
-// the end-to-end metrics that resolve worse, if any.
+// digest prints the tables; its error names the end-to-end metrics over
+// their bounds, if any.
 func digest(w io.Writer, dir, benchPath string, showRuns bool) error {
 	defs, err := loadDefs(benchPath)
 	if err != nil {
@@ -103,16 +102,15 @@ func digest(w io.Writer, dir, benchPath string, showRuns bool) error {
 	}
 	sort.Strings(names)
 
-	mergedP, mergedC := &reportFile{Workloads: map[string]*report{}}, &reportFile{Workloads: map[string]*report{}}
-	var worse []string
+	var over []string
 	for _, name := range names {
 		ps, cs, err := workloadRuns(parent, change, name)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "%s, seed %d: %d pairs, simulated fingerprint %s on every run of both sides\n\n", name, ps[0].Seed, len(ps), ps[0].SimFingerprint)
-		fmt.Fprintln(w, "| metric | unit | parent | change | delta | change won | parent won | verdict |")
-		fmt.Fprintln(w, "|---|---|---|---|---|---|---|---|")
+		fmt.Fprintln(w, "| metric | unit | parent | change | delta | change won | parent won | claim rule | bound | bound rule |")
+		fmt.Fprintln(w, "|---|---|---|---|---|---|---|---|---|---|")
 		var runRows []string
 		for _, d := range defs {
 			pv, cv := values(ps, d.Name), values(cs, d.Name)
@@ -120,11 +118,14 @@ func digest(w io.Writer, dir, benchPath string, showRuns bool) error {
 				continue
 			}
 			r := compare(d, pv, cv)
-			verdict := r.verdict()
-			fmt.Fprintf(w, "| `%s` | %s | %s | %s | %s | %d/%d | %d/%d | %s |\n",
-				d.Name, d.Unit, cell(r.p), cell(r.c), r.delta(), r.changeWon, len(pv), r.parentWon, len(pv), verdict)
-			if d.endToEnd && verdict == verdictWorse {
-				worse = append(worse, name+" "+d.Name)
+			bound, judged := "", ""
+			if d.endToEnd {
+				bound, judged = fmt.Sprintf("%.4g %%", 100*d.Bound), r.judge(d)
+			}
+			fmt.Fprintf(w, "| `%s` | %s | %s | %s | %s | %d/%d | %d/%d | %s | %s | %s |\n",
+				d.Name, d.Unit, cell(r.p), cell(r.c), r.delta(), r.changeWon, len(pv), r.parentWon, len(pv), r.verdict(), bound, judged)
+			if judged == verdictOverBound {
+				over = append(over, name+" "+d.Name)
 			}
 			if !r.constant() {
 				runRows = append(runRows,
@@ -136,16 +137,9 @@ func digest(w io.Writer, dir, benchPath string, showRuns bool) error {
 			fmt.Fprintf(w, "\n| metric | side | %d runs, in order |\n|---|---|---|\n%s\n", len(ps), strings.Join(runRows, "\n"))
 		}
 		fmt.Fprintln(w)
-		mergedP.Workloads[name], mergedC.Workloads[name] = merge(ps), merge(cs)
 	}
-	if err := writeJSON(filepath.Join(dir, "parent.json"), mergedP); err != nil {
-		return err
-	}
-	if err := writeJSON(filepath.Join(dir, "change.json"), mergedC); err != nil {
-		return err
-	}
-	if len(worse) > 0 {
-		return fmt.Errorf("end-to-end metrics resolve worse: %s", strings.Join(worse, ", "))
+	if len(over) > 0 {
+		return fmt.Errorf("end-to-end metrics over their bounds: %s", strings.Join(over, ", "))
 	}
 	return nil
 }
@@ -239,22 +233,36 @@ func values(rs []*report, name string) []float64 {
 
 type quart struct{ q1, med, q3 float64 }
 
-// result is one metric's comparison: each side's quartiles over the runs and
-// the pairs each side won (a tie is won by neither).
+// result is one metric's comparison: each side's quartiles over the runs,
+// the pairs each side won (a tie is won by neither) and whether every change
+// run beats every parent run.
 type result struct {
 	p, c                        quart
 	changeWon, parentWon, pairs int
+	allBeat                     bool
+}
+
+// beats reports whether value a is better than b in d's direction.
+func (d metricDef) beats(a, b float64) bool {
+	if d.Better == "higher" {
+		return a > b
+	}
+	return a < b
 }
 
 func compare(d metricDef, pv, cv []float64) result {
-	r := result{p: quartiles(pv), c: quartiles(cv), pairs: len(pv)}
+	r := result{p: quartiles(pv), c: quartiles(cv), pairs: len(pv), allBeat: true}
 	for i := range pv {
-		switch lower := cv[i] < pv[i]; {
-		case cv[i] == pv[i]:
-		case lower == (d.Better != "higher"):
+		switch {
+		case d.beats(cv[i], pv[i]):
 			r.changeWon++
-		default:
+		case d.beats(pv[i], cv[i]):
 			r.parentWon++
+		}
+	}
+	for _, c := range cv {
+		for _, p := range pv {
+			r.allBeat = r.allBeat && d.beats(c, p)
 		}
 	}
 	return r
@@ -269,17 +277,32 @@ func (r result) delta() string {
 	return fmt.Sprintf("%+.1f %%", 100*(r.c.med-r.p.med)/r.p.med)
 }
 
-const verdictWorse = "resolves: WORSE"
+const verdictOverBound = "over bound"
+
+// judge applies the no-regression rule against d's bound, a share of the
+// parent's median: a change median worse by more than that is over the
+// bound; otherwise every change run beating every parent run is better, and
+// a parent interquartile distance wider than that leaves the runs unable to
+// tell.
+func (r result) judge(d metricDef) string {
+	allowed := d.Bound * math.Abs(r.p.med)
+	switch {
+	case d.beats(r.p.med, r.c.med) && math.Abs(r.c.med-r.p.med) > allowed:
+		return verdictOverBound
+	case r.allBeat:
+		return "better"
+	case r.p.q3-r.p.q1 > allowed:
+		return "unresolved"
+	default:
+		return "within bound"
+	}
+}
 
 // verdict applies the claim rule in both directions: a side resolves as
 // better when, over at least ten pairs, it won nine tenths of them and the
 // medians lie further apart than the parent's interquartile distance.
 func (r result) verdict() string {
-	gap := r.c.med - r.p.med
-	if gap < 0 {
-		gap = -gap
-	}
-	apart := gap > r.p.q3-r.p.q1
+	apart := math.Abs(r.c.med-r.p.med) > r.p.q3-r.p.q1
 	switch {
 	case r.changeWon == 0 && r.parentWon == 0:
 		return "equal on every pair"
@@ -288,7 +311,7 @@ func (r result) verdict() string {
 	case 10*r.changeWon >= 9*r.pairs && apart:
 		return "resolves: better"
 	case 10*r.parentWon >= 9*r.pairs && apart:
-		return verdictWorse
+		return "resolves: WORSE"
 	default:
 		return "not resolved"
 	}
@@ -323,36 +346,4 @@ func join(vs []float64) string {
 		parts[i] = fmt.Sprintf("%.5g", v)
 	}
 	return strings.Join(parts, " ")
-}
-
-// merge folds one side's runs of a workload into a single report whose
-// metrics carry the median and quartiles over the runs, with the per-run
-// values as samples.
-func merge(rs []*report) *report {
-	out := *rs[0]
-	out.Iterations = len(rs)
-	fold := func(first map[string]metric) map[string]metric {
-		if first == nil {
-			return nil
-		}
-		m := map[string]metric{}
-		for name, one := range first { //gclint:allow maprange -- fills a map: the order cannot matter
-			if vs := values(rs, name); vs != nil {
-				q := quartiles(vs)
-				m[name] = metric{Value: q.med, Unit: one.Unit, Q1: &q.q1, Q3: &q.q3, Samples: vs}
-			}
-		}
-		return m
-	}
-	out.EndToEnd, out.PerLayer = fold(rs[0].EndToEnd), fold(rs[0].PerLayer)
-	return &out
-}
-
-//gclint:allow io -- writes each side's folded report file beside its runs
-func writeJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", " ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -13,9 +13,8 @@ import (
 // when empty. A contract violation in any cell is exit-status-failing.
 func runCrashMatrix(outPath string) error {
 	rep, err := checkpoint.RunCrashMatrix(checkpoint.MatrixConfig{
-		Seeds:     []uint64{1, 2, 3},
-		OpsPerRun: 4000,
-		Plans:     faultinject.CrashPlans(0xc0ffee, 12),
+		Seeds: []uint64{1, 2, 3},
+		Plans: faultinject.CrashPlans(0xc0ffee, 12),
 	})
 	if err != nil {
 		return fmt.Errorf("crash matrix: %w", err)

@@ -44,7 +44,6 @@ func main() {
 	oldMB := flag.Int64("old", 96, "old-space semispace size in MB")
 	stats := flag.Bool("stats", true, "print the run's report to stderr: collector counters, pause quantiles, utilization, MMU, phase times")
 	disasm := flag.Bool("S", false, "print the compiled bytecode instead of running (-stats then reports the compilation)")
-	census := flag.Bool("census", false, "print a live-object census by kind after the run")
 	prelude := flag.Bool("prelude", false, "prepend the MiniML standard prelude")
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) of the run to this file")
 	worst := flag.Int("worst", 0, "print the K longest pauses to stderr, each with its phase times, bytes copied and log entries")
@@ -125,7 +124,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rtgc: %v\n", err)
 		os.Exit(2)
 	}
-	h, m := rt.Heap, rt.Mutator
+	m := rt.Mutator
 
 	text := string(src)
 	if *prelude {
@@ -159,17 +158,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	boundErr := look.report(rt.Stats(), flag.Arg(0))
-	if *census {
-		fmt.Fprintf(os.Stderr, "\n--- live-object census ---\n")
-		c := h.Census(&h.Nursery, h.OldFrom())
-		for k := heap.KindRecord; k <= heap.KindMax; k++ {
-			if e, ok := c[k]; ok {
-				fmt.Fprintf(os.Stderr, "%-8s %8d objects %10.1f KB\n", k, e.Count, float64(e.Bytes)/1024)
-			}
-		}
-	}
-	if boundErr != nil {
+	if err := look.report(rt.Stats(), flag.Arg(0)); err != nil {
 		os.Exit(1)
 	}
 }

@@ -96,12 +96,11 @@ type Writer struct {
 	//gclint:pauseonly pause count of the open epoch
 	epochPauses int
 
-	epoch          uint64 // next epoch number to commit
-	lastPatchWords int    // patch pairs in the most recent commit
-	retained       []uint64
-	tmp            *os.File // the open epoch's file, renamed into place at commit
-	buf            *bufio.Writer
-	rec            *artifact.Writer
+	epoch    uint64 // next epoch number to commit
+	retained []uint64
+	tmp      *os.File // the open epoch's file, renamed into place at commit
+	buf      *bufio.Writer
+	rec      *artifact.Writer
 }
 
 // NewWriter builds a Writer. The directory is created lazily, when the
@@ -326,19 +325,10 @@ func (w *Writer) commit(m *core.Mutator, p core.CheckpointPoint) {
 
 	m.Log.Unpin()
 	w.open = false
-	info := EpochInfo{
-		Epoch:       w.epoch,
-		Fingerprint: fp,
-		SnapBytes:   imageBytes,
-		WALBytes:    commitBytes,
-		PatchWords:  w.lastPatchWords,
-		LogEntries:  len(st.LogEntries),
-		Pauses:      w.epochPauses,
-	}
 	w.stats.Committed++
 	w.stats.SnapshotBytes += imageBytes
 	w.stats.WALBytes += commitBytes
-	w.stats.Epochs = append(w.stats.Epochs, info)
+	w.stats.Epochs = append(w.stats.Epochs, EpochInfo{Epoch: w.epoch, Fingerprint: fp, Pauses: w.epochPauses})
 	w.retained = append(w.retained, w.epoch)
 	w.prune()
 	w.epoch++
@@ -403,7 +393,6 @@ func (w *Writer) writeCommitSection(m *core.Mutator, st *Restored, fp uint64) {
 	w.rec.Record(recSpaces, e.B)
 
 	patches := w.patchSet(m)
-	w.lastPatchWords = len(patches)
 	w.stats.PatchWords += int64(len(patches))
 	e = artifact.Enc{}
 	e.U64(uint64(len(patches)))

@@ -245,9 +245,8 @@ func TestEpochPausesCountsEveryPause(t *testing.T) {
 // recovery or typed corruption, never anything else.
 func TestRecoverFromCrashes(t *testing.T) {
 	rep, err := RunCrashMatrix(MatrixConfig{
-		Seeds:     []uint64{1, 2, 3},
-		OpsPerRun: 4000,
-		Plans:     faultinject.CrashPlans(0xc0ffee, 12),
+		Seeds: []uint64{1, 2, 3},
+		Plans: faultinject.CrashPlans(0xc0ffee, 12),
 	})
 	if err != nil {
 		t.Fatalf("matrix: %v", err)

@@ -15,21 +15,24 @@ import (
 	"repligc/internal/rig"
 )
 
+// Each reference run of the crash-point matrix drives matrixOps workload
+// operations before the final forced commit, under a writer whose per-pause
+// copy budget is matrixBudget: a small budget spreads each epoch over many
+// pauses, widening the window the commit patches must cover.
+const (
+	matrixOps    = 4000
+	matrixBudget = 16 << 10
+)
+
 // MatrixConfig parameterises the crash-point matrix: workload seeds × crash
 // plans, all deterministic, so a failing cell replays exactly.
 type MatrixConfig struct {
 	// Seeds drive the gctest shadow-model workload, one reference run per
 	// seed.
 	Seeds []uint64
-	// OpsPerRun is the workload length before the final forced commit.
-	OpsPerRun int
 	// Plans are the crash sites applied to each run's artifacts; zero
 	// plans means baseline-only (recover the undamaged artifacts).
 	Plans []faultinject.CrashPlan
-	// BudgetBytes is the writer's per-pause copy budget; small values
-	// spread each epoch over many pauses, widening the window the commit
-	// patches must cover. Zero defaults to 16 KB.
-	BudgetBytes int64
 	// WorkDir hosts the per-case artifact directories. Empty uses a
 	// temporary directory that is removed when the matrix finishes.
 	WorkDir string
@@ -186,12 +189,6 @@ func epochFingerprint(w *Writer, epoch uint64) (uint64, bool) {
 //
 //gclint:allow io -- owns the per-case artifact directories under the matrix work dir
 func RunCrashMatrix(cfg MatrixConfig) (*MatrixReport, error) {
-	if cfg.OpsPerRun <= 0 {
-		cfg.OpsPerRun = 4000
-	}
-	if cfg.BudgetBytes <= 0 {
-		cfg.BudgetBytes = 16 << 10
-	}
 	work := cfg.WorkDir
 	if work == "" {
 		tmp, err := os.MkdirTemp("", "rtgc-crash-matrix-")
@@ -205,7 +202,7 @@ func RunCrashMatrix(cfg MatrixConfig) (*MatrixReport, error) {
 	rep := &MatrixReport{Schema: MatrixSchema}
 	for si, seed := range cfg.Seeds {
 		refDir := filepath.Join(work, fmt.Sprintf("ref-%d", si))
-		w, _, _, err := referenceRun(refDir, seed, cfg.OpsPerRun, cfg.BudgetBytes)
+		w, _, _, err := referenceRun(refDir, seed, matrixOps, matrixBudget)
 		if err != nil {
 			return nil, err
 		}

@@ -302,27 +302,3 @@ func (h *Heap) WalkObjects(s *Space, f func(p Value, hdr Header) bool) {
 		idx += uint64(hdr.SizeWords())
 	}
 }
-
-// CensusEntry summarises the live objects of one kind in a space.
-type CensusEntry struct {
-	Count int64
-	Bytes int64
-}
-
-// Census walks the allocated objects of the given spaces and tallies them
-// by kind. It is only valid when no objects in those spaces carry
-// forwarding pointers (i.e. at collector-quiescent points); it exists for
-// tools and tests, not for the collectors themselves.
-func (h *Heap) Census(spaces ...*Space) map[Kind]CensusEntry {
-	out := make(map[Kind]CensusEntry)
-	for _, s := range spaces {
-		h.WalkObjects(s, func(p Value, hdr Header) bool {
-			e := out[hdr.Kind()]
-			e.Count++
-			e.Bytes += hdr.SizeBytes()
-			out[hdr.Kind()] = e
-			return true
-		})
-	}
-	return out
-}

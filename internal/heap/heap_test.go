@@ -509,19 +509,3 @@ func BenchmarkHeapNew(b *testing.B) {
 		heapSink = New(benchShape)
 	}
 }
-
-func TestCensus(t *testing.T) {
-	h := testHeap()
-	for i := 0; i < 5; i++ {
-		h.AllocIn(&h.Nursery, KindRecord, 3)
-	}
-	h.AllocIn(&h.Nursery, KindBytes, 10)
-	h.AllocIn(h.OldFrom(), KindRef, 1)
-	c := h.Census(&h.Nursery, h.OldFrom())
-	if c[KindRecord].Count != 5 || c[KindRecord].Bytes != 5*4*BytesPerWord {
-		t.Fatalf("records: %+v", c[KindRecord])
-	}
-	if c[KindBytes].Count != 1 || c[KindRef].Count != 1 {
-		t.Fatalf("census: %+v", c)
-	}
-}

@@ -129,10 +129,6 @@ type CheckpointStats struct {
 type EpochInfo struct {
 	Epoch       uint64
 	Fingerprint uint64 // authoritative state hash, computed from the live heap at commit
-	SnapBytes   int64  // the epoch file's image section
-	WALBytes    int64  // the epoch file's commit section
-	PatchWords  int    // patch pairs written (slots mutated mid-snapshot)
-	LogEntries  int    // retained mutation-log entries persisted
 	Pauses      int    // pauses the epoch's copying was spread across
 }
 

@@ -1,14 +1,14 @@
-// Package rng is the repository's one source of deterministic pseudo-random
-// numbers: a seeded splitmix64 stream with stream splitting. Everything that
-// needs randomness — fault-injection plans, workload arrival processes,
-// request-profile draws — derives from one of these streams, never from
-// math/rand or any other implicit global state, so every plan, trace and
-// schedule is a pure function of its seed and replays bit-identically.
+// Package rng is the repository's deterministic pseudo-random source: a
+// seeded splitmix64 stream with stream splitting. Fault plans, workload
+// arrivals and request-profile draws derive from these streams, never from
+// implicit global state, so each is a pure function of its seed. The one
+// exception outside tests, gctest's Driver and MultiDriver, seeds math/rand
+// sources of its own, as deterministic: TestDriverPins, TestMultiDriverPin
+// and the benchmark's group4 workload pin those operation streams.
 //
-// Stream splitting gives independent substreams of one seed: Split(i) is a
-// pure function of the parent's seed and i, so the arrival process, the
-// object-size draws and the session draws of a workload each consume their
-// own sequence and adding draws to one never perturbs the others.
+// Split(i) is an independent substream, a pure function of the parent's seed
+// and i: a workload's arrival, object-size and session draws each consume
+// their own sequence, and adding draws to one never perturbs another.
 package rng
 
 // Stream is a splitmix64 sequence. The zero value is a valid stream seeded

@@ -43,7 +43,6 @@ const (
 
 // Thread is one green thread.
 type Thread struct {
-	id     int
 	stack  []heap.Value
 	env    heap.Value
 	clo    heap.Value // current closure (free-variable access)
@@ -113,7 +112,7 @@ func New(m *core.Mutator, prog *bytecode.Program) *VM {
 		}
 		v.strings = append(v.strings, p)
 	}
-	v.threads = append(v.threads, &Thread{id: 0, block: prog.Entry, env: heap.FromInt(0)})
+	v.threads = append(v.threads, &Thread{block: prog.Entry, env: heap.FromInt(0)})
 	return v
 }
 
@@ -658,7 +657,6 @@ func (v *VM) runSlice(t *Thread, quantum int) {
 			m.Init(e, 0, heap.FromInt(0))
 			m.Init(e, 1, heap.FromInt(0)) // unit argument
 			nt := &Thread{
-				id:    len(v.threads),
 				block: int(m.Get(clo, 0).Int()),
 				env:   e,
 				clo:   clo,

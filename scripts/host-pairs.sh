@@ -10,15 +10,15 @@
 # so the per-layer metrics are there, one run at a time, and which side goes
 # first flips every pair; each run's progress lines are the end-to-end
 # metrics and the harness's Go allocation volume and GC cycles. cmd/hostpairs
-# then prints, per metric, both sides' medians and quartiles over the runs and
-# the pairs each won, and `run.sh --compare` judges the folded reports against
-# the benchmark's bounds. The exit status is cmd/hostpairs': 1 when an
-# end-to-end metric resolves worse or the sides' simulated fingerprints
-# differ, whatever `--compare` says of metrics it cannot resolve.
+# then prints a table: per metric, both sides' medians and quartiles over the
+# runs, the pairs each won, the claim rule's verdict and, for end-to-end
+# metrics, the verdict against the benchmark's bound. The exit status is
+# cmd/hostpairs': 1 when an end-to-end metric is over its bound or the sides'
+# simulated fingerprints differ.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-	sed -n '2,18p' "$0" >&2
+	sed -n '2,17p' "$0" >&2
 	exit 2
 fi
 parent=$1 workload=$2 pairs=${3:-10} seed=${4:-1} seconds=${5:-12}
@@ -52,9 +52,4 @@ for i in $(seq 1 "$pairs"); do
 	fi
 done
 
-status=0
-go run ./cmd/hostpairs -dir "$out" -runs || status=$?
-if [ -f "$out/parent.json" ] && [ -f "$out/change.json" ]; then
-	bash benchmarks/host/run.sh --compare "$out/parent.json" "$out/change.json" || true
-fi
-exit "$status"
+go run ./cmd/hostpairs -dir "$out" -runs
