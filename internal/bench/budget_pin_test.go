@@ -10,6 +10,8 @@ package bench
 // "Pause bound"), and only whether the pause is one is. Beside them, a
 // projection of each pause leaves out only how its time divides among phases
 // and how the record spells why it ran: a change to either must hold it.
+// TestEngineSimulatedIdentity checks both on its own cells, each run with a
+// budgetRecorder attached.
 
 import (
 	"fmt"
@@ -17,7 +19,6 @@ import (
 	"testing"
 
 	"repligc/internal/core"
-	"repligc/internal/policy"
 	"repligc/internal/rig"
 	"repligc/internal/simtime"
 )
@@ -98,43 +99,14 @@ var projectionPins = map[string]string{
 	"replay":    "8c803106f941a18a",
 }
 
-func TestBudgetPins(t *testing.T) {
-	cell := func(rc rig.Config, seed int64, plan enginePlan) [2]uint64 {
-		rec := &budgetRecorder{}
-		rc.Checkpoint, rc.NaiveBarrier = rec, plan.naiveBarrier
-		line, err := engineGoldenCell(rc, seed, plan.plan)
-		if err != nil {
-			t.Fatalf("%s %s: %v", rc.Collector.Name, plan.name, err)
-		}
-		return [2]uint64{rec.fingerprint(line), rec.projection()}
+// checkBudgetPins fails t unless a cell group's fingerprint and projection
+// are the pinned ones.
+func checkBudgetPins(t *testing.T, name string, full, proj uint64) {
+	t.Helper()
+	if got := fmt.Sprintf("%016x", full); got != budgetPins[name] {
+		t.Errorf("%s: fingerprint %s, pinned %s", name, got, budgetPins[name])
 	}
-	check := func(name string, h [2]uint64) {
-		if got := fmt.Sprintf("%016x", h[0]); got != budgetPins[name] {
-			t.Errorf("%s: fingerprint %s, pinned %s", name, got, budgetPins[name])
-		}
-		if got := fmt.Sprintf("%016x", h[1]); got != projectionPins[name] {
-			t.Errorf("%s: projection %s, pinned %s", name, got, projectionPins[name])
-		}
+	if got := fmt.Sprintf("%016x", proj); got != projectionPins[name] {
+		t.Errorf("%s: projection %s, pinned %s", name, got, projectionPins[name])
 	}
-	for _, coll := range []rig.Collector{rig.RT, rig.MinorInc, rig.MajorInc, rig.RTLazy, rig.RTConc, rig.RTDefer} {
-		full, proj := fnv.New64a(), fnv.New64a()
-		for _, sh := range engineShapes {
-			for _, p := range enginePlans() {
-				h := cell(engineGoldenConfig(coll, sh.params), sh.seed, p)
-				fmt.Fprintf(full, "%016x;", h[0])
-				fmt.Fprintf(proj, "%016x;", h[1])
-			}
-		}
-		check(coll.Name, [2]uint64{full.Sum64(), proj.Sum64()})
-	}
-
-	roomy := engineShapes[1]
-	script := &policy.Script{}
-	rc := engineGoldenConfig(rig.RT, roomy.params)
-	rc.Record = script
-	recorded := cell(rc, roomy.seed, enginePlan{name: "recorded"})
-	rc = engineGoldenConfig(rig.MajorInc, roomy.params)
-	rc.Replay = script
-	replayed := cell(rc, roomy.seed, enginePlan{name: "replayed"})
-	check("replay", [2]uint64{recorded[0] ^ replayed[0], recorded[1] ^ replayed[1]})
 }

@@ -92,7 +92,8 @@ func enginePlans() []enginePlan {
 // exhaustion, rewind and forced-completion paths, plus a checkpointed run
 // and a four-mutator group. A change to how the engine is written must
 // leave every cell untouched; a cell that moves means a copy, a charge, a
-// cursor or their order changed.
+// cursor or their order changed. The solo cells and the recorded-and-replayed
+// pair also check the budget pins (budget_pin_test.go).
 func TestEngineSimulatedIdentity(t *testing.T) {
 	configs := []rig.Collector{rig.RT, rig.MinorInc, rig.MajorInc, rig.RTLazy, rig.RTConc, rig.RTDefer}
 	var got strings.Builder
@@ -106,14 +107,19 @@ func TestEngineSimulatedIdentity(t *testing.T) {
 	}
 	plans := enginePlans()
 	for _, cfg := range configs {
+		full, proj := fnv.New64a(), fnv.New64a()
 		for _, sh := range engineShapes {
 			for _, p := range plans {
+				rec := &budgetRecorder{}
 				rc := engineGoldenConfig(cfg, sh.params)
-				rc.NaiveBarrier = p.naiveBarrier
-				cell(fmt.Sprintf("%s seed=%d %s", sh.name, sh.seed, p.name), rc, sh.seed, p.plan)
+				rc.Checkpoint, rc.NaiveBarrier = rec, p.naiveBarrier
+				line := cell(fmt.Sprintf("%s seed=%d %s", sh.name, sh.seed, p.name), rc, sh.seed, p.plan)
 				got.WriteByte('\n')
+				fmt.Fprintf(full, "%016x;", rec.fingerprint(line))
+				fmt.Fprintf(proj, "%016x;", rec.projection())
 			}
 		}
+		checkBudgetPins(t, cfg.Name, full.Sum64(), proj.Sum64())
 	}
 	tight, roomy := engineShapes[0], engineShapes[1]
 
@@ -127,18 +133,21 @@ func TestEngineSimulatedIdentity(t *testing.T) {
 	// A flip script recorded under rt and replayed under major-inc, the one
 	// replicating configuration that honours it.
 	script := &policy.Script{}
+	recorded, replayed := &budgetRecorder{}, &budgetRecorder{}
 	rc = engineGoldenConfig(rig.RT, roomy.params)
-	rc.Record = script
-	cell("roomy seed=11 recorded", rc, roomy.seed, faultinject.Plan{})
+	rc.Record, rc.Checkpoint = script, recorded
+	recLine := cell("roomy seed=11 recorded", rc, roomy.seed, faultinject.Plan{})
 	marks := fnv.New64a()
 	for _, e := range script.Events {
 		fmt.Fprintf(marks, "%d,%v;", e.AllocMark, e.MajorFlip)
 	}
 	fmt.Fprintf(&got, " script=%d:%016x\n", script.Len(), marks.Sum64())
 	rc = engineGoldenConfig(rig.MajorInc, roomy.params)
-	rc.Replay = script
-	cell("roomy seed=11 replayed", rc, roomy.seed, faultinject.Plan{})
+	rc.Replay, rc.Checkpoint = script, replayed
+	repLine := cell("roomy seed=11 replayed", rc, roomy.seed, faultinject.Plan{})
 	got.WriteByte('\n')
+	checkBudgetPins(t, "replay", recorded.fingerprint(recLine)^replayed.fingerprint(repLine),
+		recorded.projection()^replayed.projection())
 
 	rc = engineGoldenConfig(rig.RT, tight.params)
 	rc.Members = 4

@@ -132,9 +132,9 @@ func Compile(m *core.Mutator, src string) (*bytecode.Program, error) {
 }
 
 // park drops every reference to the compile that ended — the mutator, the
-// source and the names cut from it, the literal pool the program now owns,
-// the contexts' links — and keeps the scratch arrays, so the spare pins
-// neither a heap nor a source.
+// source and the names and tokens cut from it, the literal pool the program
+// now owns, the contexts' links — and keeps the scratch arrays, so the spare
+// pins neither a heap nor a source.
 func (c *Compiler) park() {
 	c.m, c.syms.m = nil, nil
 	clear(c.syms.names) // past its length the array was cleared before
@@ -145,8 +145,9 @@ func (c *Compiler) park() {
 		c.ctxs[i].parent = nil
 	}
 	p := &c.p
-	p.m, p.syms, p.lex, p.tok, p.Literals = nil, nil, Lexer{}, Token{}, nil
-	clear(p.params[:p.paramsMax]) // past it the array was cleared before
+	p.m, p.syms, p.Literals = nil, nil, nil
+	clear(p.toks) // past its length the array was cleared before
+	p.toks = p.toks[:0]
 }
 
 func (c *Compiler) compile(m *core.Mutator, src string) (prog *bytecode.Program, err error) {

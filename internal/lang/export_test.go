@@ -20,7 +20,7 @@ type Sized struct {
 func CompileSized(m *core.Mutator, src string) (*bytecode.Program, []Sized, error) {
 	c := new(Compiler)
 	prog, err := c.compile(m, src)
-	census, _ := countTokens(src)
+	_, census, _ := lex(src, nil)
 	p := &c.p
 	sized := []Sized{
 		{"symbol names", cap(c.syms.names), census.idents},
@@ -28,7 +28,6 @@ func CompileSized(m *core.Mutator, src string) (*bytecode.Program, []Sized, erro
 		{"literal pool", cap(p.Literals), census.strs},
 		{"literal index", len(p.litIdx.slots), indexSize(census.strs)},
 		{"parser handles", cap(p.hs), census.elems},
-		{"parameters", cap(p.params), census.params},
 	}
 	blocks, _, hs, defs, fails, jumps := p.bounds()
 	return prog, append(sized,

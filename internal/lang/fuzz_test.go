@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -101,41 +102,47 @@ func TestCensusBoundsEveryBuffer(t *testing.T) {
 	}
 }
 
-// FuzzLexStream checks the parser's token path against the reference: the
-// counting pre-pass reports LexAll's length and error, and pulling tokens
-// one at a time the way the parser does yields LexAll's sequence.
+// FuzzLexStream checks the token stream the parser reads: lexing into an
+// array the prelude's tokens filled yields LexAll's error and tokens, read
+// one at a time the way the parser does and TEOF again past the end, and
+// the census is the recount of those tokens' kinds.
 func FuzzLexStream(f *testing.F) {
 	fuzzSeeds(f)
+	prelude, _, err := lex(Prelude, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		want, wantErr := LexAll(src)
-		c, err := countTokens(src)
-		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
-			t.Fatalf("countTokens error %v, LexAll error %v", err, wantErr)
-		}
-		var idents, strs int
-		for _, w := range want {
-			switch w.Kind {
-			case TIdent:
-				idents++
-			case TString:
-				strs++
-			}
-		}
-		if c.tokens != len(want) || c.idents != idents || c.strs != strs {
-			t.Fatalf("census %+v, LexAll produced %d tokens, %d identifiers, %d strings", c, len(want), idents, strs)
+		toks, c, err := lex(src, slices.Clone(prelude))
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("lex error %v, LexAll error %v", err, wantErr)
 		}
 		if wantErr != nil {
 			return
 		}
-		p := &Parser{lex: *NewLexer(src)}
-		p.next()
-		for i, w := range want {
-			if got := p.next(); got != w {
-				t.Fatalf("token %d: streamed %+v, LexAll %+v", i, got, w)
+		if len(toks) != len(want) {
+			t.Fatalf("lexed %d tokens into a filled array, LexAll %d", len(toks), len(want))
+		}
+		p := &Parser{toks: toks}
+		for i := 0; i <= len(want); i++ {
+			if got, w := p.next(), want[min(i, len(want)-1)]; got != w {
+				t.Fatalf("token %d: the parser read %+v, LexAll %+v", i, got, w)
 			}
 		}
-		if got := p.next(); got.Kind != TEOF {
-			t.Fatalf("stream continues past end of input with %+v", got)
+		var recount census
+		for _, w := range want {
+			switch w.Kind {
+			case TIdent:
+				recount.idents++
+			case TString:
+				recount.strs++
+			case TFun, TAnd, TCase, TBar, TLBrack, TLParen, TComma, TSemi:
+				recount.elems++
+			}
+		}
+		if c != recount {
+			t.Fatalf("census %+v, LexAll's tokens hold %+v", c, recount)
 		}
 	})
 }

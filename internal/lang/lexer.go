@@ -19,8 +19,6 @@ type Lexer struct {
 	off  int
 	line int
 	col  int
-
-	countOnly bool // leave escaped string literals unexpanded (countTokens)
 }
 
 // NewLexer builds a lexer over src.
@@ -157,7 +155,7 @@ func (l *Lexer) Next() (Token, error) {
 		}
 		// A literal without escapes is a slice of the source.
 		text := l.src[start : l.off-1]
-		if escaped && !l.countOnly {
+		if escaped {
 			text = unescape(text)
 		}
 		return Token{Kind: TString, Pos: pos, Text: text}, nil
@@ -268,65 +266,45 @@ func unescape(body string) string {
 	return buf.String()
 }
 
-// LexAll tokenises the whole input (including the trailing TEOF). The
-// parser streams from a Lexer instead; LexAll is the reference the streamed
-// sequence is tested against.
+// LexAll tokenises the whole input (including the trailing TEOF).
 func LexAll(src string) ([]Token, error) {
-	l := NewLexer(src)
-	var toks []Token
-	for {
-		t, err := l.Next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, t)
-		if t.Kind == TEOF {
-			return toks, nil
-		}
+	toks, _, err := lex(src, nil)
+	if err != nil {
+		return nil, err
 	}
+	return toks, nil
 }
 
-// census is what one lexing pass over a source learns before its parse
-// allocates anything: the token count the parse charges, and an upper bound
-// on what each of the parser's Go buffers receives.
+// census is what lexing a source learns before its parse allocates
+// anything: an upper bound on what each of the parser's Go buffers receives.
 type census struct {
-	tokens int // len(LexAll(src)), TEOF included
 	idents int // identifier tokens: no parse interns more symbols
 	strs   int // string literal tokens: no parse pools more literals
-	params int // identifiers in the run after a fun or and and its name: parseFunDef's parameters
 	elems  int // fun, and, case, |, [, (, comma and ; tokens: each collected element follows one
 }
 
-// countTokens takes the census of src, reporting LexAll's error without
-// building the tokens.
-func countTokens(src string) (census, error) {
+// lex tokenises src into toks's array, growing it only when src has more
+// tokens than it holds, and takes the census. On a lex error it returns the
+// tokens before it with the error.
+func lex(src string, toks []Token) ([]Token, census, error) {
 	l := NewLexer(src)
-	l.countOnly = true
+	toks = toks[:0]
 	var c census
-	prev, head := TEOF, false // head: inside a fun or and's name and parameters
 	for {
 		t, err := l.Next()
 		if err != nil {
-			return census{}, err
+			return toks, census{}, err
 		}
-		c.tokens++
+		toks = append(toks, t)
 		switch t.Kind {
 		case TEOF:
-			return c, nil
+			return toks, c, nil
 		case TIdent:
 			c.idents++
-			if head {
-				c.params++
-			}
-			head = head || prev == TFun || prev == TAnd
 		case TString:
 			c.strs++
 		case TFun, TAnd, TCase, TBar, TLBrack, TLParen, TComma, TSemi:
 			c.elems++
 		}
-		if t.Kind != TIdent {
-			head = false
-		}
-		prev = t.Kind
 	}
 }

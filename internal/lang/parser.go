@@ -14,24 +14,20 @@ import (
 type Parser struct {
 	m    *core.Mutator
 	syms *SymTab
-	lex  Lexer
-	tok  Token // the one token of lookahead
+	toks []Token // the source's tokens, TEOF last
+	i    int     // the current token's index
 
 	// Literals collects string literal contents in first-seen order; TagStr
 	// nodes carry an index into this pool. litIdx finds a repeat.
 	Literals []string
 	litIdx   index
 
-	// Scratch stacks for the variable-length forms (list elements, case
-	// arms, fun groups, curried parameters). A parse function notes the
-	// depth on entry, pushes, reads its own entries back after the nested
-	// parses return, and truncates to the noted depth, so the whole parse
-	// shares two backing arrays, each holding at least the census's bound.
-	hs     []core.Handle
-	params []Token
-	// paramsMax is the last census's bound on params: the extent its parse
-	// may have filled, and all that park clears.
-	paramsMax int
+	// Scratch stack for the variable-length forms (list elements, case
+	// arms, fun groups). A parse function notes the depth on entry, pushes,
+	// reads its own entries back after the nested parses return, and
+	// truncates to the noted depth, so the whole parse shares one backing
+	// array, holding at least the census's bound.
+	hs []core.Handle
 
 	// What the parse built, which sizes the compiler's buffers: the nodes by
 	// tag, and the most functions nested around one point.
@@ -54,22 +50,21 @@ func Parse(m *core.Mutator, syms *SymTab, src string) (core.Handle, []string, er
 
 func (p *Parser) parse(m *core.Mutator, syms *SymTab, src string) (core.Handle, error) {
 	p.nodes, p.depth, p.maxDepth = [len(p.nodes)]int{}, 0, 0
-	// Count first, then stream: the lexing charge lands before the first
-	// AST allocation and a lex error anywhere in src precedes any parse
-	// error, exactly as when the tokens were materialised up front.
-	c, err := countTokens(src)
+	// Lex all of src first: the lexing charge lands before the first AST
+	// allocation and a lex error anywhere in src precedes any parse error.
+	toks, c, err := lex(src, p.toks)
+	p.toks, p.i = toks, 0
 	if err != nil {
 		return 0, err
 	}
-	p.m, p.syms, p.lex = m, syms, *NewLexer(src)
+	p.m, p.syms = m, syms
 	syms.reserve(c.idents)
 	if c.strs > 0 { // the pool is the program's own, never reused
 		p.Literals = make([]string, 0, c.strs)
 	}
 	p.litIdx.reset(c.strs)
-	p.hs, p.params, p.paramsMax = fit(p.hs, c.elems), fit(p.params, c.params), c.params
-	p.next()
-	m.Step(c.tokens) // lexing work
+	p.hs = fit(p.hs, c.elems)
+	m.Step(len(toks)) // lexing work
 	root, err := p.parseExpr()
 	if err != nil {
 		return 0, err
@@ -95,13 +90,12 @@ func (p *Parser) nested(n int) (core.Handle, error) {
 	return body, err
 }
 
-func (p *Parser) cur() Token { return p.tok }
+func (p *Parser) cur() Token { return p.toks[p.i] }
 
-// next consumes the lookahead token and lexes its successor. countTokens has
-// already lexed all of src without error, so Next cannot fail here.
+// next consumes the current token. The last, TEOF, is never consumed.
 func (p *Parser) next() Token {
-	t := p.tok
-	p.tok, _ = p.lex.Next()
+	t := p.toks[p.i]
+	p.i = min(p.i+1, len(p.toks)-1)
 	return t
 }
 
@@ -217,23 +211,22 @@ func (p *Parser) parseFunDef() (core.Handle, error) {
 	if err != nil {
 		return 0, err
 	}
-	base := len(p.params)
+	base := p.i
 	for p.cur().Kind == TIdent {
-		p.params = append(p.params, p.next())
+		p.next()
 	}
-	if len(p.params) == base {
+	params := p.toks[base:p.i]
+	if len(params) == 0 {
 		return 0, errf(name.Pos, "function %s needs at least one parameter", name.Text)
 	}
 	if _, err := p.expect(TEq); err != nil {
 		return 0, err
 	}
-	body, err := p.nested(len(p.params) - base) // the def and its curried fns
+	body, err := p.nested(len(params)) // the def and its curried fns
 	if err != nil {
 		return 0, err
 	}
 	// Curry the extra parameters into nested fns, innermost first.
-	params := p.params[base:]
-	p.params = p.params[:base]
 	for i := len(params) - 1; i >= 1; i-- {
 		sym := p.syms.Intern(params[i].Text)
 		body = p.node(TagFn, params[i].Pos, imm(int64(sym)), sub(body))

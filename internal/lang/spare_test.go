@@ -41,7 +41,7 @@ func compileBoth(t *testing.T, old int64, src string) (*Compiler, error) {
 	if w, c := warm.Clock.Now(), cold.Clock.Now(); w != c {
 		t.Fatalf("%.40q: warm compile ends at %v of simulated time, cold at %v", src, w, c)
 	}
-	if _, lexErr := countTokens(src); lexErr != nil {
+	if _, _, lexErr := lex(src, nil); lexErr != nil {
 		return c, cerr // the parse never began
 	}
 	if w, c := parsed(wc), parsed(c); w != c {
@@ -78,7 +78,7 @@ func TestWarmCompileMatchesCold(t *testing.T) {
 		case err == nil:
 		case core.IsOOM(err) && c.depth > 1:
 			kind = "oom"
-		case func() bool { _, lexErr := countTokens(s.src); return lexErr != nil }():
+		case func() bool { _, _, lexErr := lex(s.src, nil); return lexErr != nil }():
 			kind = "lex"
 		default:
 			kind = "parse"
@@ -169,21 +169,21 @@ func TestConcurrentCompiles(t *testing.T) {
 	wg.Wait()
 }
 
-// TestParkedParamsEmpty: park clears the parameter stack as far as the
-// parse's census let it reach, so the spare keeps no token — and through
-// its text no source — after a module with many parameters, after a parse
-// error that left parameters pushed, and after a module with few.
-func TestParkedParamsEmpty(t *testing.T) {
+// TestParkedTokensEmpty: park clears the token array the parse read, so the
+// spare keeps no token — and through its text no source — after a long
+// module, after a parse error, and after a short module that filled less of
+// the array than the ones before.
+func TestParkedTokensEmpty(t *testing.T) {
 	for _, src := range []string{
-		`fun f a b c d e g h = a + h in f 1 2 3 4 5 6 7`,
+		`fun f a b c d e g h = a + h in f "1" 2 3 4 5 6 7`,
 		`fun f a b c d = fn x => (a`,
 		`fun f a = a in f 1`,
 	} {
 		Compile(testMutator(), src)
 		p := &spare.Load().p
-		for i, tok := range p.params[:cap(p.params)] {
+		for i, tok := range p.toks[:cap(p.toks)] {
 			if tok != (Token{}) {
-				t.Fatalf("%.40q: the parked parameter stack holds %v at %d", src, tok, i)
+				t.Fatalf("%.40q: the parked token array holds %v at %d", src, tok, i)
 			}
 		}
 	}
