@@ -69,15 +69,16 @@ loc:
 	@bash scripts/loc.sh $(PARENT)
 
 # Ten seconds of native fuzzing per target, from the committed seed corpora
-# (`go test` alone runs only the seeds): the streamed lexer against LexAll,
-# Compile ending in a program, a positioned error or a typed OOM, the three
-# decoders of external bytes — the shared frame reader, the serving trace and
-# checkpoint recovery — each ending in an exact decode or a typed
-# *artifact.CorruptError, the instruction decoder of the compiler's code
-# buffers, ending in an exact re-encode and a printable instruction, and the
-# two JSON readers — the serving spec, and the perf and serving report
-# validators — each ending in a value or an error; never a panic. The targets over kilobyte inputs switch input minimisation
-# off: by default the fuzzer spends up to a minute shrinking every
+# (`go test` alone runs only the seeds): the parser's token array and its
+# census against LexAll, Compile ending in a program, a positioned error or
+# a typed OOM, the three decoders of external bytes — the shared frame
+# reader, the serving trace and checkpoint recovery — each ending in an exact
+# decode or a typed *artifact.CorruptError, the instruction decoder of the
+# compiler's code buffers, ending in an exact re-encode and a printable
+# instruction, and the two JSON readers — the serving spec, and the perf and
+# serving report validators — each ending in a value or an error; never a
+# panic. The targets over kilobyte inputs switch input minimisation off: by
+# default the fuzzer spends up to a minute shrinking every
 # coverage-expanding input, which at that size is the whole smoke.
 fuzz-smoke:
 	go test ./internal/lang -run '^$$' -fuzz '^FuzzLexStream$$' -fuzztime 10s

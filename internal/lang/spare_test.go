@@ -171,12 +171,13 @@ func TestConcurrentCompiles(t *testing.T) {
 
 // TestParkedTokensEmpty: park clears the token array the parse read, so the
 // spare keeps no token — and through its text no source — after a long
-// module, after a parse error, and after a short module that filled less of
-// the array than the ones before.
+// module, after a parse error, after a lex error partway through, and after
+// a short module that filled less of the array than the ones before.
 func TestParkedTokensEmpty(t *testing.T) {
 	for _, src := range []string{
-		`fun f a b c d e g h = a + h in f "1" 2 3 4 5 6 7`,
+		`fun f a b c d e g h = a + h in f 1 2 3 4 5 6 7`,
 		`fun f a b c d = fn x => (a`,
+		`fun f a b = a $`,
 		`fun f a = a in f 1`,
 	} {
 		Compile(testMutator(), src)
