@@ -10,8 +10,8 @@ package bench
 // "Pause bound"), and only whether the pause is one is. Beside them, a
 // projection of each pause leaves out only how its time divides among phases
 // and how the record spells why it ran: a change to either must hold it.
-// TestEngineSimulatedIdentity checks both on its own cells, each run with a
-// budgetRecorder attached.
+// TestBudgetPins checks both on TestEngineSimulatedIdentity's cells, each run
+// once with a budgetRecorder attached (runEngineCells).
 
 import (
 	"fmt"
@@ -99,14 +99,15 @@ var projectionPins = map[string]string{
 	"replay":    "8c803106f941a18a",
 }
 
-// checkBudgetPins fails t unless a cell group's fingerprint and projection
-// are the pinned ones.
-func checkBudgetPins(t *testing.T, name string, full, proj uint64) {
-	t.Helper()
-	if got := fmt.Sprintf("%016x", full); got != budgetPins[name] {
-		t.Errorf("%s: fingerprint %s, pinned %s", name, got, budgetPins[name])
-	}
-	if got := fmt.Sprintf("%016x", proj); got != projectionPins[name] {
-		t.Errorf("%s: projection %s, pinned %s", name, got, projectionPins[name])
+func TestBudgetPins(t *testing.T) {
+	r := runEngineCells(t)
+	for _, name := range []string{"rt", "minor-inc", "major-inc", "rt-lazy", "rt-conc", "rt-defer", "replay"} {
+		h := r.pins[name]
+		if got := fmt.Sprintf("%016x", h[0]); got != budgetPins[name] {
+			t.Errorf("%s: fingerprint %s, pinned %s", name, got, budgetPins[name])
+		}
+		if got := fmt.Sprintf("%016x", h[1]); got != projectionPins[name] {
+			t.Errorf("%s: projection %s, pinned %s", name, got, projectionPins[name])
+		}
 	}
 }

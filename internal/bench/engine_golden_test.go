@@ -4,8 +4,10 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repligc/internal/checkpoint"
@@ -92,15 +94,46 @@ func enginePlans() []enginePlan {
 // exhaustion, rewind and forced-completion paths, plus a checkpointed run
 // and a four-mutator group. A change to how the engine is written must
 // leave every cell untouched; a cell that moves means a copy, a charge, a
-// cursor or their order changed. The solo cells and the recorded-and-replayed
-// pair also check the budget pins (budget_pin_test.go).
+// cursor or their order changed.
 func TestEngineSimulatedIdentity(t *testing.T) {
+	r := runEngineCells(t)
+	checkGolden(t, filepath.Join("testdata", "engine_golden.txt"), *updateEngineGolden, r.golden)
+}
+
+// engineRun is what the engine cells produce: the golden text, and the budget
+// fingerprint and projection (budget_pin_test.go) of each replicating
+// configuration's solo cells and of the recorded-and-replayed pair.
+type engineRun struct {
+	golden string
+	pins   map[string][2]uint64
+	err    error
+}
+
+var (
+	engineRunOnce sync.Once
+	engineRunDone engineRun
+)
+
+// runEngineCells runs every engine cell once per test binary, however many
+// tests read the outcome.
+func runEngineCells(t *testing.T) engineRun {
+	t.Helper()
+	engineRunOnce.Do(func() { engineRunDone = engineCells() })
+	if engineRunDone.err != nil {
+		t.Fatal(engineRunDone.err)
+	}
+	return engineRunDone
+}
+
+func engineCells() engineRun {
 	configs := []rig.Collector{rig.RT, rig.MinorInc, rig.MajorInc, rig.RTLazy, rig.RTConc, rig.RTDefer}
 	var got strings.Builder
+	pins := map[string][2]uint64{}
+	var cellErr error
 	cell := func(label string, rc rig.Config, seed int64, plan faultinject.Plan) string {
 		line, err := engineGoldenCell(rc, seed, plan)
-		if err != nil {
-			t.Fatalf("%s %s: %v", rc.Collector.Name, label, err)
+		if err != nil && cellErr == nil {
+			cellErr = fmt.Errorf("%s %s: %v", rc.Collector.Name, label, err)
 		}
 		fmt.Fprintf(&got, "%s %s %s", rc.Collector.Name, label, line)
 		return line
@@ -114,19 +147,30 @@ func TestEngineSimulatedIdentity(t *testing.T) {
 				rc := engineGoldenConfig(cfg, sh.params)
 				rc.Checkpoint, rc.NaiveBarrier = rec, p.naiveBarrier
 				line := cell(fmt.Sprintf("%s seed=%d %s", sh.name, sh.seed, p.name), rc, sh.seed, p.plan)
+				if cellErr != nil {
+					return engineRun{err: cellErr}
+				}
 				got.WriteByte('\n')
 				fmt.Fprintf(full, "%016x;", rec.fingerprint(line))
 				fmt.Fprintf(proj, "%016x;", rec.projection())
 			}
 		}
-		checkBudgetPins(t, cfg.Name, full.Sum64(), proj.Sum64())
+		pins[cfg.Name] = [2]uint64{full.Sum64(), proj.Sum64()}
 	}
 	tight, roomy := engineShapes[0], engineShapes[1]
 
-	w := checkpoint.NewWriter(checkpoint.Config{Dir: t.TempDir(), BudgetBytes: 8 << 10, EveryBytes: 256 << 10})
+	dir, err := os.MkdirTemp("", "engine-golden")
+	if err != nil {
+		return engineRun{err: err}
+	}
+	defer os.RemoveAll(dir)
+	w := checkpoint.NewWriter(checkpoint.Config{Dir: dir, BudgetBytes: 8 << 10, EveryBytes: 256 << 10})
 	rc := engineGoldenConfig(rig.RT, tight.params)
 	rc.Checkpoint = w
 	cell("tight seed=3 checkpointed", rc, tight.seed, faultinject.Plan{})
+	if cellErr != nil {
+		return engineRun{err: cellErr}
+	}
 	st := w.Stats()
 	fmt.Fprintf(&got, " epochs=%d/%d snapwords=%d\n", st.Committed, st.Aborted, st.WordsCopied)
 
@@ -137,6 +181,9 @@ func TestEngineSimulatedIdentity(t *testing.T) {
 	rc = engineGoldenConfig(rig.RT, roomy.params)
 	rc.Record, rc.Checkpoint = script, recorded
 	recLine := cell("roomy seed=11 recorded", rc, roomy.seed, faultinject.Plan{})
+	if cellErr != nil {
+		return engineRun{err: cellErr}
+	}
 	marks := fnv.New64a()
 	for _, e := range script.Events {
 		fmt.Fprintf(marks, "%d,%v;", e.AllocMark, e.MajorFlip)
@@ -145,9 +192,12 @@ func TestEngineSimulatedIdentity(t *testing.T) {
 	rc = engineGoldenConfig(rig.MajorInc, roomy.params)
 	rc.Replay, rc.Checkpoint = script, replayed
 	repLine := cell("roomy seed=11 replayed", rc, roomy.seed, faultinject.Plan{})
+	if cellErr != nil {
+		return engineRun{err: cellErr}
+	}
 	got.WriteByte('\n')
-	checkBudgetPins(t, "replay", recorded.fingerprint(recLine)^replayed.fingerprint(repLine),
-		recorded.projection()^replayed.projection())
+	pins["replay"] = [2]uint64{recorded.fingerprint(recLine) ^ replayed.fingerprint(repLine),
+		recorded.projection() ^ replayed.projection()}
 
 	rc = engineGoldenConfig(rig.RT, tight.params)
 	rc.Members = 4
@@ -156,11 +206,10 @@ func TestEngineSimulatedIdentity(t *testing.T) {
 		err = md.Verify()
 	}
 	if err != nil {
-		t.Fatalf("group: %v", err)
+		return engineRun{err: fmt.Errorf("group: %v", err)}
 	}
 	fmt.Fprintf(&got, "rt tight seed=3 group4 %s\n", line)
-
-	checkGolden(t, filepath.Join("testdata", "engine_golden.txt"), *updateEngineGolden, got.String())
+	return engineRun{golden: got.String(), pins: pins}
 }
 
 // bigObjects keeps the cell's last few oversized objects alive.
