@@ -33,9 +33,7 @@
 // spec-driven open-loop request trace is materialised and served under the
 // naive-barrier and coalesced legs, producing the schema-5 serving report
 // (per-cohort latency tails, SLO breakdowns, queue stats, pause-intrusion
-// attribution, request-granularity MMU). With -record, the materialised
-// trace is also written as a fingerprinted artifact; "servereplay" serves
-// such an artifact bit-identically.
+// attribution, request-granularity MMU).
 //
 // "crashmatrix" runs the full deterministic crash-point matrix (workloads ×
 // crash plans, newest-epoch and all-epoch damage, plus each workload's
@@ -58,7 +56,6 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "use the small test-scale workloads")
 	out := flag.String("out", "", "write the perf report to this file instead of stdout")
-	record := flag.String("record", "", "serve: also write the materialised trace artifact to this file")
 	worst := flag.Int("worst", 0, "trace: also print the K longest pauses, each with its phase times, bytes copied and log entries")
 	scale, scaleName := bench.DefaultScale(), "default"
 	// Every subcommand that is not an experiment (those are bench.Experiments):
@@ -73,8 +70,7 @@ func main() {
 		{"validate", "", "FILE", runValidate},
 		{"trace", "[-quick] [-out FILE] [-worst K]", "[" + strings.Join(workloadNames(), "|") + "]", func(w string) error { return runTrace(scale, w, *out, *worst) }},
 		{"crashmatrix", "[-out FILE]", "", func(string) error { return runCrashMatrix(*out) }},
-		{"serve", "[-out FILE] [-record FILE]", "SPECFILE", func(spec string) error { return runServe(spec, *out, *record) }},
-		{"servereplay", "[-out FILE]", "TRACEFILE", func(tr string) error { return runServeReplay(tr, *out) }},
+		{"serve", "[-out FILE]", "SPECFILE", func(spec string) error { return runServe(spec, *out) }},
 	}
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: rtgc-bench [-quick] <experiment>\n")

@@ -54,14 +54,14 @@ func TestTraceGolden(t *testing.T) {
 // which reads -quick only, so no file is written.
 func TestUnreadFlagIsUsageError(t *testing.T) {
 	dir := t.TempDir()
-	out, rec := filepath.Join(dir, "x.json"), filepath.Join(dir, "x.trace")
-	cmd := exec.Command(os.Args[0], "-quick", "-out", out, "-record", rec, "-worst", "3", "table2")
+	out := filepath.Join(dir, "x.json")
+	cmd := exec.Command(os.Args[0], "-quick", "-out", out, "-worst", "3", "table2")
 	cmd.Env = append(os.Environ(), runMainEnv+"=1")
 	got, err := cmd.CombinedOutput()
 	if ee := (*exec.ExitError)(nil); !errors.As(err, &ee) || ee.ExitCode() != 2 {
 		t.Fatalf("exit %v, want status 2:\n%s", err, got)
 	}
-	for _, name := range []string{"-out", "-record", "-worst"} {
+	for _, name := range []string{"-out", "-worst"} {
 		if !strings.Contains(string(got), "rtgc-bench: "+name+" has no meaning for table2") {
 			t.Errorf("the refusal does not name %s:\n%s", name, got)
 		}
@@ -69,10 +69,8 @@ func TestUnreadFlagIsUsageError(t *testing.T) {
 	if strings.Contains(string(got), "Table 2") {
 		t.Errorf("the experiment ran:\n%s", got)
 	}
-	for _, f := range []string{out, rec} {
-		if _, err := os.Stat(f); err == nil {
-			t.Errorf("%s was written", f)
-		}
+	if _, err := os.Stat(out); err == nil {
+		t.Errorf("%s was written", out)
 	}
 }
 

@@ -88,7 +88,6 @@ type FuncInfo struct {
 type PauseOnlyField struct {
 	Var       *types.Var
 	Invariant string
-	Pos       token.Pos
 }
 
 // annotIssue is a malformed gclint annotation found while indexing; the rule
@@ -105,9 +104,6 @@ type Index struct {
 	funcs     []*FuncInfo // deterministic: package, file, declaration order
 	byObj     map[*types.Func]*FuncInfo
 	pauseOnly map[*types.Var]*PauseOnlyField
-
-	// pauseOnlyOrder lists annotated fields in source order for -summaries.
-	pauseOnlyOrder []*PauseOnlyField
 
 	badAnnots []annotIssue
 
@@ -282,9 +278,7 @@ func (idx *Index) collectPauseOnlyField(pkg *Package, field *ast.Field) {
 		if v == nil {
 			continue
 		}
-		pf := &PauseOnlyField{Var: v, Invariant: invariant, Pos: name.Pos()}
-		idx.pauseOnly[v] = pf
-		idx.pauseOnlyOrder = append(idx.pauseOnlyOrder, pf)
+		idx.pauseOnly[v] = &PauseOnlyField{Var: v, Invariant: invariant}
 	}
 }
 

@@ -82,3 +82,27 @@ func BenchmarkCompile(b *testing.B) {
 		})
 	}
 }
+
+// parseAllocBudget is the Go allocations one warm Parse of the prelude with
+// a fresh symbol table may make: the table (its struct, index and names), the
+// literal pool, and an allowance of three for what the mutator and the
+// collector grow, amortised over the runs. The parser and its token array
+// come from the spare compiler, as Compile's do. 5 when written, against 18
+// when every parse built its own parser and grew its token array from empty.
+const parseAllocBudget = 4 + 3
+
+func TestParseAllocBudget(t *testing.T) {
+	m, src := allocTestMutator(), lang.Prelude+"0"
+	got := testing.AllocsPerRun(20, func() {
+		mark := m.HandleMark()
+		_, _, err := lang.Parse(m, lang.NewSymTab(m), src)
+		m.PopHandles(mark)
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per parse of the %d-byte prelude", got, len(src))
+	if got > parseAllocBudget {
+		t.Fatalf("Parse made %.0f Go allocations, budget %d", got, parseAllocBudget)
+	}
+}

@@ -109,25 +109,30 @@ func (c *Compiler) pushCtx(parent *funcCtx, scope core.Handle) *funcCtx {
 	return f
 }
 
-// spare is the compiler parked between compiles. A caller takes it or, when
-// another caller holds it, makes a fresh one, so no two compiles share a
+// spare is the compiler parked between compiles and parses. onSpare takes it
+// or, when another caller holds it, makes a fresh one, so no two share a
 // compiler. It is one slot, not a sync.Pool: a pool empties at every Go GC,
 // which would make a compile's allocations depend on the collector's timing.
 var spare atomic.Pointer[Compiler]
+
+// onSpare runs f on a compiler no other caller holds, then parks it.
+func onSpare(f func(c *Compiler)) {
+	c := spare.Swap(nil)
+	if c == nil {
+		c = new(Compiler)
+	}
+	f(c)
+	c.park()
+	spare.Store(c)
+}
 
 // Compile parses and compiles one MiniML program. Heap exhaustion while
 // compiling (the compiler's working data lives on the simulated heap)
 // surfaces as the typed *core.OOMError, not a panic: the deeply recursive
 // compiler allocates through the Must variants and this boundary recovers
 // them — the text/template idiom for error returns across recursion.
-func Compile(m *core.Mutator, src string) (*bytecode.Program, error) {
-	c := spare.Swap(nil)
-	if c == nil {
-		c = new(Compiler)
-	}
-	prog, err := c.compile(m, src)
-	c.park()
-	spare.Store(c)
+func Compile(m *core.Mutator, src string) (prog *bytecode.Program, err error) {
+	onSpare(func(c *Compiler) { prog, err = c.compile(m, src) })
 	return prog, err
 }
 

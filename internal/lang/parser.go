@@ -36,14 +36,14 @@ type Parser struct {
 }
 
 // Parse parses a whole program (one expression) and returns a handle to
-// its AST root together with the string literal pool.
-func Parse(m *core.Mutator, syms *SymTab, src string) (core.Handle, []string, error) {
-	p := &Parser{}
-	root, err := p.parse(m, syms, src)
+// its AST root together with the string literal pool. It parses on the spare
+// compiler's parser, as Compile does.
+func Parse(m *core.Mutator, syms *SymTab, src string) (root core.Handle, lits []string, err error) {
+	onSpare(func(c *Compiler) { root, err = c.p.parse(m, syms, src); lits = c.p.Literals })
 	if err != nil {
 		return 0, nil, err
 	}
-	return root, p.Literals, nil
+	return root, lits, nil
 }
 
 // parse is Parse on a parser that keeps what it learns for the compiler.

@@ -127,8 +127,9 @@ func TestParkedCompilerPinsNothing(t *testing.T) {
 }
 
 // TestConcurrentCompiles: two goroutines, each compiling the prelude and
-// every example on its own mutator, take and park the spare in turn; each
-// program and each compile's simulated end equal those of the serial run.
+// every example on its own mutator, and a third parsing them, take and park
+// the spare in turn; each program and each compile's simulated end equal
+// those of the serial run, and each parse's literal pool the program's.
 // make race runs it under the race detector.
 func TestConcurrentCompiles(t *testing.T) {
 	var srcs []string
@@ -166,6 +167,19 @@ func TestConcurrentCompiles(t *testing.T) {
 			}
 		}()
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		m := testMutator()
+		for i, src := range srcs {
+			mark := m.HandleMark()
+			_, lits, err := Parse(m, NewSymTab(m), src)
+			m.PopHandles(mark)
+			if err != nil || !reflect.DeepEqual(lits, want[i].prog.Strings) {
+				t.Errorf("%.40q parsed concurrently: %v, literals %q, want %q", src, err, lits, want[i].prog.Strings)
+			}
+		}
+	}()
 	wg.Wait()
 }
 

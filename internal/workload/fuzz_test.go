@@ -55,7 +55,8 @@ func FuzzParseSpec(f *testing.F) {
 // FuzzDecodeTrace holds the trace decoder to the crash matrix's contract on
 // arbitrary bytes: decode exactly or reject with the typed error, never
 // panic. "Exactly" has two halves: what decodes re-encodes to the same bytes,
-// and the engine can serve it — an error is an answer, a panic is not.
+// and the engine can serve it — an error is an answer, a panic is not. The
+// forged seed records a trace its spec does not regenerate.
 func FuzzDecodeTrace(f *testing.F) {
 	tr, err := Generate(fuzzSpec())
 	if err != nil {
@@ -67,7 +68,7 @@ func FuzzDecodeTrace(f *testing.F) {
 	}
 	forged := *tr
 	forged.Reqs = append([]Req(nil), tr.Reqs...)
-	forged.Reqs[0].Session = -1 // well framed, fingerprint-consistent, unservable
+	forged.Reqs[0].Session = -1 // well framed, unservable, refused at the fingerprint
 	bad, err := EncodeTrace(&forged)
 	if err != nil {
 		f.Fatal(err)

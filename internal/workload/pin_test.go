@@ -19,8 +19,8 @@ import (
 )
 
 const (
-	pinTraceBytes       = 59499
-	pinTraceSHA256      = "cc6f8fd40c124fb8c8bdb9eb7efc142373d49695e4692553759b5649459b1078"
+	pinTraceBytes       = 736
+	pinTraceSHA256      = "c3042a3452d670000d6e1edf852ab13cf3bb3032dafe9ec2a7505bdced817212"
 	pinTraceFingerprint = "a4ea176212f67f32"
 	pinHeapFingerprint  = "1fae8dafd62b9cd5"
 )

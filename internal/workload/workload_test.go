@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -143,7 +144,7 @@ func TestTraceCorruptionDetected(t *testing.T) {
 		"bad magic":    func(b []byte) []byte { b[0] ^= 0xff; return b },
 		"flipped byte": func(b []byte) []byte { b[len(b)/2] ^= 0x01; return b },
 		"truncated":    func(b []byte) []byte { return b[:len(b)-7] },
-		"no footer":    func(b []byte) []byte { return b[:len(b)-29] },
+		"torn tail":    func(b []byte) []byte { return b[:len(b)-29] },
 	}
 	for name, mutate := range cases {
 		cp := append([]byte(nil), enc...)
@@ -154,11 +155,12 @@ func TestTraceCorruptionDetected(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsUnservableRequests forges artifacts that are correctly
-// framed and fingerprint-consistent — EncodeTrace does not judge what it is
-// given, and FNV is not a MAC — but carry a request no generator produces.
-// Each must be refused with the typed error; the first used to decode cleanly
-// and panic the engine with an index out of range.
+// TestDecodeRejectsUnservableRequests encodes traces carrying a request no
+// generator produces — EncodeTrace does not judge what it is given. The
+// artifact holds the spec and the forged trace's fingerprint, so the decoder
+// regenerates the spec's own trace and refuses each at the fingerprint with
+// the typed error. The first, when artifacts held every request, decoded
+// cleanly and panicked the engine with an index out of range.
 func TestDecodeRejectsUnservableRequests(t *testing.T) {
 	forgeries := map[string]func(tr *Trace){
 		"negative session":        func(tr *Trace) { tr.Reqs[0].Session = -1 },
@@ -189,10 +191,59 @@ func TestDecodeRejectsUnservableRequests(t *testing.T) {
 		if !errors.As(err, &ce) {
 			t.Errorf("%s: DecodeTrace returned %v, want a *artifact.CorruptError", name, err)
 		}
-		if err == nil { // servereplay's path: whatever decodes gets served
+		if err == nil { // whatever decodes gets served
 			if _, err := RunLegs(dec, StandardLegs()[1:]); err != nil {
 				t.Logf("%s: served with error %v", name, err)
 			}
+		}
+	}
+}
+
+// TestDecodeHoldsSpecToRecord builds well-framed artifacts field by field:
+// the one whose spec regenerates the recorded count and fingerprint is
+// EncodeTrace's, byte for byte, and decodes; each disagreement, a spec not in
+// canonical form, a second or foreign record and the RGCSRVT1 format, which
+// held every request, is refused with the typed error.
+func TestDecodeHoldsSpecToRecord(t *testing.T) {
+	tr := mustGenerate(t, testSpec())
+	spec, _ := json.Marshal(tr.Spec)
+	n, print := uint64(len(tr.Reqs)), tr.Fingerprint()
+	build := func(magic string, types []uint8, spec []byte, n, print uint64) []byte {
+		var out bytes.Buffer
+		var p artifact.Enc
+		p.Bytes(spec)
+		p.U64(n)
+		p.U64(print)
+		w := artifact.NewWriter(&out, magic)
+		for _, typ := range types {
+			w.Record(typ, p.B)
+		}
+		return out.Bytes()
+	}
+	one := []uint8{recTrace}
+	enc, err := EncodeTrace(tr)
+	if err != nil {
+		t.Fatalf("EncodeTrace: %v", err)
+	}
+	if !bytes.Equal(build(traceMagic, one, spec, n, print), enc) {
+		t.Fatal("the artifact built field by field is not EncodeTrace's")
+	}
+	if _, err := DecodeTrace(enc); err != nil {
+		t.Fatalf("DecodeTrace: %v", err)
+	}
+	indented, _ := json.MarshalIndent(tr.Spec, "", " ")
+	for name, data := range map[string][]byte{
+		"count one short":    build(traceMagic, one, spec, n-1, print),
+		"count one over":     build(traceMagic, one, spec, n+1, print),
+		"fingerprint off":    build(traceMagic, one, spec, n, print^1),
+		"spec not canonical": build(traceMagic, one, indented, n, print),
+		"two records":        build(traceMagic, []uint8{recTrace, recTrace}, spec, n, print),
+		"foreign record":     build(traceMagic, []uint8{recTrace + 1}, spec, n, print),
+		"RGCSRVT1 artifact":  build("RGCSRVT1", one, spec, n, print),
+	} {
+		var ce *artifact.CorruptError
+		if _, err := DecodeTrace(data); !errors.As(err, &ce) {
+			t.Errorf("%s: DecodeTrace returned %v, want a *artifact.CorruptError", name, err)
 		}
 	}
 }
