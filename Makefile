@@ -1,13 +1,13 @@
 # repligc — common tasks. Everything is stdlib-only and offline.
 
-.PHONY: all build lint test race host-bench-test host-pairs loc fuzz-smoke bench bench-baseline bench-smoke serve-smoke crash-matrix crash-matrix-baseline trace pause-bound microbench experiments experiments-check quick-experiments examples examples-baseline
+.PHONY: all build vet lint test race host-bench-test host-pairs loc fuzz-smoke bench bench-baseline bench-smoke serve-smoke crash-matrix crash-matrix-baseline trace pause-bound microbench experiments experiments-check quick-experiments examples examples-baseline
 
 all: build lint test host-bench-test
 
 build:
 	go build ./...
 
-# go vet plus the repository's invariant linter (cmd/gclint). Its
+# The repository's invariant linter (cmd/gclint), after vet. Its
 # confinement table says which packages may call what: raw heap words and
 # forwarding pointers stay in the collector packages, the host clock out of
 # internal/ and cmd/, file I/O in cmd/ and internal/checkpoint, panics out of
@@ -19,18 +19,22 @@ build:
 # deterministic iteration, dispatch exhaustiveness and the hygiene of its own
 # annotations. See DESIGN.md, "Machine-checked invariants". gclint runs over
 # ./..., which includes internal/analysis itself, and over the nested
-# benchmark module, which go list's ./... does not enter; like go build, it
-# reads the host platform's files, so two cross-builds keep the other side of
-# the heap arena's unix/!unix pair compiling. Last, gofmt must have nothing to say
+# benchmark module, which go list's ./... does not enter. CI runs gclint on
+# its own, with annotated findings, and vet in the build job.
+lint: vet
+	go run ./cmd/gclint ./... ./benchmarks/host
+
+# go vet, two cross-builds and gofmt. Like go build, vet and gclint read the
+# host platform's files, so the cross-builds keep the other side of the heap
+# arena's unix/!unix pair compiling. Last, gofmt must have nothing to say
 # outside the frozen benchmark and the analyzer's fixtures, whose goldens pin
 # line:column positions.
-lint:
+vet:
 	go vet ./...
-	go run ./cmd/gclint ./... ./benchmarks/host
 	GOOS=windows go build ./...
 	GOOS=darwin go build ./...
 	@unformatted=$$(gofmt -l $$(git ls-files -- '*.go' ':!benchmarks/*' ':!*/testdata/*')); \
-		if [ -n "$$unformatted" ]; then echo "$$unformatted"; echo 'lint: gofmt -l lists the files above; run gofmt -w on them'; exit 1; fi
+		if [ -n "$$unformatted" ]; then echo "$$unformatted"; echo 'vet: gofmt -l lists the files above; run gofmt -w on them'; exit 1; fi
 
 test:
 	go test ./...
@@ -166,9 +170,12 @@ pause-bound:
 	go run ./cmd/rtgc -gc rt -worst 3 -serve examples/serve/mixed.json 2>&1 | tee /dev/stderr | grep -q '^pause bound: the longest'
 	d=$$(mktemp -d) && go run ./cmd/rtgc -gc rt -checkpoint $$d -worst 3 -prelude examples/miniml/queens.ml 2>&1 | tee /dev/stderr | grep -q '^pause bound: the longest'; s=$$?; rm -rf $$d; exit $$s
 
-# One testing.B benchmark per paper table/figure, at the quick scale.
+# One testing.B benchmark per paper table/figure, at the quick scale, and
+# internal/core's wall-clock pairs: the barrier's naive, dirty-hit, dirty-miss
+# and nursery outcomes, naive against coalesced log replay, allocation,
+# getheader and a minor collection.
 microbench:
-	go test -bench=. -benchmem -run '^$$' .
+	go test -bench=. -benchmem -run '^$$' . ./internal/core
 
 # Regenerate every table and figure of the paper at full scale.
 experiments:

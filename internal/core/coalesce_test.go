@@ -44,14 +44,17 @@ func coalesceConfigs() map[string]core.Config {
 	}
 }
 
-// TestCoalescedReplayBitIdentical is the PR's property test: for seeded
-// random workloads — including byte and non-pointer mutations — a run whose
-// barrier coalesces log entries (dirty stamps + nursery fast path) must
+// TestCoalescedReplayBitIdentical is the coalescing property test: for
+// seeded random workloads — including byte and non-pointer mutations — a run
+// whose barrier coalesces log entries (dirty stamps + nursery fast path) must
 // produce a heap bit-identical to a run with the naive append-every-store
-// barrier. Identity is checked as equal reachable-graph fingerprints at
-// every checkpoint plus a full shadow-model verification of both heaps:
-// coalescing only changes how the log represents the exception set, never
-// the contents the collector reconstructs.
+// barrier. The naive barrier is the same barrier with its skip turned off
+// (the entries are shaped alike, TestNaiveBarrierIsTheSkipTurnedOff), so the
+// two runs differ only in the appends the skip removed. Identity is checked
+// as equal reachable-graph fingerprints at every checkpoint plus a full
+// shadow-model verification of both heaps: coalescing only changes how the
+// log represents the exception set, never the contents the collector
+// reconstructs.
 func TestCoalescedReplayBitIdentical(t *testing.T) {
 	const (
 		steps       = 400

@@ -26,11 +26,11 @@ type Mutator struct {
 	// modifications switch).
 	Policy LogPolicy
 
-	// NaiveBarrier disables the write barrier's fast paths: every store
-	// that the policy covers appends a log entry, exactly as the unmodified
-	// barrier did. It exists for the differential property tests (coalesced
-	// replay must be bit-identical to naive replay) and for the baseline
-	// leg of the benchmark trajectory.
+	// NaiveBarrier turns off the write barrier's one skip (skipLog): every
+	// store the policy covers appends the entry the coalescing barrier
+	// appends on a miss, as the paper's barrier does. It exists for the
+	// differential property tests (coalesced replay must be bit-identical
+	// to naive replay) and for the baseline leg of the benchmark trajectory.
 	NaiveBarrier bool
 
 	// BytesAllocated counts every byte ever allocated; policy scripts are
@@ -200,45 +200,44 @@ func (m *Mutator) Get(p heap.Value, i int) heap.Value { return m.H.Load(p, i) }
 
 // Init performs an initialising store into a freshly allocated object.
 // Initialising stores into the nursery are not mutations and are never
-// logged; initialising stores into an object allocated directly in the old
-// generation are logged like mutations, because they can create old→new
-// pointers (the generational remembered set must see them) and can race
-// with an in-progress replication of the object.
+// logged; an initialising store into an object allocated directly in the old
+// generation is a mutation like any other, because it can create an old→new
+// pointer (the generational remembered set must see it) and can race with an
+// in-progress replication of the object.
 func (m *Mutator) Init(p heap.Value, i int, v heap.Value) {
-	m.H.Store(p, i, v)
-	if !m.H.Nursery.Contains(p) && (m.Policy == LogAllMutations || v.IsPtr()) {
-		if m.skipWordLog(p, i) {
-			return
-		}
-		m.logMutation(LogEntry{Obj: p, Slot: int32(i)})
+	if m.H.Nursery.Contains(p) {
+		m.H.Store(p, i, v)
+		return
 	}
+	m.Set(p, i, v)
 }
 
 // Set mutates payload word i of p, recording the mutation per the logging
 // policy. This is the write barrier.
 func (m *Mutator) Set(p heap.Value, i int, v heap.Value) {
 	m.H.Store(p, i, v)
-	if m.Policy == LogAllMutations || v.IsPtr() {
-		if m.skipWordLog(p, i) {
-			return
-		}
+	if (m.Policy == LogAllMutations || v.IsPtr()) && !m.skipLog(p, i, 1) {
 		m.logMutation(LogEntry{Obj: p, Slot: int32(i)})
 	}
 }
 
-// skipWordLog is the write barrier's fast path for one word slot. It
-// reports true when the store needs no log entry: either the target is an
-// unreplicated nursery object (the next startMinor copies it whole, so its
-// current contents travel with it and it cannot be a remembered-set source),
-// or the slot's dirty bit is set (the log already retains an unconsumed,
-// value-free entry covering the slot, appended since the last pause began —
-// see heap/stamp.go). On a miss it marks the slot and directs the caller to
-// the slow path, making the common repeated-store case one load and one
-// mask test.
+// skipLog is the write barrier's one skip, for a store covering payload
+// words [w, w+n) of p. It reports true when the store needs no log entry:
+// either the target is an unreplicated nursery object (the next startMinor
+// copies it whole, so its current contents travel with it and it cannot be a
+// remembered-set source), or every covered word's dirty bit is set (the log
+// already retains an unconsumed, value-free entry covering it, appended since
+// the last pause began — see heap/stamp.go). On a miss it marks the words and
+// directs the caller to append, making the common repeated-store case one
+// load and one mask test. NaiveBarrier turns the skip off: the paper's
+// barrier, which appends every store the policy covers.
 //
-//gclint:allow barrierfast -- unreplicated nursery objects owe no log entry (copied whole at the next startMinor); a set dirty bit proves the log retains an unconsumed entry for this slot, and entries are value-free so one entry suffices
+// The one-word branch, the pointer store's case, stays by measurement
+// (DESIGN.md, "Log coalescing and the barrier fast path").
+//
+//gclint:allow barrierfast -- unreplicated nursery objects owe no log entry (copied whole at the next startMinor); set dirty bits prove the log retains unconsumed word-aligned entries covering these words, and entries are value-free so one entry suffices
 //go:nosplit
-func (m *Mutator) skipWordLog(p heap.Value, i int) bool {
+func (m *Mutator) skipLog(p heap.Value, w, n int) bool {
 	if m.NaiveBarrier {
 		return false
 	}
@@ -246,37 +245,17 @@ func (m *Mutator) skipWordLog(p heap.Value, i int) bool {
 		m.BarrierFastSkips++
 		return true
 	}
-	if m.H.SlotDirty(p, i) {
-		m.BarrierDirtySkips++
-		return true
-	}
-	m.H.MarkSlotDirty(p, i)
-	return false
-}
-
-// skipByteWordsLog is skipWordLog for a byte store covering payload words
-// [w, w+n). Byte stores coalesce at word granularity, so the fast path needs
-// the conjunction of the covered words' dirty bits; on a miss the caller must
-// log a word-aligned entry covering all n words (a bit vouches for a whole
-// word, and an entry narrower than its bit would lose later byte stores to
-// the same word).
-//
-//gclint:allow barrierfast -- unreplicated nursery objects owe no log entry; set dirty bits prove the log retains unconsumed word-aligned entries covering these words
-//go:nosplit
-func (m *Mutator) skipByteWordsLog(p heap.Value, w, n int) bool {
-	if m.NaiveBarrier {
+	if n == 1 {
+		if !m.H.SlotDirty(p, w) {
+			m.H.MarkSlotDirty(p, w)
+			return false
+		}
+	} else if !m.H.WordsDirty(p, w, n) {
+		m.H.MarkWordsDirty(p, w, n)
 		return false
 	}
-	if m.H.Nursery.Contains(p) && !m.H.IsForwarded(p) {
-		m.BarrierFastSkips++
-		return true
-	}
-	if m.H.WordsDirty(p, w, n) {
-		m.BarrierDirtySkips++
-		return true
-	}
-	m.H.MarkWordsDirty(p, w, n)
-	return false
+	m.BarrierDirtySkips++
+	return true
 }
 
 // GetByte reads byte i of a byte-kind object.
@@ -291,50 +270,34 @@ func (m *Mutator) GetByteRange(p heap.Value, off int, dst []byte) {
 
 // SetByte mutates byte i of a byte-kind object. Byte mutations are only
 // logged under LogAllMutations — the paper's compiler modification whose
-// cost shows up in Comp (§4.5). The coalesced entry covers the containing
-// word: payloads are padded to word boundaries, entries are value-free, and
-// the word is what the dirty bit vouches for.
+// cost shows up in Comp (§4.5).
 func (m *Mutator) SetByte(p heap.Value, i int, b byte) {
 	m.H.StoreByte(p, i, b)
-	if m.Policy != LogAllMutations {
-		return
-	}
-	if m.NaiveBarrier {
-		m.logMutation(LogEntry{Obj: p, Slot: int32(i), Len: 1, Byte: true})
-		return
-	}
-	w := i / heap.BytesPerWord
-	if m.skipByteWordsLog(p, w, 1) {
-		return
-	}
-	m.logMutation(LogEntry{Obj: p, Slot: int32(w * heap.BytesPerWord), Len: heap.BytesPerWord, Byte: true})
+	m.logBytes(p, i, 1)
 }
 
 // SetByteRange mutates len(data) bytes of a byte-kind object starting at
-// byte off, producing a single coalesced log entry covering the range (the
+// byte off, producing a single log entry covering the range (the
 // runtime-system equivalent of logging a block store, used by the compiler
-// when it emits code into heap buffers). The entry is widened to word
-// alignment so it matches what the dirty bits vouch for.
+// when it emits code into heap buffers).
 func (m *Mutator) SetByteRange(p heap.Value, off int, data []byte) {
 	m.H.StoreBytes(p, off, data)
-	if m.Policy != LogAllMutations || len(data) == 0 {
+	m.logBytes(p, off, len(data))
+}
+
+// logBytes is the barrier of a store to bytes [off, off+n) of p. Its entry
+// covers the containing words: payloads are padded to word boundaries,
+// entries are value-free, and a dirty bit vouches for a whole word (an entry
+// narrower than its bit would lose later byte stores to the same word).
+func (m *Mutator) logBytes(p heap.Value, off, n int) {
+	if m.Policy != LogAllMutations || n == 0 {
 		return
 	}
-	if m.NaiveBarrier {
-		m.logMutation(LogEntry{Obj: p, Slot: int32(off), Len: int32(len(data)), Byte: true})
-		return
+	w := off / heap.BytesPerWord
+	nw := (off+n-1)/heap.BytesPerWord - w + 1
+	if !m.skipLog(p, w, nw) {
+		m.logMutation(LogEntry{Obj: p, Slot: int32(w * heap.BytesPerWord), Len: int32(nw * heap.BytesPerWord), Byte: true})
 	}
-	w0 := off / heap.BytesPerWord
-	nw := (off+len(data)-1)/heap.BytesPerWord - w0 + 1
-	if m.skipByteWordsLog(p, w0, nw) {
-		return
-	}
-	m.logMutation(LogEntry{
-		Obj:  p,
-		Slot: int32(w0 * heap.BytesPerWord),
-		Len:  int32(nw * heap.BytesPerWord),
-		Byte: true,
-	})
 }
 
 func (m *Mutator) logMutation(e LogEntry) {

@@ -129,11 +129,67 @@ func TestSetByteRangeCoalesces(t *testing.T) {
 	if m.LogWrites != before+1 {
 		t.Fatal("empty range produced a log entry")
 	}
-	// The naive barrier logs byte-exact entries, one per range.
+	// The naive barrier appends the entry the dirty bits suppressed: one per
+	// range, whatever was logged before.
 	m.NaiveBarrier = true
 	m.SetByteRange(p, 3, data)
 	if m.LogWrites != before+2 {
 		t.Fatalf("naive range store logged %d entries, want 2 total", m.LogWrites-before)
+	}
+}
+
+// TestNaiveBarrierIsTheSkipTurnedOff pins that the two barriers differ only
+// in the skip: a first store into an old-space object at a fresh epoch — one
+// the skip cannot suppress — appends the same entries under both, and a byte
+// entry is widened to the words it touches under both.
+func TestNaiveBarrierIsTheSkipTurnedOff(t *testing.T) {
+	stores := []struct {
+		name string
+		do   func(m *core.Mutator, arr, big, bs heap.Value)
+		lo   int // bytes stored: [lo, hi); 0, 0 for a word store
+		hi   int
+	}{
+		{"Set", func(m *core.Mutator, arr, _, _ heap.Value) { m.Set(arr, 2, heap.FromInt(7)) }, 0, 0},
+		{"Init", func(m *core.Mutator, _, big, _ heap.Value) { m.Init(big, 3, heap.FromInt(7)) }, 0, 0},
+		{"SetByte", func(m *core.Mutator, _, _, bs heap.Value) { m.SetByte(bs, 13, 7) }, 13, 14},
+		{"SetByteRange/word", func(m *core.Mutator, _, _, bs heap.Value) { m.SetByteRange(bs, 17, []byte{1, 2, 3}) }, 17, 20},
+		{"SetByteRange/words", func(m *core.Mutator, _, _, bs heap.Value) { m.SetByteRange(bs, 6, make([]byte, 13)) }, 6, 19},
+	}
+	run := func(naive bool, do func(m *core.Mutator, arr, big, bs heap.Value)) []core.LogEntry {
+		m := bareMutator()
+		m.NaiveBarrier = naive
+		arr, ok := m.H.AllocIn(m.H.OldFrom(), heap.KindArray, 4)
+		bs, ok2 := m.H.AllocIn(m.H.OldFrom(), heap.KindBytes, 64)
+		if !ok || !ok2 {
+			t.Fatal("old-space alloc failed")
+		}
+		big := m.MustAlloc(heap.KindArray, 80<<10) // oversized: allocated directly in old space
+		m.H.BeginLogEpoch()
+		before := m.Log.Len()
+		do(m, arr, big, bs)
+		var got []core.LogEntry
+		for seq := before; seq < m.Log.Len(); seq++ {
+			got = append(got, m.Log.At(seq))
+		}
+		return got
+	}
+	for _, st := range stores {
+		naive, coal := run(true, st.do), run(false, st.do)
+		if len(coal) != 1 || len(naive) != len(coal) || naive[0] != coal[0] {
+			t.Errorf("%s: naive appended %+v, coalescing %+v; want one identical entry", st.name, naive, coal)
+			continue
+		}
+		e := coal[0]
+		if e.Byte != (st.hi > 0) {
+			t.Errorf("%s: entry %+v, want Byte = %v", st.name, e, st.hi > 0)
+		}
+		if !e.Byte {
+			continue
+		}
+		if e.Slot%heap.BytesPerWord != 0 || e.Len <= 0 || e.Len%heap.BytesPerWord != 0 ||
+			int(e.Slot) > st.lo || int(e.Slot+e.Len) < st.hi {
+			t.Errorf("%s: entry %+v is not word-aligned over bytes [%d, %d)", st.name, e, st.lo, st.hi)
+		}
 	}
 }
 

@@ -156,8 +156,8 @@ type Config struct {
 	Record *policy.Script
 	Replay *policy.Script
 
-	// NaiveBarrier makes every member's write barrier append every store
-	// (the baseline leg of the perf trajectory).
+	// NaiveBarrier gives every member the paper's barrier, which appends
+	// every store (core.Mutator.NaiveBarrier; the perf trajectory's baseline).
 	NaiveBarrier bool
 
 	// Trace, when non-nil, receives every member's allocation epochs, the
