@@ -81,7 +81,8 @@ loc:
 # compiler's code buffers, ending in an exact re-encode and a printable
 # instruction, and the two JSON readers — the serving spec, and the perf and
 # serving report validators — each ending in a value or an error; never a
-# panic. The targets over kilobyte inputs switch input minimisation off: by
+# panic. The torture driver's compaction, at points the input picks, must
+# leave Verify passing and the heap its uncompacted twin's. The targets over kilobyte inputs switch input minimisation off: by
 # default the fuzzer spends up to a minute shrinking every
 # coverage-expanding input, which at that size is the whole smoke.
 fuzz-smoke:
@@ -93,6 +94,7 @@ fuzz-smoke:
 	go test ./internal/workload -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s -fuzzminimizetime 0
 	go test ./internal/bench -run '^$$' -fuzz '^FuzzValidateReports$$' -fuzztime 10s -fuzzminimizetime 0
 	go test ./internal/bytecode -run '^$$' -fuzz '^FuzzDecodeInstr$$' -fuzztime 10s
+	go test ./internal/gctest -run '^$$' -fuzz '^FuzzDriverCompact$$' -fuzztime 10s
 
 # The perf trajectory at full scale: per-workload
 # baseline-vs-coalesced-vs-checkpointed log and pause metrics and the serving

@@ -14,7 +14,7 @@ import (
 type graphDigest struct {
 	m    *Mutator
 	hash artifact.Hash64
-	ids  map[heap.Value]uint64
+	ids  heap.Visits
 	mix  func(uint64)
 	walk func(heap.Value)
 }
@@ -26,7 +26,7 @@ type graphDigest struct {
 var spareDigest atomic.Pointer[graphDigest]
 
 func newGraphDigest() *graphDigest {
-	g := &graphDigest{ids: make(map[heap.Value]uint64)}
+	g := new(graphDigest)
 	g.mix, g.walk = g.hash.Word, g.visit
 	return g
 }
@@ -61,7 +61,7 @@ func (g *graphDigest) run(m *Mutator, enumerate func(mix func(uint64), walk func
 	g.m, g.hash = m, artifact.NewHash64()
 	enumerate(g.mix, g.walk)
 	g.m = nil
-	clear(g.ids)
+	g.ids.Clear()
 	return uint64(g.hash)
 }
 
@@ -73,12 +73,11 @@ func (g *graphDigest) visit(v heap.Value) {
 		g.hash.Word(2)
 		g.hash.Word(uint64(v.Int()))
 	default:
-		if id, ok := g.ids[v]; ok {
+		if id, ok := g.ids.Visit(v, uint32(g.ids.Len()+1)); ok {
 			g.hash.Word(3)
-			g.hash.Word(id)
+			g.hash.Word(uint64(id))
 			return
 		}
-		g.ids[v] = uint64(len(g.ids) + 1)
 		hdr := g.m.Header(v)
 		g.hash.Word(4)
 		g.hash.Word(uint64(hdr.Kind()))

@@ -10,6 +10,7 @@ package gctest
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync/atomic"
 
@@ -17,13 +18,13 @@ import (
 	"repligc/internal/heap"
 )
 
-// shadow mirrors a heap.Value in one word: 0 is the zero word of a slot
+// shadow mirrors a heap.Value in four bytes: 0 is the zero word of a slot
 // nothing has stored into yet (heap.Nil), v > 0 the integer v−1 and v < 0
 // node −v−1. The driver stores only integers in [0, 2^20).
-type shadow int64
+type shadow int32
 
 func intShadow(i int64) shadow   { return shadow(i + 1) }
-func nodeShadow(id int32) shadow { return shadow(-int64(id) - 1) }
+func nodeShadow(id int32) shadow { return -shadow(id) - 1 }
 
 // node is the shadow of one heap object: its kind and where its payload
 // lies, n words of the driver's word slab for a pointer-bearing kind and n
@@ -37,21 +38,64 @@ type node struct {
 // chunkLen is the length of a slab chunk.
 const chunkLen = 1 << 16
 
-// slab is append-only storage in chunks of chunkLen elements. Growing it
-// never moves what it holds, a run never spans two chunks, and a run longer
-// than a chunk gets a chunk of its own. A fresh run is zeroed.
+// slab is storage in chunks of chunkLen elements. A run never spans two
+// chunks, and a run longer than a chunk gets a chunk of its own. alloc
+// appends, and growing never moves what the slab holds; only the driver's
+// compaction does, sliding the live runs down in the order they were made.
+// Chunks it empties stay beyond len(chunks) as spares. A fresh run is zeroed.
 type slab[T any] struct{ chunks [][]T }
 
-// alloc reserves a run of n elements and returns where it starts.
+// alloc reserves a run of n elements and returns where it starts: in the
+// last chunk, in the first spare if that has room, or in a new chunk.
 func (s *slab[T]) alloc(n int) (chunk, off int32) {
 	last := len(s.chunks) - 1
 	if last < 0 || len(s.chunks[last])+n > cap(s.chunks[last]) {
-		s.chunks = append(s.chunks, make([]T, 0, max(n, chunkLen)))
+		if last+1 < cap(s.chunks) && cap(s.chunks[:last+2][last+1]) >= n {
+			s.chunks = s.chunks[:last+2]
+		} else {
+			s.chunks = append(s.chunks, make([]T, 0, max(n, chunkLen)))
+		}
 		last++
 	}
 	c := s.chunks[last]
 	s.chunks[last] = c[:len(c)+n]
+	clear(s.chunks[last][len(c):])
 	return int32(last), int32(len(c))
+}
+
+// cursor is where a slide writes next: a chunk and an offset in it.
+type cursor struct{ chunk, off int32 }
+
+// slide moves run, which lies at or after the cursor, to the cursor or, when
+// the cursor's chunk has no room for it, to the start of the first later chunk
+// that has, and returns where it now lies. Runs slide in the order they were
+// made, so the cursor never passes a run's source: at worst the run stays
+// where it is.
+func (s *slab[T]) slide(at *cursor, run []T) (chunk, off int32) {
+	n := int32(len(run))
+	for at.off+n > int32(cap(s.chunks[at.chunk])) {
+		s.chunks[at.chunk] = s.chunks[at.chunk][:at.off]
+		at.chunk, at.off = at.chunk+1, 0
+	}
+	c := s.chunks[at.chunk]
+	copy(c[at.off:cap(c)], run)
+	chunk, off = at.chunk, at.off
+	at.off += n
+	return chunk, off
+}
+
+// truncate ends the slab at the cursor a slide left and keeps the chunks
+// after it, emptied, as spares.
+func (s *slab[T]) truncate(at cursor) {
+	if len(s.chunks) == 0 {
+		return
+	}
+	spares := s.chunks[at.chunk+1:]
+	for i := range spares {
+		spares[i] = spares[i][:0]
+	}
+	s.chunks[at.chunk] = s.chunks[at.chunk][:at.off]
+	s.chunks = s.chunks[:at.chunk+1]
 }
 
 // rootSource exposes the driver's roots to the collector.
@@ -65,7 +109,8 @@ func (r *rootSource) VisitRoots(v core.RootVisitor) {
 	}
 }
 
-// Driver runs the torture workload.
+// Driver runs the torture workload. Its shadow graph is bounded by what is
+// live, not by what the driver allocated: Step compacts it as it goes.
 type Driver struct {
 	M   *core.Mutator
 	rng *rand.Rand
@@ -73,13 +118,23 @@ type Driver struct {
 	roots  *rootSource
 	shadow []shadow // parallel to roots.slots
 
-	// The shadow graph: every node the driver ever allocated, and their
-	// payloads. Nodes come one at a time, so node i is element i%chunkLen of
-	// chunk i/chunkLen. The graph grows with what the driver allocates, not
-	// with what is live: about 20 bytes an operation.
-	nodes slab[node]
-	words slab[shadow]
-	bytes slab[byte]
+	// The shadow graph: the nodes the driver allocated, and their payloads.
+	// Nodes come one at a time, so node i is element i%chunkLen of chunk
+	// i/chunkLen. Once the nodes made since the last compaction reach
+	// max(kept, chunkLen), Step compacts: the graph keeps only the nodes
+	// reachable from the root shadows, renumbered in order. So it is bounded
+	// by what is live, at most 2·live + chunkLen nodes, not by what the
+	// driver allocated.
+	nodes      slab[node]
+	words      slab[shadow]
+	bytes      slab[byte]
+	made, kept int // nodes made since the last compaction, and kept by it
+
+	// compact's scratch: a mark bit per node, the marks before each word of
+	// marks, and the marked nodes not yet scanned.
+	marks []uint64
+	ranks []int32
+	stack []int32
 
 	// Ops counts operations performed.
 	Ops int
@@ -125,15 +180,15 @@ func (d *Driver) newNode(k heap.Kind, n int) (shadow, []shadow, []byte) {
 	}
 	c, off := d.nodes.alloc(1)
 	d.nodes.chunks[c][off] = nd
+	d.made++
 	ws, bs := d.payload(&nd)
 	return nodeShadow(c*chunkLen + off), ws, bs
 }
 
 // node returns the node that s, a node shadow, names.
-func (d *Driver) node(s shadow) *node {
-	id := -int64(s) - 1
-	return &d.nodes.chunks[id/chunkLen][id%chunkLen]
-}
+func (d *Driver) node(s shadow) *node { return d.nodeAt(int32(-s - 1)) }
+
+func (d *Driver) nodeAt(id int32) *node { return &d.nodes.chunks[id/chunkLen][id%chunkLen] }
 
 // payload returns nd's words or bytes; the other is nil.
 func (d *Driver) payload(nd *node) ([]shadow, []byte) {
@@ -392,6 +447,9 @@ const maxRoots = 512
 // happened.
 func (d *Driver) Step(n int) error {
 	for k := 0; k < n; k++ {
+		if d.made >= max(d.kept, chunkLen) {
+			d.compact()
+		}
 		d.Ops++
 		if d.Inject != nil {
 			if err := d.Inject(); err != nil {
@@ -426,6 +484,85 @@ func (d *Driver) Step(n int) error {
 	return nil
 }
 
+// compact slides the shadow graph down to the nodes reachable from the root
+// shadows, keeping their order: a live node's new id is its rank among the
+// live ones, and every node shadow the roots and live payloads hold is
+// rewritten to it. Nothing simulated moves: operations pick by root index,
+// Fingerprint walks the heap and Verify maps by heap value.
+func (d *Driver) compact() {
+	n := d.kept + d.made
+	d.marks = append(d.marks[:0], make([]uint64, (n+63)/64)...)
+	for _, s := range d.shadow {
+		d.mark(s)
+	}
+	for _, s := range d.largeSh {
+		d.mark(s)
+	}
+	for len(d.stack) > 0 {
+		id := d.stack[len(d.stack)-1]
+		d.stack = d.stack[:len(d.stack)-1]
+		words, _ := d.payload(d.nodeAt(id))
+		for _, s := range words {
+			d.mark(s)
+		}
+	}
+	d.ranks = append(d.ranks[:0], make([]int32, len(d.marks))...)
+	live := int32(0)
+	for w, m := range d.marks {
+		d.ranks[w] = live
+		live += int32(bits.OnesCount64(m))
+	}
+	var nc, wc, bc cursor
+	for w, m := range d.marks {
+		for ; m != 0; m &= m - 1 {
+			id := int32(w*64 + bits.TrailingZeros64(m))
+			nd := d.nodeAt(id)
+			words, bytes := d.payload(nd)
+			if nd.kind.HasPointers() {
+				for i, s := range words {
+					words[i] = d.renumber(s)
+				}
+				nd.chunk, nd.off = d.words.slide(&wc, words)
+			} else {
+				nd.chunk, nd.off = d.bytes.slide(&bc, bytes)
+			}
+			d.nodes.slide(&nc, d.nodes.chunks[id/chunkLen][id%chunkLen:][:1])
+		}
+	}
+	d.nodes.truncate(nc)
+	d.words.truncate(wc)
+	d.bytes.truncate(bc)
+	for i, s := range d.shadow {
+		d.shadow[i] = d.renumber(s)
+	}
+	for k, s := range d.largeSh {
+		d.largeSh[k] = d.renumber(s)
+	}
+	d.made, d.kept = 0, int(live)
+}
+
+// mark marks the node s names, if it names one not yet marked, and queues it.
+func (d *Driver) mark(s shadow) {
+	if s >= 0 {
+		return
+	}
+	id := int32(-s - 1)
+	if bit := uint64(1) << (id % 64); d.marks[id/64]&bit == 0 {
+		d.marks[id/64] |= bit
+		d.stack = append(d.stack, id)
+	}
+}
+
+// renumber maps a shadow to what compact makes it: a node shadow to the
+// node's rank among the marked ones, anything else to itself.
+func (d *Driver) renumber(s shadow) shadow {
+	if s >= 0 {
+		return s
+	}
+	id := int32(-s - 1)
+	return nodeShadow(d.ranks[id/64] + int32(bits.OnesCount64(d.marks[id/64]&(1<<(id%64)-1))))
+}
+
 // Verify walks the heap from the driver's roots in lockstep with the shadow
 // graph and reports the first discrepancy. It must be called at a point
 // where the collector is quiescent for the *mutator's* view to be the
@@ -435,10 +572,10 @@ func (d *Driver) Step(n int) error {
 func (d *Driver) Verify() error {
 	seen := spareSeen.Swap(nil)
 	if seen == nil {
-		seen = &map[heap.Value]int32{}
+		seen = new(heap.Visits)
 	}
-	err := d.verify(*seen)
-	clear(*seen)
+	err := d.verify(seen)
+	seen.Clear()
 	spareSeen.Store(seen)
 	return err
 }
@@ -447,10 +584,10 @@ func (d *Driver) Verify() error {
 // core.Mutator.GraphDigest parks its own: a walk takes it or, when another
 // walk holds it, makes a fresh one, and clears and parks it on every return,
 // the first discrepancy's included. A panic drops it.
-var spareSeen atomic.Pointer[map[heap.Value]int32]
+var spareSeen atomic.Pointer[heap.Visits]
 
 // verify is Verify's walk over a table that starts empty.
-func (d *Driver) verify(seen map[heap.Value]int32) error {
+func (d *Driver) verify(seen *heap.Visits) error {
 	for i, p := range d.roots.slots {
 		if err := d.verifyValue(p, d.shadow[i], seen); err != nil {
 			return fmt.Errorf("root %d: %w", i, err)
@@ -469,7 +606,7 @@ func (d *Driver) verify(seen map[heap.Value]int32) error {
 	return nil
 }
 
-func (d *Driver) verifyValue(v heap.Value, s shadow, seen map[heap.Value]int32) error {
+func (d *Driver) verifyValue(v heap.Value, s shadow, seen *heap.Visits) error {
 	switch {
 	case s == 0:
 		if v != heap.Nil {
@@ -486,14 +623,13 @@ func (d *Driver) verifyValue(v heap.Value, s shadow, seen map[heap.Value]int32) 
 	if !v.IsPtr() {
 		return fmt.Errorf("want pointer to %v node, got %v", nd.kind, v)
 	}
-	id := int32(-s - 1)
-	if prev, ok := seen[v]; ok {
+	id := uint32(-s - 1)
+	if prev, ok := seen.Visit(v, id); ok {
 		if prev != id {
 			return fmt.Errorf("aliasing mismatch at %v", v)
 		}
 		return nil
 	}
-	seen[v] = id
 
 	hdr := d.M.Header(v)
 	if hdr.Kind() != nd.kind {

@@ -2,6 +2,7 @@ package gctest
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -55,14 +56,14 @@ func TestWarmVerifyMatchesCold(t *testing.T) {
 		check := func(what string) {
 			t.Helper()
 			w := fmt.Sprint(warm.Verify())
-			c := fmt.Sprint(cold.verify(map[heap.Value]int32{}))
+			c := fmt.Sprint(cold.verify(new(heap.Visits)))
 			if w != c {
 				t.Fatalf("step %d %s: warm Verify reports %s, cold %s", i, what, w, c)
 			}
 			if w, c := warm.M.Clock.Now(), cold.M.Clock.Now(); w != c {
 				t.Fatalf("step %d %s: warm Verify ends at %v of simulated time, cold at %v", i, what, w, c)
 			}
-			if p := spareSeen.Load(); p == nil || len(*p) != 0 {
+			if p := spareSeen.Load(); p == nil || p.Len() != 0 {
 				t.Fatalf("step %d %s: Verify did not park an empty table", i, what)
 			}
 		}
@@ -80,31 +81,43 @@ func TestWarmVerifyMatchesCold(t *testing.T) {
 	}
 }
 
-// TestWarmWalksAllocateNothing: once the spare tables have held a graph,
-// Verify and Fingerprint of it make no Go heap allocation.
+// TestWarmWalksAllocateNothing: once the spare tables have held the graphs,
+// Verify and Fingerprint make no Go heap allocation. Eight drivers past
+// 300 000 operations hand the tables on, as a group's members do, with ten
+// warm Verify and Fingerprint calls each: a Go map, which reseeds its hash
+// when cleared, splits a table on most such runs. The count is the
+// runtime's own, which testing.AllocsPerRun would round down by up to one
+// allocation a run.
 func TestWarmWalksAllocateNothing(t *testing.T) {
-	d, _ := newDriver(tortureConfig, 1)
-	d.LargeEvery, d.LargeWords = 320, 1536
-	if err := d.Step(20000); err != nil {
-		t.Fatal(err)
-	}
-	want := walk(d)
-	if want.err != "<nil>" {
-		t.Fatal(want.err)
-	}
-	if n := testing.AllocsPerRun(20, func() {
-		if err := d.Verify(); err != nil {
-			t.Fatal(err)
+	var ds []*Driver
+	var want []walked
+	for seed := int64(1); seed <= 8; seed++ {
+		d := driverAfter(t, seed, 300000)
+		w := walk(d)
+		if w.err != "<nil>" {
+			t.Fatal(w.err)
 		}
-	}); n != 0 {
-		t.Errorf("a warm Verify allocates %.1f times, want 0", n)
+		ds, want = append(ds, d), append(want, w)
 	}
-	var fp uint64
-	if n := testing.AllocsPerRun(20, func() { fp = d.Fingerprint() }); n != 0 {
-		t.Errorf("a warm Fingerprint allocates %.1f times, want 0", n)
+	fps := make([]uint64, 0, 10*len(ds))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 10 {
+		for _, d := range ds {
+			if err := d.Verify(); err != nil {
+				t.Fatal(err)
+			}
+			fps = append(fps, d.Fingerprint())
+		}
 	}
-	if fp != want.fp {
-		t.Errorf("warm fingerprint %016x, first %016x", fp, want.fp)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("ten warm Verify and Fingerprint calls on each of eight drivers allocate %d times, want 0", n)
+	}
+	for i, fp := range fps {
+		if w := want[i%len(ds)]; fp != w.fp {
+			t.Errorf("warm fingerprint %016x, first %016x", fp, w.fp)
+		}
 	}
 }
 

@@ -148,13 +148,17 @@ func (h *Heap) SetForward(p, dst Value) {
 
 // HeaderOf returns p's descriptor, following forwarding chains (at most two
 // hops: nursery→old-from→old-to). This is the mutator's getheader operation
-// (paper fig. 4); callers charge the forwarding-check cost.
+// (paper fig. 4); callers charge the forwarding-check cost. A longer chain,
+// a cycle included, is a corrupted heap and panics.
 func (h *Heap) HeaderOf(p Value) Header {
-	w := h.RawHeader(p)
-	for !IsHeader(w) {
-		w = h.RawHeader(w)
+	w := p
+	for range 3 { // p's header word, then at most two replicas'
+		if w = h.RawHeader(w); IsHeader(w) {
+			return Header(w)
+		}
 	}
-	return Header(w)
+	//gclint:allow panicpath -- invariant: a forwarding chain longer than two hops is collector corruption
+	panic("heap: forwarding chain longer than two hops")
 }
 
 // Word returns arena word i raw: a header, a forwarding pointer or a

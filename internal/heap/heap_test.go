@@ -3,6 +3,7 @@ package heap
 import (
 	"bytes"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -257,6 +258,29 @@ func TestForwardingChain(t *testing.T) {
 	}
 	if hdr := h.HeaderOf(p); hdr.Kind() != KindRef {
 		t.Fatalf("two-hop header = %v", hdr)
+	}
+}
+
+// TestForwardingCycleFails: HeaderOf follows at most the two hops a heap in
+// order can hold, so a cycle of forwarding words panics instead of spinning.
+func TestForwardingCycleFails(t *testing.T) {
+	h := testHeap()
+	p, _ := h.AllocIn(&h.Nursery, KindRef, 1)
+	q, _ := h.AllocIn(&h.Nursery, KindRef, 1)
+	h.SetWord(p.index()-1, q)
+	h.SetWord(q.index()-1, p)
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		h.HeaderOf(p)
+	}()
+	select {
+	case r := <-done:
+		if s, _ := r.(string); !strings.Contains(s, "longer than two hops") {
+			t.Errorf("HeaderOf on a forwarding cycle panicked with %v, want the chain's invariant", r)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("HeaderOf still following a forwarding cycle after 10 s")
 	}
 }
 
