@@ -116,19 +116,32 @@ func driverAfter(t *testing.T, seed int64, ops int) *Driver {
 	return d
 }
 
-// TestCompactBound: the shadow graph holds what is live, not what was made.
-// After 600 000 operations the node slab holds at most 2·reachable + chunkLen
-// nodes. An append-only graph holds about three times what is reachable,
-// which passes the bound until the nodes made outgrow chunkLen: at 300 000
-// operations it holds 150 000 nodes for 50 823 reachable.
+// TestCompactBound: the shadow graph holds what was live at its last
+// compaction, not what was made. Through 600 000 operations the node slab
+// never holds more than kept + max(kept, chunkLen) nodes, kept being the
+// nodes the last compaction kept, and a compaction keeps exactly the nodes
+// reachable from the roots. An append-only graph holds about three times
+// what is reachable.
 func TestCompactBound(t *testing.T) {
-	d := driverAfter(t, 1, 600000)
-	held := 0
-	for _, c := range d.nodes.chunks {
-		held += len(c)
+	d, _ := newDriver(paperConfig, 1)
+	held := func() int {
+		n := 0
+		for _, c := range d.nodes.chunks {
+			n += len(c)
+		}
+		return n
 	}
-	if live := reachable(d); held > 2*live+chunkLen {
-		t.Errorf("the node slab holds %d nodes for %d reachable, want at most %d", held, live, 2*live+chunkLen)
+	for d.Ops < 600000 {
+		if err := d.Step(1000); err != nil {
+			t.Fatal(err)
+		}
+		if n, most := held(), d.kept+max(d.kept, chunkLen); n > most {
+			t.Fatalf("after %d operations the node slab holds %d nodes, want at most %d", d.Ops, n, most)
+		}
+	}
+	d.compact()
+	if n, live := held(), reachable(d); n != live || d.kept != live {
+		t.Errorf("a compaction leaves %d nodes held and %d kept for %d reachable", n, d.kept, live)
 	}
 	if err := d.Verify(); err != nil {
 		t.Fatal(err)

@@ -109,8 +109,9 @@ func (r *rootSource) VisitRoots(v core.RootVisitor) {
 	}
 }
 
-// Driver runs the torture workload. Its shadow graph is bounded by what is
-// live, not by what the driver allocated: Step compacts it as it goes.
+// Driver runs the torture workload. Its shadow graph is bounded by what was
+// live at its last compaction, not by what the driver allocated: Step
+// compacts it as it goes.
 type Driver struct {
 	M   *core.Mutator
 	rng *rand.Rand
@@ -122,9 +123,9 @@ type Driver struct {
 	// Nodes come one at a time, so node i is element i%chunkLen of chunk
 	// i/chunkLen. Once the nodes made since the last compaction reach
 	// max(kept, chunkLen), Step compacts: the graph keeps only the nodes
-	// reachable from the root shadows, renumbered in order. So it is bounded
-	// by what is live, at most 2·live + chunkLen nodes, not by what the
-	// driver allocated.
+	// reachable from the root shadows, renumbered in order. So it holds at
+	// most kept + max(kept, chunkLen) nodes, about 2·live + chunkLen while
+	// live holds steady, not what the driver allocated.
 	nodes      slab[node]
 	words      slab[shadow]
 	bytes      slab[byte]

@@ -83,21 +83,29 @@ func TestWarmVerifyMatchesCold(t *testing.T) {
 
 // TestWarmWalksAllocateNothing: once the spare tables have held the graphs,
 // Verify and Fingerprint make no Go heap allocation. Eight drivers past
-// 300 000 operations hand the tables on, as a group's members do, with ten
-// warm Verify and Fingerprint calls each: a Go map, which reseeds its hash
-// when cleared, splits a table on most such runs. The count is the
-// runtime's own, which testing.AllocsPerRun would round down by up to one
-// allocation a run.
+// 300 000 operations, and a ninth holding large objects, hand the tables on,
+// as a group's members do, with ten warm Verify and Fingerprint calls each:
+// a Go map, which reseeds its hash when cleared, splits a table on most such
+// runs. The count is the runtime's own, which testing.AllocsPerRun would
+// round down by up to one allocation a run.
 func TestWarmWalksAllocateNothing(t *testing.T) {
 	var ds []*Driver
-	var want []walked
 	for seed := int64(1); seed <= 8; seed++ {
-		d := driverAfter(t, seed, 300000)
+		ds = append(ds, driverAfter(t, seed, 300000))
+	}
+	large, _ := newDriver(tortureConfig, 1)
+	large.LargeEvery, large.LargeWords = 320, 1536
+	if err := large.Step(20000); err != nil {
+		t.Fatal(err)
+	}
+	ds = append(ds, large)
+	var want []walked
+	for _, d := range ds {
 		w := walk(d)
 		if w.err != "<nil>" {
 			t.Fatal(w.err)
 		}
-		ds, want = append(ds, d), append(want, w)
+		want = append(want, w)
 	}
 	fps := make([]uint64, 0, 10*len(ds))
 	var before, after runtime.MemStats
@@ -112,7 +120,7 @@ func TestWarmWalksAllocateNothing(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Errorf("ten warm Verify and Fingerprint calls on each of eight drivers allocate %d times, want 0", n)
+		t.Errorf("ten warm Verify and Fingerprint calls on each of nine drivers allocate %d times, want 0", n)
 	}
 	for i, fp := range fps {
 		if w := want[i%len(ds)]; fp != w.fp {

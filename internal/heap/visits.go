@@ -13,22 +13,25 @@ type Visits struct {
 }
 
 // Visit returns the id v was first visited with and true, or records id as
-// v's and returns it and false. v must be a pointer.
+// v's and returns it and false. v must be a pointer. A hit never grows it.
 func (t *Visits) Visit(v Value, id uint32) (uint32, bool) {
-	if 4*(t.n+1) > 3*len(t.keys) {
-		t.grow()
-	}
-	mask := uint64(len(t.keys) - 1)
-	for i := uint64(v) * 0x9e3779b97f4a7c15 >> 32 & mask; ; i = (i + 1) & mask {
-		switch t.keys[i] {
-		case v:
+	if len(t.keys) > 0 {
+		mask := uint64(len(t.keys) - 1)
+		i := uint64(v) * 0x9e3779b97f4a7c15 >> 32 & mask
+		for t.keys[i] != v && t.keys[i] != Nil {
+			i = (i + 1) & mask
+		}
+		if t.keys[i] == v {
 			return t.ids[i], true
-		case Nil:
+		}
+		if 4*(t.n+1) <= 3*len(t.keys) {
 			t.keys[i], t.ids[i] = v, id
 			t.n++
 			return id, false
 		}
 	}
+	t.grow()
+	return t.Visit(v, id)
 }
 
 // Len reports how many pointers the table holds.
