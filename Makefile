@@ -58,6 +58,7 @@ host-bench-test:
 # runs, the parent commit (exported with git archive) against this tree,
 # then per metric both sides' medians and quartiles, the pairs each won, the
 # claim rule's verdict and the verdict against the benchmark's bound.
+# WORKLOAD=all runs every workload in turn, a table each.
 #   make host-pairs PARENT=HEAD~1 WORKLOAD=sort N=10
 N ?= 10
 host-pairs:

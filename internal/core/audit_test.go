@@ -180,18 +180,14 @@ func TestAuditScannedCatchesCorruptBlackObject(t *testing.T) {
 		if !gc.major.active {
 			return heap.Nil
 		}
-		var black heap.Value
-		h.WalkObjects(h.OldTo(), func(p heap.Value, hdr heap.Header) bool {
-			if uint64(p)>>3-1 >= gc.major.scan {
-				return true // at or above the cursor: not yet black
+		for idx := h.OldTo().Lo; idx < gc.major.scan; { // below the cursor: black
+			hdr := heap.Header(h.Word(idx))
+			if hdr.Kind().HasPointers() && hdr.Len() > 0 {
+				return heap.Value((idx + 1) << 3)
 			}
-			if !hdr.Kind().HasPointers() || hdr.Len() == 0 {
-				return true
-			}
-			black = p
-			return false
-		})
-		return black
+			idx += uint64(hdr.SizeWords())
+		}
+		return heap.Nil
 	}
 	var black heap.Value
 	chain := m.PushHandle(heap.Nil)

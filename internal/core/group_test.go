@@ -110,15 +110,15 @@ func TestGroupSharesLogAndFrontier(t *testing.T) {
 	}
 	h := g.Members[0].H
 	seen := -1 // the shared array comes first
-	h.WalkObjects(&h.Nursery, func(q heap.Value, hdr heap.Header) bool {
+	for idx := h.Nursery.Lo; idx < h.Nursery.Next; seen++ {
+		hdr, q := heap.Header(h.Word(idx)), heap.Value((idx+1)<<3)
 		if seen >= 0 {
 			if hdr.Kind() != heap.KindRecord || seen >= len(want) || h.Load(q, 0).Int() != want[seen] {
 				t.Fatalf("nursery object %d: %v %v, not the record allocated there", seen, hdr.Kind(), h.Load(q, 0))
 			}
 		}
-		seen++
-		return true
-	})
+		idx += uint64(hdr.SizeWords())
+	}
 	if seen != len(want) {
 		t.Fatalf("nursery walk met %d records, want %d", seen, len(want))
 	}

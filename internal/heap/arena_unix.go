@@ -24,11 +24,13 @@ type mapping struct{ mem []byte }
 // only the words a run writes become resident. Nothing reads a word before
 // writing it — AllocIn writes every word it hands out, a copy writes its
 // replica's, and a collector scans only below a space's allocation pointer —
-// so the bulk of each semispace is never faulted in at all. The mapping is not Go memory:
-// the garbage collector neither zeroes nor scans it. The finalizer sits on
-// h.mapping rather than on h because a finalizer never runs on an object in
-// a cycle, and h can sit in one, such as one through an EpochHook closure;
-// the mapping points at nothing the Go heap holds.
+// so the bulk of each semispace is never faulted in at all, and on linux the
+// semispace a major flip discards gives its pages back (SwapOld, release).
+// The mapping is not Go memory: the garbage collector neither zeroes nor
+// scans it. The finalizer sits on h.mapping rather than on h because a
+// finalizer never runs on an object in a cycle, and h can sit in one, such
+// as one through an EpochHook closure; the mapping points at nothing the Go
+// heap holds.
 func (h *Heap) newArena(words uint64) {
 	dirty := (words + 63) / 64
 	mem, err := syscall.Mmap(-1, 0, int((words+dirty)*BytesPerWord+dirty*undoBytes),

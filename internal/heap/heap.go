@@ -2,7 +2,6 @@ package heap
 
 import (
 	"encoding/binary"
-	"fmt"
 	"sync/atomic"
 )
 
@@ -101,9 +100,11 @@ func (h *Heap) OldFrom() *Space { return h.oldFrom }
 func (h *Heap) OldTo() *Space { return h.oldTo }
 
 // SwapOld exchanges the roles of the old semispaces (a major flip) and
-// empties the discarded from-space.
+// empties the discarded from-space, whose pages go back to the kernel
+// (release): nothing reads a word of the space before writing it again.
 func (h *Heap) SwapOld() {
 	h.oldFrom, h.oldTo = h.oldTo, h.oldFrom
+	h.release(h.oldTo.Lo, h.oldTo.Next)
 	h.oldTo.Reset()
 }
 
@@ -284,25 +285,4 @@ func (h *Heap) ReserveReplica(src Value, dst *Space) (Value, bool) {
 func (h *Heap) CopyWords(dst, src Value, from, n int) {
 	si, di := src.index()+uint64(from), dst.index()+uint64(from)
 	copy(h.arena[di:di+uint64(n)], h.arena[si:si+uint64(n)])
-}
-
-// WalkObjects visits the objects of s in address order, calling f with each
-// object pointer and descriptor. Walking a space containing forwarded
-// objects is not possible (their sizes are gone with their headers), so this
-// is only valid for to-spaces and for quiescent heaps; it exists for
-// invariant checking and tests.
-func (h *Heap) WalkObjects(s *Space, f func(p Value, hdr Header) bool) {
-	idx := s.Lo
-	for idx < s.Next {
-		w := h.arena[idx]
-		if !IsHeader(w) {
-			//gclint:allow panicpath -- invariant: walked spaces hold replicas, which are never forwarded
-			panic(fmt.Sprintf("heap: WalkObjects hit forwarding pointer at %#x in %s", idx, s.Name))
-		}
-		hdr := Header(w)
-		if !f(ptrFromIndex(idx+1), hdr) {
-			return
-		}
-		idx += uint64(hdr.SizeWords())
-	}
 }

@@ -330,28 +330,6 @@ func TestNurseryGrow(t *testing.T) {
 	}
 }
 
-func TestWalkObjects(t *testing.T) {
-	h := testHeap()
-	var want []Value
-	for i := 0; i < 10; i++ {
-		p, _ := h.AllocIn(&h.Nursery, KindRecord, i)
-		want = append(want, p)
-	}
-	var got []Value
-	h.WalkObjects(&h.Nursery, func(p Value, hdr Header) bool {
-		got = append(got, p)
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("walked %d objects, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("object %d: got %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestSpaceMembershipDisjoint(t *testing.T) {
 	h := testHeap()
 	p, _ := h.AllocIn(&h.Nursery, KindRecord, 1)
