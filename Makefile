@@ -166,12 +166,18 @@ trace:
 # that, lists the overruns (none here) and the three longest pauses by phase,
 # and must print its "pause bound:" line. A checkpoint commit is an
 # unbudgeted pause; the snapshot increments draw on their pause's budget.
+# pause-bound-run runs a command with its output in a temporary directory
+# ($t in the command), shows the output on standard error and fails without
+# the line. It writes through make's own standard error: reopening
+# /dev/stderr by path (tee) would truncate a redirected log at every run.
+pause-bound-run = t=$$(mktemp -d); $(1) > $$t/out 2>&1; cat $$t/out >&2; grep -q '^pause bound: the longest' $$t/out; s=$$?; rm -rf $$t; exit $$s
+
 pause-bound:
-	go run ./cmd/rtgc-bench -worst 3 trace Primes | tee /dev/stderr | grep -q '^pause bound: the longest'
-	go run ./cmd/rtgc-bench -worst 3 trace Sort | tee /dev/stderr | grep -q '^pause bound: the longest'
-	go run ./cmd/rtgc-bench -worst 3 trace Comp | tee /dev/stderr | grep -q '^pause bound: the longest'
-	go run ./cmd/rtgc -gc rt -worst 3 -serve examples/serve/mixed.json 2>&1 | tee /dev/stderr | grep -q '^pause bound: the longest'
-	d=$$(mktemp -d) && go run ./cmd/rtgc -gc rt -checkpoint $$d -worst 3 -prelude examples/miniml/queens.ml 2>&1 | tee /dev/stderr | grep -q '^pause bound: the longest'; s=$$?; rm -rf $$d; exit $$s
+	$(call pause-bound-run,go run ./cmd/rtgc-bench -worst 3 trace Primes)
+	$(call pause-bound-run,go run ./cmd/rtgc-bench -worst 3 trace Sort)
+	$(call pause-bound-run,go run ./cmd/rtgc-bench -worst 3 trace Comp)
+	$(call pause-bound-run,go run ./cmd/rtgc -gc rt -worst 3 -serve examples/serve/mixed.json)
+	$(call pause-bound-run,go run ./cmd/rtgc -gc rt -checkpoint $$t/ckpt -worst 3 -prelude examples/miniml/queens.ml)
 
 # One testing.B benchmark per paper table/figure, at the quick scale, and
 # internal/core's wall-clock pairs: the barrier's naive, dirty-hit, dirty-miss

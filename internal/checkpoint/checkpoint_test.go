@@ -114,7 +114,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 	saw := false
 	for _, e := range events {
-		if e.Kind == trace.KindPhaseBegin && e.Phase == simtime.PhaseCheckpoint {
+		if e.Kind == trace.KindPhase && e.Phase == simtime.PhaseCheckpoint {
 			saw = true
 			break
 		}

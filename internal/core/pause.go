@@ -27,7 +27,6 @@ func NewPauseBracket(stats *GCStats) PauseBracket { return PauseBracket{stats: s
 func (b *PauseBracket) Begin(m *Mutator, cause simtime.Cause) {
 	m.Clock.BeginPause()
 	at := m.Clock.Now()
-	b.Trace.PauseBegin(at)
 	b.Trace.Counters(at, m.LogWrites, m.BarrierFastSkips, m.BarrierDirtySkips)
 	b.cur = simtime.Pause{At: at, Cause: cause}
 	b.phase, b.copied, b.scanned = simtime.NumPhases, b.stats.TotalBytesCopied(), b.stats.LogScanned
@@ -83,5 +82,5 @@ func (b *PauseBracket) End(m *Mutator, kind simtime.PauseKind) {
 	}
 	p.CopiedB, p.LogProcN = b.stats.TotalBytesCopied()-b.copied, b.stats.LogScanned-b.scanned
 	b.Rec.Record(*p)
-	b.Trace.PauseEnd(p)
+	b.Trace.Pause(p)
 }

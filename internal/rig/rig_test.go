@@ -101,7 +101,7 @@ func TestGroupHonoursRecorder(t *testing.T) {
 		switch e.Kind {
 		case trace.KindAllocEpoch:
 			actors[e.A] = true
-		case trace.KindPauseEnd:
+		case trace.KindPause:
 			pauses++
 		case trace.KindLogEpoch:
 			logEpochs++

@@ -4,29 +4,26 @@ import "repligc/internal/simtime"
 
 // Analyze validates events and digests them: it rebuilds the pause list —
 // start, length, kind, cause, bytes copied, log entries, per-phase time and
-// span count — from the events alone and hands it to the digest every report uses,
-// over a span that ends at the last event. The trace must be well-formed
-// (Validate); a trimmed Recorder.Events slice always is.
+// span count — from the events alone and hands it to the digest every report
+// uses, over a span that ends where the last event or pause does. The trace
+// must be well-formed (Validate); a Recorder.Events slice always is.
 func Analyze(events []Event) (*simtime.Digest, error) {
 	if err := Validate(events); err != nil {
 		return nil, err
 	}
 	var rec simtime.Recorder
-	var cur simtime.Pause
-	var phaseStart, end simtime.Duration
+	var end simtime.Duration
 	for _, e := range events {
-		end = e.At
+		end = max(end, e.At)
 		switch e.Kind {
-		case KindPauseBegin:
-			cur = simtime.Pause{At: e.At}
-		case KindPauseEnd:
-			cur.Length, cur.Kind, cur.Cause, cur.CopiedB, cur.LogProcN = e.At-cur.At, simtime.PauseKind(e.C), e.Cause, e.A, e.B
-			rec.Pauses = append(rec.Pauses, cur)
-		case KindPhaseBegin:
-			phaseStart = e.At
-		case KindPhaseEnd:
-			cur.PhaseTime[e.Phase] += e.At - phaseStart
-			cur.PhaseSpans[e.Phase] += int(e.A)
+		case KindPause:
+			end = max(end, e.end())
+			rec.Pauses = append(rec.Pauses, simtime.Pause{At: e.At, Length: simtime.Duration(e.C), Kind: simtime.PauseKind(e.Phase),
+				Cause: e.Cause, CopiedB: e.A, LogProcN: e.B})
+		case KindPhase:
+			p := &rec.Pauses[len(rec.Pauses)-1]
+			p.PhaseTime[e.Phase] += simtime.Duration(e.C)
+			p.PhaseSpans[e.Phase] += int(e.A)
 		}
 	}
 	return rec.Digest(end), nil

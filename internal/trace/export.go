@@ -19,6 +19,7 @@ type chromeEvent struct {
 	Name  string           `json:"name"`
 	Ph    string           `json:"ph"`
 	Ts    float64          `json:"ts"`
+	Dur   *float64         `json:"dur,omitempty"` // every X slice has one, zero included
 	Pid   int              `json:"pid"`
 	Tid   int              `json:"tid"`
 	Scope string           `json:"s,omitempty"`
@@ -41,25 +42,24 @@ const (
 func chromeTs(at simtime.Duration) float64 { return float64(at) / 1e3 }
 
 // ChromeTrace renders events as Chrome trace-event JSON: pauses and their
-// phases (in phase order, Recorder.PauseEnd) as nested B/E duration slices,
-// the pause's end carrying its kind and cause and a phase's end its spans,
-// counters and allocation epochs as C counter series, log epochs as instant
-// events. labels lands in otherData verbatim (exporter glue may put
-// wall-clock metadata there; the event stream itself never carries host time).
+// phases (in phase order, Recorder.Pause) as complete X slices, which
+// Perfetto nests by containment, the pause carrying its kind and cause and a
+// phase its spans; counters and allocation epochs as C counter series, log
+// epochs as instant events. labels lands in otherData verbatim (exporter glue
+// may put wall-clock metadata there; the event stream itself never carries
+// host time).
 func ChromeTrace(events []Event, labels map[string]string) ([]byte, error) {
 	ces := make([]chromeEvent, 0, len(events))
 	for _, e := range events {
 		ce := chromeEvent{Pid: chromePid, Tid: chromeTid, Ts: chromeTs(e.At)}
 		switch e.Kind {
-		case KindPauseBegin:
-			ce.Name, ce.Ph = "pause", "B"
-		case KindPauseEnd:
-			ce.Name, ce.Ph = "pause", "E"
-			ce.Args = map[string]int64{"copied_bytes": e.A, "log_entries": e.B, "kind": e.C, "cause": int64(e.Cause)}
-		case KindPhaseBegin:
-			ce.Name, ce.Ph = e.Phase.String(), "B"
-		case KindPhaseEnd:
-			ce.Name, ce.Ph = e.Phase.String(), "E"
+		case KindPause:
+			dur := chromeTs(simtime.Duration(e.C))
+			ce.Name, ce.Ph, ce.Dur = "pause", "X", &dur
+			ce.Args = map[string]int64{"copied_bytes": e.A, "log_entries": e.B, "kind": int64(e.Phase), "cause": int64(e.Cause)}
+		case KindPhase:
+			dur := chromeTs(simtime.Duration(e.C))
+			ce.Name, ce.Ph, ce.Dur = e.Phase.String(), "X", &dur
 			ce.Args = map[string]int64{"spans": e.A}
 		case KindAllocEpoch:
 			// One counter series per mutator actor: the thread id carries
@@ -87,10 +87,11 @@ func ChromeTrace(events []Event, labels map[string]string) ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// ValidateChrome checks that data parses as Chrome trace-event JSON with
-// balanced, properly nested B/E duration events and non-decreasing
-// timestamps per thread. This is the CI shape check for emitted artifacts —
-// structure only, never thresholds on the numbers.
+// ValidateChrome checks that data parses as Chrome trace-event JSON made of
+// the phases ChromeTrace writes — X slices, each with a duration of at least
+// zero, C counters and i instants — with non-decreasing timestamps per
+// thread. This is the CI shape check for emitted artifacts — structure only,
+// never thresholds on the numbers.
 func ValidateChrome(data []byte) error {
 	var doc chromeDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
@@ -100,54 +101,24 @@ func ValidateChrome(data []byte) error {
 		return fmt.Errorf("chrome trace: no traceEvents")
 	}
 	type tidKey struct{ pid, tid int }
-	stacks := make(map[tidKey][]string)
 	lastTs := make(map[tidKey]float64)
 	for i, e := range doc.TraceEvents {
 		k := tidKey{e.Pid, e.Tid}
-		if e.Ph != "M" { // metadata events are timeless
-			if ts, seen := lastTs[k]; seen && e.Ts < ts {
-				return fmt.Errorf("chrome trace: event %d (%s %q) ts %.3f precedes %.3f on pid %d tid %d",
-					i, e.Ph, e.Name, e.Ts, ts, e.Pid, e.Tid)
-			}
-			lastTs[k] = e.Ts
+		if ts, seen := lastTs[k]; seen && e.Ts < ts {
+			return fmt.Errorf("chrome trace: event %d (%s %q) ts %.3f precedes %.3f on pid %d tid %d",
+				i, e.Ph, e.Name, e.Ts, ts, e.Pid, e.Tid)
 		}
+		lastTs[k] = e.Ts
 		switch e.Ph {
-		case "B":
-			stacks[k] = append(stacks[k], e.Name)
-		case "E":
-			st := stacks[k]
-			if len(st) == 0 {
-				return fmt.Errorf("chrome trace: event %d: E %q with no open B on pid %d tid %d",
-					i, e.Name, e.Pid, e.Tid)
+		case "X":
+			if e.Dur == nil || *e.Dur < 0 {
+				return fmt.Errorf("chrome trace: event %d: X %q needs a dur of at least 0", i, e.Name)
 			}
-			if top := st[len(st)-1]; e.Name != "" && top != e.Name {
-				return fmt.Errorf("chrome trace: event %d: E %q does not match open B %q", i, e.Name, top)
-			}
-			stacks[k] = st[:len(st)-1]
-		case "C", "i", "I", "M":
-			// Counters, instants and metadata carry no nesting.
+		case "C", "i":
+			// Counters and instants have no duration.
 		default:
 			return fmt.Errorf("chrome trace: event %d: unsupported phase %q", i, e.Ph)
 		}
-	}
-	// Map iteration order does not matter here: any unbalanced thread is an
-	// error regardless of which one is reported first, but the diagnostics
-	// must still be deterministic — collect and pick the smallest key.
-	var unbalanced []tidKey
-	for k, st := range stacks { //gclint:allow maprange -- keys are re-sorted below; only the sorted minimum reaches the output
-		if len(st) > 0 {
-			unbalanced = append(unbalanced, k)
-		}
-	}
-	if len(unbalanced) > 0 {
-		minK := unbalanced[0]
-		for _, k := range unbalanced[1:] {
-			if k.pid < minK.pid || (k.pid == minK.pid && k.tid < minK.tid) {
-				minK = k
-			}
-		}
-		return fmt.Errorf("chrome trace: %d B events left open on pid %d tid %d (first open: %q)",
-			len(stacks[minK]), minK.pid, minK.tid, stacks[minK][0])
 	}
 	return nil
 }

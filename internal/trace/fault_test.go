@@ -1,10 +1,9 @@
 package trace_test
 
-// Satellite coverage: the trace must stay well-formed under every
-// fault-injection plan — balanced pause begin/end, flat non-overlapping
-// phases, emergency rungs visible as distinct phases — even when the run
-// ends in a typed OOM. This pins the collectors' hook discipline: every
-// exit path out of an instrumented region closes what it opened.
+// The trace must stay well-formed under every fault-injection plan — pauses
+// that do not overlap, each followed by its phases laid end to end inside it,
+// emergency rungs visible in the pauses' causes — even when the run ends in a
+// typed OOM, and the pauses rebuilt from it must be the collector's record.
 
 import (
 	"slices"
@@ -21,9 +20,9 @@ import (
 
 // attach wires a fresh recorder into every hook point of a hand-built run
 // (every other run gets the same wiring from rig.New).
-func attach(t *testing.T, m *core.Mutator, gc core.Collector) *trace.Recorder {
+func attach(t *testing.T, m *core.Mutator, gc core.Collector, capacity int) *trace.Recorder {
 	t.Helper()
-	tr := trace.NewRecorder(1 << 18)
+	tr := trace.NewRecorder(capacity)
 	m.Trace = tr
 	clock := m.Clock
 	m.H.EpochHook = func(epoch uint32) { tr.LogEpoch(clock.Now(), int64(epoch)) }
@@ -106,7 +105,7 @@ func TestTraceWellFormedUnderFaultPlans(t *testing.T) {
 		for _, cc := range collectors {
 			t.Run(pc.name+"/"+cc.name, func(t *testing.T) {
 				m, gc := cc.mk()
-				tr := attach(t, m, gc)
+				tr := attach(t, m, gc, 1<<18)
 				d := gctest.NewDriver(m, 17)
 				in := faultinject.New(m, pc.plan)
 				d.Inject = in.Tick
@@ -158,6 +157,42 @@ func emergencies(pauses []simtime.Pause) int {
 	return n
 }
 
+// TestRingKeepsTheLastPauses runs one fault plan into rings far smaller than
+// the run: whatever the eviction cut, the events never start with a phase,
+// validate, and rebuild exactly the record's last pauses.
+func TestRingKeepsTheLastPauses(t *testing.T) {
+	trimmed, kept := 0, 0 // runs whose ring started with an orphaned phase; the most pauses one kept
+	for capacity := 1; capacity <= 40; capacity++ {
+		m, gc := newRT(16<<10, 96<<10, true)
+		tr := attach(t, m, gc, capacity)
+		d := gctest.NewDriver(m, 17)
+		d.Inject = faultinject.New(m, faultinject.Plan{Every: 25}).Tick
+		if err := d.Step(600); err != nil {
+			t.Fatalf("capacity %d: %v", capacity, err)
+		}
+		evs := tr.Events()
+		if tr.Dropped() == 0 {
+			t.Fatalf("capacity %d: the ring dropped nothing", capacity)
+		}
+		if len(evs) < tr.Len() {
+			trimmed++
+		}
+		if len(evs) > 0 && evs[0].Kind == trace.KindPhase {
+			t.Fatalf("capacity %d: the events start with a phase", capacity)
+		}
+		an, err := trace.Analyze(evs)
+		if err != nil {
+			t.Fatalf("capacity %d: %v", capacity, err)
+		}
+		record := gc.Pauses().Pauses
+		sameAsRecord(t, an.Pauses, record[len(record)-len(an.Pauses):])
+		kept = max(kept, len(an.Pauses))
+	}
+	if trimmed == 0 || kept == 0 {
+		t.Fatalf("%d rings started with an orphaned phase and at most %d pauses were kept: the trim went untested", trimmed, kept)
+	}
+}
+
 // TestEmergencyRungVisibleInTrace drives a run into the degradation ladder
 // deterministically (tiny old space, adversarial shrinks) and requires a
 // pause whose traced cause is an emergency — the positive counterpart of the
@@ -166,7 +201,7 @@ func TestEmergencyRungVisibleInTrace(t *testing.T) {
 	found := false
 	for seed := uint64(1); seed <= 6 && !found; seed++ {
 		m, gc := newRT(16<<10, 96<<10, true)
-		tr := attach(t, m, gc)
+		tr := attach(t, m, gc, 1<<18)
 		d := gctest.NewDriver(m, int64(seed))
 		in := faultinject.New(m, faultinject.Adversarial(seed, 64, 2000))
 		d.Inject = in.Tick
@@ -200,7 +235,7 @@ func TestTracedRunIsBitIdenticalToUntraced(t *testing.T) {
 		m, gc := newRT(32<<10, 1<<20, true)
 		var tr *trace.Recorder
 		if traced {
-			tr = attach(t, m, gc)
+			tr = attach(t, m, gc, 1<<18)
 		}
 		d := gctest.NewDriver(m, 23)
 		if err := d.Step(2500); err != nil {

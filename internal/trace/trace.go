@@ -15,10 +15,11 @@
 //
 // The recorder is an optional exporter, attached when a Chrome trace file is
 // asked for. What a pause cost and where the time went is the collector's own
-// record (simtime.Pause, digested by simtime.Digest); the ring adds what that
-// record does not hold — allocation epochs, barrier counters, log epochs — and
-// the Perfetto view of all of it. Analyze rebuilds the pause list from the
-// events alone, as the test oracle of the record.
+// record (simtime.Pause, digested by simtime.Digest). A pause is one event
+// carrying that record's facts, followed by one event per phase it ran; the
+// ring adds what the record does not hold — allocation epochs, barrier
+// counters, log epochs — and the Perfetto view of all of it. Analyze rebuilds
+// the pause list from the events alone, as the test oracle of the record.
 //
 // All timestamps are simtime.Duration. The wall clock never appears here
 // (gclint rule "wallclock"); exporter glue in cmd/ may stamp artifacts with
@@ -36,20 +37,15 @@ type Kind uint8
 
 // The event kinds.
 const (
-	KindPauseBegin Kind = iota // mutator stopped
-	KindPauseEnd               // mutator resumed; A=bytes copied, B=log entries, C=pause kind, Cause=its cause
-	KindPhaseBegin             // a phase's slice of a pause begins
-	KindPhaseEnd               // it ends; A=the spans of the phase the pause ran
+	KindPause      Kind = iota // a pause; At=its start, A=bytes copied, B=log entries, C=its length, Phase=its simtime.PauseKind, Cause=its cause
+	KindPhase                  // a phase's slice of the pause before it; At=the slice's start, A=the phase's spans, C=its time
 	KindAllocEpoch             // allocation milestone; A=cumulative bytes allocated, B=mutator actor
 	KindCounters               // barrier snapshot; A=log writes, B=nursery skips, C=dirty skips
 	KindLogEpoch               // heap coalescing epoch advanced; A=epoch
 	numKinds
 )
 
-var kindNames = [numKinds]string{
-	"pause-begin", "pause-end", "phase-begin", "phase-end",
-	"alloc-epoch", "counters", "log-epoch",
-}
+var kindNames = [numKinds]string{"pause", "phase", "alloc-epoch", "counters", "log-epoch"}
 
 // String returns the kind's short name.
 func (k Kind) String() string {
@@ -70,14 +66,14 @@ type Event struct {
 	Cause   simtime.Cause
 }
 
-// DefaultCapacity is the ring size NewRecorder uses for capacity <= 0.
-const DefaultCapacity = 1 << 16
+// end is when a pause's or a phase's slice ends.
+func (e Event) end() simtime.Duration { return e.At + simtime.Duration(e.C) }
 
 // Recorder is a ring buffer of events that starts at 1 024 and doubles as it
 // fills, up to its capacity. When that is full, the oldest events are dropped
-// (flight-recorder semantics) and the drop is counted; Events re-synchronizes
-// to a structurally consistent suffix. All methods are nil-receiver-safe: a
-// nil *Recorder records nothing and allocates nothing, which is how tracing is
+// (flight-recorder semantics) and the drop is counted; Events drops the
+// phases whose pause was evicted. All methods are nil-receiver-safe: a nil
+// *Recorder records nothing and allocates nothing, which is how tracing is
 // disabled.
 //
 // The recorder is not safe for concurrent use; the simulation is
@@ -88,19 +84,12 @@ type Recorder struct {
 	start   int // index of the oldest retained event
 	n       int // number of retained events
 	dropped int64
-
-	// evictedInPause tracks whether the oldest *retained* event sits inside
-	// a pause whose begin was evicted, so Events can trim to a balanced
-	// suffix after drops.
-	evictedInPause bool
 }
 
-// NewRecorder returns a recorder retaining up to capacity events
-// (DefaultCapacity when capacity <= 0).
+// NewRecorder returns a recorder retaining up to capacity events, and at
+// least one.
 func NewRecorder(capacity int) *Recorder {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
+	capacity = max(capacity, 1)
 	return &Recorder{buf: make([]Event, min(capacity, 1<<10)), limit: capacity}
 }
 
@@ -115,13 +104,6 @@ func (r *Recorder) emit(e Event) {
 		r.buf = buf
 	}
 	if r.n == len(r.buf) {
-		old := r.buf[r.start]
-		switch old.Kind {
-		case KindPauseBegin:
-			r.evictedInPause = true
-		case KindPauseEnd:
-			r.evictedInPause = false
-		}
 		r.start++
 		if r.start == len(r.buf) {
 			r.start = 0
@@ -137,28 +119,22 @@ func (r *Recorder) emit(e Event) {
 	r.n++
 }
 
-// PauseBegin records the mutator stopping at time at.
-func (r *Recorder) PauseBegin(at simtime.Duration) {
-	r.emit(Event{At: at, Kind: KindPauseBegin})
-}
-
-// PauseEnd records the mutator resuming after p, the collector's record of the
-// pause: a slice per phase it ran, laid end to end from its start in phase
-// order, then its end. A pause switches phase as often as its work interleaves,
-// so the trace holds one slice a phase, not one a switch.
-func (r *Recorder) PauseEnd(p *simtime.Pause) {
+// Pause records p, the collector's record of a pause, as the mutator resumes:
+// one pause event, then a slice per phase it ran, laid end to end from its
+// start in phase order. A pause switches phase as often as its work
+// interleaves, so the trace holds one slice a phase, not one a switch.
+func (r *Recorder) Pause(p *simtime.Pause) {
 	if r == nil {
 		return
 	}
+	r.emit(Event{At: p.At, Kind: KindPause, A: p.CopiedB, B: p.LogProcN, C: int64(p.Length), Phase: simtime.Phase(p.Kind), Cause: p.Cause})
 	at := p.At
 	for ph, spans := range p.PhaseSpans {
 		if spans > 0 {
-			r.emit(Event{At: at, Kind: KindPhaseBegin, Phase: simtime.Phase(ph)})
+			r.emit(Event{At: at, Kind: KindPhase, Phase: simtime.Phase(ph), A: int64(spans), C: int64(p.PhaseTime[ph])})
 			at += p.PhaseTime[ph]
-			r.emit(Event{At: at, Kind: KindPhaseEnd, Phase: simtime.Phase(ph), A: int64(spans)})
 		}
 	}
-	r.emit(Event{At: p.At + p.Length, Kind: KindPauseEnd, A: p.CopiedB, B: p.LogProcN, C: int64(p.Kind), Cause: p.Cause})
 }
 
 // AllocEpoch records an allocation milestone: cumulative bytes allocated by
@@ -196,11 +172,10 @@ func (r *Recorder) Len() int {
 	return r.n
 }
 
-// Events returns the retained events in emission order. After drops the
-// returned slice is trimmed to a structurally consistent suffix: if the
-// oldest retained event sits inside a pause whose begin was evicted,
-// everything through that pause's end is discarded too, so Validate holds
-// on the result.
+// Events returns the retained events in emission order, without the phases
+// of a pause whose event was evicted. A pause's phases are emitted right
+// after it, so such phases can only lead the ring: Validate holds on the
+// result.
 func (r *Recorder) Events() []Event {
 	if r == nil || r.n == 0 {
 		return nil
@@ -208,84 +183,50 @@ func (r *Recorder) Events() []Event {
 	out := make([]Event, r.n)
 	tail := copy(out, r.buf[r.start:min(r.start+r.n, len(r.buf))])
 	copy(out[tail:], r.buf[:r.n-tail])
-	if r.dropped > 0 && r.evictedInPause {
-		cut := len(out)
-		for i, e := range out {
-			if e.Kind == KindPauseEnd {
-				cut = i + 1
-				break
-			}
-		}
-		out = out[cut:]
+	for len(out) > 0 && out[0].Kind == KindPhase {
+		out = out[1:]
 	}
 	return out
 }
 
 // Validate checks that events form a well-formed trace: timestamps
-// non-decreasing; pause begin/end strictly alternating (pauses never nest);
-// phases flat (at most one open, begin/end balanced, matching phases) and
-// only inside pauses; everything closed at the end. The collectors' hook
-// discipline guarantees this even for runs that end in a typed OOM — the
-// fault-injection tests pin that property.
+// non-decreasing, every kind known, pauses that do not overlap, and each
+// phase a known one lying inside the pause before it, after the phase before
+// it. The collectors emit a pause whole when it ends, so this holds even for
+// runs that end in a typed OOM — the fault-injection tests pin that property.
 func Validate(events []Event) error {
-	var (
-		last      simtime.Duration
-		inPause   bool
-		openPhase simtime.Phase
-		phaseOpen bool
-	)
-	for i, e := range events {
+	var last simtime.Duration
+	var pause, phase *Event // the last pause, and the last phase since it
+	for i := range events {
+		e := &events[i]
 		if e.At < last {
 			return fmt.Errorf("trace: event %d (%s) at %v precedes event %d at %v",
 				i, e.Kind, e.At, i-1, last)
 		}
 		last = e.At
 		switch e.Kind {
-		case KindPauseBegin:
-			if inPause {
-				return fmt.Errorf("trace: event %d: pause-begin inside an open pause", i)
+		case KindPause:
+			if e.C < 0 || pause != nil && e.At < pause.end() {
+				return fmt.Errorf("trace: event %d: pause at %v for %v has a negative length or overlaps the pause before it",
+					i, e.At, simtime.Duration(e.C))
 			}
-			inPause = true
-		case KindPauseEnd:
-			if !inPause {
-				return fmt.Errorf("trace: event %d: pause-end without an open pause", i)
-			}
-			if phaseOpen {
-				return fmt.Errorf("trace: event %d: pause-end with phase %s still open", i, openPhase)
-			}
-			inPause = false
-		case KindPhaseBegin:
-			if !inPause {
-				return fmt.Errorf("trace: event %d: phase %s begun outside a pause", i, e.Phase)
-			}
-			if phaseOpen {
-				return fmt.Errorf("trace: event %d: phase %s begun while %s is open (phases must not overlap)",
-					i, e.Phase, openPhase)
-			}
-			if e.Phase >= simtime.NumPhases {
+			pause, phase = e, nil
+		case KindPhase:
+			switch {
+			case e.Phase >= simtime.NumPhases:
 				return fmt.Errorf("trace: event %d: unknown phase %d", i, e.Phase)
+			case pause == nil || e.C < 0 || e.end() > pause.end():
+				return fmt.Errorf("trace: event %d: phase %s at %v for %v lies outside the pause before it",
+					i, e.Phase, e.At, simtime.Duration(e.C))
+			case phase != nil && e.At < phase.end():
+				return fmt.Errorf("trace: event %d: phase %s at %v overlaps the phase before it", i, e.Phase, e.At)
 			}
-			phaseOpen, openPhase = true, e.Phase
-		case KindPhaseEnd:
-			if !phaseOpen {
-				return fmt.Errorf("trace: event %d: phase %s ended without a begin", i, e.Phase)
-			}
-			if e.Phase != openPhase {
-				return fmt.Errorf("trace: event %d: phase-end %s does not match open phase %s",
-					i, e.Phase, openPhase)
-			}
-			phaseOpen = false
+			phase = e
 		case KindAllocEpoch, KindCounters, KindLogEpoch:
 			// Annotations: legal anywhere.
 		default:
 			return fmt.Errorf("trace: event %d: unknown kind %d", i, e.Kind)
 		}
-	}
-	if phaseOpen {
-		return fmt.Errorf("trace: phase %s still open at end of trace", openPhase)
-	}
-	if inPause {
-		return fmt.Errorf("trace: pause still open at end of trace")
 	}
 	return nil
 }

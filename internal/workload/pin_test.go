@@ -130,9 +130,7 @@ func TestPauseIntervalDifferential(t *testing.T) {
 
 		evs := []trace.Event{{At: 0, Kind: trace.KindAllocEpoch}}
 		for _, p := range pauses {
-			evs = append(evs,
-				trace.Event{At: p.At, Kind: trace.KindPauseBegin},
-				trace.Event{At: p.At + p.Length, Kind: trace.KindPauseEnd})
+			evs = append(evs, trace.Event{At: p.At, Kind: trace.KindPause, C: int64(p.Length)})
 		}
 		evs = append(evs, trace.Event{At: total, Kind: trace.KindAllocEpoch})
 		an, err := trace.Analyze(evs)
