@@ -201,10 +201,10 @@ quick-experiments:
 experiments-check:
 	go run ./cmd/rtgc-bench all | cmp - docs/full-run.txt
 
-# The six facade programs run on simulated time only, so each one's stdout
+# The five facade programs run on simulated time only, so each one's stdout
 # is a pure function of the tree: it must equal the committed
 # examples/<name>/output.txt byte for byte (diff shows the lines that moved).
-EXAMPLES = quickstart interactive primes futures replay lowlatency
+EXAMPLES = quickstart interactive primes futures replay
 examples:
 	@d=$$(mktemp -d); trap 'rm -rf $$d' EXIT; for e in $(EXAMPLES); do \
 		echo "go run ./examples/$$e"; \

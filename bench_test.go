@@ -174,25 +174,3 @@ func BenchmarkAblationLogPolicy(b *testing.B) {
 		b.ReportMetric(over/float64(len(rows)), "mods-overhead-pct")
 	}
 }
-
-// BenchmarkAblationConcurrent measures the §6 interleaved pacing variant.
-func BenchmarkAblationConcurrent(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := suite()
-		rows, err := s.Ablation(rig.RTConc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var baseP99, varP99 simtime.Duration
-		for _, r := range rows {
-			if p := r.Base.Pauses.Percentile(99); p > baseP99 {
-				baseP99 = p
-			}
-			if p := r.Var.Pauses.Percentile(99); p > varP99 {
-				varP99 = p
-			}
-		}
-		b.ReportMetric(baseP99.Milliseconds(), "pause-based-p99-ms")
-		b.ReportMetric(varP99.Milliseconds(), "interleaved-p99-ms")
-	}
-}

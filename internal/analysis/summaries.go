@@ -138,8 +138,8 @@ var builtinFacts = map[string]FuncFacts{
 	heapPkgPath + ".Heap.StoreBytes": {UnloggedStore: true, StoreVia: "Heap.StoreBytes"},
 	heapPkgPath + ".Heap.SetWord":    {UnloggedStore: true, StoreVia: "Heap.SetWord"},
 
-	// The mutator allocation API: the pacer taxes every allocation and the
-	// collector may run (and flip) inside the call.
+	// The mutator allocation API: the collector may run (and flip) inside the
+	// call.
 	corePkgPath + ".Mutator.Alloc":           {MayFlip: true, FlipVia: "Collector.CollectForAlloc"},
 	corePkgPath + ".Mutator.MustAlloc":       {MayFlip: true, FlipVia: "Collector.CollectForAlloc"},
 	corePkgPath + ".Mutator.AllocString":     {MayFlip: true, FlipVia: "Collector.CollectForAlloc"},
@@ -153,7 +153,6 @@ var builtinFacts = map[string]FuncFacts{
 	corePkgPath + ".Collector.AfterAlloc":                {MayFlip: true, FlipVia: "Collector.AfterAlloc"},
 	corePkgPath + ".Collector.FinishCycles":              {MayFlip: true, FlipVia: "Collector.FinishCycles"},
 	corePkgPath + ".EmergencyCollector.CollectEmergency": {MayFlip: true, FlipVia: "EmergencyCollector.CollectEmergency"},
-	corePkgPath + ".Pacer.AllocTax":                      {MayFlip: true, FlipVia: "Pacer.AllocTax"},
 }
 
 // boundaryCallees are calls that mark the calling function as a logging

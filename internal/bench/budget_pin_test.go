@@ -83,7 +83,6 @@ var budgetPins = map[string]string{
 	"minor-inc": "a81328c4989d9516",
 	"major-inc": "37591297d9ead71d",
 	"rt-lazy":   "8ad52308736151bc",
-	"rt-conc":   "00b53da060f38ba7",
 	"rt-defer":  "3c1907b3f0d138c7",
 	"replay":    "a16c9a931359a2c5",
 }
@@ -94,14 +93,13 @@ var projectionPins = map[string]string{
 	"minor-inc": "b047d7443413ccef",
 	"major-inc": "c2a5c61cf91b3500",
 	"rt-lazy":   "e32959ba01c92bd5",
-	"rt-conc":   "c9306a7403429171",
 	"rt-defer":  "e4bdae78ade6bb75",
 	"replay":    "8c803106f941a18a",
 }
 
 func TestBudgetPins(t *testing.T) {
 	r := runEngineCells(t)
-	for _, name := range []string{"rt", "minor-inc", "major-inc", "rt-lazy", "rt-conc", "rt-defer", "replay"} {
+	for _, name := range []string{"rt", "minor-inc", "major-inc", "rt-lazy", "rt-defer", "replay"} {
 		h := r.pins[name]
 		if got := fmt.Sprintf("%016x", h[0]); got != budgetPins[name] {
 			t.Errorf("%s: fingerprint %s, pinned %s", name, got, budgetPins[name])

@@ -24,7 +24,7 @@ import (
 // hold, the recorder holds a valid trace that did not move the run by a
 // nanosecond and says of every pause what the collector's own record says,
 // the writer committed, and the reachable graph is the same one under all
-// nine collectors. Properties only; the absolute numbers are
+// eight collectors. Properties only; the absolute numbers are
 // engine_golden.txt's business.
 func TestCompositionMatrix(t *testing.T) {
 	tight := engineShapes[0]
@@ -102,8 +102,8 @@ func TestCompositionMatrix(t *testing.T) {
 			}
 		}
 	}
-	if cells != 108 || refusals != 40 {
-		t.Fatalf("ran %d cells of which %d were typed refusals, want 108 and 40", cells, refusals)
+	if cells != 96 || refusals != 36 {
+		t.Fatalf("ran %d cells of which %d were typed refusals, want 96 and 36", cells, refusals)
 	}
 	t.Logf("construction plane: %d cells, %d run and hold their properties, %d typed refusals", cells, cells-refusals, refusals)
 	compositionLargeObjects(t)
@@ -204,7 +204,7 @@ func compositionLargeObjects(t *testing.T) {
 			splits += st.SplitCopies
 		}
 	}
-	t.Logf("large-object plane: 27 cells, %d copies split", splits)
+	t.Logf("large-object plane: 24 cells, %d copies split", splits)
 }
 
 // compositionDeferredFlipFaults is the matrix's fault plane for the admission
@@ -213,14 +213,12 @@ func compositionLargeObjects(t *testing.T) {
 // at a time until a major flip has been put off and its cycle is still
 // waiting, and then struck. Force-complete must end the cycle in budgeted
 // pauses: the flip fits a pause that does nothing else, or is let through.
-// Under shrink-old the next pause that looks at the headroom (a major-only
-// micro-pause of rt-conc does not) must escalate — flip regardless of the
-// gate, or surface the typed error — never wait. The shape is the paper's L
-// over a 64 KB nursery of which half survives, so the pause a flip could run
-// in is nearly always full; rt-conc with one member is left out, because its
-// flips always fit (one driver's worklist against a budget of L/2). The heap
-// audit runs after every round from the strike until the headroom is back and
-// every thirty-second otherwise, the shadow check at the end, 24 rounds later.
+// Under shrink-old the next pause must escalate — flip regardless of the gate,
+// or surface the typed error — never wait. The shape is the paper's L over a
+// 64 KB nursery of which half survives, so the pause a flip could run in is
+// nearly always full. The heap audit runs after every round from the strike
+// until the headroom is back and every thirty-second otherwise, the shadow
+// check at the end, 24 rounds later.
 func compositionDeferredFlipFaults(t *testing.T) {
 	params := Params{NBytes: 64 << 10, OBytes: 256 << 10, LBytes: 100 << 10}
 	const oldSemi = 4 << 20
@@ -230,9 +228,6 @@ func compositionDeferredFlipFaults(t *testing.T) {
 			continue
 		}
 		for _, members := range []int{1, 4} {
-			if coll.Name == rig.RTConc.Name && members == 1 {
-				continue
-			}
 			for _, fault := range []faultinject.Action{faultinject.ForceComplete, faultinject.ShrinkOld} {
 				cells++
 				label := fmt.Sprintf("%s members=%d %v while a flip is deferred", coll.Name, members, fault)

@@ -126,7 +126,7 @@ func runEngineCells(t *testing.T) engineRun {
 }
 
 func engineCells() engineRun {
-	configs := []rig.Collector{rig.RT, rig.MinorInc, rig.MajorInc, rig.RTLazy, rig.RTConc, rig.RTDefer}
+	configs := []rig.Collector{rig.RT, rig.MinorInc, rig.MajorInc, rig.RTLazy, rig.RTDefer}
 	var got strings.Builder
 	pins := map[string][2]uint64{}
 	var cellErr error

@@ -290,10 +290,6 @@ var Ablations = []struct {
 	// mutable objects only at completion, when their contents are final and
 	// their log entries need no reapplication.
 	{"Ablation: deferred mutable copying (paper §2.5 copy order)", rig.RTDefer},
-	// Pause-based collection against the interleaved (concurrent-style)
-	// pacing of §6: the collector's work rides on allocation as a copying tax
-	// and only flips stop the mutator for more than a work quantum.
-	{"Ablation: interleaved concurrent-style pacing (paper §6)", rig.RTConc},
 }
 
 // AblationRow compares the real-time collector with one variant.

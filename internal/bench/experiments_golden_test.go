@@ -47,8 +47,8 @@ func allExperimentsText(s *Suite) (string, error) {
 
 // TestEachCellRunsOnce holds the grid to its purpose: however many tables,
 // figures, ablations and tests read a cell, it is executed once. The paper's
-// grid is 69 cells — three workloads × four (O, N) settings × the five paper
-// configurations, plus three workloads × three rt variants in the 50 ms cell —
+// grid is 66 cells — three workloads × four (O, N) settings × the five paper
+// configurations, plus three workloads × two rt variants in the 50 ms cell —
 // and the tests that share this suite and run before this one stay inside it;
 // printing every experiment used to take 103 runs. (TestTable1Shape, in a
 // later file, adds the rig.Table rows and cells no experiment prints.)
@@ -58,8 +58,8 @@ func TestEachCellRunsOnce(t *testing.T) {
 		if _, err := allExperimentsText(s); err != nil {
 			t.Fatal(err)
 		}
-		if s.Executed != 69 || len(s.grid) != 69 {
-			t.Fatalf("pass %d: %d workload runs for %d cells, want 69 for 69", pass, s.Executed, len(s.grid))
+		if s.Executed != 66 || len(s.grid) != 66 {
+			t.Fatalf("pass %d: %d workload runs for %d cells, want 66 for 66", pass, s.Executed, len(s.grid))
 		}
 	}
 

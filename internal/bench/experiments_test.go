@@ -262,21 +262,6 @@ func TestAblations(t *testing.T) {
 				name, reapplied[1], reapplied[0])
 		}
 	}
-	conc, err := s.Ablation(rig.RTConc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range conc {
-		if r.Var.Output != r.Base.Output {
-			t.Errorf("%s: interleaved output differs", r.Workload)
-		}
-		// Interleaved pacing exists to shrink pauses: its median must be
-		// well below the pause-based collector's.
-		if r.Var.Pauses.Percentile(50) >= r.Base.Pauses.Percentile(50) {
-			t.Errorf("%s: interleaved p50 %v not below pause-based %v",
-				r.Workload, r.Var.Pauses.Percentile(50), r.Base.Pauses.Percentile(50))
-		}
-	}
 	logpol, err := s.AblationLogPolicy()
 	if err != nil {
 		t.Fatal(err)

@@ -61,20 +61,17 @@ const MatrixSchema = "repligc-crash-matrix/1"
 
 // matrixHeap sizes the heap of every fresh matrix run; recovery maps no
 // larger arena than it.
-var matrixHeap = heap.Config{NurseryBytes: 16 << 10, NurseryCapBytes: 64 << 10, OldSemiBytes: 512 << 10}
+var matrixHeap = heap.Config{NurseryBytes: 6 << 10, NurseryCapBytes: 24 << 10, OldSemiBytes: 512 << 10}
 
 // matrixConfig is the runtime every matrix run builds, fresh (restored nil)
-// or over a recovered heap: a heap tight enough that the gctest driver
-// provokes minors, promotions and majors within a few thousand operations,
-// under rt with unbounded log processing and interleaved pacing, which
-// multiplies pause-boundary hook points so that epochs spread over many
-// small increments.
+// or over a recovered heap: rt on a heap tight enough that the gctest driver
+// provokes minors, promotions and majors within a few thousand operations.
+// The 6 KB nursery is what spreads epochs over many small increments: every
+// pause is a hook point, and at matrixOps operations the three reference runs
+// commit 12 epochs between them, where 16 KB commits 6.
 func matrixConfig(restored *heap.Heap) rig.Config {
-	coll := rig.RT
-	coll.Name = "rt-tax200"
-	coll.Engine.InterleavedTaxPermille = 200
 	rc := rig.Config{
-		Collector: coll,
+		Collector: rig.RT,
 		Params:    rig.Params{NBytes: matrixHeap.NurseryBytes, OBytes: 192 << 10, LBytes: 8 << 10},
 		Heap:      restored,
 	}

@@ -5,10 +5,7 @@ package core
 // contract). The replicating collector drives the snapshot writer with one
 // call per pause, inside the pause window, so every byte of checkpoint work
 // is charged to the stopped mutator and shows up in pause times and MMU
-// curves exactly like collection work does. The one exception is an
-// interleaved micro-pause that runs only a major increment: a major is active
-// then, so no epoch can begin or commit, and an open epoch aborts at the
-// major flip anyway.
+// curves exactly like collection work does.
 
 import "repligc/internal/simtime"
 
@@ -43,8 +40,8 @@ type CheckpointPoint struct {
 	BudgetWords int
 }
 
-// Checkpointer receives one callback per collection pause (a major-only
-// micro-pause excepted), inside the pause, and reports whether it committed an epoch: a commit is not metered, so the
+// Checkpointer receives one callback per collection pause, inside the pause,
+// and reports whether it committed an epoch: a commit is not metered, so the
 // pause that runs one has no budget.
 // internal/checkpoint.Writer is the implementation; the interface lives here
 // so core does not import the I/O layer.

@@ -14,9 +14,8 @@ import (
 // cursors at different times), the stop-the-world core configuration, the
 // lazy-reapply ablation, whose deferred queue records sequence numbers of
 // entries that coalescing makes scarcer, and every other shape the single
-// scan kernel runs in — one generation incremental at a time, deferred
-// mutable copies (the forwarder hands a slot's value back unchanged) and
-// interleaved pacing (major increments in mid-cycle).
+// scan kernel runs in — one generation incremental at a time and deferred
+// mutable copies (the forwarder hands a slot's value back unchanged).
 func coalesceConfigs() map[string]core.Config {
 	rt := core.Config{
 		NurseryBytes:        96 << 10,
@@ -40,7 +39,6 @@ func coalesceConfigs() map[string]core.Config {
 		"minor-inc": with(func(c *core.Config) { c.IncrementalMajor = false }),
 		"major-inc": with(func(c *core.Config) { c.IncrementalMinor = false }),
 		"rt-defer":  with(func(c *core.Config) { c.DeferMutableCopies = true }),
-		"rt-conc":   with(func(c *core.Config) { c.InterleavedTaxPermille = 1500 }),
 	}
 }
 

@@ -39,11 +39,11 @@ func TestFixupQueuedAgainNextMajor(t *testing.T) {
 
 // TestMinorFlipRelogsForMajor pins the re-log rule of the flip's repoint: a
 // minor flip that re-points a slot of an old from-space holder while a major
-// is active logs the store again, for the major. Here the major has read the
-// store's entry while the holder was unreplicated and then copied the holder
-// with the nursery pointer in it, as a micro-pause's increment may; only the
-// re-logged entry brings the replica the promoted object before the major
-// flip hands the replica to the mutator.
+// is active logs the store again, for the major. Here the test has the major
+// read the store's entry while the holder was unreplicated and then copy the
+// holder with the nursery pointer in it; only the re-logged entry brings the
+// replica the promoted object before the major flip hands the replica to the
+// mutator.
 func TestMinorFlipRelogsForMajor(t *testing.T) {
 	h := heap.New(heap.Config{NurseryBytes: 32 << 10, NurseryCapBytes: 1 << 20, OldSemiBytes: 1 << 20})
 	m := NewMutator(h, simtime.NewClock(), simtime.Default1993(), LogAllMutations)
@@ -58,7 +58,7 @@ func TestMinorFlipRelogsForMajor(t *testing.T) {
 	young := m.MustAlloc(heap.KindArray, 1)
 	m.Init(young, 0, heap.FromInt(42))
 	m.Set(holder, 1, young)
-	if done, err := c.processMajorLog(m, false); !done || err != nil {
+	if done, err := c.processMajorLog(m); !done || err != nil {
 		t.Fatalf("major log: done %v, err %v", done, err)
 	}
 	if _, err := c.replicate(m, &c.major, holder); err != nil {

@@ -42,7 +42,6 @@ func flipVariants() []struct {
 		{"rt", flipConfig()},
 		{"defer-mutable-copies", with(func(c *core.Config) { c.DeferMutableCopies = true })},
 		{"lazy-log", with(func(c *core.Config) { c.LazyLogProcessing = true })},
-		{"micro-pauses", with(func(c *core.Config) { c.InterleavedTaxPermille = 1500 })},
 		{"recorded", with(func(c *core.Config) { c.Record = &policy.Script{} })},
 	}
 }

@@ -88,9 +88,10 @@ func (m *Mutator) Step(n int) {
 	m.Clock.Charge(simtime.AcctMutator, simtime.Duration(n)*m.Cost.Instruction)
 }
 
-// Pacer is implemented by collectors that interleave work with allocation
-// (the concurrent-style pacing of the paper's §6). AllocTax runs at the top
-// of every allocation, before the object exists.
+// Pacer is never called and no collector implements it: an allocation enters
+// the collector only through CollectForAlloc. Like Collector.AfterAlloc, it is
+// declared only because the frozen benchmarks/host collector wrapper asserts
+// and forwards it.
 type Pacer interface {
 	AllocTax(m *Mutator, bytes int64) error
 }
@@ -104,11 +105,6 @@ type Pacer interface {
 func (m *Mutator) Alloc(k heap.Kind, n int) (heap.Value, error) {
 	hdr := heap.MakeHeader(k, n)
 	sizeB := hdr.SizeBytes()
-	if p, ok := m.GC.(Pacer); ok {
-		if err := p.AllocTax(m, sizeB); err != nil {
-			return heap.Nil, err
-		}
-	}
 	// Oversized objects bypass the nursery.
 	if sizeB > m.H.Nursery.LimitBytes()/2 {
 		return m.allocOld(k, n)

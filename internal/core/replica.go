@@ -51,19 +51,6 @@ type Config struct {
 	// entries never need reapplying at all. Off by default.
 	DeferMutableCopies bool
 
-	// InterleavedTaxPermille enables the concurrent-style pacing of the
-	// paper's §6 ("The replication primitive can be interleaved freely
-	// with mutator activity"): instead of performing collection work in
-	// discrete pauses when the nursery fills, the collector runs a small
-	// work quantum every few kilobytes of allocation — a copying tax of
-	// InterleavedTaxPermille bytes of copy+scan work per 1000 bytes
-	// allocated. Collection starts when the nursery is half full and
-	// normally completes before it fills, so the only stop-the-mutator
-	// events of any size are the atomic flips, as in the authors'
-	// concurrent collector. Zero disables interleaving. Requires
-	// IncrementalMinor.
-	InterleavedTaxPermille int
-
 	// Record, when non-nil, accumulates the run's flip script (§4.2).
 	Record *policy.Script
 	// Replay, when non-nil, drives minor flip points and the major
@@ -282,10 +269,6 @@ type Replicating struct {
 	// early major) before a mid-copy overflow can happen.
 	promoHighWater int64
 
-	// Interleaved pacing state.
-	taxCredit  int64 // accumulated work credit in bytes
-	microLimit int64 // per-micro-pause work budget (0: normal pauses)
-
 	// Test seams (export_test.go); zero outside tests. splitMin replaces the
 	// split threshold L/4, chunkWords caps the words one fill moves, expandMin
 	// and pauseCap replace A = L/2 and maxMinorPauses; noHiding, noGate and
@@ -307,9 +290,8 @@ type Replicating struct {
 	//gclint:pauseonly set when the pause begins, lifted and pushed out by what the budget does not count, all under pause
 	deadline simtime.Duration
 
-	// ckpt, when set, is called at the tail of every pause but a major-only
-	// micro-pause (core/checkpoint.go says why that one is harmless), still
-	// inside the pause window, under the guarantee collection work has.
+	// ckpt, when set, is called at the tail of every pause, still inside the
+	// pause window, under the guarantee collection work has.
 	ckpt Checkpointer
 }
 
@@ -385,9 +367,6 @@ func (c *Replicating) NoteOldAlloc(p heap.Value, hdr heap.Header) {
 // spent as time (budget): whatever a pause does, it does in the time copying
 // and scanning that many bytes would take.
 func (c *Replicating) workLimit() int64 {
-	if c.microLimit > 0 {
-		return c.microLimit
-	}
 	if c.cfg.CopyLimitBytes <= 0 || !c.cfg.IncrementalMinor && !c.cfg.IncrementalMajor {
 		return 0
 	}
@@ -460,44 +439,6 @@ func workTime(cost simtime.CostModel, bytes int64) simtime.Duration {
 	return simtime.Duration(bytes/heap.BytesPerWord) * max(cost.CopyWord, cost.ScanWord)
 }
 
-// taxQuantum is the work size of one interleaved micro-pause (bytes of
-// copy+scan); 4 KB is about one millisecond at the paper's copying rate.
-const taxQuantum = 4 << 10
-
-// AllocTax implements the interleaved (concurrent-style) pacing: called at
-// the top of every allocation, before the object exists, which is a safe
-// point — a flip here redirects all roots and the caller holds no
-// unprotected heap values.
-//
-//gclint:pauseentry the allocation top is a safe point; cycle state only changes inside c.pause, never on the tax-accounting prefix
-func (c *Replicating) AllocTax(m *Mutator, bytes int64) error {
-	if c.cfg.InterleavedTaxPermille <= 0 {
-		return nil
-	}
-	c.taxCredit += bytes * int64(c.cfg.InterleavedTaxPermille) / 1000
-	if c.taxCredit < taxQuantum {
-		return nil
-	}
-	if !c.minorDue() && !c.major.active {
-		// Nothing worth doing yet; keep a bounded credit so an idle
-		// stretch does not bank an unbounded work debt.
-		if c.taxCredit > 4*taxQuantum {
-			c.taxCredit = 4 * taxQuantum
-		}
-		return nil
-	}
-	c.microLimit, c.taxCredit = c.taxCredit, 0
-	err := c.pause(m, 0, simtime.EntryTax)
-	c.microLimit = 0
-	return err
-}
-
-// minorDue reports whether a micro-pause has minor work to do: a minor
-// collection is active, or the nursery is half full.
-func (c *Replicating) minorDue() bool {
-	return c.minor.active || c.h.Nursery.UsedBytes() >= c.cfg.NurseryBytes/2
-}
-
 // CollectForAlloc implements Collector: one garbage-collection pause.
 func (c *Replicating) CollectForAlloc(m *Mutator, needWords int) error {
 	return c.pause(m, needWords, simtime.EntryAlloc)
@@ -541,33 +482,25 @@ func (c *Replicating) CollectEmergency(m *Mutator) error {
 //gclint:pauseentry Clock.BeginPause stops the (single) mutator before any collector state changes; every collector entry point funnels through here
 func (c *Replicating) pause(m *Mutator, needWords int, entry simtime.Cause) error {
 	c.pauses.Begin(m, entry)
-	// Every pause, micro-pauses included, starts a fresh log-coalescing
-	// epoch before any cursor moves: dirty bits set by the barrier since
-	// the previous pause vouch for entries this pause may now consume, so
-	// they must expire here (heap/stamp.go spells out the invariant).
+	// Every pause starts a fresh log-coalescing epoch before any cursor
+	// moves: dirty bits set by the barrier since the previous pause vouch for
+	// entries this pause may now consume, so they must expire here
+	// (heap/stamp.go spells out the invariant).
 	c.h.BeginLogEpoch()
 	c.deadline = 0
 	if budget := c.budget(m); budget > 0 {
 		c.deadline = c.pauses.cur.At + budget
 	}
 	majors := c.stats.MajorCollections
-	var err error
-	if c.microLimit > 0 && !c.minorDue() {
-		// An interleaved micro-pause in which only the major collection has
-		// work pending: a mid-cycle major increment, without forcing a
-		// (trivial) minor collection.
-		_, err = c.majorIncrement(m, false)
-	} else {
-		err = c.pauseBody(m, needWords)
-		if c.ckpt != nil {
-			p := c.CheckpointNow()
-			p.BudgetWords = c.budgetSlots(m, m.Cost.CopyWord)
-			c.pauses.checkpoint(m, func() {
-				if c.ckpt.PauseCheckpoint(m, p) {
-					c.pauses.cur.Cause |= simtime.Commit
-				}
-			})
-		}
+	err := c.pauseBody(m, needWords)
+	if c.ckpt != nil {
+		p := c.CheckpointNow()
+		p.BudgetWords = c.budgetSlots(m, m.Cost.CopyWord)
+		c.pauses.checkpoint(m, func() {
+			if c.ckpt.PauseCheckpoint(m, p) {
+				c.pauses.cur.Cause |= simtime.Commit
+			}
+		})
 	}
 	c.pauses.cur.LogLeft = m.Log.Len() - c.minor.logCursor
 	if c.major.active {
@@ -630,8 +563,8 @@ func (c *Replicating) pauseBody(m *Mutator, needWords int) error {
 	} else if needWords > 0 || c.h.Nursery.FreeWords() == 0 {
 		// Await completion: grant the mutator room to keep allocating
 		// (paper parameter A), enough for the pending allocation. Pauses
-		// that were not forced by a failed allocation (interleaved micro-
-		// pauses) skip the expansion — the nursery still has room.
+		// that were not forced by a failed allocation (FinishCycles') skip
+		// the expansion while the nursery still has room.
 		granted := c.h.Nursery.GrowBytes(max(c.expandBytes(), needB))
 		c.stats.NurseryExpansion += granted
 		if granted < needB {
@@ -1489,20 +1422,13 @@ func (c *Replicating) afterMinorFlip(m *Mutator) error {
 		c.startMajor(m)
 	}
 	forceMajor := c.pauses.cur.Cause.Emergency() || !c.cfg.IncrementalMajor || (c.replay != nil && c.forcedMajorFlip)
-	// Under interleaved pacing, the post-flip increment is the only moment
-	// a major can complete; from here to the end of the pause the budget is
-	// the completion budget rather than the micro quantum.
-	if raise := c.microRaise(m); raise > 0 {
-		c.microLimit = c.cfg.CopyLimitBytes / 2
-		c.restore(c.deadline, raise)
-	}
 	// A forced increment — an emergency's, the non-incremental major, a
 	// replayed script's flip — runs with the deadline lifted, and leaves
 	// what is left of the pause's budget as it found it.
 	if forceMajor {
 		defer c.restore(c.lift(simtime.LiftMajor), 0)
 	}
-	flipped, err := c.majorIncrement(m, true)
+	flipped, err := c.majorIncrement(m)
 	if flipped {
 		c.forcedMajorFlip = false
 		if c.cfg.Record != nil && !c.finishing && c.cfg.Record.Len() > 0 {
@@ -1526,12 +1452,9 @@ func (c *Replicating) startMajor(m *Mutator) {
 
 // majorIncrement performs one increment of the major collection and reports
 // whether it completed (including its flip). Nothing runs once the pause
-// budget is spent (paper §3.3). postFlip marks increments running right after
-// a minor flip, when no old→nursery pointers exist; increments interleaved
-// mid-cycle (concurrent-style pacing, §6) pass false, and a logged slot whose
-// current value still points into the nursery blocks the log queue until the
-// next minor flip re-points it. Completion is only possible post-flip.
-func (c *Replicating) majorIncrement(m *Mutator, postFlip bool) (bool, error) {
+// budget is spent (paper §3.3). It runs right after a minor flip, when no
+// old→nursery pointers exist.
+func (c *Replicating) majorIncrement(m *Mutator) (bool, error) {
 	g := &c.major
 	if !c.resumeCopy(m, g) {
 		return false, nil
@@ -1540,7 +1463,7 @@ func (c *Replicating) majorIncrement(m *Mutator, postFlip bool) (bool, error) {
 	// 1. Drain the major log: reapply mutations to existing replicas of
 	// old-from objects, and track from-space references stored into
 	// mutator-visible to-space objects.
-	done, err := c.processMajorLog(m, postFlip)
+	done, err := c.processMajorLog(m)
 	if !done {
 		return false, err
 	}
@@ -1558,9 +1481,6 @@ func (c *Replicating) majorIncrement(m *Mutator, postFlip bool) (bool, error) {
 	// right after a minor flip, so roots reference only the old generation or
 	// immediates; to-space referents need no action, since the cursor sweeps
 	// them by address.
-	if !postFlip {
-		return false, nil
-	}
 	return c.attempt(m, g)
 }
 
@@ -1629,11 +1549,10 @@ func (c *Replicating) deferAttempt(m *Mutator, g *generation, rootVisits int) (o
 		return 0, false
 	}
 	cost := simtime.Duration(len(g.worklist))*m.Cost.FlipEntry + simtime.Duration(rootVisits)*m.Cost.RootUpdate
-	raise := c.microRaise(m)
-	if m.Clock.Now()+cost <= c.deadline+raise {
+	if m.Clock.Now()+cost <= c.deadline {
 		return 0, false
 	}
-	if cost > c.budget(m)+raise || g.deferrals >= maxFlipDeferrals {
+	if cost > c.budget(m) || g.deferrals >= maxFlipDeferrals {
 		c.stats.Overruns++
 		c.pauses.cur.Overrun += cost
 		return c.lift(simtime.LiftOverrun) + cost, false
@@ -1647,27 +1566,12 @@ func (c *Replicating) deferAttempt(m *Mutator, g *generation, rootVisits int) (o
 	return 0, true
 }
 
-// microRaise is what the completion budget of interleaved pacing adds to a
-// micro-pause's: completion attempts are the one place that design stops the
-// mutator for real work, so they are admitted against — and the increment
-// after a minor flip runs under — a quarter of the standard per-pause budget
-// rather than the micro quantum, still well under the pause target.
-func (c *Replicating) microRaise(m *Mutator) simtime.Duration {
-	if micro := c.microLimit; micro > 0 && micro < c.cfg.CopyLimitBytes/2 {
-		return workTime(m.Cost, c.cfg.CopyLimitBytes/2) - workTime(m.Cost, micro)
-	}
-	return 0
-}
-
 // processMajorLog consumes pending log entries for the major collection;
-// it reports whether log processing has gone as far as it can this
-// increment (a mid-cycle entry whose slot still holds a nursery pointer
-// parks the queue until the next minor flip, which counts as done). A
-// typed exhaustion error rewinds the cursor to the failed entry, like the
-// mid-cycle retry.
-func (c *Replicating) processMajorLog(m *Mutator, postFlip bool) (bool, error) {
+// it reports whether the log is drained (false when the pause's budget ran
+// out first). A typed exhaustion error rewinds the cursor to the failed
+// entry.
+func (c *Replicating) processMajorLog(m *Mutator) (bool, error) {
 	h, g := c.h, &c.major
-logLoop:
 	for g.logCursor < m.Log.Len() {
 		_, e, ok := c.takeLogEntry(m, g)
 		if !ok {
@@ -1679,14 +1583,8 @@ logLoop:
 				continue // unreplicated: the copy will carry current contents
 			}
 			if !e.Byte && h.Nursery.Contains(h.Load(e.Obj, int(e.Slot))) {
-				if postFlip {
-					//gclint:allow panicpath -- invariant: the minor flip re-points every logged old→nursery slot
-					panic("core: old object holds nursery pointer after a minor flip")
-				}
-				// Mid-cycle: the slot will be re-pointed by the next
-				// minor flip; retry this entry then.
-				c.rewindLogEntry(g, nil)
-				break logLoop
+				//gclint:allow panicpath -- invariant: the minor flip re-points every logged old→nursery slot
+				panic("core: old object holds nursery pointer after a minor flip")
 			}
 			replica := h.ForwardAddr(e.Obj)
 			if err := c.reapply(m, e, replica, c.hiddenHolder(replica, true)); err != nil {

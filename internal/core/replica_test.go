@@ -353,47 +353,6 @@ func TestShadowModelPropertySeeds(t *testing.T) {
 	}
 }
 
-// TestInterleavedPacing exercises the §6 concurrent-style configuration:
-// correctness via the shadow model, and the pause profile it exists for —
-// micro-pauses bounded by the work quantum plus flip costs, far below the
-// pause-based collector's budgeted pauses.
-func TestInterleavedPacing(t *testing.T) {
-	cfg := tortureConfig(true, true)
-	cfg.InterleavedTaxPermille = 3000 // the torture driver has ~60% survival
-	m, gc := newRun(cfg, core.LogAllMutations)
-	d := gctest.NewDriver(m, 21)
-	for round := 0; round < 40; round++ {
-		d.Step(500)
-		if err := d.Verify(); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-	}
-	gc.FinishCycles(m)
-	if err := d.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	if err := core.AuditHeap(m); err != nil {
-		t.Fatal(err)
-	}
-	st := gc.Stats()
-	if st.MinorCollections == 0 || st.MajorCollections == 0 {
-		t.Fatalf("collections: %d minor, %d major", st.MinorCollections, st.MajorCollections)
-	}
-
-	// Compare the pause profile against the pause-based collector on the
-	// same workload.
-	base, baseGC := newRun(tortureConfig(true, true), core.LogAllMutations)
-	db := gctest.NewDriver(base, 21)
-	db.Step(20000)
-	baseGC.FinishCycles(base)
-
-	conc := gc.Pauses()
-	if conc.Percentile(50) >= baseGC.Pauses().Percentile(50) {
-		t.Errorf("interleaved p50 %v not below pause-based p50 %v",
-			conc.Percentile(50), baseGC.Pauses().Percentile(50))
-	}
-}
-
 // TestDeferMutableCopies exercises the §2.5 immutable-first variant:
 // correctness via the shadow model and differential fingerprints, plus the
 // property it exists for — far fewer log reapplies, because mutable objects

@@ -25,8 +25,7 @@ import (
 
 // Collector is a resolved collector configuration: which engine runs, with
 // which switches, under which logging policy. The named ones are the rows of
-// Table; a caller that needs a configuration no name describes (the crash
-// matrix's 200 ‰ tax) fills one in.
+// Table; a caller that needs a configuration no name describes fills one in.
 type Collector struct {
 	Name string
 	// StopCopy selects the stop-and-copy baseline (internal/stopcopy)
@@ -52,17 +51,14 @@ var (
 	// (every mutation logged), the cost figures 8–10 separate out.
 	SC     = Collector{Name: "sc", StopCopy: true, Log: core.LogPointersOnly}
 	SCMods = Collector{Name: "sc-mods", StopCopy: true, Log: core.LogAllMutations}
-	// rt with lazy log processing (§2.5), with interleaved pacing (§6: 1.5
-	// bytes of collector work per allocated byte finishes each collection
-	// well before the nursery fills) and with deferred copying of mutable
-	// objects (§2.5).
+	// rt with lazy log processing (§2.5) and with deferred copying of
+	// mutable objects (§2.5).
 	RTLazy  = replicating("rt-lazy", core.Config{IncrementalMinor: true, IncrementalMajor: true, LazyLogProcessing: true})
-	RTConc  = replicating("rt-conc", core.Config{IncrementalMinor: true, IncrementalMajor: true, InterleavedTaxPermille: 1500})
 	RTDefer = replicating("rt-defer", core.Config{IncrementalMinor: true, IncrementalMajor: true, DeferMutableCopies: true})
 )
 
 // Table is every named collector, in the order help strings list them.
-var Table = []Collector{RT, MinorInc, MajorInc, StopCopyCore, SC, SCMods, RTLazy, RTConc, RTDefer}
+var Table = []Collector{RT, MinorInc, MajorInc, StopCopyCore, SC, SCMods, RTLazy, RTDefer}
 
 func replicating(name string, engine core.Config) Collector {
 	return Collector{Name: name, Engine: engine, Log: core.LogAllMutations}

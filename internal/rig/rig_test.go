@@ -139,7 +139,7 @@ func TestUnsupported(t *testing.T) {
 		{"Record", func(c *rig.Config) { c.Collector, c.Record = rig.SCMods, script }},
 		{"Replay", func(c *rig.Config) { c.Replay = script }},
 		{"Replay", func(c *rig.Config) { c.Collector, c.Replay = rig.MinorInc, script }},
-		{"Replay", func(c *rig.Config) { c.Collector, c.Replay = rig.RTConc, script }},
+		{"Replay", func(c *rig.Config) { c.Collector, c.Replay = rig.RTDefer, script }},
 		{"Record/Replay", func(c *rig.Config) { c.Members, c.Record = 2, script }},
 		{"Record/Replay", func(c *rig.Config) { c.Collector, c.Members, c.Replay = rig.SC, 4, script }},
 		{"OldSemiBytes/NurseryCapBytes", func(c *rig.Config) {
@@ -185,12 +185,12 @@ func (nopCheckpointer) PauseCheckpoint(*core.Mutator, core.CheckpointPoint) bool
 func (nopCheckpointer) ForceCommit(*core.Mutator, *core.Replicating) error       { return nil }
 func (nopCheckpointer) Stats() rig.CheckpointStats                               { return rig.CheckpointStats{} }
 
-// TestTable holds the name table to its contract: nine distinct names, each
+// TestTable holds the name table to its contract: eight distinct names, each
 // resolving to its own row, the engine's own name for a row agreeing with
 // the paper's four where it has one, and anything else refused by name.
 func TestTable(t *testing.T) {
-	if len(rig.Table) != 9 {
-		t.Fatalf("%d rows, want nine", len(rig.Table))
+	if len(rig.Table) != 8 {
+		t.Fatalf("%d rows, want eight", len(rig.Table))
 	}
 	seen := map[string]bool{}
 	for _, row := range rig.Table {
@@ -222,6 +222,20 @@ func TestTable(t *testing.T) {
 	var refused *rig.UnsupportedError
 	if !errors.As(err, &refused) || refused.Collector != "bogus" || !strings.Contains(err.Error(), "rt-lazy") {
 		t.Errorf("Named(bogus) = %v", err)
+	}
+}
+
+// TestNoCollectorPaces: no collector the table names implements core.Pacer,
+// so an allocation enters the collector only through CollectForAlloc.
+func TestNoCollectorPaces(t *testing.T) {
+	for _, row := range rig.Table {
+		rt, err := rig.New(small(row))
+		if err != nil {
+			t.Fatalf("New(%q): %v", row.Name, err)
+		}
+		if _, ok := rt.GC.(core.Pacer); ok {
+			t.Errorf("%s: the collector implements core.Pacer", row.Name)
+		}
 	}
 }
 

@@ -64,7 +64,7 @@ type Cause uint16
 // The entries, one per way into a pause.
 const (
 	EntryAlloc       Cause = iota // CollectForAlloc: an allocation found no room
-	EntryTax                      // AllocTax: an interleaved micro-pause
+	_                             // retired: keeps the entries below, and the trace bytes that name them, where they were
 	EntryFinish                   // FinishCycles: the run drives its cycles home
 	EntryEmergency                // CollectEmergency: a failed direct allocation
 	EntryCheckpoint               // CheckpointPause: a checkpoint writer's final commit
@@ -84,7 +84,7 @@ const (
 	entryMask     Cause = 7         // the entry's bits
 )
 
-var entryNames = [entryMask + 1]string{"alloc", "alloc-tax", "finish", "collect-emergency", "checkpoint", "sc-alloc", "sc-emergency"}
+var entryNames = [entryMask + 1]string{"alloc", "", "finish", "collect-emergency", "checkpoint", "sc-alloc", "sc-emergency"}
 
 var bitNames = [...]string{"emergency", "forced-minor", "forced-major", "overrun", "flip", "deferred", "committed"}
 

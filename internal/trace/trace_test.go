@@ -246,7 +246,7 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	r.AllocEpoch(0, 0, 1024)
 	r.Counters(1*ms, 1, 2, 3)
 	r.LogEpoch(1*ms, 2)
-	p := &simtime.Pause{At: 1 * ms, Length: 2 * ms, CopiedB: 64, LogProcN: 1, Cause: simtime.EntryTax}
+	p := &simtime.Pause{At: 1 * ms, Length: 2 * ms, CopiedB: 64, LogProcN: 1, Cause: simtime.EntryAlloc | simtime.Deferral}
 	p.PhaseTime[simtime.PhaseLogReplay], p.PhaseSpans[simtime.PhaseLogReplay] = 1*ms, 2
 	p.PhaseTime[simtime.PhaseCopy], p.PhaseSpans[simtime.PhaseCopy] = 1*ms, 1
 	r.Pause(p)
@@ -257,7 +257,7 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	if err := trace.ValidateChrome(data); err != nil {
 		t.Fatalf("emitted trace fails its own validator: %v\n%s", err, data)
 	}
-	for _, want := range []string{`"pause"`, `"log-replay"`, `"allocated_bytes"`, `"workload": "unit"`, `"cause": 1`, `"spans": 2`} {
+	for _, want := range []string{`"pause"`, `"log-replay"`, `"allocated_bytes"`, `"workload": "unit"`, `"cause": 256`, `"spans": 2`} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("chrome JSON missing %s", want)
 		}

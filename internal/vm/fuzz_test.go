@@ -122,11 +122,11 @@ func runUnder(t *testing.T, src, collector string) (string, error) {
 			NurseryBytes: 24 << 10, MajorThresholdBytes: 128 << 10,
 			CopyLimitBytes: 4 << 10, IncrementalMinor: true, IncrementalMajor: true,
 		})
-	case "rt-conc":
+	case "rt-defer":
 		gc = core.NewReplicating(h, core.Config{
 			NurseryBytes: 24 << 10, MajorThresholdBytes: 128 << 10,
 			CopyLimitBytes: 4 << 10, IncrementalMinor: true, IncrementalMajor: true,
-			InterleavedTaxPermille: 2500,
+			DeferMutableCopies: true,
 		})
 	}
 	m.AttachGC(gc)
@@ -147,7 +147,8 @@ func runUnder(t *testing.T, src, collector string) (string, error) {
 }
 
 // TestDifferentialFuzz generates random programs and demands identical
-// output under stop-and-copy, real-time, and interleaved collection.
+// output under stop-and-copy, real-time, and real-time collection with
+// deferred mutable copies.
 func TestDifferentialFuzz(t *testing.T) {
 	n := 60
 	if testing.Short() {
@@ -159,7 +160,7 @@ func TestDifferentialFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d under sc: %v\n%s", seed, err, src)
 		}
-		for _, gc := range []string{"rt", "rt-conc"} {
+		for _, gc := range []string{"rt", "rt-defer"} {
 			got, err := runUnder(t, src, gc)
 			if err != nil {
 				t.Fatalf("seed %d under %s: %v\n%s", seed, gc, err, src)

@@ -35,7 +35,6 @@ func TestFacadeSimulatedIdentity(t *testing.T) {
 		o    repligc.Options
 	}{
 		{"realtime", repligc.Options{}},
-		{"realtime-tax1500", repligc.Options{Collector: "rt-conc"}},
 		{"realtime-no-incremental-minor", repligc.Options{Collector: "major-inc"}},
 		// A tight cell reaches what the paper's 50 ms cell never does on
 		// queens: major collections and nursery expansion.
