@@ -52,6 +52,9 @@ func WorkloadByName(name string, sc Scale) (Workload, error) {
 }
 
 // Cell returns the measurements of one grid cell, running it on first use.
+// Every cell runs the paper's barrier, which appends an entry for every
+// store (rig.Config.NaiveBarrier): the tables measure the paper's mechanism,
+// not the coalescing barrier, which the perf report's coalesced legs measure.
 // The rt cell records its policy script; every configuration whose minor
 // collections are not incremental replays it, so that the runs the paper
 // compares collect at the same points (§4.2).
@@ -64,7 +67,7 @@ func (s *Suite) Cell(name string, c rig.Collector, p Params) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rc := rig.Config{Collector: c, Params: p}
+	rc := rig.Config{Collector: c, Params: p, NaiveBarrier: true}
 	switch {
 	case c.Name == rig.RT.Name:
 		rc.Record = &policy.Script{}
