@@ -58,11 +58,13 @@ host-bench-test:
 # runs, the parent commit (exported with git archive) against this tree,
 # then per metric both sides' medians and quartiles, the pairs each won, the
 # claim rule's verdict and the verdict against the benchmark's bound.
-# WORKLOAD=all runs every workload in turn, a table each.
-#   make host-pairs PARENT=HEAD~1 WORKLOAD=sort N=10
+# WORKLOAD=all runs every workload in turn, a table each. SIM_CHANGE names
+# the workloads whose simulated fingerprints the change moves on purpose
+# (cmd/hostpairs -sim-change W=PARENT_FP:CHANGE_FP, comma-separated).
+#   make host-pairs PARENT=HEAD~1 WORKLOAD=sort N=10 [SIM_CHANGE=sort=d7f6:21ed]
 N ?= 10
 host-pairs:
-	bash scripts/host-pairs.sh $(PARENT) $(WORKLOAD) $(N)
+	SIM_CHANGE='$(SIM_CHANGE)' bash scripts/host-pairs.sh $(PARENT) $(WORKLOAD) $(N)
 
 # The ROADMAP's tracked size metric: non-test Go lines per package and in
 # total, over tracked files, without the benchmark's nested module and the

@@ -17,7 +17,13 @@
 // simulated work. A metric that resolves worse within its bound, or that is
 // unresolved, is no failure.
 //
-//	go run ./cmd/hostpairs -dir .bench_build/pairs/sort [-runs]
+// A change that means to move the simulation names each workload it moves
+// with -sim-change W=PFP:CFP (a comma-separated list): every parent run of W
+// must then show fingerprint PFP and every change run CFP, and the table is
+// headed by every sim_ metric's delta. A fingerprint the flag does not name
+// is still the error above.
+//
+//	go run ./cmd/hostpairs -dir .bench_build/pairs/sort [-runs] [-sim-change sort=d7f6:21ed]
 package main
 
 import (
@@ -67,20 +73,50 @@ func main() {
 	dir := flag.String("dir", "", "directory holding parent.<i>.json and change.<i>.json, i = 1..N")
 	bench := flag.String("benchmark", "BENCHMARK.json", "the benchmark declaration: metric order, units, directions and bounds")
 	runs := flag.Bool("runs", false, "also print every run's value of every host metric, in run order")
+	simChange := flag.String("sim-change", "", "workloads whose simulation the change moves on purpose: W=PARENT_FP:CHANGE_FP, comma-separated")
 	flag.Parse()
-	if *dir == "" || flag.NArg() != 0 {
+	moves, err := parseSimChange(*simChange)
+	if *dir == "" || flag.NArg() != 0 || err != nil {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "hostpairs: %v\n", err)
+		}
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := digest(os.Stdout, *dir, *bench, *runs); err != nil {
+	if err := digest(os.Stdout, *dir, *bench, *runs, moves); err != nil {
 		fmt.Fprintf(os.Stderr, "hostpairs: %v\n", err)
 		os.Exit(1)
 	}
 }
 
+// simMove is a named simulated change: the fingerprint every parent run and
+// every change run of one workload must show.
+type simMove struct{ parent, change string }
+
+// parseSimChange reads -sim-change's list, W=PFP:CFP[,W=PFP:CFP...].
+func parseSimChange(s string) (map[string]simMove, error) {
+	moves := map[string]simMove{}
+	if s == "" {
+		return moves, nil
+	}
+	for _, item := range strings.Split(s, ",") {
+		name, fps, ok := strings.Cut(item, "=")
+		p, c, ok2 := strings.Cut(fps, ":")
+		if !ok || !ok2 || name == "" || p == "" || c == "" {
+			return nil, fmt.Errorf("-sim-change: %q is not W=PARENT_FP:CHANGE_FP", item)
+		}
+		if _, dup := moves[name]; dup {
+			return nil, fmt.Errorf("-sim-change: %s named twice", name)
+		}
+		moves[name] = simMove{p, c}
+	}
+	return moves, nil
+}
+
 // digest prints the tables; its error names the end-to-end metrics over
-// their bounds, if any.
-func digest(w io.Writer, dir, benchPath string, showRuns bool) error {
+// their bounds, if any. moves names the workloads whose simulated work the
+// change moves on purpose.
+func digest(w io.Writer, dir, benchPath string, showRuns bool, moves map[string]simMove) error {
 	defs, err := loadDefs(benchPath)
 	if err != nil {
 		return err
@@ -104,11 +140,18 @@ func digest(w io.Writer, dir, benchPath string, showRuns bool) error {
 
 	var over []string
 	for _, name := range names {
-		ps, cs, err := workloadRuns(parent, change, name)
+		move, moved := moves[name]
+		ps, cs, err := workloadRuns(parent, change, name, move)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%s, seed %d: %d pairs, simulated fingerprint %s on every run of both sides\n\n", name, ps[0].Seed, len(ps), ps[0].SimFingerprint)
+		if moved {
+			fmt.Fprintf(w, "%s, seed %d: %d pairs, simulated fingerprint %s on every parent run and %s on every change run (a named simulated change)\n\n",
+				name, ps[0].Seed, len(ps), move.parent, move.change)
+			fmt.Fprintf(w, "simulated deltas: %s\n\n", simDeltas(defs, ps[0], cs[0]))
+		} else {
+			fmt.Fprintf(w, "%s, seed %d: %d pairs, simulated fingerprint %s on every run of both sides\n\n", name, ps[0].Seed, len(ps), ps[0].SimFingerprint)
+		}
 		fmt.Fprintln(w, "| metric | unit | parent | change | delta | change won | parent won | claim rule | bound | bound rule |")
 		fmt.Fprintln(w, "|---|---|---|---|---|---|---|---|---|---|")
 		var runRows []string
@@ -188,25 +231,56 @@ func loadRuns(dir, side string) ([]*reportFile, error) {
 // workloadRuns returns both sides' reports of one workload in run order. A
 // failed run, or a simulated fingerprint that is not the same on every run
 // of both sides, is an error: the host numbers would compare different work.
-func workloadRuns(parent, change []*reportFile, name string) (ps, cs []*report, err error) {
+// A named move (a non-zero simMove) instead wants its parent fingerprint on
+// every parent run and its change fingerprint on every change run.
+func workloadRuns(parent, change []*reportFile, name string, move simMove) (ps, cs []*report, err error) {
 	first := parent[0].Workloads[name]
+	if first == nil {
+		return nil, nil, fmt.Errorf("pair 1: workload %s missing on one side", name)
+	}
+	want := simMove{first.SimFingerprint, first.SimFingerprint}
+	if move != (simMove{}) {
+		want = move
+	}
 	for i := range parent {
 		p, c := parent[i].Workloads[name], change[i].Workloads[name]
 		if p == nil || c == nil {
 			return nil, nil, fmt.Errorf("pair %d: workload %s missing on one side", i+1, name)
 		}
-		for _, r := range []*report{p, c} {
+		for _, r := range []struct {
+			side, fp string
+			*report
+		}{{"parent", want.parent, p}, {"change", want.change, c}} {
 			if !r.Correct || r.Failed != 0 {
 				return nil, nil, fmt.Errorf("pair %d: a run of %s failed (%d of %d)", i+1, name, r.Failed, r.Attempted)
 			}
-			if r.Seed != first.Seed || r.SimFingerprint != first.SimFingerprint {
-				return nil, nil, fmt.Errorf("pair %d: %s ran seed %d to fingerprint %s, the first parent run seed %d to %s",
-					i+1, name, r.Seed, r.SimFingerprint, first.Seed, first.SimFingerprint)
+			if r.Seed != first.Seed || r.SimFingerprint != r.fp {
+				return nil, nil, fmt.Errorf("pair %d: the %s run of %s ran seed %d to fingerprint %s, want seed %d to %s",
+					i+1, r.side, name, r.Seed, r.SimFingerprint, first.Seed, r.fp)
 			}
 		}
 		ps, cs = append(ps, p), append(cs, c)
 	}
 	return ps, cs, nil
+}
+
+// simDeltas lists every sim_ metric's parent and change value and the
+// change's delta; the simulated metrics are the same on every run of a side.
+func simDeltas(defs []metricDef, p, c *report) string {
+	var parts []string
+	for _, d := range defs {
+		if !strings.HasPrefix(d.Name, "sim_") {
+			continue
+		}
+		pm, ok := p.lookup(d.Name)
+		cm, ok2 := c.lookup(d.Name)
+		if !ok || !ok2 {
+			continue
+		}
+		r := result{p: quart{med: pm.Value}, c: quart{med: cm.Value}}
+		parts = append(parts, fmt.Sprintf("`%s` %.6g -> %.6g (%s)", d.Name, pm.Value, cm.Value, r.delta()))
+	}
+	return strings.Join(parts, ", ")
 }
 
 // lookup finds a metric among a report's end-to-end and per-layer ones.

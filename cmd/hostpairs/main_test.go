@@ -62,7 +62,7 @@ func TestDigest(t *testing.T) {
 		writeRun(t, dir, "change", i, "d7f6", 237+0.1*float64(i%2), runC)
 	}
 	var out strings.Builder
-	if err := digest(&out, dir, bench, true); err != nil {
+	if err := digest(&out, dir, bench, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
@@ -92,8 +92,73 @@ func TestDigestRefusesDifferentWork(t *testing.T) {
 	writeRun(t, dir, "parent", 1, "d7f6", 338, 2)
 	writeRun(t, dir, "change", 1, "beef", 237, 2)
 	var out strings.Builder
-	if err := digest(&out, dir, bench, false); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+	if err := digest(&out, dir, bench, false, nil); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("digest over differing fingerprints: err = %v", err)
+	}
+}
+
+// TestDigestNamedSimChange: a fingerprint move that -sim-change names is
+// digested, with the simulated deltas; one it does not name, or a named
+// workload whose runs disagree on a side, still fails.
+func TestDigestNamedSimChange(t *testing.T) {
+	named := map[string]simMove{"sort": {"d7f6", "21ed"}}
+	for _, c := range []struct {
+		name     string
+		moves    map[string]simMove
+		changeFP func(pair int) string
+		fail     string // the error's text when the digest must fail
+	}{
+		{"named move passes", named, func(int) string { return "21ed" }, ""},
+		{"unnamed move fails", nil, func(int) string { return "21ed" }, "want seed 1 to d7f6"},
+		{"another workload named", map[string]simMove{"primes": {"d7f6", "21ed"}}, func(int) string { return "21ed" }, "want seed 1 to d7f6"},
+		{"named workload's runs disagree", named, func(pair int) string {
+			if pair == 7 {
+				return "beef"
+			}
+			return "21ed"
+		}, "pair 7: the change run of sort ran seed 1 to fingerprint beef, want seed 1 to 21ed"},
+		{"named move, wrong parent fingerprint", map[string]simMove{"sort": {"aaaa", "21ed"}}, func(int) string { return "21ed" },
+			"pair 1: the parent run of sort ran seed 1 to fingerprint d7f6, want seed 1 to aaaa"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			bench := writeBench(t, dir)
+			for i := 1; i <= 10; i++ {
+				writeRun(t, dir, "parent", i, "d7f6", 237, 2)
+				writeRun(t, dir, "change", i, c.changeFP(i), 237, 2)
+			}
+			var out strings.Builder
+			err := digest(&out, dir, bench, false, c.moves)
+			if c.fail != "" {
+				if err == nil || !strings.Contains(err.Error(), c.fail) {
+					t.Fatalf("digest error %v, want one containing %q", err, c.fail)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range []string{
+				"sort, seed 1: 10 pairs, simulated fingerprint d7f6 on every parent run and 21ed on every change run (a named simulated change)",
+				"simulated deltas: `sim_elapsed_ms` 191003 -> 191003 (+0.0 %)",
+			} {
+				if !strings.Contains(out.String(), want) {
+					t.Errorf("digest output lacks %q:\n%s", want, out.String())
+				}
+			}
+		})
+	}
+}
+
+func TestParseSimChange(t *testing.T) {
+	got, err := parseSimChange("primes=a1:b2,sort=c3:d4")
+	if err != nil || len(got) != 2 || got["primes"] != (simMove{"a1", "b2"}) || got["sort"] != (simMove{"c3", "d4"}) {
+		t.Fatalf("parseSimChange = %v, %v", got, err)
+	}
+	for _, bad := range []string{"sort", "sort=a1", "sort=:b2", "=a1:b2", "sort=a1:b2,sort=a1:b2"} {
+		if _, err := parseSimChange(bad); err == nil {
+			t.Errorf("parseSimChange(%q) took it", bad)
+		}
 	}
 }
 
@@ -144,7 +209,7 @@ func TestDigestFailsOnlyOnWorseEndToEnd(t *testing.T) {
 				writeRun(t, dir, "change", i, "d7f6", rssC, runC)
 			}
 			var out strings.Builder
-			err := digest(&out, dir, bench, false)
+			err := digest(&out, dir, bench, false, nil)
 			if c.fail != (err != nil) {
 				t.Fatalf("digest error %v, want one: %v\n%s", err, c.fail, out.String())
 			}
@@ -165,7 +230,7 @@ func TestDigestTooFewPairs(t *testing.T) {
 	writeRun(t, dir, "parent", 1, "d7f6", 338, 2)
 	writeRun(t, dir, "change", 1, "d7f6", 237, 2)
 	var out strings.Builder
-	if err := digest(&out, dir, bench, false); err != nil {
+	if err := digest(&out, dir, bench, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	if want := "| -29.9 % | 1/1 | 0/1 | fewer than ten pairs |"; !strings.Contains(out.String(), want) {

@@ -16,10 +16,13 @@
 # runs every workload BENCHMARK.json declares in turn, a table each. The
 # exit status is 1 when any table's cmd/hostpairs exits 1: an end-to-end
 # metric is over its bound or the sides' simulated fingerprints differ.
+# SIM_CHANGE, when set, is passed to cmd/hostpairs as -sim-change: the
+# workloads whose fingerprints the change moves on purpose,
+# W=PARENT_FP:CHANGE_FP, comma-separated.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-	sed -n '2,18p' "$0" >&2
+	sed -n '2,21p' "$0" >&2
 	exit 2
 fi
 parent=$1 workloads=$2 pairs=${3:-10} seed=${4:-1} seconds=${5:-12}
@@ -57,6 +60,6 @@ for workload in $workloads; do
 		fi
 	done
 	echo "== $workload"
-	go run ./cmd/hostpairs -dir "$out" -runs || status=1
+	go run ./cmd/hostpairs -dir "$out" -runs ${SIM_CHANGE:+-sim-change "$SIM_CHANGE"} || status=1
 done
 exit $status
