@@ -74,11 +74,11 @@ var Confinements = []*Confinement{
 		NotIn: collectorPkgs,
 		Why:   "outside the collector packages bypasses the logging write barrier (paper §2.1: every mutation must reach the mutation log); use Mutator.Set/SetByte/SetByteRange/Init/Alloc"},
 	{Rule: "barrier", Pkg: heapPkgPath, Recv: "Heap",
-		Names: []string{"SetForward", "CopyObject", "SwapOld", "ReserveReplica", "CopyWords", "SetWord"},
+		Names: []string{"SetForward", "CopyObject", "SwapOld", "ReserveReplica", "CopyWords", "SetWord", "Mark", "ClearMarks"},
 		NotIn: collectorPkgs,
 		Why:   "is collector mechanics: outside the collector packages it changes the heap behind the mutation log's back (paper §2.1)"},
 	{Rule: "barrier", Pkg: heapPkgPath, Recv: "Heap",
-		Names: []string{"Load", "LoadByte", "Bytes", "LoadBytes", "RawHeader", "Word"},
+		Names: []string{"Load", "LoadByte", "Bytes", "LoadBytes", "RawHeader", "Word", "Marked"},
 		NotIn: collectorPkgs,
 		Why:   "is a raw heap read outside the collector packages; use Mutator.Get/GetByte/Bytes/GetByteRange/Header"},
 	forwardRow,

@@ -79,22 +79,22 @@ func (b *budgetRecorder) projection() uint64 {
 // engine shapes and all four fault plans, and one for the engine golden's
 // recorded-and-replayed pair.
 var budgetPins = map[string]string{
-	"rt":        "07cf0cfd32e300e4",
-	"minor-inc": "a81328c4989d9516",
-	"major-inc": "37591297d9ead71d",
-	"rt-lazy":   "8ad52308736151bc",
-	"rt-defer":  "3c1907b3f0d138c7",
-	"replay":    "a16c9a931359a2c5",
+	"rt":        "f788c8efa543764a",
+	"minor-inc": "082017cc3dab3c4e",
+	"major-inc": "373b0b6d9c0758ee",
+	"rt-lazy":   "668529c3c38dab0b",
+	"rt-defer":  "5e71d1560201bc92",
+	"replay":    "8069be8198a3290c",
 }
 
 // projectionPins holds the same cells' projections (budgetRecorder.projection).
 var projectionPins = map[string]string{
-	"rt":        "dde4d2e88fe21be8",
-	"minor-inc": "b047d7443413ccef",
-	"major-inc": "c2a5c61cf91b3500",
-	"rt-lazy":   "e32959ba01c92bd5",
-	"rt-defer":  "e4bdae78ade6bb75",
-	"replay":    "8c803106f941a18a",
+	"rt":        "19ce879da8ebdf8f",
+	"minor-inc": "56dc8a4825fb8325",
+	"major-inc": "faa46be3eff9d4db",
+	"rt-lazy":   "de2b062749610085",
+	"rt-defer":  "39c9427f52cff164",
+	"replay":    "7150e4a746189748",
 }
 
 func TestBudgetPins(t *testing.T) {

@@ -216,12 +216,15 @@ func compositionLargeObjects(t *testing.T) {
 // Under shrink-old the next pause must escalate — flip regardless of the gate,
 // or surface the typed error — never wait. The shape is the paper's L over a
 // 64 KB nursery of which half survives, so the pause a flip could run in is
-// nearly always full. The heap audit runs after every round from the strike
-// until the headroom is back and every thirty-second otherwise, the shadow
-// check at the end, 24 rounds later.
+// nearly always full. A lone member's flip worklist — hidden replicas keep it
+// to the few visible references to mutable objects — and its root set are too
+// short to wait on their own, so its member also holds rootBallast handles to
+// no object, which the completion attempt visits twice. The heap audit runs
+// after every round from the strike until the headroom is back and every
+// thirty-second otherwise, the shadow check at the end, 24 rounds later.
 func compositionDeferredFlipFaults(t *testing.T) {
 	params := Params{NBytes: 64 << 10, OBytes: 256 << 10, LBytes: 100 << 10}
-	const oldSemi = 4 << 20
+	const oldSemi, rootBallast = 4 << 20, 12000
 	cells := 0
 	for _, coll := range rig.Table {
 		if coll.StopCopy || !coll.Engine.IncrementalMajor {
@@ -240,6 +243,11 @@ func compositionDeferredFlipFaults(t *testing.T) {
 				if err != nil {
 					t.Errorf("%s: %v", label, err)
 					continue
+				}
+				if members == 1 {
+					for range rootBallast {
+						rt.Mutator.PushHandle(heap.FromInt(0))
+					}
 				}
 				repl := rt.GC.(*core.Replicating)
 				st := rt.GC.Stats()

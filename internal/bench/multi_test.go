@@ -109,13 +109,17 @@ func TestMultiMutatorOverlap(t *testing.T) {
 	}
 }
 
-// TestEightMembersOneOverrun: eight torture drivers on one heap under rt in
-// the paper's 50 ms cell (seed 42, 400 rounds of 80-operation quanta, then
-// Finish) take one counted overrun, and it is the last pause, inside Finish:
-// the 8.2 ms root pass every FinishCycles pause spends on an empty minor,
-// then a 44.7 ms flip of 9 124 worklist entries let through at the deferral
-// cap. The pause still fits the 57.6 ms bound.
-func TestEightMembersOneOverrun(t *testing.T) {
+// TestEightMembersNoOverrun: eight torture drivers on one heap under rt in the
+// paper's 50 ms cell (seed 42, 400 rounds of 80-operation quanta, then Finish)
+// take no counted overrun. The one major flips in the last pause, inside
+// Finish, after the pause before it put the attempt off. That pause is 32.4
+// ms: the 8.2 ms root pass every FinishCycles pause spends on an empty minor,
+// then a 24.2 ms flip of 4 013 worklist entries and 8 176 root slots. The
+// flip's worklist holds only the visible slots on mutable objects and on
+// replicas whose closure was not walked yet; before immutable replicas were
+// hidden it held 9 124 and the flip was let through at the deferral cap.
+// core's TestDeferredFlipAlwaysEnds reaches both overrun exits.
+func TestEightMembersNoOverrun(t *testing.T) {
 	rt, err := rig.New(rig.Config{Collector: rig.RT, Params: perfParams(), Members: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -134,23 +138,21 @@ func TestEightMembersOneOverrun(t *testing.T) {
 	}
 	st := rt.Stats()
 	ps := st.Pauses.Pauses
-	if len(ps) != 66 || st.GC.Overruns != 1 {
-		t.Fatalf("%d pauses, %d overruns; want 66 and 1", len(ps), st.GC.Overruns)
+	if len(ps) != 59 || st.GC.Overruns != 0 || st.GC.MajorCollections != 1 {
+		t.Fatalf("%d pauses, %d overruns, %d majors; want 59, 0 and 1", len(ps), st.GC.Overruns, st.GC.MajorCollections)
 	}
-	for i, p := range ps[:len(ps)-1] {
-		if p.Overrun > 0 {
-			t.Errorf("pause %d overran by %v; only the last pause should", i, p.Overrun)
-		}
+	if !ps[len(ps)-2].Cause.Deferred() {
+		t.Errorf("the pause before the last has cause %v: the major's attempt was not put off", ps[len(ps)-2].Cause)
 	}
 	last := ps[len(ps)-1]
 	ms := func(d simtime.Duration) float64 { return d.Milliseconds() }
 	got := []float64{ms(last.Length), ms(last.Overrun), ms(last.PhaseTime[simtime.PhaseRootScan]), ms(last.PhaseTime[simtime.PhaseFlip]),
 		float64(last.FlipEntries), float64(last.RootSlots)}
-	want := []float64{52.848, 44.692, 8.176, 44.672, 9124, 8176}
+	want := []float64{32.404, 0, 8.176, 24.228, 4013, 8176}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("the last pause: length, overrun, root pass, flip (ms), worklist entries, root slots = %v, want %v", got, want)
 	}
-	if bound := perfPauseBoundMs(); ms(last.Length) > bound {
-		t.Errorf("the overrun is %v long, over the %.1f ms bound", last.Length, bound)
+	if bound := perfPauseBoundMs(); ms(st.Pauses.Max()) > bound {
+		t.Errorf("the longest pause is %v, over the %.1f ms bound", st.Pauses.Max(), bound)
 	}
 }

@@ -37,7 +37,7 @@ func AuditHeap(m *Mutator) error {
 			return fmt.Errorf("audit: pointer %v outside every space", v)
 		}
 		if sc != nil && sc.HiddenReplica(v) {
-			return fmt.Errorf("audit: %v is the replica of a mutable object, which nothing the mutator reaches may reference before the flip", v)
+			return fmt.Errorf("audit: %v is a hidden replica, which nothing the mutator reaches may reference before the major flip", v)
 		}
 
 		raw := h.RawHeader(v)
@@ -99,10 +99,13 @@ type ScanAuditor interface {
 }
 
 // HiddenReplica reports whether v is a replica the mutator must not be able to
-// reach yet: while a major collection is active, the replica of a mutable
-// from-space object. Every reference to the original stays on the original
-// until the major flip, which is what lets such a replica's own slots point
-// straight at replicas (toSpaceValue).
+// reach yet: while a major collection is active, a major replica that no
+// visible slot has been redirected to (hiddenHolder) — every replica of a
+// mutable object, and an immutable object's until expose has walked it. Every
+// reference to its original stays on the original until then, which is what
+// lets such a replica's own slots point straight at replicas (toSpaceValue).
+// The walk is what the audit checks: it enters an exposed replica only through
+// a redirected slot, and must find behind it no hidden replica.
 func (c *Replicating) HiddenReplica(v heap.Value) bool {
 	return c.major.active && c.h.OldTo().Contains(v) && c.hiddenHolder(v, c.major.isReplica(v))
 }

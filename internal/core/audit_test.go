@@ -227,11 +227,11 @@ func TestAuditScannedCatchesCorruptBlackObject(t *testing.T) {
 
 // TestAuditCatchesVisibleMutableReplica is the hiding invariant's corruption
 // case: while a major collection is active nothing the mutator can reach may
-// reference the replica of a mutable object — that is what lets such a
-// replica's own slots point straight at replicas (toSpaceValue) — so a
-// visible slot hand-pointed at one must be reported, while the replica of an
-// immutable object, which the collector itself redirects visible slots to,
-// must not.
+// reference a hidden replica — every replica of a mutable object, and an
+// immutable object's until the collector exposes it (expose), which is what
+// lets such a replica's own slots point straight at replicas (toSpaceValue) —
+// so a visible slot hand-pointed at either must be reported, while an exposed
+// replica, which the collector itself redirects visible slots to, must not.
 func TestAuditCatchesVisibleMutableReplica(t *testing.T) {
 	m, gc := auditMutator(t, Config{
 		NurseryBytes:        128 << 10,
@@ -243,13 +243,14 @@ func TestAuditCatchesVisibleMutableReplica(t *testing.T) {
 	h := m.H
 
 	// Promote pairs of a ref cell and a record, kept on a chain under one
-	// root, until a major is active and has replicated one of each kind.
+	// root, until a major is active and has replicated one of each kind that
+	// is still hidden.
 	replicaOf := func(mutable bool) heap.Value {
 		for _, run := range gc.major.replicas {
 			for idx := run.start; idx < run.start+run.words; {
 				hdr := heap.Header(h.Word(idx))
-				if hdr.Kind().Mutable() == mutable && hdr.Kind().HasPointers() {
-					return heap.Value((idx + 1) << 3)
+				if p := heap.Value((idx + 1) << 3); hdr.Kind().Mutable() == mutable && hdr.Kind().HasPointers() && gc.HiddenReplica(p) {
+					return p
 				}
 				idx += uint64(hdr.SizeWords())
 			}
@@ -269,12 +270,9 @@ func TestAuditCatchesVisibleMutableReplica(t *testing.T) {
 			m.SetHandleVal(chain, p) // one pair in eight survives, through the record
 		}
 	}
-	hidden, shared := replicaOf(true), replicaOf(false)
-	if !gc.major.active || hidden == heap.Nil || shared == heap.Nil {
-		t.Fatal("could not reach a mid-major state with a mutable and an immutable replica")
-	}
-	if !gc.HiddenReplica(hidden) || gc.HiddenReplica(shared) {
-		t.Fatalf("HiddenReplica: mutable replica %v, immutable replica %v", gc.HiddenReplica(hidden), gc.HiddenReplica(shared))
+	mutable, immutable := replicaOf(true), replicaOf(false)
+	if !gc.major.active || mutable == heap.Nil || immutable == heap.Nil {
+		t.Fatal("could not reach a mid-major state with a hidden mutable and a hidden immutable replica")
 	}
 	if err := AuditHeap(m); err != nil {
 		t.Fatalf("audit failed mid-major on a healthy heap: %v", err)
@@ -285,10 +283,27 @@ func TestAuditCatchesVisibleMutableReplica(t *testing.T) {
 	holder := m.MustAlloc(heap.KindArray, 1)
 	m.Init(holder, 0, heap.Nil)
 	hh := m.PushHandle(holder)
-	h.Store(m.HandleVal(hh), 0, shared)
-	if err := AuditHeap(m); err != nil {
-		t.Fatalf("audit rejected a visible reference to an immutable object's replica: %v", err)
+	h.Store(m.HandleVal(hh), 0, mutable)
+	mustAuditError(t, m, "hidden replica")
+	h.Store(m.HandleVal(hh), 0, immutable)
+	mustAuditError(t, m, "hidden replica")
+
+	// Exposed, the immutable replica is the collector's to hand out: the walk
+	// aims its slots at originals and exposed replicas only.
+	orig := heap.Nil
+	for v := m.HandleVal(chain); v != heap.Nil && orig == heap.Nil; v = h.Load(v, 1) {
+		if h.IsForwarded(v) && h.ForwardAddr(v) == immutable {
+			orig = v
+		}
 	}
-	h.Store(m.HandleVal(hh), 0, hidden)
-	mustAuditError(t, m, "replica of a mutable object")
+	if orig == heap.Nil {
+		t.Fatal("the hidden immutable replica's original is not on the chain")
+	}
+	gc.deadline = 0
+	if !gc.expose(m, immutable, orig) || gc.HiddenReplica(immutable) {
+		t.Fatal("an unbudgeted expose left its replica hidden")
+	}
+	if err := AuditHeap(m); err != nil {
+		t.Fatalf("audit rejected a visible reference to an exposed replica: %v", err)
+	}
 }

@@ -57,11 +57,13 @@ func sameVolume(t *testing.T, got, want core.GCStats, wantIs string) {
 }
 
 // TestHiddenHolderDifferential runs one immortal, collection-phased operation
-// stream with the hidden-holder rule on and off: a slot of a mutable object's
-// major replica pointing at its referent's replica at once, instead of waiting
-// on the flip worklist, must change nothing but the worklist — same graph,
-// same bytes copied in both generations, same majors, strictly fewer slots
-// re-pointed at flips.
+// stream with the hidden-holder rule on and off. On, a slot of a major replica
+// no visible slot has been redirected to points at its referent's replica at
+// once, instead of waiting on the flip worklist, and exposing an immutable
+// replica walks what the cursor scanned of it back to the visible rule. That
+// must change nothing but the worklist and the walk's scan time — same graph,
+// same bytes copied in both generations, same majors, same log entries
+// reapplied, strictly fewer slots re-pointed at flips.
 func TestHiddenHolderDifferential(t *testing.T) {
 	for _, v := range flipVariants() {
 		t.Run(v.name, func(t *testing.T) {

@@ -89,12 +89,13 @@ type span struct {
 // fixup names a slot that holds a pointer into a generation's from-space and
 // must be re-pointed at its referent's replica by that generation's flip. The
 // minor's are the logged old→nursery slots, the paper's minor roots. The
-// major's are to-space slots holding a from-space pointer to a MUTABLE object
-// (or to an immutable one still being filled): slots holding immutable
-// from-space pointers are rewritten eagerly (the mutator cannot observe the
-// difference between an immutable original and its replica), but exposing a
-// mutable replica before the flip would let the mutator read or write it while
-// the collector is still reapplying the original's mutation log — so mutable
+// major's are mutator-visible to-space slots holding a from-space pointer to a
+// MUTABLE object (or to an immutable one still being filled, or whose
+// replica's closure is not yet walked): slots holding immutable from-space
+// pointers are rewritten eagerly (the mutator cannot observe the difference
+// between an immutable original and its replica), but exposing a mutable
+// replica before the flip would let the mutator read or write it while the
+// collector is still reapplying the original's mutation log — so mutable
 // references stay aimed at the from-space original until the atomic flip.
 // pendingMut reuses the type for the minor's deferred mutable copies.
 type fixup struct {
@@ -151,6 +152,15 @@ type generation struct {
 	replicas []span
 	//gclint:pauseonly advanced by the scan as the cursor passes each run, reset with the list
 	replicaIdx int
+	// The exposure walk's stack (major only). A replica a visible slot may be
+	// redirected to is exposed, and carries the heap's to-space mark (expose);
+	// every other replica is hidden until the flip (hiddenHolder). The stack
+	// holds exposed replicas whose slots the cursor scanned while they were
+	// hidden, each with the next slot to visit. While it holds anything no
+	// visible slot is redirected to a replica.
+	//
+	//gclint:pauseonly pushed and drained by expose under pause; reset in the pause that starts the cycle
+	walk []walkJob
 
 	// The one replica this generation is filling across pauses (replicate);
 	// its replica field is Nil when no copy is in flight.
@@ -175,6 +185,13 @@ type generation struct {
 type copyJob struct {
 	orig, replica heap.Value
 	next, words   int
+}
+
+// walkJob is an exposed replica on the walk's stack: its slots from next up to
+// end were scanned while it was hidden and are visited by walkExposed.
+type walkJob struct {
+	orig, replica heap.Value
+	next, end     int
 }
 
 // begin activates the generation's cycle: replicas of from's objects go to
@@ -1051,11 +1068,13 @@ func (g *generation) mustNotBeCopying() {
 // mutable replica before the flip would break the from-space invariant —
 // and the slot is queued for re-pointing during the major flip.
 //
-// hidden says the slot's holder is the major replica of a mutable object
-// (hiddenHolder), which nothing the mutator can reach references before the
-// flip. Its slots keep the paper's to-space invariant: they point at the
-// referent's replica at once — mutable or immutable, filled or in flight —
-// and are never queued; the log keeps them current.
+// hidden says the slot's holder is a major replica no visible slot has been
+// redirected to (hiddenHolder), which nothing the mutator can reach references
+// before the flip. Its slots keep the paper's to-space invariant: they point at
+// the referent's replica at once — mutable or immutable, filled or in flight —
+// and are never queued; the log keeps them current. A visible slot is
+// redirected to an immutable replica only once expose has made the replica's
+// closure fit for the mutator; until then it waits on the worklist too.
 func (c *Replicating) toSpaceValue(m *Mutator, v heap.Value, slotObj heap.Value, slot int, hidden bool) (heap.Value, error) {
 	if !c.major.active || !c.h.OldFrom().Contains(v) {
 		return v, nil
@@ -1071,11 +1090,15 @@ func (c *Replicating) toSpaceValue(m *Mutator, v heap.Value, slotObj heap.Value,
 	}
 	if !mutable {
 		replica, err := c.replicate(m, &c.major, v)
-		if err != nil || replica != c.major.inflight.replica {
+		if err != nil {
 			return replica, err
 		}
-		// Still being filled, and a to-space slot may be mutator-visible:
-		// like a mutable reference, this one waits for the flip.
+		// A replica still being filled is not the object yet, and one whose
+		// closure expose has not walked may lead to a mutable replica: either
+		// way, like a mutable reference, the slot waits for the flip.
+		if replica != c.major.inflight.replica && c.expose(m, replica, v) {
+			return replica, nil
+		}
 	}
 	c.queueFixup(fixup{obj: slotObj, slot: int32(slot)})
 	// A mutable referent is copied eagerly unless deferred (the slot still
@@ -1086,6 +1109,78 @@ func (c *Replicating) toSpaceValue(m *Mutator, v heap.Value, slotObj heap.Value,
 		}
 	}
 	return v, nil
+}
+
+// expose readies replica, the major replica of the immutable original orig,
+// for a visible slot, and reports whether the slot may point at it now. A
+// replica starts hidden, its scanned slots aimed at replicas of any kind;
+// exposed, it must lead the mutator only to exposed replicas, visible objects
+// and originals. So expose marks it, and its slots the cursor has not reached
+// yet are scanned under the visible rule. Those the cursor scanned while it
+// was hidden go on the walk's stack, and walkExposed visits them, a slot at a
+// time: a mutable or in-flight replica gives way to its original, read from
+// orig's slot, and the slot is queued for the flip, and an immutable replica is
+// exposed in turn. The walk is metered like the scan; until its stack is
+// empty, the visible slot keeps its original and is queued.
+func (c *Replicating) expose(m *Mutator, replica, orig heap.Value) bool {
+	if c.noHiding {
+		return true
+	}
+	c.markExposed(replica, orig)
+	return c.walkExposed(m)
+}
+
+// markExposed marks replica exposed, if it is not, and pushes the
+// part of replica the cursor has scanned onto the walk's stack.
+func (c *Replicating) markExposed(replica, orig heap.Value) {
+	g := &c.major
+	if !c.h.Mark(replica) {
+		return
+	}
+	idx := uint64(replica)>>3 - 1 // header word index
+	end := 0
+	switch hdr := heap.Header(c.h.RawHeader(replica)); {
+	case !hdr.Kind().HasPointers():
+	case idx < g.scan:
+		end = hdr.Len()
+	case idx == g.scan:
+		end = g.scanSlot
+	}
+	if end > 0 {
+		g.walk = append(g.walk, walkJob{orig: orig, replica: replica, end: end})
+	}
+}
+
+// walkExposed visits the slots on the walk's stack, charged as the scan's
+// are, until the stack is empty or the pause's budget is spent; it reports
+// whether the stack is empty. What it leaves waits for the next exposure, or
+// for the flip, which hands the mutator every replica anyway.
+func (c *Replicating) walkExposed(m *Mutator) bool {
+	h, g := c.h, &c.major
+	for n := len(g.walk); n > 0; n = len(g.walk) {
+		// The job leaves the stack while its slots push the replicas they
+		// expose: a chain is walked in constant stack, whichever slot links it.
+		j := g.walk[n-1]
+		g.walk = g.walk[:n-1]
+		for ; j.next < j.end; j.next++ {
+			if c.overBudget(m) {
+				g.walk = append(g.walk, j)
+				return false
+			}
+			c.pauses.Charge(m, g.acct, m.Cost.ScanWord)
+			v := h.Load(j.replica, j.next)
+			if !g.to.Contains(v) || !g.isReplica(v) {
+				continue // an original, or a visible to-space object
+			}
+			if v == g.inflight.replica || heap.Header(h.RawHeader(v)).Kind().Mutable() {
+				h.Store(j.replica, j.next, h.Load(j.orig, j.next))
+				c.queueFixup(fixup{obj: j.replica, slot: int32(j.next)})
+				continue
+			}
+			c.markExposed(v, h.Load(j.orig, j.next))
+		}
+	}
+	return true
 }
 
 // queueFixup puts f on the major flip's worklist unless it is there already.
@@ -1140,12 +1235,12 @@ func (s *wordSet) clear() {
 
 // hiddenHolder reports whether holder, a to-space object that is (replica) or
 // is not one of the major's replicas, is hidden from the mutator until the
-// flip: the replica of a mutable object, every reference to which stays on the
-// original until then. An immutable object's replica is not — a visible slot
-// may already have been redirected to it — nor is anything promoted or
+// flip: a replica no visible slot has been redirected to, which every replica
+// of a mutable object is, since every reference to one stays on the original
+// until then. An exposed replica (expose) is not, nor is anything promoted or
 // allocated in to-space: a minor replica is visible from the next minor flip.
 func (c *Replicating) hiddenHolder(holder heap.Value, replica bool) bool {
-	return replica && !c.noHiding && heap.Header(c.h.RawHeader(holder)).Kind().Mutable()
+	return replica && !c.noHiding && !c.h.Marked(holder)
 }
 
 // scan advances g's Cheney scan within the work budget and reports whether
@@ -1222,9 +1317,7 @@ func (c *Replicating) scan(m *Mutator, g *generation) (bool, error) {
 			var nv heap.Value
 			var err error
 			if g.major {
-				// The kind test first: it fails for most holders and spares
-				// them the run-list lookup.
-				nv, err = c.toSpaceValue(m, v, p, i, hdr.Kind().Mutable() && c.hiddenHolder(p, g.scanningReplica()))
+				nv, err = c.toSpaceValue(m, v, p, i, c.hiddenHolder(p, g.scanningReplica()))
 			} else {
 				nv, err = c.minorValue(m, v, p, i)
 			}
@@ -1448,6 +1541,8 @@ func (c *Replicating) startMajor(m *Mutator) {
 	c.major.logCursor = m.Log.Len()
 	c.major.begin(c.h.OldFrom(), c.h.OldTo())
 	c.major.replicas, c.major.replicaIdx = c.major.replicas[:0], 0
+	c.h.ClearMarks()
+	c.major.walk = c.major.walk[:0]
 }
 
 // majorIncrement performs one increment of the major collection and reports

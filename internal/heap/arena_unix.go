@@ -19,7 +19,8 @@ const undoBytes = 4
 type mapping struct{ mem []byte }
 
 // newArena gives h an arena of the given number of words, and the arena's
-// dirty map and undo list, from one anonymous private mapping. The kernel
+// dirty map and undo list and the given number of to-space mark words, from
+// one anonymous private mapping. The kernel
 // hands out zero pages on first touch, so a heap costs nothing to set up and
 // only the words a run writes become resident. Nothing reads a word before
 // writing it — AllocIn writes every word it hands out, a copy writes its
@@ -31,9 +32,9 @@ type mapping struct{ mem []byte }
 // finalizer never runs on an object in a cycle, and h can sit in one, such
 // as one through an EpochHook closure; the mapping points at nothing the Go
 // heap holds.
-func (h *Heap) newArena(words uint64) {
+func (h *Heap) newArena(words, marks uint64) {
 	dirty := (words + 63) / 64
-	mem, err := syscall.Mmap(-1, 0, int((words+dirty)*BytesPerWord+dirty*undoBytes),
+	mem, err := syscall.Mmap(-1, 0, int((words+dirty+marks)*BytesPerWord+dirty*undoBytes),
 		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
 		//gclint:allow panicpath -- invariant: the host refused the arena's address space at construction, where make would have died out of memory; not the simulated heap's exhaustion
@@ -42,7 +43,8 @@ func (h *Heap) newArena(words uint64) {
 	base := unsafe.Pointer(unsafe.SliceData(mem))
 	h.arena = unsafe.Slice((*Value)(base), words)
 	h.dirty = unsafe.Slice((*uint64)(unsafe.Add(base, words*BytesPerWord)), dirty)
-	h.undo = unsafe.Slice((*uint32)(unsafe.Add(base, (words+dirty)*BytesPerWord)), dirty)[:0]
+	h.marks = unsafe.Slice((*uint64)(unsafe.Add(base, (words+dirty)*BytesPerWord)), marks)
+	h.undo = unsafe.Slice((*uint32)(unsafe.Add(base, (words+dirty+marks)*BytesPerWord)), dirty)[:0]
 	mappedBytes.Add(int64(len(mem)))
 	h.mapping = &mapping{mem: mem}
 	runtime.SetFinalizer(h.mapping, (*mapping).unmap)

@@ -42,6 +42,11 @@ type Heap struct {
 	undo     []uint32
 	logEpoch uint32
 
+	// The to-space marks (marks.go): a bit a word of one old semispace, and
+	// the map words below markHi that may be non-zero.
+	marks  []uint64
+	markHi uint64
+
 	// EpochHook, when non-nil, observes every BeginLogEpoch — the trace
 	// subsystem uses it to mark coalescing epochs. The heap stays free of
 	// trace (and simtime) dependencies; the hook owns its own timestamps.
@@ -77,7 +82,7 @@ func New(cfg Config) *Heap {
 	// Word 0 is reserved so that Value(0) is never a valid object pointer.
 	lo := uint64(1)
 	h := &Heap{logEpoch: 1}
-	h.newArena(uint64(cfg.ArenaBytes()) / BytesPerWord)
+	h.newArena(uint64(cfg.ArenaBytes())/BytesPerWord, (oCap+63)/64)
 	h.Nursery = Space{Name: "nursery", Lo: lo, Cap: lo + nCap}
 	h.oldA = Space{Name: "oldA", Lo: lo + nCap, Cap: lo + nCap + oCap}
 	h.oldB = Space{Name: "oldB", Lo: lo + nCap + oCap, Cap: lo + nCap + 2*oCap}
