@@ -79,22 +79,22 @@ func (b *budgetRecorder) projection() uint64 {
 // engine shapes and all four fault plans, and one for the engine golden's
 // recorded-and-replayed pair.
 var budgetPins = map[string]string{
-	"rt":        "f788c8efa543764a",
-	"minor-inc": "082017cc3dab3c4e",
-	"major-inc": "373b0b6d9c0758ee",
-	"rt-lazy":   "668529c3c38dab0b",
-	"rt-defer":  "5e71d1560201bc92",
-	"replay":    "8069be8198a3290c",
+	"rt":        "e1ee3eaaf454a7a5",
+	"minor-inc": "700d6fa164ef3a9a",
+	"major-inc": "5e2ecb001b1373dd",
+	"rt-lazy":   "79785acef6723e4a",
+	"rt-defer":  "59b288efa8673344",
+	"replay":    "242df30a4df20118",
 }
 
 // projectionPins holds the same cells' projections (budgetRecorder.projection).
 var projectionPins = map[string]string{
-	"rt":        "19ce879da8ebdf8f",
-	"minor-inc": "56dc8a4825fb8325",
-	"major-inc": "faa46be3eff9d4db",
-	"rt-lazy":   "de2b062749610085",
-	"rt-defer":  "39c9427f52cff164",
-	"replay":    "7150e4a746189748",
+	"rt":        "c22e471d98e5a8a9",
+	"minor-inc": "93b445e2207e00c0",
+	"major-inc": "1ead3ace08694d3a",
+	"rt-lazy":   "59c68064d43bad7b",
+	"rt-defer":  "3c44ec6c2aedeced",
+	"replay":    "45c28c0681ed40c0",
 }
 
 func TestBudgetPins(t *testing.T) {

@@ -1415,13 +1415,6 @@ func (c *Replicating) endMajor(m *Mutator) {
 // and charges the flip for it; a straggler that has no replica yet gets one. A
 // slot that no longer holds a from-space pointer, overwritten since, is left
 // alone and charged nothing: a later entry handled it.
-//
-// A re-pointed slot of an old from-space holder while a major is active is
-// logged again: the major must see the store too, and reapply it to the
-// holder's replica, which may have been copied with the old referent in it.
-// Only a minor flip meets such a holder, a major flip's being in to-space; the
-// referent itself needs no queueing, since the replica lives in old-to, which
-// the major cursor scans by address.
 func (c *Replicating) repoint(m *Mutator, g *generation, obj heap.Value, slot int) error {
 	v := c.h.Load(obj, slot)
 	if !g.from.Contains(v) {
@@ -1435,9 +1428,6 @@ func (c *Replicating) repoint(m *Mutator, g *generation, obj heap.Value, slot in
 	c.stats.FlipEntryUpdates++
 	c.pauses.cur.FlipEntries++
 	c.pauses.Charge(m, simtime.AcctFlip, m.Cost.FlipEntry)
-	if c.major.active && c.h.OldFrom().Contains(obj) {
-		m.Log.Append(LogEntry{Obj: obj, Slot: int32(slot)})
-	}
 	return nil
 }
 

@@ -67,9 +67,9 @@ func TestDriverPins(t *testing.T) {
 		large bool
 		want  pin
 	}{
-		{1, false, pin{20000, 0x342fabe34d6102c3, 130060400, 30}},
-		{2, false, pin{20000, 0xeeabdac10d5d9a9a, 130266960, 30}},
-		{3, false, pin{20000, 0x6be9a1a8fc871574, 129152040, 30}},
+		{1, false, pin{20000, 0x209fcabd356299bf, 130058480, 30}},
+		{2, false, pin{20000, 0xeeabdac10d5d9a9a, 130260960, 30}},
+		{3, false, pin{20000, 0x6be9a1a8fc871574, 129161040, 30}},
 		{1, true, pin{20000, 0x9580be3c577bc14e, 708754840, 135}},
 		{2, true, pin{20000, 0x38396e3f39fec201, 659756960, 132}},
 		{3, true, pin{20000, 0x777b89414b39a7e6, 678704080, 133}},
