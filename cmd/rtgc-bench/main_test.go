@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"os"
@@ -47,6 +48,53 @@ func TestTraceGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	diffLines(t, string(got), string(want))
+}
+
+// TestTraceSlicesNestWhenTruncated: in the full-scale Comp trace, read back as
+// a reader that turns microseconds into nanoseconds by truncating x*1000
+// reads it, every phase slice starts and ends inside its pause's slice.
+func TestTraceSlicesNestWhenTruncated(t *testing.T) {
+	dir := t.TempDir()
+	cmd := exec.Command(os.Args[0], "-out", filepath.Join(dir, "tr.json"), "trace", "Comp")
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	if got, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("rtgc-bench -out tr.json trace Comp: %v\n%s", err, got)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "tr-comp.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name, Ph string
+			Ts       float64
+			Dur      float64
+		}
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	ns := func(us float64) int64 { return int64(us * 1000) }
+	var start, end int64
+	pauses, phases := 0, 0
+	for i, e := range doc.TraceEvents {
+		if e.Ph != "X" {
+			continue
+		}
+		s, f := ns(e.Ts), ns(e.Ts)+ns(e.Dur)
+		if e.Name == "pause" {
+			start, end = s, f
+			pauses++
+			continue
+		}
+		phases++
+		if pauses == 0 || s < start || f > end {
+			t.Errorf("event %d, phase %s at [%d, %d] ns, is not inside its pause at [%d, %d] ns", i, e.Name, s, f, start, end)
+		}
+	}
+	if pauses == 0 || phases < pauses {
+		t.Fatalf("%d pauses and %d phase slices: the trace is not the one this test reads", pauses, phases)
+	}
 }
 
 // TestUnreadFlagIsUsageError: a flag the subcommand does not read is refused

@@ -3,8 +3,8 @@ package trace
 // Exporters: Chrome trace-event JSON (the format Perfetto and about:tracing
 // load) and a shape checker for the Chrome output that CI runs against
 // emitted artifacts. Chrome timestamps are microseconds; ours are simulated
-// nanoseconds, so the conversion divides by 1e3. The simulated timeline is
-// presented as pid 1 / tid 1 ("collector").
+// nanoseconds, rounded to whole microseconds on export (chromeUs). The
+// simulated timeline is presented as pid 1 / tid 1 ("collector").
 
 import (
 	"encoding/json"
@@ -38,8 +38,13 @@ const (
 	chromeTid = 1
 )
 
-// chromeTs converts a simulated timestamp to Chrome's microsecond scale.
-func chromeTs(at simtime.Duration) float64 { return float64(at) / 1e3 }
+// chromeUs converts a simulated instant, in nanoseconds, to Chrome's
+// microseconds, rounded to a whole one. A whole number of microseconds is
+// exact in floating point, so a reader reads back what was written however it
+// turns microseconds into nanoseconds, truncating x*1000 included. A slice's
+// dur is its rounded end less its rounded start: rounding is monotone, so a
+// phase's slice, laid inside its pause's, still ends inside it.
+func chromeUs(at simtime.Duration) float64 { return float64((at + 500) / 1000) }
 
 // ChromeTrace renders events as Chrome trace-event JSON: pauses and their
 // phases (in phase order, Recorder.Pause) as complete X slices, which
@@ -51,14 +56,13 @@ func chromeTs(at simtime.Duration) float64 { return float64(at) / 1e3 }
 func ChromeTrace(events []Event, labels map[string]string) ([]byte, error) {
 	ces := make([]chromeEvent, 0, len(events))
 	for _, e := range events {
-		ce := chromeEvent{Pid: chromePid, Tid: chromeTid, Ts: chromeTs(e.At)}
+		ce := chromeEvent{Pid: chromePid, Tid: chromeTid, Ts: chromeUs(e.At)}
+		dur := chromeUs(e.At+simtime.Duration(e.C)) - ce.Ts // X slices only
 		switch e.Kind {
 		case KindPause:
-			dur := chromeTs(simtime.Duration(e.C))
 			ce.Name, ce.Ph, ce.Dur = "pause", "X", &dur
 			ce.Args = map[string]int64{"copied_bytes": e.A, "log_entries": e.B, "kind": int64(e.Phase), "cause": int64(e.Cause)}
 		case KindPhase:
-			dur := chromeTs(simtime.Duration(e.C))
 			ce.Name, ce.Ph, ce.Dur = e.Phase.String(), "X", &dur
 			ce.Args = map[string]int64{"spans": e.A}
 		case KindAllocEpoch:
