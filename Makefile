@@ -36,8 +36,16 @@ vet:
 	@unformatted=$$(gofmt -l $$(git ls-files -- '*.go' ':!benchmarks/*' ':!*/testdata/*')); \
 		if [ -n "$$unformatted" ]; then echo "$$unformatted"; echo 'vet: gofmt -l lists the files above; run gofmt -w on them'; exit 1; fi
 
+# The test targets give the tests' temporary files to a tmpfs when one is
+# writable: a fresh directory under /dev/shm as TMPDIR, removed afterwards
+# (otherwise the command runs as it is). internal/checkpoint's crash and
+# recovery tests spend seconds of wall time on file-system operations on a
+# disk, milliseconds on a tmpfs.
+tmpfs-run = if [ "$$(stat -f -c %T /dev/shm 2>/dev/null)" = tmpfs ] && [ -w /dev/shm ] && t=$$(mktemp -d /dev/shm/repligc-test.XXXXXX); \
+	then TMPDIR=$$t $(1); s=$$?; rm -rf $$t; exit $$s; else $(1); fi
+
 test:
-	go test ./...
+	@$(call tmpfs-run,go test ./...)
 
 # The race detector over the packages with process-wide state: the compiler
 # parked between compiles (internal/lang, whose concurrent-compile test hands
@@ -47,7 +55,7 @@ test:
 # internal/core's GraphDigest's between two goroutines; the race detector
 # instruments core's code there, and core's own tests take minutes under it).
 race:
-	go test -race ./internal/lang ./internal/heap ./internal/gctest
+	@$(call tmpfs-run,go test -race ./internal/lang ./internal/heap ./internal/gctest)
 
 # The repository benchmark (benchmarks/host) is a nested module, so ./...
 # does not reach its unit tests; they take a tenth of a second.
