@@ -19,8 +19,8 @@
 //
 // A change that means to move the simulation names each workload it moves
 // with -sim-change W=PFP:CFP (a comma-separated list): every parent run of W
-// must then show fingerprint PFP and every change run CFP, and the table is
-// headed by every sim_ metric's delta. A fingerprint the flag does not name
+// must then show fingerprint PFP and every change run CFP, and the table's
+// sim_ rows give the simulated deltas. A fingerprint the flag does not name
 // is still the error above.
 //
 //	go run ./cmd/hostpairs -dir .bench_build/pairs/sort [-runs] [-sim-change sort=d7f6:21ed]
@@ -148,7 +148,6 @@ func digest(w io.Writer, dir, benchPath string, showRuns bool, moves map[string]
 		if moved {
 			fmt.Fprintf(w, "%s, seed %d: %d pairs, simulated fingerprint %s on every parent run and %s on every change run (a named simulated change)\n\n",
 				name, ps[0].Seed, len(ps), move.parent, move.change)
-			fmt.Fprintf(w, "simulated deltas: %s\n\n", simDeltas(defs, ps[0], cs[0]))
 		} else {
 			fmt.Fprintf(w, "%s, seed %d: %d pairs, simulated fingerprint %s on every run of both sides\n\n", name, ps[0].Seed, len(ps), ps[0].SimFingerprint)
 		}
@@ -262,25 +261,6 @@ func workloadRuns(parent, change []*reportFile, name string, move simMove) (ps, 
 		ps, cs = append(ps, p), append(cs, c)
 	}
 	return ps, cs, nil
-}
-
-// simDeltas lists every sim_ metric's parent and change value and the
-// change's delta; the simulated metrics are the same on every run of a side.
-func simDeltas(defs []metricDef, p, c *report) string {
-	var parts []string
-	for _, d := range defs {
-		if !strings.HasPrefix(d.Name, "sim_") {
-			continue
-		}
-		pm, ok := p.lookup(d.Name)
-		cm, ok2 := c.lookup(d.Name)
-		if !ok || !ok2 {
-			continue
-		}
-		r := result{p: quart{med: pm.Value}, c: quart{med: cm.Value}}
-		parts = append(parts, fmt.Sprintf("`%s` %.6g -> %.6g (%s)", d.Name, pm.Value, cm.Value, r.delta()))
-	}
-	return strings.Join(parts, ", ")
 }
 
 // lookup finds a metric among a report's end-to-end and per-layer ones.

@@ -140,7 +140,7 @@ func TestDigestNamedSimChange(t *testing.T) {
 			}
 			for _, want := range []string{
 				"sort, seed 1: 10 pairs, simulated fingerprint d7f6 on every parent run and 21ed on every change run (a named simulated change)",
-				"simulated deltas: `sim_elapsed_ms` 191003 -> 191003 (+0.0 %)",
+				"| `sim_elapsed_ms` | ms | 191003 | 191003 | +0.0 % |",
 			} {
 				if !strings.Contains(out.String(), want) {
 					t.Errorf("digest output lacks %q:\n%s", want, out.String())

@@ -1302,6 +1302,9 @@ func (c *Replicating) scan(m *Mutator, g *generation) (bool, error) {
 		if g.scanSlot == 0 {
 			c.pauses.Charge(m, g.acct, m.Cost.ScanWord) // header word
 		}
+		// Nothing this loop does exposes p: a hidden holder's slots expose
+		// nothing, and a visible one is visible already.
+		hidden := g.major && c.hiddenHolder(p, g.scanningReplica())
 		for i := g.scanSlot; i < hdr.Len(); i++ {
 			if c.overBudget(m) {
 				g.scanSlot = i
@@ -1317,7 +1320,7 @@ func (c *Replicating) scan(m *Mutator, g *generation) (bool, error) {
 			var nv heap.Value
 			var err error
 			if g.major {
-				nv, err = c.toSpaceValue(m, v, p, i, c.hiddenHolder(p, g.scanningReplica()))
+				nv, err = c.toSpaceValue(m, v, p, i, hidden)
 			} else {
 				nv, err = c.minorValue(m, v, p, i)
 			}
