@@ -32,8 +32,9 @@ func (c *Replicating) CopyInFlight(major bool) (next, words int, ok bool) {
 }
 
 // SetMetering switches three mechanisms of the pause bound, all on outside
-// tests: hiding (a slot of a mutable object's major replica points at its
-// referent's replica at once), the gate (a completion attempt that does not
+// tests: hiding (a slot of a major replica no visible slot was redirected to
+// points at its referent's replica at once; off, every replica is visible
+// and nothing is exposed), the gate (a completion attempt that does not
 // fit its pause waits for a later one) and the log meter (log replay stops
 // when the pause's budget is spent).
 func (c *Replicating) SetMetering(hiding, gate, log bool) {

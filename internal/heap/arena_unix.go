@@ -20,9 +20,9 @@ type mapping struct{ mem []byte }
 
 // newArena gives h an arena of the given number of words, and the arena's
 // dirty map and undo list and the given number of to-space mark words, from
-// one anonymous private mapping. The kernel
-// hands out zero pages on first touch, so a heap costs nothing to set up and
-// only the words a run writes become resident. Nothing reads a word before
+// one anonymous private mapping. The kernel hands out zero pages on first
+// touch, so a heap costs nothing to set up and only the words a run writes
+// become resident. Nothing reads a word before
 // writing it — AllocIn writes every word it hands out, a copy writes its
 // replica's, and a collector scans only below a space's allocation pointer —
 // so the bulk of each semispace is never faulted in at all, and on linux the

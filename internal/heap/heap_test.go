@@ -313,6 +313,27 @@ func TestSwapOld(t *testing.T) {
 	}
 }
 
+// TestToSpaceMarks: a mark is a bit of one object of the to-space, set once,
+// and ClearMarks empties them; the marks are the to-space role's, so an
+// object at the same offset of the next to-space reads the same bit.
+func TestToSpaceMarks(t *testing.T) {
+	h := testHeap()
+	a, _ := h.AllocIn(h.OldTo(), KindRecord, 1)
+	b, _ := h.AllocIn(h.OldTo(), KindRecord, 1)
+	if h.Marked(a) || !h.Mark(a) || h.Mark(a) || !h.Marked(a) || h.Marked(b) {
+		t.Fatal("a mark is not one bit of one object, set once")
+	}
+	h.SwapOld()
+	c, _ := h.AllocIn(h.OldTo(), KindRecord, 1) // a's offset in the other semispace
+	if !h.Marked(c) {
+		t.Fatal("the marks moved with the words, not with the to-space")
+	}
+	h.ClearMarks()
+	if h.Marked(c) {
+		t.Fatal("ClearMarks left a mark")
+	}
+}
+
 func TestNurseryGrow(t *testing.T) {
 	h := testHeap()
 	limit := h.Nursery.LimitBytes()
