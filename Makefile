@@ -1,6 +1,6 @@
 # repligc — common tasks. Everything is stdlib-only and offline.
 
-.PHONY: all build vet lint test race host-bench-test host-pairs loc fuzz-smoke bench bench-baseline bench-smoke serve-smoke crash-matrix crash-matrix-baseline trace pause-bound microbench experiments experiments-check quick-experiments examples examples-baseline
+.PHONY: all build vet lint test race host-bench-test host-pairs loc mutate fuzz-smoke bench bench-baseline bench-smoke serve-smoke crash-matrix crash-matrix-baseline trace pause-bound microbench experiments experiments-check quick-experiments examples examples-baseline
 
 all: build lint test host-bench-test
 
@@ -15,8 +15,7 @@ build:
 # recorders in the commands, pause brackets in the collectors, a finished run
 # is read through rig.Runtime.Stats, and the torture driver is imported by
 # tests and the crash matrix only. Its other rules check stale heap.Values across may-flip
-# calls, barrier completeness through helpers, pause-only collector state,
-# deterministic iteration, dispatch exhaustiveness and the hygiene of its own
+# calls, deterministic iteration, dispatch exhaustiveness and the hygiene of its own
 # annotations. See DESIGN.md, "Machine-checked invariants". gclint runs over
 # ./..., which includes internal/analysis itself, and over the nested
 # benchmark module, which go list's ./... does not enter. CI runs gclint on
@@ -82,6 +81,19 @@ host-pairs:
 #   make loc PARENT=HEAD~1
 loc:
 	@bash scripts/loc.sh $(PARENT)
+
+# The mutation matrix: each mutant of mutants.json (a one-site edit of the
+# tree) applied to a copy of the tracked files, the whole test suite and
+# gclint run on it, and mutation_matrix.json rewritten with the tests and
+# rules that kill each mutant (cmd/mutate). A full run takes over an hour
+# on two cores, so neither all nor CI runs it; a change adds its mutants to
+# mutants.json and runs `go run ./cmd/mutate ID...` for their rows alone. The
+# copy sits at the same path under TMPDIR every run (/dev/shm when it is a
+# writable tmpfs), so an unchanged tree's second run reads the go command's
+# caches.
+mutate:
+	@if [ "$$(stat -f -c %T /dev/shm 2>/dev/null)" = tmpfs ] && [ -w /dev/shm ]; then export TMPDIR=/dev/shm; fi; \
+		go run ./cmd/mutate
 
 # Ten seconds of native fuzzing per target, from the committed seed corpora
 # (`go test` alone runs only the seeds): the parser's token array and its

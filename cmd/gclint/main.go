@@ -6,11 +6,10 @@
 // file-I/O confinement, the collector packages' panic discipline, and the
 // single places a runtime is assembled, a flight recorder attached, a pause
 // opened, a finished run read and the torture driver imported. Beside it sit
-// deterministic iteration, dispatch exhaustiveness and the interprocedural
-// checks built on per-function call-graph summaries: stale heap.Values held
-// across may-flip calls, barrier completeness on all dataflow paths, and
-// pause-only collector state. See DESIGN.md, "Machine-checked invariants",
-// for the rule ↔ paper-invariant catalogue; -rules prints the table.
+// deterministic iteration, dispatch exhaustiveness and stale heap.Values held
+// across may-flip calls, the one check built on per-function call-graph
+// summaries. See DESIGN.md, "Machine-checked invariants", for the rule ↔
+// paper-invariant catalogue; -rules prints the table.
 //
 // Usage:
 //
@@ -33,9 +32,8 @@
 // on the offending line or the line above, or in a function's doc comment,
 // where it covers the whole function. The reason is mandatory, and unknown
 // rule names and annotations that suppress nothing are themselves findings.
-// Three other annotations feed rules: //gclint:dispatch marks a switch that
-// must stay exhaustive, //gclint:pauseonly <invariant> marks pause-only
-// fields, and //gclint:pauseentry <reason> marks pause entry points.
+// The one other annotation, //gclint:dispatch, marks a switch that must stay
+// exhaustive.
 package main
 
 import (

@@ -77,12 +77,9 @@ func DefaultRules() []Rule {
 		rules = append(rules, c)
 	}
 	return append(rules,
-		&ReadPathRule{},
 		&MapRangeRule{},
 		&ExhaustiveRule{},
 		&StaleHandleRule{},
-		&BarrierCompleteRule{},
-		&PauseOnlyRule{},
 	)
 }
 
@@ -174,7 +171,7 @@ const (
 
 // annotations are the gclint annotations there are. Any other //gclint: word
 // is reported: a misspelt one would take its site out of its rule in silence.
-var annotations = map[string]bool{allowPrefix: true, dispatchMarker: true, pauseOnlyPrefix: true, pauseEntryPrefix: true}
+var annotations = map[string]bool{allowPrefix: true, dispatchMarker: true}
 
 // collectAllows parses a package's //gclint:allow annotations. The accepted
 // form is
@@ -204,7 +201,7 @@ func collectAllows(pkg *Package, valid map[string]bool) ([]*allowSite, []Diagnos
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				if word := strings.Fields(c.Text)[0]; strings.HasPrefix(word, annotationPrefix) && !annotations[word] {
-					report(pkg.Fset.Position(c.Pos()), "unknown annotation %s: its site takes part in no rule (the annotations are //gclint:allow, dispatch, pauseonly and pauseentry)", word)
+					report(pkg.Fset.Position(c.Pos()), "unknown annotation %s: its site takes part in no rule (the annotations are //gclint:allow and dispatch)", word)
 					continue
 				}
 				rest, ok := annotationText(c, allowPrefix)

@@ -33,8 +33,7 @@ var goldenCases = []struct {
 	{"maprange", "repligc/internal/fixmaprange"},
 	{"exhaustive", "repligc/internal/fixexhaustive"},
 	{"forward", "repligc/internal/fixforward"},
-	// Masquerades as a collector package: forwarding access is legal there
-	// except on the raw read path (Get*/Load* functions).
+	// Masquerades as a collector package: forwarding access is legal there.
 	{"forwardheap", "repligc/internal/stopcopy"},
 	// Masquerades as a collector package: bare panics are flagged there.
 	{"panicpath", "repligc/internal/heap"},
@@ -42,12 +41,6 @@ var goldenCases = []struct {
 	{"clean", "repligc/internal/fixclean"},
 	{"badallow", "repligc/internal/fixbadallow"},
 	{"stalehandle", "repligc/internal/fixstale"},
-	{"barriercomp", "repligc/internal/fixbarriercomp"},
-	{"pauseonly", "repligc/internal/fixpauseonly"},
-	// The multi-mutator group shape: the pause entry is installed as a heap
-	// hook (a function value the call graph cannot see), so its pauseentry
-	// annotation alone certifies the merge writes underneath it.
-	{"multimut", "repligc/internal/fixmultimut"},
 	{"annot", "repligc/internal/fixannot"},
 	// Masquerades as a simulation package: filesystem access is banned
 	// outright, annotation or not.

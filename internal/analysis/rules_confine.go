@@ -47,15 +47,6 @@ type Confinement struct {
 // go through the Mutator interface.
 var collectorPkgs = []string{heapPkgPath, corePkgPath, stopcopyPkgPath, checkpointPkgPath}
 
-// forwardRow is the from-space invariant's package half; ReadPathRule
-// applies its names inside the collector packages.
-var forwardRow = &Confinement{
-	Rule: "forward", Pkg: heapPkgPath, Recv: "Heap",
-	Names: []string{"ForwardAddr", "IsForwarded"},
-	NotIn: collectorPkgs,
-	Why:   "outside the collector packages: mutator code must not observe forwarding (from-space invariant); use Mutator.Header for getheader",
-}
-
 var (
 	wallClockWhy    = "in internal/ or cmd/: all timing must advance the simulated clock (simtime.Clock.Charge) so runs stay bit-for-bit reproducible; host time is read only by benchmarks/host and by testing.B benchmarks in _test.go files"
 	constructWhy    = "outside internal/rig: a runtime is assembled in one place; call rig.New"
@@ -81,7 +72,10 @@ var Confinements = []*Confinement{
 		Names: []string{"Load", "LoadByte", "Bytes", "LoadBytes", "RawHeader", "Word", "Marked"},
 		NotIn: collectorPkgs,
 		Why:   "is a raw heap read outside the collector packages; use Mutator.Get/GetByte/Bytes/GetByteRange/Header"},
-	forwardRow,
+	{Rule: "forward", Pkg: heapPkgPath, Recv: "Heap",
+		Names: []string{"ForwardAddr", "IsForwarded"},
+		NotIn: collectorPkgs,
+		Why:   "outside the collector packages: mutator code must not observe forwarding (from-space invariant); use Mutator.Header for getheader"},
 	{Rule: "barrierfast", Pkg: heapPkgPath, Recv: "Heap",
 		Names: []string{"SlotDirty", "MarkSlotDirty", "WordsDirty", "MarkWordsDirty"},
 		Why:   "lets a store skip the logging slow path: the function's doc comment must carry \"//gclint:allow barrierfast -- <invariant>\" stating why the log still covers the skipped location"},
@@ -194,45 +188,4 @@ func within(p string, pkgs []string) bool {
 		}
 	}
 	return false
-}
-
-// ReadPathRule is the half of the from-space invariant no row can state:
-// inside the collector packages, where forwardRow does not look, a function
-// on the raw read path (named Get* or Load*, any case) must not observe
-// forwarding either; only getheader-class functions may.
-type ReadPathRule struct{}
-
-// Name implements Rule.
-func (*ReadPathRule) Name() string { return "forward" }
-
-// Doc implements Rule.
-func (*ReadPathRule) Doc() string {
-	return "inside the collector packages, Get*/Load* functions (the raw read path) must not observe forwarding"
-}
-
-// Appraise implements Rule.
-func (*ReadPathRule) Appraise(pass *Pass) {
-	if !slices.Contains(collectorPkgs, pass.Pkg.Path) {
-		return
-	}
-	for _, f := range pass.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if fn := strings.ToLower(fd.Name.Name); !strings.HasPrefix(fn, "get") && !strings.HasPrefix(fn, "load") {
-				continue
-			}
-			// A function literal inside fd runs with the same discipline.
-			ast.Inspect(fd, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && forwardRow.matches(pass.Pkg.Info.Uses[id]) {
-					pass.Reportf(id.Pos(),
-						"%s calls Heap.%s: raw read paths must not follow forwarding (from-space invariant); only getheader-class functions may",
-						fd.Name.Name, id.Name)
-				}
-				return true
-			})
-		}
-	}
 }

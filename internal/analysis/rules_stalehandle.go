@@ -294,7 +294,7 @@ func isImmediateValue(pass *Pass, e ast.Expr) bool {
 	if !ok {
 		return false
 	}
-	callee, _ := calleeOf(pass.Pkg.Info, call)
+	callee := calleeOf(pass.Pkg.Info, call)
 	if callee == nil {
 		return false
 	}

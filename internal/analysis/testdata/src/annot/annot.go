@@ -8,14 +8,14 @@ import "repligc/internal/heap"
 
 // used: a well-formed allow on the line above its violation suppresses it.
 func used(h *heap.Heap, p heap.Value) {
-	//gclint:allow barrier,barriercomplete -- fixture: legal debugging poke
+	//gclint:allow barrier -- fixture: legal debugging poke
 	h.Store(p, 0, heap.Nil)
 }
 
 // wrongLine: the allow sits two lines above the violation, so it suppresses
 // nothing — the store is still flagged and the allow is reported as unused.
 func wrongLine(h *heap.Heap, p heap.Value) {
-	//gclint:allow barrier,barriercomplete -- fixture: stranded annotation
+	//gclint:allow barrier -- fixture: stranded annotation
 
 	h.Store(p, 0, heap.Nil)
 }
@@ -66,7 +66,7 @@ func idle() {}
 // dispatch switch has a default, so only its marker would hold it to every
 // Kind.
 type misspelt struct {
-	//gclint:pauseonyl fixture: the field would leave the pauseonly rule
+	//gclint:dispatc fixture: a misspelt marker on a field
 	cursor int
 }
 

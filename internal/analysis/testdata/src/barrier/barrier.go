@@ -43,6 +43,5 @@ func (w wrapper) Load(p heap.Value, i int) heap.Value { return heap.Nil }
 
 func fine(w wrapper, p heap.Value) heap.Value { return w.Load(p, 0) }
 
-// SetWord is the arena's raw write: collector-only like SetForward, and an
-// unlogged store to barriercomplete.
+// SetWord is the arena's raw write: collector-only like SetForward.
 func poke(h *heap.Heap) { h.SetWord(1, heap.Nil) }

@@ -14,7 +14,7 @@ func tally(c map[heap.Kind]int) int {
 }
 
 func poke(h *heap.Heap, p heap.Value) heap.Value {
-	//gclint:allow barrier,barriercomplete -- fixture: pretend this is a debugging hook
+	//gclint:allow barrier -- fixture: pretend this is a debugging hook
 	h.Store(p, 0, heap.Nil)
 	h.Load(p, 0)     //gclint:allow barrier -- same-line annotation form
 	h.IsForwarded(p) //gclint:allow forward -- fixture: a heap auditor is allowed to observe forwarding

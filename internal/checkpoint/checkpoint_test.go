@@ -159,8 +159,10 @@ func TestEpochsSpanMultiplePauses(t *testing.T) {
 // committed it.
 type epochCounter struct {
 	*Writer
-	open int   // pauses counted so far for the open epoch
-	want []int // one per committed epoch
+	open   int   // pauses counted so far for the open epoch
+	want   []int // one per committed epoch
+	read   bool  // Stats was read while the open epoch was open
+	proved int   // committed epochs of more than one pause whose Stats were read mid-way
 }
 
 func (c *epochCounter) PauseCheckpoint(m *core.Mutator, p core.CheckpointPoint) bool {
@@ -168,37 +170,49 @@ func (c *epochCounter) PauseCheckpoint(m *core.Mutator, p core.CheckpointPoint) 
 	committed := c.Writer.PauseCheckpoint(m, p)
 	switch {
 	case !c.Writer.open && !committed:
-		c.open = 0
+		c.open, c.read = 0, false
 	case wasOpen && c.Writer.stats.Aborted == aborted:
 		c.open++
 	default:
-		c.open = 1 // begun in this pause
+		c.open, c.read = 1, false // begun in this pause
 	}
 	if committed {
-		c.want, c.open = append(c.want, c.open), 0
+		c.commit(c.open)
 	}
 	return committed
+}
+
+func (c *epochCounter) commit(pauses int) {
+	if c.read && pauses > 1 {
+		c.proved++
+	}
+	c.want, c.open, c.read = append(c.want, pauses), 0, false
 }
 
 func (c *epochCounter) ForceCommit(m *core.Mutator, gc *core.Replicating) error {
 	n := 1
 	if c.Writer.open {
 		n = c.open + 1
+	} else {
+		c.read = false
 	}
 	before := c.Writer.stats.Committed
 	err := c.Writer.ForceCommit(m, gc)
 	if c.Writer.stats.Committed > before {
-		c.want = append(c.want, n)
+		c.commit(n)
 	}
 	return err
 }
 
 // TestEpochPausesCountsEveryPause holds EpochInfo.Pauses to the number of
 // pauses the epoch spanned, with the writer's Stats read between pauses as a
-// run report may: reading the counters must not touch the open epoch.
+// run report may: reading the counters must not touch the open epoch. It
+// proves nothing unless some committed epoch spanned more than one pause and
+// was read while open.
 func TestEpochPausesCountsEveryPause(t *testing.T) {
 	c := &epochCounter{Writer: NewWriter(Config{Dir: t.TempDir(), BudgetBytes: 16 << 10})}
 	rc := matrixConfig(nil)
+	rc.Params.OBytes = 256 << 10 // majors rare enough that an epoch outlives a read
 	rc.Collector, rc.Checkpoint = rig.RT, c
 	rt, err := rig.New(rc)
 	if err != nil {
@@ -206,14 +220,11 @@ func TestEpochPausesCountsEveryPause(t *testing.T) {
 	}
 	m, gc := rt.Mutator, rt.GC.(*core.Replicating)
 	d := gctest.NewDriver(m, 7)
-	readMidEpoch := 0
 	for i := 0; i < 100; i++ {
 		if err := d.Step(200); err != nil {
 			t.Fatalf("driver: %v", err)
 		}
-		if c.Writer.open {
-			readMidEpoch++
-		}
+		c.read = c.read || c.Writer.open
 		c.Stats()
 	}
 	if err := gc.FinishCycles(m); err != nil {
@@ -226,17 +237,13 @@ func TestEpochPausesCountsEveryPause(t *testing.T) {
 	if len(epochs) != len(c.want) {
 		t.Fatalf("%d epochs committed, the counter saw %d", len(epochs), len(c.want))
 	}
-	multi := 0
 	for i, e := range epochs {
 		if e.Pauses != c.want[i] {
 			t.Errorf("epoch %d: Pauses = %d, it spanned %d", e.Epoch, e.Pauses, c.want[i])
 		}
-		if e.Pauses > 1 {
-			multi++
-		}
 	}
-	if readMidEpoch == 0 || multi == 0 {
-		t.Fatalf("Stats read mid-epoch %d times, %d of %d epochs spanned more than one pause: the check proves nothing", readMidEpoch, multi, len(epochs))
+	if c.proved == 0 {
+		t.Fatalf("none of %d epochs (pauses %v) spanned more than one pause with Stats read mid-way: the check proves nothing", len(epochs), c.want)
 	}
 }
 

@@ -82,8 +82,6 @@ func (c *Replicating) CheckpointPause(m *Mutator, commit func()) {
 // there), the promotion volume counted toward the major threshold O, and the
 // promotion high-water mark feeding the headroom reservation. It must be
 // called on a freshly constructed collector, before the mutator runs.
-//
-//gclint:pauseentry recovery runs before the mutator is released; no barrier can append behind the restored cursor
 func (c *Replicating) RestoreScheduling(minorLogCursor, promotedSinceMajor, promoHighWater int64) {
 	c.minor.logCursor = minorLogCursor
 	c.promotedSinceMajor = promotedSinceMajor

@@ -73,7 +73,14 @@ func (g *graphDigest) visit(v heap.Value) {
 		g.hash.Word(2)
 		g.hash.Word(uint64(v.Int()))
 	default:
-		if id, ok := g.ids.Visit(v, uint32(g.ids.Len()+1)); ok {
+		// An object is named by the end of its forwarding chain, read
+		// uncharged, so an immutable original and the replica a slot was
+		// redirected to are one object, as they are to the mutator.
+		key := v
+		for g.m.H.IsForwarded(key) {
+			key = g.m.H.ForwardAddr(key)
+		}
+		if id, ok := g.ids.Visit(key, uint32(g.ids.Len()+1)); ok {
 			g.hash.Word(3)
 			g.hash.Word(uint64(id))
 			return

@@ -55,3 +55,7 @@ func (c *Replicating) MinorScan() (active bool, scan uint64) {
 func (m *Mutator) ColdGraphDigest(enumerate func(mix func(uint64), walk func(heap.Value))) uint64 {
 	return newGraphDigest().run(m, enumerate)
 }
+
+// ExposeWalkPending reports how many jobs the major's exposure walk has left
+// on its stack: non-zero when a pause's budget ran out mid-walk.
+func (c *Replicating) ExposeWalkPending() int { return len(c.major.walk) }

@@ -174,3 +174,35 @@ func TestExposeLongChainAcrossPauses(t *testing.T) {
 		}
 	}
 }
+
+// TestDigestNamesAReplicaAsItsOriginal: an immutable original reachable
+// through two visible slots digests the same before and after one of the
+// slots is redirected to its exposed replica. The mutator reads one object
+// through both, so the fingerprint must not see the redirect.
+func TestDigestNamesAReplicaAsItsOriginal(t *testing.T) {
+	m, gc := auditMutator(t, Config{NurseryBytes: 128 << 10, CopyLimitBytes: 4 << 10, IncrementalMinor: true, IncrementalMajor: true})
+	h := m.H
+	recs := hiddenChain(t, m, gc, 8, 3)
+	holder, ok := h.AllocIn(h.OldFrom(), heap.KindArray, 2)
+	if !ok {
+		t.Fatal("old-space allocation failed")
+	}
+	h.Store(holder, 0, recs[0])
+	h.Store(holder, 1, recs[0])
+	hh := m.PushHandle(holder)
+	digest := func() uint64 {
+		return m.GraphDigest(func(_ func(uint64), walk func(heap.Value)) { walk(m.HandleVal(hh)) })
+	}
+	before := digest()
+	head := h.ForwardAddr(recs[0])
+	if !gc.expose(m, head, recs[0]) {
+		t.Fatal("an unbudgeted walk stopped")
+	}
+	h.Store(holder, 1, head)
+	if err := AuditHeap(m); err != nil {
+		t.Fatalf("audit after the redirect: %v", err)
+	}
+	if after := digest(); after != before {
+		t.Errorf("the digest moved from %016x to %016x when a slot was redirected to its original's exposed replica", before, after)
+	}
+}

@@ -127,30 +127,21 @@ type generation struct {
 	// right after a minor flip, when no minor cycle is active.
 	from, to *heap.Space
 
-	//gclint:pauseonly cycle activation happens inside the pause that starts the cycle; the barrier fast path reads it un-synchronized
-	active bool
-	//gclint:pauseonly the log cursor moves only while the mutator is stopped, else the barrier could append entries behind it
+	active    bool
 	logCursor int64 // next log entry for this generation's collection
 
 	// Cheney state; scan describes the region each generation's cursor
 	// sweeps.
 
-	//gclint:pauseonly the cursor only advances while the mutator is stopped; a mid-scan mutation is routed through the log instead
-	scan uint64 // header word of the next to-space object to scan
-	//gclint:pauseonly resume state of the paused scan; only valid between increments of a stopped mutator
-	scanSlot int // resume slot within the object at the cursor
-	//gclint:pauseonly set once per cycle, inside the pause that starts it
+	scan      uint64 // header word of the next to-space object to scan
+	scanSlot  int    // resume slot within the object at the cursor
 	scanStart uint64 // where the cycle's scan began (audit: the scanned region)
 	skips     []span // mutator-owned objects inside the scan region (minor only: NoteOldAlloc)
-	//gclint:pauseonly advanced by the scan as it steps over spans, reset at cycle boundaries
-	skipIdx int
+	skipIdx   int
 	// The runs of consecutive replicas in to, in address order (major only):
 	// what tells a replica from an object promoted or allocated there, which
 	// is mutator-visible (hiddenHolder).
-	//
-	//gclint:pauseonly appended by replicate, which copies only while the mutator is stopped; reset in the pause that starts the cycle
-	replicas []span
-	//gclint:pauseonly advanced by the scan as the cursor passes each run, reset with the list
+	replicas   []span
 	replicaIdx int
 	// The exposure walk's stack (major only). A replica a visible slot may be
 	// redirected to is exposed, and carries the heap's to-space mark (expose);
@@ -158,27 +149,19 @@ type generation struct {
 	// holds exposed replicas whose slots the cursor scanned while they were
 	// hidden, each with the next slot to visit. While it holds anything no
 	// visible slot is redirected to a replica.
-	//
-	//gclint:pauseonly pushed and drained by expose under pause; reset in the pause that starts the cycle
 	walk []walkJob
 
 	// The one replica this generation is filling across pauses (replicate);
 	// its replica field is Nil when no copy is in flight.
-	//
-	//gclint:pauseonly the copy cursor only advances while the mutator is stopped; between pauses the log keeps the copied prefix current
-	inflight copyJob
-	//gclint:pauseonly counted by the admission gate and cleared by the flip, both under pause
+	inflight  copyJob
 	deferrals int // times in a row this generation's completion attempt has been put off (deferAttempt)
 
 	// The flip's worklist: the slots flip re-points before the roots. The
 	// minor appends every logged old→nursery slot, a slot logged twice
 	// twice; the major queues each slot once (queueFixup), so that its
 	// length, the flip's cost the admission gate reads, counts each slot once.
-	//
-	//gclint:pauseonly grown by log processing and the scan, consumed by the flip, all under pause
 	worklist []fixup
-	//gclint:pauseonly dedup set for the major's worklist; cleared with it by the flip
-	seen wordSet // the arena words of the slots queued
+	seen     wordSet // the arena words of the slots queued
 }
 
 // copyJob is a replica being filled: the payload words below next are copied.
@@ -255,21 +238,15 @@ type Replicating struct {
 	pauses PauseBracket
 
 	// The two generations under collection. Their cursors and all per-cycle
-	// collection state below are pause-only: multi-mutator sharing will make
-	// unsynchronized writes to them data races, so gclint checks that every
-	// writer is dominated by a pause entry (rule "pauseonly").
+	// collection state below change only inside a pause.
 	minor, major generation
 
 	// Minor collection state.
 
-	//gclint:pauseonly deferred-copy worklist; grown by the scan and by log reapplication, drained at completion, all under pause
-	pendingMut []fixup // replica slots holding deferred mutable nursery refs (§2.5)
-	//gclint:pauseonly per-cycle pause counter, bumped once per pause
-	minorPauses int // pauses spanned by the active minor collection
-	//gclint:pauseonly snapshot of BytesCopiedMinor at cycle start, taken under the starting pause
-	minorStartCopy int64 // BytesCopiedMinor at cycle start
-	//gclint:pauseonly deferred reapply queue; filled and drained by log processing, which only runs under pause
-	lazyMinorSeqs []int64 // deferred reapply queue under LazyLogProcessing
+	pendingMut     []fixup // replica slots holding deferred mutable nursery refs (§2.5)
+	minorPauses    int     // pauses spanned by the active minor collection
+	minorStartCopy int64   // BytesCopiedMinor at cycle start
+	lazyMinorSeqs  []int64 // deferred reapply queue under LazyLogProcessing
 
 	// Major collection state.
 
@@ -303,8 +280,6 @@ type Replicating struct {
 	// spent its budget; 0 when it has none. It is the pause's one budget:
 	// every budget test reads it (overBudget, budgetSlots, deferAttempt), and
 	// work with no budget runs with it lifted (lift, restore).
-	//
-	//gclint:pauseonly set when the pause begins, lifted and pushed out by what the budget does not count, all under pause
 	deadline simtime.Duration
 
 	// ckpt, when set, is called at the tail of every pause, still inside the
@@ -495,8 +470,6 @@ func (c *Replicating) CollectEmergency(m *Mutator) error {
 // entry, the way into it. An emergency pause has no budget and completes
 // everything. The pause is always charged and recorded — including when it
 // ends in a typed exhaustion error, so degraded runs report honest long pauses.
-//
-//gclint:pauseentry Clock.BeginPause stops the (single) mutator before any collector state changes; every collector entry point funnels through here
 func (c *Replicating) pause(m *Mutator, needWords int, entry simtime.Cause) error {
 	c.pauses.Begin(m, entry)
 	// Every pause starts a fresh log-coalescing epoch before any cursor

@@ -310,21 +310,67 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-// TestAuditHeapDuringCollections runs the audit at many points, including
-// mid-incremental-collection, where it checks the from-space invariant.
+// TestAuditHeapDuringCollections runs the audit at the tail of every pause
+// and between rounds, including mid-incremental-collection, where it checks
+// the from-space invariant. Beside the torture stream a rooted chain of 4 000
+// immutable records gives the major exposure walks longer than a pause's
+// budget, so some pause ends with a walk unfinished, where a visible slot
+// redirected too early would lead to a hidden replica.
 func TestAuditHeapDuringCollections(t *testing.T) {
-	m, gc := newRun(tortureConfig(true, true), core.LogAllMutations)
-	d := gctest.NewDriver(m, 77)
-	for round := 0; round < 30; round++ {
-		d.Step(600)
-		if err := core.AuditHeap(m); err != nil {
-			t.Fatalf("round %d: %v", round, err)
+	unfinished := 0
+	for _, minorInc := range []bool{true, false} {
+		m, gc := newRun(tortureConfig(minorInc, true), core.LogAllMutations)
+		a := &pauseAuditor{gc: gc}
+		gc.SetCheckpointer(a)
+		d := gctest.NewDriver(m, 77)
+		chain := m.PushHandle(heap.Nil)
+		for i := 0; i < 4000; i++ {
+			rec, err := m.Alloc(heap.KindRecord, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Init(rec, 0, heap.FromInt(int64(i)))
+			m.Init(rec, 1, m.HandleVal(chain))
+			m.SetHandleVal(chain, rec)
 		}
+		for round := 0; round < 30; round++ {
+			d.Step(600)
+			if a.err != nil {
+				t.Fatalf("minorInc=%v round %d, at a pause's tail: %v", minorInc, round, a.err)
+			}
+			if err := core.AuditHeap(m); err != nil {
+				t.Fatalf("minorInc=%v round %d: %v", minorInc, round, err)
+			}
+		}
+		gc.FinishCycles(m)
+		if err := core.AuditHeap(m); err != nil {
+			t.Fatalf("minorInc=%v after finish: %v", minorInc, err)
+		}
+		unfinished += a.unfinished
 	}
-	gc.FinishCycles(m)
-	if err := core.AuditHeap(m); err != nil {
-		t.Fatalf("after finish: %v", err)
+	if unfinished == 0 {
+		t.Error("no pause ended with an exposure walk unfinished")
 	}
+	t.Logf("%d pauses ended with an exposure walk unfinished", unfinished)
+}
+
+// pauseAuditor audits the heap at the tail of every pause, as a checkpoint
+// writer is called, and counts the pauses that left an exposure walk
+// unfinished.
+type pauseAuditor struct {
+	gc         *core.Replicating
+	err        error
+	unfinished int
+}
+
+func (a *pauseAuditor) PauseCheckpoint(m *core.Mutator, _ core.CheckpointPoint) bool {
+	if a.gc.ExposeWalkPending() > 0 {
+		a.unfinished++
+	}
+	if err := core.AuditHeap(m); err != nil && a.err == nil {
+		a.err = err
+	}
+	return false
 }
 
 // TestShadowModelPropertySeeds drives the shadow-model torture test over

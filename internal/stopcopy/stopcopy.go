@@ -35,14 +35,11 @@ type Collector struct {
 	stats  core.GCStats
 	pauses core.PauseBracket
 
-	//gclint:pauseonly the log cursor only advances while the mutator is stopped; the barrier appends ahead of it
 	logCursor          int64
 	promotedSinceMajor int64
-	//gclint:pauseonly Cheney cursor; stop-and-copy scans run to completion inside a single pause
-	scan uint64 // shared Cheney cursor for the current collection
+	scan               uint64 // shared Cheney cursor for the current collection
 
-	replay *policy.Cursor
-	//gclint:pauseonly replay decisions are consumed at pause time, when the next collection's kind is chosen
+	replay      *policy.Cursor
 	forcedMajor bool
 
 	// Degradation-ladder state. promoHighWater is the largest volume one
@@ -54,10 +51,8 @@ type Collector struct {
 	// subsequent request with the same typed error rather than corrupt
 	// the heap (which stays auditable — originals keep their payloads and
 	// forwarding words are legal mid-collection).
-	//gclint:pauseonly the high-water mark is raised at the end of a minor collection, before the mutator resumes
 	promoHighWater int64
-	//gclint:pauseonly wedging is detected mid-collection; once set it is only read (every request fails fast)
-	wedged *core.OOMError
+	wedged         *core.OOMError
 }
 
 // New builds the baseline collector over h.
@@ -125,8 +120,6 @@ func (c *Collector) CollectEmergency(m *core.Mutator) error {
 // pause runs one stop-the-world collection for entry, the way into it. The
 // pause is charged and recorded even when it ends in a typed exhaustion error,
 // so degraded runs report honest long pauses.
-//
-//gclint:pauseentry Clock.BeginPause stops the (single) mutator before any collection work; CollectForAlloc/CollectEmergency both funnel through here
 func (c *Collector) pause(m *core.Mutator, cause simtime.Cause) error {
 	if c.wedged != nil {
 		return c.wedged
