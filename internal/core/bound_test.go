@@ -358,6 +358,41 @@ func TestPauseBound(t *testing.T) {
 			check(t, gc)
 		}
 	}
+	// ring keeps the last 64 of a stream of objects of one kind and size alive,
+	// with a small record of garbage between them: half of every nursery
+	// survives, so minor collections span pauses and each pause's deadline
+	// falls inside one of the objects' copies or scans.
+	ring := func(kind heap.Kind, n int) func(*testing.T) {
+		return func(t *testing.T) {
+			m, gc := newRun(cfg, core.LogAllMutations)
+			roots := &growingRoots{slots: make([]heap.Value, 64)}
+			m.Roots.Register(roots)
+			for i := 0; i < 3000; i++ {
+				p := m.MustAlloc(kind, n)
+				if kind.HasPointers() {
+					m.Init(p, i%n, heap.FromInt(int64(i)))
+				}
+				roots.slots[i%len(roots.slots)] = p
+				m.MustAlloc(heap.KindRecord, 2)
+			}
+			if err := gc.FinishCycles(m); err != nil {
+				t.Fatal(err)
+			}
+			check(t, gc)
+		}
+	}
+	// A pointer-free object's scan is charged in one piece: one of about 20 KB
+	// whose scan begins just before the deadline runs 5 ms past it.
+	t.Run("bytes-20kb-scan", func(t *testing.T) {
+		t.Skip("the longest budgeted pause is 55.214 ms, 4.007 ms over the budget plus one unit (51.207 ms): a 20 KB byte object's scan, and its copy, are charged whole")
+		ring(heap.KindBytes, 20000)(t)
+	})
+	// An object under L/4 is copied whole: one of 19.2 KB whose copy begins
+	// just before the deadline runs nearly 5 ms past it.
+	t.Run("arrays-19kb-copy", func(t *testing.T) {
+		t.Skip("the longest budgeted pause is 54.572 ms, 3.365 ms over the budget plus one unit (51.207 ms): a copy under L/4 is never split")
+		ring(heap.KindArray, 2400)(t)
+	})
 	t.Run("miniml-60000-entry-log", program(holdsLargeArray, "320000 3 3\n"))
 	t.Run("miniml-deep-recursion", program(deepRecursion, "240000\n"))
 	t.Run("store-heavy-serving", func(t *testing.T) {
