@@ -3,7 +3,7 @@ package simtime
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -228,9 +228,8 @@ func Percentiles(ds []Duration, ps ...float64) []Duration {
 	if len(ds) == 0 {
 		return out
 	}
-	sorted := make([]Duration, len(ds))
-	copy(sorted, ds)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(ds)
+	slices.Sort(sorted)
 	n := int64(len(sorted))
 	const denom = 100 * microPercent // micro-percents in the whole range
 	for i, p := range ps {
