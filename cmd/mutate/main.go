@@ -4,7 +4,10 @@
 // $TMPDIR/repligc-mutate, runs the tests and gclint on it, and writes
 // mutation_matrix.json: each mutant with the top-level tests and gclint rules
 // that kill (fail on) it, and for each target the mutants aimed at it and
-// those only it kills. Given mutant ids, it runs those and prints their rows.
+// those only it kills. A mutant runs the tests of the packages whose test
+// binaries link the mutated package (go list -test), and the analyzer's,
+// which load the tree at run time: no other test can see the edit. Given
+// mutant ids, it runs those and prints their rows.
 // TestTreeIsClean, which repeats gclint, counts as gclint's findings, and the
 // catalogue's own test does not count. A mutant that does not build, or a
 // tree that fails unmutated, exits 1: the catalogue is wrong.
@@ -103,7 +106,11 @@ func run(ids []string) error {
 			}
 		}
 	}
-	if row, err := measure(tree, gclint, "the unmutated tree"); err != nil || len(row.Tests)+len(row.Rules) > 0 {
+	dirs, linked, err := testLinks(tree)
+	if err != nil {
+		return fmt.Errorf("listing the tests' packages: %v", err)
+	}
+	if row, err := measure(tree, gclint, "the unmutated tree", []string{"./..."}); err != nil || len(row.Tests)+len(row.Rules) > 0 {
 		return fmt.Errorf("the unmutated tree fails: %v %v %v", row.Tests, row.Rules, err)
 	}
 	var rows []Row
@@ -121,13 +128,16 @@ func run(ids []string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %v", m.ID, err)
 		}
-		row, err := measure(tree, gclint, m.ID)
+		pkgs := append(slices.Clone(linked[dirs[filepath.Dir(m.File)]]), analyzer)
+		slices.Sort(pkgs)
+		pkgs = slices.Compact(pkgs)
+		row, err := measure(tree, gclint, m.ID, pkgs)
 		if err = errors.Join(err, write(path, orig, epoch)); err != nil {
 			return err
 		}
 		row.ID, row.Target = m.ID, m.Target
 		rows = append(rows, row)
-		fmt.Fprintf(os.Stderr, "[%d/%d] %s: %d tests, rules %v, %.0fs\n", i+1, len(todo), m.ID, len(row.Tests), row.Rules,
+		fmt.Fprintf(os.Stderr, "[%d/%d] %s: %d packages run, %d tests fail, rules %v, %.0fs\n", i+1, len(todo), m.ID, len(pkgs), len(row.Tests), row.Rules,
 			time.Since(start).Seconds()) //gclint:allow wallclock -- the runner's progress line
 	}
 	survivors := []string{}
@@ -194,12 +204,45 @@ func Apply(m Mutant, src []byte) ([]byte, error) {
 	return nil, fmt.Errorf("no function %s in %s", m.Func, m.File)
 }
 
-// measure runs the tests and gclint on the tree as it stands. It returns the
-// top-level tests that fail, or were running when their binary panicked or
-// timed out, and the rules gclint reports findings of.
-func measure(tree, gclint, what string) (Row, error) {
+// analyzer is the package whose tests load the tree's packages at run time
+// (its fixtures import them through go list) rather than link them, so that
+// no import graph says which mutants they can see: they run for every one.
+const analyzer = "repligc/internal/analysis"
+
+// testLinks lists the tree's packages: the import path of each package
+// directory, relative to the tree, and for each package the packages whose
+// test binaries link it, itself included when it has tests.
+func testLinks(tree string) (dirs map[string]string, linked map[string][]string, err error) {
+	out, err := sh(tree, `go list -test -f '{{.ImportPath}}|{{.ForTest}}|{{.Dir}}|{{join .Deps " "}}' ./...`)
+	if err != nil {
+		return nil, nil, err
+	}
+	dirs, linked = make(map[string]string), make(map[string][]string)
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		f := strings.SplitN(line, "|", 4)
+		path, forTest, dir, deps := f[0], f[1], f[2], strings.Fields(f[3])
+		if rel, err := filepath.Rel(tree, dir); err == nil && forTest == "" && !strings.HasSuffix(path, ".test") {
+			dirs[rel] = path
+		}
+		test, ok := strings.CutSuffix(path, ".test")
+		if !ok {
+			continue
+		}
+		for _, d := range deps { // a test variant's dependency reads "pkg [test.test]"
+			if !strings.HasPrefix(d, "[") {
+				linked[d] = append(linked[d], test)
+			}
+		}
+	}
+	return dirs, linked, nil
+}
+
+// measure runs the tests of pkgs and gclint on the tree as it stands. It
+// returns the top-level tests that fail, or were running when their binary
+// panicked or timed out, and the rules gclint reports findings of.
+func measure(tree, gclint, what string, pkgs []string) (Row, error) {
 	row := Row{Tests: []string{}, Rules: []string{}}
-	cmd := exec.Command("go", "test", "-json", "-timeout", "120s", "./...")
+	cmd := exec.Command("go", append([]string{"test", "-json", "-timeout", "120s"}, pkgs...)...)
 	cmd.Dir = tree
 	out, _ := cmd.Output()
 	type event struct{ Action, Package, Test, FailedBuild string }
