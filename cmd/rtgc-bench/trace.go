@@ -60,8 +60,9 @@ func runTrace(s bench.Scale, workload, out string, worst int) error {
 			fmt.Print(res.Pauses.WorstPausesTable(worst))
 		}
 		// The pause bound (DESIGN.md, "Pause bound") over every pause that had
-		// a budget: no such pause is longer than copying 2L + L/4 bytes takes,
-		// whatever it spent the time on, or copies more than that. A completion
+		// a budget: no such pause is longer than its budget and the last unit
+		// of work begun inside it, whatever it spent the time on, or copies
+		// more than 2L and a word. A completion
 		// attempt the gate let through although it did not fit is the one
 		// exemption from the length, and is listed.
 		text, err := res.CheckPauseBound()

@@ -79,22 +79,22 @@ func (b *budgetRecorder) projection() uint64 {
 // engine shapes and all four fault plans, and one for the engine golden's
 // recorded-and-replayed pair.
 var budgetPins = map[string]string{
-	"rt":        "e1ee3eaaf454a7a5",
-	"minor-inc": "700d6fa164ef3a9a",
-	"major-inc": "5e2ecb001b1373dd",
-	"rt-lazy":   "79785acef6723e4a",
-	"rt-defer":  "59b288efa8673344",
-	"replay":    "242df30a4df20118",
+	"rt":        "e06d9268eef3e953",
+	"minor-inc": "55e82ebb59323b1c",
+	"major-inc": "e51f9147171ab817",
+	"rt-lazy":   "a936847aa3e0e192",
+	"rt-defer":  "f945c37a659a8864",
+	"replay":    "0ea0be40f6f342fe",
 }
 
 // projectionPins holds the same cells' projections (budgetRecorder.projection).
 var projectionPins = map[string]string{
-	"rt":        "c22e471d98e5a8a9",
-	"minor-inc": "93b445e2207e00c0",
-	"major-inc": "1ead3ace08694d3a",
-	"rt-lazy":   "59c68064d43bad7b",
-	"rt-defer":  "3c44ec6c2aedeced",
-	"replay":    "45c28c0681ed40c0",
+	"rt":        "8a837a935cb9e7e1",
+	"minor-inc": "6f5537e65ba61e4b",
+	"major-inc": "0254c55f24740006",
+	"rt-lazy":   "c3f77ee50c96312b",
+	"rt-defer":  "bc6c1268dc2352cb",
+	"replay":    "d973d712b8d7997d",
 }
 
 func TestBudgetPins(t *testing.T) {

@@ -136,10 +136,10 @@ func recordIsTrace(record []simtime.Pause, tr *trace.Recorder) error {
 
 // compositionLargeObjects is the matrix's large-object plane: every collector
 // the table names × group size, each member's driver allocating pointer
-// arrays and byte buffers of 12-24 KB — above the tight shape's split
-// threshold (L/4 = 1 KB) and on both sides of N/2, so some start in the
-// nursery and some are born old — and storing into them near both ends while
-// they are being copied. The heap audit (AuditHeap, which ends in
+// arrays and byte buffers of 12-24 KB — above the tight shape's copy budget
+// (2L = 8 KB), so that every copy of one under a budget spans pauses, and on
+// both sides of N/2, so some start in the nursery and some are born old — and
+// storing into them near both ends while they are being copied. The heap audit (AuditHeap, which ends in
 // AuditScanned) runs after every round and the shadow check after every
 // sixth, mid-collection, and the reachable graph at the end must be the one
 // sc computed.
@@ -216,15 +216,16 @@ func compositionLargeObjects(t *testing.T) {
 // Under shrink-old the next pause must escalate — flip regardless of the gate,
 // or surface the typed error — never wait. The shape is the paper's L over a
 // 64 KB nursery of which half survives, so the pause a flip could run in is
-// nearly always full. A lone member's flip worklist — hidden replicas keep it
-// to the few visible references to mutable objects — and its root set are too
-// short to wait on their own, so its member also holds rootBallast handles to
-// no object, which the completion attempt visits twice. The heap audit runs
-// after every round from the strike until the headroom is back and every
-// thirty-second otherwise, the shadow check at the end, 24 rounds later.
+// nearly always full. A flip whose attempt would fit is put off all the same
+// (RefuseNextMajorAttempt, asked while a major runs until one waits): a lone
+// member's flip worklist — hidden replicas keep it to the few visible
+// references to mutable objects — and its root set are too short to wait on
+// their own. The heap audit runs after every round from the strike until the
+// headroom is back and every thirty-second otherwise, the shadow check at the
+// end, 24 rounds later.
 func compositionDeferredFlipFaults(t *testing.T) {
 	params := Params{NBytes: 64 << 10, OBytes: 256 << 10, LBytes: 100 << 10}
-	const oldSemi, rootBallast = 4 << 20, 12000
+	const oldSemi = 4 << 20
 	cells := 0
 	for _, coll := range rig.Table {
 		if coll.StopCopy || !coll.Engine.IncrementalMajor {
@@ -244,16 +245,14 @@ func compositionDeferredFlipFaults(t *testing.T) {
 					t.Errorf("%s: %v", label, err)
 					continue
 				}
-				if members == 1 {
-					for range rootBallast {
-						rt.Mutator.PushHandle(heap.FromInt(0))
-					}
-				}
 				repl := rt.GC.(*core.Replicating)
 				st := rt.GC.Stats()
 				struck, clamped, emergencies := false, false, 0
 				last := 1200 / members // a run that has not met the state by then never will
 				for round := 0; round < last && err == nil; round++ {
+					if !struck && repl.CheckpointNow().MajorActive {
+						repl.RefuseNextMajorAttempt()
+					}
 					pauses := st.PauseCount
 					if err = md.Step(80); err != nil {
 						if _, ok := core.AsOOM(err); !ok || !clamped {

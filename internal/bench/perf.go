@@ -184,7 +184,7 @@ func ValidatePerf(data []byte) error {
 			// The floor under the pause bound: a leg whose every pause had a
 			// budget is held to it.
 			case leg.Unbudgeted == 0 && leg.PauseMaxMs > bound:
-				err = fmt.Errorf("pause_max_ms = %.3f exceeds the pause bound %.1f ms and no unbudgeted pause is listed", leg.PauseMaxMs, bound)
+				err = fmt.Errorf("pause_max_ms = %.3f exceeds the pause bound %.3f ms and no unbudgeted pause is listed", leg.PauseMaxMs, bound)
 			}
 			if err != nil {
 				return fmt.Errorf("perf report: %s %s: %w", w.Name, l.tag, err)

@@ -24,7 +24,7 @@ func TestPerfValidator(t *testing.T) {
 	if err := ValidatePerf(committed); err != nil {
 		t.Errorf("committed report: %v", err)
 	}
-	// The floor under the pause bound: an rt leg over 57.6 ms is rejected
+	// The floor under the pause bound: an rt leg over 51.207 ms is rejected
 	// unless the leg lists a pause that had no budget, checkpointed or not.
 	// A checkpointed leg lists one for each epoch it committed.
 	floor := func(name string, edit func(*PerfReport), want string) {
@@ -39,7 +39,7 @@ func TestPerfValidator(t *testing.T) {
 		}
 	}
 	floor("rt leg over the bound", func(r *PerfReport) { r.Workloads[2].Coalesced.PauseMaxMs = 68.944 },
-		"Sort coalesced: pause_max_ms = 68.944 exceeds the pause bound 57.6 ms")
+		"Sort coalesced: pause_max_ms = 68.944 exceeds the pause bound 51.207 ms")
 	floor("rt leg over the bound, overrun listed", func(r *PerfReport) {
 		r.Workloads[2].Coalesced.PauseMaxMs, r.Workloads[2].Coalesced.Unbudgeted = 68.944, 1
 	}, "")

@@ -47,7 +47,8 @@ print (itos total ^ " " ^ itos (aget out 3) ^ " " ^ itos (aget out 59996) ^ "\n"
 
 // TestPauseCopyBound holds the copy term of the pause bound (DESIGN.md,
 // "Pause bound"): no pause that runs under the work limit copies more than
-// 2L plus the split threshold L/4, whatever the size of the largest object.
+// 2L and the one word a split rounds past it, whatever the size of the
+// largest object.
 // Stop-the-world pauses (forced completions, emergencies: Cause.Forced) have
 // no budget and are exempt.
 func TestPauseCopyBound(t *testing.T) {
@@ -73,7 +74,7 @@ func TestPauseCopyBound(t *testing.T) {
 			t.Errorf("one uninterrupted copy of %d B against the bound %d B", st.LargestCopyBytes, bound)
 		}
 		if worst > bound {
-			t.Errorf("pause %d copied %d B against the bound 2L + L/4 = %d B", at, worst, bound)
+			t.Errorf("pause %d copied %d B against the bound 2L + a word = %d B", at, worst, bound)
 		}
 	}
 
@@ -381,18 +382,13 @@ func TestPauseBound(t *testing.T) {
 			check(t, gc)
 		}
 	}
-	// A pointer-free object's scan is charged in one piece: one of about 20 KB
-	// whose scan begins just before the deadline runs 5 ms past it.
-	t.Run("bytes-20kb-scan", func(t *testing.T) {
-		t.Skip("the longest budgeted pause is 55.214 ms, 4.007 ms over the budget plus one unit (51.207 ms): a 20 KB byte object's scan, and its copy, are charged whole")
-		ring(heap.KindBytes, 20000)(t)
-	})
-	// An object under L/4 is copied whole: one of 19.2 KB whose copy begins
-	// just before the deadline runs nearly 5 ms past it.
-	t.Run("arrays-19kb-copy", func(t *testing.T) {
-		t.Skip("the longest budgeted pause is 54.572 ms, 3.365 ms over the budget plus one unit (51.207 ms): a copy under L/4 is never split")
-		ring(heap.KindArray, 2400)(t)
-	})
+	// A pointer-free object's scan stops at the deadline and resumes: charged
+	// in one piece, one of about 20 KB whose scan began just before the
+	// deadline ran 5 ms past it.
+	t.Run("bytes-20kb-scan", ring(heap.KindBytes, 20000))
+	// Every copy that would cross the deadline splits there: one of 19.2 KB,
+	// under the L/4 that was once copied whole, ran nearly 5 ms past it.
+	t.Run("arrays-19kb-copy", ring(heap.KindArray, 2400))
 	t.Run("miniml-60000-entry-log", program(holdsLargeArray, "320000 3 3\n"))
 	t.Run("miniml-deep-recursion", program(deepRecursion, "240000\n"))
 	t.Run("store-heavy-serving", func(t *testing.T) {

@@ -5,12 +5,12 @@ import "repligc/internal/heap"
 // SourceCount reports how many root sources are registered.
 func (r *RootSet) SourceCount() int { return len(r.sources) }
 
-// SetCopySplit replaces the split threshold (bytes; L/4 when zero) and caps
-// the payload words one fill moves (uncapped when zero): math.MaxInt64, 0
-// never splits a copy, and 1, 1 splits every copy that does not fit in what is
-// left of its pause and moves one word per increment.
-func (c *Replicating) SetCopySplit(thresholdBytes int64, chunkWords int) {
-	c.splitMin, c.chunkWords = thresholdBytes, chunkWords
+// SetCopySplit switches fill's split off (whole) and caps the payload words
+// one fill moves (uncapped when zero): true, 0 never splits a copy, and
+// false, 1 splits every copy that would cross its pause's deadline and moves
+// one word per increment.
+func (c *Replicating) SetCopySplit(whole bool, chunkWords int) {
+	c.copyWhole, c.chunkWords = whole, chunkWords
 }
 
 // SetMinorLimits replaces the paper's A, the nursery expansion a pause grants

@@ -263,18 +263,21 @@ type Replicating struct {
 	// early major) before a mid-copy overflow can happen.
 	promoHighWater int64
 
-	// Test seams (export_test.go); zero outside tests. splitMin replaces the
-	// split threshold L/4, chunkWords caps the words one fill moves, expandMin
+	// Test seams (export_test.go); zero outside tests. copyWhole switches
+	// fill's split off and chunkWords caps the words one fill moves; expandMin
 	// and pauseCap replace A = L/2 and maxMinorPauses; noHiding, noGate and
 	// noLogMeter switch off toSpaceValue's hidden holders, the admission gate
-	// (deferAttempt) and takeLogEntry's budget test for the differential tests.
-	splitMin   int64
-	chunkWords int
-	expandMin  int64
-	pauseCap   int
-	noHiding   bool
-	noGate     bool
-	noLogMeter bool
+	// (deferAttempt) and takeLogEntry's budget test for the differential tests;
+	// refuseMajor makes the gate put off the major's next attempt
+	// (RefuseNextMajorAttempt).
+	copyWhole   bool
+	chunkWords  int
+	expandMin   int64
+	pauseCap    int
+	noHiding    bool
+	noGate      bool
+	noLogMeter  bool
+	refuseMajor bool
 
 	// The instant on the simulated clock at which the pause in progress has
 	// spent its budget; 0 when it has none. It is the pause's one budget:
@@ -365,27 +368,23 @@ func (c *Replicating) workLimit() int64 {
 	return 2 * c.cfg.CopyLimitBytes
 }
 
-// splitBytes is the size above which a copy that does not fit in what is left
-// of the pause's budget is filled over several pauses: L/4, so that a budgeted
-// pass overshoots 2L by less than a quarter of L (PauseCopyBound).
-func (c *Replicating) splitBytes() int64 { return cmp.Or(c.splitMin, c.cfg.CopyLimitBytes/4) }
-
 // expandBytes is the paper's A: the nursery expansion granted per pause while
 // an incremental collection awaits completion — L/2, the paper's choice.
 func (c *Replicating) expandBytes() int64 { return cmp.Or(c.expandMin, c.cfg.CopyLimitBytes/2) }
 
 // PauseCopyBound is the copy term of the pause bound (DESIGN.md, "Pause
 // bound"): the most a budgeted pause copies, whatever the size of the largest
-// object — the work limit 2L plus one object no larger than the threshold.
-func (c Config) PauseCopyBound() int64 { return 2*c.CopyLimitBytes + c.CopyLimitBytes/4 }
+// object — the work limit 2L plus the one word by which a copy that splits at
+// the deadline, or the header of one begun after it, rounds past it.
+func (c Config) PauseCopyBound() int64 { return 2*c.CopyLimitBytes + heap.BytesPerWord }
 
 // PauseBoundTime is the pause bound: how long a budgeted pause that is not a
 // counted overrun lasts at most, whatever it spends the time on. Every
 // resumable loop stops once the budget's time — that of copying and scanning
 // 2L bytes — has passed, the atomic steps are admitted only if they fit it
-// (deferAttempt), and the last unit of work begun inside it is one log entry
-// or scanned slot and the one object, no larger than the split threshold, that
-// it reached.
+// (deferAttempt), every copy and scan that would cross it stops there, and the
+// last unit of work begun inside it is one log entry or scanned slot and the
+// word of the copy it reached.
 func (c Config) PauseBoundTime(cost simtime.CostModel) simtime.Duration {
 	return workTime(cost, c.PauseCopyBound()) + max(cost.LogScan+cost.LogReapply, cost.ScanWord)
 }
@@ -405,7 +404,7 @@ func (c Config) CheckPauseBound(cost simtime.CostModel, pauses []simtime.Pause) 
 		}
 		budgeted++
 		if p.CopiedB > copyBound {
-			return text, fmt.Errorf("pause %d copied %d B, over the bound 2L + L/4 = %d B", i, p.CopiedB, copyBound)
+			return text, fmt.Errorf("pause %d copied %d B, over the bound 2L + a word = %d B", i, p.CopiedB, copyBound)
 		}
 		most = max(most, p.CopiedB)
 		switch {
@@ -422,7 +421,7 @@ func (c Config) CheckPauseBound(cost simtime.CostModel, pauses []simtime.Pause) 
 	if budgeted == 0 {
 		return fmt.Sprintf("pause bound: none of the %d pauses had a budget\n", len(pauses)), nil
 	}
-	return text + fmt.Sprintf("pause bound: the longest budgeted pause is %v of %v; the most one copied is %d B of 2L + L/4 = %d B\n",
+	return text + fmt.Sprintf("pause bound: the longest budgeted pause is %v of %v; the most one copied is %d B of 2L + a word = %d B\n",
 		longest, bound, most, copyBound), nil
 }
 
@@ -533,6 +532,12 @@ func (c *Replicating) pauseBody(m *Mutator, needWords int) error {
 	if capped {
 		c.stats.ForcedCompletion++
 	}
+
+	// The major's in-flight copy comes first, within the budget: the minor's
+	// log replay may replicate into the major, and a copy that would cross the
+	// deadline must find its generation's record free to split. Left
+	// unfinished, it has spent the budget.
+	c.resumeCopy(m, &c.major)
 
 	// A forced increment runs with the deadline lifted, and its time goes back
 	// onto it: else a root set too long for the budget would leave the major
@@ -984,21 +989,21 @@ func (c *Replicating) replicate(m *Mutator, g *generation, v heap.Value) (heap.V
 
 // fill copies the next payload words of job's replica and charges them, with
 // the extra words the caller has already moved, as one uninterrupted copy. It
-// copies all that is left unless that is both more than the split threshold
-// and more than the pause's remaining budget: then it stops where the budget
-// does. Nothing splits while the deadline is lifted (lift), nor does a second
-// large object met while the one in-flight record is taken, which only a fill
-// capped below the budget (chunkWords) leaves room for.
+// copies all that is left unless that would cross the pause's deadline: then
+// it stops where the budget does. Nothing splits while the deadline is lifted
+// (lift), nor does a second object met while the in-flight record is taken,
+// which only a fill capped below the budget (chunkWords) leaves room for:
+// every pause resumes the major's record before the minor's increment
+// (pauseBody), and a split ends the pause's budgeted work.
 func (c *Replicating) fill(m *Mutator, g *generation, job *copyJob, extra int) {
 	n := job.words - job.next
-	// The size test comes first: it fails for all but a handful of objects.
-	if size := int64(n+extra) * heap.BytesPerWord; size > c.splitBytes() &&
+	// The time test comes first: it passes for all but the copy the deadline
+	// falls in.
+	if c.deadline > 0 && m.Clock.Now()+simtime.Duration(n+extra)*m.Cost.CopyWord > c.deadline && !c.copyWhole &&
 		(job == &g.inflight || g.inflight.replica == heap.Nil) {
-		if fits := c.budgetSlots(m, m.Cost.CopyWord); n+extra > fits {
-			n = max(fits-extra, 0)
-			if c.chunkWords > 0 {
-				n = min(n, c.chunkWords)
-			}
+		n = max(c.budgetSlots(m, m.Cost.CopyWord)-extra, 0)
+		if c.chunkWords > 0 {
+			n = min(n, c.chunkWords)
 		}
 	}
 	c.h.CopyWords(job.replica, job.orig, job.next, n)
@@ -1009,9 +1014,10 @@ func (c *Replicating) fill(m *Mutator, g *generation, job *copyJob, extra int) {
 	c.pauses.Charge(m, g.acct, simtime.Duration(n+extra)*m.Cost.CopyWord)
 }
 
-// resumeCopy continues g's in-flight copy, the first work of every increment,
-// and reports whether none is left: an increment that could not finish it has
-// spent its budget and does nothing else.
+// resumeCopy continues g's in-flight copy, the first work of g's increment
+// (and, for the major's, of every pause), and reports whether none is left:
+// an increment that could not finish it has spent its budget and does
+// nothing else.
 func (c *Replicating) resumeCopy(m *Mutator, g *generation) bool {
 	if g.inflight.replica == heap.Nil {
 		return true
@@ -1264,7 +1270,16 @@ func (c *Replicating) scan(m *Mutator, g *generation) (bool, error) {
 		hdr := heap.Header(w)
 		p := heap.Value((g.scan + 1) << 3)
 		if !hdr.Kind().HasPointers() {
-			c.pauses.Charge(m, g.acct, simtime.Duration(hdr.SizeWords())*m.Cost.ScanWord)
+			// Nothing to forward: the words are charged up to the deadline,
+			// and the cursor's slot resumes at the first word not charged.
+			n := hdr.SizeWords() - g.scanSlot
+			if fits := c.budgetSlots(m, m.Cost.ScanWord); n > fits {
+				c.pauses.Charge(m, g.acct, simtime.Duration(fits)*m.Cost.ScanWord)
+				g.scanSlot += fits
+				return false, nil
+			}
+			c.pauses.Charge(m, g.acct, simtime.Duration(n)*m.Cost.ScanWord)
+			g.scanSlot = 0
 			g.scan += uint64(hdr.SizeWords())
 			continue
 		}
@@ -1610,7 +1625,11 @@ func (c *Replicating) deferAttempt(m *Mutator, g *generation, rootVisits int) (o
 		return 0, false
 	}
 	cost := simtime.Duration(len(g.worklist))*m.Cost.FlipEntry + simtime.Duration(rootVisits)*m.Cost.RootUpdate
-	if m.Clock.Now()+cost <= c.deadline {
+	fits := m.Clock.Now()+cost <= c.deadline
+	if g.major && c.refuseMajor {
+		fits, c.refuseMajor = false, false
+	}
+	if fits {
 		return 0, false
 	}
 	if cost > c.budget(m) || g.deferrals >= maxFlipDeferrals {
@@ -1626,6 +1645,12 @@ func (c *Replicating) deferAttempt(m *Mutator, g *generation, rootVisits int) (o
 	}
 	return 0, true
 }
+
+// RefuseNextMajorAttempt makes the admission gate put off the major's next
+// budgeted completion attempt, fit or not, as it puts off one that does not
+// fit: a fault that brings a deferred major flip about on demand, for the
+// tests of what follows one.
+func (c *Replicating) RefuseNextMajorAttempt() { c.refuseMajor = true }
 
 // processMajorLog consumes pending log entries for the major collection;
 // it reports whether the log is drained (false when the pause's budget ran

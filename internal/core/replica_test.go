@@ -178,9 +178,8 @@ func TestPauseBounding(t *testing.T) {
 	if sc.Max() <= rt.Max() {
 		t.Errorf("stop-copy max pause %v not longer than rt max %v", sc.Max(), rt.Max())
 	}
-	// Every budgeted pause of rt ends within the budget plus one object no
-	// larger than L/4 (TestPauseBound holds that in the paper's cell); here
-	// the torture driver's 160-word objects are well under it.
+	// Every budgeted pause of rt ends within the budget plus the last unit of
+	// work begun inside it (TestPauseBound holds that in the paper's cell).
 	bound := tortureConfig(true, true).PauseBoundTime(simtime.Default1993())
 	for i, p := range rt.Pauses {
 		if !p.Unbudgeted() && p.Length > bound {

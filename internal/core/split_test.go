@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -164,11 +163,11 @@ func immortalStream(t *testing.T, cfg core.Config, seams func(*core.Replicating)
 	return digest, *gc.Stats(), bothSides
 }
 
-// TestSplitCopyDifferential runs one operation stream with the split
-// threshold forced to "never" and to "always, one word per increment", and
-// with the threshold the configuration derives from L: the three must end
-// with the same graph and the same copy volume in both generations, the
-// chunked ones having stored on both sides of a copy cursor on the way.
+// TestSplitCopyDifferential runs one operation stream with copies never
+// split, split at the deadline one word per increment, and split at the
+// deadline: the three must end with the same graph and the same copy volume
+// in both generations, the split ones having stored on both sides of a copy
+// cursor on the way.
 func TestSplitCopyDifferential(t *testing.T) {
 	// L = 4 KB: the stream's few hundred roots are passed over twice within
 	// the 2 ms budget, so the completion attempt that meets a large object is
@@ -176,23 +175,22 @@ func TestSplitCopyDifferential(t *testing.T) {
 	// 4 200-slot array is still four budgets long.
 	cfg := splitConfig()
 	cfg.CopyLimitBytes = 4 << 10
-	split := func(threshold int64, chunkWords int) func(*core.Replicating) {
-		return func(gc *core.Replicating) { gc.SetCopySplit(threshold, chunkWords) }
+	split := func(whole bool, chunkWords int) func(*core.Replicating) {
+		return func(gc *core.Replicating) { gc.SetCopySplit(whole, chunkWords) }
 	}
-	whole, wholeStats, _ := immortalStream(t, cfg, split(math.MaxInt64, 0))
+	whole, wholeStats, _ := immortalStream(t, cfg, split(true, 0))
 	if wholeStats.SplitCopies != 0 {
-		t.Fatalf("threshold \"never\" split %d copies", wholeStats.SplitCopies)
+		t.Fatalf("copying whole split %d copies", wholeStats.SplitCopies)
 	}
 	if wholeStats.MajorCollections < 3 {
 		t.Fatalf("%d majors: the stream is too small to say anything", wholeStats.MajorCollections)
 	}
 	for _, c := range []struct {
 		name       string
-		threshold  int64
 		chunkWords int
-	}{{"one-word-chunks", 1, 1}, {"derived-from-L", 0, 0}} {
+	}{{"one-word-chunks", 1}, {"at-the-deadline", 0}} {
 		t.Run(c.name, func(t *testing.T) {
-			digest, st, bothSides := immortalStream(t, cfg, split(c.threshold, c.chunkWords))
+			digest, st, bothSides := immortalStream(t, cfg, split(false, c.chunkWords))
 			if digest != whole {
 				t.Errorf("graph %016x, copied whole it is %016x", digest, whole)
 			}
@@ -205,7 +203,10 @@ func TestSplitCopyDifferential(t *testing.T) {
 			if st.SplitCopies == 0 || !bothSides {
 				t.Errorf("%d copies split, stores on both sides of a cursor: %v", st.SplitCopies, bothSides)
 			}
-			if st.LargestCopyBytes > cfg.PauseCopyBound() {
+			// One-word chunks leave the in-flight record taken with budget to
+			// spare, and a second object met then is copied whole; at the
+			// deadline nothing is.
+			if c.chunkWords == 0 && st.LargestCopyBytes > cfg.PauseCopyBound() {
 				t.Errorf("largest uninterrupted copy %d B (%d completion attempts overran their pause): the stream no longer splits what it was built to split", st.LargestCopyBytes, st.Overruns)
 			}
 			t.Logf("%d copies split over %d pauses (%d whole), largest uninterrupted copy %d B (%d whole)",
@@ -215,12 +216,12 @@ func TestSplitCopyDifferential(t *testing.T) {
 }
 
 // TestSplitCopyProgramOutput runs the MiniML program that holds a large array
-// across several majors with copies never split and split at every budget
-// boundary: same output, same number of majors.
+// across several majors with copies never split and split at the deadline:
+// same output, same number of majors.
 func TestSplitCopyProgramOutput(t *testing.T) {
-	run := func(threshold int64) (string, core.GCStats) {
+	run := func(whole bool) (string, core.GCStats) {
 		m, gc := newRun(paperRT(), core.LogAllMutations)
-		gc.SetCopySplit(threshold, 0)
+		gc.SetCopySplit(whole, 0)
 		prog, err := lang.Compile(m, holdsLargeArray)
 		if err != nil {
 			t.Fatal(err)
@@ -234,8 +235,8 @@ func TestSplitCopyProgramOutput(t *testing.T) {
 		}
 		return machine.Output.String(), *gc.Stats()
 	}
-	whole, wholeStats := run(math.MaxInt64)
-	split, splitStats := run(1)
+	whole, wholeStats := run(true)
+	split, splitStats := run(false)
 	if split != whole || splitStats.MajorCollections != wholeStats.MajorCollections {
 		t.Errorf("split: %q after %d majors; whole: %q after %d", split, splitStats.MajorCollections, whole, wholeStats.MajorCollections)
 	}

@@ -67,12 +67,12 @@ func TestDriverPins(t *testing.T) {
 		large bool
 		want  pin
 	}{
-		{1, false, pin{20000, 0x66e9213c7da11e41, 130057920, 30}},
-		{2, false, pin{20000, 0x69cffec5207c9cf9, 130260840, 30}},
-		{3, false, pin{20000, 0x6be9a1a8fc871574, 129161040, 30}},
-		{1, true, pin{20000, 0x9580be3c577bc14e, 708754840, 135}},
-		{2, true, pin{20000, 0x38396e3f39fec201, 659756960, 132}},
-		{3, true, pin{20000, 0x777b89414b39a7e6, 678704080, 133}},
+		{1, false, pin{20000, 0x66e9213c7da11e41, 130055880, 30}},
+		{2, false, pin{20000, 0x69cffec5207c9cf9, 130247840, 30}},
+		{3, false, pin{20000, 0x6be9a1a8fc871574, 129153040, 30}},
+		{1, true, pin{20000, 0x9580be3c577bc14e, 680798840, 135}},
+		{2, true, pin{20000, 0x38396e3f39fec201, 635015760, 132}},
+		{3, true, pin{20000, 0x777b89414b39a7e6, 662817680, 133}},
 	} {
 		name := fmt.Sprintf("seed%d", c.seed)
 		if c.large {
