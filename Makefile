@@ -8,11 +8,10 @@ build:
 	go build ./...
 
 # The repository's invariant linter (cmd/gclint), after vet. Its
-# confinement table says which packages may call what: raw heap words and
-# forwarding pointers stay in the collector packages, the host clock out of
-# internal/ and cmd/, file I/O in cmd/ and internal/checkpoint, panics out of
-# the collector packages, runtime constructors in internal/rig, flight
-# recorders in the commands, pause brackets in the collectors, a finished run
+# confinement table says which packages may call what: raw heap words stay
+# in the collector packages, the host clock out of internal/ and cmd/, file
+# I/O in cmd/ and internal/checkpoint, panics out of the collector packages,
+# runtime constructors in internal/rig, pause brackets in the collectors, a finished run
 # is read through rig.Runtime.Stats, and the torture driver is imported by
 # tests and the crash matrix only. Its other rules check stale heap.Values across may-flip
 # calls, deterministic iteration, dispatch exhaustiveness and the hygiene of its own

@@ -18,7 +18,7 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files with current analyzer output")
 
 // goldenCases pairs each fixture package under testdata/src with the import
-// path it masquerades as — path-scoped rules (barrier, wallclock, forward)
+// path it masquerades as — path-scoped rules (barrier, wallclock, io)
 // behave differently inside and outside the collector packages, and the
 // fixture must land on the right side of that line.
 var goldenCases = []struct {
@@ -32,12 +32,8 @@ var goldenCases = []struct {
 	{"wallclockcmd", "repligc/cmd/fixwallclockcmd"},
 	{"maprange", "repligc/internal/fixmaprange"},
 	{"exhaustive", "repligc/internal/fixexhaustive"},
-	{"forward", "repligc/internal/fixforward"},
-	// Masquerades as a collector package: forwarding access is legal there.
-	{"forwardheap", "repligc/internal/stopcopy"},
 	// Masquerades as a collector package: bare panics are flagged there.
 	{"panicpath", "repligc/internal/heap"},
-	{"fastpath", "repligc/internal/fixfastpath"},
 	{"clean", "repligc/internal/fixclean"},
 	{"badallow", "repligc/internal/fixbadallow"},
 	{"stalehandle", "repligc/internal/fixstale"},
@@ -49,7 +45,6 @@ var goldenCases = []struct {
 	// comment allows io.
 	{"iocmd", "repligc/cmd/fixiocmd"},
 	{"construct", "repligc/internal/fixconstruct"},
-	{"recorder", "repligc/internal/fixrecorder"},
 	// Masquerades as a command: commands read a run through its report.
 	{"runstats", "repligc/cmd/fixrunstats"},
 	{"gctest", "repligc/internal/fixgctest"},

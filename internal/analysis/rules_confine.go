@@ -3,8 +3,7 @@ package analysis
 // The confinement table: most of the discipline the collector depends on has
 // one shape, "calls to these names may appear only in those packages". The
 // write barrier (paper §2.1) holds only if raw heap stores stay inside the
-// collector packages; the from-space invariant only if forwarding stays
-// there too; reproducibility only if the host clock stays out of the
+// collector packages; reproducibility only if the host clock stays out of the
 // simulation; crash recovery only if file I/O stays in the layers whose job
 // it is. Each such rule is a row below, checked by one Appraise against the
 // type-checked identifier, so a renamed import or a method value is caught
@@ -40,8 +39,8 @@ type Confinement struct {
 	Why string
 }
 
-// collectorPkgs are the packages allowed to touch raw heap words and
-// forwarding pointers: the heap itself, the two collector implementations,
+// collectorPkgs are the packages allowed to touch raw heap words: the heap
+// itself, the two collector implementations,
 // and the checkpoint writer (which snapshots and restores raw words at pause
 // boundaries, on the collector's side of the barrier). Everything else must
 // go through the Mutator interface.
@@ -58,7 +57,7 @@ var (
 )
 
 // Confinements is the confinement table, in the order gclint -rules lists
-// it. The frozen benchmark (benchmarks/) builds its own runtime and recorder.
+// it. The frozen benchmark (benchmarks/) builds its own runtime.
 var Confinements = []*Confinement{
 	{Rule: "barrier", Pkg: heapPkgPath, Recv: "Heap",
 		Names: []string{"Store", "StoreByte", "SetBytes", "StoreBytes", "AllocIn"},
@@ -72,13 +71,6 @@ var Confinements = []*Confinement{
 		Names: []string{"Load", "LoadByte", "Bytes", "LoadBytes", "RawHeader", "Word", "Marked"},
 		NotIn: collectorPkgs,
 		Why:   "is a raw heap read outside the collector packages; use Mutator.Get/GetByte/Bytes/GetByteRange/Header"},
-	{Rule: "forward", Pkg: heapPkgPath, Recv: "Heap",
-		Names: []string{"ForwardAddr", "IsForwarded"},
-		NotIn: collectorPkgs,
-		Why:   "outside the collector packages: mutator code must not observe forwarding (from-space invariant); use Mutator.Header for getheader"},
-	{Rule: "barrierfast", Pkg: heapPkgPath, Recv: "Heap",
-		Names: []string{"SlotDirty", "MarkSlotDirty", "WordsDirty", "MarkWordsDirty"},
-		Why:   "lets a store skip the logging slow path: the function's doc comment must carry \"//gclint:allow barrierfast -- <invariant>\" stating why the log still covers the skipped location"},
 	{Rule: "wallclock", Pkg: "time", In: internalCmd, Why: wallClockWhy,
 		Names: []string{"Now", "Since", "Until", "Sleep", "After", "AfterFunc", "Tick", "NewTimer", "NewTicker"}},
 	{Rule: "wallclock", Pkg: "testing", Names: []string{"Benchmark"}, In: internalCmd, Why: wallClockWhy},
@@ -94,9 +86,6 @@ var Confinements = []*Confinement{
 	{Rule: "construct", Pkg: heapPkgPath, Names: []string{"New"}, NotIn: runtimeBuilders, Why: constructWhy},
 	{Rule: "construct", Pkg: corePkgPath, Names: []string{"NewMutator", "NewGroup", "NewReplicating"}, NotIn: runtimeBuilders, Why: constructWhy},
 	{Rule: "construct", Pkg: stopcopyPkgPath, Names: []string{"New"}, NotIn: runtimeBuilders, Why: constructWhy},
-	{Rule: "recorder", Pkg: "repligc/internal/trace", Names: []string{"NewRecorder"},
-		NotIn: []string{"repligc/cmd/", "repligc/benchmarks/"},
-		Why:   "outside a command: a library layer must not attach a flight recorder on its own; take rig.Config.Trace from the caller"},
 	{Rule: "bracket", Pkg: corePkgPath, Recv: "PauseBracket", Names: []string{"Begin", "Charge", "End"},
 		NotIn: []string{stopcopyPkgPath}, Final: true,
 		Why: "outside the collectors: only a collector opens, charges and closes a pause, in its one bracket, so that its record holds every pause the clock saw, what each phase of it took and why it ran"},

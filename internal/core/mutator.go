@@ -231,7 +231,6 @@ func (m *Mutator) Set(p heap.Value, i int, v heap.Value) {
 // The one-word branch, the pointer store's case, stays by measurement
 // (DESIGN.md, "Log coalescing and the barrier fast path").
 //
-//gclint:allow barrierfast -- unreplicated nursery objects owe no log entry (copied whole at the next startMinor); set dirty bits prove the log retains unconsumed word-aligned entries covering these words, and entries are value-free so one entry suffices
 //go:nosplit
 func (m *Mutator) skipLog(p heap.Value, w, n int) bool {
 	if m.NaiveBarrier {
