@@ -183,8 +183,8 @@ trace:
 # The pause bound (DESIGN.md, "Pause bound") at full scale under rt, on
 # Primes, Sort, Comp, the serving spec and a checkpointed program, read off
 # the collector's pause record (no flight recorder): each command fails if a
-# budgeted pause is longer than copying 2L + L/4 takes or copied more than
-# that, lists the overruns (none here) and the three longest pauses by phase,
+# budgeted pause is longer than its budget and the last unit begun in it
+# (51.207 ms) or copied more than 2L and a word, lists the overruns (none here) and the three longest pauses by phase,
 # and must print its "pause bound:" line. A checkpoint commit is an
 # unbudgeted pause; the snapshot increments draw on their pause's budget.
 # pause-bound-run runs a command with its output in a temporary directory
