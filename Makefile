@@ -82,9 +82,9 @@ loc:
 	@bash scripts/loc.sh $(PARENT)
 
 # The mutation matrix: each mutant of mutants.json (a one-site edit of the
-# tree) applied to a copy of the tracked files, the whole test suite and
-# gclint run on it, and mutation_matrix.json rewritten with the tests and
-# rules that kill each mutant (cmd/mutate). A full run takes over an hour
+# tree) applied to a copy of the tracked files, the tests of the packages
+# that link the mutated one and gclint run on it, and mutation_matrix.json
+# rewritten with the tests and rules that kill each mutant (cmd/mutate). A full run takes about an hour
 # on two cores, so neither all nor CI runs it; a change adds its mutants to
 # mutants.json and runs `go run ./cmd/mutate ID...` for their rows alone. The
 # copy sits at the same path under TMPDIR every run (/dev/shm when it is a

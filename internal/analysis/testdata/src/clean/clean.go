@@ -16,6 +16,6 @@ func tally(c map[heap.Kind]int) int {
 func poke(h *heap.Heap, p heap.Value) heap.Value {
 	//gclint:allow barrier -- fixture: pretend this is a debugging hook
 	h.Store(p, 0, heap.Nil)
-	h.Load(p, 0)     //gclint:allow barrier -- same-line annotation form
+	h.Load(p, 0) //gclint:allow barrier -- same-line annotation form
 	return heap.Nil
 }

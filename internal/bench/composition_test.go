@@ -139,10 +139,10 @@ func recordIsTrace(record []simtime.Pause, tr *trace.Recorder) error {
 // arrays and byte buffers of 12-24 KB — above the tight shape's copy budget
 // (2L = 8 KB), so that every copy of one under a budget spans pauses, and on
 // both sides of N/2, so some start in the nursery and some are born old — and
-// storing into them near both ends while they are being copied. The heap audit (AuditHeap, which ends in
-// AuditScanned) runs after every round and the shadow check after every
-// sixth, mid-collection, and the reachable graph at the end must be the one
-// sc computed.
+// storing into them near both ends while they are being copied. The heap
+// audit (AuditHeap, which ends in AuditScanned) runs after every round and the
+// shadow check after every sixth, mid-collection, and the reachable graph at
+// the end must be the one sc computed.
 func compositionLargeObjects(t *testing.T) {
 	tight := engineShapes[0]
 	splits := int64(0)

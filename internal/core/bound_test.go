@@ -360,9 +360,9 @@ func TestPauseBound(t *testing.T) {
 		}
 	}
 	// ring keeps the last 64 of a stream of objects of one kind and size alive,
-	// with a small record of garbage between them: half of every nursery
-	// survives, so minor collections span pauses and each pause's deadline
-	// falls inside one of the objects' copies or scans.
+	// with a small record of garbage between them: each object outlives
+	// several nurseries, so minor collections copy nearly all of one across
+	// pauses and each pause's deadline falls inside an object's copy or scan.
 	ring := func(kind heap.Kind, n int) func(*testing.T) {
 		return func(t *testing.T) {
 			m, gc := newRun(cfg, core.LogAllMutations)
