@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/*.txt from what the command prints")
@@ -26,12 +28,26 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// command is the test binary run as rtgc-bench with args. It is killed a
+// second before the test binary's own timeout: a command that loops then
+// fails its test instead of running on, orphaned, after the binary exits.
+func command(t *testing.T, args ...string) *exec.Cmd {
+	ctx := context.Background()
+	if d, ok := t.Deadline(); ok {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, d.Add(-time.Second))
+		t.Cleanup(cancel)
+	}
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	return cmd
+}
+
 // TestTraceGolden pins what `rtgc-bench -quick -worst 5 trace` prints for the
 // three workloads with no -out file asked for: each run's report, its worst
 // pauses by phase and the pause-bound line.
 func TestTraceGolden(t *testing.T) {
-	cmd := exec.Command(os.Args[0], "-quick", "-worst", "5", "trace")
-	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	cmd := command(t, "-quick", "-worst", "5", "trace")
 	got, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("rtgc-bench -quick -worst 5 trace: %v\n%s", err, got)
@@ -55,8 +71,7 @@ func TestTraceGolden(t *testing.T) {
 // reads it, every phase slice starts and ends inside its pause's slice.
 func TestTraceSlicesNestWhenTruncated(t *testing.T) {
 	dir := t.TempDir()
-	cmd := exec.Command(os.Args[0], "-out", filepath.Join(dir, "tr.json"), "trace", "Comp")
-	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	cmd := command(t, "-out", filepath.Join(dir, "tr.json"), "trace", "Comp")
 	if got, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("rtgc-bench -out tr.json trace Comp: %v\n%s", err, got)
 	}
@@ -103,8 +118,7 @@ func TestTraceSlicesNestWhenTruncated(t *testing.T) {
 func TestUnreadFlagIsUsageError(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "x.json")
-	cmd := exec.Command(os.Args[0], "-quick", "-out", out, "-worst", "3", "table2")
-	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	cmd := command(t, "-quick", "-out", out, "-worst", "3", "table2")
 	got, err := cmd.CombinedOutput()
 	if ee := (*exec.ExitError)(nil); !errors.As(err, &ee) || ee.ExitCode() != 2 {
 		t.Fatalf("exit %v, want status 2:\n%s", err, got)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/*.txt from what the command prints")
@@ -91,7 +93,16 @@ func rtgc(t *testing.T, args ...string) (string, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(self, args...)
+	// Killed a second before the test binary's own timeout: a command that
+	// loops then fails its test instead of running on, orphaned, after the
+	// binary exits.
+	ctx := context.Background()
+	if d, ok := t.Deadline(); ok {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, d.Add(-time.Second))
+		defer cancel()
+	}
+	cmd := exec.CommandContext(ctx, self, args...)
 	cmd.Dir = filepath.Join("..", "..")
 	cmd.Env = append(os.Environ(), runMainEnv+"=1")
 	out, err := cmd.CombinedOutput()
