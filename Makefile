@@ -11,8 +11,8 @@ build:
 # confinement table says which packages may call what: raw heap words stay
 # in the collector packages, the host clock out of internal/ and cmd/, file
 # I/O in cmd/ and internal/checkpoint, panics out of the collector packages,
-# runtime constructors in internal/rig, pause brackets in the collectors, a finished run
-# is read through rig.Runtime.Stats, and the torture driver is imported by
+# runtime constructors in internal/rig, pause brackets in the collectors, a
+# finished run is read through rig.Runtime.Stats, and the torture driver is imported by
 # tests and the crash matrix only. Its other rules check stale heap.Values across may-flip
 # calls, deterministic iteration, dispatch exhaustiveness and the hygiene of its own
 # annotations. See DESIGN.md, "Machine-checked invariants". gclint runs over
@@ -84,8 +84,9 @@ loc:
 # The mutation matrix: each mutant of mutants.json (a one-site edit of the
 # tree) applied to a copy of the tracked files, the tests of the packages
 # that link the mutated one and gclint run on it, and mutation_matrix.json
-# rewritten with the tests and rules that kill each mutant (cmd/mutate). A full run takes about an hour
-# on two cores, so neither all nor CI runs it; a change adds its mutants to
+# rewritten with the tests and rules that kill each mutant (cmd/mutate). A
+# full run takes about an hour on two cores, so neither all nor CI runs it; a
+# change adds its mutants to
 # mutants.json and runs `go run ./cmd/mutate ID...` for their rows alone. The
 # copy sits at the same path under TMPDIR every run (/dev/shm when it is a
 # writable tmpfs), so an unchanged tree's second run reads the go command's
@@ -184,8 +185,9 @@ trace:
 # Primes, Sort, Comp, the serving spec and a checkpointed program, read off
 # the collector's pause record (no flight recorder): each command fails if a
 # budgeted pause is longer than its budget and the last unit begun in it
-# (51.207 ms) or copied more than 2L and a word, lists the overruns (none here) and the three longest pauses by phase,
-# and must print its "pause bound:" line. A checkpoint commit is an
+# (51.207 ms) or copied more than 2L and a word, lists the overruns (none
+# here) and the three longest pauses by phase, and must print its "pause
+# bound:" line. A checkpoint commit is an
 # unbudgeted pause; the snapshot increments draw on their pause's budget.
 # pause-bound-run runs a command with its output in a temporary directory
 # ($t in the command), shows the output on standard error and fails without
