@@ -412,8 +412,8 @@ func (c Config) CheckPauseBound(cost simtime.CostModel, pauses []simtime.Pause) 
 			text += fmt.Sprintf("overrun: pause %d is %v long, %v of it a completion attempt let through over budget (%d root slots and %d worklist slots flipped)\n",
 				i, p.Length, p.Overrun, p.RootSlots, p.FlipEntries)
 		case p.Length > bound:
-			return text, fmt.Errorf("pause %d is %v long (%d B copied, %d log entries, %d root slots and %d worklist slots flipped), over the bound %v",
-				i, p.Length, p.CopiedB, p.LogProcN, p.RootSlots, p.FlipEntries, bound)
+			return text, fmt.Errorf("pause %d is %.3fms long (%d B copied, %d log entries, %d root slots and %d worklist slots flipped), over the bound %.3fms",
+				i, p.Length.Milliseconds(), p.CopiedB, p.LogProcN, p.RootSlots, p.FlipEntries, bound.Milliseconds())
 		default:
 			longest = max(longest, p.Length)
 		}
@@ -421,8 +421,10 @@ func (c Config) CheckPauseBound(cost simtime.CostModel, pauses []simtime.Pause) 
 	if budgeted == 0 {
 		return fmt.Sprintf("pause bound: none of the %d pauses had a budget\n", len(pauses)), nil
 	}
-	return text + fmt.Sprintf("pause bound: the longest budgeted pause is %v of %v; the most one copied is %d B of 2L + a word = %d B\n",
-		longest, bound, most, copyBound), nil
+	// Three decimals: the bound is a few microseconds past the budget, which
+	// a duration's one decimal of a millisecond would not show.
+	return text + fmt.Sprintf("pause bound: the longest budgeted pause is %.3fms of %.3fms; the most one copied is %d B of 2L + a word = %d B\n",
+		longest.Milliseconds(), bound.Milliseconds(), most, copyBound), nil
 }
 
 // workTime is the longest that copy+scan work of so many bytes takes.
