@@ -538,8 +538,11 @@ func (c *Replicating) pauseBody(m *Mutator, needWords int) error {
 	// The major's in-flight copy comes first, within the budget: the minor's
 	// log replay may replicate into the major, and a copy that would cross the
 	// deadline must find its generation's record free to split. Left
-	// unfinished, it has spent the budget.
-	c.resumeCopy(m, &c.major)
+	// unfinished, it has spent the budget, or, capped below it (chunkWords),
+	// ends it here: no object met while the record is taken is copied whole.
+	if !c.resumeCopy(m, &c.major) {
+		c.deadline = min(c.deadline, m.Clock.Now())
+	}
 
 	// A forced increment runs with the deadline lifted, and its time goes back
 	// onto it: else a root set too long for the budget would leave the major
@@ -994,9 +997,10 @@ func (c *Replicating) replicate(m *Mutator, g *generation, v heap.Value) (heap.V
 // copies all that is left unless that would cross the pause's deadline: then
 // it stops where the budget does. Nothing splits while the deadline is lifted
 // (lift), nor does a second object met while the in-flight record is taken,
-// which only a fill capped below the budget (chunkWords) leaves room for:
-// every pause resumes the major's record before the minor's increment
-// (pauseBody), and a split ends the pause's budgeted work.
+// which only a fill capped below the budget (chunkWords) leaves room for, and
+// then only in the increment that split: every pause resumes the major's
+// record before the minor's increment, and ends its budgeted work if that
+// leaves the record taken (pauseBody).
 func (c *Replicating) fill(m *Mutator, g *generation, job *copyJob, extra int) {
 	n := job.words - job.next
 	// The time test comes first: it passes for all but the copy the deadline
@@ -1521,6 +1525,7 @@ func (c *Replicating) afterMinorFlip(m *Mutator) error {
 // old-to is empty here (the previous major flip reset it), so the cursor
 // starts at the bottom of the space.
 func (c *Replicating) startMajor(m *Mutator) {
+	c.refuseMajor = false
 	c.major.logCursor = m.Log.Len()
 	c.major.begin(c.h.OldFrom(), c.h.OldTo())
 	c.major.replicas, c.major.replicaIdx = c.major.replicas[:0], 0
@@ -1627,14 +1632,15 @@ func (c *Replicating) deferAttempt(m *Mutator, g *generation, rootVisits int) (o
 		return 0, false
 	}
 	cost := simtime.Duration(len(g.worklist))*m.Cost.FlipEntry + simtime.Duration(rootVisits)*m.Cost.RootUpdate
+	lifts := cost > c.budget(m) || g.deferrals >= maxFlipDeferrals
 	fits := m.Clock.Now()+cost <= c.deadline
-	if g.major && c.refuseMajor {
+	if g.major && c.refuseMajor && !lifts {
 		fits, c.refuseMajor = false, false
 	}
 	if fits {
 		return 0, false
 	}
-	if cost > c.budget(m) || g.deferrals >= maxFlipDeferrals {
+	if lifts {
 		c.stats.Overruns++
 		c.pauses.cur.Overrun += cost
 		return c.lift(simtime.LiftOverrun) + cost, false
@@ -1648,10 +1654,11 @@ func (c *Replicating) deferAttempt(m *Mutator, g *generation, rootVisits int) (o
 	return 0, true
 }
 
-// RefuseNextMajorAttempt makes the admission gate put off the major's next
-// budgeted completion attempt, fit or not, as it puts off one that does not
-// fit: a fault that brings a deferred major flip about on demand, for the
-// tests of what follows one.
+// RefuseNextMajorAttempt makes the admission gate put off the running major's
+// next budgeted completion attempt that it could put off, fit or not, as it
+// puts off one that does not fit: a fault that brings a deferred major flip
+// about on demand, for the tests of what follows one. A request the major
+// does not meet lapses when the next major starts.
 func (c *Replicating) RefuseNextMajorAttempt() { c.refuseMajor = true }
 
 // processMajorLog consumes pending log entries for the major collection;

@@ -203,10 +203,7 @@ func TestSplitCopyDifferential(t *testing.T) {
 			if st.SplitCopies == 0 || !bothSides {
 				t.Errorf("%d copies split, stores on both sides of a cursor: %v", st.SplitCopies, bothSides)
 			}
-			// One-word chunks leave the in-flight record taken with budget to
-			// spare, and a second object met then is copied whole; at the
-			// deadline nothing is.
-			if c.chunkWords == 0 && st.LargestCopyBytes > cfg.PauseCopyBound() {
+			if st.LargestCopyBytes > cfg.PauseCopyBound() {
 				t.Errorf("largest uninterrupted copy %d B (%d completion attempts overran their pause): the stream no longer splits what it was built to split", st.LargestCopyBytes, st.Overruns)
 			}
 			t.Logf("%d copies split over %d pauses (%d whole), largest uninterrupted copy %d B (%d whole)",
