@@ -110,6 +110,18 @@ func run(ids []string) error {
 	if err != nil {
 		return fmt.Errorf("listing the tests' packages: %v", err)
 	}
+	// Every mutant's packages are known before the first runs: a mutated
+	// directory no test links would leave its row to the analyzer alone.
+	pkgsOf := make([][]string, len(todo))
+	for i, m := range todo {
+		pkg, ok := dirs[filepath.Dir(m.File)]
+		if !ok || len(linked[pkg]) == 0 {
+			return fmt.Errorf("%s: no test binary links the package in %s", m.ID, filepath.Dir(m.File))
+		}
+		pkgsOf[i] = append(slices.Clone(linked[pkg]), analyzer)
+		slices.Sort(pkgsOf[i])
+		pkgsOf[i] = slices.Compact(pkgsOf[i])
+	}
 	if row, err := measure(tree, gclint, "the unmutated tree", []string{"./..."}); err != nil || len(row.Tests)+len(row.Rules) > 0 {
 		return fmt.Errorf("the unmutated tree fails: %v %v %v", row.Tests, row.Rules, err)
 	}
@@ -128,9 +140,7 @@ func run(ids []string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %v", m.ID, err)
 		}
-		pkgs := append(slices.Clone(linked[dirs[filepath.Dir(m.File)]]), analyzer)
-		slices.Sort(pkgs)
-		pkgs = slices.Compact(pkgs)
+		pkgs := pkgsOf[i]
 		row, err := measure(tree, gclint, m.ID, pkgs)
 		if err = errors.Join(err, write(path, orig, epoch)); err != nil {
 			return err
