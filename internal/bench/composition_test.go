@@ -165,6 +165,7 @@ func compositionLargeObjects(t *testing.T) {
 			for _, d := range md.Drivers {
 				d.LargeEvery, d.LargeWords = 320, 1536
 			}
+			audit := auditFlips(rt, nil)
 			for round := 0; round < 48 && err == nil; round++ {
 				if err = md.Step(60); err != nil {
 					break
@@ -184,6 +185,9 @@ func compositionLargeObjects(t *testing.T) {
 			}
 			if err == nil {
 				err = md.Verify()
+			}
+			if err == nil {
+				err = audit.check()
 			}
 			if err != nil {
 				t.Errorf("%s: %v", label, err)
@@ -240,6 +244,7 @@ func compositionDeferredFlipFaults(t *testing.T) {
 					t.Errorf("%s: %v", label, err)
 					continue
 				}
+				audit := auditFlips(rt, nil)
 				md, err := gctest.NewMultiDriver(rt.Group, 1)
 				if err != nil {
 					t.Errorf("%s: %v", label, err)
@@ -308,6 +313,9 @@ func compositionDeferredFlipFaults(t *testing.T) {
 				}
 				if err == nil {
 					err = md.Verify()
+				}
+				if err == nil {
+					err = audit.check()
 				}
 				if err != nil {
 					t.Errorf("%s: %v", label, err)

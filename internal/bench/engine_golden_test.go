@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -238,6 +239,7 @@ func engineGoldenCell(rc rig.Config, seed int64, plan faultinject.Plan) (string,
 	inj := faultinject.New(m, plan)
 	big := &bigObjects{}
 	m.Roots.Register(big)
+	audit := auditFlips(rt, rc.Checkpoint)
 
 	errs := fnv.New64a()
 	nerrs := 0
@@ -302,6 +304,9 @@ func engineGoldenCell(rc rig.Config, seed int64, plan faultinject.Plan) (string,
 	if err := rt.Finish(); err != nil {
 		return "", err
 	}
+	if err := audit.check(); err != nil {
+		return "", err
+	}
 	line := fmt.Sprintf("%s %s errs=%d:%016x", goldenState(m.Clock, rt.GC, d.Fingerprint()), engineCounters(rt.GC), nerrs, errs.Sum64())
 	if err := phasesAgree(rt.GC.Pauses().Pauses, m.Clock); err != nil {
 		return "", err
@@ -327,6 +332,7 @@ func engineGoldenGroupCell(rc rig.Config, seed int64, rounds int) (*rig.Runtime,
 	if err != nil {
 		return nil, nil, "", err
 	}
+	audit := auditFlips(rt, rc.Checkpoint)
 	for round := 0; round < rounds; round++ {
 		if err := md.Step(60); err != nil {
 			return nil, nil, "", err
@@ -335,9 +341,41 @@ func engineGoldenGroupCell(rc rig.Config, seed int64, rounds int) (*rig.Runtime,
 	if err := rt.Finish(); err != nil {
 		return nil, nil, "", err
 	}
+	if err := audit.check(); err != nil {
+		return nil, nil, "", err
+	}
 	line := fmt.Sprintf("%s %s wall=%d", goldenState(rt.Group.Clock, rt.GC, md.Fingerprint()),
 		engineCounters(rt.GC), rt.Group.Elapsed())
 	return rt, md, line, phasesAgree(rt.GC.Pauses().Pauses, rt.Group.Clock)
+}
+
+// flipAudit is a gctest.FlipAudit attached to a runtime, or nil when its
+// collector does not replicate.
+type flipAudit struct{ *gctest.FlipAudit }
+
+// auditFlips attaches a gctest.FlipAudit to rt's collector, when it
+// replicates, in front of the checkpoint writer rt was built with.
+func auditFlips(rt *rig.Runtime, ckpt core.Checkpointer) flipAudit {
+	repl, ok := rt.GC.(*core.Replicating)
+	if !ok {
+		return flipAudit{}
+	}
+	a := &gctest.FlipAudit{Next: ckpt}
+	repl.SetCheckpointer(a)
+	return flipAudit{a}
+}
+
+// check reports the first root a flip left behind, or that no flip was checked.
+func (a flipAudit) check() error {
+	switch {
+	case a.FlipAudit == nil:
+		return nil
+	case a.Err != nil:
+		return a.Err
+	case a.Flips == 0:
+		return errors.New("no flip's redirect was checked")
+	}
+	return nil
 }
 
 // engineCounters renders the collector's counters and one hash over every

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -311,10 +312,11 @@ func TestStatsAccounting(t *testing.T) {
 
 // TestAuditHeapDuringCollections runs the audit at the tail of every pause
 // and between rounds, including mid-incremental-collection, where it checks
-// the from-space invariant. Beside the torture stream a rooted chain of 4 000
-// immutable records gives the major exposure walks longer than a pause's
-// budget, so some pause ends with a walk unfinished, where a visible slot
-// redirected too early would lead to a hidden replica.
+// the from-space invariant. The torture driver also grows chains of up to
+// 10 000 immutable records (Driver.ChainEvery), which give the major exposure
+// walks longer than a pause's budget, so that many pauses end with a walk
+// unfinished, where a visible slot redirected too early would lead to a
+// hidden replica.
 func TestAuditHeapDuringCollections(t *testing.T) {
 	unfinished := 0
 	for _, minorInc := range []bool{true, false} {
@@ -322,18 +324,11 @@ func TestAuditHeapDuringCollections(t *testing.T) {
 		a := &pauseAuditor{gc: gc}
 		gc.SetCheckpointer(a)
 		d := gctest.NewDriver(m, 77)
-		chain := m.PushHandle(heap.Nil)
-		for i := 0; i < 4000; i++ {
-			rec, err := m.Alloc(heap.KindRecord, 2)
-			if err != nil {
+		d.ChainEvery, d.ChainLen = 2, 8000
+		for round := 0; round < 40; round++ {
+			if err := d.Step(600); err != nil {
 				t.Fatal(err)
 			}
-			m.Init(rec, 0, heap.FromInt(int64(i)))
-			m.Init(rec, 1, m.HandleVal(chain))
-			m.SetHandleVal(chain, rec)
-		}
-		for round := 0; round < 30; round++ {
-			d.Step(600)
 			if a.err != nil {
 				t.Fatalf("minorInc=%v round %d, at a pause's tail: %v", minorInc, round, a.err)
 			}
@@ -341,16 +336,71 @@ func TestAuditHeapDuringCollections(t *testing.T) {
 				t.Fatalf("minorInc=%v round %d: %v", minorInc, round, err)
 			}
 		}
-		gc.FinishCycles(m)
+		if err := gc.FinishCycles(m); err != nil {
+			t.Fatal(err)
+		}
 		if err := core.AuditHeap(m); err != nil {
+			t.Fatalf("minorInc=%v after finish: %v", minorInc, err)
+		}
+		if err := d.Verify(); err != nil {
 			t.Fatalf("minorInc=%v after finish: %v", minorInc, err)
 		}
 		unfinished += a.unfinished
 	}
-	if unfinished == 0 {
-		t.Error("no pause ended with an exposure walk unfinished")
+	if unfinished < 8 {
+		t.Errorf("%d pauses ended with an exposure walk unfinished, want at least 8", unfinished)
 	}
 	t.Logf("%d pauses ended with an exposure walk unfinished", unfinished)
+}
+
+// TestFlipRedirectsEveryRoot: after every flip no root holds a pointer into
+// the space the flip left behind (gctest.FlipAudit, at the tail of every
+// pause), for a lone torture driver and four on one heap, under either minor
+// mode and either major mode.
+func TestFlipRedirectsEveryRoot(t *testing.T) {
+	for _, members := range []int{1, 4} {
+		for _, minorInc := range []bool{true, false} {
+			for _, majorInc := range []bool{true, false} {
+				label := fmt.Sprintf("members=%d minorInc=%v majorInc=%v", members, minorInc, majorInc)
+				cfg := tortureConfig(minorInc, majorInc)
+				h := heap.New(heap.Config{NurseryBytes: cfg.NurseryBytes, NurseryCapBytes: 32 * cfg.NurseryBytes, OldSemiBytes: 16 << 20})
+				g := core.NewGroup(h, simtime.NewClock(), simtime.Default1993(), core.LogAllMutations, members)
+				gc := core.NewReplicating(h, cfg)
+				g.AttachGC(gc)
+				audit := &gctest.FlipAudit{}
+				gc.SetCheckpointer(audit)
+				var step func(int) error
+				var verify func() error
+				if members == 1 {
+					d := gctest.NewDriver(g.Members[0], 5)
+					step, verify = d.Step, d.Verify
+				} else {
+					md, err := gctest.NewMultiDriver(g, 5)
+					if err != nil {
+						t.Fatal(err)
+					}
+					step, verify = md.Step, md.Verify
+				}
+				for round := 0; round < 40 && audit.Err == nil; round++ {
+					if err := step(1500 / members); err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+				}
+				if err := gc.FinishCycles(g.Members[0]); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if audit.Err != nil {
+					t.Fatalf("%s: %v", label, audit.Err)
+				}
+				if err := verify(); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if st := gc.Stats(); st.MajorCollections == 0 || audit.Flips < st.MinorCollections {
+					t.Errorf("%s: %d flips checked in a run of %d minors and %d majors: want every minor's and some majors'", label, audit.Flips, st.MinorCollections, st.MajorCollections)
+				}
+			}
+		}
+	}
 }
 
 // pauseAuditor audits the heap at the tail of every pause, as a checkpoint
