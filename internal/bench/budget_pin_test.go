@@ -79,22 +79,22 @@ func (b *budgetRecorder) projection() uint64 {
 // engine shapes and all four fault plans, and one for the engine golden's
 // recorded-and-replayed pair.
 var budgetPins = map[string]string{
-	"rt":        "e06d9268eef3e953",
-	"minor-inc": "55e82ebb59323b1c",
-	"major-inc": "e51f9147171ab817",
-	"rt-lazy":   "a936847aa3e0e192",
-	"rt-defer":  "f945c37a659a8864",
-	"replay":    "0ea0be40f6f342fe",
+	"rt":        "cdb392365df5f0f3",
+	"minor-inc": "a3508e88a1c4d951",
+	"major-inc": "e8e131b3872c917c",
+	"rt-lazy":   "4d11485e688a05a6",
+	"rt-defer":  "477c47f2b5d60250",
+	"replay":    "bd030bd3bcc513e8",
 }
 
 // projectionPins holds the same cells' projections (budgetRecorder.projection).
 var projectionPins = map[string]string{
-	"rt":        "8a837a935cb9e7e1",
-	"minor-inc": "6f5537e65ba61e4b",
-	"major-inc": "0254c55f24740006",
-	"rt-lazy":   "c3f77ee50c96312b",
-	"rt-defer":  "bc6c1268dc2352cb",
-	"replay":    "d973d712b8d7997d",
+	"rt":        "88e34a5e761d5e21",
+	"minor-inc": "7642a7440c90fa76",
+	"major-inc": "1af94e6a64df637a",
+	"rt-lazy":   "801f50a73707a3d9",
+	"rt-defer":  "17f31a96b98eaedd",
+	"replay":    "7bf39da9dbc2e2d3",
 }
 
 func TestBudgetPins(t *testing.T) {

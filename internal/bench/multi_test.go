@@ -111,14 +111,19 @@ func TestMultiMutatorOverlap(t *testing.T) {
 
 // TestEightMembersNoOverrun: eight torture drivers on one heap under rt in the
 // paper's 50 ms cell (seed 42, 400 rounds of 80-operation quanta, then Finish)
-// take no counted overrun. The one major flips in the last pause, inside
-// Finish, after the pause before it put the attempt off. That pause is 32.4
-// ms: the 8.2 ms root pass every FinishCycles pause spends on an empty minor,
-// then a 24.2 ms flip of 4 013 worklist entries and 8 176 root slots. The
-// flip's worklist holds only the visible slots on mutable objects and on
-// replicas whose closure was not walked yet; before immutable replicas were
-// hidden it held 9 124 and the flip was let through at the deferral cap.
-// core's TestDeferredFlipAlwaysEnds reaches both overrun exits.
+// take no counted overrun. The one major flips in the
+// last pause, inside Finish, without having been put off. That pause is 26.1 ms: the 8.2 ms root pass every
+// FinishCycles pause spends on an empty minor and the major's, 1.9 ms of the
+// major's scan, then a 16.1 ms flip of 4 013 worklist entries and the one root
+// slot the major's pass found in from-space (the minors' flips had moved the
+// rest onto promoted copies). The flip's worklist holds only the visible slots
+// on mutable objects and on replicas whose closure was not walked yet; before
+// immutable replicas were hidden it held 9 124 and the flip was let through at
+// the deferral cap. While every flip redirected all 4 088 root slots, each
+// FinishCycles pause spent 4.1 ms more on its minor's flip, the major's scan
+// took two pauses more (59 in all), and its attempt was put off once before a
+// 32.4 ms flip of 8 176 root slots. core's TestDeferredFlipAlwaysEnds reaches
+// both overrun exits.
 func TestEightMembersNoOverrun(t *testing.T) {
 	rt, err := rig.New(rig.Config{Collector: rig.RT, Params: perfParams(), Members: 8})
 	if err != nil {
@@ -138,17 +143,19 @@ func TestEightMembersNoOverrun(t *testing.T) {
 	}
 	st := rt.Stats()
 	ps := st.Pauses.Pauses
-	if len(ps) != 59 || st.GC.Overruns != 0 || st.GC.MajorCollections != 1 {
-		t.Fatalf("%d pauses, %d overruns, %d majors; want 59, 0 and 1", len(ps), st.GC.Overruns, st.GC.MajorCollections)
+	if len(ps) != 57 || st.GC.Overruns != 0 || st.GC.MajorCollections != 1 {
+		t.Fatalf("%d pauses, %d overruns, %d majors; want 57, 0 and 1", len(ps), st.GC.Overruns, st.GC.MajorCollections)
 	}
-	if !ps[len(ps)-2].Cause.Deferred() {
-		t.Errorf("the pause before the last has cause %v: the major's attempt was not put off", ps[len(ps)-2].Cause)
+	for _, p := range ps[len(ps)-2:] {
+		if p.Cause.Deferred() {
+			t.Errorf("a pause of the major's last two has cause %v: its attempt was put off", p.Cause)
+		}
 	}
 	last := ps[len(ps)-1]
 	ms := func(d simtime.Duration) float64 { return d.Milliseconds() }
 	got := []float64{ms(last.Length), ms(last.Overrun), ms(last.PhaseTime[simtime.PhaseRootScan]), ms(last.PhaseTime[simtime.PhaseFlip]),
 		float64(last.FlipEntries), float64(last.RootSlots)}
-	want := []float64{32.404, 0, 8.176, 24.228, 4013, 8176}
+	want := []float64{26.147, 0, 8.176, 16.053, 4013, 1}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("the last pause: length, overrun, root pass, flip (ms), worklist entries, root slots = %v, want %v", got, want)
 	}

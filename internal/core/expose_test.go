@@ -110,7 +110,12 @@ func TestExposeWalksTheScannedPart(t *testing.T) {
 				t.Fatalf("audit with a visible slot on the exposed head: %v", err)
 			}
 
-			if err := gc.flip(m, &gc.major); err != nil {
+			// The completion pass first, as attempt runs it: the flip redirects the roots it found.
+			roots, done, err := gc.scanRoots(m, &gc.major, m.Roots.Slots())
+			if !done || err != nil {
+				t.Fatalf("root pass: done %v, err %v", done, err)
+			}
+			if err := gc.flip(m, &gc.major, roots); err != nil {
 				t.Fatal(err)
 			}
 			for i, v := 0, m.HandleVal(0); i < n; i, v = i+1, h.Load(v, 1) {

@@ -31,7 +31,12 @@ func TestFixupQueuedAgainNextMajor(t *testing.T) {
 		if len(c.major.worklist) != 1 {
 			t.Fatalf("major %d: the slot offered three times is queued %d times, want once", major, len(c.major.worklist))
 		}
-		if err := c.flip(m, &c.major); err != nil {
+		// The completion pass first, as attempt runs it: the flip redirects the roots it found.
+		roots, done, err := c.scanRoots(m, &c.major, m.Roots.Slots())
+		if !done || err != nil {
+			t.Fatalf("root pass: done %v, err %v", done, err)
+		}
+		if err := c.flip(m, &c.major, roots); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -698,10 +698,11 @@ func (c *Replicating) minorIncrement(m *Mutator) (bool, error) {
 // intermediate increments make their progress through the log and the Cheney
 // scan, so the (per-pause-constant) root-scan cost is paid once per collection
 // rather than once per increment — and only by an attempt the gate admits: the
-// pass over the roots, the flip's second one and its worklist must fit what is
-// left of the pause. Root referents are replicated within the budget (the
-// roots themselves are only redirected at the flip); an aborted pass is
-// retried by a later increment.
+// pass over the roots, a flip over every root again (an upper bound: the flip
+// redirects only the roots the pass finds in from-space) and its worklist must
+// fit what is left of the pause. Root referents are replicated within the
+// budget (the roots themselves are only redirected at the flip); an aborted
+// pass is retried by a later increment.
 func (c *Replicating) attempt(m *Mutator, g *generation) (bool, error) {
 	roots := m.Roots.Slots()
 	over, wait := c.deferAttempt(m, g, 2*len(roots))
@@ -709,7 +710,8 @@ func (c *Replicating) attempt(m *Mutator, g *generation) (bool, error) {
 		return false, nil
 	}
 	defer c.restore(over, 0)
-	if done, err := c.scanRoots(m, g, roots); !done {
+	roots, done, err := c.scanRoots(m, g, roots)
+	if !done {
 		return false, err
 	}
 	// The roots may have enqueued fresh copies; finish scanning them.
@@ -737,7 +739,7 @@ func (c *Replicating) attempt(m *Mutator, g *generation) (bool, error) {
 			return false, err
 		}
 	}
-	err := c.flip(m, g)
+	err = c.flip(m, g, roots)
 	return err == nil, err
 }
 
@@ -780,23 +782,29 @@ func (c *Replicating) completeMinor(m *Mutator, g *generation) (bool, error) {
 
 // scanRoots is a collection's completion pass over the mutator roots: every
 // root referent still in from-space is replicated, within the budget. The
-// roots themselves are only redirected at the flip. It reports whether the
-// pass reached the last root; an aborted pass is simply run again.
-func (c *Replicating) scanRoots(m *Mutator, g *generation, roots []*heap.Value) (bool, error) {
+// roots themselves are only redirected at the flip, which needs only the slots
+// the pass found in from-space: nothing writes a root slot from here to the
+// flip. It returns those slots and reports whether the pass reached the last
+// root; an aborted pass is simply run again.
+func (c *Replicating) scanRoots(m *Mutator, g *generation, roots []*heap.Value) ([]*heap.Value, bool, error) {
 	// roots is Roots.Slots' reusable buffer, enumerated by the caller for the
 	// admission gate: no per-scan closure allocations, and the loop can stop
 	// the moment the budget runs out. Every slot is still charged (the root
-	// scan visits them all).
+	// scan visits them all), and the from-space ones are compacted into its
+	// front.
 	c.stats.RootSlotUpdates += int64(len(roots))
 	c.pauses.Charge(m, simtime.AcctRootScan, simtime.Duration(len(roots))*m.Cost.RootUpdate)
+	n := 0
 	for _, slot := range roots {
 		if v := *slot; g.from.Contains(v) {
+			roots[n] = slot
+			n++
 			if _, err := c.replicate(m, g, v); err != nil || c.overBudget(m) {
-				return false, err
+				return nil, false, err
 			}
 		}
 	}
-	return true, nil
+	return roots[:n], true, nil
 }
 
 // takeLogEntry consumes and charges the entry at g's log cursor; it reports
@@ -1334,12 +1342,13 @@ func (c *Replicating) scan(m *Mutator, g *generation) (bool, error) {
 
 // flip atomically redirects the mutator onto g's replicas, the paper's
 // completion step for either generation: the slots on g's worklist are
-// re-pointed, then every mutator root, and the cycle ends (endMinor, endMajor).
+// re-pointed, then roots, the slots the completion pass found in from-space
+// (scanRoots), and the cycle ends (endMinor, endMajor).
 // A typed exhaustion error from a straggler copy aborts the flip with the cycle
 // still active: nothing is truncated until every fallible step has succeeded,
 // and the already-re-pointed slots no longer hold from-space values, so a
 // retried flip skips them.
-func (c *Replicating) flip(m *Mutator, g *generation) error {
+func (c *Replicating) flip(m *Mutator, g *generation, roots []*heap.Value) error {
 	g.mustNotBeCopying()
 	if g.major {
 		c.stats.LargestFlipWorklist = max(c.stats.LargestFlipWorklist, len(g.worklist))
@@ -1352,7 +1361,7 @@ func (c *Replicating) flip(m *Mutator, g *generation) error {
 	g.worklist = g.worklist[:0]
 	g.seen.clear()
 	g.active, g.deferrals = false, 0
-	c.redirectRoots(m, g)
+	c.redirectRoots(m, g, roots)
 	if g.major {
 		c.endMajor(m)
 	} else {
@@ -1428,11 +1437,10 @@ func (c *Replicating) repoint(m *Mutator, g *generation, obj heap.Value, slot in
 	return nil
 }
 
-// redirectRoots is the atomic step of a flip: every mutator root still
-// pointing into from-space is switched to the replica.
-func (c *Replicating) redirectRoots(m *Mutator, g *generation) {
+// redirectRoots is the atomic step of a flip: every root slot the completion
+// pass found pointing into from-space is switched to the replica.
+func (c *Replicating) redirectRoots(m *Mutator, g *generation, roots []*heap.Value) {
 	h := c.h
-	roots := m.Roots.Slots()
 	for _, slot := range roots {
 		if v := *slot; g.from.Contains(v) {
 			if !h.IsForwarded(v) {

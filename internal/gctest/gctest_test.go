@@ -67,9 +67,9 @@ func TestDriverPins(t *testing.T) {
 		large bool
 		want  pin
 	}{
-		{1, false, pin{20000, 0x66e9213c7da11e41, 130055880, 30}},
-		{2, false, pin{20000, 0x69cffec5207c9cf9, 130247840, 30}},
-		{3, false, pin{20000, 0x6be9a1a8fc871574, 129153040, 30}},
+		{1, false, pin{20000, 0x66e9213c7da11e41, 130050880, 30}},
+		{2, false, pin{20000, 0x69cffec5207c9cf9, 130241840, 30}},
+		{3, false, pin{20000, 0x6be9a1a8fc871574, 129146040, 30}},
 		{1, true, pin{20000, 0x9580be3c577bc14e, 680798840, 135}},
 		{2, true, pin{20000, 0x38396e3f39fec201, 635015760, 132}},
 		{3, true, pin{20000, 0x777b89414b39a7e6, 662817680, 133}},
@@ -121,7 +121,7 @@ func TestMultiDriverPin(t *testing.T) {
 		ops += d.Ops
 	}
 	got := pin{ops, md.Fingerprint(), g.Clock.Now(), gc.Stats().PauseCount}
-	if want := (pin{128000, 0xe4be4d1e2b7dc410, 1051557360, 48}); got != want {
+	if want := (pin{128000, 0xe4be4d1e2b7dc410, 1025725360, 48}); got != want {
 		t.Errorf("got %#v, want %#v", got, want)
 	}
 }
