@@ -312,45 +312,64 @@ func TestStatsAccounting(t *testing.T) {
 
 // TestAuditHeapDuringCollections runs the audit at the tail of every pause
 // and between rounds, including mid-incremental-collection, where it checks
-// the from-space invariant. The torture driver also grows chains of up to
-// 10 000 immutable records (Driver.ChainEvery), which give the major exposure
-// walks longer than a pause's budget, so that many pauses end with a walk
+// the from-space invariant. Two sources of immutable chains give the major
+// exposure walks longer than a pause's budget, so that pauses end with a walk
 // unfinished, where a visible slot redirected too early would lead to a
-// hidden replica.
+// hidden replica: a rooted chain of 4 000 records built before the torture
+// stream starts, and, in runs of their own, the chains of up to 8 000 records
+// the torture driver grows itself (Driver.ChainEvery), with which at least
+// five pauses end mid-walk (nine when it was written).
 func TestAuditHeapDuringCollections(t *testing.T) {
-	unfinished := 0
+	var unfinished [2]int // by chain source: built up front, grown by the driver
 	for _, minorInc := range []bool{true, false} {
-		m, gc := newRun(tortureConfig(minorInc, true), core.LogAllMutations)
-		a := &pauseAuditor{gc: gc}
-		gc.SetCheckpointer(a)
-		d := gctest.NewDriver(m, 77)
-		d.ChainEvery, d.ChainLen = 2, 8000
-		for round := 0; round < 40; round++ {
-			if err := d.Step(600); err != nil {
+		for grown := range 2 {
+			label := fmt.Sprintf("minorInc=%v grown=%d", minorInc, grown)
+			m, gc := newRun(tortureConfig(minorInc, true), core.LogAllMutations)
+			a := &pauseAuditor{gc: gc}
+			gc.SetCheckpointer(a)
+			d := gctest.NewDriver(m, 77)
+			rounds := 30
+			if grown == 1 {
+				d.ChainEvery, rounds = 2, 40
+			} else {
+				chain := m.PushHandle(heap.Nil)
+				for i := 0; i < 4000; i++ {
+					rec, err := m.Alloc(heap.KindRecord, 2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					m.Init(rec, 0, heap.FromInt(int64(i)))
+					m.Init(rec, 1, m.HandleVal(chain))
+					m.SetHandleVal(chain, rec)
+				}
+			}
+			for round := 0; round < rounds; round++ {
+				if err := d.Step(600); err != nil {
+					t.Fatal(err)
+				}
+				if a.err != nil {
+					t.Fatalf("%s round %d, at a pause's tail: %v", label, round, a.err)
+				}
+				if err := core.AuditHeap(m); err != nil {
+					t.Fatalf("%s round %d: %v", label, round, err)
+				}
+			}
+			if err := gc.FinishCycles(m); err != nil {
 				t.Fatal(err)
 			}
-			if a.err != nil {
-				t.Fatalf("minorInc=%v round %d, at a pause's tail: %v", minorInc, round, a.err)
-			}
 			if err := core.AuditHeap(m); err != nil {
-				t.Fatalf("minorInc=%v round %d: %v", minorInc, round, err)
+				t.Fatalf("%s after finish: %v", label, err)
 			}
+			if err := d.Verify(); err != nil {
+				t.Fatalf("%s after finish: %v", label, err)
+			}
+			unfinished[grown] += a.unfinished
 		}
-		if err := gc.FinishCycles(m); err != nil {
-			t.Fatal(err)
-		}
-		if err := core.AuditHeap(m); err != nil {
-			t.Fatalf("minorInc=%v after finish: %v", minorInc, err)
-		}
-		if err := d.Verify(); err != nil {
-			t.Fatalf("minorInc=%v after finish: %v", minorInc, err)
-		}
-		unfinished += a.unfinished
 	}
-	if unfinished < 8 {
-		t.Errorf("%d pauses ended with an exposure walk unfinished, want at least 8", unfinished)
+	if unfinished[0] == 0 || unfinished[1] < 5 {
+		t.Errorf("%d pauses ended with an exposure walk unfinished behind the chain built up front and %d behind the driver's: want at least 1 and 5", unfinished[0], unfinished[1])
 	}
-	t.Logf("%d pauses ended with an exposure walk unfinished", unfinished)
+	t.Logf("%d and %d pauses ended with an exposure walk unfinished", unfinished[0], unfinished[1])
 }
 
 // TestFlipRedirectsEveryRoot: after every flip no root holds a pointer into

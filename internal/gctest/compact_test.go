@@ -2,6 +2,7 @@ package gctest
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -145,5 +146,55 @@ func TestCompactBound(t *testing.T) {
 	}
 	if err := d.Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkCompactGroup4 times one compaction of a torture driver's shadow
+// graph in the state a member of the repository benchmark's group4 reaches:
+// past 300 000 operations under the paper's parameters, with the compaction
+// Step was about to make pending. Every iteration compacts a fresh copy of
+// that graph.
+func BenchmarkCompactGroup4(b *testing.B) {
+	d, _ := newDriver(paperConfig, 1)
+	for d.Ops < 300000 {
+		if err := d.Step(1000); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for d.made < max(d.kept, chunkLen) {
+		if err := d.Step(1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	nodes, words, bytes := d.nodes.clone(), d.words.clone(), d.bytes.clone()
+	shadows, large, made, kept := slices.Clone(d.shadow), d.largeSh, d.made, d.kept
+	b.ReportMetric(float64(kept+made), "nodes")
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d.nodes.restore(nodes)
+		d.words.restore(words)
+		d.bytes.restore(bytes)
+		copy(d.shadow, shadows)
+		d.largeSh, d.made, d.kept = large, made, kept
+		b.StartTimer()
+		d.compact()
+	}
+}
+
+// clone copies the slab's chunks, each with its capacity.
+func (s *slab[T]) clone() slab[T] {
+	c := slab[T]{chunks: make([][]T, len(s.chunks))}
+	for i, ch := range s.chunks {
+		c.chunks[i] = append(make([]T, 0, cap(ch)), ch...)
+	}
+	return c
+}
+
+// restore makes the slab hold what src, a clone of it, holds, in the chunks
+// the slab kept (a compaction keeps the ones it empties as spares).
+func (s *slab[T]) restore(src slab[T]) {
+	s.chunks = s.chunks[:len(src.chunks)]
+	for i, ch := range src.chunks {
+		s.chunks[i] = append(s.chunks[i][:0], ch...)
 	}
 }

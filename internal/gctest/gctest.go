@@ -9,7 +9,6 @@
 package gctest
 
 import (
-	"cmp"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -166,13 +165,11 @@ type Driver struct {
 	// driver's chain of immutable records by one: a record holding the
 	// operation count and the chain so far, which becomes the chain's head
 	// and joins the ordinary root table, from where other objects come to
-	// reference it. The record after ChainLen of them (zero means 4000)
-	// starts a new chain. A major that replicates a long chain while it is
-	// hidden walks all of it, a budget at a time, when a visible slot is
-	// redirected to it. Zero leaves the operation stream exactly as it is
-	// without the option.
+	// reference it. The record after chainLen of them starts a new chain. A
+	// major that replicates a long chain while it is hidden walks all of it,
+	// a budget at a time, when a visible slot is redirected to it. Zero
+	// leaves the operation stream exactly as it is without the option.
 	ChainEvery int
-	ChainLen   int
 	chain      *rootSource // the chain's head; registered at the first record
 	chainSh    shadow
 	chainN     int
@@ -384,15 +381,18 @@ func (d *Driver) hammerLarge() {
 	}
 }
 
+// chainLen is how many records a chain of the driver's grows to.
+const chainLen = 8000
+
 // growChain puts a new record at the head of the chain, or of a new one once
-// the chain has ChainLen records, and roots it twice: as the head and in the
+// the chain has chainLen records, and roots it twice: as the head and in the
 // ordinary root table.
 func (d *Driver) growChain() error {
 	if d.chain == nil {
 		d.chain = &rootSource{slots: make([]heap.Value, 1)}
 		d.M.Roots.Register(d.chain)
 	}
-	if d.chainN == cmp.Or(d.ChainLen, 4000) {
+	if d.chainN == chainLen {
 		d.chain.slots[0], d.chainSh, d.chainN = heap.Nil, 0, 0
 	}
 	p, err := d.M.Alloc(heap.KindRecord, 2)
