@@ -187,7 +187,7 @@ func compositionLargeObjects(t *testing.T) {
 				err = md.Verify()
 			}
 			if err == nil {
-				err = audit.check()
+				err = audit.Check()
 			}
 			if err != nil {
 				t.Errorf("%s: %v", label, err)
@@ -315,7 +315,7 @@ func compositionDeferredFlipFaults(t *testing.T) {
 					err = md.Verify()
 				}
 				if err == nil {
-					err = audit.check()
+					err = audit.Check()
 				}
 				if err != nil {
 					t.Errorf("%s: %v", label, err)

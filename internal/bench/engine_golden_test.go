@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -304,7 +303,7 @@ func engineGoldenCell(rc rig.Config, seed int64, plan faultinject.Plan) (string,
 	if err := rt.Finish(); err != nil {
 		return "", err
 	}
-	if err := audit.check(); err != nil {
+	if err := audit.Check(); err != nil {
 		return "", err
 	}
 	line := fmt.Sprintf("%s %s errs=%d:%016x", goldenState(m.Clock, rt.GC, d.Fingerprint()), engineCounters(rt.GC), nerrs, errs.Sum64())
@@ -341,7 +340,7 @@ func engineGoldenGroupCell(rc rig.Config, seed int64, rounds int) (*rig.Runtime,
 	if err := rt.Finish(); err != nil {
 		return nil, nil, "", err
 	}
-	if err := audit.check(); err != nil {
+	if err := audit.Check(); err != nil {
 		return nil, nil, "", err
 	}
 	line := fmt.Sprintf("%s %s wall=%d", goldenState(rt.Group.Clock, rt.GC, md.Fingerprint()),
@@ -349,33 +348,17 @@ func engineGoldenGroupCell(rc rig.Config, seed int64, rounds int) (*rig.Runtime,
 	return rt, md, line, phasesAgree(rt.GC.Pauses().Pauses, rt.Group.Clock)
 }
 
-// flipAudit is a gctest.FlipAudit attached to a runtime, or nil when its
+// auditFlips attaches a gctest.FlipAudit to rt's collector, in front of the
+// checkpoint writer rt was built with, and returns it, or nil when the
 // collector does not replicate.
-type flipAudit struct{ *gctest.FlipAudit }
-
-// auditFlips attaches a gctest.FlipAudit to rt's collector, when it
-// replicates, in front of the checkpoint writer rt was built with.
-func auditFlips(rt *rig.Runtime, ckpt core.Checkpointer) flipAudit {
+func auditFlips(rt *rig.Runtime, ckpt core.Checkpointer) *gctest.FlipAudit {
 	repl, ok := rt.GC.(*core.Replicating)
 	if !ok {
-		return flipAudit{}
+		return nil
 	}
 	a := &gctest.FlipAudit{Next: ckpt}
 	repl.SetCheckpointer(a)
-	return flipAudit{a}
-}
-
-// check reports the first root a flip left behind, or that no flip was checked.
-func (a flipAudit) check() error {
-	switch {
-	case a.FlipAudit == nil:
-		return nil
-	case a.Err != nil:
-		return a.Err
-	case a.Flips == 0:
-		return errors.New("no flip's redirect was checked")
-	}
-	return nil
+	return a
 }
 
 // engineCounters renders the collector's counters and one hash over every

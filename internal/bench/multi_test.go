@@ -111,19 +111,16 @@ func TestMultiMutatorOverlap(t *testing.T) {
 
 // TestEightMembersNoOverrun: eight torture drivers on one heap under rt in the
 // paper's 50 ms cell (seed 42, 400 rounds of 80-operation quanta, then Finish)
-// take no counted overrun. The one major flips in the
-// last pause, inside Finish, without having been put off. That pause is 26.1 ms: the 8.2 ms root pass every
-// FinishCycles pause spends on an empty minor and the major's, 1.9 ms of the
-// major's scan, then a 16.1 ms flip of 4 013 worklist entries and the one root
-// slot the major's pass found in from-space (the minors' flips had moved the
-// rest onto promoted copies). The flip's worklist holds only the visible slots
-// on mutable objects and on replicas whose closure was not walked yet; before
-// immutable replicas were hidden it held 9 124 and the flip was let through at
-// the deferral cap. While every flip redirected all 4 088 root slots, each
-// FinishCycles pause spent 4.1 ms more on its minor's flip, the major's scan
-// took two pauses more (59 in all), and its attempt was put off once before a
-// 32.4 ms flip of 8 176 root slots. core's TestDeferredFlipAlwaysEnds reaches
-// both overrun exits.
+// take 57 pauses and no counted overrun. The one major flips in the last
+// pause, inside Finish, and neither that pause nor the one before it was put
+// off. The last pause is 26.1 ms: the 8.2 ms root pass every FinishCycles
+// pause spends on an empty minor and the major's, then a 16.1 ms flip of
+// 4 013 worklist entries and the one root slot the major's pass found in
+// from-space (the minors' flips had moved the rest onto promoted copies).
+// The flip's worklist holds only the visible slots on mutable objects and on
+// replicas whose closure was not walked yet. EXPERIMENTS.md "PR 60" has the
+// figures from before a flip redirected only those root slots. core's
+// TestDeferredFlipAlwaysEnds reaches both overrun exits.
 func TestEightMembersNoOverrun(t *testing.T) {
 	rt, err := rig.New(rig.Config{Collector: rig.RT, Params: perfParams(), Members: 8})
 	if err != nil {

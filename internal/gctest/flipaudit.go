@@ -1,6 +1,7 @@
 package gctest
 
 import (
+	"errors"
 	"fmt"
 
 	"repligc/internal/core"
@@ -49,4 +50,18 @@ func (a *FlipAudit) PauseCheckpoint(m *core.Mutator, p core.CheckpointPoint) boo
 		return false
 	}
 	return a.Next.PauseCheckpoint(m, p)
+}
+
+// Check reports the first root a flip left behind, or that no flip was
+// checked. A nil audit, attached to no collector, reports nothing.
+func (a *FlipAudit) Check() error {
+	switch {
+	case a == nil:
+		return nil
+	case a.Err != nil:
+		return a.Err
+	case a.Flips == 0:
+		return errors.New("no flip's redirect was checked")
+	}
+	return nil
 }

@@ -160,19 +160,6 @@ type Driver struct {
 	large      *rootSource       // the last few large objects; registered at the first one
 	largeSh    [largeHeld]shadow // parallel to large.slots; 0 until filled
 	nlarge     int
-
-	// ChainEvery, when positive, makes every ChainEvery-th operation grow the
-	// driver's chain of immutable records by one: a record holding the
-	// operation count and the chain so far, which becomes the chain's head
-	// and joins the ordinary root table, from where other objects come to
-	// reference it. The record after chainLen of them starts a new chain. A
-	// major that replicates a long chain while it is hidden walks all of it,
-	// a budget at a time, when a visible slot is redirected to it. Zero
-	// leaves the operation stream exactly as it is without the option.
-	ChainEvery int
-	chain      *rootSource // the chain's head; registered at the first record
-	chainSh    shadow
-	chainN     int
 }
 
 // NewDriver attaches a torture driver to m, seeding its PRNG with seed so
@@ -381,35 +368,6 @@ func (d *Driver) hammerLarge() {
 	}
 }
 
-// chainLen is how many records a chain of the driver's grows to.
-const chainLen = 8000
-
-// growChain puts a new record at the head of the chain, or of a new one once
-// the chain has chainLen records, and roots it twice: as the head and in the
-// ordinary root table.
-func (d *Driver) growChain() error {
-	if d.chain == nil {
-		d.chain = &rootSource{slots: make([]heap.Value, 1)}
-		d.M.Roots.Register(d.chain)
-	}
-	if d.chainN == chainLen {
-		d.chain.slots[0], d.chainSh, d.chainN = heap.Nil, 0, 0
-	}
-	p, err := d.M.Alloc(heap.KindRecord, 2)
-	if err != nil {
-		return err
-	}
-	sh, words, _ := d.newNode(heap.KindRecord, 2)
-	v := int64(d.Ops % (1 << 20))
-	d.M.Init(p, 0, heap.FromInt(v))
-	d.M.Init(p, 1, d.chain.slots[0])
-	words[0], words[1] = intShadow(v), d.chainSh
-	d.chain.slots[0], d.chainSh = p, sh
-	d.chainN++
-	d.addRoot(p, sh)
-	return nil
-}
-
 func (d *Driver) addRoot(p heap.Value, s shadow) {
 	d.roots.slots = append(d.roots.slots, p)
 	d.shadow = append(d.shadow, s)
@@ -509,11 +467,6 @@ func (d *Driver) Step(n int) error {
 				d.hammerLarge()
 			}
 		}
-		if d.ChainEvery > 0 && d.Ops%d.ChainEvery == 0 {
-			if err := d.growChain(); err != nil {
-				return err
-			}
-		}
 		switch r := d.rng.Intn(10); {
 		case r < 5:
 			if err := d.allocObject(); err != nil {
@@ -546,7 +499,6 @@ func (d *Driver) compact() {
 	for _, s := range d.largeSh {
 		d.mark(s)
 	}
-	d.mark(d.chainSh)
 	for len(d.stack) > 0 {
 		id := d.stack[len(d.stack)-1]
 		d.stack = d.stack[:len(d.stack)-1]
@@ -587,7 +539,6 @@ func (d *Driver) compact() {
 	for k, s := range d.largeSh {
 		d.largeSh[k] = d.renumber(s)
 	}
-	d.chainSh = d.renumber(d.chainSh)
 	d.made, d.kept = 0, int(live)
 }
 
@@ -651,11 +602,6 @@ func (d *Driver) verify(seen *heap.Visits) error {
 			if err := d.verifyValue(p, d.largeSh[k], seen); err != nil {
 				return fmt.Errorf("large object %d: %w", k, err)
 			}
-		}
-	}
-	if d.chain != nil {
-		if err := d.verifyValue(d.chain.slots[0], d.chainSh, seen); err != nil {
-			return fmt.Errorf("chain: %w", err)
 		}
 	}
 	return nil
@@ -724,9 +670,6 @@ func (d *Driver) Fingerprint() uint64 {
 			for _, p := range d.large.slots {
 				walk(p)
 			}
-		}
-		if d.chain != nil {
-			walk(d.chain.slots[0])
 		}
 	})
 }
